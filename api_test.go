@@ -82,7 +82,7 @@ func TestFacadeConstructors(t *testing.T) {
 }
 
 // TestFacadeExtensions exercises the future-work extensions through the
-// facade: Func2, SiteSet, events, and state checkpointing.
+// facade: Func2, events, and state checkpointing.
 func TestFacadeExtensions(t *testing.T) {
 	// Func2 over a grid model.
 	cal, err := green.NewCalibration2D("mul", 18, []string{"m0"}, []float64{4},
@@ -109,26 +109,6 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 	if got := f2.Call(1, 2); got != 2.0001 {
 		t.Errorf("Func2.Call = %v", got)
-	}
-
-	// SiteSet.
-	fm, err := green.BuildFuncModel("f", 18, []green.VersionCurve{
-		{Name: "v", Work: 4, Samples: []green.FuncSample{
-			{X: 0, Loss: 0.001}, {X: 1, Loss: 0.001},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := green.NewSiteSet(green.FuncConfig{Name: "f", Model: fm, SLA: 0.01},
-		func(x float64) float64 { return x },
-		[]green.Fn{func(x float64) float64 { return x + 1e-6 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := ss.Site("hot")
-	if site.Name() != "f@hot" {
-		t.Errorf("site name = %q", site.Name())
 	}
 
 	// Events + state.

@@ -152,9 +152,9 @@ type (
 	FuncCalibration = core.FuncCalibration
 
 	// Features carries the per-input signals the controller pipeline's
-	// Select stage keys on (Loop.ExecFeat, Func.CallFeat, and their
-	// batch variants). A plain value; the zero value means "no
-	// features".
+	// Select stage keys on (Loop.ExecFeat/ExecNFeat and
+	// Func.CallFeat/CallNFeat; Func2 has no Select stage). A plain
+	// value; the zero value means "no features".
 	Features = core.Features
 	// Selector is the pluggable Select stage: per-input Features to an
 	// approximation level before execution, with Correct-stage drift
@@ -180,9 +180,6 @@ type (
 	Func2Config = core.Func2Config
 	// Fn2 is a two-parameter function candidate.
 	Fn2 = core.Fn2
-	// SiteSet provides per-call-site approximation state — the call-site
-	// differentiation the paper's implementation lacks (§3.2.2).
-	SiteSet = core.SiteSet
 
 	// FuncModel2D is the two-parameter grid QoS model.
 	FuncModel2D = model.FuncModel2D
@@ -196,7 +193,7 @@ type (
 	BreakerState = core.BreakerState
 	// BreakerStats snapshots a controller's panic-containment breaker:
 	// its state, consecutive failures, contained panics, and trips.
-	// Available via Loop.Breaker and Func.Breaker.
+	// Available via Loop.Breaker, Func.Breaker, and Func2.Breaker.
 	BreakerStats = core.BreakerStats
 
 	// Event describes one monitored execution (observability hook).
@@ -306,12 +303,6 @@ func BuildFuncModel(name string, preciseWork float64, versions []VersionCurve) (
 // precision order.
 func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 	return core.NewFunc2(cfg, precise, approx)
-}
-
-// NewSiteSet creates per-call-site controllers sharing one model
-// (§3.2.2 extension).
-func NewSiteSet(cfg FuncConfig, precise Fn, approx []Fn) (*SiteSet, error) {
-	return core.NewSiteSet(cfg, precise, approx)
 }
 
 // NewRegistry creates an empty controller registry.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"green/internal/core"
+	"green/internal/model"
 )
 
 // The fleet control plane: the coordinator periodically pulls each
@@ -91,11 +92,6 @@ type workerModel struct {
 	} `json:"controllers"`
 }
 
-// corrClamp bounds the observed/predicted loss correction factor, so
-// one noisy monitoring window cannot swing a shard's whole candidate
-// set by orders of magnitude.
-const corrLo, corrHi = 0.25, 4.0
-
 // controlTimeout bounds each control-plane exchange.
 const controlTimeout = 2 * time.Second
 
@@ -171,17 +167,14 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 		}
 		// Correction: scale the model's predicted losses by how the
 		// observed monitored loss compares to the prediction at the
-		// shard's current level, clamped so noise cannot run away.
+		// shard's current level — the same interpolation and the same
+		// clamp a selector bucket uses (model.KnotLoss, CorrectionRatio),
+		// so noise cannot run away. A prediction too small to form a
+		// ratio leaves the shard's model uncorrected.
 		corr := 1.0
 		if ctl.polled && ctl.lastMonitored > 0 {
-			if pred := predictAt(ctl.candLevels, ctl.candLoss, ctl.baseLevel, ctl.lastLevel); pred > 1e-9 {
-				corr = ctl.lastLoss / pred
-				if corr < corrLo {
-					corr = corrLo
-				} else if corr > corrHi {
-					corr = corrHi
-				}
-			}
+			pred := model.KnotLoss(ctl.candLevels, ctl.candLoss, ctl.baseLevel, ctl.lastLevel)
+			corr, _ = model.CorrectionRatio(ctl.lastLoss, pred)
 		}
 		// The candidate set for this shard-as-unit: every calibrated
 		// level with corrected loss, plus the explicit precise fallback.
@@ -263,36 +256,6 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 		rep.ShardsPolled, n, rep.FleetLoss, rep.Pushes, rep.EstSpeedup)
 	co.mu.Unlock()
 	return rep, nil
-}
-
-// predictAt linearly interpolates the model's predicted loss at an
-// arbitrary level from the calibrated knots (loss 0 at or beyond the
-// base level, the knot losses between).
-func predictAt(levels, losses []float64, baseLevel, at float64) float64 {
-	if len(levels) == 0 || at >= baseLevel {
-		return 0
-	}
-	// Knots are sorted ascending; find the bracketing pair.
-	if at <= levels[0] {
-		return losses[0]
-	}
-	for j := 1; j < len(levels); j++ {
-		if at <= levels[j] {
-			span := levels[j] - levels[j-1]
-			if span <= 0 {
-				return losses[j]
-			}
-			f := (at - levels[j-1]) / span
-			return losses[j-1] + f*(losses[j]-losses[j-1])
-		}
-	}
-	// Beyond the last knot: interpolate toward zero loss at base level.
-	span := baseLevel - levels[len(levels)-1]
-	if span <= 0 {
-		return losses[len(losses)-1]
-	}
-	f := (at - levels[len(levels)-1]) / span
-	return losses[len(losses)-1] * (1 - f)
 }
 
 // Start launches the periodic aggregation loop and returns an

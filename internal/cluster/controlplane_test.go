@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"green/internal/core"
 )
 
 // budgetRecorder captures the levels a fake worker receives on /budget.
@@ -198,23 +200,56 @@ func TestAggregateOncePartialFleet(t *testing.T) {
 	}
 }
 
-// TestPredictAt: the knot interpolation behind the observed/predicted
-// correction.
-func TestPredictAt(t *testing.T) {
-	levels := []float64{100, 1000}
-	losses := []float64{0.03, 0.005}
-	cases := []struct{ at, want float64 }{
-		{50, 0.03},      // below the first knot: clamp
-		{100, 0.03},     // on a knot
-		{1000, 0.005},   // on a knot
-		{550, 0.0175},   // midpoint of the bracket
-		{10500, 0.0025}, // halfway from last knot to base: toward 0
-		{20000, 0},      // at base: precise
-		{30000, 0},      // beyond base
+// TestCorrectionNeedsAPrediction: the control plane and the selector
+// share one clamped observed/predicted ratio (model.CorrectionRatio) but
+// keep their own policy where the prediction is too small to form one.
+// Shards sitting at the precise base level predict zero loss; whatever
+// loss they report, the control plane leaves their models uncorrected
+// (corr = 1), so the search sees the calibrated candidates {0.03, 0.005,
+// 0} and sends all three to M=1000 (0.015 <= 0.02). Had it borrowed the
+// selector's policy — observed loss where none was predicted is a maximal
+// underestimate, push to the upper clamp — the candidates would read
+// {0.12, 0.02, 0} and only one shard could leave precise. The selector,
+// fed the same kind of observation, does take the upper-clamp step.
+func TestCorrectionNeedsAPrediction(t *testing.T) {
+	recs := []*budgetRecorder{{}, {}, {}}
+	co, _ := clusterOf(t, Config{Quorum: 2, SLA: 0.02}, [][]http.Handler{
+		{controlWorker(0.019, 500, 20000, recs[0])},
+		{controlWorker(0.019, 500, 20000, recs[1])},
+		{controlWorker(0.019, 500, 20000, recs[2])},
+	})
+	rep, err := co.AggregateOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := predictAt(levels, losses, 20000, c.at); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("predictAt(%g) = %g, want %g", c.at, got, c.want)
+	for _, name := range []string{"s0", "s1", "s2"} {
+		if rep.Budgets[name] != 1000 {
+			t.Errorf("budget[%s] = %g, want the uncorrected model's 1000", name, rep.Budgets[name])
 		}
+	}
+	if math.Abs(rep.EstLoss-0.015) > 1e-12 {
+		t.Errorf("estimated loss = %g, want the uncorrected 0.015", rep.EstLoss)
+	}
+
+	cal, err := core.NewLoopCalibration("l", []float64{100, 1000}, 20000, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cal.FeatureBuckets([]float64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cal.AddRunFeat(core.Features{Key: 0.5, Valid: true}, []float64{0.03, 0}, []float64{100, 1000}); err != nil {
+		t.Fatal(err)
+	}
+	sel, err := cal.BuildSelector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sel.Correct(core.Features{Key: 0.5, Valid: true}, 1000, 0.019) {
+		t.Fatal("selector ignored loss observed where none was predicted")
+	}
+	// One EWMA step (alpha 0.25) toward the upper clamp: 1*(0.75 + 0.25*4).
+	if got := sel.Factors()[0]; math.Abs(got-1.75) > 1e-12 {
+		t.Errorf("selector factor = %g, want 1.75", got)
 	}
 }

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-
-	"green/internal/model"
 )
 
 // The batched execution tier.
@@ -61,45 +58,22 @@ type BatchResult struct {
 //	}
 //	res := b.Finish()
 //
-// Batches are pooled like LoopExec handles: Finish recycles the batch,
-// which must not be used afterwards. A LoopBatch is not safe for
-// concurrent use (each goroutine runs its own batches; the loop itself
-// stays safe for concurrent use).
+// Continue is the embedded loopMember's — the same stop law, monitored
+// and non-monitored, as LoopExec.Continue. Batches are pooled like
+// LoopExec handles: Finish recycles the batch, which must not be used
+// afterwards. A LoopBatch is not safe for concurrent use (each goroutine
+// runs its own batches; the loop itself stays safe for concurrent use).
 type LoopBatch struct {
-	loop  *Loop
-	qos   LoopQoS
-	delta DeltaQoS
+	// The current member. Its approximation snapshot is shared by the
+	// batch's members and reloaded after the monitored member applies
+	// its observation; one Select-stage decision (ExecNFeat: one Features
+	// value describes the whole batch) covers them all.
+	loopMember
 
-	n         int // configured batch size
-	k         int // members started so far
-	monitorAt int // offset of the monitored member; -1 when none
-	first     int64
-	probe     bool
-
-	// The approximation snapshot shared by the batch's members,
-	// reloaded after the monitored member applies its observation.
-	level    float64
-	adaptive model.AdaptiveParams
-	mode     LoopMode
-	disabled bool
-
-	// Current member state, reset by Next.
-	monitor    bool
-	panicked   bool
-	recorded   bool
-	terminated bool
-	wouldStop  int
-	// fast marks the common case — static mode, non-monitored member,
-	// approximation enabled — whose Continue check is small enough to
-	// inline at the call site.
-	fast bool
-
-	// Select-stage decision (ExecNFeat): one Features value describes
-	// the whole batch; the monitored member routes its loss back
-	// through the Correct stage.
-	feat     Features
-	selLevel float64
-	selected bool
+	n         int   // configured batch size
+	k         int   // members started so far
+	monitorAt int   // offset of the monitored member; -1 when none
+	first     int64 // sequence number of member 0
 
 	res BatchResult
 }
@@ -134,40 +108,21 @@ func (l *Loop) execN(n int, qos LoopQoS, f Features, useSel bool) (*LoopBatch, e
 	if n < 1 {
 		return nil, fmt.Errorf("core: batch size %d < 1", n)
 	}
-	if qos == nil {
-		return nil, errors.New("core: nil LoopQoS")
-	}
-	var delta DeltaQoS
-	if l.cfg.Mode == Adaptive {
-		d, ok := qos.(DeltaQoS)
-		if !ok {
-			return nil, errors.New("core: adaptive mode requires DeltaQoS")
-		}
-		delta = d
+	delta, err := l.checkQoS(qos)
+	if err != nil {
+		return nil, err
 	}
 	st := l.state.Load()
 	o := l.stageExecuteBatch(n)
-	disabled := st.disabled || st.forceOff || o.forced
 	var sd selDecision
 	if useSel {
 		sd = l.stageSelect(f, obs{forced: o.forced}, st.disabled || st.forceOff)
 	}
+	// A pooled batch comes back zeroed (Finish), so only the cursor's
+	// non-zero fields need setting.
 	b := batchPool.Get().(*LoopBatch)
-	*b = LoopBatch{
-		loop: l, qos: qos, delta: delta,
-		n: n, monitorAt: o.monitorAt, first: o.first, probe: o.probe,
-		level: st.level, adaptive: st.adaptive, mode: l.cfg.Mode,
-		disabled:  disabled,
-		wouldStop: -1,
-		feat:      sd.feat, selLevel: sd.level, selected: sd.selected,
-	}
-	if sd.selected {
-		if b.mode == Adaptive {
-			b.adaptive.M = sd.level
-		} else {
-			b.level = sd.level
-		}
-	}
+	b.n, b.monitorAt, b.first = n, o.monitorAt, o.first
+	b.init(l, qos, delta, st, o.forced, o.probe, sd)
 	return b, nil
 }
 
@@ -178,110 +133,8 @@ func (b *LoopBatch) Next() bool {
 	if b.k >= b.n {
 		return false
 	}
-	b.monitor = b.k == b.monitorAt
-	b.panicked = false
-	b.recorded = false
-	b.terminated = false
-	b.wouldStop = -1
-	b.fast = !b.monitor && !b.disabled && b.mode == Static
+	b.arm(b.k == b.monitorAt)
 	b.k++
-	return true
-}
-
-// approxSaysStop is the batch's copy of the synthesized QoS_Lp_Approx
-// (LoopExec.approxSaysStop): duplicated rather than shared so the
-// per-iteration check stays a leaf the compiler can keep inline on both
-// hot paths.
-func (b *LoopBatch) approxSaysStop(i int) bool {
-	if b.disabled {
-		return false
-	}
-	switch b.mode {
-	case Static:
-		return float64(i) >= b.level
-	default: // Adaptive
-		if b.adaptive.Period < 1 {
-			return false
-		}
-		if float64(i) < b.adaptive.M {
-			return false
-		}
-		if i > 0 && i%int(b.adaptive.Period) == 0 {
-			return b.delta.Delta(i) <= b.adaptive.TargetDelta
-		}
-		return false
-	}
-}
-
-// safeStop runs approxSaysStop under recover (monitored members only).
-func (b *LoopBatch) safeStop(i int) (stop bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.panicked = true
-			stop = false
-		}
-	}()
-	return b.approxSaysStop(i)
-}
-
-// safeRecord runs LoopQoS.Record under recover.
-func (b *LoopBatch) safeRecord(i int) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.panicked = true
-			ok = false
-		}
-	}()
-	b.qos.Record(i)
-	return true
-}
-
-// safeLoss runs LoopQoS.Loss under recover.
-func (b *LoopBatch) safeLoss(finalIter int) (loss float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.panicked = true
-			loss, ok = 0, false
-		}
-	}()
-	return b.qos.Loss(finalIter), true
-}
-
-// Continue reports whether the current member's loop body should run
-// iteration i — the batched LoopExec.Continue, with identical monitored
-// and non-monitored semantics. The fast-flag split keeps the common
-// case (static, non-monitored, enabled) inlinable: a float compare and
-// out; monitored members, adaptive mode, and post-termination calls
-// take continueSlow.
-func (b *LoopBatch) Continue(i int) bool {
-	if b.fast && float64(i) < b.level {
-		return true
-	}
-	return b.continueSlow(i)
-}
-
-func (b *LoopBatch) continueSlow(i int) bool {
-	if b.monitor {
-		if b.recorded || b.panicked {
-			return true
-		}
-		if b.safeStop(i) {
-			if b.safeRecord(i) {
-				b.recorded = true
-				b.wouldStop = i
-			}
-		}
-		return true
-	}
-	if b.terminated {
-		return false
-	}
-	if b.approxSaysStop(i) {
-		b.fast = false // terminated: keep later Continue calls off the fast path
-		b.terminated = true
-		b.wouldStop = i
-		return false
-	}
 	return true
 }
 
@@ -291,59 +144,31 @@ func (b *LoopBatch) continueSlow(i int) bool {
 // unbatched stream would put it), then the batch reloads the snapshot
 // for its remaining members.
 func (b *LoopBatch) End(finalIter int) Result {
-	if !b.monitor {
-		if b.terminated {
-			b.res.Approximated++
-		}
-		return Result{Approximated: b.terminated, StoppedAt: b.wouldStop}
+	if b.monitor {
+		return b.endMonitored(finalIter)
 	}
-	return b.endMonitored(finalIter)
-}
-
-func (b *LoopBatch) endMonitored(finalIter int) Result {
-	res := Result{
-		Approximated: b.terminated,
-		Monitored:    true,
-		StoppedAt:    b.wouldStop,
-	}
+	// Only a non-monitored member can have terminated early: a monitored
+	// one always runs to its natural end.
 	if b.terminated {
 		b.res.Approximated++
 	}
-	loss := 0.0
-	if b.recorded && !b.panicked {
-		loss, _ = b.safeLoss(finalIter)
-	}
-	l := b.loop
-	o := obs{seq: b.first + int64(b.k-1), monitor: true, probe: b.probe}
-	sd := selDecision{feat: b.feat, level: b.selLevel, selected: b.selected}
-	res.Loss = loss
-	res.Recalibrated = l.stageObserveCorrect(o, loss, b.panicked, sd, func(st *loopState, a Action) float64 {
-		l.applyAction(st, a)
-		return st.level
-	})
-	if b.panicked {
-		res.Loss = 0
-		res.ContainedPanic = true
+	return b.result()
+}
+
+func (b *LoopBatch) endMonitored(finalIter int) Result {
+	res := b.observe(b.first+int64(b.k-1), finalIter)
+	if res.ContainedPanic {
 		b.res.ContainedPanic = true
 	} else {
 		b.res.Monitored++
-		b.res.Loss = loss
+		b.res.Loss = res.Loss
 		b.res.Recalibrated = res.Recalibrated
 	}
 	// The observation may have moved the level (or the breaker may have
 	// tripped): the batch's remaining members read the fresh snapshot,
 	// exactly as unbatched Begins would. A Select-stage choice still
 	// governs the remaining members' level.
-	st := l.state.Load()
-	b.level, b.adaptive = st.level, st.adaptive
-	b.disabled = st.disabled || st.forceOff
-	if b.selected && !b.disabled {
-		if b.mode == Adaptive {
-			b.adaptive.M = b.selLevel
-		} else {
-			b.level = b.selLevel
-		}
-	}
+	b.load(b.loop.state.Load(), false)
 	return res
 }
 

@@ -30,11 +30,10 @@ type LoopCalibration struct {
 	runs      int
 
 	// Feature-tagged accumulation (FeatureBuckets/AddRunFeat): per
-	// feature bucket, the same per-knot loss/work sums, feeding
+	// feature bucket, the same per-knot loss sums, feeding
 	// BuildSelector's per-bucket curves.
 	featEdges    []float64
 	featLossSums [][]float64
-	featWorkSums [][]float64
 	featRuns     []int
 }
 
@@ -98,6 +97,20 @@ func (c *LoopCalibration) AddRun(losses, work []float64) error {
 // returned; inputs before it remain recorded, exactly as if the serial
 // loop had stopped there.
 func (c *LoopCalibration) AddRunsParallel(workers, n int, fn func(i int) (losses, work []float64, err error)) error {
+	return runsParallel(workers, n,
+		func(i int) (Features, []float64, []float64, error) {
+			losses, work, err := fn(i)
+			return Features{}, losses, work, err
+		},
+		func(_ Features, losses, work []float64) error { return c.AddRun(losses, work) })
+}
+
+// runsParallel is the measure-then-record fan-out behind AddRunsParallel
+// and AddRunsFeatParallel: measure runs once per input index on a pool
+// of workers, then record consumes the results serially in input order.
+func runsParallel(workers, n int,
+	measure func(i int) (f Features, losses, work []float64, err error),
+	record func(f Features, losses, work []float64) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -105,6 +118,7 @@ func (c *LoopCalibration) AddRunsParallel(workers, n int, fn func(i int) (losses
 		workers = n
 	}
 	type out struct {
+		f            Features
 		losses, work []float64
 		err          error
 	}
@@ -112,7 +126,7 @@ func (c *LoopCalibration) AddRunsParallel(workers, n int, fn func(i int) (losses
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			o := &outs[i]
-			o.losses, o.work, o.err = fn(i)
+			o.f, o.losses, o.work, o.err = measure(i)
 		}
 	} else {
 		var next atomic.Int64
@@ -127,7 +141,7 @@ func (c *LoopCalibration) AddRunsParallel(workers, n int, fn func(i int) (losses
 						return
 					}
 					o := &outs[i]
-					o.losses, o.work, o.err = fn(i)
+					o.f, o.losses, o.work, o.err = measure(i)
 				}
 			}()
 		}
@@ -137,7 +151,7 @@ func (c *LoopCalibration) AddRunsParallel(workers, n int, fn func(i int) (losses
 		if outs[i].err != nil {
 			return fmt.Errorf("core: calibration input %d: %w", i, outs[i].err)
 		}
-		if err := c.AddRun(outs[i].losses, outs[i].work); err != nil {
+		if err := record(outs[i].f, outs[i].losses, outs[i].work); err != nil {
 			return fmt.Errorf("core: calibration input %d: %w", i, err)
 		}
 	}
@@ -158,11 +172,9 @@ func (c *LoopCalibration) FeatureBuckets(edges []float64) error {
 	n := len(edges) - 1
 	c.featEdges = append([]float64(nil), edges...)
 	c.featLossSums = make([][]float64, n)
-	c.featWorkSums = make([][]float64, n)
 	c.featRuns = make([]int, n)
 	for b := 0; b < n; b++ {
 		c.featLossSums[b] = make([]float64, len(c.knots))
-		c.featWorkSums[b] = make([]float64, len(c.knots))
 	}
 	return nil
 }
@@ -188,7 +200,6 @@ func (c *LoopCalibration) AddRunFeat(f Features, losses, work []float64) error {
 	}
 	for i := range losses {
 		c.featLossSums[b][i] += losses[i]
-		c.featWorkSums[b][i] += work[i]
 	}
 	c.featRuns[b]++
 	return nil
@@ -199,55 +210,11 @@ func (c *LoopCalibration) AddRunFeat(f Features, losses, work []float64) error {
 // in input order, so the built selector is bit-identical to a serial
 // fn+AddRunFeat loop regardless of the worker count.
 func (c *LoopCalibration) AddRunsFeatParallel(workers, n int, fn func(i int) (f Features, losses, work []float64, err error)) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	type out struct {
-		f            Features
-		losses, work []float64
-		err          error
-	}
-	outs := make([]out, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			o := &outs[i]
-			o.f, o.losses, o.work, o.err = fn(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					o := &outs[i]
-					o.f, o.losses, o.work, o.err = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return fmt.Errorf("core: calibration input %d: %w", i, outs[i].err)
-		}
-		if err := c.AddRunFeat(outs[i].f, outs[i].losses, outs[i].work); err != nil {
-			return fmt.Errorf("core: calibration input %d: %w", i, err)
-		}
-	}
-	return nil
+	return runsParallel(workers, n, fn, c.AddRunFeat)
 }
 
 // BuildSelector averages the feature-tagged runs into a LoopSelector:
-// one loss/work curve per bucket over the knot grid, each forced into
+// one loss curve per bucket over the knot grid, each forced into
 // a monotone non-increasing envelope (more iterations never predict
 // more loss) exactly as the global model's envelope is. Buckets that
 // saw no runs get no curve — the selector declines their inputs and
@@ -265,16 +232,13 @@ func (c *LoopCalibration) BuildSelector() (*LoopSelector, error) {
 	}
 	n := len(c.featEdges) - 1
 	loss := make([][]float64, n)
-	work := make([][]float64, n)
 	for b := 0; b < n; b++ {
 		if c.featRuns[b] == 0 {
 			continue
 		}
 		loss[b] = make([]float64, len(c.knots))
-		work[b] = make([]float64, len(c.knots))
 		for i := range c.knots {
 			loss[b][i] = c.featLossSums[b][i] / float64(c.featRuns[b])
-			work[b][i] = c.featWorkSums[b][i] / float64(c.featRuns[b])
 		}
 		// Envelope: walking down from the most precise knot, loss may
 		// never increase with level.
@@ -284,9 +248,9 @@ func (c *LoopCalibration) BuildSelector() (*LoopSelector, error) {
 			}
 		}
 	}
-	return newLoopSelector(c.name, c.baseLevel,
+	return newLoopSelector(c.baseLevel,
 		append([]float64(nil), c.featEdges...),
-		append([]float64(nil), c.knots...), loss, work), nil
+		append([]float64(nil), c.knots...), loss), nil
 }
 
 // Build averages the recorded runs into a LoopModel.
@@ -388,13 +352,7 @@ func (c *FuncCalibration) Calibrate(precise Fn, versions []Fn, inputs []float64,
 		return fmt.Errorf("core: got %d implementations, want %d", len(versions), len(c.versions))
 	}
 	if qos == nil {
-		qos = func(p, a float64) float64 {
-			denom := math.Abs(p)
-			if denom < 1e-12 {
-				denom = 1e-12
-			}
-			return math.Abs(a-p) / denom
-		}
+		qos = defaultFuncQoS
 	}
 	for _, x := range inputs {
 		yp := precise(x)
@@ -480,7 +438,7 @@ func (c *FuncCalibration) BuildFuncSelector() (*FuncSelector, error) {
 	if !any {
 		return nil, errors.New("core: no feature bucket has samples for every version")
 	}
-	return newFuncSelector(c.name, append([]float64(nil), c.featEdges...), loss), nil
+	return newFuncSelector(append([]float64(nil), c.featEdges...), loss), nil
 }
 
 // Build averages the bins into a FuncModel.

@@ -31,17 +31,18 @@ import (
 //	          way the cluster control plane clamps shard corrections.
 //	          Observe and Correct share stageObserveCorrect.
 //
-// Loop, Func, and Func2 each add only (a) the shape of their immutable
-// approximation snapshot, (b) how a policy action translates into that
-// snapshot, and (c) which entry points thread Features in (ExecFeat,
-// CallFeat, and their batch variants). Everything else — the counters,
+// Loop and the version ladder under Func and Func2 (ladder.go) each add
+// only (a) the shape of their immutable approximation snapshot, (b) how
+// a policy action translates into that snapshot, and (c) which entry
+// points thread Features in (ExecFeat/ExecNFeat, CallFeat/CallNFeat).
+// Everything else — the counters,
 // the striped loss accumulator, the sampling decision, the panic
 // breaker, selector bookkeeping, policy invocation and event emission,
 // Stats, and the copy-on-write publish protocol — lives here, once, as
 // controller[S].
 //
-// S is the controller's immutable snapshot type (loopState, funcState,
-// func2State). The hot path reads it with one atomic load; every
+// S is the controller's immutable snapshot type (loopState,
+// ladderState). The hot path reads it with one atomic load; every
 // mutation copies the current snapshot under mu, edits the copy, and
 // publishes it atomically, so non-monitored executions never take a
 // lock. The Selector slot is a separate atomic pointer: when none is
@@ -354,13 +355,6 @@ func (c *controller[S]) reconcileBatch(n, ran int) {
 	}
 }
 
-// finishObservation completes one monitored execution that carried no
-// Select-stage decision (the featureless entry points). It is the
-// Observe + Correct stages with an empty selDecision.
-func (c *controller[S]) finishObservation(o obs, loss float64, panicked bool, apply func(*S, Action) float64) Action {
-	return c.stageObserveCorrect(o, loss, panicked, selDecision{}, apply)
-}
-
 // stageObserveCorrect runs the Observe and Correct stages for one
 // monitored execution. A contained panic is a failed observation: its
 // loss value would be garbage, so it is discarded — never counted into
@@ -551,24 +545,4 @@ func (a *lossAccumulator) drain() float64 {
 		s += math.Float64frombits(a.cells[i].bits.Swap(0))
 	}
 	return s
-}
-
-// applyOffsetAction shifts a version-ladder precision offset for a
-// recalibration action, clamped to ±nVersions, and clears the
-// model-driven disable (recalibration pressure can re-enable a site the
-// model had given up on). Shared by Func and Func2, whose approximation
-// level is an offset into the version ladder.
-func applyOffsetAction(offset *int, disabled *bool, a Action, nVersions int) {
-	switch a {
-	case ActIncrease:
-		if *offset < nVersions {
-			*offset++
-		}
-		*disabled = false
-	case ActDecrease:
-		if *offset > -nVersions {
-			*offset--
-		}
-		*disabled = false
-	}
 }

@@ -3,23 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"green/internal/model"
 )
 
-// This file implements two extensions the paper identifies but leaves to
-// future work:
-//
-//   - Func2 approximates functions of *two* numeric parameters (footnote
-//     1: "this can be extended to multiple parameters") using the 2-D
-//     grid model from internal/model.
-//   - Site gives each call site of an approximated function its own
-//     recalibration state (§3.2.2: "our current implementation does not
-//     differentiate between call sites and uses the same QoS_Approx()
-//     function for all sites"). Sites share the calibration model but
-//     adjust precision independently, so a call site seeing harder inputs
-//     can run more precisely without slowing the others down.
+// This file implements an extension the paper identifies but leaves to
+// future work: Func2 approximates functions of *two* numeric parameters
+// (footnote 1: "this can be extended to multiple parameters") using the
+// 2-D grid model from internal/model.
 
 // Fn2 is a two-parameter function candidate for approximation.
 type Fn2 func(x, y float64) float64
@@ -57,28 +48,19 @@ type Func2Config struct {
 	BreakerCooldown int
 }
 
-// func2State is the immutable snapshot Func2's Call fast path reads with
-// a single atomic load, published through the embedded controller's
-// copy-on-write protocol.
-type func2State struct {
-	offset   int
-	disabled bool
-	forceOff bool
-}
-
-// Func2 is the two-parameter function controller. It mirrors Func's
-// behavior: per-call cheapest-version selection under the SLA, monitored
+// Func2 is the two-parameter function controller. It is Func over a grid
+// model: per-call cheapest-version selection under the SLA, monitored
 // sampling with panic containment and a circuit breaker, and
-// offset-based recalibration. The counters, sampling decision, breaker,
-// policy plumbing, and Stats come from the embedded generic controller;
-// the non-monitored path is lock-free.
+// offset-based recalibration, all from the embedded version ladder
+// (ladder.go) and the generic controller under it; the non-monitored
+// path is lock-free. Func2 itself adds the grid-cell lookup that picks a
+// base version per input and the Fn2 invocation.
 type Func2 struct {
-	controller[func2State]
+	ladder
 
 	cfg      Func2Config
 	precise  Fn2
 	versions []Fn2
-	qos      FuncQoS
 }
 
 // NewFunc2 builds the controller; approx must match the model's versions
@@ -98,46 +80,48 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 		cfg:      cfg,
 		precise:  precise,
 		versions: append([]Fn2(nil), approx...),
-		qos:      cfg.QoS,
 	}
 	if err := f.init("func2", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
 		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
 		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
-	}); err != nil {
+	}, len(approx), cfg.QoS, cfg.Disabled); err != nil {
 		return nil, err
 	}
-	if f.qos == nil {
-		f.qos = defaultFuncQoS
-	}
-	f.state.Store(&func2State{forceOff: cfg.Disabled})
 	return f, nil
 }
 
-// Offset returns the recalibration precision offset.
-func (f *Func2) Offset() int { return int(f.state.Load().offset) }
-
-// Level reports the precision offset as the controller's approximation
-// level (the registry's uniform scalar view; see registry.go).
-func (f *Func2) Level() float64 { return float64(f.state.Load().offset) }
-
-// selectVersion applies the model plus the snapshot's offset.
-func (f *Func2) selectVersion(st *func2State, x, y float64) int {
-	if st.disabled || st.forceOff {
+// version picks the ladder version for one call: precise while the
+// breaker forces it (monitoring is suspended then) or approximation is
+// off, otherwise the grid cell's base version under the snapshot's
+// offset.
+func (f *Func2) version(st *ladderState, forced bool, x, y float64) int {
+	if forced || st.off() {
 		return model.PreciseVersion
 	}
-	v := f.cfg.Model.SelectVersion(x, y, f.cfg.SLA)
+	return f.shift(st, f.cfg.Model.SelectVersion(x, y, f.cfg.SLA))
+}
+
+// run evaluates version v at (x, y): a non-monitored call.
+func (f *Func2) run(v int, x, y float64) float64 {
 	if v == model.PreciseVersion {
-		return v
+		return f.precise(x, y)
 	}
-	v += st.offset
-	if v >= len(f.versions) {
-		return model.PreciseVersion
+	return f.versions[v](x, y)
+}
+
+// monitored is the one monitored-call body Call and CallN share: the
+// precise function runs and its result is returned; if an approximate
+// version was selected it runs too and the ladder measures the loss and
+// recalibrates (observeMember).
+func (f *Func2) monitored(o obs, v int, x, y float64) float64 {
+	zp := f.precise(x, y)
+	var approx func() float64
+	if v != model.PreciseVersion {
+		approx = func() float64 { return f.versions[v](x, y) }
 	}
-	if v < 0 {
-		v = 0
-	}
-	return v
+	f.observeMember(o, selDecision{}, zp, approx)
+	return zp
 }
 
 // Call evaluates the function under the approximation policy. On
@@ -150,39 +134,11 @@ func (f *Func2) selectVersion(st *func2State, x, y float64) int {
 func (f *Func2) Call(x, y float64) float64 {
 	st := f.state.Load()
 	o := f.stageExecute()
-	v := f.selectVersion(st, x, y)
-	if o.forced {
-		// Breaker open: forced precise, monitoring suspended.
-		v = model.PreciseVersion
+	v := f.version(st, o.forced, x, y)
+	if o.monitor {
+		return f.monitored(o, v, x, y)
 	}
-
-	if !o.monitor {
-		if v == model.PreciseVersion {
-			return f.precise(x, y)
-		}
-		return f.versions[v](x, y)
-	}
-
-	yp := f.precise(x, y)
-	loss := 0.0
-	panicked := false
-	if v != model.PreciseVersion {
-		if ya, ok := f.safeApprox(v, x, y); ok {
-			if lv, ok := f.safeQoS(yp, ya); ok {
-				loss = lv
-			} else {
-				panicked = true
-			}
-		} else {
-			panicked = true
-		}
-	}
-
-	f.finishObservation(o, loss, panicked, func(st *func2State, a Action) float64 {
-		applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-		return float64(st.offset)
-	})
-	return yp
+	return f.run(v, x, y)
 }
 
 // CallN evaluates the function at each (xs[i], ys[i]) pair, writing
@@ -203,92 +159,17 @@ func (f *Func2) CallN(xs, ys, zs []float64) error {
 		return nil
 	}
 	st := f.state.Load()
-	o := f.stageExecuteBatch(n)
-	if o.forced {
-		// Breaker open: the whole batch runs precise, monitoring
-		// suspended.
-		for i := 0; i < n; i++ {
-			zs[i] = f.precise(xs[i], ys[i])
-		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		x, y := xs[i], ys[i]
-		v := f.selectVersion(st, x, y)
-		if i != o.monitorAt {
-			if v == model.PreciseVersion {
-				zs[i] = f.precise(x, y)
-			} else {
-				zs[i] = f.versions[v](x, y)
-			}
+	b := f.stageExecuteBatch(n)
+	for i, x := range xs {
+		v := f.version(st, b.forced, x, ys[i])
+		if i != b.monitorAt {
+			zs[i] = f.run(v, x, ys[i])
 			continue
 		}
-		// Monitored member: Call's monitored path, inline.
-		zp := f.precise(x, y)
-		loss := 0.0
-		panicked := false
-		if v != model.PreciseVersion {
-			if za, ok := f.safeApprox(v, x, y); ok {
-				if lv, ok := f.safeQoS(zp, za); ok {
-					loss = lv
-				} else {
-					panicked = true
-				}
-			} else {
-				panicked = true
-			}
-		}
-		zs[i] = zp
-		f.finishObservation(obs{seq: o.first + int64(i), monitor: true, probe: o.probe}, loss, panicked,
-			func(st *func2State, a Action) float64 {
-				applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-				return float64(st.offset)
-			})
+		zs[i] = f.monitored(obs{seq: b.first + int64(i), monitor: true, probe: b.probe}, v, x, ys[i])
 		st = f.state.Load()
 	}
 	return nil
-}
-
-// safeApprox runs approximate version v under recover.
-func (f *Func2) safeApprox(v int, x, y float64) (z float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			z, ok = 0, false
-		}
-	}()
-	return f.versions[v](x, y), true
-}
-
-// safeQoS runs the QoS comparator under recover.
-func (f *Func2) safeQoS(yp, ya float64) (loss float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			loss, ok = 0, false
-		}
-	}()
-	return f.qos(yp, ya), true
-}
-
-// IncreaseAccuracy implements Unit.
-func (f *Func2) IncreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *func2State) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActIncrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
-}
-
-// DecreaseAccuracy implements Unit.
-func (f *Func2) DecreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *func2State) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActDecrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
 }
 
 // Sensitivity implements Unit: the mean modeled loss improvement per
@@ -297,13 +178,10 @@ func (f *Func2) DecreaseAccuracy() bool {
 func (f *Func2) Sensitivity() float64 {
 	st := f.state.Load()
 	m := f.cfg.Model
-	cells := m.Grid.NX * m.Grid.NY
-
 	var dLoss, dWork float64
-	n := 0
-	for idx := 0; idx < cells; idx++ {
+	for idx := 0; idx < m.Grid.NX*m.Grid.NY; idx++ {
 		// Cheapest version meeting the SLA in this cell (SelectVersion's
-		// rule), then the recalibration offset, as selectVersion applies.
+		// rule), then the recalibration offset, as version applies it.
 		base := model.PreciseVersion
 		bestWork := m.PreciseWork
 		for vi := range m.Versions {
@@ -313,113 +191,26 @@ func (f *Func2) Sensitivity() float64 {
 				bestWork = v.Work
 			}
 		}
-		if base == model.PreciseVersion {
-			continue
-		}
-		cur := base + st.offset
-		if cur < 0 {
-			cur = 0
-		}
-		if cur >= len(m.Versions) {
+		cur := f.shift(st, base)
+		if cur == model.PreciseVersion {
 			continue // already precise here
 		}
 		lossCur := m.Versions[cur].Loss[idx]
 		if !finite(lossCur) {
 			continue // uncalibrated cell
 		}
-		var lossUp, workUp float64
-		if cur+1 >= len(m.Versions) {
-			lossUp, workUp = 0, m.PreciseWork
-		} else {
-			lossUp, workUp = m.Versions[cur+1].Loss[idx], m.Versions[cur+1].Work
-			if !finite(lossUp) {
-				lossUp = 0
+		lossUp, workUp := 0.0, m.PreciseWork
+		if cur+1 < len(m.Versions) {
+			workUp = m.Versions[cur+1].Work
+			if up := m.Versions[cur+1].Loss[idx]; finite(up) {
+				lossUp = up
 			}
 		}
 		dLoss += lossCur - lossUp
 		dWork += (workUp - m.Versions[cur].Work) / m.PreciseWork
-		n++
 	}
-	if n == 0 || dWork <= 0 {
-		return 0
+	if dWork <= 0 {
+		return 0 // nothing can step up, or stepping up is free
 	}
 	return dLoss / dWork
-}
-
-// DisableApprox implements Unit; the disable is sticky — only
-// EnableApprox clears it.
-func (f *Func2) DisableApprox() {
-	f.mutate(func(st *func2State) { st.forceOff = true })
-}
-
-// EnableApprox re-enables approximation after DisableApprox.
-func (f *Func2) EnableApprox() {
-	f.mutate(func(st *func2State) {
-		st.forceOff = false
-		st.disabled = false
-	})
-}
-
-// ApproxEnabled implements Unit.
-func (f *Func2) ApproxEnabled() bool {
-	st := f.state.Load()
-	return !st.disabled && !st.forceOff
-}
-
-// SiteSet manages per-call-site controllers for one approximated
-// function. Each Site shares the model and implementations but owns its
-// recalibration offset, sampling counter, and statistics.
-type SiteSet struct {
-	cfg      FuncConfig
-	precise  Fn
-	versions []Fn
-
-	mu    sync.Mutex
-	sites map[string]*Func
-}
-
-// NewSiteSet prepares per-site controllers; the arguments mirror NewFunc.
-func NewSiteSet(cfg FuncConfig, precise Fn, approx []Fn) (*SiteSet, error) {
-	// Validate eagerly by constructing (and discarding) one controller.
-	if _, err := NewFunc(cfg, precise, approx); err != nil {
-		return nil, err
-	}
-	return &SiteSet{
-		cfg:      cfg,
-		precise:  precise,
-		versions: append([]Fn(nil), approx...),
-		sites:    make(map[string]*Func),
-	}, nil
-}
-
-// Site returns the controller for the named call site, creating it on
-// first use. Each site carries the paper's per-function logic but with
-// independent recalibration state.
-func (s *SiteSet) Site(name string) *Func {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.sites[name]; ok {
-		return f
-	}
-	cfg := s.cfg
-	cfg.Name = s.cfg.Name + "@" + name
-	f, err := NewFunc(cfg, s.precise, s.versions)
-	if err != nil {
-		// NewSiteSet validated the configuration; a failure here is a
-		// programming error.
-		panic("core: site construction failed after validation: " + err.Error())
-	}
-	s.sites[name] = f
-	return f
-}
-
-// Sites returns the names of the instantiated call sites.
-func (s *SiteSet) Sites() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.sites))
-	for n := range s.sites {
-		names = append(names, n)
-	}
-	return names
 }

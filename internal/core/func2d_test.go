@@ -134,56 +134,3 @@ func TestFunc2DisableEnable(t *testing.T) {
 		t.Error("name wrong")
 	}
 }
-
-func TestSiteSetIndependentRecalibration(t *testing.T) {
-	mkSamples := func(loss float64) []model.FuncSample {
-		return []model.FuncSample{{X: 0, Loss: loss}, {X: 10, Loss: loss}}
-	}
-	fm, err := model.BuildFuncModel("sq", 18, []model.VersionCurve{
-		{Name: "v0", Work: 4, Samples: mkSamples(0.10)},
-		{Name: "v1", Work: 8, Samples: mkSamples(0.01)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	precise := func(x float64) float64 { return x * x }
-	v0 := func(x float64) float64 { return x * x * 1.10 }
-	v1 := func(x float64) float64 { return x * x * 1.01 }
-	ss, err := NewSiteSet(FuncConfig{
-		Name: "sq", Model: fm, SLA: 0.2, SampleInterval: 1,
-	}, precise, []Fn{v0, v1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := ss.Site("hot")
-	cold := ss.Site("cold")
-	if hot == cold {
-		t.Fatal("sites not distinct")
-	}
-	if ss.Site("hot") != hot {
-		t.Fatal("site not memoized")
-	}
-	// Drive only the hot site's recalibration: its offset moves, the
-	// cold site's does not.
-	hot.qos = func(p, a float64) float64 { return 1 }
-	hot.Call(2)
-	if hot.Offset() != 1 {
-		t.Errorf("hot offset = %d, want 1", hot.Offset())
-	}
-	if cold.Offset() != 0 {
-		t.Errorf("cold offset = %d, want 0 (independent)", cold.Offset())
-	}
-	names := ss.Sites()
-	if len(names) != 2 {
-		t.Errorf("sites = %v", names)
-	}
-	if hot.Name() != "sq@hot" {
-		t.Errorf("site name = %q", hot.Name())
-	}
-}
-
-func TestNewSiteSetValidates(t *testing.T) {
-	if _, err := NewSiteSet(FuncConfig{}, nil, nil); err == nil {
-		t.Error("invalid config accepted")
-	}
-}

@@ -69,32 +69,26 @@ type FuncConfig struct {
 	BreakerCooldown int
 }
 
-// funcState is the immutable snapshot the Call fast path reads with a
-// single atomic load: version-selection ranges, the recalibration offset,
-// and the disable flags. It is published through the embedded
-// controller's copy-on-write protocol, so ordinary calls never contend
-// on a lock.
-type funcState struct {
-	ranges   []model.Range
-	offset   int
-	disabled bool
-	forceOff bool
-}
-
 // Func is an approximable function: the operational-phase object
 // synthesized from an approx_func annotation. Call reproduces the
 // generated code of Figure 7 and is safe for concurrent use; the
-// non-monitored path is lock-free. The counters, sampling decision,
-// breaker, policy plumbing, and Stats come from the embedded generic
-// controller.
+// non-monitored path is lock-free. The recalibration offset, the
+// monitored-member observation, and the Unit methods come from the
+// embedded version ladder (ladder.go); the counters, sampling decision,
+// breaker, policy plumbing, and Stats from the generic controller under
+// it. Func itself adds the range-table lookup that picks a base version
+// per input, the Fn invocation, and the work accounting.
 type Func struct {
-	controller[funcState]
+	ladder
 
 	cfg      FuncConfig
 	precise  Fn
 	versions []Fn
-	qos      FuncQoS
 	key      func(float64) float64
+
+	// ranges is the model's version-selection table for cfg.SLA,
+	// immutable after NewFunc.
+	ranges []model.Range
 
 	// workMilli accumulates model work units in thousandths, so the hot
 	// path can use a single atomic add for fractional unit costs.
@@ -120,65 +114,45 @@ func NewFunc(cfg FuncConfig, precise Fn, approx []Fn) (*Func, error) {
 		cfg:      cfg,
 		precise:  precise,
 		versions: append([]Fn(nil), approx...),
-		qos:      cfg.QoS,
 		key:      cfg.Key,
 	}
 	if err := f.init("func", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
 		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
 		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
-	}); err != nil {
+	}, len(approx), cfg.QoS, cfg.Disabled); err != nil {
 		return nil, err
-	}
-	if f.qos == nil {
-		f.qos = defaultFuncQoS
 	}
 	if f.key == nil {
 		f.key = func(x float64) float64 { return x }
 	}
-	f.state.Store(&funcState{
-		ranges:   cfg.Model.Ranges(cfg.SLA),
-		forceOff: cfg.Disabled,
-	})
+	f.ranges = cfg.Model.Ranges(cfg.SLA)
 	return f, nil
 }
 
 // Ranges returns the currently active selection ranges (before the
 // recalibration offset is applied).
 func (f *Func) Ranges() []model.Range {
-	st := f.state.Load()
-	return append([]model.Range(nil), st.ranges...)
+	return append([]model.Range(nil), f.ranges...)
 }
 
-// Offset returns the current recalibration precision offset.
-func (f *Func) Offset() int { return f.state.Load().offset }
-
-// Level reports the precision offset as the controller's approximation
-// level (the registry's uniform scalar view; see registry.go).
-func (f *Func) Level() float64 { return float64(f.state.Load().offset) }
-
-// selectVersion returns the version index (or model.PreciseVersion) for
-// input x under the snapshot's ranges and offset.
-func (f *Func) selectVersion(st *funcState, x float64) int {
-	if st.disabled || st.forceOff {
+// version picks the ladder version for one call at x: precise while the
+// breaker forces it (monitoring is suspended then) or approximation is
+// off, the Select stage's choice when it made one, otherwise the range
+// table's base version under the snapshot's offset.
+func (f *Func) version(st *ladderState, forced bool, sd *selDecision, x float64) int {
+	if forced || st.off() {
 		return model.PreciseVersion
 	}
+	if sd.selected {
+		return f.clampVersion(sd.level)
+	}
 	k := f.key(x)
-	for i := range st.ranges {
-		r := st.ranges[i]
-		if k >= r.Lo && (k < r.Hi || (k == r.Hi && r.Hi == st.ranges[len(st.ranges)-1].Hi)) {
-			v := r.Version
-			if v == model.PreciseVersion {
-				return v
-			}
-			v += st.offset
-			if v >= len(f.versions) {
-				return model.PreciseVersion
-			}
-			if v < 0 {
-				v = 0
-			}
-			return v
+	last := len(f.ranges) - 1
+	for i := range f.ranges {
+		r := &f.ranges[i]
+		if k >= r.Lo && (k < r.Hi || (k == r.Hi && r.Hi == f.ranges[last].Hi)) {
+			return f.shift(st, r.Version)
 		}
 	}
 	// Outside the calibrated domain the model knows nothing: precise.
@@ -215,79 +189,53 @@ func (f *Func) call(x float64, feat Features, useSel bool) float64 {
 	o := f.stageExecute()
 	var sd selDecision
 	if useSel {
-		sd = f.stageSelect(feat, o, st.disabled || st.forceOff)
+		sd = f.stageSelect(feat, o, st.off())
 	}
-	var v int
-	if sd.selected {
-		v = f.clampVersion(sd.level)
+	v := f.version(st, o.forced, &sd, x)
+	var y, work float64
+	if o.monitor {
+		y, work = f.monitored(o, &sd, v, x)
 	} else {
-		v = f.selectVersion(st, x)
-	}
-	if o.forced {
-		// Breaker open: forced precise, monitoring suspended.
-		v = model.PreciseVersion
-	}
-
-	if !o.monitor {
-		if v == model.PreciseVersion {
-			f.addWork(f.cfg.Model.PreciseWork)
-			return f.precise(x)
-		}
-		f.addWork(f.cfg.Model.Versions[v].Work)
-		return f.versions[v](x)
-	}
-
-	// Monitored call: run precise; if an approximation was selected, run
-	// it too and measure the loss. The precise call runs bare — a panic
-	// there is the program's own and propagates as it would without
-	// Green — but the extra work the monitored path adds (the approximate
-	// version and the QoS comparator) runs under recover: a panic is
-	// contained, the observation discarded, the breaker charged.
-	yp := f.precise(x)
-	work := f.cfg.Model.PreciseWork
-	loss := 0.0
-	panicked := false
-	if v != model.PreciseVersion {
-		if ya, ok := f.safeApprox(v, x); ok {
-			work += f.cfg.Model.Versions[v].Work
-			if lv, ok := f.safeQoS(yp, ya); ok {
-				loss = lv
-			} else {
-				panicked = true
-			}
-		} else {
-			panicked = true
-		}
+		y, work = f.run(v, x)
 	}
 	f.addWork(work)
-
-	f.stageObserveCorrect(o, loss, panicked, sd, func(st *funcState, a Action) float64 {
-		applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-		return float64(st.offset)
-	})
-	return yp
+	return y
 }
 
-// clampVersion maps a Select-stage level onto the version ladder:
-// negative levels are the precise function, and anything past the
-// ladder's end is precise too.
-func (f *Func) clampVersion(level float64) int {
-	v := int(level)
-	if v < 0 || v >= len(f.versions) {
-		return model.PreciseVersion
+// run evaluates version v at x and returns the result with the model
+// work it cost: a non-monitored call.
+func (f *Func) run(v int, x float64) (y, work float64) {
+	if v == model.PreciseVersion {
+		return f.precise(x), f.cfg.Model.PreciseWork
 	}
-	return v
+	return f.versions[v](x), f.cfg.Model.Versions[v].Work
+}
+
+// monitored is the one monitored-call body Call and CallN share: the
+// precise function runs and its result is returned; if an approximate
+// version was selected it runs too and the ladder measures the loss and
+// recalibrates (observeMember).
+func (f *Func) monitored(o obs, sd *selDecision, v int, x float64) (y, work float64) {
+	y, work = f.run(model.PreciseVersion, x)
+	var approx func() float64
+	if v != model.PreciseVersion {
+		approx = func() float64 { return f.versions[v](x) }
+	}
+	if f.observeMember(o, *sd, y, approx) {
+		work += f.cfg.Model.Versions[v].Work
+	}
+	return y, work
 }
 
 // CallN evaluates the function at each xs[i], writing results into
 // ys[i]: the batched Call. The approximation snapshot is loaded once,
 // one sampling decision covers the batch (monitoring a deterministic
-// member — see beginBatchObservation), and the execution counter and
-// work accounting fold into one atomic add each per batch instead of
-// one per call. Monitored-member semantics are exactly Call's: precise
-// and approximate both run, the loss feeds the policy immediately, and
-// the remaining members see the post-recalibration snapshot. ys must be
-// at least as long as xs.
+// member — see stageExecuteBatch), and the execution counter and work
+// accounting fold into one atomic add each per batch instead of one per
+// call. Monitored-member semantics are exactly Call's: precise and
+// approximate both run, the loss feeds the policy immediately, and the
+// remaining members see the post-recalibration snapshot. ys must be at
+// least as long as xs.
 func (f *Func) CallN(xs, ys []float64) error {
 	return f.callN(xs, ys, Features{}, false)
 }
@@ -309,88 +257,28 @@ func (f *Func) callN(xs, ys []float64, feat Features, useSel bool) error {
 		return nil
 	}
 	st := f.state.Load()
-	o := f.stageExecuteBatch(n)
+	b := f.stageExecuteBatch(n)
 	var sd selDecision
 	if useSel {
-		sd = f.stageSelect(feat, obs{forced: o.forced}, st.disabled || st.forceOff)
+		sd = f.stageSelect(feat, obs{forced: b.forced}, st.off())
 	}
-	if o.forced {
-		// Breaker open: the whole batch runs precise, monitoring
-		// suspended.
-		for i := 0; i < n; i++ {
-			ys[i] = f.precise(xs[i])
-		}
-		f.addWork(f.cfg.Model.PreciseWork * float64(n))
-		return nil
-	}
-	work := 0.0
-	for i := 0; i < n; i++ {
-		x := xs[i]
-		var v int
-		if sd.selected {
-			v = f.clampVersion(sd.level)
+	total := 0.0
+	for i, x := range xs {
+		v := f.version(st, b.forced, &sd, x)
+		var work float64
+		if i != b.monitorAt {
+			ys[i], work = f.run(v, x)
 		} else {
-			v = f.selectVersion(st, x)
+			o := obs{seq: b.first + int64(i), monitor: true, probe: b.probe}
+			ys[i], work = f.monitored(o, &sd, v, x)
+			// The observation may have moved the offset: later members
+			// read the fresh snapshot, exactly as unbatched Calls would.
+			st = f.state.Load()
 		}
-		if i != o.monitorAt {
-			if v == model.PreciseVersion {
-				work += f.cfg.Model.PreciseWork
-				ys[i] = f.precise(x)
-			} else {
-				work += f.cfg.Model.Versions[v].Work
-				ys[i] = f.versions[v](x)
-			}
-			continue
-		}
-		// Monitored member: Call's monitored path, inline.
-		yp := f.precise(x)
-		work += f.cfg.Model.PreciseWork
-		loss := 0.0
-		panicked := false
-		if v != model.PreciseVersion {
-			if ya, ok := f.safeApprox(v, x); ok {
-				work += f.cfg.Model.Versions[v].Work
-				if lv, ok := f.safeQoS(yp, ya); ok {
-					loss = lv
-				} else {
-					panicked = true
-				}
-			} else {
-				panicked = true
-			}
-		}
-		ys[i] = yp
-		f.stageObserveCorrect(obs{seq: o.first + int64(i), monitor: true, probe: o.probe}, loss, panicked, sd,
-			func(st *funcState, a Action) float64 {
-				applyOffsetAction(&st.offset, &st.disabled, a, len(f.versions))
-				return float64(st.offset)
-			})
-		// The observation may have moved the offset: later members read
-		// the fresh snapshot, exactly as unbatched Calls would.
-		st = f.state.Load()
+		total += work
 	}
-	f.addWork(work)
+	f.addWork(total)
 	return nil
-}
-
-// safeApprox runs approximate version v under recover.
-func (f *Func) safeApprox(v int, x float64) (y float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			y, ok = 0, false
-		}
-	}()
-	return f.versions[v](x), true
-}
-
-// safeQoS runs the QoS comparator under recover.
-func (f *Func) safeQoS(yp, ya float64) (loss float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			loss, ok = 0, false
-		}
-	}()
-	return f.qos(yp, ya), true
 }
 
 func (f *Func) addWork(w float64) {
@@ -407,82 +295,28 @@ func (f *Func) Work() float64 {
 // WorkReset clears the accumulated work counter.
 func (f *Func) WorkReset() { f.workMilli.Store(0) }
 
-// IncreaseAccuracy implements Unit.
-func (f *Func) IncreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *funcState) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActIncrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
-}
-
-// DecreaseAccuracy implements Unit.
-func (f *Func) DecreaseAccuracy() bool {
-	changed := false
-	f.mutate(func(st *funcState) {
-		before := st.offset
-		applyOffsetAction(&st.offset, &st.disabled, ActDecrease, len(f.versions))
-		changed = st.offset != before
-	})
-	return changed
-}
-
 // Sensitivity implements Unit: the mean modeled loss improvement per unit
 // of relative work increase when shifting every selected version one step
 // more precise.
 func (f *Func) Sensitivity() float64 {
 	st := f.state.Load()
 	m := f.cfg.Model
-
 	var dLoss, dWork float64
-	n := 0
-	for _, r := range st.ranges {
-		if r.Version == model.PreciseVersion {
-			continue
-		}
-		cur := r.Version + st.offset
-		if cur < 0 {
-			cur = 0
-		}
-		if cur >= len(m.Versions) {
+	for _, r := range f.ranges {
+		cur := f.shift(st, r.Version)
+		if cur == model.PreciseVersion {
 			continue // already precise here
 		}
 		mid := (r.Lo + r.Hi) / 2
-		lossCur := m.Versions[cur].LossAt(mid)
-		var lossUp, workUp float64
-		if cur+1 >= len(m.Versions) {
-			lossUp, workUp = 0, m.PreciseWork
-		} else {
+		lossUp, workUp := 0.0, m.PreciseWork
+		if cur+1 < len(m.Versions) {
 			lossUp, workUp = m.Versions[cur+1].LossAt(mid), m.Versions[cur+1].Work
 		}
-		dLoss += lossCur - lossUp
+		dLoss += m.Versions[cur].LossAt(mid) - lossUp
 		dWork += (workUp - m.Versions[cur].Work) / m.PreciseWork
-		n++
 	}
-	if n == 0 || dWork <= 0 {
-		return 0
+	if dWork <= 0 {
+		return 0 // nothing can step up, or stepping up is free
 	}
 	return dLoss / dWork
-}
-
-// DisableApprox implements Unit. The disable is sticky — recalibration
-// pressure does not re-enable it; only EnableApprox does.
-func (f *Func) DisableApprox() {
-	f.mutate(func(st *funcState) { st.forceOff = true })
-}
-
-// EnableApprox re-enables approximation after DisableApprox.
-func (f *Func) EnableApprox() {
-	f.mutate(func(st *funcState) {
-		st.forceOff = false
-		st.disabled = false
-	})
-}
-
-// ApproxEnabled implements Unit.
-func (f *Func) ApproxEnabled() bool {
-	st := f.state.Load()
-	return !st.disabled && !st.forceOff
 }

@@ -238,33 +238,235 @@ func (l *Loop) SetAdaptive(p model.AdaptiveParams) error {
 	return nil
 }
 
-// LoopExec is the per-execution state of one run of the approximated
-// loop: the code Figure 3 inlines around the loop body. Handles are
-// pooled: Begin draws one, Finish recycles it, so a handle must not be
-// retained or used after Finish (greenlint's beginfinish check enforces
-// the pairing; DESIGN.md §8 documents the contract).
-type LoopExec struct {
-	loop       *Loop
-	qos        LoopQoS
-	delta      DeltaQoS // nil in static mode or when qos lacks Delta
-	monitor    bool
-	level      float64
-	adaptive   model.AdaptiveParams
-	mode       LoopMode
-	disabled   bool
-	seq        int64 // execution sequence number (breaker cool-down clock)
-	probe      bool  // this execution is the breaker's half-open probe
-	panicked   bool  // a QoS callback panicked and was contained
-	wouldStop  int   // iteration at which the approximation decided to stop
-	recorded   bool  // Record already called for wouldStop
-	terminated bool  // loop actually terminated early
+// loopMember is one execution of the approximated loop, as Figure 3
+// inlines it around the loop body: the approximation snapshot it runs
+// under, the programmer's QoS callbacks, and the stop law with its
+// monitored-path bookkeeping. LoopExec (one execution per handle) and
+// LoopBatch (many members per handle) both embed it, so Continue, the
+// contained-panic wrappers, and the monitored observation exist once
+// and both front-ends inline the same per-iteration leaf.
+type loopMember struct {
+	loop  *Loop
+	qos   LoopQoS
+	delta DeltaQoS // nil in static mode
 
-	// Select-stage decision (ExecFeat): the Features and level the
-	// Selector chose, routed back through the Correct stage when this
-	// execution is monitored.
-	feat     Features
-	selLevel float64
-	selected bool
+	// The approximation snapshot the member runs under (load).
+	level    float64
+	adaptive model.AdaptiveParams
+	mode     LoopMode
+	disabled bool
+
+	probe bool // a monitored member is the breaker's half-open probe
+
+	// Select-stage decision (ExecFeat/ExecNFeat): the Features and level
+	// the Selector chose, routed back through the Correct stage when a
+	// member is monitored.
+	sd selDecision
+
+	// Per-member state, reset by arm.
+	monitor    bool
+	panicked   bool // a QoS callback panicked and was contained
+	recorded   bool // Record already called for wouldStop
+	terminated bool // loop actually terminated early
+	wouldStop  int  // iteration at which the approximation decided to stop
+	// fast marks the common case — static mode, non-monitored member,
+	// approximation enabled, not yet terminated — whose Continue check is
+	// small enough to inline at the call site.
+	fast bool
+}
+
+// checkQoS validates the programmer's QoS_Compute against the loop's
+// mode: Adaptive needs the Delta capability.
+func (l *Loop) checkQoS(qos LoopQoS) (DeltaQoS, error) {
+	if qos == nil {
+		return nil, errors.New("core: nil LoopQoS")
+	}
+	if l.cfg.Mode != Adaptive {
+		return nil, nil
+	}
+	d, ok := qos.(DeltaQoS)
+	if !ok {
+		return nil, errors.New("core: adaptive mode requires DeltaQoS")
+	}
+	return d, nil
+}
+
+// init binds the member to its loop, callbacks, and Execute/Select-stage
+// decisions, and loads the approximation snapshot.
+func (m *loopMember) init(l *Loop, qos LoopQoS, delta DeltaQoS, st *loopState, forced, probe bool, sd selDecision) {
+	*m = loopMember{loop: l, qos: qos, delta: delta, mode: l.cfg.Mode, probe: probe, sd: sd}
+	m.load(st, forced)
+}
+
+// load installs an approximation snapshot. A forced member (breaker open)
+// runs precise. Where the Select stage chose the level, the choice
+// governs: in static mode it is the termination threshold M; in adaptive
+// mode it replaces the iteration floor while the Delta law still decides
+// the exact stop.
+func (m *loopMember) load(st *loopState, forced bool) {
+	m.level, m.adaptive = st.level, st.adaptive
+	m.disabled = st.disabled || st.forceOff || forced
+	if m.sd.selected && !m.disabled {
+		if m.mode == Adaptive {
+			m.adaptive.M = m.sd.level
+		} else {
+			m.level = m.sd.level
+		}
+	}
+}
+
+// arm resets the per-member state for a fresh execution.
+func (m *loopMember) arm(monitor bool) {
+	m.monitor = monitor
+	m.panicked = false
+	m.recorded = false
+	m.terminated = false
+	m.wouldStop = -1
+	m.fast = !monitor && !m.disabled && m.mode == Static
+}
+
+// approxSaysStop is the synthesized QoS_Lp_Approx (Figure 5): should the
+// loop terminate early at iteration i?
+func (m *loopMember) approxSaysStop(i int) bool {
+	if m.disabled {
+		return false
+	}
+	switch m.mode {
+	case Static:
+		return float64(i) >= m.level
+	default: // Adaptive
+		if m.adaptive.Period < 1 {
+			return false // no viable adaptive parameters: run precisely
+		}
+		if float64(i) < m.adaptive.M {
+			return false
+		}
+		if i > 0 && i%int(m.adaptive.Period) == 0 {
+			return m.delta.Delta(i) <= m.adaptive.TargetDelta
+		}
+		return false
+	}
+}
+
+// safeStop runs approxSaysStop under recover: on the monitored path a
+// panicking DeltaQoS.Delta is contained rather than propagated, the
+// observation is marked failed, and the loop runs to its natural end.
+func (m *loopMember) safeStop(i int) (stop bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked = true
+			stop = false
+		}
+	}()
+	return m.approxSaysStop(i)
+}
+
+// safeRecord runs LoopQoS.Record under recover and reports whether it
+// completed without panicking.
+func (m *loopMember) safeRecord(i int) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked = true
+			ok = false
+		}
+	}()
+	m.qos.Record(i)
+	return true
+}
+
+// safeLoss runs LoopQoS.Loss under recover.
+func (m *loopMember) safeLoss(finalIter int) (loss float64) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.panicked = true
+			loss = 0
+		}
+	}()
+	return m.qos.Loss(finalIter)
+}
+
+// Continue reports whether the loop body should run iteration i. In a
+// normal (non-monitored) execution it returns false as soon as the
+// approximation decides to terminate. In a monitored execution it always
+// returns true (the loop must run to its natural end so the precise QoS
+// is available) but records, via LoopQoS.Record, the QoS at the point the
+// approximation would have stopped — exactly the paper's "store the QoS
+// value and do not terminate the loop early" path. On that monitored path
+// the user callbacks (Record, and Delta inside the stop decision) run
+// under recover: a panic is contained, counted as a failed observation,
+// and the execution completes precisely.
+//
+// The fast-flag split keeps the common case (static, non-monitored,
+// enabled) inlinable: a float compare and out; monitored members,
+// adaptive mode, and post-termination calls take continueSlow.
+func (m *loopMember) Continue(i int) bool {
+	if m.fast && float64(i) < m.level {
+		return true
+	}
+	return m.continueSlow(i)
+}
+
+func (m *loopMember) continueSlow(i int) bool {
+	if m.monitor {
+		// Once the record point is captured there is nothing left to
+		// decide — the loop runs to its natural end regardless — so the
+		// remaining iterations skip the threshold/Delta computation. A
+		// contained panic likewise stops further callback probing.
+		if m.recorded || m.panicked {
+			return true
+		}
+		if m.safeStop(i) && m.safeRecord(i) {
+			m.recorded = true
+			m.wouldStop = i
+		}
+		return true
+	}
+	if m.terminated {
+		return false
+	}
+	if m.approxSaysStop(i) {
+		m.fast = false // terminated: keep later Continue calls off the fast path
+		m.terminated = true
+		m.wouldStop = i
+		return false
+	}
+	return true
+}
+
+// result summarizes a non-monitored member.
+func (m *loopMember) result() Result {
+	return Result{Approximated: m.terminated, StoppedAt: m.wouldStop}
+}
+
+// observe completes a monitored member whose execution number is seq and
+// whose loop reached finalIter: it computes the QoS loss of the
+// approximation via LoopQoS.Loss (when a stop point was recorded) and
+// hands the observation to the shared controller's Observe and Correct
+// stages, which feed the recalibration policy and apply its decision.
+func (m *loopMember) observe(seq int64, finalIter int) Result {
+	res := m.result()
+	res.Monitored = true
+	if m.recorded && !m.panicked {
+		res.Loss = m.safeLoss(finalIter)
+	}
+	o := obs{seq: seq, monitor: true, probe: m.probe}
+	res.Recalibrated = m.loop.stageObserveCorrect(o, res.Loss, m.panicked, m.sd, m.loop.applyAction)
+	if m.panicked {
+		// Failed observation: its loss value would be garbage, so it was
+		// discarded and charged to the breaker (stageObserveCorrect).
+		res.Loss = 0
+		res.ContainedPanic = true
+	}
+	return res
+}
+
+// LoopExec is the handle of one execution of the approximated loop.
+// Handles are pooled: Begin draws one, Finish recycles it, so a handle
+// must not be retained or used after Finish (greenlint's beginfinish
+// check enforces the pairing; DESIGN.md §8 documents the contract).
+type LoopExec struct {
+	loopMember
+	seq int64 // execution sequence number (breaker cool-down clock)
 }
 
 // execPool recycles LoopExec objects so steady-state executions are
@@ -295,158 +497,24 @@ func (l *Loop) ExecFeat(qos LoopQoS, f Features) (*LoopExec, error) {
 
 // begin is the shared Select+Execute front half of the pipeline.
 func (l *Loop) begin(qos LoopQoS, f Features, useSel bool) (*LoopExec, error) {
-	if qos == nil {
-		return nil, errors.New("core: nil LoopQoS")
-	}
-	var delta DeltaQoS
-	if l.cfg.Mode == Adaptive {
-		d, ok := qos.(DeltaQoS)
-		if !ok {
-			return nil, errors.New("core: adaptive mode requires DeltaQoS")
-		}
-		delta = d
+	delta, err := l.checkQoS(qos)
+	if err != nil {
+		return nil, err
 	}
 	st := l.state.Load()
+	// A forced execution (breaker open) runs precise with monitoring
+	// suspended, so the faulty callbacks stop running (stageExecute
+	// already cleared o.monitor).
 	o := l.stageExecute()
-	disabled := st.disabled || st.forceOff
-	if o.forced {
-		// Breaker open: forced precise, and monitoring suspended so the
-		// faulty callbacks stop running (stageExecute already cleared
-		// o.monitor).
-		disabled = true
-	}
 	var sd selDecision
 	if useSel {
-		sd = l.stageSelect(f, o, disabled)
+		sd = l.stageSelect(f, o, st.disabled || st.forceOff)
 	}
 	e := execPool.Get().(*LoopExec)
-	*e = LoopExec{
-		loop:      l,
-		qos:       qos,
-		delta:     delta,
-		monitor:   o.monitor,
-		level:     st.level,
-		adaptive:  st.adaptive,
-		mode:      l.cfg.Mode,
-		disabled:  disabled,
-		seq:       o.seq,
-		probe:     o.probe,
-		wouldStop: -1,
-		feat:      sd.feat,
-		selLevel:  sd.level,
-		selected:  sd.selected,
-	}
-	if sd.selected {
-		// The Select stage chose this execution's level: in static mode
-		// the chosen level is the termination threshold M; in adaptive
-		// mode it replaces the iteration floor while the Delta law still
-		// decides the exact stop.
-		if l.cfg.Mode == Adaptive {
-			e.adaptive.M = sd.level
-		} else {
-			e.level = sd.level
-		}
-	}
+	e.seq = o.seq
+	e.init(l, qos, delta, st, o.forced, o.probe, sd)
+	e.arm(o.monitor)
 	return e, nil
-}
-
-// approxSaysStop is the synthesized QoS_Lp_Approx (Figure 5): should the
-// loop terminate early at iteration i?
-func (e *LoopExec) approxSaysStop(i int) bool {
-	if e.disabled {
-		return false
-	}
-	switch e.mode {
-	case Static:
-		return float64(i) >= e.level
-	default: // Adaptive
-		if e.adaptive.Period < 1 {
-			return false // no viable adaptive parameters: run precisely
-		}
-		if float64(i) < e.adaptive.M {
-			return false
-		}
-		if i > 0 && i%int(e.adaptive.Period) == 0 {
-			improve := e.delta.Delta(i)
-			return improve <= e.adaptive.TargetDelta
-		}
-		return false
-	}
-}
-
-// safeStop runs approxSaysStop under recover: on the monitored path a
-// panicking DeltaQoS.Delta is contained rather than propagated, the
-// observation is marked failed, and the loop runs to its natural end.
-func (e *LoopExec) safeStop(i int) (stop bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = true
-			stop = false
-		}
-	}()
-	return e.approxSaysStop(i)
-}
-
-// safeRecord runs LoopQoS.Record under recover and reports whether it
-// completed without panicking.
-func (e *LoopExec) safeRecord(i int) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = true
-			ok = false
-		}
-	}()
-	e.qos.Record(i)
-	return true
-}
-
-// safeLoss runs LoopQoS.Loss under recover.
-func (e *LoopExec) safeLoss(finalIter int) (loss float64, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = true
-			loss, ok = 0, false
-		}
-	}()
-	return e.qos.Loss(finalIter), true
-}
-
-// Continue reports whether the loop body should run iteration i. In a
-// normal (non-monitored) execution it returns false as soon as the
-// approximation decides to terminate. In a monitored execution it always
-// returns true (the loop must run to its natural end so the precise QoS
-// is available) but records, via LoopQoS.Record, the QoS at the point the
-// approximation would have stopped — exactly the paper's "store the QoS
-// value and do not terminate the loop early" path. On that monitored path
-// the user callbacks (Record, and Delta inside the stop decision) run
-// under recover: a panic is contained, counted as a failed observation,
-// and the execution completes precisely.
-func (e *LoopExec) Continue(i int) bool {
-	if e.monitor {
-		// Once the record point is captured there is nothing left to
-		// decide — the loop runs to its natural end regardless — so the
-		// remaining iterations skip the threshold/Delta computation. A
-		// contained panic likewise stops further callback probing.
-		if e.recorded || e.panicked {
-			return true
-		}
-		if e.safeStop(i) {
-			if e.safeRecord(i) {
-				e.recorded = true
-				e.wouldStop = i
-			}
-		}
-		return true
-	}
-	if e.terminated {
-		return false
-	}
-	if e.approxSaysStop(i) {
-		e.terminated = true
-		e.wouldStop = i
-		return false
-	}
-	return true
 }
 
 // Result summarizes one finished execution.
@@ -471,63 +539,34 @@ type Result struct {
 
 // Finish completes the execution. finalIter is the iteration count the
 // loop actually reached (its natural bound for monitored or non-triggered
-// runs). For monitored executions it computes the QoS loss of the
-// approximation via LoopQoS.Loss and hands the observation to the shared
-// controller, which feeds the recalibration policy and applies its
-// decision. Finish recycles the execution handle; the handle must not be
-// used again afterwards.
+// runs); a monitored execution measures its loss and recalibrates
+// (loopMember.observe). Finish recycles the execution handle; the handle
+// must not be used again afterwards.
 func (e *LoopExec) Finish(finalIter int) Result {
-	l := e.loop
-	if l == nil {
+	if e.loop == nil {
 		// Finish on an already-recycled handle: report an empty result
 		// rather than corrupting the pool with a double Put.
 		return Result{StoppedAt: -1}
 	}
-	res := Result{
-		Approximated: e.terminated,
-		Monitored:    e.monitor,
-		StoppedAt:    e.wouldStop,
+	var res Result
+	if e.monitor {
+		res = e.observe(e.seq, finalIter)
+	} else {
+		res = e.result()
 	}
-	if !e.monitor {
-		e.release()
-		return res
-	}
-	loss := 0.0
-	if e.recorded && !e.panicked {
-		loss, _ = e.safeLoss(finalIter)
-	}
-	o := obs{seq: e.seq, monitor: true, probe: e.probe}
-	sd := selDecision{feat: e.feat, level: e.selLevel, selected: e.selected}
-	panicked := e.panicked
-	res.Loss = loss
-	e.release()
-
-	res.Recalibrated = l.stageObserveCorrect(o, loss, panicked, sd, func(st *loopState, a Action) float64 {
-		l.applyAction(st, a)
-		return st.level
-	})
-	if panicked {
-		// Failed observation: its loss value would be garbage, so it was
-		// discarded and charged to the breaker (finishObservation).
-		res.Loss = 0
-		res.ContainedPanic = true
-	}
+	// Zero the handle (dropping its qos and loop references) before it
+	// goes back to the pool.
+	*e = LoopExec{}
+	execPool.Put(e)
 	return res
 }
 
-// release zeroes the handle (dropping its qos and loop references) and
-// returns it to the pool.
-func (e *LoopExec) release() {
-	*e = LoopExec{}
-	execPool.Put(e)
-}
-
 // applyAction adjusts the snapshot's approximation level for a
-// recalibration action. Static mode moves the threshold M by one step (as
-// in Figure 14, where M grows by 0.1N per adjustment); adaptive mode
-// halves or doubles TargetDelta (requiring more or less improvement to
-// continue).
-func (l *Loop) applyAction(st *loopState, a Action) {
+// recalibration action and returns the resulting level. Static mode moves
+// the threshold M by one step (as in Figure 14, where M grows by 0.1N per
+// adjustment); adaptive mode halves or doubles TargetDelta (requiring
+// more or less improvement to continue).
+func (l *Loop) applyAction(st *loopState, a Action) float64 {
 	switch a {
 	case ActIncrease:
 		if l.cfg.Mode == Adaptive && st.adaptive.Period > 0 {
@@ -542,31 +581,26 @@ func (l *Loop) applyAction(st *loopState, a Action) {
 		st.level = math.Max(st.level-l.step, l.minLevel)
 		st.disabled = false
 	}
+	return st.level
 }
 
 // The Unit interface (global coordination, app.go).
 
-// IncreaseAccuracy implements Unit.
-func (l *Loop) IncreaseAccuracy() bool {
-	changed := false
+// stepAccuracy applies one accuracy action outside the monitored path and
+// reports whether the level moved.
+func (l *Loop) stepAccuracy(a Action) (changed bool) {
 	l.mutate(func(st *loopState) {
 		before := st.level
-		l.applyAction(st, ActIncrease)
-		changed = st.level != before
+		changed = l.applyAction(st, a) != before
 	})
 	return changed
 }
 
+// IncreaseAccuracy implements Unit.
+func (l *Loop) IncreaseAccuracy() bool { return l.stepAccuracy(ActIncrease) }
+
 // DecreaseAccuracy implements Unit.
-func (l *Loop) DecreaseAccuracy() bool {
-	changed := false
-	l.mutate(func(st *loopState) {
-		before := st.level
-		l.applyAction(st, ActDecrease)
-		changed = st.level != before
-	})
-	return changed
-}
+func (l *Loop) DecreaseAccuracy() bool { return l.stepAccuracy(ActDecrease) }
 
 // Sensitivity implements Unit: the modeled QoS-loss change per unit of
 // relative work change around the current level. Global recalibration

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -142,14 +143,21 @@ func (r *Registry) MarshalState() ([]byte, error) {
 // "restored", "cold" (no entry in the snapshot), or "rejected: <why>".
 type RestoreReport map[string]string
 
-// Rejected reports whether any controller rejected its snapshot entry.
-func (rep RestoreReport) Rejected() bool {
-	for _, note := range rep {
-		if len(note) >= 8 && note[:8] == "rejected" {
-			return true
+// rejection returns the name and note of a controller that rejected its
+// snapshot entry; ok is false when none did.
+func (rep RestoreReport) rejection() (name, note string, ok bool) {
+	for name, note := range rep {
+		if strings.HasPrefix(note, "rejected") {
+			return name, note, true
 		}
 	}
-	return false
+	return "", "", false
+}
+
+// Rejected reports whether any controller rejected its snapshot entry.
+func (rep RestoreReport) Rejected() bool {
+	_, _, ok := rep.rejection()
+	return ok
 }
 
 // RestoreAllJSON applies a bundled snapshot to every registered
@@ -194,10 +202,8 @@ func (r *Registry) RestoreStateJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	for name, note := range rep {
-		if len(note) >= 8 && note[:8] == "rejected" {
-			return fmt.Errorf("core: registry: controller %q %s", name, note)
-		}
+	if name, note, ok := rep.rejection(); ok {
+		return fmt.Errorf("core: registry: controller %q %s", name, note)
 	}
 	return nil
 }

@@ -21,34 +21,31 @@ import (
 // corrected predicted loss stays within the SLA. Correct compares each
 // monitored observation against the bucket's prediction and moves the
 // bucket's multiplicative correction factor toward the observed/
-// predicted ratio — clamped to [selCorrLo, selCorrHi], the same bounds
+// predicted ratio — interpolated and clamped by the same two functions
 // the cluster control plane applies to shard-level corrections
-// (cluster.corrLo/corrHi), so one noisy window cannot swing a bucket's
-// whole curve by orders of magnitude.
+// (model.KnotLoss, model.CorrectionRatio), so one noisy window cannot
+// swing a bucket's whole curve by orders of magnitude.
 //
 // The curves themselves are immutable after build; only the factor
-// vector mutates, copy-on-write under the selector's own lock, so
-// Select stays lock-free and allocation-free on the hot path.
+// vector mutates, copy-on-write under the store's own lock, so Select
+// stays lock-free and allocation-free on the hot path. LoopSelector and
+// FuncSelector embed one bucketStore for all of that and add only how a
+// bucket's curve is read: over a knot grid, or per ladder version.
 
 // selectorStateVersion versions the persisted selector section of a
 // controller snapshot. Restore rejects other versions.
 const selectorStateVersion = 1
-
-// selCorrLo/selCorrHi bound the per-bucket correction factors — the
-// same clamp the fleet control plane applies to shard model
-// corrections.
-const selCorrLo, selCorrHi = 0.25, 4.0
 
 // selCorrAlpha is the EWMA gain of the Correct stage: each monitored
 // observation moves the bucket factor a quarter of the way toward the
 // clamped observed/predicted ratio.
 const selCorrAlpha = 0.25
 
-// selPredFloor is the predicted-loss magnitude below which the
-// observed/predicted ratio is meaningless; observations there either
-// force the factor to the upper clamp (observed loss where none was
-// predicted) or are ignored (agreement at zero).
-const selPredFloor = 1e-9
+// selObsFloor is the observed-loss magnitude below which an observation
+// with no usable prediction counts as agreement at zero and is ignored;
+// above it, loss was observed where none was predicted and the factor is
+// pushed toward the upper clamp.
+const selObsFloor = 1e-9
 
 // SelectorState is the versioned persisted runtime state of a Selector:
 // the per-bucket drift-correction factors. The curves are not persisted
@@ -75,8 +72,8 @@ func validateSelectorState(s SelectorState, kind string, buckets int) error {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("core: selector bucket %d factor %v is not finite", i, f)
 		}
-		if f < selCorrLo || f > selCorrHi {
-			return fmt.Errorf("core: selector bucket %d factor %v outside clamp [%v,%v]", i, f, selCorrLo, selCorrHi)
+		if f < model.CorrLo || f > model.CorrHi {
+			return fmt.Errorf("core: selector bucket %d factor %v outside clamp [%v,%v]", i, f, model.CorrLo, model.CorrHi)
 		}
 	}
 	return nil
@@ -117,43 +114,128 @@ func bucketOf(edges []float64, key float64) int {
 	return b
 }
 
-// LoopSelector is the Select stage for loops: per-feature-bucket loss
-// and work curves over the calibration knot grid. Built by
-// LoopCalibration.BuildSelector.
-type LoopSelector struct {
-	name   string
-	base   float64   // the precise level (LoopCalibration baseLevel)
-	edges  []float64 // bucket boundaries, ascending, len = buckets+1
-	levels []float64 // knot grid, ascending, shared by all buckets
-	loss   [][]float64
-	work   [][]float64 // per-bucket mean work per knot (reports/experiments)
+// bucketStore is the state LoopSelector and FuncSelector share: the
+// feature-bucket boundaries, one calibrated loss curve per bucket (nil
+// for a bucket that saw no calibration data — Select declines there),
+// and the per-bucket drift-correction factors behind a copy-on-write
+// atomic pointer.
+type bucketStore struct {
+	kind  string      // SelectorState.Kind: "loop" or "func"
+	edges []float64   // bucket boundaries, ascending, len = buckets+1
+	loss  [][]float64 // [bucket][knot or version] calibrated mean loss
 
 	factors atomic.Pointer[[]float64]
-	mu      sync.Mutex // serializes factor rebuilds (Correct, Restore)
+	mu      sync.Mutex // serializes factor rebuilds (correct, Restore)
 }
 
-// newLoopSelector wires a built selector; curves[b] == nil marks a
-// bucket that saw no calibration runs (Select declines there).
-func newLoopSelector(name string, base float64, edges, levels []float64, loss, work [][]float64) *LoopSelector {
-	s := &LoopSelector{name: name, base: base, edges: edges, levels: levels, loss: loss, work: work}
+// init wires a built store with every factor at 1.
+func (s *bucketStore) init(kind string, edges []float64, loss [][]float64) {
+	s.kind, s.edges, s.loss = kind, edges, loss
 	f := make([]float64, len(edges)-1)
 	for i := range f {
 		f[i] = 1
 	}
 	s.factors.Store(&f)
-	return s
 }
 
 // Buckets returns the number of feature buckets.
-func (s *LoopSelector) Buckets() int { return len(s.edges) - 1 }
+func (s *bucketStore) Buckets() int { return len(s.edges) - 1 }
+
+// Factors returns a copy of the live per-bucket correction factors.
+func (s *bucketStore) Factors() []float64 {
+	return append([]float64(nil), (*s.factors.Load())...)
+}
+
+// bucket maps the input onto a calibrated bucket and its live factor; ok
+// is false outside the feature domain and in buckets without a curve.
+// Lock-free; no allocation.
+func (s *bucketStore) bucket(f Features) (b int, factor float64, ok bool) {
+	b = bucketOf(s.edges, f.Key)
+	if b < 0 || s.loss[b] == nil {
+		return b, 0, false
+	}
+	return b, (*s.factors.Load())[b], true
+}
+
+// correct moves bucket b's factor one Correct-stage step given the
+// bucket curve's uncorrected prediction and the observed loss. Returns
+// true when the factor moved.
+func (s *bucketStore) correct(b int, rawPredicted, observed float64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := *s.factors.Load()
+	next, moved := correctFactor(cur[b], cur[b]*rawPredicted, observed)
+	if !moved {
+		return false
+	}
+	fresh := append([]float64(nil), cur...)
+	fresh[b] = next
+	s.factors.Store(&fresh)
+	return true
+}
+
+// State implements Selector.
+func (s *bucketStore) State() SelectorState {
+	return SelectorState{Version: selectorStateVersion, Kind: s.kind, Factors: s.Factors()}
+}
+
+// Restore implements Selector: validate, then install the persisted
+// factor vector.
+func (s *bucketStore) Restore(st SelectorState) error {
+	if err := validateSelectorState(st, s.kind, s.Buckets()); err != nil {
+		return err
+	}
+	fresh := append([]float64(nil), st.Factors...)
+	s.mu.Lock()
+	s.factors.Store(&fresh)
+	s.mu.Unlock()
+	return nil
+}
+
+// correctFactor is the Correct-stage law: the clamped EWMA step of a
+// bucket factor given the predicted and observed loss of one monitored
+// execution.
+func correctFactor(fac, predicted, observed float64) (next float64, moved bool) {
+	ratio, ok := model.CorrectionRatio(observed, predicted)
+	if !ok {
+		if observed <= selObsFloor {
+			return fac, false // agreement at zero
+		}
+		// Loss observed where none was predicted: the curve underestimates
+		// badly; push toward the upper clamp.
+		ratio = model.CorrHi
+	}
+	next = fac * (1 - selCorrAlpha + selCorrAlpha*ratio)
+	if next < model.CorrLo {
+		next = model.CorrLo
+	} else if next > model.CorrHi {
+		next = model.CorrHi
+	}
+	if math.Abs(next-fac) < 1e-12 {
+		return fac, false
+	}
+	return next, true
+}
+
+// LoopSelector is the Select stage for loops: per-feature-bucket loss
+// curves over the calibration knot grid. Built by
+// LoopCalibration.BuildSelector.
+type LoopSelector struct {
+	bucketStore
+	base   float64   // the precise level (LoopCalibration baseLevel)
+	levels []float64 // knot grid, ascending, shared by all buckets
+}
+
+// newLoopSelector wires a built selector; loss[b] == nil marks a bucket
+// that saw no calibration runs (Select declines there).
+func newLoopSelector(base float64, edges, levels []float64, loss [][]float64) *LoopSelector {
+	s := &LoopSelector{base: base, levels: levels}
+	s.init("loop", edges, loss)
+	return s
+}
 
 // Edges returns a copy of the bucket boundary vector.
 func (s *LoopSelector) Edges() []float64 { return append([]float64(nil), s.edges...) }
-
-// Factors returns a copy of the live per-bucket correction factors.
-func (s *LoopSelector) Factors() []float64 {
-	return append([]float64(nil), (*s.factors.Load())...)
-}
 
 // Select implements Selector: the cheapest calibrated level whose
 // corrected predicted loss for the input's bucket stays within the SLA,
@@ -164,11 +246,10 @@ func (s *LoopSelector) Select(f Features, sla float64) (float64, bool) {
 	if !f.Valid {
 		return 0, false
 	}
-	b := bucketOf(s.edges, f.Key)
-	if b < 0 || s.loss[b] == nil {
+	b, fac, ok := s.bucket(f)
+	if !ok {
 		return 0, false
 	}
-	fac := (*s.factors.Load())[b]
 	curve := s.loss[b]
 	for i := range s.levels {
 		if fac*curve[i] <= sla {
@@ -182,112 +263,22 @@ func (s *LoopSelector) Select(f Features, sla float64) (float64, bool) {
 // given level (0 outside the calibrated domain), for experiments and
 // tests.
 func (s *LoopSelector) PredictLoss(f Features, level float64) float64 {
-	b := bucketOf(s.edges, f.Key)
-	if b < 0 || s.loss[b] == nil {
+	b, fac, ok := s.bucket(f)
+	if !ok {
 		return 0
 	}
-	return (*s.factors.Load())[b] * s.lossAt(b, level)
-}
-
-// lossAt interpolates bucket b's calibrated loss curve at an arbitrary
-// level: the first knot's loss below the grid, linear between knots,
-// and linear toward zero at the base (precise) level beyond the last
-// knot.
-func (s *LoopSelector) lossAt(b int, level float64) float64 {
-	curve := s.loss[b]
-	if level >= s.base {
-		return 0
-	}
-	if level <= s.levels[0] {
-		return curve[0]
-	}
-	for j := 1; j < len(s.levels); j++ {
-		if level <= s.levels[j] {
-			span := s.levels[j] - s.levels[j-1]
-			if span <= 0 {
-				return curve[j]
-			}
-			t := (level - s.levels[j-1]) / span
-			return curve[j-1] + t*(curve[j]-curve[j-1])
-		}
-	}
-	span := s.base - s.levels[len(s.levels)-1]
-	if span <= 0 {
-		return curve[len(curve)-1]
-	}
-	t := (level - s.levels[len(s.levels)-1]) / span
-	return curve[len(curve)-1] * (1 - t)
+	return fac * model.KnotLoss(s.levels, s.loss[b], s.base, level)
 }
 
 // Correct implements Selector: move the input bucket's correction
 // factor toward the clamped observed/predicted loss ratio. Returns
 // true when the factor moved.
 func (s *LoopSelector) Correct(f Features, level, loss float64) bool {
-	b := bucketOf(s.edges, f.Key)
-	if b < 0 || s.loss[b] == nil {
+	b, _, ok := s.bucket(f)
+	if !ok {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := *s.factors.Load()
-	next, moved := correctFactor(cur[b], cur[b]*s.lossAt(b, level), loss)
-	if !moved {
-		return false
-	}
-	fresh := append([]float64(nil), cur...)
-	fresh[b] = next
-	s.factors.Store(&fresh)
-	return true
-}
-
-// State implements Selector.
-func (s *LoopSelector) State() SelectorState {
-	return SelectorState{Version: selectorStateVersion, Kind: "loop", Factors: s.Factors()}
-}
-
-// Restore implements Selector: validate, then install the persisted
-// factor vector.
-func (s *LoopSelector) Restore(st SelectorState) error {
-	if err := validateSelectorState(st, "loop", s.Buckets()); err != nil {
-		return err
-	}
-	fresh := append([]float64(nil), st.Factors...)
-	s.mu.Lock()
-	s.factors.Store(&fresh)
-	s.mu.Unlock()
-	return nil
-}
-
-// correctFactor is the shared Correct-stage law: the clamped EWMA step
-// of a bucket factor given the predicted and observed loss of one
-// monitored execution.
-func correctFactor(fac, predicted, observed float64) (next float64, moved bool) {
-	var ratio float64
-	switch {
-	case predicted > selPredFloor:
-		ratio = observed / predicted
-		if ratio < selCorrLo {
-			ratio = selCorrLo
-		} else if ratio > selCorrHi {
-			ratio = selCorrHi
-		}
-	case observed > selPredFloor:
-		// Loss observed where none was predicted: the curve underestimates
-		// badly; push toward the upper clamp.
-		ratio = selCorrHi
-	default:
-		return fac, false // agreement at zero
-	}
-	next = fac * (1 - selCorrAlpha + selCorrAlpha*ratio)
-	if next < selCorrLo {
-		next = selCorrLo
-	} else if next > selCorrHi {
-		next = selCorrHi
-	}
-	if math.Abs(next-fac) < 1e-12 {
-		return fac, false
-	}
-	return next, true
+	return s.correct(b, model.KnotLoss(s.levels, s.loss[b], s.base, level), loss)
 }
 
 // FuncSelector is the Select stage for approximable functions: per-
@@ -296,30 +287,13 @@ func correctFactor(fac, predicted, observed float64) (next float64, moved bool) 
 // precise function satisfies the SLA). Built by
 // FuncCalibration.BuildFuncSelector.
 type FuncSelector struct {
-	name  string
-	edges []float64
-	loss  [][]float64 // [bucket][version] mean loss; nil bucket = no samples
-
-	factors atomic.Pointer[[]float64]
-	mu      sync.Mutex
+	bucketStore
 }
 
-func newFuncSelector(name string, edges []float64, loss [][]float64) *FuncSelector {
-	s := &FuncSelector{name: name, edges: edges, loss: loss}
-	f := make([]float64, len(edges)-1)
-	for i := range f {
-		f[i] = 1
-	}
-	s.factors.Store(&f)
+func newFuncSelector(edges []float64, loss [][]float64) *FuncSelector {
+	s := &FuncSelector{}
+	s.init("func", edges, loss)
 	return s
-}
-
-// Buckets returns the number of feature buckets.
-func (s *FuncSelector) Buckets() int { return len(s.edges) - 1 }
-
-// Factors returns a copy of the live per-bucket correction factors.
-func (s *FuncSelector) Factors() []float64 {
-	return append([]float64(nil), (*s.factors.Load())...)
 }
 
 // Select implements Selector: the cheapest version (versions ladder
@@ -330,14 +304,12 @@ func (s *FuncSelector) Select(f Features, sla float64) (float64, bool) {
 	if !f.Valid {
 		return 0, false
 	}
-	b := bucketOf(s.edges, f.Key)
-	if b < 0 || s.loss[b] == nil {
+	b, fac, ok := s.bucket(f)
+	if !ok {
 		return 0, false
 	}
-	fac := (*s.factors.Load())[b]
-	curve := s.loss[b]
-	for v := range curve {
-		if fac*curve[v] <= sla {
+	for v, loss := range s.loss[b] {
+		if fac*loss <= sla {
 			return float64(v), true
 		}
 	}
@@ -348,39 +320,9 @@ func (s *FuncSelector) Select(f Features, sla float64) (float64, bool) {
 // curve prediction and are skipped.
 func (s *FuncSelector) Correct(f Features, level, loss float64) bool {
 	v := int(level)
-	if v < 0 {
+	b, _, ok := s.bucket(f)
+	if !ok || v < 0 || v >= len(s.loss[b]) {
 		return false
 	}
-	b := bucketOf(s.edges, f.Key)
-	if b < 0 || s.loss[b] == nil || v >= len(s.loss[b]) {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := *s.factors.Load()
-	next, moved := correctFactor(cur[b], cur[b]*s.loss[b][v], loss)
-	if !moved {
-		return false
-	}
-	fresh := append([]float64(nil), cur...)
-	fresh[b] = next
-	s.factors.Store(&fresh)
-	return true
-}
-
-// State implements Selector.
-func (s *FuncSelector) State() SelectorState {
-	return SelectorState{Version: selectorStateVersion, Kind: "func", Factors: s.Factors()}
-}
-
-// Restore implements Selector.
-func (s *FuncSelector) Restore(st SelectorState) error {
-	if err := validateSelectorState(st, "func", s.Buckets()); err != nil {
-		return err
-	}
-	fresh := append([]float64(nil), st.Factors...)
-	s.mu.Lock()
-	s.factors.Store(&fresh)
-	s.mu.Unlock()
-	return nil
+	return s.correct(b, s.loss[b][v], loss)
 }

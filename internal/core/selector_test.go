@@ -58,16 +58,16 @@ func TestCorrectFactor(t *testing.T) {
 	if next, moved := correctFactor(1, 0.1, 0.2); !moved || math.Abs(next-1.25) > 1e-12 {
 		t.Errorf("ratio 2: (%v, %v), want (1.25, true)", next, moved)
 	}
-	// Observed far below predicted: ratio clamps at selCorrLo.
+	// Observed far below predicted: ratio clamps at model.CorrLo.
 	if next, moved := correctFactor(1, 0.1, 0.0005); !moved || math.Abs(next-0.8125) > 1e-12 {
 		t.Errorf("low clamp: (%v, %v), want (0.8125, true)", next, moved)
 	}
-	// Observed far above predicted: ratio clamps at selCorrHi.
+	// Observed far above predicted: ratio clamps at model.CorrHi.
 	if next, moved := correctFactor(1, 0.1, 10); !moved || math.Abs(next-1.75) > 1e-12 {
 		t.Errorf("high clamp: (%v, %v), want (1.75, true)", next, moved)
 	}
 	// Loss observed where none was predicted: pushed toward the upper
-	// clamp as if the ratio were selCorrHi.
+	// clamp as if the ratio were model.CorrHi.
 	if next, moved := correctFactor(1, 0, 0.05); !moved || math.Abs(next-1.75) > 1e-12 {
 		t.Errorf("pred floor: (%v, %v), want (1.75, true)", next, moved)
 	}
@@ -77,11 +77,11 @@ func TestCorrectFactor(t *testing.T) {
 	}
 	// The factor itself clamps: already at the ceiling, pushing harder
 	// does not move (and does not report a move).
-	if _, moved := correctFactor(selCorrHi, 0.1, 10); moved {
-		t.Error("factor at selCorrHi still moved upward")
+	if _, moved := correctFactor(model.CorrHi, 0.1, 10); moved {
+		t.Error("factor at model.CorrHi still moved upward")
 	}
-	if _, moved := correctFactor(selCorrLo, 0.1, 0.0001); moved {
-		t.Error("factor at selCorrLo still moved downward")
+	if _, moved := correctFactor(model.CorrLo, 0.1, 0.0001); moved {
+		t.Error("factor at model.CorrLo still moved downward")
 	}
 }
 
@@ -169,7 +169,7 @@ func TestLoopSelectorCorrect(t *testing.T) {
 	sel := selectorFixture(t)
 	f := Features{Key: 5, Valid: true}
 	// Observed loss 5x the bucket prediction at level 800 (0.04): the
-	// ratio clamps at selCorrHi and the factor steps to 1.75.
+	// ratio clamps at model.CorrHi and the factor steps to 1.75.
 	if !sel.Correct(f, 800, 0.20) {
 		t.Fatal("correction did not move the factor")
 	}
@@ -594,8 +594,8 @@ func TestLoopExecFeatAdaptiveFloor(t *testing.T) {
 	}
 	// In adaptive mode the selected level replaces the iteration floor M;
 	// the Delta law still decides the exact stop.
-	if !e.selected || e.adaptive.M != 800 {
-		t.Errorf("adaptive floor = %v (selected=%v), want 800", e.adaptive.M, e.selected)
+	if !e.sd.selected || e.adaptive.M != 800 {
+		t.Errorf("adaptive floor = %v (selected=%v), want 800", e.adaptive.M, e.sd.selected)
 	}
 	e.Finish(0)
 }

@@ -44,13 +44,46 @@ func validateCounters(kind string, interval, count, monitored int64, lossSum flo
 }
 
 // validateOffset checks a version-ladder precision offset against the
-// controller's ladder bounds (shared by Func and Func2 restores).
+// controller's ladder bounds.
 func validateOffset(kind string, offset, nVersions int) error {
 	if offset < -nVersions || offset > nVersions {
 		return fmt.Errorf("core: %s state: offset %d outside the version ladder [%d, %d]",
 			kind, offset, -nVersions, nVersions)
 	}
 	return nil
+}
+
+// selectorSection snapshots an installed selector's state for a
+// controller snapshot; nil when none is installed.
+func selectorSection(sel Selector) *SelectorState {
+	if sel == nil {
+		return nil
+	}
+	ss := sel.State()
+	return &ss
+}
+
+// restoreSelector applies a snapshot's selector section, tolerating
+// version skew both ways: a pre-selector snapshot (section absent)
+// restores fail-soft — reactive law intact, selector state cold — and a
+// selector-bearing snapshot restores into a selector-less controller by
+// dropping the section. A present section that fails validation is an
+// error, which callers return before anything mutates.
+func restoreSelector(sel Selector, section *SelectorState) error {
+	if section == nil || sel == nil {
+		return nil
+	}
+	return sel.Restore(*section)
+}
+
+// restoreJSON decodes a JSON-serialized state of type T and applies it;
+// kind names the controller in the decode error.
+func restoreJSON[T any](kind string, data []byte, restore func(T) error) error {
+	var s T
+	if err := json.Unmarshal(data, &s); err != nil {
+		return fmt.Errorf("core: decode %s state: %w", kind, err)
+	}
+	return restore(s)
 }
 
 // LoopState is the serializable runtime state of a Loop.
@@ -82,7 +115,7 @@ func (l *Loop) State() LoopState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.state.Load()
-	s := LoopState{
+	return LoopState{
 		Name:      l.cfg.Name,
 		Level:     st.level,
 		Interval:  int(l.interval.Load()),
@@ -93,12 +126,8 @@ func (l *Loop) State() LoopState {
 		LossSum:   l.lossSum(),
 		AdaptiveM: st.adaptive.M, AdaptivePer: st.adaptive.Period,
 		AdaptiveDelta: st.adaptive.TargetDelta,
+		Selector:      selectorSection(l.Selector()),
 	}
-	if sel := l.Selector(); sel != nil {
-		ss := sel.State()
-		s.Selector = &ss
-	}
-	return s
 }
 
 // Restore applies a previously snapshotted state. The state must belong
@@ -122,17 +151,8 @@ func (l *Loop) Restore(s LoopState) error {
 		return fmt.Errorf("core: loop state: implausible adaptive parameters (M=%v Period=%v TargetDelta=%v)",
 			s.AdaptiveM, s.AdaptivePer, s.AdaptiveDelta)
 	}
-	// Selector section, version skew both ways: a pre-selector snapshot
-	// (section absent) restores fail-soft — reactive law intact,
-	// selector state cold — and a selector-bearing snapshot restores
-	// into a selector-less controller by dropping the section. A present
-	// section that fails validation rejects the whole restore before
-	// anything mutates.
-	sel := l.Selector()
-	if s.Selector != nil && sel != nil {
-		if err := sel.Restore(*s.Selector); err != nil {
-			return err
-		}
+	if err := restoreSelector(l.Selector(), s.Selector); err != nil {
+		return err
 	}
 	l.restoreCounters(int64(s.Interval), s.Count, s.Monitored, s.LossSum, func(next *loopState) {
 		next.level = s.Level
@@ -156,11 +176,7 @@ func (l *Loop) MarshalState() ([]byte, error) {
 
 // RestoreStateJSON applies a JSON-serialized state.
 func (l *Loop) RestoreStateJSON(data []byte) error {
-	var s LoopState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("core: decode loop state: %w", err)
-	}
-	return l.Restore(s)
+	return restoreJSON("loop", data, l.Restore)
 }
 
 // FuncState is the serializable runtime state of a Func.
@@ -181,55 +197,35 @@ type FuncState struct {
 
 // State snapshots the function controller's runtime state.
 func (f *Func) State() FuncState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := f.state.Load()
-	s := FuncState{
-		Name:      f.cfg.Name,
-		Offset:    st.offset,
-		Interval:  f.interval.Load(),
-		Disabled:  st.disabled,
-		ForceOff:  st.forceOff,
-		Count:     f.count.Load(),
-		Monitored: f.monitored.Load(),
-		LossSum:   f.lossSum(),
+	b := f.snapshot()
+	return FuncState{
+		Name: b.Name, Offset: b.Offset, Interval: b.Interval,
+		Disabled: b.Disabled, ForceOff: b.ForceOff,
+		Count: b.Count, Monitored: b.Monitored, LossSum: b.LossSum,
 		WorkMilli: f.workMilli.Load(),
+		Selector:  selectorSection(f.Selector()),
 	}
-	if sel := f.Selector(); sel != nil {
-		ss := sel.State()
-		s.Selector = &ss
-	}
-	return s
 }
 
 // Restore applies a previously snapshotted state. The state must belong
 // to a function with the same name, and the offset must be within the
 // controller's ladder.
 func (f *Func) Restore(s FuncState) error {
-	if s.Name != f.cfg.Name {
-		return fmt.Errorf("core: state for %q cannot restore func %q", s.Name, f.cfg.Name)
+	shared := Func2State{
+		Name: s.Name, Offset: s.Offset, Interval: s.Interval,
+		Disabled: s.Disabled, ForceOff: s.ForceOff,
+		Count: s.Count, Monitored: s.Monitored, LossSum: s.LossSum,
 	}
-	if err := validateOffset("func", s.Offset, len(f.versions)); err != nil {
-		return err
-	}
-	if err := validateCounters("func", s.Interval, s.Count, s.Monitored, s.LossSum); err != nil {
+	if err := f.validate(shared); err != nil {
 		return err
 	}
 	if s.WorkMilli < 0 {
 		return fmt.Errorf("core: func state: negative accumulated work %d", s.WorkMilli)
 	}
-	// Selector section: same skew rules as Loop.Restore.
-	sel := f.Selector()
-	if s.Selector != nil && sel != nil {
-		if err := sel.Restore(*s.Selector); err != nil {
-			return err
-		}
+	if err := restoreSelector(f.Selector(), s.Selector); err != nil {
+		return err
 	}
-	f.restoreCounters(s.Interval, s.Count, s.Monitored, s.LossSum, func(next *funcState) {
-		next.offset = s.Offset
-		next.disabled = s.Disabled
-		next.forceOff = s.ForceOff
-	})
+	f.install(shared)
 	f.workMilli.Store(s.WorkMilli)
 	return nil
 }
@@ -241,14 +237,12 @@ func (f *Func) MarshalState() ([]byte, error) {
 
 // RestoreStateJSON applies a JSON-serialized state.
 func (f *Func) RestoreStateJSON(data []byte) error {
-	var s FuncState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("core: decode func state: %w", err)
-	}
-	return f.Restore(s)
+	return restoreJSON("func", data, f.Restore)
 }
 
-// Func2State is the serializable runtime state of a Func2.
+// Func2State is the serializable runtime state of a Func2. It is also
+// exactly the half of FuncState every version ladder shares, so the
+// ladder reads, validates, and installs it for both kinds.
 type Func2State struct {
 	Name      string  `json:"name"`
 	Offset    int     `json:"offset"`
@@ -261,40 +255,16 @@ type Func2State struct {
 }
 
 // State snapshots the two-parameter controller's runtime state.
-func (f *Func2) State() Func2State {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := f.state.Load()
-	return Func2State{
-		Name:      f.cfg.Name,
-		Offset:    st.offset,
-		Interval:  f.interval.Load(),
-		Disabled:  st.disabled,
-		ForceOff:  st.forceOff,
-		Count:     f.count.Load(),
-		Monitored: f.monitored.Load(),
-		LossSum:   f.lossSum(),
-	}
-}
+func (f *Func2) State() Func2State { return f.snapshot() }
 
 // Restore applies a previously snapshotted state. The state must belong
 // to a controller with the same name, and the offset must be within the
 // version ladder.
 func (f *Func2) Restore(s Func2State) error {
-	if s.Name != f.cfg.Name {
-		return fmt.Errorf("core: state for %q cannot restore func2 %q", s.Name, f.cfg.Name)
-	}
-	if err := validateOffset("func2", s.Offset, len(f.versions)); err != nil {
+	if err := f.validate(s); err != nil {
 		return err
 	}
-	if err := validateCounters("func2", s.Interval, s.Count, s.Monitored, s.LossSum); err != nil {
-		return err
-	}
-	f.restoreCounters(s.Interval, s.Count, s.Monitored, s.LossSum, func(next *func2State) {
-		next.offset = s.Offset
-		next.disabled = s.Disabled
-		next.forceOff = s.ForceOff
-	})
+	f.install(s)
 	return nil
 }
 
@@ -305,9 +275,5 @@ func (f *Func2) MarshalState() ([]byte, error) {
 
 // RestoreStateJSON applies a JSON-serialized state.
 func (f *Func2) RestoreStateJSON(data []byte) error {
-	var s Func2State
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("core: decode func2 state: %w", err)
-	}
-	return f.Restore(s)
+	return restoreJSON("func2", data, f.Restore)
 }

@@ -1,0 +1,225 @@
+package core
+
+import "testing"
+
+// Golden wire format of the persisted controller state. internal/persist
+// envelopes and the serve tier's boot path read documents written by
+// earlier builds, so the exact bytes each controller kind emits — field
+// names, field order, number formatting, the optional selector section,
+// the registry bundle layout — are an interface, not an implementation
+// detail. Each case drives a freshly built controller through a fixed
+// script, requires MarshalState to produce the literal document below,
+// and then restores that literal document into a second fresh controller
+// and requires it to marshal back to the same bytes.
+
+const (
+	goldenLoopStatic   = `{"name":"loop","level":400,"interval":4,"disabled":false,"force_off":false,"count":8,"monitored":2,"loss_sum":0.4,"adaptive_m":0,"adaptive_period":0,"adaptive_delta":0}`
+	goldenLoopAdaptive = `{"name":"loop","level":300,"interval":2,"disabled":false,"force_off":false,"count":2,"monitored":1,"loss_sum":0.2,"adaptive_m":100,"adaptive_period":100,"adaptive_delta":0.0075}`
+	goldenLoopSelector = `{"name":"loop","level":200,"interval":1,"disabled":false,"force_off":false,"count":2,"monitored":2,"loss_sum":0.21000000000000002,"adaptive_m":0,"adaptive_period":0,"adaptive_delta":0,"selector":{"version":1,"kind":"loop","factors":[1.75,0.875]}}`
+	goldenFunc         = `{"name":"sq","offset":-1,"interval":2,"disabled":false,"force_off":false,"count":3,"monitored":1,"loss_sum":0.009999999999999985,"work_milli":38000,"selector":{"version":1,"kind":"func","factors":[0.8749999999999998,1]}}`
+	goldenFunc2        = `{"name":"mul","offset":-1,"interval":3,"disabled":false,"force_off":true,"count":5,"monitored":1,"loss_sum":0.010000000000000083}`
+	goldenRegistry     = `{"version":1,"controllers":{"loop":` + goldenLoopStatic + `,"mul":` + goldenFunc2 + `,"sq":` + goldenFunc + `}}`
+)
+
+// goldenStaticLoop is a static-mode loop monitored every 4th execution;
+// driven, it sees two over-SLA observations and raises M twice.
+func goldenStaticLoop(t *testing.T, drive bool) *Loop {
+	t.Helper()
+	l, err := NewLoop(LoopConfig{Name: "loop", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; drive && k < 8; k++ {
+		e, err := l.Begin(&fakeQoS{lossValue: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runLoop(t, e, 3200)
+	}
+	return l
+}
+
+// goldenAdaptiveLoop is an adaptive-mode loop; driven, its one monitored
+// execution halves TargetDelta.
+func goldenAdaptiveLoop(t *testing.T, drive bool) *Loop {
+	t.Helper()
+	l, err := NewLoop(LoopConfig{Name: "loop", Model: testLoopModel(t), SLA: 0.05, Mode: Adaptive, SampleInterval: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; drive && k < 2; k++ {
+		e, err := l.Begin(&fakeQoS{lossValue: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runLoop(t, e, 3200)
+	}
+	return l
+}
+
+// goldenSelectorLoop carries an installed LoopSelector; driven, one
+// monitored execution per bucket moves both correction factors.
+func goldenSelectorLoop(t *testing.T, drive bool) *Loop {
+	t.Helper()
+	l, err := NewLoop(LoopConfig{Name: "loop", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.InstallSelector(selectorFixture(t))
+	if drive {
+		for _, in := range []struct{ key, loss float64 }{{5, 0.2}, {15, 0.01}} {
+			e, err := l.ExecFeat(&fakeQoS{lossValue: in.loss}, Features{Key: in.key, Valid: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runLoop(t, e, 3200)
+		}
+	}
+	return l
+}
+
+// goldenFuncCtl is funcFixture with a FuncSelector installed; driven, it
+// mixes range-routed calls with one monitored selector-routed call whose
+// loss undershoots the bucket's prediction, so the offset goes negative,
+// the work counter accumulates, and one bucket factor moves.
+func goldenFuncCtl(t *testing.T, drive bool) *Func {
+	t.Helper()
+	f := funcFixture(t, 0.05, 2)
+	cal, err := NewFuncCalibration("sq", 18, []string{"v0", "v1"}, []float64{4, 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cal.FeatureBuckets([]float64{0, 5, 10}); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []float64{2, 7} {
+		for v, loss := range []float64{0.10, 0.02} {
+			if err := cal.AddSampleFeat(Features{Key: key, Valid: true}, v, key, loss); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sel, err := cal.BuildFuncSelector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.InstallSelector(sel)
+	if drive {
+		f.Call(3)
+		f.CallFeat(3, Features{Key: 2, Valid: true})
+		f.Call(4)
+	}
+	return f
+}
+
+// goldenFunc2Ctl is func2Fixture monitored every 3rd call; driven, its
+// one monitored call gives accuracy back (negative offset) and the
+// controller is then force-disabled.
+func goldenFunc2Ctl(t *testing.T, drive bool) *Func2 {
+	t.Helper()
+	f := func2Fixture(t, 0.05, 3)
+	if drive {
+		for k := 0; k < 5; k++ {
+			f.Call(2, 3)
+		}
+		f.DisableApprox()
+	}
+	return f
+}
+
+func goldenRegistryOf(t *testing.T, drive bool) *Registry {
+	t.Helper()
+	r := NewRegistry()
+	for _, c := range []Controller{goldenStaticLoop(t, drive), goldenFuncCtl(t, drive), goldenFunc2Ctl(t, drive)} {
+		if err := r.Register(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// snapshotter is the surface the golden cases share; Controller and
+// Registry both satisfy it.
+type snapshotter interface {
+	MarshalState() ([]byte, error)
+	RestoreStateJSON([]byte) error
+}
+
+func TestStateWireFormatGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		golden string
+		build  func(t *testing.T, drive bool) snapshotter
+	}{
+		{"loop-static", goldenLoopStatic, func(t *testing.T, d bool) snapshotter { return goldenStaticLoop(t, d) }},
+		{"loop-adaptive", goldenLoopAdaptive, func(t *testing.T, d bool) snapshotter { return goldenAdaptiveLoop(t, d) }},
+		{"loop-selector", goldenLoopSelector, func(t *testing.T, d bool) snapshotter { return goldenSelectorLoop(t, d) }},
+		{"func", goldenFunc, func(t *testing.T, d bool) snapshotter { return goldenFuncCtl(t, d) }},
+		{"func2", goldenFunc2, func(t *testing.T, d bool) snapshotter { return goldenFunc2Ctl(t, d) }},
+		{"registry", goldenRegistry, func(t *testing.T, d bool) snapshotter { return goldenRegistryOf(t, d) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := c.build(t, true).MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != c.golden {
+				t.Fatalf("driven controller marshals to\n  %s\nwant the golden document\n  %s", got, c.golden)
+			}
+			fresh := c.build(t, false)
+			if err := fresh.RestoreStateJSON([]byte(c.golden)); err != nil {
+				t.Fatalf("golden document rejected by a fresh controller: %v", err)
+			}
+			back, err := fresh.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(back) != c.golden {
+				t.Fatalf("restored controller marshals to\n  %s\nwant the golden document\n  %s", back, c.golden)
+			}
+		})
+	}
+}
+
+// TestStateWireFormatRestoreIsLive: restoring the golden documents is not
+// just a byte round trip — the restored controllers operate from the
+// persisted point (level, offset, sticky disable, selector factors).
+func TestStateWireFormatRestoreIsLive(t *testing.T) {
+	l := goldenSelectorLoop(t, false)
+	if err := l.RestoreStateJSON([]byte(goldenLoopSelector)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Level() != 200 {
+		t.Errorf("restored level = %v, want 200", l.Level())
+	}
+	if got := l.Selector().(*LoopSelector).Factors(); len(got) != 2 || got[0] != 1.75 || got[1] != 0.875 {
+		t.Errorf("restored selector factors = %v, want [1.75 0.875]", got)
+	}
+
+	f := goldenFuncCtl(t, false)
+	if err := f.RestoreStateJSON([]byte(goldenFunc)); err != nil {
+		t.Fatal(err)
+	}
+	if f.Offset() != -1 || f.Work() != 38 {
+		t.Errorf("restored func offset/work = %d/%v, want -1/38", f.Offset(), f.Work())
+	}
+
+	f2 := goldenFunc2Ctl(t, false)
+	if err := f2.RestoreStateJSON([]byte(goldenFunc2)); err != nil {
+		t.Fatal(err)
+	}
+	if f2.Offset() != -1 || f2.ApproxEnabled() {
+		t.Errorf("restored func2 offset/enabled = %d/%v, want -1/false", f2.Offset(), f2.ApproxEnabled())
+	}
+
+	rep, err := goldenRegistryOf(t, false).RestoreAllJSON([]byte(goldenRegistry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"loop", "sq", "mul"} {
+		if rep[name] != "restored" {
+			t.Errorf("registry restore of %q = %q, want restored", name, rep[name])
+		}
+	}
+}

@@ -113,6 +113,20 @@ func isMethod(fn *types.Func, pkgPath, recv, method string) bool {
 	return isPkgType(sig.Recv().Type(), pkgPath, recv)
 }
 
+// isMethodCall reports whether call invokes method on a receiver whose
+// static type is pkgPath.recv. Unlike isMethod it judges by the type the
+// method is selected on, not the type that declares it, so a method
+// promoted from an embedded struct (LoopExec and LoopBatch both get
+// Continue that way) still matches the outer type.
+func isMethodCall(info *types.Info, call *ast.CallExpr, pkgPath, recv, method string) bool {
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || fun.Sel.Name != method {
+		return false
+	}
+	sel, ok := info.Selections[fun]
+	return ok && sel.Kind() == types.MethodVal && isPkgType(sel.Recv(), pkgPath, recv)
+}
+
 // receiverRoot resolves the identity of a method call's receiver: for
 // `x.M(...)` the object of x, for `a.b.M(...)` the object of field b.
 // Distinct syntactic paths to the same object compare equal, which is

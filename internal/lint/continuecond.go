@@ -33,7 +33,7 @@ func runContinueCond(p *Pass) {
 	for _, f := range p.Files {
 		walkStack(f, func(n ast.Node, stack []ast.Node) {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isMethod(calleeOf(p.Info, call), corePath, "LoopExec", "Continue") {
+			if !ok || !isMethodCall(p.Info, call, corePath, "LoopExec", "Continue") {
 				return
 			}
 			if !inForCond(call, stack) {

@@ -6,8 +6,8 @@ import (
 )
 
 // ctrlcopy flags by-value copies of the Green controllers. Loop, Func,
-// Func2, App, the SiteSet wrapper, and the controller Registry all
-// embed a sync.Mutex and/or atomic state; a copy detaches from the
+// Func2, App, and the controller Registry all embed a sync.Mutex
+// and/or atomic state; a copy detaches from the
 // shared recalibration state and, if the original is in use, duplicates
 // a possibly-locked mutex — the same class of bug go vet's copylocks
 // catches, but scoped to the Green API so the diagnostic can explain
@@ -26,7 +26,6 @@ var ctrlTypes = map[string]bool{
 	"Func":     true,
 	"Func2":    true,
 	"App":      true,
-	"SiteSet":  true,
 	"Registry": true,
 }
 

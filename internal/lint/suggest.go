@@ -724,7 +724,7 @@ func containsContinueCall(info *types.Info, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if ok && isMethod(calleeOf(info, call), corePath, "LoopExec", "Continue") {
+		if ok && isMethodCall(info, call, corePath, "LoopExec", "Continue") {
 			found = true
 			return false
 		}

@@ -461,8 +461,7 @@ func containsApproxGuard(info *types.Info, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			fn := calleeOf(info, call)
-			if isMethod(fn, corePath, "LoopExec", "Continue") || isMethod(fn, corePath, "LoopBatch", "Continue") {
+			if isMethodCall(info, call, corePath, "LoopExec", "Continue") || isMethodCall(info, call, corePath, "LoopBatch", "Continue") {
 				found = true
 				return false
 			}

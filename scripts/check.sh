@@ -90,6 +90,13 @@ fi
 echo "== tests =="
 go test ./...
 
+echo "== bench module =="
+# bench/ is a module of its own (replace green => ../), so the root's
+# ./... never reaches it. It is the one consumer that pins the public
+# entry points and holds the exact operation counts equal, so compile-
+# and count-check it in the same gate: ~45 s cold, 7 s of tests.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== fuzz (smoke) =="
 # Ten seconds of coverage-guided input mutation over the analyzer suite:
 # enough to catch fresh crashes on the parser/typechecker boundary
