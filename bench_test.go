@@ -854,6 +854,94 @@ func BenchmarkServeQPS(b *testing.B) {
 	}
 }
 
+// BenchmarkServeMonitored is the warm /search path with every request
+// monitored (SampleInterval 1) and the record point inside the scan: a
+// five-word query matching ~3650 of 20000 documents against a level M
+// near 1000. The scan runs to exhaustion, the QoS adapter snapshots the
+// page at M and compares it with the scan's own final page. One op per
+// request.
+func BenchmarkServeMonitored(b *testing.B) {
+	s, err := serve.New(serve.Config{Seed: 7, CalibrationQueries: 60,
+		CorpusDocs: 20000, SampleInterval: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/search?q=w0+w3+w9+w1+w12", nil)
+	w := &benchNullRW{h: make(http.Header, 4)}
+	for i := 0; i < 16; i++ {
+		h.ServeHTTP(w, req)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, req)
+	}
+}
+
+var (
+	kernelOnce   sync.Once
+	kernelEngine *search.Engine
+	kernelErr    error
+)
+
+// scanKernelDocs is the per-query document budget of
+// BenchmarkScanKernel: the level the serve calibration lands on for a
+// 200k-document corpus (M ~ 9500).
+const scanKernelDocs = 9500
+
+// BenchmarkScanKernel measures the scan/rank kernel alone on a
+// 200k-document engine, in ns per scored document: queries of one, two
+// and three of the most frequent post-stopword terms (posting lists of
+// comparable length, the merge's worst case), each driven one Step at a
+// time and in StepN blocks of 64 up to scanKernelDocs documents.
+func BenchmarkScanKernel(b *testing.B) {
+	kernelOnce.Do(func() {
+		kernelEngine, kernelErr = search.NewEngine(search.Config{Seed: 42, Docs: 200000})
+	})
+	if kernelErr != nil {
+		b.Fatal(kernelErr)
+	}
+	e := kernelEngine
+	for terms := 1; terms <= 3; terms++ {
+		q := search.Query{}
+		for t := 0; t < terms; t++ {
+			q.Terms = append(q.Terms, e.StopTerms()+t)
+		}
+		drivers := []struct {
+			name string
+			run  func(*search.Scan)
+		}{
+			{"step", func(s *search.Scan) {
+				for s.Processed() < scanKernelDocs && s.Step() {
+				}
+			}},
+			{"block", func(s *search.Scan) {
+				for left := scanKernelDocs; left > 0; {
+					n := s.StepN(min(left, 64))
+					if n == 0 {
+						break
+					}
+					left -= n
+				}
+			}},
+		}
+		for _, d := range drivers {
+			b.Run(fmt.Sprintf("terms=%d/%s", terms, d.name), func(b *testing.B) {
+				scan := e.NewScan(q, 10)
+				docs := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					scan.Reset(e, q, 10)
+					d.run(scan)
+					docs += scan.Processed()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(docs), "ns/doc")
+			})
+		}
+	}
+}
+
 // benchClusterTransport dispatches coordinator requests straight into
 // worker handlers in-process, pooling its capture writers and caching
 // the per-target request objects, so BenchmarkClusterScatter measures

@@ -112,6 +112,10 @@ func main() {
 		}
 		scan := engine.NewScan(q, topN)
 		i := 0
+		// The per-document shape of Figure 3. A server scoring thousands
+		// of documents per query asks for blocks instead — exec.ContinueN
+		// with scan.StepN, as internal/serve does — which pays once the
+		// body's block kernel is cheaper than a guard call per document.
 		for exec.Continue(i) && scan.Step() {
 			i++
 		}

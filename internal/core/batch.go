@@ -58,11 +58,12 @@ type BatchResult struct {
 //	}
 //	res := b.Finish()
 //
-// Continue is the embedded loopMember's — the same stop law, monitored
-// and non-monitored, as LoopExec.Continue. Batches are pooled like
-// LoopExec handles: Finish recycles the batch, which must not be used
-// afterwards. A LoopBatch is not safe for concurrent use (each goroutine
-// runs its own batches; the loop itself stays safe for concurrent use).
+// Continue (and its block form ContinueN) is the embedded loopMember's —
+// the same stop law, monitored and non-monitored, as LoopExec's. Batches
+// are pooled like LoopExec handles: Finish recycles the batch, which
+// must not be used afterwards. A LoopBatch is not safe for concurrent
+// use (each goroutine runs its own batches; the loop itself stays safe
+// for concurrent use).
 type LoopBatch struct {
 	// The current member. Its approximation snapshot is shared by the
 	// batch's members and reloaded after the monitored member applies

@@ -364,8 +364,10 @@ func (c *controller[S]) reconcileBatch(n, ran int) {
 // Observe: update the counters, accumulate the loss, and feed the
 // recalibration policy. Correct: apply the policy's decision
 // copy-on-write (apply translates the action into snapshot changes and
-// returns the post-action approximation level for the event), record
-// the recalibration metadata, and — when the Select stage chose this
+// returns the post-action approximation level for the event; for
+// ActNone it must only read the level, so the common no-change
+// observation publishes — and allocates — nothing), record the
+// recalibration metadata, and — when the Select stage chose this
 // execution's level — route the measured loss back into the Selector
 // so its per-bucket corrections track observed drift. The event fires
 // outside the lock. Returns the action taken (ActNone for failed
@@ -391,9 +393,14 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 	if d.NewSampleInterval > 0 {
 		c.interval.Store(int64(d.NewSampleInterval))
 	}
-	next := *c.state.Load()
-	level := apply(&next, d.Action)
-	c.state.Store(&next)
+	var level float64
+	if d.Action == ActNone {
+		level = apply(c.state.Load(), ActNone)
+	} else {
+		next := *c.state.Load()
+		level = apply(&next, d.Action)
+		c.state.Store(&next)
+	}
 	c.lastRecalSeq.Store(o.seq)
 	c.lastRecalAct.Store(int32(d.Action))
 	c.mu.Unlock()

@@ -433,6 +433,75 @@ func (m *loopMember) continueSlow(i int) bool {
 	return true
 }
 
+// ContinueN is Continue for a block of iterations: it reports how many
+// iterations k <= n the loop body may run from i before asking again,
+// with 0 meaning stop. It is defined as exactly k successive true
+// Continue calls — Continue(i) … Continue(i+k-1) — side effects
+// included: a block ends where the next per-iteration call could fire a
+// callback or answer false, so a monitored member's Record, the
+// adaptive Delta samples and the stop all land on the iterations the
+// per-iteration law puts them on. A caller whose body ends early (fewer
+// than k iterations) just finishes, as it would on a per-iteration loop
+// whose body ended there. k < n is not a stop: ask again. n must be at
+// least 1.
+//
+//	for k := exec.ContinueN(i, 64); k > 0; k = exec.ContinueN(i, 64) {
+//	        n := scan.StepN(k)
+//	        i += n
+//	        if n < k {
+//	                break
+//	        }
+//	}
+//
+// The fast-flag split mirrors Continue: a static, non-monitored,
+// enabled member whose whole block lies under the threshold answers on
+// one float compare.
+func (m *loopMember) ContinueN(i, n int) int {
+	if m.fast && float64(i+n-1) < m.level {
+		return n
+	}
+	return m.continueNSlow(i, n)
+}
+
+// continueNSlow lets Continue(i) decide iteration i — callbacks,
+// containment and termination are its own — then extends the block over
+// the iterations after it that are quiet.
+func (m *loopMember) continueNSlow(i, n int) int {
+	if n < 1 || !m.Continue(i) {
+		return 0
+	}
+	return 1 + m.quiet(i+1, n-1)
+}
+
+// quiet reports how many of the n iterations from j on are certain to
+// make Continue answer true without calling into user code.
+func (m *loopMember) quiet(j, n int) int {
+	switch {
+	case m.disabled, m.monitor && (m.recorded || m.panicked):
+		return n // nothing left to decide
+	case m.mode == Static:
+		// Quiet while float64(j) < level, i.e. up to ⌈level⌉: a block
+		// never straddles the iteration that records or stops.
+		if float64(j+n-1) < m.level {
+			return n
+		}
+		if !(float64(j) < m.level) {
+			return 0
+		}
+		return int(math.Ceil(m.level)) - j
+	case m.adaptive.Period < 1:
+		return n // no viable adaptive parameters: runs precisely
+	default:
+		// Delta is sampled at positive multiples of Period: stop short of
+		// the next one.
+		period := int(m.adaptive.Period)
+		if j <= 0 {
+			return 0
+		}
+		return min(n, (period-j%period)%period)
+	}
+}
+
 // result summarizes a non-monitored member.
 func (m *loopMember) result() Result {
 	return Result{Approximated: m.terminated, StoppedAt: m.wouldStop}

@@ -150,4 +150,19 @@ func TestSteadyStateExecutionAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state execution allocates %v objects/op, want 0", allocs)
 	}
+	// The block form of the same execution.
+	allocs = testing.AllocsPerRun(200, func() {
+		e, err := l.Begin(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for k := e.ContinueN(i, 64); k > 0; k = e.ContinueN(i, 64) {
+			i += k
+		}
+		e.Finish(i)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state block execution allocates %v objects/op, want 0", allocs)
+	}
 }

@@ -127,6 +127,31 @@ func isMethodCall(info *types.Info, call *ast.CallExpr, pkgPath, recv, method st
 	return ok && sel.Kind() == types.MethodVal && isPkgType(sel.Recv(), pkgPath, recv)
 }
 
+// stopLawGuards reports whether for statement f runs under a Green stop
+// law selected on one of the recv types (LoopExec, LoopBatch): its
+// condition calls Continue, or — the block form — its init, condition
+// or post asks ContinueN.
+func stopLawGuards(info *types.Info, f *ast.ForStmt, recvs ...string) bool {
+	calls := func(root ast.Node, method string) bool {
+		found := false
+		ast.Inspect(root, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				for _, recv := range recvs {
+					if isMethodCall(info, call, corePath, recv, method) {
+						found = true
+					}
+				}
+			}
+			return !found
+		})
+		return found
+	}
+	if f.Cond != nil && (calls(f.Cond, "Continue") || calls(f.Cond, "ContinueN")) {
+		return true
+	}
+	return (f.Init != nil && calls(f.Init, "ContinueN")) || (f.Post != nil && calls(f.Post, "ContinueN"))
+}
+
 // receiverRoot resolves the identity of a method call's receiver: for
 // `x.M(...)` the object of x, for `a.b.M(...)` the object of field b.
 // Distinct syntactic paths to the same object compare equal, which is

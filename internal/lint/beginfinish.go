@@ -24,7 +24,7 @@ type execHandle struct {
 	obj       types.Object // nil when the handle is discarded outright
 	beginPos  token.Pos
 	finished  bool // exec.Finish(...) seen
-	continued bool // exec.Continue(...) seen
+	continued bool // exec.Continue(...) or exec.ContinueN(...) seen
 	escaped   bool // handle leaves the function's direct control
 }
 
@@ -83,8 +83,8 @@ func loopExecHandles(p *Pass, body *ast.BlockStmt) []*execHandle {
 			h.escaped = true // returned, reassigned, passed as argument, ...
 			return
 		}
-		// exec.Method: only a direct call to Finish or Continue keeps the
-		// handle under this function's control.
+		// exec.Method: only a direct call to Finish, Continue or ContinueN
+		// keeps the handle under this function's control.
 		isCall := false
 		if len(stack) >= 2 {
 			if call, ok := stack[len(stack)-2].(*ast.CallExpr); ok && call.Fun == ast.Expr(sel) {
@@ -94,7 +94,7 @@ func loopExecHandles(p *Pass, body *ast.BlockStmt) []*execHandle {
 		switch {
 		case isCall && sel.Sel.Name == "Finish":
 			h.finished = true
-		case isCall && sel.Sel.Name == "Continue":
+		case isCall && (sel.Sel.Name == "Continue" || sel.Sel.Name == "ContinueN"):
 			h.continued = true
 		default:
 			h.escaped = true // method value, unknown selector, ...

@@ -10,12 +10,16 @@ import (
 // induction variable. A Continue whose boolean result is not part of a
 // for condition never terminates the loop early (the approximation is
 // silently dead), and a constant argument breaks both static-threshold
-// comparison and adaptive period sampling.
+// comparison and adaptive period sampling. The block form,
+// exec.ContinueN(i, n), guards the same way with a count: it must be
+// asked inside a for loop, its result must be kept (it bounds the block
+// the body may run, and 0 is the stop), and i must be the live induction
+// variable.
 var analyzerContinueCond = &Analyzer{
 	Name:     "continuecond",
 	Category: CategoryContract,
 	Tier:     TierBlock,
-	Doc:      "exec.Continue(i) must guard the for condition with a non-constant iteration argument",
+	Doc:      "exec.Continue(i) must guard the for condition, and exec.ContinueN(i, n) bound a for loop's blocks, with a non-constant iteration argument",
 	run:      runContinueCond,
 }
 
@@ -33,19 +37,65 @@ func runContinueCond(p *Pass) {
 	for _, f := range p.Files {
 		walkStack(f, func(n ast.Node, stack []ast.Node) {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isMethodCall(p.Info, call, corePath, "LoopExec", "Continue") {
+			if !ok {
 				return
 			}
-			if !inForCond(call, stack) {
-				p.reportf(call.Pos(), "exec.Continue must appear in the enclosing for condition, not the loop body")
+			var method string
+			switch {
+			case isMethodCall(p.Info, call, corePath, "LoopExec", "Continue"):
+				method = "Continue"
+				if !inForCond(call, stack) {
+					p.reportf(call.Pos(), "exec.Continue must appear in the enclosing for condition, not the loop body")
+				}
+			case isMethodCall(p.Info, call, corePath, "LoopExec", "ContinueN"):
+				method = "ContinueN"
+				if !inFor(stack) {
+					p.reportf(call.Pos(), "exec.ContinueN must be asked inside a for loop, once per block")
+				}
+				if resultDiscarded(call, stack) {
+					p.reportf(call.Pos(), "exec.ContinueN result discarded; the count it grants must bound the block the loop body runs")
+				}
+			default:
+				return
 			}
-			if len(call.Args) == 1 {
+			if len(call.Args) >= 1 {
 				if tv, ok := p.Info.Types[call.Args[0]]; ok && tv.Value != nil {
-					p.reportf(call.Pos(), "exec.Continue called with constant %s; pass the loop induction variable", tv.Value)
+					p.reportf(call.Pos(), "exec.%s called with constant %s; pass the loop induction variable", method, tv.Value)
 				}
 			}
 		})
 	}
+}
+
+// inFor reports whether the node whose ancestor stack is given lies
+// anywhere inside a for statement: init, condition, post or body.
+func inFor(stack []ast.Node) bool {
+	for _, anc := range stack {
+		if _, ok := anc.(*ast.ForStmt); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// resultDiscarded reports whether call's value is dropped: a bare
+// expression statement, or assigned to the blank identifier.
+func resultDiscarded(call *ast.CallExpr, stack []ast.Node) bool {
+	if len(stack) == 0 {
+		return false
+	}
+	switch parent := stack[len(stack)-1].(type) {
+	case *ast.ExprStmt:
+		return true
+	case *ast.AssignStmt:
+		for i, r := range parent.Rhs {
+			if r == ast.Expr(call) && i < len(parent.Lhs) {
+				id, ok := parent.Lhs[i].(*ast.Ident)
+				return ok && id.Name == "_"
+			}
+		}
+	}
+	return false
 }
 
 // inForCond reports whether call lies inside the condition expression of

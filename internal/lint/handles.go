@@ -195,7 +195,7 @@ func classifyUse(p *Pass, h *trackedHandle, id *ast.Ident, stack []ast.Node, bod
 		if parent.X != ast.Expr(id) {
 			return // h is the field name of some other selector: not a use
 		}
-		// h.Method: a direct call to Finish/Continue stays in-frame.
+		// h.Method: a direct call to Finish/Continue/ContinueN stays in-frame.
 		call := callOf(stack, parent)
 		switch {
 		case call != nil && parent.Sel.Name == "Finish":
@@ -207,7 +207,7 @@ func classifyUse(p *Pass, h *trackedHandle, id *ast.Ident, stack []ast.Node, bod
 			} else {
 				h.finishCalls = append(h.finishCalls, call)
 			}
-		case call != nil && parent.Sel.Name == "Continue":
+		case call != nil && (parent.Sel.Name == "Continue" || parent.Sel.Name == "ContinueN"):
 			// in-frame use, nothing to record
 		default:
 			// Method value or unknown selector: conservative.

@@ -8,8 +8,9 @@
 // green and green/internal/core APIs:
 //
 //	beginfinish  — every Loop.Begin execution handle must be Finished
-//	continuecond — exec.Continue(i) must guard the for condition, with a
-//	               non-constant induction argument
+//	continuecond — exec.Continue(i) must guard the for condition (or
+//	               exec.ContinueN(i, n) bound the loop's blocks), with
+//	               a non-constant induction argument
 //	slarange     — literal config fields must be in range (SLA in (0,1],
 //	               positive SampleInterval, complete AdaptiveParams)
 //	ctrlcopy     — mutex-bearing controllers must not be copied by value

@@ -227,22 +227,20 @@ func suggestInFunc(p *Pass, fnName string, body *ast.BlockStmt) []Suggestion {
 
 // matchLoop runs the three shape matchers over one loop.
 func matchLoop(p *Pass, g *CFG, fnName string, ls loopSite) []Suggestion {
-	var (
-		loopBody *ast.BlockStmt
-		cond     ast.Expr
-	)
+	var loopBody *ast.BlockStmt
 	switch s := ls.stmt.(type) {
 	case *ast.ForStmt:
-		loopBody, cond = s.Body, s.Cond
+		// A loop already guarded by exec.Continue (or driven in
+		// exec.ContinueN blocks) is greened: discovery is done,
+		// calibration owns it now.
+		if stopLawGuards(p.Info, s, "LoopExec") {
+			return nil
+		}
+		loopBody = s.Body
 	case *ast.RangeStmt:
 		loopBody = s.Body
 	}
 	if loopBody == nil {
-		return nil
-	}
-	// A loop whose condition already calls exec.Continue is greened:
-	// discovery is done, calibration owns it now.
-	if cond != nil && containsContinueCall(p.Info, cond) {
 		return nil
 	}
 
@@ -714,21 +712,6 @@ func guardAccum(p *Pass, cond ast.Expr, accums []*accumOps) *accumOps {
 			}
 		}
 		return true
-	})
-	return found
-}
-
-// containsContinueCall reports whether e contains a call to
-// core.LoopExec.Continue — the mark of an already-greened loop.
-func containsContinueCall(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if ok && isMethodCall(info, call, corePath, "LoopExec", "Continue") {
-			found = true
-			return false
-		}
-		return !found
 	})
 	return found
 }

@@ -24,8 +24,9 @@ import (
 //   - results of Func.Call / Func2.Call;
 //   - output slices of Func.CallN / Func2.CallN;
 //   - every variable mutated inside a loop whose condition calls
-//     LoopExec.Continue or LoopBatch.Continue — the state accumulated
-//     between Begin and Finish is exactly the state the controller may
+//     LoopExec.Continue or LoopBatch.Continue, or whose init/post asks
+//     ContinueN for its next block — the state accumulated between
+//     Begin and Finish is exactly the state the controller may
 //     truncate.
 //
 // Sinks (precise-only contexts, check "taintsink"):
@@ -428,7 +429,7 @@ func (fc *funcTaint) prepass(body *ast.BlockStmt) {
 		case *ast.IfStmt:
 			fc.condIf[n.Cond] = n
 		case *ast.ForStmt:
-			if n.Cond != nil && containsApproxGuard(fc.info, n.Cond) {
+			if stopLawGuards(fc.info, n, "LoopExec", "LoopBatch") {
 				atom := fc.ta.sourceAtom(n, "state mutated under an approximate exec.Continue-guarded loop", fc.fset.Position(n.Pos()))
 				fc.markWrites(n.Body, atom)
 				if n.Post != nil {
@@ -452,23 +453,6 @@ func (fc *funcTaint) markWrites(root ast.Node, atom *taintSource) {
 		}
 		return true
 	})
-}
-
-// containsApproxGuard reports whether e contains a call to
-// LoopExec.Continue or LoopBatch.Continue — a loop guarded by one runs
-// under approximate execution, so the state it mutates is approximate.
-func containsApproxGuard(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if isMethodCall(info, call, corePath, "LoopExec", "Continue") || isMethodCall(info, call, corePath, "LoopBatch", "Continue") {
-				found = true
-				return false
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // solve runs the forward dataflow to a fixed point and returns the

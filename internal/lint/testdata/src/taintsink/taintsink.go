@@ -32,6 +32,31 @@ func accumToError(l *core.Loop, q core.LoopQoS, xs []float64) error {
 	return nil
 }
 
+// blockAccumToError is accumToError driven in exec.ContinueN blocks: the
+// guard sits in the loop's init and post, and what the loop accumulates
+// is just as approximate.
+func blockAccumToError(l *core.Loop, q core.LoopQoS, xs []float64, block func([]float64) float64) error {
+	exec, err := l.Begin(q)
+	if err != nil {
+		return err
+	}
+	sum := 0.0
+	i := 0
+	for k := exec.ContinueN(i, 64); k > 0; k = exec.ContinueN(i, 64) {
+		n := min(k, len(xs)-i)
+		sum += block(xs[i : i+n])
+		i += n
+		if n < k {
+			break
+		}
+	}
+	exec.Finish(i)
+	if sum < 0 {
+		return fmt.Errorf("negative checksum %v", sum) // want "error construction"
+	}
+	return nil
+}
+
 // callToSetLevel feeds an approximate function result straight into the
 // controller's accuracy knob — the precise SLA plane steered by the
 // value it is supposed to control.

@@ -155,5 +155,6 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data", ErrBadIndex)
 	}
+	e.packRecs()
 	return e, nil
 }

@@ -73,17 +73,16 @@ func (s *ScanAnd) Step() bool {
 	if s.dead {
 		return false
 	}
-	e := s.engine
+	recs := s.engine.recs
 	for s.pos[s.lead] < len(s.lists[s.lead]) {
 		doc := s.lists[s.lead][s.pos[s.lead]].Doc
 		s.pos[s.lead]++
 		inAll := true
-		score := e.quality[doc]
+		r := recs[doc]
+		score := r.quality
 		for i := range s.lists {
 			if i == s.lead {
-				tf := float64(s.lists[i][s.pos[i]-1].TF)
-				norm := bm25K1 * (1 - bm25B + bm25B*float64(e.docLen[doc])/e.avgLen)
-				score += s.idfs[i] * tf * (bm25K1 + 1) / (tf + norm)
+				score += bm25(s.idfs[i], s.lists[i][s.pos[i]-1].TF, r.norm)
 				continue
 			}
 			for s.pos[i] < len(s.lists[i]) && s.lists[i][s.pos[i]].Doc < doc {
@@ -93,9 +92,7 @@ func (s *ScanAnd) Step() bool {
 				inAll = false
 				break
 			}
-			tf := float64(s.lists[i][s.pos[i]].TF)
-			norm := bm25K1 * (1 - bm25B + bm25B*float64(e.docLen[doc])/e.avgLen)
-			score += s.idfs[i] * tf * (bm25K1 + 1) / (tf + norm)
+			score += bm25(s.idfs[i], s.lists[i][s.pos[i]].TF, r.norm)
 		}
 		if !inAll {
 			continue

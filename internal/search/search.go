@@ -88,6 +88,32 @@ type Engine struct {
 	quality  []float64 // per-doc static prior, decreasing in doc id
 	avgLen   float64
 	idf      []float64
+	// recs packs what the incremental scans read per posting; derived
+	// from quality/docLen/avgLen by packRecs, never persisted.
+	recs []docRec
+}
+
+// docRec is the per-document half of a posting's score in one 16-byte
+// record: the static prior and the BM25 length normalization
+// bm25K1*(1-bm25B+bm25B*docLen/avgLen), computed once with exactly the
+// expression Search evaluates per posting. A scan then pays one cache
+// line and one division per posting where Search pays two of each, and
+// its scores stay bit-identical to Search's.
+type docRec struct {
+	quality float64
+	norm    float64
+}
+
+// packRecs (re)builds recs; NewEngine and ReadEngine call it once every
+// corpus-wide statistic is in place.
+func (e *Engine) packRecs() {
+	e.recs = make([]docRec, len(e.quality))
+	for d := range e.recs {
+		e.recs[d] = docRec{
+			quality: e.quality[d],
+			norm:    bm25K1 * (1 - bm25B + bm25B*float64(e.docLen[d])/e.avgLen),
+		}
+	}
 }
 
 // NewEngine builds the corpus and inverted index.
@@ -162,6 +188,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.postings[t] = kept
 		}
 	}
+	e.packRecs()
 	return e, nil
 }
 

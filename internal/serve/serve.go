@@ -6,7 +6,9 @@
 //
 //	GET /search?q=<words>   ranked results as JSON; the per-query
 //	                        matching-document loop runs under the Green
-//	                        loop controller
+//	                        loop controller, one scan per request in
+//	                        blocks — a monitored request's QoS is read
+//	                        off that same scan, not off reruns
 //	GET /stats              runtime counters: queries, monitored queries,
 //	                        mean monitored QoS loss, current M, documents
 //	                        scored vs the precise engine, and the
@@ -736,14 +738,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// docScanner is the incremental scan surface serveQuery drives — both
-// the disjunctive Scan and the conjunctive ScanAnd satisfy it.
+// docScanner is the incremental scan surface serveQuery drives and
+// serveQoS reads its pages from — both the disjunctive Scan and the
+// conjunctive ScanAnd satisfy it.
 type docScanner interface {
-	Step() bool
+	StepN(k int) int
 	Processed() int
+	Exhausted() bool
 	TopNInto([]int) []int
 	TopNResultsInto([]search.Result) []search.Result
 }
+
+// scanBlock is the most documents one ContinueN/StepN round scores: the
+// stop law and the deadline are consulted once per block, the kernel
+// runs the block as one tight loop.
+const scanBlock = 64
 
 // serveScratch is the pooled per-request working set of the /search
 // path: the scanners, the response struct with its docs slice, and the
@@ -773,14 +782,19 @@ func (sc *serveScratch) release() {
 // serveQuery runs one query's scan under the given loop controller into
 // sc.resp, honoring the client context (cancellation) and the explicit
 // deadline: if either expires mid-scan the partial results scored so
-// far are returned, marked degraded. and selects the conjunctive QoS
-// comparison (the monitored precise rerun must execute the same
-// retrieval semantics as the approximated scan).
+// far are returned, marked degraded. The request runs one scan, in
+// blocks: the controller grants up to scanBlock iterations at a time
+// (ContinueN, exactly as many true Continue calls), the kernel scores
+// them in one StepN, and a monitored request's QoS is read off that
+// same scan (serveQoS). and selects the conjunctive retrieval for the
+// QoS adapter's fallback reruns, which must execute the same retrieval
+// semantics as the scan being judged.
 func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, q search.Query, feat core.Features, and bool, sc *serveScratch) error {
 	qos := serveQoSPool.Get().(*serveQoS)
 	qos.engine, qos.query, qos.topN = s.engine, q, s.cfg.TopN
 	qos.chaos = s.cfg.Chaos
 	qos.and = and
+	qos.scan = scan
 	exec, err := loop.ExecFeat(qos, feat)
 	if err != nil {
 		qos.release()
@@ -791,14 +805,19 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 	}
 	i := 0
 	// An already-expired deadline still serves (an empty page beats an
-	// error); mid-scan, the deadline check is amortized over 64 scored
-	// documents so the fast path stays a couple of instructions per
-	// iteration.
+	// error); mid-scan, the deadline is checked once per block.
 	degraded := expired()
-	for !degraded && exec.Continue(i) && scan.Step() {
-		i++
-		if i&0x3f == 0 && expired() {
-			degraded = true
+	if !degraded {
+		for k := exec.ContinueN(i, scanBlock); k > 0; k = exec.ContinueN(i, scanBlock) {
+			n := scan.StepN(k)
+			i += n
+			if n < k {
+				break // out of matching documents
+			}
+			if expired() {
+				degraded = true
+				break
+			}
 		}
 	}
 	// Finish is the controller's last use of qos (Loss runs inside it),
@@ -1025,47 +1044,74 @@ func (s *Server) Engine() *search.Engine { return s.engine }
 // Ops exposes the operational counters, for tooling and tests.
 func (s *Server) Ops() *metrics.OpsCounters { return &s.ops }
 
-// serveQoS adapts a served query to core.LoopQoS. Adapters are pooled so
-// the per-query fast path allocates nothing beyond the scan itself. The
-// chaos injector hooks live here: the QoS callbacks are exactly the
-// user-code surface the controller's panic containment guards, so this
-// is where the fault-injection harness aims.
+// serveQoS adapts a served query to core.LoopQoS by snapshot-and-
+// continue, the paper's monitored run: "store the QoS value and do not
+// terminate the loop early". Record copies the request's own scan page
+// at the iteration the approximation would have stopped; the scan then
+// runs on to exhaustion, and Loss compares that snapshot with the
+// scan's final page — the precise answer, which the request is serving
+// anyway. A monitored request therefore costs one full scan. Rerunning
+// the query on the engine is the fallback only: Record reruns the capped
+// search when the scan is not at the recorded iteration, Loss reruns
+// the precise search when the scan did not reach exhaustion (deadline,
+// cancellation), so a loss is never measured against a partial page.
+//
+// Adapters are pooled and keep their two page buffers across requests,
+// so the monitored path allocates nothing either. The chaos injector
+// hooks live here: the QoS callbacks are exactly the user-code surface
+// the controller's panic containment guards, so this is where the
+// fault-injection harness aims.
 type serveQoS struct {
-	engine   *search.Engine
-	query    search.Query
-	topN     int
-	recorded []int
-	chaos    *chaos.Injector
-	// and selects the conjunctive retrieval for both the monitored
-	// snapshot and the precise rerun, matching the scan being judged.
+	engine *search.Engine
+	query  search.Query
+	topN   int
+	scan   docScanner // the request's own scan
+	chaos  *chaos.Injector
+	// and selects the conjunctive retrieval for the fallback reruns,
+	// matching the scan being judged.
 	and bool
+	// recorded is the page at the record point, precise the buffer for
+	// the final one; both backing arrays survive release.
+	recorded []int
+	precise  []int
 }
 
 var serveQoSPool = sync.Pool{New: func() any { return new(serveQoS) }}
 
 func (q *serveQoS) release() {
-	*q = serveQoS{}
+	*q = serveQoS{recorded: q.recorded[:0], precise: q.precise[:0]}
 	serveQoSPool.Put(q)
+}
+
+// search reruns the query on the engine from scratch (maxDocs <= 0:
+// uncapped), the fallback for a page the scan cannot supply.
+func (q *serveQoS) search(maxDocs int) []int {
+	if q.and {
+		docs, _ := q.engine.SearchAnd(q.query, q.topN, maxDocs)
+		return docs
+	}
+	docs, _ := q.engine.Search(q.query, q.topN, maxDocs)
+	return docs
 }
 
 func (q *serveQoS) Record(iter int) {
 	q.chaos.MaybeDelay("qos.record")
 	q.chaos.MaybePanic("qos.record")
-	if q.and {
-		q.recorded, _ = q.engine.SearchAnd(q.query, q.topN, iter)
-	} else {
-		q.recorded, _ = q.engine.Search(q.query, q.topN, iter)
+	// iter > 0: a cap of zero means "no cap" to the engine, and the
+	// rerun keeps that meaning.
+	if iter > 0 && q.scan.Processed() == iter {
+		q.recorded = q.scan.TopNInto(q.recorded)
+		return
 	}
+	q.recorded = q.search(iter)
 }
 
 func (q *serveQoS) Loss(int) float64 {
 	q.chaos.MaybeDelay("qos.loss")
 	q.chaos.MaybePanic("qos.loss")
-	var precise []int
-	if q.and {
-		precise, _ = q.engine.SearchAnd(q.query, q.topN, 0)
-	} else {
-		precise, _ = q.engine.Search(q.query, q.topN, 0)
+	if !q.scan.Exhausted() {
+		return metrics.QueryLoss(q.search(0), q.recorded)
 	}
-	return metrics.QueryLoss(precise, q.recorded)
+	q.precise = q.scan.TopNInto(q.precise)
+	return metrics.QueryLoss(q.precise, q.recorded)
 }

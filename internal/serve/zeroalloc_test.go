@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -18,27 +19,53 @@ func (w *nullRW) WriteHeader(int)             {}
 
 // TestServeWarmPathZeroAlloc is the serve-path allocation gate
 // (enforced again by scripts/check.sh): once the query cache and the
-// scratch pools are warm, a /search request must not allocate. The
-// sample interval is pushed out of reach so the measured path is the
-// steady (non-monitored) one — the same regime the ServeQPS benchmark
-// measures.
+// scratch pools are warm, a /search request must not allocate — neither
+// on the steady path (sample interval out of reach, the regime the
+// ServeQPS benchmark measures) nor on the monitored one (every request
+// sampled, the match set several times the level M so the record point
+// falls inside the scan: the QoS adapter snapshots and compares pages
+// in buffers it keeps across pool round-trips; the occasional
+// recalibration's new state snapshot is well under one allocation per
+// request).
 func TestServeWarmPathZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector instrumentation allocates; the allocation budget only holds in a plain build")
 	}
-	s, err := New(Config{Seed: 7, CalibrationQueries: 60, CorpusDocs: 2000,
-		SampleInterval: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.withResilience(s.handleSearch)
-	req := httptest.NewRequest(http.MethodGet, "/search?q=alpha+beta", nil)
-	w := &nullRW{h: make(http.Header, 4)}
-	for i := 0; i < 16; i++ {
-		h(w, req) // warm the query cache, scratch pools, and buffers
-	}
-	avg := testing.AllocsPerRun(200, func() { h(w, req) })
-	if avg != 0 {
-		t.Fatalf("warm /search path allocates %.2f times per request, want 0", avg)
+	for _, c := range []struct {
+		name     string
+		interval int
+	}{{"steady", 1 << 30}, {"monitored", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{Seed: 7, CalibrationQueries: 60, CorpusDocs: 20000,
+				SampleInterval: c.interval})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := s.withResilience(s.handleSearch)
+			req := httptest.NewRequest(http.MethodGet, "/search?q=w0+w3+w9+w1+w12", nil)
+			w := &nullRW{h: make(http.Header, 4)}
+			for i := 0; i < 16; i++ {
+				h(w, req) // warm the query cache, scratch pools, and buffers
+			}
+			avg := testing.AllocsPerRun(200, func() { h(w, req) })
+			if avg != 0 {
+				t.Fatalf("warm /search path allocates %.2f times per request, want 0", avg)
+			}
+			if c.interval != 1 {
+				return
+			}
+			// The measured requests were the monitored kind this gate is
+			// about: sampled, and scanned past M, so Record took its snapshot.
+			rec := httptest.NewRecorder()
+			h(rec, req)
+			var resp searchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if level := s.Loop().Level(); !resp.MonitoredScan || float64(resp.DocsScored) <= level {
+				t.Fatalf("monitored=%v, %d documents scored against M=%v: the record point was not inside the scan",
+					resp.MonitoredScan, resp.DocsScored, level)
+			}
+		})
 	}
 }

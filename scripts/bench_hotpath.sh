@@ -2,10 +2,11 @@
 # Records the operational-hot-path perf trajectory: runs the
 # BenchmarkLoopHotPath* / BenchmarkLoopExecFeat* / BenchmarkLoopExecN /
 # BenchmarkFuncCallN / BenchmarkFunc2CallN / BenchmarkFunc2HotPath* /
-# BenchmarkServeQPS / BenchmarkClusterScatter /
-# BenchmarkCombineSearchSpace families and emits one JSON object
-# (ns/op, allocs/op, and the combination search's evaluated-combos
-# count) suitable for a "before"/"after" entry in BENCH_hotpath.json.
+# BenchmarkServeQPS / BenchmarkServeMonitored / BenchmarkScanKernel /
+# BenchmarkClusterScatter / BenchmarkCombineSearchSpace families and
+# emits one JSON object (ns/op, allocs/op, the scan kernel's ns per
+# scored document, and the combination search's evaluated-combos count)
+# suitable for a "before"/"after" entry in BENCH_hotpath.json.
 #
 # Usage:
 #
@@ -31,7 +32,7 @@ while [ $# -gt 0 ]; do
 	esac
 done
 
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncCallN|Func2CallN|Func2HotPath|ServeQPS|ClusterScatter|CombineSearchSpace'
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncCallN|Func2CallN|Func2HotPath|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|CombineSearchSpace'
 
 raw=""
 i=0
@@ -55,17 +56,18 @@ BEGIN { n = 0; gmp = "" }
 		sub(/-[0-9]+$/, "", name)
 	}
 	sub(/^Benchmark/, "", name)
-	ns = ""; allocs = ""; combos = ""
+	ns = ""; allocs = ""; combos = ""; nsdoc = ""
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") ns = $(i - 1)
 		if ($i == "allocs/op") allocs = $(i - 1)
 		if ($i == "combos/op") combos = $(i - 1)
+		if ($i == "ns/doc") nsdoc = $(i - 1)
 	}
 	if (ns == "") next
 	# Best-of-N: keep the fastest run of each benchmark.
 	if (!(name in nsof)) order[n++] = name
 	if (!(name in nsof) || ns + 0 < nsof[name] + 0) {
-		nsof[name] = ns; allocsof[name] = allocs; combosof[name] = combos
+		nsof[name] = ns; allocsof[name] = allocs; combosof[name] = combos; nsdocof[name] = nsdoc
 	}
 }
 END {
@@ -84,6 +86,7 @@ END {
 		entry = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s", name, nsof[name])
 		if (allocsof[name] != "") entry = entry sprintf(", \"allocs_per_op\": %s", allocsof[name])
 		if (combosof[name] != "") entry = entry sprintf(", \"evaluated_combos\": %s", combosof[name])
+		if (nsdocof[name] != "") entry = entry sprintf(", \"ns_per_doc\": %s", nsdocof[name])
 		entry = entry "}"
 		printf "%s%s\n", entry, (i < n - 1 ? "," : "")
 	}

@@ -102,6 +102,9 @@ echo "== fuzz (smoke) =="
 # enough to catch fresh crashes on the parser/typechecker boundary
 # without stalling the gate.
 go test -run '^$' -fuzz FuzzAnalyzers -fuzztime 10s ./internal/lint
+# And ten over the scan kernel: fuzzed queries, page sizes, shard layouts
+# and block-size sequences, every block checked against Engine.Search.
+go test -run '^$' -fuzz FuzzScanBlocks -fuzztime 10s ./internal/search
 
 echo "== race (concurrency-sensitive packages) =="
 go test -race ./internal/core ./internal/serve ./internal/loadgen ./internal/search \
@@ -131,9 +134,11 @@ go test -run xxx -bench . -benchtime 1x ./... > /dev/null
 echo "== serve path stays allocation-free =="
 # The warm /search request path (query-cache hit, pooled scratch,
 # hand-rolled JSON encode) has an allocation budget of zero, measured
-# with AllocsPerRun. A regression here silently turns the serving tier
-# back into a per-request allocator. (No -race: the detector's own
-# instrumentation allocates, and the test skips itself under it.)
+# with AllocsPerRun — on the steady path and on the monitored one,
+# where the QoS adapter snapshots the scan's page into buffers it keeps.
+# A regression here silently turns the serving tier back into a
+# per-request allocator. (No -race: the detector's own instrumentation
+# allocates, and the test skips itself under it.)
 go test -count 1 -run TestServeWarmPathZeroAlloc ./internal/serve
 
 echo "== hot path stays allocation-free =="
@@ -142,10 +147,10 @@ echo "== hot path stays allocation-free =="
 # Func2 Call, and the batched ExecN/CallN tier) must not allocate: one
 # heap object per execution was the regression the controller-core
 # rework removed, and it must not creep back. ns/op is too noisy to
-# gate on shared runners; allocs/op is exact. ServeQPS rides along as
-# the end-to-end smoke row: it must run and stay allocation-free per
-# warm request.
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS' \
+# gate on shared runners; allocs/op is exact. ServeQPS and
+# ServeMonitored ride along as the end-to-end smoke rows: they must run
+# and stay allocation-free per warm request, sampled or not.
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
 		for (i = 2; i <= NF; i++) {
@@ -157,7 +162,7 @@ go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|Func2HotPath/ste
 		seen++
 	}
 	END {
-		if (seen < 7) { print "FAIL: expected 7 steady-path benchmarks, saw " seen; exit 1 }
+		if (seen < 8) { print "FAIL: expected 8 steady-path benchmarks, saw " seen; exit 1 }
 		exit bad
 	}'
 
