@@ -18,7 +18,8 @@ func init() {
 // runOverhead reproduces the §4.1 measurement: with every QoS_Approx call
 // answering "do not approximate" and a 1% recalibration sampling rate,
 // the Green-instrumented loop should be indistinguishable from the plain
-// loop. It measures real wall time of both variants over identical work.
+// loop. It measures real wall time of both variants over identical work,
+// alternating them and reporting the ratio of each one's fastest round.
 func runOverhead(o Options) (*Table, error) {
 	const base = 2000
 	iterations := o.scaled(300, 30)
@@ -34,15 +35,16 @@ func runOverhead(o Options) (*Table, error) {
 		return acc + x
 	}
 
-	// Plain version.
-	plainStart := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
-	sinkPlain := 0.0
-	for run := 0; run < iterations; run++ {
-		for i := 0; i < base; i++ {
-			sinkPlain = body(i, sinkPlain)
+	plainRun := func() (time.Duration, float64) {
+		start := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
+		sink := 0.0
+		for run := 0; run < iterations; run++ {
+			for i := 0; i < base; i++ {
+				sink = body(i, sink)
+			}
 		}
+		return time.Since(start), sink //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
 	}
-	plain := time.Since(plainStart) //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
 
 	// Green-instrumented version, approximation disabled, Sample_QoS 1%.
 	pts := []model.CalPoint{
@@ -60,24 +62,45 @@ func runOverhead(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	greenStart := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
-	sinkGreen := 0.0
-	for run := 0; run < iterations; run++ {
-		exec, err := loop.Begin(noopQoS{})
+	greenRun := func() (time.Duration, float64, error) {
+		start := time.Now() //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
+		sink := 0.0
+		for run := 0; run < iterations; run++ {
+			exec, err := loop.Begin(noopQoS{})
+			if err != nil {
+				return 0, 0, err
+			}
+			i := 0
+			for ; i < base && exec.Continue(i); i++ {
+				sink = body(i, sink)
+			}
+			exec.Finish(i)
+		}
+		return time.Since(start), sink, nil //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
+	}
+
+	// A single timing of each variant is at the mercy of whatever else
+	// the machine does in those milliseconds (1.105 was read against the
+	// test's 1.10 limit under the parallel suite). Alternating the two
+	// exposes both to the same disturbances, and the fastest round of
+	// each is the one least disturbed.
+	const rounds = 5
+	var plain, green time.Duration
+	for round := 0; round < rounds; round++ {
+		p, sinkPlain := plainRun()
+		g, sinkGreen, err := greenRun()
 		if err != nil {
 			return nil, err
 		}
-		i := 0
-		for ; i < base && exec.Continue(i); i++ {
-			sinkGreen = body(i, sinkGreen)
+		if sinkPlain != sinkGreen {
+			return nil, fmt.Errorf("overhead experiment diverged: %v vs %v", sinkPlain, sinkGreen)
 		}
-		exec.Finish(i)
-	}
-	green := time.Since(greenStart) //greenlint:ignore nondet the experiment's purpose is measuring real wall-clock overhead
-
-	if sinkPlain != sinkGreen {
-		//greenlint:endorse divergence check: the approximate sum is intentionally compared and reported against the precise baseline
-		return nil, fmt.Errorf("overhead experiment diverged: %v vs %v", sinkPlain, sinkGreen)
+		if round == 0 || p < plain {
+			plain = p
+		}
+		if round == 0 || g < green {
+			green = g
+		}
 	}
 	ratio := float64(green) / float64(plain)
 	t := &Table{Columns: []string{"variant", "wall time", "relative"}}
@@ -85,7 +108,7 @@ func runOverhead(o Options) (*Table, error) {
 	t.AddRow("green (approx off, 1% sampling)", green.Round(time.Microsecond).String(),
 		fmt.Sprintf("%.3f", ratio))
 	t.AddNote("paper: performance indistinguishable from base at 1%% sampling")
-	t.AddNote("%d runs of a %d-iteration kernel; identical results verified", iterations, base)
+	t.AddNote("fastest of %d alternated rounds, each %d runs of a %d-iteration kernel; identical results verified", rounds, iterations, base)
 	return t, nil
 }
 

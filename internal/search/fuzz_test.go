@@ -2,13 +2,17 @@ package search
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 )
 
 // FuzzReadEngine hardens the index parser: arbitrary input must produce
-// either a valid engine or ErrBadIndex — never a panic or a hang.
+// either ErrBadIndex or an engine on which the scans are still exact —
+// never a panic or a hang, and never numbers (NaN, ±Inf) that break the
+// order the top-N heap and the floor test rely on.
 func FuzzReadEngine(f *testing.F) {
 	// Seed with a real index and a few mutations of it.
 	e, err := NewEngine(Config{Docs: 200, VocabSize: 30, AvgDocLen: 10, Seed: 1})
@@ -27,6 +31,14 @@ func FuzzReadEngine(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[50] ^= 0xFF
 	f.Add(mutated)
+	_, _, quality, idf := indexFloatOffsets(200, 30)
+	for _, off := range []int{quality + 8*3, idf, idf + 8} {
+		for _, v := range []float64{math.NaN(), math.Inf(-1), -1e300} {
+			patched := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint64(patched[off:], math.Float64bits(v))
+			f.Add(patched)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := ReadEngine(bytes.NewReader(data))
@@ -38,7 +50,14 @@ func FuzzReadEngine(f *testing.F) {
 		if eng.Docs() <= 0 || eng.Vocab() <= 0 {
 			t.Fatalf("parsed engine with sizes %d/%d", eng.Docs(), eng.Vocab())
 		}
-		eng.Search(Query{Terms: []int{0, 1}}, 5, 100)
+		q := Query{Terms: []int{0, 1}}
+		s := eng.NewScan(q, 5)
+		for _, k := range []int{3, 97, 1 << 30} { // two prefixes, then all
+			s.StepN(k)
+			if err := checkAgainstSearch(eng, s, q, 5, false); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 }
 
@@ -74,6 +93,132 @@ type blockScanner interface {
 	TopNResultsInto([]Result) []Result
 }
 
+// checkAgainstSearch returns an error unless s, a scan of q on e, holds
+// the page Search (SearchAnd when and is set) returns when capped at the
+// same document count, every score bit-equal to refScore.
+func checkAgainstSearch(e *Engine, s blockScanner, q Query, topN int, and bool) error {
+	search := e.Search
+	if and {
+		search = e.SearchAnd
+	}
+	n := s.Processed()
+	var want []int
+	if n > 0 { // a cap of 0 means "no cap" to Search
+		var scored int
+		want, scored = search(q, topN, n)
+		if scored != n {
+			return fmt.Errorf("and=%v: scan processed %d documents, Search capped there scored %d", and, n, scored)
+		}
+	}
+	got := s.TopNInto(nil)
+	rs := s.TopNResultsInto(nil)
+	if len(got) != len(want) || len(rs) != len(want) {
+		return fmt.Errorf("and=%v at %d docs: page %v / %v, Search %v", and, n, got, rs, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || int(rs[i].Doc) != want[i] {
+			return fmt.Errorf("and=%v at %d docs: page %v / %v, Search %v", and, n, got, rs, want)
+		}
+		if ref := refScore(e, q, rs[i].Doc); math.Float64bits(rs[i].Score) != math.Float64bits(ref) {
+			return fmt.Errorf("and=%v at %d docs: doc %d scored %v, Search's expression gives %v", and, n, rs[i].Doc, rs[i].Score, ref)
+		}
+	}
+	return nil
+}
+
+// tiedEngine is a hand-built corpus on which scores tie as heavily as
+// they can: every document has the same quality and length, every
+// posting the same tf, every term the same idf — a document's score is
+// decided by how many query terms it holds and nothing else, so nearly
+// every candidate ties with the page's floor and only the doc-id rule
+// (the lower id wins) decides. The eight posting lists differ in length
+// by two orders of magnitude and in where they end, so merges run out of
+// lists mid-block, and term 7 matches nothing.
+func tiedEngine() *Engine {
+	const docs = 320
+	e := &Engine{
+		cfg:      Config{Docs: docs, VocabSize: 8, AvgDocLen: 10, StopTerms: 0, QualityWeight: 1},
+		postings: make([][]Posting, 8),
+		docLen:   make([]int, docs),
+		quality:  make([]float64, docs),
+		idf:      make([]float64, 8),
+		avgLen:   10,
+	}
+	for d := range e.docLen {
+		e.docLen[d], e.quality[d] = 10, 1
+	}
+	holds := []func(d int) bool{
+		func(d int) bool { return true },
+		func(d int) bool { return d%2 == 0 && d < 160 },
+		func(d int) bool { return d < 41 },
+		func(d int) bool { return d%7 == 3 },
+		func(d int) bool { return d >= 310 && d%2 == 1 },
+		func(d int) bool { return d%3 == 0 && d < 70 },
+		func(d int) bool { return d == 159 },
+		func(d int) bool { return false },
+	}
+	for t, in := range holds {
+		e.idf[t] = 1
+		for d := 0; d < docs; d++ {
+			if in(d) {
+				e.postings[t] = append(e.postings[t], Posting{Doc: uint32(d), TF: 1})
+			}
+		}
+	}
+	e.packRecs()
+	return e
+}
+
+// TestScanFloorInvariant holds the floor test to its claim — a scan
+// pushes exactly what push would have kept — where it is most exposed:
+// on tiedEngine at every prefix length (blocks of one), on both corpora
+// across block boundaries, for one to five terms with lists that run out
+// mid-block (so a three-list merge ends as a two-list merge and then a
+// single list), for a page of one and a page wider than the match set.
+func TestScanFloorInvariant(t *testing.T) {
+	generated, err := NewEngine(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		e       *Engine
+		blocks  []int
+		queries [][]int
+	}{
+		{"tied", tiedEngine(), []int{1, 7, 64, 256}, [][]int{{0}, {6}, {2, 0}, {1, 3}, {4, 2}, {5, 5}, {2, 1, 0}, {3, 5, 1}, {6, 4, 2}, {1, 7, 3}, {2, 5, 1, 3, 0}, {4, 6, 2, 5, 3}}},
+		{"generated", generated, []int{64, 256}, [][]int{{12}, {14, 19}, {150, 3}, {9, 40, 5}, {180, 2, 60}, {31, 16, 24, 3, 90}}},
+	} {
+		shapes := map[int]bool{} // how many lists a disjunctive scan had live
+		for _, terms := range c.queries {
+			q := Query{Terms: terms}
+			_, matches := c.e.Search(q, 1, 0)
+			for _, topN := range []int{1, 10, matches + 5} {
+				for _, block := range c.blocks {
+					scan := c.e.NewScan(q, topN)
+					for _, s := range []blockScanner{scan, c.e.NewScanAnd(q, topN)} {
+						for n := block; n == block; {
+							shapes[len(scan.cursors)] = true
+							n = s.StepN(block)
+							if err := checkAgainstSearch(c.e, s, q, topN, s != scan); err != nil {
+								t.Fatalf("%s: q=%v topN=%d block=%d: %v", c.name, terms, topN, block, err)
+							}
+						}
+						if !s.Exhausted() {
+							t.Fatalf("%s: q=%v topN=%d block=%d: StepN came up short on a scan that is not exhausted", c.name, terms, topN, block)
+						}
+					}
+				}
+			}
+		}
+		for live := 0; live <= 5; live++ {
+			if !shapes[live] {
+				t.Errorf("%s: no scan was ever down to %d live lists: compaction is not exercised", c.name, live)
+			}
+		}
+	}
+}
+
 // FuzzScanBlocks is the differential test of the block kernel: whatever
 // the query, page size, shard layout and sequence of block sizes, after
 // every block the scan's page must be the page Search (SearchAnd for
@@ -82,13 +227,18 @@ type blockScanner interface {
 // (which re-derives the packed per-document records rather than reading
 // them) must agree bit for bit.
 func FuzzScanBlocks(f *testing.F) {
-	var engines [][2]*Engine // {built, round-tripped through WriteTo/ReadEngine}
+	var built []*Engine
 	for _, shard := range [][2]int{{0, 0}, {0, 3}, {1, 3}, {2, 3}} {
 		e, err := NewEngine(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5,
 			ShardIndex: shard[0], ShardCount: shard[1]})
 		if err != nil {
 			f.Fatal(err)
 		}
+		built = append(built, e)
+	}
+	built = append(built, tiedEngine()) // layout 4
+	var engines [][2]*Engine            // {built, round-tripped through WriteTo/ReadEngine}
+	for _, e := range built {
 		var buf bytes.Buffer
 		if _, err := e.WriteTo(&buf); err != nil {
 			f.Fatal(err)
@@ -110,6 +260,8 @@ func FuzzScanBlocks(f *testing.F) {
 	f.Add([]byte{0, 2, 5, 0, 1, 203, 201, 150, 17})         // out-of-range and rare terms
 	f.Add([]byte{0, 0, 2, 2, 3, 10})                        // topN 0
 	f.Add([]byte{1, 2, 0, 8})                               // no terms
+	f.Add([]byte{4, 2, 3, 4, 3, 2, 9, 9, 255, 64, 40})      // the tied corpus: three lists, the shortest ends in the first block
+	f.Add([]byte{4, 1, 2, 6, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5}) // the tied corpus, topN 1: every later document ties with the floor
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -139,27 +291,8 @@ func FuzzScanBlocks(f *testing.F) {
 				}
 				check := func() {
 					t.Helper()
-					n := s.Processed()
-					var want []int
-					if n > 0 { // a cap of 0 means "no cap" to Search
-						var scored int
-						want, scored = search(q, topN, n)
-						if scored != n {
-							t.Fatalf("and=%v: scan processed %d documents, Search capped there scored %d", and, n, scored)
-						}
-					}
-					got := s.TopNInto(nil)
-					if len(got) != len(want) {
-						t.Fatalf("and=%v at %d docs: page %v, Search %v", and, n, got, want)
-					}
-					rs := s.TopNResultsInto(nil)
-					for i := range want {
-						if got[i] != want[i] || int(rs[i].Doc) != want[i] {
-							t.Fatalf("and=%v at %d docs: page %v / %v, Search %v", and, n, got, rs, want)
-						}
-						if ref := refScore(e, q, rs[i].Doc); math.Float64bits(rs[i].Score) != math.Float64bits(ref) {
-							t.Fatalf("and=%v at %d docs: doc %d scored %v, Search's expression gives %v", and, n, rs[i].Doc, rs[i].Score, ref)
-						}
+					if err := checkAgainstSearch(e, s, q, topN, and); err != nil {
+						t.Fatal(err)
 					}
 				}
 				check()

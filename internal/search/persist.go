@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Index persistence: a compact deterministic binary format so a built
@@ -76,6 +77,19 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// plausible reports whether every value is a number (not NaN or ±Inf) of
+// a magnitude a real index could hold. A NaN score is outside the order
+// the top-N heap and the scans' floor test rely on; with these bounds,
+// and a positive average length, no score can overflow into one.
+func plausible(vs ...float64) bool {
+	for _, v := range vs {
+		if !(math.Abs(v) <= 1e100) {
+			return false
+		}
+	}
+	return true
+}
+
 // ReadEngine deserializes an engine written by WriteTo, validating
 // structure as it goes.
 func ReadEngine(r io.Reader) (*Engine, error) {
@@ -102,6 +116,9 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	if docs == 0 || vocab == 0 || docs > maxReasonable || vocab > maxReasonable {
 		return nil, fmt.Errorf("%w: implausible sizes (%d docs, %d terms)", ErrBadIndex, docs, vocab)
 	}
+	if !plausible(qualityWeight, avgLen) || avgLen <= 0 {
+		return nil, fmt.Errorf("%w: implausible quality weight %v or average length %v", ErrBadIndex, qualityWeight, avgLen)
+	}
 	e := &Engine{
 		cfg: Config{
 			Docs: int(docs), VocabSize: int(vocab), AvgDocLen: int(avgDocLen),
@@ -125,6 +142,9 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	}
 	if err := read(e.idf); err != nil {
 		return nil, fmt.Errorf("%w: idf: %v", ErrBadIndex, err)
+	}
+	if !plausible(e.quality...) || !plausible(e.idf...) {
+		return nil, fmt.Errorf("%w: non-finite or implausible quality or idf", ErrBadIndex)
 	}
 	for t := range e.postings {
 		var n uint32

@@ -2,7 +2,9 @@ package search
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"green/internal/metrics"
@@ -100,6 +102,61 @@ func TestReadEngineRejectsImplausibleSizes(t *testing.T) {
 	buf.Write(make([]byte, 4*4+8+8+8))
 	if _, err := ReadEngine(&buf); !errors.Is(err, ErrBadIndex) {
 		t.Errorf("zero docs accepted: %v", err)
+	}
+}
+
+// indexFloatOffsets locates the floats of a serialized index: magic(8),
+// four uint32 sizes, then qualityWeight, seed and avgLen (8 each), the
+// doc lengths (4 each), and the quality and idf columns.
+func indexFloatOffsets(docs, vocab int) (qualityWeight, avgLen, quality, idf int) {
+	qualityWeight = 8 + 4*4
+	avgLen = qualityWeight + 16
+	quality = avgLen + 8 + 4*docs
+	idf = quality + 8*docs
+	return
+}
+
+// TestReadEngineRejectsNonFiniteNumbers: a NaN or infinite quality, idf,
+// average length or quality weight — or an average length that is not
+// positive, or a magnitude that could overflow a score — would put NaN
+// scores into the heap, where less is no longer an order.
+func TestReadEngineRejectsNonFiniteNumbers(t *testing.T) {
+	const docs, vocab = 100, 20
+	orig, err := NewEngine(Config{Docs: docs, VocabSize: vocab, AvgDocLen: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	qw, avg, quality, idf := indexFloatOffsets(docs, vocab)
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200}
+	for _, c := range []struct {
+		field string
+		off   int
+		vals  []float64
+	}{
+		{"qualityWeight", qw, bad},
+		{"avgLen", avg, append([]float64{0, -3}, bad...)},
+		{"quality[0]", quality, bad},
+		{"quality[last]", quality + 8*(docs-1), bad},
+		{"idf[0]", idf, bad},
+		{"idf[last]", idf + 8*(vocab-1), bad},
+	} {
+		for _, v := range c.vals {
+			data := append([]byte(nil), buf.Bytes()...)
+			binary.LittleEndian.PutUint64(data[c.off:], math.Float64bits(v))
+			if _, err := ReadEngine(bytes.NewReader(data)); !errors.Is(err, ErrBadIndex) {
+				t.Errorf("%s = %v accepted: %v", c.field, v, err)
+			}
+		}
+		// The offsets are the fields': an ordinary value there is accepted.
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(data[c.off:], math.Float64bits(2.5))
+		if _, err := ReadEngine(bytes.NewReader(data)); err != nil {
+			t.Errorf("%s = 2.5 rejected: %v", c.field, err)
+		}
 	}
 }
 

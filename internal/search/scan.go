@@ -56,27 +56,50 @@ func (s *Scan) Step() bool { return s.StepN(1) == 1 }
 
 // StepN scores up to k further matching documents and returns how many
 // were scored; fewer than k means the scan exhausted. It is the scan's
-// one kernel, shaped by the number of live query terms: a straight-line
-// loop over one posting list, a two-way merge whose choice of list is
-// arithmetic rather than a branch, and the general k-way merge beyond
-// that. Every shape evaluates Search's score expression in Search's
-// summation order (terms in query order), so pages and scores are
-// bit-identical to Search at the same document count.
+// one kernel, shaped by the number of live posting lists: a
+// straight-line loop over one list, two- and three-way merges whose
+// choice of list is arithmetic rather than a branch, and the general
+// k-way merge beyond that. A shape runs until the block is done or one
+// of its lists runs out; that list then leaves s.cursors (compact), so
+// a long scan finishes in the leanest shape its remaining lists allow.
+// Every shape evaluates Search's score expression in Search's summation
+// order (terms in query order), so pages and scores are bit-identical
+// to Search at the same document count.
 func (s *Scan) StepN(k int) int {
 	if k <= 0 || s.topNCap <= 0 {
 		return 0
 	}
-	var done int
-	switch len(s.cursors) {
-	case 1:
-		done = s.scan1(&s.cursors[0], k)
-	case 2:
-		done = s.scan2(k)
-	default:
-		done = s.scanK(k)
+	done := 0
+	for done < k && len(s.cursors) > 0 {
+		switch len(s.cursors) {
+		case 1:
+			done += s.scan1(k - done)
+		case 2:
+			done += s.scan2(k - done)
+		case 3:
+			done += s.scan3(k - done)
+		default:
+			done += s.scanK(k - done)
+		}
+		s.compact()
 	}
 	s.n += done
 	return done
+}
+
+// compact drops the cursors whose lists ran out, keeping the rest in
+// query order: between shape calls every cursor has a posting left.
+func (s *Scan) compact() {
+	live := 0
+	for i := range s.cursors {
+		if c := &s.cursors[i]; c.pos < len(c.ps) {
+			if live != i {
+				s.cursors[live] = *c
+			}
+			live++
+		}
+	}
+	s.cursors = s.cursors[:live]
 }
 
 // bm25 is one posting's dynamic score contribution given its document's
@@ -86,16 +109,36 @@ func bm25(idf float64, tf uint16, norm float64) float64 {
 	return idf * f * (bm25K1 + 1) / (f + norm)
 }
 
-// scan1 scores up to k postings of the single live list c.
-func (s *Scan) scan1(c *scanCursor, k int) int {
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// The shapes below keep the page's floor (topN.floor) in a register and
+// push only a candidate that passes beats(score, floor). That is exactly
+// the set push itself would insert: a scan meets documents in ascending
+// id, so a candidate whose score equals the floor's has the higher id and
+// loses the tie — nearly every document of a long scan is settled by one
+// compare and never reaches the heap.
+
+// scan1 scores up to k postings of the single live list.
+func (s *Scan) scan1(k int) int {
+	c := &s.cursors[0]
 	ps := c.ps[c.pos:]
 	if len(ps) > k {
 		ps = ps[:k]
 	}
 	recs, idf, heap := s.engine.recs, c.idf, s.heap
+	floor := heap.floor()
 	for _, p := range ps {
 		r := recs[p.Doc]
-		heap.push(Result{Doc: p.Doc, Score: r.quality + bm25(idf, p.TF, r.norm)})
+		if score := r.quality + bm25(idf, p.TF, r.norm); beats(score, floor) {
+			heap.push(Result{Doc: p.Doc, Score: score})
+			floor = heap.floor()
+		}
 	}
 	c.pos += len(ps)
 	return len(ps)
@@ -105,77 +148,124 @@ func (s *Scan) scan1(c *scanCursor, k int) int {
 // is a coin flip the branch predictor loses, so the pick is computed:
 // the posting, its idf and the cursor advances all follow from one
 // comparison result. Only a document in both lists (rare, and so
-// predictable) takes a branch. Once either list runs out the other
-// finishes the block as a single list.
+// predictable) takes a branch.
 func (s *Scan) scan2(k int) int {
 	a, b := &s.cursors[0], &s.cursors[1]
 	pa, pb := a.ps, b.ps
-	i, j := a.pos, b.pos
+	i, j := uint(a.pos), uint(b.pos)
 	recs, heap := s.engine.recs, s.heap
 	idfs := [2]float64{a.idf, b.idf}
-	done := 0
-	for done < k && i < len(pa) && j < len(pb) {
+	floor := heap.floor()
+	left := k
+	for left > 0 && i < uint(len(pa)) && j < uint(len(pb)) {
 		x, y := pa[i], pb[j]
-		var c Result
+		doc := x.Doc
+		var score float64
 		if x.Doc == y.Doc {
-			r := recs[x.Doc]
-			c = Result{Doc: x.Doc, Score: r.quality + bm25(idfs[0], x.TF, r.norm)}
-			c.Score += bm25(idfs[1], y.TF, r.norm)
+			r := recs[doc]
+			score = r.quality + bm25(idfs[0], x.TF, r.norm)
+			score += bm25(idfs[1], y.TF, r.norm)
 			i++
 			j++
 		} else {
-			pickB := 0
-			if y.Doc < x.Doc {
-				pickB = 1
-			}
+			pickB := uint(b2i(y.Doc < x.Doc))
 			// mask is all ones when b's posting is the pick: x ^ (x^y)&mask
 			// selects y then, x otherwise.
 			mask := -uint32(pickB)
-			doc := x.Doc ^ (x.Doc^y.Doc)&mask
+			doc = x.Doc ^ (x.Doc^y.Doc)&mask
 			tf := x.TF ^ (x.TF^y.TF)&uint16(mask)
 			r := recs[doc]
-			c = Result{Doc: doc, Score: r.quality + bm25(idfs[pickB], tf, r.norm)}
+			score = r.quality + bm25(idfs[pickB&1], tf, r.norm)
 			i += 1 - pickB
 			j += pickB
 		}
-		heap.push(c)
-		done++
+		if beats(score, floor) {
+			heap.push(Result{Doc: doc, Score: score})
+			floor = heap.floor()
+		}
+		left--
 	}
-	a.pos, b.pos = i, j
-	if done < k && i < len(pa) {
-		done += s.scan1(a, k-done)
-	} else if done < k && j < len(pb) {
-		done += s.scan1(b, k-done)
+	a.pos, b.pos = int(i), int(j)
+	return k - left
+}
+
+// scan3 merges the three live lists the way scan2 merges two. A list
+// holds the smallest current doc id when its id is <= both others: three
+// 0/1 flags from pairwise comparisons (a min over the ids compiles to
+// branches as unpredictable as the merge itself) advance the cursors
+// and, in the common case of exactly one holder, select the posting and
+// idf. A document in several lists sums its terms in query order behind
+// the one (rare) branch.
+func (s *Scan) scan3(k int) int {
+	a, b, c := &s.cursors[0], &s.cursors[1], &s.cursors[2]
+	pa, pb, pc := a.ps, b.ps, c.ps
+	i, j, l := uint(a.pos), uint(b.pos), uint(c.pos)
+	recs, heap := s.engine.recs, s.heap
+	idfs := [4]float64{a.idf, b.idf, c.idf} // indexed &3: no bounds check
+	floor := heap.floor()
+	left := k
+	for left > 0 && i < uint(len(pa)) && j < uint(len(pb)) && l < uint(len(pc)) {
+		x, y, z := pa[i], pb[j], pc[l]
+		inA := uint(b2i(x.Doc <= y.Doc) & b2i(x.Doc <= z.Doc))
+		inB := uint(b2i(y.Doc <= x.Doc) & b2i(y.Doc <= z.Doc))
+		inC := uint(b2i(z.Doc <= x.Doc) & b2i(z.Doc <= y.Doc))
+		doc := x.Doc&-uint32(inA) | y.Doc&-uint32(inB) | z.Doc&-uint32(inC)
+		i += inA
+		j += inB
+		l += inC
+		r := recs[doc]
+		var score float64
+		if inA+inB+inC == 1 {
+			tf := x.TF&-uint16(inA) | y.TF&-uint16(inB) | z.TF&-uint16(inC)
+			score = r.quality + bm25(idfs[(inB+2*inC)&3], tf, r.norm)
+		} else {
+			score = r.quality
+			if inA == 1 {
+				score += bm25(idfs[0], x.TF, r.norm)
+			}
+			if inB == 1 {
+				score += bm25(idfs[1], y.TF, r.norm)
+			}
+			if inC == 1 {
+				score += bm25(idfs[2], z.TF, r.norm)
+			}
+		}
+		if beats(score, floor) {
+			heap.push(Result{Doc: doc, Score: score})
+			floor = heap.floor()
+		}
+		left--
 	}
-	return done
+	a.pos, b.pos, c.pos = int(i), int(j), int(l)
+	return k - left
 }
 
 // scanK is the general k-way merge: find the smallest current doc id,
 // then score it across every list that holds it.
 func (s *Scan) scanK(k int) int {
+	cs := s.cursors
 	recs, heap := s.engine.recs, s.heap
+	floor := heap.floor()
 	done := 0
-	for ; done < k; done++ {
+	for ranOut := false; done < k && !ranOut; done++ {
 		cur := uint32(math.MaxUint32)
-		for i := range s.cursors {
-			c := &s.cursors[i]
-			if c.pos < len(c.ps) && c.ps[c.pos].Doc < cur {
-				cur = c.ps[c.pos].Doc
-			}
-		}
-		if cur == math.MaxUint32 {
-			break
+		for i := range cs {
+			cur = min(cur, cs[i].ps[cs[i].pos].Doc)
 		}
 		r := recs[cur]
 		score := r.quality
-		for i := range s.cursors {
-			c := &s.cursors[i]
-			if c.pos < len(c.ps) && c.ps[c.pos].Doc == cur {
-				score += bm25(c.idf, c.ps[c.pos].TF, r.norm)
+		for i := range cs {
+			c := &cs[i]
+			if p := c.ps[c.pos]; p.Doc == cur {
+				score += bm25(c.idf, p.TF, r.norm)
 				c.pos++
+				ranOut = ranOut || c.pos == len(c.ps)
 			}
 		}
-		heap.push(Result{Doc: cur, Score: score})
+		if beats(score, floor) {
+			heap.push(Result{Doc: cur, Score: score})
+			floor = heap.floor()
+		}
 	}
 	return done
 }
@@ -197,11 +287,4 @@ func (s *Scan) TopNInto(out []int) []int { return s.heap.rankedInto(out) }
 func (s *Scan) TopNResultsInto(out []Result) []Result { return s.heap.rankedResultsInto(out) }
 
 // Exhausted reports whether all matching documents have been scored.
-func (s *Scan) Exhausted() bool {
-	for i := range s.cursors {
-		if s.cursors[i].pos < len(s.cursors[i].ps) {
-			return false
-		}
-	}
-	return true
-}
+func (s *Scan) Exhausted() bool { return len(s.cursors) == 0 }

@@ -97,7 +97,10 @@ func (s *ScanAnd) Step() bool {
 		if !inAll {
 			continue
 		}
-		s.heap.push(Result{Doc: doc, Score: score})
+		// Matches arrive in ascending doc id, so Scan's floor test holds.
+		if beats(score, s.heap.floor()) {
+			s.heap.push(Result{Doc: doc, Score: score})
+		}
 		s.n++
 		return true
 	}

@@ -377,6 +377,24 @@ func (t *topN) push(r Result) {
 	t.down(0)
 }
 
+// floor is the score a later document must beat to enter the page: the
+// worst kept score once the page is full, NaN — which nothing fails to
+// beat — while it still has room.
+func (t *topN) floor() float64 {
+	if len(t.rs) < t.n {
+		return math.NaN()
+	}
+	return t.rs[0].Score
+}
+
+// beats reports whether push would insert a candidate of this score whose
+// doc id is above every id pushed so far, as a scan's always is: not when
+// it scores below the floor, and not when it ties (the higher id ranks
+// worse). Written as a negation so that it agrees with push for every
+// float64: a NaN floor (room left) or a NaN score compares false and
+// pushes, as less does.
+func beats(score, floor float64) bool { return !(score <= floor) }
+
 func (t *topN) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2

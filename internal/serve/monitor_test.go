@@ -109,15 +109,20 @@ func TestServeQoSSnapshotMatchesReruns(t *testing.T) {
 // against the full precise page, never against the partial scan.
 func TestDegradedMonitoredLossAgainstPrecise(t *testing.T) {
 	s := resilientServer(t, func(c *Config) {
+		// The scan is cut one block after the record point. Only a corpus
+		// this deep has pages that sit still over those scanBlock
+		// documents and still change before the scan ends.
+		c.CorpusDocs = 20000
 		c.SampleInterval = 1
 		c.RequestTimeout = 20 * time.Millisecond
 		c.Chaos = chaos.New(chaos.Config{DelayEvery: 1, Delay: 40 * time.Millisecond})
 	})
 	h := s.Handler()
-	s.Loop().SetLevel(100) // under the calibrated level, so stopping there loses pages
+	s.Loop().SetLevel(300) // under the calibrated level, so stopping there loses pages
 	var told, degraded int
-	for i := 0; i < 24; i++ {
-		// Several words, so the match set outruns the level M.
+	for i := 100; i < 124; i++ {
+		// Several mid-frequency words: the match set outruns the level M
+		// and late documents still reach the page.
 		word := fmt.Sprintf("w%d+w%d+w%d+w%d+w%d", i, i+12, i+24, i+36, i+48)
 		q := search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}
 		precise, matches := s.engine.Search(q, s.cfg.TopN, 0)

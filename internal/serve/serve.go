@@ -234,9 +234,7 @@ func New(cfg Config) (*Server, error) {
 	if c.Selector {
 		feat = func(q search.Query) core.Features { return s.queryFeat(q.Terms) }
 	}
-	m, sel, err := s.calibrateLoop(snapshotName, knots, calQueries, feat, func(q search.Query, maxDocs int) ([]int, int) {
-		return engine.Search(q, c.TopN, maxDocs)
-	})
+	m, sel, err := s.calibrateLoop(snapshotName, knots, calQueries, feat, s.knotLosses(knots, false))
 	if err != nil {
 		return nil, err
 	}
@@ -263,9 +261,7 @@ func New(cfg Config) (*Server, error) {
 		// Conjunctive match streams are much shorter than disjunctive
 		// ones, so the candidate levels sit correspondingly lower.
 		andKnots := []float64{5, 10, 25, 50, 100, 250}
-		mAnd, _, err := s.calibrateLoop(andLoopName, andKnots, calQueries, nil, func(q search.Query, maxDocs int) ([]int, int) {
-			return engine.SearchAnd(q, c.TopN, maxDocs)
-		})
+		mAnd, _, err := s.calibrateLoop(andLoopName, andKnots, calQueries, nil, s.knotLosses(andKnots, true))
 		if err != nil {
 			return nil, err
 		}
@@ -288,15 +284,54 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// calibrateLoop runs the calibration phase for one scan shape: for each
-// training query, the loss and work of capping the scan at each
-// candidate level, against the uncapped (precise) result of the same
-// run function. A non-nil feat function additionally tags every run
-// with its query's feature vector (bucket edges derived from the
-// training distribution's quartiles) and builds the per-input selector
-// beside the reactive model; a degenerate feature distribution silently
-// yields no selector (reactive-only).
-func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, run func(q search.Query, maxDocs int) ([]int, int)) (*model.LoopModel, *core.LoopSelector, error) {
+// knotLosses returns calibrateLoop's measure function for one scan
+// shape (and selects the conjunctive one): the loss and work of stopping
+// a query's scan at each of the ascending knots, read off one pass of
+// the block kernel — the page is snapshotted as the scan crosses each
+// knot, the scan runs on to exhaustion, and every snapshot is judged
+// against that final, precise page. That is one scan per training query
+// where capping a fresh search at every knot is one per knot plus the
+// precise one, and the pages are the same pages (Scan ≡ Search at equal
+// document counts).
+func (s *Server) knotLosses(knots []float64, and bool) func(q search.Query, losses, work []float64) {
+	var (
+		scanOr  search.Scan
+		scanAnd search.ScanAnd
+		pages   = make([][]int, len(knots))
+		precise []int
+	)
+	return func(q search.Query, losses, work []float64) {
+		var scan docScanner
+		if and {
+			scanAnd.Reset(s.engine, q, s.cfg.TopN)
+			scan = &scanAnd
+		} else {
+			scanOr.Reset(s.engine, q, s.cfg.TopN)
+			scan = &scanOr
+		}
+		for i, k := range knots {
+			scan.StepN(int(k) - scan.Processed())
+			pages[i] = scan.TopNInto(pages[i])
+			work[i] = float64(scan.Processed())
+		}
+		for scan.StepN(scanBlock) == scanBlock {
+		}
+		precise = scan.TopNInto(precise)
+		for i := range knots {
+			losses[i] = metrics.QueryLoss(precise, pages[i])
+		}
+	}
+}
+
+// calibrateLoop runs the calibration phase for one scan shape: measure
+// fills in, for each training query, the loss and work of capping the
+// scan at each candidate level against the uncapped (precise) result. A
+// non-nil feat function additionally tags every run with its query's
+// feature vector (bucket edges derived from the training distribution's
+// quartiles) and builds the per-input selector beside the reactive
+// model; a degenerate feature distribution silently yields no selector
+// (reactive-only).
+func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, *core.LoopSelector, error) {
 	baseLevel := float64(s.engine.Docs())
 	cal, err := core.NewLoopCalibration(name, knots, baseLevel, baseLevel)
 	if err != nil {
@@ -319,12 +354,7 @@ func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search
 	losses := make([]float64, len(knots))
 	work := make([]float64, len(knots))
 	for _, q := range calQueries {
-		precise, _ := run(q, 0)
-		for i, k := range knots {
-			approx, processed := run(q, int(k))
-			losses[i] = metrics.QueryLoss(precise, approx)
-			work[i] = float64(processed)
-		}
+		measure(q, losses, work)
 		if feat != nil {
 			if err := cal.AddRunFeat(feat(q), losses, work); err != nil {
 				return nil, nil, err
@@ -751,8 +781,11 @@ type docScanner interface {
 
 // scanBlock is the most documents one ContinueN/StepN round scores: the
 // stop law and the deadline are consulted once per block, the kernel
-// runs the block as one tight loop.
-const scanBlock = 64
+// runs the block as one tight loop. At the kernel's 2–10 ns a document
+// that is a deadline check every ~0.5–2.5 µs of scanning, and the
+// per-block ContinueN + ctx.Err() + time.Now() stays a few percent of
+// the block it guards.
+const scanBlock = 256
 
 // serveScratch is the pooled per-request working set of the /search
 // path: the scanners, the response struct with its docs slice, and the
