@@ -725,17 +725,49 @@ func BenchmarkLoopExecN(b *testing.B) {
 // hotFuncFixture builds a one-parameter function controller whose range
 // model always qualifies the cheapest version, so steady-state calls
 // are pure controller overhead (the Func analogue of hotLoopFixture).
-func hotFuncFixture(b *testing.B, sampleInterval int) *green.Func {
+// key is FuncConfig.Key: nil keys the model on the argument itself.
+func hotFuncFixture(b *testing.B, sampleInterval int, key func(float64) float64) *green.Func {
 	b.Helper()
 	fm := benchExpModel(b)
 	f, err := green.NewFunc(green.FuncConfig{
-		Name: "hotfn", Model: fm, SLA: 0.01, SampleInterval: sampleInterval,
+		Name: "hotfn", Model: fm, SLA: 0.01, SampleInterval: sampleInterval, Key: key,
 	}, math.Exp, []core.Fn{approxmath.ExpTaylor(3), approxmath.ExpTaylor(4),
 		approxmath.ExpTaylor(5), approxmath.ExpTaylor(6)})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return f
+}
+
+// BenchmarkFuncHotPath measures the single-call function tier — the
+// controller around one Taylor exp, Figure 2's call site — with the
+// model keyed on the argument itself (nilkey) and through a
+// programmer-supplied Key (key), steady and at a 0.1% monitoring duty
+// cycle. The arguments stay inside the ranges the model approximates
+// (all four Taylor grades, never math.Exp), so the body is ~4 ns and
+// the rest is the controller.
+func BenchmarkFuncHotPath(b *testing.B) {
+	var xs [batchSize]float64
+	for i := range xs {
+		xs[i] = -1.4 + 1.4*float64(i)/batchSize
+	}
+	run := func(sampleInterval int, key func(float64) float64) func(*testing.B) {
+		return func(b *testing.B) {
+			f := hotFuncFixture(b, sampleInterval, key)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += f.Call(xs[i%batchSize])
+			}
+			_ = sink
+		}
+	}
+	ident := func(x float64) float64 { return x }
+	b.Run("steady/nilkey", run(0, nil))
+	b.Run("steady/key", run(0, ident))
+	b.Run("monitored1k/nilkey", run(1000, nil))
+	b.Run("monitored1k/key", run(1000, ident))
 }
 
 // BenchmarkFuncCallN measures the batched function tier against the
@@ -747,7 +779,7 @@ func BenchmarkFuncCallN(b *testing.B) {
 	}
 	run := func(sampleInterval int) func(*testing.B) {
 		return func(b *testing.B) {
-			f := hotFuncFixture(b, sampleInterval)
+			f := hotFuncFixture(b, sampleInterval, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for done := 0; done < b.N; done += batchSize {

@@ -91,7 +91,7 @@ var batchPool = sync.Pool{New: func() any { return new(LoopBatch) }}
 // finished before all n members ran returns the unused executions to
 // the counters.
 func (l *Loop) ExecN(n int, qos LoopQoS) (*LoopBatch, error) {
-	return l.execN(n, qos, Features{}, false)
+	return l.execN(n, qos, nil)
 }
 
 // ExecNFeat starts a batch with per-input Features describing the
@@ -100,12 +100,12 @@ func (l *Loop) ExecN(n int, qos LoopQoS) (*LoopBatch, error) {
 // the chosen bucket. With no Selector installed the batch is
 // bit-identical to ExecN.
 func (l *Loop) ExecNFeat(n int, qos LoopQoS, f Features) (*LoopBatch, error) {
-	return l.execN(n, qos, f, true)
+	return l.execN(n, qos, &f)
 }
 
 // execN is the shared Select+Execute front half of the batched
-// pipeline.
-func (l *Loop) execN(n int, qos LoopQoS, f Features, useSel bool) (*LoopBatch, error) {
+// pipeline; a nil f skips the Select stage.
+func (l *Loop) execN(n int, qos LoopQoS, f *Features) (*LoopBatch, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: batch size %d < 1", n)
 	}
@@ -116,14 +116,14 @@ func (l *Loop) execN(n int, qos LoopQoS, f Features, useSel bool) (*LoopBatch, e
 	st := l.state.Load()
 	o := l.stageExecuteBatch(n)
 	var sd selDecision
-	if useSel {
-		sd = l.stageSelect(f, obs{forced: o.forced}, st.disabled || st.forceOff)
+	if f != nil {
+		sd = l.stageSelect(*f, obs{forced: o.forced}, st.disabled || st.forceOff)
 	}
 	// A pooled batch comes back zeroed (Finish), so only the cursor's
 	// non-zero fields need setting.
 	b := batchPool.Get().(*LoopBatch)
 	b.n, b.monitorAt, b.first = n, o.monitorAt, o.first
-	b.init(l, qos, delta, st, o.forced, o.probe, sd)
+	b.init(l, qos, delta, st, o.forced, o.probe, &sd)
 	return b, nil
 }
 

@@ -75,10 +75,10 @@ type controller[S any] struct {
 	// hot path and replaced copy-on-write under mu.
 	state atomic.Pointer[S]
 
-	// interval is the paper's Sample_QoS, kept out of the snapshot so
-	// the shared sampling decision needs no knowledge of S. Zero
-	// disables monitoring.
-	interval  atomic.Int64
+	// rate is the paper's Sample_QoS with its reciprocal, kept out of
+	// the snapshot so the shared sampling decision needs no knowledge of
+	// S. Never nil after init; a zero interval disables monitoring.
+	rate      atomic.Pointer[sampleRate]
 	count     atomic.Int64 // executions since creation (or restore)
 	monitored atomic.Int64
 
@@ -213,7 +213,7 @@ func (c *controller[S]) SelectorStats() SelectorStats {
 
 // SampleInterval returns the live Sample_QoS interval (zero when
 // monitoring is disabled).
-func (c *controller[S]) SampleInterval() int64 { return c.interval.Load() }
+func (c *controller[S]) SampleInterval() int64 { return c.rate.Load().iv }
 
 // LastRecalibration reports the sequence number and action of the most
 // recent Correct-stage policy decision that moved the controller
@@ -266,7 +266,7 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 	if c.policy == nil {
 		c.policy = DefaultPolicy{}
 	}
-	c.interval.Store(int64(o.SampleInterval))
+	c.setInterval(int64(o.SampleInterval))
 	c.loss.init(lossShardCount())
 	c.brk = newBreaker(o.BreakerThreshold, o.BreakerCooldown, o.SampleInterval)
 	return nil
@@ -291,16 +291,48 @@ type obs struct {
 // Lock-free.
 func (c *controller[S]) stageExecute() obs {
 	n := c.count.Add(1)
-	iv := c.interval.Load()
-	o := obs{seq: n, monitor: iv > 0 && n%iv == 0}
-	o.forced, o.probe = c.brk.observeBegin(n)
-	if o.forced {
-		o.monitor = false
-	}
-	if o.probe {
-		o.monitor = true
+	o := obs{seq: n, monitor: c.rate.Load().divides(n)}
+	if !c.brk.closed() {
+		o.forced, o.probe = c.brk.observeBegin(n)
+		if o.forced {
+			o.monitor = false
+		}
+		if o.probe {
+			o.monitor = true
+		}
 	}
 	return o
+}
+
+// sampleRate is Sample_QoS with the reciprocal that answers "is this
+// execution monitored" without a hardware divide: immutable, replaced
+// whole behind one atomic pointer, so a reader never tests an interval
+// against another interval's reciprocal.
+type sampleRate struct {
+	iv int64
+	m  uint64 // ⌈2⁶⁴/iv⌉ mod 2⁶⁴ (zero for iv ≤ 1)
+}
+
+func newSampleRate(iv int64) *sampleRate {
+	r := &sampleRate{iv: iv}
+	if iv > 1 {
+		r.m = math.MaxUint64/uint64(iv) + 1
+	}
+	return r
+}
+
+// divides reports iv > 0 && n%iv == 0. While both fit 32 bits it is the
+// Lemire–Kaser divisibility test — n·m mod 2⁶⁴ ≤ m−1, exact there (for
+// iv 1, m wraps to zero and every n passes) — and the plain remainder
+// beyond (negative n included).
+func (r *sampleRate) divides(n int64) bool {
+	if r.iv <= 0 {
+		return false
+	}
+	if uint64(n|r.iv) < 1<<32 {
+		return uint64(n)*r.m <= r.m-1
+	}
+	return n%r.iv == 0
 }
 
 // batchObs is the per-batch decision the Execute stage makes: the
@@ -328,13 +360,15 @@ func (c *controller[S]) stageExecuteBatch(n int) batchObs {
 	end := c.count.Add(int64(n))
 	first := end - int64(n) + 1
 	b := batchObs{first: first, monitorAt: -1}
-	b.forced, b.probe = c.brk.observeBegin(end)
-	if b.forced {
-		// Breaker open: forced precise, monitoring suspended for the
-		// whole batch.
-		return b
+	if !c.brk.closed() {
+		b.forced, b.probe = c.brk.observeBegin(end)
+		if b.forced {
+			// Breaker open: forced precise, monitoring suspended for the
+			// whole batch.
+			return b
+		}
 	}
-	if iv := c.interval.Load(); iv > 0 {
+	if iv := c.rate.Load().iv; iv > 0 {
 		if next := ((first + iv - 1) / iv) * iv; next <= end {
 			b.monitorAt = int(next - first)
 		}
@@ -391,7 +425,7 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 	c.lossDrained.Store(math.Float64bits(drained))
 	d := c.policy.Observe(loss, c.sla)
 	if d.NewSampleInterval > 0 {
-		c.interval.Store(int64(d.NewSampleInterval))
+		c.setInterval(int64(d.NewSampleInterval))
 	}
 	var level float64
 	if d.Action == ActNone {
@@ -433,9 +467,13 @@ func (c *controller[S]) mutate(fn func(*S)) {
 	c.state.Store(&next)
 }
 
-// setInterval overrides the sampling interval (tests and tools).
+// setInterval publishes a sampling interval with its reciprocal. An
+// unchanged interval publishes nothing: a policy that restates the live
+// interval on every observation must not cost an allocation each.
 func (c *controller[S]) setInterval(n int64) {
-	c.interval.Store(n)
+	if r := c.rate.Load(); r == nil || r.iv != n {
+		c.rate.Store(newSampleRate(n))
+	}
 }
 
 // restoreCounters installs the shared counter fields of a validated
@@ -447,7 +485,7 @@ func (c *controller[S]) restoreCounters(interval, count, monitored int64, lossSu
 	next := *c.state.Load()
 	edit(&next)
 	c.state.Store(&next)
-	c.interval.Store(interval)
+	c.setInterval(interval)
 	c.count.Store(count)
 	c.monitored.Store(monitored)
 	c.loss.drain()

@@ -58,9 +58,11 @@ type Func2Config struct {
 type Func2 struct {
 	ladder
 
-	cfg      Func2Config
-	precise  Fn2
-	versions []Fn2
+	cfg Func2Config
+
+	// fns[v+1] is version v; fns[0] is the precise function
+	// (model.PreciseVersion is -1). Immutable after NewFunc2.
+	fns []Fn2
 }
 
 // NewFunc2 builds the controller; approx must match the model's versions
@@ -76,11 +78,7 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 		return nil, fmt.Errorf("core: func2 %q: %d versions but model has %d",
 			cfg.Name, len(approx), len(cfg.Model.Versions))
 	}
-	f := &Func2{
-		cfg:      cfg,
-		precise:  precise,
-		versions: append([]Fn2(nil), approx...),
-	}
+	f := &Func2{cfg: cfg, fns: append([]Fn2{precise}, approx...)}
 	if err := f.init("func2", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
 		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
@@ -102,23 +100,15 @@ func (f *Func2) version(st *ladderState, forced bool, x, y float64) int {
 	return f.shift(st, f.cfg.Model.SelectVersion(x, y, f.cfg.SLA))
 }
 
-// run evaluates version v at (x, y): a non-monitored call.
-func (f *Func2) run(v int, x, y float64) float64 {
-	if v == model.PreciseVersion {
-		return f.precise(x, y)
-	}
-	return f.versions[v](x, y)
-}
-
 // monitored is the one monitored-call body Call and CallN share: the
 // precise function runs and its result is returned; if an approximate
 // version was selected it runs too and the ladder measures the loss and
 // recalibrates (observeMember).
 func (f *Func2) monitored(o obs, v int, x, y float64) float64 {
-	zp := f.precise(x, y)
+	zp := f.fns[0](x, y)
 	var approx func() float64
 	if v != model.PreciseVersion {
-		approx = func() float64 { return f.versions[v](x, y) }
+		approx = func() float64 { return f.fns[v+1](x, y) }
 	}
 	f.observeMember(o, selDecision{}, zp, approx)
 	return zp
@@ -138,7 +128,7 @@ func (f *Func2) Call(x, y float64) float64 {
 	if o.monitor {
 		return f.monitored(o, v, x, y)
 	}
-	return f.run(v, x, y)
+	return f.fns[v+1](x, y)
 }
 
 // CallN evaluates the function at each (xs[i], ys[i]) pair, writing
@@ -163,7 +153,7 @@ func (f *Func2) CallN(xs, ys, zs []float64) error {
 	for i, x := range xs {
 		v := f.version(st, b.forced, x, ys[i])
 		if i != b.monitorAt {
-			zs[i] = f.run(v, x, ys[i])
+			zs[i] = f.fns[v+1](x, ys[i])
 			continue
 		}
 		zs[i] = f.monitored(obs{seq: b.first + int64(i), monitor: true, probe: b.probe}, v, x, ys[i])

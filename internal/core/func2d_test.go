@@ -111,7 +111,7 @@ func TestFunc2OffsetShiftsSelection(t *testing.T) {
 	if f.Offset() != 1 {
 		t.Fatalf("offset = %d, want 1", f.Offset())
 	}
-	f.interval.Store(0)
+	f.setInterval(0)
 	if got := f.Call(2, 3); math.Abs(got-6*1.01) > 1e-9 {
 		t.Errorf("Call after increase = %v, want m1", got)
 	}

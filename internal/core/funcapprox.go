@@ -81,10 +81,11 @@ type FuncConfig struct {
 type Func struct {
 	ladder
 
-	cfg      FuncConfig
-	precise  Fn
-	versions []Fn
-	key      func(float64) float64
+	cfg FuncConfig
+
+	// rungs[v+1] is version v as a call runs it; rungs[0] is the precise
+	// function (model.PreciseVersion is -1). Immutable after NewFunc.
+	rungs []rung
 
 	// ranges is the model's version-selection table for cfg.SLA,
 	// immutable after NewFunc.
@@ -94,6 +95,22 @@ type Func struct {
 	// path can use a single atomic add for fractional unit costs.
 	workMilli atomic.Int64
 }
+
+// rung is one step of the version ladder: the function, and what one
+// call of it costs in model work units — also in the thousandths Work
+// counts in, converted once so a non-monitored Call adds an integer.
+type rung struct {
+	fn    Fn
+	work  float64
+	milli int64
+}
+
+func newRung(fn Fn, work float64) rung {
+	return rung{fn: fn, work: work, milli: milliWork(work)}
+}
+
+// milliWork converts model work units to the thousandths Work counts in.
+func milliWork(w float64) int64 { return int64(w*1000 + 0.5) }
 
 // NewFunc builds the controller. precise is the exact implementation;
 // approx are the programmer-supplied approximate versions in increasing
@@ -110,11 +127,9 @@ func NewFunc(cfg FuncConfig, precise Fn, approx []Fn) (*Func, error) {
 		return nil, fmt.Errorf("core: func %q: %d approximate versions but model has %d curves",
 			cfg.Name, len(approx), len(cfg.Model.Versions))
 	}
-	f := &Func{
-		cfg:      cfg,
-		precise:  precise,
-		versions: append([]Fn(nil), approx...),
-		key:      cfg.Key,
+	f := &Func{cfg: cfg, rungs: []rung{newRung(precise, cfg.Model.PreciseWork)}}
+	for i, fn := range approx {
+		f.rungs = append(f.rungs, newRung(fn, cfg.Model.Versions[i].Work))
 	}
 	if err := f.init("func", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
@@ -122,9 +137,6 @@ func NewFunc(cfg FuncConfig, precise Fn, approx []Fn) (*Func, error) {
 		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
 	}, len(approx), cfg.QoS, cfg.Disabled); err != nil {
 		return nil, err
-	}
-	if f.key == nil {
-		f.key = func(x float64) float64 { return x }
 	}
 	f.ranges = cfg.Model.Ranges(cfg.SLA)
 	return f, nil
@@ -147,7 +159,10 @@ func (f *Func) version(st *ladderState, forced bool, sd *selDecision, x float64)
 	if sd.selected {
 		return f.clampVersion(sd.level)
 	}
-	k := f.key(x)
+	k := x
+	if f.cfg.Key != nil {
+		k = f.cfg.Key(x)
+	}
 	last := len(f.ranges) - 1
 	for i := range f.ranges {
 		r := &f.ranges[i]
@@ -169,7 +184,7 @@ func (f *Func) version(st *ladderState, forced bool, sd *selDecision, x float64)
 // version run; the measured loss feeds the recalibration policy and the
 // precise result is returned.
 func (f *Func) Call(x float64) float64 {
-	return f.call(x, Features{}, false)
+	return f.call(x, nil)
 }
 
 // CallFeat evaluates the function at x with per-input Features: the
@@ -179,36 +194,30 @@ func (f *Func) Call(x float64) float64 {
 // When no Selector is installed (or it declines) the call is
 // bit-identical to Call.
 func (f *Func) CallFeat(x float64, feat Features) float64 {
-	return f.call(x, feat, true)
+	return f.call(x, &feat)
 }
 
 // call is the shared Select+Execute+Observe+Correct pipeline of one
-// function call.
-func (f *Func) call(x float64, feat Features, useSel bool) float64 {
+// function call; a nil feat skips the Select stage.
+func (f *Func) call(x float64, feat *Features) float64 {
 	st := f.state.Load()
 	o := f.stageExecute()
 	var sd selDecision
-	if useSel {
-		sd = f.stageSelect(feat, o, st.off())
+	if feat != nil {
+		sd = f.stageSelect(*feat, o, st.off())
 	}
 	v := f.version(st, o.forced, &sd, x)
-	var y, work float64
 	if o.monitor {
-		y, work = f.monitored(o, &sd, v, x)
-	} else {
-		y, work = f.run(v, x)
+		// Precise and approximate work are summed before the conversion,
+		// as CallN sums a batch: Work stays the integer it always was.
+		y, work := f.monitored(o, &sd, v, x)
+		f.addWork(work)
+		return y
 	}
-	f.addWork(work)
+	r := &f.rungs[v+1]
+	y := r.fn(x)
+	f.workMilli.Add(r.milli)
 	return y
-}
-
-// run evaluates version v at x and returns the result with the model
-// work it cost: a non-monitored call.
-func (f *Func) run(v int, x float64) (y, work float64) {
-	if v == model.PreciseVersion {
-		return f.precise(x), f.cfg.Model.PreciseWork
-	}
-	return f.versions[v](x), f.cfg.Model.Versions[v].Work
 }
 
 // monitored is the one monitored-call body Call and CallN share: the
@@ -216,13 +225,13 @@ func (f *Func) run(v int, x float64) (y, work float64) {
 // version was selected it runs too and the ladder measures the loss and
 // recalibrates (observeMember).
 func (f *Func) monitored(o obs, sd *selDecision, v int, x float64) (y, work float64) {
-	y, work = f.run(model.PreciseVersion, x)
+	y, work = f.rungs[0].fn(x), f.rungs[0].work
 	var approx func() float64
 	if v != model.PreciseVersion {
-		approx = func() float64 { return f.versions[v](x) }
+		approx = func() float64 { return f.rungs[v+1].fn(x) }
 	}
 	if f.observeMember(o, *sd, y, approx) {
-		work += f.cfg.Model.Versions[v].Work
+		work += f.rungs[v+1].work
 	}
 	return y, work
 }
@@ -237,7 +246,7 @@ func (f *Func) monitored(o obs, sd *selDecision, v int, x float64) (y, work floa
 // remaining members see the post-recalibration snapshot. ys must be at
 // least as long as xs.
 func (f *Func) CallN(xs, ys []float64) error {
-	return f.callN(xs, ys, Features{}, false)
+	return f.callN(xs, ys, nil)
 }
 
 // CallNFeat is the batched CallFeat: one Features value describes the
@@ -245,10 +254,10 @@ func (f *Func) CallN(xs, ys []float64) error {
 // monitored member's loss corrects the chosen bucket. Bit-identical to
 // CallN when no Selector is installed.
 func (f *Func) CallNFeat(xs, ys []float64, feat Features) error {
-	return f.callN(xs, ys, feat, true)
+	return f.callN(xs, ys, &feat)
 }
 
-func (f *Func) callN(xs, ys []float64, feat Features, useSel bool) error {
+func (f *Func) callN(xs, ys []float64, feat *Features) error {
 	n := len(xs)
 	if len(ys) < n {
 		return fmt.Errorf("core: func %q: CallN output slice %d shorter than input %d", f.cfg.Name, len(ys), n)
@@ -259,15 +268,16 @@ func (f *Func) callN(xs, ys []float64, feat Features, useSel bool) error {
 	st := f.state.Load()
 	b := f.stageExecuteBatch(n)
 	var sd selDecision
-	if useSel {
-		sd = f.stageSelect(feat, obs{forced: b.forced}, st.off())
+	if feat != nil {
+		sd = f.stageSelect(*feat, obs{forced: b.forced}, st.off())
 	}
 	total := 0.0
 	for i, x := range xs {
 		v := f.version(st, b.forced, &sd, x)
 		var work float64
 		if i != b.monitorAt {
-			ys[i], work = f.run(v, x)
+			r := &f.rungs[v+1]
+			ys[i], work = r.fn(x), r.work
 		} else {
 			o := obs{seq: b.first + int64(i), monitor: true, probe: b.probe}
 			ys[i], work = f.monitored(o, &sd, v, x)
@@ -282,7 +292,7 @@ func (f *Func) callN(xs, ys []float64, feat Features, useSel bool) error {
 }
 
 func (f *Func) addWork(w float64) {
-	f.workMilli.Add(int64(w*1000 + 0.5))
+	f.workMilli.Add(milliWork(w))
 }
 
 // Work returns the accumulated model work units across all calls.

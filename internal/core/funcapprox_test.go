@@ -165,7 +165,7 @@ func TestFuncOffsetSaturatesToPrecise(t *testing.T) {
 	if got := f.Call(2); got != 4 {
 		t.Errorf("fully-increased Call = %v, want precise 4", got)
 	}
-	if f.IncreaseAccuracy() && f.Offset() > len(f.versions) {
+	if f.IncreaseAccuracy() && f.Offset() > f.n {
 		t.Error("offset exceeded saturation bound")
 	}
 }
@@ -244,5 +244,103 @@ func TestFuncCustomQoS(t *testing.T) {
 	}
 	if f.Offset() != -1 {
 		t.Errorf("offset = %d, want -1", f.Offset())
+	}
+}
+
+// Work() is exact. With unit costs that are not whole thousandths the
+// order of rounding shows: a non-monitored Call adds its version's cost
+// converted on its own (what NewFunc precomputes), a monitored call
+// converts the sum of the precise and the approximate cost, CallN
+// converts the float sum over the batch. The expectation below writes
+// those three rules out call by call.
+func TestFuncWorkIsExact(t *testing.T) {
+	const wp, w0, w1 = 18.0, 0.3335, 4.0005
+	mkSamples := func(loss float64) []model.FuncSample {
+		return []model.FuncSample{{X: 0, Loss: loss}, {X: 10, Loss: loss}}
+	}
+	fm, err := model.BuildFuncModel("sq", wp, []model.VersionCurve{
+		{Name: "sq(0)", Work: w0, Samples: mkSamples(0.10)},
+		{Name: "sq(1)", Work: w1, Samples: mkSamples(0.01)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq := func(x float64) float64 { return x * x }
+	const interval = 4
+	f, err := NewFunc(FuncConfig{
+		Name: "sq", Model: fm, SLA: 0.2, SampleInterval: interval,
+		Policy: sameIntervalPolicy{}, // holds level and interval
+	}, sq, []Fn{sq, sq})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	milli := func(w float64) int64 { return int64(w*1000 + 0.5) }
+	// cost is what one member at x costs: the selected version's work,
+	// and the precise function's as well on a monitored member.
+	cost := func(x float64, monitored bool) float64 {
+		v := f.Offset() // SLA 0.2 selects version 0 in [0, 10]; the offset shifts it
+		if x < 0 || x > 10 || v >= 2 {
+			return wp // precise selected: a monitored member runs it once
+		}
+		w := []float64{w0, w1}[v]
+		if monitored {
+			return wp + w
+		}
+		return w
+	}
+	var want, seq int64
+	check := func(what string) {
+		t.Helper()
+		if got := f.Work(); got != float64(want)/1000 {
+			t.Fatalf("%s: Work() = %v, want %v (%d thousandths)", what, got, float64(want)/1000, want)
+		}
+	}
+	call := func(x float64) {
+		seq++
+		want += milli(cost(x, seq%interval == 0))
+		f.Call(x)
+	}
+	callN := func(xs ...float64) {
+		total, monitored := 0.0, false
+		for _, x := range xs {
+			seq++
+			m := !monitored && seq%interval == 0 // one monitored member per batch
+			monitored = monitored || m
+			total += cost(x, m)
+		}
+		want += milli(total)
+		if err := f.CallN(xs, make([]float64, len(xs))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := 0; i < 9; i++ {
+		call(float64(i))
+	}
+	check("version 0 calls")
+	callN(1, 2, 3)
+	callN(1, 2, 20, 3, 4, 5, 6, 7, 8) // spans two multiples of the interval
+	check("version 0 batches")
+	call(20) // outside the calibrated domain: precise
+	check("precise call")
+
+	f.WorkReset()
+	want = 0
+	check("reset")
+	f.IncreaseAccuracy() // version 1
+	for i := 0; i < 7; i++ {
+		call(float64(i))
+	}
+	callN(5, 6, 7, 8, 9)
+	check("version 1")
+	f.IncreaseAccuracy() // past the ladder's top: precise
+	for i := 0; i < 5; i++ {
+		call(float64(i))
+	}
+	callN(1, 2, 3, 4, 5, 6)
+	check("offset to precise")
+	if _, mon, _ := f.Stats(); mon == 0 || want%1000 == 0 {
+		t.Fatalf("test lost its point: %d monitored members, %d thousandths", mon, want)
 	}
 }

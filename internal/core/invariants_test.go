@@ -54,7 +54,7 @@ func TestFuncOffsetBoundedUnderRandomPressure(t *testing.T) {
 			x := rng.Float64() * 12 // sometimes outside the domain
 			_ = f.Call(x)
 			off := f.Offset()
-			if off < -len(f.versions) || off > len(f.versions) {
+			if off < -f.n || off > f.n {
 				t.Fatalf("offset %d escaped bounds", off)
 			}
 		}

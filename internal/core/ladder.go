@@ -191,7 +191,7 @@ func (l *ladder) snapshot() Func2State {
 	return Func2State{
 		Name:      l.name,
 		Offset:    st.offset,
-		Interval:  l.interval.Load(),
+		Interval:  l.SampleInterval(),
 		Disabled:  st.disabled,
 		ForceOff:  st.forceOff,
 		Count:     l.count.Load(),

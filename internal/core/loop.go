@@ -292,9 +292,13 @@ func (l *Loop) checkQoS(qos LoopQoS) (DeltaQoS, error) {
 }
 
 // init binds the member to its loop, callbacks, and Execute/Select-stage
-// decisions, and loads the approximation snapshot.
-func (m *loopMember) init(l *Loop, qos LoopQoS, delta DeltaQoS, st *loopState, forced, probe bool, sd selDecision) {
-	*m = loopMember{loop: l, qos: qos, delta: delta, mode: l.cfg.Mode, probe: probe, sd: sd}
+// decisions, and loads the approximation snapshot. A recycled member
+// arrives dirty: init, load and arm assign every field between them
+// (no zeroed literal copied over the struct); TestRecycledHandleIsFresh
+// holds them to it.
+func (m *loopMember) init(l *Loop, qos LoopQoS, delta DeltaQoS, st *loopState, forced, probe bool, sd *selDecision) {
+	m.loop, m.qos, m.delta = l, qos, delta
+	m.mode, m.probe, m.sd = l.cfg.Mode, probe, *sd
 	m.load(st, forced)
 }
 
@@ -549,7 +553,7 @@ var execPool = sync.Pool{New: func() any { return new(LoopExec) }}
 // draws the execution handle from a pool. Begin never consults the
 // Select stage; use ExecFeat to thread per-input Features.
 func (l *Loop) Begin(qos LoopQoS) (*LoopExec, error) {
-	return l.begin(qos, Features{}, false)
+	return l.begin(qos, nil)
 }
 
 // ExecFeat starts one execution of the loop with per-input Features:
@@ -561,11 +565,12 @@ func (l *Loop) Begin(qos LoopQoS) (*LoopExec, error) {
 // bit-identical to Begin: same reactive level, same sampling schedule,
 // same loss accounting, and still zero allocations in steady state.
 func (l *Loop) ExecFeat(qos LoopQoS, f Features) (*LoopExec, error) {
-	return l.begin(qos, f, true)
+	return l.begin(qos, &f)
 }
 
-// begin is the shared Select+Execute front half of the pipeline.
-func (l *Loop) begin(qos LoopQoS, f Features, useSel bool) (*LoopExec, error) {
+// begin is the shared Select+Execute front half of the pipeline; a nil f
+// skips the Select stage.
+func (l *Loop) begin(qos LoopQoS, f *Features) (*LoopExec, error) {
 	delta, err := l.checkQoS(qos)
 	if err != nil {
 		return nil, err
@@ -576,12 +581,12 @@ func (l *Loop) begin(qos LoopQoS, f Features, useSel bool) (*LoopExec, error) {
 	// already cleared o.monitor).
 	o := l.stageExecute()
 	var sd selDecision
-	if useSel {
-		sd = l.stageSelect(f, o, st.disabled || st.forceOff)
+	if f != nil {
+		sd = l.stageSelect(*f, o, st.disabled || st.forceOff)
 	}
 	e := execPool.Get().(*LoopExec)
 	e.seq = o.seq
-	e.init(l, qos, delta, st, o.forced, o.probe, sd)
+	e.init(l, qos, delta, st, o.forced, o.probe, &sd)
 	e.arm(o.monitor)
 	return e, nil
 }
@@ -623,9 +628,9 @@ func (e *LoopExec) Finish(finalIter int) Result {
 	} else {
 		res = e.result()
 	}
-	// Zero the handle (dropping its qos and loop references) before it
-	// goes back to the pool.
-	*e = LoopExec{}
+	// Drop what would pin memory from the pool; the next begin assigns
+	// the rest. A nil loop also marks the handle as already finished.
+	e.loop, e.qos, e.delta = nil, nil, nil
 	execPool.Put(e)
 	return res
 }

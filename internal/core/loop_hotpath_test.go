@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"green/internal/model"
 )
@@ -165,4 +167,189 @@ func TestSteadyStateExecutionAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state block execution allocates %v objects/op, want 0", allocs)
 	}
+}
+
+// garbageQoS is what fillGarbage leaves in a LoopQoS/DeltaQoS field.
+type garbageQoS struct{ plainQoS }
+
+func (garbageQoS) Delta(int) float64 { return 0 }
+
+// fillGarbage sets every field of the struct v — unexported ones and
+// nested structs included — to a non-zero value, and fails the test on a
+// field kind it has not been taught, so a new kind of field cannot slip
+// past TestRecycledHandleIsFresh unset.
+func fillGarbage(t *testing.T, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.Struct:
+			fillGarbage(t, f)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(0x5a5a5a)
+		case reflect.Float64:
+			f.SetFloat(-12345.678)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Interface:
+			f.Set(reflect.ValueOf(&garbageQoS{}))
+		default:
+			t.Fatalf("field %s of %s: kind %s is not handled; teach fillGarbage (and check init/load/arm assign it)",
+				v.Type().Field(i).Name, v.Type(), f.Kind())
+		}
+		if f.IsZero() {
+			t.Fatalf("field %s of %s still zero after fillGarbage", v.Type().Field(i).Name, v.Type())
+		}
+	}
+}
+
+// A recycled handle is a fresh handle. init, load and arm assign the
+// fields they own instead of copying a zeroed literal over the member,
+// so nothing but this test resets a field added later: whatever a
+// handle held when it came back from the pool, the init/load/arm that
+// begin and ExecN/Next run must leave it exactly as they leave a new one.
+func TestRecycledHandleIsFresh(t *testing.T) {
+	for _, mode := range []LoopMode{Static, Adaptive} {
+		l, err := NewLoop(LoopConfig{Name: "l", Model: testLoopModel(t), SLA: 0.05, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := &fakeQoS{}
+		delta, err := l.checkQoS(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := l.state.Load()
+		for _, c := range []struct {
+			name                   string
+			forced, probe, monitor bool
+			sd                     selDecision
+		}{
+			{name: "steady"},
+			{name: "monitored", monitor: true},
+			{name: "probe", probe: true, monitor: true},
+			{name: "forced", forced: true},
+			{name: "selected", sd: selDecision{feat: Features{Key: 3, Valid: true}, level: 150, selected: true}},
+		} {
+			// begin's sequence on a LoopExec.
+			start := func(e *LoopExec) {
+				e.seq = 42
+				e.init(l, q, delta, st, c.forced, c.probe, &c.sd)
+				e.arm(c.monitor)
+			}
+			recycled, fresh := new(LoopExec), new(LoopExec)
+			fillGarbage(t, reflect.ValueOf(recycled).Elem())
+			start(recycled)
+			start(fresh)
+			if !reflect.DeepEqual(recycled, fresh) {
+				t.Errorf("%v/%s: recycled LoopExec differs from a new one:\n got %+v\nwant %+v", mode, c.name, *recycled, *fresh)
+			}
+			// execN's and Next's on a LoopBatch's member.
+			startMember := func(b *LoopBatch) {
+				b.init(l, q, delta, st, c.forced, c.probe, &c.sd)
+				b.arm(c.monitor)
+			}
+			rb, fb := new(LoopBatch), new(LoopBatch)
+			fillGarbage(t, reflect.ValueOf(&rb.loopMember).Elem())
+			startMember(rb)
+			startMember(fb)
+			if !reflect.DeepEqual(rb, fb) {
+				t.Errorf("%v/%s: recycled LoopBatch member differs from a new one:\n got %+v\nwant %+v", mode, c.name, rb.loopMember, fb.loopMember)
+			}
+		}
+	}
+}
+
+// What Finish returns to the pool pins nothing — no loop, no callbacks —
+// and a second Finish neither reports anything nor Puts the handle again
+// (two Gets would then hand the same handle to two executions).
+func TestFinishedHandlePinsNothing(t *testing.T) {
+	l, err := NewLoop(LoopConfig{Name: "l", Model: testLoopModel(t), SLA: 0.05, Mode: Adaptive, SampleInterval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := l.Begin(&fakeQoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.loop == nil || e.qos == nil || e.delta == nil {
+		t.Fatalf("live handle lacks its references: %+v", e.loopMember)
+	}
+	runLoop(t, e, 3200)
+	if e.loop != nil || e.qos != nil || e.delta != nil {
+		t.Errorf("finished LoopExec still references loop=%v qos=%v delta=%v", e.loop, e.qos, e.delta)
+	}
+	if again := e.Finish(7); again != (Result{StoppedAt: -1}) {
+		t.Errorf("second Finish = %+v, want the empty result", again)
+	}
+	if a, b := execPool.Get().(*LoopExec), execPool.Get().(*LoopExec); a == b {
+		t.Error("double Finish put the handle into the pool twice")
+	}
+
+	b, err := l.ExecN(2, &fakeQoS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b.Next() {
+		runBatchMember(b, 3200)
+	}
+	b.Finish()
+	if b.loop != nil || b.qos != nil || b.delta != nil {
+		t.Errorf("finished LoopBatch still references loop=%v qos=%v delta=%v", b.loop, b.qos, b.delta)
+	}
+	if again := b.Finish(); again != (BatchResult{}) {
+		t.Errorf("second batch Finish = %+v, want the empty result", again)
+	}
+	if x, y := batchPool.Get().(*LoopBatch), batchPool.Get().(*LoopBatch); x == y {
+		t.Error("double Finish put the batch into the pool twice")
+	}
+}
+
+// sameIntervalPolicy restates the live sampling interval on every
+// observation and never moves the level.
+type sameIntervalPolicy struct{ iv int }
+
+func (p sameIntervalPolicy) Observe(float64, float64) Decision {
+	return Decision{NewSampleInterval: p.iv}
+}
+
+// Allocation gates where the allocation would happen (check.sh counts
+// the rows). A monitored observation whose policy restates the live
+// Sample_QoS must publish nothing: the interval travels with its
+// reciprocal behind a pointer, and a store per observation would be a
+// heap object per observation. The single-call function tier has no
+// pooled handle and must not grow a per-call object either.
+func TestHotPathAllocationGates(t *testing.T) {
+	gate := func(name string, op func()) {
+		t.Run(name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+				t.Errorf("%v allocs/op, want 0", allocs)
+			}
+		})
+	}
+	l, err := NewLoop(LoopConfig{
+		Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1, Policy: sameIntervalPolicy{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate("loop-monitored-interval-restated", func() {
+		e, err := l.Begin(plainQoS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for ; i < 3200 && e.Continue(i); i++ {
+		}
+		if res := e.Finish(i); !res.Monitored {
+			t.Fatalf("execution not monitored: %+v", res)
+		}
+	})
+	f := funcFixture(t, 0.2, 0)
+	gate("func-call-steady", func() { f.Call(2) })
+	f2 := func2Fixture(t, 0.2, 0)
+	gate("func2-call-steady", func() { f2.Call(3, 4) })
 }

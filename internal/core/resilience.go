@@ -120,12 +120,18 @@ func newBreaker(threshold, cooldown, sampleInterval int) *breaker {
 	return b
 }
 
+// closed is the closed-state fast path, small enough to inline into the
+// Execute stage: while it holds, observeBegin has nothing to say.
+func (b *breaker) closed() bool {
+	return BreakerState(b.state.Load()) == BreakerClosed
+}
+
 // observeBegin is consulted once per execution (sequence number n) on the
 // controller's Begin/Call path. It reports whether this execution must run
 // forced-precise with monitoring suspended, and whether it is the
 // half-open probe (forced monitored, callbacks enabled).
 func (b *breaker) observeBegin(n int64) (forcePrecise, probe bool) {
-	if BreakerState(b.state.Load()) == BreakerClosed {
+	if b.closed() {
 		return false, false
 	}
 	b.mu.Lock()

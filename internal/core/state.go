@@ -118,7 +118,7 @@ func (l *Loop) State() LoopState {
 	return LoopState{
 		Name:      l.cfg.Name,
 		Level:     st.level,
-		Interval:  int(l.interval.Load()),
+		Interval:  int(l.SampleInterval()),
 		Disabled:  st.disabled,
 		ForceOff:  st.forceOff,
 		Count:     l.count.Load(),

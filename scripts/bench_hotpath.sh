@@ -1,7 +1,8 @@
 #!/bin/sh
 # Records the operational-hot-path perf trajectory: runs the
 # BenchmarkLoopHotPath* / BenchmarkLoopExecFeat* / BenchmarkLoopExecN /
-# BenchmarkFuncCallN / BenchmarkFunc2CallN / BenchmarkFunc2HotPath* /
+# BenchmarkFuncHotPath* / BenchmarkFuncCallN / BenchmarkFunc2CallN /
+# BenchmarkFunc2HotPath* / BenchmarkOverhead{Plain,Green}Loop /
 # BenchmarkServeQPS / BenchmarkServeMonitored / BenchmarkScanKernel /
 # BenchmarkClusterScatter / BenchmarkCombineSearchSpace families and
 # emits one JSON object (ns/op, allocs/op, the scan kernel's ns per
@@ -16,6 +17,19 @@
 #	scripts/bench_hotpath.sh -best 5         # best-of-5: keep each
 #	                                         # benchmark's fastest run
 #	                                         # (shared/noisy machines)
+#	scripts/bench_hotpath.sh -only control_law
+#	                                         # the control-law rows alone
+#	                                         # (or any -bench regexp)
+#	scripts/bench_hotpath.sh -pair HEAD~ -only control_law -best 25 -t 0.1s
+#	                                         # {"before": parent, "after":
+#	                                         # this tree}, see below
+#
+# The test binary is compiled once and run -best times. With -pair <ref>
+# the parent commit is unpacked (git archive) under ${TMPDIR:-/tmp},
+# given this tree's bench_test.go so both sides run the same benchmark
+# code, compiled once as well, and the two binaries alternate run by run
+# — this box drifts by 30% within minutes, so only interleaved runs
+# compare, and the minimum over many short runs is the stable number.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,27 +37,51 @@ cd "$(dirname "$0")/.."
 out=""
 benchtime="1s"
 best=1
+pair=""
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|CombineSearchSpace'
+control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop'
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-o) out="$2"; shift 2 ;;
 	-t) benchtime="$2"; shift 2 ;;
 	-best) best="$2"; shift 2 ;;
-	*) echo "usage: $0 [-o file] [-t benchtime] [-best n]" >&2; exit 2 ;;
+	-pair) pair="$2"; shift 2 ;;
+	-only) pattern="$2"; [ "$2" = control_law ] && pattern=$control_law; shift 2 ;;
+	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|regexp] [-pair parent-ref]" >&2; exit 2 ;;
 	esac
 done
 
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncCallN|Func2CallN|Func2HotPath|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|CombineSearchSpace'
+work=$(mktemp -d "${TMPDIR:-/tmp}/bench_hotpath.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+trap 'exit 130' INT TERM
 
-raw=""
+sides="after"
+go test -c -o "$work/after.test" .
+if [ -n "$pair" ]; then
+	git rev-parse --verify --quiet "$pair^{commit}" >/dev/null || {
+		echo "bench_hotpath: $pair is not a commit" >&2
+		exit 2
+	}
+	mkdir "$work/parent"
+	git archive "$pair" | tar -x -C "$work/parent"
+	cp bench_test.go "$work/parent/bench_test.go"
+	(cd "$work/parent" && go test -c -o "$work/before.test" .)
+	sides="before after"
+fi
+
 i=0
 while [ "$i" -lt "$best" ]; do
-	r=$(go test -run xxx -bench "$pattern" \
-		-benchmem -benchtime "$benchtime" -count 1 .)
-	raw=$(printf '%s\n%s\n' "$raw" "$r")
+	for side in $sides; do
+		# Both run from this module's root, where `go test` would run them.
+		"$work/$side.test" -test.run xxx -test.bench "$pattern" \
+			-test.benchmem -test.benchtime "$benchtime" -test.count 1 >>"$work/$side.raw"
+	done
 	i=$((i + 1))
 done
 
-json=$(printf '%s\n' "$raw" | awk -v best="$best" -v benchtime="$benchtime" '
+# summarize <raw file>: the JSON object for one side.
+summarize() {
+	awk -v best="$best" -v benchtime="$benchtime" '
 BEGIN { n = 0; gmp = "" }
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0; next }
 /^goos:/ { goos = $2; next }
@@ -91,7 +129,15 @@ END {
 		printf "%s%s\n", entry, (i < n - 1 ? "," : "")
 	}
 	printf "  ]\n}\n"
-}')
+}' "$1"
+}
+
+if [ -n "$pair" ]; then
+	json=$(printf '{\n"parent": "%s",\n"before": %s,\n"after": %s\n}\n' \
+		"$(git rev-parse --short "$pair")" "$(summarize "$work/before.raw")" "$(summarize "$work/after.raw")")
+else
+	json=$(summarize "$work/after.raw")
+fi
 
 if [ -n "$out" ]; then
 	printf '%s\n' "$json" > "$out"

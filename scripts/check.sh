@@ -105,6 +105,10 @@ go test -run '^$' -fuzz FuzzAnalyzers -fuzztime 10s ./internal/lint
 # And ten over the scan kernel: fuzzed queries, page sizes, shard layouts
 # and block-size sequences, every block checked against Engine.Search.
 go test -run '^$' -fuzz FuzzScanBlocks -fuzztime 10s ./internal/search
+# And ten over the sampling decision: the reciprocal test that replaced
+# the hardware divide, against count % Sample_QoS == 0 for any count and
+# any interval.
+go test -run '^$' -fuzz FuzzSamplingDivides -fuzztime 10s ./internal/core
 
 echo "== race (concurrency-sensitive packages) =="
 go test -race ./internal/core ./internal/serve ./internal/loadgen ./internal/search \
@@ -143,14 +147,14 @@ go test -count 1 -run TestServeWarmPathZeroAlloc ./internal/serve
 
 echo "== hot path stays allocation-free =="
 # The steady-state operational paths (Loop Begin/Continue/Finish, the
-# feature-threading ExecFeat with no selector installed, the unified
-# Func2 Call, and the batched ExecN/CallN tier) must not allocate: one
-# heap object per execution was the regression the controller-core
-# rework removed, and it must not creep back. ns/op is too noisy to
-# gate on shared runners; allocs/op is exact. ServeQPS and
+# feature-threading ExecFeat with no selector installed, the single-call
+# Func and Func2 Call, and the batched ExecN/CallN tier) must not
+# allocate: one heap object per execution was the regression the
+# controller-core rework removed, and it must not creep back. ns/op is
+# too noisy to gate on shared runners; allocs/op is exact. ServeQPS and
 # ServeMonitored ride along as the end-to-end smoke rows: they must run
 # and stay allocation-free per warm request, sampled or not.
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored' \
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
 		for (i = 2; i <= NF; i++) {
@@ -162,9 +166,60 @@ go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|Func2HotPath/ste
 		seen++
 	}
 	END {
-		if (seen < 8) { print "FAIL: expected 8 steady-path benchmarks, saw " seen; exit 1 }
+		if (seen < 10) { print "FAIL: expected 10 steady-path benchmarks, saw " seen; exit 1 }
 		exit bad
 	}'
+# And where the allocation would happen: a monitored observation whose
+# policy restates the live Sample_QoS (a publish per observation would
+# be an object per observation, and only serve's end-to-end test used
+# to notice) and the single-call function tier, as AllocsPerRun rows.
+go test -count 1 -v -run TestHotPathAllocationGates ./internal/core | awk '
+	/^    --- PASS/ { rows++ }
+	/^(--- )?FAIL/ { print; bad = 1 }
+	END {
+		if (rows < 3) { print "FAIL: expected 3 allocation-gate rows in internal/core, saw " rows + 0; exit 1 }
+		exit bad
+	}'
+
+echo "== hot path inlines =="
+# A perf gate with no clock in it, so it cannot flake on a shared box:
+# the per-iteration and per-execution leaves must stay inlinable, and
+# starting or finishing an execution must not copy or zero the whole
+# 160-byte member (init, load and arm assign the fields they own;
+# runtime.duffcopy was a fifth of Begin..Finish while they did not).
+inl=$(go build -gcflags=-m ./internal/core 2>&1)
+for fn in '(*loopMember).Continue' '(*loopMember).ContinueN' '(*breaker).closed' '(*sampleRate).divides'; do
+	printf '%s\n' "$inl" | grep -F -q "can inline $fn" || {
+		echo "FAIL: $fn is no longer inlinable" >&2
+		exit 1
+	}
+done
+if command -v python3 > /dev/null 2>&1; then
+	tmp=$(mktemp -d)
+	go test -c -o "$tmp/core.test" ./internal/core
+	go tool nm -size "$tmp/core.test" | grep -E ' runtime\.duff(copy|zero)$' > "$tmp/duff"
+	go tool objdump -s 'core\.\(\*Loop\)\.begin$|core\.\(\*LoopExec\)\.Finish$' "$tmp/core.test" > "$tmp/asm"
+	status=0
+	python3 - "$tmp/duff" "$tmp/asm" <<'EOF' || status=$?
+import re, sys
+# Calls into Duff's devices land mid-symbol, so objdump prints a bare
+# address: match it against the two symbols' ranges.
+duff = [(int(f[0], 16), int(f[0], 16) + int(f[1]), f[3]) for f in (l.split() for l in open(sys.argv[1]))]
+assert len(duff) == 2, f"runtime.duffcopy/duffzero not found: {duff}"
+funcs, bad = 0, []
+for line in open(sys.argv[2]):
+    if line.startswith("TEXT"):
+        funcs, name = funcs + 1, line.split()[1]
+    m = re.search(r"\bCALL 0x([0-9a-f]+)", line)
+    if m:
+        bad += [f"{name} calls {sym}" for lo, hi, sym in duff if lo <= int(m.group(1), 16) < hi]
+assert funcs == 2, f"expected (*Loop).begin and (*LoopExec).Finish in the disassembly, found {funcs} functions"
+assert not bad, "; ".join(bad)
+print("hot path: leaves inlinable, no whole-member copy in begin or Finish")
+EOF
+	rm -rf "$tmp"
+	[ "$status" -eq 0 ] || exit 1
+fi
 
 echo "== coordinator scatter path stays bounded =="
 # The coordinator's warm scatter/gather may allocate only the per-shard
