@@ -155,21 +155,34 @@ func main() {
 	}
 
 	stopSnapshots := s.StartSnapshotLoop()
+	serveUntilSignal(*addr, s.Handler(), *drain, "try /search?q=hello+world, /stats", func() {
+		stopSnapshots()
+		if err := s.SaveState(); err != nil {
+			log.Fatalf("greenserve: final snapshot failed: %v", err)
+		}
+		if *stateDir != "" {
+			log.Printf("final snapshot written to %s", *stateDir)
+		}
+	})
+}
+
+// serveUntilSignal is the one serving lifecycle of worker and
+// coordinator: listen, announce, serve until SIGINT/SIGTERM, drain
+// in-flight requests for up to drain, then run afterDrain.
+func serveUntilSignal(addr string, h http.Handler, drain time.Duration, banner string, afterDrain func()) {
 	// Explicit Listen (rather than ListenAndServe) so ":0" resolves and
 	// logs a real port — fleet smoke tests start workers on ephemeral
 	// ports and scrape the address from this line.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("greenserve: %v", err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(),
-		syscall.SIGINT, syscall.SIGTERM)
+	srv := &http.Server{Handler: h}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Printf("listening on %s (try /search?q=hello+world, /stats)\n", ln.Addr())
+	fmt.Printf("listening on %s (%s)\n", ln.Addr(), banner)
 
 	select {
 	case err := <-errCh:
@@ -177,10 +190,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: stop taking requests, drain in-flight ones,
-	// then persist the final controller state.
-	log.Printf("shutting down: draining in-flight requests (up to %v)...", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	log.Printf("shutting down: draining in-flight requests (up to %v)...", drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("greenserve: drain incomplete: %v", err)
@@ -188,13 +199,7 @@ func main() {
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("greenserve: %v", err)
 	}
-	stopSnapshots()
-	if err := s.SaveState(); err != nil {
-		log.Fatalf("greenserve: final snapshot failed: %v", err)
-	}
-	if *stateDir != "" {
-		log.Printf("final snapshot written to %s", *stateDir)
-	}
+	afterDrain()
 }
 
 // parseShards turns "u1,u2;u3,u4" into one ShardSpec per ';' group,
@@ -246,39 +251,10 @@ func runCoordinator(addr, shardList string, sla float64, quorum, retries int, he
 	for _, spec := range specs {
 		log.Printf("coordinator: %s -> %s", spec.Name, strings.Join(spec.Replicas, " "))
 	}
-	var stopAgg func()
+	stopAgg := func() {}
 	if aggInterval > 0 {
 		stopAgg = co.Start()
 		log.Printf("coordinator: fleet SLA %.2f%% aggregated every %v", sla*100, aggInterval)
 	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("greenserve: %v", err)
-	}
-	srv := &http.Server{Handler: co.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(),
-		syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Printf("listening on %s (coordinating %d shard(s))\n", ln.Addr(), len(specs))
-
-	select {
-	case err := <-errCh:
-		log.Fatalf("greenserve: %v", err)
-	case <-ctx.Done():
-	}
-	log.Printf("shutting down: draining in-flight requests (up to %v)...", drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("greenserve: drain incomplete: %v", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("greenserve: %v", err)
-	}
-	if stopAgg != nil {
-		stopAgg()
-	}
+	serveUntilSignal(addr, co.Handler(), drain, fmt.Sprintf("coordinating %d shard(s)", len(specs)), stopAgg)
 }

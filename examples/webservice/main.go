@@ -26,6 +26,7 @@ import (
 import (
 	"green/internal/loadgen"
 	"green/internal/serve"
+	"green/internal/wire"
 )
 
 func main() {
@@ -90,23 +91,17 @@ func main() {
 	}
 
 	for _, s := range servers {
-		resp, err := http.Get(s.srv.URL + "/stats")
+		resp, err := http.Get(s.srv.URL + wire.PathStats)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var st map[string]any
+		var st wire.Stats
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			log.Fatal(err)
 		}
 		resp.Body.Close()
-		fmt.Printf("%s /stats: queries=%v monitored=%v mean-monitored-loss=%.3f%% work-saved=%.1f%%\n",
-			s.name, st["queries"], st["monitored"],
-			100*toFloat(st["mean_monitored_loss"]),
-			100*toFloat(st["work_saved_fraction"]))
+		fmt.Printf("%s /stats: queries=%d monitored=%d mean-monitored-loss=%.3f%% work-saved=%.1f%%\n",
+			s.name, st.Queries, st.Monitored,
+			100*st.MeanMonitoredLoss, 100*st.WorkSavedFraction)
 	}
-}
-
-func toFloat(v any) float64 {
-	f, _ := v.(float64)
-	return f
 }

@@ -14,6 +14,7 @@ import (
 	"green/internal/chaos"
 	"green/internal/core"
 	"green/internal/serve"
+	"green/internal/wire"
 )
 
 // e2eFleet is a real fleet: three shards, two serve workers each,
@@ -250,7 +251,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	}
 
 	// The federated stats surface reflects the episode.
-	var st statsResponse
+	var st wire.FleetStats
 	srec := get(t, f.h, "/stats")
 	if err := json.Unmarshal(srec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("stats decode: %v: %s", err, srec.Body)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"green/internal/core"
+	"green/internal/wire"
 )
 
 // errAllBreakersOpen means every replica of a shard currently has its
@@ -163,15 +164,15 @@ func (c *shardClient) sleepBackoff(ctx context.Context, attempt int, deadline ti
 }
 
 // search fetches this shard's partial page into out. With HedgeDelay
-// off it is the synchronous retry loop above (reusing out's buffer, so
-// the warm scatter path stays off the allocator); with hedging on it
-// races a late second request against the first.
-func (c *shardClient) search(ctx context.Context, path string, deadline time.Time, out *shardReply) error {
+// off it is the synchronous retry loop above (reading into buf, so the
+// warm scatter path stays off the allocator); with hedging on it races
+// a late second request against the first.
+func (c *shardClient) search(ctx context.Context, path string, deadline time.Time, out *wire.SearchReply, buf *[]byte) error {
 	if c.cfg.HedgeDelay > 0 {
 		return c.searchHedged(ctx, path, deadline, out)
 	}
-	return c.call(ctx, http.MethodGet, path, nil, deadline, &out.buf, func(body []byte) error {
-		return parseSearchReply(body, out)
+	return c.call(ctx, http.MethodGet, path, nil, deadline, buf, func(body []byte) error {
+		return out.ParseJSON(body)
 	})
 }
 
@@ -195,7 +196,7 @@ var hedgeBufPool = sync.Pool{New: func() any { return []byte(nil) }}
 // reply wins; every attempt's outcome still reaches its replica's
 // breaker. The results channel is buffered for the maximum number of
 // launches, so abandoned attempts never leak a goroutine.
-func (c *shardClient) searchHedged(ctx context.Context, path string, deadline time.Time, out *shardReply) error {
+func (c *shardClient) searchHedged(ctx context.Context, path string, deadline time.Time, out *wire.SearchReply) error {
 	maxLaunches := c.cfg.Retries + 2 // initial + relaunches + the hedge
 	results := make(chan hedgeResult, maxLaunches)
 	outstanding := 0
@@ -234,7 +235,7 @@ func (c *shardClient) searchHedged(ctx context.Context, path string, deadline ti
 				err = fmt.Errorf("cluster: %s%s: status %d", r.rep.base, path, r.status)
 			}
 			if err == nil {
-				err = parseSearchReply(r.body, out)
+				err = out.ParseJSON(r.body)
 			}
 			hedgeBufPool.Put(r.body[:0]) //nolint:staticcheck // slice header boxing is fine off the warm path
 			if err == nil {
@@ -287,7 +288,7 @@ func (c *shardClient) getJSON(ctx context.Context, path string, timeout time.Dur
 // handler is idempotent, so duplicate pushes are safe.
 func (c *shardClient) pushBudget(ctx context.Context, body []byte, timeout time.Duration) (ok int) {
 	for _, rep := range c.replicas {
-		status, _, err := c.transport.Do(ctx, http.MethodPost, rep.base, "/budget", body, time.Now().Add(timeout), nil)
+		status, _, err := c.transport.Do(ctx, http.MethodPost, rep.base, wire.PathBudget, body, time.Now().Add(timeout), nil)
 		if err == nil && status == http.StatusOK {
 			ok++
 		}

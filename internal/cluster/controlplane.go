@@ -10,6 +10,7 @@ import (
 
 	"green/internal/core"
 	"green/internal/model"
+	"green/internal/wire"
 )
 
 // The fleet control plane: the coordinator periodically pulls each
@@ -38,7 +39,7 @@ type shardControl struct {
 	polled        bool    // stats reached at least once ever
 	// lastControllers are the shard's per-controller selector counters
 	// from the most recent successful poll (federated into /stats).
-	lastControllers []workerControllerRow
+	lastControllers []wire.ShardController
 }
 
 // AggregateReport summarizes one control-plane round, for tests and
@@ -62,36 +63,6 @@ type AggregateReport struct {
 	Pushes int
 }
 
-// workerStats is the subset of the worker /stats shape the control
-// plane reads: the fleet-loss inputs plus each controller's
-// Select-stage counters, federated into the coordinator's own /stats.
-type workerStats struct {
-	MeanMonitoredLoss float64               `json:"mean_monitored_loss"`
-	Monitored         int64                 `json:"monitored"`
-	CurrentM          float64               `json:"current_m"`
-	Controllers       []workerControllerRow `json:"controllers"`
-}
-
-// workerControllerRow is one worker controller's identity and selector
-// counters as they appear in the worker /stats controllers array.
-type workerControllerRow struct {
-	Name     string             `json:"name"`
-	Selector core.SelectorStats `json:"selector"`
-}
-
-// workerModel is the worker /model shape.
-type workerModel struct {
-	Controllers []struct {
-		Name      string  `json:"name"`
-		BaseLevel float64 `json:"base_level"`
-		Levels    []struct {
-			Level    float64 `json:"level"`
-			PredLoss float64 `json:"pred_loss"`
-			Speedup  float64 `json:"speedup"`
-		} `json:"levels"`
-	} `json:"controllers"`
-}
-
 // controlTimeout bounds each control-plane exchange.
 const controlTimeout = 2 * time.Second
 
@@ -102,9 +73,9 @@ const controlTimeout = 2 * time.Second
 func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, error) {
 	n := len(co.shards)
 	type polled struct {
-		stats   workerStats
+		stats   wire.Stats
 		statsOK bool
-		model   *workerModel
+		model   *wire.Model
 	}
 	polls := make([]polled, n)
 	var wg sync.WaitGroup
@@ -115,12 +86,12 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 		wg.Add(1)
 		go func(i int, needModel bool) {
 			defer wg.Done()
-			if err := co.shards[i].getJSON(ctx, "/stats", controlTimeout, &polls[i].stats); err == nil {
+			if err := co.shards[i].getJSON(ctx, wire.PathStats, controlTimeout, &polls[i].stats); err == nil {
 				polls[i].statsOK = true
 			}
 			if needModel {
-				var m workerModel
-				if err := co.shards[i].getJSON(ctx, "/model", controlTimeout, &m); err == nil {
+				var m wire.Model
+				if err := co.shards[i].getJSON(ctx, wire.PathModel, controlTimeout, &m); err == nil {
 					polls[i].model = &m
 				}
 			}
@@ -155,7 +126,12 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 		if polls[i].statsOK {
 			st := polls[i].stats
 			ctl.lastLoss, ctl.lastMonitored, ctl.lastLevel = st.MeanMonitoredLoss, st.Monitored, st.CurrentM
-			ctl.lastControllers = st.Controllers
+			// A fresh slice each poll: /stats encodes the previous one
+			// after releasing mu.
+			ctl.lastControllers = make([]wire.ShardController, len(st.Controllers))
+			for j, c := range st.Controllers {
+				ctl.lastControllers[j] = wire.ShardController{Name: c.Name, Selector: c.Selector}
+			}
 			ctl.polled = true
 			rep.ShardsPolled++
 		}
@@ -235,10 +211,7 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 			continue
 		}
 		rep.Budgets[co.shards[i].name] = level
-		body, merr := json.Marshal(struct {
-			Controller string  `json:"controller"`
-			Level      float64 `json:"level"`
-		}{co.cfg.Controller, level})
+		body, merr := json.Marshal(wire.Budget{Controller: co.cfg.Controller, Level: level})
 		if merr != nil {
 			continue
 		}

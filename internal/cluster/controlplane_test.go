@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"green/internal/core"
+	"green/internal/wire"
 )
 
 // budgetRecorder captures the levels a fake worker receives on /budget.
@@ -147,7 +148,7 @@ func TestAggregateOnceDecomposesSLA(t *testing.T) {
 	// The coordinator /stats federates each shard's per-controller
 	// Select-stage counters from the last poll.
 	rec := get(t, co.Handler(), "/stats")
-	var st statsResponse
+	var st wire.FleetStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -14,6 +13,7 @@ import (
 	"green/internal/core"
 	"green/internal/metrics"
 	"green/internal/search"
+	"green/internal/wire"
 )
 
 // ShardSpec names one shard and lists its replicas' base URLs.
@@ -156,31 +156,31 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co.ctl = make([]shardControl, len(co.shards))
 	co.scratch.New = func() any {
-		n := len(co.shards)
-		return &coordScratch{tasks: make([]scatterTask, n), replies: make([]shardReply, n)}
+		return &coordScratch{tasks: make([]scatterTask, len(co.shards))}
 	}
 	return co, nil
 }
 
 // coordScratch is the pooled per-request working set of the scatter
-// path: the per-shard task slots and reply buffers, the merge heap, the
-// response struct, and the encode buffer.
+// path: the per-shard task slots, the merge heap, the response struct,
+// and the encode buffer.
 type coordScratch struct {
-	tasks   []scatterTask
-	replies []shardReply
-	wg      sync.WaitGroup
-	merger  search.Merger
-	resp    coordResponse
-	buf     []byte
-	path    []byte
+	tasks  []scatterTask
+	wg     sync.WaitGroup
+	merger search.Merger
+	resp   wire.Page
+	buf    []byte
 }
 
 // scatterTask is one shard's slot in a scatter. It is heap-resident in
 // the scratch (the goroutine body needs only the receiver), so fanning
-// out costs one goroutine per shard and nothing else.
+// out costs one goroutine per shard and nothing else; rep and the
+// transport body buffer it was parsed from keep their capacity across
+// requests.
 type scatterTask struct {
 	shard    *shardClient
-	rep      *shardReply
+	rep      wire.SearchReply
+	buf      []byte
 	ctx      context.Context
 	path     string
 	deadline time.Time
@@ -189,33 +189,17 @@ type scatterTask struct {
 }
 
 func (t *scatterTask) run() {
-	t.err = t.shard.search(t.ctx, t.path, t.deadline, t.rep)
+	t.err = t.shard.search(t.ctx, t.path, t.deadline, &t.rep, &t.buf)
 	t.wg.Done()
-}
-
-// coordResponse is the coordinator /search JSON shape. Degraded is
-// always emitted (clients branch on it); FailedShards attributes
-// partial coverage.
-type coordResponse struct {
-	Query        string   `json:"query"`
-	Docs         []int    `json:"docs"`
-	DocsScored   int      `json:"docs_scored"`
-	Degraded     bool     `json:"degraded"`
-	ShardsOK     int      `json:"shards_ok"`
-	ShardsTotal  int      `json:"shards_total"`
-	FailedShards []string `json:"failed_shards,omitempty"`
 }
 
 // Handler returns the coordinator's HTTP handler.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", co.handleReadyz)
-	mux.HandleFunc("GET /search", co.handleSearch)
-	mux.HandleFunc("GET /stats", co.handleStats)
+	mux.HandleFunc("GET "+wire.PathHealthz, wire.Healthz)
+	mux.HandleFunc("GET "+wire.PathReadyz, co.handleReadyz)
+	mux.HandleFunc("GET "+wire.PathSearch, co.handleSearch)
+	mux.HandleFunc("GET "+wire.PathStats, co.handleStats)
 	return mux
 }
 
@@ -223,7 +207,7 @@ func (co *Coordinator) Handler() http.Handler {
 // pages on exact scores, and applies the quorum policy to whatever
 // subset answered.
 func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
-	rawQ, ok := rawParam(r.URL.RawQuery, "q")
+	rawQ, ok := wire.RawParam(r.URL.RawQuery, wire.ParamQuery)
 	if !ok || rawQ == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
@@ -240,21 +224,14 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		co.scratch.Put(sc)
 	}()
 
-	// The workers see the same raw (still-escaped) q value the client
-	// sent, plus scores=1 so the merge ranks on exact scores.
-	sc.path = append(sc.path[:0], "/search?q="...)
-	sc.path = append(sc.path, rawQ...)
-	sc.path = append(sc.path, "&scores=1"...)
-	path := string(sc.path)
+	path := wire.SearchPath(rawQ)
 	deadline := time.Now().Add(co.cfg.RequestTimeout)
-	ctx := r.Context()
 
 	n := len(co.shards)
 	sc.wg.Add(n)
 	for i := 0; i < n; i++ {
 		t := &sc.tasks[i]
-		t.shard, t.rep = co.shards[i], &sc.replies[i]
-		t.ctx, t.path, t.deadline, t.wg = ctx, path, deadline, &sc.wg
+		t.shard, t.ctx, t.path, t.deadline, t.wg = co.shards[i], r.Context(), path, deadline, &sc.wg
 		go t.run()
 	}
 	sc.wg.Wait()
@@ -271,13 +248,13 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		co.shards[i].okReqs.Add(1)
 		okCount++
-		rep := &sc.replies[i]
-		docsScored += rep.docsScored
-		if rep.degraded {
+		rep := &sc.tasks[i].rep
+		docsScored += rep.DocsScored
+		if rep.Degraded {
 			anyDegraded = true
 		}
-		for j, d := range rep.docs {
-			sc.merger.Push(d, rep.scores[j])
+		for j, d := range rep.Docs {
+			sc.merger.Push(d, rep.Scores[j])
 		}
 	}
 
@@ -298,101 +275,13 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	sc.resp.Degraded = degraded
 	sc.resp.ShardsOK, sc.resp.ShardsTotal = okCount, n
 	sc.resp.FailedShards = failed
-	sc.buf = appendCoordJSON(sc.buf[:0], &sc.resp)
-	h := w.Header()
-	if len(h["Content-Type"]) == 0 {
-		h["Content-Type"] = jsonContentType
-	}
-	_, _ = w.Write(sc.buf)
-}
-
-var jsonContentType = []string{"application/json"}
-
-// appendCoordJSON is the hand-rolled encoder for coordResponse,
-// byte-identical to encoding/json plus the Encoder's trailing newline
-// (equivalence-tested), keeping the gather path off the allocator.
-func appendCoordJSON(b []byte, r *coordResponse) []byte {
-	b = append(b, `{"query":`...)
-	b = appendJSONString(b, r.Query)
-	b = append(b, `,"docs":`...)
-	if r.Docs == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, d := range r.Docs {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendInt(b, int64(d))
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"docs_scored":`...)
-	b = appendInt(b, int64(r.DocsScored))
-	b = append(b, `,"degraded":`...)
-	b = appendBool(b, r.Degraded)
-	b = append(b, `,"shards_ok":`...)
-	b = appendInt(b, int64(r.ShardsOK))
-	b = append(b, `,"shards_total":`...)
-	b = appendInt(b, int64(r.ShardsTotal))
-	if len(r.FailedShards) > 0 {
-		b = append(b, `,"failed_shards":[`...)
-		for i, s := range r.FailedShards {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, s)
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}', '\n')
-}
-
-// statsResponse is the coordinator /stats JSON shape: fleet-level
-// aggregates plus one federated row per shard.
-type statsResponse struct {
-	Role           string              `json:"role"`
-	SLA            float64             `json:"sla"`
-	Quorum         int                 `json:"quorum"`
-	Queries        int64               `json:"queries"`
-	ShardsTotal    int                 `json:"shards_total"`
-	ShardsHealthy  int                 `json:"shards_healthy"`
-	FleetLoss      float64             `json:"fleet_mean_monitored_loss"`
-	FleetMonitored int64               `json:"fleet_monitored"`
-	Aggregations   int64               `json:"aggregations"`
-	LastAgg        string              `json:"last_aggregation,omitempty"`
-	Shards         []shardStatsRow     `json:"shards"`
-	Ops            metrics.OpsSnapshot `json:"ops"`
-}
-
-type shardStatsRow struct {
-	Name          string            `json:"name"`
-	Healthy       bool              `json:"healthy"`
-	OK            int64             `json:"ok"`
-	Failed        int64             `json:"failed"`
-	Hedges        int64             `json:"hedges"`
-	LastLoss      float64           `json:"last_loss"`
-	LastMonitored int64             `json:"last_monitored"`
-	LastLevel     float64           `json:"last_level"`
-	LastBudget    float64           `json:"last_budget,omitempty"`
-	Replicas      []replicaStatsRow `json:"replicas"`
-	// Controllers federates the shard's per-controller Select-stage
-	// counters from the last control-plane poll (absent until the shard
-	// has been polled, or when the shard predates the selector surface).
-	Controllers []workerControllerRow `json:"controllers,omitempty"`
-}
-
-type replicaStatsRow struct {
-	URL      string `json:"url"`
-	Breaker  string `json:"breaker"`
-	Trips    int64  `json:"trips"`
-	Attempts int64  `json:"attempts"`
-	Failures int64  `json:"failures"`
+	sc.buf = sc.resp.AppendJSON(sc.buf[:0])
+	wire.WriteRaw(w, sc.buf)
 }
 
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	co.mu.Lock()
-	resp := statsResponse{
+	resp := wire.FleetStats{
 		Role:         "coordinator",
 		SLA:          co.cfg.SLA,
 		Quorum:       co.cfg.Quorum,
@@ -405,7 +294,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	var lossSum float64
 	for i, s := range co.shards {
 		ctl := &co.ctl[i]
-		row := shardStatsRow{
+		row := wire.ShardStats{
 			Name:          s.name,
 			Healthy:       s.healthy(),
 			OK:            s.okReqs.Load(),
@@ -424,7 +313,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.FleetMonitored += ctl.lastMonitored
 		for _, rep := range s.replicas {
 			b := rep.brk.Stats()
-			row.Replicas = append(row.Replicas, replicaStatsRow{
+			row.Replicas = append(row.Replicas, wire.ReplicaStats{
 				URL:      rep.base,
 				Breaker:  b.State.String(),
 				Trips:    b.Trips,
@@ -438,13 +327,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.FleetLoss = lossSum / float64(resp.FleetMonitored)
 	}
 	co.mu.Unlock()
-	writeJSON(w, resp)
-}
-
-// readyzResponse mirrors the worker shape.
-type readyzResponse struct {
-	Ready   bool     `json:"ready"`
-	Reasons []string `json:"reasons,omitempty"`
+	wire.WriteJSON(w, resp)
 }
 
 // handleReadyz degrades readiness naming the unhealthy shards: any
@@ -467,46 +350,8 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		reasons = append(reasons, fmt.Sprintf("below quorum: %d/%d shards healthy, quorum is %d",
 			healthyShards, len(co.shards), co.cfg.Quorum))
 	}
-	resp := readyzResponse{Ready: len(reasons) == 0, Reasons: reasons}
-	if !resp.Ready {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(resp)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	wire.WriteReadyz(w, reasons)
 }
 
 // Ops exposes the coordinator's operational counters, for tests.
 func (co *Coordinator) Ops() *metrics.OpsCounters { return &co.ops }
-
-// rawParam extracts one raw (still-escaped) query parameter without
-// url.ParseQuery's per-request map.
-func rawParam(raw, key string) (val string, ok bool) {
-	for len(raw) > 0 {
-		seg := raw
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			seg, raw = raw[:i], raw[i+1:]
-		} else {
-			raw = ""
-		}
-		eq := strings.IndexByte(seg, '=')
-		if eq < 0 {
-			if seg == key {
-				return "", true
-			}
-			continue
-		}
-		if seg[:eq] == key {
-			return seg[eq+1:], true
-		}
-	}
-	return "", false
-}

@@ -10,6 +10,7 @@ import (
 
 	"green/internal/core"
 	"green/internal/serve"
+	"green/internal/wire"
 )
 
 // clusterOf builds a coordinator over a memTransport with the given
@@ -34,9 +35,9 @@ func clusterOf(t *testing.T, cfg Config, shards [][]http.Handler) (*Coordinator,
 	return co, mt
 }
 
-func decodeCoord(t *testing.T, body []byte) coordResponse {
+func decodeCoord(t *testing.T, body []byte) wire.Page {
 	t.Helper()
-	var resp coordResponse
+	var resp wire.Page
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("decode %q: %v", body, err)
 	}
@@ -283,7 +284,7 @@ func TestCoordinatorStatsAndReadyz(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with an open breaker = %d, want 503: %s", rec.Code, rec.Body)
 	}
-	var rz readyzResponse
+	var rz wire.Ready
 	if err := json.Unmarshal(rec.Body.Bytes(), &rz); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestCoordinatorStatsAndReadyz(t *testing.T) {
 	}
 
 	rec = get(t, h, "/stats")
-	var st statsResponse
+	var st wire.FleetStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestCoordinatorStatsAndReadyz(t *testing.T) {
 // TestAppendCoordJSONMatchesEncodingJSON pins the gather path's
 // hand-rolled encoder to encoding/json byte for byte.
 func TestAppendCoordJSONMatchesEncodingJSON(t *testing.T) {
-	cases := []coordResponse{
+	cases := []wire.Page{
 		{Query: "alpha beta", Docs: []int{3, 1, 4}, DocsScored: 42, ShardsOK: 3, ShardsTotal: 3},
 		{Query: "", Docs: nil, Degraded: true, ShardsOK: 2, ShardsTotal: 3, FailedShards: []string{"s2"}},
 		{Query: "empty", Docs: []int{}, ShardsOK: 1, ShardsTotal: 1},
@@ -330,7 +331,7 @@ func TestAppendCoordJSONMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendCoordJSON(nil, &r)
+		got := r.AppendJSON(nil)
 		if string(got) != string(want)+"\n" {
 			t.Errorf("query %q:\n got %s\nwant %s\\n", r.Query, got, want)
 		}

@@ -3,31 +3,33 @@ package cluster
 import (
 	"strings"
 	"testing"
+
+	"green/internal/wire"
 )
 
 func TestParseSearchReply(t *testing.T) {
-	var out shardReply
+	var out wire.SearchReply
 	body := `{"query":"ocean tree","docs":[3,1,4],"scores":[9.5,8.25,1e-7],` +
 		`"docs_scored":42,"approximated":true,"monitored":false}` + "\n"
-	if err := parseSearchReply([]byte(body), &out); err != nil {
+	if err := out.ParseJSON([]byte(body)); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.docs) != 3 || out.docs[0] != 3 || out.docs[2] != 4 {
-		t.Errorf("docs = %v", out.docs)
+	if len(out.Docs) != 3 || out.Docs[0] != 3 || out.Docs[2] != 4 {
+		t.Errorf("docs = %v", out.Docs)
 	}
-	if len(out.scores) != 3 || out.scores[0] != 9.5 || out.scores[2] != 1e-7 {
-		t.Errorf("scores = %v", out.scores)
+	if len(out.Scores) != 3 || out.Scores[0] != 9.5 || out.Scores[2] != 1e-7 {
+		t.Errorf("scores = %v", out.Scores)
 	}
-	if out.docsScored != 42 || out.degraded {
-		t.Errorf("docsScored = %d, degraded = %v", out.docsScored, out.degraded)
+	if out.DocsScored != 42 || out.Degraded {
+		t.Errorf("docsScored = %d, degraded = %v", out.DocsScored, out.Degraded)
 	}
 
 	// Reuse: a second parse into the same reply must fully reset it.
 	body2 := `{"docs":[9],"scores":[-2.5],"docs_scored":1,"degraded":true}`
-	if err := parseSearchReply([]byte(body2), &out); err != nil {
+	if err := out.ParseJSON([]byte(body2)); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.docs) != 1 || out.docs[0] != 9 || out.scores[0] != -2.5 || !out.degraded || out.docsScored != 1 {
+	if len(out.Docs) != 1 || out.Docs[0] != 9 || out.Scores[0] != -2.5 || !out.Degraded || out.DocsScored != 1 {
 		t.Errorf("reused reply = %+v", out)
 	}
 }
@@ -36,13 +38,13 @@ func TestParseSearchReply(t *testing.T) {
 // — including ones with escapes, nested structure, and exotic numbers —
 // are skipped, so worker response evolution does not break the fleet.
 func TestParseSearchReplySkipsUnknown(t *testing.T) {
-	var out shardReply
+	var out wire.SearchReply
 	body := `{"query":"quote \" and \\ done","future":{"nested":[1,{"x":"]"}]},` +
 		`"docs":[1],"maybe":null,"ratio":-1.5e-9,"flag":false,"scores":[2],"docs_scored":3}`
-	if err := parseSearchReply([]byte(body), &out); err != nil {
+	if err := out.ParseJSON([]byte(body)); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.docs) != 1 || out.docs[0] != 1 || out.scores[0] != 2 || out.docsScored != 3 {
+	if len(out.Docs) != 1 || out.Docs[0] != 1 || out.Scores[0] != 2 || out.DocsScored != 3 {
 		t.Errorf("reply = %+v", out)
 	}
 }
@@ -50,11 +52,11 @@ func TestParseSearchReplySkipsUnknown(t *testing.T) {
 // TestParseSearchReplyNullArrays: "docs":null (the worker's empty-page
 // encoding) parses as an empty partial.
 func TestParseSearchReplyNullArrays(t *testing.T) {
-	var out shardReply
-	if err := parseSearchReply([]byte(`{"docs":null,"scores":null,"docs_scored":0}`), &out); err != nil {
+	var out wire.SearchReply
+	if err := out.ParseJSON([]byte(`{"docs":null,"scores":null,"docs_scored":0}`)); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.docs) != 0 || len(out.scores) != 0 {
+	if len(out.Docs) != 0 || len(out.Scores) != 0 {
 		t.Errorf("reply = %+v", out)
 	}
 }
@@ -78,8 +80,8 @@ func TestParseSearchReplyRejectsGarbage(t *testing.T) {
 		"garbled":          garble(valid),
 	}
 	for name, body := range cases {
-		var out shardReply
-		if err := parseSearchReply([]byte(body), &out); err == nil {
+		var out wire.SearchReply
+		if err := out.ParseJSON([]byte(body)); err == nil {
 			t.Errorf("%s: parse accepted %q", name, body)
 		}
 	}
@@ -96,12 +98,12 @@ func garble(s string) string {
 // TestParseSearchReplyWhitespace: encoding/json-style pretty output
 // still parses (the parser is strict about structure, not layout).
 func TestParseSearchReplyWhitespace(t *testing.T) {
-	var out shardReply
+	var out wire.SearchReply
 	body := "{\n  \"docs\": [ 3 , 1 ],\n  \"scores\": [ 9.5, 8 ],\n  \"docs_scored\": 4\n}\n"
-	if err := parseSearchReply([]byte(body), &out); err != nil {
+	if err := out.ParseJSON([]byte(body)); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.docs) != 2 || out.scores[1] != 8 || out.docsScored != 4 {
+	if len(out.Docs) != 2 || out.Scores[1] != 8 || out.DocsScored != 4 {
 		t.Errorf("reply = %+v", out)
 	}
 	if strings.TrimSpace(body) == "" {

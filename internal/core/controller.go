@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -35,11 +34,10 @@ import (
 // only (a) the shape of their immutable approximation snapshot, (b) how
 // a policy action translates into that snapshot, and (c) which entry
 // points thread Features in (ExecFeat/ExecNFeat, CallFeat/CallNFeat).
-// Everything else — the counters,
-// the striped loss accumulator, the sampling decision, the panic
-// breaker, selector bookkeeping, policy invocation and event emission,
-// Stats, and the copy-on-write publish protocol — lives here, once, as
-// controller[S].
+// Everything else — the counters, the loss total, the sampling
+// decision, the panic breaker, selector bookkeeping, policy invocation
+// and event emission, Stats, and the copy-on-write publish protocol —
+// lives here, once, as controller[S].
 //
 // S is the controller's immutable snapshot type (loopState,
 // ladderState). The hot path reads it with one atomic load; every
@@ -82,15 +80,11 @@ type controller[S any] struct {
 	count     atomic.Int64 // executions since creation (or restore)
 	monitored atomic.Int64
 
-	// loss holds the monitored losses observed since the last
-	// recalibration, sharded across GOMAXPROCS-sized padded cells;
-	// lossDrained (float64 bits, written only under mu) holds everything
-	// drained out of the shards at recalibration time. The long-lived
-	// total therefore lives in one word while the shards stay near zero,
-	// bounded by one sampling interval's worth of observations.
-	loss        lossAccumulator
-	lossDrained atomic.Uint64
-	brk         *breaker
+	// lossTotal is the sum of every monitored loss, as float64 bits:
+	// written only under mu (every observation takes it for the policy
+	// anyway), read lock-free by Stats.
+	lossTotal atomic.Uint64
+	brk       *breaker
 
 	// sel is the optional Select stage. Nil when no Selector is
 	// installed, so the featureless entry points and the nil-selector
@@ -267,7 +261,6 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 		c.policy = DefaultPolicy{}
 	}
 	c.setInterval(int64(o.SampleInterval))
-	c.loss.init(lossShardCount())
 	c.brk = newBreaker(o.BreakerThreshold, o.BreakerCooldown, o.SampleInterval)
 	return nil
 }
@@ -414,15 +407,9 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 	c.brk.onSuccess(o.probe)
 
 	c.monitored.Add(1)
-	c.loss.add(loss, uint64(o.seq))
 
 	c.mu.Lock()
-	// Recalibration drains the sharded accumulator into the single
-	// mu-guarded total, so the shards only ever hold the losses of the
-	// current sampling window — the read side (Stats) then mostly sums
-	// zeros no matter how many cells GOMAXPROCS demanded.
-	drained := math.Float64frombits(c.lossDrained.Load()) + c.loss.drain()
-	c.lossDrained.Store(math.Float64bits(drained))
+	c.lossTotal.Store(math.Float64bits(c.lossSum() + loss))
 	d := c.policy.Observe(loss, c.sla)
 	if d.NewSampleInterval > 0 {
 		c.setInterval(int64(d.NewSampleInterval))
@@ -488,14 +475,12 @@ func (c *controller[S]) restoreCounters(interval, count, monitored int64, lossSu
 	c.setInterval(interval)
 	c.count.Store(count)
 	c.monitored.Store(monitored)
-	c.loss.drain()
-	c.lossDrained.Store(math.Float64bits(lossSum))
+	c.lossTotal.Store(math.Float64bits(lossSum))
 }
 
-// lossSum reads the total monitored loss: the drained total plus
-// whatever the current sampling window's shards still hold.
+// lossSum reads the total monitored loss.
 func (c *controller[S]) lossSum() float64 {
-	return math.Float64frombits(c.lossDrained.Load()) + c.loss.sum()
+	return math.Float64frombits(c.lossTotal.Load())
 }
 
 // Name returns the configured controller name.
@@ -520,74 +505,3 @@ func (c *controller[S]) Stats() (executions, monitored int64, meanLoss float64) 
 // Breaker snapshots the controller's circuit-breaker state (panic
 // containment on the monitored path; see resilience.go).
 func (c *controller[S]) Breaker() BreakerStats { return c.brk.stats() }
-
-// lossShardCount sizes the sharded loss accumulator to the machine: one
-// padded cell per P, rounded up to a power of two so the index mask is a
-// single AND, floored at 8 cells so small machines still spread bursts.
-// The previous fixed 8-cell stripe collapsed every core onto the same
-// handful of CAS targets once GOMAXPROCS grew past it.
-func lossShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	c := 8
-	for c < n {
-		c *= 2
-	}
-	return c
-}
-
-// paddedFloat is one accumulator cell, padded out to a cache line so
-// adjacent shards do not false-share.
-type paddedFloat struct {
-	bits atomic.Uint64
-	_    [56]byte
-}
-
-// lossAccumulator sums float64 losses across per-P-sized lock-free
-// cells, so writers (monitored completions) and readers (Stats) never
-// block each other or the hot path. The cell index derives from a
-// caller-supplied hint (the execution sequence number): concurrent
-// completions necessarily carry distinct sequences, so they land on
-// distinct cells without the extra contended atomic a round-robin
-// counter would cost. drain moves every cell into the caller's hands
-// atomically; the controller drains on each recalibration so the shards
-// only ever hold the current sampling window's losses.
-type lossAccumulator struct {
-	mask  uint64
-	cells []paddedFloat
-}
-
-// init sizes the accumulator; shards must be a power of two.
-func (a *lossAccumulator) init(shards int) {
-	a.mask = uint64(shards - 1)
-	a.cells = make([]paddedFloat, shards)
-}
-
-func (a *lossAccumulator) add(v float64, hint uint64) {
-	c := &a.cells[hint&a.mask]
-	for {
-		old := c.bits.Load()
-		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-func (a *lossAccumulator) sum() float64 {
-	s := 0.0
-	for i := range a.cells {
-		s += math.Float64frombits(a.cells[i].bits.Load())
-	}
-	return s
-}
-
-// drain atomically collects every cell's value, resetting the cells to
-// zero, and returns the collected total. A concurrent add either lands
-// before the swap (collected now) or after it (left for the next
-// drain); no loss is dropped or double-counted either way.
-func (a *lossAccumulator) drain() float64 {
-	s := 0.0
-	for i := range a.cells {
-		s += math.Float64frombits(a.cells[i].bits.Swap(0))
-	}
-	return s
-}

@@ -1,124 +1,17 @@
 package core
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 )
 
-// The loss accumulator's conservation contract: across any interleaving
-// of concurrent add, sum, and drain, every loss lands in exactly one of
-// (a) some drain's return value or (b) the final residual sum — nothing
-// dropped, nothing double-counted. The tests use integer-valued floats
-// (exact under float64 addition well past these magnitudes), so the
-// checks are equality, not tolerance.
-
-func TestLossShardCount(t *testing.T) {
-	n := lossShardCount()
-	if n < 8 {
-		t.Errorf("shard count %d below floor 8", n)
-	}
-	if n&(n-1) != 0 {
-		t.Errorf("shard count %d not a power of two", n)
-	}
-	if n < runtime.GOMAXPROCS(0) {
-		t.Errorf("shard count %d below GOMAXPROCS %d", n, runtime.GOMAXPROCS(0))
-	}
-}
-
-func TestLossAccumulatorSumDrain(t *testing.T) {
-	var a lossAccumulator
-	a.init(8)
-	total := 0.0
-	for i := 0; i < 100; i++ {
-		v := float64(i + 1)
-		a.add(v, uint64(i))
-		total += v
-	}
-	if got := a.sum(); got != total {
-		t.Fatalf("sum = %v, want %v", got, total)
-	}
-	if got := a.drain(); got != total {
-		t.Fatalf("drain = %v, want %v", got, total)
-	}
-	if got := a.sum(); got != 0 {
-		t.Fatalf("sum after drain = %v, want 0", got)
-	}
-	if got := a.drain(); got != 0 {
-		t.Fatalf("second drain = %v, want 0", got)
-	}
-}
-
-// TestLossAccumulatorConcurrentConservation races adders against a
-// draining goroutine (-race covers the memory model; the equality check
-// covers conservation): drained totals plus the final residual must
-// equal the exact sum of everything added.
-func TestLossAccumulatorConcurrentConservation(t *testing.T) {
-	const (
-		adders = 8
-		perAdd = 2000
-		dr     = 200 // drains interleaved with the adds
-	)
-	var a lossAccumulator
-	a.init(lossShardCount())
-
-	var wg sync.WaitGroup
-	drained := make(chan float64, 1)
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s := 0.0
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				drained <- s
-				return
-			default:
-				s += a.drain()
-				if i%dr == 0 {
-					runtime.Gosched()
-				}
-			}
-		}
-	}()
-
-	var want int64
-	var addWG sync.WaitGroup
-	for g := 0; g < adders; g++ {
-		addWG.Add(1)
-		go func(g int) {
-			defer addWG.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < perAdd; i++ {
-				v := float64(rng.Intn(1000) + 1)
-				a.add(v, uint64(g*perAdd+i))
-			}
-		}(g)
-	}
-	// Recompute the exact expected total deterministically from the same
-	// seeds (the adders race each other, but their values don't).
-	for g := 0; g < adders; g++ {
-		rng := rand.New(rand.NewSource(int64(g)))
-		for i := 0; i < perAdd; i++ {
-			want += int64(rng.Intn(1000) + 1)
-		}
-	}
-	addWG.Wait()
-	close(stop)
-	wg.Wait()
-
-	got := <-drained + a.sum()
-	if got != float64(want) {
-		t.Fatalf("conservation violated: drained+residual = %v, want %v (diff %v)", got, want, got-float64(want))
-	}
-}
-
 // TestControllerLossConservation drives monitored executions (each of
-// which drains the shards into the long-lived total) concurrently with
-// Stats readers and a Restore, then checks the controller-level ledger:
-// mean loss times monitored count must reproduce the exact sum fed in.
+// which adds its loss to the one total under the controller's lock)
+// concurrently with lock-free Stats readers, then checks the
+// controller-level ledger: mean loss times monitored count must
+// reproduce the exact sum fed in — integer-valued losses, so the check
+// is equality, not tolerance.
 // noopPolicy never adjusts the level, so every monitored execution's
 // approximation triggers and its scripted loss is measured.
 type noopPolicy struct{}
@@ -140,7 +33,7 @@ func TestControllerLossConservation(t *testing.T) {
 	var wg, readerWG sync.WaitGroup
 	stop := make(chan struct{})
 	readerWG.Add(1)
-	go func() { // a concurrent Stats reader exercises sum() during drains
+	go func() { // a concurrent Stats reader races the total's writers
 		defer readerWG.Done()
 		for {
 			select {

@@ -27,8 +27,8 @@ func runContinueCond(p *Pass) {
 	// A Finish without any Continue guard means the loop body ran
 	// unguarded: the approximation never had a chance to stop it.
 	forEachFuncBody(p.Files, func(body *ast.BlockStmt) {
-		for _, h := range loopExecHandles(p, body) {
-			if h.obj != nil && !h.escaped && h.finished && !h.continued {
+		for _, h := range trackHandles(p, body) {
+			if h.obj != nil && !h.escaped() && h.finished() && !h.continued {
 				p.reportf(h.beginPos, "%s.Continue never guards a loop before %s.Finish; the loop cannot be approximated", h.obj.Name(), h.obj.Name())
 			}
 		}

@@ -70,7 +70,7 @@ func runFinishPath(p *Pass) {
 			if h.obj == nil || h.escaped() {
 				continue
 			}
-			if len(h.finishCalls) == 0 && len(h.deferFinish) == 0 {
+			if !h.finished() {
 				continue // no Finish anywhere: beginfinish reports that
 			}
 			handles = append(handles, h)

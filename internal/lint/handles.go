@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// This file is the shared tracking layer for the two flow-aware handle
-// analyzers (handleescape, finishpath). Where beginfinish classifies a
-// handle with a single boolean ("escaped: give up"), trackedHandle
-// records *how* each use relates to the pool lifetime of a LoopExec:
-// which statements Finish it, which defers arm a Finish, and which uses
-// move the handle beyond its frame.
+// This file is the one tracking layer under the four handle analyzers
+// (beginfinish, continuecond, finishpath, handleescape). trackedHandle
+// records *how* each use of an execution handle relates to its pool
+// lifetime: which statements Finish it, which defers arm a Finish,
+// whether a Continue ever guards it, and which uses move the handle
+// beyond its frame.
 
 // escapeKind classifies one way a handle value leaves the direct control
 // of the function that called Begin.
@@ -73,12 +73,18 @@ func (e escapeUse) describe() string {
 	return ""
 }
 
-// trackedHandle is one LoopExec variable bound from a Loop.Begin call,
-// with every use classified.
+// trackedHandle is one execution handle (*core.LoopExec or
+// *core.LoopBatch) bound from the call that constructed it, with every
+// use classified.
 type trackedHandle struct {
-	obj      types.Object // the handle variable; nil when discarded
+	obj      types.Object // the handle variable; nil when not bound to one
 	errObj   types.Object // the error variable of the same Begin, if any
 	beginPos token.Pos
+	// discarded: the call is a bare statement or binds the handle to the
+	// blank identifier, so nothing can ever Finish it.
+	discarded bool
+	// continued: a direct h.Continue(...) or h.ContinueN(...) call exists.
+	continued bool
 	// beginStmt is the statement containing the Begin call (assignment
 	// or expression statement), the node the dataflow keys on.
 	beginStmt ast.Node
@@ -98,10 +104,38 @@ type trackedHandle struct {
 // clients must skip such handles.
 func (h *trackedHandle) escaped() bool { return len(h.escapes) > 0 }
 
-// trackHandles finds every Loop.Begin binding in body and classifies all
-// uses of each bound handle. body is analyzed as one frame: uses inside
-// nested function literals are classified as captures, not as inline
-// events (the literal runs at an unknown time relative to Finish).
+// finished reports whether any Finish, inline or deferred, exists.
+func (h *trackedHandle) finished() bool { return len(h.finishCalls)+len(h.deferFinish) > 0 }
+
+// constructsHandle reports whether call returns an execution handle:
+// its first result is a *core.LoopExec or *core.LoopBatch. Judging by
+// the result type instead of a table of method names covers Begin,
+// ExecFeat, ExecN, ExecNFeat and whichever entry point comes next.
+func constructsHandle(info *types.Info, call *ast.CallExpr) bool {
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+		return false // a conversion, not a call
+	}
+	t := info.TypeOf(call)
+	if tup, ok := t.(*types.Tuple); ok && tup.Len() > 0 {
+		t = tup.At(0).Type()
+	}
+	return isPkgType(t, corePath, "LoopExec") || isPkgType(t, corePath, "LoopBatch")
+}
+
+// objectOf resolves an identifier in either defining (:=) or using (=)
+// position.
+func objectOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// trackHandles finds every handle-constructing call in body and
+// classifies all uses of each bound handle. body is analyzed as one
+// frame: uses inside nested function literals are classified as
+// captures, not as inline events (the literal runs at an unknown time
+// relative to Finish).
 func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 	var handles []*trackedHandle
 	byObj := map[types.Object]*trackedHandle{}
@@ -110,7 +144,7 @@ func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 	// statement context, if/for init, ...).
 	walkStack(body, func(n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isMethod(calleeOf(p.Info, call), corePath, "Loop", "Begin") {
+		if !ok || !constructsHandle(p.Info, call) {
 			return
 		}
 		if inFuncLit(stack, body) {
@@ -122,11 +156,13 @@ func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 				len(parent.Rhs) == 1 && parent.Rhs[0] == ast.Expr(call) {
 				h.beginStmt = parent
 				if len(parent.Lhs) >= 1 {
-					if id, ok := parent.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-						if obj := objectOf(p.Info, id); obj != nil {
-							h.obj = obj
-							byObj[obj] = h
-						}
+					if id, ok := parent.Lhs[0].(*ast.Ident); !ok {
+						// bound straight into a field or element: untracked
+					} else if id.Name == "_" {
+						h.discarded = true
+					} else if obj := objectOf(p.Info, id); obj != nil {
+						h.obj = obj
+						byObj[obj] = h
 					}
 				}
 				if len(parent.Lhs) >= 2 {
@@ -136,6 +172,7 @@ func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 				}
 			} else if parent, ok := stack[len(stack)-1].(*ast.ExprStmt); ok {
 				h.beginStmt = parent
+				h.discarded = true
 			}
 		}
 		handles = append(handles, h)
@@ -195,7 +232,8 @@ func classifyUse(p *Pass, h *trackedHandle, id *ast.Ident, stack []ast.Node, bod
 		if parent.X != ast.Expr(id) {
 			return // h is the field name of some other selector: not a use
 		}
-		// h.Method: a direct call to Finish/Continue/ContinueN stays in-frame.
+		// h.Method: a direct call to the handle's own protocol (Finish,
+		// Continue/ContinueN, and a batch's Next/End) stays in-frame.
 		call := callOf(stack, parent)
 		switch {
 		case call != nil && parent.Sel.Name == "Finish":
@@ -208,6 +246,8 @@ func classifyUse(p *Pass, h *trackedHandle, id *ast.Ident, stack []ast.Node, bod
 				h.finishCalls = append(h.finishCalls, call)
 			}
 		case call != nil && (parent.Sel.Name == "Continue" || parent.Sel.Name == "ContinueN"):
+			h.continued = true
+		case call != nil && (parent.Sel.Name == "Next" || parent.Sel.Name == "End"):
 			// in-frame use, nothing to record
 		default:
 			// Method value or unknown selector: conservative.

@@ -7,7 +7,8 @@
 // restored here as a suite of AST/type-based analyzers over the package
 // green and green/internal/core APIs:
 //
-//	beginfinish  — every Loop.Begin execution handle must be Finished
+//	beginfinish  — every execution handle (a *LoopExec or *LoopBatch,
+//	               whichever entry point returned it) must be Finished
 //	continuecond — exec.Continue(i) must guard the for condition (or
 //	               exec.ContinueN(i, n) bound the loop's blocks), with
 //	               a non-constant induction argument

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"green/internal/wire"
 	"green/internal/workload"
 )
 
@@ -276,7 +277,7 @@ type reqReport struct {
 }
 
 func doRequest(ctx context.Context, client *http.Client, cfg Config, q string) reqReport {
-	u := cfg.BaseURL + "/search?q=" + url.QueryEscape(q)
+	u := cfg.BaseURL + wire.PathSearch + "?" + wire.ParamQuery + "=" + url.QueryEscape(q)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return reqReport{outcome: reqFailed}
@@ -305,10 +306,7 @@ func doRequest(ctx context.Context, client *http.Client, cfg Config, q string) r
 	if err != nil {
 		return reqReport{outcome: reqFailed}
 	}
-	var page struct {
-		Degraded     bool     `json:"degraded"`
-		FailedShards []string `json:"failed_shards"`
-	}
+	var page wire.Page
 	if err := json.Unmarshal(body, &page); err != nil {
 		return reqReport{outcome: reqFailed}
 	}

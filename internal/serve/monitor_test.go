@@ -13,6 +13,7 @@ import (
 	"green/internal/chaos"
 	"green/internal/metrics"
 	"green/internal/search"
+	"green/internal/wire"
 )
 
 // TestServeQoSSnapshotMatchesReruns holds the snapshot-and-continue QoS
@@ -133,7 +134,7 @@ func TestDegradedMonitoredLossAgainstPrecise(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("/search?q=%s = %d", word, rec.Code)
 		}
-		var resp searchResponse
+		var resp wire.SearchReply
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}

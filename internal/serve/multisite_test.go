@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"green/internal/wire"
 )
 
 // multiSiteServer builds a service hosting both approximation sites
@@ -33,7 +35,7 @@ func TestApproxAndRegistersSecondController(t *testing.T) {
 		t.Fatalf("registry = %v, want [%s %s]", names, snapshotName, andLoopName)
 	}
 	h := s.Handler()
-	var c configResponse
+	var c wire.Config
 	if err := json.Unmarshal(get(t, h, "/config").Body.Bytes(), &c); err != nil {
 		t.Fatal(err)
 	}

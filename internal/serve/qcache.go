@@ -114,30 +114,3 @@ func (c *queryCache) len() int {
 	}
 	return n
 }
-
-// rawParam extracts the raw (still percent-escaped) value of key from
-// an URL query string without allocating: the warm serve path must not
-// pay url.Values' map for two known parameters. Only literal,
-// unescaped keys are matched — the keys this server defines ("q",
-// "mode") have no characters that escape.
-func rawParam(raw, key string) (val string, ok bool) {
-	for len(raw) > 0 {
-		seg := raw
-		if i := strings.IndexByte(raw, '&'); i >= 0 {
-			seg, raw = raw[:i], raw[i+1:]
-		} else {
-			raw = ""
-		}
-		eq := strings.IndexByte(seg, '=')
-		if eq < 0 {
-			if seg == key {
-				return "", true
-			}
-			continue
-		}
-		if seg[:eq] == key {
-			return seg[eq+1:], true
-		}
-	}
-	return "", false
-}

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"green/internal/wire"
 )
 
 func TestQueryCachePutGet(t *testing.T) {
@@ -91,9 +93,9 @@ func TestRawParam(t *testing.T) {
 		{"&", "q", "", false},
 	}
 	for _, c := range cases {
-		val, ok := rawParam(c.raw, c.key)
+		val, ok := wire.RawParam(c.raw, c.key)
 		if val != c.val || ok != c.ok {
-			t.Errorf("rawParam(%q, %q) = (%q, %v), want (%q, %v)",
+			t.Errorf("wire.RawParam(%q, %q) = (%q, %v), want (%q, %v)",
 				c.raw, c.key, val, ok, c.val, c.ok)
 		}
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"testing"
+
+	"green/internal/wire"
 )
 
 // TestAppendSearchJSONMatchesEncodingJSON pins the hand-rolled encoder
@@ -11,7 +13,7 @@ import (
 // escaping corners: quotes, backslashes, control bytes, the HTML set
 // (<, >, &), and multi-byte UTF-8.
 func TestAppendSearchJSONMatchesEncodingJSON(t *testing.T) {
-	cases := []searchResponse{
+	cases := []wire.SearchReply{
 		{Query: "alpha beta", Docs: []int{3, 1, 4}, DocsScored: 42, Approximated: true, MonitoredScan: false},
 		{Query: "", Docs: nil, DocsScored: 0},
 		{Query: "empty docs", Docs: []int{}, DocsScored: 1, MonitoredScan: true},
@@ -30,36 +32,9 @@ func TestAppendSearchJSONMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendSearchJSON(nil, &r)
+		got := r.AppendJSON(nil)
 		if string(got) != string(want)+"\n" {
 			t.Errorf("query %q:\n got %s\nwant %s\\n", r.Query, got, want)
-		}
-	}
-}
-
-// TestAppendJSONFloatMatchesEncodingJSON sweeps the float encoder over
-// deterministic pseudo-random values spanning the 'f'/'e' format
-// boundary, pinning it to encoding/json digit for digit.
-func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
-	vals := []float64{0, -0, 1, -1, 0.1, 1e-6, 9.99e-7, 1e21, 9.99e20, -1e21, 2e-9, -3.25e-8, 1e308, 5e-324}
-	// A deterministic LCG sweep: mantissa/exponent combinations without
-	// pulling math/rand into a non-calibration test path.
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 2000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		m := float64(x%(1<<52)) / float64(uint64(1)<<(x%60))
-		if x%2 == 0 {
-			m = -m
-		}
-		vals = append(vals, m)
-	}
-	for _, v := range vals {
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
-			t.Errorf("float %v: got %s, want %s", v, got, want)
 		}
 	}
 }
@@ -67,10 +42,10 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 // TestAppendSearchJSONReusesBuffer checks the append contract: an
 // adequately sized buffer is reused without allocating.
 func TestAppendSearchJSONReusesBuffer(t *testing.T) {
-	r := searchResponse{Query: "warm", Docs: []int{1, 2, 3}, DocsScored: 30, Approximated: true}
-	buf := appendSearchJSON(nil, &r)
+	r := wire.SearchReply{Query: "warm", Docs: []int{1, 2, 3}, DocsScored: 30, Approximated: true}
+	buf := r.AppendJSON(nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendSearchJSON(buf[:0], &r)
+		buf = r.AppendJSON(buf[:0])
 	})
 	if allocs != 0 {
 		t.Errorf("warm encode allocates %.1f times, want 0", allocs)

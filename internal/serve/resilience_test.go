@@ -9,6 +9,7 @@ import (
 
 	"green/internal/chaos"
 	"green/internal/persist"
+	"green/internal/wire"
 )
 
 // resilientServer builds a small service with resilience-test overrides.
@@ -26,13 +27,13 @@ func resilientServer(t *testing.T, mutate func(*Config)) *Server {
 	return s
 }
 
-func decodeStats(t *testing.T, h http.Handler) statsResponse {
+func decodeStats(t *testing.T, h http.Handler) wire.Stats {
 	t.Helper()
 	rec := get(t, h, "/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/stats status = %d", rec.Code)
 	}
-	var st statsResponse
+	var st wire.Stats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestDeadlineServesPartialResults(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("deadline /search = %d, want 200 with partial results", rec.Code)
 	}
-	var resp searchResponse
+	var resp wire.SearchReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,359 @@
+package serve
+
+import (
+	"context"
+	"net/http"
+	"net/url"
+	"strings"
+	"sync"
+	"time"
+
+	"green/internal/chaos"
+	"green/internal/core"
+	"green/internal/metrics"
+	"green/internal/search"
+	"green/internal/wire"
+)
+
+// The /search request path in the order a request runs it: admission,
+// handler, query cache, the controlled scan with its QoS adapter, the
+// encoded reply. Nothing on the warm path touches the allocator (gated
+// by TestServeWarmPathZeroAlloc and check.sh).
+
+// withResilience wraps a handler with the in-flight cap (shed with 503
+// + Retry-After instead of queuing unboundedly). The per-request
+// deadline is NOT a context here: context.WithTimeout allocates a
+// timer and a context per request, so the serving path instead carries
+// an explicit deadline time (see serveQuery), which costs one time.Now
+// read at entry and nothing on the allocator.
+func (s *Server) withResilience(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cfg.MaxInFlight > 0 {
+			if s.inFlight.Add(1) > int64(s.cfg.MaxInFlight) {
+				s.inFlight.Add(-1)
+				s.ops.Shed.Add(1)
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, "overloaded: request shed", http.StatusServiceUnavailable)
+				return
+			}
+			defer s.inFlight.Add(-1)
+		}
+		h(w, r)
+	}
+}
+
+// handleSearch serves one query. The handler is side-effect-free per
+// request by design — retries and hedged duplicates from a coordinator
+// are safe: serving the same query twice touches no state beyond
+// monotonic counters (queries/docs-scored/ops) and the controller's
+// monitored-sampling stream, and returns the same ranked page both
+// times (TestSearchHandlerIdempotent). Keep it that way: any per-query
+// mutation added here must be idempotent or moved off this path.
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	rawQ, ok := wire.RawParam(r.URL.RawQuery, wire.ParamQuery)
+	if !ok || rawQ == "" {
+		http.Error(w, "missing q parameter", http.StatusBadRequest)
+		return
+	}
+	cq, cached := s.parsedQuery(rawQ)
+	if cq == nil {
+		http.Error(w, "missing q parameter", http.StatusBadRequest)
+		return
+	}
+	q := search.Query{Terms: cq.terms}
+	feat := cq.feat
+	if cached {
+		feat.Aux2 = 1
+	}
+	mode, _ := wire.RawParam(r.URL.RawQuery, wire.ParamMode)
+	scores, _ := wire.RawParam(r.URL.RawQuery, wire.ParamScores)
+	and := false
+	switch mode {
+	case "", wire.ModeOr:
+	case wire.ModeAnd:
+		and = true
+	default:
+		http.Error(w, "mode must be 'or' or 'and'", http.StatusBadRequest)
+		return
+	}
+	if and && s.and == nil {
+		// Without ApproxAnd, strict conjunctive queries bypass
+		// approximation: conjunctive match sets are short enough to serve
+		// precisely.
+		docs, n := s.engine.SearchAnd(q, s.cfg.TopN, 0)
+		s.queries.Add(1)
+		s.docsScored.Add(int64(n))
+		wire.WriteJSON(w, &wire.SearchReply{Query: cq.echo, Docs: docs, DocsScored: n})
+		return
+	}
+	sc := scratchPool.Get().(*serveScratch)
+	sc.wantScores = scores == "1"
+	loop, scan := s.loop, docScanner(&sc.scan)
+	if and {
+		// The conjunctive scan is its own registered approximation site,
+		// with its own calibrated model and controller.
+		loop, scan = s.and, &sc.scanAnd
+	}
+	scan.Reset(s.engine, q, s.cfg.TopN)
+	var deadline time.Time // zero: no deadline
+	if s.cfg.RequestTimeout > 0 {
+		deadline = time.Now().Add(s.cfg.RequestTimeout)
+	}
+	if err := s.serveQuery(r.Context(), deadline, loop, scan, q, feat, and, sc); err != nil {
+		sc.release()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	sc.resp.Query = cq.echo
+	sc.buf = sc.resp.AppendJSON(sc.buf[:0])
+	wire.WriteRaw(w, sc.buf)
+	sc.release()
+}
+
+// parsedQuery resolves the raw q parameter value through the
+// preparsed-query cache; a miss unescapes, tokenizes, computes the
+// query's Select-stage features, and populates the cache. A nil return
+// means the query was empty or unparseable (the caller 400s). cached
+// reports whether the parse was served from the cache (the hit state
+// feeds the feature vector's Aux2).
+func (s *Server) parsedQuery(rawQ string) (cq *cachedQuery, cached bool) {
+	if cq := s.qcache.get(rawQ); cq != nil {
+		s.ops.QueryCacheHits.Add(1)
+		return cq, true
+	}
+	s.ops.QueryCacheMisses.Add(1)
+	qstr, err := url.QueryUnescape(rawQ)
+	if err != nil || strings.TrimSpace(qstr) == "" {
+		return nil, false
+	}
+	terms := s.termsOf(qstr)
+	cq = &cachedQuery{echo: qstr, terms: terms, feat: s.queryFeat(terms)}
+	s.qcache.put(rawQ, cq)
+	return cq, false
+}
+
+// termsOf maps query words onto the synthetic vocabulary by hashing —
+// the stand-in for a tokenizer + dictionary over a real index. Words hash
+// into the *popular* post-stopword band of the Zipf vocabulary: real
+// query traffic overwhelmingly hits common terms, and that is the
+// distribution the engine was calibrated for.
+func (s *Server) termsOf(q string) []int {
+	fields := strings.Fields(strings.ToLower(q))
+	terms := make([]int, 0, len(fields))
+	band := s.engine.Vocab() / 10
+	if band < 1 {
+		band = 1
+	}
+	for _, f := range fields {
+		t := s.engine.StopTerms() + int(qcacheHash(f)%uint32(band))
+		if t >= s.engine.Vocab() {
+			t = s.engine.Vocab() - 1
+		}
+		dup := false
+		for _, u := range terms {
+			if u == t {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			terms = append(terms, t)
+		}
+	}
+	return terms
+}
+
+// docScanner is the incremental scan surface serveQuery drives and
+// serveQoS reads its pages from — both the disjunctive Scan and the
+// conjunctive ScanAnd satisfy it.
+type docScanner interface {
+	Reset(e *search.Engine, q search.Query, topN int)
+	StepN(k int) int
+	Processed() int
+	Exhausted() bool
+	TopNInto([]int) []int
+	TopNResultsInto([]search.Result) []search.Result
+}
+
+// scanBlock is the most documents one ContinueN/StepN round scores: the
+// stop law and the deadline are consulted once per block, the kernel
+// runs the block as one tight loop. At the kernel's 2–10 ns a document
+// that is a deadline check every ~0.5–2.5 µs of scanning, and the
+// per-block ContinueN + ctx.Err() + time.Now() stays a few percent of
+// the block it guards.
+const scanBlock = 256
+
+// serveScratch is the pooled per-request working set of the /search
+// path: the scanners, the response struct with its docs slice, and the
+// JSON encode buffer. One pool Get serves the whole request.
+type serveScratch struct {
+	scan    search.Scan
+	scanAnd search.ScanAnd
+	resp    wire.SearchReply
+	buf     []byte
+	// wantScores asks serveQuery for the score-bearing page; results and
+	// scores are its reusable buffers (resp.Scores is nil on the plain
+	// path, so the backing array is retained here).
+	wantScores bool
+	results    []search.Result
+	scores     []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
+
+func (sc *serveScratch) release() {
+	sc.resp.Query = "" // drop the cached-echo reference
+	scratchPool.Put(sc)
+}
+
+// serveQuery runs one query's scan under the given loop controller into
+// sc.resp, honoring the client context (cancellation) and the explicit
+// deadline: if either expires mid-scan the partial results scored so
+// far are returned, marked degraded. The request runs one scan, in
+// blocks: the controller grants up to scanBlock iterations at a time
+// (ContinueN, exactly as many true Continue calls), the kernel scores
+// them in one StepN, and a monitored request's QoS is read off that
+// same scan (serveQoS). and selects the conjunctive retrieval for the
+// QoS adapter's fallback reruns, which must execute the same retrieval
+// semantics as the scan being judged.
+func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, q search.Query, feat core.Features, and bool, sc *serveScratch) error {
+	qos := serveQoSPool.Get().(*serveQoS)
+	qos.engine, qos.query, qos.topN = s.engine, q, s.cfg.TopN
+	qos.chaos = s.cfg.Chaos
+	qos.and = and
+	qos.scan = scan
+	exec, err := loop.ExecFeat(qos, feat)
+	if err != nil {
+		qos.release()
+		return err
+	}
+	expired := func() bool {
+		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
+	}
+	i := 0
+	// An already-expired deadline still serves (an empty page beats an
+	// error); mid-scan, the deadline is checked once per block.
+	degraded := expired()
+	if !degraded {
+		for k := exec.ContinueN(i, scanBlock); k > 0; k = exec.ContinueN(i, scanBlock) {
+			n := scan.StepN(k)
+			i += n
+			if n < k {
+				break // out of matching documents
+			}
+			if expired() {
+				degraded = true
+				break
+			}
+		}
+	}
+	// Finish is the controller's last use of qos (Loss runs inside it),
+	// so the adapter can be recycled right after.
+	res := exec.Finish(i)
+	qos.release()
+	if degraded {
+		s.ops.DeadlinePartial.Add(1)
+		s.ops.Degraded.Add(1)
+	}
+	s.queries.Add(1)
+	s.docsScored.Add(int64(scan.Processed()))
+	if res.Monitored && !res.ContainedPanic && !degraded {
+		s.monitoredFullDocs.Add(int64(scan.Processed()))
+		s.monitoredQueries.Add(1)
+	}
+	sc.resp = wire.SearchReply{
+		Docs:          sc.resp.Docs,
+		Scores:        nil,
+		DocsScored:    scan.Processed(),
+		Approximated:  res.Approximated,
+		MonitoredScan: res.Monitored,
+		Degraded:      degraded,
+	}
+	if sc.wantScores {
+		// The coordinator's merge needs exact scores; split the ranked
+		// (doc, score) page into the two parallel response arrays.
+		sc.results = scan.TopNResultsInto(sc.results[:0])
+		docs := sc.resp.Docs[:0]
+		scores := sc.scores[:0]
+		for _, r := range sc.results {
+			docs = append(docs, int(r.Doc))
+			scores = append(scores, r.Score)
+		}
+		sc.resp.Docs, sc.resp.Scores, sc.scores = docs, scores, scores
+	} else {
+		sc.resp.Docs = scan.TopNInto(sc.resp.Docs)
+	}
+	return nil
+}
+
+// serveQoS adapts a served query to core.LoopQoS by snapshot-and-
+// continue, the paper's monitored run: "store the QoS value and do not
+// terminate the loop early". Record copies the request's own scan page
+// at the iteration the approximation would have stopped; the scan then
+// runs on to exhaustion, and Loss compares that snapshot with the
+// scan's final page — the precise answer, which the request is serving
+// anyway. A monitored request therefore costs one full scan. Rerunning
+// the query on the engine is the fallback only: Record reruns the capped
+// search when the scan is not at the recorded iteration, Loss reruns
+// the precise search when the scan did not reach exhaustion (deadline,
+// cancellation), so a loss is never measured against a partial page.
+//
+// Adapters are pooled and keep their two page buffers across requests,
+// so the monitored path allocates nothing either. The chaos injector
+// hooks live here: the QoS callbacks are exactly the user-code surface
+// the controller's panic containment guards, so this is where the
+// fault-injection harness aims.
+type serveQoS struct {
+	engine *search.Engine
+	query  search.Query
+	topN   int
+	scan   docScanner // the request's own scan
+	chaos  *chaos.Injector
+	// and selects the conjunctive retrieval for the fallback reruns,
+	// matching the scan being judged.
+	and bool
+	// recorded is the page at the record point, precise the buffer for
+	// the final one; both backing arrays survive release.
+	recorded []int
+	precise  []int
+}
+
+var serveQoSPool = sync.Pool{New: func() any { return new(serveQoS) }}
+
+func (q *serveQoS) release() {
+	*q = serveQoS{recorded: q.recorded[:0], precise: q.precise[:0]}
+	serveQoSPool.Put(q)
+}
+
+// search reruns the query on the engine from scratch (maxDocs <= 0:
+// uncapped), the fallback for a page the scan cannot supply.
+func (q *serveQoS) search(maxDocs int) []int {
+	if q.and {
+		docs, _ := q.engine.SearchAnd(q.query, q.topN, maxDocs)
+		return docs
+	}
+	docs, _ := q.engine.Search(q.query, q.topN, maxDocs)
+	return docs
+}
+
+func (q *serveQoS) Record(iter int) {
+	q.chaos.MaybeDelay("qos.record")
+	q.chaos.MaybePanic("qos.record")
+	// iter > 0: a cap of zero means "no cap" to the engine, and the
+	// rerun keeps that meaning.
+	if iter > 0 && q.scan.Processed() == iter {
+		q.recorded = q.scan.TopNInto(q.recorded)
+		return
+	}
+	q.recorded = q.search(iter)
+}
+
+func (q *serveQoS) Loss(int) float64 {
+	q.chaos.MaybeDelay("qos.loss")
+	q.chaos.MaybePanic("qos.loss")
+	if !q.scan.Exhausted() {
+		return metrics.QueryLoss(q.search(0), q.recorded)
+	}
+	q.precise = q.scan.TopNInto(q.precise)
+	return metrics.QueryLoss(q.precise, q.recorded)
+}

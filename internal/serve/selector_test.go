@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"green/internal/wire"
 )
 
 // TestFeatureEdges covers the quantile-edge derivation: ascending cut
@@ -75,7 +77,7 @@ func TestServeSelectorEndToEnd(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
-	var resp statsResponse
+	var resp wire.Stats
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

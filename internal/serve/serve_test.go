@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"green/internal/wire"
 )
 
 // testServer builds a small service once per test run.
@@ -51,7 +53,7 @@ func TestSearchEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
-	var resp searchResponse
+	var resp wire.SearchReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 	// Same query again: deterministic results.
 	rec2 := get(t, h, "/search?q=alpha+beta")
-	var resp2 searchResponse
+	var resp2 wire.SearchReply
 	if err := json.Unmarshal(rec2.Body.Bytes(), &resp2); err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +93,12 @@ func TestSearchAndMode(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
-	var andResp searchResponse
+	var andResp wire.SearchReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &andResp); err != nil {
 		t.Fatal(err)
 	}
 	rec = get(t, h, "/search?q=alpha+beta&mode=or")
-	var orResp searchResponse
+	var orResp wire.SearchReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &orResp); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var st statsResponse
+	var st wire.Stats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestStatsEndpoint(t *testing.T) {
 func TestConfigEndpoint(t *testing.T) {
 	h := testServer(t).Handler()
 	rec := get(t, h, "/config")
-	var c configResponse
+	var c wire.Config
 	if err := json.Unmarshal(rec.Body.Bytes(), &c); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestApproximationSavesWork(t *testing.T) {
 		}
 	}
 	rec := get(t, h, "/stats")
-	var st statsResponse
+	var st wire.Stats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestConcurrentRequests(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	var st statsResponse
+	var st wire.Stats
 	rec := get(t, s.Handler(), "/stats")
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)

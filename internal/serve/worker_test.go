@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"green/internal/wire"
 )
 
 // workerServer builds a small shard worker.
@@ -36,7 +38,7 @@ func TestSearchScoresParam(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
-	var resp searchResponse
+	var resp wire.SearchReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestSearchScoresParam(t *testing.T) {
 	if strings.Contains(rec.Body.String(), `"scores"`) {
 		t.Errorf("scores emitted without scores=1: %s", rec.Body)
 	}
-	var plain searchResponse
+	var plain wire.SearchReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &plain); err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +80,13 @@ func TestSearchScoresParam(t *testing.T) {
 func TestSearchHandlerIdempotent(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
-	var first searchResponse
+	var first wire.SearchReply
 	for i := 0; i < 10; i++ {
 		rec := get(t, h, "/search?q=river+stone&scores=1")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("call %d: status %d", i, rec.Code)
 		}
-		var resp searchResponse
+		var resp wire.SearchReply
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +122,7 @@ func TestModelEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
-	var resp modelResponse
+	var resp wire.Model
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestWorkerShardConfig(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var resp searchResponse
+	var resp wire.SearchReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"green/internal/wire"
 )
 
 // nullRW is a ResponseWriter whose warm-path methods touch no
@@ -58,7 +60,7 @@ func TestServeWarmPathZeroAlloc(t *testing.T) {
 			// about: sampled, and scanned past M, so Record took its snapshot.
 			rec := httptest.NewRecorder()
 			h(rec, req)
-			var resp searchResponse
+			var resp wire.SearchReply
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)
 			}

@@ -1,0 +1,223 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"net/url"
+	"strings"
+	"testing"
+)
+
+// TestAppendJSONFloatMatchesEncodingJSON sweeps the float encoder over
+// deterministic pseudo-random values spanning the 'f'/'e' format
+// boundary, pinning it to encoding/json digit for digit.
+func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
+	vals := []float64{0, -0, 1, -1, 0.1, 1e-6, 9.99e-7, 1e21, 9.99e20, -1e21, 2e-9, -3.25e-8, 1e308, 5e-324}
+	// A deterministic LCG sweep: mantissa/exponent combinations without
+	// pulling math/rand into a non-calibration test path.
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 2000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		m := float64(x%(1<<52)) / float64(uint64(1)<<(x%60))
+		if x%2 == 0 {
+			m = -m
+		}
+		vals = append(vals, m)
+	}
+	for _, v := range vals {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, v); string(got) != string(want) {
+			t.Errorf("float %v: got %s, want %s", v, got, want)
+		}
+	}
+}
+
+// encodeStd is the reference encoding of every /search body: what the
+// handlers would write through encoding/json.
+func encodeStd(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzSearchReply is the one target for the whole hot protocol. Each
+// input is read three ways:
+//
+//   - body as bytes off a socket: ParseJSON must not panic and must
+//     never accept a reply whose docs and scores are not parallel;
+//   - body as raw material for a reply (12 bytes a document: id, then
+//     score bits) with flags choosing the booleans, nil-vs-empty docs
+//     and whether scores ride along: AppendJSON must match encoding/json
+//     byte for byte, a scored reply must survive ParseJSON(AppendJSON(x))
+//     unchanged (Query aside, which the parser skips), and the
+//     coordinator's Page built from the same material must match
+//     encoding/json too;
+//   - query as a raw URL query string: wherever url.ParseQuery accepts
+//     it, RawParam must find the same first value for each of the three
+//     parameter names.
+//
+// The seeds are the shapes the handlers emit and the bodies the chaos
+// harness produces.
+func FuzzSearchReply(f *testing.F) {
+	doc := func(id int32, score float64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(id))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(score))
+	}
+	f.Add([]byte(`{"query":"ocean tree","docs":[3,1,4],"scores":[9.5,8.25,1e-7],"docs_scored":42,"approximated":true,"monitored":false}`+"\n"), "q=alpha+beta&mode=and", uint8(0))
+	f.Add([]byte(`{"query":"quote \" and \\ done","future":{"nested":[1,{"x":"]"}]},"docs":[1],"maybe":null,"ratio":-1.5e-9,"flag":false,"scores":[2],"docs_scored":3}`), "mode=and&q=x&scores=1", uint8(1))
+	f.Add([]byte(`{"docs":null,"scores":null,"docs_scored":0}`), "q=%20hi%20&q=second", uint8(2))
+	f.Add([]byte("{\n  \"docs\": [ 3 , 1 ],\n  \"scores\": [ 9.5, 8 ],\n  \"docs_scored\": 4\n}\n"), "q", uint8(4))
+	f.Add([]byte(`{"docs":[3,1],"docs_scored":4}`), "qq=x&q=y&&=v", uint8(8))
+	f.Add([]byte(`{"docs":[3,x],"scores":[--1],"docs_scored":4`), "q=%zz&mode=", uint8(16))
+	f.Add([]byte("<html>502 bad gateway</html>"), "q=a=b&", uint8(31))
+	f.Add(bytes.Join([][]byte{doc(3, 12.75), doc(1, 3.5)}, nil), `quote " backslash \ <script>&amp;`, uint8(16|1))
+	f.Add(bytes.Join([][]byte{doc(-1, 0), doc(1<<30, -0.25), doc(5, 1e-7), doc(6, 2.5e21), doc(7, 1e21), doc(8, 123456789.123)}, nil), "tab\tnl\nbell\x01 héllo → 日本", uint8(16|4|2))
+	f.Add([]byte{}, "", uint8(8))
+
+	f.Fuzz(func(t *testing.T, body []byte, query string, flags uint8) {
+		// 1. Arbitrary bytes into the parser.
+		var parsed SearchReply
+		if err := parsed.ParseJSON(body); err == nil && len(parsed.Docs) != len(parsed.Scores) {
+			t.Fatalf("accepted %d docs with %d scores: %q", len(parsed.Docs), len(parsed.Scores), body)
+		}
+
+		// 2. A reply built from the same bytes, through both codecs.
+		x := SearchReply{
+			Query:         query,
+			DocsScored:    len(body),
+			Approximated:  flags&1 != 0,
+			MonitoredScan: flags&2 != 0,
+			Degraded:      flags&4 != 0,
+		}
+		if flags&8 == 0 {
+			x.Docs = []int{}
+		}
+		scored := flags&16 != 0
+		for ; len(body) >= 12; body = body[12:] {
+			score := math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
+			if math.IsNaN(score) || math.IsInf(score, 0) {
+				continue // encoding/json refuses them; scores are finite sums
+			}
+			x.Docs = append(x.Docs, int(int32(binary.LittleEndian.Uint32(body))))
+			if scored {
+				x.Scores = append(x.Scores, score)
+			}
+		}
+		enc := x.AppendJSON(nil)
+		if want := encodeStd(t, &x); !bytes.Equal(enc, want) {
+			t.Fatalf("reply encoding diverges from encoding/json:\n got %s\nwant %s", enc, want)
+		}
+		if scored || len(x.Docs) == 0 {
+			var y SearchReply
+			if err := y.ParseJSON(enc); err != nil {
+				t.Fatalf("own encoding rejected: %v\n%s", err, enc)
+			}
+			same := y.Query == "" && len(y.Docs) == len(x.Docs) && len(y.Scores) == len(x.Scores) &&
+				y.DocsScored == x.DocsScored && y.Approximated == x.Approximated &&
+				y.MonitoredScan == x.MonitoredScan && y.Degraded == x.Degraded
+			for i := 0; same && i < len(x.Docs); i++ {
+				same = y.Docs[i] == x.Docs[i]
+			}
+			for i := 0; same && i < len(x.Scores); i++ {
+				same = math.Float64bits(y.Scores[i]) == math.Float64bits(x.Scores[i])
+			}
+			if !same {
+				t.Fatalf("round trip changed the reply:\n in %+v\nout %+v\nvia %s", x, y, enc)
+			}
+		}
+		page := Page{
+			Query: query, Docs: x.Docs, DocsScored: x.DocsScored, Degraded: x.Degraded,
+			ShardsOK: int(flags), ShardsTotal: len(x.Docs), FailedShards: strings.Fields(query),
+		}
+		if got, want := page.AppendJSON(nil), encodeStd(t, &page); !bytes.Equal(got, want) {
+			t.Fatalf("page encoding diverges from encoding/json:\n got %s\nwant %s", got, want)
+		}
+
+		// 3. The same string as a raw URL query.
+		vals, err := url.ParseQuery(query)
+		if err != nil {
+			return
+		}
+		// An escaped key ("%71=x") is a q to url.ParseQuery and no
+		// parameter at all to RawParam, by contract; compare only where
+		// every key is spelled literally.
+		literal := !strings.ContainsAny(keysOf(query), "%+")
+		for _, key := range []string{ParamQuery, ParamMode, ParamScores} {
+			raw, ok := RawParam(query, key)
+			if !literal {
+				continue
+			}
+			if ok != (len(vals[key]) > 0) {
+				t.Fatalf("RawParam(%q, %q) found=%v, url.ParseQuery has %q", query, key, ok, vals[key])
+			}
+			if !ok {
+				continue
+			}
+			if val, err := url.QueryUnescape(raw); err != nil || val != vals[key][0] {
+				t.Fatalf("RawParam(%q, %q) = %q, url.ParseQuery's first is %q", query, key, raw, vals[key][0])
+			}
+		}
+	})
+}
+
+// keysOf returns the key part of every segment of a raw query string.
+func keysOf(raw string) string {
+	var keys []string
+	for _, seg := range strings.Split(raw, "&") {
+		key, _, _ := strings.Cut(seg, "=")
+		keys = append(keys, key)
+	}
+	return strings.Join(keys, "&")
+}
+
+// TestDecodeBudget: the POST /budget body comes from outside the
+// process. Bodies that are not one JSON object with a numeric level —
+// NaN and Infinity are not JSON, an out-of-range literal does not fit a
+// float64, an oversized body is cut at the limit — fail to decode;
+// decodable non-positive levels are caught by LevelOK.
+func TestDecodeBudget(t *testing.T) {
+	huge := `{"controller":"` + strings.Repeat("x", 1<<16) + `","level":5}`
+	cases := []struct {
+		name, body string
+		decodes    bool
+		levelOK    bool
+		want       Budget
+	}{
+		{"valid", `{"controller":"serve.and","level":250}`, true, true, Budget{"serve.and", 250}},
+		{"default controller", `{"level":1e3}`, true, true, Budget{"", 1000}},
+		{"unknown field", `{"level":5,"epoch":7}`, true, true, Budget{"", 5}},
+		{"negative", `{"level":-5}`, true, false, Budget{"", -5}},
+		{"zero", `{"level":0}`, true, false, Budget{}},
+		{"missing level", `{"controller":"serve.match"}`, true, false, Budget{"serve.match", 0}},
+		{"NaN", `{"level":NaN}`, false, false, Budget{}},
+		{"Infinity", `{"level":Infinity}`, false, false, Budget{}},
+		{"out of range", `{"level":1e999}`, false, false, Budget{}},
+		{"string level", `{"level":"5"}`, false, false, Budget{}},
+		{"empty", ``, false, false, Budget{}},
+		{"not an object", `[5]`, false, false, Budget{}},
+		{"oversized", huge, false, false, Budget{}},
+	}
+	for _, c := range cases {
+		got, err := DecodeBudget(strings.NewReader(c.body))
+		if (err == nil) != c.decodes {
+			t.Errorf("%s: decode error = %v, want decodes=%v", c.name, err, c.decodes)
+			continue
+		}
+		if err == nil && (got != c.want || got.LevelOK() != c.levelOK) {
+			t.Errorf("%s: got %+v (LevelOK %v), want %+v (LevelOK %v)", c.name, got, got.LevelOK(), c.want, c.levelOK)
+		}
+	}
+	for _, lvl := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if (Budget{Level: lvl}).LevelOK() {
+			t.Errorf("LevelOK accepted %v", lvl)
+		}
+	}
+}

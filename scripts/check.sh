@@ -109,11 +109,18 @@ go test -run '^$' -fuzz FuzzScanBlocks -fuzztime 10s ./internal/search
 # the hardware divide, against count % Sample_QoS == 0 for any count and
 # any interval.
 go test -run '^$' -fuzz FuzzSamplingDivides -fuzztime 10s ./internal/core
+# And ten over the serving tier's wire protocol, one target because the
+# protocol has one home: both /search encoders against encoding/json,
+# the shard-reply parser on arbitrary bytes and on its own encoder's
+# output, RawParam against url.ParseQuery. (The target calls into
+# encoding/json, whose caches make coverage irreproducible; without the
+# cap the default minute of minimisation per input eats the smoke.)
+go test -run '^$' -fuzz FuzzSearchReply -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 
 echo "== race (concurrency-sensitive packages) =="
 go test -race ./internal/core ./internal/serve ./internal/loadgen ./internal/search \
 	./internal/metrics ./internal/taskgraph ./internal/chaos ./internal/persist \
-	./internal/cluster .
+	./internal/cluster ./internal/wire .
 
 echo "== chaos smoke =="
 # A short seeded fault-injection run under the race detector: injected
@@ -219,6 +226,30 @@ print("hot path: leaves inlinable, no whole-member copy in begin or Finish")
 EOF
 	rm -rf "$tmp"
 	[ "$status" -eq 0 ] || exit 1
+fi
+
+echo "== wire protocol has one owner =="
+# Another gate with no clock in it: what crosses a socket in the serving
+# tier is written down once. Each of these key and path literals may
+# appear in the non-test Go source of internal/wire and of no other
+# package (bench/ is a module a PR may not edit and keeps its own
+# decoders), and the three helpers worker, coordinator and load
+# generator each used to carry a copy of may not grow one back.
+for lit in '"docs_scored"' '"mean_monitored_loss"' '"pred_loss"' '"failed_shards"' '"/budget"' '"/model"'; do
+	owners=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		--exclude-dir=testdata --exclude-dir=.bench_build --exclude-dir=.git -e "$lit" . |
+		xargs -n1 dirname | sort -u | tr '\n' ' ')
+	if [ "$owners" != "./internal/wire " ]; then
+		echo "FAIL: $lit appears in: $owners(want ./internal/wire only)" >&2
+		exit 1
+	fi
+done
+copies=$(grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=.git \
+	'^func (appendJSONString|rawParam|writeJSON)\(' . | grep -v '^\./internal/wire/' || true)
+if [ -n "$copies" ]; then
+	echo "FAIL: private copies of internal/wire helpers:" >&2
+	echo "$copies" >&2
+	exit 1
 fi
 
 echo "== coordinator scatter path stays bounded =="
