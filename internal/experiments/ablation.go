@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"green/internal/core"
-	"green/internal/metrics"
 	"green/internal/model"
 	"green/internal/workload"
 )
@@ -106,7 +105,7 @@ func runAblationPolicy(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := f.buildLoopModel(f.calQueries)
+	m, err := f.loopModel(f.calQueries)
 	if err != nil {
 		return nil, err
 	}
@@ -137,24 +136,17 @@ func runAblationPolicy(o Options) (*Table, error) {
 		bad := 0
 		for i := 0; i < nQ; i++ {
 			q := queries[i%len(queries)]
-			exec, err := loop.Begin(&searchLoopQoS{engine: f.engine, query: q, topN: f.topN})
-			if err != nil {
+			if _, err := f.serve(loop, q); err != nil {
 				return nil, err
 			}
-			s := f.engine.NewScan(q, f.topN)
-			j := 0
-			for exec.Continue(j) && s.Step() {
-				j++
-			}
-			exec.Finish(j)
 			if loop.Level() != prevLevel {
 				levelChanges++
 				prevLevel = loop.Level()
 			}
 			// Measure the loss this configuration would produce.
-			precise, _ := f.engine.Search(q, f.topN, 0)
-			approx, _ := f.engine.Search(q, f.topN, int(loop.Level()))
-			bad += int(metrics.QueryLoss(precise, approx))
+			var loss, work [1]float64
+			f.measure(q, []float64{loop.Level()}, 0, loss[:], work[:])
+			bad += int(loss[0])
 		}
 		t.AddRow(v.name,
 			fmt.Sprintf("%.1f", 100*float64(levelChanges)/float64(nQ)),
@@ -173,24 +165,29 @@ func runAblationAdaptive(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	queries := f.tstQueries
-	precise := f.preciseResults(queries)
-
-	adaptive := searchVersion{name: "adaptive", adaptivePeriod: f.refN / 2}
-	adLoss, adRep := f.evaluate(adaptive, queries, precise)
+	mults := []float64{0.5, 0.75, 1, 1.5, 2, 3, 4}
+	names := make([]string, len(mults), len(mults)+1)
+	caps := make([]float64, len(mults))
+	for i, mult := range mults {
+		names[i], caps[i] = fmt.Sprintf("M=%.2gN (static)", mult), mult*float64(f.refN)
+	}
+	sw, err := f.sweep(f.tstQueries, append(names, "M-PRO-0.5N (adaptive)"), caps, f.refN/2)
+	if err != nil {
+		return nil, err
+	}
+	losses := sw.means()
+	reps, _ := sw.reports(f.cost, "doc")
+	adLoss, adRep := losses[len(mults)], reps[len(mults)]
 
 	t := &Table{Columns: []string{"version", "QoS loss", "time (norm., adaptive = 100)"}}
-	t.AddRow("M-PRO-0.5N (adaptive)", pct(adLoss), "100.0")
+	t.AddRow(sw.names[len(mults)], pct(adLoss), "100.0")
 	// Static sweep: find the smallest static M with loss <= adaptive's.
 	matched := false
-	for _, mult := range []float64{0.5, 0.75, 1, 1.5, 2, 3, 4} {
-		v := searchVersion{name: "static", maxDocs: int(mult * float64(f.refN))}
-		loss, rep := f.evaluate(v, queries, precise)
-		t.AddRow(fmt.Sprintf("M=%.2gN (static)", mult), pct(loss),
-			norm(rep.Seconds/adRep.Seconds))
-		if !matched && loss <= adLoss {
+	for i, mult := range mults {
+		t.AddRow(sw.names[i], pct(losses[i]), norm(reps[i].Seconds/adRep.Seconds))
+		if !matched && losses[i] <= adLoss {
 			t.AddNote("first static version matching adaptive QoS: M=%.2gN, using %.0f%% of adaptive's time",
-				mult, 100*rep.Seconds/adRep.Seconds)
+				mult, 100*reps[i].Seconds/adRep.Seconds)
 			matched = true
 		}
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"green/internal/approxmath"
 	"green/internal/blackscholes"
@@ -150,7 +151,7 @@ func versionCurveTable(m *model.FuncModel, xLabel string, lo, hi float64) *Table
 	for x := range xs {
 		grid = append(grid, x)
 	}
-	sortFloats(grid)
+	sort.Float64s(grid)
 	stride := len(grid)/12 + 1
 	for i := 0; i < len(grid); i += stride {
 		row := []string{fmt.Sprintf("%.2f", grid[i])}
@@ -162,56 +163,75 @@ func versionCurveTable(m *model.FuncModel, xLabel string, lo, hi float64) *Table
 	return t
 }
 
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
+// bsHalf is one implementation of exp or of log. Its work per call is a
+// constant in term units or, for the range-based e(cb), metered by the
+// Func controller that picks a Taylor version per argument.
+type bsHalf struct {
+	fn   func(float64) float64
+	work float64
+	ctl  *core.Func
+}
+
+// The library functions the base version prices with.
+var (
+	preciseExp = bsHalf{fn: math.Exp, work: approxmath.PreciseExpTerms}
+	preciseLog = bsHalf{fn: math.Log, work: approxmath.PreciseLogTerms}
+)
+
+// terms is the half's work over n options that call it calls times each.
+func (h bsHalf) terms(calls, n float64) float64 {
+	if h.ctl != nil {
+		return h.ctl.Work()
 	}
+	return h.work * calls * n
 }
 
 // bsVersion is one evaluated blackscholes configuration: a choice of exp
 // implementation and log implementation.
 type bsVersion struct {
-	name string
-	exp  func(float64) float64
-	log  func(float64) float64
-	// expWork/logWork in term units per call; for combined (range-based)
-	// versions the work is measured by the Func controller instead.
-	expWork float64
-	logWork float64
-	// combined Func controllers (nil when a fixed version is used).
-	expFunc *core.Func
-	logFunc *core.Func
+	name     string
+	exp, log bsHalf
 }
 
 // price evaluates the portfolio under the version and returns the prices
 // plus the total work in term units.
-func (v *bsVersion) price(opts []workload.Option) ([]float64, float64, error) {
-	if v.expFunc != nil {
-		v.expFunc.WorkReset()
+func (v bsVersion) price(opts []workload.Option) ([]float64, float64, error) {
+	for _, h := range []bsHalf{v.exp, v.log} {
+		if h.ctl != nil {
+			h.ctl.WorkReset()
+		}
 	}
-	if v.logFunc != nil {
-		v.logFunc.WorkReset()
-	}
-	fns := blackscholes.MathFns{Exp: v.exp, Log: v.log}
-	prices, err := blackscholes.PricePortfolio(opts, fns)
+	prices, err := blackscholes.PricePortfolio(opts, blackscholes.MathFns{Exp: v.exp.fn, Log: v.log.fn})
 	if err != nil {
 		return nil, 0, err
 	}
 	n := float64(len(opts))
-	work := bsBodyTerms * n
-	if v.expFunc != nil {
-		work += v.expFunc.Work()
-	} else {
-		work += v.expWork * blackscholes.ExpCallsPerOption * n
+	return prices, bsBodyTerms*n + v.exp.terms(blackscholes.ExpCallsPerOption, n) +
+		v.log.terms(blackscholes.LogCallsPerOption, n), nil
+}
+
+// sweep prices the portfolio — the application's one input — precisely
+// once and then under each version, judging each version's prices
+// against the precise ones.
+func (f *bsFixture) sweep(opts []workload.Option, versions []bsVersion) (*sweep, error) {
+	names := make([]string, len(versions))
+	for l, v := range versions {
+		names[l] = v.name
 	}
-	if v.logFunc != nil {
-		work += v.logFunc.Work()
-	} else {
-		work += v.logWork * blackscholes.LogCallsPerOption * n
-	}
-	return prices, work, nil
+	return measureAll(1, 1, names, func(_ int, loss, work []float64) (float64, error) {
+		basePrices, baseWork, err := bsVersion{exp: preciseExp, log: preciseLog}.price(opts)
+		if err != nil {
+			return 0, err
+		}
+		for l, v := range versions {
+			prices, w, err := v.price(opts)
+			if err != nil {
+				return 0, err
+			}
+			loss[l], work[l] = appLoss(basePrices, prices), w
+		}
+		return baseWork, nil
+	})
 }
 
 // appLoss is the blackscholes application QoS: mean relative difference
@@ -235,140 +255,104 @@ func appLoss(precise, approx []float64) float64 {
 	return sum / float64(len(precise))
 }
 
-// buildVersions constructs the Figure 8c / 23 / 24 version set.
-func (f *bsFixture) buildVersions() ([]*bsVersion, *model.FuncModel, *model.FuncModel, error) {
+// halves returns every exp and log implementation under the name the
+// figures give it, and the exp model behind the range-based e(cb).
+func (f *bsFixture) halves() (map[string]bsHalf, *model.FuncModel, error) {
 	expM, err := f.calibrateExp()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	logM, err := f.calibrateLog()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var versions []*bsVersion
 	expFns, expNames, expWork := expVersions()
-	for i := range expFns {
-		versions = append(versions, &bsVersion{
-			name: expNames[i], exp: expFns[i], log: math.Log,
-			expWork: expWork[i], logWork: approxmath.PreciseLogTerms,
-		})
-	}
-	mkExpCb := func() (*core.Func, error) {
-		return core.NewFunc(core.FuncConfig{
-			Name: "exp", Model: expM, SLA: bsLocalSLA,
-		}, math.Exp, expFns)
-	}
-	expCb, err := mkExpCb()
+	cb, err := core.NewFunc(core.FuncConfig{
+		Name: "exp", Model: expM, SLA: bsLocalSLA,
+	}, math.Exp, expFns)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	versions = append(versions, &bsVersion{
-		name: "e(cb)", exp: expCb.Call, log: math.Log,
-		expFunc: expCb, logWork: approxmath.PreciseLogTerms,
-	})
+	h := map[string]bsHalf{
+		"precise-exp": preciseExp,
+		"precise-log": preciseLog,
+		"e(cb)":       {fn: cb.Call, ctl: cb},
+	}
+	for i, name := range expNames {
+		h[name] = bsHalf{fn: expFns[i], work: expWork[i]}
+	}
 	logFns, logNames, logWork := logVersions()
-	for i := range logFns {
-		versions = append(versions, &bsVersion{
-			name: logNames[i], exp: math.Exp, log: logFns[i],
-			expWork: approxmath.PreciseExpTerms, logWork: logWork[i],
-		})
+	for i, name := range logNames {
+		h[name] = bsHalf{fn: logFns[i], work: logWork[i]}
 	}
-	// Combined versions: e(cb) with each candidate log.
-	for _, lg := range []struct {
-		name string
-		deg  int
-	}{{"lg(2)", 2}, {"lg(4)", 4}} {
-		cb, err := mkExpCb()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		versions = append(versions, &bsVersion{
-			name: "e(cb)+" + lg.name, exp: cb.Call,
-			log:     approxmath.LogTaylor(lg.deg),
-			expFunc: cb, logWork: float64(approxmath.LogTerms(lg.deg)),
-		})
+	return h, expM, nil
+}
+
+// bsVersions is the Figure 8c / 23 / 24 version set: every exp with the
+// library log, every log with the library exp, and e(cb) combined with
+// the candidate logs.
+func bsVersions(h map[string]bsHalf) []bsVersion {
+	var vs []bsVersion
+	for _, e := range []string{"e(3)", "e(4)", "e(5)", "e(6)", "e(cb)"} {
+		vs = append(vs, bsVersion{e, h[e], preciseLog})
 	}
-	return versions, expM, logM, nil
+	for _, l := range []string{"lg(2)", "lg(3)", "lg(4)"} {
+		vs = append(vs, bsVersion{l, preciseExp, h[l]})
+	}
+	for _, l := range []string{"lg(2)", "lg(4)"} {
+		vs = append(vs, bsVersion{"e(cb)+" + l, h["e(cb)"], h[l]})
+	}
+	return vs
 }
 
 func runFig8c(o Options) (*Table, error) {
 	f := newBSFixture(o)
-	versions, expM, logM, err := f.buildVersions()
+	h, expM, err := f.halves()
 	if err != nil {
 		return nil, err
 	}
-	precise := &bsVersion{name: "Base", exp: math.Exp, log: math.Log,
-		expWork: approxmath.PreciseExpTerms, logWork: approxmath.PreciseLogTerms}
-	basePrices, baseWork, err := precise.price(f.train)
+	sw, err := f.sweep(f.train, bsVersions(h))
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{Columns: []string{"version", "QoS loss", "perf improvement"}}
-	for _, v := range versions {
-		prices, work, err := v.price(f.train)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(v.name, pct(appLoss(basePrices, prices)), pct(baseWork/work-1))
+	for l, name := range sw.names {
+		t.AddRow(name, pct(sw.loss[0][l]), pct(sw.base[0]/sw.work[0][l]-1))
 	}
 	// Report the exp(cb) range structure, mirroring Figure 7.
 	for _, r := range expM.Ranges(bsLocalSLA) {
 		t.AddNote("exp range [%.2f, %.2f): %s", r.Lo, r.Hi, expM.VersionName(r.Version))
 	}
-	_ = logM
 	return t, nil
 }
 
 // chooseCombo runs the §3.4.1 combination search over exp/log candidates
-// with measured application QoS on the training portfolio.
-func (f *bsFixture) chooseCombo(versions []*bsVersion) (string, error) {
-	basePrices, baseWork, err := (&bsVersion{exp: math.Exp, log: math.Log,
-		expWork: approxmath.PreciseExpTerms,
-		logWork: approxmath.PreciseLogTerms}).price(f.train)
+// with measured application QoS on the training portfolio: the candidates'
+// cross product is one sweep, and the search reads its evaluations off it.
+func (f *bsFixture) chooseCombo(h map[string]bsHalf) (string, error) {
+	var cands [2][]core.Setting
+	for unit, labels := range [2][]string{
+		{"e(3)", "e(4)", "e(cb)", "precise-exp"},
+		{"lg(2)", "lg(3)", "lg(4)", "precise-log"},
+	} {
+		for _, label := range labels {
+			cands[unit] = append(cands[unit], core.Setting{Unit: unit, Label: label})
+		}
+	}
+	var combos []bsVersion
+	level := map[string]int{} // combination -> its level in the sweep
+	for _, e := range cands[0] {
+		for _, l := range cands[1] {
+			name := e.Label + "+" + l.Label
+			level[name] = len(combos)
+			combos = append(combos, bsVersion{name, h[e.Label], h[l.Label]})
+		}
+	}
+	sw, err := f.sweep(f.train, combos)
 	if err != nil {
 		return "", err
 	}
-	byName := map[string]*bsVersion{}
-	for _, v := range versions {
-		byName[v.name] = v
-	}
-	expCands := []core.Setting{
-		{Unit: 0, Label: "e(3)"}, {Unit: 0, Label: "e(4)"},
-		{Unit: 0, Label: "e(cb)"}, {Unit: 0, Label: "precise-exp"},
-	}
-	logCands := []core.Setting{
-		{Unit: 1, Label: "lg(2)"}, {Unit: 1, Label: "lg(3)"},
-		{Unit: 1, Label: "lg(4)"}, {Unit: 1, Label: "precise-log"},
-	}
-	logFns, _, logWork := logVersions()
 	eval := func(combo []core.Setting) (float64, float64, error) {
-		v := &bsVersion{exp: math.Exp, log: math.Log,
-			expWork: approxmath.PreciseExpTerms,
-			logWork: approxmath.PreciseLogTerms}
-		switch combo[0].Label {
-		case "e(3)":
-			v.exp, v.expWork = approxmath.ExpTaylor(3), float64(approxmath.ExpTerms(3))
-		case "e(4)":
-			v.exp, v.expWork = approxmath.ExpTaylor(4), float64(approxmath.ExpTerms(4))
-		case "e(cb)":
-			cb := byName["e(cb)"]
-			v.exp, v.expFunc = cb.exp, cb.expFunc
-		}
-		switch combo[1].Label {
-		case "lg(2)":
-			v.log, v.logWork = logFns[0], logWork[0]
-		case "lg(3)":
-			v.log, v.logWork = logFns[1], logWork[1]
-		case "lg(4)":
-			v.log, v.logWork = logFns[2], logWork[2]
-		}
-		prices, work, err := v.price(f.train)
-		if err != nil {
-			return 0, 0, err
-		}
-		return appLoss(basePrices, prices), baseWork / work, nil
+		l := level[combo[0].Label+"+"+combo[1].Label]
+		return sw.loss[0][l], sw.base[0] / sw.work[0][l], nil
 	}
-	res, err := core.CombineSearch([][]core.Setting{expCands, logCands}, bsAppSLA, eval)
+	res, err := core.CombineSearch(cands[:], bsAppSLA, eval)
 	if err != nil {
 		return "", err
 	}
@@ -377,28 +361,18 @@ func (f *bsFixture) chooseCombo(versions []*bsVersion) (string, error) {
 
 func runFig23(o Options) (*Table, error) {
 	f := newBSFixture(o)
-	versions, _, _, err := f.buildVersions()
+	h, _, err := f.halves()
 	if err != nil {
 		return nil, err
 	}
-	precise := &bsVersion{name: "Base", exp: math.Exp, log: math.Log,
-		expWork: approxmath.PreciseExpTerms, logWork: approxmath.PreciseLogTerms}
-	_, baseWork, err := precise.price(f.native)
+	sw, err := f.sweep(f.native, bsVersions(h))
 	if err != nil {
 		return nil, err
 	}
-	baseRep := f.report(baseWork, len(f.native))
-	t := &Table{Columns: []string{"version", "norm. exec time", "norm. energy"}}
-	for _, v := range versions {
-		_, work, err := v.price(f.native)
-		if err != nil {
-			return nil, err
-		}
-		rep := f.report(work, len(f.native))
-		t.AddRow(v.name, norm(rep.Seconds/baseRep.Seconds), norm(rep.Joules/baseRep.Joules))
-	}
-	t.AddRow("Base", "100.0", "100.0")
-	combo, err := f.chooseCombo(versions)
+	reps, base := sw.reports(f.cost, "term")
+	t := perfTable([]string{"version", "norm. exec time", "norm. energy"},
+		append(sw.names, "Base"), append(reps, base), base, seconds, joules)
+	combo, err := f.chooseCombo(h)
 	if err != nil {
 		return nil, err
 	}
@@ -409,35 +383,15 @@ func runFig23(o Options) (*Table, error) {
 
 func runFig24(o Options) (*Table, error) {
 	f := newBSFixture(o)
-	versions, _, _, err := f.buildVersions()
+	h, _, err := f.halves()
 	if err != nil {
 		return nil, err
 	}
-	basePrices, _, err := (&bsVersion{exp: math.Exp, log: math.Log,
-		expWork: approxmath.PreciseExpTerms,
-		logWork: approxmath.PreciseLogTerms}).price(f.native)
+	sw, err := f.sweep(f.native, bsVersions(h))
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Columns: []string{"version", "QoS loss"}}
-	for _, v := range versions {
-		prices, _, err := v.price(f.native)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(v.name, pct(appLoss(basePrices, prices)))
-	}
-	t.AddRow("Base", pct(0))
+	t := lossTable(append(sw.names, "Base"), append(sw.means(), 0))
 	t.AddNote("QoS loss = mean relative difference in option prices vs base")
 	return t, nil
-}
-
-// report converts a term-unit work total into a simulated report.
-func (f *bsFixture) report(work float64, ops int) energy.Report {
-	acct := energy.NewAccount()
-	for i := 0; i < ops; i++ {
-		acct.AddOp()
-	}
-	acct.Add("term", work)
-	return f.cost.Evaluate(acct)
 }

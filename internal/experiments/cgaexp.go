@@ -5,10 +5,8 @@ import (
 	"math"
 
 	"green/internal/cga"
-	"green/internal/core"
 	"green/internal/energy"
 	"green/internal/metrics"
-	"green/internal/model"
 	"green/internal/taskgraph"
 	"green/internal/workload"
 )
@@ -27,6 +25,8 @@ type cgaFixture struct {
 	seeds  []int64
 	baseG  int
 	cost   *energy.CostModel
+	// workers is the number of goroutines measuring graphs.
+	workers int
 }
 
 // cgaFractions are the evaluated generation caps as fractions of the base
@@ -37,7 +37,7 @@ var cgaFractions = []float64{1.0 / 6, 2.0 / 6, 3.0 / 6, 4.0 / 6, 5.0 / 6}
 func newCGAFixture(o Options) (*cgaFixture, error) {
 	nGraphs := o.scaled(30, 4)
 	f := &cgaFixture{
-		baseG: o.scaled(600, 60),
+		baseG: o.scaled(600, 60), workers: o.Workers,
 		// Desktop machine; one work unit per node-evaluation inside a
 		// makespan computation.
 		cost: &energy.CostModel{
@@ -66,161 +66,98 @@ func newCGAFixture(o Options) (*cgaFixture, error) {
 	return f, nil
 }
 
-// runGraph runs the GA on graph i for the given generations and returns
-// the best makespan and the node-evaluation work.
-func (f *cgaFixture) runGraph(i, generations int) (float64, float64, error) {
-	ga, err := cga.New(f.graphs[i], cga.Config{Seed: f.seeds[i]})
+// cgaSweep builds the fixture and runs one GA per graph to the base
+// generation count, reading the best makespan and the fitness evaluations
+// spent as it crosses each cap; every cap's makespan is judged against
+// the finished run's.
+func cgaSweep(o Options) (*cgaFixture, *sweep, error) {
+	f, err := newCGAFixture(o)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
-	span, err := ga.Run(generations)
-	if err != nil {
-		return 0, 0, err
+	var names []string
+	var knots []float64
+	for _, frac := range cgaFractions {
+		names = append(names, fmt.Sprintf("G=%d", int(frac*float64(f.baseG))))
+		knots = append(knots, math.Max(1, frac*float64(f.baseG)))
 	}
-	work := float64(ga.Evaluations()) * float64(f.graphs[i].N())
-	return span, work, nil
-}
-
-// sweep evaluates every graph at each generation cap (and the base),
-// returning per-cap mean QoS loss and reports.
-func (f *cgaFixture) sweep() (baseRep energy.Report, losses []float64, reps []energy.Report, err error) {
-	nCaps := len(cgaFractions)
-	lossSums := make([]float64, nCaps)
-	accts := make([]*energy.Account, nCaps)
-	for i := range accts {
-		accts[i] = energy.NewAccount()
-	}
-	baseAcct := energy.NewAccount()
-	for gi := range f.graphs {
-		baseSpan, baseWork, err := f.runGraph(gi, f.baseG)
+	sw, err := measureAll(f.workers, len(f.graphs), names, func(i int, loss, work []float64) (float64, error) {
+		ga, err := cga.New(f.graphs[i], cga.Config{Seed: f.seeds[i]})
 		if err != nil {
-			return energy.Report{}, nil, nil, err
+			return 0, err
 		}
-		baseAcct.AddOp()
-		baseAcct.Add("eval", baseWork)
-		for ci, frac := range cgaFractions {
-			span, work, err := f.runGraph(gi, int(frac*float64(f.baseG)))
-			if err != nil {
-				return energy.Report{}, nil, nil, err
+		runTo := func(generations int) error {
+			for ga.Generation() < generations {
+				if _, err := ga.Step(); err != nil {
+					return err
+				}
 			}
-			lossSums[ci] += metrics.RelativeRegret(baseSpan, span)
-			accts[ci].AddOp()
-			accts[ci].Add("eval", work)
+			return nil
 		}
+		spans := make([]float64, len(knots))
+		for l, knot := range knots {
+			if err := runTo(int(knot)); err != nil {
+				return 0, err
+			}
+			spans[l], work[l] = ga.BestMakespan(), float64(ga.Evaluations())
+		}
+		if err := runTo(f.baseG); err != nil {
+			return 0, err
+		}
+		for l, span := range spans {
+			loss[l] = metrics.RelativeRegret(ga.BestMakespan(), span)
+		}
+		return float64(ga.Evaluations()), nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	losses = make([]float64, nCaps)
-	reps = make([]energy.Report, nCaps)
-	for ci := range cgaFractions {
-		losses[ci] = lossSums[ci] / float64(len(f.graphs))
-		reps[ci] = f.cost.Evaluate(accts[ci])
-	}
-	return f.cost.Evaluate(baseAcct), losses, reps, nil
+	sw.loop, sw.knots = "cga.generations", knots
+	sw.baseLevel, sw.baseWork = float64(f.baseG), float64(f.baseG)
+	return f, sw, nil
 }
 
 func runFig18(o Options) (*Table, error) {
-	f, err := newCGAFixture(o)
+	f, sw, err := cgaSweep(o)
 	if err != nil {
 		return nil, err
 	}
-	baseRep, _, reps, err := f.sweep()
-	if err != nil {
-		return nil, err
+	// The cost model charges per node evaluation: one fitness evaluation
+	// of graph i walks its N nodes.
+	for i, g := range f.graphs {
+		for l := range sw.work[i] {
+			sw.work[i][l] *= float64(g.N())
+		}
+		sw.base[i] *= float64(g.N())
 	}
-	t := &Table{Columns: []string{"version", "norm. exec time", "norm. energy"}}
-	for ci, frac := range cgaFractions {
-		t.AddRow(fmt.Sprintf("G=%d", int(frac*float64(f.baseG))),
-			norm(reps[ci].Seconds/baseRep.Seconds),
-			norm(reps[ci].Joules/baseRep.Joules))
-	}
-	t.AddRow(fmt.Sprintf("Base (G=%d)", f.baseG), "100.0", "100.0")
+	reps, base := sw.reports(f.cost, "eval")
+	t := perfTable([]string{"version", "norm. exec time", "norm. energy"},
+		append(sw.names, fmt.Sprintf("Base (G=%d)", f.baseG)), append(reps, base), base, seconds, joules)
 	t.AddNote("%d random task graphs (50-500 nodes, CCR 0.1-10)", len(f.graphs))
 	return t, nil
 }
 
 func runFig19(o Options) (*Table, error) {
-	f, err := newCGAFixture(o)
+	f, sw, err := cgaSweep(o)
 	if err != nil {
 		return nil, err
 	}
-	_, losses, _, err := f.sweep()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Columns: []string{"version", "QoS loss"}}
-	for ci, frac := range cgaFractions {
-		t.AddRow(fmt.Sprintf("G=%d", int(frac*float64(f.baseG))), pct(losses[ci]))
-	}
-	t.AddRow(fmt.Sprintf("Base (G=%d)", f.baseG), pct(0))
+	t := lossTable(append(sw.names, fmt.Sprintf("Base (G=%d)", f.baseG)), append(sw.means(), 0))
 	t.AddNote("QoS loss = normalized increase in scheduled-program execution time vs base")
 	return t, nil
 }
 
-// cgaLoopModel builds the generation-loop model from the first nTrain
-// graphs.
-func (f *cgaFixture) cgaLoopModel(nTrain int) (*model.LoopModel, error) {
-	knots := make([]float64, len(cgaFractions))
-	for i, frac := range cgaFractions {
-		knots[i] = math.Max(1, frac*float64(f.baseG))
-	}
-	baseLevel := float64(f.baseG)
-	cal, err := core.NewLoopCalibration("cga.generations", knots, baseLevel, baseLevel)
-	if err != nil {
-		return nil, err
-	}
-	losses := make([]float64, len(knots))
-	works := make([]float64, len(knots))
-	for gi := 0; gi < nTrain && gi < len(f.graphs); gi++ {
-		// One run streaming through the knots.
-		ga, err := cga.New(f.graphs[gi], cga.Config{Seed: f.seeds[gi]})
-		if err != nil {
-			return nil, err
-		}
-		spans := make([]float64, len(knots))
-		for k, knot := range knots {
-			for ga.Generation() < int(knot) {
-				if _, err := ga.Step(); err != nil {
-					return nil, err
-				}
-			}
-			spans[k] = ga.BestMakespan()
-			works[k] = float64(ga.Evaluations())
-		}
-		for ga.Generation() < f.baseG {
-			if _, err := ga.Step(); err != nil {
-				return nil, err
-			}
-		}
-		baseSpan := ga.BestMakespan()
-		for k := range knots {
-			losses[k] = metrics.RelativeRegret(baseSpan, spans[k])
-		}
-		if err := cal.AddRun(losses, works); err != nil {
-			return nil, err
-		}
-	}
-	return cal.Build()
-}
-
 func runFig20(o Options) (*Table, error) {
-	f, err := newCGAFixture(o)
+	f, sw, err := cgaSweep(o)
 	if err != nil {
 		return nil, err
 	}
 	total := len(f.graphs)
 	sizes := []int{max(2, total/6), max(3, total/3), max(4, total/2), total}
 	level := cgaFractions[len(cgaFractions)-1] * float64(f.baseG) // paper: G=2500 of 3000
-	ests := make([]float64, len(sizes))
-	for i, n := range sizes {
-		m, err := f.cgaLoopModel(n)
-		if err != nil {
-			return nil, err
-		}
-		ests[i] = m.PredictLoss(level)
-	}
-	ref := ests[len(ests)-1]
-	t := &Table{Columns: []string{"training inputs", "estimated QoS loss at G=5/6 base", "difference vs largest"}}
-	for i, n := range sizes {
-		t.AddRow(fmt.Sprintf("%d", n), pct(ests[i]), pct(math.Abs(ests[i]-ref)))
+	t, err := trainingSizeTable("training inputs", "estimated QoS loss at G=5/6 base", sw, sizes, level)
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("paper: differences stay under 0.5%% even with 5 inputs (discrete outcomes make CGA noisier than other apps)")
 	return t, nil

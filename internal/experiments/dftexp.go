@@ -23,6 +23,7 @@ type dftFixture struct {
 	signals [][]float64
 	n       int
 	cost    *energy.CostModel
+	workers int // goroutines measuring signals
 }
 
 const dftBodyTerms = 77.0
@@ -30,7 +31,7 @@ const dftBodyTerms = 77.0
 func newDFTFixture(o Options) *dftFixture {
 	nSignals := o.scaled(100, 6)
 	f := &dftFixture{
-		n: 96,
+		n: 96, workers: o.Workers,
 		cost: &energy.CostModel{
 			IdleWatts:    120,
 			FixedSeconds: 1e-4,
@@ -71,91 +72,65 @@ func dftVersionSet() []dftVersion {
 	return out
 }
 
-// run transforms every signal under the version, returning mean QoS loss
-// against precise spectra and the simulated report.
-func (f *dftFixture) run(v dftVersion, preciseRe, preciseIm [][]float64) (float64, energy.Report, error) {
-	trig := dft.Trig{
-		Sin: approxmath.SinFn(v.sinGrade),
-		Cos: approxmath.CosFn(v.cosGrade),
-	}
-	termsPerPair := float64(v.cosGrade.Terms()+v.sinGrade.Terms()) + dftBodyTerms
-	acct := energy.NewAccount()
-	lossSum := 0.0
-	for i, sig := range f.signals {
-		re, im, err := dft.Transform(sig, trig)
-		if err != nil {
-			return 0, energy.Report{}, err
-		}
-		acct.AddOp()
-		acct.Add("term", termsPerPair*float64(f.n)*float64(f.n))
-		if preciseRe != nil {
-			lr, err := metrics.RMSNormDiff(preciseRe[i], re)
-			if err != nil {
-				return 0, energy.Report{}, err
-			}
-			li, err := metrics.RMSNormDiff(preciseIm[i], im)
-			if err != nil {
-				return 0, energy.Report{}, err
-			}
-			lossSum += (lr + li) / 2
-		}
-	}
-	return lossSum / float64(len(f.signals)), f.cost.Evaluate(acct), nil
+// terms is the simulated work of one transform under the given grades.
+func (f *dftFixture) terms(cos, sin approxmath.TrigGrade) float64 {
+	return (float64(cos.Terms()+sin.Terms()) + dftBodyTerms) * float64(f.n) * float64(f.n)
 }
 
-// precise computes the base spectra and report.
-func (f *dftFixture) precise() ([][]float64, [][]float64, energy.Report, error) {
-	re := make([][]float64, len(f.signals))
-	im := make([][]float64, len(f.signals))
-	termsPerPair := float64(2*approxmath.TrigPrecise.Terms()) + dftBodyTerms
-	acct := energy.NewAccount()
-	for i, sig := range f.signals {
-		r, m, err := dft.Transform(sig, dft.PreciseTrig())
-		if err != nil {
-			return nil, nil, energy.Report{}, err
-		}
-		re[i], im[i] = r, m
-		acct.AddOp()
-		acct.Add("term", termsPerPair*float64(f.n)*float64(f.n))
+// sweep transforms every signal precisely once and then under each
+// version, judging each version's spectra against the precise ones.
+func (f *dftFixture) sweep(versions []dftVersion) (*sweep, error) {
+	names := make([]string, len(versions))
+	for l, v := range versions {
+		names[l] = v.name
 	}
-	return re, im, f.cost.Evaluate(acct), nil
+	return measureAll(f.workers, len(f.signals), names, func(i int, loss, work []float64) (float64, error) {
+		preciseRe, preciseIm, err := dft.Transform(f.signals[i], dft.PreciseTrig())
+		if err != nil {
+			return 0, err
+		}
+		for l, v := range versions {
+			re, im, err := dft.Transform(f.signals[i], dft.Trig{
+				Sin: approxmath.SinFn(v.sinGrade),
+				Cos: approxmath.CosFn(v.cosGrade),
+			})
+			if err != nil {
+				return 0, err
+			}
+			lr, err := metrics.RMSNormDiff(preciseRe, re)
+			if err != nil {
+				return 0, err
+			}
+			li, err := metrics.RMSNormDiff(preciseIm, im)
+			if err != nil {
+				return 0, err
+			}
+			loss[l], work[l] = (lr+li)/2, f.terms(v.cosGrade, v.sinGrade)
+		}
+		return f.terms(approxmath.TrigPrecise, approxmath.TrigPrecise), nil
+	})
 }
 
 func runFig21(o Options) (*Table, error) {
 	f := newDFTFixture(o)
-	_, _, baseRep, err := f.precise()
+	sw, err := f.sweep(dftVersionSet())
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Columns: []string{"version", "norm. exec time", "norm. energy"}}
-	for _, v := range dftVersionSet() {
-		_, rep, err := f.run(v, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(v.name, norm(rep.Seconds/baseRep.Seconds), norm(rep.Joules/baseRep.Joules))
-	}
-	t.AddRow("Base", "100.0", "100.0")
+	reps, base := sw.reports(f.cost, "term")
+	t := perfTable([]string{"version", "norm. exec time", "norm. energy"},
+		append(sw.names, "Base"), append(reps, base), base, seconds, joules)
 	t.AddNote("%d random signals of %d samples; base trig accuracy 23.1 digits (library)",
 		len(f.signals), f.n)
 	return t, nil
 }
 
 func runFig22(o Options) (*Table, error) {
-	f := newDFTFixture(o)
-	re, im, _, err := f.precise()
+	sw, err := newDFTFixture(o).sweep(dftVersionSet())
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Columns: []string{"version", "QoS loss"}}
-	for _, v := range dftVersionSet() {
-		loss, _, err := f.run(v, re, im)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(v.name, pct(loss))
-	}
-	t.AddRow("Base", pct(0))
+	t := lossTable(append(sw.names, "Base"), append(sw.means(), 0))
 	t.AddNote("QoS loss = mean normalized difference of output spectra vs base")
 	return t, nil
 }

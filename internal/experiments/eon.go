@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"green/internal/core"
 	"green/internal/energy"
 	"green/internal/metrics"
-	"green/internal/model"
 	"green/internal/raytracer"
 	"green/internal/workload"
 )
@@ -27,6 +24,7 @@ type eonFixture struct {
 	w, h    int
 	baseN   int // base version sends baseN^2 samples per pixel
 	cost    *energy.CostModel
+	workers int // goroutines measuring inputs
 }
 
 // eonVersionNs lists the approximated versions of Figures 15/16: the main
@@ -40,7 +38,7 @@ func newEonFixture(o Options) *eonFixture {
 	f := &eonFixture{
 		scene: raytracer.NewScene(workload.Split(o.Seed, 200)),
 		w:     16, h: 12,
-		baseN: eonBaseN,
+		baseN: eonBaseN, workers: o.Workers,
 		// Desktop machine: 120 W idle, 1.5 microseconds of CPU per ray,
 		// small fixed per-frame setup cost.
 		cost: &energy.CostModel{
@@ -58,155 +56,93 @@ func newEonFixture(o Options) *eonFixture {
 	return f
 }
 
-// renderInput renders input i at the given pass count, returning the
-// image and the rays traced.
-func (f *eonFixture) renderInput(i, passes int) (*raytracer.Image, int64, error) {
-	return raytracer.Render(f.scene, f.cameras[i], f.w, f.h, passes, f.seeds[i])
-}
-
-// eonRun renders every input at the version's pass budget and returns the
-// mean QoS loss versus the base images and the simulated report.
-func (f *eonFixture) eonRun(passes int, baseImages []*raytracer.Image) (float64, energy.Report, error) {
-	acct := energy.NewAccount()
-	lossSum := 0.0
-	for i := range f.cameras {
-		img, rays, err := f.renderInput(i, passes)
+// sweep renders every input once, incrementally, to the base pass count,
+// snapshotting the frame as it crosses each version's N^2 passes; every
+// snapshot is judged against the finished frame. Work is rays traced.
+func (f *eonFixture) sweep() (*sweep, error) {
+	var names []string
+	var knots []float64
+	for _, n := range eonVersionNs {
+		names = append(names, fmt.Sprintf("N=%d", n))
+		knots = append(knots, float64(n*n))
+	}
+	basePasses := f.baseN * f.baseN
+	sw, err := measureAll(f.workers, len(f.cameras), names, func(i int, loss, work []float64) (float64, error) {
+		r, err := raytracer.NewRenderer(f.scene, f.cameras[i], f.w, f.h, f.seeds[i])
 		if err != nil {
-			return 0, energy.Report{}, err
+			return 0, err
 		}
-		acct.AddOp()
-		acct.Add("ray", float64(rays))
-		if baseImages != nil {
-			d, err := metrics.PixelDiff(baseImages[i].Pix, img.Pix)
-			if err != nil {
-				return 0, energy.Report{}, err
+		frames := make([]*raytracer.Image, len(knots))
+		for l, knot := range knots {
+			for r.Passes() < int(knot) {
+				r.Pass()
 			}
-			lossSum += d
+			frames[l], work[l] = r.Snapshot(), float64(r.Rays())
 		}
+		for r.Passes() < basePasses {
+			r.Pass()
+		}
+		base := r.Snapshot()
+		for l, frame := range frames {
+			loss[l] = frameLoss(base, frame)
+		}
+		return float64(r.Rays()), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return lossSum / float64(len(f.cameras)), f.cost.Evaluate(acct), nil
+	raysPerPass := float64(f.w * f.h * 3) // approximate mean incl. bounces
+	sw.loop, sw.knots = "eon.passes", knots
+	sw.baseLevel, sw.baseWork = float64(basePasses), float64(basePasses)*raysPerPass
+	return sw, nil
 }
 
-// baseImages renders the precise version of every input once.
-func (f *eonFixture) baseImages() ([]*raytracer.Image, energy.Report, error) {
-	acct := energy.NewAccount()
-	imgs := make([]*raytracer.Image, len(f.cameras))
-	for i := range f.cameras {
-		img, rays, err := f.renderInput(i, f.baseN*f.baseN)
-		if err != nil {
-			return nil, energy.Report{}, err
-		}
-		imgs[i] = img
-		acct.AddOp()
-		acct.Add("ray", float64(rays))
+// frameLoss is the eon QoS: the mean normalized pixel difference of a
+// frame from the base rendering of the same input (both come off one
+// renderer, so their sizes cannot differ).
+func frameLoss(base, frame *raytracer.Image) float64 {
+	d, err := metrics.PixelDiff(base.Pix, frame.Pix)
+	if err != nil {
+		panic(err)
 	}
-	return imgs, f.cost.Evaluate(acct), nil
+	return d
 }
 
 func runFig15(o Options) (*Table, error) {
 	f := newEonFixture(o)
-	base, baseRep, err := f.baseImages()
+	sw, err := f.sweep()
 	if err != nil {
 		return nil, err
 	}
-	_ = base
-	t := &Table{Columns: []string{"version", "norm. exec time", "norm. energy"}}
-	for _, n := range eonVersionNs {
-		_, rep, err := f.eonRun(n*n, nil)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("N=%d", n),
-			norm(rep.Seconds/baseRep.Seconds),
-			norm(rep.Joules/baseRep.Joules))
-	}
-	t.AddRow("Base", "100.0", "100.0")
+	reps, base := sw.reports(f.cost, "ray")
+	t := perfTable([]string{"version", "norm. exec time", "norm. energy"},
+		append(sw.names, "Base"), append(reps, base), base, seconds, joules)
 	t.AddNote("base sends %d^2 = %d samples per pixel; N=k sends k^2", f.baseN, f.baseN*f.baseN)
 	t.AddNote("%d random-camera inputs at %dx%d", len(f.cameras), f.w, f.h)
 	return t, nil
 }
 
 func runFig16(o Options) (*Table, error) {
-	f := newEonFixture(o)
-	base, _, err := f.baseImages()
+	sw, err := newEonFixture(o).sweep()
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Columns: []string{"version", "QoS loss"}}
-	for _, n := range eonVersionNs {
-		loss, _, err := f.eonRun(n*n, base)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("N=%d", n), pct(loss))
-	}
-	t.AddRow("Base", pct(0))
+	t := lossTable(append(sw.names, "Base"), append(sw.means(), 0))
 	t.AddNote("QoS loss = mean normalized pixel difference vs the base rendering")
 	return t, nil
 }
 
-// eonLoopModel builds the pass-loop QoS model from the first nTrain
-// inputs (calibration phase).
-func (f *eonFixture) eonLoopModel(nTrain int) (*model.LoopModel, error) {
-	knots := make([]float64, len(eonVersionNs))
-	for i, n := range eonVersionNs {
-		knots[i] = float64(n * n)
-	}
-	baseLevel := float64(f.baseN * f.baseN)
-	raysPerPass := float64(f.w * f.h * 3) // approximate mean incl. bounces
-	cal, err := core.NewLoopCalibration("eon.passes", knots, baseLevel, baseLevel*raysPerPass)
+func runFig17(o Options) (*Table, error) {
+	sw, err := newEonFixture(o).sweep()
 	if err != nil {
 		return nil, err
 	}
-	losses := make([]float64, len(knots))
-	works := make([]float64, len(knots))
-	for i := 0; i < nTrain && i < len(f.cameras); i++ {
-		baseImg, _, err := f.renderInput(i, f.baseN*f.baseN)
-		if err != nil {
-			return nil, err
-		}
-		// Incremental renderer gives all knots in one pass sweep.
-		r, err := raytracer.NewRenderer(f.scene, f.cameras[i], f.w, f.h, f.seeds[i])
-		if err != nil {
-			return nil, err
-		}
-		for k, knot := range knots {
-			for r.Passes() < int(knot) {
-				r.Pass()
-			}
-			d, err := metrics.PixelDiff(baseImg.Pix, r.Snapshot().Pix)
-			if err != nil {
-				return nil, err
-			}
-			losses[k] = d
-			works[k] = float64(r.Rays())
-		}
-		if err := cal.AddRun(losses, works); err != nil {
-			return nil, err
-		}
-	}
-	return cal.Build()
-}
-
-func runFig17(o Options) (*Table, error) {
-	f := newEonFixture(o)
-	total := len(f.cameras)
-	sizes := []int{
-		max(2, total/10), max(3, total/5), max(4, total/2), total,
-	}
-	level := float64(9 * 9) // the paper estimates at N=9
-	ests := make([]float64, len(sizes))
-	for i, n := range sizes {
-		m, err := f.eonLoopModel(n)
-		if err != nil {
-			return nil, err
-		}
-		ests[i] = m.PredictLoss(level)
-	}
-	ref := ests[len(ests)-1]
-	t := &Table{Columns: []string{"training inputs", "estimated QoS loss at N=9", "difference vs largest"}}
-	for i, n := range sizes {
-		t.AddRow(fmt.Sprintf("%d", n), pct(ests[i]), pct(math.Abs(ests[i]-ref)))
+	total := len(sw.base)
+	sizes := []int{max(2, total/10), max(3, total/5), max(4, total/2), total}
+	// The paper estimates at N=9.
+	t, err := trainingSizeTable("training inputs", "estimated QoS loss at N=9", sw, sizes, 9*9)
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("paper: 10 vs 100 training inputs differ by only 0.12%%")
 	return t, nil

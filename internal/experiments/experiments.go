@@ -12,9 +12,16 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"text/tabwriter"
+
+	"green/internal/core"
+	"green/internal/energy"
+	"green/internal/model"
 )
 
 // Options control an experiment run.
@@ -152,3 +159,181 @@ func pct(f float64) string {
 
 // norm formats a ratio as a normalized percentage (base = 100).
 func norm(f float64) string { return fmt.Sprintf("%.1f", 100*f) }
+
+// sweep is what one pass of every input through an application's precise
+// loop measured: for input i, in input order, the QoS loss and the work of
+// stopping at each level, and the work of running to the end. A fixture's
+// sweep function is the only code that runs its kernel; every figure,
+// calibration model and oracle is a projection of the value it returns.
+type sweep struct {
+	names      []string    // the levels as the figures label them
+	loss, work [][]float64 // [input][level]
+	base       []float64   // [input] work of the precise run
+
+	// What a LoopCalibration over the levels needs besides the runs.
+	loop                string
+	knots               []float64
+	baseLevel, baseWork float64
+}
+
+// measureAll calls measure for the inputs 0..n-1, on that many goroutines
+// when workers is more than one; measure fills in the input's loss and
+// work at each named level and returns its precise work. Every input
+// owns its row, so the sweep is the same for any worker count; the first
+// error in input order is returned.
+func measureAll(workers, n int, names []string, measure func(i int, loss, work []float64) (base float64, err error)) (*sweep, error) {
+	s := &sweep{names: names, loss: make([][]float64, n), work: make([][]float64, n), base: make([]float64, n)}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < max(1, min(workers, n)); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				s.loss[i], s.work[i] = make([]float64, len(names)), make([]float64, len(names))
+				s.base[i], errs[i] = measure(i, s.loss[i], s.work[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("input %d: %w", i, err)
+		}
+	}
+	return s, nil
+}
+
+// first returns the sweep of the first n inputs (all of them when there
+// are fewer): nested training sets are prefixes of one measurement.
+func (s *sweep) first(n int) *sweep {
+	p := *s
+	n = min(n, len(s.base))
+	p.loss, p.work, p.base = s.loss[:n], s.work[:n], s.base[:n]
+	return &p
+}
+
+// means returns the per-level QoS loss averaged over the inputs.
+func (s *sweep) means() []float64 {
+	out := make([]float64, len(s.names))
+	for l := range out {
+		for _, loss := range s.loss {
+			out[l] += loss[l]
+		}
+		out[l] /= float64(len(s.loss))
+	}
+	return out
+}
+
+// reports prices the sweep under a cost model that charges its work in
+// the given unit: one report per level and one for the precise runs, each
+// over all inputs.
+func (s *sweep) reports(cost *energy.CostModel, unit string) (levels []energy.Report, base energy.Report) {
+	total := func(work func(i int) float64) energy.Report {
+		acct := energy.NewAccount()
+		for i := range s.base {
+			acct.AddOp()
+			acct.Add(unit, work(i))
+		}
+		return cost.Evaluate(acct)
+	}
+	levels = make([]energy.Report, len(s.names))
+	for l := range levels {
+		levels[l] = total(func(i int) float64 { return s.work[i][l] })
+	}
+	return levels, total(func(i int) float64 { return s.base[i] })
+}
+
+// calibration feeds the inputs, in input order, to a fresh calibration
+// of the sweep's loop. With keys (one feature per input) the runs are
+// also tagged into nb quantile buckets, for BuildSelector.
+func (s *sweep) calibration(keys []float64, nb int) (*core.LoopCalibration, error) {
+	cal, err := core.NewLoopCalibration(s.loop, s.knots, s.baseLevel, s.baseWork)
+	if err != nil {
+		return nil, err
+	}
+	if keys != nil {
+		if err := cal.FeatureBuckets(quantileEdges(keys, nb)); err != nil {
+			return nil, err
+		}
+	}
+	for i := range s.base {
+		if keys != nil {
+			err = cal.AddRunFeat(core.Features{Key: keys[i], Valid: true}, s.loss[i], s.work[i])
+		} else {
+			err = cal.AddRun(s.loss[i], s.work[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cal, nil
+}
+
+// model builds the loop's QoS model from the sweep's inputs.
+func (s *sweep) model() (*model.LoopModel, error) {
+	cal, err := s.calibration(nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return cal.Build()
+}
+
+// cheapest is the per-input oracle: the least work of any level whose
+// loss on input i meets the SLA, or fallback when none does.
+func (s *sweep) cheapest(i int, sla, fallback float64) float64 {
+	best, found := fallback, false
+	for l, loss := range s.loss[i] {
+		if loss <= sla && (!found || s.work[i][l] < best) {
+			best, found = s.work[i][l], true
+		}
+	}
+	return best
+}
+
+// perfTable renders a normalised performance figure: one row per report,
+// each metric as a percentage of the base report's.
+func perfTable(cols, names []string, reps []energy.Report, base energy.Report, metrics ...func(energy.Report) float64) *Table {
+	t := &Table{Columns: cols}
+	for i, r := range reps {
+		row := []string{names[i]}
+		for _, m := range metrics {
+			row = append(row, norm(m(r)/m(base)))
+		}
+		t.AddRow(row...)
+	}
+	return t
+}
+
+func seconds(r energy.Report) float64 { return r.Seconds }
+func joules(r energy.Report) float64  { return r.Joules }
+
+// trainingSizeTable renders a model-sensitivity figure: the loss at level
+// that the model built from the first n inputs predicts, for each training
+// size n, beside its distance from the largest size's prediction.
+func trainingSizeTable(inputs, estimate string, sw *sweep, sizes []int, level float64) (*Table, error) {
+	ests := make([]float64, len(sizes))
+	for i, n := range sizes {
+		m, err := sw.first(n).model()
+		if err != nil {
+			return nil, err
+		}
+		ests[i] = m.PredictLoss(level)
+	}
+	ref := ests[len(ests)-1]
+	t := &Table{Columns: []string{inputs, estimate, "difference vs largest"}}
+	for i, n := range sizes {
+		t.AddRow(fmt.Sprintf("%d", n), pct(ests[i]), pct(math.Abs(ests[i]-ref)))
+	}
+	return t, nil
+}
+
+// lossTable renders a QoS-loss figure: one row per version.
+func lossTable(names []string, losses []float64) *Table {
+	t := &Table{Columns: []string{"version", "QoS loss"}}
+	for i, name := range names {
+		t.AddRow(name, pct(losses[i]))
+	}
+	return t
+}

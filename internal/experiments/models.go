@@ -10,22 +10,19 @@ import (
 // json.Marshaler). This is the programmatic face of cmd/greencal.
 func Calibrate(app string, o Options) (any, error) {
 	o = o.withDefaults()
+	var sw *sweep
+	var err error
 	switch app {
 	case "search":
-		f, err := newSearchFixture(o)
-		if err != nil {
-			return nil, err
+		f, ferr := newSearchFixture(o)
+		if ferr != nil {
+			return nil, ferr
 		}
-		return f.buildLoopModel(f.calQueries)
+		sw, err = f.calibrationSweep(f.calQueries)
 	case "eon":
-		f := newEonFixture(o)
-		return f.eonLoopModel(len(f.cameras))
+		sw, err = newEonFixture(o).sweep()
 	case "cga":
-		f, err := newCGAFixture(o)
-		if err != nil {
-			return nil, err
-		}
-		return f.cgaLoopModel(len(f.graphs))
+		_, sw, err = cgaSweep(o)
 	case "exp":
 		return newBSFixture(o).calibrateExp()
 	case "log":
@@ -34,6 +31,10 @@ func Calibrate(app string, o Options) (any, error) {
 		return nil, fmt.Errorf("experiments: unknown app %q (have %v)",
 			app, CalibratableApps())
 	}
+	if err != nil {
+		return nil, err
+	}
+	return sw.model()
 }
 
 // CalibratableApps lists the applications Calibrate accepts.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"green/internal/core"
 	"green/internal/energy"
@@ -91,116 +92,109 @@ func newSearchFixture(o Options) (*searchFixture, error) {
 	return f, nil
 }
 
-// searchVersion identifies one evaluated configuration.
-type searchVersion struct {
-	name string
-	// maxDocs > 0: static cap (M-*N). maxDocs == 0: precise base.
-	maxDocs int
-	// adaptivePeriod > 0: M-PRO adaptive termination with this period.
-	adaptivePeriod int
-}
-
-// run executes one query under the version and returns the ranked top-N
-// and the documents processed.
-func (v searchVersion) run(e *search.Engine, q search.Query, topN int) ([]int, int) {
-	if v.adaptivePeriod > 0 {
-		s := e.NewScan(q, topN)
-		var prev []int
-		for {
-			advanced := false
-			for i := 0; i < v.adaptivePeriod; i++ {
-				if !s.Step() {
-					break
-				}
-				advanced = true
-			}
-			if !advanced {
-				break
-			}
-			cur := s.TopN()
-			if prev != nil && metrics.TopNExactMatch(prev, cur) {
-				break // no QoS improvement in the current period
-			}
-			prev = cur
-		}
-		return s.TopN(), s.Processed()
-	}
-	return e.Search(q, topN, v.maxDocs)
-}
-
-// evaluate runs the version over the query set, comparing against
-// precomputed precise results, and returns the QoS loss fraction and the
-// simulated report.
-func (f *searchFixture) evaluate(v searchVersion, queries []search.Query, precise [][]int) (float64, energy.Report) {
-	acct := energy.NewAccount()
-	bad := 0
-	for i, q := range queries {
-		top, processed := v.run(f.engine, q, f.topN)
-		acct.AddOp()
-		acct.Add("doc", float64(processed))
-		if !metrics.TopNExactMatch(precise[i], top) {
-			bad++
-		}
-	}
-	return float64(bad) / float64(len(queries)), f.cost.Evaluate(acct)
-}
-
-// preciseResults precomputes base top-N per query.
-func (f *searchFixture) preciseResults(queries []search.Query) [][]int {
-	out := make([][]int, len(queries))
-	for i, q := range queries {
-		out[i], _ = f.engine.Search(q, f.topN, 0)
-	}
-	return out
-}
-
-// standardVersions returns the paper's Figure 10/11 version set.
-func (f *searchFixture) standardVersions() []searchVersion {
-	n := f.refN
-	return []searchVersion{
-		{name: "Base"},
-		{name: "M-10N", maxDocs: 10 * n},
-		{name: "M-5N", maxDocs: 5 * n},
-		{name: "M-2N", maxDocs: 2 * n},
-		{name: "M-N", maxDocs: n},
-		{name: "M-PRO-0.5N", adaptivePeriod: n / 2},
-	}
-}
-
 // calibrationKnots is the Figure 6 sweep of M in units of N.
 var calibrationKnots = []float64{0.1, 0.25, 0.5, 1, 2, 4, 6, 8, 10}
 
-// buildLoopModel runs the calibration phase over the given queries and
-// returns the loop model for the matching-document loop.
-func (f *searchFixture) buildLoopModel(queries []search.Query) (*model.LoopModel, error) {
-	knots := make([]float64, len(calibrationKnots))
-	for i, k := range calibrationKnots {
-		knots[i] = math.Max(1, k*float64(f.refN))
-	}
-	baseLevel := float64(f.engine.Docs())
-	cal, err := core.NewLoopCalibration("search.match", knots, baseLevel, baseLevel)
-	if err != nil {
-		return nil, err
-	}
-	// Training queries hit the engine's immutable index only, so they can
-	// be measured concurrently; AddRunsParallel merges in query order, so
-	// the model is identical for any worker count.
-	err = cal.AddRunsParallel(f.workers, len(queries), func(i int) ([]float64, []float64, error) {
-		q := queries[i]
-		precise, _ := f.engine.Search(q, f.topN, 0)
-		losses := make([]float64, len(knots))
-		works := make([]float64, len(knots))
-		for j, k := range knots {
-			approx, processed := f.engine.Search(q, f.topN, int(k))
-			losses[j] = metrics.QueryLoss(precise, approx)
-			works[j] = float64(processed)
+// measure streams query q through one scan of the matching-document loop
+// and reads every version off it: the page and the documents processed as
+// the scan crosses each cap (int(caps[l]) documents, in any order), where
+// M-PRO's adaptive rule with the given period stops (one more level after
+// the caps; period 0 leaves it out), and at exhaustion — the precise page
+// every other page is judged against, at base documents.
+func (f *searchFixture) measure(q search.Query, caps []float64, period int, loss, work []float64) (base float64) {
+	n := len(caps)
+	pages := make([][]int, len(loss))
+	s := f.engine.NewScan(q, f.topN)
+	snapshot := func(l int) { pages[l], work[l] = s.TopN(), float64(s.Processed()) }
+
+	// M-PRO looks at the page every period documents and stops at the
+	// first look that finds it unchanged; next is the look ahead of the
+	// scan, 0 once the rule has stopped (or was not asked for).
+	var prev []int
+	next := period
+	runTo := func(docs int) {
+		for next > 0 && next <= docs {
+			if want := next - s.Processed(); s.StepN(want) < want {
+				break // ran out first: M-PRO served the precise page
+			}
+			cur := s.TopN()
+			if prev != nil && metrics.TopNExactMatch(prev, cur) {
+				snapshot(n)
+				next = 0
+				break
+			}
+			prev, next = cur, next+period
 		}
-		return losses, works, nil
+		s.StepN(docs - s.Processed())
+	}
+
+	order := make([]int, n)
+	for l := range order {
+		order[l] = l
+	}
+	sort.Slice(order, func(a, b int) bool { return caps[order[a]] < caps[order[b]] })
+	for _, l := range order {
+		runTo(int(caps[l]))
+		snapshot(l)
+	}
+	runTo(math.MaxInt)
+	if next > 0 {
+		snapshot(n)
+	}
+	precise := s.TopN()
+	for l, page := range pages {
+		loss[l] = metrics.QueryLoss(precise, page)
+	}
+	return float64(s.Processed())
+}
+
+// sweep measures every query at the named levels — the caps, then M-PRO
+// when period is positive — on the fixture's workers: queries only read
+// the engine's immutable index.
+func (f *searchFixture) sweep(queries []search.Query, names []string, caps []float64, period int) (*sweep, error) {
+	sw, err := measureAll(f.workers, len(queries), names, func(i int, loss, work []float64) (float64, error) {
+		return f.measure(queries[i], caps, period, loss, work), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return cal.Build()
+	docs := float64(f.engine.Docs())
+	sw.loop, sw.knots, sw.baseLevel, sw.baseWork = "search.match", caps, docs, docs
+	return sw, nil
+}
+
+// calibrationSweep is the calibration phase over the given queries: the
+// matching-document loop measured at the Figure 6 knots.
+func (f *searchFixture) calibrationSweep(queries []search.Query) (*sweep, error) {
+	names := make([]string, len(calibrationKnots))
+	knots := make([]float64, len(calibrationKnots))
+	for i, k := range calibrationKnots {
+		names[i], knots[i] = fmt.Sprintf("%.1fN", k), math.Max(1, k*float64(f.refN))
+	}
+	return f.sweep(queries, names, knots, 0)
+}
+
+// loopModel builds the matching-document loop's model from the queries.
+func (f *searchFixture) loopModel(queries []search.Query) (*model.LoopModel, error) {
+	sw, err := f.calibrationSweep(queries)
+	if err != nil {
+		return nil, err
+	}
+	return sw.model()
+}
+
+// standardSweep builds the fixture and measures its test queries under
+// the paper's Figure 10/11/12 version set; the precise Base is the
+// sweep's base.
+func standardSweep(o Options) (*searchFixture, *sweep, error) {
+	f, err := newSearchFixture(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := float64(f.refN)
+	sw, err := f.sweep(f.tstQueries, []string{"M-10N", "M-5N", "M-2N", "M-N", "M-PRO-0.5N"},
+		[]float64{10 * n, 5 * n, 2 * n, n}, f.refN/2)
+	return f, sw, err
 }
 
 func runFig6(o Options) (*Table, error) {
@@ -208,22 +202,19 @@ func runFig6(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := f.buildLoopModel(f.calQueries)
+	sw, err := f.calibrationSweep(f.calQueries)
+	if err != nil {
+		return nil, err
+	}
+	m, err := sw.model()
 	if err != nil {
 		return nil, err
 	}
 	// Base work for throughput comparison: the precise scan.
-	baseAcct := energy.NewAccount()
-	for _, q := range f.calQueries {
-		_, n := f.engine.Search(q, f.topN, 0)
-		baseAcct.AddOp()
-		baseAcct.Add("doc", float64(n))
-	}
-	base := f.cost.Evaluate(baseAcct)
+	_, base := sw.reports(f.cost, "doc")
 
 	t := &Table{Columns: []string{"M", "QoS loss", "throughput improvement"}}
-	for _, k := range calibrationKnots {
-		level := math.Max(1, k*float64(f.refN))
+	for i, level := range sw.knots {
 		loss := m.PredictLoss(level)
 		// Throughput at this cap from the calibrated work curve.
 		perQueryDocs := m.PredictWork(level)
@@ -234,7 +225,7 @@ func runFig6(o Options) (*Table, error) {
 		}
 		rep := f.cost.Evaluate(acct)
 		imp := base.Seconds/rep.Seconds - 1
-		t.AddRow(fmt.Sprintf("%.1fN", k), pct(loss), pct(imp))
+		t.AddRow(sw.names[i], pct(loss), pct(imp))
 	}
 	t.AddNote("N = %d documents (derived from the calibration workload)", f.refN)
 	t.AddNote("calibration queries = %d over a %d-document corpus",
@@ -243,37 +234,24 @@ func runFig6(o Options) (*Table, error) {
 }
 
 func runFig10(o Options) (*Table, error) {
-	f, err := newSearchFixture(o)
+	f, sw, err := standardSweep(o)
 	if err != nil {
 		return nil, err
 	}
-	precise := f.preciseResults(f.tstQueries)
-	var baseRep energy.Report
-	t := &Table{Columns: []string{"version", "norm. throughput (QPS)", "norm. energy (J/query)"}}
-	for i, v := range f.standardVersions() {
-		_, rep := f.evaluate(v, f.tstQueries, precise)
-		if i == 0 {
-			baseRep = rep
-		}
-		t.AddRow(v.name,
-			norm(rep.Throughput()/baseRep.Throughput()),
-			norm(rep.JoulesPerOp()/baseRep.JoulesPerOp()))
-	}
+	reps, base := sw.reports(f.cost, "doc")
+	t := perfTable([]string{"version", "norm. throughput (QPS)", "norm. energy (J/query)"},
+		append([]string{"Base"}, sw.names...), append([]energy.Report{base}, reps...), base,
+		energy.Report.Throughput, energy.Report.JoulesPerOp)
 	t.AddNote("base = 100; N = %d; test queries = %d", f.refN, len(f.tstQueries))
 	return t, nil
 }
 
 func runFig11(o Options) (*Table, error) {
-	f, err := newSearchFixture(o)
+	f, sw, err := standardSweep(o)
 	if err != nil {
 		return nil, err
 	}
-	precise := f.preciseResults(f.tstQueries)
-	t := &Table{Columns: []string{"version", "QoS loss"}}
-	for _, v := range f.standardVersions() {
-		loss, _ := f.evaluate(v, f.tstQueries, precise)
-		t.AddRow(v.name, pct(loss))
-	}
+	t := lossTable(append([]string{"Base"}, sw.names...), append([]float64{0}, sw.means()...))
 	t.AddNote("QoS loss = fraction of queries whose top-%d set or order changed", f.topN)
 	return t, nil
 }
@@ -283,21 +261,21 @@ func runFig11(o Options) (*Table, error) {
 // single-server queue fed at a deterministic rate — the cutoff-QPS
 // methodology of the paper's Figure 12.
 func runFig12(o Options) (*Table, error) {
-	f, err := newSearchFixture(o)
+	f, sw, err := standardSweep(o)
 	if err != nil {
 		return nil, err
 	}
-	// Per-query service times per version.
-	versions := f.standardVersions()
+	// Per-query service times per version, Base first.
+	versions := append([]string{"Base"}, sw.names...)
 	serviceTimes := make([][]float64, len(versions))
-	for vi, v := range versions {
+	for vi := range versions {
 		times := make([]float64, len(f.tstQueries))
-		for i, q := range f.tstQueries {
-			_, processed := v.run(f.engine, q, f.topN)
-			acct := energy.NewAccount()
-			acct.AddOp()
-			acct.Add("doc", float64(processed))
-			times[i] = f.cost.Evaluate(acct).Seconds
+		for i := range times {
+			docs := sw.base[i]
+			if vi > 0 {
+				docs = sw.work[i][vi-1]
+			}
+			times[i] = f.cost.FixedSeconds + docs*f.cost.UnitSeconds["doc"]
 		}
 		serviceTimes[vi] = times
 	}
@@ -310,11 +288,7 @@ func runFig12(o Options) (*Table, error) {
 	baseCapacity := 1 / meanBase
 	deadline := 4 * meanBase
 
-	cols := []string{"offered QPS (% of base capacity)"}
-	for _, v := range versions {
-		cols = append(cols, v.name)
-	}
-	t := &Table{Columns: cols}
+	t := &Table{Columns: append([]string{"offered QPS (% of base capacity)"}, versions...)}
 	cutoff := make([]float64, len(versions))
 	for _, loadPct := range []float64{60, 80, 90, 100, 110, 120, 130, 140, 150} {
 		rate := baseCapacity * loadPct / 100
@@ -322,7 +296,6 @@ func runFig12(o Options) (*Table, error) {
 		row := []string{fmt.Sprintf("%.0f", loadPct)}
 		for vi := range versions {
 			ok := 0
-			clock := 0.0
 			free := 0.0
 			for i, s := range serviceTimes[vi] {
 				arrive := float64(i) * interval
@@ -334,9 +307,7 @@ func runFig12(o Options) (*Table, error) {
 				if finish-arrive <= deadline {
 					ok++
 				}
-				clock = arrive
 			}
-			_ = clock
 			rate := float64(ok) / float64(len(serviceTimes[vi]))
 			row = append(row, pct(rate))
 			if rate >= 0.998 && loadPct > cutoff[vi] { // 100-4d line analog
@@ -346,7 +317,7 @@ func runFig12(o Options) (*Table, error) {
 		t.AddRow(row...)
 	}
 	for vi, v := range versions {
-		t.AddNote("cutoff QPS of %s ~= %.0f%% of base capacity", v.name, cutoff[vi])
+		t.AddNote("cutoff QPS of %s ~= %.0f%% of base capacity", v, cutoff[vi])
 	}
 	return t, nil
 }
@@ -366,23 +337,14 @@ func runFig13(o Options) (*Table, error) {
 		}
 	}
 	sizes = uniq
-	level := float64(f.refN) // estimate at M = N, as the paper does
-	var ref float64
-	ests := make([]float64, len(sizes))
-	for i, n := range sizes {
-		if n > len(f.calQueries) {
-			n = len(f.calQueries)
-		}
-		m, err := f.buildLoopModel(f.calQueries[:n])
-		if err != nil {
-			return nil, err
-		}
-		ests[i] = m.PredictLoss(level)
+	sw, err := f.calibrationSweep(f.calQueries)
+	if err != nil {
+		return nil, err
 	}
-	ref = ests[len(ests)-1]
-	t := &Table{Columns: []string{"training queries", "estimated QoS loss at M=N", "difference vs largest"}}
-	for i, n := range sizes {
-		t.AddRow(fmt.Sprintf("%d", n), pct(ests[i]), pct(math.Abs(ests[i]-ref)))
+	// Estimate at M = N, as the paper does.
+	t, err := trainingSizeTable("training queries", "estimated QoS loss at M=N", sw, sizes, float64(f.refN))
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("the model stabilizes with small training sets (paper: 10K vs 250K differ by 0.1%%)")
 	return t, nil
@@ -396,7 +358,7 @@ func runFig14(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := f.buildLoopModel(f.calQueries)
+	m, err := f.loopModel(f.calQueries)
 	if err != nil {
 		return nil, err
 	}
@@ -427,17 +389,9 @@ func runFig14(o Options) (*Table, error) {
 	converged := -1
 	reportedWindows := 0
 	for total < maxQueries {
-		q := queries[total%len(queries)]
-		exec, err := loop.Begin(&searchLoopQoS{engine: f.engine, query: q, topN: f.topN})
-		if err != nil {
+		if _, err := f.serve(loop, queries[total%len(queries)]); err != nil {
 			return nil, err
 		}
-		s := f.engine.NewScan(q, f.topN)
-		i := 0
-		for exec.Continue(i) && s.Step() {
-			i++
-		}
-		exec.Finish(i)
 		total++
 		if len(rec.closes) > reportedWindows {
 			reportedWindows = len(rec.closes)
@@ -483,25 +437,44 @@ func (w *windowRecorder) Observe(loss, sla float64) core.Decision {
 	return d
 }
 
-// searchLoopQoS adapts one query's matching-document loop to the Green
-// LoopQoS interface: Record snapshots the top-N the approximation would
-// return; Loss compares it against the full scan's top-N.
-type searchLoopQoS struct {
-	engine   *search.Engine
-	query    search.Query
-	topN     int
-	recorded []int
+// serve runs query q's matching-document loop under the loop's controller
+// and returns the scan where the controller left it. The query's feature
+// rides along: without a Selector installed it is inert and ExecFeat is
+// bit-identical to Begin.
+func (f *searchFixture) serve(loop *core.Loop, q search.Query) (*search.Scan, error) {
+	s := f.engine.NewScan(q, f.topN)
+	exec, err := loop.ExecFeat(&streamQoS[[]int]{output: s.TopN, loss: metrics.QueryLoss},
+		core.Features{Key: postingMass(f.engine, q), Valid: true})
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for exec.Continue(i) && s.Step() {
+		i++
+	}
+	exec.Finish(i)
+	return s, nil
 }
 
-func (s *searchLoopQoS) Record(iter int) {
-	top, _ := s.engine.Search(s.query, s.topN, iter)
-	s.recorded = append(s.recorded[:0], top...)
+// streamQoS adapts a kernel the loop is streaming to the Green LoopQoS
+// interface, reading both outputs off the live kernel: Record keeps the
+// output it holds where the approximation would stop; Loss, called once a
+// monitored run has reached its natural end, judges that against the
+// output it holds then.
+type streamQoS[T any] struct {
+	output   func() T
+	loss     func(precise, approx T) float64
+	recorded *T
 }
 
-func (s *searchLoopQoS) Loss(int) float64 {
-	precise, _ := s.engine.Search(s.query, s.topN, 0)
-	if s.recorded == nil {
+func (q *streamQoS[T]) Record(int) {
+	out := q.output()
+	q.recorded = &out
+}
+
+func (q *streamQoS[T]) Loss(int) float64 {
+	if q.recorded == nil {
 		return 0
 	}
-	return metrics.QueryLoss(precise, s.recorded)
+	return q.loss(q.output(), *q.recorded)
 }

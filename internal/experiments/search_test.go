@@ -259,7 +259,7 @@ func TestCalibrationWorkersProduceIdenticalModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := f.calQueries[:120]
-	serial, err := f.buildLoopModel(queries)
+	serial, err := f.loopModel(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestCalibrationWorkersProduceIdenticalModel(t *testing.T) {
 	}
 	for _, workers := range []int{2, 5} {
 		f.workers = workers
-		m, err := f.buildLoopModel(queries)
+		m, err := f.loopModel(queries)
 		if err != nil {
 			t.Fatal(err)
 		}

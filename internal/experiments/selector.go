@@ -5,9 +5,7 @@ import (
 	"math"
 	"sort"
 
-	"green/internal/approxmath"
 	"green/internal/core"
-	"green/internal/dft"
 	"green/internal/energy"
 	"green/internal/metrics"
 	"green/internal/model"
@@ -70,25 +68,35 @@ func quantileEdges(keys []float64, nb int) []float64 {
 	return edges
 }
 
+// trainHalf splits n inputs into a training half of at least two and a
+// test remainder of at least one.
+func trainHalf(workload string, n int) (int, error) {
+	nTrain := max(2, n/2)
+	if nTrain >= n {
+		return 0, fmt.Errorf("selector: %s needs at least %d inputs, have %d", workload, nTrain+1, n)
+	}
+	return nTrain, nil
+}
+
 // selOutcome accumulates one controller's served distribution.
 type selOutcome struct {
 	losses      []float64
 	over, under int
-	acct        *energy.Account
+	work        float64
 }
 
-func newSelOutcome() *selOutcome {
-	return &selOutcome{acct: energy.NewAccount()}
-}
-
-func (s *selOutcome) add(loss float64, over, under bool) {
+// add records one served input: its loss against the SLA, and its work
+// against the oracle's — the cheapest calibrated configuration that
+// meets the SLA on that input.
+func (s *selOutcome) add(loss, sla, work, cheapest float64) {
 	s.losses = append(s.losses, loss)
-	if over {
+	if loss > sla {
 		s.over++
 	}
-	if under {
+	if loss <= sla && work > cheapest {
 		s.under++
 	}
+	s.work += work
 }
 
 func (s *selOutcome) meanStd() (mean, std float64) {
@@ -110,13 +118,43 @@ func (s *selOutcome) variance() float64 {
 	return std * std
 }
 
-func (s *selOutcome) addRow(t *Table, workload, controller string, cost *energy.CostModel) {
+func (s *selOutcome) addRow(t *Table, workload, controller string, cost *energy.CostModel, unit string) {
 	mean, std := s.meanStd()
-	rep := cost.Evaluate(s.acct)
-	nsPerOp := rep.Seconds / float64(len(s.losses)) * 1e9
+	acct := energy.NewAccount()
+	for range s.losses {
+		acct.AddOp()
+	}
+	acct.Add(unit, s.work)
+	nsPerOp := cost.Evaluate(acct).Seconds / float64(len(s.losses)) * 1e9
 	t.AddRow(workload, controller, pct(mean), pct(std),
 		fmt.Sprintf("%d", s.over), fmt.Sprintf("%d", s.under),
 		fmt.Sprintf("%.0f", nsPerOp))
+}
+
+// loopRows drives a workload's test inputs under the loop's reactive
+// controller alone and then with the calibration's per-input Selector
+// installed, adding one row for each.
+func loopRows(t *Table, workload string, cfg core.LoopConfig, cal *core.LoopCalibration,
+	cost *energy.CostModel, unit string, drive func(*core.Loop, *selOutcome) error) (reactive, proactive *selOutcome, err error) {
+	outs := [2]*selOutcome{{}, {}}
+	for k, controller := range []string{"reactive", "proactive"} {
+		loop, err := core.NewLoop(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		if k == 1 {
+			sel, err := cal.BuildSelector()
+			if err != nil {
+				return nil, nil, err
+			}
+			loop.InstallSelector(sel)
+		}
+		if err := drive(loop, outs[k]); err != nil {
+			return nil, nil, err
+		}
+		outs[k].addRow(t, workload, controller, cost, unit)
+	}
+	return outs[0], outs[1], nil
 }
 
 // ---------------------------------------------------------------------
@@ -142,34 +180,15 @@ func selectorSearchRows(o Options, t *Table) error {
 	if err != nil {
 		return err
 	}
-	knots := make([]float64, len(calibrationKnots))
-	for i, k := range calibrationKnots {
-		knots[i] = math.Max(1, k*float64(f.refN))
-	}
-	baseLevel := float64(f.engine.Docs())
-	cal, err := core.NewLoopCalibration("search.match", knots, baseLevel, baseLevel)
-	if err != nil {
-		return err
-	}
 	calKeys := make([]float64, len(f.calQueries))
 	for i, q := range f.calQueries {
 		calKeys[i] = postingMass(f.engine, q)
 	}
-	if err := cal.FeatureBuckets(quantileEdges(calKeys, 4)); err != nil {
+	train, err := f.calibrationSweep(f.calQueries)
+	if err != nil {
 		return err
 	}
-	err = cal.AddRunsFeatParallel(f.workers, len(f.calQueries), func(i int) (core.Features, []float64, []float64, error) {
-		q := f.calQueries[i]
-		precise, _ := f.engine.Search(q, f.topN, 0)
-		losses := make([]float64, len(knots))
-		works := make([]float64, len(knots))
-		for j, k := range knots {
-			approx, processed := f.engine.Search(q, f.topN, int(k))
-			losses[j] = metrics.QueryLoss(precise, approx)
-			works[j] = float64(processed)
-		}
-		return core.Features{Key: calKeys[i], Valid: true}, losses, works, nil
-	})
+	cal, err := train.calibration(calKeys, 4)
 	if err != nil {
 		return err
 	}
@@ -177,78 +196,36 @@ func selectorSearchRows(o Options, t *Table) error {
 	if err != nil {
 		return err
 	}
-
-	// Per-query oracle: the precise top-N and the fewest documents any
-	// calibrated cap processes while still matching it (query loss is
-	// 0/1, so "meets the SLA" means an exact match).
-	type searchOracle struct {
-		precise []int
-		minDocs int
-	}
-	oracles := make([]searchOracle, len(f.tstQueries))
-	for i, q := range f.tstQueries {
-		precise, pdocs := f.engine.Search(q, f.topN, 0)
-		minDocs := pdocs
-		for _, k := range knots {
-			approx, docs := f.engine.Search(q, f.topN, int(k))
-			if metrics.QueryLoss(precise, approx) == 0 {
-				minDocs = docs
-				break
-			}
-		}
-		oracles[i] = searchOracle{precise: precise, minDocs: minDocs}
+	// The per-query oracle reads off the test queries' sweep: the fewest
+	// documents any calibrated cap processes while still returning the
+	// precise page (query loss is 0/1, so "meets the SLA" means an exact
+	// match), else the whole scan.
+	test, err := f.calibrationSweep(f.tstQueries)
+	if err != nil {
+		return err
 	}
 
-	drive := func(useSel bool) (*selOutcome, error) {
-		loop, err := core.NewLoop(core.LoopConfig{
-			Name: "search.match", Model: m, SLA: selectorSearchSLA,
-			SampleInterval: 25, MinLevel: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if useSel {
-			sel, err := cal.BuildSelector()
-			if err != nil {
-				return nil, err
-			}
-			loop.InstallSelector(sel)
-		}
-		out := newSelOutcome()
+	reactive, proactive, err := loopRows(t, "search", core.LoopConfig{
+		Name: "search.match", Model: m, SLA: selectorSearchSLA,
+		SampleInterval: 25, MinLevel: 1,
+	}, cal, f.cost, "doc", func(loop *core.Loop, out *selOutcome) error {
 		for i, q := range f.tstQueries {
-			qos := &searchLoopQoS{engine: f.engine, query: q, topN: f.topN}
-			// ExecFeat with no Selector installed is bit-identical to
-			// Begin, so the reactive row threads the same features and
-			// simply never consults them.
-			exec, err := loop.ExecFeat(qos, core.Features{Key: postingMass(f.engine, q), Valid: true})
+			s, err := f.serve(loop, q)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			s := f.engine.NewScan(q, f.topN)
-			it := 0
-			for exec.Continue(it) && s.Step() {
-				it++
-			}
-			exec.Finish(it)
-			loss := metrics.QueryLoss(oracles[i].precise, s.TopN())
-			docs := s.Processed()
-			out.add(loss, loss > selectorSearchSLA,
-				loss <= selectorSearchSLA && docs > oracles[i].minDocs)
-			out.acct.AddOp()
-			out.acct.Add("doc", float64(docs))
+			// The rest of the same scan is the precise page to judge
+			// the served one against.
+			served, docs := s.TopN(), float64(s.Processed())
+			s.StepN(math.MaxInt)
+			out.add(metrics.QueryLoss(s.TopN(), served), selectorSearchSLA,
+				docs, test.cheapest(i, selectorSearchSLA, test.base[i]))
 		}
-		return out, nil
-	}
-	reactive, err := drive(false)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	proactive, err := drive(true)
-	if err != nil {
-		return err
-	}
-	reactive.addRow(t, "search", "reactive", f.cost)
-	proactive.addRow(t, "search", "proactive", f.cost)
 	t.AddNote("search: SLA = %s, feature = posting mass, %d test queries; loss variance reactive %.5f vs proactive %.5f",
 		pct(selectorSearchSLA), len(f.tstQueries), reactive.variance(), proactive.variance())
 	return nil
@@ -257,30 +234,6 @@ func selectorSearchRows(o Options, t *Table) error {
 // ---------------------------------------------------------------------
 // Raytracer: the pass loop, featured by camera distance.
 // ---------------------------------------------------------------------
-
-// eonLoopQoS adapts one rendering's pass loop to the LoopQoS interface:
-// Record snapshots the framebuffer the approximation would ship, Loss
-// compares it against the base rendering of the same input.
-type eonLoopQoS struct {
-	base     []float64
-	r        *raytracer.Renderer
-	recorded []float64
-}
-
-func (e *eonLoopQoS) Record(int) {
-	e.recorded = append(e.recorded[:0], e.r.Snapshot().Pix...)
-}
-
-func (e *eonLoopQoS) Loss(int) float64 {
-	if e.recorded == nil {
-		return 0
-	}
-	d, err := metrics.PixelDiff(e.base, e.recorded)
-	if err != nil {
-		return 0
-	}
-	return d
-}
 
 // camDistance is the per-input feature: how far the camera sits from
 // the origin the random cameras orbit. Distant cameras shrink the scene
@@ -292,66 +245,22 @@ func camDistance(c raytracer.Camera) float64 {
 
 func selectorEonRows(o Options, t *Table) error {
 	f := newEonFixture(o)
-	nTrain := len(f.cameras) / 2
-	if nTrain < 2 {
-		nTrain = 2
-	}
-	if nTrain >= len(f.cameras) {
-		return fmt.Errorf("selector: eon needs at least %d inputs, have %d", nTrain+1, len(f.cameras))
-	}
-	knots := make([]float64, len(eonVersionNs))
-	for i, n := range eonVersionNs {
-		knots[i] = float64(n * n)
-	}
-	baseLevel := float64(f.baseN * f.baseN)
-	raysPerPass := float64(f.w * f.h * 3)
-	cal, err := core.NewLoopCalibration("eon.passes", knots, baseLevel, baseLevel*raysPerPass)
+	nTrain, err := trainHalf("eon", len(f.cameras))
 	if err != nil {
 		return err
 	}
+	sw, err := f.sweep()
+	if err != nil {
+		return err
+	}
+	knots := sw.knots
 	trainKeys := make([]float64, nTrain)
 	for i := 0; i < nTrain; i++ {
 		trainKeys[i] = camDistance(f.cameras[i])
 	}
-	if err := cal.FeatureBuckets(quantileEdges(trainKeys, 3)); err != nil {
+	cal, err := sw.first(nTrain).calibration(trainKeys, 3)
+	if err != nil {
 		return err
-	}
-
-	// sweep renders input i incrementally and returns per-knot losses
-	// and cumulative ray counts, plus the base image.
-	sweep := func(i int) (*raytracer.Image, []float64, []float64, error) {
-		baseImg, _, err := f.renderInput(i, f.baseN*f.baseN)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		r, err := raytracer.NewRenderer(f.scene, f.cameras[i], f.w, f.h, f.seeds[i])
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		losses := make([]float64, len(knots))
-		works := make([]float64, len(knots))
-		for k, knot := range knots {
-			for r.Passes() < int(knot) {
-				r.Pass()
-			}
-			d, err := metrics.PixelDiff(baseImg.Pix, r.Snapshot().Pix)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			losses[k] = d
-			works[k] = float64(r.Rays())
-		}
-		return baseImg, losses, works, nil
-	}
-
-	for i := 0; i < nTrain; i++ {
-		_, losses, works, err := sweep(i)
-		if err != nil {
-			return err
-		}
-		if err := cal.AddRunFeat(core.Features{Key: trainKeys[i], Valid: true}, losses, works); err != nil {
-			return err
-		}
 	}
 	m, err := cal.Build()
 	if err != nil {
@@ -368,55 +277,21 @@ func selectorEonRows(o Options, t *Table) error {
 		sla = 0.02
 	}
 
-	// Per-test-input oracle: base image plus the fewest rays any
-	// calibrated pass budget needs to meet the SLA on that input.
-	type eonOracle struct {
-		base    *raytracer.Image
-		minRays float64
-	}
-	oracles := make([]eonOracle, 0, len(f.cameras)-nTrain)
-	for i := nTrain; i < len(f.cameras); i++ {
-		baseImg, losses, works, err := sweep(i)
-		if err != nil {
-			return err
-		}
-		minRays := works[len(works)-1] // full-depth fallback
-		for k := range knots {
-			if losses[k] <= sla {
-				minRays = works[k]
-				break
-			}
-		}
-		oracles = append(oracles, eonOracle{base: baseImg, minRays: minRays})
-	}
-
-	drive := func(useSel bool) (*selOutcome, error) {
-		loop, err := core.NewLoop(core.LoopConfig{
-			Name: "eon.passes", Model: m, SLA: sla,
-			SampleInterval: 8, MinLevel: knots[0],
-		})
-		if err != nil {
-			return nil, err
-		}
-		if useSel {
-			sel, err := cal.BuildSelector()
-			if err != nil {
-				return nil, err
-			}
-			loop.InstallSelector(sel)
-		}
-		out := newSelOutcome()
-		for oi, i := 0, nTrain; i < len(f.cameras); oi, i = oi+1, i+1 {
+	_, _, err = loopRows(t, "raytracer", core.LoopConfig{
+		Name: "eon.passes", Model: m, SLA: sla,
+		SampleInterval: 8, MinLevel: knots[0],
+	}, cal, f.cost, "ray", func(loop *core.Loop, out *selOutcome) error {
+		for i := nTrain; i < len(f.cameras); i++ {
 			r, err := raytracer.NewRenderer(f.scene, f.cameras[i], f.w, f.h, f.seeds[i])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			qos := &eonLoopQoS{base: oracles[oi].base.Pix, r: r}
-			// As in the search drive: without a Selector the features are
-			// inert and ExecFeat is bit-identical to Begin.
-			exec, err := loop.ExecFeat(qos, core.Features{Key: camDistance(f.cameras[i]), Valid: true})
+			// Without a Selector installed the features are inert and
+			// ExecFeat is bit-identical to Begin.
+			exec, err := loop.ExecFeat(&streamQoS[*raytracer.Image]{output: r.Snapshot, loss: frameLoss},
+				core.Features{Key: camDistance(f.cameras[i]), Valid: true})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			it := 0
 			for it < f.baseN*f.baseN && exec.Continue(it) {
@@ -424,27 +299,21 @@ func selectorEonRows(o Options, t *Table) error {
 				it++
 			}
 			exec.Finish(it)
-			loss, err := metrics.PixelDiff(oracles[oi].base.Pix, r.Snapshot().Pix)
-			if err != nil {
-				return nil, err
+			// The rest of the same rendering is the base frame to judge
+			// the served one against.
+			served, rays := r.Snapshot(), float64(r.Rays())
+			for r.Passes() < f.baseN*f.baseN {
+				r.Pass()
 			}
-			rays := float64(r.Rays())
-			out.add(loss, loss > sla, loss <= sla && rays > oracles[oi].minRays)
-			out.acct.AddOp()
-			out.acct.Add("ray", rays)
+			// The oracle is the fewest rays any calibrated pass budget
+			// needs to meet the SLA on this input, else the deepest one's.
+			out.add(frameLoss(r.Snapshot(), served), sla, rays, sw.cheapest(i, sla, sw.work[i][len(knots)-1]))
 		}
-		return out, nil
-	}
-	reactive, err := drive(false)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	proactive, err := drive(true)
-	if err != nil {
-		return err
-	}
-	reactive.addRow(t, "raytracer", "reactive", f.cost)
-	proactive.addRow(t, "raytracer", "proactive", f.cost)
 	t.AddNote("raytracer: SLA = %s (derived from the calibrated loss range), feature = camera distance, %d train / %d test inputs",
 		pct(sla), nTrain, len(f.cameras)-nTrain)
 	return nil
@@ -482,61 +351,16 @@ func selectorDFTRows(o Options, t *Table) error {
 		wj := versions[j].cosGrade.Terms() + versions[j].sinGrade.Terms()
 		return wi < wj
 	})
-	termsOf := func(v dftVersion) float64 {
-		return (float64(v.cosGrade.Terms()+v.sinGrade.Terms()) + dftBodyTerms) *
-			float64(f.n) * float64(f.n)
-	}
-	preciseTerms := (float64(2*approxmath.TrigPrecise.Terms()) + dftBodyTerms) *
-		float64(f.n) * float64(f.n)
-
-	nTrain := len(f.signals) / 2
-	if nTrain < 2 {
-		nTrain = 2
-	}
-	if nTrain >= len(f.signals) {
-		return fmt.Errorf("selector: dft needs at least %d signals, have %d", nTrain+1, len(f.signals))
+	nTrain, err := trainHalf("dft", len(f.signals))
+	if err != nil {
+		return err
 	}
 
-	// Per-signal per-version loss matrix against the precise spectra.
-	preciseRe := make([][]float64, len(f.signals))
-	preciseIm := make([][]float64, len(f.signals))
-	for i, sig := range f.signals {
-		re, im, err := dft.Transform(sig, dft.PreciseTrig())
-		if err != nil {
-			return err
-		}
-		preciseRe[i], preciseIm[i] = re, im
+	sw, err := f.sweep(versions)
+	if err != nil {
+		return err
 	}
-	loss := make([][]float64, len(versions)) // [version][signal]
-	for v, ver := range versions {
-		trig := dft.Trig{
-			Sin: approxmath.SinFn(ver.sinGrade),
-			Cos: approxmath.CosFn(ver.cosGrade),
-		}
-		loss[v] = make([]float64, len(f.signals))
-		for i, sig := range f.signals {
-			re, im, err := dft.Transform(sig, trig)
-			if err != nil {
-				return err
-			}
-			lr, err := metrics.RMSNormDiff(preciseRe[i], re)
-			if err != nil {
-				return err
-			}
-			li, err := metrics.RMSNormDiff(preciseIm[i], im)
-			if err != nil {
-				return err
-			}
-			loss[v][i] = (lr + li) / 2
-		}
-	}
-	trainMean := make([]float64, len(versions))
-	for v := range versions {
-		for i := 0; i < nTrain; i++ {
-			trainMean[v] += loss[v][i]
-		}
-		trainMean[v] /= float64(nTrain)
-	}
+	trainMean := sw.first(nTrain).means()
 	// The trig grades are orders of magnitude apart, so only the border
 	// between the two coarsest versions leaves room for per-input
 	// choice: an SLA between their training means (geometric midpoint)
@@ -560,13 +384,7 @@ func selectorDFTRows(o Options, t *Table) error {
 	}
 
 	// Proactive: a FuncSelector bucketed by crest factor.
-	names := make([]string, len(versions))
-	work := make([]float64, len(versions))
-	for v, ver := range versions {
-		names[v] = ver.name
-		work[v] = termsOf(ver)
-	}
-	fcal, err := core.NewFuncCalibration("dft.trig", preciseTerms, names, work, 1)
+	fcal, err := core.NewFuncCalibration("dft.trig", sw.base[0], sw.names, sw.work[0], 1)
 	if err != nil {
 		return err
 	}
@@ -580,7 +398,7 @@ func selectorDFTRows(o Options, t *Table) error {
 	for i := 0; i < nTrain; i++ {
 		feat := core.Features{Key: trainKeys[i], Valid: true}
 		for v := range versions {
-			if err := fcal.AddSampleFeat(feat, v, 0, loss[v][i]); err != nil {
+			if err := fcal.AddSampleFeat(feat, v, 0, sw.loss[i][v]); err != nil {
 				return err
 			}
 		}
@@ -590,30 +408,14 @@ func selectorDFTRows(o Options, t *Table) error {
 		return err
 	}
 
-	lossAndTerms := func(v, i int) (float64, float64) {
-		if v == model.PreciseVersion {
-			return 0, preciseTerms
-		}
-		return loss[v][i], termsOf(versions[v])
-	}
-	oracleTerms := func(i int) float64 {
-		// Cheapest version meeting the SLA on this signal; the ladder is
-		// work-sorted, so the first hit is the floor.
-		for v := range versions {
-			if loss[v][i] <= sla {
-				return termsOf(versions[v])
-			}
-		}
-		return preciseTerms
-	}
-
 	eval := func(choose func(i int) int) *selOutcome {
-		out := newSelOutcome()
+		out := new(selOutcome)
 		for i := nTrain; i < len(f.signals); i++ {
-			l, terms := lossAndTerms(choose(i), i)
-			out.add(l, l > sla, l <= sla && terms > oracleTerms(i))
-			out.acct.AddOp()
-			out.acct.Add("term", terms)
+			l, terms := 0.0, sw.base[i]
+			if v := choose(i); v != model.PreciseVersion {
+				l, terms = sw.loss[i][v], sw.work[i][v]
+			}
+			out.add(l, sla, terms, sw.cheapest(i, sla, sw.base[i]))
 		}
 		return out
 	}
@@ -625,8 +427,8 @@ func selectorDFTRows(o Options, t *Table) error {
 		}
 		return int(lvl)
 	})
-	reactive.addRow(t, "dft", "reactive", f.cost)
-	proactive.addRow(t, "dft", "proactive", f.cost)
+	reactive.addRow(t, "dft", "reactive", f.cost, "term")
+	proactive.addRow(t, "dft", "proactive", f.cost, "term")
 	reactiveName := "Base"
 	if reactiveV != model.PreciseVersion {
 		reactiveName = versions[reactiveV].name

@@ -96,8 +96,10 @@ func ScaffoldSource(s *Suggestion, pkgName string) ([]byte, error) {
 	if accum == "" {
 		accum = "the accumulator"
 	}
+	// A type the checker could not resolve, at any depth, prints as
+	// "invalid type", which is not Go.
 	typ := s.AccumType
-	if typ == "" {
+	if typ == "" || strings.Contains(typ, "invalid type") {
 		typ = "float64"
 	}
 
