@@ -1032,8 +1032,9 @@ func (t *benchClusterTransport) Do(ctx context.Context, method, base, path strin
 // merge, JSON encode — one op per federated request. The shard workers
 // run their own warm paths in-process, so the row tracks the whole
 // federation stack; the coordinator's own contribution is bounded by
-// the check.sh allocation gate (per-shard scatter goroutines plus the
-// query echo are the only per-request allocations).
+// the check.sh allocation gate (the shard request's path string and the
+// query echo are the only per-request allocations: shard calls run on
+// parked scatter workers and on the handler's own goroutine).
 func BenchmarkClusterScatter(b *testing.B) {
 	bt := &benchClusterTransport{handlers: make(map[string]http.Handler)}
 	var shards []cluster.ShardSpec

@@ -35,6 +35,13 @@ type replica struct {
 	failures atomic.Int64
 }
 
+// failed charges one failed attempt (a transport error, a non-200 or a
+// reply that does not parse), admitted at consult n, to the replica.
+func (r *replica) failed(n int64, probe bool) {
+	r.failures.Add(1)
+	r.brk.OnFailure(n, probe)
+}
+
 // shardClient routes requests for one shard across its replicas.
 type shardClient struct {
 	name      string
@@ -43,14 +50,15 @@ type shardClient struct {
 	replicas  []*replica
 	rr        atomic.Uint32 // round-robin cursor for first-choice picks
 	rng       *lockedRand
+	pool      *scatterPool // runs the attempts of a hedged search
 
 	okReqs   atomic.Int64
 	failReqs atomic.Int64
 	hedges   atomic.Int64
 }
 
-func newShardClient(spec ShardSpec, cfg *Config, rng *lockedRand) *shardClient {
-	c := &shardClient{name: spec.Name, cfg: cfg, transport: cfg.Transport, rng: rng}
+func newShardClient(spec ShardSpec, cfg *Config, rng *lockedRand, pool *scatterPool) *shardClient {
+	c := &shardClient{name: spec.Name, cfg: cfg, transport: cfg.Transport, rng: rng, pool: pool}
 	for _, base := range spec.Replicas {
 		c.replicas = append(c.replicas, &replica{
 			base: base,
@@ -130,8 +138,7 @@ func (c *shardClient) call(ctx context.Context, method, path string, reqBody []b
 			rep.brk.OnSuccess(probe)
 			return nil
 		}
-		rep.failures.Add(1)
-		rep.brk.OnFailure(n, probe)
+		rep.failed(n, probe)
 		lastErr = err
 		if a+1 < attempts {
 			c.sleepBackoff(ctx, a, deadline)
@@ -176,17 +183,53 @@ func (c *shardClient) search(ctx context.Context, path string, deadline time.Tim
 	})
 }
 
-// hedgeResult is one raced attempt's outcome.
-type hedgeResult struct {
-	rep    *replica
-	probe  bool
-	n      int64
-	status int
-	body   []byte
-	err    error
+// hedgeAttempt is one raced attempt of a hedged search: the task a
+// scatter worker runs and, once run, its outcome. Attempts are pooled,
+// and buf keeps its capacity from one use to the next.
+type hedgeAttempt struct {
+	c        *shardClient
+	ctx      context.Context
+	path     string
+	deadline time.Time
+	rep      *replica
+	probe    bool
+	n        int64
+	// results takes the outcome while the search is still waiting for
+	// one; done is closed when it has returned.
+	results chan<- *hedgeAttempt
+	done    <-chan struct{}
+
+	buf []byte
+	err error
 }
 
-var hedgeBufPool = sync.Pool{New: func() any { return []byte(nil) }}
+var hedgeAttempts = sync.Pool{New: func() any { return new(hedgeAttempt) }}
+
+func (a *hedgeAttempt) release() {
+	*a = hedgeAttempt{buf: a.buf[:0]}
+	hedgeAttempts.Put(a)
+}
+
+// run performs the exchange and reports it: to the search if it is still
+// waiting, and otherwise — another attempt won, or the search gave up —
+// straight to the replica's breaker if the replica failed. (A 200 nobody
+// will parse is not judged, and neither is an exchange the request's own
+// cancellation cut short.)
+func (a *hedgeAttempt) run() {
+	var status int
+	status, a.buf, a.err = a.c.transport.Do(a.ctx, http.MethodGet, a.rep.base, a.path, nil, a.deadline, a.buf)
+	if a.err == nil && status != http.StatusOK {
+		a.err = fmt.Errorf("cluster: %s%s: status %d", a.rep.base, a.path, status)
+	}
+	select {
+	case a.results <- a:
+	case <-a.done:
+		if a.err != nil && a.ctx.Err() == nil {
+			a.rep.failed(a.n, a.probe)
+		}
+		a.release()
+	}
+}
 
 // searchHedged races attempts: one launches immediately, a hedge
 // launches on a different replica if no answer arrives within
@@ -194,11 +237,13 @@ var hedgeBufPool = sync.Pool{New: func() any { return []byte(nil) }}
 // (immediately, on an alternate replica — the backoff of the
 // synchronous path would defeat the point of hedging). First valid
 // reply wins; every attempt's outcome still reaches its replica's
-// breaker. The results channel is buffered for the maximum number of
-// launches, so abandoned attempts never leak a goroutine.
+// breaker, from here while the search waits and from the attempt itself
+// afterwards. Attempts run on the scatter workers and never block on a
+// search that has returned.
 func (c *shardClient) searchHedged(ctx context.Context, path string, deadline time.Time, out *wire.SearchReply) error {
-	maxLaunches := c.cfg.Retries + 2 // initial + relaunches + the hedge
-	results := make(chan hedgeResult, maxLaunches)
+	results := make(chan *hedgeAttempt)
+	done := make(chan struct{})
+	defer close(done)
 	outstanding := 0
 	var last *replica
 	launch := func() bool {
@@ -209,11 +254,11 @@ func (c *shardClient) searchHedged(ctx context.Context, path string, deadline ti
 		last = rep
 		rep.attempts.Add(1)
 		outstanding++
-		go func() {
-			buf, _ := hedgeBufPool.Get().([]byte)
-			status, body, err := c.transport.Do(ctx, http.MethodGet, rep.base, path, nil, deadline, buf[:0])
-			results <- hedgeResult{rep: rep, probe: probe, n: n, status: status, body: body, err: err}
-		}()
+		a := hedgeAttempts.Get().(*hedgeAttempt)
+		a.c, a.ctx, a.path, a.deadline = c, ctx, path, deadline
+		a.rep, a.probe, a.n = rep, probe, n
+		a.results, a.done = results, done
+		c.pool.dispatch(a)
 		return true
 	}
 	if !launch() {
@@ -228,22 +273,19 @@ func (c *shardClient) searchHedged(ctx context.Context, path string, deadline ti
 	var lastErr error
 	for {
 		select {
-		case r := <-results:
+		case a := <-results:
 			outstanding--
-			err := r.err
-			if err == nil && r.status != http.StatusOK {
-				err = fmt.Errorf("cluster: %s%s: status %d", r.rep.base, path, r.status)
-			}
+			err := a.err
 			if err == nil {
-				err = out.ParseJSON(r.body)
+				err = out.ParseJSON(a.buf)
 			}
-			hedgeBufPool.Put(r.body[:0]) //nolint:staticcheck // slice header boxing is fine off the warm path
+			rep, probe, n := a.rep, a.probe, a.n
+			a.release()
 			if err == nil {
-				r.rep.brk.OnSuccess(r.probe)
+				rep.brk.OnSuccess(probe)
 				return nil
 			}
-			r.rep.failures.Add(1)
-			r.rep.brk.OnFailure(r.n, r.probe)
+			rep.failed(n, probe)
 			lastErr = err
 			if relaunches > 0 && time.Until(deadline) > 0 {
 				relaunches--

@@ -114,6 +114,7 @@ type Coordinator struct {
 	cfg    Config
 	shards []*shardClient
 	rng    *lockedRand
+	pool   *scatterPool
 
 	queries atomic.Int64
 	ops     metrics.OpsCounters
@@ -140,6 +141,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	seen := make(map[string]bool)
 	co := &Coordinator{cfg: c, rng: newLockedRand(c.Seed)}
+	co.pool = newScatterPool(&co.queries)
 	for i := range c.Shards {
 		spec := c.Shards[i]
 		if spec.Name == "" {
@@ -152,7 +154,12 @@ func New(cfg Config) (*Coordinator, error) {
 		if len(spec.Replicas) == 0 {
 			return nil, fmt.Errorf("cluster: shard %q has no replicas", spec.Name)
 		}
-		co.shards = append(co.shards, newShardClient(spec, &co.cfg, co.rng))
+		for _, base := range spec.Replicas {
+			if _, err := parseBase(base); err != nil {
+				return nil, fmt.Errorf("cluster: shard %q: %w", spec.Name, err)
+			}
+		}
+		co.shards = append(co.shards, newShardClient(spec, &co.cfg, co.rng, co.pool))
 	}
 	co.ctl = make([]shardControl, len(co.shards))
 	co.scratch.New = func() any {
@@ -173,10 +180,9 @@ type coordScratch struct {
 }
 
 // scatterTask is one shard's slot in a scatter. It is heap-resident in
-// the scratch (the goroutine body needs only the receiver), so fanning
-// out costs one goroutine per shard and nothing else; rep and the
-// transport body buffer it was parsed from keep their capacity across
-// requests.
+// the scratch (a scatter worker needs only the pointer), so fanning out
+// allocates nothing; rep and the transport body buffer it was parsed
+// from keep their capacity across requests.
 type scatterTask struct {
 	shard    *shardClient
 	rep      wire.SearchReply
@@ -188,8 +194,13 @@ type scatterTask struct {
 	err      error
 }
 
-func (t *scatterTask) run() {
+func (t *scatterTask) search() {
 	t.err = t.shard.search(t.ctx, t.path, t.deadline, &t.rep, &t.buf)
+}
+
+// run is search on a scatter worker.
+func (t *scatterTask) run() {
+	t.search()
 	t.wg.Done()
 }
 
@@ -227,13 +238,19 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	path := wire.SearchPath(rawQ)
 	deadline := time.Now().Add(co.cfg.RequestTimeout)
 
+	// Every shard but the last goes to a scatter worker; the last runs
+	// here, on a goroutine that would otherwise only wait and whose stack
+	// the server has already grown.
 	n := len(co.shards)
-	sc.wg.Add(n)
+	sc.wg.Add(n - 1)
 	for i := 0; i < n; i++ {
 		t := &sc.tasks[i]
 		t.shard, t.ctx, t.path, t.deadline, t.wg = co.shards[i], r.Context(), path, deadline, &sc.wg
-		go t.run()
+		if i < n-1 {
+			co.pool.dispatch(t)
+		}
 	}
+	sc.tasks[n-1].search()
 	sc.wg.Wait()
 
 	okCount, docsScored := 0, 0

@@ -48,26 +48,8 @@ func decodeCoord(t *testing.T, body []byte) wire.Page {
 // coordinator over three shard workers returns exactly the page an
 // unsharded worker returns, query for query.
 func TestScatterMergeEqualsUnsharded(t *testing.T) {
-	base := serve.Config{Seed: 11, CalibrationQueries: 30, CorpusDocs: 2400,
-		SampleInterval: 1 << 30, Disabled: true}
-	mt := newMemTransport()
-	var shards []ShardSpec
-	for i := 0; i < 3; i++ {
-		cfg := base
-		cfg.ShardIndex, cfg.ShardCount = i, 3
-		w, err := serve.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := "http://worker" + string(rune('0'+i))
-		mt.register(addr, w.Handler())
-		shards = append(shards, ShardSpec{Name: "shard" + string(rune('0'+i)), Replicas: []string{addr}})
-	}
-	single, err := serve.New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := New(Config{Shards: shards, Transport: mt, Seed: 11})
+	co := serveFleet(t)
+	single, err := serve.New(fleetWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +330,9 @@ func TestNewValidation(t *testing.T) {
 		{Shards: ok, Quorum: 2},
 		{Shards: ok, Quorum: -1},
 		{Shards: ok, SLA: 1.5},
+		{Shards: []ShardSpec{{Name: "a", Replicas: []string{"http://[::1"}}}},
+		{Shards: []ShardSpec{{Name: "a", Replicas: []string{"http://x", "localhost:8081"}}}},
+		{Shards: []ShardSpec{{Name: "a", Replicas: []string{"/search"}}}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

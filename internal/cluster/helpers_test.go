@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"green/internal/wire"
 )
 
 // memTransport serves coordinator requests in-process against
@@ -70,19 +71,8 @@ func (m *memTransport) Do(ctx context.Context, method, base, path string, reqBod
 // shape.
 func workerJSON(t *testing.T, docs []int, scores []float64, degraded bool) []byte {
 	t.Helper()
-	body, err := json.Marshal(struct {
-		Query      string    `json:"query"`
-		Docs       []int     `json:"docs"`
-		Scores     []float64 `json:"scores"`
-		DocsScored int       `json:"docs_scored"`
-		Approx     bool      `json:"approximated"`
-		Monitored  bool      `json:"monitored"`
-		Degraded   bool      `json:"degraded,omitempty"`
-	}{"q", docs, scores, 7, true, false, degraded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	rep := wire.SearchReply{Query: "q", Docs: docs, Scores: scores, DocsScored: 7, Approximated: true, Degraded: degraded}
+	return rep.AppendJSON(nil)
 }
 
 // okWorker answers every /search with a fixed partial page.

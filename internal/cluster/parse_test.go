@@ -1,15 +1,22 @@
 package cluster
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"green/internal/wire"
 )
 
+// bits renders scores as a worker's score_bits array.
+func bits(scores ...float64) string {
+	b, _ := json.Marshal(wire.ScoreBits(scores)) // MarshalJSON never fails
+	return string(b)
+}
+
 func TestParseSearchReply(t *testing.T) {
 	var out wire.SearchReply
-	body := `{"query":"ocean tree","docs":[3,1,4],"scores":[9.5,8.25,1e-7],` +
+	body := `{"query":"ocean tree","docs":[3,1,4],"score_bits":` + bits(9.5, 8.25, 1e-7) + `,` +
 		`"docs_scored":42,"approximated":true,"monitored":false}` + "\n"
 	if err := out.ParseJSON([]byte(body)); err != nil {
 		t.Fatal(err)
@@ -25,7 +32,7 @@ func TestParseSearchReply(t *testing.T) {
 	}
 
 	// Reuse: a second parse into the same reply must fully reset it.
-	body2 := `{"docs":[9],"scores":[-2.5],"docs_scored":1,"degraded":true}`
+	body2 := `{"docs":[9],"score_bits":` + bits(-2.5) + `,"docs_scored":1,"degraded":true}`
 	if err := out.ParseJSON([]byte(body2)); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +47,7 @@ func TestParseSearchReply(t *testing.T) {
 func TestParseSearchReplySkipsUnknown(t *testing.T) {
 	var out wire.SearchReply
 	body := `{"query":"quote \" and \\ done","future":{"nested":[1,{"x":"]"}]},` +
-		`"docs":[1],"maybe":null,"ratio":-1.5e-9,"flag":false,"scores":[2],"docs_scored":3}`
+		`"docs":[1],"maybe":null,"ratio":-1.5e-9,"flag":false,"score_bits":` + bits(2) + `,"docs_scored":3}`
 	if err := out.ParseJSON([]byte(body)); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +60,7 @@ func TestParseSearchReplySkipsUnknown(t *testing.T) {
 // encoding) parses as an empty partial.
 func TestParseSearchReplyNullArrays(t *testing.T) {
 	var out wire.SearchReply
-	if err := out.ParseJSON([]byte(`{"docs":null,"scores":null,"docs_scored":0}`)); err != nil {
+	if err := out.ParseJSON([]byte(`{"docs":null,"score_bits":null,"docs_scored":0}`)); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Docs) != 0 || len(out.Scores) != 0 {
@@ -65,17 +72,17 @@ func TestParseSearchReplyNullArrays(t *testing.T) {
 // produces — truncation, bit-garbling, scores missing or mismatched —
 // must all fail parsing, never merge silently.
 func TestParseSearchReplyRejectsGarbage(t *testing.T) {
-	valid := `{"docs":[3,1],"scores":[9.5,8],"docs_scored":4}`
+	valid := `{"docs":[3,1],"score_bits":` + bits(9.5, 8) + `,"docs_scored":4}`
 	cases := map[string]string{
 		"empty":            "",
 		"truncated":        valid[:len(valid)/2],
 		"missing scores":   `{"docs":[3,1],"docs_scored":4}`,
-		"missing docs":     `{"scores":[9.5],"docs_scored":4}`,
-		"length mismatch":  `{"docs":[3,1],"scores":[9.5],"docs_scored":4}`,
+		"missing docs":     `{"score_bits":` + bits(9.5) + `,"docs_scored":4}`,
+		"length mismatch":  `{"docs":[3,1],"score_bits":` + bits(9.5) + `,"docs_scored":4}`,
 		"not json":         "<html>502 bad gateway</html>",
 		"trailing garbage": valid + "{}",
-		"bad int":          `{"docs":[3,x],"scores":[1,2],"docs_scored":4}`,
-		"bad float":        `{"docs":[3],"scores":[--1],"docs_scored":4}`,
+		"bad int":          `{"docs":[3,x],"score_bits":[1,2],"docs_scored":4}`,
+		"bad bits":         `{"docs":[3],"score_bits":[--1],"docs_scored":4}`,
 		"unterminated key": `{"docs`,
 		"garbled":          garble(valid),
 	}
@@ -99,14 +106,11 @@ func garble(s string) string {
 // still parses (the parser is strict about structure, not layout).
 func TestParseSearchReplyWhitespace(t *testing.T) {
 	var out wire.SearchReply
-	body := "{\n  \"docs\": [ 3 , 1 ],\n  \"scores\": [ 9.5, 8 ],\n  \"docs_scored\": 4\n}\n"
+	body := "{\n  \"docs\": [ 3 , 1 ],\n  \"score_bits\": " + strings.Replace(bits(9.5, 8), ",", " , ", 1) + ",\n  \"docs_scored\": 4\n}\n"
 	if err := out.ParseJSON([]byte(body)); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Docs) != 2 || out.Scores[1] != 8 || out.DocsScored != 4 {
 		t.Errorf("reply = %+v", out)
-	}
-	if strings.TrimSpace(body) == "" {
-		t.Fatal("unreachable")
 	}
 }

@@ -22,8 +22,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
+	"sync"
 	"time"
 )
 
@@ -50,24 +54,66 @@ type HTTPTransport struct {
 	// Wrapping Client.Transport (e.g. with chaos.HTTPFaults) injects
 	// faults below this layer.
 	Client *http.Client
+
+	// templates holds one prebuilt *http.Request per base URL, so an
+	// exchange copies a parsed URL instead of concatenating and parsing
+	// the same one again.
+	templates sync.Map
+}
+
+// parseBase parses a replica's base URL, which must name a scheme and a
+// host. New runs every replica through it, so the fleet a coordinator
+// accepts is one HTTPTransport can reach.
+func parseBase(base string) (*url.URL, error) {
+	u, err := url.Parse(base)
+	if err != nil {
+		return nil, err
+	}
+	if u.Scheme == "" || u.Host == "" {
+		return nil, fmt.Errorf("cluster: replica URL %q needs a scheme and a host", base)
+	}
+	return u, nil
+}
+
+// template returns the prebuilt request for base, building it on first
+// use.
+func (t *HTTPTransport) template(base string) (*http.Request, error) {
+	if v, ok := t.templates.Load(base); ok {
+		return v.(*http.Request), nil
+	}
+	u, err := parseBase(base)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := t.templates.LoadOrStore(base, &http.Request{
+		URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	})
+	return v.(*http.Request), nil
 }
 
 // Do implements Transport.
 func (t *HTTPTransport) Do(ctx context.Context, method, base, path string, reqBody []byte, deadline time.Time, buf []byte) (int, []byte, error) {
+	tmpl, err := t.template(base)
+	if err != nil {
+		return 0, buf, err
+	}
 	if !deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	var body io.Reader
+	// The request is the template with its own context, URL and header:
+	// what http.NewRequestWithContext(base+path) would build, short of
+	// the concatenation and the parse.
+	target := *tmpl.URL
+	path, target.RawQuery, _ = strings.Cut(path, "?")
+	target.Path += path
+	req := tmpl.WithContext(ctx)
+	req.Method, req.URL, req.Header = method, &target, make(http.Header)
 	if reqBody != nil {
-		body = bytes.NewReader(reqBody)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
-	if err != nil {
-		return 0, buf, err
-	}
-	if reqBody != nil {
+		req.Body = io.NopCloser(bytes.NewReader(reqBody))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(reqBody)), nil }
+		req.ContentLength = int64(len(reqBody))
 		req.Header.Set("Content-Type", "application/json")
 	}
 	client := t.Client

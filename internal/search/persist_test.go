@@ -2,7 +2,9 @@ package search
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"testing"
@@ -195,5 +197,32 @@ func TestReadEngineRejectsUnorderedPostings(t *testing.T) {
 	}
 	if _, err := ReadEngine(bytes.NewReader(data)); !errors.Is(err, ErrBadIndex) {
 		t.Errorf("unordered postings accepted: %v", err)
+	}
+}
+
+// TestIndexBytesPinned holds NewEngine's output still: the serialized
+// index of one unsharded and one sharded corpus hashes to the constants
+// taken before the per-document term counts moved from a map to a dense
+// array, so a build-time optimisation cannot move a posting.
+func TestIndexBytesPinned(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Seed: 7, Docs: 3000}, "df2a8570ccdd18610ee8059cb9bc290868ccc60ddea066320477bf93cd0f9d92"},
+		{Config{Seed: 7, Docs: 3000, ShardIndex: 1, ShardCount: 3}, "cf0dad14755e231b261560d044033702faf86f91b56d67ac664f97a23adfe57c"},
+	}
+	for _, c := range cases {
+		e, err := NewEngine(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if _, err := e.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("shard %d/%d: index hashes to %s, want %s", c.cfg.ShardIndex, c.cfg.ShardCount, got, c.want)
+		}
 	}
 }

@@ -146,19 +146,27 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.quality[d] = c.QualityWeight * ((1 - frac) + 0.05*qualRng.NormFloat64())
 	}
 
-	// Build documents term by term.
+	// Build documents term by term: a document's term frequencies are
+	// counted in a dense array over the vocabulary, and touched lists the
+	// terms to post and zero again (a map here was a fifth of the build).
 	totalLen := 0
-	tfs := make(map[uint32]uint16)
+	tfs := make([]uint16, c.VocabSize)
+	var touched []uint32
 	for d := 0; d < c.Docs; d++ {
 		n := c.AvgDocLen/2 + lenRng.Intn(c.AvgDocLen) // ~uniform around avg
 		e.docLen[d] = n
 		totalLen += n
-		clear(tfs)
+		touched = touched[:0]
 		for i := 0; i < n; i++ {
-			tfs[uint32(termZipf.Next())]++
+			term := uint32(termZipf.Next())
+			if tfs[term] == 0 {
+				touched = append(touched, term)
+			}
+			tfs[term]++
 		}
-		for term, tf := range tfs {
-			e.postings[term] = append(e.postings[term], Posting{Doc: uint32(d), TF: tf})
+		for _, term := range touched {
+			e.postings[term] = append(e.postings[term], Posting{Doc: uint32(d), TF: tfs[term]})
+			tfs[term] = 0
 		}
 	}
 	e.avgLen = float64(totalLen) / float64(c.Docs)

@@ -29,7 +29,7 @@ func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRec
 	return rec
 }
 
-// TestSearchScoresParam: scores=1 adds a scores array parallel to docs;
+// TestSearchScoresParam: scores=1 adds a score_bits array parallel to docs;
 // without it the response shape is unchanged.
 func TestSearchScoresParam(t *testing.T) {
 	h := testServer(t).Handler()
@@ -55,7 +55,7 @@ func TestSearchScoresParam(t *testing.T) {
 	}
 
 	rec = get(t, h, "/search?q=ocean+tree")
-	if strings.Contains(rec.Body.String(), `"scores"`) {
+	if strings.Contains(rec.Body.String(), `"score_bits"`) {
 		t.Errorf("scores emitted without scores=1: %s", rec.Body)
 	}
 	var plain wire.SearchReply

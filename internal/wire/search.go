@@ -28,7 +28,7 @@ type SearchReply struct {
 	// the request asks (scores=1): a coordinator merging shard partials
 	// ranks on exact scores so the merged page is byte-identical to the
 	// unsharded engine's.
-	Scores        []float64 `json:"scores,omitempty"`
+	Scores        ScoreBits `json:"score_bits,omitempty"`
 	DocsScored    int       `json:"docs_scored"`
 	Approximated  bool      `json:"approximated"`
 	MonitoredScan bool      `json:"monitored"`
@@ -46,14 +46,8 @@ func (r *SearchReply) AppendJSON(b []byte) []byte {
 	b = append(b, `,"docs":`...)
 	b = appendInts(b, r.Docs)
 	if len(r.Scores) > 0 { // omitempty: nil and empty both drop the field
-		b = append(b, `,"scores":[`...)
-		for i, s := range r.Scores {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONFloat(b, s)
-		}
-		b = append(b, ']')
+		b = append(b, `,"score_bits":`...)
+		b = r.Scores.appendJSON(b)
 	}
 	b = append(b, `,"docs_scored":`...)
 	b = strconv.AppendInt(b, int64(r.DocsScored), 10)
@@ -65,6 +59,37 @@ func (r *SearchReply) AppendJSON(b []byte) []byte {
 		b = append(b, `,"degraded":true`...)
 	}
 	return append(b, '}', '\n')
+}
+
+// ScoreBits is a page's exact scores. Only the coordinator reads them,
+// and it needs them bit for bit, so each crosses the wire as its IEEE-754
+// bit pattern written as a decimal integer: exact by construction, and an
+// integer append and parse per score where the shortest decimal that
+// round-trips cost a float format and a float parse.
+type ScoreBits []float64
+
+func (s ScoreBits) appendJSON(b []byte) []byte {
+	b = append(b, '[')
+	for i, f := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, math.Float64bits(f), 10)
+	}
+	return append(b, ']')
+}
+
+// MarshalJSON and UnmarshalJSON give encoding/json the same rendering,
+// so a reply decoded that way cannot read bit patterns as scores.
+func (s ScoreBits) MarshalJSON() ([]byte, error) { return s.appendJSON(nil), nil }
+
+func (s *ScoreBits) UnmarshalJSON(b []byte) error {
+	c := jsonCursor{b: b}
+	out, err := c.parseScoreBits((*s)[:0])
+	if err == nil {
+		*s = out
+	}
+	return err
 }
 
 // errMalformed is every structural failure of a reply body, truncation
@@ -111,15 +136,8 @@ func (r *SearchReply) ParseJSON(body []byte) error {
 				}
 				r.Docs = append(r.Docs, d)
 			}
-		case "scores":
-			var more bool
-			for more, err = c.arrayOpen(); more && err == nil; more, err = c.arrayNext() {
-				var s float64
-				if s, err = c.parseFloat(); err != nil {
-					break
-				}
-				r.Scores = append(r.Scores, s)
-			}
+		case "score_bits":
+			r.Scores, err = c.parseScoreBits(r.Scores)
 		case "docs_scored":
 			r.DocsScored, err = c.parseInt()
 		case "approximated":
@@ -145,7 +163,7 @@ func (r *SearchReply) ParseJSON(body []byte) error {
 		return errMalformed // trailing garbage beyond the object
 	}
 	if len(r.Docs) != len(r.Scores) {
-		return fmt.Errorf("wire: search reply docs/scores mismatch (%d docs, %d scores)", len(r.Docs), len(r.Scores))
+		return fmt.Errorf("wire: search reply docs/score_bits mismatch (%d docs, %d scores)", len(r.Docs), len(r.Scores))
 	}
 	return nil
 }
@@ -208,33 +226,6 @@ func appendInts(b []byte, ds []int) []byte {
 		b = strconv.AppendInt(b, int64(d), 10)
 	}
 	return append(b, ']')
-}
-
-// appendJSONFloat appends f exactly as encoding/json encodes a float64:
-// shortest representation in 'f' form, switching to 'e' form outside
-// [1e-6, 1e21), with a negative exponent's leading zero trimmed
-// ("2e-9", not "2e-09"). NaN and infinities — which encoding/json rejects
-// with an error — never reach a response (scores are finite sums of
-// finite BM25 terms); they encode as null defensively.
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(b, "null"...)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Trim the exponent's leading zero: 2e+08 -> 2e+8, matching
-		// encoding/json's cleanup.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 const hexDigits = "0123456789abcdef"
@@ -311,7 +302,7 @@ func (c *jsonCursor) expect(ch byte) error {
 
 // parseString returns the raw bytes between the quotes, escapes left
 // unprocessed. The keys and values this parser routes on ("docs",
-// "scores", …) never contain escapes; an escaped key simply fails to
+// "score_bits", …) never contain escapes; an escaped key simply fails to
 // match any case and its value is skipped.
 func (c *jsonCursor) parseString() ([]byte, error) {
 	if err := c.expect('"'); err != nil {
@@ -361,20 +352,24 @@ func (c *jsonCursor) parseInt() (int, error) {
 	return int(v), nil
 }
 
-func (c *jsonCursor) parseFloat() (float64, error) {
-	c.skipWS()
-	j := c.numberEnd()
-	if j == c.i {
-		return 0, errMalformed
+// parseScoreBits appends a score_bits array to scores. A pattern that is
+// not a finite float64 — no engine sums to NaN or an infinity — is a
+// malformed reply, like any other value the merge could not rank.
+func (c *jsonCursor) parseScoreBits(scores ScoreBits) (ScoreBits, error) {
+	more, err := c.arrayOpen()
+	for ; more && err == nil; more, err = c.arrayNext() {
+		c.skipWS()
+		j := c.numberEnd()
+		// string(…) here does not escape into ParseUint, so the conversion
+		// stays on the stack for a token of at most twenty digits.
+		bits, perr := strconv.ParseUint(string(c.b[c.i:j]), 10, 64)
+		if perr != nil || bits>>52&0x7ff == 0x7ff {
+			return scores, errMalformed
+		}
+		c.i = j
+		scores = append(scores, math.Float64frombits(bits))
 	}
-	// string(…) here does not escape into ParseFloat, so the conversion
-	// stays on the stack for the short tokens scores encode as.
-	v, err := strconv.ParseFloat(string(c.b[c.i:j]), 64)
-	if err != nil {
-		return 0, errMalformed
-	}
-	c.i = j
-	return v, nil
+	return scores, err
 }
 
 func (c *jsonCursor) parseBool() (bool, error) {

@@ -4,36 +4,76 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestAppendJSONFloatMatchesEncodingJSON sweeps the float encoder over
-// deterministic pseudo-random values spanning the 'f'/'e' format
-// boundary, pinning it to encoding/json digit for digit.
-func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
-	vals := []float64{0, -0, 1, -1, 0.1, 1e-6, 9.99e-7, 1e21, 9.99e20, -1e21, 2e-9, -3.25e-8, 1e308, 5e-324}
-	// A deterministic LCG sweep: mantissa/exponent combinations without
-	// pulling math/rand into a non-calibration test path.
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 2000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		m := float64(x%(1<<52)) / float64(uint64(1)<<(x%60))
-		if x%2 == 0 {
-			m = -m
-		}
-		vals = append(vals, m)
+// bitsJSON renders scores as a score_bits array, the way a worker does.
+func bitsJSON(scores ...float64) string {
+	return string(ScoreBits(scores).appendJSON(nil))
+}
+
+// TestScoreBits pins what a scored reply looks like on the wire and what
+// the coordinator's parser makes of it: scores cross as the decimal of
+// their IEEE-754 bits, every finite float64 survives the trip bit for
+// bit, and a pattern that is not a finite score, or a score_bits array
+// not parallel to docs, is a malformed reply.
+func TestScoreBits(t *testing.T) {
+	x := SearchReply{Query: "ocean tree", Docs: []int{3, 1, 4}, Scores: ScoreBits{9.5, 8.25, 1e-7},
+		DocsScored: 42, Approximated: true}
+	const golden = `{"query":"ocean tree","docs":[3,1,4],"score_bits":[4621537642612260864,4620833955170484224,4502148214488346440],` +
+		`"docs_scored":42,"approximated":true,"monitored":false}` + "\n"
+	enc := x.AppendJSON(nil)
+	if string(enc) != golden {
+		t.Errorf("scored reply encodes as\n%swant\n%s", enc, golden)
 	}
-	for _, v := range vals {
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+	if want := encodeStd(t, &x); !bytes.Equal(enc, want) {
+		t.Errorf("encoding/json renders the reply as\n%swant\n%s", want, enc)
+	}
+	var viaStd SearchReply
+	if err := json.Unmarshal(enc, &viaStd); err != nil || !reflect.DeepEqual(viaStd, x) {
+		t.Errorf("encoding/json decodes the reply as %+v (%v), want %+v", viaStd, err, x)
+	}
+
+	corners := ScoreBits{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.1, 1e-7, 2.5e21, 123456789.123, math.Nextafter(1, 2)}
+	y := SearchReply{Docs: make([]int, len(corners)), Scores: corners}
+	var back SearchReply
+	if err := back.ParseJSON(y.AppendJSON(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range corners {
+		if math.Float64bits(back.Scores[i]) != math.Float64bits(f) {
+			t.Errorf("score %v (bits %#x) came back as %v (bits %#x)", f, math.Float64bits(f), back.Scores[i], math.Float64bits(back.Scores[i]))
 		}
-		if got := appendJSONFloat(nil, v); string(got) != string(want) {
-			t.Errorf("float %v: got %s, want %s", v, got, want)
+	}
+
+	nan, inf := math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1))
+	for name, body := range map[string]string{
+		"NaN":             fmt.Sprintf(`{"docs":[1],"score_bits":[%d]}`, nan),
+		"signalling NaN":  fmt.Sprintf(`{"docs":[1],"score_bits":[%d]}`, inf|1),
+		"+Inf":            fmt.Sprintf(`{"docs":[1],"score_bits":[%d]}`, inf),
+		"-Inf":            fmt.Sprintf(`{"docs":[1],"score_bits":[%d]}`, inf|1<<63),
+		"beyond 64 bits":  `{"docs":[1],"score_bits":[18446744073709551616]}`,
+		"negative":        `{"docs":[1],"score_bits":[-1]}`,
+		"a float":         `{"docs":[1],"score_bits":[9.5]}`,
+		"a string":        `{"docs":[1],"score_bits":["1"]}`,
+		"fewer than docs": `{"docs":[1,2],"score_bits":[1]}`,
+		"more than docs":  `{"docs":[1],"score_bits":[1,2]}`,
+		"missing":         `{"docs":[1]}`,
+		"the old field":   `{"docs":[1],"scores":[9.5]}`,
+	} {
+		var r SearchReply
+		if err := r.ParseJSON([]byte(body)); err == nil {
+			t.Errorf("%s: ParseJSON accepted %s", name, body)
 		}
+	}
+	if err := json.Unmarshal([]byte(fmt.Sprintf(`{"score_bits":[%d]}`, nan)), new(SearchReply)); err == nil {
+		t.Error("encoding/json accepted a NaN pattern through UnmarshalJSON")
 	}
 }
 
@@ -57,8 +97,9 @@ func encodeStd(t *testing.T, v any) []byte {
 //     score bits) with flags choosing the booleans, nil-vs-empty docs
 //     and whether scores ride along: AppendJSON must match encoding/json
 //     byte for byte, a scored reply must survive ParseJSON(AppendJSON(x))
-//     unchanged (Query aside, which the parser skips), and the
-//     coordinator's Page built from the same material must match
+//     unchanged (Query aside, which the parser skips) unless one of its
+//     scores is NaN or an infinity, when the parser must refuse it, and
+//     the coordinator's Page built from the same material must match
 //     encoding/json too;
 //   - query as a raw URL query string: wherever url.ParseQuery accepts
 //     it, RawParam must find the same first value for each of the three
@@ -71,12 +112,12 @@ func FuzzSearchReply(f *testing.F) {
 		b := binary.LittleEndian.AppendUint32(nil, uint32(id))
 		return binary.LittleEndian.AppendUint64(b, math.Float64bits(score))
 	}
-	f.Add([]byte(`{"query":"ocean tree","docs":[3,1,4],"scores":[9.5,8.25,1e-7],"docs_scored":42,"approximated":true,"monitored":false}`+"\n"), "q=alpha+beta&mode=and", uint8(0))
-	f.Add([]byte(`{"query":"quote \" and \\ done","future":{"nested":[1,{"x":"]"}]},"docs":[1],"maybe":null,"ratio":-1.5e-9,"flag":false,"scores":[2],"docs_scored":3}`), "mode=and&q=x&scores=1", uint8(1))
-	f.Add([]byte(`{"docs":null,"scores":null,"docs_scored":0}`), "q=%20hi%20&q=second", uint8(2))
-	f.Add([]byte("{\n  \"docs\": [ 3 , 1 ],\n  \"scores\": [ 9.5, 8 ],\n  \"docs_scored\": 4\n}\n"), "q", uint8(4))
+	f.Add([]byte(`{"query":"ocean tree","docs":[3,1,4],"score_bits":`+bitsJSON(9.5, 8.25, 1e-7)+`,"docs_scored":42,"approximated":true,"monitored":false}`+"\n"), "q=alpha+beta&mode=and", uint8(0))
+	f.Add([]byte(`{"query":"quote \" and \\ done","future":{"nested":[1,{"x":"]"}]},"docs":[1],"maybe":null,"ratio":-1.5e-9,"flag":false,"score_bits":`+bitsJSON(2)+`,"docs_scored":3}`), "mode=and&q=x&scores=1", uint8(1))
+	f.Add([]byte(`{"docs":null,"score_bits":null,"docs_scored":0}`), "q=%20hi%20&q=second", uint8(2))
+	f.Add([]byte("{\n  \"docs\": [ 3 , 1 ],\n  \"score_bits\": [ 4621537642612260864, 4620693217682128896 ],\n  \"docs_scored\": 4\n}\n"), "q", uint8(4))
 	f.Add([]byte(`{"docs":[3,1],"docs_scored":4}`), "qq=x&q=y&&=v", uint8(8))
-	f.Add([]byte(`{"docs":[3,x],"scores":[--1],"docs_scored":4`), "q=%zz&mode=", uint8(16))
+	f.Add([]byte(`{"docs":[3,x],"score_bits":[--1],"docs_scored":4`), "q=%zz&mode=", uint8(16))
 	f.Add([]byte("<html>502 bad gateway</html>"), "q=a=b&", uint8(31))
 	f.Add(bytes.Join([][]byte{doc(3, 12.75), doc(1, 3.5)}, nil), `quote " backslash \ <script>&amp;`, uint8(16|1))
 	f.Add(bytes.Join([][]byte{doc(-1, 0), doc(1<<30, -0.25), doc(5, 1e-7), doc(6, 2.5e21), doc(7, 1e21), doc(8, 123456789.123)}, nil), "tab\tnl\nbell\x01 héllo → 日本", uint8(16|4|2))
@@ -100,14 +141,12 @@ func FuzzSearchReply(f *testing.F) {
 		if flags&8 == 0 {
 			x.Docs = []int{}
 		}
-		scored := flags&16 != 0
+		scored, finite := flags&16 != 0, true
 		for ; len(body) >= 12; body = body[12:] {
-			score := math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
-			if math.IsNaN(score) || math.IsInf(score, 0) {
-				continue // encoding/json refuses them; scores are finite sums
-			}
 			x.Docs = append(x.Docs, int(int32(binary.LittleEndian.Uint32(body))))
 			if scored {
+				score := math.Float64frombits(binary.LittleEndian.Uint64(body[4:]))
+				finite = finite && !math.IsNaN(score) && !math.IsInf(score, 0)
 				x.Scores = append(x.Scores, score)
 			}
 		}
@@ -115,9 +154,14 @@ func FuzzSearchReply(f *testing.F) {
 		if want := encodeStd(t, &x); !bytes.Equal(enc, want) {
 			t.Fatalf("reply encoding diverges from encoding/json:\n got %s\nwant %s", enc, want)
 		}
-		if scored || len(x.Docs) == 0 {
-			var y SearchReply
-			if err := y.ParseJSON(enc); err != nil {
+		var y SearchReply
+		switch err := y.ParseJSON(enc); {
+		case !finite:
+			if err == nil {
+				t.Fatalf("accepted a score that is not finite: %s", enc)
+			}
+		case scored || len(x.Docs) == 0:
+			if err != nil {
 				t.Fatalf("own encoding rejected: %v\n%s", err, enc)
 			}
 			same := y.Query == "" && len(y.Docs) == len(x.Docs) && len(y.Scores) == len(x.Scores) &&

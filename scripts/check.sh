@@ -194,20 +194,26 @@ echo "== hot path stays allocation-free =="
 # controller-core rework removed, and it must not creep back. ns/op is
 # too noisy to gate on shared runners; allocs/op is exact. ServeQPS and
 # ServeMonitored ride along as the end-to-end smoke rows: they must run
-# and stay allocation-free per warm request, sampled or not.
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored' \
+# and stay allocation-free per warm request, sampled or not. The
+# coordinator's warm scatter/gather over three shards has a budget of
+# two: the shard request's path string and the echoed query. Shard calls
+# run on parked workers and on the handler's own goroutine, so a third
+# allocation means the scatter, parse, merge or encode started
+# allocating per request.
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored|ClusterScatter' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
+		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : 0
 		for (i = 2; i <= NF; i++) {
-			if ($i == "allocs/op" && $(i - 1) + 0 != 0) {
-				printf "FAIL: %s allocates %s allocs/op on the steady path\n", $1, $(i - 1)
+			if ($i == "allocs/op" && $(i - 1) + 0 > budget) {
+				printf "FAIL: %s allocates %s allocs/op on the steady path (budget %d)\n", $1, $(i - 1), budget
 				bad = 1
 			}
 		}
 		seen++
 	}
 	END {
-		if (seen < 10) { print "FAIL: expected 10 steady-path benchmarks, saw " seen; exit 1 }
+		if (seen < 11) { print "FAIL: expected 11 steady-path benchmarks, saw " seen; exit 1 }
 		exit bad
 	}'
 # And where the allocation would happen: a monitored observation whose
@@ -285,26 +291,5 @@ if [ -n "$copies" ]; then
 	echo "$copies" >&2
 	exit 1
 fi
-
-echo "== coordinator scatter path stays bounded =="
-# The coordinator's warm scatter/gather may allocate only the per-shard
-# request objects: one scatter goroutine per shard, the request path
-# string, and the echoed query — 5 allocs/op over three shards today,
-# gated at 6 for headroom. Anything above that means the parse/merge/
-# encode path started allocating per request.
-go test -run xxx -bench 'ClusterScatter' -benchmem -benchtime 100x -count 1 . | awk '
-	/^Benchmark/ {
-		for (i = 2; i <= NF; i++) {
-			if ($i == "allocs/op" && $(i - 1) + 0 > 6) {
-				printf "FAIL: %s allocates %s allocs/op (budget 6: per-shard scatter objects only)\n", $1, $(i - 1)
-				bad = 1
-			}
-		}
-		seen++
-	}
-	END {
-		if (seen < 1) { print "FAIL: ClusterScatter benchmark did not run"; exit 1 }
-		exit bad
-	}'
 
 echo "all checks passed"
