@@ -917,16 +917,35 @@ var (
 	kernelErr    error
 )
 
-// scanKernelDocs is the per-query document budget of
-// BenchmarkScanKernel: the level the serve calibration lands on for a
-// 200k-document corpus (M ~ 9500).
-const scanKernelDocs = 9500
+// BenchmarkScanKernel drives every query as /search does: up to
+// scanKernelDocs documents — the level the serve calibration lands on
+// for a 200k-document corpus — in grants of scanKernelBlock, the value
+// of internal/serve's scanBlock.
+const (
+	scanKernelDocs  = 9444
+	scanKernelBlock = 2048
+)
+
+// scanKernelRun scores up to scanKernelDocs documents of s in StepN
+// grants of block.
+func scanKernelRun(s *search.Scan, block int) {
+	for left := scanKernelDocs; left > 0; {
+		n := s.StepN(min(left, block))
+		left -= n
+		if n < block {
+			break
+		}
+	}
+}
 
 // BenchmarkScanKernel measures the scan/rank kernel alone on a
-// 200k-document engine, in ns per scored document: queries of one, two
-// and three of the most frequent post-stopword terms (posting lists of
-// comparable length, the merge's worst case), each driven one Step at a
-// time and in StepN blocks of 64 up to scanKernelDocs documents.
+// 200k-document engine, in ns per scored document. The terms=N rows
+// replay one query of the N most frequent post-stopword terms (posting
+// lists of comparable length, a union's worst case), one Step at a time
+// and in serve-sized blocks; replaying keeps the query's per-document
+// records cache-resident, which a request's are not, so the stream row
+// runs a few thousand distinct one- to three-term queries in turn — the
+// number a /search request pays.
 func BenchmarkScanKernel(b *testing.B) {
 	kernelOnce.Do(func() {
 		kernelEngine, kernelErr = search.NewEngine(search.Config{Seed: 42, Docs: 200000})
@@ -935,43 +954,32 @@ func BenchmarkScanKernel(b *testing.B) {
 		b.Fatal(kernelErr)
 	}
 	e := kernelEngine
+	run := func(name string, qs []search.Query, block int) {
+		b.Run(name, func(b *testing.B) {
+			scan := e.NewScan(qs[0], 10)
+			docs := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan.Reset(e, qs[i%len(qs)], 10)
+				scanKernelRun(scan, block)
+				docs += scan.Processed()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(docs), "ns/doc")
+		})
+	}
 	for terms := 1; terms <= 3; terms++ {
 		q := search.Query{}
 		for t := 0; t < terms; t++ {
 			q.Terms = append(q.Terms, e.StopTerms()+t)
 		}
-		drivers := []struct {
-			name string
-			run  func(*search.Scan)
-		}{
-			{"step", func(s *search.Scan) {
-				for s.Processed() < scanKernelDocs && s.Step() {
-				}
-			}},
-			{"block", func(s *search.Scan) {
-				for left := scanKernelDocs; left > 0; {
-					n := s.StepN(min(left, 64))
-					if n == 0 {
-						break
-					}
-					left -= n
-				}
-			}},
-		}
-		for _, d := range drivers {
-			b.Run(fmt.Sprintf("terms=%d/%s", terms, d.name), func(b *testing.B) {
-				scan := e.NewScan(q, 10)
-				docs := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scan.Reset(e, q, 10)
-					d.run(scan)
-					docs += scan.Processed()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(docs), "ns/doc")
-			})
-		}
+		run(fmt.Sprintf("terms=%d/step", terms), []search.Query{q}, 1)
+		run(fmt.Sprintf("terms=%d/block", terms), []search.Query{q}, scanKernelBlock)
 	}
+	stream, err := e.GenerateQueries(77, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("stream", stream, scanKernelBlock)
 }
 
 // benchClusterTransport dispatches coordinator requests straight into

@@ -169,12 +169,62 @@ func tiedEngine() *Engine {
 	return e
 }
 
+// windowEngine is a hand-built corpus laid out against the union window
+// (windowIDs doc ids, 64 to a bitmap word), six windows deep. Terms 0–4
+// end one window after another, so a scan of all five fills windows from
+// five, four, three and two lists and finishes as a single list; each
+// holds the first and last id of every window in its range (documents in
+// every list of the query, postings at 2047 and 2048), term 1 sits on
+// both sides of every word edge, term 5 has a gap of three windows and
+// term 6 starts in the third. Quality, length, tf and idf all vary, so a
+// sum taken in the wrong order or a slot left over from another query
+// shows in a score's bits.
+func windowEngine() *Engine {
+	const docs = 6 * windowIDs
+	e := &Engine{
+		cfg:      Config{Docs: docs, VocabSize: 8, AvgDocLen: 9, StopTerms: 0, QualityWeight: 8},
+		postings: make([][]Posting, 8),
+		docLen:   make([]int, docs),
+		quality:  make([]float64, docs),
+		idf:      make([]float64, 8),
+	}
+	total := 0
+	for d := range e.docLen {
+		e.docLen[d] = 5 + d%9
+		total += e.docLen[d]
+		e.quality[d] = 8*(1-float64(d)/docs) + 0.01*float64(d%17)
+	}
+	e.avgLen = float64(total) / docs
+	edge := func(d int) bool { return d%windowIDs == 0 || d%windowIDs == windowIDs-1 }
+	holds := []func(d int) bool{
+		func(d int) bool { return edge(d) || d%9 == 0 },
+		func(d int) bool { return d < 4*windowIDs && (edge(d) || d%64 == 63 || d%64 == 0) },
+		func(d int) bool { return d < 3*windowIDs && (edge(d) || d%7 == 1) },
+		func(d int) bool { return d < 2*windowIDs && (edge(d) || d%11 == 0) },
+		func(d int) bool { return d < windowIDs && (edge(d) || d%3 == 0) },
+		func(d int) bool { return d == 5 || d == 9 || d > 3*windowIDs+100 && d%13 == 0 },
+		func(d int) bool { return d > 2*windowIDs+17 && d%9 == 0 },
+		func(d int) bool { return false },
+	}
+	for t, in := range holds {
+		e.idf[t] = 0.7 + 0.3*float64(t)
+		for d := 0; d < docs; d++ {
+			if in(d) {
+				e.postings[t] = append(e.postings[t], Posting{Doc: uint32(d), TF: uint16(1 + (d+t)%4)})
+			}
+		}
+	}
+	e.packRecs()
+	return e
+}
+
 // TestScanFloorInvariant holds the floor test to its claim — a scan
 // pushes exactly what push would have kept — where it is most exposed:
-// on tiedEngine at every prefix length (blocks of one), on both corpora
-// across block boundaries, for one to five terms with lists that run out
-// mid-block (so a three-list merge ends as a two-list merge and then a
-// single list), for a page of one and a page wider than the match set.
+// on tiedEngine and windowEngine at every prefix length (blocks of one),
+// on all three corpora across block, word and window boundaries, for one
+// to five terms with lists that run out mid-scan (so windows filled from
+// five lists give way to four, three, two and then a single list), for a
+// page of one and a page wider than the match set.
 func TestScanFloorInvariant(t *testing.T) {
 	generated, err := NewEngine(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5})
 	if err != nil {
@@ -185,20 +235,31 @@ func TestScanFloorInvariant(t *testing.T) {
 		e       *Engine
 		blocks  []int
 		queries [][]int
+		// lists: every count of live lists the disjunctive scans must have
+		// started a shape with — a window filled from that many, scan1 for
+		// one, none left for zero. The first two corpora fit in one window,
+		// so their scans go from all of a query's lists straight to none.
+		lists []int
 	}{
-		{"tied", tiedEngine(), []int{1, 7, 64, 256}, [][]int{{0}, {6}, {2, 0}, {1, 3}, {4, 2}, {5, 5}, {2, 1, 0}, {3, 5, 1}, {6, 4, 2}, {1, 7, 3}, {2, 5, 1, 3, 0}, {4, 6, 2, 5, 3}}},
-		{"generated", generated, []int{64, 256}, [][]int{{12}, {14, 19}, {150, 3}, {9, 40, 5}, {180, 2, 60}, {31, 16, 24, 3, 90}}},
+		{"tied", tiedEngine(), []int{1, 7, 64, 256}, [][]int{{0}, {6}, {2, 0}, {1, 3}, {4, 2}, {5, 5}, {2, 1, 0}, {3, 5, 1}, {6, 4, 2}, {1, 7, 3}, {2, 5, 1, 3, 0}, {4, 6, 2, 5, 3}}, []int{0, 1, 2, 3, 5}},
+		{"generated", generated, []int{64, 256}, [][]int{{12}, {14, 19}, {150, 3}, {9, 40, 5}, {180, 2, 60}, {31, 16, 24, 3, 90}}, []int{0, 1, 2, 3, 5}},
+		{"windows", windowEngine(), []int{1, 65, windowIDs + 1}, [][]int{{1}, {6, 5}, {4, 3}, {5, 7, 2}, {0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}}, []int{0, 1, 2, 3, 4, 5}},
 	} {
-		shapes := map[int]bool{} // how many lists a disjunctive scan had live
+		shapes := map[int]bool{}
 		for _, terms := range c.queries {
 			q := Query{Terms: terms}
 			_, matches := c.e.Search(q, 1, 0)
 			for _, topN := range []int{1, 10, matches + 5} {
 				for _, block := range c.blocks {
+					if block == 1 && topN > 10 && matches > 400 {
+						continue // ranking a page that wide at every prefix is cubic in the match set
+					}
 					scan := c.e.NewScan(q, topN)
 					for _, s := range []blockScanner{scan, c.e.NewScanAnd(q, topN)} {
 						for n := block; n == block; {
-							shapes[len(scan.cursors)] = true
+							if s == scan && scan.win.pending == 0 {
+								shapes[len(scan.cursors)] = true
+							}
 							n = s.StepN(block)
 							if err := checkAgainstSearch(c.e, s, q, topN, s != scan); err != nil {
 								t.Fatalf("%s: q=%v topN=%d block=%d: %v", c.name, terms, topN, block, err)
@@ -208,16 +269,22 @@ func TestScanFloorInvariant(t *testing.T) {
 							t.Fatalf("%s: q=%v topN=%d block=%d: StepN came up short on a scan that is not exhausted", c.name, terms, topN, block)
 						}
 					}
+					shapes[len(scan.cursors)] = true
 				}
 			}
 		}
-		for live := 0; live <= 5; live++ {
+		for _, live := range c.lists {
 			if !shapes[live] {
-				t.Errorf("%s: no scan was ever down to %d live lists: compaction is not exercised", c.name, live)
+				t.Errorf("%s: no scan ever started a shape with %d live lists: compaction is not exercised", c.name, live)
 			}
 		}
 	}
 }
+
+// edgeBlocks are the grants FuzzScanBlocks can ask for beyond its small
+// ones: one document, either side of a bitmap word and of the window, a
+// grant that ends mid-word well into a window, and several windows.
+var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 66, 2046, 2050, 4096}
 
 // FuzzScanBlocks is the differential test of the block kernel: whatever
 // the query, page size, shard layout and sequence of block sizes, after
@@ -236,8 +303,8 @@ func FuzzScanBlocks(f *testing.F) {
 		}
 		built = append(built, e)
 	}
-	built = append(built, tiedEngine()) // layout 4
-	var engines [][2]*Engine            // {built, round-tripped through WriteTo/ReadEngine}
+	built = append(built, tiedEngine(), windowEngine()) // layouts 4 and 5
+	var engines [][2]*Engine                            // {built, round-tripped through WriteTo/ReadEngine}
 	for _, e := range built {
 		var buf bytes.Buffer
 		if _, err := e.WriteTo(&buf); err != nil {
@@ -250,18 +317,23 @@ func FuzzScanBlocks(f *testing.F) {
 		engines = append(engines, [2]*Engine{e, rt})
 	}
 
-	// layout, topN, term count, terms (value-2), then block sizes (255 = Step).
-	f.Add([]byte{0, 2, 1, 12, 64, 64, 64})                  // one term, serve-sized blocks
-	f.Add([]byte{1, 2, 2, 14, 19, 1, 7, 255, 64, 0, 13})    // two terms on a shard, ragged blocks
-	f.Add([]byte{0, 3, 2, 22, 17, 9, 9, 9, 9, 9, 9, 9, 9})  // two sparse terms, a page wider than the blocks
-	f.Add([]byte{2, 2, 2, 4, 4, 30, 30})                    // the same term twice
-	f.Add([]byte{3, 1, 3, 2, 9, 40, 5, 5, 5, 200})          // three terms, topN 1
-	f.Add([]byte{0, 3, 3, 31, 16, 24, 20, 20, 255, 20, 20}) // three sparse terms, wide page
-	f.Add([]byte{0, 2, 5, 0, 1, 203, 201, 150, 17})         // out-of-range and rare terms
-	f.Add([]byte{0, 0, 2, 2, 3, 10})                        // topN 0
-	f.Add([]byte{1, 2, 0, 8})                               // no terms
-	f.Add([]byte{4, 2, 3, 4, 3, 2, 9, 9, 255, 64, 40})      // the tied corpus: three lists, the shortest ends in the first block
-	f.Add([]byte{4, 1, 2, 6, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5}) // the tied corpus, topN 1: every later document ties with the floor
+	// layout, topN, term count, terms (value-2), then block sizes: a byte
+	// under 240 is itself mod 80, 240–254 index edgeBlocks, 255 is Step.
+	f.Add([]byte{0, 2, 1, 12, 64, 64, 64})                                             // one term, serve-sized blocks
+	f.Add([]byte{1, 2, 2, 14, 19, 1, 7, 255, 64, 0, 13})                               // two terms on a shard, ragged blocks
+	f.Add([]byte{0, 3, 2, 22, 17, 9, 9, 9, 9, 9, 9, 9, 9})                             // two sparse terms, a page wider than the blocks
+	f.Add([]byte{2, 2, 2, 4, 4, 30, 30})                                               // the same term twice
+	f.Add([]byte{3, 1, 3, 2, 9, 40, 5, 5, 5, 200})                                     // three terms, topN 1
+	f.Add([]byte{0, 3, 3, 31, 16, 24, 20, 20, 255, 20, 20})                            // three sparse terms, wide page
+	f.Add([]byte{0, 2, 5, 0, 1, 203, 201, 150, 17})                                    // out-of-range and rare terms
+	f.Add([]byte{0, 0, 2, 2, 3, 10})                                                   // topN 0
+	f.Add([]byte{1, 2, 0, 8})                                                          // no terms
+	f.Add([]byte{4, 2, 3, 4, 3, 2, 9, 9, 255, 64, 40})                                 // the tied corpus: three lists, the shortest ends in the first block
+	f.Add([]byte{4, 1, 2, 6, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5})                            // the tied corpus, topN 1: every later document ties with the floor
+	f.Add([]byte{5, 2, 5, 2, 3, 4, 5, 6, 240, 242, 241, 246, 243, 244, 245, 247, 241}) // the window corpus, five lists: grants ending on, before and after word and window edges
+	f.Add([]byte{5, 1, 3, 7, 8, 2, 244, 255, 246, 1, 245})                             // a three-window gap and a late start; a Step and a window and a bit after a grant one short of the window
+	f.Add([]byte{5, 3, 2, 6, 5, 248, 100, 249})                                        // a grant ending mid-word, then several windows at once
+	f.Add([]byte{0, 2, 3, 2, 3, 4, 245, 3, 245})                                       // three dense lists of a generated corpus in window-sized grants
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -304,6 +376,9 @@ func FuzzScanBlocks(f *testing.F) {
 							n = 1
 						}
 					} else {
+						if b >= 240 {
+							k = edgeBlocks[b-240]
+						}
 						n = s.StepN(k)
 					}
 					if n < 0 || n > k {

@@ -1,6 +1,9 @@
 package search
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Scan is an incremental query execution: matching documents are scored
 // a block at a time (StepN; Step is the block of one) in doc-id
@@ -14,6 +17,7 @@ type Scan struct {
 	heap    *topN
 	n       int
 	topNCap int
+	win     window
 }
 
 type scanCursor struct {
@@ -21,6 +25,27 @@ type scanCursor struct {
 	pos int
 	idf float64
 }
+
+// window is the union of two or more posting lists over windowIDs
+// consecutive doc ids starting at base, scored ahead of being handed
+// out: slot d-base of acc holds document d's score, its bit in member
+// says the slot is in use, its bit in cand that the score beat the
+// page's floor as it stood when the window was filled. Words below word
+// are zero, and pending — the members not yet handed out — is the
+// population of the rest, so an empty window is an all-zero one.
+type window struct {
+	base    uint32
+	word    int
+	pending int
+	member  [windowWords]uint64
+	cand    [windowWords]uint64
+	acc     [windowIDs]float64
+}
+
+const (
+	windowIDs   = 2048
+	windowWords = windowIDs / 64
+)
 
 // NewScan starts an incremental execution of q keeping the best topN
 // documents.
@@ -31,8 +56,9 @@ func (e *Engine) NewScan(q Query, topN int) *Scan {
 }
 
 // Reset reinitializes the scan in place for a new query, reusing the
-// cursor slice and heap storage so a pooled Scan serves its next request
-// without allocating.
+// cursor slice, heap storage and window so a pooled Scan serves its
+// next request without allocating. A scan abandoned mid-window (the
+// approximated stop) leaves members behind; they are cleared here.
 func (s *Scan) Reset(e *Engine, q Query, topN int) {
 	s.engine = e
 	s.cursors = s.cursors[:0]
@@ -42,6 +68,11 @@ func (s *Scan) Reset(e *Engine, q Query, topN int) {
 	s.heap.reset(topN)
 	s.n = 0
 	s.topNCap = topN
+	if w := &s.win; w.pending > 0 {
+		clear(w.member[w.word:])
+		clear(w.cand[w.word:])
+		w.pending = 0
+	}
 	for _, t := range q.Terms {
 		if t < 0 || t >= len(e.postings) || len(e.postings[t]) == 0 {
 			continue
@@ -56,32 +87,32 @@ func (s *Scan) Step() bool { return s.StepN(1) == 1 }
 
 // StepN scores up to k further matching documents and returns how many
 // were scored; fewer than k means the scan exhausted. It is the scan's
-// one kernel, shaped by the number of live posting lists: a
-// straight-line loop over one list, two- and three-way merges whose
-// choice of list is arithmetic rather than a branch, and the general
-// k-way merge beyond that. A shape runs until the block is done or one
-// of its lists runs out; that list then leaves s.cursors (compact), so
-// a long scan finishes in the leanest shape its remaining lists allow.
-// Every shape evaluates Search's score expression in Search's summation
-// order (terms in query order), so pages and scores are bit-identical
-// to Search at the same document count.
+// one kernel, in two shapes: a straight-line loop over a single live
+// list (scan1), and for two or more a window — fill scores the union of
+// the lists over the next windowIDs doc ids, one list at a time, and
+// drain hands the members out in id order. A list that runs out leaves
+// s.cursors (compact), so a long scan finishes as scan1. Both shapes
+// evaluate Search's score expression in Search's summation order (terms
+// in query order) and push documents in id order, exactly the k handed
+// out, so pages and scores are bit-identical to Search at the same
+// document count; what a window scored ahead of the last grant (less
+// than one window) is in neither the page nor Processed.
 func (s *Scan) StepN(k int) int {
 	if k <= 0 || s.topNCap <= 0 {
 		return 0
 	}
 	done := 0
-	for done < k && len(s.cursors) > 0 {
-		switch len(s.cursors) {
-		case 1:
+	for done < k {
+		if s.win.pending > 0 {
+			done += s.drain(k - done)
+		} else if len(s.cursors) > 1 {
+			s.fill()
+		} else if len(s.cursors) == 1 {
 			done += s.scan1(k - done)
-		case 2:
-			done += s.scan2(k - done)
-		case 3:
-			done += s.scan3(k - done)
-		default:
-			done += s.scanK(k - done)
+			s.compact()
+		} else {
+			break
 		}
-		s.compact()
 	}
 	s.n += done
 	return done
@@ -107,14 +138,6 @@ func (s *Scan) compact() {
 func bm25(idf float64, tf uint16, norm float64) float64 {
 	f := float64(tf)
 	return idf * f * (bm25K1 + 1) / (f + norm)
-}
-
-// b2i is 1 for true and 0 for false, without a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // The shapes below keep the page's floor (topN.floor) in a register and
@@ -144,130 +167,88 @@ func (s *Scan) scan1(k int) int {
 	return len(ps)
 }
 
-// scan2 merges the two live lists. Which list holds the smaller doc id
-// is a coin flip the branch predictor loses, so the pick is computed:
-// the posting, its idf and the cursor advances all follow from one
-// comparison result. Only a document in both lists (rare, and so
-// predictable) takes a branch.
-func (s *Scan) scan2(k int) int {
-	a, b := &s.cursors[0], &s.cursors[1]
-	pa, pb := a.ps, b.ps
-	i, j := uint(a.pos), uint(b.pos)
-	recs, heap := s.engine.recs, s.heap
-	idfs := [2]float64{a.idf, b.idf}
-	floor := heap.floor()
-	left := k
-	for left > 0 && i < uint(len(pa)) && j < uint(len(pb)) {
-		x, y := pa[i], pb[j]
-		doc := x.Doc
-		var score float64
-		if x.Doc == y.Doc {
-			r := recs[doc]
-			score = r.quality + bm25(idfs[0], x.TF, r.norm)
-			score += bm25(idfs[1], y.TF, r.norm)
-			i++
-			j++
-		} else {
-			pickB := uint(b2i(y.Doc < x.Doc))
-			// mask is all ones when b's posting is the pick: x ^ (x^y)&mask
-			// selects y then, x otherwise.
-			mask := -uint32(pickB)
-			doc = x.Doc ^ (x.Doc^y.Doc)&mask
-			tf := x.TF ^ (x.TF^y.TF)&uint16(mask)
-			r := recs[doc]
-			score = r.quality + bm25(idfs[pickB&1], tf, r.norm)
-			i += 1 - pickB
-			j += pickB
-		}
-		if beats(score, floor) {
-			heap.push(Result{Doc: doc, Score: score})
-			floor = heap.floor()
-		}
-		left--
+// fill scores every posting of the live lists inside the window that
+// starts at the smallest current doc id. Each list in query order runs
+// one loop with no cursor to compare against another list's: a slot's
+// score starts from the document's quality the first time a list
+// reaches it and adds one term per list after that, which is Search's
+// sum. The floor is read once, before the loop: no later floor is
+// lower, so the slots flagged in cand are a superset of those that will
+// beat the floor when drain hands them out, and drain tests again.
+func (s *Scan) fill() {
+	w := &s.win
+	base := uint32(math.MaxUint32)
+	for i := range s.cursors {
+		c := &s.cursors[i]
+		base = min(base, c.ps[c.pos].Doc)
 	}
-	a.pos, b.pos = int(i), int(j)
-	return k - left
+	recs, floor := s.engine.recs, s.heap.floor()
+	pending := 0
+	for i := range s.cursors {
+		c := &s.cursors[i]
+		idf, n := c.idf, 0
+		for _, p := range c.ps[c.pos:] {
+			off := p.Doc - base
+			if off >= windowIDs {
+				break
+			}
+			r := recs[p.Doc]
+			wi, bit := off>>6, uint64(1)<<(off&63)
+			m := w.member[wi]
+			score := r.quality
+			if m&bit != 0 { // an earlier list holds the document too
+				score = w.acc[off]
+				pending--
+			}
+			score += bm25(idf, p.TF, r.norm)
+			w.acc[off] = score
+			w.member[wi] = m | bit
+			if beats(score, floor) {
+				w.cand[wi] |= bit
+			}
+			n++
+		}
+		c.pos += n
+		pending += n
+	}
+	w.base, w.word, w.pending = base, 0, pending
+	s.compact()
 }
 
-// scan3 merges the three live lists the way scan2 merges two. A list
-// holds the smallest current doc id when its id is <= both others: three
-// 0/1 flags from pairwise comparisons (a min over the ids compiles to
-// branches as unpredictable as the merge itself) advance the cursors
-// and, in the common case of exactly one holder, select the posting and
-// idf. A document in several lists sums its terms in query order behind
-// the one (rare) branch.
-func (s *Scan) scan3(k int) int {
-	a, b, c := &s.cursors[0], &s.cursors[1], &s.cursors[2]
-	pa, pb, pc := a.ps, b.ps, c.ps
-	i, j, l := uint(a.pos), uint(b.pos), uint(c.pos)
-	recs, heap := s.engine.recs, s.heap
-	idfs := [4]float64{a.idf, b.idf, c.idf} // indexed &3: no bounds check
+// drain hands out up to k of the window's members in id order: whole
+// words by population count, bit by bit only in the word where the
+// grant ends, clearing what it consumes. Only flagged slots are read,
+// and pushed if they beat the floor as it stands now.
+func (s *Scan) drain(k int) int {
+	w, heap := &s.win, s.heap
 	floor := heap.floor()
-	left := k
-	for left > 0 && i < uint(len(pa)) && j < uint(len(pb)) && l < uint(len(pc)) {
-		x, y, z := pa[i], pb[j], pc[l]
-		inA := uint(b2i(x.Doc <= y.Doc) & b2i(x.Doc <= z.Doc))
-		inB := uint(b2i(y.Doc <= x.Doc) & b2i(y.Doc <= z.Doc))
-		inC := uint(b2i(z.Doc <= x.Doc) & b2i(z.Doc <= y.Doc))
-		doc := x.Doc&-uint32(inA) | y.Doc&-uint32(inB) | z.Doc&-uint32(inC)
-		i += inA
-		j += inB
-		l += inC
-		r := recs[doc]
-		var score float64
-		if inA+inB+inC == 1 {
-			tf := x.TF&-uint16(inA) | y.TF&-uint16(inB) | z.TF&-uint16(inC)
-			score = r.quality + bm25(idfs[(inB+2*inC)&3], tf, r.norm)
+	k = min(k, w.pending)
+	wi := w.word
+	for left := k; left > 0; wi++ {
+		m, c := w.member[wi], w.cand[wi]
+		rest := uint64(0) // members staying behind
+		if n := bits.OnesCount64(m); n <= left {
+			left -= n
 		} else {
-			score = r.quality
-			if inA == 1 {
-				score += bm25(idfs[0], x.TF, r.norm)
-			}
-			if inB == 1 {
-				score += bm25(idfs[1], y.TF, r.norm)
-			}
-			if inC == 1 {
-				score += bm25(idfs[2], z.TF, r.norm)
+			for rest = m; left > 0; left-- {
+				rest &= rest - 1
 			}
 		}
-		if beats(score, floor) {
-			heap.push(Result{Doc: doc, Score: score})
-			floor = heap.floor()
-		}
-		left--
-	}
-	a.pos, b.pos, c.pos = int(i), int(j), int(l)
-	return k - left
-}
-
-// scanK is the general k-way merge: find the smallest current doc id,
-// then score it across every list that holds it.
-func (s *Scan) scanK(k int) int {
-	cs := s.cursors
-	recs, heap := s.engine.recs, s.heap
-	floor := heap.floor()
-	done := 0
-	for ranOut := false; done < k && !ranOut; done++ {
-		cur := uint32(math.MaxUint32)
-		for i := range cs {
-			cur = min(cur, cs[i].ps[cs[i].pos].Doc)
-		}
-		r := recs[cur]
-		score := r.quality
-		for i := range cs {
-			c := &cs[i]
-			if p := c.ps[c.pos]; p.Doc == cur {
-				score += bm25(c.idf, p.TF, r.norm)
-				c.pos++
-				ranOut = ranOut || c.pos == len(c.ps)
+		w.member[wi], w.cand[wi] = rest, c&rest
+		for c &^= rest; c != 0; c &= c - 1 {
+			off := uint(wi)<<6 | uint(bits.TrailingZeros64(c))
+			if score := w.acc[off%windowIDs]; beats(score, floor) {
+				heap.push(Result{Doc: w.base + uint32(off), Score: score})
+				floor = heap.floor()
 			}
 		}
-		if beats(score, floor) {
-			heap.push(Result{Doc: cur, Score: score})
-			floor = heap.floor()
+		if rest != 0 {
+			break
 		}
 	}
-	return done
+	w.word = wi
+	w.pending -= k
+	return k
 }
 
 // Processed returns the number of matching documents scored so far.
@@ -287,4 +268,4 @@ func (s *Scan) TopNInto(out []int) []int { return s.heap.rankedInto(out) }
 func (s *Scan) TopNResultsInto(out []Result) []Result { return s.heap.rankedResultsInto(out) }
 
 // Exhausted reports whether all matching documents have been scored.
-func (s *Scan) Exhausted() bool { return len(s.cursors) == 0 }
+func (s *Scan) Exhausted() bool { return len(s.cursors) == 0 && s.win.pending == 0 }

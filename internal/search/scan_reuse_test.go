@@ -166,3 +166,65 @@ func TestTopNIntoMatchesTopNAndReusesBuffer(t *testing.T) {
 		t.Fatalf("warm TopNInto allocates %.1f per call, want 0", allocs)
 	}
 }
+
+// TestScanPartialWindow pins what a grant that ends inside a window
+// leaves visible: the documents scored ahead of it are in neither
+// Processed nor the page, and the scan is exhausted exactly when the
+// last member has been handed out — on the tied corpus every list ends
+// inside the first window, so from the first fill on no list is live.
+func TestScanPartialWindow(t *testing.T) {
+	for _, c := range []struct {
+		e     *Engine
+		terms []int
+	}{
+		{tiedEngine(), []int{2, 5, 1, 3, 0}},
+		{windowEngine(), []int{0, 1, 2, 3, 4}},
+		{windowEngine(), []int{6, 5}},
+	} {
+		q := Query{Terms: c.terms}
+		_, matches := c.e.Search(q, 1, 0)
+		for _, grant := range []int{7, 64, 1000} {
+			s := c.e.NewScan(q, 10)
+			for want := 0; want < matches; {
+				n := s.StepN(grant)
+				if want+n != min(want+grant, matches) || s.Processed() != want+n {
+					t.Fatalf("q=%v: StepN(%d) at %d of %d documents returned %d, Processed %d", c.terms, grant, want, matches, n, s.Processed())
+				}
+				want += n
+				if s.Exhausted() != (want == matches) {
+					t.Fatalf("q=%v grant=%d: Exhausted() = %v at %d of %d documents", c.terms, grant, s.Exhausted(), want, matches)
+				}
+				if err := checkAgainstSearch(c.e, s, q, 10, false); err != nil {
+					t.Fatalf("q=%v grant=%d: %v", c.terms, grant, err)
+				}
+			}
+		}
+	}
+}
+
+// TestScanResetAfterApproximatedStop: a pooled scan the approximation
+// stopped mid-window still holds that query's members, flags and scores
+// when it is Reset; the next query must start from an empty window.
+func TestScanResetAfterApproximatedStop(t *testing.T) {
+	e := windowEngine()
+	queries := [][]int{{0, 1, 2, 3, 4}, {6, 5}, {4, 3}, {1, 0}, {5, 7, 2}, {2}}
+	pooled := e.NewScan(Query{}, 10)
+	for _, first := range queries {
+		for _, stop := range []int{1, 100, 2500} {
+			for _, second := range queries {
+				pooled.Reset(e, Query{Terms: first}, 10)
+				pooled.StepN(stop)
+				q := Query{Terms: second}
+				pooled.Reset(e, q, 10)
+				for more := true; more; more = pooled.StepN(300) == 300 {
+					if err := checkAgainstSearch(e, pooled, q, 10, false); err != nil {
+						t.Fatalf("q=%v after %v stopped at %d: %v", second, first, stop, err)
+					}
+				}
+				if err := checkAgainstSearch(e, pooled, q, 10, false); err != nil || !pooled.Exhausted() {
+					t.Fatalf("q=%v after %v stopped at %d: drained scan exhausted=%v, %v", second, first, stop, pooled.Exhausted(), err)
+				}
+			}
+		}
+	}
+}

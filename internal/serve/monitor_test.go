@@ -23,7 +23,7 @@ import (
 // request's own scan or, when the scan cannot supply them (not at the
 // record point, cut short), off the fallback reruns.
 func TestServeQoSSnapshotMatchesReruns(t *testing.T) {
-	engine, err := search.NewEngine(search.Config{Seed: 7, Docs: 20000})
+	engine, err := search.NewEngine(search.Config{Seed: 7, Docs: 80 * scanBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestServeQoSSnapshotMatchesReruns(t *testing.T) {
 		var lost, kept, cutTold int
 		for _, q := range queries {
 			precise, matches := run(q, topN, 0)
-			for _, r := range []int{1, 7, 64, 100, 500} {
+			for _, r := range []int{1, 7, scanBlock / 4, scanBlock, 4 * scanBlock} {
 				capped, _ := run(q, topN, r)
 				want := metrics.QueryLoss(precise, capped)
 				if want == 1 {
@@ -110,24 +110,37 @@ func TestServeQoSSnapshotMatchesReruns(t *testing.T) {
 // against the full precise page, never against the partial scan.
 func TestDegradedMonitoredLossAgainstPrecise(t *testing.T) {
 	s := resilientServer(t, func(c *Config) {
-		// The scan is cut one block after the record point. Only a corpus
-		// this deep has pages that sit still over those scanBlock
-		// documents and still change before the scan ends.
-		c.CorpusDocs = 20000
+		// The scan is cut one block after the record point, so the corpus
+		// is as many blocks deep as the test needs: pages that sit still
+		// over those scanBlock documents and still change before the scan
+		// ends.
+		c.CorpusDocs = 80 * scanBlock
 		c.SampleInterval = 1
 		c.RequestTimeout = 20 * time.Millisecond
 		c.Chaos = chaos.New(chaos.Config{DelayEvery: 1, Delay: 40 * time.Millisecond})
 	})
 	h := s.Handler()
-	s.Loop().SetLevel(300) // under the calibrated level, so stopping there loses pages
-	var told, degraded int
-	for i := 100; i < 124; i++ {
+	s.Loop().SetLevel(scanBlock) // under the calibrated level, so stopping there loses pages
+	var told, degraded, sent int
+	for i := 100; i < 400 && told < 3; i++ {
 		// Several mid-frequency words: the match set outruns the level M
 		// and late documents still reach the page.
-		word := fmt.Sprintf("w%d+w%d+w%d+w%d+w%d", i, i+12, i+24, i+36, i+48)
+		word := fmt.Sprintf("w%d+w%d+w%d+w%d", i, i+12, i+24, i+36)
 		q := search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}
 		precise, matches := s.engine.Search(q, s.cfg.TopN, 0)
 		m := int(math.Ceil(s.Loop().Level())) // the first iteration at or past M
+		// A page that holds still for a whole block and moves later is a
+		// few queries in a hundred: the stall is paid for those — read off
+		// the engine, the request then has to agree — and for the first
+		// few of the rest.
+		if sent >= 8 {
+			capped, _ := s.engine.Search(q, s.cfg.TopN, m)
+			cut, _ := s.engine.Search(q, s.cfg.TopN, m+scanBlock)
+			if matches <= m+scanBlock || metrics.QueryLoss(cut, capped) == metrics.QueryLoss(precise, capped) {
+				continue
+			}
+		}
+		sent++
 		before := s.Loop().State().LossSum
 
 		rec := get(t, h, "/search?q="+word)
