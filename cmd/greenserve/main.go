@@ -235,8 +235,10 @@ func runCoordinator(addr, shardList string, sla float64, quorum, retries int, he
 	if err != nil {
 		log.Fatalf("greenserve: -shards: %v", err)
 	}
+	transport := &cluster.HTTPTransport{}
 	co, err := cluster.New(cluster.Config{
 		Shards:            specs,
+		Transport:         transport,
 		SLA:               sla,
 		Quorum:            quorum,
 		Retries:           retries,
@@ -256,5 +258,8 @@ func runCoordinator(addr, shardList string, sla float64, quorum, retries int, he
 		stopAgg = co.Start()
 		log.Printf("coordinator: fleet SLA %.2f%% aggregated every %v", sla*100, aggInterval)
 	}
-	serveUntilSignal(addr, co.Handler(), drain, fmt.Sprintf("coordinating %d shard(s)", len(specs)), stopAgg)
+	serveUntilSignal(addr, co.Handler(), drain, fmt.Sprintf("coordinating %d shard(s)", len(specs)), func() {
+		stopAgg()
+		transport.CloseIdleConnections()
+	})
 }

@@ -19,13 +19,17 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -48,18 +52,66 @@ type Transport interface {
 	Do(ctx context.Context, method, base, path string, reqBody []byte, deadline time.Time, buf []byte) (status int, body []byte, err error)
 }
 
-// HTTPTransport is the production Transport over net/http.
+// HTTPTransport is the production Transport: HTTP/1.1 to the replicas.
+//
+// To a plain http:// replica it performs the exchange itself on kept
+// connections of its own — one Write of the request, one
+// http.ReadResponse of the reply, in the calling goroutine. Whatever asks
+// for more than a TCP connection goes through Client.Do: an https or
+// proxied base URL, or a Client with a Jar, a CheckRedirect or a
+// Transport that is not a stock *http.Transport.
 type HTTPTransport struct {
 	// Client is the underlying client; nil means http.DefaultClient.
 	// Wrapping Client.Transport (e.g. with chaos.HTTPFaults) injects
-	// faults below this layer.
+	// faults below this layer, and every request then goes through it. Of
+	// an unwrapped one the direct path keeps Timeout and the
+	// *http.Transport's DialContext. Set it before the first Do: how a
+	// replica is reached is decided once per base URL.
 	Client *http.Client
 
-	// templates holds one prebuilt *http.Request per base URL, so an
-	// exchange copies a parsed URL instead of concatenating and parsing
-	// the same one again.
-	templates sync.Map
+	// targets holds one *target per base URL.
+	targets sync.Map
 }
+
+const (
+	// maxIdleConns is how many idle connections a target keeps.
+	maxIdleConns = 16
+	// maxHead bounds a reply's status line and headers: the direct path
+	// reads at most maxBody+maxHead bytes per exchange.
+	maxHead = 64 << 10
+)
+
+// target is what HTTPTransport knows about one base URL: the request
+// Client.Do is given a copy of, and, when the direct path serves it, how
+// to dial it, the constant parts of a request and the idle connections.
+type target struct {
+	tmpl *http.Request
+
+	dial   func(ctx context.Context, network, addr string) (net.Conn, error) // nil: Client.Do
+	addr   string                                                            // host:port to dial
+	prefix string                                                            // the base URL's path
+	head   string                                                            // from the request line's version through the Host header
+
+	mu   sync.Mutex
+	idle []*shardConn // a stack: the connection used last is the next one taken
+}
+
+// shardConn is one kept connection with the buffers an exchange needs.
+type shardConn struct {
+	c    net.Conn
+	lim  io.LimitedReader // c, bounded per exchange; br reads from it
+	br   *bufio.Reader
+	body io.LimitedReader // the reply body, bounded by maxBody
+	req  []byte
+	// expire is the method value sc.cut, made once per connection rather
+	// than once per exchange.
+	expire func()
+}
+
+// cut fails the exchange in flight by moving its deadline into the past:
+// what context.AfterFunc runs when the caller's context ends. The
+// connection is closed afterwards whether or not the deadline took.
+func (sc *shardConn) cut() { _ = sc.c.SetDeadline(time.Unix(1, 0)) }
 
 // parseBase parses a replica's base URL, which must name a scheme and a
 // host. New runs every replica through it, so the fleet a coordinator
@@ -75,28 +127,261 @@ func parseBase(base string) (*url.URL, error) {
 	return u, nil
 }
 
-// template returns the prebuilt request for base, building it on first
-// use.
-func (t *HTTPTransport) template(base string) (*http.Request, error) {
-	if v, ok := t.templates.Load(base); ok {
-		return v.(*http.Request), nil
+// target returns what is known about base, working it out on first use.
+func (t *HTTPTransport) target(base string) (*target, error) {
+	if v, ok := t.targets.Load(base); ok {
+		return v.(*target), nil
 	}
 	u, err := parseBase(base)
 	if err != nil {
 		return nil, err
 	}
-	v, _ := t.templates.LoadOrStore(base, &http.Request{
+	tg := &target{tmpl: &http.Request{
 		URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}}
+	if tg.dial = t.dialer(tg.tmpl); tg.dial != nil {
+		tg.addr = u.Host
+		if u.Port() == "" {
+			tg.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
+		tg.prefix = u.EscapedPath()
+		tg.head = " HTTP/1.1\r\nHost: " + u.Host + "\r\n"
+	}
+	v, _ := t.targets.LoadOrStore(base, tg)
+	return v.(*target), nil
+}
+
+// dialer returns how the direct path opens a connection for probe (a
+// request for the base URL), or nil when the configuration asks for
+// something only net/http's client does: TLS, credentials from the URL,
+// cookies, a redirect policy, a RoundTripper that is not an
+// *http.Transport, a proxy, or a Transport field that shapes connections
+// in a way the kept stack does not.
+func (t *HTTPTransport) dialer(probe *http.Request) func(ctx context.Context, network, addr string) (net.Conn, error) {
+	if probe.URL.Scheme != "http" || probe.URL.User != nil {
+		return nil
+	}
+	var rt http.RoundTripper = http.DefaultTransport
+	if c := t.Client; c != nil {
+		if c.Jar != nil || c.CheckRedirect != nil {
+			return nil
+		}
+		if c.Transport != nil {
+			rt = c.Transport
+		}
+	}
+	tr, ok := rt.(*http.Transport)
+	if !ok || tr.Dial != nil || tr.DialTLS != nil || tr.DialTLSContext != nil ||
+		tr.DisableKeepAlives || tr.MaxConnsPerHost != 0 || tr.ResponseHeaderTimeout != 0 {
+		return nil
+	}
+	if tr.Proxy != nil {
+		if proxy, err := tr.Proxy(probe); err != nil || proxy != nil {
+			return nil
+		}
+	}
+	if tr.DialContext != nil {
+		return tr.DialContext
+	}
+	return new(net.Dialer).DialContext
+}
+
+// CloseIdleConnections closes the connections the transport keeps for
+// its next exchanges, and the Client's. One in use is closed or kept as
+// usual when its exchange ends.
+func (t *HTTPTransport) CloseIdleConnections() {
+	t.targets.Range(func(_, v any) bool {
+		tg := v.(*target)
+		tg.mu.Lock()
+		idle := tg.idle
+		tg.idle = nil
+		tg.mu.Unlock()
+		for _, sc := range idle {
+			_ = sc.c.Close() // idle: nothing written is lost
+		}
+		return true
 	})
-	return v.(*http.Request), nil
+	client := t.Client
+	if client == nil {
+		client = http.DefaultClient
+	}
+	client.CloseIdleConnections()
 }
 
 // Do implements Transport.
 func (t *HTTPTransport) Do(ctx context.Context, method, base, path string, reqBody []byte, deadline time.Time, buf []byte) (int, []byte, error) {
-	tmpl, err := t.template(base)
+	tg, err := t.target(base)
 	if err != nil {
 		return 0, buf, err
 	}
+	// A reply to HEAD or CONNECT is framed by the request's method, which
+	// the direct path does not hand to http.ReadResponse.
+	if tg.dial == nil || method == http.MethodHead || method == http.MethodConnect {
+		return t.doClient(ctx, tg, method, path, reqBody, deadline, buf)
+	}
+	// The request line is written from these as they are: a space or a
+	// line break in one would end it early and start a second request.
+	if method == "" || hasCTLOrSpace(method) || hasCTLOrSpace(path) {
+		return 0, buf, fmt.Errorf("cluster: refusing request %q %q to %s: control character or space", method, path, base)
+	}
+	if t.Client != nil && t.Client.Timeout > 0 {
+		if d := time.Now().Add(t.Client.Timeout); deadline.IsZero() || d.Before(deadline) {
+			deadline = d
+		}
+	}
+	for {
+		status, body := 0, buf
+		sc := tg.take()
+		kept := sc != nil
+		if !kept {
+			sc, err = tg.open(ctx, deadline)
+		}
+		if err == nil {
+			status, body, err = tg.exchange(ctx, sc, method, path, reqBody, deadline, buf)
+		}
+		if kept && errors.Is(err, errNoReply) {
+			// The worker closed the connection while it sat idle: nothing
+			// was answered, both methods the fleet uses are idempotent, and
+			// the replica is not at fault. Take the next one, or dial.
+			err = nil
+			continue
+		}
+		if err != nil && err != ctx.Err() {
+			// Named the way Client.Do names its failures.
+			err = &url.Error{Op: method, URL: base + path, Err: err}
+		}
+		return status, body, err
+	}
+}
+
+func hasCTLOrSpace(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] <= ' ' || s[i] == 0x7f {
+			return true
+		}
+	}
+	return false
+}
+
+// take pops the idle connection used last, or returns nil.
+func (tg *target) take() (sc *shardConn) {
+	tg.mu.Lock()
+	if n := len(tg.idle); n > 0 {
+		sc, tg.idle[n-1] = tg.idle[n-1], nil
+		tg.idle = tg.idle[:n-1]
+	}
+	tg.mu.Unlock()
+	return sc
+}
+
+// put keeps sc for the next exchange if there is room for it.
+func (tg *target) put(sc *shardConn) {
+	tg.mu.Lock()
+	room := len(tg.idle) < maxIdleConns
+	if room {
+		tg.idle = append(tg.idle, sc)
+	}
+	tg.mu.Unlock()
+	if !room {
+		_ = sc.c.Close() // idle: nothing written is lost
+	}
+}
+
+// open dials the target, within deadline when there is one.
+func (tg *target) open(ctx context.Context, deadline time.Time) (*shardConn, error) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	c, err := tg.dial(ctx, "tcp", tg.addr)
+	if err != nil {
+		return nil, err
+	}
+	sc := &shardConn{c: c}
+	sc.lim.R = c
+	sc.br = bufio.NewReader(&sc.lim)
+	sc.expire = sc.cut
+	return sc, nil
+}
+
+var (
+	// errNoReply marks an exchange that failed before one byte of a reply
+	// arrived, for a reason other than its deadline or its context.
+	errNoReply = errors.New("connection closed before a reply")
+	// errBodyTooLarge refuses a reply body above maxBody.
+	errBodyTooLarge = errors.New("cluster: response body exceeds limit")
+)
+
+// exchange writes one request to sc and reads its reply, appending the
+// body to buf. It owns sc from here: the connection goes back on the idle
+// stack only if the reply was read to its end, did not ask to close,
+// left nothing behind it and ctx had not ended; otherwise it is closed.
+func (tg *target) exchange(ctx context.Context, sc *shardConn, method, path string, reqBody []byte, deadline time.Time, buf []byte) (int, []byte, error) {
+	_ = sc.c.SetDeadline(deadline) // a connection that cannot take one fails the write
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, sc.expire)
+	}
+	status, body, reusable, err := sc.roundTrip(tg, method, path, reqBody, buf)
+	if stop != nil && !stop() {
+		// ctx ended and cut the deadline, during the exchange or just
+		// after it. A failure is then the caller's own doing.
+		reusable = false
+		if err != nil {
+			err = ctx.Err()
+		}
+	}
+	if reusable {
+		tg.put(sc)
+	} else {
+		_ = sc.c.Close() // the exchange is over; its outcome is already decided
+	}
+	return status, body, err
+}
+
+// roundTrip is the exchange proper: one Write, one http.ReadResponse, the
+// body to its end.
+func (sc *shardConn) roundTrip(tg *target, method, path string, reqBody []byte, buf []byte) (status int, body []byte, reusable bool, err error) {
+	b := append(sc.req[:0], method...)
+	b = append(b, ' ')
+	if tg.prefix == "" && (path == "" || path[0] != '/') {
+		b = append(b, '/')
+	}
+	b = append(b, tg.prefix...)
+	b = append(b, path...)
+	b = append(b, tg.head...)
+	if reqBody != nil {
+		b = append(b, "Content-Type: application/json\r\nContent-Length: "...)
+		b = strconv.AppendInt(b, int64(len(reqBody)), 10)
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, "\r\n"...)
+	b = append(b, reqBody...)
+	sc.req = b
+
+	sc.lim.N = maxBody + maxHead
+	if _, err = sc.c.Write(b); err == nil {
+		_, err = sc.br.Peek(1)
+	}
+	if err != nil {
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("%w: %v", errNoReply, err)
+		}
+		return 0, buf, false, err
+	}
+	resp, err := http.ReadResponse(sc.br, nil)
+	if err != nil {
+		return 0, buf, false, err
+	}
+	buf, err = appendBody(buf, &sc.body, resp.Body)
+	// Reading to io.EOF took the whole body, trailers included, off the
+	// connection; what is still buffered then belongs to no exchange.
+	return resp.StatusCode, buf, err == nil && !resp.Close && sc.br.Buffered() == 0, err
+}
+
+// doClient performs the exchange through net/http's client.
+func (t *HTTPTransport) doClient(ctx context.Context, tg *target, method, path string, reqBody []byte, deadline time.Time, buf []byte) (int, []byte, error) {
 	if !deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadline)
@@ -105,11 +390,11 @@ func (t *HTTPTransport) Do(ctx context.Context, method, base, path string, reqBo
 	// The request is the template with its own context, URL and header:
 	// what http.NewRequestWithContext(base+path) would build, short of
 	// the concatenation and the parse.
-	target := *tmpl.URL
-	path, target.RawQuery, _ = strings.Cut(path, "?")
-	target.Path += path
-	req := tmpl.WithContext(ctx)
-	req.Method, req.URL, req.Header = method, &target, make(http.Header)
+	u := *tg.tmpl.URL
+	path, u.RawQuery, _ = strings.Cut(path, "?")
+	u.Path += path
+	req := tg.tmpl.WithContext(ctx)
+	req.Method, req.URL, req.Header = method, &u, make(http.Header)
 	if reqBody != nil {
 		req.Body = io.NopCloser(bytes.NewReader(reqBody))
 		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(reqBody)), nil }
@@ -125,14 +410,19 @@ func (t *HTTPTransport) Do(ctx context.Context, method, base, path string, reqBo
 		return 0, buf, err
 	}
 	defer resp.Body.Close()
-	buf, err = appendAll(buf, io.LimitReader(resp.Body, maxBody+1))
-	if err != nil {
-		return resp.StatusCode, buf, err
+	buf, err = appendBody(buf, new(io.LimitedReader), resp.Body)
+	return resp.StatusCode, buf, err
+}
+
+// appendBody appends a reply body to buf, reading it through lim to
+// io.EOF and refusing one above maxBody.
+func appendBody(buf []byte, lim *io.LimitedReader, body io.Reader) ([]byte, error) {
+	*lim = io.LimitedReader{R: body, N: maxBody + 1}
+	buf, err := appendAll(buf, lim)
+	if err == nil && len(buf) > maxBody {
+		err = errBodyTooLarge
 	}
-	if len(buf) > maxBody {
-		return resp.StatusCode, buf, errors.New("cluster: response body exceeds limit")
-	}
-	return resp.StatusCode, buf, nil
+	return buf, err
 }
 
 // appendAll reads r to EOF, appending into buf without the intermediate

