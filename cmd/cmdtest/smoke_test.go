@@ -3,10 +3,8 @@ package cmdtest
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -106,29 +104,28 @@ func TestGreenlintList(t *testing.T) {
 	for _, check := range []string{
 		"beginfinish", "continuecond", "slarange", "ctrlcopy", "calorder",
 		"taintsink", "taintendorse", "taintescape",
-		"suggestreduce", "suggestconverge", "suggestscan",
 	} {
 		if !strings.Contains(out, check) {
 			t.Errorf("greenlint -list is missing check %q:\n%s", check, out)
 		}
 	}
-	// Every line carries the category and tier columns; all four tiers
-	// appear across the suite.
+	// Every line carries the tier column; all three tiers appear across
+	// the suite.
 	tiers := map[string]int{}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		fields := strings.Fields(line)
-		if len(fields) < 4 || (fields[1] != "contract" && fields[1] != "suggest") {
-			t.Errorf("list line missing category column: %q", line)
+		if len(fields) < 3 {
+			t.Errorf("list line missing tier column: %q", line)
 			continue
 		}
-		switch fields[2] {
-		case "block", "cfg", "suggest", "interproc":
-			tiers[fields[2]]++
+		switch fields[1] {
+		case "block", "cfg", "interproc":
+			tiers[fields[1]]++
 		default:
-			t.Errorf("list line has unknown tier %q: %q", fields[2], line)
+			t.Errorf("list line has unknown tier %q: %q", fields[1], line)
 		}
 	}
-	for _, tier := range []string{"block", "cfg", "suggest", "interproc"} {
+	for _, tier := range []string{"block", "cfg", "interproc"} {
 		if tiers[tier] == 0 {
 			t.Errorf("no check listed in tier %q:\n%s", tier, out)
 		}
@@ -208,151 +205,6 @@ func TestGreenlintSARIF(t *testing.T) {
 	}
 	if len(doc.Runs[0].Tool.Driver.Rules) == 0 {
 		t.Error("sarif driver lists no rules")
-	}
-}
-
-// TestGreenlintSuggestAdvisory checks the exit-status contract of
-// suggestion mode: candidates on stdout, exit 0 — discovery never
-// fails a build on its own — and -fail-on suggest opts into exit 1.
-func TestGreenlintSuggestAdvisory(t *testing.T) {
-	fixture := "internal/lint/testdata/suggest/dftkernel"
-	stdout, stderr, code := runSplit(t, "greenlint", "-suggest", fixture)
-	if code != 0 {
-		t.Fatalf("greenlint -suggest exited %d, want 0 (advisory):\n%s%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "[suggestreduce]") {
-		t.Errorf("suggestion output missing [suggestreduce] finding:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "suggestion(s)") {
-		t.Errorf("stderr summary missing suggestion count:\n%s", stderr)
-	}
-
-	out, code := run(t, "greenlint", "-suggest", "-fail-on", "suggest", fixture)
-	if code != 1 {
-		t.Fatalf("greenlint -fail-on suggest exited %d, want 1:\n%s", code, out)
-	}
-
-	out, code = run(t, "greenlint", "-fail-on", "nosuch", fixture)
-	if code != 2 {
-		t.Fatalf("greenlint -fail-on nosuch exited %d, want 2:\n%s", code, out)
-	}
-}
-
-// TestGreenlintSuggestChecksRequireFlag: naming a suggestion check in
-// -checks without -suggest is a usage error listing the valid set.
-func TestGreenlintSuggestChecksRequireFlag(t *testing.T) {
-	out, code := run(t, "greenlint", "-checks", "suggestreduce", "internal/lint/testdata/suggest/dftkernel")
-	if code != 2 {
-		t.Fatalf("suggest-only -checks without -suggest exited %d, want 2:\n%s", code, out)
-	}
-	if !strings.Contains(out, "-suggest") || !strings.Contains(out, "valid") {
-		t.Errorf("error does not point at -suggest with the valid set:\n%s", out)
-	}
-	// The same selection WITH -suggest runs fine.
-	out, code = run(t, "greenlint", "-suggest", "-checks", "suggestreduce", "internal/lint/testdata/suggest/dftkernel")
-	if code != 0 {
-		t.Fatalf("greenlint -suggest -checks suggestreduce exited %d:\n%s", code, out)
-	}
-}
-
-// TestGreenlintSuggestScaffolds checks -suggest-dir end to end: scaffold
-// files appear, and two runs produce byte-identical output (ranking is
-// a total order, so ordering must be deterministic).
-func TestGreenlintSuggestScaffolds(t *testing.T) {
-	fixture := "internal/lint/testdata/suggest/searchscan"
-	dir := t.TempDir()
-	out1, code := run(t, "greenlint", "-suggest", "-suggest-dir", dir, fixture)
-	if code != 0 {
-		t.Fatalf("greenlint -suggest -suggest-dir exited %d:\n%s", code, out1)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, fixture, "suggest_*.go"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no scaffold files under %s (err %v):\n%s", dir, err, out1)
-	}
-	out2, code := run(t, "greenlint", "-suggest", "-suggest-dir", t.TempDir(), fixture)
-	if code != 0 {
-		t.Fatalf("second run exited %d:\n%s", code, out2)
-	}
-	strip := func(s string) string {
-		// The scaffold summary names the (distinct) temp dirs; compare
-		// the findings stream only.
-		var keep []string
-		for _, l := range strings.Split(s, "\n") {
-			if !strings.Contains(l, "scaffold(s)") {
-				keep = append(keep, l)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(out1) != strip(out2) {
-		t.Errorf("suggestion output not deterministic across runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", out1, out2)
-	}
-}
-
-// TestGreenlintCostProfile checks the measured-cost ranking end to end:
-// a profile entry matching a suggested loop re-scores and re-renders it,
-// unmatched suggestions fall back to the static score, and a malformed
-// profile is a usage error.
-func TestGreenlintCostProfile(t *testing.T) {
-	fixture := "internal/lint/testdata/suggest/dftkernel"
-	stdout, _, code := runSplit(t, "greenlint", "-suggest", "-format", "json", fixture)
-	if code != 0 {
-		t.Fatalf("baseline -suggest run exited %d:\n%s", code, stdout)
-	}
-	var diags []struct {
-		File string  `json:"file"`
-		Line int     `json:"line"`
-		Kind string  `json:"kind"`
-		Score float64 `json:"score"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
-		t.Fatalf("json output: %v\n%s", err, stdout)
-	}
-	var key string
-	for _, d := range diags {
-		if d.Kind != "" {
-			key = d.File + ":" + strconv.Itoa(d.Line)
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("fixture produced no suggestion to profile")
-	}
-
-	profile := filepath.Join(t.TempDir(), "cost.json")
-	if err := os.WriteFile(profile, []byte(`{"`+key+`": 123456}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout, stderr, code := runSplit(t, "greenlint", "-cost-profile", profile, fixture)
-	if code != 0 {
-		t.Fatalf("greenlint -cost-profile exited %d:\n%s%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "measured 123456 ns/op") {
-		t.Errorf("measured score missing from output:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "re-ranked 1 of") {
-		t.Errorf("stderr does not report the re-rank count:\n%s", stderr)
-	}
-
-	// A profile matching nothing falls back to static scores with a
-	// warning, not an error.
-	if err := os.WriteFile(profile, []byte(`{"no/such.go:9": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout, stderr, code = runSplit(t, "greenlint", "-cost-profile", profile, fixture)
-	if code != 0 {
-		t.Fatalf("unmatched profile exited %d, want 0:\n%s%s", code, stdout, stderr)
-	}
-	if strings.Contains(stdout, "measured") || !strings.Contains(stderr, "matched no suggestion") {
-		t.Errorf("unmatched profile did not fall back cleanly:\nstdout: %s\nstderr: %s", stdout, stderr)
-	}
-
-	// Malformed profiles are usage errors (exit 2).
-	if err := os.WriteFile(profile, []byte(`{"a.go:0": -1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if out, code := run(t, "greenlint", "-cost-profile", profile, fixture); code != 2 {
-		t.Fatalf("malformed profile exited %d, want 2:\n%s", code, out)
 	}
 }
 

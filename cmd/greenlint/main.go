@@ -22,18 +22,8 @@
 // excluded from the text stream (and from the exit status) but carried
 // in json/sarif output with their justification.
 //
-// -suggest turns on site discovery: the suggestion-mode analyzers walk
-// every function's CFG for approximable-loop shapes (reductions,
-// convergence loops, early-exit scans) and report ranked candidates.
-// Suggestions are advisory — they never flip the exit status to 1
-// unless -fail-on suggest opts in — and -suggest-dir additionally
-// writes a ready-to-calibrate green.Loop scaffold per candidate
-// (compilable .go files, mirrored under the package's relative path).
-// Selecting a suggestion check through -checks requires -suggest.
-//
-// The exit status is 1 when active contract findings exist (or, with
-// -fail-on suggest, when suggestions exist), 2 on load/usage errors,
-// 0 when clean.
+// The exit status is 1 when active findings exist, 2 on load/usage
+// errors, 0 when clean.
 package main
 
 import (
@@ -52,55 +42,30 @@ import (
 
 func main() {
 	var (
-		checks     = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		format     = flag.String("format", lint.FormatText, "output format: text, json, or sarif")
-		list       = flag.Bool("list", false, "list available checks and exit")
-		suggest    = flag.Bool("suggest", false, "run suggestion-mode site discovery (advisory)")
-		suggestDir = flag.String("suggest-dir", "", "write a green.Loop scaffold per suggestion under this directory (implies -suggest)")
-		costFile   = flag.String("cost-profile", "", "JSON file mapping file:line to measured ns/op; re-ranks matching suggestions by measured cost (implies -suggest)")
-		failOn     = flag.String("fail-on", "", "additionally fail the run on: suggest")
+		checks = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
+		format = flag.String("format", lint.FormatText, "output format: text, json, or sarif")
+		list   = flag.Bool("list", false, "list available checks and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: greenlint [-checks name,...] [-format text|json|sarif] [-list]\n"+
-				"                 [-suggest] [-suggest-dir dir] [-cost-profile file]\n"+
-				"                 [-fail-on suggest] [packages]\n\n"+
-				"Lints Green API usage and (with -suggest) discovers approximable loops.\n"+
-				"Packages default to ./...; arguments may be go-list patterns or plain\n"+
-				"directories.\n\n")
+			"usage: greenlint [-checks name,...] [-format text|json|sarif] [-list] [packages]\n\n"+
+				"Lints Green API usage. Packages default to ./...; arguments may be\n"+
+				"go-list patterns or plain directories.\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-16s %-9s %-10s %s\n", a.Name, a.Category, a.Tier, a.Doc)
+			fmt.Printf("%-16s %-10s %s\n", a.Name, a.Tier, a.Doc)
 		}
 		return
 	}
-	if *suggestDir != "" || *costFile != "" {
-		*suggest = true
-	}
-	var costProfile lint.CostProfile
-	if *costFile != "" {
-		data, err := os.ReadFile(*costFile)
-		if err != nil {
-			fatal(err)
-		}
-		costProfile, err = lint.ParseCostProfile(data)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *failOn != "" && *failOn != "suggest" {
-		fatal(fmt.Errorf("unknown -fail-on value %q (valid: suggest)", *failOn))
-	}
-
 	outFormat, err := lint.ParseFormat(*format)
 	if err != nil {
 		fatal(err)
 	}
-	sel, err := parseChecks(*checks, *suggest)
+	names, err := parseChecks(*checks)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,27 +79,13 @@ func main() {
 		fatal(err)
 	}
 
-	results, pkgNames, err := lintAll(dirs, sel)
+	results, err := lintAll(dirs, names)
 	if err != nil {
 		fatal(err)
 	}
 	merged := lint.Merge(results)
 
 	cwd, _ := os.Getwd()
-	if costProfile != nil {
-		matched := lint.ApplyCostProfile(merged.Suggestions, costProfile, cwd)
-		if matched == 0 {
-			fmt.Fprintf(os.Stderr, "greenlint: cost profile %s matched no suggestion (static scores kept)\n", *costFile)
-		} else {
-			fmt.Fprintf(os.Stderr, "greenlint: cost profile re-ranked %d of %d suggestion(s)\n", matched, len(merged.Suggestions))
-		}
-	}
-	if *suggestDir != "" {
-		if err := writeScaffolds(*suggestDir, cwd, dirs, pkgNames, results); err != nil {
-			fatal(err)
-		}
-	}
-
 	switch outFormat {
 	case lint.FormatText:
 		err = lint.WriteText(os.Stdout, merged, cwd)
@@ -147,14 +98,8 @@ func main() {
 		fatal(err)
 	}
 
-	if n := len(merged.Suggestions); n > 0 {
-		fmt.Fprintf(os.Stderr, "greenlint: %d suggestion(s) (advisory)\n", n)
-	}
 	if n := len(merged.Diags); n > 0 {
 		fmt.Fprintf(os.Stderr, "greenlint: %d finding(s)%s\n", n, suppressedNote(merged))
-		os.Exit(1)
-	}
-	if *failOn == "suggest" && len(merged.Suggestions) > 0 {
 		os.Exit(1)
 	}
 	if len(merged.Suppressed) > 0 {
@@ -162,67 +107,32 @@ func main() {
 	}
 }
 
-// selection is the parsed -checks flag split along analyzer categories.
-type selection struct {
-	// contract names the contract checks to run; nil with explicit false
-	// means "all contract checks", empty with explicit true means the
-	// user selected only suggestion checks.
-	contract []string
-	// suggestChecks names the suggestion checks to run (nil = all, when
-	// suggestion mode is on).
-	suggestChecks []string
-	// explicit is true when -checks was given.
-	explicit bool
-	// suggest is true when suggestion mode is on.
-	suggest bool
-}
-
-// parseChecks splits and validates the -checks flag, partitioning names
-// by analyzer category. Unknown names are a usage error (exit 2)
-// listing the valid set, so a typo never silently skips a check — and
-// naming a suggestion check without -suggest is the same class of
-// error, because the user asked for output that mode alone produces.
-func parseChecks(flagValue string, suggest bool) (selection, error) {
-	sel := selection{suggest: suggest}
-	if flagValue == "" {
-		return sel, nil
-	}
-	sel.explicit = true
+// parseChecks splits and validates the -checks flag. Unknown names are a
+// usage error (exit 2) listing the valid set, so a typo never silently
+// skips a check. An empty flag selects every check.
+func parseChecks(flagValue string) ([]string, error) {
+	var names []string
 	for _, n := range strings.Split(flagValue, ",") {
 		if n = strings.TrimSpace(n); n == "" {
 			continue
 		}
-		a := lint.ByName(n)
-		if a == nil {
+		if lint.ByName(n) == nil {
 			var valid []string
 			for _, a := range lint.Analyzers() {
 				valid = append(valid, fmt.Sprintf("%s(%s)", a.Name, a.Tier))
 			}
-			return selection{}, fmt.Errorf("unknown check %q (valid: %s)", n, strings.Join(valid, ", "))
+			return nil, fmt.Errorf("unknown check %q (valid: %s)", n, strings.Join(valid, ", "))
 		}
-		if a.Category == lint.CategorySuggest {
-			if !suggest {
-				var valid []string
-				for _, a := range lint.AnalyzersByCategory(lint.CategoryContract) {
-					valid = append(valid, fmt.Sprintf("%s(%s)", a.Name, a.Tier))
-				}
-				return selection{}, fmt.Errorf("check %q requires -suggest (valid without it: %s)",
-					n, strings.Join(valid, ", "))
-			}
-			sel.suggestChecks = append(sel.suggestChecks, n)
-			continue
-		}
-		sel.contract = append(sel.contract, n)
+		names = append(names, n)
 	}
-	return sel, nil
+	return names, nil
 }
 
 // lintAll loads and lints every directory across a worker pool. The
 // source importer is not safe for concurrent use, so each worker owns a
 // private Loader; results land in an index-addressed slice, keeping
-// output deterministic regardless of completion order. The returned
-// package names parallel dirs (the scaffold writer needs them).
-func lintAll(dirs []string, sel selection) ([]lint.Result, []string, error) {
+// output deterministic regardless of completion order.
+func lintAll(dirs []string, names []string) ([]lint.Result, error) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(dirs) {
 		workers = len(dirs)
@@ -232,7 +142,6 @@ func lintAll(dirs []string, sel selection) ([]lint.Result, []string, error) {
 	}
 
 	results := make([]lint.Result, len(dirs))
-	pkgNames := make([]string, len(dirs))
 	errs := make([]error, len(dirs))
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -247,23 +156,7 @@ func lintAll(dirs []string, sel selection) ([]lint.Result, []string, error) {
 					errs[i] = err
 					continue
 				}
-				pkgNames[i] = pkg.Types.Name()
-				// An explicit -checks list naming no contract check means
-				// the user selected suggestion checks only.
-				if !sel.explicit || len(sel.contract) > 0 {
-					results[i], errs[i] = lint.LintAll(pkg, sel.contract)
-					if errs[i] != nil {
-						continue
-					}
-				}
-				if sel.suggest {
-					sugs, err := lint.Suggest(pkg, sel.suggestChecks)
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					results[i].Suggestions = sugs
-				}
+				results[i], errs[i] = lint.LintAll(pkg, names)
 			}
 		}()
 	}
@@ -275,42 +168,10 @@ func lintAll(dirs []string, sel selection) ([]lint.Result, []string, error) {
 
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return results, pkgNames, nil
-}
-
-// writeScaffolds emits one ready-to-calibrate scaffold file per
-// suggestion under dir, mirroring each package's path relative to the
-// working directory so same-named files from different packages never
-// collide.
-func writeScaffolds(dir, cwd string, dirs, pkgNames []string, results []lint.Result) error {
-	total := 0
-	for i, res := range results {
-		if len(res.Suggestions) == 0 {
-			continue
-		}
-		sub := filepath.Join(dir, relUnder(cwd, dirs[i]))
-		paths, err := lint.WriteScaffolds(sub, pkgNames[i], res.Suggestions)
-		if err != nil {
-			return err
-		}
-		total += len(paths)
-	}
-	fmt.Fprintf(os.Stderr, "greenlint: wrote %d scaffold(s) under %s\n", total, dir)
-	return nil
-}
-
-// relUnder returns target relative to base when it lies underneath it,
-// else a path-safe flattening of the absolute path.
-func relUnder(base, target string) string {
-	if base != "" {
-		if rel, err := filepath.Rel(base, target); err == nil && !strings.HasPrefix(rel, "..") {
-			return rel
-		}
-	}
-	return strings.ReplaceAll(strings.TrimLeft(filepath.ToSlash(target), "/"), "/", "_")
+	return results, nil
 }
 
 func suppressedNote(res lint.Result) string {

@@ -196,3 +196,52 @@ func TestRegistryRestoreRejectsBadBundle(t *testing.T) {
 		t.Errorf("wrong-version bundle error = %v", err)
 	}
 }
+
+// FuzzRestoreAllJSON: a snapshot bundle is read off a disk another build
+// wrote. Whatever the bytes, RestoreAllJSON does not panic; a controller
+// the report does not call restored — the bundle was refused as a whole,
+// carried no entry for it, or its entry was rejected — is in the state it
+// was in; and what was accepted round-trips: a fresh registry restores
+// the result's MarshalState and marshals to the same bytes.
+func FuzzRestoreAllJSON(f *testing.F) {
+	f.Add([]byte(goldenRegistry))
+	f.Add([]byte(`{"version":1,"controllers":{"loop":` + goldenLoopAdaptive + `,"absent":{}}}`)) // sq and mul stay cold
+	f.Add([]byte(strings.Replace(goldenRegistry, `"count":8`, `"count":-1`, 1)))                 // loop rejected
+	f.Add([]byte(`{"version":99}`))
+	f.Add([]byte("{"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := goldenRegistryOf(t, true)
+		before := map[string]string{}
+		for _, c := range r.Controllers() {
+			b, err := c.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before[c.Name()] = string(b)
+		}
+		rep, err := r.RestoreAllJSON(data)
+		for _, c := range r.Controllers() {
+			after, merr := c.MarshalState()
+			if merr != nil {
+				t.Fatalf("%s no longer marshals: %v", c.Name(), merr)
+			}
+			if (err != nil || rep[c.Name()] != "restored") && string(after) != before[c.Name()] {
+				t.Fatalf("%s (%q, bundle error %v) changed state:\n was %s\n now %s", c.Name(), rep[c.Name()], err, before[c.Name()], after)
+			}
+		}
+		if err != nil {
+			return
+		}
+		bundle, err := r.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := goldenRegistryOf(t, false)
+		if err := fresh.RestoreStateJSON(bundle); err != nil {
+			t.Fatalf("a fresh registry refuses what this one marshals: %v\n%s", err, bundle)
+		}
+		if again, err := fresh.MarshalState(); err != nil || string(again) != string(bundle) {
+			t.Fatalf("round trip changed the bundle (%v):\n out %s\nback %s", err, bundle, again)
+		}
+	})
+}

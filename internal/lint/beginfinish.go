@@ -9,11 +9,10 @@ import "go/ast"
 // emits the epilogue; a leaked handle silently disables monitoring and
 // recalibration for that execution, so the SLA guarantee quietly erodes.
 var analyzerBeginFinish = &Analyzer{
-	Name:     "beginfinish",
-	Category: CategoryContract,
-	Tier:     TierBlock,
-	Doc:      "a Loop.Begin execution handle must have Finish called on it",
-	run:      runBeginFinish,
+	Name: "beginfinish",
+	Tier: TierBlock,
+	Doc:  "every execution handle (a *LoopExec or *LoopBatch from Begin, ExecFeat, ExecN or ExecNFeat) must have Finish called on it",
+	run:  runBeginFinish,
 }
 
 func runBeginFinish(p *Pass) {

@@ -13,7 +13,7 @@ import (
 // interface dispatch, closures — produce no edge; the taint engine
 // treats them conservatively at the call site instead (arguments flow
 // to results, no sink knowledge), which is the documented soundness
-// trade (DESIGN.md §13).
+// trade (DESIGN.md §7).
 //
 // The graph is condensed into strongly connected components with
 // Tarjan's algorithm, which emits components in reverse topological

@@ -15,11 +15,10 @@ import (
 // and lexical: within one function, a Register on an App object that has
 // already received an ObserveAppQoS is reported.
 var analyzerCalOrder = &Analyzer{
-	Name:     "calorder",
-	Category: CategoryContract,
-	Tier:     TierBlock,
-	Doc:      "App.Register must come before the App's first ObserveAppQoS",
-	run:      runCalOrder,
+	Name: "calorder",
+	Tier: TierBlock,
+	Doc:  "App.Register must come before the App's first ObserveAppQoS",
+	run:  runCalOrder,
 }
 
 func runCalOrder(p *Pass) {

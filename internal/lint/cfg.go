@@ -58,24 +58,6 @@ type CFG struct {
 	Blocks []*Block
 
 	condEdges map[[2]int]condEdge
-	loops     map[ast.Stmt]loopBlocks
-}
-
-// loopBlocks records the CFG landmarks of one for/range statement: the
-// head block holding the loop condition (or range head), the first body
-// block, and the done block every exit — normal or break — lands in.
-type loopBlocks struct {
-	head, body, done *Block
-}
-
-// LoopBlocks reports the landmark blocks of a for or range statement in
-// this CFG. ok is false for statements that are not loops of this graph.
-// The suggestion-mode analyzers use the landmarks to find early-exit
-// edges: an edge into done from any in-loop block other than head is a
-// break.
-func (g *CFG) LoopBlocks(s ast.Stmt) (head, body, done *Block, ok bool) {
-	lb, ok := g.loops[s]
-	return lb.head, lb.body, lb.done, ok
 }
 
 // condEdge records that an edge is taken when cond evaluates to outcome.
@@ -96,7 +78,7 @@ func (g *CFG) CondEdge(from, to *Block) (cond ast.Expr, outcome bool, ok bool) {
 // information (lenient loads); it is only consulted to classify no-return
 // calls, and nil lookups simply classify fewer of them.
 func buildCFG(body *ast.BlockStmt, info *types.Info) *CFG {
-	g := &CFG{condEdges: map[[2]int]condEdge{}, loops: map[ast.Stmt]loopBlocks{}}
+	g := &CFG{condEdges: map[[2]int]condEdge{}}
 	b := &cfgBuilder{g: g, info: info, labels: map[string]*Block{}}
 	g.Entry = b.newBlock()
 	g.Exit = b.newBlock()
@@ -245,7 +227,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			postB = b.newBlock()
 			contTo = postB
 		}
-		b.g.loops[s] = loopBlocks{head: head, body: bodyB, done: done}
 		b.pushTargets(label, done, contTo)
 		b.cur = bodyB
 		b.stmt(s.Body)
@@ -270,7 +251,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		done := b.newBlock()
 		b.jump(bodyB)
 		b.jump(done)
-		b.g.loops[s] = loopBlocks{head: head, body: bodyB, done: done}
 		b.pushTargets(label, done, head)
 		b.cur = bodyB
 		b.stmt(s.Body)

@@ -16,11 +16,10 @@ import (
 // the body may run, and 0 is the stop), and i must be the live induction
 // variable.
 var analyzerContinueCond = &Analyzer{
-	Name:     "continuecond",
-	Category: CategoryContract,
-	Tier:     TierBlock,
-	Doc:      "exec.Continue(i) must guard the for condition, and exec.ContinueN(i, n) bound a for loop's blocks, with a non-constant iteration argument",
-	run:      runContinueCond,
+	Name: "continuecond",
+	Tier: TierBlock,
+	Doc:  "exec.Continue(i) must guard the for condition, and exec.ContinueN(i, n) bound a for loop's blocks, with a non-constant iteration argument",
+	run:  runContinueCond,
 }
 
 func runContinueCond(p *Pass) {

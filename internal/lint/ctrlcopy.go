@@ -13,11 +13,10 @@ import (
 // catches, but scoped to the Green API so the diagnostic can explain
 // the controller-sharing contract.
 var analyzerCtrlCopy = &Analyzer{
-	Name:     "ctrlcopy",
-	Category: CategoryContract,
-	Tier:     TierBlock,
-	Doc:      "mutex-bearing Green controllers (Loop, Func, Func2, App, Registry) must not be copied by value",
-	run:      runCtrlCopy,
+	Name: "ctrlcopy",
+	Tier: TierBlock,
+	Doc:  "mutex-bearing Green controllers (Loop, Func, Func2, App, Registry) must not be copied by value",
+	run:  runCtrlCopy,
 }
 
 // ctrlTypes are the controller types whose value copies are forbidden.

@@ -17,11 +17,10 @@ import (
 // internals whose final result is an error. Calls in other packages are
 // none of this suite's business.
 var analyzerErrDrop = &Analyzer{
-	Name:     "errdrop",
-	Category: CategoryContract,
-	Tier:     TierCFG,
-	Doc:      "error results of Green API calls (constructors, SetAdaptive, Restore, ...) must not be discarded",
-	run:      runErrDrop,
+	Name: "errdrop",
+	Tier: TierCFG,
+	Doc:  "error results of Green API calls (constructors, SetAdaptive, Restore, ...) must not be discarded",
+	run:  runErrDrop,
 }
 
 // greenAPIPackages are the import paths whose errors errdrop guards.

@@ -45,11 +45,10 @@ import (
 // are skipped, as are handles with no Finish event at all — the latter is
 // beginfinish's finding, and reporting it twice helps nobody.
 var analyzerFinishPath = &Analyzer{
-	Name:     "finishpath",
-	Category: CategoryContract,
-	Tier:     TierCFG,
-	Doc:      "every control-flow path from Loop.Begin must reach exactly one Finish (early returns included)",
-	run:      runFinishPath,
+	Name: "finishpath",
+	Tier: TierCFG,
+	Doc:  "every control-flow path from Loop.Begin must reach exactly one Finish (early returns included)",
+	run:  runFinishPath,
 }
 
 // Handle-state lattice: a bitset over the five conditions.
@@ -85,29 +84,32 @@ func runFinishPath(p *Pass) {
 	})
 }
 
-// analyzeFinishPaths runs the dataflow for one handle and reports leaks
-// and double finishes.
+// analyzeFinishPaths runs the dataflow for one handle, once per
+// constructor site so that a leak is reported at the constructor that
+// leaks, and reports leaks and double finishes.
 func analyzeFinishPaths(p *Pass, g *CFG, h *trackedHandle) {
-	fa := &finishAnalysis{p: p, g: g, h: h}
-	fa.buildEvents()
-	in := fa.solve()
-
-	// Reporting pass: replay transfers with the fixed point.
 	doubles := map[token.Pos]bool{}
-	for _, b := range g.Blocks {
-		st := in[b.Index]
-		if st == 0 {
-			continue // unreachable
+	for _, site := range h.sites() {
+		fa := &finishAnalysis{p: p, g: g, h: h, site: site}
+		fa.buildEvents()
+		in := fa.solve()
+
+		// Reporting pass: replay transfers with the fixed point.
+		for _, b := range g.Blocks {
+			st := in[b.Index]
+			if st == 0 {
+				continue // unreachable
+			}
+			for _, n := range b.Nodes {
+				st = fa.transfer(n, st, func(pos token.Pos) { doubles[pos] = true })
+			}
 		}
-		for _, n := range b.Nodes {
-			st = fa.transfer(n, st, func(pos token.Pos) { doubles[pos] = true })
+		if in[g.Exit.Index]&hsU != 0 {
+			p.reportf(site.beginPos, "some path from this Loop.Begin reaches a function exit without %s.Finish; every path needs exactly one Finish (or a deferred one)", h.obj.Name())
 		}
 	}
 	for pos := range doubles {
 		p.reportf(pos, "%s.Finish may already have run on some path to this call; Finish recycles the handle, a second call corrupts the pool protocol", h.obj.Name())
-	}
-	if in[g.Exit.Index]&hsU != 0 {
-		p.reportf(h.beginPos, "some path from this Loop.Begin reaches a function exit without %s.Finish; every path needs exactly one Finish (or a deferred one)", h.obj.Name())
 	}
 }
 
@@ -116,6 +118,8 @@ type finishAnalysis struct {
 	p *Pass
 	g *CFG
 	h *trackedHandle
+	// site is the constructor call followed, one of h.sites().
+	site *trackedHandle
 
 	// events maps a CFG node to the handle events inside it, in source
 	// order.
@@ -176,8 +180,10 @@ func (fa *finishAnalysis) indexNode(n ast.Node, finishSet map[*ast.CallExpr]bool
 	// The Begin event belongs at the front of its statement's events:
 	// the handle becomes live before anything else in the statement can
 	// finish it (Go evaluates the RHS call first).
-	if n == fa.h.beginStmt {
-		fa.events[n] = append([]handleEvent{{evBegin, fa.h.beginPos}}, fa.events[n]...)
+	for _, s := range fa.h.sites() {
+		if n == s.beginStmt {
+			fa.events[n] = append([]handleEvent{{evBegin, s.beginPos}}, fa.events[n]...)
+		}
 	}
 }
 
@@ -208,8 +214,11 @@ func (fa *finishAnalysis) indexEvents(n, root ast.Node, finishSet map[*ast.CallE
 func (fa *finishAnalysis) transfer(n ast.Node, st handleState, onDouble func(token.Pos)) handleState {
 	for _, ev := range fa.events[n] {
 		switch ev.kind {
-		case evBegin:
-			st = hsU
+		case evBegin: // a sibling site's rebinds the variable to its own handle
+			st = hsDead
+			if ev.pos == fa.site.beginPos {
+				st = hsU
+			}
 		case evFinish:
 			if st&(hsF|hsFD) != 0 && onDouble != nil {
 				onDouble(ev.pos)
@@ -241,7 +250,7 @@ func (fa *finishAnalysis) transfer(n ast.Node, st handleState, onDouble func(tok
 // the handle is invalid, so the obligation to Finish it disappears.
 func (fa *finishAnalysis) edgeState(from, to *Block, out handleState) handleState {
 	cond, outcome, ok := fa.g.CondEdge(from, to)
-	if !ok || fa.h.errObj == nil {
+	if !ok || fa.site.errObj == nil {
 		return out
 	}
 	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
@@ -270,7 +279,7 @@ func (fa *finishAnalysis) isErrNilTest(bin *ast.BinaryExpr) bool {
 
 func (fa *finishAnalysis) isErrIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && fa.p.Info.Uses[id] == fa.h.errObj
+	return ok && fa.p.Info.Uses[id] == fa.site.errObj
 }
 
 // isNilIdent reports whether e is the predeclared nil.

@@ -46,9 +46,7 @@ func relPath(base, file string) string {
 }
 
 // WriteText prints the canonical text form of res (active findings only;
-// the suppressed ones are summarized by the driver). Contract findings
-// come first in position order; suggestions follow in rank order, best
-// first, since a triaging programmer reads top-down.
+// the suppressed ones are summarized by the driver), in position order.
 func WriteText(w io.Writer, res Result, base string) error {
 	for _, d := range res.Diags {
 		if _, err := fmt.Fprintf(w, "%s:%d: [%s] %s\n", relPath(base, d.Pos.Filename), d.Pos.Line, d.Check, d.Message); err != nil {
@@ -62,27 +60,18 @@ func WriteText(w io.Writer, res Result, base string) error {
 			}
 		}
 	}
-	for _, s := range res.Suggestions {
-		d := s.Diag
-		if _, err := fmt.Fprintf(w, "%s:%d: [%s] %s\n", relPath(base, d.Pos.Filename), d.Pos.Line, d.Check, d.Message); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// jsonDiag is the JSON projection of one diagnostic. Suggestion-mode
-// findings additionally carry the shape kind and the rank score.
+// jsonDiag is the JSON projection of one diagnostic.
 type jsonDiag struct {
-	File           string  `json:"file"`
-	Line           int     `json:"line"`
-	Column         int     `json:"column"`
-	Check          string  `json:"check"`
-	Message        string  `json:"message"`
-	Suppressed     bool    `json:"suppressed,omitempty"`
-	SuppressReason string  `json:"suppressReason,omitempty"`
-	Kind           string  `json:"kind,omitempty"`
-	Score          float64 `json:"score,omitempty"`
+	File           string `json:"file"`
+	Line           int    `json:"line"`
+	Column         int    `json:"column"`
+	Check          string `json:"check"`
+	Message        string `json:"message"`
+	Suppressed     bool   `json:"suppressed,omitempty"`
+	SuppressReason string `json:"suppressReason,omitempty"`
 	// Flow is the source→sink path of an interprocedural finding.
 	Flow []jsonFlowStep `json:"flow,omitempty"`
 }
@@ -105,10 +94,9 @@ func jsonFlow(d Diagnostic, base string) []jsonFlowStep {
 	return out
 }
 
-// WriteJSON emits all findings (active and suppressed) as a JSON array,
-// suggestions last in rank order.
+// WriteJSON emits all findings (active and suppressed) as a JSON array.
 func WriteJSON(w io.Writer, res Result, base string) error {
-	out := make([]jsonDiag, 0, len(res.Diags)+len(res.Suppressed)+len(res.Suggestions))
+	out := make([]jsonDiag, 0, len(res.Diags)+len(res.Suppressed))
 	for _, d := range res.Diags {
 		out = append(out, jsonDiag{
 			File: relPath(base, d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
@@ -122,14 +110,6 @@ func WriteJSON(w io.Writer, res Result, base string) error {
 			Check: d.Check, Message: d.Message,
 			Suppressed: true, SuppressReason: d.SuppressReason,
 			Flow: jsonFlow(d, base),
-		})
-	}
-	for _, s := range res.Suggestions {
-		d := s.Diag
-		out = append(out, jsonDiag{
-			File: relPath(base, d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
-			Check: d.Check, Message: d.Message,
-			Kind: s.Kind, Score: s.Score,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -172,17 +152,13 @@ type sarifMessage struct {
 }
 
 type sarifResult struct {
-	RuleID    string `json:"ruleId"`
-	RuleIndex int    `json:"ruleIndex"`
-	// Kind distinguishes suggestion results ("review") from contract
-	// violations (empty, which SARIF defaults to "fail").
-	Kind         string             `json:"kind,omitempty"`
+	RuleID       string             `json:"ruleId"`
+	RuleIndex    int                `json:"ruleIndex"`
 	Level        string             `json:"level"`
 	Message      sarifMessage       `json:"message"`
 	Locations    []sarifLocation    `json:"locations"`
 	CodeFlows    []sarifCodeFlow    `json:"codeFlows,omitempty"`
 	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
-	Properties   map[string]any     `json:"properties,omitempty"`
 }
 
 type sarifLocation struct {
@@ -232,12 +208,8 @@ const sarifToolVersion = "3.0.0"
 // WriteSARIF emits a SARIF 2.1.0 log for the findings. Suppressed
 // findings are included as suppressed results (kind "inSource" with the
 // directive's justification), which code-scanning UIs display without
-// failing the run. Suggestion-mode findings are emitted with result
-// kind "review" and level "note" — the schema-valid rendering of
-// "advisory, distinct from a violation" — plus a properties bag
-// (category "suggestion", the shape kind, and the rank score). base
-// anchors the relative artifact URIs, normally the working directory
-// the scanner ran in.
+// failing the run. base anchors the relative artifact URIs, normally the
+// working directory the scanner ran in.
 func WriteSARIF(w io.Writer, res Result, base string) error {
 	rules := make([]sarifRule, 0)
 	ruleIndex := map[string]int{}
@@ -245,7 +217,7 @@ func WriteSARIF(w io.Writer, res Result, base string) error {
 		rules = append(rules, sarifRule{
 			ID:               a.Name,
 			ShortDescription: sarifMessage{a.Doc},
-			Properties:       map[string]any{"category": a.Category, "tier": a.Tier},
+			Properties:       map[string]any{"category": "contract", "tier": a.Tier}, // one category is left; consumers filter on the key
 		})
 		ruleIndex[a.Name] = i
 	}
@@ -287,7 +259,7 @@ func WriteSARIF(w io.Writer, res Result, base string) error {
 		return r
 	}
 
-	results := make([]sarifResult, 0, len(res.Diags)+len(res.Suppressed)+len(res.Suggestions))
+	results := make([]sarifResult, 0, len(res.Diags)+len(res.Suppressed))
 	for _, d := range res.Diags {
 		results = append(results, result(d, nil))
 	}
@@ -296,17 +268,6 @@ func WriteSARIF(w io.Writer, res Result, base string) error {
 			Kind:          "inSource",
 			Justification: d.SuppressReason,
 		}}))
-	}
-	for _, s := range res.Suggestions {
-		r := result(s.Diag, nil)
-		r.Kind = "review"
-		r.Level = "note"
-		r.Properties = map[string]any{
-			"category": "suggestion",
-			"kind":     s.Kind,
-			"score":    s.Score,
-		}
-		results = append(results, r)
 	}
 
 	log := sarifLog{
@@ -328,17 +289,13 @@ func WriteSARIF(w io.Writer, res Result, base string) error {
 
 // Merge combines per-package results into one document (for the driver,
 // which lints many packages but emits a single JSON/SARIF log).
-// Suggestions re-rank globally, so the best candidate across every
-// scanned package comes first.
 func Merge(results []Result) Result {
 	var out Result
 	for _, r := range results {
 		out.Diags = append(out.Diags, r.Diags...)
 		out.Suppressed = append(out.Suppressed, r.Suppressed...)
-		out.Suggestions = append(out.Suggestions, r.Suggestions...)
 	}
 	sortDiags(out.Diags)
 	sortDiags(out.Suppressed)
-	SortSuggestions(out.Suggestions)
 	return out
 }

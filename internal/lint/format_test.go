@@ -184,107 +184,3 @@ func TestMerge(t *testing.T) {
 			len(m.Diags), len(m.Suppressed), len(res.Diags), len(res.Suppressed))
 	}
 }
-
-// suggestionResult runs site discovery over the dftkernel fixture.
-func suggestionResult(t *testing.T) Result {
-	t.Helper()
-	pkg, err := testLoader().Load(filepath.Join("testdata", "suggest", "dftkernel"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sugs, err := Suggest(pkg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sugs) == 0 {
-		t.Fatal("fixture produced no suggestions")
-	}
-	return Result{Suggestions: sugs}
-}
-
-// TestWriteSuggestions covers the suggestion rendering of all three
-// writers: text lines, JSON kind/score fields, and the SARIF "review"
-// kind with "note" level and the suggestion properties bag.
-func TestWriteSuggestions(t *testing.T) {
-	res := suggestionResult(t)
-
-	var text bytes.Buffer
-	if err := WriteText(&text, res, ""); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(text.String(), "\n") != len(res.Suggestions) {
-		t.Errorf("want %d text lines, got:\n%s", len(res.Suggestions), text.String())
-	}
-	if !strings.Contains(text.String(), "[suggestreduce]") {
-		t.Errorf("missing check tag in:\n%s", text.String())
-	}
-
-	var jsonBuf bytes.Buffer
-	if err := WriteJSON(&jsonBuf, res, ""); err != nil {
-		t.Fatal(err)
-	}
-	var entries []jsonDiag
-	if err := json.Unmarshal(jsonBuf.Bytes(), &entries); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(res.Suggestions) {
-		t.Fatalf("want %d JSON entries, got %d", len(res.Suggestions), len(entries))
-	}
-	for _, e := range entries {
-		if e.Kind == "" || e.Score <= 0 {
-			t.Errorf("suggestion entry missing kind/score: %+v", e)
-		}
-	}
-
-	var sarif bytes.Buffer
-	if err := WriteSARIF(&sarif, res, ""); err != nil {
-		t.Fatal(err)
-	}
-	var log map[string]any
-	if err := json.Unmarshal(sarif.Bytes(), &log); err != nil {
-		t.Fatal(err)
-	}
-	results := log["runs"].([]any)[0].(map[string]any)["results"].([]any)
-	if len(results) != len(res.Suggestions) {
-		t.Fatalf("want %d SARIF results, got %d", len(res.Suggestions), len(results))
-	}
-	for _, ri := range results {
-		r := ri.(map[string]any)
-		if r["kind"] != "review" {
-			t.Errorf("suggestion result kind = %v, want review", r["kind"])
-		}
-		if r["level"] != "note" {
-			t.Errorf("suggestion result level = %v, want note", r["level"])
-		}
-		props, _ := r["properties"].(map[string]any)
-		if props == nil || props["category"] != "suggestion" {
-			t.Errorf("suggestion result properties = %v", r["properties"])
-		}
-	}
-	// Rules must carry their category so consumers can split the suite.
-	rules := log["runs"].([]any)[0].(map[string]any)["tool"].(map[string]any)["driver"].(map[string]any)["rules"].([]any)
-	for _, ri := range rules {
-		r := ri.(map[string]any)
-		props, _ := r["properties"].(map[string]any)
-		if props == nil || props["category"] == "" {
-			t.Errorf("rule %v missing category property", r["id"])
-		}
-	}
-}
-
-// TestMergeSuggestions checks global re-ranking across packages.
-func TestMergeSuggestions(t *testing.T) {
-	res := suggestionResult(t)
-	if len(res.Suggestions) < 2 {
-		t.Fatal("need at least two suggestions")
-	}
-	lo := Result{Suggestions: []Suggestion{res.Suggestions[len(res.Suggestions)-1]}}
-	hi := Result{Suggestions: []Suggestion{res.Suggestions[0]}}
-	m := Merge([]Result{lo, hi})
-	if len(m.Suggestions) != 2 {
-		t.Fatalf("merge lost suggestions: %d", len(m.Suggestions))
-	}
-	if m.Suggestions[0].Score < m.Suggestions[1].Score {
-		t.Error("merged suggestions not re-ranked best-first")
-	}
-}

@@ -18,11 +18,10 @@ import (
 // lifetime. Those uses are still treated as escapes by finishpath, which
 // simply stops tracking such handles.
 var analyzerHandleEscape = &Analyzer{
-	Name:     "handleescape",
-	Category: CategoryContract,
-	Tier:     TierCFG,
-	Doc:      "a pooled Loop.Begin handle must not outlive its frame (returned, stored in a struct/global, or captured by a goroutine)",
-	run:      runHandleEscape,
+	Name: "handleescape",
+	Tier: TierCFG,
+	Doc:  "a pooled Loop.Begin handle must not outlive its frame (returned, stored in a struct/global, or captured by a goroutine)",
+	run:  runHandleEscape,
 }
 
 func runHandleEscape(p *Pass) {

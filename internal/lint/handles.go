@@ -88,6 +88,12 @@ type trackedHandle struct {
 	// beginStmt is the statement containing the Begin call (assignment
 	// or expression statement), the node the dataflow keys on.
 	beginStmt ast.Node
+	// alts are the constructor calls bound to the same variable on the
+	// other arm of an if/else (`if feat != nil { e, err = l.ExecFeat(..)
+	// } else { e, err = l.Begin(..) }`): one handle at run time, so they
+	// share these uses and carry only beginPos, beginStmt, errObj, stack.
+	alts  []*trackedHandle
+	stack []ast.Node // ancestors of the constructor call
 
 	// finishCalls are direct h.Finish(...) call expressions executed
 	// inline (not deferred, not inside a nested function literal).
@@ -98,6 +104,11 @@ type trackedHandle struct {
 	deferFinish []*ast.DeferStmt
 	// escapes are the uses that move the handle out of the frame.
 	escapes []escapeUse
+}
+
+// sites lists the handle's constructor calls: itself, then its alts.
+func (h *trackedHandle) sites() []*trackedHandle {
+	return append([]*trackedHandle{h}, h.alts...)
 }
 
 // escaped reports whether any use at all leaves the frame; dataflow
@@ -147,7 +158,7 @@ func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 		if !ok || !constructsHandle(p.Info, call) {
 			return
 		}
-		if inFuncLit(stack, body) {
+		if enclosingFuncLit(stack, body) != nil {
 			return // a nested frame owns this handle
 		}
 		h := &trackedHandle{beginPos: call.Pos(), beginStmt: ast.Node(call)}
@@ -162,13 +173,20 @@ func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 						h.discarded = true
 					} else if obj := objectOf(p.Info, id); obj != nil {
 						h.obj = obj
-						byObj[obj] = h
 					}
 				}
 				if len(parent.Lhs) >= 2 {
 					if id, ok := parent.Lhs[1].(*ast.Ident); ok && id.Name != "_" {
 						h.errObj = objectOf(p.Info, id)
 					}
+				}
+				if h.obj != nil {
+					h.stack = append([]ast.Node(nil), stack...)
+					if first := byObj[h.obj]; first != nil && first.exclusiveWith(h) {
+						first.alts = append(first.alts, h)
+						return
+					}
+					byObj[h.obj] = h
 				}
 			} else if parent, ok := stack[len(stack)-1].(*ast.ExprStmt); ok {
 				h.beginStmt = parent
@@ -196,10 +214,25 @@ func trackHandles(p *Pass, body *ast.BlockStmt) []*trackedHandle {
 	return handles
 }
 
-// inFuncLit reports whether the node whose ancestor stack is given sits
-// inside a function literal nested in body.
-func inFuncLit(stack []ast.Node, body *ast.BlockStmt) bool {
-	return enclosingFuncLit(stack, body) != nil
+// exclusiveWith reports whether o's constructor call never runs in the
+// same pass as any of h's: their ancestor stacks part at the two arms of
+// an if/else (an else-if chain included).
+func (h *trackedHandle) exclusiveWith(o *trackedHandle) bool {
+	for _, s := range h.sites() {
+		a, b, i := s.stack, o.stack, 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		if i == 0 || i == len(a) || i == len(b) {
+			return false
+		}
+		fork, ok := a[i-1].(*ast.IfStmt)
+		arm := func(n ast.Node) bool { return n == ast.Node(fork.Body) || n == ast.Node(fork.Else) }
+		if !ok || !arm(a[i]) || !arm(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // enclosingFuncLit returns the innermost function literal on the stack,

@@ -5,7 +5,7 @@
 // of the #approx_loop / #approx_func annotations is rejected at build
 // time. This library port has no compiler hook, so the same contract is
 // restored here as a suite of AST/type-based analyzers over the package
-// green and green/internal/core APIs:
+// green and green/internal/core APIs, one check per lost guarantee:
 //
 //	beginfinish  — every execution handle (a *LoopExec or *LoopBatch,
 //	               whichever entry point returned it) must be Finished
@@ -16,6 +16,22 @@
 //	               positive SampleInterval, complete AdaptiveParams)
 //	ctrlcopy     — mutex-bearing controllers must not be copied by value
 //	calorder     — App.Register must precede operational ObserveAppQoS
+//	finishpath   — every path from a handle's constructor reaches exactly
+//	               one Finish, early returns included
+//	handleescape — a pooled handle must not outlive its frame
+//	errdrop      — error results of Green API calls must not be dropped
+//	nondet       — calibration and Selector code must not read the wall
+//	               clock or the global math/rand source
+//	taintsink    — approximate values must not reach precise-only sinks
+//	               (calibration, Restore, SLA config, breaker steering,
+//	               error construction) without //greenlint:endorse
+//	taintendorse — every //greenlint:endorse carries a reason and matches
+//	               a taint finding on its line or the next
+//	taintescape  — approximate values must not cross goroutine or channel
+//	               boundaries, where tracking ends
+//
+// What each one costs and has caught is in results/lint_checks.txt
+// (scripts/lint_score.sh); DESIGN.md §7 has the rule that keeps them.
 //
 // The analyzers are deliberately dependency-free: they run on the
 // standard library's go/parser, go/ast, go/types stack (see Loader), so
@@ -23,14 +39,6 @@
 // of golang.org/x/tools is unavailable. The check logic is structured
 // analyzer-per-file so a future migration to x/tools/go/analysis (and
 // therefore `go vet -vettool`) is a mechanical wrapping exercise.
-//
-// Beside the contract checks above, the suite carries a suggestion-mode
-// analyzer family (suggestreduce, suggestconverge, suggestscan — see
-// suggest.go) that inverts the direction of analysis: instead of
-// enforcing annotations the programmer already wrote, it walks every
-// function's CFG looking for approximable-loop shapes and emits
-// ready-to-calibrate green.Loop scaffolds. Suggestion findings are
-// advisory and never fail a build on their own.
 package lint
 
 import (
@@ -96,28 +104,12 @@ func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzer categories. Contract checks enforce the Green API usage
-// contract and fail the build; suggest checks discover approximable
-// sites and are advisory (they never flip the driver's exit status
-// unless explicitly opted into with -fail-on suggest).
+// Analyzer tiers name the machinery a check runs on, cheapest first; the
+// driver's -list prints them so users can predict cost and precision.
 const (
-	CategoryContract = "contract"
-	CategorySuggest  = "suggest"
-)
-
-// Analyzer tiers describe the machinery a check runs on, from cheapest
-// to deepest. The driver's -list output prints the tier so users can
-// predict cost and precision:
-//
-//	block    — single-AST pattern checks, no flow reasoning
-//	cfg      — intraprocedural flow/path analysis over the CFG layer
-//	suggest  — CFG-driven site discovery (advisory)
-//	interproc— whole-package call-graph + summary analysis
-const (
-	TierBlock     = "block"
-	TierCFG       = "cfg"
-	TierSuggest   = "suggest"
-	TierInterproc = "interproc"
+	TierBlock     = "block"     // single-AST pattern checks, no flow reasoning
+	TierCFG       = "cfg"       // intraprocedural flow/path analysis over the CFG layer
+	TierInterproc = "interproc" // whole-package call-graph + summary analysis
 )
 
 // An Analyzer is one named check.
@@ -126,17 +118,14 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description for the driver's -list output.
 	Doc string
-	// Category is CategoryContract or CategorySuggest.
-	Category string
-	// Tier is TierBlock, TierCFG, TierSuggest, or TierInterproc.
+	// Tier is TierBlock, TierCFG, or TierInterproc.
 	Tier string
 	run  func(*Pass)
 }
 
 // Analyzers returns the full suite in stable order: the five AST-level
-// checks of the original suite, the four CFG/dataflow analyzers, the
-// interprocedural taint family, then the suggestion-mode site-discovery
-// family.
+// checks, the four CFG/dataflow analyzers, then the interprocedural
+// taint family.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerBeginFinish,
@@ -151,22 +140,7 @@ func Analyzers() []*Analyzer {
 		analyzerTaintSink,
 		analyzerTaintEndorse,
 		analyzerTaintEscape,
-		analyzerSuggestReduce,
-		analyzerSuggestConverge,
-		analyzerSuggestScan,
 	}
-}
-
-// AnalyzersByCategory returns the analyzers of one category, in the
-// Analyzers() order.
-func AnalyzersByCategory(cat string) []*Analyzer {
-	var out []*Analyzer
-	for _, a := range Analyzers() {
-		if a.Category == cat {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // ByName resolves a check name; nil if unknown.
@@ -181,16 +155,13 @@ func ByName(name string) *Analyzer {
 
 // Result is the outcome of linting one package: the active findings plus
 // the findings muted by //greenlint:ignore directives (each carrying its
-// justification), both sorted by position. When the driver runs in
-// suggestion mode, Suggestions carries the ranked site candidates
-// (best first); they are advisory and do not affect exit status.
+// justification), both sorted by position.
 type Result struct {
-	Diags       []Diagnostic
-	Suppressed  []Diagnostic
-	Suggestions []Suggestion
+	Diags      []Diagnostic
+	Suppressed []Diagnostic
 }
 
-// Lint runs the named checks (all contract checks when names is empty)
+// Lint runs the named checks (all of them when names is empty)
 // over a loaded package and returns the active findings sorted by
 // position. Suppressed findings are dropped; use LintAll to see them.
 func Lint(pkg *Package, names []string) ([]Diagnostic, error) {
@@ -203,11 +174,9 @@ func Lint(pkg *Package, names []string) ([]Diagnostic, error) {
 
 // LintAll runs the named checks over a loaded package, applies the
 // package's suppression directives, and returns both the active and the
-// suppressed findings. An empty names list selects every contract
-// check; the suggestion-mode analyzers run only when named explicitly
-// (or through Suggest, which also returns the structured candidates).
+// suppressed findings. An empty names list selects every check.
 func LintAll(pkg *Package, names []string) (Result, error) {
-	analyzers := AnalyzersByCategory(CategoryContract)
+	analyzers := Analyzers()
 	if len(names) > 0 {
 		analyzers = analyzers[:0:0]
 		for _, n := range names {

@@ -71,33 +71,48 @@ func parseWants(t *testing.T, dir string) []*expectation {
 
 // TestFixtures runs each analyzer against its fixture package and
 // requires an exact match between reported and expected diagnostics.
+// The mutants — one-edit copies of the examples under testdata/mutants,
+// named <check>_<what> — go through the same matching with the whole
+// suite on: the seeded violation is caught where its one want marker
+// says, by the named check and by no other.
 func TestFixtures(t *testing.T) {
-	tests := []struct{ check string }{
-		{"beginfinish"},
-		{"continuecond"},
-		{"slarange"},
-		{"ctrlcopy"},
-		{"calorder"},
-		{"finishpath"},
-		{"handleescape"},
-		{"errdrop"},
-		{"nondet"},
-		{"taintsink"},
-		{"taintendorse"},
-		{"taintescape"},
+	type fixture struct {
+		name, dir, check string
+		names            []string // checks to run; nil runs the suite
+	}
+	var tests []fixture
+	for _, a := range Analyzers() {
+		tests = append(tests, fixture{a.Name, filepath.Join("testdata", "src", a.Name), a.Name, []string{a.Name}})
+	}
+	mutants, err := os.ReadDir(filepath.Join("testdata", "mutants"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := map[string]int{}
+	for _, m := range mutants {
+		check, _, _ := strings.Cut(m.Name(), "_")
+		seeded[check]++
+		tests = append(tests, fixture{"mutants/" + m.Name(), filepath.Join("testdata", "mutants", m.Name()), check, nil})
+	}
+	for _, a := range Analyzers() {
+		if seeded[a.Name] < 2 {
+			t.Errorf("check %s has %d mutant(s) under testdata/mutants, want at least 2", a.Name, seeded[a.Name])
+		}
 	}
 	for _, tc := range tests {
-		t.Run(tc.check, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", tc.check)
-			pkg, err := testLoader().Load(dir)
+		t.Run(tc.name, func(t *testing.T) {
+			pkg, err := testLoader().Load(tc.dir)
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			diags, err := Lint(pkg, []string{tc.check})
+			diags, err := Lint(pkg, tc.names)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wants := parseWants(t, dir)
+			wants := parseWants(t, tc.dir)
+			if tc.names == nil && len(wants) != 1 {
+				t.Errorf("a mutant seeds one violation, %s declares %d", tc.dir, len(wants))
+			}
 			for _, d := range diags {
 				if d.Check != tc.check {
 					t.Errorf("diagnostic from unexpected check: %s", d)
@@ -158,23 +173,20 @@ func TestUnknownCheck(t *testing.T) {
 }
 
 // TestAnalyzerMetadata keeps names and docs well-formed; the driver's
-// -list and -checks flags depend on them.
+// -list and -checks flags depend on them. The catalogue is written down
+// three more times — this package's comment, README's check table and
+// DESIGN's lost-guarantee table — and each must name exactly the checks
+// Analyzers() returns.
 func TestAnalyzerMetadata(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range Analyzers() {
 		if a.Name == "" || a.Doc == "" || a.run == nil {
 			t.Errorf("incomplete analyzer %+v", a)
 		}
-		if a.Category != CategoryContract && a.Category != CategorySuggest {
-			t.Errorf("analyzer %q has unknown category %q", a.Name, a.Category)
-		}
 		switch a.Tier {
-		case TierBlock, TierCFG, TierSuggest, TierInterproc:
+		case TierBlock, TierCFG, TierInterproc:
 		default:
 			t.Errorf("analyzer %q has unknown tier %q", a.Name, a.Tier)
-		}
-		if (a.Category == CategorySuggest) != (a.Tier == TierSuggest) {
-			t.Errorf("analyzer %q: tier %q does not match category %q", a.Name, a.Tier, a.Category)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
@@ -187,13 +199,34 @@ func TestAnalyzerMetadata(t *testing.T) {
 	if ByName("nosuch") != nil {
 		t.Error("ByName accepted an unknown name")
 	}
-	contract := AnalyzersByCategory(CategoryContract)
-	suggest := AnalyzersByCategory(CategorySuggest)
-	if len(contract)+len(suggest) != len(Analyzers()) {
-		t.Errorf("categories do not partition the suite: %d + %d != %d",
-			len(contract), len(suggest), len(Analyzers()))
-	}
-	if len(suggest) != 3 {
-		t.Errorf("expected the three suggestion analyzers, got %d", len(suggest))
+
+	// A catalogue row opens with the check's name: "//\tname  — " in the
+	// package comment, "| `name` |" in the markdown tables.
+	tableRow := regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|")
+	for _, doc := range []struct {
+		file string
+		row  *regexp.Regexp
+	}{
+		{"lint.go", regexp.MustCompile(`(?m)^//\t([a-z]+) +— `)},
+		{"../../README.md", tableRow},
+		{"../../DESIGN.md", tableRow},
+	} {
+		data, err := os.ReadFile(doc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _, _ := strings.Cut(string(data), "\npackage lint\n") // lint.go: the package comment only
+		listed := map[string]bool{}
+		for _, m := range doc.row.FindAllStringSubmatch(text, -1) {
+			listed[m[1]] = true
+			if !seen[m[1]] {
+				t.Errorf("%s lists check %q, which Analyzers() does not return", doc.file, m[1])
+			}
+		}
+		for name := range seen {
+			if !listed[name] {
+				t.Errorf("%s does not list check %q", doc.file, name)
+			}
+		}
 	}
 }

@@ -30,11 +30,10 @@ import (
 // served result) irreproducible, defeating the drift-correction math
 // and the proactive-vs-reactive experiments alike.
 var analyzerNonDet = &Analyzer{
-	Name:     "nondet",
-	Category: CategoryContract,
-	Tier:     TierCFG,
-	Doc:      "calibration/model and Selector code must not call time.Now or the global math/rand source; determinism keeps parallel calibration bit-identical and level selection reproducible",
-	run:      runNonDet,
+	Name: "nondet",
+	Tier: TierCFG,
+	Doc:  "calibration/model and Selector code must not call time.Now or the global math/rand source; determinism keeps parallel calibration bit-identical and level selection reproducible",
+	run:  runNonDet,
 }
 
 // calibrationFuncs are core/green functions and methods whose presence

@@ -14,11 +14,10 @@ import (
 // TargetDelta to implement the law of diminishing returns. The Phoenix
 // implementation rejects these at compile time; greenlint restores that.
 var analyzerSLARange = &Analyzer{
-	Name:     "slarange",
-	Category: CategoryContract,
-	Tier:     TierBlock,
-	Doc:      "literal config fields must be in range: SLA in (0,1], SampleInterval > 0, complete AdaptiveParams",
-	run:      runSLARange,
+	Name: "slarange",
+	Tier: TierBlock,
+	Doc:  "literal config fields must be in range: SLA in (0,1], SampleInterval > 0, complete AdaptiveParams",
+	run:  runSLARange,
 }
 
 // configTypes are the core config structs carrying SLA / SampleInterval

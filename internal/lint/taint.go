@@ -51,7 +51,7 @@ import (
 // two-hop source→helper→sink chain reports at the real sink with the
 // full path attached (Diagnostic.Flow, SARIF codeFlows).
 //
-// Soundness caveats, deliberate and documented (DESIGN.md §13):
+// Soundness caveats, deliberate and documented (DESIGN.md §7):
 // indirect calls (function values, interfaces, closures) propagate
 // argument taint to results but carry no sink knowledge; function
 // literal bodies are opaque; globals do not carry taint across
@@ -74,27 +74,24 @@ import (
 // endorsement cannot outlive the flow it justified.
 
 var analyzerTaintSink = &Analyzer{
-	Name:     "taintsink",
-	Category: CategoryContract,
-	Tier:     TierInterproc,
-	Doc:      "approximate values (Func.Call results, exec.Continue-guarded loop state) must not reach precise-only sinks (calibration, Restore, SLA config, breaker steering, error construction) without //greenlint:endorse",
-	run:      runTaintSink,
+	Name: "taintsink",
+	Tier: TierInterproc,
+	Doc:  "approximate values (Func.Call results, exec.Continue-guarded loop state) must not reach precise-only sinks (calibration, Restore, SLA config, breaker steering, error construction) without //greenlint:endorse",
+	run:  runTaintSink,
 }
 
 var analyzerTaintEndorse = &Analyzer{
-	Name:     "taintendorse",
-	Category: CategoryContract,
-	Tier:     TierInterproc,
-	Doc:      "every //greenlint:endorse must carry a reason and match a taintsink/taintescape finding on its line or the next; stale or reasonless endorsements are flagged",
-	run:      runTaintEndorse,
+	Name: "taintendorse",
+	Tier: TierInterproc,
+	Doc:  "every //greenlint:endorse must carry a reason and match a taintsink/taintescape finding on its line or the next; stale or reasonless endorsements are flagged",
+	run:  runTaintEndorse,
 }
 
 var analyzerTaintEscape = &Analyzer{
-	Name:     "taintescape",
-	Category: CategoryContract,
-	Tier:     TierInterproc,
-	Doc:      "approximate values must not cross goroutine/channel boundaries, where taint tracking ends; keep them frame-local or endorse the crossing",
-	run:      runTaintEscape,
+	Name: "taintescape",
+	Tier: TierInterproc,
+	Doc:  "approximate values must not cross goroutine/channel boundaries, where taint tracking ends; keep them frame-local or endorse the crossing",
+	run:  runTaintEscape,
 }
 
 func runTaintSink(p *Pass)   { reportTaint(p, "taintsink") }

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -306,4 +307,56 @@ func TestLoadIntoKeepsTypedEnvelopeErrors(t *testing.T) {
 	if err := s.LoadInto("ctrl", "sig-a", &fakeSnapshotter{failWith: boom}); !errors.Is(err, boom) {
 		t.Errorf("LoadInto error = %v, want %v", err, boom)
 	}
+}
+
+// FuzzPersistEnvelope: a snapshot file is whatever a crash, a disk or a
+// stranger left under the name. Two readings of each input:
+//
+//   - file as the bytes on disk: Load and LoadInto do not panic, and an
+//     envelope Load refuses never reaches the snapshotter;
+//   - file as the state saved (wrapped in a string, so the payload is the
+//     compact JSON a controller's MarshalState writes), the envelope then
+//     cut at cut and one bit flipped at flip: Load returns the payload it
+//     was given, whole, or an error — never a prefix, never other bytes.
+func FuzzPersistEnvelope(f *testing.F) {
+	f.Add([]byte(`{"a":1}`), uint16(0), uint16(0))
+	f.Add([]byte(`{}`), uint16(40), uint16(0))       // the torn write
+	f.Add([]byte(`{"a":1}`), uint16(0), uint16(700)) // a flipped payload bit
+	f.Add([]byte(`{"version":99,"name":"x","crc32c":0,"payload":{}}`), uint16(1), uint16(1))
+	f.Add([]byte(`{"version":1,"name":"y","crc32c":0,"payload":null}`), uint16(0), uint16(9))
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, file []byte, cut, flip uint16) {
+		if err := os.WriteFile(s.Path("x"), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dst := &fakeSnapshotter{}
+		if _, err := s.Load("x", ""); err != nil && (s.LoadInto("x", "", dst) == nil || dst.restored != nil) {
+			t.Fatalf("an envelope Load refuses (%v) was restored: %q", err, dst.restored)
+		}
+
+		payload, err := json.Marshal(string(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(envelope{Version: Version, Name: "x", ModelSig: "sig",
+			CRC32C: crc32.Checksum(payload, castagnoli), Payload: payload}) // what Save writes, without its fsyncs
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut != 0 {
+			data = data[:int(cut)%len(data)]
+		}
+		if flip != 0 && len(data) > 0 {
+			data[int(flip/8)%len(data)] ^= 1 << (flip % 8)
+		}
+		if err := os.WriteFile(s.Path("x"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Load("x", "sig"); err == nil && string(got) != string(payload) {
+			t.Fatalf("a damaged envelope (cut %d, flip %d) loads as\n%s\nsaved was\n%s", cut, flip, got, payload)
+		}
+	})
 }

@@ -212,12 +212,10 @@ func (p *Page) AppendJSON(b []byte) []byte {
 // The append primitives under the encoders and the cursor under the
 // parser.
 
-// appendInts appends ds as a JSON array, nil as null — encoding/json's
-// rendering of an untagged []int.
+// appendInts appends ds as a JSON array; nil is [] like any empty page
+// (encoding/json would say null, and a page would encode two ways
+// depending on which pooled scratch served it).
 func appendInts(b []byte, ds []int) []byte {
-	if ds == nil {
-		return append(b, "null"...)
-	}
 	b = append(b, '[')
 	for i, d := range ds {
 		if i > 0 {

@@ -77,6 +77,21 @@ func TestScoreBits(t *testing.T) {
 	}
 }
 
+// TestEmptyPageEncodesOneWay: a zero-result page is "docs":[] whether the
+// slice behind it is nil (a fresh scratch, a zero value) or empty (a
+// reused one), for the worker's reply and the coordinator's page alike.
+func TestEmptyPageEncodesOneWay(t *testing.T) {
+	reused := SearchReply{Docs: []int{7, 8}}
+	reused.Docs = reused.Docs[:0]
+	if zero, again := (&SearchReply{}).AppendJSON(nil), reused.AppendJSON(nil); !bytes.Equal(zero, again) || !bytes.Contains(zero, []byte(`"docs":[]`)) {
+		t.Errorf("empty reply encodes as\n%sfrom a zero value and\n%sfrom a reused one, want \"docs\":[] in both", zero, again)
+	}
+	page := Page{Docs: reused.Docs}
+	if zero, again := (&Page{}).AppendJSON(nil), page.AppendJSON(nil); !bytes.Equal(zero, again) || !bytes.Contains(zero, []byte(`"docs":[]`)) {
+		t.Errorf("empty page encodes as\n%sfrom a zero value and\n%sfrom a reused one, want \"docs\":[] in both", zero, again)
+	}
+}
+
 // encodeStd is the reference encoding of every /search body: what the
 // handlers would write through encoding/json.
 func encodeStd(t *testing.T, v any) []byte {
@@ -96,7 +111,8 @@ func encodeStd(t *testing.T, v any) []byte {
 //   - body as raw material for a reply (12 bytes a document: id, then
 //     score bits) with flags choosing the booleans, nil-vs-empty docs
 //     and whether scores ride along: AppendJSON must match encoding/json
-//     byte for byte, a scored reply must survive ParseJSON(AppendJSON(x))
+//     byte for byte (but for nil docs, which are [] like empty ones where
+//     encoding/json says null), a scored reply must survive ParseJSON(AppendJSON(x))
 //     unchanged (Query aside, which the parser skips) unless one of its
 //     scores is NaN or an infinity, when the parser must refuse it, and
 //     the coordinator's Page built from the same material must match
@@ -151,7 +167,11 @@ func FuzzSearchReply(f *testing.F) {
 			}
 		}
 		enc := x.AppendJSON(nil)
-		if want := encodeStd(t, &x); !bytes.Equal(enc, want) {
+		std := x
+		if std.Docs == nil {
+			std.Docs = []int{}
+		}
+		if want := encodeStd(t, &std); !bytes.Equal(enc, want) {
 			t.Fatalf("reply encoding diverges from encoding/json:\n got %s\nwant %s", enc, want)
 		}
 		var y SearchReply
@@ -181,7 +201,9 @@ func FuzzSearchReply(f *testing.F) {
 			Query: query, Docs: x.Docs, DocsScored: x.DocsScored, Degraded: x.Degraded,
 			ShardsOK: int(flags), ShardsTotal: len(x.Docs), FailedShards: strings.Fields(query),
 		}
-		if got, want := page.AppendJSON(nil), encodeStd(t, &page); !bytes.Equal(got, want) {
+		got := page.AppendJSON(nil)
+		page.Docs = std.Docs
+		if want := encodeStd(t, &page); !bytes.Equal(got, want) {
 			t.Fatalf("page encoding diverges from encoding/json:\n got %s\nwant %s", got, want)
 		}
 
@@ -222,34 +244,34 @@ func keysOf(raw string) string {
 	return strings.Join(keys, "&")
 }
 
-// TestDecodeBudget: the POST /budget body comes from outside the
+// budgetCases are POST /budget bodies, which come from outside the
 // process. Bodies that are not one JSON object with a numeric level —
 // NaN and Infinity are not JSON, an out-of-range literal does not fit a
 // float64, an oversized body is cut at the limit — fail to decode;
 // decodable non-positive levels are caught by LevelOK.
+var budgetCases = []struct {
+	name, body string
+	decodes    bool
+	levelOK    bool
+	want       Budget
+}{
+	{"valid", `{"controller":"serve.and","level":250}`, true, true, Budget{"serve.and", 250}},
+	{"default controller", `{"level":1e3}`, true, true, Budget{"", 1000}},
+	{"unknown field", `{"level":5,"epoch":7}`, true, true, Budget{"", 5}},
+	{"negative", `{"level":-5}`, true, false, Budget{"", -5}},
+	{"zero", `{"level":0}`, true, false, Budget{}},
+	{"missing level", `{"controller":"serve.match"}`, true, false, Budget{"serve.match", 0}},
+	{"NaN", `{"level":NaN}`, false, false, Budget{}},
+	{"Infinity", `{"level":Infinity}`, false, false, Budget{}},
+	{"out of range", `{"level":1e999}`, false, false, Budget{}},
+	{"string level", `{"level":"5"}`, false, false, Budget{}},
+	{"empty", ``, false, false, Budget{}},
+	{"not an object", `[5]`, false, false, Budget{}},
+	{"oversized", `{"controller":"` + strings.Repeat("x", 1<<16) + `","level":5}`, false, false, Budget{}},
+}
+
 func TestDecodeBudget(t *testing.T) {
-	huge := `{"controller":"` + strings.Repeat("x", 1<<16) + `","level":5}`
-	cases := []struct {
-		name, body string
-		decodes    bool
-		levelOK    bool
-		want       Budget
-	}{
-		{"valid", `{"controller":"serve.and","level":250}`, true, true, Budget{"serve.and", 250}},
-		{"default controller", `{"level":1e3}`, true, true, Budget{"", 1000}},
-		{"unknown field", `{"level":5,"epoch":7}`, true, true, Budget{"", 5}},
-		{"negative", `{"level":-5}`, true, false, Budget{"", -5}},
-		{"zero", `{"level":0}`, true, false, Budget{}},
-		{"missing level", `{"controller":"serve.match"}`, true, false, Budget{"serve.match", 0}},
-		{"NaN", `{"level":NaN}`, false, false, Budget{}},
-		{"Infinity", `{"level":Infinity}`, false, false, Budget{}},
-		{"out of range", `{"level":1e999}`, false, false, Budget{}},
-		{"string level", `{"level":"5"}`, false, false, Budget{}},
-		{"empty", ``, false, false, Budget{}},
-		{"not an object", `[5]`, false, false, Budget{}},
-		{"oversized", huge, false, false, Budget{}},
-	}
-	for _, c := range cases {
+	for _, c := range budgetCases {
 		got, err := DecodeBudget(strings.NewReader(c.body))
 		if (err == nil) != c.decodes {
 			t.Errorf("%s: decode error = %v, want decodes=%v", c.name, err, c.decodes)
@@ -264,4 +286,30 @@ func TestDecodeBudget(t *testing.T) {
 			t.Errorf("LevelOK accepted %v", lvl)
 		}
 	}
+}
+
+// FuzzDecodeBudget: whatever arrives on POST /budget, DecodeBudget does
+// not panic, never hands back a level that is NaN or infinite (so LevelOK
+// is the only range check a handler needs), reads no more than its 64 KiB
+// bound, and what it accepted survives its own re-encoding.
+func FuzzDecodeBudget(f *testing.F) {
+	for _, c := range budgetCases {
+		f.Add([]byte(c.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := bytes.NewReader(body)
+		b, err := DecodeBudget(r)
+		if read := len(body) - r.Len(); read > 1<<16 {
+			t.Fatalf("read %d bytes of a %d-byte body, bound is %d", read, len(body), 1<<16)
+		}
+		if err != nil {
+			return
+		}
+		if math.IsNaN(b.Level) || math.IsInf(b.Level, 0) {
+			t.Fatalf("decoded level %v from %q", b.Level, body)
+		}
+		if back, err := DecodeBudget(bytes.NewReader(encodeStd(t, b))); err != nil || back != b {
+			t.Fatalf("%+v re-encoded decodes as %+v (%v)", b, back, err)
+		}
+	})
 }
