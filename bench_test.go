@@ -1213,3 +1213,124 @@ func BenchmarkBackoffConvergence(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkZipfNext is one draw of the term sampler: the corpus
+// generator's (1.4 over a 2000-term vocabulary, wholly tabled) and one
+// with a long untabled tail.
+func BenchmarkZipfNext(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		s    float64
+		n    uint64
+	}{{"1.4x2000", 1.4, 2000}, {"1.01x100k", 1.01, 100000}} {
+		b.Run(c.name, func(b *testing.B) {
+			z, err := workload.NewZipf(1, c.s, c.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				z.Next()
+			}
+		})
+	}
+}
+
+// BenchmarkNewZipf is the constructor at the largest range the tree
+// builds; the threshold tables are its cost.
+func BenchmarkNewZipf(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.NewZipf(1, 1.01, 100000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewEngine builds the synthetic corpus at the two sizes the
+// benchmark's search workloads boot on.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		docs int
+	}{{"20k", 20000}, {"200k", 200000}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := search.NewEngine(search.Config{Seed: 7, Docs: c.docs}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFuncCallDFT takes the DFT's approximated cosine apart, over
+// the transform's own angle set (2π·k·t/128) and with the controller
+// bench/app_kernels.go builds: what one precise call costs, what the
+// caller's Key costs, what the graded polynomial the 1e-4 SLA selects
+// costs bare, and what Call costs around them, disabled and approximating.
+// ROADMAP item 7 reads the verdict off these rows.
+func BenchmarkFuncCallDFT(b *testing.B) {
+	const n = 128
+	angles := make([]float64, 0, n*n)
+	for k := 0; k < n; k++ {
+		for t := 0; t < n; t++ {
+			angles = append(angles, 2*math.Pi/n*float64(k)*float64(t))
+		}
+	}
+	mod2pi := func(x float64) float64 {
+		y := math.Mod(x, 2*math.Pi)
+		if y < 0 {
+			y += 2 * math.Pi
+		}
+		return y
+	}
+	absQoS := func(p, a float64) float64 { return math.Abs(a - p) }
+	var cosFns []green.Fn
+	var names []string
+	var work []float64
+	for _, g := range approxmath.TrigGrades {
+		cosFns = append(cosFns, green.Fn(approxmath.CosFn(g)))
+		names = append(names, g.String())
+		work = append(work, float64(g.Terms()))
+	}
+	cal, err := green.NewFuncCalibration("cos", float64(approxmath.TrigPrecise.Terms()), names, work, math.Pi/8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cal.Calibrate(math.Cos, cosFns, workload.UniformFloats(7, 4000, 0, 2*math.Pi), absQoS); err != nil {
+		b.Fatal(err)
+	}
+	m, err := cal.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	call := func(disabled bool) func(float64) float64 {
+		f, err := green.NewFunc(green.FuncConfig{
+			Name: "cos", Model: m, SLA: 1e-4, QoS: absQoS, Key: mod2pi, Disabled: disabled,
+		}, math.Cos, cosFns)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f.Call
+	}
+	for _, row := range []struct {
+		name string
+		fn   func(float64) float64
+	}{
+		{"math.Cos", math.Cos},
+		{"key_mod2pi", mod2pi},
+		{"grade_5.2", approxmath.CosFn(approxmath.Trig52)},
+		{"call_disabled", call(true)},
+		{"call_approx", call(false)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += row.fn(angles[i%(n*n)])
+			}
+			_ = sink
+		})
+	}
+}

@@ -2,6 +2,7 @@ package cmdtest
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -104,8 +105,26 @@ func TestClusterWorkerKillAndRecovery(t *testing.T) {
 
 	// A replacement worker on the same address: the coordinator's
 	// breaker re-probes under traffic and coverage returns.
-	w0b, _ := startServe(t, w0addr, workerFlags(0)...)
+	w0b, w0bout := startServe(t, w0addr, workerFlags(0)...)
 	defer w0b.Process.Kill()
+	// What the restart cost is on its log and in its /stats.
+	var boot struct {
+		Boot struct {
+			EngineMS    float64  `json:"engine_ms"`
+			CalibrateMS float64  `json:"calibrate_ms"`
+			RestoreMS   *float64 `json:"restore_ms"`
+		} `json:"boot"`
+	}
+	if err := json.Unmarshal(httpGet(t, "http://"+w0addr+"/stats"), &boot); err != nil {
+		t.Fatal(err)
+	}
+	if b := boot.Boot; b.EngineMS <= 0 || b.CalibrateMS <= 0 || b.RestoreMS == nil {
+		t.Fatalf("restarted worker /stats boot = %+v, want engine_ms and calibrate_ms > 0 and a restore_ms", b)
+	}
+	if line := fmt.Sprintf("(engine %.1f ms, calibrate %.1f ms, restore %.1f ms)",
+		boot.Boot.EngineMS, boot.Boot.CalibrateMS, *boot.Boot.RestoreMS); !strings.Contains(w0bout.String(), line) {
+		t.Errorf("restarted worker's calibrated: line does not report %s:\n%s", line, w0bout.String())
+	}
 	recovered := false
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {

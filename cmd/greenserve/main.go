@@ -139,8 +139,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("greenserve: %v", err)
 	}
-	log.Printf("calibrated: SLA %.2f%% -> initial M = %.0f documents",
-		*sla*100, s.Loop().Level())
+	boot := s.Boot()
+	log.Printf("calibrated: SLA %.2f%% -> initial M = %.0f documents (engine %.1f ms, calibrate %.1f ms, restore %.1f ms)",
+		*sla*100, s.Loop().Level(), boot.EngineMS, boot.CalibrateMS, boot.RestoreMS)
 	for _, c := range s.Registry().Controllers() {
 		log.Printf("controller %q: level %.0f, approx enabled %v",
 			c.Name(), c.Level(), c.ApproxEnabled())

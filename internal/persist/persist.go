@@ -22,6 +22,7 @@
 package persist
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -102,21 +103,41 @@ func sanitize(name string) string {
 	return out
 }
 
-// Save atomically writes payload as the snapshot for name. modelSig
-// binds the snapshot to the model it was taken against (empty skips the
-// binding).
-func (s *Store) Save(name, modelSig string, payload []byte) error {
-	env := envelope{
+// encodeEnvelope is the file Save writes. The payload is stored compact
+// (any valid JSON is accepted; Load returns its compacted form) and the
+// checksum is taken over those stored bytes, which the encoder then
+// copies verbatim: HTML escaping is off, or a '<' inside a payload string
+// would be rewritten after the checksum was taken.
+func encodeEnvelope(name, modelSig string, payload []byte) ([]byte, error) {
+	var stored bytes.Buffer
+	if err := json.Compact(&stored, payload); err != nil {
+		return nil, fmt.Errorf("persist: payload for %q is not JSON: %w", name, err)
+	}
+	var data bytes.Buffer
+	enc := json.NewEncoder(&data)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(envelope{
 		Version:   Version,
 		Name:      name,
 		ModelSig:  modelSig,
 		SavedUnix: time.Now().Unix(),
-		CRC32C:    crc32.Checksum(payload, castagnoli),
-		Payload:   json.RawMessage(payload),
-	}
-	data, err := json.Marshal(env)
+		CRC32C:    crc32.Checksum(stored.Bytes(), castagnoli),
+		Payload:   stored.Bytes(),
+	})
 	if err != nil {
-		return fmt.Errorf("persist: encode envelope: %w", err)
+		return nil, fmt.Errorf("persist: encode envelope: %w", err)
+	}
+	return data.Bytes(), nil
+}
+
+// Save atomically writes payload as the snapshot for name. modelSig
+// binds the snapshot to the model it was taken against (empty skips the
+// binding). A payload that is not valid JSON is refused here, not written
+// as a snapshot that can never load.
+func (s *Store) Save(name, modelSig string, payload []byte) error {
+	data, err := encodeEnvelope(name, modelSig, payload)
+	if err != nil {
+		return err
 	}
 	dst := s.Path(name)
 	tmp, err := os.CreateTemp(s.dir, "."+filepath.Base(dst)+".tmp-*")

@@ -1,9 +1,9 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -44,6 +44,41 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if string(got) != string(payload2) {
 		t.Errorf("payload after overwrite = %s", got)
+	}
+}
+
+// TestSaveCompactsPayload: a payload need not be the compact JSON a
+// controller's MarshalState writes. The envelope stores it compacted and
+// checksums what it stores, so indentation — or a '<' the encoder would
+// have escaped — round-trips instead of loading as ErrCorrupt, and bytes
+// that are not JSON are refused by Save.
+func TestSaveCompactsPayload(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented := []byte("{\n  \"level\": 420,\n  \"note\": \"a<b & c\",\n  \"runs\": [1, 2,\t3]\n}\n")
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("ctrl", "sig", indented); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Load("ctrl", "sig")
+	if err != nil {
+		t.Fatalf("indented payload does not load: %v", err)
+	}
+	if !bytes.Equal(got, compact.Bytes()) {
+		t.Errorf("payload = %s, want %s", got, compact.Bytes())
+	}
+	for _, bad := range []string{"", "{", `{"a":1} x`, "\x00"} {
+		if err := s.Save("bad", "", []byte(bad)); err == nil {
+			t.Errorf("Save accepted %q", bad)
+		}
+	}
+	if _, err := s.Load("bad", ""); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused Save left a snapshot behind: %v", err)
 	}
 }
 
@@ -314,16 +349,18 @@ func TestLoadIntoKeepsTypedEnvelopeErrors(t *testing.T) {
 //
 //   - file as the bytes on disk: Load and LoadInto do not panic, and an
 //     envelope Load refuses never reaches the snapshotter;
-//   - file as the state saved (wrapped in a string, so the payload is the
-//     compact JSON a controller's MarshalState writes), the envelope then
-//     cut at cut and one bit flipped at flip: Load returns the payload it
-//     was given, whole, or an error — never a prefix, never other bytes.
+//   - file as the state saved — itself if it is JSON (indented, escaped or
+//     not: Save stores it compact), wrapped in a string otherwise — the
+//     envelope then cut at cut and one bit flipped at flip: Load returns
+//     the payload it was given, compacted and whole, or an error — never a
+//     prefix, never other bytes; undamaged, it loads.
 func FuzzPersistEnvelope(f *testing.F) {
 	f.Add([]byte(`{"a":1}`), uint16(0), uint16(0))
 	f.Add([]byte(`{}`), uint16(40), uint16(0))       // the torn write
 	f.Add([]byte(`{"a":1}`), uint16(0), uint16(700)) // a flipped payload bit
 	f.Add([]byte(`{"version":99,"name":"x","crc32c":0,"payload":{}}`), uint16(1), uint16(1))
 	f.Add([]byte(`{"version":1,"name":"y","crc32c":0,"payload":null}`), uint16(0), uint16(9))
+	f.Add([]byte("{\n\t\"level\": 4,\n\t\"tag\": \"<&>\u2028\"\n}"), uint16(0), uint16(0)) // not compact, not HTML-safe
 	s, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -337,12 +374,17 @@ func FuzzPersistEnvelope(f *testing.F) {
 			t.Fatalf("an envelope Load refuses (%v) was restored: %q", err, dst.restored)
 		}
 
-		payload, err := json.Marshal(string(file))
-		if err != nil {
+		state := file
+		if !json.Valid(state) {
+			if state, err = json.Marshal(string(file)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var payload bytes.Buffer
+		if err := json.Compact(&payload, state); err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(envelope{Version: Version, Name: "x", ModelSig: "sig",
-			CRC32C: crc32.Checksum(payload, castagnoli), Payload: payload}) // what Save writes, without its fsyncs
+		data, err := encodeEnvelope("x", "sig", state) // what Save writes, without its fsyncs
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,8 +397,12 @@ func FuzzPersistEnvelope(f *testing.F) {
 		if err := os.WriteFile(s.Path("x"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := s.Load("x", "sig"); err == nil && string(got) != string(payload) {
-			t.Fatalf("a damaged envelope (cut %d, flip %d) loads as\n%s\nsaved was\n%s", cut, flip, got, payload)
+		got, err := s.Load("x", "sig")
+		if err == nil && !bytes.Equal(got, payload.Bytes()) {
+			t.Fatalf("a damaged envelope (cut %d, flip %d) loads as\n%s\nsaved was\n%s", cut, flip, got, payload.Bytes())
+		}
+		if err != nil && cut == 0 && flip == 0 {
+			t.Fatalf("an undamaged envelope of %q does not load: %v", state, err)
 		}
 	})
 }

@@ -200,6 +200,17 @@ func TestReadEngineRejectsUnorderedPostings(t *testing.T) {
 	}
 }
 
+// indexHash is the SHA-256 of the engine's serialized index: header,
+// docLen, quality, idf and every posting in order.
+func indexHash(t *testing.T, e *Engine) string {
+	t.Helper()
+	h := sha256.New()
+	if _, err := e.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestIndexBytesPinned holds NewEngine's output still: the serialized
 // index of one unsharded and one sharded corpus hashes to the constants
 // taken before the per-document term counts moved from a map to a dense
@@ -217,12 +228,36 @@ func TestIndexBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		if _, err := e.WriteTo(h); err != nil {
+		if got := indexHash(t, e); got != c.want {
+			t.Errorf("shard %d/%d: index hashes to %s, want %s", c.cfg.ShardIndex, c.cfg.ShardCount, got, c.want)
+		}
+	}
+}
+
+// TestCorpusFingerprint pins the corpora everything downstream is built
+// on — the default 20k, the 200k and one shard of three, at the seed
+// bench/ boots every search workload on. The constants were generated at
+// the commit before workload.Zipf stopped wrapping math/rand's sampler, so
+// a change to the sampler or to NewEngine's build loop that moves one
+// posting, length, prior or IDF bit fails here rather than in some
+// downstream digit of results/scale_0.05.txt.
+func TestCorpusFingerprint(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"default 20k", Config{Seed: 7}, "5efdc62d4756ee53af6efef16342584cc5a4cbd29b78c9f21606bb4dd409731d"},
+		{"200k", Config{Seed: 7, Docs: 200000}, "1f9b8e7ecdb8b29c07443d01fd7316104a0c83dea9e265992aacc4a6cb21819d"},
+		{"20k shard 1 of 3", Config{Seed: 7, ShardIndex: 1, ShardCount: 3}, "dbcc9380b964cfc64ac2df4e41c7dab3fc512f01c4785192153ef49aa83db1db"},
+	}
+	for _, c := range cases {
+		e, err := NewEngine(c.cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
-			t.Errorf("shard %d/%d: index hashes to %s, want %s", c.cfg.ShardIndex, c.cfg.ShardCount, got, c.want)
+		if got := indexHash(t, e); got != c.want {
+			t.Errorf("%s: corpus hashes to %s, want %s", c.name, got, c.want)
 		}
 	}
 }

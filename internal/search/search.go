@@ -151,7 +151,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// terms to post and zero again (a map here was a fifth of the build).
 	totalLen := 0
 	tfs := make([]uint16, c.VocabSize)
-	var touched []uint32
+	touched := make([]uint32, 0, c.AvgDocLen+c.AvgDocLen/2) // the longest document
 	for d := 0; d < c.Docs; d++ {
 		n := c.AvgDocLen/2 + lenRng.Intn(c.AvgDocLen) // ~uniform around avg
 		e.docLen[d] = n
@@ -170,11 +170,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	}
 	e.avgLen = float64(totalLen) / float64(c.Docs)
-	// Postings were appended in increasing doc id already, but sort
-	// defensively (cheap, one-time).
-	for t := range e.postings {
-		ps := e.postings[t]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
+	// The scans walk each list in ascending doc id, which is the order the
+	// loop above appended in; hold it to that.
+	for t, ps := range e.postings {
+		for i := 1; i < len(ps); i++ {
+			if ps[i-1].Doc >= ps[i].Doc {
+				return nil, fmt.Errorf("search: postings of term %d are not in ascending doc id", t)
+			}
+		}
 	}
 	// Precompute IDF.
 	e.idf = make([]float64, c.VocabSize)

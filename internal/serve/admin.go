@@ -48,6 +48,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RestoreDetail:     s.restoreReport,
 		Controllers:       metrics.CollectControllers(s.reg),
 		Ops:               s.ops.Snapshot(),
+		Boot:              s.boot,
 	})
 }
 

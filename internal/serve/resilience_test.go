@@ -166,6 +166,9 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	if s2.RestoreNote() != "restored" {
 		t.Fatalf("restart restore = %q, want restored", s2.RestoreNote())
 	}
+	if b := decodeStats(t, s2.Handler()).Boot; b.RestoreMS <= 0 {
+		t.Errorf("a restoring boot reports %+v, want restore_ms > 0", b)
+	}
 	execs2, _, _ := s2.Loop().Stats()
 	if execs2 != execs1 {
 		t.Errorf("restored execs = %d, want %d", execs2, execs1)

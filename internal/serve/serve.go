@@ -179,6 +179,7 @@ type Server struct {
 	modelSig      string
 	restoreNote   string // "disabled" | "cold" | "restored" | "rejected: …"
 	restoreReport core.RestoreReport
+	boot          wire.Boot // what New's stages cost
 
 	// models backs /model: each controller's per-level candidate
 	// settings for the coordinator's combination search.
@@ -193,6 +194,8 @@ func New(cfg Config) (*Server, error) {
 	if c.SLA < 0 || c.SLA >= 1 {
 		return nil, errors.New("serve: SLA must be in [0, 1)")
 	}
+	var clock bootClock
+	clock.lapMS()
 	engine, err := search.NewEngine(search.Config{
 		Seed: c.Seed, Docs: c.CorpusDocs,
 		ShardIndex: c.ShardIndex, ShardCount: c.ShardCount,
@@ -200,6 +203,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	engineMS := clock.lapMS()
 	s := &Server{
 		cfg: c, engine: engine, reg: core.NewRegistry(), restoreNote: "disabled",
 		qcache: newQueryCache(c.QueryCacheSize),
@@ -258,12 +262,26 @@ func New(cfg Config) (*Server, error) {
 		sigParts = append(sigParts, mAnd, "and")
 	}
 
+	s.boot = wire.Boot{EngineMS: engineMS, CalibrateMS: clock.lapMS()}
 	if c.StateDir != "" {
 		if err := s.openStateAndRestore(sigParts); err != nil {
 			return nil, err
 		}
+		s.boot.RestoreMS = clock.lapMS()
 	}
 	return s, nil
+}
+
+// bootClock times New's stages, each from the end of the one before. The
+// readings go to /stats and the log and nowhere near a model.
+type bootClock struct{ mark time.Time }
+
+// lapMS returns the milliseconds since the previous call.
+func (c *bootClock) lapMS() float64 {
+	now := time.Now()
+	d := now.Sub(c.mark)
+	c.mark = now
+	return float64(d.Microseconds()) / 1e3
 }
 
 // knotLosses returns calibrateLoop's measure function for one scan
@@ -454,6 +472,9 @@ func (s *Server) Registry() *core.Registry { return s.reg }
 
 // Engine exposes the search engine, for tests.
 func (s *Server) Engine() *search.Engine { return s.engine }
+
+// Boot reports what New's stages cost; /stats carries the same object.
+func (s *Server) Boot() wire.Boot { return s.boot }
 
 // Ops exposes the operational counters, for tooling and tests.
 func (s *Server) Ops() *metrics.OpsCounters { return &s.ops }

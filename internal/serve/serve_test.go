@@ -133,6 +133,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.CurrentM <= 0 {
 		t.Errorf("current M = %v", st.CurrentM)
 	}
+	// The boot stages that ran report what they cost; no state directory,
+	// no restore stage.
+	if st.Boot != s.Boot() || st.Boot.EngineMS <= 0 || st.Boot.CalibrateMS <= 0 || st.Boot.RestoreMS != 0 {
+		t.Errorf("boot = %+v (Server.Boot %+v), want engine and calibrate > 0, restore 0", st.Boot, s.Boot())
+	}
 	if st.DocsScored <= 0 {
 		t.Errorf("docs scored = %d", st.DocsScored)
 	}

@@ -147,6 +147,17 @@ type Stats struct {
 	RestoreDetail   map[string]string         `json:"restore_controllers,omitempty"`
 	Controllers     []metrics.ControllerStats `json:"controllers"`
 	Ops             metrics.OpsSnapshot       `json:"ops"`
+	Boot            Boot                      `json:"boot"`
+}
+
+// Boot is what the worker's start-up cost, stage by stage, in
+// milliseconds: building the synthetic corpus and its index, the
+// calibration phase of every controller, and opening the state directory
+// and restoring the snapshot (zero without one).
+type Boot struct {
+	EngineMS    float64 `json:"engine_ms"`
+	CalibrateMS float64 `json:"calibrate_ms"`
+	RestoreMS   float64 `json:"restore_ms"`
 }
 
 // Config is the worker /config JSON shape.

@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 )
@@ -27,33 +26,6 @@ func Split(seed int64, stream int64) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// Zipf draws integers in [0, n) with P(k) proportional to 1/(k+1)^s,
-// which models both term popularity in a document corpus and query
-// frequency in a production log.
-type Zipf struct {
-	rng *rand.Rand
-	z   *rand.Zipf
-}
-
-// NewZipf creates a Zipf sampler over [0, n) with exponent s > 1.
-func NewZipf(seed int64, s float64, n uint64) (*Zipf, error) {
-	if n == 0 {
-		return nil, errors.New("workload: zipf needs a positive range")
-	}
-	if s <= 1 {
-		return nil, errors.New("workload: zipf exponent must be > 1")
-	}
-	rng := NewRand(seed)
-	z := rand.NewZipf(rng, s, 1, n-1)
-	if z == nil {
-		return nil, errors.New("workload: invalid zipf parameters")
-	}
-	return &Zipf{rng: rng, z: z}, nil
-}
-
-// Next draws the next value.
-func (z *Zipf) Next() uint64 { return z.z.Uint64() }
 
 // UniformFloats returns n values uniform in [lo, hi).
 func UniformFloats(seed int64, n int, lo, hi float64) []float64 {

@@ -38,6 +38,9 @@ func TestZipfValidation(t *testing.T) {
 	if _, err := NewZipf(1, 1.0, 100); err == nil {
 		t.Error("exponent 1.0 accepted")
 	}
+	if _, err := NewZipf(1, math.NaN(), 100); err == nil {
+		t.Error("NaN exponent accepted") // its sampler would never accept a draw
+	}
 }
 
 func TestZipfSkew(t *testing.T) {

@@ -5,7 +5,9 @@
 # BenchmarkFunc2HotPath* / BenchmarkOverhead{Plain,Green}Loop /
 # BenchmarkServeQPS / BenchmarkServeMonitored / BenchmarkScanKernel /
 # BenchmarkClusterScatter / BenchmarkShardHop /
-# BenchmarkCombineSearchSpace families and
+# BenchmarkCombineSearchSpace / BenchmarkFuncCallDFT (the DFT's
+# approximated cosine taken apart) / BenchmarkZipfNext / BenchmarkNewZipf /
+# BenchmarkNewEngine (the corpus generator: `-only corpus`) families and
 # emits one JSON object (ns/op, allocs/op, the scan kernel's ns per
 # scored document, and the combination search's evaluated-combos count)
 # suitable for a "before"/"after" entry in BENCH_hotpath.json.
@@ -20,7 +22,8 @@
 #	                                         # (shared/noisy machines)
 #	scripts/bench_hotpath.sh -only control_law
 #	                                         # the control-law rows alone
-#	                                         # (or any -bench regexp)
+#	                                         # (or corpus, or any -bench
+#	                                         # regexp)
 #	scripts/bench_hotpath.sh -cpu 1          # GOMAXPROCS for every run
 #	                                         # (default: the box's)
 #	scripts/bench_hotpath.sh -pair HEAD~ -only control_law -best 25 -t 0.1s
@@ -42,8 +45,9 @@ benchtime="1s"
 best=1
 pair=""
 cpu=""
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|ShardHop|CombineSearchSpace'
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|ShardHop|CombineSearchSpace|FuncCallDFT|ZipfNext|NewZipf|NewEngine'
 control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop'
+corpus='ZipfNext|NewZipf|NewEngine'
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-o) out="$2"; shift 2 ;;
@@ -51,8 +55,14 @@ while [ $# -gt 0 ]; do
 	-best) best="$2"; shift 2 ;;
 	-pair) pair="$2"; shift 2 ;;
 	-cpu) cpu="$2"; shift 2 ;;
-	-only) pattern="$2"; [ "$2" = control_law ] && pattern=$control_law; shift 2 ;;
-	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|regexp] [-cpu n] [-pair parent-ref]" >&2; exit 2 ;;
+	-only)
+		case "$2" in
+		control_law) pattern=$control_law ;;
+		corpus) pattern=$corpus ;;
+		*) pattern="$2" ;;
+		esac
+		shift 2 ;;
+	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|corpus|regexp] [-cpu n] [-pair parent-ref]" >&2; exit 2 ;;
 	esac
 done
 

@@ -160,6 +160,9 @@ go test -run '^$' -fuzz FuzzShardExchange -fuzztime 10s -fuzzminimizetime 1s ./i
 go test -run '^$' -fuzz FuzzDecodeBudget -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
 go test -run '^$' -fuzz FuzzRestoreAllJSON -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 go test -run '^$' -fuzz FuzzPersistEnvelope -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
+# And ten over the corpus generator: for any seed, exponent and range,
+# the table-driven Zipf sampler's first 4096 draws are math/rand's.
+go test -run '^$' -fuzz FuzzZipfStream -fuzztime 10s ./internal/workload
 
 echo "== race (concurrency-sensitive packages) =="
 go test -race ./internal/core ./internal/serve ./internal/loadgen ./internal/search \
