@@ -17,6 +17,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -943,10 +945,12 @@ func scanKernelRun(s *search.Scan, block int) {
 // 200k-document engine, in ns per scored document. The terms=N rows
 // replay one query of the N most frequent post-stopword terms (posting
 // lists of comparable length, a union's worst case), one Step at a time
-// and in serve-sized blocks; replaying keeps the query's per-document
-// records cache-resident, which a request's are not, so the stream row
-// runs a few thousand distinct one- to three-term queries in turn — the
-// number a /search request pays.
+// and in serve-sized blocks; replaying keeps the query's quality entries
+// and impact tables cache-resident, which a request's are not, so the
+// stream and band rows run a few thousand distinct one- to three-term
+// queries in turn — the number a /search request pays. stream draws
+// terms Zipf over the post-stopword vocabulary, band the way /search
+// traffic lands (bandQueries).
 func BenchmarkScanKernel(b *testing.B) {
 	kernelOnce.Do(func() {
 		kernelEngine, kernelErr = search.NewEngine(search.Config{Seed: 42, Docs: 200000})
@@ -981,6 +985,64 @@ func BenchmarkScanKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	run("stream", stream, scanKernelBlock)
+	run("band", bandQueries(e, 78, 4096), scanKernelBlock)
+}
+
+// bandQueries draws n queries of 1–3 distinct terms uniform over the
+// band /search traffic lands in — [StopTerms, StopTerms+Vocab/10), where
+// serve's termsOf hashes words — rather than Zipf over the whole
+// post-stopword vocabulary as GenerateQueries does.
+func bandQueries(e *search.Engine, seed int64, n int) []search.Query {
+	rng := workload.NewRand(seed)
+	qs := make([]search.Query, n)
+	for i := range qs {
+		for k := 1 + rng.Intn(3); len(qs[i].Terms) < k; {
+			if t := e.StopTerms() + rng.Intn(e.Vocab()/10); !slices.Contains(qs[i].Terms, t) {
+				qs[i].Terms = append(qs[i].Terms, t)
+			}
+		}
+	}
+	return qs
+}
+
+var (
+	bandOnce   sync.Once
+	bandServer *serve.Server
+	bandErr    error
+)
+
+// BenchmarkServeBand is the in-process /search handler over the corpus
+// and level serve_tail runs at — 200k documents, calibrated M — on 2048
+// distinct one- to three-word queries in turn (termsOf hashes each word
+// into the band), all resident in the query cache: the request path
+// without net/http, so the scan kernel's share of a handler shows. One op
+// per request.
+func BenchmarkServeBand(b *testing.B) {
+	bandOnce.Do(func() {
+		bandServer, bandErr = serve.New(serve.Config{Seed: 7, CorpusDocs: 200000, SampleInterval: 1 << 30})
+	})
+	if bandErr != nil {
+		b.Fatal(bandErr)
+	}
+	h := bandServer.Handler()
+	rng := workload.NewRand(79)
+	reqs := make([]*http.Request, 2048)
+	for i := range reqs {
+		words := make([]string, 1+rng.Intn(3))
+		for j := range words {
+			words[j] = fmt.Sprintf("w%d", rng.Intn(1<<20))
+		}
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/search?q="+strings.Join(words, "+"), nil)
+	}
+	w := &benchNullRW{h: make(http.Header, 4)}
+	for _, r := range reqs { // fill the query cache and the pools
+		h.ServeHTTP(w, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, reqs[i%len(reqs)])
+	}
 }
 
 // benchClusterTransport dispatches coordinator requests straight into

@@ -40,8 +40,20 @@ func FuzzReadEngine(f *testing.F) {
 		}
 	}
 
+	// A posting's tf raised to 65 535: the impact builder's grid at its
+	// widest.
+	bigTF := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint16(bigTF[idf+8*30+4+4:], 65535)
+	f.Add(bigTF)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng, err := ReadEngine(bytes.NewReader(data))
+		var eng *Engine
+		var err error
+		// What ReadEngine allocates follows the bytes it read, whatever
+		// the header claims.
+		if a := allocated(func() { eng, err = ReadEngine(bytes.NewReader(data)) }); a > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("ReadEngine allocated %d bytes for %d bytes of input", a, len(data))
+		}
 		if err != nil {
 			return
 		}
@@ -62,8 +74,8 @@ func FuzzReadEngine(f *testing.F) {
 }
 
 // refScore is the score Search gives doc for q, computed the way Search
-// computes it — from the unpacked quality/docLen/avgLen columns, one
-// term at a time in query order — so the packed-record kernels are
+// computes it — from the quality/docLen/avgLen/idf columns, one term at
+// a time in query order — so the impact-table kernels are
 // checked against the original expression, not against themselves.
 func refScore(e *Engine, q Query, doc uint32) float64 {
 	score := e.quality[doc]
@@ -139,7 +151,7 @@ func tiedEngine() *Engine {
 	e := &Engine{
 		cfg:      Config{Docs: docs, VocabSize: 8, AvgDocLen: 10, StopTerms: 0, QualityWeight: 1},
 		postings: make([][]Posting, 8),
-		docLen:   make([]int, docs),
+		docLen:   make([]uint32, docs),
 		quality:  make([]float64, docs),
 		idf:      make([]float64, 8),
 		avgLen:   10,
@@ -165,7 +177,9 @@ func tiedEngine() *Engine {
 			}
 		}
 	}
-	e.packRecs()
+	if err := e.deriveImpacts(); err != nil {
+		panic(err)
+	}
 	return e
 }
 
@@ -184,14 +198,14 @@ func windowEngine() *Engine {
 	e := &Engine{
 		cfg:      Config{Docs: docs, VocabSize: 8, AvgDocLen: 9, StopTerms: 0, QualityWeight: 8},
 		postings: make([][]Posting, 8),
-		docLen:   make([]int, docs),
+		docLen:   make([]uint32, docs),
 		quality:  make([]float64, docs),
 		idf:      make([]float64, 8),
 	}
 	total := 0
 	for d := range e.docLen {
-		e.docLen[d] = 5 + d%9
-		total += e.docLen[d]
+		e.docLen[d] = uint32(5 + d%9)
+		total += int(e.docLen[d])
 		e.quality[d] = 8*(1-float64(d)/docs) + 0.01*float64(d%17)
 	}
 	e.avgLen = float64(total) / docs
@@ -214,7 +228,9 @@ func windowEngine() *Engine {
 			}
 		}
 	}
-	e.packRecs()
+	if err := e.deriveImpacts(); err != nil {
+		panic(err)
+	}
 	return e
 }
 
@@ -291,7 +307,7 @@ var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 6
 // every block the scan's page must be the page Search (SearchAnd for
 // ScanAnd) returns when capped at the same document count, with every
 // score bit-equal to refScore; and an engine rebuilt by ReadEngine
-// (which re-derives the packed per-document records rather than reading
+// (which re-derives the impact tables rather than reading
 // them) must agree bit for bit.
 func FuzzScanBlocks(f *testing.F) {
 	var built []*Engine

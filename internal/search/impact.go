@@ -1,0 +1,99 @@
+package search
+
+import "fmt"
+
+// maxGrid bounds buildImpacts' scratch grid, one cell per (tf, length
+// class): 512 KB. NewEngine's grid is at most 384 × 256 cells.
+const maxGrid = 1 << 17
+
+// buildImpacts derives every term's impact table and points each
+// posting's pair at its entry. On entry a posting's pair holds its
+// document's length class, an index into lens, and no tf exceeds maxTF;
+// on return table(t) holds one value per distinct (tf, class) of list t,
+// each by Search's BM25 expression for that tf and length, so a scan's
+// quality[p.Doc] + table(t)[p.pair] is Search's score bit for bit
+// without its division. The tables are one exactly sized array, end to
+// end. Refused: a list out of ascending doc id, one with more distinct
+// pairs than a 16-bit index reaches, and a grid over maxGrid cells.
+func (e *Engine) buildImpacts(lens []int, maxTF int) error {
+	classes := len(lens)
+	if (maxTF+1)*classes > maxGrid {
+		return fmt.Errorf("%d tf values by %d document lengths is over %d cells", maxTF+1, classes, maxGrid)
+	}
+	// A cell holds 1 + the index in keys of its pair; keys only grows, so
+	// a cell at or below the current list's first index is an earlier
+	// list's, and no cell is ever cleared.
+	grid := make([]uint32, (maxTF+1)*classes)
+	var keys []uint32 // class<<16 | tf of each list's pairs, list after list
+	at := make([]int, 1, len(e.postings)+1)
+	for t, ps := range e.postings {
+		first, prev := len(keys), int64(-1)
+		for i := range ps {
+			p := &ps[i]
+			if int64(p.Doc) <= prev {
+				return fmt.Errorf("term %d: postings not in ascending doc id", t)
+			}
+			prev = int64(p.Doc)
+			cell := int(p.TF)*classes + int(p.pair)
+			if int(grid[cell]) <= first { // the list's first posting with this pair
+				if len(keys)-first == 1<<16 {
+					return fmt.Errorf("term %d: more than %d distinct (tf, length) pairs", t, 1<<16)
+				}
+				keys = append(keys, uint32(p.pair)<<16|uint32(p.TF))
+				grid[cell] = uint32(len(keys))
+			}
+			p.pair = uint16(int(grid[cell]) - 1 - first)
+		}
+		at = append(at, len(keys))
+	}
+	norm := make([]float64, classes)
+	for i, l := range lens {
+		norm[i] = bm25K1 * (1 - bm25B + bm25B*float64(l)/e.avgLen)
+	}
+	e.imp, e.impAt = make([]float64, len(keys)), at
+	for t := range e.postings {
+		for i := at[t]; i < at[t+1]; i++ {
+			tf := float64(uint16(keys[i]))
+			e.imp[i] = e.idf[t] * tf * (bm25K1 + 1) / (tf + norm[keys[i]>>16])
+		}
+	}
+	return nil
+}
+
+// table is term t's impact table.
+func (e *Engine) table(t int) []float64 { return e.imp[e.impAt[t]:e.impAt[t+1]] }
+
+// deriveImpacts stamps each posting with a class for its document's
+// length and builds the impact tables: the path for an engine whose
+// lengths are not known as its lists are built (ReadEngine, hand-built
+// test corpora). Classes are 16 bits: documents taking more than 1<<16
+// distinct lengths are refused, as is a posting of a document out of
+// range.
+func (e *Engine) deriveImpacts() error {
+	class := make([]uint16, len(e.docLen))
+	index := make(map[uint32]uint16)
+	var lens []int
+	for d, l := range e.docLen {
+		c, ok := index[l]
+		if !ok {
+			if len(lens) == 1<<16 {
+				return fmt.Errorf("more than %d distinct document lengths", 1<<16)
+			}
+			c = uint16(len(lens))
+			index[l] = c
+			lens = append(lens, int(l))
+		}
+		class[d] = c
+	}
+	maxTF := 0
+	for _, ps := range e.postings {
+		for i := range ps {
+			if int(ps[i].Doc) >= len(class) {
+				return fmt.Errorf("a posting of doc %d in a corpus of %d", ps[i].Doc, len(class))
+			}
+			ps[i].pair = class[ps[i].Doc]
+			maxTF = max(maxTF, int(ps[i].TF))
+		}
+	}
+	return e.buildImpacts(lens, maxTF)
+}

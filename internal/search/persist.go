@@ -9,9 +9,11 @@ import (
 	"math"
 )
 
-// Index persistence: a compact deterministic binary format so a built
-// corpus can be written once and served from disk (greenserve warm
-// starts). Layout, little-endian:
+// Index persistence: a compact deterministic binary format for a built
+// corpus. greenserve -save-index writes one; nothing in the tree serves
+// from one — every server builds its corpus — so ReadEngine's callers
+// are the tests and the fuzzer, and it treats its input as foreign
+// bytes. Layout, little-endian:
 //
 //	magic "GRNIDX1\n"
 //	config: docs, vocab, avgDocLen, stopTerms (uint32), qualityWeight,
@@ -20,6 +22,9 @@ import (
 //	quality: docs x float64
 //	idf:     vocab x float64
 //	postings: per term, uint32 count then count x (uint32 doc, uint16 tf)
+//
+// Postings are encoded field by field: a Posting's impact index is
+// derived on load (deriveImpacts), not part of the format.
 
 var indexMagic = [8]byte{'G', 'R', 'N', 'I', 'D', 'X', '1', '\n'}
 
@@ -28,42 +33,36 @@ var ErrBadIndex = errors.New("search: malformed index data")
 
 // WriteTo serializes the engine. It implements io.WriterTo.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	write := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw) // keeps the first error; Flush reports it
+	le := binary.LittleEndian
+	var b [8]byte
+	u32 := func(v uint32) { bw.Write(le.AppendUint32(b[:0], v)) }
+	u64 := func(v uint64) { bw.Write(le.AppendUint64(b[:0], v)) }
 
-	if err := write(indexMagic); err != nil {
-		return cw.n, err
+	bw.Write(indexMagic[:])
+	for _, v := range []int{e.cfg.Docs, e.cfg.VocabSize, e.cfg.AvgDocLen, e.cfg.StopTerms} {
+		u32(uint32(v))
 	}
-	hdr := []any{
-		uint32(e.cfg.Docs), uint32(e.cfg.VocabSize),
-		uint32(e.cfg.AvgDocLen), uint32(e.cfg.StopTerms),
-		e.cfg.QualityWeight, e.cfg.Seed, e.avgLen,
-	}
-	for _, v := range hdr {
-		if err := write(v); err != nil {
-			return cw.n, err
-		}
-	}
+	u64(math.Float64bits(e.cfg.QualityWeight))
+	u64(uint64(e.cfg.Seed))
+	u64(math.Float64bits(e.avgLen))
 	for _, l := range e.docLen {
-		if err := write(uint32(l)); err != nil {
-			return cw.n, err
+		u32(l)
+	}
+	for _, col := range [][]float64{e.quality, e.idf} {
+		for _, v := range col {
+			u64(math.Float64bits(v))
 		}
-	}
-	if err := write(e.quality); err != nil {
-		return cw.n, err
-	}
-	if err := write(e.idf); err != nil {
-		return cw.n, err
 	}
 	for _, ps := range e.postings {
-		if err := write(uint32(len(ps))); err != nil {
-			return cw.n, err
-		}
-		if err := write(ps); err != nil {
-			return cw.n, err
+		u32(uint32(len(ps)))
+		for _, p := range ps {
+			bw.Write(le.AppendUint16(le.AppendUint32(b[:0], p.Doc), p.TF))
 		}
 	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+	err := bw.Flush()
+	return cw.n, err
 }
 
 type countingWriter struct {
@@ -91,27 +90,32 @@ func plausible(vs ...float64) bool {
 }
 
 // ReadEngine deserializes an engine written by WriteTo, validating
-// structure as it goes.
+// structure as it goes. It allocates in proportion to the bytes it has
+// read — columns and lists grow as they are read, not to the sizes the
+// header claims — so a short input fails on its end, not on a make.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	br := bufio.NewReader(r)
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-
-	var magic [8]byte
-	if err := read(&magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIndex, err)
+	le := binary.LittleEndian
+	var buf [40]byte
+	var err error // the first read error; next returns stale bytes after it
+	next := func(n int) []byte {
+		if err == nil {
+			_, err = io.ReadFull(br, buf[:n])
+		}
+		return buf[:n]
 	}
-	if magic != indexMagic {
+
+	if magic := [8]byte(next(8)); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadIndex, err)
+	} else if magic != indexMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadIndex)
 	}
-	var docs, vocab, avgDocLen, stopTerms uint32
-	var qualityWeight, avgLen float64
-	var seed int64
-	for _, v := range []any{&docs, &vocab, &avgDocLen, &stopTerms,
-		&qualityWeight, &seed, &avgLen} {
-		if err := read(v); err != nil {
-			return nil, fmt.Errorf("%w: header: %v", ErrBadIndex, err)
-		}
+	h := next(40)
+	if err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadIndex, err)
 	}
+	docs, vocab := le.Uint32(h), le.Uint32(h[4:])
+	qualityWeight, avgLen := math.Float64frombits(le.Uint64(h[16:])), math.Float64frombits(le.Uint64(h[32:]))
 	const maxReasonable = 2_000_000
 	if docs == 0 || vocab == 0 || docs > maxReasonable || vocab > maxReasonable {
 		return nil, fmt.Errorf("%w: implausible sizes (%d docs, %d terms)", ErrBadIndex, docs, vocab)
@@ -121,60 +125,48 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg: Config{
-			Docs: int(docs), VocabSize: int(vocab), AvgDocLen: int(avgDocLen),
-			StopTerms: int(stopTerms), QualityWeight: qualityWeight, Seed: seed,
+			Docs: int(docs), VocabSize: int(vocab), AvgDocLen: int(le.Uint32(h[8:])),
+			StopTerms: int(le.Uint32(h[12:])), QualityWeight: qualityWeight, Seed: int64(le.Uint64(h[24:])),
 		},
-		avgLen:   avgLen,
-		docLen:   make([]int, docs),
-		quality:  make([]float64, docs),
-		idf:      make([]float64, vocab),
-		postings: make([][]Posting, vocab),
+		avgLen: avgLen,
 	}
-	lens := make([]uint32, docs)
-	if err := read(lens); err != nil {
-		return nil, fmt.Errorf("%w: doc lengths: %v", ErrBadIndex, err)
+	f64 := func() float64 { return math.Float64frombits(le.Uint64(next(8))) }
+	for d := uint32(0); d < docs && err == nil; d++ {
+		e.docLen = append(e.docLen, le.Uint32(next(4)))
 	}
-	for i, l := range lens {
-		e.docLen[i] = int(l)
+	for d := uint32(0); d < docs && err == nil; d++ {
+		e.quality = append(e.quality, f64())
 	}
-	if err := read(e.quality); err != nil {
-		return nil, fmt.Errorf("%w: quality: %v", ErrBadIndex, err)
+	for t := uint32(0); t < vocab && err == nil; t++ {
+		e.idf = append(e.idf, f64())
 	}
-	if err := read(e.idf); err != nil {
-		return nil, fmt.Errorf("%w: idf: %v", ErrBadIndex, err)
+	if err != nil {
+		return nil, fmt.Errorf("%w: doc lengths, quality or idf: %v", ErrBadIndex, err)
 	}
 	if !plausible(e.quality...) || !plausible(e.idf...) {
 		return nil, fmt.Errorf("%w: non-finite or implausible quality or idf", ErrBadIndex)
 	}
-	for t := range e.postings {
-		var n uint32
-		if err := read(&n); err != nil {
-			return nil, fmt.Errorf("%w: postings count: %v", ErrBadIndex, err)
-		}
-		if n > docs {
+	for t := uint32(0); t < vocab; t++ {
+		n := le.Uint32(next(4))
+		if err == nil && n > docs {
 			return nil, fmt.Errorf("%w: term %d has %d postings for %d docs", ErrBadIndex, t, n, docs)
 		}
-		if n == 0 {
-			continue
+		var ps []Posting
+		for ; n > 0 && err == nil; n-- {
+			rec := next(6)
+			ps = append(ps, Posting{Doc: le.Uint32(rec), TF: le.Uint16(rec[4:])})
 		}
-		ps := make([]Posting, n)
-		if err := read(ps); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("%w: postings: %v", ErrBadIndex, err)
 		}
-		// Validate ordering and ranges.
-		prev := int64(-1)
-		for _, p := range ps {
-			if int64(p.Doc) <= prev || p.Doc >= docs {
-				return nil, fmt.Errorf("%w: term %d postings unordered or out of range", ErrBadIndex, t)
-			}
-			prev = int64(p.Doc)
-		}
-		e.postings[t] = ps
+		e.postings = append(e.postings, ps)
 	}
 	// Reject trailing garbage.
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data", ErrBadIndex)
 	}
-	e.packRecs()
+	if err := e.deriveImpacts(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadIndex, err)
+	}
 	return e, nil
 }

@@ -23,7 +23,7 @@ type Scan struct {
 type scanCursor struct {
 	ps  []Posting
 	pos int
-	idf float64
+	imp []float64 // the term's impact table
 }
 
 // window is the union of two or more posting lists over windowIDs
@@ -77,7 +77,7 @@ func (s *Scan) Reset(e *Engine, q Query, topN int) {
 		if t < 0 || t >= len(e.postings) || len(e.postings[t]) == 0 {
 			continue
 		}
-		s.cursors = append(s.cursors, scanCursor{ps: e.postings[t], idf: e.idf[t]})
+		s.cursors = append(s.cursors, scanCursor{ps: e.postings[t], imp: e.table(t)})
 	}
 }
 
@@ -92,11 +92,13 @@ func (s *Scan) Step() bool { return s.StepN(1) == 1 }
 // the lists over the next windowIDs doc ids, one list at a time, and
 // drain hands the members out in id order. A list that runs out leaves
 // s.cursors (compact), so a long scan finishes as scan1. Both shapes
-// evaluate Search's score expression in Search's summation order (terms
-// in query order) and push documents in id order, exactly the k handed
-// out, so pages and scores are bit-identical to Search at the same
-// document count; what a window scored ahead of the last grant (less
-// than one window) is in neither the page nor Processed.
+// score a posting as quality[p.Doc] + imp[p.pair], the impact being
+// Search's term value for that (tf, length) by Search's expression; they
+// sum in Search's order (terms in query order) and push documents in id
+// order, exactly the k handed out, so pages and scores are bit-identical
+// to Search at the same document count; what a window scored ahead of
+// the last grant (less than one window) is in neither the page nor
+// Processed.
 func (s *Scan) StepN(k int) int {
 	if k <= 0 || s.topNCap <= 0 {
 		return 0
@@ -133,13 +135,6 @@ func (s *Scan) compact() {
 	s.cursors = s.cursors[:live]
 }
 
-// bm25 is one posting's dynamic score contribution given its document's
-// length normalization — Search's expression, term for term.
-func bm25(idf float64, tf uint16, norm float64) float64 {
-	f := float64(tf)
-	return idf * f * (bm25K1 + 1) / (f + norm)
-}
-
 // The shapes below keep the page's floor (topN.floor) in a register and
 // push only a candidate that passes beats(score, floor). That is exactly
 // the set push itself would insert: a scan meets documents in ascending
@@ -154,11 +149,10 @@ func (s *Scan) scan1(k int) int {
 	if len(ps) > k {
 		ps = ps[:k]
 	}
-	recs, idf, heap := s.engine.recs, c.idf, s.heap
+	quality, imp, heap := s.engine.quality, c.imp, s.heap
 	floor := heap.floor()
 	for _, p := range ps {
-		r := recs[p.Doc]
-		if score := r.quality + bm25(idf, p.TF, r.norm); beats(score, floor) {
+		if score := quality[p.Doc] + imp[p.pair]; beats(score, floor) {
 			heap.push(Result{Doc: p.Doc, Score: score})
 			floor = heap.floor()
 		}
@@ -171,7 +165,7 @@ func (s *Scan) scan1(k int) int {
 // starts at the smallest current doc id. Each list in query order runs
 // one loop with no cursor to compare against another list's: a slot's
 // score starts from the document's quality the first time a list
-// reaches it and adds one term per list after that, which is Search's
+// reaches it and adds one impact per list after that, which is Search's
 // sum. The floor is read once, before the loop: no later floor is
 // lower, so the slots flagged in cand are a superset of those that will
 // beat the floor when drain hands them out, and drain tests again.
@@ -182,25 +176,24 @@ func (s *Scan) fill() {
 		c := &s.cursors[i]
 		base = min(base, c.ps[c.pos].Doc)
 	}
-	recs, floor := s.engine.recs, s.heap.floor()
+	quality, floor := s.engine.quality, s.heap.floor()
 	pending := 0
 	for i := range s.cursors {
 		c := &s.cursors[i]
-		idf, n := c.idf, 0
+		imp, n := c.imp, 0
 		for _, p := range c.ps[c.pos:] {
 			off := p.Doc - base
 			if off >= windowIDs {
 				break
 			}
-			r := recs[p.Doc]
 			wi, bit := off>>6, uint64(1)<<(off&63)
 			m := w.member[wi]
-			score := r.quality
+			score := quality[p.Doc]
 			if m&bit != 0 { // an earlier list holds the document too
 				score = w.acc[off]
 				pending--
 			}
-			score += bm25(idf, p.TF, r.norm)
+			score += imp[p.pair]
 			w.acc[off] = score
 			w.member[wi] = m | bit
 			if beats(score, floor) {

@@ -9,7 +9,7 @@ package search
 type ScanAnd struct {
 	engine *Engine
 	lists  [][]Posting
-	idfs   []float64
+	imps   [][]float64 // the terms' impact tables
 	pos    []int
 	lead   int
 	heap   *topN
@@ -31,7 +31,7 @@ func (e *Engine) NewScanAnd(q Query, topN int) *ScanAnd {
 func (s *ScanAnd) Reset(e *Engine, q Query, topN int) {
 	s.engine = e
 	s.lists = s.lists[:0]
-	s.idfs = s.idfs[:0]
+	s.imps = s.imps[:0]
 	s.pos = s.pos[:0]
 	s.lead = 0
 	if s.heap == nil {
@@ -50,7 +50,7 @@ func (s *ScanAnd) Reset(e *Engine, q Query, topN int) {
 			return
 		}
 		s.lists = append(s.lists, e.postings[t])
-		s.idfs = append(s.idfs, e.idf[t])
+		s.imps = append(s.imps, e.table(t))
 	}
 	if cap(s.pos) < len(s.lists) {
 		s.pos = make([]int, len(s.lists))
@@ -73,16 +73,15 @@ func (s *ScanAnd) Step() bool {
 	if s.dead {
 		return false
 	}
-	recs := s.engine.recs
+	quality := s.engine.quality
 	for s.pos[s.lead] < len(s.lists[s.lead]) {
 		doc := s.lists[s.lead][s.pos[s.lead]].Doc
 		s.pos[s.lead]++
 		inAll := true
-		r := recs[doc]
-		score := r.quality
+		score := quality[doc]
 		for i := range s.lists {
 			if i == s.lead {
-				score += bm25(s.idfs[i], s.lists[i][s.pos[i]-1].TF, r.norm)
+				score += s.imps[i][s.lists[i][s.pos[i]-1].pair]
 				continue
 			}
 			for s.pos[i] < len(s.lists[i]) && s.lists[i][s.pos[i]].Doc < doc {
@@ -92,7 +91,7 @@ func (s *ScanAnd) Step() bool {
 				inAll = false
 				break
 			}
-			score += bm25(s.idfs[i], s.lists[i][s.pos[i]].TF, r.norm)
+			score += s.imps[i][s.lists[i][s.pos[i]].pair]
 		}
 		if !inAll {
 			continue

@@ -78,42 +78,24 @@ func (c *Config) withDefaults() Config {
 type Posting struct {
 	Doc uint32
 	TF  uint16
+	// pair indexes the term's impact table (buildImpacts), in what was
+	// the struct's padding; it is derived, never persisted.
+	pair uint16
 }
 
 // Engine is the search back-end.
 type Engine struct {
 	cfg      Config
 	postings [][]Posting // term -> postings sorted by doc id
-	docLen   []int
+	docLen   []uint32
 	quality  []float64 // per-doc static prior, decreasing in doc id
 	avgLen   float64
 	idf      []float64
-	// recs packs what the incremental scans read per posting; derived
-	// from quality/docLen/avgLen by packRecs, never persisted.
-	recs []docRec
-}
-
-// docRec is the per-document half of a posting's score in one 16-byte
-// record: the static prior and the BM25 length normalization
-// bm25K1*(1-bm25B+bm25B*docLen/avgLen), computed once with exactly the
-// expression Search evaluates per posting. A scan then pays one cache
-// line and one division per posting where Search pays two of each, and
-// its scores stay bit-identical to Search's.
-type docRec struct {
-	quality float64
-	norm    float64
-}
-
-// packRecs (re)builds recs; NewEngine and ReadEngine call it once every
-// corpus-wide statistic is in place.
-func (e *Engine) packRecs() {
-	e.recs = make([]docRec, len(e.quality))
-	for d := range e.recs {
-		e.recs[d] = docRec{
-			quality: e.quality[d],
-			norm:    bm25K1 * (1 - bm25B + bm25B*float64(e.docLen[d])/e.avgLen),
-		}
-	}
+	// imp holds the terms' impact tables end to end, term t's at
+	// imp[impAt[t]:impAt[t+1]] (buildImpacts; never persisted): a scan
+	// scores a posting of term t as quality[p.Doc] + table(t)[p.pair].
+	imp   []float64
+	impAt []int
 }
 
 // NewEngine builds the corpus and inverted index.
@@ -122,13 +104,20 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if c.Docs < 10 || c.VocabSize < 10 || c.AvgDocLen < 1 {
 		return nil, errors.New("search: corpus too small")
 	}
+	// Lengths run over A = AvgDocLen values from A/2 and a tf from 1 to
+	// the length, so a list can hold A·(A/2) + A(A−1)/2 distinct (tf,
+	// length) pairs: 65 408 at A = 256, 65 792 at 257 — one more than a
+	// posting's 16-bit impact index reaches.
+	if c.AvgDocLen > 256 {
+		return nil, fmt.Errorf("search: average document length %d over 256", c.AvgDocLen)
+	}
 	if c.ShardCount > 1 && (c.ShardIndex < 0 || c.ShardIndex >= c.ShardCount) {
 		return nil, fmt.Errorf("search: shard index %d out of range [0, %d)", c.ShardIndex, c.ShardCount)
 	}
 	e := &Engine{
 		cfg:      c,
 		postings: make([][]Posting, c.VocabSize),
-		docLen:   make([]int, c.Docs),
+		docLen:   make([]uint32, c.Docs),
 		quality:  make([]float64, c.Docs),
 	}
 	termZipf, err := workload.NewZipf(workload.Split(c.Seed, 1), 1.4, uint64(c.VocabSize))
@@ -149,12 +138,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// Build documents term by term: a document's term frequencies are
 	// counted in a dense array over the vocabulary, and touched lists the
 	// terms to post and zero again (a map here was a fifth of the build).
-	totalLen := 0
+	// Each posting is stamped with its document's length class, n - lo,
+	// so buildImpacts never looks a length up.
+	totalLen, lo := 0, c.AvgDocLen/2
 	tfs := make([]uint16, c.VocabSize)
-	touched := make([]uint32, 0, c.AvgDocLen+c.AvgDocLen/2) // the longest document
+	touched := make([]uint32, 0, c.AvgDocLen+lo) // the longest document
 	for d := 0; d < c.Docs; d++ {
-		n := c.AvgDocLen/2 + lenRng.Intn(c.AvgDocLen) // ~uniform around avg
-		e.docLen[d] = n
+		n := lo + lenRng.Intn(c.AvgDocLen) // ~uniform around avg
+		e.docLen[d] = uint32(n)
 		totalLen += n
 		touched = touched[:0]
 		for i := 0; i < n; i++ {
@@ -165,20 +156,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 			tfs[term]++
 		}
 		for _, term := range touched {
-			e.postings[term] = append(e.postings[term], Posting{Doc: uint32(d), TF: tfs[term]})
+			e.postings[term] = append(e.postings[term], Posting{Doc: uint32(d), TF: tfs[term], pair: uint16(n - lo)})
 			tfs[term] = 0
 		}
 	}
 	e.avgLen = float64(totalLen) / float64(c.Docs)
-	// The scans walk each list in ascending doc id, which is the order the
-	// loop above appended in; hold it to that.
-	for t, ps := range e.postings {
-		for i := 1; i < len(ps); i++ {
-			if ps[i-1].Doc >= ps[i].Doc {
-				return nil, fmt.Errorf("search: postings of term %d are not in ascending doc id", t)
-			}
-		}
-	}
 	// Precompute IDF.
 	e.idf = make([]float64, c.VocabSize)
 	for t := range e.idf {
@@ -199,7 +181,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.postings[t] = kept
 		}
 	}
-	e.packRecs()
+	lens := make([]int, c.AvgDocLen)
+	for i := range lens {
+		lens[i] = lo + i
+	}
+	if err := e.buildImpacts(lens, lo+c.AvgDocLen-1); err != nil { // tf <= the longest length
+		return nil, fmt.Errorf("search: %w", err)
+	}
 	return e, nil
 }
 

@@ -4,7 +4,8 @@
 # BenchmarkFuncHotPath* / BenchmarkFuncCallN / BenchmarkFunc2CallN /
 # BenchmarkFunc2HotPath* / BenchmarkOverhead{Plain,Green}Loop /
 # BenchmarkServeQPS / BenchmarkServeMonitored / BenchmarkScanKernel /
-# BenchmarkClusterScatter / BenchmarkShardHop /
+# BenchmarkServeBand (the 200k handler over band queries; with the kernel
+# rows, `-only scan`) / BenchmarkClusterScatter / BenchmarkShardHop /
 # BenchmarkCombineSearchSpace / BenchmarkFuncCallDFT (the DFT's
 # approximated cosine taken apart) / BenchmarkZipfNext / BenchmarkNewZipf /
 # BenchmarkNewEngine (the corpus generator: `-only corpus`) families and
@@ -22,8 +23,8 @@
 #	                                         # (shared/noisy machines)
 #	scripts/bench_hotpath.sh -only control_law
 #	                                         # the control-law rows alone
-#	                                         # (or corpus, or any -bench
-#	                                         # regexp)
+#	                                         # (or corpus, or scan, or any
+#	                                         # -bench regexp)
 #	scripts/bench_hotpath.sh -cpu 1          # GOMAXPROCS for every run
 #	                                         # (default: the box's)
 #	scripts/bench_hotpath.sh -pair HEAD~ -only control_law -best 25 -t 0.1s
@@ -45,9 +46,10 @@ benchtime="1s"
 best=1
 pair=""
 cpu=""
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ClusterScatter|ShardHop|CombineSearchSpace|FuncCallDFT|ZipfNext|NewZipf|NewEngine'
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ServeBand|ClusterScatter|ShardHop|CombineSearchSpace|FuncCallDFT|ZipfNext|NewZipf|NewEngine'
 control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop'
 corpus='ZipfNext|NewZipf|NewEngine'
+scan='ScanKernel|ServeBand'
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-o) out="$2"; shift 2 ;;
@@ -59,10 +61,11 @@ while [ $# -gt 0 ]; do
 		case "$2" in
 		control_law) pattern=$control_law ;;
 		corpus) pattern=$corpus ;;
+		scan) pattern=$scan ;;
 		*) pattern="$2" ;;
 		esac
 		shift 2 ;;
-	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|corpus|regexp] [-cpu n] [-pair parent-ref]" >&2; exit 2 ;;
+	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|corpus|scan|regexp] [-cpu n] [-pair parent-ref]" >&2; exit 2 ;;
 	esac
 done
 

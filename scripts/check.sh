@@ -135,6 +135,11 @@ go test -run '^$' -fuzz FuzzAnalyzers -fuzztime 10s ./internal/lint
 # And ten over the scan kernel: fuzzed queries, page sizes, shard layouts
 # and block-size sequences, every block checked against Engine.Search.
 go test -run '^$' -fuzz FuzzScanBlocks -fuzztime 10s ./internal/search
+# And ten over the index parser, which now feeds the impact-table builder:
+# arbitrary bytes are refused or give an engine whose scans are Search's,
+# and ReadEngine allocates in proportion to what it read. (The parser's
+# length-class map makes coverage irreproducible; hence the cap.)
+go test -run '^$' -fuzz FuzzReadEngine -fuzztime 10s -fuzzminimizetime 1s ./internal/search
 # And ten over the sampling decision: the reciprocal test that replaced
 # the hardware divide, against count % Sample_QoS == 0 for any count and
 # any interval.
