@@ -892,9 +892,10 @@ func BenchmarkServeQPS(b *testing.B) {
 // BenchmarkServeMonitored is the warm /search path with every request
 // monitored (SampleInterval 1) and the record point inside the scan: a
 // five-word query matching ~3650 of 20000 documents against a level M
-// near 1000. The scan runs to exhaustion, the QoS adapter snapshots the
-// page at M and compares it with the scan's own final page. One op per
-// request.
+// near 1000. The QoS adapter snapshots the page at M, the scan runs on
+// until its page is final (Scan.Final; at the latest, exhaustion), and
+// the adapter compares the snapshot with the scan's own final page. One
+// op per request.
 func BenchmarkServeMonitored(b *testing.B) {
 	s, err := serve.New(serve.Config{Seed: 7, CalibrationQueries: 60,
 		CorpusDocs: 20000, SampleInterval: 1})

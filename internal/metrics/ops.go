@@ -40,6 +40,9 @@ type OpsCounters struct {
 	// QueryCacheMisses counts /search requests that had to parse their
 	// query (cold or evicted entries, or caching disabled).
 	QueryCacheMisses atomic.Int64
+	// MonitoredCertified counts monitored requests whose scan stopped
+	// before exhaustion because its page was provably final.
+	MonitoredCertified atomic.Int64
 }
 
 // OpsSnapshot is a point-in-time copy of OpsCounters, shaped for JSON
@@ -54,19 +57,22 @@ type OpsSnapshot struct {
 	RestoreRejected  int64 `json:"restore_rejected"`
 	QueryCacheHits   int64 `json:"query_cache_hits"`
 	QueryCacheMisses int64 `json:"query_cache_misses"`
+	// MonitoredCertified is zero on a coordinator.
+	MonitoredCertified int64 `json:"monitored_certified"`
 }
 
 // Snapshot copies the counters.
 func (c *OpsCounters) Snapshot() OpsSnapshot {
 	return OpsSnapshot{
-		Shed:             c.Shed.Load(),
-		DeadlinePartial:  c.DeadlinePartial.Load(),
-		Degraded:         c.Degraded.Load(),
-		BudgetPushes:     c.BudgetPushes.Load(),
-		SnapshotSaves:    c.SnapshotSaves.Load(),
-		SnapshotErrors:   c.SnapshotErrors.Load(),
-		RestoreRejected:  c.RestoreRejected.Load(),
-		QueryCacheHits:   c.QueryCacheHits.Load(),
-		QueryCacheMisses: c.QueryCacheMisses.Load(),
+		Shed:               c.Shed.Load(),
+		DeadlinePartial:    c.DeadlinePartial.Load(),
+		Degraded:           c.Degraded.Load(),
+		BudgetPushes:       c.BudgetPushes.Load(),
+		SnapshotSaves:      c.SnapshotSaves.Load(),
+		SnapshotErrors:     c.SnapshotErrors.Load(),
+		RestoreRejected:    c.RestoreRejected.Load(),
+		QueryCacheHits:     c.QueryCacheHits.Load(),
+		QueryCacheMisses:   c.QueryCacheMisses.Load(),
+		MonitoredCertified: c.MonitoredCertified.Load(),
 	}
 }

@@ -15,10 +15,12 @@ func TestOpsSnapshot(t *testing.T) {
 	c.SnapshotSaves.Add(5)
 	c.SnapshotErrors.Add(1)
 	c.RestoreRejected.Add(1)
+	c.MonitoredCertified.Add(7)
 	s := c.Snapshot()
 	if s.Shed != 3 || s.DeadlinePartial != 2 || s.Degraded != 4 ||
 		s.BudgetPushes != 6 || s.SnapshotSaves != 5 ||
-		s.SnapshotErrors != 1 || s.RestoreRejected != 1 {
+		s.SnapshotErrors != 1 || s.RestoreRejected != 1 ||
+		s.MonitoredCertified != 7 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	data, err := json.Marshal(s)
@@ -30,7 +32,8 @@ func TestOpsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if decoded["shed"] != 3 || decoded["restore_rejected"] != 1 ||
-		decoded["degraded"] != 4 || decoded["budget_pushes"] != 6 {
+		decoded["degraded"] != 4 || decoded["budget_pushes"] != 6 ||
+		decoded["monitored_certified"] != 7 {
 		t.Errorf("JSON shape = %s", data)
 	}
 }

@@ -64,11 +64,20 @@ func FuzzReadEngine(f *testing.F) {
 		}
 		q := Query{Terms: []int{0, 1}}
 		s := eng.NewScan(q, 5)
+		// And a certified page is the drained one, whatever the idf's sign.
+		var f finality
 		for _, k := range []int{3, 97, 1 << 30} { // two prefixes, then all
 			s.StepN(k)
-			if err := checkAgainstSearch(eng, s, q, 5, false); err != nil {
+			err := checkAgainstSearch(eng, s, q, 5, false)
+			if err == nil {
+				err = f.note(s)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := f.drained(s); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -101,8 +110,49 @@ type blockScanner interface {
 	StepN(int) int
 	Processed() int
 	Exhausted() bool
+	Final() bool
 	TopNInto([]int) []int
 	TopNResultsInto([]Result) []Result
+}
+
+// finality holds a scan to its certificate: after every block, note
+// calls Final, keeps the page the first time it holds and refuses a scan
+// that was final and no longer is (the floor only rises and the bound
+// only falls, and a page that changed cannot change back: ids only
+// grow); drained then requires that page to be the drained scan's,
+// document for document and score for score.
+type finality struct {
+	page      []Result
+	at        int  // documents processed when the scan was first final
+	final     bool // it has been
+	certified bool // before it was exhausted
+}
+
+func (f *finality) note(s blockScanner) error {
+	switch {
+	case !s.Final():
+		if f.final {
+			return fmt.Errorf("final at %d documents, no longer final at %d", f.at, s.Processed())
+		}
+	case !f.final:
+		f.page, f.at, f.final, f.certified = s.TopNResultsInto(nil), s.Processed(), true, !s.Exhausted()
+	}
+	return nil
+}
+
+func (f *finality) drained(s blockScanner) error {
+	if !f.final {
+		return nil
+	}
+	want := s.TopNResultsInto(nil)
+	same := len(f.page) == len(want)
+	for i := 0; same && i < len(want); i++ {
+		same = f.page[i].Doc == want[i].Doc && math.Float64bits(f.page[i].Score) == math.Float64bits(want[i].Score)
+	}
+	if !same {
+		return fmt.Errorf("final at %d of %d documents with page %v, drained page %v", f.at, s.Processed(), f.page, want)
+	}
+	return nil
 }
 
 // checkAgainstSearch returns an error unless s, a scan of q on e, holds
@@ -240,7 +290,11 @@ func windowEngine() *Engine {
 // on all three corpora across block, word and window boundaries, for one
 // to five terms with lists that run out mid-scan (so windows filled from
 // five lists give way to four, three, two and then a single list), for a
-// page of one and a page wider than the match set.
+// page of one and a page wider than the match set. The same scans hold
+// Final to its claim: a page certified before exhaustion is the drained
+// page, bit for bit. On tiedEngine every document of query {0} scores
+// exactly the certificate's bound, so that query can only certify on a
+// tie with the floor — which the later id loses.
 func TestScanFloorInvariant(t *testing.T) {
 	generated, err := NewEngine(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5})
 	if err != nil {
@@ -256,13 +310,17 @@ func TestScanFloorInvariant(t *testing.T) {
 		// one, none left for zero. The first two corpora fit in one window,
 		// so their scans go from all of a query's lists straight to none.
 		lists []int
+		// certify: the query (an index into queries) that must certify
+		// before exhaustion for some page size and block.
+		certify int
 	}{
-		{"tied", tiedEngine(), []int{1, 7, 64, 256}, [][]int{{0}, {6}, {2, 0}, {1, 3}, {4, 2}, {5, 5}, {2, 1, 0}, {3, 5, 1}, {6, 4, 2}, {1, 7, 3}, {2, 5, 1, 3, 0}, {4, 6, 2, 5, 3}}, []int{0, 1, 2, 3, 5}},
-		{"generated", generated, []int{64, 256}, [][]int{{12}, {14, 19}, {150, 3}, {9, 40, 5}, {180, 2, 60}, {31, 16, 24, 3, 90}}, []int{0, 1, 2, 3, 5}},
-		{"windows", windowEngine(), []int{1, 65, windowIDs + 1}, [][]int{{1}, {6, 5}, {4, 3}, {5, 7, 2}, {0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}}, []int{0, 1, 2, 3, 4, 5}},
+		{"tied", tiedEngine(), []int{1, 7, 64, 256}, [][]int{{0}, {6}, {2, 0}, {1, 3}, {4, 2}, {5, 5}, {2, 1, 0}, {3, 5, 1}, {6, 4, 2}, {1, 7, 3}, {2, 5, 1, 3, 0}, {4, 6, 2, 5, 3}}, []int{0, 1, 2, 3, 5}, 0},
+		{"generated", generated, []int{64, 256}, [][]int{{12}, {14, 19}, {150, 3}, {9, 40, 5}, {180, 2, 60}, {31, 16, 24, 3, 90}}, []int{0, 1, 2, 3, 5}, 1},
+		{"windows", windowEngine(), []int{1, 65, windowIDs + 1}, [][]int{{1}, {6, 5}, {4, 3}, {5, 7, 2}, {0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}}, []int{0, 1, 2, 3, 4, 5}, 4},
 	} {
 		shapes := map[int]bool{}
-		for _, terms := range c.queries {
+		certified := map[int]bool{}
+		for qi, terms := range c.queries {
 			q := Query{Terms: terms}
 			_, matches := c.e.Search(q, 1, 0)
 			for _, topN := range []int{1, 10, matches + 5} {
@@ -272,18 +330,27 @@ func TestScanFloorInvariant(t *testing.T) {
 					}
 					scan := c.e.NewScan(q, topN)
 					for _, s := range []blockScanner{scan, c.e.NewScanAnd(q, topN)} {
+						var f finality
 						for n := block; n == block; {
 							if s == scan && scan.win.pending == 0 {
 								shapes[len(scan.cursors)] = true
 							}
 							n = s.StepN(block)
-							if err := checkAgainstSearch(c.e, s, q, topN, s != scan); err != nil {
+							err := checkAgainstSearch(c.e, s, q, topN, s != scan)
+							if err == nil {
+								err = f.note(s)
+							}
+							if err != nil {
 								t.Fatalf("%s: q=%v topN=%d block=%d: %v", c.name, terms, topN, block, err)
 							}
 						}
 						if !s.Exhausted() {
 							t.Fatalf("%s: q=%v topN=%d block=%d: StepN came up short on a scan that is not exhausted", c.name, terms, topN, block)
 						}
+						if err := f.drained(s); err != nil {
+							t.Fatalf("%s: q=%v topN=%d block=%d: %v", c.name, terms, topN, block, err)
+						}
+						certified[qi] = certified[qi] || f.certified
 					}
 					shapes[len(scan.cursors)] = true
 				}
@@ -293,6 +360,9 @@ func TestScanFloorInvariant(t *testing.T) {
 			if !shapes[live] {
 				t.Errorf("%s: no scan ever started a shape with %d live lists: compaction is not exercised", c.name, live)
 			}
+		}
+		if !certified[c.certify] {
+			t.Errorf("%s: q=%v never certified before exhaustion: the certificate is not exercised", c.name, c.queries[c.certify])
 		}
 	}
 }
@@ -306,7 +376,8 @@ var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 6
 // the query, page size, shard layout and sequence of block sizes, after
 // every block the scan's page must be the page Search (SearchAnd for
 // ScanAnd) returns when capped at the same document count, with every
-// score bit-equal to refScore; and an engine rebuilt by ReadEngine
+// score bit-equal to refScore; whenever Final holds after a block, that
+// page must be the drained scan's, scores bit-equal; and an engine rebuilt by ReadEngine
 // (which re-derives the impact tables rather than reading
 // them) must agree bit for bit.
 func FuzzScanBlocks(f *testing.F) {
@@ -377,9 +448,14 @@ func FuzzScanBlocks(f *testing.F) {
 				if and {
 					s, search = e.NewScanAnd(q, topN), e.SearchAnd
 				}
+				var f finality
 				check := func() {
 					t.Helper()
-					if err := checkAgainstSearch(e, s, q, topN, and); err != nil {
+					err := checkAgainstSearch(e, s, q, topN, and)
+					if err == nil {
+						err = f.note(s)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -416,6 +492,9 @@ func FuzzScanBlocks(f *testing.F) {
 					t.Fatalf("and=%v: drained scan processed %d of %d, exhausted=%v", and, s.Processed(), all, s.Exhausted())
 				}
 				check()
+				if err := f.drained(s); err != nil {
+					t.Fatalf("and=%v: %v", and, err)
+				}
 				pages[side] = s.TopNResultsInto(nil)
 			}
 			if len(pages[0]) != len(pages[1]) {

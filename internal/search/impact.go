@@ -1,6 +1,9 @@
 package search
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // maxGrid bounds buildImpacts' scratch grid, one cell per (tf, length
 // class): 512 KB. NewEngine's grid is at most 384 × 256 cells.
@@ -13,8 +16,9 @@ const maxGrid = 1 << 17
 // each by Search's BM25 expression for that tf and length, so a scan's
 // quality[p.Doc] + table(t)[p.pair] is Search's score bit for bit
 // without its division. The tables are one exactly sized array, end to
-// end. Refused: a list out of ascending doc id, one with more distinct
-// pairs than a 16-bit index reaches, and a grid over maxGrid cells.
+// end, with Scan.Final's maxImp and qmax beside them. Refused: a list out
+// of ascending doc id, one with more distinct pairs than a 16-bit index
+// reaches, and a grid over maxGrid cells.
 func (e *Engine) buildImpacts(lens []int, maxTF int) error {
 	classes := len(lens)
 	if (maxTF+1)*classes > maxGrid {
@@ -50,12 +54,20 @@ func (e *Engine) buildImpacts(lens []int, maxTF int) error {
 	for i, l := range lens {
 		norm[i] = bm25K1 * (1 - bm25B + bm25B*float64(l)/e.avgLen)
 	}
-	e.imp, e.impAt = make([]float64, len(keys)), at
+	e.imp, e.impAt, e.maxImp = make([]float64, len(keys)), at, make([]float64, len(e.postings))
 	for t := range e.postings {
 		for i := at[t]; i < at[t+1]; i++ {
 			tf := float64(uint16(keys[i]))
 			e.imp[i] = e.idf[t] * tf * (bm25K1 + 1) / (tf + norm[keys[i]>>16])
+			if e.maxImp[t] = max(e.maxImp[t], e.imp[i]); !(e.imp[i] >= 0) {
+				e.maxImp[t] = math.Inf(1) // a negative idf, from foreign bytes: never certify
+			}
 		}
+	}
+	e.qmax = make([]float64, (len(e.quality)+windowIDs-1)/windowIDs)
+	for d, m := len(e.quality)-1, math.Inf(-1); d >= 0; d-- {
+		m = max(m, e.quality[d]) // a NaN would stay: no bound
+		e.qmax[d/windowIDs] = m
 	}
 	return nil
 }

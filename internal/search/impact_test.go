@@ -194,6 +194,53 @@ func TestReadEngineLargeTF(t *testing.T) {
 	}
 }
 
+// TestReadEngineNegativeIDF: ReadEngine takes any finite idf, and a
+// negative one makes every impact of its term negative — outside the
+// "impacts are ≥ 0" the certificate's bound rests on. Such a term bounds
+// at +Inf: a scan with its list live never certifies before exhaustion,
+// and beside a sound term every page that does certify is the drained
+// one. The sound term alone certifies early, so the test is not vacuous.
+func TestReadEngineNegativeIDF(t *testing.T) {
+	const docs, vocab, neg, sound = 3000, 20, 3, 8
+	orig, err := NewEngine(Config{Docs: docs, VocabSize: vocab, AvgDocLen: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := indexBytes(t, orig)
+	_, _, _, idf := indexFloatOffsets(docs, vocab)
+	binary.LittleEndian.PutUint64(data[idf+8*neg:], math.Float64bits(-2.5))
+	e, err := ReadEngine(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("a negative idf refused: %v", err)
+	}
+	if !math.IsInf(e.maxImp[neg], 1) {
+		t.Fatalf("term %d with idf -2.5 bounds at %v, want +Inf", neg, e.maxImp[neg])
+	}
+	for _, terms := range [][]int{{neg}, {sound, neg}, {neg, sound}, {sound}} {
+		for _, topN := range []int{1, 10} {
+			q := Query{Terms: terms}
+			s := e.NewScan(q, topN)
+			var f finality
+			for n := 64; n == 64; {
+				n = s.StepN(64)
+				err := checkAgainstSearch(e, s, q, topN, false)
+				if err == nil {
+					err = f.note(s)
+				}
+				if err == nil {
+					err = f.drained(s) // a page already certified is the page now
+				}
+				if err != nil {
+					t.Fatalf("q=%v topN=%d: %v", terms, topN, err)
+				}
+			}
+			if len(terms) == 1 && f.certified != (terms[0] == sound) {
+				t.Errorf("q=%v topN=%d: certified before exhaustion = %v", terms, topN, f.certified)
+			}
+		}
+	}
+}
+
 // TestReadEngineDistinctPairLimit: a list with 1<<16 distinct (tf,
 // length) pairs is served exactly, one with a pair more is refused.
 func TestReadEngineDistinctPairLimit(t *testing.T) {

@@ -24,6 +24,7 @@ type scanCursor struct {
 	ps  []Posting
 	pos int
 	imp []float64 // the term's impact table
+	max float64   // and its largest entry (Engine.maxImp)
 }
 
 // window is the union of two or more posting lists over windowIDs
@@ -77,7 +78,7 @@ func (s *Scan) Reset(e *Engine, q Query, topN int) {
 		if t < 0 || t >= len(e.postings) || len(e.postings[t]) == 0 {
 			continue
 		}
-		s.cursors = append(s.cursors, scanCursor{ps: e.postings[t], imp: e.table(t)})
+		s.cursors = append(s.cursors, scanCursor{ps: e.postings[t], imp: e.table(t), max: e.maxImp[t]})
 	}
 }
 
@@ -262,3 +263,34 @@ func (s *Scan) TopNResultsInto(out []Result) []Result { return s.heap.rankedResu
 
 // Exhausted reports whether all matching documents have been scored.
 func (s *Scan) Exhausted() bool { return len(s.cursors) == 0 && s.win.pending == 0 }
+
+// Final reports whether the page is the exhausted scan's already: no
+// pending member beats the full page's floor, nor can a document no list
+// has reached — it scores at most qmax of its block plus each live list's
+// largest impact, summed in Search's order, and rounding is monotone
+// (MaxScore, Turtle & Flood 1995; DESIGN §12, "finality certificate").
+func (s *Scan) Final() bool {
+	if s.topNCap <= 0 || s.Exhausted() {
+		return true
+	}
+	w, floor := &s.win, s.heap.floor() // NaN while the page has room
+	for wi := w.word; w.pending > 0 && wi < windowWords; wi++ {
+		for c := w.cand[wi]; c != 0; c &= c - 1 {
+			if beats(w.acc[wi<<6|bits.TrailingZeros64(c)], floor) {
+				return false
+			}
+		}
+	}
+	if len(s.cursors) == 0 {
+		return true
+	}
+	next := uint32(math.MaxUint32)
+	for i := range s.cursors {
+		next = min(next, s.cursors[i].ps[s.cursors[i].pos].Doc)
+	}
+	bound := s.engine.qmax[next/windowIDs]
+	for i := range s.cursors {
+		bound += s.cursors[i].max
+	}
+	return !beats(bound, floor)
+}

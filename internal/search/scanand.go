@@ -138,3 +138,6 @@ func (s *ScanAnd) TopNResultsInto(out []Result) []Result { return s.heap.rankedR
 func (s *ScanAnd) Exhausted() bool {
 	return s.dead || s.pos[s.lead] >= len(s.lists[s.lead])
 }
+
+// Final is Exhausted: the conjunctive scan bounds nothing it has not reached.
+func (s *ScanAnd) Final() bool { return s.Exhausted() }

@@ -96,6 +96,9 @@ type Engine struct {
 	// scores a posting of term t as quality[p.Doc] + table(t)[p.pair].
 	imp   []float64
 	impAt []int
+	// Scan.Final's bound: each term's largest impact (+Inf if one is < 0
+	// or NaN), and the largest quality at or after each windowIDs block.
+	maxImp, qmax []float64
 }
 
 // NewEngine builds the corpus and inverted index.
@@ -330,9 +333,18 @@ func (e *Engine) Search(q Query, topN, maxDocs int) ([]int, int) {
 }
 
 // MatchCount returns the number of documents matching the query (the work
-// of the precise version).
+// of the precise version): its lists' union, counted on a bitmap.
 func (e *Engine) MatchCount(q Query) int {
-	_, n := e.Search(q, 1, 0)
+	seen, n := make([]uint64, (len(e.docLen)+63)/64), 0
+	for _, t := range q.Terms {
+		if t < 0 || t >= len(e.postings) {
+			continue
+		}
+		for _, p := range e.postings[t] {
+			n += int(^seen[p.Doc>>6] >> (p.Doc & 63) & 1)
+			seen[p.Doc>>6] |= 1 << (p.Doc & 63)
+		}
+	}
 	return n
 }
 

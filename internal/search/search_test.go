@@ -157,6 +157,18 @@ func TestMatchCount(t *testing.T) {
 	if got := e.MatchCount(q); got != e.DocFreq(0) {
 		t.Errorf("MatchCount = %d, want %d", got, e.DocFreq(0))
 	}
+	// The bitmap union counts what the uncapped Search scores, for any
+	// terms: repeated, out of range, or none.
+	qs, err := e.GenerateQueries(3, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs = append(qs, Query{}, Query{Terms: []int{-1, 5, 5, e.Vocab()}}, Query{Terms: []int{60, 0, 61}})
+	for _, q := range qs {
+		if _, want := e.Search(q, 1, 0); e.MatchCount(q) != want {
+			t.Fatalf("q=%v: MatchCount %d, Search scored %d", q.Terms, e.MatchCount(q), want)
+		}
+	}
 }
 
 func TestGenerateQueriesShape(t *testing.T) {

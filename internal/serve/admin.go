@@ -12,18 +12,48 @@ import (
 	"green/internal/core"
 	"green/internal/metrics"
 	"green/internal/persist"
+	"green/internal/search"
 	"green/internal/wire"
 )
+
+// sampleRing is how many monitored requests' queries /stats estimates
+// the precise per-query work from: at most that many match counts per
+// call, each memoised on its cached query, keep a poll of a 200k-document
+// server under a millisecond.
+const sampleRing = 16
+
+// preciseDocs estimates the precise-equivalent work — the documents the
+// served queries would have scored unapproximated — as the mean match
+// count of the queries in the monitored ring times the queries served.
+func (s *Server) preciseDocs() int64 {
+	var sum, n int64
+	for i := range s.sampled {
+		m := s.sampled[i].Load()
+		if m == nil {
+			continue
+		}
+		c := m.n.Load()
+		if c == 0 { // first met: count it
+			q := search.Query{Terms: m.q.terms}
+			if m.and {
+				c = 1 + int64(s.engine.MatchCountAnd(q))
+			} else {
+				c = 1 + int64(s.engine.MatchCount(q))
+			}
+			m.n.Store(c)
+		}
+		sum, n = sum+c-1, n+1
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum * s.queries.Load() / n
+}
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	execs, monitored, meanLoss := s.loop.Stats()
 	scored := s.docsScored.Load()
-	// Estimate the precise-equivalent work from the monitored full
-	// scans: mean full-scan size times queries served.
-	var precise int64
-	if mq := s.monitoredQueries.Load(); mq > 0 {
-		precise = s.monitoredFullDocs.Load() / mq * s.queries.Load()
-	}
+	precise := s.preciseDocs()
 	saved := 0.0
 	if precise > scored { // scoring more than the estimate saved nothing
 		saved = 1 - float64(scored)/float64(precise)

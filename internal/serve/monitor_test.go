@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -100,6 +101,190 @@ func TestServeQoSSnapshotMatchesReruns(t *testing.T) {
 		if !and && cutTold == 0 {
 			t.Fatal("no cut scan whose partial page hides a real loss: the fallback is not exercised")
 		}
+	}
+}
+
+// certifyServer is a server every request of which is monitored, with no
+// deadline, on a corpus deep enough that a monitored scan's page becomes
+// final well before its match set runs out.
+func certifyServer(t *testing.T, mutate func(*Config)) *Server {
+	return resilientServer(t, func(c *Config) {
+		c.CorpusDocs = 40 * scanBlock
+		c.SampleInterval = 1
+		c.RequestTimeout = -1
+		if mutate != nil {
+			mutate(c)
+		}
+	})
+}
+
+// searchReply sends one /search request and decodes the reply.
+func searchReply(t *testing.T, h http.Handler, query string) wire.SearchReply {
+	t.Helper()
+	rec := get(t, h, "/search?q="+query)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/search?q=%s = %d", query, rec.Code)
+	}
+	var resp wire.SearchReply
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// pageCounter counts the pages read off a scan with TopNInto. A monitored
+// request's QoS adapter needs two, the record point's and the final one,
+// and reads each off the request's own scan or reruns the query for it;
+// the reply reads one more.
+type pageCounter struct {
+	docScanner
+	pages int
+}
+
+func (p *pageCounter) TopNInto(dst []int) []int {
+	p.pages++
+	return p.docScanner.TopNInto(dst)
+}
+
+// TestCertifiedMonitoredMatchesReruns is the differential test of the
+// monitored path's early stop: past its record point a monitored scan
+// stops once Scan.Final holds, and that must change nothing but the
+// documents scored. Across record points, every monitored request serves
+// the exhaustive page, reports monitored and not approximated, books the
+// loss a capped and an uncapped Engine.Search give, and takes no rerun:
+// both of the adapter's pages come off the request's own scan
+// (pageCounter). The stop must happen: some requests at every record
+// point certify, and some of those lose their page at M.
+func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
+	s := certifyServer(t, nil)
+	lossy := 0
+	for _, level := range []int{1, 7, scanBlock / 4, scanBlock} {
+		certified := 0
+		for i := 0; i < 30; i++ {
+			word := fmt.Sprintf("w%d+w%d", 7*i+level, 7*i+level+3)
+			cq, _ := s.parsedQuery(word)
+			q := search.Query{Terms: cq.terms}
+			precise, matches := s.engine.Search(q, s.cfg.TopN, 0)
+			want, reads := 0.0, 1
+			if matches >= level {
+				capped, _ := s.engine.Search(q, s.cfg.TopN, level)
+				want, reads = metrics.QueryLoss(precise, capped), 3
+			}
+			s.Loop().SetLevel(float64(level))
+			before, ops := s.Loop().State().LossSum, s.Ops().Snapshot()
+			sc := new(serveScratch)
+			scan := &pageCounter{docScanner: &sc.scan}
+			scan.Reset(s.engine, q, s.cfg.TopN)
+			if err := s.serveQuery(context.Background(), time.Time{}, s.loop, scan, cq, cq.feat, false, sc); err != nil {
+				t.Fatal(err)
+			}
+			resp, after := sc.resp, s.Ops().Snapshot()
+			name := fmt.Sprintf("M=%d q=%s (%d matches, %d scored)", level, word, matches, resp.DocsScored)
+			if scan.pages != reads {
+				t.Fatalf("%s: %d pages read off the scan, want %d: %d reruns", name, scan.pages, reads, reads-scan.pages)
+			}
+			if !resp.MonitoredScan || resp.Approximated || resp.Degraded {
+				t.Fatalf("%s: monitored=%v approximated=%v degraded=%v, want a monitored precise page",
+					name, resp.MonitoredScan, resp.Approximated, resp.Degraded)
+			}
+			if !slices.Equal(resp.Docs, precise) {
+				t.Fatalf("%s: served %v, the exhaustive page is %v", name, resp.Docs, precise)
+			}
+			if got := s.Loop().State().LossSum - before; got != want {
+				t.Fatalf("%s: booked loss %v, the reruns give %v", name, got, want)
+			}
+			stopped := resp.DocsScored < matches
+			if n := after.MonitoredCertified - ops.MonitoredCertified; (n != 0) != stopped {
+				t.Fatalf("%s: monitored_certified moved by %d", name, n)
+			}
+			if stopped {
+				certified++
+				lossy += int(want)
+			}
+		}
+		if certified == 0 {
+			t.Errorf("M=%d: no monitored request certified before exhaustion", level)
+		}
+	}
+	if lossy == 0 {
+		t.Error("no certified request lost its page at M: the loss comparison is not exercised")
+	}
+}
+
+// TestCertifiedMonitoredUnderRecordPanics: with the QoS callbacks
+// panicking on a schedule, a monitored request whose Record panicked
+// runs to exhaustion and one whose Loss panicked stopped at its
+// certificate — either way the page served is the exhaustive one.
+func TestCertifiedMonitoredUnderRecordPanics(t *testing.T) {
+	inj := chaos.New(chaos.Config{Seed: 3, PanicEvery: 2})
+	s := certifyServer(t, func(c *Config) {
+		c.Chaos = inj
+		c.BreakerThreshold = -1 // keep monitoring: no forced precise runs
+	})
+	h := s.Handler()
+	s.Loop().SetLevel(scanBlock / 4)
+	certified := 0
+	for i := 0; i < 40; i++ {
+		word := fmt.Sprintf("w%d+w%d", 5*i, 5*i+2)
+		q := search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}
+		precise, matches := s.engine.Search(q, s.cfg.TopN, 0)
+		resp := searchReply(t, h, word)
+		if !resp.MonitoredScan || resp.Approximated || !slices.Equal(resp.Docs, precise) {
+			t.Fatalf("q=%s: monitored=%v approximated=%v page %v, want the monitored exhaustive page %v",
+				word, resp.MonitoredScan, resp.Approximated, resp.Docs, precise)
+		}
+		if resp.DocsScored < matches {
+			certified++
+		}
+		s.Loop().SetLevel(scanBlock / 4)
+	}
+	if panics, _ := inj.Counts(); panics == 0 || certified == 0 || s.Loop().Breaker().ContainedPanics == 0 {
+		t.Fatalf("%d injected panics, %d contained, %d certified requests: the case is not exercised",
+			panics, s.Loop().Breaker().ContainedPanics, certified)
+	}
+}
+
+// TestStatsPreciseEstimate: /stats's precise-work estimate is the mean
+// match count (MatchCount, MatchCountAnd) of the queries the last
+// sampleRing monitored requests served, each in its mode, times the
+// queries served — not the documents the certified scans stopped at.
+func TestStatsPreciseEstimate(t *testing.T) {
+	s := certifyServer(t, func(c *Config) { c.ApproxAnd = true })
+	h := s.Handler()
+	type sent struct {
+		q   search.Query
+		and bool
+	}
+	var log []sent
+	for i := 0; i < sampleRing+5; i++ {
+		word, and := fmt.Sprintf("w%d+w%d", 3*i, 3*i+1), i%3 == 0
+		path := word
+		if and {
+			path += "&mode=and"
+		}
+		if resp := searchReply(t, h, path); !resp.MonitoredScan {
+			t.Fatalf("q=%s: not monitored", path)
+		}
+		log = append(log, sent{search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}, and})
+	}
+	var sum int64
+	for _, r := range log[len(log)-sampleRing:] {
+		n := s.engine.MatchCount(r.q)
+		if r.and {
+			n = s.engine.MatchCountAnd(r.q)
+		}
+		sum += int64(n)
+	}
+	st := decodeStats(t, h)
+	if want := sum * int64(len(log)) / sampleRing; st.DocsPrecise != want {
+		t.Fatalf("docs_precise_equivalent = %d, want %d from the ring's match counts", st.DocsPrecise, want)
+	}
+	if st.Ops.MonitoredCertified == 0 || st.DocsScored >= st.DocsPrecise {
+		t.Fatalf("%d certified requests scored %d documents against an estimate of %d: the estimate is not exercised",
+			st.Ops.MonitoredCertified, st.DocsScored, st.DocsPrecise)
+	}
+	if again := decodeStats(t, h); again.DocsPrecise != st.DocsPrecise {
+		t.Fatalf("a second /stats reads %d, the first %d", again.DocsPrecise, st.DocsPrecise)
 	}
 }
 

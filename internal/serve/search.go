@@ -99,7 +99,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.RequestTimeout > 0 {
 		deadline = time.Now().Add(s.cfg.RequestTimeout)
 	}
-	if err := s.serveQuery(r.Context(), deadline, loop, scan, q, feat, and, sc); err != nil {
+	if err := s.serveQuery(r.Context(), deadline, loop, scan, cq, feat, and, sc); err != nil {
 		sc.release()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -127,7 +127,7 @@ func (s *Server) parsedQuery(rawQ string) (cq *cachedQuery, cached bool) {
 		return nil, false
 	}
 	terms := s.termsOf(qstr)
-	cq = &cachedQuery{echo: qstr, terms: terms, feat: s.queryFeat(terms)}
+	cq = newCachedQuery(qstr, terms, s.queryFeat(terms))
 	s.qcache.put(rawQ, cq)
 	return cq, false
 }
@@ -171,6 +171,7 @@ type docScanner interface {
 	StepN(k int) int
 	Processed() int
 	Exhausted() bool
+	Final() bool
 	TopNInto([]int) []int
 	TopNResultsInto([]search.Result) []search.Result
 }
@@ -215,12 +216,13 @@ func (sc *serveScratch) release() {
 // blocks: the controller grants up to scanBlock iterations at a time
 // (ContinueN, exactly as many true Continue calls), the kernel scores
 // them in one StepN, and a monitored request's QoS is read off that
-// same scan (serveQoS). and selects the conjunctive retrieval for the
-// QoS adapter's fallback reruns, which must execute the same retrieval
-// semantics as the scan being judged.
-func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, q search.Query, feat core.Features, and bool, sc *serveScratch) error {
+// same scan (serveQoS), which from its record point on stops at the
+// first block boundary where its page is final. and selects the
+// conjunctive retrieval for the QoS adapter's fallback reruns, which
+// must execute the same retrieval semantics as the scan being judged.
+func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, cq *cachedQuery, feat core.Features, and bool, sc *serveScratch) error {
 	qos := serveQoSPool.Get().(*serveQoS)
-	qos.engine, qos.query, qos.topN = s.engine, q, s.cfg.TopN
+	qos.engine, qos.query, qos.topN = s.engine, search.Query{Terms: cq.terms}, s.cfg.TopN
 	qos.chaos = s.cfg.Chaos
 	qos.and = and
 	qos.scan = scan
@@ -238,6 +240,11 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 	degraded := expired()
 	if !degraded {
 		for k := exec.ContinueN(i, scanBlock); k > 0; k = exec.ContinueN(i, scanBlock) {
+			if qos.reference && scan.Final() {
+				// Monitored, at or past its record point, and the page is
+				// final: the precise page Loss compares with, and the one served.
+				break
+			}
 			n := scan.StepN(k)
 			i += n
 			if n < k {
@@ -259,9 +266,11 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 	}
 	s.queries.Add(1)
 	s.docsScored.Add(int64(scan.Processed()))
-	if res.Monitored && !res.ContainedPanic && !degraded {
-		s.monitoredFullDocs.Add(int64(scan.Processed()))
-		s.monitoredQueries.Add(1)
+	if res.Monitored {
+		if !degraded && !scan.Exhausted() {
+			s.ops.MonitoredCertified.Add(1)
+		}
+		s.sampled[uint64(s.monitoredQueries.Add(1))%sampleRing].Store(cq.sample(and))
 	}
 	sc.resp = wire.SearchReply{
 		Docs:          sc.resp.Docs,
@@ -292,13 +301,15 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 // continue, the paper's monitored run: "store the QoS value and do not
 // terminate the loop early". Record copies the request's own scan page
 // at the iteration the approximation would have stopped; the scan then
-// runs on to exhaustion, and Loss compares that snapshot with the
-// scan's final page — the precise answer, which the request is serving
-// anyway. A monitored request therefore costs one full scan. Rerunning
-// the query on the engine is the fallback only: Record reruns the capped
-// search when the scan is not at the recorded iteration, Loss reruns
-// the precise search when the scan did not reach exhaustion (deadline,
-// cancellation), so a loss is never measured against a partial page.
+// runs on until its page is final (Scan.Final: exhausted, or provably
+// unchanged by anything left to score), and Loss compares that snapshot
+// with the scan's final page — the precise answer, which the request is
+// serving anyway. A monitored request therefore costs the scan up to its
+// certificate, not the whole match set. Rerunning the query on the
+// engine is the fallback only: Record reruns the capped search when the
+// scan is not at the recorded iteration, Loss reruns the precise search
+// when the scan's page is not final (deadline, cancellation), so a loss
+// is never measured against a partial page.
 //
 // Adapters are pooled and keep their two page buffers across requests,
 // so the monitored path allocates nothing either. The chaos injector
@@ -314,6 +325,9 @@ type serveQoS struct {
 	// and selects the conjunctive retrieval for the fallback reruns,
 	// matching the scan being judged.
 	and bool
+	// reference: Record has run, so what the scan scores from here on is
+	// the precise reference, and it may stop once its page is final.
+	reference bool
 	// recorded is the page at the record point, precise the buffer for
 	// the final one; both backing arrays survive release.
 	recorded []int
@@ -341,6 +355,7 @@ func (q *serveQoS) search(maxDocs int) []int {
 func (q *serveQoS) Record(iter int) {
 	q.chaos.MaybeDelay("qos.record")
 	q.chaos.MaybePanic("qos.record")
+	q.reference = true
 	// iter > 0: a cap of zero means "no cap" to the engine, and the
 	// rerun keeps that meaning.
 	if iter > 0 && q.scan.Processed() == iter {
@@ -353,7 +368,7 @@ func (q *serveQoS) Record(iter int) {
 func (q *serveQoS) Loss(int) float64 {
 	q.chaos.MaybeDelay("qos.loss")
 	q.chaos.MaybePanic("qos.loss")
-	if !q.scan.Exhausted() {
+	if !q.scan.Final() {
 		return metrics.QueryLoss(q.search(0), q.recorded)
 	}
 	q.precise = q.scan.TopNInto(q.precise)

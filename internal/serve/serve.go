@@ -165,11 +165,14 @@ type Server struct {
 
 	queries    atomic.Int64
 	docsScored atomic.Int64
-	// Monitored executions run the full scan anyway, so they provide a
-	// free estimator of the precise per-query work; the serving path
-	// never pays for an extra full scan just to compute statistics.
-	monitoredFullDocs atomic.Int64
-	monitoredQueries  atomic.Int64
+	// sampled holds what the last sampleRing monitored requests served —
+	// monitoredQueries counts them and so picks the slot — as the sample
+	// /stats estimates the precise per-query work from (preciseDocs). A
+	// monitored scan stops at its certificate, so the documents it scored
+	// are not the match count; the request path pays one pointer store,
+	// and /stats the counting.
+	sampled          [sampleRing]atomic.Pointer[matchSample]
+	monitoredQueries atomic.Int64
 
 	// Resilience state.
 	inFlight      atomic.Int64

@@ -133,7 +133,8 @@ echo "== fuzz (smoke) =="
 # without stalling the gate.
 go test -run '^$' -fuzz FuzzAnalyzers -fuzztime 10s ./internal/lint
 # And ten over the scan kernel: fuzzed queries, page sizes, shard layouts
-# and block-size sequences, every block checked against Engine.Search.
+# and block-size sequences, every block checked against Engine.Search, and
+# every page Scan.Final certifies against the drained page.
 go test -run '^$' -fuzz FuzzScanBlocks -fuzztime 10s ./internal/search
 # And ten over the index parser, which now feeds the impact-table builder:
 # arbitrary bytes are refused or give an engine whose scans are Search's,
