@@ -21,8 +21,8 @@ import (
 // measures the same losses, and applies the same recalibration actions
 // as the equivalent unbatched stream (the observation is applied at the
 // monitored member's End, and the snapshot is reloaded for the members
-// after it, so level trajectories are identical — equivalence-tested in
-// batch_test.go). A shorter interval collapses to at most one monitored
+// after it, so level trajectories are identical — held by
+// TestReferenceModel). A shorter interval collapses to at most one monitored
 // member per batch. Breaker and event behavior are untouched: the
 // breaker is consulted once per batch, forces a whole batch precise, and
 // monitored-member panics charge it exactly as unbatched ones do.

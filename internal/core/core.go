@@ -173,12 +173,3 @@ func (p *WindowedPolicy) Observe(loss, sla float64) Decision {
 	d.NewSampleInterval = p.BaseInterval
 	return d
 }
-
-// AggregateLoss exposes the in-progress window loss, for tests and
-// reporting.
-func (p *WindowedPolicy) AggregateLoss() float64 {
-	if p.nm == 0 {
-		return 0
-	}
-	return float64(p.nl) / float64(p.nm)
-}

@@ -103,16 +103,19 @@ func TestWindowedPolicyInBandWindowHolds(t *testing.T) {
 func TestWindowedPolicyReopens(t *testing.T) {
 	p := &WindowedPolicy{Window: 3, BaseInterval: 9}
 	for i := 0; i < 3; i++ {
-		p.Observe(1, 0.01)
+		p.Observe(1, 0.4)
 	}
-	// New window starts fresh.
-	if p.AggregateLoss() != 0 {
-		t.Fatalf("aggregate after close = %v, want 0", p.AggregateLoss())
+	// The next window starts fresh: it stays open for two observations,
+	// and one low-QoS query in three aggregates to 1/3 < 0.9·0.4. Counts
+	// carried over from the first window would close it at once.
+	var d Decision
+	for i, loss := range []float64{0, 1, 0} {
+		if d = p.Observe(loss, 0.4); i < 2 && d != (Decision{NewSampleInterval: 1}) {
+			t.Fatalf("observation %d of the new window = %+v, want it open", i, d)
+		}
 	}
-	p.Observe(0, 0.01)
-	p.Observe(1, 0.01)
-	if got := p.AggregateLoss(); got != 0.5 {
-		t.Fatalf("aggregate mid-window = %v, want 0.5", got)
+	if d != (Decision{Action: ActDecrease, NewSampleInterval: 9}) {
+		t.Fatalf("closing decision = %+v, want decrease at 1/3 and the base interval", d)
 	}
 }
 

@@ -61,19 +61,6 @@ func TestFuncOffsetBoundedUnderRandomPressure(t *testing.T) {
 	}
 }
 
-// Property: a monitored execution must always return the precise result
-// for functions, regardless of the recalibration state.
-func TestFuncMonitoredAlwaysPrecise(t *testing.T) {
-	f := funcFixture(t, 0.2, 1) // every call monitored
-	rng := rand.New(rand.NewSource(103))
-	for i := 0; i < 100; i++ {
-		x := rng.Float64() * 10
-		if got := f.Call(x); got != x*x {
-			t.Fatalf("monitored Call(%v) = %v, want precise %v", x, got, x*x)
-		}
-	}
-}
-
 // Property: concurrent Call is race-free and conserves the call count.
 func TestFuncConcurrentCalls(t *testing.T) {
 	f := funcFixture(t, 0.2, 10)
@@ -101,45 +88,6 @@ func TestFuncConcurrentCalls(t *testing.T) {
 	}
 	if f.Work() <= 0 {
 		t.Error("no work accounted")
-	}
-}
-
-// Property: a loop execution is internally consistent — a run that
-// reports Approximated must have StoppedAt >= 0 and must not be
-// Monitored; a monitored run never terminates early.
-func TestLoopResultConsistency(t *testing.T) {
-	m := testLoopModel(t)
-	l, err := NewLoop(LoopConfig{
-		Name: "cons", Model: m, SLA: 0.05, SampleInterval: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 30; run++ {
-		q := &fakeQoS{lossValue: 0.049}
-		e, err := l.Begin(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for ; i < 3200; i++ {
-			if !e.Continue(i) {
-				break
-			}
-		}
-		res := e.Finish(i)
-		if res.Approximated && res.Monitored {
-			t.Fatal("run both approximated and monitored")
-		}
-		if res.Approximated && res.StoppedAt < 0 {
-			t.Fatal("approximated without a stop point")
-		}
-		if res.Monitored && i != 3200 {
-			t.Fatalf("monitored run stopped early at %d", i)
-		}
-		if !res.Monitored && res.Loss != 0 {
-			t.Fatal("non-monitored run reported a loss")
-		}
 	}
 }
 

@@ -120,54 +120,3 @@ func TestSamplingScheduleAcrossTwoToThe32(t *testing.T) {
 		}
 	}
 }
-
-// A policy that moves Sample_QoS mid-stream — Figure 9's window opens
-// at interval 1 and closes back to the base interval — must produce the
-// monitored-sequence trace the modulo produces: every publish replaces
-// interval and reciprocal together.
-func TestSamplingTraceUnderWindowedPolicy(t *testing.T) {
-	for _, start := range []int64{0, 1<<32 - 20} {
-		const base, window, sla = 5, 4, 0.05
-		l, err := NewLoop(LoopConfig{
-			Name: "l", Model: testLoopModel(t), SLA: sla, SampleInterval: base,
-			Policy: &WindowedPolicy{Window: window, BaseInterval: base},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := l.State()
-		s.Count = start
-		if err := l.Restore(s); err != nil {
-			t.Fatal(err)
-		}
-		// The reference: the parent's law, one modulo per execution, fed the
-		// same losses through its own copy of the policy.
-		ref := &WindowedPolicy{Window: window, BaseInterval: base}
-		iv := int64(base)
-		q := &fakeQoS{lossValue: 0.04}
-		monitored := 0
-		for n := start + 1; n <= start+80; n++ {
-			e, err := l.Begin(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, _ := runLoop(t, e, 3200)
-			want := wantDivides(n, iv)
-			if res.Monitored != want {
-				t.Fatalf("start %d: execution %d monitored = %v, the modulo at interval %d says %v", start, n, res.Monitored, iv, want)
-			}
-			if want {
-				monitored++
-				if d := ref.Observe(res.Loss, sla); d.NewSampleInterval > 0 {
-					iv = int64(d.NewSampleInterval)
-				}
-				if got := l.SampleInterval(); got != iv {
-					t.Fatalf("start %d: after execution %d the live interval is %d, want %d", start, n, got, iv)
-				}
-			}
-		}
-		if monitored < 3*window {
-			t.Fatalf("start %d: only %d monitored executions: the window never opened", start, monitored)
-		}
-	}
-}

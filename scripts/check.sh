@@ -145,6 +145,8 @@ go test -run '^$' -fuzz FuzzReadEngine -fuzztime 10s -fuzzminimizetime 1s ./inte
 # the hardware divide, against count % Sample_QoS == 0 for any count and
 # any interval.
 go test -run '^$' -fuzz FuzzSamplingDivides -fuzztime 10s ./internal/core
+# And ten over the control law: a fuzzed schedule on a live controller and its reference model, compared after every op.
+go test -run '^$' -fuzz FuzzControllerSchedule -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 # And ten over the serving tier's wire protocol, one target because the
 # protocol has one home: both /search encoders against encoding/json,
 # the shard-reply parser on arbitrary bytes and on its own encoder's
