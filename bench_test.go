@@ -265,6 +265,20 @@ func BenchmarkFig15Fig16EonVersions(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderPass measures one Renderer.Pass at app_kernels' 10x8
+// size: one sample per pixel, each from a sampler seeded by (seed, pass,
+// pixel).
+func BenchmarkRenderPass(b *testing.B) {
+	r, err := raytracer.NewRenderer(raytracer.NewScene(7), raytracer.RandomCamera(10), 10, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Pass()
+	}
+}
+
 // BenchmarkFig17EonModelSensitivity measures the calibration sweep of one
 // training camera over the version knots.
 func BenchmarkFig17EonModelSensitivity(b *testing.B) {
@@ -1214,28 +1228,22 @@ func combineSearchCandidates(units, perUnit int) [][]green.Setting {
 }
 
 // BenchmarkCombineSearchSpace measures the §3.4.1 combination search over
-// a 5-unit, 4-candidate space (1024 combinations exhaustively).
+// a 5-unit, 4-candidate space (1024 combinations exhaustively) on the
+// additive estimate, whose branch-and-bound cut measures 512 of them.
 func BenchmarkCombineSearchSpace(b *testing.B) {
 	cands := combineSearchCandidates(5, 4)
 	const sla = 0.02
-	run := func(opt green.SearchOptions) func(*testing.B) {
-		return func(b *testing.B) {
-			evaluated := 0
-			for i := 0; i < b.N; i++ {
-				res, err := green.CombineSearchOpt(cands, sla, nil, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				evaluated = res.Evaluated
+	b.Run("additive", func(b *testing.B) {
+		evaluated := 0
+		for i := 0; i < b.N; i++ {
+			res, err := green.CombineSearch(cands, sla, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(evaluated), "combos/op")
+			evaluated = res.Evaluated
 		}
-	}
-	// "additive" is the default entry point: serial before this change,
-	// serial + branch-and-bound now (same winning combination either way).
-	b.Run("additive", run(green.SearchOptions{}))
-	b.Run("exhaustive", run(green.SearchOptions{DisablePruning: true}))
-	b.Run("parallel4", run(green.SearchOptions{Workers: 4}))
+		b.ReportMetric(float64(evaluated), "combos/op")
+	})
 }
 
 // BenchmarkBackoffConvergence measures a full global-recalibration

@@ -143,8 +143,6 @@ type (
 	ComboEval = core.ComboEval
 	// SearchResult is the outcome of CombineSearch.
 	SearchResult = core.SearchResult
-	// SearchOptions tunes CombineSearchOpt (worker fan-out, pruning).
-	SearchOptions = core.SearchOptions
 
 	// LoopCalibration collects calibration-phase loop measurements.
 	LoopCalibration = core.LoopCalibration
@@ -316,16 +314,8 @@ func NewCalibration2D(name string, preciseWork float64, names []string, work []f
 // CombineSearch exhaustively explores the cross product of per-unit
 // candidate settings and returns the fastest combination whose measured
 // application QoS loss meets sla (§3.4.1). A nil eval falls back to the
-// additive independence estimate.
+// additive independence estimate, and the walk then skips every subtree
+// whose additive loss cannot meet sla; the answer is the exhaustive one.
 func CombineSearch(candidates [][]Setting, sla float64, eval ComboEval) (SearchResult, error) {
 	return core.CombineSearch(candidates, sla, eval)
-}
-
-// CombineSearchOpt is CombineSearch with explicit tuning: opt.Workers
-// fans the walk out over the unit-0 candidate axis, and the additive
-// estimate (nil eval) applies branch-and-bound pruning unless disabled.
-// The result — best combination, tie-breaking, evaluation order errors —
-// is identical to the serial walk's.
-func CombineSearchOpt(candidates [][]Setting, sla float64, eval ComboEval, opt SearchOptions) (SearchResult, error) {
-	return core.CombineSearchOpt(candidates, sla, eval, opt)
 }

@@ -17,7 +17,7 @@ import (
 // shard's monitored QoS loss (/stats) and calibrated model (/model),
 // corrects each model's predicted losses by the observed-vs-predicted
 // ratio at the shard's current level, and runs the paper's §3.4
-// combination search (core.CombineSearchOpt) to decompose the
+// combination search (core.CombineSearch) to decompose the
 // application SLA into per-shard approximation budgets — the setting
 // with the highest estimated fleet speedup whose additive loss stays
 // within the SLA. The chosen levels are pushed back to every replica
@@ -188,7 +188,7 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 	// The combination search runs on the additive estimate (eval nil =>
 	// AdditiveEstimate with branch-and-bound pruning). The all-precise
 	// combination has zero loss, so a viable combination always exists.
-	res, err := core.CombineSearchOpt(candidates, co.cfg.SLA, nil, core.SearchOptions{})
+	res, err := core.CombineSearch(candidates, co.cfg.SLA, nil)
 	if err != nil {
 		co.mu.Lock()
 		co.lastAggNote = "combination search failed: " + err.Error()

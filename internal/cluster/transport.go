@@ -14,7 +14,7 @@
 // combination search: it periodically pulls each shard's monitored QoS
 // loss and calibrated model, corrects the models by observed loss, and
 // decomposes the application SLA into per-shard approximation budgets
-// with core.CombineSearchOpt, pushing the chosen levels back to every
+// with core.CombineSearch, pushing the chosen levels back to every
 // replica.
 package cluster
 

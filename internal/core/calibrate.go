@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"green/internal/model"
 )
@@ -87,77 +85,6 @@ func (c *LoopCalibration) AddRun(losses, work []float64) error {
 	return nil
 }
 
-// AddRunsParallel measures and records n training inputs using a pool of
-// workers. fn is called once per input index in [0, n) — concurrently
-// when workers > 1, so it must be safe to run training inputs side by
-// side — and returns the same per-knot loss/work vectors AddRun takes.
-// The measured vectors are accumulated serially in input order after the
-// fan-out, so the built model is bit-identical to a serial fn+AddRun loop
-// regardless of the worker count. The first error in input order is
-// returned; inputs before it remain recorded, exactly as if the serial
-// loop had stopped there.
-func (c *LoopCalibration) AddRunsParallel(workers, n int, fn func(i int) (losses, work []float64, err error)) error {
-	return runsParallel(workers, n,
-		func(i int) (Features, []float64, []float64, error) {
-			losses, work, err := fn(i)
-			return Features{}, losses, work, err
-		},
-		func(_ Features, losses, work []float64) error { return c.AddRun(losses, work) })
-}
-
-// runsParallel is the measure-then-record fan-out behind AddRunsParallel
-// and AddRunsFeatParallel: measure runs once per input index on a pool
-// of workers, then record consumes the results serially in input order.
-func runsParallel(workers, n int,
-	measure func(i int) (f Features, losses, work []float64, err error),
-	record func(f Features, losses, work []float64) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	type out struct {
-		f            Features
-		losses, work []float64
-		err          error
-	}
-	outs := make([]out, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			o := &outs[i]
-			o.f, o.losses, o.work, o.err = measure(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					o := &outs[i]
-					o.f, o.losses, o.work, o.err = measure(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i := range outs {
-		if outs[i].err != nil {
-			return fmt.Errorf("core: calibration input %d: %w", i, outs[i].err)
-		}
-		if err := record(outs[i].f, outs[i].losses, outs[i].work); err != nil {
-			return fmt.Errorf("core: calibration input %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Runs returns the number of training inputs recorded.
 func (c *LoopCalibration) Runs() int { return c.runs }
 
@@ -203,14 +130,6 @@ func (c *LoopCalibration) AddRunFeat(f Features, losses, work []float64) error {
 	}
 	c.featRuns[b]++
 	return nil
-}
-
-// AddRunsFeatParallel is AddRunsParallel for feature-tagged inputs: fn
-// additionally returns the input's Features. Accumulation stays serial
-// in input order, so the built selector is bit-identical to a serial
-// fn+AddRunFeat loop regardless of the worker count.
-func (c *LoopCalibration) AddRunsFeatParallel(workers, n int, fn func(i int) (f Features, losses, work []float64, err error)) error {
-	return runsParallel(workers, n, fn, c.AddRunFeat)
 }
 
 // BuildSelector averages the feature-tagged runs into a LoopSelector:

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"green/internal/model"
@@ -277,79 +275,5 @@ func TestCalibrationToExecutionEndToEnd(t *testing.T) {
 	}
 	if i == base {
 		t.Error("no speedup achieved")
-	}
-}
-
-// AddRunsParallel must build the exact same model as a serial AddRun
-// loop, regardless of worker count, and surface the first error in input
-// order.
-func TestLoopCalibrationAddRunsParallelMatchesSerial(t *testing.T) {
-	knots := []float64{100, 200, 400}
-	measure := func(i int) (losses, work []float64, err error) {
-		f := float64(i)
-		return []float64{0.1 / (1 + f), 0.05 / (1 + f), 0.02 / (1 + f)},
-			[]float64{100 + f, 200 + f, 400 + f}, nil
-	}
-	const n = 37
-	serial, err := NewLoopCalibration("l", knots, 1000, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		losses, work, _ := measure(i)
-		if err := serial.AddRun(losses, work); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := serial.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 8, n + 5} {
-		par, err := NewLoopCalibration("l", knots, 1000, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := par.AddRunsParallel(workers, n, measure); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.Runs() != n {
-			t.Fatalf("workers=%d: runs = %d, want %d", workers, par.Runs(), n)
-		}
-		got, err := par.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lvl := range []float64{100, 150, 200, 300, 400} {
-			if got.PredictLoss(lvl) != want.PredictLoss(lvl) {
-				t.Errorf("workers=%d: PredictLoss(%v) = %v, want %v (bit-identical)",
-					workers, lvl, got.PredictLoss(lvl), want.PredictLoss(lvl))
-			}
-			if got.PredictWork(lvl) != want.PredictWork(lvl) {
-				t.Errorf("workers=%d: PredictWork(%v) = %v, want %v",
-					workers, lvl, got.PredictWork(lvl), want.PredictWork(lvl))
-			}
-		}
-	}
-}
-
-func TestLoopCalibrationAddRunsParallelFirstErrorWins(t *testing.T) {
-	c, err := NewLoopCalibration("l", []float64{100}, 1000, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("input exploded")
-	err = c.AddRunsParallel(4, 20, func(i int) ([]float64, []float64, error) {
-		if i >= 7 {
-			return nil, nil, boom
-		}
-		return []float64{0.01}, []float64{100}, nil
-	})
-	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "input 7") {
-		t.Fatalf("err = %v, want wrapped boom for input 7", err)
-	}
-	// Inputs before the failing index stay recorded, like a serial loop.
-	if c.Runs() != 7 {
-		t.Errorf("runs after error = %d, want 7", c.Runs())
 	}
 }

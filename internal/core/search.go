@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // Setting is one candidate configuration of one approximated unit during
@@ -50,31 +48,13 @@ type SearchResult struct {
 // the application then runs precisely.
 var ErrNoViableCombo = errors.New("core: no combination satisfies the application SLA")
 
-// SearchOptions tunes CombineSearchOpt. The zero value reproduces the
-// classic serial behavior (with pruning, which never changes the result).
-type SearchOptions struct {
-	// Workers is the number of goroutines fanned out over the unit-0
-	// candidate axis; values <= 1 keep the walk fully serial. When
-	// Workers > 1 and a measuring evaluator is supplied, it is called
-	// concurrently and must be safe for concurrent use. The result is
-	// deterministic either way: branch results are merged in candidate
-	// order with the same tie-breaking as the serial walk.
-	Workers int
-	// DisablePruning turns off the branch-and-bound cut that is otherwise
-	// applied when the additive estimate is in use (eval == nil). Only
-	// useful for measuring the pruning win.
-	DisablePruning bool
-}
-
 // pruneSlack guards the branch-and-bound cut against float summation
 // order: a subtree is pruned only when its loss lower bound exceeds the
 // SLA by more than this, so a combination whose evaluated loss lands
 // within an ulp of the SLA is never cut.
 const pruneSlack = 1e-9
 
-// comboWalker is one serial walker over (a branch of) the combination
-// space; parallel search gives each branch its own walker, so there is no
-// shared mutable state between goroutines.
+// comboWalker is the serial walker over the combination space.
 type comboWalker struct {
 	candidates [][]Setting
 	sla        float64
@@ -127,21 +107,22 @@ func (w *comboWalker) walk(i int, acc float64) error {
 // candidates[i] lists the options for unit i and must be non-empty; a
 // "use the precise version" option should be included explicitly when
 // falling back is acceptable. The search is exponential in the number of
-// units, as in the paper; callers keep candidate lists short, or use
-// CombineSearchOpt to fan the walk out over workers.
+// units, as in the paper; callers keep candidate lists short.
+//
+// When eval is nil the additive estimate is used and the walk applies
+// branch-and-bound pruning on the additive loss lower bound (predicted
+// losses only add, so once a prefix's loss plus the minimal completion
+// exceeds the SLA the whole subtree is unviable). Pruned combinations are
+// not counted in Evaluated; Best, Loss and Speedup are the exhaustive
+// walk's.
 func CombineSearch(candidates [][]Setting, sla float64, eval ComboEval) (SearchResult, error) {
-	return CombineSearchOpt(candidates, sla, eval, SearchOptions{})
+	return combineSearch(candidates, sla, eval, true)
 }
 
-// CombineSearchOpt is CombineSearch with explicit tuning. When eval is
-// nil the additive estimate is used and the walk applies branch-and-bound
-// pruning on the additive loss lower bound (predicted losses only add, so
-// once a prefix's loss plus the minimal completion exceeds the SLA the
-// whole subtree is unviable); pruned combinations are not counted in
-// Evaluated. Opt.Workers > 1 splits the walk across the unit-0 candidate
-// axis; the merged result (Best, Loss, Speedup, Evaluated, and any error)
-// is identical to the serial walk's.
-func CombineSearchOpt(candidates [][]Setting, sla float64, eval ComboEval, opt SearchOptions) (SearchResult, error) {
+// combineSearch is CombineSearch with the branch-and-bound cut optional:
+// prune=false walks every combination, the reference the tests hold the
+// pruned walk to.
+func combineSearch(candidates [][]Setting, sla float64, eval ComboEval, prune bool) (SearchResult, error) {
 	if len(candidates) == 0 {
 		return SearchResult{}, errors.New("core: no units to search")
 	}
@@ -154,7 +135,7 @@ func CombineSearchOpt(candidates [][]Setting, sla float64, eval ComboEval, opt S
 	// additive estimate itself; a measuring evaluator may compose
 	// non-linearly, so pruning is off whenever one is supplied.
 	var minFrom []float64
-	if eval == nil && !opt.DisablePruning {
+	if eval == nil && prune {
 		minFrom = make([]float64, len(candidates)+1)
 		for i := len(candidates) - 1; i >= 0; i-- {
 			m := math.Inf(1)
@@ -167,83 +148,18 @@ func CombineSearchOpt(candidates [][]Setting, sla float64, eval ComboEval, opt S
 	if eval == nil {
 		eval = AdditiveEstimate
 	}
-	newWalker := func() *comboWalker {
-		return &comboWalker{
-			candidates: candidates, sla: sla, eval: eval, minFrom: minFrom,
-			combo: make([]Setting, len(candidates)),
-			res:   SearchResult{Loss: 0, Speedup: 1},
-		}
+	w := &comboWalker{
+		candidates: candidates, sla: sla, eval: eval, minFrom: minFrom,
+		combo: make([]Setting, len(candidates)),
+		res:   SearchResult{Loss: 0, Speedup: 1},
 	}
-
-	branches := len(candidates[0])
-	workers := opt.Workers
-	if workers > branches {
-		workers = branches
+	if err := w.walk(0, 0); err != nil {
+		return SearchResult{}, err
 	}
-	if workers <= 1 {
-		w := newWalker()
-		if err := w.walk(0, 0); err != nil {
-			return SearchResult{}, err
-		}
-		if !w.found {
-			return w.res, ErrNoViableCombo
-		}
-		return w.res, nil
+	if !w.found {
+		return w.res, ErrNoViableCombo
 	}
-
-	// Fan out over the unit-0 candidates; each branch is an independent
-	// serial walk, merged afterwards in branch order so ties break
-	// exactly as the serial (lexicographic) walk breaks them.
-	type branchOut struct {
-		res   SearchResult
-		found bool
-		err   error
-	}
-	outs := make([]branchOut, branches)
-	var nextBranch atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(nextBranch.Add(1)) - 1
-				if b >= branches {
-					return
-				}
-				w := newWalker()
-				s := candidates[0][b]
-				acc := s.PredLoss
-				if w.minFrom != nil && acc+w.minFrom[1] > sla+pruneSlack {
-					continue // whole branch pruned; outs[b] stays zero
-				}
-				w.combo[0] = s
-				err := w.walk(1, acc)
-				outs[b] = branchOut{res: w.res, found: w.found, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-
-	merged := SearchResult{Loss: 0, Speedup: 1}
-	found := false
-	for _, o := range outs {
-		if o.err != nil {
-			// The lowest-index branch's error is the one the serial walk
-			// would have hit first.
-			return SearchResult{}, o.err
-		}
-		merged.Evaluated += o.res.Evaluated
-		if o.found && (!found || o.res.Speedup > merged.Speedup) {
-			found = true
-			merged.Best = o.res.Best
-			merged.Loss, merged.Speedup = o.res.Loss, o.res.Speedup
-		}
-	}
-	if !found {
-		return merged, ErrNoViableCombo
-	}
-	return merged, nil
+	return w.res, nil
 }
 
 // AdditiveEstimate is the evaluator used when measurements are

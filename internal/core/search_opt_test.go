@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -29,9 +30,10 @@ func randomCandidates(rng *rand.Rand, units, per int, sla float64) [][]Setting {
 	return cands
 }
 
-// The parallel fan-out and the branch-and-bound cut must both be
-// invisible: identical Best/Loss/Speedup (and, without pruning, identical
-// Evaluated) to the plain serial walk, across randomized spaces.
+// The branch-and-bound cut must be invisible: identical Best, Loss,
+// Speedup and error to the exhaustive walk, which measures every
+// combination, across randomized spaces. A measuring evaluator turns the
+// cut off, so CombineSearch then is the exhaustive walk, Evaluated too.
 func TestCombineSearchOptMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	evalMeasured := func(combo []Setting) (float64, float64, error) {
@@ -48,36 +50,28 @@ func TestCombineSearchOptMatchesSerial(t *testing.T) {
 		sla := 0.01 + rng.Float64()*0.03
 		cands := randomCandidates(rng, units, per, sla)
 
-		serial, serialErr := CombineSearchOpt(cands, sla, nil, SearchOptions{DisablePruning: true})
-		for _, opt := range []SearchOptions{
-			{},                                 // serial + pruning
-			{Workers: 2},                       // parallel + pruning
-			{Workers: 8, DisablePruning: true}, // parallel, exhaustive
-			{Workers: per + 3},                 // more workers than branches
-		} {
-			got, err := CombineSearchOpt(cands, sla, nil, opt)
-			if !errors.Is(err, serialErr) && err != serialErr {
-				t.Fatalf("trial %d opt %+v: err = %v, serial err = %v", trial, opt, err, serialErr)
-			}
-			if !reflect.DeepEqual(got.Best, serial.Best) ||
-				got.Loss != serial.Loss || got.Speedup != serial.Speedup {
-				t.Fatalf("trial %d opt %+v: result %+v != serial %+v", trial, opt, got, serial)
-			}
-			if opt.DisablePruning && got.Evaluated != serial.Evaluated {
-				t.Fatalf("trial %d opt %+v: evaluated %d != serial %d",
-					trial, opt, got.Evaluated, serial.Evaluated)
-			}
-			if got.Evaluated > serial.Evaluated {
-				t.Fatalf("trial %d opt %+v: pruned walk evaluated MORE (%d > %d)",
-					trial, opt, got.Evaluated, serial.Evaluated)
-			}
+		exhaustive, exhaustiveErr := combineSearch(cands, sla, nil, false)
+		if want := int(math.Pow(float64(per), float64(units))); exhaustive.Evaluated != want {
+			t.Fatalf("trial %d: exhaustive walk evaluated %d, want %d", trial, exhaustive.Evaluated, want)
 		}
-		// A measuring evaluator disables pruning but still parallelizes.
-		ms, msErr := CombineSearch(cands, sla, evalMeasured)
-		mp, mpErr := CombineSearchOpt(cands, sla, evalMeasured, SearchOptions{Workers: 4})
-		if (msErr == nil) != (mpErr == nil) || !reflect.DeepEqual(ms, mp) {
-			t.Fatalf("trial %d measured: parallel %+v (%v) != serial %+v (%v)",
-				trial, mp, mpErr, ms, msErr)
+		got, err := CombineSearch(cands, sla, nil)
+		if err != exhaustiveErr {
+			t.Fatalf("trial %d: err = %v, exhaustive err = %v", trial, err, exhaustiveErr)
+		}
+		if !reflect.DeepEqual(got.Best, exhaustive.Best) ||
+			got.Loss != exhaustive.Loss || got.Speedup != exhaustive.Speedup {
+			t.Fatalf("trial %d: result %+v != exhaustive %+v", trial, got, exhaustive)
+		}
+		if got.Evaluated > exhaustive.Evaluated {
+			t.Fatalf("trial %d: pruned walk evaluated MORE (%d > %d)",
+				trial, got.Evaluated, exhaustive.Evaluated)
+		}
+
+		me, meErr := combineSearch(cands, sla, evalMeasured, false)
+		mp, mpErr := CombineSearch(cands, sla, evalMeasured)
+		if mpErr != meErr || !reflect.DeepEqual(mp, me) {
+			t.Fatalf("trial %d measured: %+v (%v) != exhaustive %+v (%v)",
+				trial, mp, mpErr, me, meErr)
 		}
 	}
 }
@@ -97,7 +91,7 @@ func TestCombineSearchPruningReducesEvaluated(t *testing.T) {
 			{Unit: 2, Label: "d", PredLoss: 0.003, Speedup: 1.4}},
 	}
 	const sla = 0.02
-	exhaustive, err := CombineSearchOpt(cands, sla, nil, SearchOptions{DisablePruning: true})
+	exhaustive, err := combineSearch(cands, sla, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +111,8 @@ func TestCombineSearchPruningReducesEvaluated(t *testing.T) {
 	}
 }
 
-// The serial walk surfaces the first evaluator error in lexicographic
-// order; the parallel merge must surface the same one.
+// The walk surfaces the first evaluator error in lexicographic order
+// and stops there: a-x, a-y and b-x are measured, nothing after b-x.
 func TestCombineSearchParallelErrorDeterministic(t *testing.T) {
 	errB := errors.New("branch b failed")
 	errC := errors.New("branch c failed")
@@ -126,7 +120,9 @@ func TestCombineSearchParallelErrorDeterministic(t *testing.T) {
 		{{Unit: 0, Label: "a"}, {Unit: 0, Label: "b"}, {Unit: 0, Label: "c"}},
 		{{Unit: 1, Label: "x"}, {Unit: 1, Label: "y"}},
 	}
+	calls := 0
 	eval := func(combo []Setting) (float64, float64, error) {
+		calls++
 		switch combo[0].Label {
 		case "b":
 			return 0, 0, errB
@@ -135,10 +131,10 @@ func TestCombineSearchParallelErrorDeterministic(t *testing.T) {
 		}
 		return 0.001, 2, nil
 	}
-	for _, workers := range []int{0, 2, 3} {
-		_, err := CombineSearchOpt(cands, 0.01, eval, SearchOptions{Workers: workers})
-		if err != errB {
-			t.Errorf("workers=%d: err = %v, want errB (first in walk order)", workers, err)
-		}
+	if _, err := CombineSearch(cands, 0.01, eval); err != errB {
+		t.Errorf("err = %v, want errB (first in walk order)", err)
+	}
+	if calls != 3 {
+		t.Errorf("evaluator called %d times, want 3 (the walk stops at the first error)", calls)
 	}
 }

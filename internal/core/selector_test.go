@@ -287,47 +287,6 @@ func TestBuildSelectorErrors(t *testing.T) {
 	}
 }
 
-// TestAddRunsFeatParallelEquivalence: the parallel feature-tagged
-// fan-out accumulates in input order, so any worker count builds a
-// bit-identical selector.
-func TestAddRunsFeatParallelEquivalence(t *testing.T) {
-	build := func(workers int) *LoopSelector {
-		cal, err := NewLoopCalibration("loop", []float64{100, 200, 400}, 3200, 3200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cal.FeatureBuckets([]float64{0, 10, 20, 30}); err != nil {
-			t.Fatal(err)
-		}
-		err = cal.AddRunsFeatParallel(workers, 60, func(i int) (Features, []float64, []float64, error) {
-			key := float64(i % 30)
-			base := 0.001 * float64(i+1)
-			return Features{Key: key, Valid: true},
-				[]float64{base * 7, base * 3, base}, []float64{100, 200, 400}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel, err := cal.BuildSelector()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sel
-	}
-	serial, parallel := build(1), build(8)
-	if !reflect.DeepEqual(serial.Edges(), parallel.Edges()) {
-		t.Fatal("edges differ between worker counts")
-	}
-	for _, key := range []float64{0, 5, 10, 15, 25, 30} {
-		for _, lvl := range []float64{100, 150, 200, 400, 1000} {
-			f := Features{Key: key, Valid: true}
-			if s, p := serial.PredictLoss(f, lvl), parallel.PredictLoss(f, lvl); s != p {
-				t.Fatalf("PredictLoss(key=%v, level=%v): serial %v != parallel %v", key, lvl, s, p)
-			}
-		}
-	}
-}
-
 // --- FuncSelector -----------------------------------------------------
 
 func TestFuncSelector(t *testing.T) {

@@ -251,8 +251,8 @@ func TestTableString(t *testing.T) {
 }
 
 // The calibration phase's worker fan-out must not change the built model:
-// AddRunsParallel merges measurements in input order, so any worker count
-// yields the bit-identical model.
+// measureAll gives every input its own slot and the model folds the slots
+// in input order, so any worker count yields the bit-identical model.
 func TestCalibrationWorkersProduceIdenticalModel(t *testing.T) {
 	f, err := newSearchFixture(Options{Seed: 7, Scale: 0.05})
 	if err != nil {

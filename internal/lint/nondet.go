@@ -6,14 +6,14 @@ import (
 )
 
 // nondet guards the determinism contract of the calibration and model
-// layer. Parallel calibration (LoopCalibration.AddRunsParallel, the
-// CombineSearchOpt worker fan-out) promises a bit-identical model for any
-// worker count; that promise only holds if the measurement and model
-// code itself is a pure function of its inputs. A time.Now timestamp or
-// a draw from the globally-seeded math/rand source re-introduces run-to-
-// run variance — models stop being reproducible, and the serial-vs-
-// parallel equivalence tests turn flaky in the worst possible way
-// (rarely, and only under load).
+// layer. The evaluation's calibration fan-out (internal/experiments'
+// measureAll) promises a bit-identical model for any -workers count;
+// that promise only holds if the measurement and model code itself is
+// a pure function of its inputs. A time.Now timestamp or a draw from
+// the globally-seeded math/rand source re-introduces run-to-run
+// variance — models stop being reproducible, and the worker-count
+// equivalence tests turn flaky in the worst possible way (rarely, and
+// only under load).
 //
 // The check is scoped to "calibration context": function bodies that
 // touch the model package or the calibration/search API. Operational and
@@ -39,24 +39,20 @@ var analyzerNonDet = &Analyzer{
 // calibrationFuncs are core/green functions and methods whose presence
 // marks a function body as calibration context.
 var calibrationFuncs = map[string]bool{
-	"AddRun":              true,
-	"AddRuns":             true,
-	"AddRunsParallel":     true,
-	"AddRunFeat":          true,
-	"AddRunsFeatParallel": true,
-	"AddSampleFeat":       true,
-	"Build":               true,
-	"BuildLoopModel":      true,
-	"BuildFuncModel":      true,
-	"BuildSelector":       true,
-	"BuildFuncSelector":   true,
-	"CombineSearch":       true,
-	"CombineSearchOpt":    true,
-	"FeatureBuckets":      true,
-	"InstallSelector":     true,
-	"NewLoopCalibration":  true,
-	"NewFuncCalibration":  true,
-	"NewCalibration2D":    true,
+	"AddRun":             true,
+	"AddRunFeat":         true,
+	"AddSampleFeat":      true,
+	"Build":              true,
+	"BuildLoopModel":     true,
+	"BuildFuncModel":     true,
+	"BuildSelector":      true,
+	"BuildFuncSelector":  true,
+	"CombineSearch":      true,
+	"FeatureBuckets":     true,
+	"InstallSelector":    true,
+	"NewLoopCalibration": true,
+	"NewFuncCalibration": true,
+	"NewCalibration2D":   true,
 }
 
 // nondetTimeFuncs are the wall-clock reads that break reproducibility.

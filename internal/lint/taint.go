@@ -31,7 +31,7 @@ import (
 //
 // Sinks (precise-only contexts, check "taintsink"):
 //
-//   - calibration inputs (AddRun, AddRunsParallel, AddSample);
+//   - calibration inputs (AddRun, AddRunFeat, AddSample, AddSampleFeat);
 //   - persisted controller state (Restore, RestoreStateJSON,
 //     RestoreAllJSON);
 //   - SLA/adaptive parameters (SetAdaptive, SetLevel);
@@ -907,7 +907,7 @@ func sinkKind(fn *types.Func) string {
 	switch path {
 	case corePath:
 		switch name {
-		case "AddRun", "AddRunsParallel", "AddSample":
+		case "AddRun", "AddRunFeat", "AddSample", "AddSampleFeat":
 			return "calibration input"
 		case "Restore", "RestoreAllJSON", "RestoreStateJSON":
 			return "persisted controller state"

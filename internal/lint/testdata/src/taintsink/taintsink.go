@@ -133,6 +133,23 @@ func returnedToError(f *core.Func, xs []float64) error {
 	return nil
 }
 
+// callToFeatSample is callToCalibration through the feature-tagged entry
+// point, which feeds the same store and a selector bucket besides.
+func callToFeatSample(c *core.FuncCalibration, f *core.Func, x float64) error {
+	y := f.Call(x)
+	return c.AddSampleFeat(core.Features{Key: x, Valid: true}, 0, x, y) // want "calibration input"
+}
+
+// callNToFeatRun records approximate outputs as a feature-tagged run's
+// losses.
+func callNToFeatRun(c *core.LoopCalibration, f *core.Func, xs []float64) error {
+	ys := make([]float64, len(xs))
+	if err := f.CallN(xs, ys); err != nil {
+		return err
+	}
+	return c.AddRunFeat(core.Features{}, ys, xs) // want "calibration input"
+}
+
 // endorsed is the sanctioned crossing: the directive carries a reason,
 // so the finding is suppressed (and taintendorse would accept it).
 func endorsed(f *core.Func, x float64) error {

@@ -181,7 +181,7 @@ type Ready struct {
 
 // Model is the worker /model JSON shape: per-controller candidate
 // settings derived from the calibrated model, the raw material for the
-// coordinator's CombineSearchOpt decomposition of the fleet SLA into
+// coordinator's CombineSearch decomposition of the fleet SLA into
 // per-shard budgets.
 type Model struct {
 	Controllers []ModelController `json:"controllers"`

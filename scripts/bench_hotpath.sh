@@ -7,7 +7,8 @@
 # BenchmarkServeBand (the 200k handler over band queries; with the kernel
 # rows, `-only scan`) / BenchmarkClusterScatter / BenchmarkShardHop /
 # BenchmarkCombineSearchSpace / BenchmarkFuncCallDFT (the DFT's
-# approximated cosine taken apart) / BenchmarkZipfNext / BenchmarkNewZipf /
+# approximated cosine taken apart) / BenchmarkRenderPass (one ray-tracer
+# pass at app_kernels' size) / BenchmarkZipfNext / BenchmarkNewZipf /
 # BenchmarkNewEngine (the corpus generator: `-only corpus`) families and
 # emits one JSON object (ns/op, allocs/op, the scan kernel's ns per
 # scored document, and the combination search's evaluated-combos count)
@@ -46,7 +47,7 @@ benchtime="1s"
 best=1
 pair=""
 cpu=""
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ServeBand|ClusterScatter|ShardHop|CombineSearchSpace|FuncCallDFT|ZipfNext|NewZipf|NewEngine'
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ServeBand|ClusterScatter|ShardHop|CombineSearchSpace|FuncCallDFT|RenderPass|ZipfNext|NewZipf|NewEngine'
 control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop'
 corpus='ZipfNext|NewZipf|NewEngine'
 scan='ScanKernel|ServeBand'

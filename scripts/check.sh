@@ -176,6 +176,9 @@ echo "== race (concurrency-sensitive packages) =="
 go test -race ./internal/core ./internal/serve ./internal/loadgen ./internal/search \
 	./internal/metrics ./internal/taskgraph ./internal/chaos ./internal/persist \
 	./internal/cluster ./internal/wire .
+# The one goroutine fan-out of the offline phases is the evaluation's
+# measureAll: its worker-count equivalence, under the race detector.
+go test -race -count 1 -run TestCalibrationWorkersProduceIdenticalModel ./internal/experiments
 
 echo "== chaos smoke =="
 # A short seeded fault-injection run under the race detector: injected
