@@ -1152,17 +1152,11 @@ func BenchmarkClusterScatter(b *testing.B) {
 	}
 }
 
-// passThrough hides an *http.Transport behind a RoundTripper of another
-// type, which is all it takes to send HTTPTransport down its Client path.
-type passThrough struct{ http.RoundTripper }
-
 // BenchmarkShardHop measures one coordinator→worker hop over a real
 // loopback socket: HTTPTransport.Do against a net/http server answering
-// with a shard-sized /search reply. direct is the transport as the
-// coordinator builds it — a kept connection, one Write, one
-// http.ReadResponse; client is the same transport with its
-// *http.Transport wrapped, so the hop goes through http.Client.Do. About
-// 18 of either row's allocations are the server's.
+// with a shard-sized /search reply, on the transport as the coordinator
+// builds it — a kept connection, one Write, one http.ReadResponse. About
+// 18 of the row's allocations are the server's.
 func BenchmarkShardHop(b *testing.B) {
 	rep := wire.SearchReply{Query: "alpha beta", DocsScored: 512, Approximated: true}
 	for i := 0; i < 10; i++ {
@@ -1174,41 +1168,28 @@ func BenchmarkShardHop(b *testing.B) {
 		wire.WriteRaw(w, page)
 	}))
 	defer srv.Close()
-	for _, row := range []struct {
-		name string
-		wrap func(http.RoundTripper) http.RoundTripper
-	}{
-		{"direct", func(rt http.RoundTripper) http.RoundTripper { return rt }},
-		{"client", func(rt http.RoundTripper) http.RoundTripper { return passThrough{rt} }},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			base := &http.Transport{MaxIdleConnsPerHost: 16}
-			tr := &cluster.HTTPTransport{Client: &http.Client{Timeout: 30 * time.Second, Transport: row.wrap(base)}}
-			defer base.CloseIdleConnections()
-			// The parent commit, which -pair compiles this file against,
-			// has no connections of its own to close.
-			if c, ok := any(tr).(interface{ CloseIdleConnections() }); ok {
-				defer c.CloseIdleConnections()
+	b.Run("direct", func(b *testing.B) {
+		tr := &cluster.HTTPTransport{Client: &http.Client{Timeout: 30 * time.Second,
+			Transport: &http.Transport{MaxIdleConnsPerHost: 16}}}
+		defer tr.CloseIdleConnections()
+		path := wire.SearchPath("alpha+beta")
+		var buf []byte
+		hop := func() {
+			status, body, err := tr.Do(context.Background(), http.MethodGet, srv.URL, path, nil, time.Now().Add(2*time.Second), buf[:0])
+			if err != nil || status != http.StatusOK || len(body) != len(page) {
+				b.Fatalf("status %d, %d bytes, err %v", status, len(body), err)
 			}
-			path := wire.SearchPath("alpha+beta")
-			var buf []byte
-			hop := func() {
-				status, body, err := tr.Do(context.Background(), http.MethodGet, srv.URL, path, nil, time.Now().Add(2*time.Second), buf[:0])
-				if err != nil || status != http.StatusOK || len(body) != len(page) {
-					b.Fatalf("status %d, %d bytes, err %v", status, len(body), err)
-				}
-				buf = body
-			}
-			for i := 0; i < 16; i++ {
-				hop()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hop()
-			}
-		})
-	}
+			buf = body
+		}
+		for i := 0; i < 16; i++ {
+			hop()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hop()
+		}
+	})
 }
 
 // combineSearchCandidates builds a units × perUnit candidate grid whose

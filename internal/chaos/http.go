@@ -1,10 +1,9 @@
 package chaos
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -12,36 +11,47 @@ import (
 	"time"
 )
 
+// Doer is one HTTP exchange with a replica: the method of a coordinator's
+// shard transport (cluster.Transport, which this package cannot import —
+// cluster's tests import it). Do issues method against base+path with
+// reqBody, appends the reply body to buf and returns the status; deadline
+// bounds the exchange, the zero time meaning none.
+type Doer interface {
+	Do(ctx context.Context, method, base, path string, reqBody []byte, deadline time.Time, buf []byte) (status int, body []byte, err error)
+}
+
 // HTTPFault is one host's fault schedule: every Nth request to the host
 // draws the corresponding fault (0 disables that fault kind). Kinds are
 // checked in order drop, delay, code, garbage; each keeps its own
 // per-host ordinal, so schedules compose the way Injector sites do.
 type HTTPFault struct {
-	// DropEvery fails the request with a transport error before it is
+	// DropEvery fails the exchange with an error before it is
 	// sent — the HTTP-level analogue of a killed process or a cut cable.
 	DropEvery int
-	// DelayEvery sleeps Delay (default 5ms) before forwarding — a
-	// replica slowed past its deadline budget.
+	// DelayEvery sleeps Delay (default 5ms) before forwarding, or until
+	// the context or the deadline ends — a replica slowed past its
+	// deadline budget.
 	DelayEvery int
 	Delay      time.Duration
 	// CodeEvery answers with Code (default 500) without reaching the
 	// host — an application-level failure.
 	CodeEvery int
 	Code      int
-	// GarbageEvery forwards the request but mangles the response body —
+	// GarbageEvery forwards the exchange but mangles the reply body —
 	// alternating truncation and byte-garbling per ordinal, the torn and
 	// corrupted replies a coordinator's parser must reject.
 	GarbageEvery int
 }
 
-// HTTPFaults is an http.RoundTripper that injects per-host faults in
-// front of a base transport, with the package's determinism contract:
+// HTTPFaults is a Doer that injects per-host faults in front of a base
+// Doer — the exchange a coordinator runs in production — with the
+// package's determinism contract:
 // the schedule is a pure function of (seed, host, fault kind, per-kind
 // call ordinal). SetEnabled(false) turns all faults off (for recovery
 // phases) without losing the ordinals.
 type HTTPFaults struct {
 	seed    int64
-	base    http.RoundTripper
+	base    Doer
 	enabled atomic.Bool
 
 	mu    sync.Mutex
@@ -51,12 +61,9 @@ type HTTPFaults struct {
 	drops, delays, codes, garbled atomic.Int64
 }
 
-// NewHTTPFaults wraps base (nil means http.DefaultTransport) with an
-// enabled, initially rule-less injector.
-func NewHTTPFaults(seed int64, base http.RoundTripper) *HTTPFaults {
-	if base == nil {
-		base = http.DefaultTransport
-	}
+// NewHTTPFaults wraps base with an enabled, initially rule-less
+// injector.
+func NewHTTPFaults(seed int64, base Doer) *HTTPFaults {
 	f := &HTTPFaults{seed: seed, base: base,
 		rules: make(map[string]*HTTPFault), sites: make(map[string]*site)}
 	f.enabled.Store(true)
@@ -64,7 +71,7 @@ func NewHTTPFaults(seed int64, base http.RoundTripper) *HTTPFaults {
 }
 
 // SetRule installs (or replaces) the fault schedule for one host
-// ("host:port" as it appears in request URLs).
+// ("host:port" as it appears in base URLs).
 func (f *HTTPFaults) SetRule(host string, rule HTTPFault) {
 	if rule.Delay <= 0 {
 		rule.Delay = 5 * time.Millisecond
@@ -101,73 +108,78 @@ func (f *HTTPFaults) siteOrdinal(host, kind string, every int) (n int64, fire bo
 	return n, (n+s.phase)%int64(every) == 0
 }
 
-// RoundTrip implements http.RoundTripper.
-func (f *HTTPFaults) RoundTrip(req *http.Request) (*http.Response, error) {
+// Do implements Doer.
+func (f *HTTPFaults) Do(ctx context.Context, method, base, path string, reqBody []byte, deadline time.Time, buf []byte) (int, []byte, error) {
+	host := hostOf(base)
 	f.mu.Lock()
-	rule := f.rules[req.URL.Host]
+	rule := f.rules[host]
 	f.mu.Unlock()
 	if rule == nil || !f.enabled.Load() {
-		return f.base.RoundTrip(req)
+		return f.base.Do(ctx, method, base, path, reqBody, deadline, buf)
 	}
 	if rule.DropEvery > 0 {
-		if n, fire := f.siteOrdinal(req.URL.Host, "drop", rule.DropEvery); fire {
+		if n, fire := f.siteOrdinal(host, "drop", rule.DropEvery); fire {
 			f.drops.Add(1)
-			return nil, fmt.Errorf("chaos: injected connection drop to %s (call %d)", req.URL.Host, n)
+			return 0, buf, fmt.Errorf("chaos: injected connection drop to %s (call %d)", host, n)
 		}
 	}
 	if rule.DelayEvery > 0 {
-		if _, fire := f.siteOrdinal(req.URL.Host, "delay", rule.DelayEvery); fire {
+		if _, fire := f.siteOrdinal(host, "delay", rule.DelayEvery); fire {
 			f.delays.Add(1)
-			// Honor the request context so a deadline-bounded caller sees
-			// a timeout, not a stuck transport.
-			t := time.NewTimer(rule.Delay)
-			select {
-			case <-req.Context().Done():
-				t.Stop()
-				return nil, req.Context().Err()
-			case <-t.C:
+			if err := sleep(ctx, rule.Delay, deadline); err != nil {
+				return 0, buf, err
 			}
 		}
 	}
 	if rule.CodeEvery > 0 {
-		if _, fire := f.siteOrdinal(req.URL.Host, "code", rule.CodeEvery); fire {
+		if _, fire := f.siteOrdinal(host, "code", rule.CodeEvery); fire {
 			f.codes.Add(1)
-			body := fmt.Sprintf("chaos: injected %d", rule.Code)
-			return &http.Response{
-				StatusCode: rule.Code,
-				Status:     fmt.Sprintf("%d chaos", rule.Code),
-				Proto:      req.Proto, ProtoMajor: req.ProtoMajor, ProtoMinor: req.ProtoMinor,
-				Header:  http.Header{"Content-Type": {"text/plain"}},
-				Body:    io.NopCloser(strings.NewReader(body)),
-				Request: req, ContentLength: int64(len(body)),
-			}, nil
+			return rule.Code, fmt.Appendf(buf, "chaos: injected %d", rule.Code), nil
 		}
 	}
-	resp, err := f.base.RoundTrip(req)
+	status, body, err := f.base.Do(ctx, method, base, path, reqBody, deadline, buf)
 	if err != nil || rule.GarbageEvery == 0 {
-		return resp, err
+		return status, body, err
 	}
-	n, fire := f.siteOrdinal(req.URL.Host, "garbage", rule.GarbageEvery)
+	n, fire := f.siteOrdinal(host, "garbage", rule.GarbageEvery)
 	if !fire {
-		return resp, nil
+		return status, body, nil
 	}
 	f.garbled.Add(1)
-	data, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return nil, rerr
-	}
+	data := body[len(buf):]
 	if n%2 == 0 && len(data) > 1 {
-		data = data[:len(data)/2] // truncated mid-object
-	} else {
-		for i := range data { // garbled: every byte xored, still bytes
-			data[i] ^= 0x5a
-		}
+		return status, body[:len(buf)+len(data)/2], nil // truncated mid-object
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(data))
-	resp.ContentLength = int64(len(data))
-	resp.Header.Del("Content-Length")
-	return resp, nil
+	for i := range data { // garbled: every byte xored, still bytes
+		data[i] ^= 0x5a
+	}
+	return status, body, nil
+}
+
+// sleep waits d, cut short by ctx or by the deadline (the zero time
+// means none) with the reason as its error, so a deadline-bounded caller
+// sees a timeout, not a stuck replica.
+func sleep(ctx context.Context, d time.Duration, deadline time.Time) (err error) {
+	if rem := time.Until(deadline); !deadline.IsZero() && rem < d {
+		d, err = rem, context.DeadlineExceeded
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return err
+	}
+}
+
+// hostOf is the "host:port" of a base URL, the key rules are set under.
+func hostOf(base string) string {
+	if _, rest, ok := strings.Cut(base, "://"); ok {
+		base = rest
+	}
+	host, _, _ := strings.Cut(base, "/")
+	return host
 }
 
 // phaseFor derives a site's deterministic phase offset from the seed

@@ -18,7 +18,8 @@ import (
 )
 
 // e2eFleet is a real fleet: three shards, two serve workers each,
-// listening on real sockets, reached through the chaos RoundTripper.
+// listening on real sockets, reached through the chaos fault injector in
+// front of the coordinator's own HTTPTransport.
 type e2eFleet struct {
 	co      *Coordinator
 	faults  *chaos.HTTPFaults
@@ -29,7 +30,7 @@ type e2eFleet struct {
 
 func newE2EFleet(t *testing.T) *e2eFleet {
 	t.Helper()
-	f := &e2eFleet{faults: chaos.NewHTTPFaults(7, nil)}
+	f := &e2eFleet{faults: chaos.NewHTTPFaults(7, &HTTPTransport{})}
 	var shards []ShardSpec
 	for i := 0; i < 3; i++ {
 		spec := ShardSpec{Name: fmt.Sprintf("shard%d", i)}
@@ -57,14 +58,11 @@ func newE2EFleet(t *testing.T) *e2eFleet {
 		SLA:              0.02,
 		Quorum:           2,
 		Retries:          1,
-		RetryBackoff:     2 * time.Millisecond,
 		RequestTimeout:   400 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  8,
 		Seed:             11,
-		Transport: &HTTPTransport{Client: &http.Client{
-			Transport: f.faults,
-		}},
+		Transport:        f.faults,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -147,13 +147,17 @@ func (c *shardClient) call(ctx context.Context, method, path string, reqBody []b
 	return lastErr
 }
 
+// retryBackoff is the base of the jittered exponential backoff between
+// synchronous retries.
+const retryBackoff = 5 * time.Millisecond
+
 // sleepBackoff waits the jittered exponential backoff for the given
-// completed attempt: full jitter over [base·2^a/2, base·2^a), truncated
-// to the remaining deadline.
+// completed attempt: full jitter over [retryBackoff·2^a/2,
+// retryBackoff·2^a), truncated to the remaining deadline.
 func (c *shardClient) sleepBackoff(ctx context.Context, attempt int, deadline time.Time) {
-	d := c.cfg.RetryBackoff << attempt
+	d := retryBackoff << attempt
 	if d <= 0 {
-		return
+		return // shifted past int64
 	}
 	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 	if rem := time.Until(deadline); d > rem {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -105,11 +106,16 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 	candidates := make([][]core.Setting, n)
 	levels := make([][]float64, n)
 	searchable := true
+	var refused []string // shards whose /model row failed wire's Check
 	for i := 0; i < n; i++ {
 		ctl := &co.ctl[i]
 		if m := polls[i].model; m != nil {
 			for _, row := range m.Controllers {
-				if row.Name != co.cfg.Controller {
+				if row.Name != wire.MatchController {
+					continue
+				}
+				if err := row.Check(); err != nil {
+					refused = append(refused, co.shards[i].name+": "+err.Error())
 					continue
 				}
 				ctl.baseLevel = row.BaseLevel
@@ -177,6 +183,9 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 	co.aggregations.Add(1)
 	if !searchable {
 		co.lastAggNote = fmt.Sprintf("polled %d/%d shards; no budget push (missing models)", rep.ShardsPolled, n)
+		if len(refused) > 0 {
+			co.lastAggNote += "; refused /model from " + strings.Join(refused, "; ")
+		}
 		co.mu.Unlock()
 		if rep.ShardsPolled == 0 {
 			return rep, fmt.Errorf("cluster: aggregation reached no shard")
@@ -211,7 +220,7 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 			continue
 		}
 		rep.Budgets[co.shards[i].name] = level
-		body, merr := json.Marshal(wire.Budget{Controller: co.cfg.Controller, Level: level})
+		body, merr := json.Marshal(wire.Budget{Controller: wire.MatchController, Level: level})
 		if merr != nil {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -252,5 +253,52 @@ func TestCorrectionNeedsAPrediction(t *testing.T) {
 	// One EWMA step (alpha 0.25) toward the upper clamp: 1*(0.75 + 0.25*4).
 	if got := sel.Factors()[0]; math.Abs(got-1.75) > 1e-12 {
 		t.Errorf("selector factor = %g, want 1.75", got)
+	}
+}
+
+// TestAggregateOnceRefusesForeignModel: a shard's /model rows are another
+// process's bytes. A row the search cannot use — here a negative loss that
+// would pay for the other shards' approximation, and every other way a
+// level, loss or speedup can be out of range — leaves that shard without
+// a model: no budget goes anywhere that round, and the round's note names
+// the shard.
+func TestAggregateOnceRefusesForeignModel(t *testing.T) {
+	for name, levels := range map[string]string{
+		"negative loss":     `{"level":100,"pred_loss":-0.5,"speedup":4}`,
+		"zero speedup":      `{"level":100,"pred_loss":0.03,"speedup":0}`,
+		"negative speedup":  `{"level":100,"pred_loss":0.03,"speedup":-4}`,
+		"zero level":        `{"level":0,"pred_loss":0.03,"speedup":4}`,
+		"descending levels": `{"level":1000,"pred_loss":0.005,"speedup":2},{"level":100,"pred_loss":0.03,"speedup":4}`,
+		"repeated level":    `{"level":100,"pred_loss":0.03,"speedup":4},{"level":100,"pred_loss":0.005,"speedup":2}`,
+		"above base level":  `{"level":100,"pred_loss":0.03,"speedup":4},{"level":30000,"pred_loss":0,"speedup":2}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			recs := []*budgetRecorder{{}, {}, {}}
+			foreign := http.NewServeMux()
+			foreign.Handle("/", controlWorker(0.005, 500, 1000, recs[0]))
+			foreign.HandleFunc("GET "+wire.PathModel, func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprint(w, `{"controllers":[{"name":"serve.match","base_level":20000,"levels":[`+levels+`]}]}`)
+			})
+			co, _ := clusterOf(t, Config{Quorum: 2, SLA: 0.02}, [][]http.Handler{
+				{foreign},
+				{controlWorker(0.03, 500, 100, recs[1])},
+				{controlWorker(0.03, 500, 100, recs[2])},
+			})
+			rep, err := co.AggregateOnce(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Budgets) != 0 || rep.Pushes != 0 {
+				t.Errorf("pushed on a foreign model: %+v", rep)
+			}
+			for i, rec := range recs {
+				if lvl, ok := rec.last(); ok {
+					t.Errorf("shard %d received budget %g", i, lvl)
+				}
+			}
+			if note := co.lastAggNote; !strings.Contains(note, "refused /model from s0:") {
+				t.Errorf("note does not name the refused shard: %q", note)
+			}
+		})
 	}
 }

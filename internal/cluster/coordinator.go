@@ -32,8 +32,6 @@ type Config struct {
 	// SLA is the application-level QoS SLA the control plane decomposes
 	// into per-shard budgets (default 0.02).
 	SLA float64
-	// TopN is the merged result-page size (default 10).
-	TopN int
 	// Quorum is the minimum number of shards that must answer for a
 	// request to succeed; below it the request is refused with 503 +
 	// Retry-After. Partial coverage at or above quorum serves a degraded
@@ -45,9 +43,6 @@ type Config struct {
 	// Retries is how many times a failed shard attempt is retried on a
 	// (preferably different) replica (default 1).
 	Retries int
-	// RetryBackoff is the base of the jittered exponential backoff
-	// between synchronous retries (default 5ms).
-	RetryBackoff time.Duration
 	// HedgeDelay, when positive, launches a hedged second request on an
 	// alternate replica if a shard has not answered within the delay.
 	// Safe because the worker /search handler is idempotent. Off by
@@ -62,22 +57,17 @@ type Config struct {
 	// per-shard monitored loss, recomputes the SLA decomposition, and
 	// pushes budgets (default 5s; Start launches the loop).
 	AggregateInterval time.Duration
-	// Controller names the worker controller budgets are pushed to
-	// (default "serve.match").
-	Controller string
 	// Seed determinizes backoff jitter.
 	Seed int64
 	// Transport is the wire seam (default HTTPTransport over
-	// http.DefaultClient).
+	// http.DefaultClient). New resolves every replica through an
+	// *HTTPTransport, so a configuration it refuses fails here.
 	Transport Transport
 }
 
 func (c Config) withDefaults() Config {
 	if c.SLA == 0 {
 		c.SLA = 0.02
-	}
-	if c.TopN == 0 {
-		c.TopN = 10
 	}
 	if c.Quorum == 0 {
 		c.Quorum = len(c.Shards)/2 + 1
@@ -91,14 +81,8 @@ func (c Config) withDefaults() Config {
 	if c.Retries < 0 {
 		c.Retries = 0
 	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 5 * time.Millisecond
-	}
 	if c.AggregateInterval == 0 {
 		c.AggregateInterval = 5 * time.Second
-	}
-	if c.Controller == "" {
-		c.Controller = "serve.match"
 	}
 	if c.Transport == nil {
 		c.Transport = &HTTPTransport{}
@@ -155,7 +139,11 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: shard %q has no replicas", spec.Name)
 		}
 		for _, base := range spec.Replicas {
-			if _, err := parseBase(base); err != nil {
+			_, err := parseBase(base)
+			if ht, ok := c.Transport.(*HTTPTransport); ok && err == nil {
+				_, err = ht.target(base)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("cluster: shard %q: %w", spec.Name, err)
 			}
 		}
@@ -256,7 +244,7 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	okCount, docsScored := 0, 0
 	anyDegraded := false
 	failed := sc.resp.FailedShards[:0]
-	sc.merger.Reset(co.cfg.TopN)
+	sc.merger.Reset(wire.PageSize)
 	for i := 0; i < n; i++ {
 		if sc.tasks[i].err != nil {
 			co.shards[i].failReqs.Add(1)

@@ -155,7 +155,7 @@ func TestQuorumPolicy(t *testing.T) {
 func TestRetryPrefersAlternateReplica(t *testing.T) {
 	bad := &countingWorker{inner: failWorker(http.StatusInternalServerError)}
 	good := &countingWorker{inner: okWorker(workerJSON(t, []int{1}, []float64{5}, false))}
-	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 1, RetryBackoff: time.Millisecond,
+	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 1,
 		RequestTimeout: time.Second}, [][]http.Handler{{bad, good}})
 	h := co.Handler()
 	for i := 0; i < 10; i++ {
@@ -192,7 +192,7 @@ func TestRetryPrefersAlternateReplica(t *testing.T) {
 func TestDeadlineBudget(t *testing.T) {
 	page := workerJSON(t, []int{1}, []float64{5}, false)
 	slow := slowWorker(2*time.Second, okWorker(page))
-	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 1, RetryBackoff: time.Millisecond,
+	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 1,
 		RequestTimeout: 150 * time.Millisecond}, [][]http.Handler{
 		{slow},
 		{okWorker(page)},
@@ -249,7 +249,7 @@ func TestHedgedRequestNoDoubleCount(t *testing.T) {
 // per-shard health, and readiness degrades naming the unhealthy
 // replicas.
 func TestCoordinatorStatsAndReadyz(t *testing.T) {
-	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 1, RetryBackoff: time.Millisecond,
+	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 1,
 		RequestTimeout: time.Second}, [][]http.Handler{
 		{failWorker(http.StatusInternalServerError), okWorker(workerJSON(t, []int{1}, []float64{5}, false))},
 	})

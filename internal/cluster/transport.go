@@ -20,7 +20,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -30,7 +29,6 @@ import (
 	"net/url"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -52,21 +50,19 @@ type Transport interface {
 	Do(ctx context.Context, method, base, path string, reqBody []byte, deadline time.Time, buf []byte) (status int, body []byte, err error)
 }
 
-// HTTPTransport is the production Transport: HTTP/1.1 to the replicas.
+// HTTPTransport is the production Transport: HTTP/1.1 to plain http://
+// replicas, on connections it keeps itself — one Write of the request,
+// one http.ReadResponse of the reply, in the calling goroutine.
 //
-// To a plain http:// replica it performs the exchange itself on kept
-// connections of its own — one Write of the request, one
-// http.ReadResponse of the reply, in the calling goroutine. Whatever asks
-// for more than a TCP connection goes through Client.Do: an https or
-// proxied base URL, or a Client with a Jar, a CheckRedirect or a
-// Transport that is not a stock *http.Transport.
+// A configuration that asks for more than a TCP connection to the
+// replica is refused — by New, naming the shard, and by every Do: https
+// or credentials in the URL, a Jar, a CheckRedirect, a RoundTripper other
+// than an *http.Transport, a proxy for the replica (HTTP_PROXY included),
+// Dial, DialTLS*, DisableKeepAlives, MaxConnsPerHost or ResponseHeaderTimeout.
 type HTTPTransport struct {
-	// Client is the underlying client; nil means http.DefaultClient.
-	// Wrapping Client.Transport (e.g. with chaos.HTTPFaults) injects
-	// faults below this layer, and every request then goes through it. Of
-	// an unwrapped one the direct path keeps Timeout and the
-	// *http.Transport's DialContext. Set it before the first Do: how a
-	// replica is reached is decided once per base URL.
+	// Client supplies Timeout and, through its *http.Transport,
+	// DialContext; nil means http.DefaultClient. Set it before New or the
+	// first Do: how a replica is reached is decided once per base URL.
 	Client *http.Client
 
 	// targets holds one *target per base URL.
@@ -81,16 +77,13 @@ const (
 	maxHead = 64 << 10
 )
 
-// target is what HTTPTransport knows about one base URL: the request
-// Client.Do is given a copy of, and, when the direct path serves it, how
-// to dial it, the constant parts of a request and the idle connections.
+// target is what HTTPTransport knows about one base URL: how to dial it,
+// the constant parts of a request and the idle connections.
 type target struct {
-	tmpl *http.Request
-
-	dial   func(ctx context.Context, network, addr string) (net.Conn, error) // nil: Client.Do
-	addr   string                                                            // host:port to dial
-	prefix string                                                            // the base URL's path
-	head   string                                                            // from the request line's version through the Host header
+	dial   func(ctx context.Context, network, addr string) (net.Conn, error)
+	addr   string // host:port to dial
+	prefix string // the base URL's path
+	head   string // from the request line's version through the Host header
 
 	mu   sync.Mutex
 	idle []*shardConn // a stack: the connection used last is the next one taken
@@ -113,16 +106,16 @@ type shardConn struct {
 // connection is closed afterwards whether or not the deadline took.
 func (sc *shardConn) cut() { _ = sc.c.SetDeadline(time.Unix(1, 0)) }
 
-// parseBase parses a replica's base URL, which must name a scheme and a
-// host. New runs every replica through it, so the fleet a coordinator
-// accepts is one HTTPTransport can reach.
+// parseBase parses a replica's base URL, which must be http:// with a
+// host and no credentials. New runs every replica through it, so the
+// fleet a coordinator accepts is one HTTPTransport can reach.
 func parseBase(base string) (*url.URL, error) {
 	u, err := url.Parse(base)
 	if err != nil {
 		return nil, err
 	}
-	if u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("cluster: replica URL %q needs a scheme and a host", base)
+	if u.Scheme != "http" || u.Host == "" || u.User != nil {
+		return nil, fmt.Errorf("cluster: replica URL %q: want http://host[:port][/path] without credentials", base)
 	}
 	return u, nil
 }
@@ -136,59 +129,48 @@ func (t *HTTPTransport) target(base string) (*target, error) {
 	if err != nil {
 		return nil, err
 	}
-	tg := &target{tmpl: &http.Request{
-		URL: u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-	}}
-	if tg.dial = t.dialer(tg.tmpl); tg.dial != nil {
-		tg.addr = u.Host
-		if u.Port() == "" {
-			tg.addr = net.JoinHostPort(u.Hostname(), "80")
-		}
-		tg.prefix = u.EscapedPath()
-		tg.head = " HTTP/1.1\r\nHost: " + u.Host + "\r\n"
+	dial, err := t.dialer(u)
+	if err != nil {
+		return nil, err
+	}
+	tg := &target{dial: dial, addr: u.Host, prefix: u.EscapedPath(), head: " HTTP/1.1\r\nHost: " + u.Host + "\r\n"}
+	if u.Port() == "" {
+		tg.addr = net.JoinHostPort(u.Hostname(), "80")
 	}
 	v, _ := t.targets.LoadOrStore(base, tg)
 	return v.(*target), nil
 }
 
-// dialer returns how the direct path opens a connection for probe (a
-// request for the base URL), or nil when the configuration asks for
-// something only net/http's client does: TLS, credentials from the URL,
-// cookies, a redirect policy, a RoundTripper that is not an
-// *http.Transport, a proxy, or a Transport field that shapes connections
-// in a way the kept stack does not.
-func (t *HTTPTransport) dialer(probe *http.Request) func(ctx context.Context, network, addr string) (net.Conn, error) {
-	if probe.URL.Scheme != "http" || probe.URL.User != nil {
-		return nil
+// dialer returns how to open a connection to u, or why the configuration
+// asks for more than that (HTTPTransport lists what is refused).
+func (t *HTTPTransport) dialer(u *url.URL) (func(ctx context.Context, network, addr string) (net.Conn, error), error) {
+	c, rt := t.Client, http.RoundTripper(http.DefaultTransport)
+	if c == nil {
+		c = http.DefaultClient
 	}
-	var rt http.RoundTripper = http.DefaultTransport
-	if c := t.Client; c != nil {
-		if c.Jar != nil || c.CheckRedirect != nil {
-			return nil
-		}
-		if c.Transport != nil {
-			rt = c.Transport
-		}
+	if c.Transport != nil {
+		rt = c.Transport
 	}
 	tr, ok := rt.(*http.Transport)
-	if !ok || tr.Dial != nil || tr.DialTLS != nil || tr.DialTLSContext != nil ||
+	if !ok || c.Jar != nil || c.CheckRedirect != nil || tr.Dial != nil || tr.DialTLS != nil || tr.DialTLSContext != nil ||
 		tr.DisableKeepAlives || tr.MaxConnsPerHost != 0 || tr.ResponseHeaderTimeout != 0 {
-		return nil
+		return nil, fmt.Errorf("cluster: HTTPTransport takes a Client without Jar or CheckRedirect whose Transport (a %T) is an *http.Transport "+
+			"without Dial, DialTLS, DialTLSContext, DisableKeepAlives, MaxConnsPerHost or ResponseHeaderTimeout", rt)
 	}
 	if tr.Proxy != nil {
-		if proxy, err := tr.Proxy(probe); err != nil || proxy != nil {
-			return nil
+		if p, err := tr.Proxy(&http.Request{URL: u, Host: u.Host}); err != nil || p != nil {
+			return nil, fmt.Errorf("cluster: %s is reached through a proxy (%q, %v); HTTPTransport dials replicas directly", u.Host, p.Redacted(), err)
 		}
 	}
 	if tr.DialContext != nil {
-		return tr.DialContext
+		return tr.DialContext, nil
 	}
-	return new(net.Dialer).DialContext
+	return new(net.Dialer).DialContext, nil
 }
 
 // CloseIdleConnections closes the connections the transport keeps for
-// its next exchanges, and the Client's. One in use is closed or kept as
-// usual when its exchange ends.
+// its next exchanges. One in use is closed or kept as usual when its
+// exchange ends.
 func (t *HTTPTransport) CloseIdleConnections() {
 	t.targets.Range(func(_, v any) bool {
 		tg := v.(*target)
@@ -201,11 +183,6 @@ func (t *HTTPTransport) CloseIdleConnections() {
 		}
 		return true
 	})
-	client := t.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	client.CloseIdleConnections()
 }
 
 // Do implements Transport.
@@ -214,15 +191,13 @@ func (t *HTTPTransport) Do(ctx context.Context, method, base, path string, reqBo
 	if err != nil {
 		return 0, buf, err
 	}
-	// A reply to HEAD or CONNECT is framed by the request's method, which
-	// the direct path does not hand to http.ReadResponse.
-	if tg.dial == nil || method == http.MethodHead || method == http.MethodConnect {
-		return t.doClient(ctx, tg, method, path, reqBody, deadline, buf)
-	}
 	// The request line is written from these as they are: a space or a
-	// line break in one would end it early and start a second request.
-	if method == "" || hasCTLOrSpace(method) || hasCTLOrSpace(path) {
-		return 0, buf, fmt.Errorf("cluster: refusing request %q %q to %s: control character or space", method, path, base)
+	// line break in one would end it early and start a second request. A
+	// reply to HEAD or CONNECT is framed by the request's method, which
+	// http.ReadResponse is not given.
+	if method == "" || method == http.MethodHead || method == http.MethodConnect ||
+		hasCTLOrSpace(method) || hasCTLOrSpace(path) {
+		return 0, buf, fmt.Errorf("cluster: refusing request %q %q to %s: HEAD, CONNECT, a control character or a space", method, path, base)
 	}
 	if t.Client != nil && t.Client.Timeout > 0 {
 		if d := time.Now().Add(t.Client.Timeout); deadline.IsZero() || d.Before(deadline) {
@@ -374,55 +349,13 @@ func (sc *shardConn) roundTrip(tg *target, method, path string, reqBody []byte, 
 	if err != nil {
 		return 0, buf, false, err
 	}
-	buf, err = appendBody(buf, &sc.body, resp.Body)
+	sc.body = io.LimitedReader{R: resp.Body, N: maxBody + 1}
+	if buf, err = appendAll(buf, &sc.body); err == nil && len(buf) > maxBody {
+		err = errBodyTooLarge
+	}
 	// Reading to io.EOF took the whole body, trailers included, off the
 	// connection; what is still buffered then belongs to no exchange.
 	return resp.StatusCode, buf, err == nil && !resp.Close && sc.br.Buffered() == 0, err
-}
-
-// doClient performs the exchange through net/http's client.
-func (t *HTTPTransport) doClient(ctx context.Context, tg *target, method, path string, reqBody []byte, deadline time.Time, buf []byte) (int, []byte, error) {
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	// The request is the template with its own context, URL and header:
-	// what http.NewRequestWithContext(base+path) would build, short of
-	// the concatenation and the parse.
-	u := *tg.tmpl.URL
-	path, u.RawQuery, _ = strings.Cut(path, "?")
-	u.Path += path
-	req := tg.tmpl.WithContext(ctx)
-	req.Method, req.URL, req.Header = method, &u, make(http.Header)
-	if reqBody != nil {
-		req.Body = io.NopCloser(bytes.NewReader(reqBody))
-		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(reqBody)), nil }
-		req.ContentLength = int64(len(reqBody))
-		req.Header.Set("Content-Type", "application/json")
-	}
-	client := t.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, buf, err
-	}
-	defer resp.Body.Close()
-	buf, err = appendBody(buf, new(io.LimitedReader), resp.Body)
-	return resp.StatusCode, buf, err
-}
-
-// appendBody appends a reply body to buf, reading it through lim to
-// io.EOF and refusing one above maxBody.
-func appendBody(buf []byte, lim *io.LimitedReader, body io.Reader) ([]byte, error) {
-	*lim = io.LimitedReader{R: body, N: maxBody + 1}
-	buf, err := appendAll(buf, lim)
-	if err == nil && len(buf) > maxBody {
-		err = errBodyTooLarge
-	}
-	return buf, err
 }
 
 // appendAll reads r to EOF, appending into buf without the intermediate

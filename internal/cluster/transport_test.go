@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -46,9 +47,6 @@ func idleConns(t *testing.T, tr *HTTPTransport, base string) int {
 	tg, err := tr.target(base)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tg.dial == nil {
-		t.Fatalf("%s is not served by the direct path", base)
 	}
 	tg.mu.Lock()
 	defer tg.mu.Unlock()
@@ -403,7 +401,7 @@ func TestDirectDeadlineBudgetsRetry(t *testing.T) {
 	page := workerJSON(t, []int{4, 2}, []float64{7, 3}, false)
 	slow, ok := blockingWorker(t), socketWorker(t, okWorker(page))
 	tr, _ := directTransport(t)
-	co := coordinatorOver(t, Config{Retries: 1, RetryBackoff: time.Millisecond, RequestTimeout: 200 * time.Millisecond}, tr, slow.URL, ok.URL)
+	co := coordinatorOver(t, Config{Retries: 1, RequestTimeout: 200 * time.Millisecond}, tr, slow.URL, ok.URL)
 	start := time.Now()
 	rec := get(t, co.Handler(), "/search?q=hello")
 	if rec.Code != http.StatusOK || decodeCoord(t, rec.Body.Bytes()).Degraded {
@@ -479,6 +477,8 @@ func TestDirectRefusesRequestSmuggling(t *testing.T) {
 		{"GET /budget HTTP/1.1\r\nX:", "/search"},
 		{"GE T", "/search"},
 		{"", "/search"},
+		{http.MethodHead, "/search"},
+		{http.MethodConnect, "/search"},
 	} {
 		status, _, err := tr.Do(context.Background(), tc.method, srv.URL, tc.path, nil, time.Now().Add(time.Second), nil)
 		if err == nil {
@@ -505,8 +505,9 @@ func (c *countingRoundTripper) RoundTrip(r *http.Request) (*http.Response, error
 	return c.next.RoundTrip(r)
 }
 
-// TestTransportPathChoice: the direct path serves a configuration only
-// when nothing in it asks for more than a TCP connection to the replica.
+// TestTransportPathChoice: a configuration is accepted only when nothing
+// in it asks for more than a TCP connection to the replica. A refused one
+// fails New, naming the shard, and fails every Do.
 func TestTransportPathChoice(t *testing.T) {
 	jar, err := cookiejar.New(nil)
 	if err != nil {
@@ -515,10 +516,10 @@ func TestTransportPathChoice(t *testing.T) {
 	proxy := &url.URL{Scheme: "http", Host: "127.0.0.1:3128"}
 	dialTLS := func(ctx context.Context, network, addr string) (net.Conn, error) { return nil, errors.New("unused") }
 	for _, tc := range []struct {
-		name   string
-		base   string
-		client *http.Client
-		direct bool
+		name     string
+		base     string
+		client   *http.Client
+		accepted bool
 	}{
 		{"nil client", "http://w1:8080", nil, true},
 		{"zero client", "http://w1:8080", &http.Client{}, true},
@@ -542,59 +543,22 @@ func TestTransportPathChoice(t *testing.T) {
 		{"header timeout", "http://w1:8080", &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: time.Second}}, false},
 	} {
 		tr := &HTTPTransport{Client: tc.client}
-		tg, err := tr.target(tc.base)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		_, err := New(Config{Shards: []ShardSpec{{Name: "s7", Replicas: []string{tc.base}}}, Transport: tr})
+		if accepted := err == nil; accepted != tc.accepted {
+			t.Errorf("%s: New accepted = %v (%v), want %v", tc.name, accepted, err, tc.accepted)
 		}
-		if got := tg.dial != nil; got != tc.direct {
-			t.Errorf("%s: direct = %v, want %v", tc.name, got, tc.direct)
+		if tc.accepted {
+			continue
+		}
+		if !strings.Contains(fmt.Sprint(err), `shard "s7"`) {
+			t.Errorf("%s: New's error does not name the shard: %v", tc.name, err)
+		}
+		if _, _, err := tr.Do(context.Background(), http.MethodGet, tc.base, wire.PathStats, nil, time.Now().Add(time.Second), nil); err == nil {
+			t.Errorf("%s: Do accepted a refused configuration", tc.name)
 		}
 	}
 	if tg, _ := (&HTTPTransport{}).target("http://w1"); tg.addr != "w1:80" {
 		t.Errorf("default port: dial address %q", tg.addr)
-	}
-}
-
-// TestClientPathSeesEveryRequest: a proxy and a wrapped RoundTripper are
-// both still in the way of every exchange.
-func TestClientPathSeesEveryRequest(t *testing.T) {
-	var proxied atomic.Int64
-	proxySrv := socketWorker(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Host == "worker.invalid:8080" && r.URL.Path == wire.PathStats {
-			proxied.Add(1)
-		}
-		io.WriteString(w, "via proxy")
-	}))
-	proxyURL, err := url.Parse(proxySrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaProxy := &http.Transport{Proxy: http.ProxyURL(proxyURL)}
-	defer viaProxy.CloseIdleConnections()
-
-	worker := socketWorker(t, okWorker([]byte("from the worker")))
-	wrapped := &countingRoundTripper{next: http.DefaultTransport}
-
-	for _, tc := range []struct {
-		name  string
-		tr    *HTTPTransport
-		base  string
-		body  string
-		count *atomic.Int64
-	}{
-		{"proxy", &HTTPTransport{Client: &http.Client{Transport: viaProxy}}, "http://worker.invalid:8080", "via proxy", &proxied},
-		{"wrapper", &HTTPTransport{Client: &http.Client{Transport: wrapped}}, worker.URL, "from the worker", &wrapped.n},
-	} {
-		for i := 0; i < 3; i++ {
-			status, body, err := tc.tr.Do(context.Background(), http.MethodGet, tc.base, wire.PathStats, nil, time.Now().Add(2*time.Second), nil)
-			if err != nil || status != http.StatusOK || string(body) != tc.body {
-				t.Fatalf("%s: status %d, body %q, err %v", tc.name, status, body, err)
-			}
-		}
-		if n := tc.count.Load(); n != 3 {
-			t.Errorf("%s saw %d of 3 requests", tc.name, n)
-		}
-		tc.tr.CloseIdleConnections()
 	}
 }
 

@@ -7,60 +7,6 @@ import (
 	"green/internal/model"
 )
 
-// Property: under arbitrary sequences of recalibration pressure, the
-// loop's level stays within [MinLevel, BaseLevel] and the controller
-// never deadlocks or panics.
-func TestLoopLevelBoundedUnderRandomPressure(t *testing.T) {
-	m := testLoopModel(t)
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 30; trial++ {
-		l, err := NewLoop(LoopConfig{
-			Name: "inv", Model: m, SLA: 0.05, SampleInterval: 1,
-			Step: float64(10 + rng.Intn(500)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 60; step++ {
-			q := &fakeQoS{lossValue: rng.Float64() * 0.2}
-			e, err := l.Begin(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i := 0
-			for ; i < 3200; i++ {
-				if !e.Continue(i) {
-					break
-				}
-			}
-			e.Finish(i)
-			lvl := l.Level()
-			if lvl < 100-1e-9 || lvl > 3200+1e-9 {
-				t.Fatalf("level %v escaped [100, 3200]", lvl)
-			}
-		}
-	}
-}
-
-// Property: the function offset saturates within [-nVersions, nVersions]
-// under arbitrary action sequences, and selection never indexes out of
-// bounds.
-func TestFuncOffsetBoundedUnderRandomPressure(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 30; trial++ {
-		f := funcFixture(t, 0.2, 1)
-		f.qos = func(p, a float64) float64 { return rng.Float64() * 0.5 }
-		for call := 0; call < 200; call++ {
-			x := rng.Float64() * 12 // sometimes outside the domain
-			_ = f.Call(x)
-			off := f.Offset()
-			if off < -f.n || off > f.n {
-				t.Fatalf("offset %d escaped bounds", off)
-			}
-		}
-	}
-}
-
 // Property: concurrent Call is race-free and conserves the call count.
 func TestFuncConcurrentCalls(t *testing.T) {
 	f := funcFixture(t, 0.2, 10)

@@ -92,7 +92,7 @@ func (s *Store) Path(name string) string {
 }
 
 // sanitize maps a controller name onto a safe file stem: path
-// separators and dots collapse to dashes so "serve.match" and a
+// separators and dots collapse to dashes so serve.match and a
 // hostile "../../etc/passwd" both stay inside the state directory.
 func sanitize(name string) string {
 	repl := strings.NewReplacer("/", "-", "\\", "-", "..", "-", string(filepath.Separator), "-")

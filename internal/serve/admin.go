@@ -85,7 +85,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, wire.Config{
 		SLA:            s.cfg.SLA,
-		TopN:           s.cfg.TopN,
+		TopN:           wire.PageSize,
 		SampleInterval: s.cfg.SampleInterval,
 		CorpusDocs:     s.engine.Docs(),
 		InitialM:       s.loop.Level(),
@@ -105,6 +105,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		}
 		row := wire.ModelController{Name: name, BaseLevel: float64(s.engine.Docs())}
 		for _, lvl := range m.Levels() {
+			if lvl > row.BaseLevel {
+				break // past the corpus a scan is precise: not a candidate
+			}
 			row.Levels = append(row.Levels, wire.ModelLevel{
 				Level:    lvl,
 				PredLoss: m.PredictLoss(lvl),

@@ -7,6 +7,7 @@ import (
 	"green/internal/core"
 	"green/internal/metrics"
 	"green/internal/search"
+	"green/internal/wire"
 	"green/internal/workload"
 )
 
@@ -29,9 +30,9 @@ func TestCalibrationOnePassMatchesReruns(t *testing.T) {
 	}
 	reruns := func(knots []float64, run func(search.Query, int, int) ([]int, int)) func(search.Query, []float64, []float64) {
 		return func(q search.Query, losses, work []float64) {
-			precise, _ := run(q, s.cfg.TopN, 0)
+			precise, _ := run(q, wire.PageSize, 0)
 			for i, k := range knots {
-				approx, processed := run(q, s.cfg.TopN, int(k))
+				approx, processed := run(q, wire.PageSize, int(k))
 				losses[i] = metrics.QueryLoss(precise, approx)
 				work[i] = float64(processed)
 			}

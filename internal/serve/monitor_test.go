@@ -164,17 +164,17 @@ func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 			word := fmt.Sprintf("w%d+w%d", 7*i+level, 7*i+level+3)
 			cq, _ := s.parsedQuery(word)
 			q := search.Query{Terms: cq.terms}
-			precise, matches := s.engine.Search(q, s.cfg.TopN, 0)
+			precise, matches := s.engine.Search(q, wire.PageSize, 0)
 			want, reads := 0.0, 1
 			if matches >= level {
-				capped, _ := s.engine.Search(q, s.cfg.TopN, level)
+				capped, _ := s.engine.Search(q, wire.PageSize, level)
 				want, reads = metrics.QueryLoss(precise, capped), 3
 			}
 			s.Loop().SetLevel(float64(level))
 			before, ops := s.Loop().State().LossSum, s.Ops().Snapshot()
 			sc := new(serveScratch)
 			scan := &pageCounter{docScanner: &sc.scan}
-			scan.Reset(s.engine, q, s.cfg.TopN)
+			scan.Reset(s.engine, q, wire.PageSize)
 			if err := s.serveQuery(context.Background(), time.Time{}, s.loop, scan, cq, cq.feat, false, sc); err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestCertifiedMonitoredUnderRecordPanics(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		word := fmt.Sprintf("w%d+w%d", 5*i, 5*i+2)
 		q := search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}
-		precise, matches := s.engine.Search(q, s.cfg.TopN, 0)
+		precise, matches := s.engine.Search(q, wire.PageSize, 0)
 		resp := searchReply(t, h, word)
 		if !resp.MonitoredScan || resp.Approximated || !slices.Equal(resp.Docs, precise) {
 			t.Fatalf("q=%s: monitored=%v approximated=%v page %v, want the monitored exhaustive page %v",
@@ -312,15 +312,15 @@ func TestDegradedMonitoredLossAgainstPrecise(t *testing.T) {
 		// and late documents still reach the page.
 		word := fmt.Sprintf("w%d+w%d+w%d+w%d", i, i+12, i+24, i+36)
 		q := search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}
-		precise, matches := s.engine.Search(q, s.cfg.TopN, 0)
+		precise, matches := s.engine.Search(q, wire.PageSize, 0)
 		m := int(math.Ceil(s.Loop().Level())) // the first iteration at or past M
 		// A page that holds still for a whole block and moves later is a
 		// few queries in a hundred: the stall is paid for those — read off
 		// the engine, the request then has to agree — and for the first
 		// few of the rest.
 		if sent >= 8 {
-			capped, _ := s.engine.Search(q, s.cfg.TopN, m)
-			cut, _ := s.engine.Search(q, s.cfg.TopN, m+scanBlock)
+			capped, _ := s.engine.Search(q, wire.PageSize, m)
+			cut, _ := s.engine.Search(q, wire.PageSize, m+scanBlock)
 			if matches <= m+scanBlock || metrics.QueryLoss(cut, capped) == metrics.QueryLoss(precise, capped) {
 				continue
 			}
@@ -342,7 +342,7 @@ func TestDegradedMonitoredLossAgainstPrecise(t *testing.T) {
 		got := s.Loop().State().LossSum - before
 		want := 0.0
 		if matches >= m { // the approximation would have stopped at M
-			capped, _ := s.engine.Search(q, s.cfg.TopN, m)
+			capped, _ := s.engine.Search(q, wire.PageSize, m)
 			want = metrics.QueryLoss(precise, capped)
 		}
 		if got != want {
@@ -351,8 +351,8 @@ func TestDegradedMonitoredLossAgainstPrecise(t *testing.T) {
 		}
 		if resp.Degraded && resp.DocsScored < matches {
 			degraded++
-			partial, _ := s.engine.Search(q, s.cfg.TopN, resp.DocsScored)
-			capped, _ := s.engine.Search(q, s.cfg.TopN, m)
+			partial, _ := s.engine.Search(q, wire.PageSize, resp.DocsScored)
+			capped, _ := s.engine.Search(q, wire.PageSize, m)
 			if metrics.QueryLoss(partial, capped) != want {
 				told++ // the partial page would have booked a different loss
 			}

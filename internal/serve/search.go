@@ -80,7 +80,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// Without ApproxAnd, strict conjunctive queries bypass
 		// approximation: conjunctive match sets are short enough to serve
 		// precisely.
-		docs, n := s.engine.SearchAnd(q, s.cfg.TopN, 0)
+		docs, n := s.engine.SearchAnd(q, wire.PageSize, 0)
 		s.queries.Add(1)
 		s.docsScored.Add(int64(n))
 		wire.WriteJSON(w, &wire.SearchReply{Query: cq.echo, Docs: docs, DocsScored: n})
@@ -94,7 +94,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// with its own calibrated model and controller.
 		loop, scan = s.and, &sc.scanAnd
 	}
-	scan.Reset(s.engine, q, s.cfg.TopN)
+	scan.Reset(s.engine, q, wire.PageSize)
 	var deadline time.Time // zero: no deadline
 	if s.cfg.RequestTimeout > 0 {
 		deadline = time.Now().Add(s.cfg.RequestTimeout)
@@ -222,7 +222,7 @@ func (sc *serveScratch) release() {
 // must execute the same retrieval semantics as the scan being judged.
 func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, cq *cachedQuery, feat core.Features, and bool, sc *serveScratch) error {
 	qos := serveQoSPool.Get().(*serveQoS)
-	qos.engine, qos.query, qos.topN = s.engine, search.Query{Terms: cq.terms}, s.cfg.TopN
+	qos.engine, qos.query, qos.topN = s.engine, search.Query{Terms: cq.terms}, wire.PageSize
 	qos.chaos = s.cfg.Chaos
 	qos.and = and
 	qos.scan = scan

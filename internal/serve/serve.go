@@ -41,7 +41,7 @@ import (
 
 const (
 	// snapshotName names the disjunctive match-loop controller.
-	snapshotName = "serve.match"
+	snapshotName = wire.MatchController
 	// andLoopName names the optional conjunctive-scan controller.
 	andLoopName = "serve.and"
 	// stateName keys the bundled registry snapshot (all registered
@@ -54,8 +54,6 @@ type Config struct {
 	// SLA is the fraction of queries allowed to return a different
 	// top-N result page (default 0.02).
 	SLA float64
-	// TopN is the result-page size (default 10).
-	TopN int
 	// Seed determinizes the synthetic corpus.
 	Seed int64
 	// CalibrationQueries sizes the startup calibration (default 500).
@@ -127,9 +125,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.SLA == 0 {
 		c.SLA = 0.02
-	}
-	if c.TopN == 0 {
-		c.TopN = 10
 	}
 	if c.CalibrationQueries == 0 {
 		c.CalibrationQueries = 500
@@ -244,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 	// The signature binds snapshots to the exact calibration and serving
 	// configuration: a different corpus seed, size, SLA, page size,
 	// shard partition, or site layout invalidates the persisted levels.
-	sigParts := []any{m, c.SLA, c.Seed, engine.Docs(), c.TopN, c.ShardIndex, c.ShardCount}
+	sigParts := []any{m, c.SLA, c.Seed, engine.Docs(), wire.PageSize, c.ShardIndex, c.ShardCount}
 
 	if c.ApproxAnd {
 		// Conjunctive match streams are much shorter than disjunctive
@@ -306,7 +301,7 @@ func (s *Server) knotLosses(knots []float64, and bool) func(q search.Query, loss
 		scan = new(search.ScanAnd)
 	}
 	return func(q search.Query, losses, work []float64) {
-		scan.Reset(s.engine, q, s.cfg.TopN)
+		scan.Reset(s.engine, q, wire.PageSize)
 		for i, k := range knots {
 			scan.StepN(int(k) - scan.Processed())
 			pages[i] = scan.TopNInto(pages[i])

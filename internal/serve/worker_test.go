@@ -111,7 +111,8 @@ func TestSearchHandlerIdempotent(t *testing.T) {
 }
 
 // TestModelEndpoint: /model serves per-controller candidate settings
-// with monotone predicted losses.
+// with monotone predicted losses, in rows the coordinator accepts (no
+// level past the corpus, though calibration has knots there).
 func TestModelEndpoint(t *testing.T) {
 	s, err := New(Config{Seed: 7, CalibrationQueries: 60, CorpusDocs: 3000,
 		SampleInterval: 50, ApproxAnd: true})
@@ -132,6 +133,9 @@ func TestModelEndpoint(t *testing.T) {
 	for _, row := range resp.Controllers {
 		if len(row.Levels) == 0 {
 			t.Fatalf("controller %q has no candidate levels", row.Name)
+		}
+		if err := row.Check(); err != nil {
+			t.Fatalf("controller %q: the coordinator would refuse this row: %v", row.Name, err)
 		}
 		for i, lvl := range row.Levels {
 			if lvl.Level <= 0 || lvl.PredLoss < 0 || lvl.Speedup <= 0 {

@@ -13,6 +13,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -32,6 +33,15 @@ const (
 	PathBudget  = "/budget"
 	PathHealthz = "/healthz"
 	PathReadyz  = "/readyz"
+)
+
+// What worker and coordinator must agree on without asking each other:
+// the result-page size every worker scans for and the coordinator merges
+// to (/config reports it as top_n), and the name of the worker's match
+// loop, which /model lists and budget pushes address.
+const (
+	PageSize        = 10
+	MatchController = "serve.match"
 )
 
 // /search query parameters. None of the names contains a character that
@@ -227,6 +237,22 @@ func DecodeBudget(r io.Reader) (Budget, error) {
 // LevelOK reports whether the pushed level is one a controller can run
 // at: positive and finite.
 func (b Budget) LevelOK() bool { return b.Level > 0 && !math.IsInf(b.Level, 0) }
+
+// Check reports why m's rows cannot feed a combination search, or nil:
+// they come from another process. Levels must be finite, positive,
+// strictly ascending and no higher than BaseLevel; PredLoss finite and
+// non-negative; Speedup finite and positive. (NaN fails every comparison.)
+func (m ModelController) Check() error {
+	prev := 0.0
+	for i, l := range m.Levels {
+		if !(l.Level > prev && l.Level <= m.BaseLevel && !math.IsInf(m.BaseLevel, 0) &&
+			l.PredLoss >= 0 && !math.IsInf(l.PredLoss, 0) && l.Speedup > 0 && !math.IsInf(l.Speedup, 0)) {
+			return fmt.Errorf("level %d %+v: want level in (%g, base_level %g], pred_loss >= 0, speedup > 0, all finite", i, l, prev, m.BaseLevel)
+		}
+		prev = l.Level
+	}
+	return nil
+}
 
 // FleetStats is the coordinator /stats JSON shape: fleet-level
 // aggregates plus one federated row per shard.

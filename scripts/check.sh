@@ -190,8 +190,9 @@ go test -race -count 1 -run TestChaosServiceSurvivesAndRecovers ./internal/serve
 
 echo "== cluster chaos smoke =="
 # The distributed analogue: a real coordinator over six socket-served
-# shard workers with transport faults injected (killed replica, replica
-# slowed past its deadline budget, garbled bodies), asserting every
+# shard workers, with faults (killed replica, replica slowed past its
+# deadline budget, garbled bodies) injected in front of the coordinator's
+# own HTTPTransport exchange, the one production runs, asserting every
 # response is a clean 200, a degraded 200, or a 503; that breakers
 # isolate exactly the faulty replicas; and that after recovery the
 # control plane decomposes the fleet SLA into live per-shard budgets.
@@ -302,7 +303,7 @@ echo "== wire protocol has one owner =="
 # package (bench/ is a module a PR may not edit and keeps its own
 # decoders), and the three helpers worker, coordinator and load
 # generator each used to carry a copy of may not grow one back.
-for lit in '"docs_scored"' '"mean_monitored_loss"' '"pred_loss"' '"failed_shards"' '"/budget"' '"/model"'; do
+for lit in '"docs_scored"' '"mean_monitored_loss"' '"pred_loss"' '"failed_shards"' '"/budget"' '"/model"' '"serve.match"'; do
 	owners=$(grep -rlF --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
 		--exclude-dir=testdata --exclude-dir=.bench_build --exclude-dir=.git -e "$lit" . |
 		xargs -n1 dirname | sort -u | tr '\n' ' ')
