@@ -904,28 +904,44 @@ func BenchmarkServeQPS(b *testing.B) {
 }
 
 // BenchmarkServeMonitored is the warm /search path with every request
-// monitored (SampleInterval 1) and the record point inside the scan: a
-// five-word query matching ~3650 of 20000 documents against a level M
-// near 1000. The QoS adapter snapshots the page at M, the scan runs on
-// until its page is final (Scan.Final; at the latest, exhaustion), and
-// the adapter compares the snapshot with the scan's own final page. One
-// op per request.
+// monitored (SampleInterval 1) and the record point inside the scan:
+// five-word queries (the first matches ~3650 of 20000 documents) against
+// a level M near 700. One op per request.
+//
+//   - memo repeats one query: after the first request its precise page is
+//     memoised on the cached query, so the scan stops at the record point
+//     and the QoS adapter compares its snapshot with the memo.
+//   - reference cycles 64 queries through an 8-entry query cache (each of
+//     its eight one-entry shards takes six or more of them), so every
+//     request misses it, parses its query, and scans on past M
+//     until its page is final (Scan.Final; at the latest, exhaustion).
 func BenchmarkServeMonitored(b *testing.B) {
-	s, err := serve.New(serve.Config{Seed: 7, CalibrationQueries: 60,
-		CorpusDocs: 20000, SampleInterval: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := s.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/search?q=w0+w3+w9+w1+w12", nil)
-	w := &benchNullRW{h: make(http.Header, 4)}
-	for i := 0; i < 16; i++ {
-		h.ServeHTTP(w, req)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ServeHTTP(w, req)
+	for _, c := range []struct {
+		name           string
+		queries, cache int
+	}{{"memo", 1, 0}, {"reference", 64, 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := serve.New(serve.Config{Seed: 7, CalibrationQueries: 60,
+				CorpusDocs: 20000, SampleInterval: 1, QueryCacheSize: c.cache})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := s.Handler()
+			reqs := make([]*http.Request, c.queries)
+			for i := range reqs {
+				reqs[i] = httptest.NewRequest(http.MethodGet,
+					fmt.Sprintf("/search?q=w%d+w%d+w%d+w%d+w%d", i, i+3, i+9, i+1, i+12), nil)
+			}
+			w := &benchNullRW{h: make(http.Header, 4)}
+			for i := 0; i < 16; i++ {
+				h.ServeHTTP(w, reqs[i%len(reqs)])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(w, reqs[i%len(reqs)])
+			}
+		})
 	}
 }
 

@@ -43,6 +43,9 @@ type OpsCounters struct {
 	// MonitoredCertified counts monitored requests whose scan stopped
 	// before exhaustion because its page was provably final.
 	MonitoredCertified atomic.Int64
+	// MonitoredMemo counts monitored requests that stopped at their record
+	// point because the query's precise page was memoised.
+	MonitoredMemo atomic.Int64
 }
 
 // OpsSnapshot is a point-in-time copy of OpsCounters, shaped for JSON
@@ -57,8 +60,9 @@ type OpsSnapshot struct {
 	RestoreRejected  int64 `json:"restore_rejected"`
 	QueryCacheHits   int64 `json:"query_cache_hits"`
 	QueryCacheMisses int64 `json:"query_cache_misses"`
-	// MonitoredCertified is zero on a coordinator.
+	// MonitoredCertified and MonitoredMemo are zero on a coordinator.
 	MonitoredCertified int64 `json:"monitored_certified"`
+	MonitoredMemo      int64 `json:"monitored_memo"`
 }
 
 // Snapshot copies the counters.
@@ -74,5 +78,6 @@ func (c *OpsCounters) Snapshot() OpsSnapshot {
 		QueryCacheHits:     c.QueryCacheHits.Load(),
 		QueryCacheMisses:   c.QueryCacheMisses.Load(),
 		MonitoredCertified: c.MonitoredCertified.Load(),
+		MonitoredMemo:      c.MonitoredMemo.Load(),
 	}
 }

@@ -22,7 +22,9 @@ import (
 // Record keeps is the page a capped Engine.Search returns, and Loss is
 // the loss against an uncapped one — whether they come off the
 // request's own scan or, when the scan cannot supply them (not at the
-// record point, cut short), off the fallback reruns.
+// record point, cut short), off the fallback reruns. Its adapters carry
+// no memo, so Loss never reads one here; the memo path is
+// TestMonitoredMemoMatchesReference's.
 func TestServeQoSSnapshotMatchesReruns(t *testing.T) {
 	engine, err := search.NewEngine(search.Config{Seed: 7, Docs: 80 * scanBlock})
 	if err != nil {
@@ -197,6 +199,9 @@ func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 			if n := after.MonitoredCertified - ops.MonitoredCertified; (n != 0) != stopped {
 				t.Fatalf("%s: monitored_certified moved by %d", name, n)
 			}
+			if after.MonitoredMemo != 0 {
+				t.Fatalf("%s: %d memo stops: the certificate path is not the one held", name, after.MonitoredMemo)
+			}
 			if stopped {
 				certified++
 				lossy += int(want)
@@ -237,6 +242,9 @@ func TestCertifiedMonitoredUnderRecordPanics(t *testing.T) {
 			certified++
 		}
 		s.Loop().SetLevel(scanBlock / 4)
+	}
+	if n := s.Ops().Snapshot().MonitoredMemo; n != 0 {
+		t.Fatalf("%d memo stops: the certificate path is not the one held", n)
 	}
 	if panics, _ := inj.Counts(); panics == 0 || certified == 0 || s.Loop().Breaker().ContainedPanics == 0 {
 		t.Fatalf("%d injected panics, %d contained, %d certified requests: the case is not exercised",
@@ -357,6 +365,9 @@ func TestDegradedMonitoredLossAgainstPrecise(t *testing.T) {
 				told++ // the partial page would have booked a different loss
 			}
 		}
+	}
+	if n := s.Ops().Snapshot().MonitoredMemo; n != 0 {
+		t.Fatalf("%d memo stops: the fallback path is not the one held", n)
 	}
 	if degraded == 0 || told == 0 {
 		t.Fatalf("%d requests cut at the deadline, %d of them with a partial page that misjudges the loss: the fallback was not exercised", degraded, told)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"green/internal/core"
+	"green/internal/search"
 )
 
 // queryCache memoizes parsed queries keyed on the *raw, still-escaped*
@@ -47,11 +48,16 @@ type cachedQuery struct {
 
 // matchSample is a cached query in one retrieval mode: what a monitored
 // request leaves in Server.sampled. n memoises the query's match count for
-// /stats — 0 until it is first counted, 1 + the count after.
+// /stats — 0 until it is first counted, 1 + the count after. final
+// memoises its precise page, with scores: the engine never changes after
+// New, so the page is a function of the query and the mode. Its one
+// writer is a monitored request whose scan ended final and undegraded,
+// its one reader a monitored request past its record point (serveQuery).
 type matchSample struct {
-	q   *cachedQuery
-	and bool
-	n   atomic.Int64
+	q     *cachedQuery
+	and   bool
+	n     atomic.Int64
+	final atomic.Pointer[[]search.Result]
 }
 
 func newCachedQuery(echo string, terms []int, feat core.Features) *cachedQuery {

@@ -217,10 +217,12 @@ func (sc *serveScratch) release() {
 // (ContinueN, exactly as many true Continue calls), the kernel scores
 // them in one StepN, and a monitored request's QoS is read off that
 // same scan (serveQoS), which from its record point on stops at the
-// first block boundary where its page is final. and selects the
+// first block boundary where its page is final — at the record point
+// itself when the query's precise page is memoised. and selects the
 // conjunctive retrieval for the QoS adapter's fallback reruns, which
 // must execute the same retrieval semantics as the scan being judged.
 func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, cq *cachedQuery, feat core.Features, and bool, sc *serveScratch) error {
+	ms := cq.sample(and)
 	qos := serveQoSPool.Get().(*serveQoS)
 	qos.engine, qos.query, qos.topN = s.engine, search.Query{Terms: cq.terms}, wire.PageSize
 	qos.chaos = s.cfg.Chaos
@@ -240,10 +242,14 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 	degraded := expired()
 	if !degraded {
 		for k := exec.ContinueN(i, scanBlock); k > 0; k = exec.ContinueN(i, scanBlock) {
-			if qos.reference && scan.Final() {
-				// Monitored, at or past its record point, and the page is
-				// final: the precise page Loss compares with, and the one served.
-				break
+			// Monitored, at or past its record point, and the precise page
+			// Loss compares with and the reply serves is known: memoised, or
+			// the scan's page is final. The memo is read here only, so
+			// unmonitored requests never see it: a reference, not a cache.
+			if qos.reference {
+				if qos.memo = ms.final.Load(); qos.memo != nil || scan.Final() {
+					break
+				}
 			}
 			n := scan.StepN(k)
 			i += n
@@ -258,7 +264,7 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 	}
 	// Finish is the controller's last use of qos (Loss runs inside it),
 	// so the adapter can be recycled right after.
-	res := exec.Finish(i)
+	res, memo, reference := exec.Finish(i), qos.memo, qos.reference
 	qos.release()
 	if degraded {
 		s.ops.DeadlinePartial.Add(1)
@@ -267,10 +273,19 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 	s.queries.Add(1)
 	s.docsScored.Add(int64(scan.Processed()))
 	if res.Monitored {
-		if !degraded && !scan.Exhausted() {
+		switch {
+		case memo != nil:
+			s.ops.MonitoredMemo.Add(1)
+		case !degraded && !scan.Exhausted():
 			s.ops.MonitoredCertified.Add(1)
 		}
-		s.sampled[uint64(s.monitoredQueries.Add(1))%sampleRing].Store(cq.sample(and))
+		// The memo's one writer: a reference scan that ended final, and
+		// only while the query can stay resident in the query cache.
+		if reference && memo == nil && !degraded && len(s.qcache.shards) > 0 && scan.Final() {
+			page := scan.TopNResultsInto(nil)
+			ms.final.CompareAndSwap(nil, &page)
+		}
+		s.sampled[uint64(s.monitoredQueries.Add(1))%sampleRing].Store(ms)
 	}
 	sc.resp = wire.SearchReply{
 		Docs:          sc.resp.Docs,
@@ -280,17 +295,24 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 		MonitoredScan: res.Monitored,
 		Degraded:      degraded,
 	}
-	if sc.wantScores {
+	if sc.wantScores || memo != nil {
 		// The coordinator's merge needs exact scores; split the ranked
-		// (doc, score) page into the two parallel response arrays.
-		sc.results = scan.TopNResultsInto(sc.results[:0])
-		docs := sc.resp.Docs[:0]
-		scores := sc.scores[:0]
-		for _, r := range sc.results {
+		// (doc, score) page, the scan's or the memo, into the two parallel
+		// response arrays.
+		page := memo
+		if page == nil {
+			sc.results = scan.TopNResultsInto(sc.results[:0])
+			page = &sc.results
+		}
+		docs, scores := sc.resp.Docs[:0], sc.scores[:0]
+		for _, r := range *page {
 			docs = append(docs, int(r.Doc))
 			scores = append(scores, r.Score)
 		}
-		sc.resp.Docs, sc.resp.Scores, sc.scores = docs, scores, scores
+		sc.resp.Docs, sc.scores = docs, scores
+		if sc.wantScores {
+			sc.resp.Scores = scores
+		}
 	} else {
 		sc.resp.Docs = scan.TopNInto(sc.resp.Docs)
 	}
@@ -305,11 +327,12 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 // unchanged by anything left to score), and Loss compares that snapshot
 // with the scan's final page — the precise answer, which the request is
 // serving anyway. A monitored request therefore costs the scan up to its
-// certificate, not the whole match set. Rerunning the query on the
-// engine is the fallback only: Record reruns the capped search when the
-// scan is not at the recorded iteration, Loss reruns the precise search
-// when the scan's page is not final (deadline, cancellation), so a loss
-// is never measured against a partial page.
+// certificate, not the whole match set; once the query's precise page is
+// memoised, only up to its record point, and Loss reads the memo.
+// Rerunning the query on the engine is the fallback only: Record reruns
+// the capped search when the scan is not at the recorded iteration, Loss
+// reruns the precise search when the scan's page is not final (deadline,
+// cancellation), so a loss is never measured against a partial page.
 //
 // Adapters are pooled and keep their two page buffers across requests,
 // so the monitored path allocates nothing either. The chaos injector
@@ -328,6 +351,9 @@ type serveQoS struct {
 	// reference: Record has run, so what the scan scores from here on is
 	// the precise reference, and it may stop once its page is final.
 	reference bool
+	// memo is the query's memoised precise page, once serveQuery has
+	// read one at the record point.
+	memo *[]search.Result
 	// recorded is the page at the record point, precise the buffer for
 	// the final one; both backing arrays survive release.
 	recorded []int
@@ -368,9 +394,16 @@ func (q *serveQoS) Record(iter int) {
 func (q *serveQoS) Loss(int) float64 {
 	q.chaos.MaybeDelay("qos.loss")
 	q.chaos.MaybePanic("qos.loss")
-	if !q.scan.Final() {
+	switch {
+	case q.memo != nil:
+		q.precise = q.precise[:0]
+		for _, r := range *q.memo {
+			q.precise = append(q.precise, int(r.Doc))
+		}
+	case q.scan.Final():
+		q.precise = q.scan.TopNInto(q.precise)
+	default:
 		return metrics.QueryLoss(q.search(0), q.recorded)
 	}
-	q.precise = q.scan.TopNInto(q.precise)
 	return metrics.QueryLoss(q.precise, q.recorded)
 }

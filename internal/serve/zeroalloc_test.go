@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -25,10 +26,10 @@ func (w *nullRW) WriteHeader(int)             {}
 // on the steady path (sample interval out of reach, the regime the
 // ServeQPS benchmark measures) nor on the monitored one (every request
 // sampled, the match set several times the level M so the record point
-// falls inside the scan: the QoS adapter snapshots and compares pages
-// in buffers it keeps across pool round-trips; the occasional
-// recalibration's new state snapshot is well under one allocation per
-// request).
+// falls inside the scan: the QoS adapter snapshots the page there and
+// compares it with the query's memoised precise page in buffers it keeps
+// across pool round-trips; the occasional recalibration's new state
+// snapshot is well under one allocation per request).
 func TestServeWarmPathZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector instrumentation allocates; the allocation budget only holds in a plain build")
@@ -57,16 +58,20 @@ func TestServeWarmPathZeroAlloc(t *testing.T) {
 				return
 			}
 			// The measured requests were the monitored kind this gate is
-			// about: sampled, and scanned past M, so Record took its snapshot.
+			// about: sampled, scanned to M, where Record took its snapshot,
+			// and stopped there on the query's memoised precise page.
+			memo := s.Ops().Snapshot().MonitoredMemo
 			rec := httptest.NewRecorder()
 			h(rec, req)
 			var resp wire.SearchReply
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)
 			}
-			if level := s.Loop().Level(); !resp.MonitoredScan || float64(resp.DocsScored) <= level {
-				t.Fatalf("monitored=%v, %d documents scored against M=%v: the record point was not inside the scan",
-					resp.MonitoredScan, resp.DocsScored, level)
+			level := s.Loop().Level()
+			if !resp.MonitoredScan || memo < 200 || s.Ops().Snapshot().MonitoredMemo != memo+1 ||
+				resp.DocsScored != int(math.Ceil(level)) {
+				t.Fatalf("monitored=%v, %d memo stops, %d documents scored against M=%v: the request did not stop on the memo at its record point",
+					resp.MonitoredScan, memo, resp.DocsScored, level)
 			}
 		})
 	}

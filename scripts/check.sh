@@ -210,6 +210,20 @@ echo "== serve path stays allocation-free =="
 # per-request allocator. (No -race: the detector's own instrumentation
 # allocates, and the test skips itself under it.)
 go test -count 1 -run TestServeWarmPathZeroAlloc ./internal/serve
+# A query's memoised precise page (matchSample.final) is the monitored
+# request's reference, not a result cache: read anywhere else, an
+# approximated request would serve precise pages and qos_kept and
+# precise_ops_s would stop measuring the approximation. So the memo is
+# loaded exactly once in the serving code, on serveQuery's monitored
+# branch (under `if qos.reference`).
+memo=$(awk '/^func /{fn = $0} /\.final\.Load\(\)/{print FILENAME ": " prev " | " fn} {prev = $0}' \
+	$(ls internal/serve/*.go | grep -v '_test\.go$'))
+if [ "$(printf '%s\n' "$memo" | grep -c .)" -ne 1 ] ||
+	! printf '%s\n' "$memo" | grep -q 'if qos\.reference {.*func (s \*Server) serveQuery('; then
+	echo "FAIL: the precise-page memo must be loaded once, on serveQuery's monitored branch; found:"
+	printf '%s\n' "$memo"
+	exit 1
+fi
 
 echo "== hot path stays allocation-free =="
 # The steady-state operational paths (Loop Begin/Continue/Finish, the
@@ -218,8 +232,10 @@ echo "== hot path stays allocation-free =="
 # allocate: one heap object per execution was the regression the
 # controller-core rework removed, and it must not creep back. ns/op is
 # too noisy to gate on shared runners; allocs/op is exact. ServeQPS and
-# ServeMonitored ride along as the end-to-end smoke rows: they must run
-# and stay allocation-free per warm request, sampled or not. The
+# ServeMonitored/memo ride along as the end-to-end smoke rows: they must
+# run and stay allocation-free per warm request, sampled or not
+# (ServeMonitored/reference misses the query cache by design and parses
+# every query, so it has no place here). The
 # coordinator's warm scatter/gather over three shards has a budget of
 # two: the shard request's path string and the echoed query. Shard calls
 # run on parked workers and on the handler's own goroutine, so a third
@@ -228,7 +244,7 @@ echo "== hot path stays allocation-free =="
 # socket has a budget of 40 on HTTPTransport's direct path (it reads 28:
 # about 18 are the net/http server's, the rest http.ReadResponse's; the
 # same hop through http.Client reads 94).
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored|ClusterScatter|ShardHop/direct' \
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
 		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : 0
