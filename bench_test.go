@@ -1332,18 +1332,24 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkFuncCallDFT takes the DFT's approximated cosine apart, over
-// the transform's own angle set (2π·k·t/128) and with the controller
-// bench/app_kernels.go builds: what one precise call costs, what the
-// caller's Key costs, what the graded polynomial the 1e-4 SLA selects
-// costs bare, and what Call costs around them, disabled and approximating.
-// ROADMAP item 7 reads the verdict off these rows.
+// BenchmarkFuncCallDFT takes the DFT's approximated cosine apart, with
+// the controller bench/app_kernels.go builds: what one precise call
+// costs, what the caller's Key costs, what the graded polynomial the 1e-4
+// SLA selects costs bare, and what Call costs around them, disabled and
+// approximating. Each row runs on two sets of the transform's angles
+// (N = 128): unreduced, 2π/N·k·t up to ≈ 792 as dft.Transform built them
+// before it carried k·t mod N, and exact, 2π/N·(k·t mod N) in [0, 2π) as
+// it builds them now. The transform row is one dft.Transform through that
+// Func, sin taken from cos as app_kernels does. ROADMAP item 9 reads the
+// verdict off these rows.
 func BenchmarkFuncCallDFT(b *testing.B) {
 	const n = 128
-	angles := make([]float64, 0, n*n)
+	w := 2 * math.Pi / n
+	var unreduced, exact []float64
 	for k := 0; k < n; k++ {
 		for t := 0; t < n; t++ {
-			angles = append(angles, 2*math.Pi/n*float64(k)*float64(t))
+			unreduced = append(unreduced, w*float64(k)*float64(t))
+			exact = append(exact, w*float64(k*t%n))
 		}
 	}
 	mod2pi := func(x float64) float64 {
@@ -1382,23 +1388,39 @@ func BenchmarkFuncCallDFT(b *testing.B) {
 		}
 		return f.Call
 	}
-	for _, row := range []struct {
-		name string
-		fn   func(float64) float64
-	}{
-		{"math.Cos", math.Cos},
-		{"key_mod2pi", mod2pi},
-		{"grade_5.2", approxmath.CosFn(approxmath.Trig52)},
-		{"call_disabled", call(true)},
-		{"call_approx", call(false)},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += row.fn(angles[i%(n*n)])
-			}
-			_ = sink
-		})
+	for _, set := range []struct {
+		name   string
+		angles []float64
+	}{{"unreduced", unreduced}, {"exact", exact}} {
+		for _, row := range []struct {
+			name string
+			fn   func(float64) float64
+		}{
+			{"math.Cos", math.Cos},
+			{"key_mod2pi", mod2pi},
+			{"grade_5.2", approxmath.CosFn(approxmath.Trig52)},
+			{"call_disabled", call(true)},
+			{"call_approx", call(false)},
+		} {
+			b.Run(set.name+"/"+row.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var sink float64
+				for i := 0; i < b.N; i++ {
+					sink += row.fn(set.angles[i%(n*n)])
+				}
+				_ = sink
+			})
+		}
 	}
+	b.Run("transform", func(b *testing.B) {
+		cos := call(false)
+		trig := dft.Trig{Sin: func(x float64) float64 { return cos(x - math.Pi/2) }, Cos: cos}
+		sig := workload.Signal(3, n)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := dft.Transform(sig, trig); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

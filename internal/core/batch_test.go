@@ -198,94 +198,6 @@ func TestLoopExecNEquivalence(t *testing.T) {
 	}
 }
 
-// TestFuncCallNEquivalence: batched CallN against element-at-a-time Call
-// on identical controllers and a seeded input stream — identical
-// outputs, offset trajectory, work accounting, and loss statistics.
-func TestFuncCallNEquivalence(t *testing.T) {
-	const (
-		batch   = 64
-		batches = 20
-	)
-	fb := funcFixture(t, 0.05, batch)
-	fu := funcFixture(t, 0.05, batch)
-
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, batches*batch)
-	for i := range xs {
-		xs[i] = rng.Float64() * 10
-	}
-
-	ys := make([]float64, batch)
-	for bi := 0; bi < batches; bi++ {
-		in := xs[bi*batch : (bi+1)*batch]
-		if err := fb.CallN(in, ys); err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range in {
-			want := fu.Call(x)
-			if math.Float64bits(ys[i]) != math.Float64bits(want) {
-				t.Fatalf("batch %d member %d (x=%v): batched %v, unbatched %v", bi, i, x, ys[i], want)
-			}
-		}
-		if fb.Offset() != fu.Offset() {
-			t.Fatalf("after batch %d: offset batched %d, unbatched %d", bi, fb.Offset(), fu.Offset())
-		}
-	}
-	be, bm, bl := fb.Stats()
-	ue, um, ul := fu.Stats()
-	if be != ue || bm != um || math.Float64bits(bl) != math.Float64bits(ul) {
-		t.Fatalf("stats diverged: batched (%d, %d, %v) vs unbatched (%d, %d, %v)", be, bm, bl, ue, um, ul)
-	}
-	if fb.Work() != fu.Work() {
-		t.Fatalf("work diverged: batched %v, unbatched %v", fb.Work(), fu.Work())
-	}
-	if bm != batches {
-		t.Fatalf("monitored = %d, want %d (one per batch)", bm, batches)
-	}
-}
-
-// TestFunc2CallNEquivalence is the two-parameter analogue.
-func TestFunc2CallNEquivalence(t *testing.T) {
-	const (
-		batch   = 64
-		batches = 10
-	)
-	fb := func2Fixture(t, 0.05, batch)
-	fu := func2Fixture(t, 0.05, batch)
-
-	rng := rand.New(rand.NewSource(11))
-	n := batches * batch
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * 10
-		ys[i] = rng.Float64() * 10
-	}
-
-	zs := make([]float64, batch)
-	for bi := 0; bi < batches; bi++ {
-		xin := xs[bi*batch : (bi+1)*batch]
-		yin := ys[bi*batch : (bi+1)*batch]
-		if err := fb.CallN(xin, yin, zs); err != nil {
-			t.Fatal(err)
-		}
-		for i := range xin {
-			want := fu.Call(xin[i], yin[i])
-			if math.Float64bits(zs[i]) != math.Float64bits(want) {
-				t.Fatalf("batch %d member %d: batched %v, unbatched %v", bi, i, zs[i], want)
-			}
-		}
-		if fb.Offset() != fu.Offset() {
-			t.Fatalf("after batch %d: offset batched %d, unbatched %d", bi, fb.Offset(), fu.Offset())
-		}
-	}
-	be, bm, bl := fb.Stats()
-	ue, um, ul := fu.Stats()
-	if be != ue || bm != um || math.Float64bits(bl) != math.Float64bits(ul) {
-		t.Fatalf("stats diverged: batched (%d, %d, %v) vs unbatched (%d, %d, %v)", be, bm, bl, ue, um, ul)
-	}
-}
-
 // TestLoopExecNShortInterval: with Sample_QoS shorter than the batch,
 // monitoring collapses to at most one observation per batch (the
 // documented amortization contract) and counters stay exact.

@@ -26,7 +26,9 @@ func PreciseTrig() Trig { return Trig{Sin: math.Sin, Cos: math.Cos} }
 //	Re[k] = Σ_n x[n]·cos(2πkn/N),  Im[k] = -Σ_n x[n]·sin(2πkn/N)
 //
 // with the provided trig kernel, and returns the real and imaginary
-// parts. The work is N² cos and N² sin evaluations.
+// parts. The work is N² cos and N² sin evaluations. Each angle is
+// w·(k·t mod N), in [0, 2π): the kernel never sees an argument it must
+// range-reduce, and the precise result carries less rounding error.
 func Transform(signal []float64, trig Trig) (re, im []float64, err error) {
 	if trig.Sin == nil || trig.Cos == nil {
 		return nil, nil, errors.New("dft: nil trig kernel")
@@ -40,10 +42,14 @@ func Transform(signal []float64, trig Trig) (re, im []float64, err error) {
 	w := 2 * math.Pi / float64(n)
 	for k := 0; k < n; k++ {
 		var sr, si float64
+		j := 0 // k·t mod n, carried without a divide
 		for t := 0; t < n; t++ {
-			angle := w * float64(k) * float64(t)
+			angle := w * float64(j)
 			sr += signal[t] * trig.Cos(angle)
 			si -= signal[t] * trig.Sin(angle)
+			if j += k; j >= n {
+				j -= n
+			}
 		}
 		re[k] = sr
 		im[k] = si
@@ -83,9 +89,13 @@ func InverseCheck(signal, re, im []float64) (float64, error) {
 	maxErr := 0.0
 	for t := 0; t < n; t++ {
 		var sum float64
+		j := 0 // k·t mod n, as in Transform
 		for k := 0; k < n; k++ {
-			angle := w * float64(k) * float64(t)
+			angle := w * float64(j)
 			sum += re[k]*math.Cos(angle) - im[k]*math.Sin(angle)
+			if j += t; j >= n {
+				j -= n
+			}
 		}
 		sum /= float64(n)
 		if e := math.Abs(sum - signal[t]); e > maxErr {

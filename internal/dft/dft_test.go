@@ -157,3 +157,53 @@ func TestApproxTrigQoSShape(t *testing.T) {
 		t.Error("3.2-digit grade shows zero loss; experiment would be vacuous")
 	}
 }
+
+// Every twiddle Transform hands its kernel is w·(k·t mod N), bit for bit,
+// and so in [0, 2π); with the exact index the precise transform agrees
+// with the FFT to within a few ulps of the spectrum.
+func TestTransformTwiddlesExact(t *testing.T) {
+	const n = 128
+	w := 2 * math.Pi / n
+	var cosArgs, sinArgs []float64
+	rec := Trig{
+		Cos: func(x float64) float64 { cosArgs = append(cosArgs, x); return math.Cos(x) },
+		Sin: func(x float64) float64 { sinArgs = append(sinArgs, x); return math.Sin(x) },
+	}
+	if _, _, err := Transform(workload.Signal(3, n), rec); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(cosArgs)+len(sinArgs)) != TrigCalls(n) || len(cosArgs) != len(sinArgs) {
+		t.Fatalf("%d cos + %d sin calls, want %d in all", len(cosArgs), len(sinArgs), TrigCalls(n))
+	}
+	for i, x := range cosArgs {
+		k, tt := i/n, i%n
+		if want := w * float64(k*tt%n); x != want || x < 0 || x >= 2*math.Pi {
+			t.Fatalf("k=%d t=%d: cos argument %v, want %v in [0, 2π)", k, tt, x, want)
+		}
+		if sinArgs[i] != x {
+			t.Fatalf("k=%d t=%d: sin argument %v, cos argument %v", k, tt, sinArgs[i], x)
+		}
+	}
+
+	for _, c := range []struct {
+		n   int
+		tol float64
+	}{{128, 5e-14}, {1024, 1e-12}} {
+		sig := workload.Signal(int64(c.n), c.n)
+		reD, imD, err := Transform(sig, PreciseTrig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reF, imF, err := FFT(sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for k := range reD {
+			worst = math.Max(worst, math.Max(math.Abs(reD[k]-reF[k]), math.Abs(imD[k]-imF[k])))
+		}
+		if worst > c.tol {
+			t.Errorf("n=%d: Transform vs FFT differ by %.2g, want ≤ %g", c.n, worst, c.tol)
+		}
+	}
+}

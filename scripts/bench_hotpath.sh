@@ -7,12 +7,14 @@
 # BenchmarkServeBand (the 200k handler over band queries; with the kernel
 # rows, `-only scan`) / BenchmarkClusterScatter / BenchmarkShardHop /
 # BenchmarkCombineSearchSpace / BenchmarkFuncCallDFT (the DFT's
-# approximated cosine taken apart) / BenchmarkRenderPass (one ray-tracer
-# pass at app_kernels' size) / BenchmarkZipfNext / BenchmarkNewZipf /
-# BenchmarkNewEngine (the corpus generator: `-only corpus`) families and
-# emits one JSON object (ns/op, allocs/op, the scan kernel's ns per
-# scored document, and the combination search's evaluated-combos count)
-# suitable for a "before"/"after" entry in BENCH_hotpath.json.
+# approximated cosine taken apart, on unreduced and exact twiddle angles,
+# and one transform; with BenchmarkFig21Fig22DFTVersions, `-only dft`) /
+# BenchmarkRenderPass (one ray-tracer pass at app_kernels' size) /
+# BenchmarkZipfNext / BenchmarkNewZipf / BenchmarkNewEngine (the corpus
+# generator: `-only corpus`) families and emits one JSON object (ns/op,
+# allocs/op, the scan kernel's ns per scored document, and the
+# combination search's evaluated-combos count) suitable for a
+# "before"/"after" entry in BENCH_hotpath.json.
 #
 # Usage:
 #
@@ -24,7 +26,7 @@
 #	                                         # (shared/noisy machines)
 #	scripts/bench_hotpath.sh -only control_law
 #	                                         # the control-law rows alone
-#	                                         # (or corpus, or scan, or any
+#	                                         # (or corpus, scan, dft, or any
 #	                                         # -bench regexp)
 #	scripts/bench_hotpath.sh -cpu 1          # GOMAXPROCS for every run
 #	                                         # (default: the box's)
@@ -51,6 +53,7 @@ pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Fun
 control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop'
 corpus='ZipfNext|NewZipf|NewEngine'
 scan='ScanKernel|ServeBand'
+dft='FuncCallDFT|Fig21Fig22DFTVersions'
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-o) out="$2"; shift 2 ;;
@@ -63,10 +66,11 @@ while [ $# -gt 0 ]; do
 		control_law) pattern=$control_law ;;
 		corpus) pattern=$corpus ;;
 		scan) pattern=$scan ;;
+		dft) pattern=$dft ;;
 		*) pattern="$2" ;;
 		esac
 		shift 2 ;;
-	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|corpus|scan|regexp] [-cpu n] [-pair parent-ref]" >&2; exit 2 ;;
+	*) echo "usage: $0 [-o file] [-t benchtime] [-best n] [-only control_law|corpus|scan|dft|regexp] [-cpu n] [-pair parent-ref]" >&2; exit 2 ;;
 	esac
 done
 
