@@ -1340,8 +1340,8 @@ func BenchmarkNewEngine(b *testing.B) {
 // (N = 128): unreduced, 2π/N·k·t up to ≈ 792 as dft.Transform built them
 // before it carried k·t mod N, and exact, 2π/N·(k·t mod N) in [0, 2π) as
 // it builds them now. The transform row is one dft.Transform through that
-// Func, sin taken from cos as app_kernels does. ROADMAP item 9 reads the
-// verdict off these rows.
+// Func, sin taken from cos as app_kernels does. ROADMAP item 4's
+// workload half reads the verdict off these rows.
 func BenchmarkFuncCallDFT(b *testing.B) {
 	const n = 128
 	w := 2 * math.Pi / n

@@ -151,8 +151,9 @@ type (
 
 	// Features carries the per-input signals the controller pipeline's
 	// Select stage keys on (Loop.ExecFeat/ExecNFeat and
-	// Func.CallFeat/CallNFeat; Func2 has no Select stage). A plain
-	// value; the zero value means "no features".
+	// Func.CallFeat/CallNFeat). A plain value; the zero value means "no
+	// features", and the entry points without features pass it, so the
+	// Select stage skips it without a tally.
 	Features = core.Features
 	// Selector is the pluggable Select stage: per-input Features to an
 	// approximation level before execution, with Correct-stage drift
@@ -199,13 +200,12 @@ type (
 	// EventFunc receives monitoring events via LoopConfig.OnEvent /
 	// FuncConfig.OnEvent.
 	EventFunc = core.EventFunc
-	// LoopState / FuncState / Func2State snapshot controller runtime
-	// state for checkpoint/restore across service restarts.
+	// LoopState / FuncState snapshot controller runtime state for
+	// checkpoint/restore across service restarts.
 	LoopState = core.LoopState
-	// FuncState is the function controller's serializable state.
+	// FuncState is the serializable state of both function controllers,
+	// Func and Func2.
 	FuncState = core.FuncState
-	// Func2State is the two-parameter controller's serializable state.
-	Func2State = core.Func2State
 
 	// Controller is the uniform operational surface every controller
 	// kind (Loop, Func, Func2) exposes: identity, stats, the scalar

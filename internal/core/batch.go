@@ -89,23 +89,20 @@ var batchPool = sync.Pool{New: func() any { return new(LoopBatch) }}
 // then just the Continue checks. qos plays the same role as in Begin
 // and, like there, must implement DeltaQoS in Adaptive mode. A batch
 // finished before all n members ran returns the unused executions to
-// the counters.
-func (l *Loop) ExecN(n int, qos LoopQoS) (*LoopBatch, error) {
-	return l.execN(n, qos, nil)
-}
+// the counters. ExecN is ExecNFeat with no Features.
+func (l *Loop) ExecN(n int, qos LoopQoS) (*LoopBatch, error) { return l.execN(n, qos, Features{}) }
 
 // ExecNFeat starts a batch with per-input Features describing the
 // batch's members (the batched ExecFeat): the Select stage chooses one
 // level for the whole batch, and the monitored member's loss corrects
-// the chosen bucket. With no Selector installed the batch is
-// bit-identical to ExecN.
+// the chosen bucket. With no Selector installed the batch is ExecN's.
 func (l *Loop) ExecNFeat(n int, qos LoopQoS, f Features) (*LoopBatch, error) {
-	return l.execN(n, qos, &f)
+	return l.execN(n, qos, f)
 }
 
-// execN is the shared Select+Execute front half of the batched
-// pipeline; a nil f skips the Select stage.
-func (l *Loop) execN(n int, qos LoopQoS, f *Features) (*LoopBatch, error) {
+// execN is the one Select+Execute front half of the batched pipeline; a
+// zero f skips the Select stage (stageSelect).
+func (l *Loop) execN(n int, qos LoopQoS, f Features) (*LoopBatch, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: batch size %d < 1", n)
 	}
@@ -115,10 +112,7 @@ func (l *Loop) execN(n int, qos LoopQoS, f *Features) (*LoopBatch, error) {
 	}
 	st := l.state.Load()
 	o := l.stageExecuteBatch(n)
-	var sd selDecision
-	if f != nil {
-		sd = l.stageSelect(*f, obs{forced: o.forced}, st.disabled || st.forceOff)
-	}
+	sd := l.stageSelect(f, obs{forced: o.forced}, st.disabled || st.forceOff)
 	// A pooled batch comes back zeroed (Finish), so only the cursor's
 	// non-zero fields need setting.
 	b := batchPool.Get().(*LoopBatch)

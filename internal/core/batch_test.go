@@ -1,12 +1,6 @@
 package core
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-
-	"green/internal/model"
-)
+import "testing"
 
 // seqQoS replays a pre-generated loss sequence: Loss returns the next
 // value front to back. Feeding two controllers the same sequence makes
@@ -24,17 +18,6 @@ func (q *seqQoS) Loss(int) float64 {
 	return v
 }
 
-// lossSequence generates a seeded loss stream that straddles DefaultPolicy's
-// bands around the SLA, so the level trajectory actually moves.
-func lossSequence(seed int64, n int, sla float64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = rng.Float64() * 2 * sla
-	}
-	return out
-}
-
 // runBatchMember drives one LoopBatch member to at most maxIter
 // iterations, mirroring runLoop.
 func runBatchMember(b *LoopBatch, maxIter int) (Result, int) {
@@ -45,157 +28,6 @@ func runBatchMember(b *LoopBatch, maxIter int) (Result, int) {
 		}
 	}
 	return b.End(i), i
-}
-
-// lawQoS replays a seeded loss stream like seqQoS, adds a deterministic
-// Delta (improvement decaying with the iteration count, so where an
-// adaptive loop stops depends on the live TargetDelta), and panics in
-// Record or Delta while the driver holds panicNow — which it does only
-// for monitored members, the one place a callback panic is contained.
-type lawQoS struct {
-	seqQoS
-	panicIn  string // "", "record", or "delta"
-	panicNow bool
-}
-
-func (q *lawQoS) Record(int) {
-	if q.panicNow && q.panicIn == "record" {
-		panic("qos bug in Record")
-	}
-}
-
-func (q *lawQoS) Delta(i int) float64 {
-	if q.panicNow && q.panicIn == "delta" {
-		panic("qos bug in Delta")
-	}
-	return 1 / float64(i+1)
-}
-
-// TestLoopExecNEquivalence feeds the same seeded loss stream to two
-// identical loops — one driven in batches of 64, one execution at a
-// time — and requires identical per-execution results, identical level
-// trajectories, identical monitored sequence numbers, bit-identical
-// loss accounting, and identical breaker statistics. SampleInterval
-// equals the batch size, the regime where the batched monitored
-// schedule reproduces the unbatched one exactly. The stop law, the
-// contained-panic handling, and the observation are one implementation
-// behind both front-ends; the rows cover each mode of that law, with and
-// without a monitored member whose callback panics (every other
-// monitored member, so the breaker counts failures but never trips — a
-// tripped breaker is consulted per batch, not per member, by design).
-func TestLoopExecNEquivalence(t *testing.T) {
-	const (
-		batch    = 64
-		batches  = 20
-		maxIter  = 3200
-		interval = 64
-		sla      = 0.05
-	)
-	for _, c := range []struct {
-		name    string
-		mode    LoopMode
-		panicIn string
-	}{
-		{"static", Static, ""},
-		{"adaptive", Adaptive, ""},
-		{"static-record-panics", Static, "record"},
-		{"adaptive-delta-panics", Adaptive, "delta"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			mk := func() *Loop {
-				l, err := NewLoop(LoopConfig{
-					Name: "l", Model: testLoopModel(t), SLA: sla, SampleInterval: interval, Mode: c.mode,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return l
-			}
-			lb, lu := mk(), mk()
-			qb := &lawQoS{seqQoS: seqQoS{losses: lossSequence(42, batches, sla)}, panicIn: c.panicIn}
-			qu := &lawQoS{seqQoS: seqQoS{losses: lossSequence(42, batches, sla)}, panicIn: c.panicIn}
-			// arm makes the callbacks of execution k (0-based) panic when it
-			// is a monitored one with an odd observation index.
-			arm := func(q *lawQoS, k int) {
-				seq := k + 1
-				q.panicNow = seq%interval == 0 && (seq/interval)%2 == 1
-			}
-
-			type step struct {
-				res      Result
-				iters    int
-				level    float64
-				adaptive model.AdaptiveParams
-				lastSeq  int64
-				lastAct  Action
-			}
-			snap := func(l *Loop, res Result, iters int) step {
-				seq, act := l.LastRecalibration()
-				return step{res, iters, l.Level(), l.Adaptive(), seq, act}
-			}
-			var got, want []step
-
-			for bi := 0; bi < batches; bi++ {
-				b, err := lb.ExecN(batch, qb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for b.Next() {
-					arm(qb, len(got))
-					res, iters := runBatchMember(b, maxIter)
-					got = append(got, snap(lb, res, iters))
-				}
-				br := b.Finish()
-				if br.N != batch {
-					t.Fatalf("batch %d: BatchResult.N = %d, want %d", bi, br.N, batch)
-				}
-			}
-			for k := 0; k < batches*batch; k++ {
-				e, err := lu.Begin(qu)
-				if err != nil {
-					t.Fatal(err)
-				}
-				arm(qu, k)
-				res, iters := runLoop(t, e, maxIter)
-				want = append(want, snap(lu, res, iters))
-			}
-
-			moved := false
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("execution %d diverged:\n  batched:   %+v\n  unbatched: %+v", k, got[k], want[k])
-				}
-				moved = moved || want[k].iters != want[0].iters
-			}
-			if !moved {
-				t.Fatal("the stop point never moved: the stream does not exercise recalibration")
-			}
-			be, bm, bl := lb.Stats()
-			ue, um, ul := lu.Stats()
-			if be != ue || bm != um {
-				t.Fatalf("counters diverged: batched (%d, %d) vs unbatched (%d, %d)", be, bm, ue, um)
-			}
-			if math.Float64bits(bl) != math.Float64bits(ul) {
-				t.Fatalf("mean loss diverged: batched %v vs unbatched %v", bl, ul)
-			}
-			if bs, us := lb.State().LossSum, lu.State().LossSum; math.Float64bits(bs) != math.Float64bits(us) {
-				t.Fatalf("loss sum diverged: batched %v vs unbatched %v", bs, us)
-			}
-			if lb.Breaker() != lu.Breaker() {
-				t.Fatalf("breaker stats diverged: batched %+v vs unbatched %+v", lb.Breaker(), lu.Breaker())
-			}
-			wantMonitored, wantPanics := int64(batches), int64(0)
-			if c.panicIn != "" {
-				wantMonitored, wantPanics = batches/2, batches/2
-			}
-			if bm != wantMonitored {
-				t.Fatalf("monitored %d, want %d clean observations over %d batches of %d", bm, wantMonitored, batches, batch)
-			}
-			if brk := lb.Breaker(); brk.ContainedPanics != wantPanics || brk.Trips != 0 {
-				t.Fatalf("breaker = %+v, want %d contained panics and no trip", brk, wantPanics)
-			}
-		})
-	}
 }
 
 // TestLoopExecNShortInterval: with Sample_QoS shorter than the batch,

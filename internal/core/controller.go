@@ -15,9 +15,10 @@ import (
 //
 //	Select  — (optional, per-input) map the execution's Features to an
 //	          approximation level through the installed Selector's
-//	          calibrated per-bucket curves. Absent a Selector — or when
-//	          the Selector declines the input — the stage falls through
-//	          to the reactive level in the snapshot. stageSelect.
+//	          calibrated per-bucket curves. Absent valid Features or a
+//	          Selector — or when the Selector declines the input — the
+//	          stage falls through to the reactive level in the snapshot.
+//	          stageSelect.
 //	Execute — advance the execution counter, decide whether this
 //	          execution is monitored (count % Sample_QoS == 0), and
 //	          consult the panic breaker. stageExecute / stageExecuteBatch.
@@ -32,8 +33,9 @@ import (
 //
 // Loop and the version ladder under Func and Func2 (ladder.go) each add
 // only (a) the shape of their immutable approximation snapshot, (b) how
-// a policy action translates into that snapshot, and (c) which entry
-// points thread Features in (ExecFeat/ExecNFeat, CallFeat/CallNFeat).
+// a policy action translates into that snapshot, and (c) one body per
+// execution shape (Loop: begin and execN; the ladder: call and callN),
+// which the entry points without features call with a zero Features.
 // Everything else — the counters, the loss total, the sampling
 // decision, the panic breaker, selector bookkeeping, policy invocation
 // and event emission, Stats, and the copy-on-write publish protocol —
@@ -43,9 +45,9 @@ import (
 // ladderState). The hot path reads it with one atomic load; every
 // mutation copies the current snapshot under mu, edits the copy, and
 // publishes it atomically, so non-monitored executions never take a
-// lock. The Selector slot is a separate atomic pointer: when none is
-// installed the Select stage is one nil check, and the pipeline is
-// bit-identical to the reactive-only law.
+// lock. The Selector slot is a separate atomic pointer: without valid
+// Features the Select stage is one flag test, without a Selector one nil
+// check, and either way the pipeline is the reactive-only law.
 
 // ctrlOptions are the configuration fields every controller kind shares;
 // each concrete config struct maps onto it in its constructor.
@@ -87,12 +89,12 @@ type controller[S any] struct {
 	brk       *breaker
 
 	// sel is the optional Select stage. Nil when no Selector is
-	// installed, so the featureless entry points and the nil-selector
-	// ExecFeat path pay one atomic load and a branch, nothing more.
+	// installed, so an execution with Features pays one atomic load and
+	// a branch, nothing more (one without pays a flag test).
 	sel atomic.Pointer[selectorSlot]
 
 	// Select-stage counters: hits (the Selector chose the level),
-	// fallbacks (no usable choice — invalid Features or an input outside
+	// fallbacks (the Selector declined valid Features — an input outside
 	// the calibrated buckets), overrides (the choice was discarded
 	// because the breaker forced precise or approximation was disabled),
 	// and corrections (Correct-stage drift repairs applied to the
@@ -217,17 +219,24 @@ func (c *controller[S]) LastRecalibration() (seq int64, act Action) {
 }
 
 // stageSelect runs the Select stage: consult the installed Selector
-// with the execution's Features. The caller passes the Execute-stage
-// decision so selector choices discarded by a forced-precise breaker
-// window are counted as overrides rather than silently dropped.
-// Lock-free; no allocation.
+// with the execution's Features. A zero (invalid) Features skips the
+// stage without a tally — the entry points without features pass one —
+// so a fallback counts a valid input the Selector declined. The caller
+// passes the Execute-stage decision so selector choices discarded by a
+// forced-precise breaker window are counted as overrides rather than
+// silently dropped. Lock-free; no allocation.
 func (c *controller[S]) stageSelect(f Features, o obs, disabled bool) selDecision {
-	slot := c.sel.Load()
-	if slot == nil {
+	if !f.Valid {
 		return selDecision{}
 	}
-	if !f.Valid {
-		c.selFallbacks.Add(1)
+	return c.selectValid(f, o, disabled)
+}
+
+// selectValid is the Select stage for valid Features, kept out of line
+// so the test above inlines into every execution's front half.
+func (c *controller[S]) selectValid(f Features, o obs, disabled bool) selDecision {
+	slot := c.sel.Load()
+	if slot == nil {
 		return selDecision{}
 	}
 	level, ok := slot.s.Select(f, c.sla)

@@ -47,19 +47,22 @@ func TestLoopEmitsEventsOnMonitoredRuns(t *testing.T) {
 	}
 }
 
-func TestFuncEmitsEventsOnMonitoredCalls(t *testing.T) {
+func TestFuncEmitsEventsOnMonitoredCalls(t *testing.T)  { emitsEvents(t, funcKinds[0]) }
+func TestFunc2EmitsEventsOnMonitoredCalls(t *testing.T) { emitsEvents(t, funcKinds[1]) }
+
+func emitsEvents(t *testing.T, k funcKind) {
 	var events []Event
-	f := funcFixture(t, 0.2, 2)
-	f.onEvent = func(e Event) { events = append(events, e) }
+	f := k.build(t, 0.2, 2)
+	*f.onEvent = func(e Event) { events = append(events, e) }
 	for i := 0; i < 6; i++ {
-		f.Call(2)
+		f.call()
 	}
 	if len(events) != 3 {
-		t.Fatalf("events = %d, want 3", len(events))
+		t.Fatalf("%s: events = %d, want 3 (every 2nd call)", k.name, len(events))
 	}
 	for _, e := range events {
-		if e.Unit != "sq" || e.SLA != 0.2 {
-			t.Errorf("bad event: %+v", e)
+		if e.Unit != f.Name() || e.SLA != 0.2 {
+			t.Errorf("%s: bad event: %+v", k.name, e)
 		}
 	}
 }

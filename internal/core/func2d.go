@@ -48,21 +48,15 @@ type Func2Config struct {
 	BreakerCooldown int
 }
 
-// Func2 is the two-parameter function controller. It is Func over a grid
-// model: per-call cheapest-version selection under the SLA, monitored
-// sampling with panic containment and a circuit breaker, and
-// offset-based recalibration, all from the embedded version ladder
-// (ladder.go) and the generic controller under it; the non-monitored
-// path is lock-free. Func2 itself adds the grid-cell lookup that picks a
-// base version per input and the Fn2 invocation.
+// Func2 is the two-parameter function controller: Func over a grid
+// model. Everything but the configuration and the grid walk behind
+// Sensitivity is the embedded version ladder (ladder.go) over (x, y)
+// pairs, whose base version per input is the grid cell's cheapest
+// version meeting the SLA; the non-monitored path is lock-free.
 type Func2 struct {
-	ladder
+	ladder[pair]
 
 	cfg Func2Config
-
-	// fns[v+1] is version v; fns[0] is the precise function
-	// (model.PreciseVersion is -1). Immutable after NewFunc2.
-	fns []Fn2
 }
 
 // NewFunc2 builds the controller; approx must match the model's versions
@@ -78,88 +72,35 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 		return nil, fmt.Errorf("core: func2 %q: %d versions but model has %d",
 			cfg.Name, len(approx), len(cfg.Model.Versions))
 	}
-	f := &Func2{cfg: cfg, fns: append([]Fn2{precise}, approx...)}
+	onPair := func(fn Fn2) func(pair) float64 { return func(p pair) float64 { return fn(p.x, p.y) } }
+	rungs := []rung[pair]{newRung(onPair(precise), cfg.Model.PreciseWork)}
+	for i, fn := range approx {
+		rungs = append(rungs, newRung(onPair(fn), cfg.Model.Versions[i].Work))
+	}
+	f := &Func2{cfg: cfg}
 	if err := f.init("func2", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
 		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
 		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
-	}, len(approx), cfg.QoS, cfg.Disabled); err != nil {
+	}, rungs, cfg.QoS, cfg.Disabled); err != nil {
 		return nil, err
 	}
+	f.grid = cfg.Model
 	return f, nil
 }
 
-// version picks the ladder version for one call: precise while the
-// breaker forces it (monitoring is suspended then) or approximation is
-// off, otherwise the grid cell's base version under the snapshot's
-// offset.
-func (f *Func2) version(st *ladderState, forced bool, x, y float64) int {
-	if forced || st.off() {
-		return model.PreciseVersion
-	}
-	return f.shift(st, f.cfg.Model.SelectVersion(x, y, f.cfg.SLA))
-}
-
-// monitored is the one monitored-call body Call and CallN share: the
-// precise function runs and its result is returned; if an approximate
-// version was selected it runs too and the ladder measures the loss and
-// recalibrates (observeMember).
-func (f *Func2) monitored(o obs, v int, x, y float64) float64 {
-	zp := f.fns[0](x, y)
-	var approx func() float64
-	if v != model.PreciseVersion {
-		approx = func() float64 { return f.fns[v+1](x, y) }
-	}
-	f.observeMember(o, selDecision{}, zp, approx)
-	return zp
-}
-
-// Call evaluates the function under the approximation policy. On
-// monitored calls both the precise and the selected approximate version
-// run; the measured loss feeds the recalibration policy and the precise
-// result is returned. As with Func, the extra work the monitored path
-// adds (the approximate version and the QoS comparator) runs under
-// recover; a contained panic discards the observation and charges the
-// breaker.
-func (f *Func2) Call(x, y float64) float64 {
-	st := f.state.Load()
-	o := f.stageExecute()
-	v := f.version(st, o.forced, x, y)
-	if o.monitor {
-		return f.monitored(o, v, x, y)
-	}
-	return f.fns[v+1](x, y)
-}
+// Call evaluates the function at (x, y) under the approximation policy:
+// Func.Call over the grid (ladder.call).
+func (f *Func2) Call(x, y float64) float64 { return f.call(pair{x, y}, Features{}) }
 
 // CallN evaluates the function at each (xs[i], ys[i]) pair, writing
-// results into zs[i]: the batched Call. One snapshot load, one sampling
-// decision, and one counter add cover the whole batch; the monitored
-// member (if any) behaves exactly like an unbatched monitored Call and
-// later members see the post-recalibration snapshot. zs must be at
-// least as long as xs and ys (whose lengths must match).
+// results into zs[i]: Func.CallN over the grid (ladder.callN). xs and ys
+// must have the same length and zs must be at least as long.
 func (f *Func2) CallN(xs, ys, zs []float64) error {
-	n := len(xs)
-	if len(ys) != n {
-		return fmt.Errorf("core: func2 %q: CallN input lengths differ (%d vs %d)", f.cfg.Name, n, len(ys))
+	if len(ys) != len(xs) {
+		return fmt.Errorf("core: func2 %q: CallN input lengths differ (%d vs %d)", f.cfg.Name, len(xs), len(ys))
 	}
-	if len(zs) < n {
-		return fmt.Errorf("core: func2 %q: CallN output slice %d shorter than input %d", f.cfg.Name, len(zs), n)
-	}
-	if n == 0 {
-		return nil
-	}
-	st := f.state.Load()
-	b := f.stageExecuteBatch(n)
-	for i, x := range xs {
-		v := f.version(st, b.forced, x, ys[i])
-		if i != b.monitorAt {
-			zs[i] = f.fns[v+1](x, ys[i])
-			continue
-		}
-		zs[i] = f.monitored(obs{seq: b.first + int64(i), monitor: true, probe: b.probe}, v, x, ys[i])
-		st = f.state.Load()
-	}
-	return nil
+	return f.callN(xs, ys, zs, Features{})
 }
 
 // Sensitivity implements Unit: the mean modeled loss improvement per

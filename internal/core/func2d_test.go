@@ -14,18 +14,15 @@ func func2Fixture(t *testing.T, sla float64, interval int) *Func2 {
 	grid := model.Grid2D{XLo: 0, XHi: 10, YLo: 0, YHi: 10, NX: 4, NY: 4}
 	cal, err := model.NewCalibration2D("mul", 18, []string{"m0", "m1"},
 		[]float64{4, 8}, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0.5; x < 10; x++ {
-		for y := 0.5; y < 10; y++ {
-			if err := cal.AddSample(0, x, y, 0.10); err != nil {
-				t.Fatal(err)
-			}
-			if err := cal.AddSample(1, x, y, 0.01); err != nil {
-				t.Fatal(err)
+	for x := 0.5; err == nil && x < 10; x++ {
+		for y := 0.5; err == nil && y < 10; y++ {
+			if err = cal.AddSample(0, x, y, 0.10); err == nil {
+				err = cal.AddSample(1, x, y, 0.01)
 			}
 		}
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	m, err := cal.Build()
 	if err != nil {
@@ -43,11 +40,26 @@ func func2Fixture(t *testing.T, sla float64, interval int) *Func2 {
 	return f
 }
 
+// oneCellModel is a grid model over [0, 10)² with one cell, where
+// version v costs work[v] and loses loss[v].
+func oneCellModel(t *testing.T, wp float64, work, loss []float64) *model.FuncModel2D {
+	t.Helper()
+	cal, err := model.NewCalibration2D("m", wp, make([]string, len(work)), work, model.Grid2D{XHi: 10, YHi: 10, NX: 1, NY: 1})
+	for v := 0; err == nil && v < len(loss); v++ {
+		err = cal.AddSample(v, 5, 5, loss[v])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cal.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestNewFunc2Errors(t *testing.T) {
-	grid := model.Grid2D{XLo: 0, XHi: 1, YLo: 0, YHi: 1, NX: 1, NY: 1}
-	cal, _ := model.NewCalibration2D("m", 18, []string{"v"}, []float64{4}, grid)
-	cal.AddSample(0, 0.5, 0.5, 0.01)
-	m, _ := cal.Build()
+	m := oneCellModel(t, 18, []float64{4}, []float64{0.01})
 	id := func(x, y float64) float64 { return x }
 	if _, err := NewFunc2(Func2Config{}, id, []Fn2{id}); err == nil {
 		t.Error("nil model accepted")

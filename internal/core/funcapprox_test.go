@@ -35,6 +35,55 @@ func funcFixture(t *testing.T, sla float64, sampleInterval int) *Func {
 	return f
 }
 
+// funcCtl is what the function-controller tests use of Func and Func2.
+type funcCtl interface {
+	Controller
+	Unit
+	EnableApprox()
+	Offset() int
+	Restore(FuncState) error
+	Work() float64
+	WorkReset()
+}
+
+// funcRow is one function controller kind built for a table row: the
+// controller, a call at its in-domain point with that point's precise
+// result, and the ladder fields tests swap.
+type funcRow struct {
+	funcCtl
+	call        func() float64
+	precise     float64
+	qos         *FuncQoS
+	onEvent     *EventFunc
+	breakApprox func() // every approximate version panics from now on
+}
+
+func rowOf[A arg](c funcCtl, l *ladder[A], call func() float64, precise float64) funcRow {
+	return funcRow{c, call, precise, &l.qos, &l.onEvent, func() {
+		for i := 1; i < len(l.rungs); i++ {
+			l.rungs[i].fn = func(A) float64 { panic("approx version exploded") }
+		}
+	}}
+}
+
+type funcKind struct {
+	name  string
+	build func(t *testing.T, sla float64, interval int) funcRow
+}
+
+// funcKinds builds each function controller kind over its fixture: x² at
+// 2 (funcFixture), and x·y at (2, 3) (func2Fixture, the same model).
+var funcKinds = []funcKind{
+	{"func", func(t *testing.T, sla float64, interval int) funcRow {
+		f := funcFixture(t, sla, interval)
+		return rowOf(f, &f.ladder, func() float64 { return f.Call(2) }, 4)
+	}},
+	{"func2", func(t *testing.T, sla float64, interval int) funcRow {
+		f := func2Fixture(t, sla, interval)
+		return rowOf(f, &f.ladder, func() float64 { return f.Call(2, 3) }, 6)
+	}},
+}
+
 func TestNewFuncErrors(t *testing.T) {
 	fm, _ := model.BuildFuncModel("f", 18, []model.VersionCurve{
 		{Name: "v", Work: 4, Samples: []model.FuncSample{{X: 0, Loss: 0}}},
@@ -170,18 +219,30 @@ func TestFuncOffsetSaturatesToPrecise(t *testing.T) {
 	}
 }
 
-func TestFuncDisabled(t *testing.T) {
-	f := funcFixture(t, 0.2, 0)
+func TestFuncDisabled(t *testing.T)       { disables(t, funcKinds[0]) }
+func TestFunc2UnitInterface(t *testing.T) { disables(t, funcKinds[1]) }
+
+func disables(t *testing.T, k funcKind) {
+	f := k.build(t, 0.2, 0)
+	if !f.ApproxEnabled() || f.call() == f.precise {
+		t.Fatalf("%s: a fresh controller should approximate", k.name)
+	}
 	f.DisableApprox()
 	if f.ApproxEnabled() {
-		t.Error("still enabled after DisableApprox")
+		t.Errorf("%s: still enabled after DisableApprox", k.name)
 	}
-	if got := f.Call(2); got != 4 {
-		t.Errorf("disabled Call = %v, want precise", got)
+	if got := f.call(); got != f.precise {
+		t.Errorf("%s: disabled call = %v, want precise", k.name, got)
 	}
 	f.EnableApprox()
-	if !f.ApproxEnabled() {
-		t.Error("EnableApprox failed")
+	if !f.ApproxEnabled() || f.call() == f.precise {
+		t.Errorf("%s: EnableApprox not honored", k.name)
+	}
+	if !f.IncreaseAccuracy() || f.Offset() != 1 || !f.DecreaseAccuracy() || f.Offset() != 0 {
+		t.Errorf("%s: accuracy steps did not move the offset 0 → 1 → 0 (at %d)", k.name, f.Offset())
+	}
+	if s := f.Sensitivity(); s <= 0 {
+		t.Errorf("%s: Sensitivity = %v, want positive (v1 much better than v0)", k.name, s)
 	}
 }
 
@@ -247,12 +308,12 @@ func TestFuncCustomQoS(t *testing.T) {
 	}
 }
 
-// Work() is exact. With unit costs that are not whole thousandths the
-// order of rounding shows: a non-monitored Call adds its version's cost
-// converted on its own (what NewFunc precomputes), a monitored call
-// converts the sum of the precise and the approximate cost, CallN
-// converts the float sum over the batch. The expectation below writes
-// those three rules out call by call.
+// Work() is exact, for both kinds. With unit costs that are not whole
+// thousandths the order of rounding shows: a non-monitored Call adds its
+// version's cost converted on its own (what the constructor
+// precomputes), a monitored call converts the sum of the precise and the
+// approximate cost, CallN converts the float sum over the batch. The
+// expectation below writes those three rules out call by call.
 func TestFuncWorkIsExact(t *testing.T) {
 	const wp, w0, w1 = 18.0, 0.3335, 4.0005
 	mkSamples := func(loss float64) []model.FuncSample {
@@ -265,82 +326,104 @@ func TestFuncWorkIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gm := oneCellModel(t, wp, []float64{w0, w1}, []float64{0.10, 0.01}) // Func2's, on [0, 10)²
 	sq := func(x float64) float64 { return x * x }
+	mul := func(x, y float64) float64 { return x * y }
 	const interval = 4
-	f, err := NewFunc(FuncConfig{
-		Name: "sq", Model: fm, SLA: 0.2, SampleInterval: interval,
-		Policy: sameIntervalPolicy{}, // holds level and interval
-	}, sq, []Fn{sq, sq})
+	pol := sameIntervalPolicy{} // holds level and interval
+	f1, err := NewFunc(FuncConfig{Name: "sq", Model: fm, SLA: 0.2, SampleInterval: interval, Policy: pol}, sq, []Fn{sq, sq})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ff, err := NewFunc(FuncConfig{Name: "sq", Model: fm, SLA: 0.2, SampleInterval: interval, Policy: pol}, sq, []Fn{sq, sq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := NewFunc2(Func2Config{Name: "sq", Model: gm, SLA: 0.2, SampleInterval: interval, Policy: pol}, mul, []Fn2{mul, mul})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat := Features{Key: 1, Valid: true} // no selector installed: Call's work
+	for _, k := range []struct {
+		name  string
+		f     funcCtl
+		call  func(x float64)
+		callN func(xs []float64) error
+	}{
+		{"func", f1, func(x float64) { f1.Call(x) }, func(xs []float64) error { return f1.CallN(xs, make([]float64, len(xs))) }},
+		{"func-features", ff, func(x float64) { ff.CallFeat(x, feat) }, func(xs []float64) error { return ff.CallNFeat(xs, make([]float64, len(xs)), feat) }},
+		{"func2", f2, func(x float64) { f2.Call(x, x) }, func(xs []float64) error { return f2.CallN(xs, xs, make([]float64, len(xs))) }},
+	} {
+		f, call, callN := k.f, k.call, k.callN
+		t.Run(k.name, func(t *testing.T) {
+			milli := func(w float64) int64 { return int64(w*1000 + 0.5) }
+			// cost is what one member at x costs: the selected version's
+			// work, and the precise function's as well on a monitored member.
+			cost := func(x float64, monitored bool) float64 {
+				v := f.Offset() // SLA 0.2 selects version 0 in [0, 10]; the offset shifts it
+				if x < 0 || x > 10 || v >= 2 {
+					return wp // precise selected: a monitored member runs it once
+				}
+				w := []float64{w0, w1}[v]
+				if monitored {
+					return wp + w
+				}
+				return w
+			}
+			var want, seq int64
+			check := func(what string) {
+				t.Helper()
+				if got := f.Work(); got != float64(want)/1000 {
+					t.Fatalf("%s: Work() = %v, want %v (%d thousandths)", what, got, float64(want)/1000, want)
+				}
+			}
+			one := func(x float64) {
+				seq++
+				want += milli(cost(x, seq%interval == 0))
+				call(x)
+			}
+			batch := func(xs ...float64) {
+				total, monitored := 0.0, false
+				for _, x := range xs {
+					seq++
+					m := !monitored && seq%interval == 0 // one monitored member per batch
+					monitored = monitored || m
+					total += cost(x, m)
+				}
+				want += milli(total)
+				if err := callN(xs); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	milli := func(w float64) int64 { return int64(w*1000 + 0.5) }
-	// cost is what one member at x costs: the selected version's work,
-	// and the precise function's as well on a monitored member.
-	cost := func(x float64, monitored bool) float64 {
-		v := f.Offset() // SLA 0.2 selects version 0 in [0, 10]; the offset shifts it
-		if x < 0 || x > 10 || v >= 2 {
-			return wp // precise selected: a monitored member runs it once
-		}
-		w := []float64{w0, w1}[v]
-		if monitored {
-			return wp + w
-		}
-		return w
-	}
-	var want, seq int64
-	check := func(what string) {
-		t.Helper()
-		if got := f.Work(); got != float64(want)/1000 {
-			t.Fatalf("%s: Work() = %v, want %v (%d thousandths)", what, got, float64(want)/1000, want)
-		}
-	}
-	call := func(x float64) {
-		seq++
-		want += milli(cost(x, seq%interval == 0))
-		f.Call(x)
-	}
-	callN := func(xs ...float64) {
-		total, monitored := 0.0, false
-		for _, x := range xs {
-			seq++
-			m := !monitored && seq%interval == 0 // one monitored member per batch
-			monitored = monitored || m
-			total += cost(x, m)
-		}
-		want += milli(total)
-		if err := f.CallN(xs, make([]float64, len(xs))); err != nil {
-			t.Fatal(err)
-		}
-	}
+			for i := 0; i < 9; i++ {
+				one(float64(i))
+			}
+			check("version 0 calls")
+			batch(1, 2, 3)
+			batch(1, 2, 20, 3, 4, 5, 6, 7, 8) // spans two multiples of the interval
+			check("version 0 batches")
+			one(20) // outside the calibrated domain: precise
+			check("precise call")
 
-	for i := 0; i < 9; i++ {
-		call(float64(i))
-	}
-	check("version 0 calls")
-	callN(1, 2, 3)
-	callN(1, 2, 20, 3, 4, 5, 6, 7, 8) // spans two multiples of the interval
-	check("version 0 batches")
-	call(20) // outside the calibrated domain: precise
-	check("precise call")
-
-	f.WorkReset()
-	want = 0
-	check("reset")
-	f.IncreaseAccuracy() // version 1
-	for i := 0; i < 7; i++ {
-		call(float64(i))
-	}
-	callN(5, 6, 7, 8, 9)
-	check("version 1")
-	f.IncreaseAccuracy() // past the ladder's top: precise
-	for i := 0; i < 5; i++ {
-		call(float64(i))
-	}
-	callN(1, 2, 3, 4, 5, 6)
-	check("offset to precise")
-	if _, mon, _ := f.Stats(); mon == 0 || want%1000 == 0 {
-		t.Fatalf("test lost its point: %d monitored members, %d thousandths", mon, want)
+			f.WorkReset()
+			want = 0
+			check("reset")
+			f.IncreaseAccuracy() // version 1
+			for i := 0; i < 7; i++ {
+				one(float64(i))
+			}
+			batch(5, 6, 7, 8, 9)
+			check("version 1")
+			f.IncreaseAccuracy() // past the ladder's top: precise
+			for i := 0; i < 5; i++ {
+				one(float64(i))
+			}
+			batch(1, 2, 3, 4, 5, 6)
+			check("offset to precise")
+			if _, mon, _ := f.Stats(); mon == 0 || want%1000 == 0 {
+				t.Fatalf("test lost its point: %d monitored members, %d thousandths", mon, want)
+			}
+		})
 	}
 }

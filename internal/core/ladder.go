@@ -2,20 +2,29 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"green/internal/model"
 )
 
-// The version ladder: everything Func and Func2 share.
+// The version ladder: the one body of both function controllers.
 //
 // An approximable function is a ladder of programmer-supplied versions in
 // increasing precision with the precise function on top. The QoS model
 // picks a base version per input (Func: a range table over one argument;
 // Func2: a grid cell over two); runtime recalibration then shifts every
-// selection by one global precision offset. Only the base-version lookup
-// and the call signature differ between the two kinds, so the offset law,
-// the monitored-member observation, the Unit methods, and the shared half
-// of snapshot/restore live here once and both kinds embed it.
+// selection by one global precision offset. Only the argument's shape and
+// the base-version lookup differ between the two kinds, so ladder is
+// generic over the argument and holds everything else once: the offset
+// law, the call and batched-call bodies with their monitored member, the
+// work accounting, the Unit methods, and snapshot/restore.
+
+// arg is a ladder's argument: one float64 (Func) or an (x, y) pair
+// (Func2).
+type arg interface{ float64 | pair }
+
+// pair is Func2's argument.
+type pair struct{ x, y float64 }
 
 // ladderState is the immutable snapshot a call reads with a single atomic
 // load, published through the embedded controller's copy-on-write
@@ -33,24 +42,56 @@ type ladderState struct {
 // off reports that every call must take the precise function.
 func (st *ladderState) off() bool { return st.disabled || st.forceOff }
 
-// ladder is the controller of a version ladder of n approximate versions.
-// kind ("func", "func2") prefixes error text so each controller keeps its
-// established phrasing.
-type ladder struct {
+// ladder is the controller of a version ladder of n approximate versions
+// over arguments of type A. kind ("func", "func2") prefixes error text so
+// each controller keeps its established phrasing.
+type ladder[A arg] struct {
 	controller[ladderState]
 
 	kind string
 	n    int
 	qos  FuncQoS
+
+	// rungs[v+1] is version v as a call runs it; rungs[0] is the precise
+	// function (model.PreciseVersion is -1). Immutable after init.
+	rungs []rung[A]
+
+	// The base-version lookup, immutable after construction: Func's range
+	// table for its SLA, read through key (nil: the argument itself), or
+	// Func2's grid.
+	ranges []model.Range
+	key    func(float64) float64
+	grid   *model.FuncModel2D
+
+	// workMilli accumulates model work units in thousandths, so the hot
+	// path can use a single atomic add for fractional unit costs.
+	workMilli atomic.Int64
 }
 
-// init validates the shared configuration and publishes the initial
-// snapshot; a nil qos selects the paper's return-value measure.
-func (l *ladder) init(kind string, o ctrlOptions, n int, qos FuncQoS, disabled bool) error {
+// rung is one step of the version ladder: the function, and what one
+// call of it costs in model work units — also in the thousandths Work
+// counts in, converted once so a non-monitored call adds an integer.
+type rung[A arg] struct {
+	fn    func(A) float64
+	work  float64
+	milli int64
+}
+
+func newRung[A arg](fn func(A) float64, work float64) rung[A] {
+	return rung[A]{fn: fn, work: work, milli: milliWork(work)}
+}
+
+// milliWork converts model work units to the thousandths Work counts in.
+func milliWork(w float64) int64 { return int64(w*1000 + 0.5) }
+
+// init validates the shared configuration, takes the rungs (the precise
+// function's first) and publishes the initial snapshot; a nil qos selects
+// the paper's return-value measure.
+func (l *ladder[A]) init(kind string, o ctrlOptions, rungs []rung[A], qos FuncQoS, disabled bool) error {
 	if err := l.controller.init(kind, o); err != nil {
 		return err
 	}
-	l.kind, l.n, l.qos = kind, n, qos
+	l.kind, l.n, l.rungs, l.qos = kind, len(rungs)-1, rungs, qos
 	if l.qos == nil {
 		l.qos = defaultFuncQoS
 	}
@@ -59,16 +100,16 @@ func (l *ladder) init(kind string, o ctrlOptions, n int, qos FuncQoS, disabled b
 }
 
 // Offset returns the current recalibration precision offset.
-func (l *ladder) Offset() int { return l.state.Load().offset }
+func (l *ladder[A]) Offset() int { return l.state.Load().offset }
 
 // Level reports the precision offset as the controller's approximation
 // level (the registry's uniform scalar view; see registry.go).
-func (l *ladder) Level() float64 { return float64(l.state.Load().offset) }
+func (l *ladder[A]) Level() float64 { return float64(l.state.Load().offset) }
 
 // shift applies the snapshot's offset to a model-chosen base version:
 // precise stays precise, a shift past the ladder's top is precise, and a
 // shift below its bottom stops at the cheapest version.
-func (l *ladder) shift(st *ladderState, base int) int {
+func (l *ladder[A]) shift(st *ladderState, base int) int {
 	if base == model.PreciseVersion {
 		return base
 	}
@@ -85,7 +126,7 @@ func (l *ladder) shift(st *ladderState, base int) int {
 // clampVersion maps a Select-stage level onto the version ladder:
 // negative levels are the precise function, and anything past the
 // ladder's end is precise too.
-func (l *ladder) clampVersion(level float64) int {
+func (l *ladder[A]) clampVersion(level float64) int {
 	v := int(level)
 	if v < 0 || v >= l.n {
 		return model.PreciseVersion
@@ -93,11 +134,173 @@ func (l *ladder) clampVersion(level float64) int {
 	return v
 }
 
+// version picks the ladder version for one call at a: precise while the
+// breaker forces it (monitoring is suspended then) or approximation is
+// off, the Select stage's choice when it made one, otherwise the model's
+// base version under the snapshot's offset — the grid cell's for a pair,
+// the range table's for one argument. It asserts a's type rather than
+// calling a method of A, because Go reaches a type parameter's methods
+// through an indirect call.
+func (l *ladder[A]) version(st *ladderState, forced bool, sd *selDecision, a A) int {
+	if forced || st.off() {
+		return model.PreciseVersion
+	}
+	if sd.selected {
+		return l.clampVersion(sd.level)
+	}
+	if p, ok := any(a).(pair); ok {
+		return l.shift(st, l.grid.SelectVersion(p.x, p.y, l.sla))
+	}
+	k := any(a).(float64)
+	if l.key != nil {
+		k = l.key(k)
+	}
+	last := len(l.ranges) - 1
+	for i := range l.ranges {
+		r := &l.ranges[i]
+		if k >= r.Lo && (k < r.Hi || (k == r.Hi && r.Hi == l.ranges[last].Hi)) {
+			return l.shift(st, r.Version)
+		}
+	}
+	// Outside the calibrated domain the model knows nothing: precise.
+	return model.PreciseVersion
+}
+
+// at is batch member i's argument: xs[i], or the pair (xs[i], ys[i]).
+func at[A arg](xs, ys []float64, i int) (a A) {
+	if p, ok := any(&a).(*pair); ok {
+		*p = pair{xs[i], ys[i]}
+	} else {
+		*any(&a).(*float64) = xs[i]
+	}
+	return a
+}
+
+// call is the synthesized call site of Figure 2, the one body of every
+// single call:
+//
+//	if (QoS_Fn_Approx(x, QoS_SLA)) y = FApprox[M](x); else y = F(x);
+//	count++; if ((count % Sample_QoS) == 0) QoS_ReCalibrate();
+//
+// The Select stage sees feat (a zero Features skips it). On monitored
+// calls both the precise and the selected approximate version run; the
+// measured loss feeds the recalibration policy and the precise result is
+// returned.
+func (l *ladder[A]) call(a A, feat Features) float64 {
+	st := l.state.Load()
+	o := l.stageExecute()
+	sd := l.stageSelect(feat, o, st.off())
+	v := l.version(st, o.forced, &sd, a)
+	if o.monitor {
+		// Precise and approximate work are summed before the conversion,
+		// as callN sums a batch: Work stays the integer it always was.
+		y, work := l.monitoredCall(o, &sd, v, a)
+		l.addWork(work)
+		return y
+	}
+	r := &l.rungs[v+1]
+	y := r.fn(a)
+	l.workMilli.Add(r.milli)
+	return y
+}
+
+// callN is the one batched body: member i's argument is at(xs, ys, i)
+// and its result goes to out[i]. The approximation snapshot is loaded
+// once, one sampling decision covers the batch (monitoring a
+// deterministic member — see stageExecuteBatch), one Features value
+// describes it (the Select stage chooses one version for all members),
+// and the execution counter and work accounting fold into one atomic add
+// each. The monitored member is exactly call's: precise and approximate
+// both run, the loss feeds the policy immediately, and the remaining
+// members see the post-recalibration snapshot.
+func (l *ladder[A]) callN(xs, ys, out []float64, feat Features) error {
+	n := len(xs)
+	if len(out) < n {
+		return fmt.Errorf("core: %s %q: CallN output slice %d shorter than input %d", l.kind, l.name, len(out), n)
+	}
+	if n == 0 {
+		return nil
+	}
+	st := l.state.Load()
+	b := l.stageExecuteBatch(n)
+	sd := l.stageSelect(feat, obs{forced: b.forced}, st.off())
+	total := 0.0
+	for i := range xs {
+		a := at[A](xs, ys, i)
+		v := l.version(st, b.forced, &sd, a)
+		var work float64
+		if i != b.monitorAt {
+			r := &l.rungs[v+1]
+			out[i], work = r.fn(a), r.work
+		} else {
+			o := obs{seq: b.first + int64(i), monitor: true, probe: b.probe}
+			out[i], work = l.monitoredCall(o, &sd, v, a)
+			// The observation may have moved the offset: later members
+			// read the fresh snapshot, exactly as unbatched calls would.
+			st = l.state.Load()
+		}
+		total += work
+	}
+	l.addWork(total)
+	return nil
+}
+
+// monitoredCall completes one monitored member at a. The precise function
+// runs bare — a panic there is the program's own and propagates as it
+// would without Green — and its result is returned. If an approximate
+// version v was selected, it and the QoS comparator run under recover
+// (safeQoS): a panic is contained, the observation discarded, the
+// breaker charged. A member that selected precise is a clean zero-loss
+// observation. The loss feeds the Observe and Correct stages
+// immediately; work is what the member ran.
+func (l *ladder[A]) monitoredCall(o obs, sd *selDecision, v int, a A) (y, work float64) {
+	y, work = l.rungs[0].fn(a), l.rungs[0].work
+	loss, ok := 0.0, true
+	if v != model.PreciseVersion {
+		var ran bool
+		loss, ran, ok = l.safeQoS(y, &l.rungs[v+1], a)
+		if ran {
+			work += l.rungs[v+1].work
+		}
+	}
+	l.stageObserveCorrect(o, loss, !ok, *sd, l.applyAction)
+	return y, work
+}
+
+// safeQoS runs the approximate rung r at a, then the QoS comparator
+// against the precise result yp, under recover. ran reports that the
+// approximate version completed (its work was done even if the
+// comparator then panicked); ok is false when either panicked.
+func (l *ladder[A]) safeQoS(yp float64, r *rung[A], a A) (loss float64, ran, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			loss, ok = 0, false
+		}
+	}()
+	ya := r.fn(a)
+	ran = true
+	return l.qos(yp, ya), true, true
+}
+
+func (l *ladder[A]) addWork(w float64) {
+	l.workMilli.Add(milliWork(w))
+}
+
+// Work returns the accumulated model work units across all calls.
+// Experiments use this as the simulated cost of the
+// function-approximation portion of a run.
+func (l *ladder[A]) Work() float64 {
+	return float64(l.workMilli.Load()) / 1000
+}
+
+// WorkReset clears the accumulated work counter.
+func (l *ladder[A]) WorkReset() { l.workMilli.Store(0) }
+
 // applyAction shifts the precision offset for a recalibration action,
 // clamped to ±n, clears the model-driven disable (recalibration pressure
 // can re-enable a site the model had given up on), and returns the
 // resulting level.
-func (l *ladder) applyAction(st *ladderState, a Action) float64 {
+func (l *ladder[A]) applyAction(st *ladderState, a Action) float64 {
 	switch a {
 	case ActIncrease:
 		if st.offset < l.n {
@@ -113,43 +316,9 @@ func (l *ladder) applyAction(st *ladderState, a Action) float64 {
 	return float64(st.offset)
 }
 
-// safeQoS runs the extra work a monitored member adds — the selected
-// approximate version, then the QoS comparator against the precise
-// result yp — under recover. ran reports that the approximate version
-// completed (its work was done even if the comparator then panicked);
-// ok is false when either panicked.
-func (l *ladder) safeQoS(yp float64, approx func() float64) (loss float64, ran, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			loss, ok = 0, false
-		}
-	}()
-	ya := approx()
-	ran = true
-	return l.qos(yp, ya), true, true
-}
-
-// observeMember completes one monitored member whose precise result is
-// yp. The precise call has already run bare — a panic there is the
-// program's own and propagates as it would without Green — but what the
-// monitored path adds runs under recover: a panic is contained, the
-// observation discarded, the breaker charged. approx is nil when the
-// member selected the precise function (a clean zero-loss observation).
-// The measured loss feeds the Observe and Correct stages immediately, so
-// whatever runs next sees the post-recalibration snapshot. Reports
-// whether the approximate version ran to completion.
-func (l *ladder) observeMember(o obs, sd selDecision, yp float64, approx func() float64) (ran bool) {
-	loss, ok := 0.0, true
-	if approx != nil {
-		loss, ran, ok = l.safeQoS(yp, approx)
-	}
-	l.stageObserveCorrect(o, loss, !ok, sd, l.applyAction)
-	return ran
-}
-
 // stepAccuracy applies one accuracy action outside the monitored path
 // and reports whether the offset moved.
-func (l *ladder) stepAccuracy(a Action) (changed bool) {
+func (l *ladder[A]) stepAccuracy(a Action) (changed bool) {
 	l.mutate(func(st *ladderState) {
 		before := st.offset
 		l.applyAction(st, a)
@@ -159,19 +328,19 @@ func (l *ladder) stepAccuracy(a Action) (changed bool) {
 }
 
 // IncreaseAccuracy implements Unit.
-func (l *ladder) IncreaseAccuracy() bool { return l.stepAccuracy(ActIncrease) }
+func (l *ladder[A]) IncreaseAccuracy() bool { return l.stepAccuracy(ActIncrease) }
 
 // DecreaseAccuracy implements Unit.
-func (l *ladder) DecreaseAccuracy() bool { return l.stepAccuracy(ActDecrease) }
+func (l *ladder[A]) DecreaseAccuracy() bool { return l.stepAccuracy(ActDecrease) }
 
 // DisableApprox implements Unit. The disable is sticky — recalibration
 // pressure does not re-enable it; only EnableApprox does.
-func (l *ladder) DisableApprox() {
+func (l *ladder[A]) DisableApprox() {
 	l.mutate(func(st *ladderState) { st.forceOff = true })
 }
 
 // EnableApprox re-enables approximation after DisableApprox.
-func (l *ladder) EnableApprox() {
+func (l *ladder[A]) EnableApprox() {
 	l.mutate(func(st *ladderState) {
 		st.forceOff = false
 		st.disabled = false
@@ -179,45 +348,4 @@ func (l *ladder) EnableApprox() {
 }
 
 // ApproxEnabled implements Unit.
-func (l *ladder) ApproxEnabled() bool { return !l.state.Load().off() }
-
-// snapshot reads the state every ladder persists — Func2State is exactly
-// that shared half; FuncState extends it. The lock only fences out
-// concurrent recalibration so the snapshot/counter pair is coherent.
-func (l *ladder) snapshot() Func2State {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.state.Load()
-	return Func2State{
-		Name:      l.name,
-		Offset:    st.offset,
-		Interval:  l.SampleInterval(),
-		Disabled:  st.disabled,
-		ForceOff:  st.forceOff,
-		Count:     l.count.Load(),
-		Monitored: l.monitored.Load(),
-		LossSum:   l.lossSum(),
-	}
-}
-
-// validate checks the shared half of a snapshot: it must belong to a
-// controller with the same name, the offset must be within the version
-// ladder, and the counters must be plausible.
-func (l *ladder) validate(s Func2State) error {
-	if s.Name != l.name {
-		return fmt.Errorf("core: state for %q cannot restore %s %q", s.Name, l.kind, l.name)
-	}
-	if err := validateOffset(l.kind, s.Offset, l.n); err != nil {
-		return err
-	}
-	return validateCounters(l.kind, s.Interval, s.Count, s.Monitored, s.LossSum)
-}
-
-// install applies the shared half of a validated snapshot.
-func (l *ladder) install(s Func2State) {
-	l.restoreCounters(s.Interval, s.Count, s.Monitored, s.LossSum, func(next *ladderState) {
-		next.offset = s.Offset
-		next.disabled = s.Disabled
-		next.forceOff = s.ForceOff
-	})
-}
+func (l *ladder[A]) ApproxEnabled() bool { return !l.state.Load().off() }

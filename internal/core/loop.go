@@ -550,11 +550,9 @@ var execPool = sync.Pool{New: func() any { return new(LoopExec) }}
 // QoS_Compute; in Adaptive mode it must also implement DeltaQoS, or Begin
 // returns an error. Begin performs no locking and, in steady state, no
 // allocation: it loads the current approximation snapshot atomically and
-// draws the execution handle from a pool. Begin never consults the
-// Select stage; use ExecFeat to thread per-input Features.
-func (l *Loop) Begin(qos LoopQoS) (*LoopExec, error) {
-	return l.begin(qos, nil)
-}
+// draws the execution handle from a pool. Begin is ExecFeat with no
+// Features: the Select stage is skipped.
+func (l *Loop) Begin(qos LoopQoS) (*LoopExec, error) { return l.begin(qos, Features{}) }
 
 // ExecFeat starts one execution of the loop with per-input Features:
 // the Select stage maps them through the installed Selector's
@@ -562,15 +560,13 @@ func (l *Loop) Begin(qos LoopQoS) (*LoopExec, error) {
 // level, and — on monitored executions — the Correct stage routes the
 // measured loss back into the chosen bucket. When no Selector is
 // installed (or the Selector declines the input) the execution is
-// bit-identical to Begin: same reactive level, same sampling schedule,
-// same loss accounting, and still zero allocations in steady state.
-func (l *Loop) ExecFeat(qos LoopQoS, f Features) (*LoopExec, error) {
-	return l.begin(qos, &f)
-}
+// Begin's: same reactive level, same sampling schedule, same loss
+// accounting, and still zero allocations in steady state.
+func (l *Loop) ExecFeat(qos LoopQoS, f Features) (*LoopExec, error) { return l.begin(qos, f) }
 
-// begin is the shared Select+Execute front half of the pipeline; a nil f
-// skips the Select stage.
-func (l *Loop) begin(qos LoopQoS, f *Features) (*LoopExec, error) {
+// begin is the one Select+Execute front half of a single execution; a
+// zero f skips the Select stage (stageSelect).
+func (l *Loop) begin(qos LoopQoS, f Features) (*LoopExec, error) {
 	delta, err := l.checkQoS(qos)
 	if err != nil {
 		return nil, err
@@ -580,10 +576,7 @@ func (l *Loop) begin(qos LoopQoS, f *Features) (*LoopExec, error) {
 	// suspended, so the faulty callbacks stop running (stageExecute
 	// already cleared o.monitor).
 	o := l.stageExecute()
-	var sd selDecision
-	if f != nil {
-		sd = l.stageSelect(*f, o, st.disabled || st.forceOff)
-	}
+	sd := l.stageSelect(f, o, st.disabled || st.forceOff)
 	e := execPool.Get().(*LoopExec)
 	e.seq = o.seq
 	e.init(l, qos, delta, st, o.forced, o.probe, &sd)

@@ -113,11 +113,11 @@ func (m *refModel) begin(n int, f *Features) (first int64, at int, forced, probe
 			break
 		}
 	}
-	if f == nil || !m.sel.Installed {
+	if f == nil || !f.Valid || !m.sel.Installed {
 		return first, at, forced, probe, sd
 	}
 	switch level, ok := (refSelector{}).Select(*f, m.c.sla); {
-	case !f.Valid || !ok:
+	case !ok:
 		m.sel.Fallbacks++
 	case forced || m.disabled || m.forceOff:
 		m.sel.Overrides++

@@ -230,61 +230,48 @@ func TestBreakerNegativeThresholdNeverTrips(t *testing.T) {
 	}
 }
 
-// panicFuncFixture builds a Func whose selected approximate version (or
-// QoS comparator) panics.
-func panicFuncFixture(t *testing.T, panicVersion, panicQoSCmp bool) *Func {
-	t.Helper()
-	mkSamples := func(loss float64) []model.FuncSample {
-		return []model.FuncSample{{X: 0, Loss: loss}, {X: 10, Loss: loss}}
+func TestFuncVersionPanicContained(t *testing.T) { versionPanicContained(t, funcKinds[0]) }
+func TestFunc2ApproxPanicContained(t *testing.T) { versionPanicContained(t, funcKinds[1]) }
+
+func versionPanicContained(t *testing.T, k funcKind) {
+	f := k.build(t, 0.2, 1)
+	f.breakApprox()
+	if got := f.call(); got != f.precise {
+		t.Errorf("%s: monitored call with panicking version = %v, want precise %v", k.name, got, f.precise)
 	}
-	fm, err := model.BuildFuncModel("sq", 18, []model.VersionCurve{
-		{Name: "sq(0)", Work: 4, Samples: mkSamples(0.01)},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if b := f.Breaker(); b.ContainedPanics != 1 {
+		t.Errorf("%s: breaker = %+v", k.name, b)
 	}
-	precise := func(x float64) float64 { return x * x }
-	v0 := func(x float64) float64 {
-		if panicVersion {
-			panic("approx version exploded")
+	// The failed observation must not enter the monitored statistics.
+	if _, monitored, _ := f.Stats(); monitored != 0 {
+		t.Errorf("%s: failed observation counted: monitored = %d", k.name, monitored)
+	}
+}
+
+func TestFuncQoSPanicContained(t *testing.T)                 { qosPanicContained(t, funcKinds[0]) }
+func TestFunc2QoSPanicContainedAndBreakerTrips(t *testing.T) { qosPanicContained(t, funcKinds[1]) }
+
+func qosPanicContained(t *testing.T, k funcKind) {
+	f := k.build(t, 0.2, 1)
+	*f.qos = func(p, a float64) float64 { panic("qos comparator exploded") }
+	// Every call is monitored; each contained panic charges the
+	// breaker (threshold defaults to 3).
+	for i := 0; i < 3; i++ {
+		if got := f.call(); got != f.precise {
+			t.Fatalf("%s: call %d = %v, want precise %v", k.name, i, got, f.precise)
 		}
-		return x * x * 1.01
 	}
-	var qos FuncQoS
-	if panicQoSCmp {
-		qos = func(p, a float64) float64 { panic("qos comparator exploded") }
+	if b := f.Breaker(); b.State != BreakerOpen || b.ContainedPanics != 3 || b.Trips != 1 {
+		t.Fatalf("%s: breaker = %+v, want open after 3 contained panics", k.name, b)
 	}
-	f, err := NewFunc(FuncConfig{
-		Name: "sq", Model: fm, SLA: 0.2, SampleInterval: 1, QoS: qos,
-	}, precise, []Fn{v0})
-	if err != nil {
-		t.Fatal(err)
+	// Open breaker: forced precise, monitoring suspended — the faulty
+	// comparator must not run again.
+	_, before, _ := f.Stats()
+	if got := f.call(); got != f.precise {
+		t.Errorf("%s: open-breaker call = %v, want precise", k.name, got)
 	}
-	return f
-}
-
-func TestFuncVersionPanicContained(t *testing.T) {
-	f := panicFuncFixture(t, true, false)
-	if got := f.Call(2); got != 4 {
-		t.Errorf("monitored call with panicking version = %v, want precise 4", got)
-	}
-	b := f.Breaker()
-	if b.ContainedPanics != 1 {
-		t.Errorf("breaker = %+v", b)
-	}
-	_, monitored, _ := f.Stats()
-	if monitored != 0 {
-		t.Errorf("failed observation counted: monitored = %d", monitored)
-	}
-}
-
-func TestFuncQoSPanicContained(t *testing.T) {
-	f := panicFuncFixture(t, false, true)
-	if got := f.Call(2); got != 4 {
-		t.Errorf("monitored call with panicking comparator = %v, want 4", got)
-	}
-	if got := f.Breaker().ContainedPanics; got != 1 {
-		t.Errorf("contained = %d", got)
+	if _, m, _ := f.Stats(); m != before {
+		t.Errorf("%s: open breaker still monitored: %d -> %d", k.name, before, m)
 	}
 }
 

@@ -376,120 +376,6 @@ func TestBuildFuncSelectorErrors(t *testing.T) {
 	}
 }
 
-// --- pipeline equivalence: no Selector => bit-identical ---------------
-
-// TestExecFeatEquivalence drives two identical loops through the same
-// schedule, one via Begin and one via ExecFeat, with no Selector
-// installed: every counter, level, and loss sum must match bit for bit.
-func TestExecFeatEquivalence(t *testing.T) {
-	mk := func() *Loop {
-		l, err := NewLoop(LoopConfig{Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	reactive, featful := mk(), mk()
-	f := Features{Key: 7, Aux1: 2, Valid: true}
-	for i := 0; i < 30; i++ {
-		q1, q2 := &fakeQoS{lossValue: 0.04}, &fakeQoS{lossValue: 0.04}
-		e1, err := reactive.Begin(q1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, n1 := runLoop(t, e1, 3200)
-		e2, err := featful.ExecFeat(q2, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, n2 := runLoop(t, e2, 3200)
-		if r1 != r2 || n1 != n2 {
-			t.Fatalf("iteration %d diverged: %+v/%d vs %+v/%d", i, r1, n1, r2, n2)
-		}
-	}
-	s1, s2 := reactive.State(), featful.State()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("states diverged:\n  Begin:    %+v\n  ExecFeat: %+v", s1, s2)
-	}
-	ss := featful.SelectorStats()
-	if ss.Installed || ss.Hits != 0 || ss.Fallbacks != 0 || ss.Overrides != 0 || ss.Corrections != 0 {
-		t.Errorf("selector counters ticked with no selector installed: %+v", ss)
-	}
-}
-
-// TestExecNFeatEquivalence is the batched variant.
-func TestExecNFeatEquivalence(t *testing.T) {
-	mk := func() *Loop {
-		l, err := NewLoop(LoopConfig{Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	drive := func(b *LoopBatch) {
-		for b.Next() {
-			// The program's own loop bound (3200) ends monitored members;
-			// approximation ends the rest earlier.
-			i := 0
-			for ; i < 3200 && b.Continue(i); i++ {
-			}
-			b.End(i)
-		}
-		b.Finish()
-	}
-	reactive, featful := mk(), mk()
-	f := Features{Key: 7, Valid: true}
-	for i := 0; i < 6; i++ {
-		b1, err := reactive.ExecN(5, &fakeQoS{lossValue: 0.04})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(b1)
-		b2, err := featful.ExecNFeat(5, &fakeQoS{lossValue: 0.04}, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(b2)
-	}
-	if s1, s2 := reactive.State(), featful.State(); !reflect.DeepEqual(s1, s2) {
-		t.Errorf("states diverged:\n  ExecN:     %+v\n  ExecNFeat: %+v", s1, s2)
-	}
-}
-
-// TestCallFeatEquivalence: Call vs CallFeat and CallN vs CallNFeat on a
-// selector-less Func.
-func TestCallFeatEquivalence(t *testing.T) {
-	plain, featful := funcFixture(t, 0.05, 4), funcFixture(t, 0.05, 4)
-	f := Features{Key: 3, Valid: true}
-	for i := 0; i < 24; i++ {
-		x := float64(i%10) + 0.5
-		if y1, y2 := plain.Call(x), featful.CallFeat(x, f); y1 != y2 {
-			t.Fatalf("call %d: %v != %v", i, y1, y2)
-		}
-	}
-	if s1, s2 := plain.State(), featful.State(); !reflect.DeepEqual(s1, s2) {
-		t.Errorf("states diverged:\n  Call:     %+v\n  CallFeat: %+v", s1, s2)
-	}
-
-	xs := []float64{1, 2, 3, 4, 5, 6, 7}
-	y1, y2 := make([]float64, len(xs)), make([]float64, len(xs))
-	plainN, featN := funcFixture(t, 0.05, 4), funcFixture(t, 0.05, 4)
-	for i := 0; i < 5; i++ {
-		if err := plainN.CallN(xs, y1); err != nil {
-			t.Fatal(err)
-		}
-		if err := featN.CallNFeat(xs, y2, f); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(y1, y2) {
-			t.Fatalf("batch %d results diverged", i)
-		}
-	}
-	if s1, s2 := plainN.State(), featN.State(); !reflect.DeepEqual(s1, s2) {
-		t.Errorf("batch states diverged:\n  CallN:     %+v\n  CallNFeat: %+v", s1, s2)
-	}
-}
-
 // --- pipeline behavior with an installed Selector ---------------------
 
 func TestLoopExecFeatSelectorPipeline(t *testing.T) {
@@ -518,26 +404,34 @@ func TestLoopExecFeatSelectorPipeline(t *testing.T) {
 	if _, iters = runLoop(t, e, 3200); iters != 100 {
 		t.Errorf("light input stopped at %d, want 100", iters)
 	}
-	// Invalid features fall back to the reactive level.
-	e, err = l.ExecFeat(&fakeQoS{}, Features{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, iters = runLoop(t, e, 3200); iters != 200 {
-		t.Errorf("fallback input stopped at %d, want reactive 200", iters)
-	}
-	// Featureless Begin never consults the Selector.
-	e, err = l.Begin(&fakeQoS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, iters = runLoop(t, e, 3200); iters != 200 {
-		t.Errorf("Begin stopped at %d, want reactive 200", iters)
-	}
-
-	ss := l.SelectorStats()
-	if !ss.Installed || ss.Hits != 2 || ss.Fallbacks != 1 || ss.Overrides != 0 {
-		t.Errorf("SelectorStats = %+v, want installed, 2 hits, 1 fallback", ss)
+	// Without a usable choice the reactive level governs. Invalid
+	// Features and Begin skip the Select stage untallied; a valid key
+	// outside the buckets is a fallback, an input the Selector declined.
+	for _, c := range []struct {
+		name      string
+		begin     bool
+		feat      Features
+		fallbacks int64
+	}{
+		{"invalid features", false, Features{}, 0},
+		{"Begin", true, Features{}, 0},
+		{"key outside the buckets", false, Features{Key: 25, Valid: true}, 1},
+	} {
+		var e *LoopExec
+		if c.begin {
+			e, err = l.Begin(&fakeQoS{})
+		} else {
+			e, err = l.ExecFeat(&fakeQoS{}, c.feat)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, iters = runLoop(t, e, 3200); iters != 200 {
+			t.Errorf("%s stopped at %d, want reactive 200", c.name, iters)
+		}
+		if ss := l.SelectorStats(); !ss.Installed || ss.Hits != 2 || ss.Fallbacks != c.fallbacks || ss.Overrides != 0 {
+			t.Errorf("%s: SelectorStats = %+v, want installed, 2 hits, %d fallback(s)", c.name, ss, c.fallbacks)
+		}
 	}
 }
 

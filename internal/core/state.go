@@ -8,8 +8,8 @@ import (
 
 // Controller state checkpointing: a service that restarts should resume
 // with the approximation levels runtime recalibration had reached, not
-// the cold model defaults. LoopState/FuncState/Func2State snapshot the
-// mutable runtime state (the models themselves are persisted separately
+// the cold model defaults. LoopState and FuncState snapshot the mutable
+// runtime state (the models themselves are persisted separately
 // by the calibration tooling).
 
 // finite reports a value that is neither NaN nor ±Inf. A snapshot taken
@@ -179,7 +179,7 @@ func (l *Loop) RestoreStateJSON(data []byte) error {
 	return restoreJSON("loop", data, l.Restore)
 }
 
-// FuncState is the serializable runtime state of a Func.
+// FuncState is the serializable runtime state of a Func or a Func2.
 type FuncState struct {
 	Name      string  `json:"name"`
 	Offset    int     `json:"offset"`
@@ -195,85 +195,56 @@ type FuncState struct {
 	Selector *SelectorState `json:"selector,omitempty"`
 }
 
-// State snapshots the function controller's runtime state.
-func (f *Func) State() FuncState {
-	b := f.snapshot()
-	return FuncState{
-		Name: b.Name, Offset: b.Offset, Interval: b.Interval,
-		Disabled: b.Disabled, ForceOff: b.ForceOff,
-		Count: b.Count, Monitored: b.Monitored, LossSum: b.LossSum,
-		WorkMilli: f.workMilli.Load(),
-		Selector:  selectorSection(f.Selector()),
+// State snapshots the function controller's runtime state. The lock only
+// fences out concurrent recalibration so the snapshot/counter pair is
+// coherent; the Selector's own State runs outside it.
+func (l *ladder[A]) State() FuncState {
+	l.mu.Lock()
+	st := l.state.Load()
+	s := FuncState{
+		Name: l.name, Offset: st.offset, Interval: l.SampleInterval(),
+		Disabled: st.disabled, ForceOff: st.forceOff,
+		Count: l.count.Load(), Monitored: l.monitored.Load(), LossSum: l.lossSum(),
 	}
+	l.mu.Unlock()
+	s.WorkMilli, s.Selector = l.workMilli.Load(), selectorSection(l.Selector())
+	return s
 }
 
 // Restore applies a previously snapshotted state. The state must belong
-// to a function with the same name, and the offset must be within the
-// controller's ladder.
-func (f *Func) Restore(s FuncState) error {
-	shared := Func2State{
-		Name: s.Name, Offset: s.Offset, Interval: s.Interval,
-		Disabled: s.Disabled, ForceOff: s.ForceOff,
-		Count: s.Count, Monitored: s.Monitored, LossSum: s.LossSum,
+// to a controller with the same name, the offset must be within the
+// version ladder, and the counters must be plausible.
+func (l *ladder[A]) Restore(s FuncState) error {
+	if s.Name != l.name {
+		return fmt.Errorf("core: state for %q cannot restore %s %q", s.Name, l.kind, l.name)
 	}
-	if err := f.validate(shared); err != nil {
+	if err := validateOffset(l.kind, s.Offset, l.n); err != nil {
+		return err
+	}
+	if err := validateCounters(l.kind, s.Interval, s.Count, s.Monitored, s.LossSum); err != nil {
 		return err
 	}
 	if s.WorkMilli < 0 {
-		return fmt.Errorf("core: func state: negative accumulated work %d", s.WorkMilli)
+		return fmt.Errorf("core: %s state: negative accumulated work %d", l.kind, s.WorkMilli)
 	}
-	if err := restoreSelector(f.Selector(), s.Selector); err != nil {
+	if err := restoreSelector(l.Selector(), s.Selector); err != nil {
 		return err
 	}
-	f.install(shared)
-	f.workMilli.Store(s.WorkMilli)
+	l.restoreCounters(s.Interval, s.Count, s.Monitored, s.LossSum, func(next *ladderState) {
+		next.offset = s.Offset
+		next.disabled = s.Disabled
+		next.forceOff = s.ForceOff
+	})
+	l.workMilli.Store(s.WorkMilli)
 	return nil
 }
 
 // MarshalState serializes the function state as JSON.
-func (f *Func) MarshalState() ([]byte, error) {
-	return json.Marshal(f.State())
+func (l *ladder[A]) MarshalState() ([]byte, error) {
+	return json.Marshal(l.State())
 }
 
 // RestoreStateJSON applies a JSON-serialized state.
-func (f *Func) RestoreStateJSON(data []byte) error {
-	return restoreJSON("func", data, f.Restore)
-}
-
-// Func2State is the serializable runtime state of a Func2. It is also
-// exactly the half of FuncState every version ladder shares, so the
-// ladder reads, validates, and installs it for both kinds.
-type Func2State struct {
-	Name      string  `json:"name"`
-	Offset    int     `json:"offset"`
-	Interval  int64   `json:"interval"`
-	Disabled  bool    `json:"disabled"`
-	ForceOff  bool    `json:"force_off"`
-	Count     int64   `json:"count"`
-	Monitored int64   `json:"monitored"`
-	LossSum   float64 `json:"loss_sum"`
-}
-
-// State snapshots the two-parameter controller's runtime state.
-func (f *Func2) State() Func2State { return f.snapshot() }
-
-// Restore applies a previously snapshotted state. The state must belong
-// to a controller with the same name, and the offset must be within the
-// version ladder.
-func (f *Func2) Restore(s Func2State) error {
-	if err := f.validate(s); err != nil {
-		return err
-	}
-	f.install(s)
-	return nil
-}
-
-// MarshalState serializes the controller state as JSON.
-func (f *Func2) MarshalState() ([]byte, error) {
-	return json.Marshal(f.State())
-}
-
-// RestoreStateJSON applies a JSON-serialized state.
-func (f *Func2) RestoreStateJSON(data []byte) error {
-	return restoreJSON("func2", data, f.Restore)
+func (l *ladder[A]) RestoreStateJSON(data []byte) error {
+	return restoreJSON(l.kind, data, l.Restore)
 }

@@ -17,8 +17,11 @@ const (
 	goldenLoopAdaptive = `{"name":"loop","level":300,"interval":2,"disabled":false,"force_off":false,"count":2,"monitored":1,"loss_sum":0.2,"adaptive_m":100,"adaptive_period":100,"adaptive_delta":0.0075}`
 	goldenLoopSelector = `{"name":"loop","level":200,"interval":1,"disabled":false,"force_off":false,"count":2,"monitored":2,"loss_sum":0.21000000000000002,"adaptive_m":0,"adaptive_period":0,"adaptive_delta":0,"selector":{"version":1,"kind":"loop","factors":[1.75,0.875]}}`
 	goldenFunc         = `{"name":"sq","offset":-1,"interval":2,"disabled":false,"force_off":false,"count":3,"monitored":1,"loss_sum":0.009999999999999985,"work_milli":38000,"selector":{"version":1,"kind":"func","factors":[0.8749999999999998,1]}}`
-	goldenFunc2        = `{"name":"mul","offset":-1,"interval":3,"disabled":false,"force_off":true,"count":5,"monitored":1,"loss_sum":0.010000000000000083}`
-	goldenRegistry     = `{"version":1,"controllers":{"loop":` + goldenLoopStatic + `,"mul":` + goldenFunc2 + `,"sq":` + goldenFunc + `}}`
+	goldenFunc2        = `{"name":"mul","offset":-1,"interval":3,"disabled":false,"force_off":true,"count":5,"monitored":1,"loss_sum":0.010000000000000083,"work_milli":50000}`
+	// goldenFunc2NoWork is the document Func2 wrote before it counted
+	// work; it must still restore.
+	goldenFunc2NoWork = `{"name":"mul","offset":-1,"interval":3,"disabled":false,"force_off":true,"count":5,"monitored":1,"loss_sum":0.010000000000000083}`
+	goldenRegistry    = `{"version":1,"controllers":{"loop":` + goldenLoopStatic + `,"mul":` + goldenFunc2 + `,"sq":` + goldenFunc + `}}`
 )
 
 // goldenStaticLoop is a static-mode loop monitored every 4th execution;
@@ -205,12 +208,14 @@ func TestStateWireFormatRestoreIsLive(t *testing.T) {
 		t.Errorf("restored func offset/work = %d/%v, want -1/38", f.Offset(), f.Work())
 	}
 
-	f2 := goldenFunc2Ctl(t, false)
-	if err := f2.RestoreStateJSON([]byte(goldenFunc2)); err != nil {
-		t.Fatal(err)
-	}
-	if f2.Offset() != -1 || f2.ApproxEnabled() {
-		t.Errorf("restored func2 offset/enabled = %d/%v, want -1/false", f2.Offset(), f2.ApproxEnabled())
+	for doc, work := range map[string]float64{goldenFunc2: 50, goldenFunc2NoWork: 0} {
+		f2 := goldenFunc2Ctl(t, false)
+		if err := f2.RestoreStateJSON([]byte(doc)); err != nil {
+			t.Fatal(err)
+		}
+		if f2.Offset() != -1 || f2.ApproxEnabled() || f2.Work() != work {
+			t.Errorf("restored func2 offset/enabled/work = %d/%v/%v, want -1/false/%v", f2.Offset(), f2.ApproxEnabled(), f2.Work(), work)
+		}
 	}
 
 	rep, err := goldenRegistryOf(t, false).RestoreAllJSON([]byte(goldenRegistry))

@@ -117,24 +117,30 @@ func TestLoopRestoreRejectsPoisonedState(t *testing.T) {
 	}
 }
 
-func TestFuncRestoreRejectsPoisonedState(t *testing.T) {
-	f := funcFixture(t, 0.05, 1)
-	valid := FuncState{Name: "sq", Offset: 1, Interval: 10, Count: 50, Monitored: 5, LossSum: 0.2, WorkMilli: 900}
+func TestFuncRestoreRejectsPoisonedState(t *testing.T)  { rejectsPoisonedState(t, funcKinds[0]) }
+func TestFunc2RestoreRejectsPoisonedState(t *testing.T) { rejectsPoisonedState(t, funcKinds[1]) }
+
+func rejectsPoisonedState(t *testing.T, k funcKind) {
+	f := k.build(t, 0.05, 1)
+	valid := FuncState{Name: f.Name(), Offset: 1, Interval: 10, Count: 50, Monitored: 5, LossSum: 0.2, WorkMilli: 900}
 	if err := f.Restore(valid); err != nil {
-		t.Fatalf("valid state rejected: %v", err)
+		t.Fatalf("%s: valid state rejected: %v", k.name, err)
 	}
 	cases := []struct {
 		name    string
 		mutate  func(*FuncState)
 		errWant string
 	}{
+		{"cross-name", func(s *FuncState) { s.Name = "other" }, "cannot restore"},
 		{"negative interval", func(s *FuncState) { s.Interval = -1 }, "interval"},
 		{"negative count", func(s *FuncState) { s.Count = -1 }, "counters"},
+		{"negative monitored", func(s *FuncState) { s.Monitored = -1 }, "counters"},
 		{"monitored above count", func(s *FuncState) { s.Monitored = 51 }, "exceeds"},
 		{"NaN loss sum", func(s *FuncState) { s.LossSum = math.NaN() }, "loss sum"},
 		{"Inf loss sum", func(s *FuncState) { s.LossSum = math.Inf(1) }, "loss sum"},
 		{"negative loss sum", func(s *FuncState) { s.LossSum = -0.1 }, "loss sum"},
 		{"negative work", func(s *FuncState) { s.WorkMilli = -1 }, "work"},
+		{"offset above ladder", func(s *FuncState) { s.Offset = 3 }, "ladder"},
 		{"offset below ladder", func(s *FuncState) { s.Offset = -3 }, "ladder"},
 	}
 	for _, tc := range cases {
@@ -142,45 +148,51 @@ func TestFuncRestoreRejectsPoisonedState(t *testing.T) {
 		tc.mutate(&s)
 		err := f.Restore(s)
 		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
+			t.Errorf("%s %s: accepted", k.name, tc.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.errWant) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.errWant)
+			t.Errorf("%s %s: error %q does not mention %q", k.name, tc.name, err, tc.errWant)
 		}
 	}
 	if f.Offset() != 1 {
-		t.Errorf("rejected restores mutated the offset: %d", f.Offset())
+		t.Errorf("%s: rejected restores mutated the offset: %d", k.name, f.Offset())
+	}
+	if err := f.RestoreStateJSON([]byte("{")); err == nil {
+		t.Errorf("%s: bad JSON accepted", k.name)
 	}
 }
 
-func TestFuncStateRoundTrip(t *testing.T) {
-	f1 := funcFixture(t, 0.05, 1)
+func TestFuncStateRoundTrip(t *testing.T)  { stateRoundTrip(t, funcKinds[0]) }
+func TestFunc2StateRoundTrip(t *testing.T) { stateRoundTrip(t, funcKinds[1]) }
+
+func stateRoundTrip(t *testing.T, k funcKind) {
+	f1 := k.build(t, 0.05, 1)
 	for i := 0; i < 5; i++ {
-		f1.Call(2)
+		f1.call()
 	}
 	data, err := f1.MarshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := funcFixture(t, 0.05, 1)
+	f2 := k.build(t, 0.05, 1)
 	if err := f2.RestoreStateJSON(data); err != nil {
 		t.Fatal(err)
 	}
 	if f2.Offset() != f1.Offset() {
-		t.Errorf("offset = %d, want %d", f2.Offset(), f1.Offset())
+		t.Errorf("%s: offset = %d, want %d", k.name, f2.Offset(), f1.Offset())
 	}
 	c1, m1, l1 := f1.Stats()
 	c2, m2, l2 := f2.Stats()
 	if c1 != c2 || m1 != m2 || l1 != l2 {
-		t.Errorf("stats differ: (%d,%d,%v) vs (%d,%d,%v)", c1, m1, l1, c2, m2, l2)
+		t.Errorf("%s: stats differ: (%d,%d,%v) vs (%d,%d,%v)", k.name, c1, m1, l1, c2, m2, l2)
 	}
 	if f1.Work() != f2.Work() {
-		t.Errorf("work differs: %v vs %v", f1.Work(), f2.Work())
+		t.Errorf("%s: work differs: %v vs %v", k.name, f1.Work(), f2.Work())
 	}
 	// Behavior continuity: both make the same next decision.
-	if f1.Call(2) != f2.Call(2) {
-		t.Error("restored controller diverges")
+	if f1.call() != f2.call() {
+		t.Errorf("%s: restored controller diverges", k.name)
 	}
 }
 

@@ -43,27 +43,45 @@ func TestNewFuncRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	precise := func(x float64) float64 { return x }
-	approx := make([]Fn, len(fm.Versions))
-	for i := range approx {
-		approx[i] = precise
-	}
-	cases := []struct {
-		name string
-		cfg  FuncConfig
-		want string
+	id := func(x float64) float64 { return x }
+	rejectsBadConfig(t, func(sla float64, interval, n int) error {
+		_, err := NewFunc(FuncConfig{Model: fm, SLA: sla, SampleInterval: interval}, id, make([]Fn, n))
+		return err
+	})
+}
+
+func TestNewFunc2RejectsBadConfig(t *testing.T) {
+	gm := oneCellModel(t, 18, []float64{4}, []float64{0.01})
+	id := func(x, y float64) float64 { return x }
+	rejectsBadConfig(t, func(sla float64, interval, n int) error {
+		_, err := NewFunc2(Func2Config{Model: gm, SLA: sla, SampleInterval: interval}, id, make([]Fn2, n))
+		return err
+	})
+}
+
+// rejectsBadConfig runs the construction cases on build, which makes a
+// one-version model's function controller with n approximate versions.
+func rejectsBadConfig(t *testing.T, build func(sla float64, interval, n int) error) {
+	for _, tc := range []struct {
+		name        string
+		sla         float64
+		interval, n int
+		want        string
 	}{
-		{"zero SLA", FuncConfig{Model: fm, SLA: 0}, "outside (0,1]"},
-		{"SLA above one", FuncConfig{Model: fm, SLA: 2}, "outside (0,1]"},
-		{"negative SampleInterval", FuncConfig{Model: fm, SLA: 0.1, SampleInterval: -5}, "negative SampleInterval"},
-	}
-	for _, tc := range cases {
+		{"zero SLA", 0, 0, 1, "outside (0,1]"},
+		{"negative SLA", -0.2, 0, 1, "outside (0,1]"},
+		{"SLA above one", 1.5, 0, 1, "outside (0,1]"},
+		{"negative SampleInterval", 0.1, -1, 1, "negative SampleInterval"},
+		{"version count mismatch", 0.1, 0, 2, "but model has"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewFunc(tc.cfg, precise, approx)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("NewFunc(%+v) error = %v, want containing %q", tc.cfg, err, tc.want)
+			if err := build(tc.sla, tc.interval, tc.n); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%+v: error = %v, want containing %q", tc, err, tc.want)
 			}
 		})
+	}
+	if err := build(1, 0, 1); err != nil {
+		t.Fatalf("SLA of exactly 1 must be accepted: %v", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repository health check: build, vet, greenlint over the module and
-# bench/ (plus its SARIF, taint and score-table stages), full tests (with
-# race detector on the concurrency-sensitive packages), fuzz smokes, and
-# the allocation, inlining and wire-ownership gates.
+# Repository health check: build, vet, the cap on the newest CHANGES.md
+# entry, greenlint over the module and bench/ (plus its SARIF, taint and
+# score-table stages), full tests (with race detector on the
+# concurrency-sensitive packages), fuzz smokes, and the allocation,
+# inlining and wire-ownership gates.
 # The "evaluation reproduces" stage regenerates every figure twice at
 # scale 0.05 and takes about 16 s (8.4 s + 6.4 s plus the build on the 2-thread dev box;
 # 21.3 s per run before the figures shared one sweep per input).
@@ -15,6 +16,17 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+
+echo "== newest CHANGES.md entry fits =="
+# Every change reads the ledger, so it has to fit in a head (ROADMAP
+# 9(a)): the newest entry — from the last line opening "- PR " to the
+# end of the file — is at most 40 lines. Mutation and measurement tables
+# go to results/README.md.
+lines=$(awk '/^- PR /{n = 0} {n++} END {print n + 0}' CHANGES.md)
+if [ "$lines" -gt 40 ]; then
+	echo "FAIL: the newest CHANGES.md entry is $lines lines (at most 40)" >&2
+	exit 1
+fi
 
 echo "== lint =="
 # bench/ is a module of its own that ./... does not reach; as a directory
@@ -226,10 +238,11 @@ if [ "$(printf '%s\n' "$memo" | grep -c .)" -ne 1 ] ||
 fi
 
 echo "== hot path stays allocation-free =="
-# The steady-state operational paths (Loop Begin/Continue/Finish, the
-# feature-threading ExecFeat with no selector installed, the single-call
-# Func and Func2 Call, and the batched ExecN/CallN tier) must not
-# allocate: one heap object per execution was the regression the
+# The steady-state operational paths must not allocate. There is one
+# body per execution shape, and each row runs one: Loop's begin (Begin,
+# and ExecFeat with no selector installed) with Continue/Finish, its
+# batched execN (ExecN), and the version ladder's call and callN under
+# both function kinds (Func and Func2 Call and CallN): one heap object per execution was the regression the
 # controller-core rework removed, and it must not creep back. ns/op is
 # too noisy to gate on shared runners; allocs/op is exact. ServeQPS and
 # ServeMonitored/memo ride along as the end-to-end smoke rows: they must
