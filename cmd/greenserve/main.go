@@ -74,14 +74,13 @@ func main() {
 		shardCount  = flag.Int("shard-count", 0, "worker: total shards in the fleet")
 		shardList   = flag.String("shards", "", "coordinator: replica URLs, ';' between shards, ',' between a shard's replicas")
 		quorum      = flag.Int("quorum", 0, "coordinator: shards required for a 200 (0 means majority)")
-		retries     = flag.Int("retries", 1, "coordinator: per-shard retry budget (negative disables)")
-		hedgeDelay  = flag.Duration("hedge-delay", 0, "coordinator: hedge a second replica request after this delay (0 disables)")
+		retries     = flag.Int("retries", 1, "coordinator: per-shard retry budget (0 or negative disables)")
 		aggInterval = flag.Duration("aggregate-interval", 5*time.Second, "coordinator: fleet SLA aggregation period (0 disables the control plane)")
 	)
 	flag.Parse()
 
 	if *role == "coordinator" {
-		runCoordinator(*addr, *shardList, *sla, *quorum, *retries, *hedgeDelay, *aggInterval, *seed, *reqTimeout, *drain)
+		runCoordinator(*addr, *shardList, *sla, *quorum, *retries, *aggInterval, *seed, *reqTimeout, *drain)
 		return
 	}
 	if *role != "" && *role != "worker" {
@@ -225,10 +224,28 @@ func parseShards(list string) ([]cluster.ShardSpec, error) {
 	return specs, nil
 }
 
+// coordinatorConfig maps the coordinator's flags onto cluster.Config.
+// cluster.Config reads a zero Retries as its default of one retry, so
+// -retries 0 travels as -1: no retry, as the flag says.
+func coordinatorConfig(specs []cluster.ShardSpec, sla float64, quorum, retries int, aggInterval, reqTimeout time.Duration, seed int64) cluster.Config {
+	if retries == 0 {
+		retries = -1
+	}
+	return cluster.Config{
+		Shards:            specs,
+		SLA:               sla,
+		Quorum:            quorum,
+		Retries:           retries,
+		AggregateInterval: aggInterval,
+		RequestTimeout:    reqTimeout,
+		Seed:              seed,
+	}
+}
+
 // runCoordinator serves the scatter/gather front end over an existing
 // worker fleet and, unless disabled, runs the fleet-level SLA
 // aggregation loop against it.
-func runCoordinator(addr, shardList string, sla float64, quorum, retries int, hedgeDelay, aggInterval time.Duration, seed int64, reqTimeout, drain time.Duration) {
+func runCoordinator(addr, shardList string, sla float64, quorum, retries int, aggInterval time.Duration, seed int64, reqTimeout, drain time.Duration) {
 	if shardList == "" {
 		log.Fatalf("greenserve: -role coordinator requires -shards")
 	}
@@ -237,17 +254,9 @@ func runCoordinator(addr, shardList string, sla float64, quorum, retries int, he
 		log.Fatalf("greenserve: -shards: %v", err)
 	}
 	transport := &cluster.HTTPTransport{}
-	co, err := cluster.New(cluster.Config{
-		Shards:            specs,
-		Transport:         transport,
-		SLA:               sla,
-		Quorum:            quorum,
-		Retries:           retries,
-		HedgeDelay:        hedgeDelay,
-		AggregateInterval: aggInterval,
-		RequestTimeout:    reqTimeout,
-		Seed:              seed,
-	})
+	cfg := coordinatorConfig(specs, sla, quorum, retries, aggInterval, reqTimeout, seed)
+	cfg.Transport = transport
+	co, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatalf("greenserve: %v", err)
 	}

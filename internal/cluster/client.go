@@ -50,15 +50,13 @@ type shardClient struct {
 	replicas  []*replica
 	rr        atomic.Uint32 // round-robin cursor for first-choice picks
 	rng       *lockedRand
-	pool      *scatterPool // runs the attempts of a hedged search
 
 	okReqs   atomic.Int64
 	failReqs atomic.Int64
-	hedges   atomic.Int64
 }
 
-func newShardClient(spec ShardSpec, cfg *Config, rng *lockedRand, pool *scatterPool) *shardClient {
-	c := &shardClient{name: spec.Name, cfg: cfg, transport: cfg.Transport, rng: rng, pool: pool}
+func newShardClient(spec ShardSpec, cfg *Config, rng *lockedRand) *shardClient {
+	c := &shardClient{name: spec.Name, cfg: cfg, transport: cfg.Transport, rng: rng}
 	for _, base := range spec.Replicas {
 		c.replicas = append(c.replicas, &replica{
 			base: base,
@@ -148,12 +146,12 @@ func (c *shardClient) call(ctx context.Context, method, path string, reqBody []b
 }
 
 // retryBackoff is the base of the jittered exponential backoff between
-// synchronous retries.
+// retries.
 const retryBackoff = 5 * time.Millisecond
 
 // sleepBackoff waits the jittered exponential backoff for the given
 // completed attempt: full jitter over [retryBackoff·2^a/2,
-// retryBackoff·2^a), truncated to the remaining deadline.
+// retryBackoff·2^a], truncated to the remaining deadline.
 func (c *shardClient) sleepBackoff(ctx context.Context, attempt int, deadline time.Time) {
 	d := retryBackoff << attempt
 	if d <= 0 {
@@ -171,150 +169,6 @@ func (c *shardClient) sleepBackoff(ctx context.Context, attempt int, deadline ti
 	select {
 	case <-ctx.Done():
 	case <-t.C:
-	}
-}
-
-// search fetches this shard's partial page into out. With HedgeDelay
-// off it is the synchronous retry loop above (reading into buf, so the
-// warm scatter path stays off the allocator); with hedging on it races
-// a late second request against the first.
-func (c *shardClient) search(ctx context.Context, path string, deadline time.Time, out *wire.SearchReply, buf *[]byte) error {
-	if c.cfg.HedgeDelay > 0 {
-		return c.searchHedged(ctx, path, deadline, out)
-	}
-	return c.call(ctx, http.MethodGet, path, nil, deadline, buf, func(body []byte) error {
-		return out.ParseJSON(body)
-	})
-}
-
-// hedgeAttempt is one raced attempt of a hedged search: the task a
-// scatter worker runs and, once run, its outcome. Attempts are pooled,
-// and buf keeps its capacity from one use to the next.
-type hedgeAttempt struct {
-	c        *shardClient
-	ctx      context.Context
-	path     string
-	deadline time.Time
-	rep      *replica
-	probe    bool
-	n        int64
-	// results takes the outcome while the search is still waiting for
-	// one; done is closed when it has returned.
-	results chan<- *hedgeAttempt
-	done    <-chan struct{}
-
-	buf []byte
-	err error
-}
-
-var hedgeAttempts = sync.Pool{New: func() any { return new(hedgeAttempt) }}
-
-func (a *hedgeAttempt) release() {
-	*a = hedgeAttempt{buf: a.buf[:0]}
-	hedgeAttempts.Put(a)
-}
-
-// run performs the exchange and reports it: to the search if it is still
-// waiting, and otherwise — another attempt won, or the search gave up —
-// straight to the replica's breaker if the replica failed. (A 200 nobody
-// will parse is not judged, and neither is an exchange the request's own
-// cancellation cut short.)
-func (a *hedgeAttempt) run() {
-	var status int
-	status, a.buf, a.err = a.c.transport.Do(a.ctx, http.MethodGet, a.rep.base, a.path, nil, a.deadline, a.buf)
-	if a.err == nil && status != http.StatusOK {
-		a.err = fmt.Errorf("cluster: %s%s: status %d", a.rep.base, a.path, status)
-	}
-	select {
-	case a.results <- a:
-	case <-a.done:
-		if a.err != nil && a.ctx.Err() == nil {
-			a.rep.failed(a.n, a.probe)
-		}
-		a.release()
-	}
-}
-
-// searchHedged races attempts: one launches immediately, a hedge
-// launches on a different replica if no answer arrives within
-// HedgeDelay, and failed attempts relaunch up to the retry budget
-// (immediately, on an alternate replica — the backoff of the
-// synchronous path would defeat the point of hedging). First valid
-// reply wins; every attempt's outcome still reaches its replica's
-// breaker, from here while the search waits and from the attempt itself
-// afterwards. Attempts run on the scatter workers and never block on a
-// search that has returned.
-func (c *shardClient) searchHedged(ctx context.Context, path string, deadline time.Time, out *wire.SearchReply) error {
-	results := make(chan *hedgeAttempt)
-	done := make(chan struct{})
-	defer close(done)
-	outstanding := 0
-	var last *replica
-	launch := func() bool {
-		rep, probe, n := c.pick(last)
-		if rep == nil {
-			return false
-		}
-		last = rep
-		rep.attempts.Add(1)
-		outstanding++
-		a := hedgeAttempts.Get().(*hedgeAttempt)
-		a.c, a.ctx, a.path, a.deadline = c, ctx, path, deadline
-		a.rep, a.probe, a.n = rep, probe, n
-		a.results, a.done = results, done
-		c.pool.dispatch(a)
-		return true
-	}
-	if !launch() {
-		return errAllBreakersOpen
-	}
-	relaunches := c.cfg.Retries
-	hedged := false
-	hedgeT := time.NewTimer(c.cfg.HedgeDelay)
-	defer hedgeT.Stop()
-	deadlineT := time.NewTimer(time.Until(deadline))
-	defer deadlineT.Stop()
-	var lastErr error
-	for {
-		select {
-		case a := <-results:
-			outstanding--
-			err := a.err
-			if err == nil {
-				err = out.ParseJSON(a.buf)
-			}
-			rep, probe, n := a.rep, a.probe, a.n
-			a.release()
-			if err == nil {
-				rep.brk.OnSuccess(probe)
-				return nil
-			}
-			rep.failed(n, probe)
-			lastErr = err
-			if relaunches > 0 && time.Until(deadline) > 0 {
-				relaunches--
-				if launch() {
-					continue
-				}
-			}
-			if outstanding == 0 {
-				return lastErr
-			}
-		case <-hedgeT.C:
-			if !hedged {
-				hedged = true
-				if launch() {
-					c.hedges.Add(1)
-				}
-			}
-		case <-deadlineT.C:
-			if lastErr == nil {
-				lastErr = context.DeadlineExceeded
-			}
-			return lastErr
-		case <-ctx.Done():
-			return ctx.Err()
-		}
 	}
 }
 

@@ -43,11 +43,6 @@ type Config struct {
 	// Retries is how many times a failed shard attempt is retried on a
 	// (preferably different) replica (default 1).
 	Retries int
-	// HedgeDelay, when positive, launches a hedged second request on an
-	// alternate replica if a shard has not answered within the delay.
-	// Safe because the worker /search handler is idempotent. Off by
-	// default.
-	HedgeDelay time.Duration
 	// BreakerThreshold / BreakerCooldown tune the per-replica circuit
 	// breakers (zeros take the core defaults: trip after 3 consecutive
 	// failures, cool down over 16 consults).
@@ -147,7 +142,7 @@ func New(cfg Config) (*Coordinator, error) {
 				return nil, fmt.Errorf("cluster: shard %q: %w", spec.Name, err)
 			}
 		}
-		co.shards = append(co.shards, newShardClient(spec, &co.cfg, co.rng, co.pool))
+		co.shards = append(co.shards, newShardClient(spec, &co.cfg, co.rng))
 	}
 	co.ctl = make([]shardControl, len(co.shards))
 	co.scratch.New = func() any {
@@ -183,7 +178,7 @@ type scatterTask struct {
 }
 
 func (t *scatterTask) search() {
-	t.err = t.shard.search(t.ctx, t.path, t.deadline, &t.rep, &t.buf)
+	t.err = t.shard.call(t.ctx, http.MethodGet, t.path, nil, t.deadline, &t.buf, t.rep.ParseJSON)
 }
 
 // run is search on a scatter worker.
@@ -304,7 +299,6 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Healthy:       s.healthy(),
 			OK:            s.okReqs.Load(),
 			Failed:        s.failReqs.Load(),
-			Hedges:        s.hedges.Load(),
 			LastLoss:      ctl.lastLoss,
 			LastMonitored: ctl.lastMonitored,
 			LastLevel:     ctl.lastLevel,

@@ -184,6 +184,17 @@ func TestRetryPrefersAlternateReplica(t *testing.T) {
 	if good.count() == 0 {
 		t.Error("healthy replica never served")
 	}
+	// A retried request is still one query, its success is not degraded,
+	// and only the replica that failed is charged.
+	if got := co.queries.Load(); got != 15 {
+		t.Errorf("queries = %d, want 15 (a retry counted twice)", got)
+	}
+	if st := co.shards[0].replicas[1].brk.Stats(); st.State != core.BreakerClosed || st.ConsecutiveFailures != 0 {
+		t.Errorf("healthy replica's breaker: %+v", st)
+	}
+	if ops := co.Ops().Snapshot(); ops.Degraded != 0 || ops.Shed != 0 {
+		t.Errorf("retried successes moved degradation counters: %+v", ops)
+	}
 }
 
 // TestDeadlineBudget: a replica slower than the whole request budget
@@ -209,39 +220,6 @@ func TestDeadlineBudget(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Errorf("request took %v, budget was 150ms", elapsed)
-	}
-}
-
-// TestHedgedRequestNoDoubleCount: a hedge fired against a slow replica
-// wins quickly, and the duplicate in flight does not double-count the
-// request anywhere in the coordinator's accounting.
-func TestHedgedRequestNoDoubleCount(t *testing.T) {
-	page := workerJSON(t, []int{8, 2}, []float64{9, 4}, false)
-	slow := slowWorker(400*time.Millisecond, okWorker(page))
-	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 0, HedgeDelay: 20 * time.Millisecond,
-		RequestTimeout: 2 * time.Second}, [][]http.Handler{{slow, okWorker(page)}})
-	start := time.Now()
-	rec := get(t, co.Handler(), "/search?q=hello")
-	elapsed := time.Since(start)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
-	}
-	resp := decodeCoord(t, rec.Body.Bytes())
-	if resp.Degraded || len(resp.Docs) != 2 {
-		t.Fatalf("hedged response degraded or short: %+v", resp)
-	}
-	if elapsed > 300*time.Millisecond {
-		t.Errorf("hedge did not cut the tail: %v elapsed", elapsed)
-	}
-	if got := co.shards[0].hedges.Load(); got != 1 {
-		t.Errorf("hedges = %d, want 1", got)
-	}
-	if got := co.queries.Load(); got != 1 {
-		t.Errorf("queries = %d, want 1 (hedge double-counted)", got)
-	}
-	ops := co.Ops().Snapshot()
-	if ops.Degraded != 0 || ops.Shed != 0 {
-		t.Errorf("hedge moved degradation counters: %+v", ops)
 	}
 }
 

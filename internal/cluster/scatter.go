@@ -10,10 +10,6 @@ import (
 // before its parked scatter workers retire.
 const scatterIdle = 10 * time.Second
 
-// task is what a scatter worker runs: one shard's call, or one attempt
-// of a hedged one.
-type task interface{ run() }
-
 // scatterPool runs shard calls on parked goroutines: one started per
 // call regrows its stack, copy by copy, on the way down through
 // net/http's connection pool on every request, and a parked one keeps
@@ -28,7 +24,7 @@ type task interface{ run() }
 // task, on which it exits. The workers' own loop is a plain receive, so
 // the policy costs a request nothing.
 type scatterPool struct {
-	work chan task
+	work chan *scatterTask
 	idle time.Duration
 	used *atomic.Int64 // the coordinator's query count
 
@@ -39,12 +35,12 @@ type scatterPool struct {
 }
 
 func newScatterPool(used *atomic.Int64) *scatterPool {
-	return &scatterPool{work: make(chan task), idle: scatterIdle, used: used}
+	return &scatterPool{work: make(chan *scatterTask), idle: scatterIdle, used: used}
 }
 
 // dispatch hands t to a parked worker, or to a new one if none is
 // parked. It does not block.
-func (p *scatterPool) dispatch(t task) {
+func (p *scatterPool) dispatch(t *scatterTask) {
 	select {
 	case p.work <- t:
 	default:
@@ -58,7 +54,7 @@ func (p *scatterPool) dispatch(t task) {
 	}
 }
 
-func (p *scatterPool) worker(t task) {
+func (p *scatterPool) worker(t *scatterTask) {
 	for ; t != nil; t = <-p.work {
 		t.run()
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"green/internal/core"
 	"green/internal/serve"
 )
 
@@ -151,36 +150,5 @@ func TestScatterWorkersRetire(t *testing.T) {
 	}
 	if live() == 0 {
 		t.Error("a request after the sweep started no worker")
-	}
-}
-
-// TestHedgeLoserChargesBreaker: the replica a hedge was fired against
-// answers late and with an error, after the hedge has won and the search
-// has returned. Its failure still reaches its breaker.
-func TestHedgeLoserChargesBreaker(t *testing.T) {
-	page := workerJSON(t, []int{8, 2}, []float64{9, 4}, false)
-	loser := slowWorker(100*time.Millisecond, failWorker(http.StatusInternalServerError))
-	co, _ := clusterOf(t, Config{Quorum: 1, Retries: 0, HedgeDelay: 10 * time.Millisecond,
-		RequestTimeout: 2 * time.Second, BreakerThreshold: 1}, [][]http.Handler{{loser, okWorker(page)}})
-	start := time.Now()
-	rec := get(t, co.Handler(), "/search?q=hello")
-	if rec.Code != http.StatusOK || decodeCoord(t, rec.Body.Bytes()).Degraded {
-		t.Fatalf("hedged request: status %d: %s", rec.Code, rec.Body)
-	}
-	if elapsed := time.Since(start); elapsed > 90*time.Millisecond {
-		t.Skipf("the request took %v: the loser may have answered before the hedge won", elapsed)
-	}
-	slow := co.shards[0].replicas[0]
-	if got := slow.failures.Load(); got != 0 {
-		t.Fatalf("loser charged %d failures before it answered", got)
-	}
-	eventually(t, "the loser's breaker trips", func() bool {
-		return slow.brk.Stats().State != core.BreakerClosed
-	})
-	if got := slow.failures.Load(); got != 1 {
-		t.Errorf("loser charged %d failures, want 1", got)
-	}
-	if st := co.shards[0].replicas[1].brk.Stats(); st.State != core.BreakerClosed || st.ConsecutiveFailures != 0 {
-		t.Errorf("winner's breaker: %+v", st)
 	}
 }

@@ -5,10 +5,9 @@
 // instead of dying when replicas misbehave. Robustness mechanics:
 // per-shard deadline budgets carved from the request deadline, bounded
 // retries with jittered exponential backoff that prefer an alternate
-// replica, an optional hedged second request, a per-replica circuit
-// breaker (internal/core's state machine), and a quorum policy that
-// serves partial coverage as a degraded 200 and refuses below-quorum
-// requests with 503 + Retry-After.
+// replica, a per-replica circuit breaker (internal/core's state
+// machine), and a quorum policy that serves partial coverage as a
+// degraded 200 and refuses below-quorum requests with 503 + Retry-After.
 //
 // The coordinator is also the fleet control plane of the paper's §3.4
 // combination search: it periodically pulls each shard's monitored QoS

@@ -133,6 +133,9 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	rng := workload.NewRand(cfg.Seed)
 
 	interval := time.Duration(float64(time.Second) / cfg.QPS)
+	if interval <= 0 {
+		return Result{}, fmt.Errorf("loadgen: QPS %g leaves no interval between arrivals", cfg.QPS)
+	}
 	total := int(cfg.Duration.Seconds() * cfg.QPS)
 	if total < 1 {
 		total = 1

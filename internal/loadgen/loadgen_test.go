@@ -27,6 +27,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(ctx, Config{BaseURL: "http://x", QPS: 1, Duration: time.Second, Deadline: 0}); err == nil {
 		t.Error("zero deadline accepted")
 	}
+	if _, err := Run(ctx, Config{BaseURL: "http://x", QPS: 2e9, Duration: time.Second, Deadline: time.Second}); err == nil {
+		t.Error("QPS above 1e9 accepted")
+	}
 }
 
 func TestRunAgainstGreenserve(t *testing.T) {

@@ -43,8 +43,8 @@ func (s *Server) withResilience(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // handleSearch serves one query. The handler is side-effect-free per
-// request by design — retries and hedged duplicates from a coordinator
-// are safe: serving the same query twice touches no state beyond
+// request by design — a coordinator's retry of a query the worker already
+// served is safe: serving the same query twice touches no state beyond
 // monotonic counters (queries/docs-scored/ops) and the controller's
 // monitored-sampling stream, and returns the same ranked page both
 // times (TestSearchHandlerIdempotent). Keep it that way: any per-query

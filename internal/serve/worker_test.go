@@ -72,11 +72,11 @@ func TestSearchScoresParam(t *testing.T) {
 	}
 }
 
-// TestSearchHandlerIdempotent is the hedged-retry safety regression:
-// serving the same query repeatedly returns the same ranked page every
-// time, and the only state the handler touches is monotonic counters
-// plus the monitored-sampling stream. A hedged duplicate therefore
-// cannot corrupt worker state.
+// TestSearchHandlerIdempotent is the retry safety regression: serving
+// the same query repeatedly returns the same ranked page every time, and
+// the only state the handler touches is monotonic counters plus the
+// monitored-sampling stream. A coordinator's retry therefore cannot
+// corrupt worker state.
 func TestSearchHandlerIdempotent(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()

@@ -277,7 +277,6 @@ type ShardStats struct {
 	Healthy       bool           `json:"healthy"`
 	OK            int64          `json:"ok"`
 	Failed        int64          `json:"failed"`
-	Hedges        int64          `json:"hedges"`
 	LastLoss      float64        `json:"last_loss"`
 	LastMonitored int64          `json:"last_monitored"`
 	LastLevel     float64        `json:"last_level"`

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repository health check: build, vet, the cap on the newest CHANGES.md
-# entry, greenlint over the module and bench/ (plus its SARIF, taint and
+# Repository health check: build, vet, the caps on the newest CHANGES.md
+# entry and on DESIGN.md's size, greenlint over the module and bench/ (plus its SARIF, taint and
 # score-table stages), full tests (with race detector on the
 # concurrency-sensitive packages), fuzz smokes, and the allocation,
 # inlining and wire-ownership gates.
@@ -25,6 +25,18 @@ echo "== newest CHANGES.md entry fits =="
 lines=$(awk '/^- PR /{n = 0} {n++} END {print n + 0}' CHANGES.md)
 if [ "$lines" -gt 40 ]; then
 	echo "FAIL: the newest CHANGES.md entry is $lines lines (at most 40)" >&2
+	exit 1
+fi
+
+echo "== DESIGN.md does not grow =="
+# DESIGN.md is read every change too (ROADMAP 9(a)). The cap is its size
+# in bytes after the last change that shrank it: a change that adds to
+# it removes as much elsewhere, and one that shrinks it lowers the cap,
+# down to the 45 kB target.
+design_max=90754
+bytes=$(wc -c < DESIGN.md)
+if [ "$bytes" -gt "$design_max" ]; then
+	echo "FAIL: DESIGN.md is $bytes bytes (at most $design_max)" >&2
 	exit 1
 fi
 
