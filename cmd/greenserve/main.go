@@ -55,14 +55,13 @@ func main() {
 		saveIndex  = flag.String("save-index", "", "build the corpus, write the index here, and exit")
 		docs       = flag.Int("docs", 0, "synthetic corpus size (0 uses the default)")
 		calQueries = flag.Int("cal-queries", 0, "calibration query count (0 uses the default)")
-		approxAnd  = flag.Bool("approx-and", false, "approximate mode=and queries under a second registered controller")
 		selector   = flag.Bool("selector", false, "build a per-input proactive Selector during calibration (posting-mass features)")
 
 		stateDir     = flag.String("state-dir", "", "directory for crash-safe controller snapshots (empty disables persistence)")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Second, "background snapshot period")
 		maxInFlight  = flag.Int("max-in-flight", 128, "concurrent /search cap before shedding with 503 (negative disables)")
 		qcacheSize   = flag.Int("qcache", 0, "preparsed-query cache entries (0 uses the default, negative disables)")
-		reqTimeout   = flag.Duration("request-timeout", 2*time.Second, "per-request deadline; partial results are served at expiry (negative disables)")
+		reqTimeout   = flag.Duration("request-timeout", 2*time.Second, "per-request deadline; partial results are served at expiry (negative disables it on a worker only; a coordinator refuses it)")
 		drain        = flag.Duration("drain-timeout", 10*time.Second, "in-flight drain budget at shutdown")
 
 		chaosSeed       = flag.Int64("chaos-seed", 1, "fault-injection schedule seed")
@@ -124,7 +123,6 @@ func main() {
 		SLA: *sla, Seed: *seed,
 		CorpusDocs:         *docs,
 		CalibrationQueries: *calQueries,
-		ApproxAnd:          *approxAnd,
 		Selector:           *selector,
 		ShardIndex:         *shardIndex,
 		ShardCount:         *shardCount,

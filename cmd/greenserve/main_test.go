@@ -41,3 +41,16 @@ func TestCoordinatorRetriesFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorNegativeRequestTimeout: -request-timeout -1 disables the
+// deadline on a worker only; a coordinator's shard retry loop needs one,
+// so cluster.New refuses the flag at startup instead of the coordinator
+// answering every query with a 503.
+func TestCoordinatorNegativeRequestTimeout(t *testing.T) {
+	specs := []cluster.ShardSpec{{Name: "shard0", Replicas: []string{"http://r0"}}}
+	cfg := coordinatorConfig(specs, 0.02, 1, 1, 0, -time.Second, 1)
+	cfg.Transport = &failingTransport{}
+	if _, err := cluster.New(cfg); err == nil {
+		t.Fatal("cluster.New accepted a negative request timeout")
+	}
+}

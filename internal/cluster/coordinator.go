@@ -38,7 +38,8 @@ type Config struct {
 	// 200. Default: a majority (n/2 + 1).
 	Quorum int
 	// RequestTimeout is the whole-request deadline each shard's retry
-	// budget is carved from (default 2s).
+	// budget is carved from (default 2s). New refuses a negative one: the
+	// retry loop has no attempt to make without a deadline.
 	RequestTimeout time.Duration
 	// Retries is how many times a failed shard attempt is retried on a
 	// (preferably different) replica (default 1).
@@ -117,6 +118,9 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if c.SLA < 0 || c.SLA >= 1 {
 		return nil, fmt.Errorf("cluster: SLA must be in [0, 1)")
+	}
+	if c.RequestTimeout < 0 {
+		return nil, fmt.Errorf("cluster: request timeout %v is negative", c.RequestTimeout)
 	}
 	seen := make(map[string]bool)
 	co := &Coordinator{cfg: c, rng: newLockedRand(c.Seed)}

@@ -43,7 +43,8 @@ type AppConfig struct {
 	// SLA is the application-level QoS SLA (the paper's additional
 	// application QoS_Compute / QoS SLA pair); it must lie in (0,1].
 	SLA float64
-	// HighFraction as in DefaultPolicy; zero means 0.9.
+	// HighFraction is the fraction of the SLA below which the App
+	// decreases accuracy (DefaultPolicy's 0.9); zero means 0.9.
 	HighFraction float64
 	// BackoffThreshold is the number of consecutive low-QoS observations
 	// after which the coordinator concludes the approximations interact

@@ -103,21 +103,14 @@ type RecalibratePolicy interface {
 //	if loss > SLA            -> increase accuracy
 //	else if loss < 0.9 * SLA -> decrease accuracy
 //	else                     -> no change
-type DefaultPolicy struct {
-	// HighFraction is the "0.9" of the rule; zero means 0.9.
-	HighFraction float64
-}
+type DefaultPolicy struct{}
 
 // Observe implements RecalibratePolicy.
-func (p DefaultPolicy) Observe(loss, sla float64) Decision {
-	high := p.HighFraction
-	if high == 0 {
-		high = 0.9
-	}
+func (DefaultPolicy) Observe(loss, sla float64) Decision {
 	switch {
 	case loss > sla:
 		return Decision{Action: ActIncrease}
-	case loss < high*sla:
+	case loss < 0.9*sla:
 		return Decision{Action: ActDecrease}
 	default:
 		return Decision{}
@@ -140,8 +133,6 @@ type WindowedPolicy struct {
 	// BaseInterval is the sampling interval to restore after a window
 	// (the saved Sample_QoS).
 	BaseInterval int
-	// HighFraction as in DefaultPolicy; zero means 0.9.
-	HighFraction float64
 
 	nm, nl int
 	open   bool
@@ -169,7 +160,7 @@ func (p *WindowedPolicy) Observe(loss, sla float64) Decision {
 	p.open = false
 	agg := float64(p.nl) / float64(p.nm)
 	p.nm, p.nl = 0, 0
-	d := DefaultPolicy{HighFraction: p.HighFraction}.Observe(agg, sla)
+	d := DefaultPolicy{}.Observe(agg, sla)
 	d.NewSampleInterval = p.BaseInterval
 	return d
 }

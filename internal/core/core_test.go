@@ -23,16 +23,6 @@ func TestDefaultPolicy(t *testing.T) {
 	}
 }
 
-func TestDefaultPolicyCustomHighFraction(t *testing.T) {
-	p := DefaultPolicy{HighFraction: 0.5}
-	if got := p.Observe(0.015, 0.02); got.Action != ActNone {
-		t.Errorf("loss 0.015 with half-band = %v, want none", got.Action)
-	}
-	if got := p.Observe(0.005, 0.02); got.Action != ActDecrease {
-		t.Errorf("loss 0.005 with half-band = %v, want decrease", got.Action)
-	}
-}
-
 func TestActionString(t *testing.T) {
 	if ActNone.String() != "none" || ActIncrease.String() != "increase-accuracy" ||
 		ActDecrease.String() != "decrease-accuracy" {

@@ -5,13 +5,13 @@ package search
 // conjunctively by default; the disjunctive Search remains the substrate
 // for the paper's experiments (its matching-document streams are longer,
 // which is what the M-capping approximation needs), while SearchAnd
-// serves the HTTP service's quoted/strict queries.
+// serves the HTTP service's strict (mode=and) queries, precisely.
 
 // SearchAnd executes the query conjunctively and returns the top-N
-// document ids in rank order plus the matching documents scored. maxDocs
-// caps the documents processed (<= 0 for no cap). Scoring is identical to
-// Search (BM25 over the query terms plus the static prior).
-func (e *Engine) SearchAnd(q Query, topN, maxDocs int) ([]int, int) {
+// document ids in rank order plus the matching documents scored.
+// Scoring is identical to Search (BM25 over the query terms plus the
+// static prior).
+func (e *Engine) SearchAnd(q Query, topN int) ([]int, int) {
 	if topN <= 0 || len(q.Terms) == 0 {
 		return nil, 0
 	}
@@ -60,15 +60,6 @@ func (e *Engine) SearchAnd(q Query, topN, maxDocs int) ([]int, int) {
 		}
 		heap.push(Result{Doc: doc, Score: score})
 		processed++
-		if maxDocs > 0 && processed >= maxDocs {
-			break
-		}
 	}
 	return heap.ranked(), processed
-}
-
-// MatchCountAnd returns the conjunctive match count.
-func (e *Engine) MatchCountAnd(q Query) int {
-	_, n := e.SearchAnd(q, 1, 0)
-	return n
 }

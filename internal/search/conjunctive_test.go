@@ -34,7 +34,7 @@ func TestSearchAndMatchesBruteForce(t *testing.T) {
 	}
 	for _, q := range qs {
 		want := bruteForceAnd(e, q)
-		got, n := e.SearchAnd(q, 10, 0)
+		got, n := e.SearchAnd(q, 10)
 		if n != len(want) {
 			t.Fatalf("query %v: processed %d, brute force %d", q.Terms, n, len(want))
 		}
@@ -50,7 +50,7 @@ func TestSearchAndSubsetOfOr(t *testing.T) {
 	e := smallEngine(t)
 	qs, _ := e.GenerateQueries(43, 60)
 	for _, q := range qs {
-		_, nAnd := e.SearchAnd(q, 10, 0)
+		_, nAnd := e.SearchAnd(q, 10)
 		_, nOr := e.Search(q, 10, 0)
 		if nAnd > nOr {
 			t.Fatalf("AND matched %d > OR %d", nAnd, nOr)
@@ -61,7 +61,7 @@ func TestSearchAndSubsetOfOr(t *testing.T) {
 func TestSearchAndSingleTermEqualsOr(t *testing.T) {
 	e := smallEngine(t)
 	q := Query{Terms: []int{3}}
-	andRes, nAnd := e.SearchAnd(q, 10, 0)
+	andRes, nAnd := e.SearchAnd(q, 10)
 	orRes, nOr := e.Search(q, 10, 0)
 	if nAnd != nOr {
 		t.Fatalf("counts differ: %d vs %d", nAnd, nOr)
@@ -73,52 +73,13 @@ func TestSearchAndSingleTermEqualsOr(t *testing.T) {
 
 func TestSearchAndEdgeCases(t *testing.T) {
 	e := smallEngine(t)
-	if res, n := e.SearchAnd(Query{}, 10, 0); res != nil || n != 0 {
+	if res, n := e.SearchAnd(Query{}, 10); res != nil || n != 0 {
 		t.Error("empty query returned results")
 	}
-	if res, n := e.SearchAnd(Query{Terms: []int{0}}, 0, 0); res != nil || n != 0 {
+	if res, n := e.SearchAnd(Query{Terms: []int{0}}, 0); res != nil || n != 0 {
 		t.Error("topN=0 returned results")
 	}
-	if res, n := e.SearchAnd(Query{Terms: []int{0, 999999}}, 10, 0); res != nil || n != 0 {
+	if res, n := e.SearchAnd(Query{Terms: []int{0, 999999}}, 10); res != nil || n != 0 {
 		t.Error("unknown term should empty the intersection")
-	}
-}
-
-func TestSearchAndMaxDocsCap(t *testing.T) {
-	e := smallEngine(t)
-	q := Query{Terms: []int{0, 1}}
-	full := e.MatchCountAnd(q)
-	if full < 10 {
-		t.Skipf("intersection too small (%d)", full)
-	}
-	_, n := e.SearchAnd(q, 10, 5)
-	if n != 5 {
-		t.Errorf("processed %d with cap 5", n)
-	}
-}
-
-func TestSearchAndEarlyTerminationLoss(t *testing.T) {
-	// The same approximation mechanism applies conjunctively: capping
-	// matching documents keeps the static-rank head.
-	e := smallEngine(t)
-	qs, _ := e.GenerateQueries(47, 200)
-	losses := 0
-	evaluated := 0
-	for _, q := range qs {
-		full := e.MatchCountAnd(q)
-		if full < 40 {
-			continue
-		}
-		evaluated++
-		precise, _ := e.SearchAnd(q, 10, 0)
-		approx, _ := e.SearchAnd(q, 10, full/4)
-		losses += int(metrics.QueryLoss(precise, approx))
-	}
-	if evaluated == 0 {
-		t.Skip("no query with a large conjunctive match set")
-	}
-	// Some loss is expected but the head should usually survive.
-	if losses == evaluated {
-		t.Errorf("every capped conjunctive query changed (%d/%d)", losses, evaluated)
 	}
 }

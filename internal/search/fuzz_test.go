@@ -68,7 +68,7 @@ func FuzzReadEngine(f *testing.F) {
 		var f finality
 		for _, k := range []int{3, 97, 1 << 30} { // two prefixes, then all
 			s.StepN(k)
-			err := checkAgainstSearch(eng, s, q, 5, false)
+			err := checkAgainstSearch(eng, s, q, 5)
 			if err == nil {
 				err = f.note(s)
 			}
@@ -104,7 +104,8 @@ func refScore(e *Engine, q Query, doc uint32) float64 {
 	return score
 }
 
-// blockScanner is what FuzzScanBlocks drives: Scan and ScanAnd.
+// blockScanner is the scan surface the checks below read: Scan, which
+// FuzzScanBlocks drives, and certify_test's refined wrapper of it.
 type blockScanner interface {
 	Step() bool
 	StepN(int) int
@@ -156,33 +157,29 @@ func (f *finality) drained(s blockScanner) error {
 }
 
 // checkAgainstSearch returns an error unless s, a scan of q on e, holds
-// the page Search (SearchAnd when and is set) returns when capped at the
-// same document count, every score bit-equal to refScore.
-func checkAgainstSearch(e *Engine, s blockScanner, q Query, topN int, and bool) error {
-	search := e.Search
-	if and {
-		search = e.SearchAnd
-	}
+// the page Search returns when capped at the same document count, every
+// score bit-equal to refScore.
+func checkAgainstSearch(e *Engine, s blockScanner, q Query, topN int) error {
 	n := s.Processed()
 	var want []int
 	if n > 0 { // a cap of 0 means "no cap" to Search
 		var scored int
-		want, scored = search(q, topN, n)
+		want, scored = e.Search(q, topN, n)
 		if scored != n {
-			return fmt.Errorf("and=%v: scan processed %d documents, Search capped there scored %d", and, n, scored)
+			return fmt.Errorf("scan processed %d documents, Search capped there scored %d", n, scored)
 		}
 	}
 	got := s.TopNInto(nil)
 	rs := s.TopNResultsInto(nil)
 	if len(got) != len(want) || len(rs) != len(want) {
-		return fmt.Errorf("and=%v at %d docs: page %v / %v, Search %v", and, n, got, rs, want)
+		return fmt.Errorf("at %d docs: page %v / %v, Search %v", n, got, rs, want)
 	}
 	for i := range want {
 		if got[i] != want[i] || int(rs[i].Doc) != want[i] {
-			return fmt.Errorf("and=%v at %d docs: page %v / %v, Search %v", and, n, got, rs, want)
+			return fmt.Errorf("at %d docs: page %v / %v, Search %v", n, got, rs, want)
 		}
 		if ref := refScore(e, q, rs[i].Doc); math.Float64bits(rs[i].Score) != math.Float64bits(ref) {
-			return fmt.Errorf("and=%v at %d docs: doc %d scored %v, Search's expression gives %v", and, n, rs[i].Doc, rs[i].Score, ref)
+			return fmt.Errorf("at %d docs: doc %d scored %v, Search's expression gives %v", n, rs[i].Doc, rs[i].Score, ref)
 		}
 	}
 	return nil
@@ -329,29 +326,27 @@ func TestScanFloorInvariant(t *testing.T) {
 						continue // ranking a page that wide at every prefix is cubic in the match set
 					}
 					scan := c.e.NewScan(q, topN)
-					for _, s := range []blockScanner{scan, c.e.NewScanAnd(q, topN)} {
-						var f finality
-						for n := block; n == block; {
-							if s == scan && scan.win.pending == 0 {
-								shapes[len(scan.cursors)] = true
-							}
-							n = s.StepN(block)
-							err := checkAgainstSearch(c.e, s, q, topN, s != scan)
-							if err == nil {
-								err = f.note(s)
-							}
-							if err != nil {
-								t.Fatalf("%s: q=%v topN=%d block=%d: %v", c.name, terms, topN, block, err)
-							}
+					var f finality
+					for n := block; n == block; {
+						if scan.win.pending == 0 {
+							shapes[len(scan.cursors)] = true
 						}
-						if !s.Exhausted() {
-							t.Fatalf("%s: q=%v topN=%d block=%d: StepN came up short on a scan that is not exhausted", c.name, terms, topN, block)
+						n = scan.StepN(block)
+						err := checkAgainstSearch(c.e, scan, q, topN)
+						if err == nil {
+							err = f.note(scan)
 						}
-						if err := f.drained(s); err != nil {
+						if err != nil {
 							t.Fatalf("%s: q=%v topN=%d block=%d: %v", c.name, terms, topN, block, err)
 						}
-						certified[qi] = certified[qi] || f.certified
 					}
+					if !scan.Exhausted() {
+						t.Fatalf("%s: q=%v topN=%d block=%d: StepN came up short on a scan that is not exhausted", c.name, terms, topN, block)
+					}
+					if err := f.drained(scan); err != nil {
+						t.Fatalf("%s: q=%v topN=%d block=%d: %v", c.name, terms, topN, block, err)
+					}
+					certified[qi] = certified[qi] || f.certified
 					shapes[len(scan.cursors)] = true
 				}
 			}
@@ -372,14 +367,14 @@ func TestScanFloorInvariant(t *testing.T) {
 // grant that ends mid-word well into a window, and several windows.
 var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 66, 2046, 2050, 4096}
 
-// FuzzScanBlocks is the differential test of the block kernel: whatever
-// the query, page size, shard layout and sequence of block sizes, after
-// every block the scan's page must be the page Search (SearchAnd for
-// ScanAnd) returns when capped at the same document count, with every
+// FuzzScanBlocks is the differential test of the block kernel, and it
+// drives Scan only: whatever the query, page size, shard layout and
+// sequence of block sizes, after every block the scan's page must be the
+// page Search returns when capped at the same document count, with every
 // score bit-equal to refScore; whenever Final holds after a block, that
-// page must be the drained scan's, scores bit-equal; and an engine rebuilt by ReadEngine
-// (which re-derives the impact tables rather than reading
-// them) must agree bit for bit.
+// page must be the drained scan's, scores bit-equal; and an engine
+// rebuilt by ReadEngine (which re-derives the impact tables rather than
+// reading them) must agree bit for bit.
 func FuzzScanBlocks(f *testing.F) {
 	var built []*Engine
 	for _, shard := range [][2]int{{0, 0}, {0, 3}, {1, 3}, {2, 3}} {
@@ -440,70 +435,64 @@ func FuzzScanBlocks(f *testing.F) {
 		}
 		blocks := data
 
-		for _, and := range []bool{false, true} {
-			var pages [2][]Result
-			for side, e := range pair {
-				var s blockScanner = e.NewScan(q, topN)
-				search := e.Search
-				if and {
-					s, search = e.NewScanAnd(q, topN), e.SearchAnd
+		var pages [2][]Result
+		for side, e := range pair {
+			s := e.NewScan(q, topN)
+			var f finality
+			check := func() {
+				t.Helper()
+				err := checkAgainstSearch(e, s, q, topN)
+				if err == nil {
+					err = f.note(s)
 				}
-				var f finality
-				check := func() {
-					t.Helper()
-					err := checkAgainstSearch(e, s, q, topN, and)
-					if err == nil {
-						err = f.note(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			check()
+			for _, b := range blocks {
+				k, n := int(b)%80, 0
+				if b == 255 {
+					k = 1
+					if s.Step() {
+						n = 1
 					}
-					if err != nil {
-						t.Fatal(err)
+				} else {
+					if b >= 240 {
+						k = edgeBlocks[b-240]
 					}
+					n = s.StepN(k)
+				}
+				if n < 0 || n > k {
+					t.Fatalf("StepN(%d) = %d", k, n)
 				}
 				check()
-				for _, b := range blocks {
-					k, n := int(b)%80, 0
-					if b == 255 {
-						k = 1
-						if s.Step() {
-							n = 1
-						}
-					} else {
-						if b >= 240 {
-							k = edgeBlocks[b-240]
-						}
-						n = s.StepN(k)
-					}
-					if n < 0 || n > k {
-						t.Fatalf("and=%v: StepN(%d) = %d", and, k, n)
-					}
-					check()
-					if n < k {
-						break
-					}
+				if n < k {
+					break
 				}
-				// Drain: the exhausted scan is the precise page.
-				for s.StepN(1000) == 1000 {
-				}
-				if s.StepN(1) != 0 || s.Step() {
-					t.Fatalf("and=%v: exhausted scan scored another document", and)
-				}
-				_, all := search(q, topN, 0)
-				if s.Processed() != all || (topN > 0 && !s.Exhausted()) {
-					t.Fatalf("and=%v: drained scan processed %d of %d, exhausted=%v", and, s.Processed(), all, s.Exhausted())
-				}
-				check()
-				if err := f.drained(s); err != nil {
-					t.Fatalf("and=%v: %v", and, err)
-				}
-				pages[side] = s.TopNResultsInto(nil)
 			}
-			if len(pages[0]) != len(pages[1]) {
-				t.Fatalf("and=%v: built engine pages %d results, round-tripped %d", and, len(pages[0]), len(pages[1]))
+			// Drain: the exhausted scan is the precise page.
+			for s.StepN(1000) == 1000 {
 			}
-			for i := range pages[0] {
-				if pages[0][i].Doc != pages[1][i].Doc || math.Float64bits(pages[0][i].Score) != math.Float64bits(pages[1][i].Score) {
-					t.Fatalf("and=%v: result %d differs after a ReadEngine round trip: %v vs %v", and, i, pages[0][i], pages[1][i])
-				}
+			if s.StepN(1) != 0 || s.Step() {
+				t.Fatal("exhausted scan scored another document")
+			}
+			_, all := e.Search(q, topN, 0)
+			if s.Processed() != all || (topN > 0 && !s.Exhausted()) {
+				t.Fatalf("drained scan processed %d of %d, exhausted=%v", s.Processed(), all, s.Exhausted())
+			}
+			check()
+			if err := f.drained(s); err != nil {
+				t.Fatal(err)
+			}
+			pages[side] = s.TopNResultsInto(nil)
+		}
+		if len(pages[0]) != len(pages[1]) {
+			t.Fatalf("built engine pages %d results, round-tripped %d", len(pages[0]), len(pages[1]))
+		}
+		for i := range pages[0] {
+			if pages[0][i].Doc != pages[1][i].Doc || math.Float64bits(pages[0][i].Score) != math.Float64bits(pages[1][i].Score) {
+				t.Fatalf("result %d differs after a ReadEngine round trip: %v vs %v", i, pages[0][i], pages[1][i])
 			}
 		}
 	})

@@ -169,7 +169,7 @@ func checkServed(t *testing.T, name string, e *Engine) {
 	s := e.NewScan(q, 10)
 	for s.StepN(4096) == 4096 {
 	}
-	if err := checkAgainstSearch(e, s, q, 10, false); err != nil {
+	if err := checkAgainstSearch(e, s, q, 10); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 }
@@ -223,7 +223,7 @@ func TestReadEngineNegativeIDF(t *testing.T) {
 			var f finality
 			for n := 64; n == 64; {
 				n = s.StepN(64)
-				err := checkAgainstSearch(e, s, q, topN, false)
+				err := checkAgainstSearch(e, s, q, topN)
 				if err == nil {
 					err = f.note(s)
 				}

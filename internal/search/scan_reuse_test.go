@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// The pooled-serve contract for the incremental scanners: Reset reuses
+// The pooled-serve contract for the incremental scanner: Reset reuses
 // storage, StepN matches repeated Step, TopNInto matches TopN.
 
 func reuseEngine(t *testing.T) *Engine {
@@ -49,39 +49,6 @@ func TestScanResetEquivalence(t *testing.T) {
 	}
 }
 
-func TestScanAndResetEquivalence(t *testing.T) {
-	e := reuseEngine(t)
-	qs, err := e.GenerateQueries(9, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused := e.NewScanAnd(qs[0], 10)
-	for _, q := range qs {
-		reused.Reset(e, q, 10)
-		fresh := e.NewScanAnd(q, 10)
-		for fresh.Step() {
-			if !reused.Step() {
-				t.Fatalf("query %d: reused scan exhausted before fresh", q.ID)
-			}
-		}
-		if reused.Step() {
-			t.Fatalf("query %d: reused scan outlived fresh", q.ID)
-		}
-		got, want := reused.TopN(), fresh.TopN()
-		if len(got) != len(want) {
-			t.Fatalf("query %d: topN %v vs %v", q.ID, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d: topN[%d] = %d, want %d", q.ID, i, got[i], want[i])
-			}
-		}
-		if reused.Exhausted() != fresh.Exhausted() {
-			t.Fatalf("query %d: exhausted %v vs %v", q.ID, reused.Exhausted(), fresh.Exhausted())
-		}
-	}
-}
-
 func TestStepNMatchesStep(t *testing.T) {
 	e := reuseEngine(t)
 	qs, err := e.GenerateQueries(13, 10)
@@ -106,25 +73,6 @@ func TestStepNMatchesStep(t *testing.T) {
 		}
 		if a.Processed() != b.Processed() {
 			t.Fatalf("query %d: processed %d vs %d", q.ID, a.Processed(), b.Processed())
-		}
-	}
-	// Conjunctive variant.
-	for _, q := range qs {
-		a, b := e.NewScanAnd(q, 10), e.NewScanAnd(q, 10)
-		an := 0
-		for {
-			n := a.StepN(3)
-			an += n
-			if n < 3 {
-				break
-			}
-		}
-		bn := 0
-		for b.Step() {
-			bn++
-		}
-		if an != bn {
-			t.Fatalf("query %d: conjunctive StepN scored %d, Step %d", q.ID, an, bn)
 		}
 	}
 }
@@ -194,7 +142,7 @@ func TestScanPartialWindow(t *testing.T) {
 				if s.Exhausted() != (want == matches) {
 					t.Fatalf("q=%v grant=%d: Exhausted() = %v at %d of %d documents", c.terms, grant, s.Exhausted(), want, matches)
 				}
-				if err := checkAgainstSearch(c.e, s, q, 10, false); err != nil {
+				if err := checkAgainstSearch(c.e, s, q, 10); err != nil {
 					t.Fatalf("q=%v grant=%d: %v", c.terms, grant, err)
 				}
 			}
@@ -217,11 +165,11 @@ func TestScanResetAfterApproximatedStop(t *testing.T) {
 				q := Query{Terms: second}
 				pooled.Reset(e, q, 10)
 				for more := true; more; more = pooled.StepN(300) == 300 {
-					if err := checkAgainstSearch(e, pooled, q, 10, false); err != nil {
+					if err := checkAgainstSearch(e, pooled, q, 10); err != nil {
 						t.Fatalf("q=%v after %v stopped at %d: %v", second, first, stop, err)
 					}
 				}
-				if err := checkAgainstSearch(e, pooled, q, 10, false); err != nil || !pooled.Exhausted() {
+				if err := checkAgainstSearch(e, pooled, q, 10); err != nil || !pooled.Exhausted() {
 					t.Fatalf("q=%v after %v stopped at %d: drained scan exhausted=%v, %v", second, first, stop, pooled.Exhausted(), err)
 				}
 			}

@@ -34,12 +34,7 @@ func (s *Server) preciseDocs() int64 {
 		}
 		c := m.n.Load()
 		if c == 0 { // first met: count it
-			q := search.Query{Terms: m.q.terms}
-			if m.and {
-				c = 1 + int64(s.engine.MatchCountAnd(q))
-			} else {
-				c = 1 + int64(s.engine.MatchCount(q))
-			}
+			c = 1 + int64(s.engine.MatchCount(search.Query{Terms: m.terms}))
 			m.n.Store(c)
 		}
 		sum, n = sum+c-1, n+1
@@ -97,26 +92,18 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	resp := wire.Model{}
-	for _, name := range s.reg.Names() {
-		m := s.models[name]
-		if m == nil {
-			continue
+	row := wire.ModelController{Name: snapshotName, BaseLevel: float64(s.engine.Docs())}
+	for _, lvl := range s.matchModel.Levels() {
+		if lvl > row.BaseLevel {
+			break // past the corpus a scan is precise: not a candidate
 		}
-		row := wire.ModelController{Name: name, BaseLevel: float64(s.engine.Docs())}
-		for _, lvl := range m.Levels() {
-			if lvl > row.BaseLevel {
-				break // past the corpus a scan is precise: not a candidate
-			}
-			row.Levels = append(row.Levels, wire.ModelLevel{
-				Level:    lvl,
-				PredLoss: m.PredictLoss(lvl),
-				Speedup:  m.Speedup(lvl),
-			})
-		}
-		resp.Controllers = append(resp.Controllers, row)
+		row.Levels = append(row.Levels, wire.ModelLevel{
+			Level:    lvl,
+			PredLoss: s.matchModel.PredictLoss(lvl),
+			Speedup:  s.matchModel.Speedup(lvl),
+		})
 	}
-	wire.WriteJSON(w, resp)
+	wire.WriteJSON(w, wire.Model{Controllers: []wire.ModelController{row}})
 }
 
 // handleBudget applies a pushed level. It is idempotent — pushing the
@@ -148,8 +135,7 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 
 // degradedReasons reports why the service is not at full quality (empty
 // when it is). Every registered controller contributes its breaker
-// state, so a server hosting several approximation sites reports which
-// one is degraded.
+// state, under its name.
 func (s *Server) degradedReasons() []string {
 	var reasons []string
 	for _, c := range s.reg.Controllers() {

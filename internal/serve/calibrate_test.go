@@ -18,8 +18,7 @@ import (
 // selector's buckets and curves, must come out exactly equal — so the
 // calibrated M and everything served from it are unchanged.
 func TestCalibrationOnePassMatchesReruns(t *testing.T) {
-	cfg := Config{Seed: 7, CorpusDocs: 20000, CalibrationQueries: 200,
-		Selector: true, ApproxAnd: true}
+	cfg := Config{Seed: 7, CorpusDocs: 20000, CalibrationQueries: 200, Selector: true}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,58 +27,44 @@ func TestCalibrationOnePassMatchesReruns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reruns := func(knots []float64, run func(search.Query, int, int) ([]int, int)) func(search.Query, []float64, []float64) {
-		return func(q search.Query, losses, work []float64) {
-			precise, _ := run(q, wire.PageSize, 0)
-			for i, k := range knots {
-				approx, processed := run(q, wire.PageSize, int(k))
-				losses[i] = metrics.QueryLoss(precise, approx)
-				work[i] = float64(processed)
-			}
+	got := s.matchModel
+	var knots []float64
+	lossy := 0
+	for _, p := range got.Points {
+		knots = append(knots, p.Level)
+		if p.QoSLoss > 0 {
+			lossy++
+		}
+	}
+	if lossy == 0 {
+		t.Fatal("no knot loses a page; the comparison tells nothing")
+	}
+	reruns := func(q search.Query, losses, work []float64) {
+		precise, _ := s.engine.Search(q, wire.PageSize, 0)
+		for i, k := range knots {
+			approx, processed := s.engine.Search(q, wire.PageSize, int(k))
+			losses[i] = metrics.QueryLoss(precise, approx)
+			work[i] = float64(processed)
 		}
 	}
 	feat := func(q search.Query) core.Features { return s.queryFeat(q.Terms) }
-	for _, c := range []struct {
-		name string
-		run  func(search.Query, int, int) ([]int, int)
-		feat func(search.Query) core.Features
-		sel  *core.LoopSelector
-	}{
-		{snapshotName, s.engine.Search, feat, s.Loop().Selector().(*core.LoopSelector)},
-		{andLoopName, s.engine.SearchAnd, nil, nil},
-	} {
-		got := s.models[c.name]
-		var knots []float64
-		lossy := 0
-		for _, p := range got.Points {
-			knots = append(knots, p.Level)
-			if p.QoSLoss > 0 {
-				lossy++
-			}
-		}
-		if lossy == 0 {
-			t.Fatalf("%s: no knot loses a page; the comparison tells nothing", c.name)
-		}
-		want, wantSel, err := s.calibrateLoop(c.name, knots, calQueries, c.feat, reruns(knots, c.run))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: one-pass model\n%+v\nreruns\n%+v", c.name, got.Points, want.Points)
-		}
-		if c.sel == nil {
-			continue
-		}
-		edges := c.sel.Edges()
-		if !reflect.DeepEqual(edges, wantSel.Edges()) {
-			t.Fatalf("%s: selector edges %v, reruns %v", c.name, edges, wantSel.Edges())
-		}
-		for b := 0; b+1 < len(edges); b++ {
-			f := core.Features{Key: (edges[b] + edges[b+1]) / 2, Valid: true}
-			for _, k := range knots {
-				if g, w := c.sel.PredictLoss(f, k), wantSel.PredictLoss(f, k); g != w {
-					t.Fatalf("%s: bucket %d at level %v predicts loss %v, reruns %v", c.name, b, k, g, w)
-				}
+	want, wantSel, err := s.calibrateLoop(knots, calQueries, feat, reruns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one-pass model\n%+v\nreruns\n%+v", got.Points, want.Points)
+	}
+	sel := s.Loop().Selector().(*core.LoopSelector)
+	edges := sel.Edges()
+	if !reflect.DeepEqual(edges, wantSel.Edges()) {
+		t.Fatalf("selector edges %v, reruns %v", edges, wantSel.Edges())
+	}
+	for b := 0; b+1 < len(edges); b++ {
+		f := core.Features{Key: (edges[b] + edges[b+1]) / 2, Valid: true}
+		for _, k := range knots {
+			if g, w := sel.PredictLoss(f, k), wantSel.PredictLoss(f, k); g != w {
+				t.Fatalf("bucket %d at level %v predicts loss %v, reruns %v", b, k, g, w)
 			}
 		}
 	}

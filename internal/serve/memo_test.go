@@ -12,19 +12,18 @@ import (
 	"time"
 
 	"green/internal/chaos"
-	"green/internal/core"
 	"green/internal/search"
 	"green/internal/wire"
 )
 
-// memoPaths is a repeated-query sequence over both retrieval modes, with
-// and without scores: each query's first monitored request past its
-// record point publishes the memo, the rest of the sequence reads it.
+// memoPaths is a repeated-query sequence, with and without scores: each
+// query's first monitored request past its record point publishes the
+// memo, the rest of the sequence reads it.
 func memoPaths(queries int) []string {
 	var paths []string
 	for i := 0; i < queries; i++ {
 		word := fmt.Sprintf("w%d+w%d", 11*i, 11*i+4)
-		paths = append(paths, word, word+"&scores=1", word+"&mode=and", word+"&mode=and&scores=1")
+		paths = append(paths, word, word+"&scores=1")
 	}
 	return paths
 }
@@ -34,22 +33,21 @@ func memoPaths(queries int) []string {
 // record point once the query's page is memoised, and one with no query
 // cache and so no memo, whose monitored requests scan to the certificate
 // every time, answer the same sequence. After every request the two must
-// agree on the page, its scores, the flags, both controllers' levels and
+// agree on the page, its scores, the flags, the controller's level and
 // statistics (so every loss booked is the same), and the memo may only
 // ever have scored fewer documents.
 func TestMonitoredMemoMatchesReference(t *testing.T) {
-	memo := certifyServer(t, func(c *Config) { c.ApproxAnd = true })
-	ref := certifyServer(t, func(c *Config) { c.ApproxAnd = true; c.QueryCacheSize = -1 })
+	memo := certifyServer(t, nil)
+	ref := certifyServer(t, func(c *Config) { c.QueryCacheSize = -1 })
 	for _, s := range []*Server{memo, ref} {
-		// Under the calibrated levels, so stopping there loses pages.
+		// Under the calibrated level, so stopping there loses pages.
 		s.Loop().SetLevel(scanBlock / 4)
-		s.AndLoop().SetLevel(scanBlock / 8)
 	}
 	hm, hr := memo.Handler(), ref.Handler()
 	lossyMemo := 0
 	for round := 0; round < 4; round++ {
 		for _, path := range memoPaths(6) {
-			lossBefore := memo.Loop().State().LossSum + memo.AndLoop().State().LossSum
+			lossBefore := memo.Loop().State().LossSum
 			memoBefore := memo.Ops().Snapshot().MonitoredMemo
 			got, want := searchReply(t, hm, path), searchReply(t, hr, path)
 			name := fmt.Sprintf("round %d q=%s", round, path)
@@ -63,19 +61,15 @@ func TestMonitoredMemoMatchesReference(t *testing.T) {
 			if got.DocsScored > want.DocsScored {
 				t.Fatalf("%s: memo scored %d documents, the reference %d", name, got.DocsScored, want.DocsScored)
 			}
-			if memo.Loop().Level() != ref.Loop().Level() || memo.AndLoop().Level() != ref.AndLoop().Level() {
-				t.Fatalf("%s: levels %v/%v, the reference %v/%v", name,
-					memo.Loop().Level(), memo.AndLoop().Level(), ref.Loop().Level(), ref.AndLoop().Level())
+			if memo.Loop().Level() != ref.Loop().Level() {
+				t.Fatalf("%s: level %v, the reference %v", name, memo.Loop().Level(), ref.Loop().Level())
 			}
-			for _, l := range [][2]*core.Loop{{memo.Loop(), ref.Loop()}, {memo.AndLoop(), ref.AndLoop()}} {
-				me, mm, ml := l[0].Stats()
-				re, rm, rl := l[1].Stats()
-				if me != re || mm != rm || ml != rl {
-					t.Fatalf("%s: stats %d %d %v, the reference %d %d %v", name, me, mm, ml, re, rm, rl)
-				}
+			me, mm, ml := memo.Loop().Stats()
+			re, rm, rl := ref.Loop().Stats()
+			if me != re || mm != rm || ml != rl {
+				t.Fatalf("%s: stats %d %d %v, the reference %d %d %v", name, me, mm, ml, re, rm, rl)
 			}
-			if memo.Ops().Snapshot().MonitoredMemo > memoBefore &&
-				memo.Loop().State().LossSum+memo.AndLoop().State().LossSum > lossBefore {
+			if memo.Ops().Snapshot().MonitoredMemo > memoBefore && memo.Loop().State().LossSum > lossBefore {
 				lossyMemo++
 			}
 		}
@@ -139,7 +133,7 @@ func TestDegradedMonitoredPublishesNoMemo(t *testing.T) {
 	if degraded == 0 || !cached {
 		t.Fatalf("%d degraded requests, query cached=%v: the case is not exercised", degraded, cached)
 	}
-	if cq.sample(false).final.Load() != nil || s.Ops().Snapshot().MonitoredMemo != 0 {
+	if cq.final.Load() != nil || s.Ops().Snapshot().MonitoredMemo != 0 {
 		t.Fatal("a deadline-degraded scan published a memo")
 	}
 }
@@ -148,32 +142,26 @@ func TestDegradedMonitoredPublishesNoMemo(t *testing.T) {
 // several goroutines, so publishing and reading the memo race (check.sh
 // runs this package under -race): every reply is the precise page.
 func TestMonitoredMemoConcurrent(t *testing.T) {
-	s := certifyServer(t, func(c *Config) { c.ApproxAnd = true })
+	s := certifyServer(t, nil)
 	h := s.Handler()
 	const word = "w2+w9"
-	q := search.Query{Terms: s.termsOf("w2 w9")}
-	precise, _ := s.engine.Search(q, wire.PageSize, 0)
-	preciseAnd, _ := s.engine.SearchAnd(q, wire.PageSize, 0)
+	precise, _ := s.engine.Search(search.Query{Terms: s.termsOf("w2 w9")}, wire.PageSize, 0)
 	var wg sync.WaitGroup
 	errs := make(chan string, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(and bool) {
+		go func() {
 			defer wg.Done()
-			path, want := word, precise
-			if and {
-				path, want = word+"&mode=and", preciseAnd
-			}
 			for i := 0; i < 25; i++ {
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q="+path, nil))
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q="+word, nil))
 				var resp wire.SearchReply
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !slices.Equal(resp.Docs, want) {
-					errs <- fmt.Sprintf("q=%s: served %s (%v), the precise page is %v", path, rec.Body, err, want)
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !slices.Equal(resp.Docs, precise) {
+					errs <- fmt.Sprintf("q=%s: served %s (%v), the precise page is %v", word, rec.Body, err, precise)
 					return
 				}
 			}
-		}(g%2 == 1)
+		}()
 	}
 	wg.Wait()
 	close(errs)

@@ -35,74 +35,62 @@ func TestServeQoSSnapshotMatchesReruns(t *testing.T) {
 		t.Fatal(err)
 	}
 	const topN = 10
-	for _, and := range []bool{false, true} {
-		run := engine.Search
-		if and {
-			run = engine.SearchAnd
-		}
-		newScan := func(q search.Query) docScanner {
-			if and {
-				return engine.NewScanAnd(q, topN)
+	var lost, kept, cutTold int
+	for _, q := range queries {
+		precise, matches := engine.Search(q, topN, 0)
+		for _, r := range []int{1, 7, scanBlock / 4, scanBlock, 4 * scanBlock} {
+			capped, _ := engine.Search(q, topN, r)
+			want := metrics.QueryLoss(precise, capped)
+			if want == 1 {
+				lost++
+			} else {
+				kept++
 			}
-			return engine.NewScan(q, topN)
-		}
-		var lost, kept, cutTold int
-		for _, q := range queries {
-			precise, matches := run(q, topN, 0)
-			for _, r := range []int{1, 7, scanBlock / 4, scanBlock, 4 * scanBlock} {
-				capped, _ := run(q, topN, r)
-				want := metrics.QueryLoss(precise, capped)
-				if want == 1 {
-					lost++
-				} else {
-					kept++
-				}
-				name := fmt.Sprintf("and=%v q=%v r=%d", and, q.Terms, r)
+			name := fmt.Sprintf("q=%v r=%d", q.Terms, r)
 
-				// The request's own scan supplies both pages.
-				scan := newScan(q)
-				qos := &serveQoS{engine: engine, query: q, topN: topN, and: and, scan: scan}
-				scan.StepN(r)
-				qos.Record(r)
-				if !slices.Equal(qos.recorded, capped) {
-					t.Fatalf("%s: recorded %v, capped search %v", name, qos.recorded, capped)
-				}
-				for scan.StepN(scanBlock) == scanBlock {
-				}
-				if got := qos.Loss(scan.Processed()); got != want {
-					t.Fatalf("%s: loss %v off the scan, %v off the reruns", name, got, want)
-				}
+			// The request's own scan supplies both pages.
+			scan := engine.NewScan(q, topN)
+			qos := &serveQoS{engine: engine, query: q, topN: topN, scan: scan}
+			scan.StepN(r)
+			qos.Record(r)
+			if !slices.Equal(qos.recorded, capped) {
+				t.Fatalf("%s: recorded %v, capped search %v", name, qos.recorded, capped)
+			}
+			for scan.StepN(scanBlock) == scanBlock {
+			}
+			if got := qos.Loss(scan.Processed()); got != want {
+				t.Fatalf("%s: loss %v off the scan, %v off the reruns", name, got, want)
+			}
 
-				// The scan is not at the record point: Record reruns.
-				scan = newScan(q)
-				qos = &serveQoS{engine: engine, query: q, topN: topN, and: and, scan: scan}
-				scan.StepN(r - 1)
-				qos.Record(r)
-				if !slices.Equal(qos.recorded, capped) {
-					t.Fatalf("%s: scan behind the record point recorded %v, want %v", name, qos.recorded, capped)
-				}
+			// The scan is not at the record point: Record reruns.
+			scan = engine.NewScan(q, topN)
+			qos = &serveQoS{engine: engine, query: q, topN: topN, scan: scan}
+			scan.StepN(r - 1)
+			qos.Record(r)
+			if !slices.Equal(qos.recorded, capped) {
+				t.Fatalf("%s: scan behind the record point recorded %v, want %v", name, qos.recorded, capped)
+			}
 
-				// The scan is cut one block after the record point: Loss
-				// must not take its partial page for the precise one.
-				scan = newScan(q)
-				qos = &serveQoS{engine: engine, query: q, topN: topN, and: and, scan: scan}
-				scan.StepN(r)
-				qos.Record(r)
-				scan.StepN(scanBlock)
-				if got := qos.Loss(scan.Processed()); got != want {
-					t.Fatalf("%s: loss %v with the scan cut at %d of %d documents, want %v", name, got, scan.Processed(), matches, want)
-				}
-				if !scan.Exhausted() && want == 1 && metrics.QueryLoss(scan.TopNInto(nil), capped) == 0 {
-					cutTold++ // the partial page would have hidden the loss
-				}
+			// The scan is cut one block after the record point: Loss
+			// must not take its partial page for the precise one.
+			scan = engine.NewScan(q, topN)
+			qos = &serveQoS{engine: engine, query: q, topN: topN, scan: scan}
+			scan.StepN(r)
+			qos.Record(r)
+			scan.StepN(scanBlock)
+			if got := qos.Loss(scan.Processed()); got != want {
+				t.Fatalf("%s: loss %v with the scan cut at %d of %d documents, want %v", name, got, scan.Processed(), matches, want)
+			}
+			if !scan.Exhausted() && want == 1 && metrics.QueryLoss(scan.TopNInto(nil), capped) == 0 {
+				cutTold++ // the partial page would have hidden the loss
 			}
 		}
-		if lost == 0 || kept == 0 {
-			t.Fatalf("and=%v: %d lossy and %d lossless record points; the cases do not tell the two apart", and, lost, kept)
-		}
-		if !and && cutTold == 0 {
-			t.Fatal("no cut scan whose partial page hides a real loss: the fallback is not exercised")
-		}
+	}
+	if lost == 0 || kept == 0 {
+		t.Fatalf("%d lossy and %d lossless record points; the cases do not tell the two apart", lost, kept)
+	}
+	if cutTold == 0 {
+		t.Fatal("no cut scan whose partial page hides a real loss: the fallback is not exercised")
 	}
 }
 
@@ -134,29 +122,17 @@ func searchReply(t *testing.T, h http.Handler, query string) wire.SearchReply {
 	return resp
 }
 
-// pageCounter counts the pages read off a scan with TopNInto. A monitored
-// request's QoS adapter needs two, the record point's and the final one,
-// and reads each off the request's own scan or reruns the query for it;
-// the reply reads one more.
-type pageCounter struct {
-	docScanner
-	pages int
-}
-
-func (p *pageCounter) TopNInto(dst []int) []int {
-	p.pages++
-	return p.docScanner.TopNInto(dst)
-}
-
 // TestCertifiedMonitoredMatchesReruns is the differential test of the
 // monitored path's early stop: past its record point a monitored scan
 // stops once Scan.Final holds, and that must change nothing but the
 // documents scored. Across record points, every monitored request serves
 // the exhaustive page, reports monitored and not approximated, books the
-// loss a capped and an uncapped Engine.Search give, and takes no rerun:
-// both of the adapter's pages come off the request's own scan
-// (pageCounter). The stop must happen: some requests at every record
-// point certify, and some of those lose their page at M.
+// loss a capped and an uncapped Engine.Search give, and ends with its
+// scan final, so Loss read the precise page off the request's own scan
+// rather than rerunning the query (Record's page comes off the scan too:
+// a rerun allocates, which TestServeWarmPathZeroAlloc's monitored row
+// refuses). The stop must happen: some requests at every record point
+// certify, and some of those lose their page at M.
 func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 	s := certifyServer(t, nil)
 	lossy := 0
@@ -167,23 +143,21 @@ func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 			cq, _ := s.parsedQuery(word)
 			q := search.Query{Terms: cq.terms}
 			precise, matches := s.engine.Search(q, wire.PageSize, 0)
-			want, reads := 0.0, 1
+			want := 0.0
 			if matches >= level {
 				capped, _ := s.engine.Search(q, wire.PageSize, level)
-				want, reads = metrics.QueryLoss(precise, capped), 3
+				want = metrics.QueryLoss(precise, capped)
 			}
 			s.Loop().SetLevel(float64(level))
 			before, ops := s.Loop().State().LossSum, s.Ops().Snapshot()
 			sc := new(serveScratch)
-			scan := &pageCounter{docScanner: &sc.scan}
-			scan.Reset(s.engine, q, wire.PageSize)
-			if err := s.serveQuery(context.Background(), time.Time{}, s.loop, scan, cq, cq.feat, false, sc); err != nil {
+			if err := s.serveQuery(context.Background(), time.Time{}, cq, cq.feat, sc); err != nil {
 				t.Fatal(err)
 			}
 			resp, after := sc.resp, s.Ops().Snapshot()
 			name := fmt.Sprintf("M=%d q=%s (%d matches, %d scored)", level, word, matches, resp.DocsScored)
-			if scan.pages != reads {
-				t.Fatalf("%s: %d pages read off the scan, want %d: %d reruns", name, scan.pages, reads, reads-scan.pages)
+			if !sc.scan.Final() {
+				t.Fatalf("%s: the scan ended short of final, so Loss reran the query", name)
 			}
 			if !resp.MonitoredScan || resp.Approximated || resp.Degraded {
 				t.Fatalf("%s: monitored=%v approximated=%v degraded=%v, want a monitored precise page",
@@ -253,35 +227,23 @@ func TestCertifiedMonitoredUnderRecordPanics(t *testing.T) {
 }
 
 // TestStatsPreciseEstimate: /stats's precise-work estimate is the mean
-// match count (MatchCount, MatchCountAnd) of the queries the last
-// sampleRing monitored requests served, each in its mode, times the
-// queries served — not the documents the certified scans stopped at.
+// match count of the queries the last sampleRing monitored requests
+// served times the queries served — not the documents the certified
+// scans stopped at.
 func TestStatsPreciseEstimate(t *testing.T) {
-	s := certifyServer(t, func(c *Config) { c.ApproxAnd = true })
+	s := certifyServer(t, nil)
 	h := s.Handler()
-	type sent struct {
-		q   search.Query
-		and bool
-	}
-	var log []sent
+	var log []search.Query
 	for i := 0; i < sampleRing+5; i++ {
-		word, and := fmt.Sprintf("w%d+w%d", 3*i, 3*i+1), i%3 == 0
-		path := word
-		if and {
-			path += "&mode=and"
+		word := fmt.Sprintf("w%d+w%d", 3*i, 3*i+1)
+		if resp := searchReply(t, h, word); !resp.MonitoredScan {
+			t.Fatalf("q=%s: not monitored", word)
 		}
-		if resp := searchReply(t, h, path); !resp.MonitoredScan {
-			t.Fatalf("q=%s: not monitored", path)
-		}
-		log = append(log, sent{search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}, and})
+		log = append(log, search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))})
 	}
 	var sum int64
-	for _, r := range log[len(log)-sampleRing:] {
-		n := s.engine.MatchCount(r.q)
-		if r.and {
-			n = s.engine.MatchCountAnd(r.q)
-		}
-		sum += int64(n)
+	for _, q := range log[len(log)-sampleRing:] {
+		sum += int64(s.engine.MatchCount(q))
 	}
 	st := decodeStats(t, h)
 	if want := sum * int64(len(log)) / sampleRing; st.DocsPrecise != want {

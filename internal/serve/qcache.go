@@ -36,42 +36,19 @@ type qcacheShard struct {
 // precomputed Select-stage feature vector (posting mass and term count)
 // so the warm path hands the controller per-input features without
 // touching the index or the allocator; its cache-hit flag (Aux2) is
-// stamped per request on a copy. modes is the query as the /stats
-// precise-work estimate samples it, disjunctive and conjunctive
-// (newCachedQuery binds them).
+// stamped per request on a copy. A monitored request leaves its query
+// in Server.sampled, for the /stats precise-work estimate: n memoises the
+// query's match count — 0 until it is first counted, 1 + the count
+// after. final memoises its precise page, with scores: the engine never
+// changes after New, so the page is a function of the query. Its one
+// writer is a monitored request whose scan ended final and undegraded,
+// its one reader a monitored request past its record point (serveQuery).
 type cachedQuery struct {
 	echo  string
 	terms []int
 	feat  core.Features
-	modes [2]matchSample
-}
-
-// matchSample is a cached query in one retrieval mode: what a monitored
-// request leaves in Server.sampled. n memoises the query's match count for
-// /stats — 0 until it is first counted, 1 + the count after. final
-// memoises its precise page, with scores: the engine never changes after
-// New, so the page is a function of the query and the mode. Its one
-// writer is a monitored request whose scan ended final and undegraded,
-// its one reader a monitored request past its record point (serveQuery).
-type matchSample struct {
-	q     *cachedQuery
-	and   bool
 	n     atomic.Int64
 	final atomic.Pointer[[]search.Result]
-}
-
-func newCachedQuery(echo string, terms []int, feat core.Features) *cachedQuery {
-	cq := &cachedQuery{echo: echo, terms: terms, feat: feat}
-	cq.modes[0].q, cq.modes[1].q, cq.modes[1].and = cq, cq, true
-	return cq
-}
-
-// sample is the query in the given retrieval mode.
-func (cq *cachedQuery) sample(and bool) *matchSample {
-	if and {
-		return &cq.modes[1]
-	}
-	return &cq.modes[0]
 }
 
 const qcacheShards = 8

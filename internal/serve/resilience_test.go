@@ -148,8 +148,8 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	mutate := func(c *Config) { c.StateDir = dir }
 	s1 := resilientServer(t, mutate)
-	if s1.RestoreNote() != "cold" {
-		t.Fatalf("first boot restore = %q, want cold", s1.RestoreNote())
+	if s1.RestoreNote() != "cold" || s1.RestoreReport()[snapshotName] != "cold" {
+		t.Fatalf("first boot restore = %q %v, want cold", s1.RestoreNote(), s1.RestoreReport())
 	}
 	h1 := s1.Handler()
 	for i := 0; i < 30; i++ {
@@ -163,8 +163,8 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	// Restart with the same configuration: the snapshot is restored and
 	// the controller resumes where it left off rather than starting cold.
 	s2 := resilientServer(t, mutate)
-	if s2.RestoreNote() != "restored" {
-		t.Fatalf("restart restore = %q, want restored", s2.RestoreNote())
+	if s2.RestoreNote() != "restored" || s2.RestoreReport()[snapshotName] != "restored" {
+		t.Fatalf("restart restore = %q %v, want restored", s2.RestoreNote(), s2.RestoreReport())
 	}
 	if b := decodeStats(t, s2.Handler()).Boot; b.RestoreMS <= 0 {
 		t.Errorf("a restoring boot reports %+v, want restore_ms > 0", b)
@@ -204,10 +204,10 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 }
 
 // TestCorruptedMultiControllerSnapshotBoot: the bundled snapshot holds
-// every registered controller; torn (truncated mid-write) and bit-
-// flipped files must both be rejected atomically at boot — neither
-// controller restores from a damaged bundle — and the service still
-// comes up cold, serving both approximation sites.
+// every registered controller (the match loop); torn (truncated
+// mid-write) and bit-flipped files must both be rejected atomically at
+// boot — no controller restores from a damaged bundle — and the service
+// still comes up cold, serving both retrieval modes.
 func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 	damage := map[string]func(path string) error{
 		"truncated": func(path string) error { return chaos.TruncateFile(path, 5) },
@@ -216,10 +216,7 @@ func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 	for name, breakFile := range damage {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			mutate := func(c *Config) {
-				c.StateDir = dir
-				c.ApproxAnd = true
-			}
+			mutate := func(c *Config) { c.StateDir = dir }
 			s1 := resilientServer(t, mutate)
 			h1 := s1.Handler()
 			for i := 0; i < 20; i++ {
@@ -245,15 +242,15 @@ func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 			if got := s2.Ops().Snapshot().RestoreRejected; got != 1 {
 				t.Errorf("restore_rejected = %d, want 1", got)
 			}
-			// Atomic rejection: no controller got a partial restore — both
-			// start cold (zero executions), not with s1's counters.
+			// Atomic rejection: no controller got a partial restore — each
+			// starts cold (zero executions), not with s1's counters.
 			for _, c := range s2.Registry().Controllers() {
 				execs, _, _ := c.Stats()
 				if execs != 0 {
 					t.Errorf("controller %q restored %d execs from a damaged bundle", c.Name(), execs)
 				}
 			}
-			// And both sites still serve.
+			// And both retrieval modes still serve.
 			h2 := s2.Handler()
 			if rec := get(t, h2, "/search?q=alpha+beta"); rec.Code != http.StatusOK {
 				t.Errorf("disjunctive search after %s restore = %d", name, rec.Code)

@@ -60,46 +60,33 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	q := search.Query{Terms: cq.terms}
 	feat := cq.feat
 	if cached {
 		feat.Aux2 = 1
 	}
 	mode, _ := wire.RawParam(r.URL.RawQuery, wire.ParamMode)
 	scores, _ := wire.RawParam(r.URL.RawQuery, wire.ParamScores)
-	and := false
 	switch mode {
 	case "", wire.ModeOr:
 	case wire.ModeAnd:
-		and = true
-	default:
-		http.Error(w, "mode must be 'or' or 'and'", http.StatusBadRequest)
-		return
-	}
-	if and && s.and == nil {
-		// Without ApproxAnd, strict conjunctive queries bypass
-		// approximation: conjunctive match sets are short enough to serve
-		// precisely.
-		docs, n := s.engine.SearchAnd(q, wire.PageSize, 0)
+		// Strict conjunctive queries bypass approximation: conjunctive
+		// match sets are short enough to serve precisely.
+		docs, n := s.engine.SearchAnd(search.Query{Terms: cq.terms}, wire.PageSize)
 		s.queries.Add(1)
 		s.docsScored.Add(int64(n))
 		wire.WriteJSON(w, &wire.SearchReply{Query: cq.echo, Docs: docs, DocsScored: n})
 		return
+	default:
+		http.Error(w, "mode must be 'or' or 'and'", http.StatusBadRequest)
+		return
 	}
 	sc := scratchPool.Get().(*serveScratch)
 	sc.wantScores = scores == "1"
-	loop, scan := s.loop, docScanner(&sc.scan)
-	if and {
-		// The conjunctive scan is its own registered approximation site,
-		// with its own calibrated model and controller.
-		loop, scan = s.and, &sc.scanAnd
-	}
-	scan.Reset(s.engine, q, wire.PageSize)
 	var deadline time.Time // zero: no deadline
 	if s.cfg.RequestTimeout > 0 {
 		deadline = time.Now().Add(s.cfg.RequestTimeout)
 	}
-	if err := s.serveQuery(r.Context(), deadline, loop, scan, cq, feat, and, sc); err != nil {
+	if err := s.serveQuery(r.Context(), deadline, cq, feat, sc); err != nil {
 		sc.release()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -127,7 +114,7 @@ func (s *Server) parsedQuery(rawQ string) (cq *cachedQuery, cached bool) {
 		return nil, false
 	}
 	terms := s.termsOf(qstr)
-	cq = newCachedQuery(qstr, terms, s.queryFeat(terms))
+	cq = &cachedQuery{echo: qstr, terms: terms, feat: s.queryFeat(terms)}
 	s.qcache.put(rawQ, cq)
 	return cq, false
 }
@@ -163,19 +150,6 @@ func (s *Server) termsOf(q string) []int {
 	return terms
 }
 
-// docScanner is the incremental scan surface serveQuery drives and
-// serveQoS reads its pages from — both the disjunctive Scan and the
-// conjunctive ScanAnd satisfy it.
-type docScanner interface {
-	Reset(e *search.Engine, q search.Query, topN int)
-	StepN(k int) int
-	Processed() int
-	Exhausted() bool
-	Final() bool
-	TopNInto([]int) []int
-	TopNResultsInto([]search.Result) []search.Result
-}
-
 // scanBlock is the most documents one ContinueN/StepN round scores: the
 // stop law and the deadline are consulted once per block, the kernel
 // runs the block as one tight loop. The iteration a scan stops at does
@@ -187,13 +161,12 @@ type docScanner interface {
 const scanBlock = 2048
 
 // serveScratch is the pooled per-request working set of the /search
-// path: the scanners, the response struct with its docs slice, and the
+// path: the scanner, the response struct with its docs slice, and the
 // JSON encode buffer. One pool Get serves the whole request.
 type serveScratch struct {
-	scan    search.Scan
-	scanAnd search.ScanAnd
-	resp    wire.SearchReply
-	buf     []byte
+	scan search.Scan
+	resp wire.SearchReply
+	buf  []byte
 	// wantScores asks serveQuery for the score-bearing page; results and
 	// scores are its reusable buffers (resp.Scores is nil on the plain
 	// path, so the backing array is retained here).
@@ -209,7 +182,7 @@ func (sc *serveScratch) release() {
 	scratchPool.Put(sc)
 }
 
-// serveQuery runs one query's scan under the given loop controller into
+// serveQuery runs one query's scan, sc.scan, under the match loop into
 // sc.resp, honoring the client context (cancellation) and the explicit
 // deadline: if either expires mid-scan the partial results scored so
 // far are returned, marked degraded. The request runs one scan, in
@@ -218,17 +191,15 @@ func (sc *serveScratch) release() {
 // them in one StepN, and a monitored request's QoS is read off that
 // same scan (serveQoS), which from its record point on stops at the
 // first block boundary where its page is final — at the record point
-// itself when the query's precise page is memoised. and selects the
-// conjunctive retrieval for the QoS adapter's fallback reruns, which
-// must execute the same retrieval semantics as the scan being judged.
-func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.Loop, scan docScanner, cq *cachedQuery, feat core.Features, and bool, sc *serveScratch) error {
-	ms := cq.sample(and)
+// itself when the query's precise page is memoised.
+func (s *Server) serveQuery(ctx context.Context, deadline time.Time, cq *cachedQuery, feat core.Features, sc *serveScratch) error {
+	q, scan := search.Query{Terms: cq.terms}, &sc.scan
+	scan.Reset(s.engine, q, wire.PageSize)
 	qos := serveQoSPool.Get().(*serveQoS)
-	qos.engine, qos.query, qos.topN = s.engine, search.Query{Terms: cq.terms}, wire.PageSize
+	qos.engine, qos.query, qos.topN = s.engine, q, wire.PageSize
 	qos.chaos = s.cfg.Chaos
-	qos.and = and
 	qos.scan = scan
-	exec, err := loop.ExecFeat(qos, feat)
+	exec, err := s.loop.ExecFeat(qos, feat)
 	if err != nil {
 		qos.release()
 		return err
@@ -247,7 +218,7 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 			// the scan's page is final. The memo is read here only, so
 			// unmonitored requests never see it: a reference, not a cache.
 			if qos.reference {
-				if qos.memo = ms.final.Load(); qos.memo != nil || scan.Final() {
+				if qos.memo = cq.final.Load(); qos.memo != nil || scan.Final() {
 					break
 				}
 			}
@@ -283,9 +254,9 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, loop *core.
 		// only while the query can stay resident in the query cache.
 		if reference && memo == nil && !degraded && len(s.qcache.shards) > 0 && scan.Final() {
 			page := scan.TopNResultsInto(nil)
-			ms.final.CompareAndSwap(nil, &page)
+			cq.final.CompareAndSwap(nil, &page)
 		}
-		s.sampled[uint64(s.monitoredQueries.Add(1))%sampleRing].Store(ms)
+		s.sampled[uint64(s.monitoredQueries.Add(1))%sampleRing].Store(cq)
 	}
 	sc.resp = wire.SearchReply{
 		Docs:          sc.resp.Docs,
@@ -343,11 +314,8 @@ type serveQoS struct {
 	engine *search.Engine
 	query  search.Query
 	topN   int
-	scan   docScanner // the request's own scan
+	scan   *search.Scan // the request's own scan
 	chaos  *chaos.Injector
-	// and selects the conjunctive retrieval for the fallback reruns,
-	// matching the scan being judged.
-	and bool
 	// reference: Record has run, so what the scan scores from here on is
 	// the precise reference, and it may stop once its page is final.
 	reference bool
@@ -370,10 +338,6 @@ func (q *serveQoS) release() {
 // search reruns the query on the engine from scratch (maxDocs <= 0:
 // uncapped), the fallback for a page the scan cannot supply.
 func (q *serveQoS) search(maxDocs int) []int {
-	if q.and {
-		docs, _ := q.engine.SearchAnd(q.query, q.topN, maxDocs)
-		return docs
-	}
 	docs, _ := q.engine.Search(q.query, q.topN, maxDocs)
 	return docs
 }

@@ -40,10 +40,8 @@ import (
 )
 
 const (
-	// snapshotName names the disjunctive match-loop controller.
+	// snapshotName names the match-loop controller.
 	snapshotName = wire.MatchController
-	// andLoopName names the optional conjunctive-scan controller.
-	andLoopName = "serve.and"
 	// stateName keys the bundled registry snapshot (all registered
 	// controllers in one file) in the state store.
 	stateName = "serve.controllers"
@@ -78,11 +76,6 @@ type Config struct {
 	// reactive level. Off by default — the reactive law alone is the
 	// paper's configuration.
 	Selector bool
-	// ApproxAnd installs a second approximation site: the conjunctive
-	// (mode=and) scan runs under its own loop controller, calibrated
-	// against the precise conjunctive results. Off by default —
-	// conjunctive match sets are usually short enough to serve precisely.
-	ApproxAnd bool
 	// ShardIndex/ShardCount make this server a shard worker: the engine
 	// keeps only its partition of the corpus (global doc ids and scoring
 	// preserved — see search.Config), so a coordinator can scatter a
@@ -147,16 +140,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the Green-approximated search service. Every approximation
-// site it hosts is a controller registered in reg; the persistence,
-// stats, and readiness surfaces enumerate the registry rather than
-// hard-wiring any single controller.
+// Server is the Green-approximated search service. Its one
+// approximation site, the match loop, is a controller registered in reg;
+// the persistence, stats, and readiness surfaces enumerate the registry
+// rather than hard-wiring the controller.
 type Server struct {
 	cfg    Config
 	engine *search.Engine
 	reg    *core.Registry
-	loop   *core.Loop // the disjunctive match loop (always registered)
-	and    *core.Loop // the conjunctive loop; nil unless cfg.ApproxAnd
+	loop   *core.Loop // the match loop
 
 	queries    atomic.Int64
 	docsScored atomic.Int64
@@ -166,7 +158,7 @@ type Server struct {
 	// monitored scan stops at its certificate, so the documents it scored
 	// are not the match count; the request path pays one pointer store,
 	// and /stats the counting.
-	sampled          [sampleRing]atomic.Pointer[matchSample]
+	sampled          [sampleRing]atomic.Pointer[cachedQuery]
 	monitoredQueries atomic.Int64
 
 	// Resilience state.
@@ -179,9 +171,9 @@ type Server struct {
 	restoreReport core.RestoreReport
 	boot          wire.Boot // what New's stages cost
 
-	// models backs /model: each controller's per-level candidate
+	// matchModel backs /model: the match loop's per-level candidate
 	// settings for the coordinator's combination search.
-	models map[string]*model.LoopModel
+	matchModel *model.LoopModel
 }
 
 // New builds the corpus, runs the calibration phase, constructs the
@@ -205,7 +197,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg: c, engine: engine, reg: core.NewRegistry(), restoreNote: "disabled",
 		qcache: newQueryCache(c.QueryCacheSize),
-		models: make(map[string]*model.LoopModel),
 	}
 
 	// Calibration phase.
@@ -218,11 +209,20 @@ func New(cfg Config) (*Server, error) {
 	if c.Selector {
 		feat = func(q search.Query) core.Features { return s.queryFeat(q.Terms) }
 	}
-	m, sel, err := s.calibrateLoop(snapshotName, knots, calQueries, feat, s.knotLosses(knots, false))
+	m, sel, err := s.calibrateLoop(knots, calQueries, feat, s.knotLosses(knots))
 	if err != nil {
 		return nil, err
 	}
-	s.loop, err = s.newServeLoop(snapshotName, m)
+	s.loop, err = core.NewLoop(core.LoopConfig{
+		Name: snapshotName, Model: m, SLA: c.SLA,
+		SampleInterval: c.SampleInterval,
+		Policy: &core.WindowedPolicy{
+			Window: 100, BaseInterval: c.SampleInterval,
+		},
+		Disabled:         c.Disabled,
+		BreakerThreshold: c.BreakerThreshold,
+		BreakerCooldown:  c.BreakerCooldown,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -234,31 +234,12 @@ func New(cfg Config) (*Server, error) {
 	if err := s.reg.Register(s.loop); err != nil {
 		return nil, err
 	}
-	s.models[snapshotName] = m
+	s.matchModel = m
 
 	// The signature binds snapshots to the exact calibration and serving
-	// configuration: a different corpus seed, size, SLA, page size,
-	// shard partition, or site layout invalidates the persisted levels.
+	// configuration: a different corpus seed, size, SLA, page size, or
+	// shard partition invalidates the persisted levels.
 	sigParts := []any{m, c.SLA, c.Seed, engine.Docs(), wire.PageSize, c.ShardIndex, c.ShardCount}
-
-	if c.ApproxAnd {
-		// Conjunctive match streams are much shorter than disjunctive
-		// ones, so the candidate levels sit correspondingly lower.
-		andKnots := []float64{5, 10, 25, 50, 100, 250}
-		mAnd, _, err := s.calibrateLoop(andLoopName, andKnots, calQueries, nil, s.knotLosses(andKnots, true))
-		if err != nil {
-			return nil, err
-		}
-		s.and, err = s.newServeLoop(andLoopName, mAnd)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.reg.Register(s.and); err != nil {
-			return nil, err
-		}
-		s.models[andLoopName] = mAnd
-		sigParts = append(sigParts, mAnd, "and")
-	}
 
 	s.boot = wire.Boot{EngineMS: engineMS, CalibrateMS: clock.lapMS()}
 	if c.StateDir != "" {
@@ -282,24 +263,21 @@ func (c *bootClock) lapMS() float64 {
 	return float64(d.Microseconds()) / 1e3
 }
 
-// knotLosses returns calibrateLoop's measure function for one scan
-// shape (and selects the conjunctive one): the loss and work of stopping
-// a query's scan at each of the ascending knots, read off one pass of
+// knotLosses returns calibrateLoop's measure function: the loss and
+// work of stopping a query's scan at each of the ascending knots, read
+// off one pass of
 // the block kernel — the page is snapshotted as the scan crosses each
 // knot, the scan runs on to exhaustion, and every snapshot is judged
 // against that final, precise page. That is one scan per training query
 // where capping a fresh search at every knot is one per knot plus the
 // precise one, and the pages are the same pages (Scan ≡ Search at equal
 // document counts).
-func (s *Server) knotLosses(knots []float64, and bool) func(q search.Query, losses, work []float64) {
+func (s *Server) knotLosses(knots []float64) func(q search.Query, losses, work []float64) {
 	var (
-		scan    docScanner = new(search.Scan)
-		pages              = make([][]int, len(knots))
+		scan    = new(search.Scan)
+		pages   = make([][]int, len(knots))
 		precise []int
 	)
-	if and {
-		scan = new(search.ScanAnd)
-	}
 	return func(q search.Query, losses, work []float64) {
 		scan.Reset(s.engine, q, wire.PageSize)
 		for i, k := range knots {
@@ -316,7 +294,7 @@ func (s *Server) knotLosses(knots []float64, and bool) func(q search.Query, loss
 	}
 }
 
-// calibrateLoop runs the calibration phase for one scan shape: measure
+// calibrateLoop runs the calibration phase of the match loop: measure
 // fills in, for each training query, the loss and work of capping the
 // scan at each candidate level against the uncapped (precise) result. A
 // non-nil feat function additionally tags every run with its query's
@@ -324,9 +302,9 @@ func (s *Server) knotLosses(knots []float64, and bool) func(q search.Query, loss
 // quartiles) and builds the per-input selector beside the reactive
 // model; a degenerate feature distribution silently yields no selector
 // (reactive-only).
-func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, *core.LoopSelector, error) {
+func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, *core.LoopSelector, error) {
 	baseLevel := float64(s.engine.Docs())
-	cal, err := core.NewLoopCalibration(name, knots, baseLevel, baseLevel)
+	cal, err := core.NewLoopCalibration(snapshotName, knots, baseLevel, baseLevel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -365,21 +343,6 @@ func (s *Server) calibrateLoop(name string, knots []float64, calQueries []search
 		return nil, nil, err
 	}
 	return m, sel, nil
-}
-
-// newServeLoop constructs one serving loop controller with the
-// service-wide SLA, monitoring cadence, and breaker tuning.
-func (s *Server) newServeLoop(name string, m *model.LoopModel) (*core.Loop, error) {
-	return core.NewLoop(core.LoopConfig{
-		Name: name, Model: m, SLA: s.cfg.SLA,
-		SampleInterval: s.cfg.SampleInterval,
-		Policy: &core.WindowedPolicy{
-			Window: 100, BaseInterval: s.cfg.SampleInterval,
-		},
-		Disabled:         s.cfg.Disabled,
-		BreakerThreshold: s.cfg.BreakerThreshold,
-		BreakerCooldown:  s.cfg.BreakerCooldown,
-	})
 }
 
 // Proactive per-input control on the serving path. With Config.Selector
@@ -459,10 +422,6 @@ func (s *Server) Handler() http.Handler {
 // Loop exposes the match-loop controller, for operational tooling and
 // tests.
 func (s *Server) Loop() *core.Loop { return s.loop }
-
-// AndLoop exposes the conjunctive-scan controller (nil unless
-// Config.ApproxAnd).
-func (s *Server) AndLoop() *core.Loop { return s.and }
 
 // Registry exposes the controller registry, for operational tooling and
 // tests.

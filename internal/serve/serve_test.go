@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"green/internal/search"
 	"green/internal/wire"
 )
 
@@ -87,26 +90,58 @@ func TestSearchRequiresQuery(t *testing.T) {
 	}
 }
 
+// TestSearchAndMode: a mode=and request is served precisely, outside
+// every controller — its page is exactly Engine.SearchAnd's and no
+// registered controller's statistics move — and a bad mode is a 400.
 func TestSearchAndMode(t *testing.T) {
-	h := testServer(t).Handler()
-	rec := get(t, h, "/search?q=alpha+beta&mode=and")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+	s := testServer(t)
+	h := s.Handler()
+	type stats struct {
+		execs, monitored int64
+		loss             float64
 	}
+	snapshot := func() map[string]stats {
+		m := map[string]stats{}
+		for _, c := range s.Registry().Controllers() {
+			e, mon, l := c.Stats()
+			m[c.Name()] = stats{e, mon, l}
+		}
+		return m
+	}
+	for i := 0; i < 60; i++ { // past SampleInterval, so a monitored request would show
+		get(t, h, "/search?q=alpha+beta")
+	}
+	before := snapshot()
 	var andResp wire.SearchReply
-	if err := json.Unmarshal(rec.Body.Bytes(), &andResp); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 60; i++ {
+		rec := get(t, h, "/search?q=alpha+beta&mode=and")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+		}
+		andResp = wire.SearchReply{}
+		if err := json.Unmarshal(rec.Body.Bytes(), &andResp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rec = get(t, h, "/search?q=alpha+beta&mode=or")
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("mode=and moved the controllers: %v, before %v", after, before)
+	}
+	want, n := s.Engine().SearchAnd(search.Query{Terms: s.termsOf("alpha beta")}, wire.PageSize)
+	if len(want) == 0 {
+		t.Fatal("alpha AND beta matches nothing: the page comparison tells nothing")
+	}
+	if !slices.Equal(andResp.Docs, want) || andResp.DocsScored != n {
+		t.Errorf("mode=and served %v (%d scored), SearchAnd gives %v (%d)", andResp.Docs, andResp.DocsScored, want, n)
+	}
+	if andResp.Approximated || andResp.MonitoredScan {
+		t.Errorf("mode=and approximated=%v monitored=%v, want neither", andResp.Approximated, andResp.MonitoredScan)
+	}
 	var orResp wire.SearchReply
-	if err := json.Unmarshal(rec.Body.Bytes(), &orResp); err != nil {
+	if err := json.Unmarshal(get(t, h, "/search?q=alpha+beta&mode=or").Body.Bytes(), &orResp); err != nil {
 		t.Fatal(err)
 	}
 	if andResp.DocsScored > orResp.DocsScored {
 		t.Errorf("AND scored %d > OR %d", andResp.DocsScored, orResp.DocsScored)
-	}
-	if andResp.Approximated {
-		t.Error("AND mode must not be approximated")
 	}
 	if rec := get(t, h, "/search?q=x&mode=bogus"); rec.Code != http.StatusBadRequest {
 		t.Errorf("bogus mode status = %d", rec.Code)

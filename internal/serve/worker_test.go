@@ -115,7 +115,7 @@ func TestSearchHandlerIdempotent(t *testing.T) {
 // level past the corpus, though calibration has knots there).
 func TestModelEndpoint(t *testing.T) {
 	s, err := New(Config{Seed: 7, CalibrationQueries: 60, CorpusDocs: 3000,
-		SampleInterval: 50, ApproxAnd: true})
+		SampleInterval: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestModelEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Controllers) != 2 {
-		t.Fatalf("controllers = %d, want 2 (match + and)", len(resp.Controllers))
+	if len(resp.Controllers) != 1 || resp.Controllers[0].Name != snapshotName {
+		t.Fatalf("controllers = %+v, want the one %s row", resp.Controllers, snapshotName)
 	}
 	for _, row := range resp.Controllers {
 		if len(row.Levels) == 0 {
