@@ -30,7 +30,7 @@ func binaries(t *testing.T) string {
 			return
 		}
 		buildDir = dir
-		pkgs := []string{"./cmd/greencal", "./cmd/greenbench", "./cmd/greenserve", "./cmd/greenload", "./cmd/greenlint"}
+		pkgs := []string{"./cmd/greencal", "./cmd/greenbench", "./cmd/greenserve", "./cmd/greenlint"}
 		cmd := exec.Command("go", append([]string{"build", "-o", dir + string(filepath.Separator)}, pkgs...)...)
 		cmd.Dir = repoRoot
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -66,7 +66,7 @@ func run(t *testing.T, bin string, args ...string) (string, int) {
 }
 
 func TestHelpExitsZero(t *testing.T) {
-	for _, bin := range []string{"greencal", "greenbench", "greenserve", "greenload", "greenlint"} {
+	for _, bin := range []string{"greencal", "greenbench", "greenserve", "greenlint"} {
 		t.Run(bin, func(t *testing.T) {
 			out, code := run(t, bin, "--help")
 			if code != 0 {
@@ -76,6 +76,20 @@ func TestHelpExitsZero(t *testing.T) {
 				t.Errorf("%s --help printed no usage:\n%s", bin, out)
 			}
 		})
+	}
+}
+
+// TestGreenserveRefusesNegativeFlags: a negative snapshot period or
+// calibration log size is a startup error, not a panic after boot.
+func TestGreenserveRefusesNegativeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-state-dir", t.TempDir(), "-snapshot-interval", "-1s"},
+		{"-cal-queries", "-1"},
+	} {
+		out, code := run(t, "greenserve", append([]string{"-addr", "127.0.0.1:0", "-docs", "1000"}, args...)...)
+		if code != 1 || !strings.Contains(out, "greenserve: ") || strings.Contains(out, "panic") {
+			t.Errorf("greenserve %v: exit %d, want 1 with an error message:\n%s", args, code, out)
+		}
 	}
 }
 

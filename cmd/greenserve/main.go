@@ -35,7 +35,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -43,7 +42,6 @@ import (
 
 	"green/internal/chaos"
 	"green/internal/cluster"
-	"green/internal/search"
 	"green/internal/serve"
 )
 
@@ -52,13 +50,12 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		sla        = flag.Float64("sla", 0.02, "fraction of queries allowed a changed result page")
 		seed       = flag.Int64("seed", 42, "corpus seed")
-		saveIndex  = flag.String("save-index", "", "build the corpus, write the index here, and exit")
 		docs       = flag.Int("docs", 0, "synthetic corpus size (0 uses the default)")
 		calQueries = flag.Int("cal-queries", 0, "calibration query count (0 uses the default)")
 		selector   = flag.Bool("selector", false, "build a per-input proactive Selector during calibration (posting-mass features)")
 
 		stateDir     = flag.String("state-dir", "", "directory for crash-safe controller snapshots (empty disables persistence)")
-		snapInterval = flag.Duration("snapshot-interval", 5*time.Second, "background snapshot period")
+		snapInterval = flag.Duration("snapshot-interval", 5*time.Second, "background snapshot period (negative is refused)")
 		maxInFlight  = flag.Int("max-in-flight", 128, "concurrent /search cap before shedding with 503 (negative disables)")
 		qcacheSize   = flag.Int("qcache", 0, "preparsed-query cache entries (0 uses the default, negative disables)")
 		reqTimeout   = flag.Duration("request-timeout", 2*time.Second, "per-request deadline; partial results are served at expiry (negative disables it on a worker only; a coordinator refuses it)")
@@ -87,27 +84,6 @@ func main() {
 	}
 	if *role == "worker" && *shardCount < 1 {
 		log.Fatalf("greenserve: -role worker requires -shard-count")
-	}
-
-	if *saveIndex != "" {
-		log.Printf("building corpus (seed %d)...", *seed)
-		e, err := search.NewEngine(search.Config{Seed: *seed})
-		if err != nil {
-			log.Fatalf("greenserve: %v", err)
-		}
-		f, err := os.Create(*saveIndex)
-		if err != nil {
-			log.Fatalf("greenserve: %v", err)
-		}
-		n, err := e.WriteTo(f)
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			log.Fatalf("greenserve: %v", err)
-		}
-		log.Printf("wrote %d-byte index to %s", n, *saveIndex)
-		return
 	}
 
 	inj := chaos.New(chaos.Config{

@@ -1,86 +1,11 @@
 package search
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 	"testing"
 )
-
-// FuzzReadEngine hardens the index parser: arbitrary input must produce
-// either ErrBadIndex or an engine on which the scans are still exact —
-// never a panic or a hang, and never numbers (NaN, ±Inf) that break the
-// order the top-N heap and the floor test rely on.
-func FuzzReadEngine(f *testing.F) {
-	// Seed with a real index and a few mutations of it.
-	e, err := NewEngine(Config{Docs: 200, VocabSize: 30, AvgDocLen: 10, Seed: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := e.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("GRNIDX1\n"))
-	f.Add([]byte{})
-	mutated := append([]byte(nil), valid...)
-	mutated[50] ^= 0xFF
-	f.Add(mutated)
-	_, _, quality, idf := indexFloatOffsets(200, 30)
-	for _, off := range []int{quality + 8*3, idf, idf + 8} {
-		for _, v := range []float64{math.NaN(), math.Inf(-1), -1e300} {
-			patched := append([]byte(nil), valid...)
-			binary.LittleEndian.PutUint64(patched[off:], math.Float64bits(v))
-			f.Add(patched)
-		}
-	}
-
-	// A posting's tf raised to 65 535: the impact builder's grid at its
-	// widest.
-	bigTF := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint16(bigTF[idf+8*30+4+4:], 65535)
-	f.Add(bigTF)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var eng *Engine
-		var err error
-		// What ReadEngine allocates follows the bytes it read, whatever
-		// the header claims.
-		if a := allocated(func() { eng, err = ReadEngine(bytes.NewReader(data)) }); a > 64*uint64(len(data))+1<<20 {
-			t.Fatalf("ReadEngine allocated %d bytes for %d bytes of input", a, len(data))
-		}
-		if err != nil {
-			return
-		}
-		// A successfully parsed engine must be internally consistent
-		// enough to serve a query without panicking.
-		if eng.Docs() <= 0 || eng.Vocab() <= 0 {
-			t.Fatalf("parsed engine with sizes %d/%d", eng.Docs(), eng.Vocab())
-		}
-		q := Query{Terms: []int{0, 1}}
-		s := eng.NewScan(q, 5)
-		// And a certified page is the drained one, whatever the idf's sign.
-		var f finality
-		for _, k := range []int{3, 97, 1 << 30} { // two prefixes, then all
-			s.StepN(k)
-			err := checkAgainstSearch(eng, s, q, 5)
-			if err == nil {
-				err = f.note(s)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := f.drained(s); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
 
 // refScore is the score Search gives doc for q, computed the way Search
 // computes it — from the quality/docLen/avgLen/idf columns, one term at
@@ -372,32 +297,18 @@ var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 6
 // sequence of block sizes, after every block the scan's page must be the
 // page Search returns when capped at the same document count, with every
 // score bit-equal to refScore; whenever Final holds after a block, that
-// page must be the drained scan's, scores bit-equal; and an engine
-// rebuilt by ReadEngine (which re-derives the impact tables rather than
-// reading them) must agree bit for bit.
+// page must be the drained scan's, scores bit-equal.
 func FuzzScanBlocks(f *testing.F) {
-	var built []*Engine
+	var engines []*Engine
 	for _, shard := range [][2]int{{0, 0}, {0, 3}, {1, 3}, {2, 3}} {
 		e, err := NewEngine(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5,
 			ShardIndex: shard[0], ShardCount: shard[1]})
 		if err != nil {
 			f.Fatal(err)
 		}
-		built = append(built, e)
+		engines = append(engines, e)
 	}
-	built = append(built, tiedEngine(), windowEngine()) // layouts 4 and 5
-	var engines [][2]*Engine                            // {built, round-tripped through WriteTo/ReadEngine}
-	for _, e := range built {
-		var buf bytes.Buffer
-		if _, err := e.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		rt, err := ReadEngine(&buf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		engines = append(engines, [2]*Engine{e, rt})
-	}
+	engines = append(engines, tiedEngine(), windowEngine()) // layouts 4 and 5
 
 	// layout, topN, term count, terms (value-2), then block sizes: a byte
 	// under 240 is itself mod 80, 240–254 index edgeBlocks, 255 is Step.
@@ -426,74 +337,61 @@ func FuzzScanBlocks(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		pair := engines[next()%len(engines)]
+		e := engines[next()%len(engines)]
 		topN := []int{0, 1, 10, 64}[next()%4]
 		var q Query
 		for n := next() % 6; n > 0; n-- {
 			// Terms range over [-2, vocab+2): both out-of-range sides.
-			q.Terms = append(q.Terms, next()%(pair[0].Vocab()+4)-2)
+			q.Terms = append(q.Terms, next()%(e.Vocab()+4)-2)
 		}
-		blocks := data
 
-		var pages [2][]Result
-		for side, e := range pair {
-			s := e.NewScan(q, topN)
-			var f finality
-			check := func() {
-				t.Helper()
-				err := checkAgainstSearch(e, s, q, topN)
-				if err == nil {
-					err = f.note(s)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+		s := e.NewScan(q, topN)
+		var f finality
+		check := func() {
+			t.Helper()
+			err := checkAgainstSearch(e, s, q, topN)
+			if err == nil {
+				err = f.note(s)
 			}
-			check()
-			for _, b := range blocks {
-				k, n := int(b)%80, 0
-				if b == 255 {
-					k = 1
-					if s.Step() {
-						n = 1
-					}
-				} else {
-					if b >= 240 {
-						k = edgeBlocks[b-240]
-					}
-					n = s.StepN(k)
-				}
-				if n < 0 || n > k {
-					t.Fatalf("StepN(%d) = %d", k, n)
-				}
-				check()
-				if n < k {
-					break
-				}
-			}
-			// Drain: the exhausted scan is the precise page.
-			for s.StepN(1000) == 1000 {
-			}
-			if s.StepN(1) != 0 || s.Step() {
-				t.Fatal("exhausted scan scored another document")
-			}
-			_, all := e.Search(q, topN, 0)
-			if s.Processed() != all || (topN > 0 && !s.Exhausted()) {
-				t.Fatalf("drained scan processed %d of %d, exhausted=%v", s.Processed(), all, s.Exhausted())
-			}
-			check()
-			if err := f.drained(s); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
-			pages[side] = s.TopNResultsInto(nil)
 		}
-		if len(pages[0]) != len(pages[1]) {
-			t.Fatalf("built engine pages %d results, round-tripped %d", len(pages[0]), len(pages[1]))
-		}
-		for i := range pages[0] {
-			if pages[0][i].Doc != pages[1][i].Doc || math.Float64bits(pages[0][i].Score) != math.Float64bits(pages[1][i].Score) {
-				t.Fatalf("result %d differs after a ReadEngine round trip: %v vs %v", i, pages[0][i], pages[1][i])
+		check()
+		for _, b := range data {
+			k, n := int(b)%80, 0
+			if b == 255 {
+				k = 1
+				if s.Step() {
+					n = 1
+				}
+			} else {
+				if b >= 240 {
+					k = edgeBlocks[b-240]
+				}
+				n = s.StepN(k)
 			}
+			if n < 0 || n > k {
+				t.Fatalf("StepN(%d) = %d", k, n)
+			}
+			check()
+			if n < k {
+				break
+			}
+		}
+		// Drain: the exhausted scan is the precise page.
+		for s.StepN(1000) == 1000 {
+		}
+		if s.StepN(1) != 0 || s.Step() {
+			t.Fatal("exhausted scan scored another document")
+		}
+		_, all := e.Search(q, topN, 0)
+		if s.Processed() != all || (topN > 0 && !s.Exhausted()) {
+			t.Fatalf("drained scan processed %d of %d, exhausted=%v", s.Processed(), all, s.Exhausted())
+		}
+		check()
+		if err := f.drained(s); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -60,7 +60,7 @@ func (e *Engine) buildImpacts(lens []int, maxTF int) error {
 			tf := float64(uint16(keys[i]))
 			e.imp[i] = e.idf[t] * tf * (bm25K1 + 1) / (tf + norm[keys[i]>>16])
 			if e.maxImp[t] = max(e.maxImp[t], e.imp[i]); !(e.imp[i] >= 0) {
-				e.maxImp[t] = math.Inf(1) // a negative idf, from foreign bytes: never certify
+				e.maxImp[t] = math.Inf(1) // a negative or NaN idf: never certify
 			}
 		}
 	}
@@ -74,38 +74,3 @@ func (e *Engine) buildImpacts(lens []int, maxTF int) error {
 
 // table is term t's impact table.
 func (e *Engine) table(t int) []float64 { return e.imp[e.impAt[t]:e.impAt[t+1]] }
-
-// deriveImpacts stamps each posting with a class for its document's
-// length and builds the impact tables: the path for an engine whose
-// lengths are not known as its lists are built (ReadEngine, hand-built
-// test corpora). Classes are 16 bits: documents taking more than 1<<16
-// distinct lengths are refused, as is a posting of a document out of
-// range.
-func (e *Engine) deriveImpacts() error {
-	class := make([]uint16, len(e.docLen))
-	index := make(map[uint32]uint16)
-	var lens []int
-	for d, l := range e.docLen {
-		c, ok := index[l]
-		if !ok {
-			if len(lens) == 1<<16 {
-				return fmt.Errorf("more than %d distinct document lengths", 1<<16)
-			}
-			c = uint16(len(lens))
-			index[l] = c
-			lens = append(lens, int(l))
-		}
-		class[d] = c
-	}
-	maxTF := 0
-	for _, ps := range e.postings {
-		for i := range ps {
-			if int(ps[i].Doc) >= len(class) {
-				return fmt.Errorf("a posting of doc %d in a corpus of %d", ps[i].Doc, len(class))
-			}
-			ps[i].pair = class[ps[i].Doc]
-			maxTF = max(maxTF, int(ps[i].TF))
-		}
-	}
-	return e.buildImpacts(lens, maxTF)
-}

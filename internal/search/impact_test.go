@@ -1,12 +1,8 @@
 package search
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -80,57 +76,6 @@ func TestNewEngineAvgDocLenLimit(t *testing.T) {
 	}
 }
 
-// allocated is the bytes f allocates.
-func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// indexBytes serializes e.
-func indexBytes(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := e.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadEngineAllocatesWhatItReads: a header claiming two million
-// documents and terms with nothing or a little behind it, and a small
-// index cut short, fail on the short input having allocated under 1 MB.
-func TestReadEngineAllocatesWhatItReads(t *testing.T) {
-	hdr := append([]byte(nil), indexMagic[:]...)
-	for _, v := range []uint32{2_000_000, 2_000_000, 60, 50} {
-		hdr = binary.LittleEndian.AppendUint32(hdr, v)
-	}
-	for _, v := range []float64{16, 7, 60} { // quality weight, seed (any bits), avgLen
-		hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(v))
-	}
-	small, err := NewEngine(Config{Docs: 200, VocabSize: 30, AvgDocLen: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := indexBytes(t, small)
-	for name, data := range map[string][]byte{
-		"header only":         hdr,
-		"header and lengths":  append(append([]byte(nil), hdr...), make([]byte, 4000)...),
-		"truncated mid-index": valid[:len(valid)/2],
-		"truncated near end":  valid[:len(valid)-3],
-	} {
-		var err error
-		if a := allocated(func() { _, err = ReadEngine(bytes.NewReader(data)) }); a >= 1<<20 {
-			t.Errorf("%s: allocated %d bytes", name, a)
-		}
-		if !errors.Is(err, ErrBadIndex) {
-			t.Errorf("%s: err = %v, want ErrBadIndex", name, err)
-		}
-	}
-}
-
 // handEngine is a corpus of the given lengths whose single term posts
 // every document with the given tfs.
 func handEngine(lengths []uint32, tfs []uint16) *Engine {
@@ -149,15 +94,39 @@ func handEngine(lengths []uint32, tfs []uint16) *Engine {
 	return e
 }
 
-// readBack round-trips e through WriteTo/ReadEngine, reporting the bytes
-// ReadEngine allocated.
-func readBack(t *testing.T, e *Engine) (*Engine, uint64, error) {
-	t.Helper()
-	data := indexBytes(t, e)
-	var rt *Engine
-	var err error
-	a := allocated(func() { rt, err = ReadEngine(bytes.NewReader(data)) })
-	return rt, a, err
+// deriveImpacts stamps each posting with a class for its document's
+// length and builds the impact tables: NewEngine's last step, for the
+// hand-built corpora here and in fuzz_test.go, whose lengths are not
+// known as their lists are built. Classes are 16 bits: documents taking
+// more than 1<<16 distinct lengths are refused, as is a posting of a
+// document out of range.
+func (e *Engine) deriveImpacts() error {
+	class := make([]uint16, len(e.docLen))
+	index := make(map[uint32]uint16)
+	var lens []int
+	for d, l := range e.docLen {
+		c, ok := index[l]
+		if !ok {
+			if len(lens) == 1<<16 {
+				return fmt.Errorf("more than %d distinct document lengths", 1<<16)
+			}
+			c = uint16(len(lens))
+			index[l] = c
+			lens = append(lens, int(l))
+		}
+		class[d] = c
+	}
+	maxTF := 0
+	for _, ps := range e.postings {
+		for i := range ps {
+			if int(ps[i].Doc) >= len(class) {
+				return fmt.Errorf("a posting of doc %d in a corpus of %d", ps[i].Doc, len(class))
+			}
+			ps[i].pair = class[ps[i].Doc]
+			maxTF = max(maxTF, int(ps[i].TF))
+		}
+	}
+	return e.buildImpacts(lens, maxTF)
 }
 
 // checkServed holds a scan of the single term, stepped to exhaustion, to
@@ -174,43 +143,35 @@ func checkServed(t *testing.T, name string, e *Engine) {
 	}
 }
 
-// TestReadEngineLargeTF: a posting with tf 65 535 is served exactly
-// while the (tf, length) grid fits maxGrid, and refused past it — in
-// neither case by a large allocation.
-func TestReadEngineLargeTF(t *testing.T) {
+// TestImpactsLargeTF: a posting with tf 65 535 is served exactly while
+// the (tf, length) grid fits maxGrid, and refused past it.
+func TestImpactsLargeTF(t *testing.T) {
 	two := handEngine([]uint32{10, 12, 10}, []uint16{65535, 1, 3}) // 65 536 tfs × 2 lengths
-	rt, a, err := readBack(t, two)
-	if err != nil {
+	if err := two.deriveImpacts(); err != nil {
 		t.Fatalf("two lengths: %v", err)
 	}
-	if a >= 1<<20 {
-		t.Errorf("two lengths: allocated %d bytes", a)
-	}
-	checkServed(t, "two lengths", rt)
+	checkServed(t, "two lengths", two)
 
 	three := handEngine([]uint32{10, 12, 9}, []uint16{65535, 1, 3})
-	if _, a, err := readBack(t, three); !errors.Is(err, ErrBadIndex) || a >= 1<<20 {
-		t.Errorf("three lengths: err = %v after %d bytes, want ErrBadIndex under 1 MB", err, a)
+	if err := three.deriveImpacts(); err == nil {
+		t.Error("three lengths: a grid over maxGrid accepted")
 	}
 }
 
-// TestReadEngineNegativeIDF: ReadEngine takes any finite idf, and a
-// negative one makes every impact of its term negative — outside the
-// "impacts are ≥ 0" the certificate's bound rests on. Such a term bounds
-// at +Inf: a scan with its list live never certifies before exhaustion,
-// and beside a sound term every page that does certify is the drained
-// one. The sound term alone certifies early, so the test is not vacuous.
-func TestReadEngineNegativeIDF(t *testing.T) {
-	const docs, vocab, neg, sound = 3000, 20, 3, 8
-	orig, err := NewEngine(Config{Docs: docs, VocabSize: vocab, AvgDocLen: 10, Seed: 1})
+// TestImpactsNegativeIDF: a negative idf makes every impact of its term
+// negative — outside the "impacts are ≥ 0" the certificate's bound
+// rests on. Such a term bounds at +Inf: a scan with its list live never
+// certifies before exhaustion, and beside a sound term every page that
+// does certify is the drained one. The sound term alone certifies
+// early, so the test is not vacuous.
+func TestImpactsNegativeIDF(t *testing.T) {
+	const neg, sound = 3, 8
+	e, err := NewEngine(Config{Docs: 3000, VocabSize: 20, AvgDocLen: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := indexBytes(t, orig)
-	_, _, _, idf := indexFloatOffsets(docs, vocab)
-	binary.LittleEndian.PutUint64(data[idf+8*neg:], math.Float64bits(-2.5))
-	e, err := ReadEngine(bytes.NewReader(data))
-	if err != nil {
+	e.idf[neg] = -2.5
+	if err := e.deriveImpacts(); err != nil {
 		t.Fatalf("a negative idf refused: %v", err)
 	}
 	if !math.IsInf(e.maxImp[neg], 1) {
@@ -241,24 +202,35 @@ func TestReadEngineNegativeIDF(t *testing.T) {
 	}
 }
 
-// TestReadEngineDistinctPairLimit: a list with 1<<16 distinct (tf,
-// length) pairs is served exactly, one with a pair more is refused.
-func TestReadEngineDistinctPairLimit(t *testing.T) {
+// TestImpactsDistinctPairLimit: a list with 1<<16 distinct (tf, length)
+// pairs is served exactly, one with a pair more is refused.
+func TestImpactsDistinctPairLimit(t *testing.T) {
 	for _, docs := range []int{1 << 16, 1<<16 + 1} {
 		lengths, tfs := make([]uint32, docs), make([]uint16, docs)
 		for d := range lengths {
 			lengths[d], tfs[d] = uint32(10+d>>16), uint16(d) // the last one's tf 0 again, at length 11
 		}
-		rt, _, err := readBack(t, handEngine(lengths, tfs))
+		e := handEngine(lengths, tfs)
+		err := e.deriveImpacts()
 		if docs > 1<<16 {
-			if !errors.Is(err, ErrBadIndex) {
-				t.Errorf("%d distinct pairs: err = %v, want ErrBadIndex", docs, err)
+			if err == nil {
+				t.Errorf("%d distinct pairs accepted", docs)
 			}
 			continue
 		}
 		if err != nil {
 			t.Fatalf("%d distinct pairs: %v", docs, err)
 		}
-		checkServed(t, "65 536 pairs", rt)
+		checkServed(t, "65 536 pairs", e)
+	}
+}
+
+// TestImpactsRefuseUnorderedPostings: a list out of ascending doc id is
+// refused, since the scans' merge and doc-id tie rule rest on the order.
+func TestImpactsRefuseUnorderedPostings(t *testing.T) {
+	e := handEngine([]uint32{10, 12, 9}, []uint16{1, 2, 3})
+	e.postings[0][0].Doc, e.postings[0][1].Doc = 1, 0
+	if err := e.deriveImpacts(); err == nil {
+		t.Error("unordered postings accepted")
 	}
 }

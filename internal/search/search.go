@@ -79,7 +79,7 @@ type Posting struct {
 	Doc uint32
 	TF  uint16
 	// pair indexes the term's impact table (buildImpacts), in what was
-	// the struct's padding; it is derived, never persisted.
+	// the struct's padding.
 	pair uint16
 }
 
@@ -92,7 +92,7 @@ type Engine struct {
 	avgLen   float64
 	idf      []float64
 	// imp holds the terms' impact tables end to end, term t's at
-	// imp[impAt[t]:impAt[t+1]] (buildImpacts; never persisted): a scan
+	// imp[impAt[t]:impAt[t+1]] (buildImpacts): a scan
 	// scores a posting of term t as quality[p.Doc] + table(t)[p.pair].
 	imp   []float64
 	impAt []int
@@ -226,7 +226,11 @@ type Query struct {
 // GenerateQueries derives a deterministic query log whose term choices
 // follow the corpus Zipf distribution (1–3 terms per query) over the
 // post-stopword vocabulary, standing in for the production query logs.
+// A negative n is refused.
 func (e *Engine) GenerateQueries(seed int64, n int) ([]Query, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("search: query count %d is negative", n)
+	}
 	vocab := e.cfg.VocabSize - e.cfg.StopTerms
 	if vocab < 10 {
 		vocab = e.cfg.VocabSize

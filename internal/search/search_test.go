@@ -202,6 +202,9 @@ func TestGenerateQueriesShape(t *testing.T) {
 			t.Fatal("query generation not deterministic")
 		}
 	}
+	if qs, err := e.GenerateQueries(5, -1); err == nil {
+		t.Errorf("a log of -1 queries: got %d queries and no error", len(qs))
+	}
 }
 
 func TestTopNHeapOrdering(t *testing.T) {

@@ -7,8 +7,8 @@
 // per request in blocks — a monitored request's QoS is read off that
 // same scan, not off reruns. Around it sit /stats, /config, /model,
 // /budget, /healthz and /readyz: every path, parameter and JSON shape is
-// declared in internal/wire, the one package worker, coordinator and
-// load generator share (endpoint table: DESIGN.md, "Wire protocol").
+// declared in internal/wire, the one package worker and coordinator
+// share (endpoint table: DESIGN.md, "Wire protocol").
 // This file is bootstrap and calibration; search.go is the zero-alloc
 // /search request path, top to bottom; admin.go holds the cold handlers
 // and the persistence lifecycle.
@@ -97,7 +97,7 @@ type Config struct {
 	// snapshots are written every SnapshotInterval and on SaveState.
 	StateDir string
 	// SnapshotInterval is the period of the background snapshot loop
-	// (default 5s).
+	// (default 5s; negative is refused).
 	SnapshotInterval time.Duration
 	// QueryCacheSize bounds the preparsed-query cache on the /search
 	// path. The workload's Zipfian head means a few thousand entries
@@ -183,6 +183,9 @@ func New(cfg Config) (*Server, error) {
 	c := cfg.withDefaults()
 	if c.SLA < 0 || c.SLA >= 1 {
 		return nil, errors.New("serve: SLA must be in [0, 1)")
+	}
+	if c.SnapshotInterval < 0 {
+		return nil, errors.New("serve: snapshot interval must not be negative")
 	}
 	var clock bootClock
 	clock.lapMS()

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"green/internal/search"
 	"green/internal/wire"
@@ -30,6 +31,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{SLA: 1.5}); err == nil {
 		t.Error("SLA >= 1 accepted")
+	}
+	// Refused up front: a negative period would panic the snapshot
+	// loop's ticker after boot, a negative count the calibration log.
+	if _, err := New(Config{CorpusDocs: 1000, StateDir: t.TempDir(), SnapshotInterval: -time.Second}); err == nil {
+		t.Error("negative SnapshotInterval accepted")
+	}
+	if _, err := New(Config{CorpusDocs: 1000, CalibrationQueries: -1}); err == nil {
+		t.Error("negative CalibrationQueries accepted")
 	}
 }
 

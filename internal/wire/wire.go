@@ -2,9 +2,9 @@
 // tier: the endpoint paths and request parameters, the JSON shape of
 // every worker and coordinator response (search.go holds the two hot
 // ones with their hand-rolled codecs, this file the cold ones), and the
-// response helpers. internal/serve fills these types, internal/cluster
-// and internal/loadgen decode the same types, so a protocol change is
-// one edit here. The package imports nothing from the serving tier; the
+// response helpers. internal/serve fills these types and
+// internal/cluster decodes the same types, so a protocol change is one
+// edit here. The package imports nothing from the serving tier; the
 // only non-stdlib imports are internal/core and internal/metrics, for
 // the per-controller rows /stats embeds as they are.
 //
