@@ -115,10 +115,8 @@ func main() {
 	boot := s.Boot()
 	log.Printf("calibrated: SLA %.2f%% -> initial M = %.0f documents (engine %.1f ms, calibrate %.1f ms, restore %.1f ms)",
 		*sla*100, s.Loop().Level(), boot.EngineMS, boot.CalibrateMS, boot.RestoreMS)
-	for _, c := range s.Registry().Controllers() {
-		log.Printf("controller %q: level %.0f, approx enabled %v",
-			c.Name(), c.Level(), c.ApproxEnabled())
-	}
+	log.Printf("controller %q: level %.0f, approx enabled %v",
+		s.Loop().Name(), s.Loop().Level(), s.Loop().ApproxEnabled())
 	if *stateDir != "" {
 		log.Printf("state: %s (%s)", *stateDir, s.RestoreNote())
 	}

@@ -211,14 +211,6 @@ type (
 	// kind (Loop, Func, Func2) exposes: identity, stats, the scalar
 	// approximation level, breaker health, and state checkpointing.
 	Controller = core.Controller
-	// Registry is a named collection of controllers: a process registers
-	// every approximation site it hosts, and serving/persistence/metrics
-	// layers enumerate the registry uniformly. One Registry snapshot
-	// bundle round-trips all registered controllers.
-	Registry = core.Registry
-	// RestoreReport records per-controller outcomes of a bundled restore
-	// ("restored", "cold", or "rejected: <why>").
-	RestoreReport = core.RestoreReport
 
 	// LoopModel is the QoS model of one loop (levels -> loss, work).
 	LoopModel = model.LoopModel
@@ -302,9 +294,6 @@ func BuildFuncModel(name string, preciseWork float64, versions []VersionCurve) (
 func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 	return core.NewFunc2(cfg, precise, approx)
 }
-
-// NewRegistry creates an empty controller registry.
-func NewRegistry() *Registry { return core.NewRegistry() }
 
 // NewCalibration2D prepares two-parameter calibration over the grid.
 func NewCalibration2D(name string, preciseWork float64, names []string, work []float64, grid Grid2D) (*Calibration2D, error) {

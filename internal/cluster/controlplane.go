@@ -26,8 +26,8 @@ import (
 
 // shardControl is one shard's control-plane state (Coordinator.mu).
 type shardControl struct {
-	// candLevels/candLoss/candSpeedup are the cached /model rows for the
-	// budgeted controller (fetched once, corrected each round).
+	// candLevels/candLoss/candSpeedup are the cached /model rows of the
+	// shard's match loop (fetched once, corrected each round).
 	candLevels  []float64
 	candLoss    []float64
 	candSpeedup []float64
@@ -38,9 +38,9 @@ type shardControl struct {
 	lastLevel     float64 // the worker's live level (current_m)
 	lastBudget    float64 // the level the control plane last pushed
 	polled        bool    // stats reached at least once ever
-	// lastControllers are the shard's per-controller selector counters
-	// from the most recent successful poll (federated into /stats).
-	lastControllers []wire.ShardController
+	// lastSelector is the shard's Select-stage counters from the most
+	// recent successful poll (federated into /stats).
+	lastSelector core.SelectorStats
 }
 
 // AggregateReport summarizes one control-plane round, for tests and
@@ -110,19 +110,14 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 	for i := 0; i < n; i++ {
 		ctl := &co.ctl[i]
 		if m := polls[i].model; m != nil {
-			for _, row := range m.Controllers {
-				if row.Name != wire.MatchController {
-					continue
-				}
-				if err := row.Check(); err != nil {
-					refused = append(refused, co.shards[i].name+": "+err.Error())
-					continue
-				}
-				ctl.baseLevel = row.BaseLevel
+			if err := m.Check(); err != nil {
+				refused = append(refused, co.shards[i].name+": "+err.Error())
+			} else {
+				ctl.baseLevel = m.BaseLevel
 				ctl.candLevels = ctl.candLevels[:0]
 				ctl.candLoss = ctl.candLoss[:0]
 				ctl.candSpeedup = ctl.candSpeedup[:0]
-				for _, lvl := range row.Levels {
+				for _, lvl := range m.Levels {
 					ctl.candLevels = append(ctl.candLevels, lvl.Level)
 					ctl.candLoss = append(ctl.candLoss, lvl.PredLoss)
 					ctl.candSpeedup = append(ctl.candSpeedup, lvl.Speedup)
@@ -132,12 +127,7 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 		if polls[i].statsOK {
 			st := polls[i].stats
 			ctl.lastLoss, ctl.lastMonitored, ctl.lastLevel = st.MeanMonitoredLoss, st.Monitored, st.CurrentM
-			// A fresh slice each poll: /stats encodes the previous one
-			// after releasing mu.
-			ctl.lastControllers = make([]wire.ShardController, len(st.Controllers))
-			for j, c := range st.Controllers {
-				ctl.lastControllers[j] = wire.ShardController{Name: c.Name, Selector: c.Selector}
-			}
+			ctl.lastSelector = st.Selector
 			ctl.polled = true
 			rep.ShardsPolled++
 		}
@@ -220,7 +210,7 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 			continue
 		}
 		rep.Budgets[co.shards[i].name] = level
-		body, merr := json.Marshal(wire.Budget{Controller: wire.MatchController, Level: level})
+		body, merr := json.Marshal(wire.Budget{Level: level})
 		if merr != nil {
 			continue
 		}

@@ -18,13 +18,11 @@ import (
 type budgetRecorder struct {
 	mu     sync.Mutex
 	levels []float64
-	ctrl   []string
 }
 
-func (b *budgetRecorder) record(ctrl string, level float64) {
+func (b *budgetRecorder) record(level float64) {
 	b.mu.Lock()
 	b.levels = append(b.levels, level)
-	b.ctrl = append(b.ctrl, ctrl)
 	b.mu.Unlock()
 }
 
@@ -39,30 +37,28 @@ func (b *budgetRecorder) last() (float64, bool) {
 
 // controlWorker fakes the worker control-plane surface: /stats with a
 // crafted monitored loss, /model with a fixed two-level calibration,
-// and /budget recording what the coordinator pushes.
+// and /budget recording what the coordinator pushes (decoded as strictly
+// as a real worker decodes it).
 func controlWorker(loss float64, monitored int64, currentM float64, rec *budgetRecorder) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"mean_monitored_loss":%g,"monitored":%d,"current_m":%g,`+
-			`"controllers":[{"name":"serve.match","selector":{"installed":true,"hits":%d,"fallbacks":2,"overrides":1,"corrections":3}}]}`,
+			`"selector":{"installed":true,"hits":%d,"fallbacks":2,"overrides":1,"corrections":3}}`,
 			loss, monitored, currentM, monitored)
 	})
 	mux.HandleFunc("GET /model", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"controllers":[{"name":"serve.match","base_level":20000,"levels":[`+
+		fmt.Fprint(w, `{"base_level":20000,"levels":[`+
 			`{"level":100,"pred_loss":0.03,"speedup":4},`+
-			`{"level":1000,"pred_loss":0.005,"speedup":2}]}]}`)
+			`{"level":1000,"pred_loss":0.005,"speedup":2}]}`)
 	})
 	mux.HandleFunc("POST /budget", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Controller string  `json:"controller"`
-			Level      float64 `json:"level"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		req, err := wire.DecodeBudget(r.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		rec.record(req.Controller, req.Level)
-		fmt.Fprintf(w, `{"controller":%q,"level":%g,"applied":true}`, req.Controller, req.Level)
+		rec.record(req.Level)
+		fmt.Fprintf(w, `{"level":%g,"applied":true}`, req.Level)
 	})
 	return mux
 }
@@ -123,9 +119,6 @@ func TestAggregateOnceDecomposesSLA(t *testing.T) {
 		if wantLvl := want[fmt.Sprintf("s%d", i)]; got != wantLvl {
 			t.Errorf("shard %d received %g, want %g", i, got, wantLvl)
 		}
-		if rec.ctrl[0] != "serve.match" {
-			t.Errorf("shard %d budget targeted controller %q", i, rec.ctrl[0])
-		}
 	}
 	if got := co.Ops().Snapshot().BudgetPushes; got != 3 {
 		t.Errorf("ops.budget_pushes = %d, want 3", got)
@@ -146,8 +139,8 @@ func TestAggregateOnceDecomposesSLA(t *testing.T) {
 		t.Errorf("aggregations = %d, want 2", co.aggregations.Load())
 	}
 
-	// The coordinator /stats federates each shard's per-controller
-	// Select-stage counters from the last poll.
+	// The coordinator /stats federates each shard's Select-stage
+	// counters from the last poll.
 	rec := get(t, co.Handler(), "/stats")
 	var st wire.FleetStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
@@ -157,10 +150,10 @@ func TestAggregateOnceDecomposesSLA(t *testing.T) {
 		t.Fatalf("stats shards = %d, want 3", len(st.Shards))
 	}
 	for _, row := range st.Shards {
-		if len(row.Controllers) != 1 || row.Controllers[0].Name != "serve.match" {
-			t.Fatalf("shard %s federated controllers = %+v", row.Name, row.Controllers)
+		sel := row.Selector
+		if sel == nil {
+			t.Fatalf("shard %s federated no selector counters", row.Name)
 		}
-		sel := row.Controllers[0].Selector
 		if !sel.Installed || sel.Hits != 500 || sel.Fallbacks != 2 || sel.Overrides != 1 || sel.Corrections != 3 {
 			t.Errorf("shard %s selector counters = %+v", row.Name, sel)
 		}
@@ -191,6 +184,14 @@ func TestAggregateOncePartialFleet(t *testing.T) {
 	}
 	if math.Abs(rep.FleetLoss-0.004) > 1e-12 {
 		t.Errorf("fleet loss = %g, want 0.004", rep.FleetLoss)
+	}
+	// Only the polled shard federates selector counters.
+	var st wire.FleetStats
+	if err := json.Unmarshal(get(t, co.Handler(), "/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Shards) != 2 || st.Shards[0].Selector == nil || st.Shards[1].Selector != nil {
+		t.Errorf("federated selectors = %+v, want the polled shard's only", st.Shards)
 	}
 
 	// A fleet with no shard reachable at all is an error.
@@ -277,7 +278,7 @@ func TestAggregateOnceRefusesForeignModel(t *testing.T) {
 			foreign := http.NewServeMux()
 			foreign.Handle("/", controlWorker(0.005, 500, 1000, recs[0]))
 			foreign.HandleFunc("GET "+wire.PathModel, func(w http.ResponseWriter, r *http.Request) {
-				fmt.Fprint(w, `{"controllers":[{"name":"serve.match","base_level":20000,"levels":[`+levels+`]}]}`)
+				fmt.Fprint(w, `{"base_level":20000,"levels":[`+levels+`]}`)
 			})
 			co, _ := clusterOf(t, Config{Quorum: 2, SLA: 0.02}, [][]http.Handler{
 				{foreign},

@@ -307,7 +307,10 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			LastMonitored: ctl.lastMonitored,
 			LastLevel:     ctl.lastLevel,
 			LastBudget:    ctl.lastBudget,
-			Controllers:   ctl.lastControllers,
+		}
+		if ctl.polled {
+			sel := ctl.lastSelector
+			row.Selector = &sel
 		}
 		if row.Healthy {
 			resp.ShardsHealthy++

@@ -49,6 +49,31 @@ import (
 // Features the Select stage is one flag test, without a Selector one nil
 // check, and either way the pipeline is the reactive-only law.
 
+// Controller is the operational surface every controller kind exposes:
+// identity, runtime statistics, the scalar approximation level, the
+// live sampling interval and last recalibration, Select-stage counters,
+// breaker health, and versioned state checkpointing.
+type Controller interface {
+	Name() string
+	SLA() float64
+	Stats() (executions, monitored int64, meanLoss float64)
+	Level() float64
+	SampleInterval() int64
+	LastRecalibration() (seq int64, act Action)
+	SelectorStats() SelectorStats
+	Breaker() BreakerStats
+	ApproxEnabled() bool
+	MarshalState() ([]byte, error)
+	RestoreStateJSON(data []byte) error
+}
+
+// Every controller kind satisfies the Controller surface.
+var (
+	_ Controller = (*Loop)(nil)
+	_ Controller = (*Func)(nil)
+	_ Controller = (*Func2)(nil)
+)
+
 // ctrlOptions are the configuration fields every controller kind shares;
 // each concrete config struct maps onto it in its constructor.
 type ctrlOptions struct {

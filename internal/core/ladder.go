@@ -103,7 +103,7 @@ func (l *ladder[A]) init(kind string, o ctrlOptions, rungs []rung[A], qos FuncQo
 func (l *ladder[A]) Offset() int { return l.state.Load().offset }
 
 // Level reports the precision offset as the controller's approximation
-// level (the registry's uniform scalar view; see registry.go).
+// level (the Controller surface's scalar view).
 func (l *ladder[A]) Level() float64 { return float64(l.state.Load().offset) }
 
 // shift applies the snapshot's offset to a model-chosen base version:

@@ -1,12 +1,15 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Golden wire format of the persisted controller state. internal/persist
 // envelopes and the serve tier's boot path read documents written by
 // earlier builds, so the exact bytes each controller kind emits — field
 // names, field order, number formatting, the optional selector section,
-// the registry bundle layout — are an interface, not an implementation
+// — are an interface, not an implementation
 // detail. Each case drives a freshly built controller through a fixed
 // script, requires MarshalState to produce the literal document below,
 // and then restores that literal document into a second fresh controller
@@ -21,7 +24,6 @@ const (
 	// goldenFunc2NoWork is the document Func2 wrote before it counted
 	// work; it must still restore.
 	goldenFunc2NoWork = `{"name":"mul","offset":-1,"interval":3,"disabled":false,"force_off":true,"count":5,"monitored":1,"loss_sum":0.010000000000000083}`
-	goldenRegistry    = `{"version":1,"controllers":{"loop":` + goldenLoopStatic + `,"mul":` + goldenFunc2 + `,"sq":` + goldenFunc + `}}`
 )
 
 // goldenStaticLoop is a static-mode loop monitored every 4th execution;
@@ -130,38 +132,22 @@ func goldenFunc2Ctl(t *testing.T, drive bool) *Func2 {
 	return f
 }
 
-func goldenRegistryOf(t *testing.T, drive bool) *Registry {
-	t.Helper()
-	r := NewRegistry()
-	for _, c := range []Controller{goldenStaticLoop(t, drive), goldenFuncCtl(t, drive), goldenFunc2Ctl(t, drive)} {
-		if err := r.Register(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return r
-}
-
-// snapshotter is the surface the golden cases share; Controller and
-// Registry both satisfy it.
-type snapshotter interface {
-	MarshalState() ([]byte, error)
-	RestoreStateJSON([]byte) error
+// goldenCases pairs each golden document with the controller that
+// writes it when driven.
+var goldenCases = []struct {
+	name   string
+	golden string
+	build  func(t *testing.T, drive bool) Controller
+}{
+	{"loop-static", goldenLoopStatic, func(t *testing.T, d bool) Controller { return goldenStaticLoop(t, d) }},
+	{"loop-adaptive", goldenLoopAdaptive, func(t *testing.T, d bool) Controller { return goldenAdaptiveLoop(t, d) }},
+	{"loop-selector", goldenLoopSelector, func(t *testing.T, d bool) Controller { return goldenSelectorLoop(t, d) }},
+	{"func", goldenFunc, func(t *testing.T, d bool) Controller { return goldenFuncCtl(t, d) }},
+	{"func2", goldenFunc2, func(t *testing.T, d bool) Controller { return goldenFunc2Ctl(t, d) }},
 }
 
 func TestStateWireFormatGolden(t *testing.T) {
-	cases := []struct {
-		name   string
-		golden string
-		build  func(t *testing.T, drive bool) snapshotter
-	}{
-		{"loop-static", goldenLoopStatic, func(t *testing.T, d bool) snapshotter { return goldenStaticLoop(t, d) }},
-		{"loop-adaptive", goldenLoopAdaptive, func(t *testing.T, d bool) snapshotter { return goldenAdaptiveLoop(t, d) }},
-		{"loop-selector", goldenLoopSelector, func(t *testing.T, d bool) snapshotter { return goldenSelectorLoop(t, d) }},
-		{"func", goldenFunc, func(t *testing.T, d bool) snapshotter { return goldenFuncCtl(t, d) }},
-		{"func2", goldenFunc2, func(t *testing.T, d bool) snapshotter { return goldenFunc2Ctl(t, d) }},
-		{"registry", goldenRegistry, func(t *testing.T, d bool) snapshotter { return goldenRegistryOf(t, d) }},
-	}
-	for _, c := range cases {
+	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			got, err := c.build(t, true).MarshalState()
 			if err != nil {
@@ -217,14 +203,47 @@ func TestStateWireFormatRestoreIsLive(t *testing.T) {
 			t.Errorf("restored func2 offset/enabled/work = %d/%v/%v, want -1/false/%v", f2.Offset(), f2.ApproxEnabled(), f2.Work(), work)
 		}
 	}
+}
 
-	rep, err := goldenRegistryOf(t, false).RestoreAllJSON([]byte(goldenRegistry))
-	if err != nil {
-		t.Fatal(err)
+// FuzzRestoreStateJSON: a controller snapshot is read off a disk another
+// build wrote. Whatever the bytes, no controller kind panics restoring
+// them; one that refuses them is in the state it was in, byte for byte;
+// and what one accepts round-trips: a fresh controller of the same kind
+// restores the result's MarshalState and marshals to the same bytes.
+func FuzzRestoreStateJSON(f *testing.F) {
+	for _, c := range goldenCases {
+		f.Add([]byte(c.golden))
 	}
-	for _, name := range []string{"loop", "sq", "mul"} {
-		if rep[name] != "restored" {
-			t.Errorf("registry restore of %q = %q, want restored", name, rep[name])
+	f.Add([]byte(goldenFunc2NoWork))
+	f.Add([]byte(strings.Replace(goldenLoopStatic, `"count":8`, `"count":-1`, 1)))
+	// The bundle layout serve wrote before it held one controller.
+	f.Add([]byte(`{"version":1,"controllers":{"loop":` + goldenLoopStatic + `}}`))
+	f.Add([]byte("{"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range goldenCases {
+			ctl := c.build(t, true)
+			before, err := ctl.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rerr := ctl.RestoreStateJSON(data)
+			after, err := ctl.MarshalState()
+			if err != nil {
+				t.Fatalf("%s no longer marshals: %v", c.name, err)
+			}
+			if rerr != nil {
+				if string(after) != string(before) {
+					t.Fatalf("%s refused the document (%v) but changed state:\n was %s\n now %s", c.name, rerr, before, after)
+				}
+				continue
+			}
+			fresh := c.build(t, false)
+			if err := fresh.RestoreStateJSON(after); err != nil {
+				t.Fatalf("a fresh %s refuses what this one marshals: %v\n%s", c.name, err, after)
+			}
+			if again, err := fresh.MarshalState(); err != nil || string(again) != string(after) {
+				t.Fatalf("%s round trip changed the document (%v):\n out %s\nback %s", c.name, err, after, again)
+			}
 		}
-	}
+	})
 }

@@ -6,26 +6,24 @@ import (
 )
 
 // ctrlcopy flags by-value copies of the Green controllers. Loop, Func,
-// Func2, App, and the controller Registry all embed a sync.Mutex
-// and/or atomic state; a copy detaches from the
-// shared recalibration state and, if the original is in use, duplicates
-// a possibly-locked mutex — the same class of bug go vet's copylocks
-// catches, but scoped to the Green API so the diagnostic can explain
-// the controller-sharing contract.
+// Func2 and App all embed a sync.Mutex and/or atomic state; a copy
+// detaches from the shared recalibration state and, if the original is
+// in use, duplicates a possibly-locked mutex — the same class of bug go
+// vet's copylocks catches, but scoped to the Green API so the
+// diagnostic can explain the controller-sharing contract.
 var analyzerCtrlCopy = &Analyzer{
 	Name: "ctrlcopy",
 	Tier: TierBlock,
-	Doc:  "mutex-bearing Green controllers (Loop, Func, Func2, App, Registry) must not be copied by value",
+	Doc:  "mutex-bearing Green controllers (Loop, Func, Func2, App) must not be copied by value",
 	run:  runCtrlCopy,
 }
 
 // ctrlTypes are the controller types whose value copies are forbidden.
 var ctrlTypes = map[string]bool{
-	"Loop":     true,
-	"Func":     true,
-	"Func2":    true,
-	"App":      true,
-	"Registry": true,
+	"Loop":  true,
+	"Func":  true,
+	"Func2": true,
+	"App":   true,
 }
 
 func isCtrl(t types.Type) bool { return isBareType(t, corePath, ctrlTypes) }

@@ -32,8 +32,7 @@ import (
 // Sinks (precise-only contexts, check "taintsink"):
 //
 //   - calibration inputs (AddRun, AddRunFeat, AddSample, AddSampleFeat);
-//   - persisted controller state (Restore, RestoreStateJSON,
-//     RestoreAllJSON);
+//   - persisted controller state (Restore, RestoreStateJSON);
 //   - SLA/adaptive parameters (SetAdaptive, SetLevel);
 //   - application QoS observations (ObserveAppQoS);
 //   - breaker/steering decisions: a steering method called under an
@@ -909,7 +908,7 @@ func sinkKind(fn *types.Func) string {
 		switch name {
 		case "AddRun", "AddRunFeat", "AddSample", "AddSampleFeat":
 			return "calibration input"
-		case "Restore", "RestoreAllJSON", "RestoreStateJSON":
+		case "Restore", "RestoreStateJSON":
 			return "persisted controller state"
 		case "SetAdaptive", "SetLevel":
 			return "SLA/adaptive parameters"

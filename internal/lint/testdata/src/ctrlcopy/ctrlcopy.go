@@ -41,24 +41,9 @@ func func2Deref(f *core.Func2) {
 	_ = cp.Offset()
 }
 
-// registryByValue returns the controller registry by value: its mutex
-// and name map detach from the live server's.
-func registryByValue(r *core.Registry) core.Registry { // want "returns by value"
-	return *r // want "copies a Registry"
-}
-
-// registryArgCopy passes a dereferenced registry to a by-value
-// parameter.
-func registryArgCopy(r *core.Registry) {
-	registrySink(*r) // want "copies a Registry"
-}
-
-func registrySink(core.Registry) {} // want "passes by value"
-
 // ok shares controllers through pointers and must not be reported.
-func ok(l *core.Loop, f *core.Func, f2 *core.Func2, a *core.App, r *core.Registry) {
+func ok(l *core.Loop, f *core.Func, f2 *core.Func2, a *core.App) {
 	a.Register(l)
 	a.Register(f)
-	_ = r.Register(l)
 	_ = f2.Call(1, 2)
 }

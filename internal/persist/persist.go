@@ -206,11 +206,10 @@ func (s *Store) Load(name, modelSig string) ([]byte, error) {
 	return env.Payload, nil
 }
 
-// Snapshotter is the checkpointing surface the core controllers and the
-// controller Registry share: marshal the runtime state to JSON, restore
-// it from JSON with the owner's own validation. persist operates on this
-// interface only — it never knows which controller kind (or how many,
-// in the Registry case) stands behind a snapshot.
+// Snapshotter is the checkpointing surface every core controller kind
+// exposes: marshal the runtime state to JSON, restore it from JSON with
+// the controller's own validation. persist operates on this interface
+// only — it never knows which controller kind stands behind a snapshot.
 type Snapshotter interface {
 	MarshalState() ([]byte, error)
 	RestoreStateJSON(data []byte) error

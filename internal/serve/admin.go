@@ -4,13 +4,10 @@ import (
 	"errors"
 	"io/fs"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"green/internal/core"
-	"green/internal/metrics"
 	"green/internal/persist"
 	"green/internal/search"
 	"green/internal/wire"
@@ -55,6 +52,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	reasons := s.degradedReasons()
 	brk := s.loop.Breaker()
+	recalSeq, recalAct := s.loop.LastRecalibration()
 	wire.WriteJSON(w, wire.Stats{
 		Queries:           execs,
 		Monitored:         monitored,
@@ -63,6 +61,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DocsScored:        scored,
 		DocsPrecise:       precise,
 		WorkSavedFraction: saved,
+		SampleInterval:    s.loop.SampleInterval(),
+		LastRecalSeq:      recalSeq,
+		LastRecalAction:   recalAct.String(),
+		ApproxEnabled:     s.loop.ApproxEnabled(),
+		Selector:          s.loop.SelectorStats(),
 		Degraded:          len(reasons) > 0,
 		DegradedReasons:   reasons,
 		BreakerState:      brk.State.String(),
@@ -70,8 +73,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ContainedPanics:   brk.ContainedPanics,
 		InFlight:          s.inFlight.Load(),
 		Restore:           s.restoreNote,
-		RestoreDetail:     s.restoreReport,
-		Controllers:       metrics.CollectControllers(s.reg),
 		Ops:               s.ops.Snapshot(),
 		Boot:              s.boot,
 	})
@@ -87,61 +88,49 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		MaxInFlight:    s.cfg.MaxInFlight,
 		RequestTimeout: s.cfg.RequestTimeout.String(),
 		StateDir:       s.cfg.StateDir,
-		Controllers:    s.reg.Names(),
 	})
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	row := wire.ModelController{Name: snapshotName, BaseLevel: float64(s.engine.Docs())}
+	resp := wire.Model{BaseLevel: s.matchModel.BaseLevel}
 	for _, lvl := range s.matchModel.Levels() {
-		if lvl > row.BaseLevel {
+		if lvl > resp.BaseLevel {
 			break // past the corpus a scan is precise: not a candidate
 		}
-		row.Levels = append(row.Levels, wire.ModelLevel{
+		resp.Levels = append(resp.Levels, wire.ModelLevel{
 			Level:    lvl,
 			PredLoss: s.matchModel.PredictLoss(lvl),
 			Speedup:  s.matchModel.Speedup(lvl),
 		})
 	}
-	wire.WriteJSON(w, wire.Model{Controllers: []wire.ModelController{row}})
+	wire.WriteJSON(w, resp)
 }
 
-// handleBudget applies a pushed level. It is idempotent — pushing the
-// same budget twice leaves the same state — so coordinator retries are
-// safe.
+// handleBudget applies a pushed match-loop level. It is idempotent —
+// pushing the same budget twice leaves the same state — so coordinator
+// retries are safe. A level above the model's base level is refused, as
+// /model's Check refuses such a row and Loop.Restore such a snapshot.
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	req, err := wire.DecodeBudget(r.Body)
 	if err != nil {
 		http.Error(w, "bad budget body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Controller == "" {
-		req.Controller = snapshotName
-	}
-	c, _ := s.reg.Get(req.Controller)
-	loop, _ := c.(*core.Loop) // every controller this server registers is one
-	if loop == nil {
-		http.Error(w, "unknown controller "+req.Controller, http.StatusNotFound)
+	if !req.LevelOK() || req.Level > s.matchModel.BaseLevel {
+		http.Error(w, "level must be a positive finite number no higher than base_level", http.StatusBadRequest)
 		return
 	}
-	if !req.LevelOK() {
-		http.Error(w, "level must be a positive finite number", http.StatusBadRequest)
-		return
-	}
-	loop.SetLevel(req.Level)
+	s.loop.SetLevel(req.Level)
 	s.ops.BudgetPushes.Add(1)
-	wire.WriteJSON(w, wire.BudgetAck{Controller: req.Controller, Level: loop.Level(), Applied: true})
+	wire.WriteJSON(w, wire.BudgetAck{Level: s.loop.Level(), Applied: true})
 }
 
 // degradedReasons reports why the service is not at full quality (empty
-// when it is). Every registered controller contributes its breaker
-// state, under its name.
+// when it is): the match loop's breaker state and shedding.
 func (s *Server) degradedReasons() []string {
 	var reasons []string
-	for _, c := range s.reg.Controllers() {
-		if b := c.Breaker(); b.State != core.BreakerClosed {
-			reasons = append(reasons, "breaker-"+b.State.String()+"("+c.Name()+")")
-		}
+	if b := s.loop.Breaker(); b.State != core.BreakerClosed {
+		reasons = append(reasons, "breaker-"+b.State.String()+"("+matchName+")")
 	}
 	if s.cfg.MaxInFlight > 0 && s.inFlight.Load() >= int64(s.cfg.MaxInFlight) {
 		reasons = append(reasons, "shedding")
@@ -153,12 +142,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	wire.WriteReadyz(w, s.degradedReasons())
 }
 
-// openStateAndRestore opens the state store and applies the persisted
-// registry bundle if one exists and survives validation. Restore
-// failures are *recorded*, never fatal: a service must come up (cold)
-// from any on-disk state, including a corrupted or foreign snapshot —
-// and a bundle with one poisoned entry still restores every other
-// controller.
+// openStateAndRestore opens the state store and restores the match
+// loop's snapshot if one exists and survives validation. Restore failures
+// are *recorded*, never fatal: a service must come up (cold) from any
+// on-disk state, including a corrupted or foreign snapshot, and the loop
+// refuses a document whole or applies it whole.
 func (s *Server) openStateAndRestore(sigParts []any) error {
 	store, err := persist.Open(s.cfg.StateDir)
 	if err != nil {
@@ -169,86 +157,29 @@ func (s *Server) openStateAndRestore(sigParts []any) error {
 		return err
 	}
 	s.store, s.modelSig = store, sig
-	s.restoreReport = make(core.RestoreReport)
-	switch data, err := store.Load(stateName, sig); {
+	switch err := store.LoadInto(stateName, sig, s.loop); {
 	case err == nil:
-		rep, rerr := s.reg.RestoreAllJSON(data)
-		if rerr != nil {
-			// The bundle itself is unusable (decode/version failure).
-			s.ops.RestoreRejected.Add(1)
-			s.restoreNote = "rejected: " + rerr.Error()
-			s.noteAllControllers(s.restoreNote)
-			return nil
-		}
-		s.restoreReport = rep
-		s.restoreNote = summarizeRestore(rep)
-		if rep.Rejected() {
-			s.ops.RestoreRejected.Add(1)
-		}
+		s.restoreNote = "restored"
 	case errors.Is(err, fs.ErrNotExist):
 		s.restoreNote = "cold"
-		s.noteAllControllers("cold")
 	default:
-		// Corrupt, torn, foreign, or wrong-version snapshot: start cold.
+		// Corrupt, torn, foreign, or refused by the loop: start cold.
 		s.ops.RestoreRejected.Add(1)
 		s.restoreNote = "rejected: " + err.Error()
-		s.noteAllControllers(s.restoreNote)
 	}
 	return nil
-}
-
-// noteAllControllers records one outcome for every registered controller
-// (the whole-bundle cases, where no per-controller restore ran).
-func (s *Server) noteAllControllers(note string) {
-	for _, name := range s.reg.Names() {
-		s.restoreReport[name] = note
-	}
-}
-
-// summarizeRestore folds a per-controller restore report into the
-// service-level note: any rejection surfaces first (with its
-// controller), else one restored controller makes the boot "restored",
-// else everything came up cold.
-func summarizeRestore(rep core.RestoreReport) string {
-	restored := false
-	for _, name := range sortedNames(rep) {
-		note := rep[name]
-		if strings.HasPrefix(note, "rejected:") {
-			return "rejected: " + name + ": " + strings.TrimSpace(strings.TrimPrefix(note, "rejected:"))
-		}
-		if note == "restored" {
-			restored = true
-		}
-	}
-	if restored {
-		return "restored"
-	}
-	return "cold"
-}
-
-func sortedNames(rep core.RestoreReport) []string {
-	names := make([]string, 0, len(rep))
-	for name := range rep {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RestoreNote reports what happened to the persisted state at startup.
 func (s *Server) RestoreNote() string { return s.restoreNote }
 
-// RestoreReport reports the per-controller restore outcomes at startup
-// (nil when persistence is disabled).
-func (s *Server) RestoreReport() core.RestoreReport { return s.restoreReport }
-
-// SaveState writes one crash-safe snapshot of every registered
-// controller's state now. A no-op without a state directory.
+// SaveState writes one crash-safe snapshot of the match loop's state
+// now. A no-op without a state directory.
 func (s *Server) SaveState() error {
 	if s.store == nil {
 		return nil
 	}
-	if err := s.store.SaveFrom(stateName, s.modelSig, s.reg); err != nil {
+	if err := s.store.SaveFrom(stateName, s.modelSig, s.loop); err != nil {
 		s.ops.SnapshotErrors.Add(1)
 		return err
 	}

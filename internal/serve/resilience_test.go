@@ -148,12 +148,17 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	mutate := func(c *Config) { c.StateDir = dir }
 	s1 := resilientServer(t, mutate)
-	if s1.RestoreNote() != "cold" || s1.RestoreReport()[snapshotName] != "cold" {
-		t.Fatalf("first boot restore = %q %v, want cold", s1.RestoreNote(), s1.RestoreReport())
+	if s1.RestoreNote() != "cold" {
+		t.Fatalf("first boot restore = %q, want cold", s1.RestoreNote())
 	}
 	h1 := s1.Handler()
 	for i := 0; i < 30; i++ {
 		get(t, h1, "/search?q=alpha+beta+gamma")
+	}
+	// The highest level /budget accepts is the base level; a snapshot
+	// taken there must restore.
+	if rec := post(t, h1, "/budget", `{"level":4000}`); rec.Code != http.StatusOK || s1.Loop().Level() != 4000 {
+		t.Fatalf("push at base_level: status %d, level %v", rec.Code, s1.Loop().Level())
 	}
 	execs1, _, _ := s1.Loop().Stats()
 	if err := s1.SaveState(); err != nil {
@@ -163,18 +168,16 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	// Restart with the same configuration: the snapshot is restored and
 	// the controller resumes where it left off rather than starting cold.
 	s2 := resilientServer(t, mutate)
-	if s2.RestoreNote() != "restored" || s2.RestoreReport()[snapshotName] != "restored" {
-		t.Fatalf("restart restore = %q %v, want restored", s2.RestoreNote(), s2.RestoreReport())
+	if s2.RestoreNote() != "restored" {
+		t.Fatalf("restart restore = %q, want restored", s2.RestoreNote())
 	}
-	if b := decodeStats(t, s2.Handler()).Boot; b.RestoreMS <= 0 {
-		t.Errorf("a restoring boot reports %+v, want restore_ms > 0", b)
+	st2 := decodeStats(t, s2.Handler())
+	if st2.Boot.RestoreMS <= 0 {
+		t.Errorf("a restoring boot reports %+v, want restore_ms > 0", st2.Boot)
 	}
-	execs2, _, _ := s2.Loop().Stats()
-	if execs2 != execs1 {
-		t.Errorf("restored execs = %d, want %d", execs2, execs1)
-	}
-	if s2.Loop().Level() != s1.Loop().Level() {
-		t.Errorf("restored level = %v, want %v", s2.Loop().Level(), s1.Loop().Level())
+	if st2.Restore != "restored" || st2.Queries != execs1 || st2.CurrentM != s1.Loop().Level() {
+		t.Errorf("restored /stats restore %q, queries %d, current_m %v; want restored, %d, %v",
+			st2.Restore, st2.Queries, st2.CurrentM, execs1, s1.Loop().Level())
 	}
 
 	// Corrupt the snapshot on disk: the next restart must refuse the
@@ -203,10 +206,9 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCorruptedMultiControllerSnapshotBoot: the bundled snapshot holds
-// every registered controller (the match loop); torn (truncated
-// mid-write) and bit-flipped files must both be rejected atomically at
-// boot — no controller restores from a damaged bundle — and the service
+// TestCorruptedMultiControllerSnapshotBoot: a torn (truncated
+// mid-write) or bit-flipped snapshot file must be rejected whole at
+// boot — the match loop restores nothing from it — and the service
 // still comes up cold, serving both retrieval modes.
 func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 	damage := map[string]func(path string) error{
@@ -242,13 +244,10 @@ func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 			if got := s2.Ops().Snapshot().RestoreRejected; got != 1 {
 				t.Errorf("restore_rejected = %d, want 1", got)
 			}
-			// Atomic rejection: no controller got a partial restore — each
-			// starts cold (zero executions), not with s1's counters.
-			for _, c := range s2.Registry().Controllers() {
-				execs, _, _ := c.Stats()
-				if execs != 0 {
-					t.Errorf("controller %q restored %d execs from a damaged bundle", c.Name(), execs)
-				}
+			// Whole rejection: the loop starts cold (zero queries), not
+			// with s1's counters.
+			if st := decodeStats(t, s2.Handler()); st.Queries != 0 || st.Monitored != 0 {
+				t.Errorf("restored %d queries, %d monitored from a damaged snapshot", st.Queries, st.Monitored)
 			}
 			// And both retrieval modes still serve.
 			h2 := s2.Handler()
@@ -268,6 +267,45 @@ func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 				t.Errorf("post-repair restore = %q, want restored", s3.RestoreNote())
 			}
 		})
+	}
+}
+
+// TestOlderBundleLayoutRejected: a state directory written before the
+// server held one controller keeps a {"version":1,"controllers":{…}}
+// bundle under stateName. It is read and refused — the note says so and
+// the loop boots at its calibrated level with nothing restored — and the
+// first snapshot after that restores on the next boot.
+func TestOlderBundleLayoutRejected(t *testing.T) {
+	dir := t.TempDir()
+	mutate := func(c *Config) { c.StateDir = dir }
+	s1 := resilientServer(t, mutate)
+	calibrated := s1.Loop().Level()
+	for i := 0; i < 30; i++ {
+		get(t, s1.Handler(), "/search?q=alpha+beta+gamma")
+	}
+	loopState, err := s1.Loop().MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := `{"version":1,"controllers":{"` + matchName + `":` + string(loopState) + `}}`
+	if err := s1.store.Save(stateName, s1.modelSig, []byte(bundle)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := resilientServer(t, mutate)
+	if !strings.HasPrefix(s2.RestoreNote(), "rejected:") {
+		t.Fatalf("older bundle restore = %q, want rejected", s2.RestoreNote())
+	}
+	st := decodeStats(t, s2.Handler())
+	if st.CurrentM != calibrated || st.Queries != 0 || st.Ops.RestoreRejected != 1 {
+		t.Errorf("after a refused bundle: current_m %v, queries %d, restore_rejected %d; want %v, 0, 1",
+			st.CurrentM, st.Queries, st.Ops.RestoreRejected, calibrated)
+	}
+	if err := s2.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	if s3 := resilientServer(t, mutate); s3.RestoreNote() != "restored" {
+		t.Errorf("boot after the first snapshot = %q, want restored", s3.RestoreNote())
 	}
 }
 

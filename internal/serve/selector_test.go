@@ -73,7 +73,7 @@ func TestServeSelectorEndToEnd(t *testing.T) {
 			st.Fallbacks, st.Overrides)
 	}
 
-	// The /stats surface carries the same counters per controller.
+	// The /stats surface carries the same counters.
 	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
@@ -81,20 +81,11 @@ func TestServeSelectorEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, row := range resp.Controllers {
-		if row.Name == snapshotName {
-			found = true
-			if !row.Selector.Installed || row.Selector.Hits != st.Hits {
-				t.Errorf("/stats selector row = %+v, want installed with %d hits", row.Selector, st.Hits)
-			}
-			if row.SampleInterval == 0 {
-				t.Error("/stats sample_interval = 0, want the live interval")
-			}
-		}
+	if !resp.Selector.Installed || resp.Selector.Hits != st.Hits {
+		t.Errorf("/stats selector = %+v, want installed with %d hits", resp.Selector, st.Hits)
 	}
-	if !found {
-		t.Fatalf("no %s row in /stats controllers", snapshotName)
+	if resp.SampleInterval == 0 {
+		t.Error("/stats sample_interval = 0, want the live interval")
 	}
 }
 

@@ -40,10 +40,13 @@ import (
 )
 
 const (
-	// snapshotName names the match-loop controller.
-	snapshotName = wire.MatchController
-	// stateName keys the bundled registry snapshot (all registered
-	// controllers in one file) in the state store.
+	// matchName names the match-loop controller. Its snapshot carries
+	// the name, and Loop.Restore refuses a document under any other.
+	matchName = wire.MatchController
+	// stateName keys the match loop's snapshot in the state store. It is
+	// the key the multi-controller bundle was written under, so an older
+	// bundle is read, refused by the loop's name check, and booted past
+	// cold with a "rejected" note — never silently ignored.
 	stateName = "serve.controllers"
 )
 
@@ -141,13 +144,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the Green-approximated search service. Its one
-// approximation site, the match loop, is a controller registered in reg;
-// the persistence, stats, and readiness surfaces enumerate the registry
-// rather than hard-wiring the controller.
+// approximation site is the match loop; persistence, /stats, /model,
+// /budget and readiness all speak about that one controller.
 type Server struct {
 	cfg    Config
 	engine *search.Engine
-	reg    *core.Registry
 	loop   *core.Loop // the match loop
 
 	queries    atomic.Int64
@@ -162,14 +163,13 @@ type Server struct {
 	monitoredQueries atomic.Int64
 
 	// Resilience state.
-	inFlight      atomic.Int64
-	qcache        *queryCache
-	ops           metrics.OpsCounters
-	store         *persist.Store
-	modelSig      string
-	restoreNote   string // "disabled" | "cold" | "restored" | "rejected: …"
-	restoreReport core.RestoreReport
-	boot          wire.Boot // what New's stages cost
+	inFlight    atomic.Int64
+	qcache      *queryCache
+	ops         metrics.OpsCounters
+	store       *persist.Store
+	modelSig    string
+	restoreNote string    // "disabled" | "cold" | "restored" | "rejected: …"
+	boot        wire.Boot // what New's stages cost
 
 	// matchModel backs /model: the match loop's per-level candidate
 	// settings for the coordinator's combination search.
@@ -198,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	engineMS := clock.lapMS()
 	s := &Server{
-		cfg: c, engine: engine, reg: core.NewRegistry(), restoreNote: "disabled",
+		cfg: c, engine: engine, restoreNote: "disabled",
 		qcache: newQueryCache(c.QueryCacheSize),
 	}
 
@@ -217,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.loop, err = core.NewLoop(core.LoopConfig{
-		Name: snapshotName, Model: m, SLA: c.SLA,
+		Name: matchName, Model: m, SLA: c.SLA,
 		SampleInterval: c.SampleInterval,
 		Policy: &core.WindowedPolicy{
 			Window: 100, BaseInterval: c.SampleInterval,
@@ -233,9 +233,6 @@ func New(cfg Config) (*Server, error) {
 		// Install before any restore so a selector-bearing snapshot can
 		// rehydrate the bucket correction factors.
 		s.loop.InstallSelector(sel)
-	}
-	if err := s.reg.Register(s.loop); err != nil {
-		return nil, err
 	}
 	s.matchModel = m
 
@@ -307,7 +304,7 @@ func (s *Server) knotLosses(knots []float64) func(q search.Query, losses, work [
 // (reactive-only).
 func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, *core.LoopSelector, error) {
 	baseLevel := float64(s.engine.Docs())
-	cal, err := core.NewLoopCalibration(snapshotName, knots, baseLevel, baseLevel)
+	cal, err := core.NewLoopCalibration(matchName, knots, baseLevel, baseLevel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -426,9 +423,9 @@ func (s *Server) Handler() http.Handler {
 // tests.
 func (s *Server) Loop() *core.Loop { return s.loop }
 
-// Registry exposes the controller registry, for operational tooling and
-// tests.
-func (s *Server) Registry() *core.Registry { return s.reg }
+// Registry returns the match loop as a persist.Snapshotter: it is Loop
+// under the name bench/serve.go calls to save and restore the loop.
+func (s *Server) Registry() persist.Snapshotter { return s.loop }
 
 // Engine exposes the search engine, for tests.
 func (s *Server) Engine() *search.Engine { return s.engine }

@@ -100,8 +100,8 @@ func TestSearchRequiresQuery(t *testing.T) {
 }
 
 // TestSearchAndMode: a mode=and request is served precisely, outside
-// every controller — its page is exactly Engine.SearchAnd's and no
-// registered controller's statistics move — and a bad mode is a 400.
+// the match loop — its page is exactly Engine.SearchAnd's and no
+// statistic of the match loop moves — and a bad mode is a 400.
 func TestSearchAndMode(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
@@ -109,13 +109,9 @@ func TestSearchAndMode(t *testing.T) {
 		execs, monitored int64
 		loss             float64
 	}
-	snapshot := func() map[string]stats {
-		m := map[string]stats{}
-		for _, c := range s.Registry().Controllers() {
-			e, mon, l := c.Stats()
-			m[c.Name()] = stats{e, mon, l}
-		}
-		return m
+	snapshot := func() stats {
+		e, mon, l := s.Loop().Stats()
+		return stats{e, mon, l}
 	}
 	for i := 0; i < 60; i++ { // past SampleInterval, so a monitored request would show
 		get(t, h, "/search?q=alpha+beta")

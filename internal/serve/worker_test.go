@@ -110,7 +110,7 @@ func TestSearchHandlerIdempotent(t *testing.T) {
 	}
 }
 
-// TestModelEndpoint: /model serves per-controller candidate settings
+// TestModelEndpoint: /model serves the match loop's candidate settings
 // with monotone predicted losses, in rows the coordinator accepts (no
 // level past the corpus, though calibration has knots there).
 func TestModelEndpoint(t *testing.T) {
@@ -127,32 +127,31 @@ func TestModelEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Controllers) != 1 || resp.Controllers[0].Name != snapshotName {
-		t.Fatalf("controllers = %+v, want the one %s row", resp.Controllers, snapshotName)
+	if resp.BaseLevel != float64(s.Engine().Docs()) {
+		t.Fatalf("base_level = %v, want the corpus size %d", resp.BaseLevel, s.Engine().Docs())
 	}
-	for _, row := range resp.Controllers {
-		if len(row.Levels) == 0 {
-			t.Fatalf("controller %q has no candidate levels", row.Name)
-		}
-		if err := row.Check(); err != nil {
-			t.Fatalf("controller %q: the coordinator would refuse this row: %v", row.Name, err)
-		}
-		for i, lvl := range row.Levels {
-			if lvl.Level <= 0 || lvl.PredLoss < 0 || lvl.Speedup <= 0 {
-				t.Fatalf("controller %q level %d implausible: %+v", row.Name, i, lvl)
-			}
+	if len(resp.Levels) == 0 {
+		t.Fatal("no candidate levels")
+	}
+	if err := resp.Check(); err != nil {
+		t.Fatalf("the coordinator would refuse these rows: %v", err)
+	}
+	for i, lvl := range resp.Levels {
+		if lvl.Level <= 0 || lvl.PredLoss < 0 || lvl.Speedup <= 0 {
+			t.Fatalf("level %d implausible: %+v", i, lvl)
 		}
 	}
 }
 
 // TestBudgetEndpoint: a pushed budget changes the live level, repushing
-// is idempotent, and junk is rejected.
+// is idempotent, and junk — a level past the corpus or a body naming a
+// controller included — is a 400 that leaves the level where it was.
 func TestBudgetEndpoint(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
 
 	for i := 0; i < 2; i++ { // idempotent
-		rec := post(t, h, "/budget", `{"controller":"serve.match","level":1234}`)
+		rec := post(t, h, "/budget", `{"level":1234}`)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("push %d: status = %d: %s", i, rec.Code, rec.Body)
 		}
@@ -165,27 +164,20 @@ func TestBudgetEndpoint(t *testing.T) {
 	}
 
 	for _, body := range []string{
-		`{"controller":"serve.match","level":-5}`,
-		`{"controller":"serve.match","level":0}`,
+		`{"level":-5}`,
+		`{"level":0}`,
+		`{"level":1e9}`,
+		`{"level":4001}`,
 		`{"controller":"nope","level":10}`,
+		`{"controller":"serve.match","level":10}`,
 		`not json`,
 	} {
-		rec := post(t, h, "/budget", body)
-		if rec.Code == http.StatusOK {
-			t.Errorf("budget body %q accepted", body)
+		if rec := post(t, h, "/budget", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("budget body %q: status %d, want 400", body, rec.Code)
 		}
 	}
 	if got := s.Loop().Level(); got != 1234 {
 		t.Fatalf("level moved by rejected pushes: %v", got)
-	}
-
-	// Default controller name: empty means the match loop.
-	rec := post(t, h, "/budget", `{"level":2000}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("default-controller push: status = %d: %s", rec.Code, rec.Body)
-	}
-	if got := s.Loop().Level(); got != 2000 {
-		t.Fatalf("level after default push = %v, want 2000", got)
 	}
 }
 

@@ -6,7 +6,7 @@
 // internal/cluster decodes the same types, so a protocol change is one
 // edit here. The package imports nothing from the serving tier; the
 // only non-stdlib imports are internal/core and internal/metrics, for
-// the per-controller rows /stats embeds as they are.
+// the selector and ops counters /stats embeds as they are.
 //
 // DESIGN.md ("Wire protocol") has the endpoint table.
 package wire
@@ -38,7 +38,7 @@ const (
 // What worker and coordinator must agree on without asking each other:
 // the result-page size every worker scans for and the coordinator merges
 // to (/config reports it as top_n), and the name of the worker's match
-// loop, which /model lists and budget pushes address.
+// loop, which a /readyz breaker reason carries.
 const (
 	PageSize        = 10
 	MatchController = "serve.match"
@@ -132,9 +132,9 @@ func WriteReadyz(w http.ResponseWriter, reasons []string) {
 	WriteJSON(w, Ready{Ready: true})
 }
 
-// Stats is the worker /stats JSON shape. The coordinator's control
-// plane reads MeanMonitoredLoss, Monitored, CurrentM and each
-// controller's selector counters out of it.
+// Stats is the worker /stats JSON shape; every controller field
+// describes the worker's one match loop. The coordinator's control plane
+// reads MeanMonitoredLoss, Monitored, CurrentM and Selector out of it.
 type Stats struct {
 	Queries           int64   `json:"queries"`
 	Monitored         int64   `json:"monitored"`
@@ -144,25 +144,31 @@ type Stats struct {
 	DocsPrecise       int64   `json:"docs_precise_equivalent"`
 	WorkSavedFraction float64 `json:"work_saved_fraction"`
 
-	// Resilience surface. The flat breaker fields describe the match
-	// loop (backward compatible); Controllers carries one row per
-	// registered controller.
-	Degraded        bool                      `json:"degraded"`
-	DegradedReasons []string                  `json:"degraded_reasons,omitempty"`
-	BreakerState    string                    `json:"breaker_state"`
-	BreakerTrips    int64                     `json:"breaker_trips"`
-	ContainedPanics int64                     `json:"contained_panics"`
-	InFlight        int64                     `json:"in_flight"`
-	Restore         string                    `json:"restore"`
-	RestoreDetail   map[string]string         `json:"restore_controllers,omitempty"`
-	Controllers     []metrics.ControllerStats `json:"controllers"`
-	Ops             metrics.OpsSnapshot       `json:"ops"`
-	Boot            Boot                      `json:"boot"`
+	// SampleInterval is the live Sample_QoS interval (zero when
+	// monitoring is off); LastRecalSeq/LastRecalAction name the last
+	// monitored execution that ran the recalibration policy (zero/"none"
+	// before any).
+	SampleInterval  int64              `json:"sample_interval"`
+	LastRecalSeq    int64              `json:"last_recal_seq"`
+	LastRecalAction string             `json:"last_recal_action"`
+	ApproxEnabled   bool               `json:"approx_enabled"`
+	Selector        core.SelectorStats `json:"selector"`
+
+	// Resilience surface.
+	Degraded        bool                `json:"degraded"`
+	DegradedReasons []string            `json:"degraded_reasons,omitempty"`
+	BreakerState    string              `json:"breaker_state"`
+	BreakerTrips    int64               `json:"breaker_trips"`
+	ContainedPanics int64               `json:"contained_panics"`
+	InFlight        int64               `json:"in_flight"`
+	Restore         string              `json:"restore"`
+	Ops             metrics.OpsSnapshot `json:"ops"`
+	Boot            Boot                `json:"boot"`
 }
 
 // Boot is what the worker's start-up cost, stage by stage, in
 // milliseconds: building the synthetic corpus and its index, the
-// calibration phase of every controller, and opening the state directory
+// calibration phase, and opening the state directory
 // and restoring the snapshot (zero without one).
 type Boot struct {
 	EngineMS    float64 `json:"engine_ms"`
@@ -172,15 +178,14 @@ type Boot struct {
 
 // Config is the worker /config JSON shape.
 type Config struct {
-	SLA            float64  `json:"sla"`
-	TopN           int      `json:"top_n"`
-	SampleInterval int      `json:"sample_interval"`
-	CorpusDocs     int      `json:"corpus_docs"`
-	InitialM       float64  `json:"initial_m"`
-	MaxInFlight    int      `json:"max_in_flight"`
-	RequestTimeout string   `json:"request_timeout"`
-	StateDir       string   `json:"state_dir,omitempty"`
-	Controllers    []string `json:"controllers"`
+	SLA            float64 `json:"sla"`
+	TopN           int     `json:"top_n"`
+	SampleInterval int     `json:"sample_interval"`
+	CorpusDocs     int     `json:"corpus_docs"`
+	InitialM       float64 `json:"initial_m"`
+	MaxInFlight    int     `json:"max_in_flight"`
+	RequestTimeout string  `json:"request_timeout"`
+	StateDir       string  `json:"state_dir,omitempty"`
 }
 
 // Ready is the /readyz JSON shape of worker and coordinator alike.
@@ -189,17 +194,10 @@ type Ready struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// Model is the worker /model JSON shape: per-controller candidate
-// settings derived from the calibrated model, the raw material for the
-// coordinator's CombineSearch decomposition of the fleet SLA into
-// per-shard budgets.
+// Model is the worker /model JSON shape: the match loop's calibrated
+// candidate levels, the raw material for the coordinator's CombineSearch
+// decomposition of the fleet SLA into per-shard budgets.
 type Model struct {
-	Controllers []ModelController `json:"controllers"`
-}
-
-// ModelController is one controller's calibrated candidate levels.
-type ModelController struct {
-	Name      string       `json:"name"`
 	BaseLevel float64      `json:"base_level"`
 	Levels    []ModelLevel `json:"levels"`
 }
@@ -212,37 +210,38 @@ type ModelLevel struct {
 }
 
 // Budget is the POST /budget JSON body: the fleet control plane pushing
-// one controller's approximation level (the paper's M). An empty
-// Controller means the worker's match loop.
+// the worker's match-loop level (the paper's M).
 type Budget struct {
-	Controller string  `json:"controller"`
-	Level      float64 `json:"level"`
+	Level float64 `json:"level"`
 }
 
 // BudgetAck is the POST /budget response: the level now live.
 type BudgetAck struct {
-	Controller string  `json:"controller"`
-	Level      float64 `json:"level"`
-	Applied    bool    `json:"applied"`
+	Level   float64 `json:"level"`
+	Applied bool    `json:"applied"`
 }
 
 // DecodeBudget reads one POST /budget body, bounded at 64 KiB: the body
-// comes from outside the process.
+// comes from outside the process. A field Budget does not declare is an
+// error, so a push meant for another shape fails instead of moving M.
 func DecodeBudget(r io.Reader) (Budget, error) {
 	var b Budget
-	err := json.NewDecoder(io.LimitReader(r, 1<<16)).Decode(&b)
+	dec := json.NewDecoder(io.LimitReader(r, 1<<16))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&b)
 	return b, err
 }
 
 // LevelOK reports whether the pushed level is one a controller can run
-// at: positive and finite.
+// at: positive and finite. The worker also bounds it by its Model's
+// BaseLevel.
 func (b Budget) LevelOK() bool { return b.Level > 0 && !math.IsInf(b.Level, 0) }
 
 // Check reports why m's rows cannot feed a combination search, or nil:
 // they come from another process. Levels must be finite, positive,
 // strictly ascending and no higher than BaseLevel; PredLoss finite and
 // non-negative; Speedup finite and positive. (NaN fails every comparison.)
-func (m ModelController) Check() error {
+func (m Model) Check() error {
 	prev := 0.0
 	for i, l := range m.Levels {
 		if !(l.Level > prev && l.Level <= m.BaseLevel && !math.IsInf(m.BaseLevel, 0) &&
@@ -282,10 +281,9 @@ type ShardStats struct {
 	LastLevel     float64        `json:"last_level"`
 	LastBudget    float64        `json:"last_budget,omitempty"`
 	Replicas      []ReplicaStats `json:"replicas"`
-	// Controllers federates the shard's per-controller Select-stage
-	// counters from the last control-plane poll (absent until the shard
-	// has been polled).
-	Controllers []ShardController `json:"controllers,omitempty"`
+	// Selector federates the shard's Select-stage counters from the last
+	// control-plane poll (absent until the shard has been polled).
+	Selector *core.SelectorStats `json:"selector,omitempty"`
 }
 
 // ReplicaStats is one replica's routing and breaker counters.
@@ -295,11 +293,4 @@ type ReplicaStats struct {
 	Trips    int64  `json:"trips"`
 	Attempts int64  `json:"attempts"`
 	Failures int64  `json:"failures"`
-}
-
-// ShardController is the part of a worker's Stats.Controllers row the
-// coordinator federates: identity and selector counters.
-type ShardController struct {
-	Name     string             `json:"name"`
-	Selector core.SelectorStats `json:"selector"`
 }
