@@ -649,7 +649,7 @@ func BenchmarkFunc2HotPath(b *testing.B) {
 // hotLoopSelector calibrates a one-bucket selector over the hot model's
 // knots, so the selector-installed benchmark measures a warm Select
 // lookup (it resolves to the same M=8 level the reactive law picks).
-func hotLoopSelector(b *testing.B) *green.LoopSelector {
+func hotLoopSelector(b *testing.B) *green.BucketSelector {
 	b.Helper()
 	cal, err := green.NewLoopCalibration("hot", []float64{4, 8}, hotLoopBound, hotLoopBound)
 	if err != nil {

@@ -31,7 +31,8 @@
 // Applications with several approximations register them with an App,
 // which performs the exhaustive combination search over local models and
 // coordinates global recalibration with sensitivity ranking and randomized
-// exponential backoff.
+// exponential backoff, judging the application's loss by DefaultPolicy's
+// Figure 3 band.
 //
 // The paper implements Green as a C/C++ language extension in the Phoenix
 // compiler; Go has no compiler extension point, so the identical generated
@@ -129,11 +130,13 @@ type (
 	DefaultPolicy = core.DefaultPolicy
 	// WindowedPolicy is the Bing Search custom recalibration rule
 	// (Figure 9), aggregating a window of consecutive monitored queries.
+	// Its BaseInterval must equal the controller's SampleInterval.
 	WindowedPolicy = core.WindowedPolicy
 
 	// App coordinates multiple approximations (§3.4).
 	App = core.App
-	// AppConfig configures an App.
+	// AppConfig configures an App; its recalibration applies
+	// DefaultPolicy's band to the application-level loss.
 	AppConfig = core.AppConfig
 	// Unit is the coordinator's view of one approximation.
 	Unit = core.Unit
@@ -165,12 +168,9 @@ type (
 	// SelectorState is the versioned persisted runtime state of a
 	// Selector (per-bucket correction factors).
 	SelectorState = core.SelectorState
-	// LoopSelector is the calibrated per-feature-bucket Select stage for
-	// loops (LoopCalibration.BuildSelector).
-	LoopSelector = core.LoopSelector
-	// FuncSelector is the calibrated per-feature-bucket Select stage for
-	// approximable functions (FuncCalibration.BuildFuncSelector).
-	FuncSelector = core.FuncSelector
+	// BucketSelector is the calibrated per-feature-bucket Select stage
+	// (LoopCalibration.BuildSelector, FuncCalibration.BuildFuncSelector).
+	BucketSelector = core.BucketSelector
 
 	// Func2 approximates functions of two numeric parameters — the
 	// multi-parameter extension the paper notes in footnote 1.

@@ -96,12 +96,12 @@ func TestIntegrationMultiApproximationApp(t *testing.T) {
 	}
 
 	// ---- Global coordination -----------------------------------------
-	// HighFraction 0.1: only give accuracy back when the measured loss is
-	// far below the SLA. Function version ladders are coarse (one Taylor
-	// degree per step), so the default 0.9 band would flap between a
-	// too-precise and a too-approximate configuration.
+	// DecreasePatience 6: only give accuracy back after six windows in a
+	// row under the band. Function version ladders are coarse (one Taylor
+	// degree per step), so acting on every low window would flap between
+	// a too-precise and a too-approximate configuration.
 	app, err := green.NewApp(green.AppConfig{
-		Name: "miniweb", SLA: appSLA, Seed: 9, HighFraction: 0.1,
+		Name: "miniweb", SLA: appSLA, Seed: 9,
 		DecreasePatience: 6,
 	})
 	if err != nil {

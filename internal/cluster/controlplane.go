@@ -139,10 +139,11 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 		}
 		// Correction: scale the model's predicted losses by how the
 		// observed monitored loss compares to the prediction at the
-		// shard's current level — the same interpolation and the same
-		// clamp a selector bucket uses (model.KnotLoss, CorrectionRatio),
-		// so noise cannot run away. A prediction too small to form a
-		// ratio leaves the shard's model uncorrected.
+		// shard's current level, read between the knots by
+		// model.KnotLoss and clamped by model.CorrectionRatio as a
+		// selector bucket's ratio is, so noise cannot run away. A
+		// prediction too small to form a ratio leaves the shard's model
+		// uncorrected.
 		corr := 1.0
 		if ctl.polled && ctl.lastMonitored > 0 {
 			pred := model.KnotLoss(ctl.candLevels, ctl.candLoss, ctl.baseLevel, ctl.lastLevel)

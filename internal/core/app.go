@@ -43,9 +43,6 @@ type AppConfig struct {
 	// SLA is the application-level QoS SLA (the paper's additional
 	// application QoS_Compute / QoS SLA pair); it must lie in (0,1].
 	SLA float64
-	// HighFraction is the fraction of the SLA below which the App
-	// decreases accuracy (DefaultPolicy's 0.9); zero means 0.9.
-	HighFraction float64
 	// BackoffThreshold is the number of consecutive low-QoS observations
 	// after which the coordinator concludes the approximations interact
 	// non-linearly and switches to randomized exponential backoff. Zero
@@ -99,9 +96,6 @@ func NewApp(cfg AppConfig) (*App, error) {
 	if cfg.MaxBackoffRounds == 0 {
 		cfg.MaxBackoffRounds = 6
 	}
-	if cfg.HighFraction == 0 {
-		cfg.HighFraction = 0.9
-	}
 	if cfg.DecreasePatience == 0 {
 		cfg.DecreasePatience = 1
 	}
@@ -140,24 +134,25 @@ func (a *App) AllDisabled() bool {
 
 // ObserveAppQoS drives global recalibration with one measured
 // application-level QoS loss (aggregated however the application's
-// QoS_Compute defines). It applies the paper's logic:
+// QoS_Compute defines). DefaultPolicy's band (Figure 3) decides the
+// direction:
 //
-//   - loss within [HighFraction*SLA, SLA]: nothing to do;
+//   - loss within [0.9*SLA, SLA]: nothing to do;
 //   - loss above SLA: increase accuracy, choosing the unit whose local
 //     model promises the most QoS recovered per work spent; after
 //     BackoffThreshold consecutive failures, escalate to randomized
 //     exponential backoff — each round adjusts a randomly chosen,
 //     doubling-size subset of units by random amounts, and after
 //     MaxBackoffRounds all approximation is disabled;
-//   - loss below HighFraction*SLA: decrease accuracy of the unit with the
+//   - loss below 0.9*SLA: decrease accuracy of the unit with the
 //     smallest sensitivity (cheapest QoS give-back for the most work
 //     saved).
 func (a *App) ObserveAppQoS(loss float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.observations++
-	switch {
-	case loss > a.cfg.SLA:
+	switch (DefaultPolicy{}).Observe(loss, a.cfg.SLA).Action {
+	case ActIncrease:
 		a.lowStreak++
 		a.highStreak = 0
 		if a.lowStreak > a.cfg.BackoffThreshold {
@@ -165,7 +160,7 @@ func (a *App) ObserveAppQoS(loss float64) {
 			return
 		}
 		a.increaseBestLocked()
-	case loss < a.cfg.HighFraction*a.cfg.SLA:
+	case ActDecrease:
 		a.lowStreak = 0
 		a.backoffRound = 0
 		a.highStreak++

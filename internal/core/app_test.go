@@ -199,7 +199,7 @@ func TestAppBackoffEscalationCappedAtMaxRounds(t *testing.T) {
 }
 
 // TestAppBackoffRoundResetsWhenQoSRecovers covers both recovery branches:
-// a loss back inside the [HighFraction*SLA, SLA] band and a loss below
+// a loss back inside the [0.9*SLA, SLA] band and a loss below
 // the band both clear backoffRound, and a fresh low-QoS episode must
 // climb through BackoffThreshold sensitivity-ranked adjustments again
 // before backoff re-engages.
@@ -209,7 +209,7 @@ func TestAppBackoffRoundResetsWhenQoSRecovers(t *testing.T) {
 		loss float64
 	}{
 		{"in-band", 0.019},      // within [0.018, 0.02]
-		{"below-band", 0.001},   // under HighFraction*SLA: also decreases
+		{"below-band", 0.001},   // under 0.9*SLA: also decreases
 		{"at-zero-loss", 0.000}, // fully precise-looking QoS
 	} {
 		t.Run(recovery.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"green/internal/model"
@@ -27,12 +28,7 @@ type LoopCalibration struct {
 	workSums  []float64
 	runs      int
 
-	// Feature-tagged accumulation (FeatureBuckets/AddRunFeat): per
-	// feature bucket, the same per-knot loss sums, feeding
-	// BuildSelector's per-bucket curves.
-	featEdges    []float64
-	featLossSums [][]float64
-	featRuns     []int
+	feat bucketSums // FeatureBuckets/AddRunFeat, feeding BuildSelector
 }
 
 // NewLoopCalibration prepares a collection over the given candidate
@@ -93,17 +89,7 @@ func (c *LoopCalibration) Runs() int { return c.runs }
 // right) for feature-tagged calibration. Must be called before
 // AddRunFeat.
 func (c *LoopCalibration) FeatureBuckets(edges []float64) error {
-	if err := validateBucketEdges(edges); err != nil {
-		return err
-	}
-	n := len(edges) - 1
-	c.featEdges = append([]float64(nil), edges...)
-	c.featLossSums = make([][]float64, n)
-	c.featRuns = make([]int, n)
-	for b := 0; b < n; b++ {
-		c.featLossSums[b] = make([]float64, len(c.knots))
-	}
-	return nil
+	return c.feat.declare(edges, len(c.knots))
 }
 
 // AddRunFeat records one feature-tagged training input: AddRun's
@@ -112,64 +98,41 @@ func (c *LoopCalibration) FeatureBuckets(edges []float64) error {
 // (or with invalid Features) still train the global model — the
 // selector simply declines such inputs at run time.
 func (c *LoopCalibration) AddRunFeat(f Features, losses, work []float64) error {
-	if c.featEdges == nil {
-		return errors.New("core: AddRunFeat before FeatureBuckets")
+	if err := c.feat.ready("AddRunFeat"); err != nil {
+		return err
 	}
 	if err := c.AddRun(losses, work); err != nil {
 		return err
 	}
-	if !f.Valid {
-		return nil
+	if b := c.feat.bucket(f); b >= 0 {
+		for i, loss := range losses {
+			c.feat.add(b, i, loss)
+		}
 	}
-	b := bucketOf(c.featEdges, f.Key)
-	if b < 0 {
-		return nil
-	}
-	for i := range losses {
-		c.featLossSums[b][i] += losses[i]
-	}
-	c.featRuns[b]++
 	return nil
 }
 
-// BuildSelector averages the feature-tagged runs into a LoopSelector:
-// one loss curve per bucket over the knot grid, each forced into
-// a monotone non-increasing envelope (more iterations never predict
-// more loss) exactly as the global model's envelope is. Buckets that
-// saw no runs get no curve — the selector declines their inputs and
+// BuildSelector averages the feature-tagged runs into a BucketSelector
+// over the knot grid, falling back to the base level, each bucket's curve
+// forced into a monotone non-increasing envelope (more iterations never
+// predict more loss) exactly as the global model's envelope is. Buckets
+// that saw no runs get no curve — the selector declines their inputs and
 // the pipeline falls back to the reactive level.
-func (c *LoopCalibration) BuildSelector() (*LoopSelector, error) {
-	if c.featEdges == nil {
-		return nil, errors.New("core: BuildSelector before FeatureBuckets")
+func (c *LoopCalibration) BuildSelector() (*BucketSelector, error) {
+	loss, err := c.feat.curves("BuildSelector")
+	if err != nil {
+		return nil, err
 	}
-	tagged := 0
-	for _, n := range c.featRuns {
-		tagged += n
-	}
-	if tagged == 0 {
-		return nil, errors.New("core: no feature-tagged calibration runs")
-	}
-	n := len(c.featEdges) - 1
-	loss := make([][]float64, n)
-	for b := 0; b < n; b++ {
-		if c.featRuns[b] == 0 {
-			continue
-		}
-		loss[b] = make([]float64, len(c.knots))
-		for i := range c.knots {
-			loss[b][i] = c.featLossSums[b][i] / float64(c.featRuns[b])
-		}
-		// Envelope: walking down from the most precise knot, loss may
-		// never increase with level.
-		for i := len(c.knots) - 2; i >= 0; i-- {
-			if loss[b][i] < loss[b][i+1] {
-				loss[b][i] = loss[b][i+1]
+	for _, curve := range loss {
+		// Walking down from the most precise knot, loss may never
+		// increase with level.
+		for i := len(curve) - 2; i >= 0; i-- {
+			if curve[i] < curve[i+1] {
+				curve[i] = curve[i+1]
 			}
 		}
 	}
-	return newLoopSelector(c.baseLevel,
-		append([]float64(nil), c.featEdges...),
-		append([]float64(nil), c.knots...), loss), nil
+	return newBucketSelector("loop", c.feat.edges, c.Knots(), c.baseLevel, loss), nil
 }
 
 // Build averages the recorded runs into a LoopModel.
@@ -198,12 +161,7 @@ type FuncCalibration struct {
 	versions    []funcCalVersion
 	binWidth    float64
 
-	// Feature-tagged accumulation (FeatureBuckets/AddSampleFeat): per
-	// feature bucket, per version, the mean-loss sums feeding
-	// BuildFuncSelector.
-	featEdges   []float64
-	featLossSum [][]float64
-	featN       [][]int
+	feat bucketSums // FeatureBuckets/AddSampleFeat, feeding BuildFuncSelector
 }
 
 type funcCalVersion struct {
@@ -288,18 +246,7 @@ func (c *FuncCalibration) Calibrate(precise Fn, versions []Fn, inputs []float64,
 // tagged calibration (see LoopCalibration.FeatureBuckets). Must be
 // called before AddSampleFeat.
 func (c *FuncCalibration) FeatureBuckets(edges []float64) error {
-	if err := validateBucketEdges(edges); err != nil {
-		return err
-	}
-	n := len(edges) - 1
-	c.featEdges = append([]float64(nil), edges...)
-	c.featLossSum = make([][]float64, n)
-	c.featN = make([][]int, n)
-	for b := 0; b < n; b++ {
-		c.featLossSum[b] = make([]float64, len(c.versions))
-		c.featN[b] = make([]int, len(c.versions))
-	}
-	return nil
+	return c.feat.declare(edges, len(c.versions))
 }
 
 // AddSampleFeat records one feature-tagged sample: AddSample's global
@@ -307,57 +254,31 @@ func (c *FuncCalibration) FeatureBuckets(edges []float64) error {
 // falls in. Out-of-bucket or invalid Features still train the global
 // model.
 func (c *FuncCalibration) AddSampleFeat(f Features, version int, x, loss float64) error {
-	if c.featEdges == nil {
-		return errors.New("core: AddSampleFeat before FeatureBuckets")
+	if err := c.feat.ready("AddSampleFeat"); err != nil {
+		return err
 	}
 	if err := c.AddSample(version, x, loss); err != nil {
 		return err
 	}
-	if !f.Valid {
-		return nil
+	if b := c.feat.bucket(f); b >= 0 {
+		c.feat.add(b, version, loss)
 	}
-	b := bucketOf(c.featEdges, f.Key)
-	if b < 0 {
-		return nil
-	}
-	c.featLossSum[b][version] += loss
-	c.featN[b][version]++
 	return nil
 }
 
 // BuildFuncSelector averages the feature-tagged samples into a
-// FuncSelector: per bucket, the mean loss of every version of the
-// ladder. A bucket contributes a curve only when every version has at
-// least one sample there (a partial curve would silently prefer the
-// unsampled versions); other buckets decline at run time.
-func (c *FuncCalibration) BuildFuncSelector() (*FuncSelector, error) {
-	if c.featEdges == nil {
-		return nil, errors.New("core: BuildFuncSelector before FeatureBuckets")
+// BucketSelector over the ladder's version indices, falling back to
+// model.PreciseVersion.
+func (c *FuncCalibration) BuildFuncSelector() (*BucketSelector, error) {
+	loss, err := c.feat.curves("BuildFuncSelector")
+	if err != nil {
+		return nil, err
 	}
-	n := len(c.featEdges) - 1
-	loss := make([][]float64, n)
-	any := false
-	for b := 0; b < n; b++ {
-		full := true
-		for v := range c.versions {
-			if c.featN[b][v] == 0 {
-				full = false
-				break
-			}
-		}
-		if !full {
-			continue
-		}
-		loss[b] = make([]float64, len(c.versions))
-		for v := range c.versions {
-			loss[b][v] = c.featLossSum[b][v] / float64(c.featN[b][v])
-		}
-		any = true
+	versions := make([]float64, len(c.versions))
+	for v := range versions {
+		versions[v] = float64(v)
 	}
-	if !any {
-		return nil, errors.New("core: no feature bucket has samples for every version")
-	}
-	return newFuncSelector(append([]float64(nil), c.featEdges...), loss), nil
+	return newBucketSelector("func", c.feat.edges, versions, model.PreciseVersion, loss), nil
 }
 
 // Build averages the bins into a FuncModel.
@@ -378,4 +299,77 @@ func (c *FuncCalibration) Build() (*model.FuncModel, error) {
 		curves[i] = model.VersionCurve{Name: v.name, Work: v.work, Samples: samples}
 	}
 	return model.BuildFuncModel(c.name, c.preciseWork, curves)
+}
+
+// bucketSums is the feature-tagged half of a calibration: per feature
+// bucket, per candidate (a loop's knot or a ladder's version), the loss
+// sum and sample count behind a BucketSelector's curves.
+type bucketSums struct {
+	edges []float64
+	sum   [][]float64
+	n     [][]int
+}
+
+// declare validates and installs the bucket boundaries, clearing the
+// sums.
+func (a *bucketSums) declare(edges []float64, candidates int) error {
+	if err := validateBucketEdges(edges); err != nil {
+		return err
+	}
+	a.edges = append([]float64(nil), edges...)
+	a.sum = make([][]float64, len(edges)-1)
+	a.n = make([][]int, len(edges)-1)
+	for b := range a.sum {
+		a.sum[b] = make([]float64, candidates)
+		a.n[b] = make([]int, candidates)
+	}
+	return nil
+}
+
+// ready refuses op before the buckets are declared.
+func (a *bucketSums) ready(op string) error {
+	if a.edges == nil {
+		return fmt.Errorf("core: %s before FeatureBuckets", op)
+	}
+	return nil
+}
+
+// bucket returns the bucket of a tagged input, or -1 for invalid
+// Features or a key outside the declared buckets.
+func (a *bucketSums) bucket(f Features) int {
+	if !f.Valid {
+		return -1
+	}
+	return bucketOf(a.edges, f.Key)
+}
+
+func (a *bucketSums) add(b, candidate int, loss float64) {
+	a.sum[b][candidate] += loss
+	a.n[b][candidate]++
+}
+
+// curves averages the sums: per bucket, the mean loss at every
+// candidate. A bucket gets a curve only when every candidate has a
+// sample there (a partial curve would silently prefer the unsampled
+// candidates); the others stay nil and decline at run time.
+func (a *bucketSums) curves(op string) ([][]float64, error) {
+	if err := a.ready(op); err != nil {
+		return nil, err
+	}
+	loss := make([][]float64, len(a.sum))
+	found := false
+	for b := range a.sum {
+		if slices.Contains(a.n[b], 0) {
+			continue
+		}
+		loss[b] = make([]float64, len(a.sum[b]))
+		for i := range loss[b] {
+			loss[b][i] = a.sum[b][i] / float64(a.n[b][i])
+		}
+		found = true
+	}
+	if !found {
+		return nil, errors.New("core: no feature bucket has a sample at every candidate level")
+	}
+	return loss, nil
 }

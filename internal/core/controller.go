@@ -111,7 +111,7 @@ type controller[S any] struct {
 	// written only under mu (every observation takes it for the policy
 	// anyway), read lock-free by Stats.
 	lossTotal atomic.Uint64
-	brk       *breaker
+	brk       *Breaker
 
 	// sel is the optional Select stage. Nil when no Selector is
 	// installed, so an execution with Features pays one atomic load and
@@ -294,6 +294,11 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 	if c.policy == nil {
 		c.policy = DefaultPolicy{}
 	}
+	// A window restores BaseInterval when it closes; any other value
+	// would replace the configured Sample_QoS after the first window.
+	if w, ok := c.policy.(*WindowedPolicy); ok && w.BaseInterval != o.SampleInterval {
+		return fmt.Errorf("core: %s %q: WindowedPolicy BaseInterval %d differs from SampleInterval %d", kind, o.Name, w.BaseInterval, o.SampleInterval)
+	}
 	c.setInterval(int64(o.SampleInterval))
 	c.brk = newBreaker(o.BreakerThreshold, o.BreakerCooldown, o.SampleInterval)
 	return nil
@@ -320,7 +325,8 @@ func (c *controller[S]) stageExecute() obs {
 	n := c.count.Add(1)
 	o := obs{seq: n, monitor: c.rate.Load().divides(n)}
 	if !c.brk.closed() {
-		o.forced, o.probe = c.brk.observeBegin(n)
+		allow, probe := c.brk.Allow(n)
+		o.forced, o.probe = !allow, probe
 		if o.forced {
 			o.monitor = false
 		}
@@ -388,7 +394,8 @@ func (c *controller[S]) stageExecuteBatch(n int) batchObs {
 	first := end - int64(n) + 1
 	b := batchObs{first: first, monitorAt: -1}
 	if !c.brk.closed() {
-		b.forced, b.probe = c.brk.observeBegin(end)
+		allow, probe := c.brk.Allow(end)
+		b.forced, b.probe = !allow, probe
 		if b.forced {
 			// Breaker open: forced precise, monitoring suspended for the
 			// whole batch.
@@ -435,10 +442,10 @@ func (c *controller[S]) reconcileBatch(n, ran int) {
 // observations).
 func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, sd selDecision, apply func(*S, Action) float64) Action {
 	if panicked {
-		c.brk.onPanic(o.seq, o.probe)
+		c.brk.OnFailure(o.seq, o.probe)
 		return ActNone
 	}
-	c.brk.onSuccess(o.probe)
+	c.brk.OnSuccess(o.probe)
 
 	c.monitored.Add(1)
 
@@ -538,4 +545,4 @@ func (c *controller[S]) Stats() (executions, monitored int64, meanLoss float64) 
 
 // Breaker snapshots the controller's circuit-breaker state (panic
 // containment on the monitored path; see resilience.go).
-func (c *controller[S]) Breaker() BreakerStats { return c.brk.stats() }
+func (c *controller[S]) Breaker() BreakerStats { return c.brk.Stats() }

@@ -77,30 +77,43 @@ type BreakerStats struct {
 // maxCooldownFactor caps the exponential cool-down escalation.
 const maxCooldownFactor = 32
 
-// breaker is the per-controller circuit breaker. The closed-state fast
-// path is a single atomic load; transitions take b.mu.
-type breaker struct {
+// Breaker is the circuit breaker: every controller guards its QoS
+// callbacks with one, and the cluster shard client guards each worker
+// replica endpoint with one, so a replica that keeps failing (transport
+// errors, 5xx, malformed bodies) is isolated exactly the way a panicking
+// callback is. The caller supplies the consult sequence number n (a
+// controller's execution count, a replica's consult count); the
+// cool-down is measured in consults, so an open breaker heals only while
+// traffic keeps asking. The closed-state fast path is a single atomic
+// load; transitions take b.mu.
+type Breaker struct {
 	threshold    int64
 	baseCooldown int64
 
 	state     atomic.Int32
-	failures  atomic.Int64 // consecutive contained panics
-	contained atomic.Int64 // lifetime contained panics
+	failures  atomic.Int64 // consecutive failures
+	contained atomic.Int64 // lifetime failures
 	trips     atomic.Int64
 
 	mu       sync.Mutex
 	cooldown int64 // current cool-down (escalates on failed probes)
-	openedAt int64 // execution sequence at the last open
-	probeAt  int64 // execution sequence of the in-flight probe
+	openedAt int64 // consult sequence at the last open
+	probeAt  int64 // consult sequence of the in-flight probe
 }
 
-// newBreaker builds a breaker from the config knobs. threshold zero means
-// 3; negative means "never trip" (panics are still contained and
-// counted). cooldown zero derives four sampling intervals, floored at 16
-// executions so a breaker on an every-execution-monitored controller
-// still backs off meaningfully.
-func newBreaker(threshold, cooldown, sampleInterval int) *breaker {
-	b := &breaker{}
+// NewBreaker builds a standalone breaker. threshold zero means 3,
+// negative means "never trip" (failures are still counted); cooldown
+// zero derives the default floor of 16 consults.
+func NewBreaker(threshold, cooldown int) *Breaker {
+	return newBreaker(threshold, cooldown, 1)
+}
+
+// newBreaker builds a controller's breaker from its config knobs, as
+// NewBreaker, except that a zero cooldown derives four sampling
+// intervals, floored at 16 executions so a breaker on an
+// every-execution-monitored controller still backs off meaningfully.
+func newBreaker(threshold, cooldown, sampleInterval int) *Breaker {
+	b := &Breaker{}
 	switch {
 	case threshold < 0:
 		b.threshold = math.MaxInt64
@@ -121,46 +134,48 @@ func newBreaker(threshold, cooldown, sampleInterval int) *breaker {
 }
 
 // closed is the closed-state fast path, small enough to inline into the
-// Execute stage: while it holds, observeBegin has nothing to say.
-func (b *breaker) closed() bool {
+// Execute stage: while it holds, Allow has nothing to say.
+func (b *Breaker) closed() bool {
 	return BreakerState(b.state.Load()) == BreakerClosed
 }
 
-// observeBegin is consulted once per execution (sequence number n) on the
-// controller's Begin/Call path. It reports whether this execution must run
-// forced-precise with monitoring suspended, and whether it is the
-// half-open probe (forced monitored, callbacks enabled).
-func (b *breaker) observeBegin(n int64) (forcePrecise, probe bool) {
+// Allow reports whether the guarded resource may be used at consult
+// sequence n — a controller runs a refused execution forced precise with
+// monitoring suspended — and whether this use is the half-open probe
+// (the caller reports its outcome via OnFailure/OnSuccess with
+// probe=true; a controller forces the probe monitored).
+func (b *Breaker) Allow(n int64) (allow, probe bool) {
 	if b.closed() {
-		return false, false
+		return true, false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch BreakerState(b.state.Load()) {
 	case BreakerClosed: // raced closed since the fast-path load
-		return false, false
+		return true, false
 	case BreakerOpen:
 		if n-b.openedAt >= b.cooldown {
 			b.state.Store(int32(BreakerHalfOpen))
 			b.probeAt = n
-			return false, true
+			return true, true
 		}
-		return true, false
+		return false, false
 	default: // BreakerHalfOpen
-		// If the in-flight probe's handle was lost (never Finished), the
+		// If the in-flight probe's outcome was lost (never reported), the
 		// breaker would stay half-open forever; after another cool-down
 		// give up on it and launch a fresh probe.
 		if n-b.probeAt >= b.cooldown {
 			b.probeAt = n
-			return false, true
+			return true, true
 		}
-		return true, false
+		return false, false
 	}
 }
 
-// onPanic records a contained panic observed at execution sequence n and
-// reports whether it tripped (or re-opened) the breaker.
-func (b *breaker) onPanic(n int64, probe bool) (tripped bool) {
+// OnFailure records a failure (for a controller, a contained panic)
+// observed at consult sequence n and reports whether it tripped (or
+// re-opened) the breaker.
+func (b *Breaker) OnFailure(n int64, probe bool) (tripped bool) {
 	b.contained.Add(1)
 	f := b.failures.Add(1)
 	b.mu.Lock()
@@ -185,9 +200,10 @@ func (b *breaker) onPanic(n int64, probe bool) (tripped bool) {
 	return false
 }
 
-// onSuccess records a clean monitored observation. A successful probe
-// closes the breaker and resets the cool-down escalation.
-func (b *breaker) onSuccess(probe bool) {
+// OnSuccess records a clean use (for a controller, a clean monitored
+// observation). A successful probe closes the breaker and resets the
+// cool-down escalation.
+func (b *Breaker) OnSuccess(probe bool) {
 	b.failures.Store(0)
 	if !probe {
 		return
@@ -200,62 +216,13 @@ func (b *breaker) onSuccess(probe bool) {
 	}
 }
 
-// stats snapshots the breaker.
-func (b *breaker) stats() BreakerStats {
+// Stats snapshots the breaker. ContainedPanics counts every recorded
+// failure.
+func (b *Breaker) Stats() BreakerStats {
 	return BreakerStats{
 		State:               BreakerState(b.state.Load()),
 		ConsecutiveFailures: b.failures.Load(),
 		ContainedPanics:     b.contained.Load(),
 		Trips:               b.trips.Load(),
 	}
-}
-
-// Breaker is the standalone form of the per-controller circuit breaker,
-// for guarding things that are not QoS callbacks with the same state
-// machine — the cluster shard client wraps one around every worker
-// replica endpoint, so a replica that keeps failing (transport errors,
-// 5xx, malformed bodies) is isolated exactly the way a panicking QoS
-// callback is: trip after Threshold consecutive failures, cool down
-// over Allow consults, half-open with a single probe, escalate the
-// cool-down on failed probes.
-//
-// The caller supplies the consult sequence number n (a per-guarded-
-// resource atomic counter); the cool-down is measured in consults, so
-// an open breaker heals only while traffic keeps asking.
-type Breaker struct {
-	b *breaker
-}
-
-// NewBreaker builds a standalone breaker. threshold zero means 3,
-// negative means "never trip" (failures are still counted); cooldown
-// zero derives the default floor of 16 consults.
-func NewBreaker(threshold, cooldown int) *Breaker {
-	return &Breaker{b: newBreaker(threshold, cooldown, 1)}
-}
-
-// Allow reports whether the guarded resource may be used at consult
-// sequence n, and whether this use is the half-open probe (the caller
-// must report the probe's outcome via OnFailure/OnSuccess with
-// probe=true).
-func (x *Breaker) Allow(n int64) (allow, probe bool) {
-	forcePrecise, probe := x.b.observeBegin(n)
-	return !forcePrecise, probe
-}
-
-// OnFailure records a failed use observed at consult sequence n and
-// reports whether it tripped (or re-opened) the breaker.
-func (x *Breaker) OnFailure(n int64, probe bool) (tripped bool) {
-	return x.b.onPanic(n, probe)
-}
-
-// OnSuccess records a clean use; a successful probe closes the breaker
-// and resets the cool-down escalation.
-func (x *Breaker) OnSuccess(probe bool) {
-	x.b.onSuccess(probe)
-}
-
-// Stats snapshots the breaker. ContainedPanics counts every recorded
-// failure for a standalone breaker.
-func (x *Breaker) Stats() BreakerStats {
-	return x.b.stats()
 }

@@ -11,26 +11,23 @@ import (
 	"green/internal/model"
 )
 
-// The concrete Select-stage implementations: per-feature-bucket loss
-// curves fit during calibration, piecewise over the same level grid the
-// reactive model uses, with Correct-stage drift repair.
+// The Select stage's one implementation, BucketSelector: per-feature-
+// bucket loss curves fit during calibration, with Correct-stage drift
+// repair.
 //
 // A selector partitions the feature domain (Features.Key) into buckets
 // and keeps, per bucket, the calibrated mean loss at every candidate
-// level. Select inverts the bucket's curve: the cheapest level whose
-// corrected predicted loss stays within the SLA. Correct compares each
-// monitored observation against the bucket's prediction and moves the
-// bucket's multiplicative correction factor toward the observed/
-// predicted ratio — interpolated and clamped by the same two functions
-// the cluster control plane applies to shard-level corrections
-// (model.KnotLoss, model.CorrectionRatio), so one noisy window cannot
-// swing a bucket's whole curve by orders of magnitude.
+// level. Select inverts the bucket's curve: the cheapest candidate whose
+// corrected loss stays within the SLA. Correct compares each monitored
+// observation against the bucket's loss at the chosen candidate and
+// moves the bucket's multiplicative factor toward the observed/predicted
+// ratio, clamped by model.CorrectionRatio as the cluster control plane
+// clamps shard corrections, so one noisy window cannot swing a bucket's
+// whole curve by orders of magnitude.
 //
-// The curves themselves are immutable after build; only the factor
-// vector mutates, copy-on-write under the store's own lock, so Select
-// stays lock-free and allocation-free on the hot path. LoopSelector and
-// FuncSelector embed one bucketStore for all of that and add only how a
-// bucket's curve is read: over a knot grid, or per ladder version.
+// The curves are immutable after build; only the factor vector mutates,
+// copy-on-write under the selector's own lock, so Select stays lock-free
+// and allocation-free on the hot path.
 
 // selectorStateVersion versions the persisted selector section of a
 // controller snapshot. Restore rejects other versions.
@@ -114,42 +111,48 @@ func bucketOf(edges []float64, key float64) int {
 	return b
 }
 
-// bucketStore is the state LoopSelector and FuncSelector share: the
-// feature-bucket boundaries, one calibrated loss curve per bucket (nil
-// for a bucket that saw no calibration data — Select declines there),
-// and the per-bucket drift-correction factors behind a copy-on-write
-// atomic pointer.
-type bucketStore struct {
-	kind  string      // SelectorState.Kind: "loop" or "func"
-	edges []float64   // bucket boundaries, ascending, len = buckets+1
-	loss  [][]float64 // [bucket][knot or version] calibrated mean loss
+// BucketSelector is the Select stage: per feature bucket, the calibrated
+// mean loss at every candidate level. A loop's candidates are its knots
+// and its fallback the base level (LoopCalibration.BuildSelector); a
+// ladder's candidates are its version indices and its fallback
+// model.PreciseVersion (FuncCalibration.BuildFuncSelector).
+type BucketSelector struct {
+	kind     string      // SelectorState.Kind: "loop" or "func"
+	edges    []float64   // bucket boundaries, ascending, len = buckets+1
+	levels   []float64   // candidate levels, ascending
+	fallback float64     // the level when no candidate meets the SLA
+	loss     [][]float64 // [bucket][candidate]; nil for a bucket without a curve
 
 	factors atomic.Pointer[[]float64]
-	mu      sync.Mutex // serializes factor rebuilds (correct, Restore)
+	mu      sync.Mutex // serializes factor rebuilds (Correct, Restore)
 }
 
-// init wires a built store with every factor at 1.
-func (s *bucketStore) init(kind string, edges []float64, loss [][]float64) {
-	s.kind, s.edges, s.loss = kind, edges, loss
+// newBucketSelector wires a built selector with every factor at 1.
+func newBucketSelector(kind string, edges, levels []float64, fallback float64, loss [][]float64) *BucketSelector {
+	s := &BucketSelector{kind: kind, edges: append([]float64(nil), edges...), levels: levels, fallback: fallback, loss: loss}
 	f := make([]float64, len(edges)-1)
 	for i := range f {
 		f[i] = 1
 	}
 	s.factors.Store(&f)
+	return s
 }
 
 // Buckets returns the number of feature buckets.
-func (s *bucketStore) Buckets() int { return len(s.edges) - 1 }
+func (s *BucketSelector) Buckets() int { return len(s.edges) - 1 }
+
+// Edges returns a copy of the bucket boundary vector.
+func (s *BucketSelector) Edges() []float64 { return append([]float64(nil), s.edges...) }
 
 // Factors returns a copy of the live per-bucket correction factors.
-func (s *bucketStore) Factors() []float64 {
+func (s *BucketSelector) Factors() []float64 {
 	return append([]float64(nil), (*s.factors.Load())...)
 }
 
 // bucket maps the input onto a calibrated bucket and its live factor; ok
 // is false outside the feature domain and in buckets without a curve.
 // Lock-free; no allocation.
-func (s *bucketStore) bucket(f Features) (b int, factor float64, ok bool) {
+func (s *BucketSelector) bucket(f Features) (b int, factor float64, ok bool) {
 	b = bucketOf(s.edges, f.Key)
 	if b < 0 || s.loss[b] == nil {
 		return b, 0, false
@@ -157,14 +160,59 @@ func (s *bucketStore) bucket(f Features) (b int, factor float64, ok bool) {
 	return b, (*s.factors.Load())[b], true
 }
 
-// correct moves bucket b's factor one Correct-stage step given the
-// bucket curve's uncorrected prediction and the observed loss. Returns
-// true when the factor moved.
-func (s *bucketStore) correct(b int, rawPredicted, observed float64) bool {
+// candidate returns the index of level among the candidates; ok is false
+// for any other level, the fallback included.
+func (s *BucketSelector) candidate(level float64) (i int, ok bool) {
+	i = sort.SearchFloat64s(s.levels, level)
+	return i, i < len(s.levels) && s.levels[i] == level
+}
+
+// Select implements Selector: the cheapest candidate whose corrected
+// loss for the input's bucket stays within the SLA, or the fallback when
+// none does. Declines invalid Features, inputs outside the calibrated
+// domain and buckets without a curve. Lock-free; no allocation.
+func (s *BucketSelector) Select(f Features, sla float64) (float64, bool) {
+	if !f.Valid {
+		return 0, false
+	}
+	b, fac, ok := s.bucket(f)
+	if !ok {
+		return 0, false
+	}
+	for i, loss := range s.loss[b] {
+		if fac*loss <= sla {
+			return s.levels[i], true
+		}
+	}
+	return s.fallback, true
+}
+
+// PredictLoss returns the corrected loss the input's bucket predicts at a
+// candidate level: 0 at any other level and outside the calibrated
+// domain. For experiments and tests.
+func (s *BucketSelector) PredictLoss(f Features, level float64) float64 {
+	b, fac, ok := s.bucket(f)
+	i, at := s.candidate(level)
+	if !ok || !at {
+		return 0
+	}
+	return fac * s.loss[b][i]
+}
+
+// Correct implements Selector: move the input bucket's correction factor
+// toward the clamped ratio of the observed loss to the bucket's
+// prediction at the chosen candidate. The fallback level carries no
+// prediction and is skipped. Returns true when the factor moved.
+func (s *BucketSelector) Correct(f Features, level, loss float64) bool {
+	b, _, ok := s.bucket(f)
+	i, at := s.candidate(level)
+	if !ok || !at {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := *s.factors.Load()
-	next, moved := correctFactor(cur[b], cur[b]*rawPredicted, observed)
+	next, moved := correctFactor(cur[b], cur[b]*s.loss[b][i], loss)
 	if !moved {
 		return false
 	}
@@ -175,13 +223,13 @@ func (s *bucketStore) correct(b int, rawPredicted, observed float64) bool {
 }
 
 // State implements Selector.
-func (s *bucketStore) State() SelectorState {
+func (s *BucketSelector) State() SelectorState {
 	return SelectorState{Version: selectorStateVersion, Kind: s.kind, Factors: s.Factors()}
 }
 
 // Restore implements Selector: validate, then install the persisted
 // factor vector.
-func (s *bucketStore) Restore(st SelectorState) error {
+func (s *BucketSelector) Restore(st SelectorState) error {
 	if err := validateSelectorState(st, s.kind, s.Buckets()); err != nil {
 		return err
 	}
@@ -215,114 +263,4 @@ func correctFactor(fac, predicted, observed float64) (next float64, moved bool) 
 		return fac, false
 	}
 	return next, true
-}
-
-// LoopSelector is the Select stage for loops: per-feature-bucket loss
-// curves over the calibration knot grid. Built by
-// LoopCalibration.BuildSelector.
-type LoopSelector struct {
-	bucketStore
-	base   float64   // the precise level (LoopCalibration baseLevel)
-	levels []float64 // knot grid, ascending, shared by all buckets
-}
-
-// newLoopSelector wires a built selector; loss[b] == nil marks a bucket
-// that saw no calibration runs (Select declines there).
-func newLoopSelector(base float64, edges, levels []float64, loss [][]float64) *LoopSelector {
-	s := &LoopSelector{base: base, levels: levels}
-	s.init("loop", edges, loss)
-	return s
-}
-
-// Edges returns a copy of the bucket boundary vector.
-func (s *LoopSelector) Edges() []float64 { return append([]float64(nil), s.edges...) }
-
-// Select implements Selector: the cheapest calibrated level whose
-// corrected predicted loss for the input's bucket stays within the SLA,
-// or the precise base level when no knot qualifies. Declines inputs
-// outside the calibrated feature domain and buckets that saw no
-// calibration runs. Lock-free; no allocation.
-func (s *LoopSelector) Select(f Features, sla float64) (float64, bool) {
-	if !f.Valid {
-		return 0, false
-	}
-	b, fac, ok := s.bucket(f)
-	if !ok {
-		return 0, false
-	}
-	curve := s.loss[b]
-	for i := range s.levels {
-		if fac*curve[i] <= sla {
-			return s.levels[i], true
-		}
-	}
-	return s.base, true
-}
-
-// PredictLoss returns the corrected predicted loss for the input at the
-// given level (0 outside the calibrated domain), for experiments and
-// tests.
-func (s *LoopSelector) PredictLoss(f Features, level float64) float64 {
-	b, fac, ok := s.bucket(f)
-	if !ok {
-		return 0
-	}
-	return fac * model.KnotLoss(s.levels, s.loss[b], s.base, level)
-}
-
-// Correct implements Selector: move the input bucket's correction
-// factor toward the clamped observed/predicted loss ratio. Returns
-// true when the factor moved.
-func (s *LoopSelector) Correct(f Features, level, loss float64) bool {
-	b, _, ok := s.bucket(f)
-	if !ok {
-		return false
-	}
-	return s.correct(b, model.KnotLoss(s.levels, s.loss[b], s.base, level), loss)
-}
-
-// FuncSelector is the Select stage for approximable functions: per-
-// feature-bucket mean loss per version of the ladder. Select returns
-// the version index as the level (model.PreciseVersion when only the
-// precise function satisfies the SLA). Built by
-// FuncCalibration.BuildFuncSelector.
-type FuncSelector struct {
-	bucketStore
-}
-
-func newFuncSelector(edges []float64, loss [][]float64) *FuncSelector {
-	s := &FuncSelector{}
-	s.init("func", edges, loss)
-	return s
-}
-
-// Select implements Selector: the cheapest version (versions ladder
-// ascends in precision and work) whose corrected bucket mean loss
-// stays within the SLA; model.PreciseVersion when none does. Lock-free;
-// no allocation.
-func (s *FuncSelector) Select(f Features, sla float64) (float64, bool) {
-	if !f.Valid {
-		return 0, false
-	}
-	b, fac, ok := s.bucket(f)
-	if !ok {
-		return 0, false
-	}
-	for v, loss := range s.loss[b] {
-		if fac*loss <= sla {
-			return float64(v), true
-		}
-	}
-	return float64(model.PreciseVersion), true
-}
-
-// Correct implements Selector. Precise-version selections carry no
-// curve prediction and are skipped.
-func (s *FuncSelector) Correct(f Features, level, loss float64) bool {
-	v := int(level)
-	b, _, ok := s.bucket(f)
-	if !ok || v < 0 || v >= len(s.loss[b]) {
-		return false
-	}
-	return s.correct(b, s.loss[b][v], loss)
 }

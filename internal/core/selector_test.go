@@ -85,12 +85,12 @@ func TestCorrectFactor(t *testing.T) {
 	}
 }
 
-// --- LoopSelector: build, select, correct, persist --------------------
+// --- loop kind: build, select, correct, persist -----------------------
 
-// selectorFixture builds a two-bucket LoopSelector over the
+// selectorFixture builds a two-bucket loop-kind selector over the
 // testLoopModel knot grid: bucket 0 (keys [0,10)) needs level 800 to
 // stay under a 0.05 SLA, bucket 1 (keys [10,20]) is satisfied at 100.
-func selectorFixture(t *testing.T) *LoopSelector {
+func selectorFixture(t *testing.T) *BucketSelector {
 	t.Helper()
 	knots := []float64{100, 200, 400, 800, 1600}
 	cal, err := NewLoopCalibration("loop", knots, 3200, 3200)
@@ -168,6 +168,12 @@ func TestLoopSelectorDeclinesEmptyBucket(t *testing.T) {
 func TestLoopSelectorCorrect(t *testing.T) {
 	sel := selectorFixture(t)
 	f := Features{Key: 5, Valid: true}
+	// The base level the selector falls back to carries no curve
+	// prediction, so an observation there moves nothing (as the func kind
+	// skips the precise version).
+	if sel.Correct(f, 3200, 0.3) {
+		t.Error("correction at the base level moved a factor")
+	}
 	// Observed loss 5x the bucket prediction at level 800 (0.04): the
 	// ratio clamps at model.CorrHi and the factor steps to 1.75.
 	if !sel.Correct(f, 800, 0.20) {
@@ -287,7 +293,7 @@ func TestBuildSelectorErrors(t *testing.T) {
 	}
 }
 
-// --- FuncSelector -----------------------------------------------------
+// --- func kind --------------------------------------------------------
 
 func TestFuncSelector(t *testing.T) {
 	cal, err := NewFuncCalibration("sq", 18, []string{"v0", "v1"}, []float64{4, 8}, 1)
@@ -533,7 +539,7 @@ func TestLoopStateSelectorSkew(t *testing.T) {
 	if err := dst.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if facs := dst.Selector().(*LoopSelector).Factors(); math.Abs(facs[0]-1.75) > 1e-12 {
+	if facs := dst.Selector().(*BucketSelector).Factors(); math.Abs(facs[0]-1.75) > 1e-12 {
 		t.Errorf("restored factor = %v, want 1.75", facs[0])
 	}
 
@@ -546,7 +552,7 @@ func TestLoopStateSelectorSkew(t *testing.T) {
 	if err := cold.Restore(old); err != nil {
 		t.Fatal(err)
 	}
-	if facs := cold.Selector().(*LoopSelector).Factors(); facs[0] != 1 || facs[1] != 1 {
+	if facs := cold.Selector().(*BucketSelector).Factors(); facs[0] != 1 || facs[1] != 1 {
 		t.Errorf("cold selector factors = %v, want all 1", facs)
 	}
 	if execs, _, _ := cold.Stats(); execs != snap.Count {
@@ -574,7 +580,7 @@ func TestLoopStateSelectorSkew(t *testing.T) {
 	if execs, _, _ := victim.Stats(); execs != 0 {
 		t.Errorf("rejected restore mutated the counters: count %d", execs)
 	}
-	if facs := victim.Selector().(*LoopSelector).Factors(); facs[0] != 1 {
+	if facs := victim.Selector().(*BucketSelector).Factors(); facs[0] != 1 {
 		t.Errorf("rejected restore mutated the selector: %v", facs)
 	}
 
@@ -607,7 +613,7 @@ func TestLoopStateSelectorJSONSkew(t *testing.T) {
 	if err := dst.RestoreStateJSON(data); err != nil {
 		t.Fatalf("pre-selector JSON rejected: %v", err)
 	}
-	if facs := dst.Selector().(*LoopSelector).Factors(); facs[0] != 1 {
+	if facs := dst.Selector().(*BucketSelector).Factors(); facs[0] != 1 {
 		t.Errorf("pre-selector JSON warmed the selector: %v", facs)
 	}
 }

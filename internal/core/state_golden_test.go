@@ -62,7 +62,7 @@ func goldenAdaptiveLoop(t *testing.T, drive bool) *Loop {
 	return l
 }
 
-// goldenSelectorLoop carries an installed LoopSelector; driven, one
+// goldenSelectorLoop carries an installed loop-kind selector; driven, one
 // monitored execution per bucket moves both correction factors.
 func goldenSelectorLoop(t *testing.T, drive bool) *Loop {
 	t.Helper()
@@ -83,7 +83,7 @@ func goldenSelectorLoop(t *testing.T, drive bool) *Loop {
 	return l
 }
 
-// goldenFuncCtl is funcFixture with a FuncSelector installed; driven, it
+// goldenFuncCtl is funcFixture with a func-kind selector installed; driven, it
 // mixes range-routed calls with one monitored selector-routed call whose
 // loss undershoots the bucket's prediction, so the offset goes negative,
 // the work counter accumulates, and one bucket factor moves.
@@ -182,7 +182,7 @@ func TestStateWireFormatRestoreIsLive(t *testing.T) {
 	if l.Level() != 200 {
 		t.Errorf("restored level = %v, want 200", l.Level())
 	}
-	if got := l.Selector().(*LoopSelector).Factors(); len(got) != 2 || got[0] != 1.75 || got[1] != 0.875 {
+	if got := l.Selector().(*BucketSelector).Factors(); len(got) != 2 || got[0] != 1.75 || got[1] != 0.875 {
 		t.Errorf("restored selector factors = %v, want [1.75 0.875]", got)
 	}
 

@@ -344,7 +344,7 @@ func crestFactor(sig []float64) float64 {
 func selectorDFTRows(o Options, t *Table) error {
 	f := newDFTFixture(o)
 	versions := dftVersionSet()
-	// The FuncSelector walks its ladder cheapest-first, so order the
+	// The func-kind selector walks its ladder cheapest-first, so order the
 	// version set by work ascending (name-stable for determinism).
 	sort.SliceStable(versions, func(i, j int) bool {
 		wi := versions[i].cosGrade.Terms() + versions[i].sinGrade.Terms()
@@ -383,7 +383,7 @@ func selectorDFTRows(o Options, t *Table) error {
 		}
 	}
 
-	// Proactive: a FuncSelector bucketed by crest factor.
+	// Proactive: a func-kind selector bucketed by crest factor.
 	fcal, err := core.NewFuncCalibration("dft.trig", sw.base[0], sw.names, sw.work[0], 1)
 	if err != nil {
 		return err

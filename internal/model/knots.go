@@ -1,10 +1,11 @@
 package model
 
-// The two laws every consumer of a calibrated loss curve shares: reading
-// the curve between its knots, and correcting it from an observation.
-// core's per-bucket LoopSelector and the cluster control plane's
-// per-shard correction both call these, so a selector bucket and a shard
-// model interpolate — and are clamped — identically.
+// Reading a calibrated loss curve between its knots, and correcting it
+// from an observation. KnotLoss is the cluster control plane's: a shard's
+// monitored level can fall anywhere on the grid. CorrectionRatio is
+// shared: core's BucketSelector, which only ever reads a bucket at one of
+// its candidate levels, and the control plane's per-shard correction
+// both call it, so a bucket and a shard model are clamped identically.
 
 // CorrLo and CorrHi bound every observed/predicted loss correction, so
 // one noisy monitoring window cannot swing a whole curve by orders of

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestKnotLoss: the one knot interpolator behind both LoopSelector's
-// per-bucket prediction and the control plane's per-shard correction.
+// TestKnotLoss: the knot interpolator behind the control plane's
+// per-shard correction.
 func TestKnotLoss(t *testing.T) {
 	levels := []float64{100, 1000}
 	losses := []float64{0.03, 0.005}

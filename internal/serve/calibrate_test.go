@@ -55,7 +55,7 @@ func TestCalibrationOnePassMatchesReruns(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("one-pass model\n%+v\nreruns\n%+v", got.Points, want.Points)
 	}
-	sel := s.Loop().Selector().(*core.LoopSelector)
+	sel := s.Loop().Selector().(*core.BucketSelector)
 	edges := sel.Edges()
 	if !reflect.DeepEqual(edges, wantSel.Edges()) {
 		t.Fatalf("selector edges %v, reruns %v", edges, wantSel.Edges())

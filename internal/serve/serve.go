@@ -302,7 +302,7 @@ func (s *Server) knotLosses(knots []float64) func(q search.Query, losses, work [
 // quartiles) and builds the per-input selector beside the reactive
 // model; a degenerate feature distribution silently yields no selector
 // (reactive-only).
-func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, *core.LoopSelector, error) {
+func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, *core.BucketSelector, error) {
 	baseLevel := float64(s.engine.Docs())
 	cal, err := core.NewLoopCalibration(matchName, knots, baseLevel, baseLevel)
 	if err != nil {
@@ -349,7 +349,7 @@ func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, feat 
 // set, calibration tags every training query with its feature vector —
 // the summed posting-list length of its terms (Key) and its term count
 // (Aux1) — and fits per-feature-bucket loss curves beside the global
-// reactive model. The built core.LoopSelector is installed on the match
+// reactive model. The built core.BucketSelector is installed on the match
 // loop, so each served query's approximation level is chosen from its
 // own bucket's curve (Select) before the scan runs, while the monitored
 // sampling stream repairs bucket-level drift (Correct). Queries outside

@@ -20,11 +20,11 @@ go vet ./...
 echo "== newest CHANGES.md entry fits =="
 # Every change reads the ledger, so it has to fit in a head (ROADMAP
 # 9(a)): the newest entry — from the last line opening "- PR " to the
-# end of the file — is at most 40 lines. Mutation and measurement tables
+# end of the file — is at most 25 lines. Mutation and measurement tables
 # go to results/README.md.
 lines=$(awk '/^- PR /{n = 0} {n++} END {print n + 0}' CHANGES.md)
-if [ "$lines" -gt 40 ]; then
-	echo "FAIL: the newest CHANGES.md entry is $lines lines (at most 40)" >&2
+if [ "$lines" -gt 25 ]; then
+	echo "FAIL: the newest CHANGES.md entry is $lines lines (at most 25)" >&2
 	exit 1
 fi
 
@@ -33,7 +33,7 @@ echo "== DESIGN.md does not grow =="
 # in bytes after the last change that shrank it: a change that adds to
 # it removes as much elsewhere, and one that shrinks it lowers the cap,
 # down to the 45 kB target.
-design_max=88285
+design_max=87613
 bytes=$(wc -c < DESIGN.md)
 if [ "$bytes" -gt "$design_max" ]; then
 	echo "FAIL: DESIGN.md is $bytes bytes (at most $design_max)" >&2
@@ -299,7 +299,7 @@ echo "== hot path inlines =="
 # 160-byte member (init, load and arm assign the fields they own;
 # runtime.duffcopy was a fifth of Begin..Finish while they did not).
 inl=$(go build -gcflags=-m ./internal/core 2>&1)
-for fn in '(*loopMember).Continue' '(*loopMember).ContinueN' '(*breaker).closed' '(*sampleRate).divides'; do
+for fn in '(*loopMember).Continue' '(*loopMember).ContinueN' '(*Breaker).closed' '(*sampleRate).divides'; do
 	printf '%s\n' "$inl" | grep -F -q "can inline $fn" || {
 		echo "FAIL: $fn is no longer inlinable" >&2
 		exit 1
