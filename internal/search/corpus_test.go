@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // corpusHash is the SHA-256 of the engine's corpus, little-endian, in the
@@ -96,6 +97,68 @@ func TestCorpusFingerprint(t *testing.T) {
 		}
 		if got := corpusHash(e); got != c.want {
 			t.Errorf("%s: corpus hashes to %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPostingArena: NewEngine lays the posting lists end to end in one
+// array, in term order, each exactly full; each holds only kept documents,
+// in ascending id; and a kept document's tfs sum to its length. It runs
+// at the default vocabulary, whole and sharded, and at 70 000 terms,
+// where a term packed into 16 bits would land on another term's list
+// and leave the terms past 65 535 without postings.
+func TestPostingArena(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default 20k", Config{Seed: 7}},
+		{"20k shard 1 of 3", Config{Seed: 7, ShardIndex: 1, ShardCount: 3}},
+		{"70000 terms", Config{Seed: 7, VocabSize: 70000}},
+	}
+	for _, c := range cases {
+		e, err := NewEngine(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index, count := e.Shard()
+		count = max(count, 1)
+		sums := make([]int, len(e.docLen))
+		end, past16 := uintptr(0), 0 // where the previous list ends
+		for term, ps := range e.postings {
+			if len(ps) != cap(ps) {
+				t.Fatalf("%s: term %d holds %d postings with room for %d", c.name, term, len(ps), cap(ps))
+			}
+			if len(ps) == 0 {
+				continue
+			}
+			if start := uintptr(unsafe.Pointer(&ps[0])); end != 0 && start != end {
+				t.Fatalf("%s: term %d's list does not start where the previous list ends", c.name, term)
+			}
+			end = uintptr(unsafe.Pointer(&ps[0])) + uintptr(len(ps))*unsafe.Sizeof(Posting{})
+			prev := int64(-1)
+			for _, p := range ps {
+				if int64(p.Doc) <= prev || int(p.Doc)%count != index {
+					t.Fatalf("%s: term %d posts doc %d after doc %d", c.name, term, p.Doc, prev)
+				}
+				prev = int64(p.Doc)
+				sums[p.Doc] += int(p.TF)
+			}
+			if term >= 1<<16 {
+				past16 += len(ps)
+			}
+		}
+		for d, l := range e.docLen {
+			want := 0
+			if d%count == index {
+				want = int(l)
+			}
+			if sums[d] != want {
+				t.Fatalf("%s: doc %d of length %d has tfs summing to %d, want %d", c.name, d, l, sums[d], want)
+			}
+		}
+		if len(e.postings) > 1<<16 && past16 == 0 {
+			t.Fatalf("%s: no term past 65535 has a posting", c.name)
 		}
 	}
 }

@@ -74,6 +74,9 @@ func TestNewEngineAvgDocLenLimit(t *testing.T) {
 	if _, err := NewEngine(Config{Docs: 10, VocabSize: 10, AvgDocLen: 257, Seed: 1}); err == nil {
 		t.Error("AvgDocLen 257 accepted: its lists could outgrow a 16-bit impact index")
 	}
+	if _, err := NewEngine(Config{Docs: 10, VocabSize: 1<<23 + 1, Seed: 1}); err == nil {
+		t.Error("a vocabulary of 2^23+1 terms accepted: its terms outgrow the build's 23 bits")
+	}
 }
 
 // handEngine is a corpus of the given lengths whose single term posts

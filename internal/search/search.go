@@ -74,6 +74,10 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
+// tfBits holds any tf NewEngine draws: at most the longest document,
+// 383 terms.
+const tfBits = 9
+
 // Posting is one document entry in a term's posting list.
 type Posting struct {
 	Doc uint32
@@ -86,7 +90,7 @@ type Posting struct {
 // Engine is the search back-end.
 type Engine struct {
 	cfg      Config
-	postings [][]Posting // term -> postings sorted by doc id
+	postings [][]Posting // term -> postings sorted by doc id, end to end in one array
 	docLen   []uint32
 	quality  []float64 // per-doc static prior, decreasing in doc id
 	avgLen   float64
@@ -114,6 +118,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if c.AvgDocLen > 256 {
 		return nil, fmt.Errorf("search: average document length %d over 256", c.AvgDocLen)
 	}
+	// Pass one packs a term and a tf into 32 bits.
+	if c.VocabSize > 1<<(32-tfBits) {
+		return nil, fmt.Errorf("search: vocabulary of %d terms over %d", c.VocabSize, 1<<(32-tfBits))
+	}
 	if c.ShardCount > 1 && (c.ShardIndex < 0 || c.ShardIndex >= c.ShardCount) {
 		return nil, fmt.Errorf("search: shard index %d out of range [0, %d)", c.ShardIndex, c.ShardCount)
 	}
@@ -138,50 +146,82 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.quality[d] = c.QualityWeight * ((1 - frac) + 0.05*qualRng.NormFloat64())
 	}
 
-	// Build documents term by term: a document's term frequencies are
-	// counted in a dense array over the vocabulary, and touched lists the
-	// terms to post and zero again (a map here was a fifth of the build).
-	// Each posting is stamped with its document's length class, n - lo,
-	// so buildImpacts never looks a length up.
-	totalLen, lo := 0, c.AvgDocLen/2
-	tfs := make([]uint16, c.VocabSize)
-	touched := make([]uint32, 0, c.AvgDocLen+lo) // the longest document
-	for d := 0; d < c.Docs; d++ {
+	// Lengths come from their own stream, so they are all drawn first:
+	// their sum bounds the draws below.
+	draws, lo := 0, c.AvgDocLen/2
+	for d := range e.docLen {
 		n := lo + lenRng.Intn(c.AvgDocLen) // ~uniform around avg
 		e.docLen[d] = uint32(n)
-		totalLen += n
-		touched = touched[:0]
-		for i := 0; i < n; i++ {
+		draws += n
+	}
+	e.avgLen = float64(draws) / float64(c.Docs)
+	keep, step := 0, 1
+	if c.ShardCount > 1 {
+		keep, step = c.ShardIndex, c.ShardCount
+	}
+
+	// Pass one draws every document's terms in order, counting its term
+	// frequencies in a dense array over the vocabulary (touched lists the
+	// terms to visit and zero again; a map here was a fifth of the
+	// build). Every draw is written to touched and kept there only if it
+	// is its term's first in the document, without a branch: one taken
+	// half the time at random was a quarter of the build. A kept
+	// document's (term, tf) entries go to one flat slice in first-draw
+	// order, term<<tfBits | tf; df counts each term's documents over the
+	// whole corpus, for IDF, and kept over the documents this engine
+	// keeps. Half the kept draws is room enough: the default corpus has
+	// 0.40 entries per draw. The slice is as live as the arena below
+	// while pass two runs, so it is kept to 32 bits an entry.
+	df, kept := make([]int, c.VocabSize), make([]int, c.VocabSize)
+	entries := make([]uint32, 0, draws/step/2)
+	tfs := make([]uint16, c.VocabSize)
+	touched := make([]uint32, c.AvgDocLen+lo) // the longest document
+	for d, n := range e.docLen {
+		nt := 0
+		for i := uint32(0); i < n; i++ {
 			term := uint32(termZipf.Next())
+			touched[nt] = term
+			first := 0
 			if tfs[term] == 0 {
-				touched = append(touched, term)
+				first = 1
 			}
+			nt += first
 			tfs[term]++
 		}
-		for _, term := range touched {
-			e.postings[term] = append(e.postings[term], Posting{Doc: uint32(d), TF: tfs[term], pair: uint16(n - lo)})
+		mine := d%step == keep
+		for _, term := range touched[:nt] {
+			df[term]++
+			if mine {
+				kept[term]++
+				entries = append(entries, term<<tfBits|uint32(tfs[term]))
+			}
 			tfs[term] = 0
 		}
 	}
-	e.avgLen = float64(totalLen) / float64(c.Docs)
-	// Precompute IDF.
 	e.idf = make([]float64, c.VocabSize)
-	for t := range e.idf {
-		df := float64(len(e.postings[t]))
-		e.idf[t] = math.Log(1 + (float64(c.Docs)-df+0.5)/(df+0.5))
+	for t, n := range df {
+		f := float64(n)
+		e.idf[t] = math.Log(1 + (float64(c.Docs)-f+0.5)/(f+0.5))
 	}
-	// Shard filter, applied only after every corpus-wide statistic is in
-	// place: scoring must be identical across shard layouts, so only the
-	// posting lists shrink.
-	if c.ShardCount > 1 {
-		for t := range e.postings {
-			kept := e.postings[t][:0]
-			for _, p := range e.postings[t] {
-				if int(p.Doc)%c.ShardCount == c.ShardIndex {
-					kept = append(kept, p)
-				}
-			}
-			e.postings[t] = kept
+
+	// Pass two lays the kept postings into one exactly sized arena, term
+	// after term. Each list starts as an empty subslice capped at its own
+	// end, its length the cursor an append advances in place: no list
+	// grows, and none can reach the next. A document's entries end where
+	// its tfs reach its length. Each posting is stamped with its
+	// document's length class, n - lo, so buildImpacts never looks a
+	// length up.
+	arena := make([]Posting, len(entries))
+	for t, n := range kept {
+		e.postings[t], arena = arena[:0:n], arena[n:]
+	}
+	next := entries
+	for d := keep; d < c.Docs; d += step {
+		n := e.docLen[d]
+		for left := n; left > 0; next = next[1:] {
+			term, tf := next[0]>>tfBits, next[0]&(1<<tfBits-1)
+			e.postings[term] = append(e.postings[term], Posting{Doc: uint32(d), TF: uint16(tf), pair: uint16(int(n) - lo)})
+			left -= tf
 		}
 	}
 	lens := make([]int, c.AvgDocLen)

@@ -54,17 +54,27 @@ func (s *script) Seed(int64) {}
 // TestZipfGuardBand walks every threshold of every case and feeds the
 // sampler ur at it, just inside its guard band and just outside, on both
 // sides: probe must defer to the arithmetic inside the band and beyond
-// the head and decide alone outside, and whichever path runs, the scripted
-// stream equals math/rand's over the same script with the same number of
+// the head and decide alone outside. Then it feeds every cell edge and an
+// ulp either side of it: a cell that holds a verdict must hold what the
+// walk from the first row decides there, and whatever probe decides
+// must be exact's answer. Whichever path runs, the scripted stream
+// equals math/rand's over the same script with the same number of
 // Float64 taken.
 func TestZipfGuardBand(t *testing.T) {
 	for _, c := range zipfCases {
 		z := newZipf(nil, c.s, c.n)
 		rows := len(z.head) - 2
-		if want := int(min(c.n, zipfHead)); rows != want {
-			t.Fatalf("s=%v n=%d: %d rows tabled, want %d", c.s, c.n, rows, want)
+		if want := int(min(c.n, zipfHead)); rows != want || len(z.cells) != zipfCells {
+			t.Fatalf("s=%v n=%d: %d rows tabled in %d cells, want %d in %d", c.s, c.n, rows, len(z.cells), want, zipfCells)
 		}
 		var rs []float64
+		// take scripts r, moved onto Float64's grid of multiples of 2^-63,
+		// and returns what Next will draw.
+		take := func(r float64) float64 {
+			r = float64(int64(r*(1<<63))) / (1 << 63)
+			rs = append(rs, r)
+			return r
+		}
 		deferred, decided := 0, 0
 		// at feeds one ur. Inside a threshold's band the table must defer —
 		// unless the turn is over before that threshold is consulted: accept
@@ -76,9 +86,10 @@ func TestZipfGuardBand(t *testing.T) {
 			if !(r >= 0 && r < 1) {
 				return // no Float64 maps there (the two ends of the range)
 			}
-			ur = z.hxm + r*z.hx0minusHxm // what Next will compute
+			r = take(r)
+			ur = z.ur(r)
 			wantUnsure := inBand && ur < accept
-			if _, verdict := z.probe(ur); (verdict == zipfUnsure) != wantUnsure {
+			if _, verdict := z.probe(r); (verdict == zipfUnsure) != wantUnsure {
 				t.Fatalf("s=%v n=%d: ur %v %s of row %d: probe verdict %d", c.s, c.n, ur, what, k, verdict)
 			}
 			if wantUnsure {
@@ -86,7 +97,6 @@ func TestZipfGuardBand(t *testing.T) {
 			} else {
 				decided++
 			}
-			rs = append(rs, r)
 		}
 		// around feeds the spots about one threshold — on it, an ulp or two
 		// off it (where the arithmetic's own rounding decides), half a band
@@ -115,6 +125,47 @@ func TestZipfGuardBand(t *testing.T) {
 		}
 		if deferred == 0 || decided == 0 {
 			t.Fatalf("s=%v n=%d: %d deferred and %d decided probes; both paths must be exercised", c.s, c.n, deferred, decided)
+		}
+
+		// next is the Float64 beside r toward dir: an ulp off, or 2^-63
+		// where Float64's grid is coarser than float64's (r < 2^-10).
+		next := func(r, dir float64) float64 {
+			n := math.Nextafter(r, dir)
+			if g := n * (1 << 63); g != math.Trunc(g) {
+				n = r + math.Copysign(0x1p-63, dir-r)
+			}
+			return n
+		}
+		var paths [3]int // by the cell's verdict, by the walk, by exact
+		for i := 0; i <= zipfCells; i++ {
+			edge := float64(i) / zipfCells
+			for _, r := range []float64{next(edge, 0), edge, next(edge, 1)} {
+				if !(r >= 0 && r < 1) {
+					continue
+				}
+				r = take(r)
+				ur := z.ur(r)
+				k, verdict := z.probe(r)
+				path := 2
+				if verdict != zipfUnsure {
+					path = 1
+					if ek, ev := z.exact(ur); ek != k || ev != verdict {
+						t.Fatalf("s=%v n=%d: r %v at cell edge %d: probe says %d/%d, exact %d/%d", c.s, c.n, r, i, k, verdict, ek, ev)
+					}
+				}
+				cell := int(r * zipfCells)
+				if e := z.cells[cell]; e >= zipfVerdict && e != zipfBeyond {
+					path = 0
+				}
+				if wk, wv := z.walk(ur, 0); wk != k || wv != verdict {
+					t.Fatalf("s=%v n=%d: r %v at cell edge %d: cell %d (entry %#x) gives %d/%d, the walk from row 0 %d/%d",
+						c.s, c.n, r, i, cell, z.cells[cell], k, verdict, wk, wv)
+				}
+				paths[path]++
+			}
+		}
+		if paths[0] == 0 || paths[1] == 0 {
+			t.Fatalf("s=%v n=%d: cell edges took the verdict, walk and exact paths %v times; the first two must be exercised", c.s, c.n, paths)
 		}
 
 		mine, theirs := &script{rs: rs}, &script{rs: rs}

@@ -33,7 +33,7 @@ echo "== DESIGN.md does not grow =="
 # in bytes after the last change that shrank it: a change that adds to
 # it removes as much elsewhere, and one that shrinks it lowers the cap,
 # down to the 45 kB target.
-design_max=87613
+design_max=87565
 bytes=$(wc -c < DESIGN.md)
 if [ "$bytes" -gt "$design_max" ]; then
 	echo "FAIL: DESIGN.md is $bytes bytes (at most $design_max)" >&2
@@ -263,21 +263,24 @@ echo "== hot path stays allocation-free =="
 # allocating per request. One hop to a shard worker over a real loopback
 # socket has a budget of 40 on HTTPTransport's direct path (it reads 28:
 # about 18 are the net/http server's, the rest http.ReadResponse's; the
-# same hop through http.Client reads 94).
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct' \
+# same hop through http.Client reads 94). Building the 20k corpus is not
+# a steady path but rides along with a budget of 64: its posting lists
+# lie in one exactly sized arena and its scratch is sized up front (it
+# reads 53; 13 581 when every list grew by appends).
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct|NewEngine/20k' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
-		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : 0
+		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : ($1 ~ /^BenchmarkNewEngine/) ? 64 : 0
 		for (i = 2; i <= NF; i++) {
 			if ($i == "allocs/op" && $(i - 1) + 0 > budget) {
-				printf "FAIL: %s allocates %s allocs/op on the steady path (budget %d)\n", $1, $(i - 1), budget
+				printf "FAIL: %s allocates %s allocs/op (budget %d)\n", $1, $(i - 1), budget
 				bad = 1
 			}
 		}
 		seen++
 	}
 	END {
-		if (seen < 12) { print "FAIL: expected 12 steady-path benchmarks, saw " seen; exit 1 }
+		if (seen < 13) { print "FAIL: expected 13 allocation-gate benchmarks, saw " seen; exit 1 }
 		exit bad
 	}'
 # And where the allocation would happen: a monitored observation whose
