@@ -40,8 +40,10 @@ type OpsCounters struct {
 	// QueryCacheMisses counts /search requests that had to parse their
 	// query (cold or evicted entries, or caching disabled).
 	QueryCacheMisses atomic.Int64
-	// MonitoredCertified counts monitored requests whose scan stopped
-	// before exhaustion because its page was provably final.
+	// Certified counts requests whose scan stopped with matches left
+	// because its page was provably final, monitored or not.
+	Certified atomic.Int64
+	// MonitoredCertified counts the monitored ones among them.
 	MonitoredCertified atomic.Int64
 	// MonitoredMemo counts monitored requests that stopped at their record
 	// point because the query's precise page was memoised.
@@ -60,7 +62,9 @@ type OpsSnapshot struct {
 	RestoreRejected  int64 `json:"restore_rejected"`
 	QueryCacheHits   int64 `json:"query_cache_hits"`
 	QueryCacheMisses int64 `json:"query_cache_misses"`
-	// MonitoredCertified and MonitoredMemo are zero on a coordinator.
+	// Certified, MonitoredCertified and MonitoredMemo are zero on a
+	// coordinator.
+	Certified          int64 `json:"certified"`
 	MonitoredCertified int64 `json:"monitored_certified"`
 	MonitoredMemo      int64 `json:"monitored_memo"`
 }
@@ -77,6 +81,7 @@ func (c *OpsCounters) Snapshot() OpsSnapshot {
 		RestoreRejected:    c.RestoreRejected.Load(),
 		QueryCacheHits:     c.QueryCacheHits.Load(),
 		QueryCacheMisses:   c.QueryCacheMisses.Load(),
+		Certified:          c.Certified.Load(),
 		MonitoredCertified: c.MonitoredCertified.Load(),
 		MonitoredMemo:      c.MonitoredMemo.Load(),
 	}

@@ -15,13 +15,14 @@ func TestOpsSnapshot(t *testing.T) {
 	c.SnapshotSaves.Add(5)
 	c.SnapshotErrors.Add(1)
 	c.RestoreRejected.Add(1)
+	c.Certified.Add(9)
 	c.MonitoredCertified.Add(7)
 	c.MonitoredMemo.Add(8)
 	s := c.Snapshot()
 	if s.Shed != 3 || s.DeadlinePartial != 2 || s.Degraded != 4 ||
 		s.BudgetPushes != 6 || s.SnapshotSaves != 5 ||
 		s.SnapshotErrors != 1 || s.RestoreRejected != 1 ||
-		s.MonitoredCertified != 7 || s.MonitoredMemo != 8 {
+		s.Certified != 9 || s.MonitoredCertified != 7 || s.MonitoredMemo != 8 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	data, err := json.Marshal(s)
@@ -34,7 +35,7 @@ func TestOpsSnapshot(t *testing.T) {
 	}
 	if decoded["shed"] != 3 || decoded["restore_rejected"] != 1 ||
 		decoded["degraded"] != 4 || decoded["budget_pushes"] != 6 ||
-		decoded["monitored_certified"] != 7 || decoded["monitored_memo"] != 8 {
+		decoded["certified"] != 9 || decoded["monitored_certified"] != 7 || decoded["monitored_memo"] != 8 {
 		t.Errorf("JSON shape = %s", data)
 	}
 }

@@ -16,10 +16,13 @@ const maxGrid = 1 << 17
 // each by Search's BM25 expression for that tf and length, so a scan's
 // quality[p.Doc] + table(t)[p.pair] is Search's score bit for bit
 // without its division. The tables are one exactly sized array, end to
-// end, with Scan.Final's maxImp and qmax beside them. Refused: a list out
+// end, with Scan.Final's maxImp and qmax beside them. The pairs are
+// gathered in buf's backing array: a list has no more distinct pairs
+// than postings, so a buf of a capacity of at least every list's length
+// summed (NewEngine's spent entries) never grows. Refused: a list out
 // of ascending doc id, one with more distinct pairs than a 16-bit index
 // reaches, and a grid over maxGrid cells.
-func (e *Engine) buildImpacts(lens []int, maxTF int) error {
+func (e *Engine) buildImpacts(lens []int, maxTF int, buf []uint32) error {
 	classes := len(lens)
 	if (maxTF+1)*classes > maxGrid {
 		return fmt.Errorf("%d tf values by %d document lengths is over %d cells", maxTF+1, classes, maxGrid)
@@ -28,7 +31,7 @@ func (e *Engine) buildImpacts(lens []int, maxTF int) error {
 	// a cell at or below the current list's first index is an earlier
 	// list's, and no cell is ever cleared.
 	grid := make([]uint32, (maxTF+1)*classes)
-	var keys []uint32 // class<<16 | tf of each list's pairs, list after list
+	keys := buf[:0] // class<<16 | tf of each list's pairs, list after list
 	at := make([]int, 1, len(e.postings)+1)
 	for t, ps := range e.postings {
 		first, prev := len(keys), int64(-1)

@@ -129,7 +129,7 @@ func (e *Engine) deriveImpacts() error {
 			maxTF = max(maxTF, int(ps[i].TF))
 		}
 	}
-	return e.buildImpacts(lens, maxTF)
+	return e.buildImpacts(lens, maxTF, nil)
 }
 
 // checkServed holds a scan of the single term, stepped to exhaustion, to

@@ -171,7 +171,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// whole corpus, for IDF, and kept over the documents this engine
 	// keeps. Half the kept draws is room enough: the default corpus has
 	// 0.40 entries per draw. The slice is as live as the arena below
-	// while pass two runs, so it is kept to 32 bits an entry.
+	// while pass two runs, so it is kept to 32 bits an entry; spent, it
+	// holds buildImpacts' pairs, no more than the postings.
 	df, kept := make([]int, c.VocabSize), make([]int, c.VocabSize)
 	entries := make([]uint32, 0, draws/step/2)
 	tfs := make([]uint16, c.VocabSize)
@@ -228,7 +229,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for i := range lens {
 		lens[i] = lo + i
 	}
-	if err := e.buildImpacts(lens, lo+c.AvgDocLen-1); err != nil { // tf <= the longest length
+	if err := e.buildImpacts(lens, lo+c.AvgDocLen-1, entries); err != nil { // tf <= the longest length
 		return nil, fmt.Errorf("search: %w", err)
 	}
 	return e, nil

@@ -69,3 +69,36 @@ func TestCalibrationOnePassMatchesReruns(t *testing.T) {
 		}
 	}
 }
+
+// TestKnotLossesMatchReruns: past its last knot the one-pass measure
+// scans only until its page is final, and the page it judges every knot
+// against must still be the exhaustive one. Knots inside the first two
+// blocks of a corpus forty blocks deep leave pages that change after the
+// last knot, so a run that stopped short of final would misjudge them.
+func TestKnotLossesMatchReruns(t *testing.T) {
+	s := certifyServer(t, nil)
+	knots := []float64{1, 7, 100, scanBlock + 1}
+	measure := s.knotLosses(knots)
+	queries, err := s.engine.GenerateQueries(11, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses, work := make([]float64, len(knots)), make([]float64, len(knots))
+	lossy := 0
+	for _, q := range queries {
+		measure(q, losses, work)
+		precise, _ := s.engine.Search(q, wire.PageSize, 0)
+		for i, k := range knots {
+			capped, processed := s.engine.Search(q, wire.PageSize, int(k))
+			if want := metrics.QueryLoss(precise, capped); losses[i] != want || work[i] != float64(processed) {
+				t.Fatalf("q=%v knot %v: loss %v work %v, the reruns %v %d", q.Terms, k, losses[i], work[i], want, processed)
+			}
+		}
+		if losses[len(knots)-1] > 0 {
+			lossy++
+		}
+	}
+	if lossy == 0 {
+		t.Fatal("no page changes past the last knot: the run past it is not exercised")
+	}
+}

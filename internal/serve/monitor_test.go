@@ -190,6 +190,85 @@ func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 	}
 }
 
+// TestCertifiedApproximatedMatchesCap is the differential test of the
+// approximated path's early stop: a Green-on request stops at M or, from
+// its second block on, where Scan.Final holds, whichever comes first, and
+// that must change nothing but the documents scored. Across levels on
+// both sides of scanBlock, every unmonitored request serves the page a
+// search capped at M gives, scores at most min(M, matches) documents,
+// and one that stopped short of both says it was not approximated, serves
+// the exhaustive page and is counted by ops.certified — the counter moves
+// for exactly those. A level within the first block never reaches a
+// check; at every deeper one some request must stop early. The same
+// query monitored stops before its record point exactly then, serving
+// the exhaustive page and booking the loss recording at M gives. The
+// base version (Disabled) scans every match of the same queries.
+func TestCertifiedApproximatedMatchesCap(t *testing.T) {
+	const never = 1 << 30 // a sample interval no request reaches: none monitored
+	s := certifyServer(t, func(c *Config) { c.SampleInterval = never })
+	mon := certifyServer(t, nil)
+	base := certifyServer(t, func(c *Config) { c.SampleInterval = never; c.Disabled = true })
+	h, hm, hb := s.Handler(), mon.Handler(), base.Handler()
+	for _, level := range []int{scanBlock / 4, scanBlock, scanBlock + scanBlock/2, 5*scanBlock + 7} {
+		s.Loop().SetLevel(float64(level))
+		early := 0
+		for i := 0; i < 30; i++ {
+			word := fmt.Sprintf("w%d+w%d", 7*i+level, 7*i+level+3)
+			q := search.Query{Terms: s.termsOf(strings.ReplaceAll(word, "+", " "))}
+			precise, matches := s.engine.Search(q, wire.PageSize, 0)
+			capped, _ := s.engine.Search(q, wire.PageSize, level)
+			before := s.Ops().Snapshot().Certified
+			resp := searchReply(t, h, word)
+			name := fmt.Sprintf("M=%d q=%s (%d matches, %d scored)", level, word, matches, resp.DocsScored)
+			if resp.MonitoredScan || resp.Degraded {
+				t.Fatalf("%s: monitored=%v degraded=%v, want an unmonitored whole reply", name, resp.MonitoredScan, resp.Degraded)
+			}
+			if !slices.Equal(resp.Docs, capped) {
+				t.Fatalf("%s: served %v, the search capped at M %v", name, resp.Docs, capped)
+			}
+			if resp.DocsScored > min(level, matches) {
+				t.Fatalf("%s: scored past min(M, matches)", name)
+			}
+			stopped := resp.DocsScored < min(level, matches)
+			if n := s.Ops().Snapshot().Certified - before; (n != 0) != stopped {
+				t.Fatalf("%s: certified moved by %d", name, n)
+			}
+			if stopped {
+				early++
+				if resp.Approximated || !slices.Equal(resp.Docs, precise) {
+					t.Fatalf("%s: stopped early with approximated=%v page %v, want the exact exhaustive page %v",
+						name, resp.Approximated, resp.Docs, precise)
+				}
+			}
+			want := 0.0
+			if matches >= level {
+				want = metrics.QueryLoss(precise, capped)
+			}
+			mon.Loop().SetLevel(float64(level))
+			lossBefore := mon.Loop().State().LossSum
+			got := searchReply(t, hm, word)
+			if loss := mon.Loop().State().LossSum - lossBefore; !got.MonitoredScan || got.Approximated ||
+				!slices.Equal(got.Docs, precise) || loss != want || (got.DocsScored < min(level, matches)) != stopped {
+				t.Fatalf("%s: monitored=%v approximated=%v scored %d, page %v and loss %v, want the exhaustive page %v and loss %v",
+					name, got.MonitoredScan, got.Approximated, got.DocsScored, got.Docs, loss, precise, want)
+			}
+			if got := searchReply(t, hb, word); got.DocsScored != matches || !slices.Equal(got.Docs, precise) || got.Approximated {
+				t.Fatalf("%s: the base version scored %d with page %v (approximated=%v), want every match and %v",
+					name, got.DocsScored, got.Docs, got.Approximated, precise)
+			}
+		}
+		if (early > 0) != (level > scanBlock) {
+			t.Errorf("M=%d: %d requests stopped on their certificate before M", level, early)
+		}
+	}
+	if n := base.Ops().Snapshot().Certified; n != 0 {
+		t.Fatalf("the base version counted %d certificate stops", n)
+	}
+	if st := decodeStats(t, h); st.Ops.Certified != s.Ops().Snapshot().Certified {
+		t.Fatalf("/stats reads %d certificate stops, the counter %d", st.Ops.Certified, s.Ops().Snapshot().Certified)
+	}
+}
+
 // TestCertifiedMonitoredUnderRecordPanics: with the QoS callbacks
 // panicking on a schedule, a monitored request whose Record panicked
 // runs to exhaustion and one whose Loss panicked stopped at its

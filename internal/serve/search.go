@@ -189,9 +189,10 @@ func (sc *serveScratch) release() {
 // blocks: the controller grants up to scanBlock iterations at a time
 // (ContinueN, exactly as many true Continue calls), the kernel scores
 // them in one StepN, and a monitored request's QoS is read off that
-// same scan (serveQoS), which from its record point on stops at the
-// first block boundary where its page is final — at the record point
-// itself when the query's precise page is memoised.
+// same scan (serveQoS). A Green-on scan stops at M or at the first block
+// boundary where its page is final, whichever comes first; a monitored
+// one runs on past M to that boundary, or stops at its record point
+// when the query's precise page is memoised.
 func (s *Server) serveQuery(ctx context.Context, deadline time.Time, cq *cachedQuery, feat core.Features, sc *serveScratch) error {
 	q, scan := search.Query{Terms: cq.terms}, &sc.scan
 	scan.Reset(s.engine, q, wire.PageSize)
@@ -207,20 +208,28 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, cq *cachedQ
 	expired := func() bool {
 		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
 	}
-	i := 0
+	i, certified := 0, false
 	// An already-expired deadline still serves (an empty page beats an
 	// error); mid-scan, the deadline is checked once per block.
 	degraded := expired()
 	if !degraded {
 		for k := exec.ContinueN(i, scanBlock); k > 0; k = exec.ContinueN(i, scanBlock) {
-			// Monitored, at or past its record point, and the precise page
-			// Loss compares with and the reply serves is known: memoised, or
-			// the scan's page is final. The memo is read here only, so
-			// unmonitored requests never see it: a reference, not a cache.
+			// Monitored and at or past its record point, with the query's
+			// precise page memoised: Loss compares with it and the reply
+			// serves it. The memo is read here only, so unmonitored requests
+			// never see it: a reference, not a cache.
 			if qos.reference {
-				if qos.memo = cq.final.Load(); qos.memo != nil || scan.Final() {
+				if qos.memo = cq.final.Load(); qos.memo != nil {
 					break
 				}
+			}
+			// The page is final, so it is the page at M and the exhaustive
+			// page alike: the scan stops on the certificate. Not before the
+			// first block (nothing scored is final only when exhausted), and
+			// never in the base version, which scans every match.
+			if i > 0 && !s.cfg.Disabled && scan.Final() {
+				certified = !scan.Exhausted()
+				break
 			}
 			n := scan.StepN(k)
 			i += n
@@ -243,11 +252,14 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, cq *cachedQ
 	}
 	s.queries.Add(1)
 	s.docsScored.Add(int64(scan.Processed()))
+	if certified {
+		s.ops.Certified.Add(1)
+	}
 	if res.Monitored {
 		switch {
 		case memo != nil:
 			s.ops.MonitoredMemo.Add(1)
-		case !degraded && !scan.Exhausted():
+		case certified:
 			s.ops.MonitoredCertified.Add(1)
 		}
 		// The memo's one writer: a reference scan that ended final, and

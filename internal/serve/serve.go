@@ -267,11 +267,12 @@ func (c *bootClock) lapMS() float64 {
 // work of stopping a query's scan at each of the ascending knots, read
 // off one pass of
 // the block kernel — the page is snapshotted as the scan crosses each
-// knot, the scan runs on to exhaustion, and every snapshot is judged
-// against that final, precise page. That is one scan per training query
-// where capping a fresh search at every knot is one per knot plus the
-// precise one, and the pages are the same pages (Scan ≡ Search at equal
-// document counts).
+// knot, the scan runs on until its page is final (Scan.Final: the
+// exhaustive page, without scoring what cannot enter it), and every
+// snapshot is judged against that precise page. That is one scan per
+// training query where capping a fresh search at every knot is one per
+// knot plus the precise one, and the pages are the same pages (Scan ≡
+// Search at equal document counts).
 func (s *Server) knotLosses(knots []float64) func(q search.Query, losses, work []float64) {
 	var (
 		scan    = new(search.Scan)
@@ -285,7 +286,7 @@ func (s *Server) knotLosses(knots []float64) func(q search.Query, losses, work [
 			pages[i] = scan.TopNInto(pages[i])
 			work[i] = float64(scan.Processed())
 		}
-		for scan.StepN(scanBlock) == scanBlock {
+		for !scan.Final() && scan.StepN(scanBlock) == scanBlock {
 		}
 		precise = scan.TopNInto(precise)
 		for i := range knots {

@@ -33,7 +33,7 @@ echo "== DESIGN.md does not grow =="
 # in bytes after the last change that shrank it: a change that adds to
 # it removes as much elsewhere, and one that shrinks it lowers the cap,
 # down to the 45 kB target.
-design_max=87565
+design_max=87551
 bytes=$(wc -c < DESIGN.md)
 if [ "$bytes" -gt "$design_max" ]; then
 	echo "FAIL: DESIGN.md is $bytes bytes (at most $design_max)" >&2
@@ -264,13 +264,14 @@ echo "== hot path stays allocation-free =="
 # socket has a budget of 40 on HTTPTransport's direct path (it reads 28:
 # about 18 are the net/http server's, the rest http.ReadResponse's; the
 # same hop through http.Client reads 94). Building the 20k corpus is not
-# a steady path but rides along with a budget of 64: its posting lists
-# lie in one exactly sized arena and its scratch is sized up front (it
-# reads 53; 13 581 when every list grew by appends).
+# a steady path but rides along with a budget of 32: its posting lists
+# lie in one exactly sized arena, its scratch is sized up front and the
+# impact pairs reuse the spent entries (it reads 29; 53 when the pairs
+# grew by appends, 13 581 when every list did).
 go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct|NewEngine/20k' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
-		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : ($1 ~ /^BenchmarkNewEngine/) ? 64 : 0
+		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : ($1 ~ /^BenchmarkNewEngine/) ? 32 : 0
 		for (i = 2; i <= NF; i++) {
 			if ($i == "allocs/op" && $(i - 1) + 0 > budget) {
 				printf "FAIL: %s allocates %s allocs/op (budget %d)\n", $1, $(i - 1), budget
