@@ -54,13 +54,11 @@ func TestFacadeConstructors(t *testing.T) {
 		t.Error("no ranges")
 	}
 
-	// NewApp + Unit registration via the public API.
-	app, err := green.NewApp(green.AppConfig{Name: "app", SLA: 0.02})
+	// NewApp over both units via the public API.
+	app, err := green.NewApp(green.AppConfig{Name: "app", SLA: 0.02}, loop, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Register(loop)
-	app.Register(fn)
 	app.ObserveAppQoS(0.5) // low QoS: the most sensitive unit gets raised
 	if app.Observations() != 1 {
 		t.Error("observation not recorded")

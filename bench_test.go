@@ -1247,10 +1247,6 @@ func BenchmarkCombineSearchSpace(b *testing.B) {
 // convergence episode on the synthetic interacting units (§3.4.2).
 func BenchmarkBackoffConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		app, err := green.NewApp(green.AppConfig{SLA: 0.02, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
 		mk := func(name string) *green.Loop {
 			pts := []model.CalPoint{
 				{Level: 100, QoSLoss: 0.02, Work: 100},
@@ -1267,8 +1263,10 @@ func BenchmarkBackoffConvergence(b *testing.B) {
 			return l
 		}
 		l1, l2 := mk("u1"), mk("u2")
-		app.Register(l1)
-		app.Register(l2)
+		app, err := green.NewApp(green.AppConfig{SLA: 0.02, Seed: int64(i)}, l1, l2)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for obs := 0; obs < 20; obs++ {
 			loss := 2.0/l1.Level() + 2.0/l2.Level()
 			if l1.Level() < 250 && l2.Level() < 250 {

@@ -6,7 +6,7 @@
 //
 //	greenlint ./...                      # lint the whole module
 //	greenlint ./examples/quickstart      # lint one directory
-//	greenlint -checks slarange,ctrlcopy ./...
+//	greenlint -checks finishpath,ctrlcopy ./...
 //	greenlint -format sarif ./... > greenlint.sarif
 //	greenlint -list                      # list available checks
 //

@@ -28,8 +28,8 @@
 // keeps being met even when production inputs drift from the training
 // distribution.
 //
-// Applications with several approximations register them with an App,
-// which performs the exhaustive combination search over local models and
+// Applications with several approximations choose their combination with
+// CombineSearch over the local models and pass the units to NewApp, which
 // coordinates global recalibration with sensitivity ranking and randomized
 // exponential backoff, judging the application's loss by DefaultPolicy's
 // Figure 3 band.
@@ -258,8 +258,10 @@ func NewFunc(cfg FuncConfig, precise Fn, approx []Fn) (*Func, error) {
 	return core.NewFunc(cfg, precise, approx)
 }
 
-// NewApp creates a multi-approximation coordinator.
-func NewApp(cfg AppConfig) (*App, error) { return core.NewApp(cfg) }
+// NewApp creates a multi-approximation coordinator over units, the
+// application's Loops and Funcs. The unit list is fixed here: every
+// approximation is known before the first ObserveAppQoS.
+func NewApp(cfg AppConfig, units ...Unit) (*App, error) { return core.NewApp(cfg, units...) }
 
 // NewLoopCalibration prepares calibration-phase collection for a loop
 // over the candidate termination levels knots; baseLevel and baseWork

@@ -103,12 +103,10 @@ func TestIntegrationMultiApproximationApp(t *testing.T) {
 	app, err := green.NewApp(green.AppConfig{
 		Name: "miniweb", SLA: appSLA, Seed: 9,
 		DecreasePatience: 6,
-	})
+	}, loop, expFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Register(loop)
-	app.Register(expFn)
 
 	// serveQuery runs one query through both approximations and returns
 	// the approximate and precise final result pages.

@@ -85,8 +85,10 @@ type App struct {
 	observations int
 }
 
-// NewApp creates a coordinator.
-func NewApp(cfg AppConfig) (*App, error) {
+// NewApp creates a coordinator over units, in the order given: the
+// sensitivity ranking breaks ties by that order, and the list is fixed
+// for the App's lifetime, so no unit can join after operation starts.
+func NewApp(cfg AppConfig, units ...Unit) (*App, error) {
 	if cfg.SLA <= 0 || cfg.SLA > 1 {
 		return nil, fmt.Errorf("core: app %q: SLA %v outside (0,1]", cfg.Name, cfg.SLA)
 	}
@@ -99,21 +101,11 @@ func NewApp(cfg AppConfig) (*App, error) {
 	if cfg.DecreasePatience == 0 {
 		cfg.DecreasePatience = 1
 	}
-	return &App{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
-}
-
-// Register adds a unit to the application.
-func (a *App) Register(u Unit) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.units = append(a.units, u)
-}
-
-// Units returns the registered units.
-func (a *App) Units() []Unit {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Unit(nil), a.units...)
+	return &App{
+		cfg:   cfg,
+		units: append([]Unit(nil), units...),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+	}, nil
 }
 
 // BackoffRound reports the current exponential-backoff escalation round

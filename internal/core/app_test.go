@@ -39,12 +39,13 @@ func (u *stubUnit) ApproxEnabled() bool  { return !u.disabled }
 
 func newTestApp(t *testing.T, units ...*stubUnit) *App {
 	t.Helper()
-	a, err := NewApp(AppConfig{Name: "app", SLA: 0.02, Seed: 42})
+	us := make([]Unit, len(units))
+	for i, u := range units {
+		us[i] = u
+	}
+	a, err := NewApp(AppConfig{Name: "app", SLA: 0.02, Seed: 42}, us...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, u := range units {
-		a.Register(u)
 	}
 	return a
 }
@@ -113,11 +114,10 @@ func TestAppBackoffAfterPersistentLowQoS(t *testing.T) {
 
 func TestAppBackoffDisablesEverythingEventually(t *testing.T) {
 	u := &stubUnit{name: "u", level: 0, max: 1000000, sensitivity: 1}
-	a, err := NewApp(AppConfig{SLA: 0.02, MaxBackoffRounds: 2, Seed: 1})
+	a, err := NewApp(AppConfig{SLA: 0.02, MaxBackoffRounds: 2, Seed: 1}, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Register(u)
 	for i := 0; i < 20 && !a.AllDisabled(); i++ {
 		a.ObserveAppQoS(1.0)
 	}
@@ -148,11 +148,10 @@ func TestAppLaddersSaturate(t *testing.T) {
 	// A unit already at max accuracy: low QoS pushes into backoff and
 	// finally disables.
 	u := &stubUnit{name: "u", level: 3, max: 3, sensitivity: 1}
-	a, err := NewApp(AppConfig{SLA: 0.02, MaxBackoffRounds: 1, Seed: 1})
+	a, err := NewApp(AppConfig{SLA: 0.02, MaxBackoffRounds: 1, Seed: 1}, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Register(u)
 	for i := 0; i < 10 && !a.AllDisabled(); i++ {
 		a.ObserveAppQoS(1.0)
 	}
@@ -168,12 +167,10 @@ func TestAppLaddersSaturate(t *testing.T) {
 func TestAppBackoffEscalationCappedAtMaxRounds(t *testing.T) {
 	u1 := &stubUnit{name: "u1", level: 0, max: 1 << 30, sensitivity: 1}
 	u2 := &stubUnit{name: "u2", level: 0, max: 1 << 30, sensitivity: 2}
-	a, err := NewApp(AppConfig{Name: "app", SLA: 0.02, MaxBackoffRounds: 3, Seed: 7})
+	a, err := NewApp(AppConfig{Name: "app", SLA: 0.02, MaxBackoffRounds: 3, Seed: 7}, u1, u2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Register(u1)
-	a.Register(u2)
 	for i := 0; i < 30; i++ {
 		a.ObserveAppQoS(1.0)
 	}
@@ -281,11 +278,10 @@ func TestAppConvergesOnNonLinearInteraction(t *testing.T) {
 
 func TestAppDecreasePatience(t *testing.T) {
 	u := &stubUnit{name: "u", level: 5, max: 10, sensitivity: 1}
-	a, err := NewApp(AppConfig{SLA: 0.02, Seed: 1, DecreasePatience: 3})
+	a, err := NewApp(AppConfig{SLA: 0.02, Seed: 1, DecreasePatience: 3}, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Register(u)
 	// Two high-QoS observations: no decrease yet.
 	a.ObserveAppQoS(0.001)
 	a.ObserveAppQoS(0.001)
@@ -308,15 +304,6 @@ func TestAppDecreasePatience(t *testing.T) {
 	a.ObserveAppQoS(0.001)
 	if u.level != 4 {
 		t.Fatalf("level = %d, in-band observation should reset patience", u.level)
-	}
-}
-
-func TestAppUnitsAccessor(t *testing.T) {
-	u := &stubUnit{name: "u", max: 1}
-	a := newTestApp(t, u)
-	us := a.Units()
-	if len(us) != 1 || us[0].Name() != "u" {
-		t.Errorf("Units = %v", us)
 	}
 }
 

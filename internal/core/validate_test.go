@@ -7,9 +7,9 @@ import (
 	"green/internal/model"
 )
 
-// These tests pin the runtime half of the contract greenlint checks
-// statically (the slarange analyzer): constructors reject out-of-range
-// configuration instead of silently misbehaving.
+// These tests pin the configuration contract: constructors reject
+// out-of-range configuration instead of silently misbehaving. No linter
+// check repeats it; errdrop flags a caller that drops the error.
 
 func TestNewLoopRejectsBadConfig(t *testing.T) {
 	m := testLoopModel(t)

@@ -206,26 +206,22 @@ func runAblationSensitivity(o Options) (*Table, error) {
 	convergence := func(random bool) ([]float64, error) {
 		var obsCounts []float64
 		for trial := 0; trial < trials; trial++ {
+			// Five units; the first is the sensitive one (its accuracy
+			// is what actually matters for the app QoS).
+			sensitive := &ablUnit{sens: 5, max: 20}
+			units := []core.Unit{sensitive}
+			for len(units) < 5 {
+				units = append(units, &ablUnit{sens: 0.1, max: 20})
+			}
 			app, err := core.NewApp(core.AppConfig{
 				SLA: 0.02, Seed: workload.Split(o.Seed, 950+int64(trial)),
 				RandomRanking: random, BackoffThreshold: 1000, // isolate ranking
-			})
+			}, units...)
 			if err != nil {
 				return nil, err
 			}
-			// Five units; unit 0 is the sensitive one (its accuracy is
-			// what actually matters for the app QoS).
-			units := make([]*ablUnit, 5)
-			for i := range units {
-				sens := 0.1
-				if i == 0 {
-					sens = 5
-				}
-				units[i] = &ablUnit{sens: sens, max: 20}
-				app.Register(units[i])
-			}
 			loss := func() float64 {
-				return 0.08 / float64(1+units[0].level)
+				return 0.08 / float64(1+sensitive.level)
 			}
 			obs := 0
 			for ; obs < 200; obs++ {

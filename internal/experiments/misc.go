@@ -152,12 +152,10 @@ func runBackoff(o Options) (*Table, error) {
 	app, err := core.NewApp(core.AppConfig{
 		Name: "synthetic", SLA: appSLA, Seed: workload.Split(o.Seed, 800),
 		BackoffThreshold: 2, MaxBackoffRounds: 8,
-	})
+	}, l1, l2)
 	if err != nil {
 		return nil, err
 	}
-	app.Register(l1)
-	app.Register(l2)
 
 	// Ground truth: per-unit loss follows the model curve; the
 	// interaction quadruples the loss when both levels are low.

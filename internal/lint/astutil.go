@@ -101,21 +101,9 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isMethod reports whether fn is the method pkgPath.recv.method.
-func isMethod(fn *types.Func, pkgPath, recv, method string) bool {
-	if fn == nil || fn.Name() != method {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isPkgType(sig.Recv().Type(), pkgPath, recv)
-}
-
 // isMethodCall reports whether call invokes method on a receiver whose
-// static type is pkgPath.recv. Unlike isMethod it judges by the type the
-// method is selected on, not the type that declares it, so a method
+// static type is pkgPath.recv. It judges by the type the method is
+// selected on, not the type that declares it, so a method
 // promoted from an embedded struct (LoopExec and LoopBatch both get
 // Continue that way) still matches the outer type.
 func isMethodCall(info *types.Info, call *ast.CallExpr, pkgPath, recv, method string) bool {
@@ -125,48 +113,4 @@ func isMethodCall(info *types.Info, call *ast.CallExpr, pkgPath, recv, method st
 	}
 	sel, ok := info.Selections[fun]
 	return ok && sel.Kind() == types.MethodVal && isPkgType(sel.Recv(), pkgPath, recv)
-}
-
-// stopLawGuards reports whether for statement f runs under a Green stop
-// law selected on one of the recv types (LoopExec, LoopBatch): its
-// condition calls Continue, or — the block form — its init, condition
-// or post asks ContinueN.
-func stopLawGuards(info *types.Info, f *ast.ForStmt, recvs ...string) bool {
-	calls := func(root ast.Node, method string) bool {
-		found := false
-		ast.Inspect(root, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				for _, recv := range recvs {
-					if isMethodCall(info, call, corePath, recv, method) {
-						found = true
-					}
-				}
-			}
-			return !found
-		})
-		return found
-	}
-	if f.Cond != nil && (calls(f.Cond, "Continue") || calls(f.Cond, "ContinueN")) {
-		return true
-	}
-	return (f.Init != nil && calls(f.Init, "ContinueN")) || (f.Post != nil && calls(f.Post, "ContinueN"))
-}
-
-// receiverRoot resolves the identity of a method call's receiver: for
-// `x.M(...)` the object of x, for `a.b.M(...)` the object of field b.
-// Distinct syntactic paths to the same object compare equal, which is
-// what order-sensitive checks like calorder need. Returns nil when the
-// receiver is not a plain identifier or selector chain.
-func receiverRoot(info *types.Info, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.Ident:
-		return info.Uses[x]
-	case *ast.SelectorExpr:
-		return info.Uses[x.Sel]
-	}
-	return nil
 }

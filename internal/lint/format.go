@@ -52,13 +52,6 @@ func WriteText(w io.Writer, res Result, base string) error {
 		if _, err := fmt.Fprintf(w, "%s:%d: [%s] %s\n", relPath(base, d.Pos.Filename), d.Pos.Line, d.Check, d.Message); err != nil {
 			return err
 		}
-		// Interprocedural findings carry the source→sink path; print it
-		// as indented continuation lines under the finding.
-		for _, step := range d.Flow {
-			if _, err := fmt.Fprintf(w, "\t%s:%d: %s\n", relPath(base, step.Pos.Filename), step.Pos.Line, step.Note); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -72,26 +65,6 @@ type jsonDiag struct {
 	Message        string `json:"message"`
 	Suppressed     bool   `json:"suppressed,omitempty"`
 	SuppressReason string `json:"suppressReason,omitempty"`
-	// Flow is the source→sink path of an interprocedural finding.
-	Flow []jsonFlowStep `json:"flow,omitempty"`
-}
-
-// jsonFlowStep is one hop of a taint path in JSON output.
-type jsonFlowStep struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Note string `json:"note"`
-}
-
-func jsonFlow(d Diagnostic, base string) []jsonFlowStep {
-	if len(d.Flow) == 0 {
-		return nil
-	}
-	out := make([]jsonFlowStep, len(d.Flow))
-	for i, s := range d.Flow {
-		out[i] = jsonFlowStep{File: relPath(base, s.Pos.Filename), Line: s.Pos.Line, Note: s.Note}
-	}
-	return out
 }
 
 // WriteJSON emits all findings (active and suppressed) as a JSON array.
@@ -101,7 +74,6 @@ func WriteJSON(w io.Writer, res Result, base string) error {
 		out = append(out, jsonDiag{
 			File: relPath(base, d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
 			Check: d.Check, Message: d.Message,
-			Flow: jsonFlow(d, base),
 		})
 	}
 	for _, d := range res.Suppressed {
@@ -109,7 +81,6 @@ func WriteJSON(w io.Writer, res Result, base string) error {
 			File: relPath(base, d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
 			Check: d.Check, Message: d.Message,
 			Suppressed: true, SuppressReason: d.SuppressReason,
-			Flow: jsonFlow(d, base),
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -157,28 +128,11 @@ type sarifResult struct {
 	Level        string             `json:"level"`
 	Message      sarifMessage       `json:"message"`
 	Locations    []sarifLocation    `json:"locations"`
-	CodeFlows    []sarifCodeFlow    `json:"codeFlows,omitempty"`
 	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
 }
 
 type sarifLocation struct {
 	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-	Message          *sarifMessage         `json:"message,omitempty"`
-}
-
-// codeFlows render a taint path: one threadFlow whose locations walk the
-// source→sink hops, each annotated with the step note. This is the
-// structure GitHub code scanning renders as "show paths".
-type sarifCodeFlow struct {
-	ThreadFlows []sarifThreadFlow `json:"threadFlows"`
-}
-
-type sarifThreadFlow struct {
-	Locations []sarifThreadFlowLocation `json:"locations"`
-}
-
-type sarifThreadFlowLocation struct {
-	Location sarifLocation `json:"location"`
 }
 
 type sarifPhysicalLocation struct {
@@ -203,7 +157,7 @@ type sarifSuppression struct {
 
 // sarifToolVersion labels the driver in SARIF output; bumped with the
 // analyzer suite, not the module.
-const sarifToolVersion = "3.0.0"
+const sarifToolVersion = "4.0.0"
 
 // WriteSARIF emits a SARIF 2.1.0 log for the findings. Suppressed
 // findings are included as suppressed results (kind "inSource" with the
@@ -222,41 +176,21 @@ func WriteSARIF(w io.Writer, res Result, base string) error {
 		ruleIndex[a.Name] = i
 	}
 
-	location := func(file string, line, col int, note string) sarifLocation {
-		loc := sarifLocation{
-			PhysicalLocation: sarifPhysicalLocation{
+	result := func(d Diagnostic, suppress []sarifSuppression) sarifResult {
+		return sarifResult{
+			RuleID:    d.Check,
+			RuleIndex: ruleIndex[d.Check],
+			Level:     "warning",
+			Message:   sarifMessage{d.Message},
+			Locations: []sarifLocation{{PhysicalLocation: sarifPhysicalLocation{
 				ArtifactLocation: sarifArtifactLocation{
-					URI:       relPath(base, file),
+					URI:       relPath(base, d.Pos.Filename),
 					URIBaseID: "%SRCROOT%",
 				},
-				Region: sarifRegion{StartLine: line, StartColumn: col},
-			},
-		}
-		if note != "" {
-			loc.Message = &sarifMessage{note}
-		}
-		return loc
-	}
-
-	result := func(d Diagnostic, suppress []sarifSuppression) sarifResult {
-		r := sarifResult{
-			RuleID:       d.Check,
-			RuleIndex:    ruleIndex[d.Check],
-			Level:        "warning",
-			Message:      sarifMessage{d.Message},
-			Locations:    []sarifLocation{location(d.Pos.Filename, d.Pos.Line, d.Pos.Column, "")},
+				Region: sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
+			}}},
 			Suppressions: suppress,
 		}
-		if len(d.Flow) > 0 {
-			locs := make([]sarifThreadFlowLocation, len(d.Flow))
-			for i, step := range d.Flow {
-				locs[i] = sarifThreadFlowLocation{
-					Location: location(step.Pos.Filename, step.Pos.Line, step.Pos.Column, step.Note),
-				}
-			}
-			r.CodeFlows = []sarifCodeFlow{{ThreadFlows: []sarifThreadFlow{{Locations: locs}}}}
-		}
-		return r
 	}
 
 	results := make([]sarifResult, 0, len(res.Diags)+len(res.Suppressed))

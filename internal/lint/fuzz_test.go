@@ -172,9 +172,9 @@ func (v *r) f(w, h int, m map[string]int) {
 	_ = zig
 }
 `,
-		// Taint-shaped seeds: source→sink chains, recursion through the
-		// summary fixpoint, escapes, and endorse directives in every
-		// state (reasoned, reasonless, dangling).
+		// Approximate results passed around: into calibration and error
+		// construction, through recursion, across a channel and a
+		// goroutine, next to a directive greenlint does not know.
 		`package p
 
 import (

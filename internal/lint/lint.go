@@ -5,33 +5,27 @@
 // of the #approx_loop / #approx_func annotations is rejected at build
 // time. This library port has no compiler hook, so the same contract is
 // restored here as a suite of AST/type-based analyzers over the package
-// green and green/internal/core APIs, one check per lost guarantee:
+// green and green/internal/core APIs, one check per lost guarantee that
+// the compiler, go vet and the controllers' constructors all let through:
 //
 //	beginfinish  — every execution handle (a *LoopExec or *LoopBatch,
 //	               whichever entry point returned it) must be Finished
 //	continuecond — exec.Continue(i) must guard the for condition (or
 //	               exec.ContinueN(i, n) bound the loop's blocks), with
 //	               a non-constant induction argument
-//	slarange     — literal config fields must be in range (SLA in (0,1],
-//	               positive SampleInterval, complete AdaptiveParams)
 //	ctrlcopy     — mutex-bearing controllers must not be copied by value
-//	calorder     — App.Register must precede operational ObserveAppQoS
 //	finishpath   — every path from a handle's constructor reaches exactly
 //	               one Finish, early returns included
 //	handleescape — a pooled handle must not outlive its frame
 //	errdrop      — error results of Green API calls must not be dropped
 //	nondet       — calibration and Selector code must not read the wall
 //	               clock or the global math/rand source
-//	taintsink    — approximate values must not reach precise-only sinks
-//	               (calibration, Restore, SLA config, breaker steering,
-//	               error construction) without //greenlint:endorse
-//	taintendorse — every //greenlint:endorse carries a reason and matches
-//	               a taint finding on its line or the next
-//	taintescape  — approximate values must not cross goroutine or channel
-//	               boundaries, where tracking ends
 //
-// What each one costs and has caught is in results/lint_checks.txt
-// (scripts/lint_score.sh); DESIGN.md §7 has the rule that keeps them.
+// A misuse the API can refuse is refused there instead: an SLA outside
+// (0,1] fails NewLoop/NewFunc, and NewApp takes its units, so none can
+// join after operation starts. What each check costs and has caught is in
+// results/lint_checks.txt (scripts/lint_score.sh); DESIGN.md §7 has the
+// rule that keeps them.
 //
 // The analyzers are deliberately dependency-free: they run on the
 // standard library's go/parser, go/ast, go/types stack (see Loader), so
@@ -46,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -65,18 +60,6 @@ type Diagnostic struct {
 	// SuppressReason is the justification of the //greenlint:ignore
 	// directive that suppressed this finding; empty for active findings.
 	SuppressReason string
-	// Flow is the source→sink path of an interprocedural finding, first
-	// step at the taint source, last step at the sink. Empty for
-	// single-point findings. The SARIF writer renders it as a codeFlow.
-	Flow []FlowStep
-}
-
-// FlowStep is one hop of a taint path: where it happened and what
-// happened there ("approximate source: ...", "passed to parameter ...",
-// "sink: ...").
-type FlowStep struct {
-	Pos  token.Position
-	Note string
 }
 
 // String formats the diagnostic in the canonical driver output form.
@@ -107,9 +90,8 @@ func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 // Analyzer tiers name the machinery a check runs on, cheapest first; the
 // driver's -list prints them so users can predict cost and precision.
 const (
-	TierBlock     = "block"     // single-AST pattern checks, no flow reasoning
-	TierCFG       = "cfg"       // intraprocedural flow/path analysis over the CFG layer
-	TierInterproc = "interproc" // whole-package call-graph + summary analysis
+	TierBlock = "block" // single-AST pattern checks, no flow reasoning
+	TierCFG   = "cfg"   // intraprocedural flow/path analysis over the CFG layer
 )
 
 // An Analyzer is one named check.
@@ -118,28 +100,22 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description for the driver's -list output.
 	Doc string
-	// Tier is TierBlock, TierCFG, or TierInterproc.
+	// Tier is TierBlock or TierCFG.
 	Tier string
 	run  func(*Pass)
 }
 
-// Analyzers returns the full suite in stable order: the five AST-level
-// checks, the four CFG/dataflow analyzers, then the interprocedural
-// taint family.
+// Analyzers returns the full suite in stable order: the three AST-level
+// checks, then the four CFG/dataflow analyzers.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerBeginFinish,
 		analyzerContinueCond,
-		analyzerSLARange,
 		analyzerCtrlCopy,
-		analyzerCalOrder,
 		analyzerFinishPath,
 		analyzerHandleEscape,
 		analyzerErrDrop,
 		analyzerNonDet,
-		analyzerTaintSink,
-		analyzerTaintEndorse,
-		analyzerTaintEscape,
 	}
 }
 
@@ -174,7 +150,8 @@ func Lint(pkg *Package, names []string) ([]Diagnostic, error) {
 
 // LintAll runs the named checks over a loaded package, applies the
 // package's suppression directives, and returns both the active and the
-// suppressed findings. An empty names list selects every check.
+// suppressed findings. An empty names list selects every check; a name
+// given twice runs once.
 func LintAll(pkg *Package, names []string) (Result, error) {
 	analyzers := Analyzers()
 	if len(names) > 0 {
@@ -184,7 +161,9 @@ func LintAll(pkg *Package, names []string) (Result, error) {
 			if a == nil {
 				return Result{}, fmt.Errorf("lint: unknown check %q", n)
 			}
-			analyzers = append(analyzers, a)
+			if !slices.Contains(analyzers, a) {
+				analyzers = append(analyzers, a)
+			}
 		}
 	}
 	var diags []Diagnostic
@@ -218,8 +197,8 @@ func sortDiags(diags []Diagnostic) {
 		if a.Check != b.Check {
 			return a.Check < b.Check
 		}
-		// Interprocedural findings can share file:line:check (one sink,
-		// several origins); column and message keep the order total.
+		// Findings can share file:line:check; column and message keep
+		// the order total.
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}

@@ -163,12 +163,32 @@ func TestCleanPackages(t *testing.T) {
 
 // TestUnknownCheck exercises the check-selection error path.
 func TestUnknownCheck(t *testing.T) {
-	pkg, err := testLoader().Load(filepath.Join("testdata", "src", "calorder"))
+	pkg, err := testLoader().Load(filepath.Join("testdata", "src", "ctrlcopy"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Lint(pkg, []string{"nosuchcheck"}); err == nil {
 		t.Fatal("unknown check accepted")
+	}
+}
+
+// TestRepeatedCheckRunsOnce pins check selection as a set: naming a check
+// twice reports each of its findings once, as naming it once does.
+func TestRepeatedCheckRunsOnce(t *testing.T) {
+	pkg, err := testLoader().Load(filepath.Join("testdata", "src", "ctrlcopy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	once, err := LintAll(pkg, []string{"ctrlcopy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := LintAll(pkg, []string{"ctrlcopy", "ctrlcopy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(once.Diags) == 0 || len(twice.Diags) != len(once.Diags) {
+		t.Errorf("ctrlcopy once: %d findings, twice: %d", len(once.Diags), len(twice.Diags))
 	}
 }
 
@@ -184,7 +204,7 @@ func TestAnalyzerMetadata(t *testing.T) {
 			t.Errorf("incomplete analyzer %+v", a)
 		}
 		switch a.Tier {
-		case TierBlock, TierCFG, TierInterproc:
+		case TierBlock, TierCFG:
 		default:
 			t.Errorf("analyzer %q has unknown tier %q", a.Name, a.Tier)
 		}

@@ -52,7 +52,7 @@ func TestBrokenPackageStrictFails(t *testing.T) {
 	}
 }
 
-// TestBrokenPackageLenient runs all nine analyzers over a package that
+// TestBrokenPackageLenient runs every analyzer over a package that
 // does not type-check. The contract: no crash, type errors surfaced in
 // TypeErrors, and analyzers still allowed to report whatever the partial
 // information supports.

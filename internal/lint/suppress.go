@@ -24,45 +24,6 @@ import (
 
 const ignorePrefix = "greenlint:ignore"
 
-// Endorsement directives.
-//
-// An EnerJ-style endorsement
-//
-//	//greenlint:endorse <reason>
-//
-// is the sanctioned approximate→precise crossing of the taint tier: it
-// suppresses taintsink and taintescape findings on its line or the line
-// below, through the same index as //greenlint:ignore. Unlike ignore it
-// names no check — an endorsement blesses the data flow, and every taint
-// check watching that flow stands down together. The reason is mandatory
-// (a reasonless endorsement is inert, and taintendorse flags it), and
-// taintendorse also flags endorsements with no finding left to cover, so
-// a stale justification cannot linger.
-
-const endorsePrefix = "greenlint:endorse"
-
-// endorseMark is the sentinel check name under which endorsements are
-// indexed; it contains "/" so it can never collide with a real check.
-const endorseMark = "//endorse"
-
-// endorsableChecks are the checks an endorsement suppresses.
-var endorsableChecks = map[string]bool{
-	"taintsink":   true,
-	"taintescape": true,
-}
-
-// endorseReason extracts the justification from the directive tail: the
-// reason runs to the end of the comment or to an embedded "//", which
-// starts a trailing note (this is what lets fixture files carry a
-// `// want` expectation on a directive line without it becoming the
-// reason).
-func endorseReason(rest string) string {
-	if i := strings.Index(rest, "//"); i >= 0 {
-		rest = rest[:i]
-	}
-	return strings.TrimSpace(rest)
-}
-
 // suppression is one parsed directive.
 type suppression struct {
 	check  string
@@ -84,24 +45,15 @@ func collectSuppressions(pkg *Package) suppressionIndex {
 				if !ok {
 					continue // block comments are not directives
 				}
-				text = strings.TrimSpace(text)
-				var check, reason string
-				if rest, ok := strings.CutPrefix(text, ignorePrefix); ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
-					fields := strings.Fields(rest)
-					if len(fields) < 2 {
-						continue // no check or no reason: inert by design
-					}
-					check = fields[0]
-					reason = strings.Join(fields[1:], " ")
-				} else if rest, ok := strings.CutPrefix(text, endorsePrefix); ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
-					reason = endorseReason(rest)
-					if reason == "" {
-						continue // reasonless endorsement: inert, taintendorse flags it
-					}
-					check = endorseMark
-				} else {
+				rest, ok := strings.CutPrefix(strings.TrimSpace(text), ignorePrefix)
+				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
 					continue
 				}
+				fields := strings.Fields(rest)
+				if len(fields) < 2 {
+					continue // no check or no reason: inert by design
+				}
+				check, reason := fields[0], strings.Join(fields[1:], " ")
 				pos := pkg.Fset.Position(c.Pos())
 				file := idx[pos.Filename]
 				if file == nil {
@@ -140,7 +92,7 @@ func (idx suppressionIndex) match(d Diagnostic) (string, bool) {
 	}
 	for _, line := range [2]int{d.Pos.Line, d.Pos.Line - 1} {
 		for _, s := range file[line] {
-			if s.check == d.Check || (s.check == endorseMark && endorsableChecks[d.Check]) {
+			if s.check == d.Check {
 				return s.reason, true
 			}
 		}

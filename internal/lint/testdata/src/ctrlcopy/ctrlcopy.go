@@ -43,7 +43,8 @@ func func2Deref(f *core.Func2) {
 
 // ok shares controllers through pointers and must not be reported.
 func ok(l *core.Loop, f *core.Func, f2 *core.Func2, a *core.App) {
-	a.Register(l)
-	a.Register(f)
+	_ = a.Observations()
+	_ = l.Level()
+	_ = f.Offset()
 	_ = f2.Call(1, 2)
 }

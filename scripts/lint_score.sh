@@ -2,8 +2,10 @@
 # Scores greenlint the way the ROADMAP scores the runtime: what each check
 # costs (its own source lines), what it has caught on real code (the
 # examples and bench/ at HEAD; every committed tree since bench/ exists),
-# and what it catches of the violations it exists for (the one-edit
-# mutants of the examples under internal/lint/testdata/mutants).
+# what it catches of the violations it exists for (the one-edit mutants
+# of the examples under internal/lint/testdata/mutants), how many of
+# those go vet already flags, and the judged verdict on each clause of
+# the keep rule printed in the header.
 #
 #   sh scripts/lint_score.sh         writes results/lint_checks.txt
 #   sh scripts/lint_score.sh head    prints the header and the HEAD
@@ -28,8 +30,8 @@ go build -o "$work/greenlint" ./cmd/greenlint
 
 # findings <tree>: lints the tree's module, its bench/ and whatever else
 # is named, and prints one "state check file message" row per finding on
-# stdout (state: active, ignored, endorsed). greenlint's JSON puts one
-# field of a finding per line at a fixed indent; flow steps sit deeper.
+# stdout (state: active, ignored). greenlint's JSON puts one field of a
+# finding per line at a fixed indent.
 findings() {
 	tree=$1
 	shift
@@ -47,25 +49,14 @@ findings() {
 		/^    "check": /      { check = val($0) }
 		/^    "message": /    { msg = val($0) }
 		/^    "suppressed": / { sup = 1 }
-		/^  }/ { print (sup ? "suppressed" : "active"), check, file, line, msg; sup = 0 }
-	' "$work/json" | while read -r state check file line msg; do
-		# An endorsement and an ignore both arrive as "suppressed"; the
-		# directive on the finding's line or the one above tells them apart.
-		if [ "$state" = suppressed ]; then
-			state=ignored
-			if sed -n "$((line - 1)),${line}p" "$tree/$file" | grep -q 'greenlint:endorse'; then
-				state=endorsed
-			fi
-		fi
-		echo "$state $check $file $msg"
-	done
+		/^  }/ { print (sup ? "ignored" : "active"), check, file, msg; sup = 0 }
+	' "$work/json"
 }
 
 # judge: the one human column. "check file-prefix verdict reason"; a
 # finding no row covers prints "?" and fails check.sh's diff until
 # somebody has looked at it.
-judgements='nondet internal/experiments/misc.go true the overhead experiment times a real loop on purpose; each clock read carries a reasoned ignore
-taintsink internal/experiments/misc.go true the divergence report names the approximate sum on purpose; endorsed at the sink, gone with the report in PR 14'
+judgements='nondet internal/experiments/misc.go true the overhead experiment times a real loop on purpose; each clock read carries a reasoned ignore'
 judge() {
 	echo "$judgements" | awk -v check="$1" -v file="$2" '
 		$1 == check && index(file, $2) == 1 { v = $3; $1 = $2 = $3 = ""; sub(/^ +/, ""); print v " (" $0 ")"; found = 1; exit }
@@ -77,63 +68,100 @@ header() {
 greenlint, check by check: what it costs, what it has caught
 (regenerate with `sh scripts/lint_score.sh`; results/README.md says what needs the full clone)
 
-KEEP RULE. A contract check stays iff it fired truly on non-fixture code in
-some committed tree, or catches a seeded mutant that no cheaper-tier check
-catches. An advisory tier stays iff it names a site that is not already a
-controlled kernel, its reference implementation, or a reporting/bookkeeping
-loop, and that some BENCHMARK.json workload or greenbench experiment spends
->= 1 % of its time in.
+KEEP RULE. A check stays iff the mistake it catches gets past everything
+cheaper: (a) it compiles; (b) go vet does not flag it; (c) the controller's
+constructor, SetAdaptive or Restore does not refuse it at run time; (d) it
+is plausible, a true mistake in some committed tree or a misuse an example
+or README snippet could make (a reasoned //greenlint:ignore is not a
+mistake). A mistake the API can make unwritable is made unwritable instead.
+An advisory tier stays iff it names a site that is not already a controlled
+kernel, its reference implementation, or a reporting/bookkeeping loop, and
+that some BENCHMARK.json workload or greenbench experiment spends >= 1 % of
+its time in.
 
 EOF
 }
 
+# verdicts: the judged clauses of the keep rule, one row per check,
+# "check|c verdict|c evidence|d verdict|d evidence". A check with no row
+# prints "?" and fails check.sh's diff until somebody has judged it.
+verdicts='beginfinish|yes|an unfinished handle is never reported, only never monitored|yes|every example is a handle loop; a warm-up Begin (quickstart) drops one in one edit
+continuecond|yes|Continue(0) or Continue in the body runs as written, never stopping where calibrated|yes|each handle loop writes its guard by hand (quickstart, renderer); Phoenix generated it
+ctrlcopy|yes|a copy calls no constructor; its Level and Stats read a fork of the live controller|yes|vet skips *f() on purpose: ctl := *approx.Loop() (webservice) copies unflagged
+finishpath|yes|an early return strands the handle; a second Finish can finish the next Begin'"'"'s run|yes|an early exit from a handle loop (quickstart) or a doubled Finish (searchengine)
+handleescape|yes|Finish pools the handle with no owner check: the escaped pointer aliases the next Begin|yes|a helper that returns the handle (renderer) or a package variable (quickstart)
+errdrop|yes|the dropped error is the refusal itself; dropping it lets the bad model through|yes|m, _ := cal.Build() (dftfilter) and a bare cal.AddRun (searchengine) are the short form
+nondet|yes|AddRun checks arity and sign only: a clock-seeded calibration builds a new model each run|yes|a rand.Float64 input (dftfilter) or a clock-seeded camera (renderer) is one edit'
+
 head_section() {
 	echo "== HEAD =="
 	echo "lines: the check's own file (wc -l); what several checks stand on is listed once, below."
-	echo "ex+bench: findings on examples/ and bench/ as active/ignored/endorsed."
+	echo "ex+bench: findings on examples/ and bench/ as active/ignored."
 	echo "mutants: seeded / caught at the marked line / caught with no other check firing."
+	echo "vet: mutants that go vet flags. stays: (a) a mutant is caught, so it compiles under greenlint's"
+	echo "strict loader; (b) vet misses at least one; (c) and (d) as judged below."
 	echo
 	findings "$root" ./bench ./examples/... > "$work/head.findings"
 
 	# One run over every mutant; a mutant is caught when its check fires
-	# on the line that carries the want marker, alone when nothing else fires.
+	# on the line that carries the want marker, alone when nothing else
+	# fires. One go vet over every mutant directory; a mutant is flagged
+	# when vet reports anything in it (the examples themselves vet clean).
 	mutants=internal/lint/testdata/mutants
-	("$work/greenlint" $(ls -d $mutants/*/) 2>/dev/null || true) | grep -v '^	' > "$work/mutants.out"
+	("$work/greenlint" $(ls -d $mutants/*/) 2>/dev/null || true) > "$work/mutants.out"
+	(go vet $(ls -d $mutants/*/ | sed 's|^|./|') 2>&1 || true) > "$work/vet.out"
 	for dir in $(ls $mutants); do
 		want=$(grep -n '// want ' "$mutants/$dir/main.go" | cut -d: -f1)
-		awk -v dir="$dir" -v want="$want" -v file="$mutants/$dir/main.go" '
+		vetted=$(grep -c "^$mutants/$dir/" "$work/vet.out" || true)
+		awk -v dir="$dir" -v want="$want" -v file="$mutants/$dir/main.go" -v vetted="$vetted" '
 			BEGIN { check = dir; sub(/_.*/, "", check); what = dir; sub(/^[^_]*_/, "", what) }
 			index($0, file ":") == 1 {
 				if (index($0, file ":" want ": [" check "]") == 1) caught = 1; else other = 1
 			}
-			END { print check, what, caught + 0, (caught && !other) + 0 }' "$work/mutants.out"
+			END { print check, what, caught + 0, (caught && !other) + 0, (vetted > 0) + 0 }' "$work/mutants.out"
 	done > "$work/mutants.score"
 
-	printf '%-13s %-10s %6s  %-9s %-8s %-6s %s\n' check tier lines ex+bench mutants stays "caught alone"
+	printf '%-13s %-6s %6s  %-9s %-8s %-4s %-5s %s\n' check tier lines ex+bench mutants vet stays "caught alone"
 	"$work/greenlint" -list | while read -r check tier _; do
-		case $check in
-		taintsink) lines=$(cat internal/lint/taint.go internal/lint/summary.go internal/lint/callgraph.go | wc -l) ;;
-		taintendorse | taintescape) lines='"' ;;
-		*) lines=$(wc -l < "internal/lint/$check.go") ;;
-		esac
-		fired=$(awk -v c="$check" '$2 == c { n[$1]++ } END { print n["active"] + 0 "/" n["ignored"] + 0 "/" n["endorsed"] + 0 }' "$work/head.findings")
-		awk -v c="$check" -v tier="$tier" -v lines="$lines" -v fired="$fired" '
-			$1 == c { seeded++; caught += $3; alone += $4; if ($4) names = names " " $2 }
+		lines=$(wc -l < "internal/lint/$check.go")
+		fired=$(awk -v c="$check" '$2 == c { n[$1]++ } END { print n["active"] + 0 "/" n["ignored"] + 0 }' "$work/head.findings")
+		judged=$(echo "$verdicts" | awk -F'|' -v c="$check" '$1 == c { print $2 $4; found = 1 } END { if (!found) print "?" }')
+		awk -v c="$check" -v tier="$tier" -v lines="$lines" -v fired="$fired" -v judged="$judged" '
+			$1 == c { seeded++; caught += $3; alone += $4; vetted += $5; if ($4) names = names " " $2 }
 			END {
-				printf "%-13s %-10s %6s  %-9s %-8s %-6s%s\n", c, tier, lines, fired,
-					seeded + 0 "/" caught + 0 "/" alone + 0, (alone ? "yes" : "history?"), names
+				stays = judged == "?" ? "?" : (alone && vetted < seeded && judged == "yesyes") ? "yes" : "no"
+				printf "%-13s %-6s %6s  %-9s %-8s %-4s %-5s%s\n", c, tier, lines, fired,
+					seeded + 0 "/" caught + 0 "/" alone + 0, vetted + 0 "/" seeded + 0, stays, names
 			}' "$work/mutants.score"
 	done
 	echo
-	echo "taint.go + summary.go + callgraph.go are the interproc tier's, counted on its first row."
-	echo "calorder polices core.App, which no example uses: both of its mutants add one before misusing it."
+	echo "keep rule, clauses (c) and (d) judged:"
+	"$work/greenlint" -list | while read -r check _; do
+		echo "$verdicts" | awk -F'|' -v c="$check" '
+			$1 == c { printf "  %-13s c %s: %s\n  %-13s d %s: %s\n", c, $2, $3, "", $4, $5; found = 1 }
+			END { if (!found) printf "  %-13s ?\n", c }'
+	done
+	echo
+	echo "deleted under this rule, each with its fixture, mutants, tests and the code only it used:"
+	echo "  slarange      fails (c): its mutants are refused when the controller is built: SLA 1.5 exits 1"
+	echo "                with 'core: loop \"pi.main\": SLA 1.5 outside (0,1]', SampleInterval -500 with"
+	echo "                'negative SampleInterval -500'; SetAdaptive refuses incomplete AdaptiveParams, and"
+	echo "                errdrop guards the returned error."
+	echo "  calorder      unwritable: NewApp(cfg, units...) takes the units and App.Register is gone, so no"
+	echo "                unit can join after ObserveAppQoS."
+	echo "  taintsink     fails (d), with taintendorse and taintescape (1 492 lines with summary.go and"
+	echo "                callgraph.go): its one finding in history (through 82dd1c9) was a crossing endorsed"
+	echo "                on purpose; its mutants (go fmt.Println of a probe, progress <- i, an approximate"
+	echo "                value in fmt.Errorf, an approximated estimate fed to AddRun, an approximate cos"
+	echo "                steering DisableApprox) appear in no committed tree; and it was made blind to the"
+	echo "                calibration idiom (precise - approx) to stay quiet."
 	echo "shared infrastructure, counted once:"
 	for f in handles cfg astutil suppress lint load format; do
 		case $f in
 		handles) users="beginfinish continuecond finishpath handleescape" ;;
-		cfg) users="finishpath and the interproc tier" ;;
+		cfg) users="finishpath" ;;
 		astutil) users="every check" ;;
-		suppress) users="//greenlint:ignore and //greenlint:endorse, every check" ;;
+		suppress) users="//greenlint:ignore, every check" ;;
 		lint) users="catalogue, Pass, LintAll" ;;
 		load) users="go/parser + go/types loader" ;;
 		format) users="text, json, sarif writers" ;;
@@ -157,7 +185,7 @@ history_section() {
 	echo "== HISTORY =="
 	echo "This HEAD's greenlint over every committed tree that has bench/ (\`git archive\`; commits that"
 	echo "touch no .go file skipped): ./... plus ./bench, fixtures excluded as always. Cells count findings"
-	echo "as a(ctive) i(gnored) e(ndorsed); '.' is none."
+	echo "as a(ctive) i(gnored); '.' is none."
 	echo
 	trees=""
 	for c in $(git rev-list --reverse HEAD); do
@@ -182,7 +210,7 @@ history_section() {
 				printf "%-13s", c[j]
 				for (i = 1; i <= nt; i++) {
 					cell = ""
-					for (k = 1; k <= 3; k++) { s = substr("aie", k, 1); if (n[c[j], t[i], s]) cell = cell n[c[j], t[i], s] s }
+					for (k = 1; k <= 2; k++) { s = substr("ai", k, 1); if (n[c[j], t[i], s]) cell = cell n[c[j], t[i], s] s }
 					printf " %7s", (cell == "" ? "." : cell)
 				}
 				printf "\n"
