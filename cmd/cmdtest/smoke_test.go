@@ -103,6 +103,22 @@ func TestGreencalList(t *testing.T) {
 	}
 }
 
+// TestGreencalRefusesBadSLA: an -sla outside (0,1], NaN included, is a
+// usage error, not a value silently ignored or resolved against a model
+// no controller would accept.
+func TestGreencalRefusesBadSLA(t *testing.T) {
+	for _, sla := range []string{"-1", "0", "NaN", "2"} {
+		out, code := run(t, "greencal", "-app", "exp", "-scale", "0.05", "-sla", sla)
+		if code != 2 || !strings.Contains(out, "outside (0,1]") {
+			t.Errorf("greencal -sla %s: exit %d, want 2 naming the range:\n%s", sla, code, out)
+		}
+	}
+	out, code := run(t, "greencal", "-app", "exp", "-scale", "0.05", "-sla", "1")
+	if code != 0 || !strings.Contains(out, "greencal: SLA 1.0000 ->") {
+		t.Errorf("greencal -sla 1: exit %d, want 0 with a resolution:\n%s", code, out)
+	}
+}
+
 func TestGreenbenchList(t *testing.T) {
 	out, code := run(t, "greenbench", "-list")
 	if code != 0 || strings.TrimSpace(out) == "" {

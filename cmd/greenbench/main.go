@@ -21,18 +21,14 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (e.g. fig10) or 'all'")
-		selector = flag.Bool("selector", false, "shorthand for -exp selector (reactive vs proactive per-input control)")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		scale    = flag.Float64("scale", 1.0, "workload scale factor")
-		workers  = flag.Int("workers", 1, "goroutines for the calibration phases (results identical for any value)")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		out      = flag.String("o", "", "also append output to this file")
+		exp     = flag.String("exp", "", "experiment id (e.g. fig10) or 'all'")
+		seed    = flag.Int64("seed", 42, "workload seed")
+		scale   = flag.Float64("scale", 1.0, "workload scale factor")
+		workers = flag.Int("workers", 1, "goroutines for the calibration phases (results identical for any value)")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		out     = flag.String("o", "", "also append output to this file")
 	)
 	flag.Parse()
-	if *selector {
-		*exp = "selector"
-	}
 
 	sink := io.Writer(os.Stdout)
 	if *out != "" {

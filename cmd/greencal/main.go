@@ -28,9 +28,15 @@ func main() {
 		workers = flag.Int("workers", 1, "goroutines measuring training inputs concurrently (same model for any value)")
 		out     = flag.String("o", "", "output file (default stdout)")
 		list    = flag.Bool("list", false, "list calibratable applications")
-		sla     = flag.Float64("sla", 0, "also resolve the model for this QoS SLA (prints the selected parameters to stderr)")
+		sla     = flag.Float64("sla", 0, "also resolve the model for this QoS SLA in (0,1] (prints the selected parameters to stderr)")
 	)
 	flag.Parse()
+	slaSet := false
+	flag.Visit(func(f *flag.Flag) { slaSet = slaSet || f.Name == "sla" })
+	if slaSet && !(*sla > 0 && *sla <= 1) {
+		fmt.Fprintf(os.Stderr, "greencal: -sla %v outside (0,1]\n", *sla)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, a := range experiments.CalibratableApps() {
@@ -47,7 +53,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "greencal: %v\n", err)
 		os.Exit(1)
 	}
-	if *sla > 0 {
+	if slaSet {
 		resolve(m, *sla)
 	}
 	data, err := json.MarshalIndent(m, "", "  ")

@@ -152,24 +152,24 @@ type (
 	// FuncCalibration collects calibration-phase function measurements.
 	FuncCalibration = core.FuncCalibration
 
-	// Features carries the per-input signals the controller pipeline's
-	// Select stage keys on (Loop.ExecFeat/ExecNFeat and
-	// Func.CallFeat/CallNFeat). A plain value; the zero value means "no
-	// features", and the entry points without features pass it, so the
-	// Select stage skips it without a tally.
+	// Features carries the per-input signal Loop's Select stage keys on
+	// (Loop.ExecFeat): Key and Valid. A plain value; the zero value means
+	// "no features", which Begin passes, so the Select stage skips it
+	// without a tally. A function picks its version per input through
+	// its QoS model and has no Select stage.
 	Features = core.Features
 	// Selector is the pluggable Select stage: per-input Features to an
 	// approximation level before execution, with Correct-stage drift
 	// repair after monitored executions.
 	Selector = core.Selector
-	// SelectorStats snapshots a controller's Select-stage counters
-	// (hits, fallbacks, overrides, corrections).
+	// SelectorStats snapshots a Loop's Select-stage counters (hits,
+	// fallbacks, overrides, corrections).
 	SelectorStats = core.SelectorStats
 	// SelectorState is the versioned persisted runtime state of a
 	// Selector (per-bucket correction factors).
 	SelectorState = core.SelectorState
 	// BucketSelector is the calibrated per-feature-bucket Select stage
-	// (LoopCalibration.BuildSelector, FuncCalibration.BuildFuncSelector).
+	// (LoopCalibration.BuildSelector).
 	BucketSelector = core.BucketSelector
 
 	// Func2 approximates functions of two numeric parameters — the

@@ -67,8 +67,7 @@ type BatchResult struct {
 type LoopBatch struct {
 	// The current member. Its approximation snapshot is shared by the
 	// batch's members and reloaded after the monitored member applies
-	// its observation; one Select-stage decision (ExecNFeat: one Features
-	// value describes the whole batch) covers them all.
+	// its observation.
 	loopMember
 
 	n         int   // configured batch size
@@ -89,20 +88,9 @@ var batchPool = sync.Pool{New: func() any { return new(LoopBatch) }}
 // then just the Continue checks. qos plays the same role as in Begin
 // and, like there, must implement DeltaQoS in Adaptive mode. A batch
 // finished before all n members ran returns the unused executions to
-// the counters. ExecN is ExecNFeat with no Features.
-func (l *Loop) ExecN(n int, qos LoopQoS) (*LoopBatch, error) { return l.execN(n, qos, Features{}) }
-
-// ExecNFeat starts a batch with per-input Features describing the
-// batch's members (the batched ExecFeat): the Select stage chooses one
-// level for the whole batch, and the monitored member's loss corrects
-// the chosen bucket. With no Selector installed the batch is ExecN's.
-func (l *Loop) ExecNFeat(n int, qos LoopQoS, f Features) (*LoopBatch, error) {
-	return l.execN(n, qos, f)
-}
-
-// execN is the one Select+Execute front half of the batched pipeline; a
-// zero f skips the Select stage (stageSelect).
-func (l *Loop) execN(n int, qos LoopQoS, f Features) (*LoopBatch, error) {
+// the counters. A batch has no Select stage: its members run at the
+// reactive level.
+func (l *Loop) ExecN(n int, qos LoopQoS) (*LoopBatch, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: batch size %d < 1", n)
 	}
@@ -112,12 +100,11 @@ func (l *Loop) execN(n int, qos LoopQoS, f Features) (*LoopBatch, error) {
 	}
 	st := l.state.Load()
 	o := l.stageExecuteBatch(n)
-	sd := l.stageSelect(f, obs{forced: o.forced}, st.disabled || st.forceOff)
 	// A pooled batch comes back zeroed (Finish), so only the cursor's
 	// non-zero fields need setting.
 	b := batchPool.Get().(*LoopBatch)
 	b.n, b.monitorAt, b.first = n, o.monitorAt, o.first
-	b.init(l, qos, delta, st, o.forced, o.probe, &sd)
+	b.init(l, qos, delta, st, o.forced, o.probe, &selDecision{})
 	return b, nil
 }
 
@@ -161,8 +148,7 @@ func (b *LoopBatch) endMonitored(finalIter int) Result {
 	}
 	// The observation may have moved the level (or the breaker may have
 	// tripped): the batch's remaining members read the fresh snapshot,
-	// exactly as unbatched Begins would. A Select-stage choice still
-	// governs the remaining members' level.
+	// exactly as unbatched Begins would.
 	b.load(b.loop.state.Load(), false)
 	return res
 }

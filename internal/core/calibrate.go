@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"green/internal/model"
@@ -28,7 +27,13 @@ type LoopCalibration struct {
 	workSums  []float64
 	runs      int
 
-	feat bucketSums // FeatureBuckets/AddRunFeat, feeding BuildSelector
+	// The feature-tagged half (FeatureBuckets/AddRunFeat, feeding
+	// BuildSelector): per feature bucket, the loss sum at every knot and
+	// the runs tagged into it. A run adds every knot at once, so one
+	// count per bucket covers its whole curve.
+	edges      []float64
+	bucketLoss [][]float64
+	bucketRuns []int
 }
 
 // NewLoopCalibration prepares a collection over the given candidate
@@ -89,7 +94,16 @@ func (c *LoopCalibration) Runs() int { return c.runs }
 // right) for feature-tagged calibration. Must be called before
 // AddRunFeat.
 func (c *LoopCalibration) FeatureBuckets(edges []float64) error {
-	return c.feat.declare(edges, len(c.knots))
+	if err := validateBucketEdges(edges); err != nil {
+		return err
+	}
+	c.edges = append([]float64(nil), edges...)
+	c.bucketLoss = make([][]float64, len(edges)-1)
+	for b := range c.bucketLoss {
+		c.bucketLoss[b] = make([]float64, len(c.knots))
+	}
+	c.bucketRuns = make([]int, len(edges)-1)
+	return nil
 }
 
 // AddRunFeat records one feature-tagged training input: AddRun's
@@ -98,16 +112,17 @@ func (c *LoopCalibration) FeatureBuckets(edges []float64) error {
 // (or with invalid Features) still train the global model — the
 // selector simply declines such inputs at run time.
 func (c *LoopCalibration) AddRunFeat(f Features, losses, work []float64) error {
-	if err := c.feat.ready("AddRunFeat"); err != nil {
-		return err
+	if c.edges == nil {
+		return errors.New("core: AddRunFeat before FeatureBuckets")
 	}
 	if err := c.AddRun(losses, work); err != nil {
 		return err
 	}
-	if b := c.feat.bucket(f); b >= 0 {
+	if b := bucketOf(c.edges, f.Key); f.Valid && b >= 0 {
 		for i, loss := range losses {
-			c.feat.add(b, i, loss)
+			c.bucketLoss[b][i] += loss
 		}
+		c.bucketRuns[b]++
 	}
 	return nil
 }
@@ -119,20 +134,30 @@ func (c *LoopCalibration) AddRunFeat(f Features, losses, work []float64) error {
 // that saw no runs get no curve — the selector declines their inputs and
 // the pipeline falls back to the reactive level.
 func (c *LoopCalibration) BuildSelector() (*BucketSelector, error) {
-	loss, err := c.feat.curves("BuildSelector")
-	if err != nil {
-		return nil, err
+	if c.edges == nil {
+		return nil, errors.New("core: BuildSelector before FeatureBuckets")
 	}
-	for _, curve := range loss {
+	loss := make([][]float64, len(c.bucketRuns))
+	found := false
+	for b, n := range c.bucketRuns {
+		if n == 0 {
+			continue
+		}
+		curve := make([]float64, len(c.knots))
+		for i := range curve {
+			curve[i] = c.bucketLoss[b][i] / float64(n)
+		}
 		// Walking down from the most precise knot, loss may never
 		// increase with level.
 		for i := len(curve) - 2; i >= 0; i-- {
-			if curve[i] < curve[i+1] {
-				curve[i] = curve[i+1]
-			}
+			curve[i] = max(curve[i], curve[i+1])
 		}
+		loss[b], found = curve, true
 	}
-	return newBucketSelector("loop", c.feat.edges, c.Knots(), c.baseLevel, loss), nil
+	if !found {
+		return nil, errors.New("core: no feature bucket has a tagged run")
+	}
+	return newBucketSelector(c.edges, c.Knots(), c.baseLevel, loss), nil
 }
 
 // Build averages the recorded runs into a LoopModel.
@@ -160,8 +185,6 @@ type FuncCalibration struct {
 	preciseWork float64
 	versions    []funcCalVersion
 	binWidth    float64
-
-	feat bucketSums // FeatureBuckets/AddSampleFeat, feeding BuildFuncSelector
 }
 
 type funcCalVersion struct {
@@ -242,45 +265,6 @@ func (c *FuncCalibration) Calibrate(precise Fn, versions []Fn, inputs []float64,
 	return nil
 }
 
-// FeatureBuckets declares the feature-bucket boundaries for feature-
-// tagged calibration (see LoopCalibration.FeatureBuckets). Must be
-// called before AddSampleFeat.
-func (c *FuncCalibration) FeatureBuckets(edges []float64) error {
-	return c.feat.declare(edges, len(c.versions))
-}
-
-// AddSampleFeat records one feature-tagged sample: AddSample's global
-// accumulation plus the version's loss in the feature bucket f.Key
-// falls in. Out-of-bucket or invalid Features still train the global
-// model.
-func (c *FuncCalibration) AddSampleFeat(f Features, version int, x, loss float64) error {
-	if err := c.feat.ready("AddSampleFeat"); err != nil {
-		return err
-	}
-	if err := c.AddSample(version, x, loss); err != nil {
-		return err
-	}
-	if b := c.feat.bucket(f); b >= 0 {
-		c.feat.add(b, version, loss)
-	}
-	return nil
-}
-
-// BuildFuncSelector averages the feature-tagged samples into a
-// BucketSelector over the ladder's version indices, falling back to
-// model.PreciseVersion.
-func (c *FuncCalibration) BuildFuncSelector() (*BucketSelector, error) {
-	loss, err := c.feat.curves("BuildFuncSelector")
-	if err != nil {
-		return nil, err
-	}
-	versions := make([]float64, len(c.versions))
-	for v := range versions {
-		versions[v] = float64(v)
-	}
-	return newBucketSelector("func", c.feat.edges, versions, model.PreciseVersion, loss), nil
-}
-
 // Build averages the bins into a FuncModel.
 func (c *FuncCalibration) Build() (*model.FuncModel, error) {
 	curves := make([]model.VersionCurve, len(c.versions))
@@ -299,77 +283,4 @@ func (c *FuncCalibration) Build() (*model.FuncModel, error) {
 		curves[i] = model.VersionCurve{Name: v.name, Work: v.work, Samples: samples}
 	}
 	return model.BuildFuncModel(c.name, c.preciseWork, curves)
-}
-
-// bucketSums is the feature-tagged half of a calibration: per feature
-// bucket, per candidate (a loop's knot or a ladder's version), the loss
-// sum and sample count behind a BucketSelector's curves.
-type bucketSums struct {
-	edges []float64
-	sum   [][]float64
-	n     [][]int
-}
-
-// declare validates and installs the bucket boundaries, clearing the
-// sums.
-func (a *bucketSums) declare(edges []float64, candidates int) error {
-	if err := validateBucketEdges(edges); err != nil {
-		return err
-	}
-	a.edges = append([]float64(nil), edges...)
-	a.sum = make([][]float64, len(edges)-1)
-	a.n = make([][]int, len(edges)-1)
-	for b := range a.sum {
-		a.sum[b] = make([]float64, candidates)
-		a.n[b] = make([]int, candidates)
-	}
-	return nil
-}
-
-// ready refuses op before the buckets are declared.
-func (a *bucketSums) ready(op string) error {
-	if a.edges == nil {
-		return fmt.Errorf("core: %s before FeatureBuckets", op)
-	}
-	return nil
-}
-
-// bucket returns the bucket of a tagged input, or -1 for invalid
-// Features or a key outside the declared buckets.
-func (a *bucketSums) bucket(f Features) int {
-	if !f.Valid {
-		return -1
-	}
-	return bucketOf(a.edges, f.Key)
-}
-
-func (a *bucketSums) add(b, candidate int, loss float64) {
-	a.sum[b][candidate] += loss
-	a.n[b][candidate]++
-}
-
-// curves averages the sums: per bucket, the mean loss at every
-// candidate. A bucket gets a curve only when every candidate has a
-// sample there (a partial curve would silently prefer the unsampled
-// candidates); the others stay nil and decline at run time.
-func (a *bucketSums) curves(op string) ([][]float64, error) {
-	if err := a.ready(op); err != nil {
-		return nil, err
-	}
-	loss := make([][]float64, len(a.sum))
-	found := false
-	for b := range a.sum {
-		if slices.Contains(a.n[b], 0) {
-			continue
-		}
-		loss[b] = make([]float64, len(a.sum[b]))
-		for i := range loss[b] {
-			loss[b][i] = a.sum[b][i] / float64(a.n[b][i])
-		}
-		found = true
-	}
-	if !found {
-		return nil, errors.New("core: no feature bucket has a sample at every candidate level")
-	}
-	return loss, nil
 }

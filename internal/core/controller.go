@@ -11,48 +11,39 @@ import (
 //
 // The paper's operational phase (§2.2.3) is one control law regardless of
 // what is being approximated. This file organizes that law as an explicit
-// four-stage pipeline run around every execution:
+// pipeline run around every execution:
 //
-//	Select  — (optional, per-input) map the execution's Features to an
-//	          approximation level through the installed Selector's
-//	          calibrated per-bucket curves. Absent valid Features or a
-//	          Selector — or when the Selector declines the input — the
-//	          stage falls through to the reactive level in the snapshot.
-//	          stageSelect.
 //	Execute — advance the execution counter, decide whether this
 //	          execution is monitored (count % Sample_QoS == 0), and
 //	          consult the panic breaker. stageExecute / stageExecuteBatch.
 //	Observe — on monitored executions, measure the QoS loss precisely,
 //	          accumulate it, and feed the recalibration policy.
 //	Correct — apply the policy's decision copy-on-write (the reactive
-//	          law), and — when the Select stage chose the level — route
-//	          the measured loss back into the Selector so its per-bucket
-//	          curve corrections track observed drift, clamped the same
-//	          way the cluster control plane clamps shard corrections.
-//	          Observe and Correct share stageObserveCorrect.
+//	          law). Observe and Correct share stageObserveCorrect.
+//
+// Loop adds a Select stage in front (selector.go): per-input Features
+// mapped to a level through an installed Selector, whose Correct half
+// runs after the policy's.
 //
 // Loop and the version ladder under Func and Func2 (ladder.go) each add
 // only (a) the shape of their immutable approximation snapshot, (b) how
 // a policy action translates into that snapshot, and (c) one body per
-// execution shape (Loop: begin and execN; the ladder: call and callN),
-// which the entry points without features call with a zero Features.
+// execution shape (Loop: begin and ExecN; the ladder: call and callN).
 // Everything else — the counters, the loss total, the sampling
-// decision, the panic breaker, selector bookkeeping, policy invocation
-// and event emission, Stats, and the copy-on-write publish protocol —
-// lives here, once, as controller[S].
+// decision, the panic breaker, policy invocation and event emission,
+// Stats, and the copy-on-write publish protocol — lives here, once, as
+// controller[S].
 //
 // S is the controller's immutable snapshot type (loopState,
 // ladderState). The hot path reads it with one atomic load; every
 // mutation copies the current snapshot under mu, edits the copy, and
 // publishes it atomically, so non-monitored executions never take a
-// lock. The Selector slot is a separate atomic pointer: without valid
-// Features the Select stage is one flag test, without a Selector one nil
-// check, and either way the pipeline is the reactive-only law.
+// lock.
 
 // Controller is the operational surface every controller kind exposes:
 // identity, runtime statistics, the scalar approximation level, the
-// live sampling interval and last recalibration, Select-stage counters,
-// breaker health, and versioned state checkpointing.
+// live sampling interval and last recalibration, breaker health, and
+// versioned state checkpointing.
 type Controller interface {
 	Name() string
 	SLA() float64
@@ -60,7 +51,6 @@ type Controller interface {
 	Level() float64
 	SampleInterval() int64
 	LastRecalibration() (seq int64, act Action)
-	SelectorStats() SelectorStats
 	Breaker() BreakerStats
 	ApproxEnabled() bool
 	MarshalState() ([]byte, error)
@@ -113,22 +103,6 @@ type controller[S any] struct {
 	lossTotal atomic.Uint64
 	brk       *Breaker
 
-	// sel is the optional Select stage. Nil when no Selector is
-	// installed, so an execution with Features pays one atomic load and
-	// a branch, nothing more (one without pays a flag test).
-	sel atomic.Pointer[selectorSlot]
-
-	// Select-stage counters: hits (the Selector chose the level),
-	// fallbacks (the Selector declined valid Features — an input outside
-	// the calibrated buckets), overrides (the choice was discarded
-	// because the breaker forced precise or approximation was disabled),
-	// and corrections (Correct-stage drift repairs applied to the
-	// Selector).
-	selHits        atomic.Int64
-	selFallbacks   atomic.Int64
-	selOverrides   atomic.Int64
-	selCorrections atomic.Int64
-
 	// lastRecalSeq/lastRecalAct record the most recent Correct-stage
 	// policy decision that moved the controller (sequence number of the
 	// monitored execution and the action taken), so operators can see
@@ -140,98 +114,6 @@ type controller[S any] struct {
 	policy RecalibratePolicy
 }
 
-// Features carries the per-input signals the Select stage keys on. It is
-// a plain value — passing one allocates nothing — and the zero value is
-// "no features" (Valid false), which every Selector must decline.
-//
-// Key is the primary feature the selector's buckets partition (for the
-// search workload: the estimated match count from posting-list sizes);
-// Aux1/Aux2 carry secondary signals a Selector may fold in (term count,
-// cache-hit state, scene complexity — whatever the calibration tagged).
-type Features struct {
-	Key   float64
-	Aux1  float64
-	Aux2  float64
-	Valid bool
-}
-
-// Selector is the pluggable Select stage: it maps per-input Features to
-// an approximation level before execution, and absorbs Correct-stage
-// drift repairs after monitored executions. Implementations must be
-// deterministic (greenlint's nondet analyzer checks Select/Correct
-// bodies for wall-clock and unseeded randomness) and safe for
-// concurrent use; Select runs on the hot path and must not allocate.
-type Selector interface {
-	// Select returns the approximation level for the input, or ok=false
-	// to decline (invalid features, input outside the calibrated
-	// domain), in which case the pipeline falls back to the reactive
-	// level.
-	Select(f Features, sla float64) (level float64, ok bool)
-	// Correct feeds one monitored observation back: the features and
-	// level the Select stage chose and the measured QoS loss. It
-	// returns true when the observation moved the selector's state (a
-	// drift correction was applied).
-	Correct(f Features, level, loss float64) bool
-	// State snapshots the selector's mutable runtime state for
-	// persistence; Restore installs a validated snapshot. Restore must
-	// reject NaN/Inf or mis-shaped state.
-	State() SelectorState
-	Restore(SelectorState) error
-}
-
-// selectorSlot wraps the installed Selector so the controller can hold
-// it in an atomic.Pointer (interfaces cannot be stored there directly).
-type selectorSlot struct{ s Selector }
-
-// SelectorStats snapshots the Select-stage counters (JSON-tagged: the
-// struct is embedded verbatim in /stats controller rows).
-type SelectorStats struct {
-	Installed   bool  `json:"installed"`
-	Hits        int64 `json:"hits"`
-	Fallbacks   int64 `json:"fallbacks"`
-	Overrides   int64 `json:"overrides"`
-	Corrections int64 `json:"corrections"`
-}
-
-// selDecision records what the Select stage chose for one execution, so
-// the Correct stage can route the measured loss back into the bucket
-// that chose the level. The zero value means "reactive level used".
-type selDecision struct {
-	feat     Features
-	level    float64
-	selected bool
-}
-
-// InstallSelector installs (or, with nil, removes) the Select stage.
-// Installation is atomic; executions in flight finish under whichever
-// selector they started with.
-func (c *controller[S]) InstallSelector(s Selector) {
-	if s == nil {
-		c.sel.Store(nil)
-		return
-	}
-	c.sel.Store(&selectorSlot{s: s})
-}
-
-// Selector returns the installed Selector, or nil.
-func (c *controller[S]) Selector() Selector {
-	if slot := c.sel.Load(); slot != nil {
-		return slot.s
-	}
-	return nil
-}
-
-// SelectorStats reports the Select-stage counters.
-func (c *controller[S]) SelectorStats() SelectorStats {
-	return SelectorStats{
-		Installed:   c.sel.Load() != nil,
-		Hits:        c.selHits.Load(),
-		Fallbacks:   c.selFallbacks.Load(),
-		Overrides:   c.selOverrides.Load(),
-		Corrections: c.selCorrections.Load(),
-	}
-}
-
 // SampleInterval returns the live Sample_QoS interval (zero when
 // monitoring is disabled).
 func (c *controller[S]) SampleInterval() int64 { return c.rate.Load().iv }
@@ -241,40 +123,6 @@ func (c *controller[S]) SampleInterval() int64 { return c.rate.Load().iv }
 // (ActNone and zero before any recalibration has acted).
 func (c *controller[S]) LastRecalibration() (seq int64, act Action) {
 	return c.lastRecalSeq.Load(), Action(c.lastRecalAct.Load())
-}
-
-// stageSelect runs the Select stage: consult the installed Selector
-// with the execution's Features. A zero (invalid) Features skips the
-// stage without a tally — the entry points without features pass one —
-// so a fallback counts a valid input the Selector declined. The caller
-// passes the Execute-stage decision so selector choices discarded by a
-// forced-precise breaker window are counted as overrides rather than
-// silently dropped. Lock-free; no allocation.
-func (c *controller[S]) stageSelect(f Features, o obs, disabled bool) selDecision {
-	if !f.Valid {
-		return selDecision{}
-	}
-	return c.selectValid(f, o, disabled)
-}
-
-// selectValid is the Select stage for valid Features, kept out of line
-// so the test above inlines into every execution's front half.
-func (c *controller[S]) selectValid(f Features, o obs, disabled bool) selDecision {
-	slot := c.sel.Load()
-	if slot == nil {
-		return selDecision{}
-	}
-	level, ok := slot.s.Select(f, c.sla)
-	if !ok {
-		c.selFallbacks.Add(1)
-		return selDecision{}
-	}
-	if o.forced || disabled {
-		c.selOverrides.Add(1)
-		return selDecision{}
-	}
-	c.selHits.Add(1)
-	return selDecision{feat: f, level: level, selected: true}
 }
 
 // init validates the shared configuration and wires the runtime. kind
@@ -435,12 +283,11 @@ func (c *controller[S]) reconcileBatch(n, ran int) {
 // returns the post-action approximation level for the event; for
 // ActNone it must only read the level, so the common no-change
 // observation publishes — and allocates — nothing), record the
-// recalibration metadata, and — when the Select stage chose this
-// execution's level — route the measured loss back into the Selector
-// so its per-bucket corrections track observed drift. The event fires
-// outside the lock. Returns the action taken (ActNone for failed
+// recalibration metadata, and hand the loss to correct (nil for none:
+// Loop's Select-stage repair, selector.go). The event fires outside the
+// lock, after both. Returns the action taken (ActNone for failed
 // observations).
-func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, sd selDecision, apply func(*S, Action) float64) Action {
+func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, apply func(*S, Action) float64, correct func(loss float64)) Action {
 	if panicked {
 		c.brk.OnFailure(o.seq, o.probe)
 		return ActNone
@@ -467,14 +314,8 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 	c.lastRecalAct.Store(int32(d.Action))
 	c.mu.Unlock()
 
-	// Correct the Selector: the measured loss repairs the per-bucket
-	// curve that chose this execution's level. The selector synchronizes
-	// its own state (copy-on-write), so this stays off the controller
-	// lock.
-	if sd.selected {
-		if slot := c.sel.Load(); slot != nil && slot.s.Correct(sd.feat, sd.level, loss) {
-			c.selCorrections.Add(1)
-		}
+	if correct != nil {
+		correct(loss)
 	}
 
 	if c.onEvent != nil {

@@ -91,7 +91,7 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 
 // Call evaluates the function at (x, y) under the approximation policy:
 // Func.Call over the grid (ladder.call).
-func (f *Func2) Call(x, y float64) float64 { return f.call(pair{x, y}, Features{}) }
+func (f *Func2) Call(x, y float64) float64 { return f.call(pair{x, y}) }
 
 // CallN evaluates the function at each (xs[i], ys[i]) pair, writing
 // results into zs[i]: Func.CallN over the grid (ladder.callN). xs and ys
@@ -100,7 +100,7 @@ func (f *Func2) CallN(xs, ys, zs []float64) error {
 	if len(ys) != len(xs) {
 		return fmt.Errorf("core: func2 %q: CallN input lengths differ (%d vs %d)", f.cfg.Name, len(xs), len(ys))
 	}
-	return f.callN(xs, ys, zs, Features{})
+	return f.callN(xs, ys, zs)
 }
 
 // Sensitivity implements Unit: the mean modeled loss improvement per

@@ -123,25 +123,13 @@ func (f *Func) Ranges() []model.Range {
 // both the precise and the selected approximate version run; the
 // measured loss feeds the recalibration policy and the precise result is
 // returned.
-func (f *Func) Call(x float64) float64 { return f.call(x, Features{}) }
-
-// CallFeat evaluates the function at x with per-input Features: the
-// Select stage maps them through the installed Selector to a version
-// of the ladder (the level is the version index; model.PreciseVersion
-// selects precise), replacing the range-table lookup for this call.
-// When no Selector is installed (or it declines) the call is Call.
-func (f *Func) CallFeat(x float64, feat Features) float64 { return f.call(x, feat) }
+func (f *Func) Call(x float64) float64 { return f.call(x) }
 
 // CallN evaluates the function at each xs[i], writing results into
 // ys[i]: the batched Call (ladder.callN), with one snapshot load, one
 // sampling decision, and one counter and work add per batch. ys must be
 // at least as long as xs.
-func (f *Func) CallN(xs, ys []float64) error { return f.callN(xs, nil, ys, Features{}) }
-
-// CallNFeat is the batched CallFeat: one Features value describes the
-// batch, the Select stage chooses one version for all members, and the
-// monitored member's loss corrects the chosen bucket.
-func (f *Func) CallNFeat(xs, ys []float64, feat Features) error { return f.callN(xs, nil, ys, feat) }
+func (f *Func) CallN(xs, ys []float64) error { return f.callN(xs, nil, ys) }
 
 // Sensitivity implements Unit: the mean modeled loss improvement per unit
 // of relative work increase when shifting every selected version one step

@@ -335,15 +335,10 @@ func TestFuncWorkIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := NewFunc(FuncConfig{Name: "sq", Model: fm, SLA: 0.2, SampleInterval: interval, Policy: pol}, sq, []Fn{sq, sq})
-	if err != nil {
-		t.Fatal(err)
-	}
 	f2, err := NewFunc2(Func2Config{Name: "sq", Model: gm, SLA: 0.2, SampleInterval: interval, Policy: pol}, mul, []Fn2{mul, mul})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feat := Features{Key: 1, Valid: true} // no selector installed: Call's work
 	for _, k := range []struct {
 		name  string
 		f     funcCtl
@@ -351,7 +346,6 @@ func TestFuncWorkIsExact(t *testing.T) {
 		callN func(xs []float64) error
 	}{
 		{"func", f1, func(x float64) { f1.Call(x) }, func(xs []float64) error { return f1.CallN(xs, make([]float64, len(xs))) }},
-		{"func-features", ff, func(x float64) { ff.CallFeat(x, feat) }, func(xs []float64) error { return ff.CallNFeat(xs, make([]float64, len(xs)), feat) }},
 		{"func2", f2, func(x float64) { f2.Call(x, x) }, func(xs []float64) error { return f2.CallN(xs, xs, make([]float64, len(xs))) }},
 	} {
 		f, call, callN := k.f, k.call, k.callN

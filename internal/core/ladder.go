@@ -123,30 +123,15 @@ func (l *ladder[A]) shift(st *ladderState, base int) int {
 	return v
 }
 
-// clampVersion maps a Select-stage level onto the version ladder:
-// negative levels are the precise function, and anything past the
-// ladder's end is precise too.
-func (l *ladder[A]) clampVersion(level float64) int {
-	v := int(level)
-	if v < 0 || v >= l.n {
-		return model.PreciseVersion
-	}
-	return v
-}
-
 // version picks the ladder version for one call at a: precise while the
 // breaker forces it (monitoring is suspended then) or approximation is
-// off, the Select stage's choice when it made one, otherwise the model's
-// base version under the snapshot's offset — the grid cell's for a pair,
-// the range table's for one argument. It asserts a's type rather than
-// calling a method of A, because Go reaches a type parameter's methods
-// through an indirect call.
-func (l *ladder[A]) version(st *ladderState, forced bool, sd *selDecision, a A) int {
+// off, otherwise the model's base version under the snapshot's offset —
+// the grid cell's for a pair, the range table's for one argument. It
+// asserts a's type rather than calling a method of A, because Go
+// reaches a type parameter's methods through an indirect call.
+func (l *ladder[A]) version(st *ladderState, forced bool, a A) int {
 	if forced || st.off() {
 		return model.PreciseVersion
-	}
-	if sd.selected {
-		return l.clampVersion(sd.level)
 	}
 	if p, ok := any(a).(pair); ok {
 		return l.shift(st, l.grid.SelectVersion(p.x, p.y, l.sla))
@@ -182,19 +167,17 @@ func at[A arg](xs, ys []float64, i int) (a A) {
 //	if (QoS_Fn_Approx(x, QoS_SLA)) y = FApprox[M](x); else y = F(x);
 //	count++; if ((count % Sample_QoS) == 0) QoS_ReCalibrate();
 //
-// The Select stage sees feat (a zero Features skips it). On monitored
-// calls both the precise and the selected approximate version run; the
-// measured loss feeds the recalibration policy and the precise result is
-// returned.
-func (l *ladder[A]) call(a A, feat Features) float64 {
+// On monitored calls both the precise and the selected approximate
+// version run; the measured loss feeds the recalibration policy and the
+// precise result is returned.
+func (l *ladder[A]) call(a A) float64 {
 	st := l.state.Load()
 	o := l.stageExecute()
-	sd := l.stageSelect(feat, o, st.off())
-	v := l.version(st, o.forced, &sd, a)
+	v := l.version(st, o.forced, a)
 	if o.monitor {
 		// Precise and approximate work are summed before the conversion,
 		// as callN sums a batch: Work stays the integer it always was.
-		y, work := l.monitoredCall(o, &sd, v, a)
+		y, work := l.monitoredCall(o, v, a)
 		l.addWork(work)
 		return y
 	}
@@ -207,13 +190,12 @@ func (l *ladder[A]) call(a A, feat Features) float64 {
 // callN is the one batched body: member i's argument is at(xs, ys, i)
 // and its result goes to out[i]. The approximation snapshot is loaded
 // once, one sampling decision covers the batch (monitoring a
-// deterministic member — see stageExecuteBatch), one Features value
-// describes it (the Select stage chooses one version for all members),
-// and the execution counter and work accounting fold into one atomic add
-// each. The monitored member is exactly call's: precise and approximate
-// both run, the loss feeds the policy immediately, and the remaining
-// members see the post-recalibration snapshot.
-func (l *ladder[A]) callN(xs, ys, out []float64, feat Features) error {
+// deterministic member — see stageExecuteBatch), and the execution
+// counter and work accounting fold into one atomic add each. The
+// monitored member is exactly call's: precise and approximate both run,
+// the loss feeds the policy immediately, and the remaining members see
+// the post-recalibration snapshot.
+func (l *ladder[A]) callN(xs, ys, out []float64) error {
 	n := len(xs)
 	if len(out) < n {
 		return fmt.Errorf("core: %s %q: CallN output slice %d shorter than input %d", l.kind, l.name, len(out), n)
@@ -223,18 +205,17 @@ func (l *ladder[A]) callN(xs, ys, out []float64, feat Features) error {
 	}
 	st := l.state.Load()
 	b := l.stageExecuteBatch(n)
-	sd := l.stageSelect(feat, obs{forced: b.forced}, st.off())
 	total := 0.0
 	for i := range xs {
 		a := at[A](xs, ys, i)
-		v := l.version(st, b.forced, &sd, a)
+		v := l.version(st, b.forced, a)
 		var work float64
 		if i != b.monitorAt {
 			r := &l.rungs[v+1]
 			out[i], work = r.fn(a), r.work
 		} else {
 			o := obs{seq: b.first + int64(i), monitor: true, probe: b.probe}
-			out[i], work = l.monitoredCall(o, &sd, v, a)
+			out[i], work = l.monitoredCall(o, v, a)
 			// The observation may have moved the offset: later members
 			// read the fresh snapshot, exactly as unbatched calls would.
 			st = l.state.Load()
@@ -253,7 +234,7 @@ func (l *ladder[A]) callN(xs, ys, out []float64, feat Features) error {
 // breaker charged. A member that selected precise is a clean zero-loss
 // observation. The loss feeds the Observe and Correct stages
 // immediately; work is what the member ran.
-func (l *ladder[A]) monitoredCall(o obs, sd *selDecision, v int, a A) (y, work float64) {
+func (l *ladder[A]) monitoredCall(o obs, v int, a A) (y, work float64) {
 	y, work = l.rungs[0].fn(a), l.rungs[0].work
 	loss, ok := 0.0, true
 	if v != model.PreciseVersion {
@@ -263,7 +244,7 @@ func (l *ladder[A]) monitoredCall(o obs, sd *selDecision, v int, a A) (y, work f
 			work += l.rungs[v+1].work
 		}
 	}
-	l.stageObserveCorrect(o, loss, !ok, *sd, l.applyAction)
+	l.stageObserveCorrect(o, loss, !ok, l.applyAction, nil)
 	return y, work
 }
 

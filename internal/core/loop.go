@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"green/internal/model"
 )
@@ -120,13 +121,30 @@ type loopState struct {
 // from an approx_loop annotation. It is safe for concurrent use; the
 // Begin/Continue/Finish path of a non-monitored execution is lock-free
 // and allocation-free. The counters, sampling decision, breaker, policy
-// plumbing, and Stats come from the embedded generic controller.
+// plumbing, and Stats come from the embedded generic controller; the
+// Select stage (selector.go) is the loop's own.
 type Loop struct {
 	controller[loopState]
 
 	cfg      LoopConfig
 	step     float64
 	minLevel float64
+
+	// sel is the optional Select stage. Nil when no Selector is
+	// installed, so an execution with Features pays one atomic load and
+	// a branch, nothing more (one without pays a flag test).
+	sel atomic.Pointer[selectorSlot]
+
+	// Select-stage counters: hits (the Selector chose the level),
+	// fallbacks (the Selector declined valid Features — an input outside
+	// the calibrated buckets), overrides (the choice was discarded
+	// because the breaker forced precise or approximation was disabled),
+	// and corrections (Correct-stage drift repairs applied to the
+	// Selector).
+	selHits        atomic.Int64
+	selFallbacks   atomic.Int64
+	selOverrides   atomic.Int64
+	selCorrections atomic.Int64
 }
 
 // normalizeAdaptive rounds a positive fractional Period to a whole number
@@ -258,9 +276,9 @@ type loopMember struct {
 
 	probe bool // a monitored member is the breaker's half-open probe
 
-	// Select-stage decision (ExecFeat/ExecNFeat): the Features and level
-	// the Selector chose, routed back through the Correct stage when a
-	// member is monitored.
+	// Select-stage decision (ExecFeat): the Features and level the
+	// Selector chose, routed back through the Correct stage when the
+	// member is monitored. Zero in a batch.
 	sd selDecision
 
 	// Per-member state, reset by arm.
@@ -523,7 +541,7 @@ func (m *loopMember) observe(seq int64, finalIter int) Result {
 		res.Loss = m.safeLoss(finalIter)
 	}
 	o := obs{seq: seq, monitor: true, probe: m.probe}
-	res.Recalibrated = m.loop.stageObserveCorrect(o, res.Loss, m.panicked, m.sd, m.loop.applyAction)
+	res.Recalibrated = m.loop.stageObserveCorrect(o, res.Loss, m.panicked, m.loop.applyAction, m.correctSelector)
 	if m.panicked {
 		// Failed observation: its loss value would be garbage, so it was
 		// discarded and charged to the breaker (stageObserveCorrect).

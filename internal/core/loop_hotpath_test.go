@@ -247,7 +247,7 @@ func TestRecycledHandleIsFresh(t *testing.T) {
 			if !reflect.DeepEqual(recycled, fresh) {
 				t.Errorf("%v/%s: recycled LoopExec differs from a new one:\n got %+v\nwant %+v", mode, c.name, *recycled, *fresh)
 			}
-			// execN's and Next's on a LoopBatch's member.
+			// ExecN's and Next's on a LoopBatch's member.
 			startMember := func(b *LoopBatch) {
 				b.init(l, q, delta, st, c.forced, c.probe, &c.sd)
 				b.arm(c.monitor)

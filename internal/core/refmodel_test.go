@@ -93,8 +93,8 @@ func (m *refModel) set(fn func()) { m.mu.Lock(); defer m.mu.Unlock(); fn() }
 // begin is the Execute and Select stages of n executions claimed at once
 // (n = 1 for a single one): one breaker consult, at the last sequence
 // number; the monitored member is the first whose sequence number is a
-// multiple of Sample_QoS, or member 0 for a half-open probe; and one
-// Selector consult for all n.
+// multiple of Sample_QoS, or member 0 for a half-open probe; and, for a
+// loop's single execution with Features, one Selector consult.
 func (m *refModel) begin(n int, f *Features) (first int64, at int, forced, probe bool, sd selDecision) {
 	m.count += int64(n)
 	first, at = m.count-int64(n)+1, -1
@@ -116,7 +116,7 @@ func (m *refModel) begin(n int, f *Features) (first int64, at int, forced, probe
 	if f == nil || !f.Valid || !m.sel.Installed {
 		return first, at, forced, probe, sd
 	}
-	switch level, ok := (refSelector{}).Select(*f, m.c.sla); {
+	switch level, ok := m.selector().Select(*f, m.c.sla); {
 	case !ok:
 		m.sel.Fallbacks++
 	case forced || m.disabled || m.forceOff:
@@ -155,7 +155,7 @@ func (m *refModel) observe(seq int64, loss float64, panicked, probe bool, sd sel
 	act := m.recalibrate(loss)
 	m.apply(act)
 	m.lastSeq, m.lastAct = seq, act
-	if sd.selected && m.sel.Installed && (refSelector{}).Correct(sd.feat, sd.level, loss) {
+	if sd.selected && m.sel.Installed && m.selector().Correct(sd.feat, sd.level, loss) {
 		m.sel.Corrections++
 	}
 	return act
@@ -247,30 +247,26 @@ func (m *refModel) runLoop(q *refLog, bound int, seq int64, mon, forced, probe b
 
 // runFunc is one call of Fig 7: the chosen version, or on a monitored
 // call the precise one returned and the chosen one measured against it.
-func (m *refModel) runFunc(q *refLog, x, y float64, seq int64, mon, forced, probe bool, sd selDecision) (refMember, bool) {
-	v, off := m.version(x, y, forced, sd)
+func (m *refModel) runFunc(q *refLog, x, y float64, seq int64, mon, forced, probe bool) (refMember, bool) {
+	v, off := m.version(x, y, forced)
 	if !mon {
 		return refMember{y: math.Float64bits(q.fn(v, x, y))}, off
 	}
 	yp, loss := q.fn(-1, x, y), 0.0
 	panicked := v >= 0 && contained(func() { loss = q.cmp(yp, q.fn(v, x, y)) })
-	m.observe(seq, loss, panicked, probe, sd)
+	m.observe(seq, loss, panicked, probe, selDecision{})
 	return refMember{y: math.Float64bits(yp)}, off
 }
 
-// version is QoS_Fn_Approx: precise when forced or off, else the
-// Selector's choice, else the range table's (grid cell's) base version
-// shifted by the offset — precise stays precise, past the top is
-// precise, below the bottom is the cheapest.
-func (m *refModel) version(x, y float64, forced bool, sd selDecision) (int, bool) {
+// version is QoS_Fn_Approx: precise when forced or off, else the range
+// table's (grid cell's) base version shifted by the offset — precise
+// stays precise, past the top is precise, below the bottom is the
+// cheapest.
+func (m *refModel) version(x, y float64, forced bool) (int, bool) {
 	base := -1
-	switch v := int(sd.level); {
+	switch {
 	case forced || m.disabled || m.forceOff:
 		return -1, true
-	case sd.selected && v >= 0 && v < 2:
-		return v, false
-	case sd.selected:
-		return -1, false
 	case m.c.kind == kFunc2:
 		base = m.grid.SelectVersion(x, y, m.c.sla)
 	}
@@ -298,7 +294,6 @@ func (m *refModel) view() (v refView) {
 // liveCtl is the surface the driver uses of Loop, Func and Func2.
 type liveCtl interface {
 	Controller
-	InstallSelector(Selector)
 	lossSum() float64
 }
 
@@ -306,10 +301,10 @@ func liveView(c liveCtl) (v refView) {
 	var mean float64
 	v.count, v.monitored, mean = c.Stats()
 	v.lastSeq, v.lastAct = c.LastRecalibration()
-	v.level, v.enabled, v.iv, v.sel, v.brk = c.Level(), c.ApproxEnabled(), c.SampleInterval(), c.SelectorStats(), c.Breaker()
+	v.level, v.enabled, v.iv, v.brk = c.Level(), c.ApproxEnabled(), c.SampleInterval(), c.Breaker()
 	v.lossBits, v.meanBits = math.Float64bits(c.lossSum()), math.Float64bits(mean)
 	if l, ok := c.(*Loop); ok {
-		v.ap = l.Adaptive()
+		v.ap, v.sel = l.Adaptive(), l.SelectorStats()
 	}
 	return v
 }
@@ -321,15 +316,23 @@ func contained(fn func()) (panicked bool) {
 	return
 }
 
-// refSelector is a stateless Select stage: it chooses Features.Key,
-// declines when Aux1 is set, and reports a correction when the loss
-// exceeds Aux2.
-type refSelector struct{}
+// refSelector is a stateless Select stage whose answers are written in
+// the key, Features.Key = level + 100·decline + 1000·k: it chooses the
+// level (the key mod 100), declines when the hundreds digit is set, and
+// reports a correction when the loss exceeds k·SLA.
+type refSelector struct{ sla float64 }
 
-func (refSelector) Select(f Features, _ float64) (float64, bool) { return f.Key, f.Aux1 == 0 }
-func (refSelector) Correct(f Features, _, loss float64) bool     { return loss > f.Aux2 }
-func (refSelector) State() SelectorState                         { return SelectorState{Version: selectorStateVersion} }
-func (refSelector) Restore(SelectorState) error                  { return nil }
+func (refSelector) Select(f Features, _ float64) (float64, bool) {
+	return math.Mod(f.Key, 100), math.Mod(f.Key, 1000) < 100
+}
+func (s refSelector) Correct(f Features, _, loss float64) bool {
+	return loss > s.sla*math.Floor(f.Key/1000)
+}
+func (refSelector) State() SelectorState        { return SelectorState{Version: selectorStateVersion} }
+func (refSelector) Restore(SelectorState) error { return nil }
+
+// selector is the Selector both sides install.
+func (m *refModel) selector() refSelector { return refSelector{m.c.sla} }
 
 // refLog is one side's callbacks, each call logged. A loop's Delta decays
 // with the iteration and Loss returns the op's loss; a function's
@@ -429,8 +432,8 @@ func (r *refRun) build() (live liveCtl) {
 	if err != nil {
 		r.fatalf("build: %v", err)
 	}
-	if r.m.sel.Installed {
-		live.InstallSelector(refSelector{})
+	if l, ok := live.(*Loop); ok && r.m.sel.Installed {
+		l.InstallSelector(r.m.selector())
 	}
 	return live
 }
@@ -475,15 +478,16 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 				m.sel, m.brk = SelectorStats{Installed: m.sel.Installed}, BreakerStats{}
 			})
 			restored = true
+		case cfg.kind != kLoop: // a function has no Select stage and no SetLevel
 		case op == 20:
 			var s Selector
 			m.set(func() {
 				if m.sel.Installed = !m.sel.Installed; m.sel.Installed {
-					s = refSelector{}
+					s = m.selector()
 				}
 			})
-			r.live.InstallSelector(s)
-		case cfg.kind == kLoop:
+			r.live.(*Loop).InstallSelector(s)
+		default:
 			lv := float64(1+c.intn(640)) / 10
 			r.live.(*Loop).SetLevel(lv)
 			m.set(func() { m.level = lv })
@@ -514,10 +518,9 @@ func (r *refRun) exec() {
 		n = 2 + c.intn(5)
 	}
 	var feat *Features
-	if kind != kFunc2 && c.intn(2) == 0 {
-		// Key is a loop level, or a version from -1 (precise) to 2 (past the ladder).
-		feat = &Features{Valid: c.intn(6) != 0, Key: float64(c.intn([]int{70, 4}[kind]) - kind),
-			Aux1: float64(c.intn(4) / 3), Aux2: m.c.sla * float64(c.intn(3))}
+	if kind == kLoop && n == 1 && c.intn(2) == 0 {
+		// A level below 70, declined one time in four (refSelector).
+		feat = &Features{Valid: c.intn(6) != 0, Key: float64(c.intn(70) + 100*(c.intn(4)/3) + 1000*c.intn(3))}
 	}
 	want, off := make([]refMember, n), make([]bool, n)
 	bounds, blocks, xs, ys := make([]int, n), make([]uint32, n), make([]float64, n), make([]float64, n)
@@ -544,7 +547,7 @@ func (r *refRun) exec() {
 			if r.mq.cur = xs[i]; kind == kLoop {
 				want[i], off[i] = m.runLoop(r.mq, bounds[i], first+int64(i), i == at, forced, probe, sd)
 			} else {
-				want[i], off[i] = m.runFunc(r.mq, xs[i], ys[i], first+int64(i), i == at, forced, probe, sd)
+				want[i], off[i] = m.runFunc(r.mq, xs[i], ys[i], first+int64(i), i == at, forced, probe)
 			}
 		}
 	})
@@ -578,21 +581,14 @@ func (r *refRun) runLive(feat *Features, bounds []int, blocks []uint32, xs, ys [
 			e, err = l.Begin(q)
 		case n == 1:
 			e, err = l.ExecFeat(q, *feat)
-		case feat == nil:
-			b, err = l.ExecN(n, q)
 		default:
-			b, err = l.ExecNFeat(n, q, *feat)
+			b, err = l.ExecN(n, q)
 		}
 	case *Func:
-		switch {
-		case n == 1 && feat == nil:
+		if n == 1 {
 			out[0] = l.Call(xs[0])
-		case n == 1:
-			out[0] = l.CallFeat(xs[0], *feat)
-		case feat == nil:
+		} else {
 			err = l.CallN(xs, out)
-		default:
-			err = l.CallNFeat(xs, out, *feat)
 		}
 	case *Func2:
 		if n == 1 {

@@ -11,9 +11,24 @@ import (
 	"green/internal/model"
 )
 
-// The Select stage's one implementation, BucketSelector: per-feature-
-// bucket loss curves fit during calibration, with Correct-stage drift
-// repair.
+// The Select stage: Loop's per-input choice of level, in front of the
+// shared pipeline (controller.go).
+//
+//	Select  — map the execution's Features to an approximation level
+//	          through the installed Selector's calibrated per-bucket
+//	          curves. Absent valid Features or a Selector — or when the
+//	          Selector declines the input — the stage falls through to the
+//	          reactive level in the snapshot. Loop.stageSelect.
+//	Correct — when the Select stage chose the level of a monitored
+//	          execution, route the measured loss back into the Selector
+//	          so its per-bucket curve corrections track observed drift,
+//	          after the policy's own Correct and before the event.
+//	          loopMember.correctSelector.
+//
+// A function's version is already chosen per input by its QoS model
+// (Fig 7's range table, Func2's grid), so the Select stage lives on Loop
+// alone. Its one implementation is BucketSelector: per-feature-bucket
+// loss curves fit during calibration, with Correct-stage drift repair.
 //
 // A selector partitions the feature domain (Features.Key) into buckets
 // and keeps, per bucket, the calibrated mean loss at every candidate
@@ -28,6 +43,141 @@ import (
 // The curves are immutable after build; only the factor vector mutates,
 // copy-on-write under the selector's own lock, so Select stays lock-free
 // and allocation-free on the hot path.
+
+// Features carries the per-input signal the Select stage keys on. It is
+// a plain value — passing one allocates nothing — and the zero value is
+// "no features" (Valid false), which every Selector must decline.
+//
+// Key is the feature the selector's buckets partition (for the search
+// workload: the estimated match count from posting-list sizes).
+type Features struct {
+	Key   float64
+	Valid bool
+}
+
+// Selector is the pluggable Select stage: it maps per-input Features to
+// an approximation level before execution, and absorbs Correct-stage
+// drift repairs after monitored executions. Implementations must be
+// deterministic (greenlint's nondet analyzer checks Select/Correct
+// bodies for wall-clock and unseeded randomness) and safe for
+// concurrent use; Select runs on the hot path and must not allocate.
+type Selector interface {
+	// Select returns the approximation level for the input, or ok=false
+	// to decline (invalid features, input outside the calibrated
+	// domain), in which case the pipeline falls back to the reactive
+	// level.
+	Select(f Features, sla float64) (level float64, ok bool)
+	// Correct feeds one monitored observation back: the features and
+	// level the Select stage chose and the measured QoS loss. It
+	// returns true when the observation moved the selector's state (a
+	// drift correction was applied).
+	Correct(f Features, level, loss float64) bool
+	// State snapshots the selector's mutable runtime state for
+	// persistence; Restore installs a validated snapshot. Restore must
+	// reject NaN/Inf or mis-shaped state.
+	State() SelectorState
+	Restore(SelectorState) error
+}
+
+// selectorSlot wraps the installed Selector so the loop can hold it in
+// an atomic.Pointer (interfaces cannot be stored there directly).
+type selectorSlot struct{ s Selector }
+
+// SelectorStats snapshots the Select-stage counters (JSON-tagged: the
+// struct is embedded verbatim in /stats controller rows).
+type SelectorStats struct {
+	Installed   bool  `json:"installed"`
+	Hits        int64 `json:"hits"`
+	Fallbacks   int64 `json:"fallbacks"`
+	Overrides   int64 `json:"overrides"`
+	Corrections int64 `json:"corrections"`
+}
+
+// selDecision records what the Select stage chose for one execution, so
+// the Correct stage can route the measured loss back into the bucket
+// that chose the level. The zero value means "reactive level used".
+type selDecision struct {
+	feat     Features
+	level    float64
+	selected bool
+}
+
+// InstallSelector installs (or, with nil, removes) the Select stage.
+// Installation is atomic; executions in flight finish under whichever
+// selector they started with.
+func (l *Loop) InstallSelector(s Selector) {
+	if s == nil {
+		l.sel.Store(nil)
+		return
+	}
+	l.sel.Store(&selectorSlot{s: s})
+}
+
+// Selector returns the installed Selector, or nil.
+func (l *Loop) Selector() Selector {
+	if slot := l.sel.Load(); slot != nil {
+		return slot.s
+	}
+	return nil
+}
+
+// SelectorStats reports the Select-stage counters.
+func (l *Loop) SelectorStats() SelectorStats {
+	return SelectorStats{
+		Installed:   l.sel.Load() != nil,
+		Hits:        l.selHits.Load(),
+		Fallbacks:   l.selFallbacks.Load(),
+		Overrides:   l.selOverrides.Load(),
+		Corrections: l.selCorrections.Load(),
+	}
+}
+
+// stageSelect runs the Select stage: consult the installed Selector
+// with the execution's Features. A zero (invalid) Features skips the
+// stage without a tally — Begin passes one — so a fallback counts a
+// valid input the Selector declined. The caller passes the Execute-stage
+// decision so selector choices discarded by a forced-precise breaker
+// window are counted as overrides rather than silently dropped.
+// Lock-free; no allocation.
+func (l *Loop) stageSelect(f Features, o obs, disabled bool) selDecision {
+	if !f.Valid {
+		return selDecision{}
+	}
+	return l.selectValid(f, o, disabled)
+}
+
+// selectValid is the Select stage for valid Features, kept out of line
+// so the test above inlines into begin.
+func (l *Loop) selectValid(f Features, o obs, disabled bool) selDecision {
+	slot := l.sel.Load()
+	if slot == nil {
+		return selDecision{}
+	}
+	level, ok := slot.s.Select(f, l.sla)
+	if !ok {
+		l.selFallbacks.Add(1)
+		return selDecision{}
+	}
+	if o.forced || disabled {
+		l.selOverrides.Add(1)
+		return selDecision{}
+	}
+	l.selHits.Add(1)
+	return selDecision{feat: f, level: level, selected: true}
+}
+
+// correctSelector is the Select stage's Correct half: when the Selector
+// chose this member's level, the measured loss repairs the per-bucket
+// curve that chose it. The selector synchronizes its own state
+// (copy-on-write), so this runs off the controller lock.
+func (m *loopMember) correctSelector(loss float64) {
+	if !m.sd.selected {
+		return
+	}
+	if slot := m.loop.sel.Load(); slot != nil && slot.s.Correct(m.sd.feat, m.sd.level, loss) {
+		m.loop.selCorrections.Add(1)
+	}
+}
 
 // selectorStateVersion versions the persisted selector section of a
 // controller snapshot. Restore rejects other versions.
@@ -53,14 +203,17 @@ type SelectorState struct {
 	Factors []float64 `json:"factors"`
 }
 
+// selectorKind is SelectorState.Kind: a selector's levels are a loop's.
+const selectorKind = "loop"
+
 // validateSelectorState rejects version skew, kind mismatches, and
 // NaN/Inf or mis-shaped factor vectors.
-func validateSelectorState(s SelectorState, kind string, buckets int) error {
+func validateSelectorState(s SelectorState, buckets int) error {
 	if s.Version != selectorStateVersion {
 		return fmt.Errorf("core: selector state version %d, want %d", s.Version, selectorStateVersion)
 	}
-	if s.Kind != kind {
-		return fmt.Errorf("core: selector state kind %q, want %q", s.Kind, kind)
+	if s.Kind != selectorKind {
+		return fmt.Errorf("core: selector state kind %q, want %q", s.Kind, selectorKind)
 	}
 	if len(s.Factors) != buckets {
 		return fmt.Errorf("core: selector state has %d bucket factors, selector has %d buckets", len(s.Factors), buckets)
@@ -112,12 +265,9 @@ func bucketOf(edges []float64, key float64) int {
 }
 
 // BucketSelector is the Select stage: per feature bucket, the calibrated
-// mean loss at every candidate level. A loop's candidates are its knots
-// and its fallback the base level (LoopCalibration.BuildSelector); a
-// ladder's candidates are its version indices and its fallback
-// model.PreciseVersion (FuncCalibration.BuildFuncSelector).
+// mean loss at every candidate level — the loop's knots, falling back to
+// its base level (LoopCalibration.BuildSelector).
 type BucketSelector struct {
-	kind     string      // SelectorState.Kind: "loop" or "func"
 	edges    []float64   // bucket boundaries, ascending, len = buckets+1
 	levels   []float64   // candidate levels, ascending
 	fallback float64     // the level when no candidate meets the SLA
@@ -128,8 +278,8 @@ type BucketSelector struct {
 }
 
 // newBucketSelector wires a built selector with every factor at 1.
-func newBucketSelector(kind string, edges, levels []float64, fallback float64, loss [][]float64) *BucketSelector {
-	s := &BucketSelector{kind: kind, edges: append([]float64(nil), edges...), levels: levels, fallback: fallback, loss: loss}
+func newBucketSelector(edges, levels []float64, fallback float64, loss [][]float64) *BucketSelector {
+	s := &BucketSelector{edges: append([]float64(nil), edges...), levels: levels, fallback: fallback, loss: loss}
 	f := make([]float64, len(edges)-1)
 	for i := range f {
 		f[i] = 1
@@ -224,13 +374,13 @@ func (s *BucketSelector) Correct(f Features, level, loss float64) bool {
 
 // State implements Selector.
 func (s *BucketSelector) State() SelectorState {
-	return SelectorState{Version: selectorStateVersion, Kind: s.kind, Factors: s.Factors()}
+	return SelectorState{Version: selectorStateVersion, Kind: selectorKind, Factors: s.Factors()}
 }
 
 // Restore implements Selector: validate, then install the persisted
 // factor vector.
 func (s *BucketSelector) Restore(st SelectorState) error {
-	if err := validateSelectorState(st, s.kind, s.Buckets()); err != nil {
+	if err := validateSelectorState(st, s.Buckets()); err != nil {
 		return err
 	}
 	fresh := append([]float64(nil), st.Factors...)

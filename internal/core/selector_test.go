@@ -293,95 +293,6 @@ func TestBuildSelectorErrors(t *testing.T) {
 	}
 }
 
-// --- func kind --------------------------------------------------------
-
-func TestFuncSelector(t *testing.T) {
-	cal, err := NewFuncCalibration("sq", 18, []string{"v0", "v1"}, []float64{4, 8}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cal.FeatureBuckets([]float64{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	// Bucket 0 samples every version; bucket 1 samples only v0, so it
-	// must not contribute a (silently v1-preferring) partial curve.
-	if err := cal.AddSampleFeat(Features{Key: 0.5, Valid: true}, 0, 3, 0.10); err != nil {
-		t.Fatal(err)
-	}
-	if err := cal.AddSampleFeat(Features{Key: 0.5, Valid: true}, 1, 3, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	if err := cal.AddSampleFeat(Features{Key: 1.5, Valid: true}, 0, 3, 0.10); err != nil {
-		t.Fatal(err)
-	}
-	sel, err := cal.BuildFuncSelector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := Features{Key: 0.5, Valid: true}
-	if lvl, ok := sel.Select(full, 0.2); !ok || lvl != 0 {
-		t.Errorf("loose SLA: (%v, %v), want cheapest version 0", lvl, ok)
-	}
-	if lvl, ok := sel.Select(full, 0.05); !ok || lvl != 1 {
-		t.Errorf("mid SLA: (%v, %v), want version 1", lvl, ok)
-	}
-	if lvl, ok := sel.Select(full, 0.001); !ok || lvl != float64(model.PreciseVersion) {
-		t.Errorf("tight SLA: (%v, %v), want the precise version", lvl, ok)
-	}
-	if _, ok := sel.Select(Features{Key: 1.5, Valid: true}, 0.2); ok {
-		t.Error("partially-sampled bucket did not decline")
-	}
-	// Correct: precise-version selections carry no prediction.
-	if sel.Correct(full, float64(model.PreciseVersion), 0.3) {
-		t.Error("precise-version correction moved a factor")
-	}
-	if !sel.Correct(full, 0, 0.40) {
-		t.Fatal("correction did not move the factor")
-	}
-	// Ratio 4 clamps; factor steps 1 -> 1.75, pushing v0 out of a 0.15
-	// SLA (1.75 * 0.10) while v1 still fits.
-	if lvl, ok := sel.Select(full, 0.15); !ok || lvl != 1 {
-		t.Errorf("post-correction select: (%v, %v), want version 1", lvl, ok)
-	}
-	// Persistence mirrors the loop selector.
-	st := sel.State()
-	if st.Kind != "func" {
-		t.Errorf("kind = %q, want func", st.Kind)
-	}
-	fresh, err := cal.BuildFuncSelector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh.Factors(), sel.Factors()) {
-		t.Error("restored factors differ")
-	}
-	if err := fresh.Restore(SelectorState{Version: 1, Kind: "loop", Factors: st.Factors}); err == nil {
-		t.Error("loop-kind state restored into a func selector")
-	}
-}
-
-func TestBuildFuncSelectorErrors(t *testing.T) {
-	cal, err := NewFuncCalibration("sq", 18, []string{"v0"}, []float64{4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cal.BuildFuncSelector(); err == nil {
-		t.Error("BuildFuncSelector before FeatureBuckets accepted")
-	}
-	if err := cal.AddSampleFeat(Features{Key: 0.5, Valid: true}, 0, 1, 0.1); err == nil {
-		t.Error("AddSampleFeat before FeatureBuckets accepted")
-	}
-	if err := cal.FeatureBuckets([]float64{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cal.BuildFuncSelector(); err == nil {
-		t.Error("BuildFuncSelector with no complete bucket accepted")
-	}
-}
-
 // --- pipeline behavior with an installed Selector ---------------------
 
 func TestLoopExecFeatSelectorPipeline(t *testing.T) {
@@ -482,7 +393,12 @@ func TestLoopExecFeatDisabledCountsOverride(t *testing.T) {
 // loss back into the bucket that chose the level, moving its correction
 // factor and ticking the corrections counter.
 func TestLoopSelectorCorrectStage(t *testing.T) {
-	l, err := NewLoop(LoopConfig{Name: "loop", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1})
+	// The selector's repair lands before OnEvent fires: a handler that
+	// reads SelectorStats sees the correction its observation made.
+	var l *Loop
+	var atEvent []int64
+	l, err := NewLoop(LoopConfig{Name: "loop", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1,
+		OnEvent: func(Event) { atEvent = append(atEvent, l.SelectorStats().Corrections) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,6 +420,9 @@ func TestLoopSelectorCorrectStage(t *testing.T) {
 	}
 	if ss := l.SelectorStats(); ss.Corrections != 1 {
 		t.Errorf("Corrections = %d, want 1", ss.Corrections)
+	}
+	if len(atEvent) != 1 || atEvent[0] != 1 {
+		t.Errorf("Corrections seen by OnEvent = %v, want [1]: Correct must precede the event", atEvent)
 	}
 }
 

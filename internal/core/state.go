@@ -179,7 +179,9 @@ func (l *Loop) RestoreStateJSON(data []byte) error {
 	return restoreJSON("loop", data, l.Restore)
 }
 
-// FuncState is the serializable runtime state of a Func or a Func2.
+// FuncState is the serializable runtime state of a Func or a Func2. A
+// function has no Select stage: the "selector" section earlier builds
+// wrote is ignored on decode.
 type FuncState struct {
 	Name      string  `json:"name"`
 	Offset    int     `json:"offset"`
@@ -190,25 +192,21 @@ type FuncState struct {
 	Monitored int64   `json:"monitored"`
 	LossSum   float64 `json:"loss_sum"`
 	WorkMilli int64   `json:"work_milli"`
-	// Selector is the versioned Select-stage section (see
-	// LoopState.Selector).
-	Selector *SelectorState `json:"selector,omitempty"`
 }
 
 // State snapshots the function controller's runtime state. The lock only
 // fences out concurrent recalibration so the snapshot/counter pair is
-// coherent; the Selector's own State runs outside it.
+// coherent.
 func (l *ladder[A]) State() FuncState {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	st := l.state.Load()
-	s := FuncState{
+	return FuncState{
 		Name: l.name, Offset: st.offset, Interval: l.SampleInterval(),
 		Disabled: st.disabled, ForceOff: st.forceOff,
 		Count: l.count.Load(), Monitored: l.monitored.Load(), LossSum: l.lossSum(),
+		WorkMilli: l.workMilli.Load(),
 	}
-	l.mu.Unlock()
-	s.WorkMilli, s.Selector = l.workMilli.Load(), selectorSection(l.Selector())
-	return s
 }
 
 // Restore applies a previously snapshotted state. The state must belong
@@ -226,9 +224,6 @@ func (l *ladder[A]) Restore(s FuncState) error {
 	}
 	if s.WorkMilli < 0 {
 		return fmt.Errorf("core: %s state: negative accumulated work %d", l.kind, s.WorkMilli)
-	}
-	if err := restoreSelector(l.Selector(), s.Selector); err != nil {
-		return err
 	}
 	l.restoreCounters(s.Interval, s.Count, s.Monitored, s.LossSum, func(next *ladderState) {
 		next.offset = s.Offset

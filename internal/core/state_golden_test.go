@@ -19,11 +19,14 @@ const (
 	goldenLoopStatic   = `{"name":"loop","level":400,"interval":4,"disabled":false,"force_off":false,"count":8,"monitored":2,"loss_sum":0.4,"adaptive_m":0,"adaptive_period":0,"adaptive_delta":0}`
 	goldenLoopAdaptive = `{"name":"loop","level":300,"interval":2,"disabled":false,"force_off":false,"count":2,"monitored":1,"loss_sum":0.2,"adaptive_m":100,"adaptive_period":100,"adaptive_delta":0.0075}`
 	goldenLoopSelector = `{"name":"loop","level":200,"interval":1,"disabled":false,"force_off":false,"count":2,"monitored":2,"loss_sum":0.21000000000000002,"adaptive_m":0,"adaptive_period":0,"adaptive_delta":0,"selector":{"version":1,"kind":"loop","factors":[1.75,0.875]}}`
-	goldenFunc         = `{"name":"sq","offset":-1,"interval":2,"disabled":false,"force_off":false,"count":3,"monitored":1,"loss_sum":0.009999999999999985,"work_milli":38000,"selector":{"version":1,"kind":"func","factors":[0.8749999999999998,1]}}`
+	goldenFunc         = `{"name":"sq","offset":-1,"interval":2,"disabled":false,"force_off":false,"count":3,"monitored":1,"loss_sum":0.009999999999999985,"work_milli":38000}`
 	goldenFunc2        = `{"name":"mul","offset":-1,"interval":3,"disabled":false,"force_off":true,"count":5,"monitored":1,"loss_sum":0.010000000000000083,"work_milli":50000}`
 	// goldenFunc2NoWork is the document Func2 wrote before it counted
 	// work; it must still restore.
 	goldenFunc2NoWork = `{"name":"mul","offset":-1,"interval":3,"disabled":false,"force_off":true,"count":5,"monitored":1,"loss_sum":0.010000000000000083}`
+	// goldenFuncSelector is the document Func wrote while a function
+	// could carry a selector; it restores with the section dropped.
+	goldenFuncSelector = `{"name":"sq","offset":-1,"interval":2,"disabled":false,"force_off":false,"count":3,"monitored":1,"loss_sum":0.009999999999999985,"work_milli":38000,"selector":{"version":1,"kind":"func","factors":[0.8749999999999998,1]}}`
 )
 
 // goldenStaticLoop is a static-mode loop monitored every 4th execution;
@@ -83,35 +86,19 @@ func goldenSelectorLoop(t *testing.T, drive bool) *Loop {
 	return l
 }
 
-// goldenFuncCtl is funcFixture with a func-kind selector installed; driven, it
-// mixes range-routed calls with one monitored selector-routed call whose
-// loss undershoots the bucket's prediction, so the offset goes negative,
-// the work counter accumulates, and one bucket factor moves.
+// goldenFuncCtl is funcFixture monitored every 2nd call; driven, its one
+// monitored call gives accuracy back (negative offset) and the work
+// counter accumulates. A function has no Select stage, so its snapshot
+// has no selector section.
 func goldenFuncCtl(t *testing.T, drive bool) *Func {
 	t.Helper()
 	f := funcFixture(t, 0.05, 2)
-	cal, err := NewFuncCalibration("sq", 18, []string{"v0", "v1"}, []float64{4, 8}, 1)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := any(f).(interface{ InstallSelector(Selector) }); ok {
+		t.Fatal("Func accepts a Selector")
 	}
-	if err := cal.FeatureBuckets([]float64{0, 5, 10}); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []float64{2, 7} {
-		for v, loss := range []float64{0.10, 0.02} {
-			if err := cal.AddSampleFeat(Features{Key: key, Valid: true}, v, key, loss); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sel, err := cal.BuildFuncSelector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.InstallSelector(sel)
 	if drive {
 		f.Call(3)
-		f.CallFeat(3, Features{Key: 2, Valid: true})
+		f.Call(3)
 		f.Call(4)
 	}
 	return f
@@ -186,12 +173,17 @@ func TestStateWireFormatRestoreIsLive(t *testing.T) {
 		t.Errorf("restored selector factors = %v, want [1.75 0.875]", got)
 	}
 
-	f := goldenFuncCtl(t, false)
-	if err := f.RestoreStateJSON([]byte(goldenFunc)); err != nil {
-		t.Fatal(err)
-	}
-	if f.Offset() != -1 || f.Work() != 38 {
-		t.Errorf("restored func offset/work = %d/%v, want -1/38", f.Offset(), f.Work())
+	for _, doc := range []string{goldenFunc, goldenFuncSelector} {
+		f := goldenFuncCtl(t, false)
+		if err := f.RestoreStateJSON([]byte(doc)); err != nil {
+			t.Fatal(err)
+		}
+		if f.Offset() != -1 || f.Work() != 38 {
+			t.Errorf("restored func offset/work = %d/%v, want -1/38", f.Offset(), f.Work())
+		}
+		if back, err := f.MarshalState(); err != nil || string(back) != goldenFunc {
+			t.Errorf("restored func marshals to %s (%v), want %s", back, err, goldenFunc)
+		}
 	}
 
 	for doc, work := range map[string]float64{goldenFunc2: 50, goldenFunc2NoWork: 0} {
@@ -215,6 +207,7 @@ func FuzzRestoreStateJSON(f *testing.F) {
 		f.Add([]byte(c.golden))
 	}
 	f.Add([]byte(goldenFunc2NoWork))
+	f.Add([]byte(goldenFuncSelector))
 	f.Add([]byte(strings.Replace(goldenLoopStatic, `"count":8`, `"count":-1`, 1)))
 	// The bundle layout serve wrote before it held one controller.
 	f.Add([]byte(`{"version":1,"controllers":{"loop":` + goldenLoopStatic + `}}`))

@@ -8,7 +8,6 @@ import (
 	"green/internal/core"
 	"green/internal/energy"
 	"green/internal/metrics"
-	"green/internal/model"
 	"green/internal/raytracer"
 	"green/internal/search"
 )
@@ -21,7 +20,7 @@ func init() {
 
 // runSelector compares the reactive-only controller (Green's sampling
 // law alone) against the staged pipeline with a per-input Selector on
-// three workloads. For each it reports the served loss distribution
+// the two loop workloads. For each it reports the served loss distribution
 // (mean and standard deviation), how often the controller
 // over-approximated (served loss above the SLA) or under-approximated
 // (met the SLA but did strictly more work than the cheapest calibrated
@@ -37,9 +36,6 @@ func runSelector(o Options) (*Table, error) {
 		return nil, err
 	}
 	if err := selectorEonRows(o, t); err != nil {
-		return nil, err
-	}
-	if err := selectorDFTRows(o, t); err != nil {
 		return nil, err
 	}
 	t.AddNote("over-approx = served loss above the SLA; under-approx = SLA met with strictly more work than the cheapest per-input configuration that also meets it")
@@ -316,124 +312,5 @@ func selectorEonRows(o Options, t *Table) error {
 	}
 	t.AddNote("raytracer: SLA = %s (derived from the calibrated loss range), feature = camera distance, %d train / %d test inputs",
 		pct(sla), nTrain, len(f.cameras)-nTrain)
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// DFT: the trig version ladder, featured by signal crest factor.
-// ---------------------------------------------------------------------
-
-// crestFactor is the per-signal feature: peak amplitude over RMS.
-// Spiky signals concentrate spectral energy where trig error matters
-// most, so they need finer grades for the same normalized loss.
-func crestFactor(sig []float64) float64 {
-	peak, sum := 0.0, 0.0
-	for _, x := range sig {
-		if a := math.Abs(x); a > peak {
-			peak = a
-		}
-		sum += x * x
-	}
-	rms := math.Sqrt(sum / float64(len(sig)))
-	if rms == 0 {
-		return 0
-	}
-	return peak / rms
-}
-
-func selectorDFTRows(o Options, t *Table) error {
-	f := newDFTFixture(o)
-	versions := dftVersionSet()
-	// The func-kind selector walks its ladder cheapest-first, so order the
-	// version set by work ascending (name-stable for determinism).
-	sort.SliceStable(versions, func(i, j int) bool {
-		wi := versions[i].cosGrade.Terms() + versions[i].sinGrade.Terms()
-		wj := versions[j].cosGrade.Terms() + versions[j].sinGrade.Terms()
-		return wi < wj
-	})
-	nTrain, err := trainHalf("dft", len(f.signals))
-	if err != nil {
-		return err
-	}
-
-	sw, err := f.sweep(versions)
-	if err != nil {
-		return err
-	}
-	trainMean := sw.first(nTrain).means()
-	// The trig grades are orders of magnitude apart, so only the border
-	// between the two coarsest versions leaves room for per-input
-	// choice: an SLA between their training means (geometric midpoint)
-	// makes the cheapest version a per-signal gamble rather than a
-	// global yes or no.
-	sortedMeans := append([]float64(nil), trainMean...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sortedMeans)))
-	sla := math.Sqrt(math.Max(sortedMeans[0], 1e-12) * math.Max(sortedMeans[1], 1e-12))
-	if !(sla > 0) || sla >= 1 {
-		sla = 0.01
-	}
-
-	// Reactive baseline: the one version the global calibration picks —
-	// cheapest whose training mean loss meets the SLA, else precise.
-	reactiveV := model.PreciseVersion
-	for v := range versions {
-		if trainMean[v] <= sla {
-			reactiveV = v
-			break
-		}
-	}
-
-	// Proactive: a func-kind selector bucketed by crest factor.
-	fcal, err := core.NewFuncCalibration("dft.trig", sw.base[0], sw.names, sw.work[0], 1)
-	if err != nil {
-		return err
-	}
-	trainKeys := make([]float64, nTrain)
-	for i := 0; i < nTrain; i++ {
-		trainKeys[i] = crestFactor(f.signals[i])
-	}
-	if err := fcal.FeatureBuckets(quantileEdges(trainKeys, 3)); err != nil {
-		return err
-	}
-	for i := 0; i < nTrain; i++ {
-		feat := core.Features{Key: trainKeys[i], Valid: true}
-		for v := range versions {
-			if err := fcal.AddSampleFeat(feat, v, 0, sw.loss[i][v]); err != nil {
-				return err
-			}
-		}
-	}
-	fsel, err := fcal.BuildFuncSelector()
-	if err != nil {
-		return err
-	}
-
-	eval := func(choose func(i int) int) *selOutcome {
-		out := new(selOutcome)
-		for i := nTrain; i < len(f.signals); i++ {
-			l, terms := 0.0, sw.base[i]
-			if v := choose(i); v != model.PreciseVersion {
-				l, terms = sw.loss[i][v], sw.work[i][v]
-			}
-			out.add(l, sla, terms, sw.cheapest(i, sla, sw.base[i]))
-		}
-		return out
-	}
-	reactive := eval(func(int) int { return reactiveV })
-	proactive := eval(func(i int) int {
-		lvl, ok := fsel.Select(core.Features{Key: crestFactor(f.signals[i]), Valid: true}, sla)
-		if !ok {
-			return reactiveV // selector declines: fall back to the global pick
-		}
-		return int(lvl)
-	})
-	reactive.addRow(t, "dft", "reactive", f.cost, "term")
-	proactive.addRow(t, "dft", "proactive", f.cost, "term")
-	reactiveName := "Base"
-	if reactiveV != model.PreciseVersion {
-		reactiveName = versions[reactiveV].name
-	}
-	t.AddNote("dft: SLA = %s (derived), feature = crest factor, %d train / %d test signals; reactive serves %s for every input",
-		pct(sla), nTrain, len(f.signals)-nTrain, reactiveName)
 	return nil
 }

@@ -16,10 +16,10 @@ func TestSelectorExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("got %d rows, want 6 (three workloads x two controllers)", len(tbl.Rows))
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4 (two workloads x two controllers)", len(tbl.Rows))
 	}
-	wantPairs := []string{"search", "raytracer", "dft"}
+	wantPairs := []string{"search", "raytracer"}
 	for i, w := range wantPairs {
 		re, pr := tbl.Rows[2*i], tbl.Rows[2*i+1]
 		if re[0] != w || pr[0] != w {

@@ -11,7 +11,7 @@ import "go/ast"
 var analyzerBeginFinish = &Analyzer{
 	Name: "beginfinish",
 	Tier: TierBlock,
-	Doc:  "every execution handle (a *LoopExec or *LoopBatch from Begin, ExecFeat, ExecN or ExecNFeat) must have Finish called on it",
+	Doc:  "every execution handle (a *LoopExec or *LoopBatch from Begin, ExecFeat or ExecN) must have Finish called on it",
 	run:  runBeginFinish,
 }
 

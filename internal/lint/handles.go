@@ -121,7 +121,7 @@ func (h *trackedHandle) finished() bool { return len(h.finishCalls)+len(h.deferF
 // constructsHandle reports whether call returns an execution handle:
 // its first result is a *core.LoopExec or *core.LoopBatch. Judging by
 // the result type instead of a table of method names covers Begin,
-// ExecFeat, ExecN, ExecNFeat and whichever entry point comes next.
+// ExecFeat, ExecN and whichever entry point comes next.
 func constructsHandle(info *types.Info, call *ast.CallExpr) bool {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return false // a conversion, not a call

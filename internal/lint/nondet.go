@@ -41,12 +41,10 @@ var analyzerNonDet = &Analyzer{
 var calibrationFuncs = map[string]bool{
 	"AddRun":             true,
 	"AddRunFeat":         true,
-	"AddSampleFeat":      true,
 	"Build":              true,
 	"BuildLoopModel":     true,
 	"BuildFuncModel":     true,
 	"BuildSelector":      true,
-	"BuildFuncSelector":  true,
 	"CombineSearch":      true,
 	"FeatureBuckets":     true,
 	"InstallSelector":    true,

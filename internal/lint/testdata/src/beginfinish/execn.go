@@ -19,9 +19,9 @@ func leakBatch(l *core.Loop, q core.LoopQoS) {
 }
 
 // okBatch is the batch protocol with its epilogue and must not be
-// reported; the feature-carrying twin is held to the same rule.
-func okBatch(l *core.Loop, q core.LoopQoS, f core.Features) {
-	b, err := l.ExecNFeat(8, q, f)
+// reported.
+func okBatch(l *core.Loop, q core.LoopQoS) {
+	b, err := l.ExecN(8, q)
 	if err != nil {
 		return
 	}

@@ -129,7 +129,8 @@ func TestDegradedMonitoredPublishesNoMemo(t *testing.T) {
 			degraded++
 		}
 	}
-	cq, cached := s.parsedQuery(word)
+	cached := s.qcache.get(word) != nil
+	cq := s.parsedQuery(word)
 	if degraded == 0 || !cached {
 		t.Fatalf("%d degraded requests, query cached=%v: the case is not exercised", degraded, cached)
 	}

@@ -140,7 +140,7 @@ func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 		certified := 0
 		for i := 0; i < 30; i++ {
 			word := fmt.Sprintf("w%d+w%d", 7*i+level, 7*i+level+3)
-			cq, _ := s.parsedQuery(word)
+			cq := s.parsedQuery(word)
 			q := search.Query{Terms: cq.terms}
 			precise, matches := s.engine.Search(q, wire.PageSize, 0)
 			want := 0.0
@@ -151,7 +151,7 @@ func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 			s.Loop().SetLevel(float64(level))
 			before, ops := s.Loop().State().LossSum, s.Ops().Snapshot()
 			sc := new(serveScratch)
-			if err := s.serveQuery(context.Background(), time.Time{}, cq, cq.feat, sc); err != nil {
+			if err := s.serveQuery(context.Background(), time.Time{}, cq, sc); err != nil {
 				t.Fatal(err)
 			}
 			resp, after := sc.resp, s.Ops().Snapshot()

@@ -109,7 +109,7 @@ func TestParsedQueryMalformedEscape(t *testing.T) {
 	s := testServer(t)
 	misses0 := s.ops.QueryCacheMisses.Load()
 	for i := 0; i < 2; i++ {
-		if cq, _ := s.parsedQuery("%zz"); cq != nil {
+		if cq := s.parsedQuery("%zz"); cq != nil {
 			t.Fatalf("malformed escape parsed to %+v", cq)
 		}
 	}
@@ -117,7 +117,7 @@ func TestParsedQueryMalformedEscape(t *testing.T) {
 		t.Errorf("misses = %d, want %d (malformed queries must not cache)", got, misses0+2)
 	}
 	// Whitespace-only queries take the same path.
-	if cq, _ := s.parsedQuery("+++"); cq != nil {
+	if cq := s.parsedQuery("+++"); cq != nil {
 		t.Errorf("whitespace-only query parsed to %+v", cq)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"green/internal/chaos"
-	"green/internal/core"
 	"green/internal/metrics"
 	"green/internal/search"
 	"green/internal/wire"
@@ -55,14 +54,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	cq, cached := s.parsedQuery(rawQ)
+	cq := s.parsedQuery(rawQ)
 	if cq == nil {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
-	}
-	feat := cq.feat
-	if cached {
-		feat.Aux2 = 1
 	}
 	mode, _ := wire.RawParam(r.URL.RawQuery, wire.ParamMode)
 	scores, _ := wire.RawParam(r.URL.RawQuery, wire.ParamScores)
@@ -86,7 +81,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.RequestTimeout > 0 {
 		deadline = time.Now().Add(s.cfg.RequestTimeout)
 	}
-	if err := s.serveQuery(r.Context(), deadline, cq, feat, sc); err != nil {
+	if err := s.serveQuery(r.Context(), deadline, cq, sc); err != nil {
 		sc.release()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -100,23 +95,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // parsedQuery resolves the raw q parameter value through the
 // preparsed-query cache; a miss unescapes, tokenizes, computes the
 // query's Select-stage features, and populates the cache. A nil return
-// means the query was empty or unparseable (the caller 400s). cached
-// reports whether the parse was served from the cache (the hit state
-// feeds the feature vector's Aux2).
-func (s *Server) parsedQuery(rawQ string) (cq *cachedQuery, cached bool) {
+// means the query was empty or unparseable (the caller 400s).
+func (s *Server) parsedQuery(rawQ string) *cachedQuery {
 	if cq := s.qcache.get(rawQ); cq != nil {
 		s.ops.QueryCacheHits.Add(1)
-		return cq, true
+		return cq
 	}
 	s.ops.QueryCacheMisses.Add(1)
 	qstr, err := url.QueryUnescape(rawQ)
 	if err != nil || strings.TrimSpace(qstr) == "" {
-		return nil, false
+		return nil
 	}
 	terms := s.termsOf(qstr)
-	cq = &cachedQuery{echo: qstr, terms: terms, feat: s.queryFeat(terms)}
+	cq := &cachedQuery{echo: qstr, terms: terms, feat: s.queryFeat(terms)}
 	s.qcache.put(rawQ, cq)
-	return cq, false
+	return cq
 }
 
 // termsOf maps query words onto the synthetic vocabulary by hashing —
@@ -193,14 +186,14 @@ func (sc *serveScratch) release() {
 // boundary where its page is final, whichever comes first; a monitored
 // one runs on past M to that boundary, or stops at its record point
 // when the query's precise page is memoised.
-func (s *Server) serveQuery(ctx context.Context, deadline time.Time, cq *cachedQuery, feat core.Features, sc *serveScratch) error {
+func (s *Server) serveQuery(ctx context.Context, deadline time.Time, cq *cachedQuery, sc *serveScratch) error {
 	q, scan := search.Query{Terms: cq.terms}, &sc.scan
 	scan.Reset(s.engine, q, wire.PageSize)
 	qos := serveQoSPool.Get().(*serveQoS)
 	qos.engine, qos.query, qos.topN = s.engine, q, wire.PageSize
 	qos.chaos = s.cfg.Chaos
 	qos.scan = scan
-	exec, err := s.loop.ExecFeat(qos, feat)
+	exec, err := s.loop.ExecFeat(qos, cq.feat)
 	if err != nil {
 		qos.release()
 		return err

@@ -347,15 +347,15 @@ func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, feat 
 }
 
 // Proactive per-input control on the serving path. With Config.Selector
-// set, calibration tags every training query with its feature vector —
-// the summed posting-list length of its terms (Key) and its term count
-// (Aux1) — and fits per-feature-bucket loss curves beside the global
-// reactive model. The built core.BucketSelector is installed on the match
-// loop, so each served query's approximation level is chosen from its
-// own bucket's curve (Select) before the scan runs, while the monitored
-// sampling stream repairs bucket-level drift (Correct). Queries outside
-// the calibrated feature domain fall back to the reactive level; the
-// /stats selector counters say how often.
+// set, calibration tags every training query with its feature — the
+// summed posting-list length of its terms — and fits per-feature-bucket
+// loss curves beside the global reactive model. The built
+// core.BucketSelector is installed on the match loop, so each served
+// query's approximation level is chosen from its own bucket's curve
+// (Select) before the scan runs, while the monitored sampling stream
+// repairs bucket-level drift (Correct). Queries outside the calibrated
+// feature domain fall back to the reactive level; the /stats selector
+// counters say how often.
 
 // selectorBuckets is the number of feature buckets the serving selector
 // partitions the posting-mass domain into. Quartiles are enough to
@@ -366,8 +366,7 @@ const selectorBuckets = 4
 // queryFeat maps one parsed query onto the controller feature space:
 // Key is the summed document frequency of the query's terms (the upper
 // bound on its match count — the property that determines how many
-// scanned documents a given top-N page needs), Aux1 the term count.
-// The cache-hit flag (Aux2) is stamped per request by handleSearch.
+// scanned documents a given top-N page needs).
 func (s *Server) queryFeat(terms []int) core.Features {
 	if len(terms) == 0 {
 		return core.Features{}
@@ -376,7 +375,7 @@ func (s *Server) queryFeat(terms []int) core.Features {
 	for _, t := range terms {
 		mass += s.engine.DocFreq(t)
 	}
-	return core.Features{Key: float64(mass), Aux1: float64(len(terms)), Valid: true}
+	return core.Features{Key: float64(mass), Valid: true}
 }
 
 // featureEdges derives strictly-ascending bucket edges from the
