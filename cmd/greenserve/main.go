@@ -5,7 +5,6 @@
 //
 //	greenserve -addr :8080 -sla 0.02
 //	greenserve -addr :8080 -state-dir /var/lib/greenserve   # crash-safe state
-//	greenserve -addr :8080 -selector       # proactive per-input level selection
 //
 // Sharded serving: -role worker serves one corpus partition, -role
 // coordinator scatter/gathers a fleet of workers and runs the
@@ -52,7 +51,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "corpus seed")
 		docs       = flag.Int("docs", 0, "synthetic corpus size (0 uses the default)")
 		calQueries = flag.Int("cal-queries", 0, "calibration query count (0 uses the default)")
-		selector   = flag.Bool("selector", false, "build a per-input proactive Selector during calibration (posting-mass features)")
 
 		stateDir     = flag.String("state-dir", "", "directory for crash-safe controller snapshots (empty disables persistence)")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Second, "background snapshot period (negative is refused)")
@@ -99,7 +97,6 @@ func main() {
 		SLA: *sla, Seed: *seed,
 		CorpusDocs:         *docs,
 		CalibrationQueries: *calQueries,
-		Selector:           *selector,
 		ShardIndex:         *shardIndex,
 		ShardCount:         *shardCount,
 		StateDir:           *stateDir,

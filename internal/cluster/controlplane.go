@@ -38,9 +38,6 @@ type shardControl struct {
 	lastLevel     float64 // the worker's live level (current_m)
 	lastBudget    float64 // the level the control plane last pushed
 	polled        bool    // stats reached at least once ever
-	// lastSelector is the shard's Select-stage counters from the most
-	// recent successful poll (federated into /stats).
-	lastSelector core.SelectorStats
 }
 
 // AggregateReport summarizes one control-plane round, for tests and
@@ -127,7 +124,6 @@ func (co *Coordinator) AggregateOnce(ctx context.Context) (AggregateReport, erro
 		if polls[i].statsOK {
 			st := polls[i].stats
 			ctl.lastLoss, ctl.lastMonitored, ctl.lastLevel = st.MeanMonitoredLoss, st.Monitored, st.CurrentM
-			ctl.lastSelector = st.Selector
 			ctl.polled = true
 			rep.ShardsPolled++
 		}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -42,9 +41,8 @@ func (b *budgetRecorder) last() (float64, bool) {
 func controlWorker(loss float64, monitored int64, currentM float64, rec *budgetRecorder) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"mean_monitored_loss":%g,"monitored":%d,"current_m":%g,`+
-			`"selector":{"installed":true,"hits":%d,"fallbacks":2,"overrides":1,"corrections":3}}`,
-			loss, monitored, currentM, monitored)
+		fmt.Fprintf(w, `{"mean_monitored_loss":%g,"monitored":%d,"current_m":%g}`,
+			loss, monitored, currentM)
 	})
 	mux.HandleFunc("GET /model", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"base_level":20000,"levels":[`+
@@ -138,26 +136,6 @@ func TestAggregateOnceDecomposesSLA(t *testing.T) {
 	if co.aggregations.Load() != 2 {
 		t.Errorf("aggregations = %d, want 2", co.aggregations.Load())
 	}
-
-	// The coordinator /stats federates each shard's Select-stage
-	// counters from the last poll.
-	rec := get(t, co.Handler(), "/stats")
-	var st wire.FleetStats
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Shards) != 3 {
-		t.Fatalf("stats shards = %d, want 3", len(st.Shards))
-	}
-	for _, row := range st.Shards {
-		sel := row.Selector
-		if sel == nil {
-			t.Fatalf("shard %s federated no selector counters", row.Name)
-		}
-		if !sel.Installed || sel.Hits != 500 || sel.Fallbacks != 2 || sel.Overrides != 1 || sel.Corrections != 3 {
-			t.Errorf("shard %s selector counters = %+v", row.Name, sel)
-		}
-	}
 }
 
 // TestAggregateOncePartialFleet: an unreachable shard neither stalls
@@ -184,14 +162,6 @@ func TestAggregateOncePartialFleet(t *testing.T) {
 	}
 	if math.Abs(rep.FleetLoss-0.004) > 1e-12 {
 		t.Errorf("fleet loss = %g, want 0.004", rep.FleetLoss)
-	}
-	// Only the polled shard federates selector counters.
-	var st wire.FleetStats
-	if err := json.Unmarshal(get(t, co.Handler(), "/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Shards) != 2 || st.Shards[0].Selector == nil || st.Shards[1].Selector != nil {
-		t.Errorf("federated selectors = %+v, want the polled shard's only", st.Shards)
 	}
 
 	// A fleet with no shard reachable at all is an error.

@@ -116,7 +116,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.Quorum < 1 || c.Quorum > len(c.Shards) {
 		return nil, fmt.Errorf("cluster: quorum %d out of range [1, %d]", c.Quorum, len(c.Shards))
 	}
-	if c.SLA < 0 || c.SLA >= 1 {
+	if !(0 <= c.SLA && c.SLA < 1) {
 		return nil, fmt.Errorf("cluster: SLA must be in [0, 1)")
 	}
 	if c.RequestTimeout < 0 {
@@ -307,10 +307,6 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			LastMonitored: ctl.lastMonitored,
 			LastLevel:     ctl.lastLevel,
 			LastBudget:    ctl.lastBudget,
-		}
-		if ctl.polled {
-			sel := ctl.lastSelector
-			row.Selector = &sel
 		}
 		if row.Healthy {
 			resp.ShardsHealthy++

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -311,6 +312,7 @@ func TestNewValidation(t *testing.T) {
 		{Shards: ok, Quorum: 2},
 		{Shards: ok, Quorum: -1},
 		{Shards: ok, SLA: 1.5},
+		{Shards: ok, SLA: math.NaN()},
 		{Shards: []ShardSpec{{Name: "a", Replicas: []string{"http://[::1"}}}},
 		{Shards: []ShardSpec{{Name: "a", Replicas: []string{"http://x", "localhost:8081"}}}},
 		{Shards: []ShardSpec{{Name: "a", Replicas: []string{"/search"}}}},

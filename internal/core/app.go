@@ -89,7 +89,7 @@ type App struct {
 // sensitivity ranking breaks ties by that order, and the list is fixed
 // for the App's lifetime, so no unit can join after operation starts.
 func NewApp(cfg AppConfig, units ...Unit) (*App, error) {
-	if cfg.SLA <= 0 || cfg.SLA > 1 {
+	if !(0 < cfg.SLA && cfg.SLA <= 1) {
 		return nil, fmt.Errorf("core: app %q: SLA %v outside (0,1]", cfg.Name, cfg.SLA)
 	}
 	if cfg.BackoffThreshold == 0 {

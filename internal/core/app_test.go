@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -53,6 +54,9 @@ func newTestApp(t *testing.T, units ...*stubUnit) *App {
 func TestNewAppErrors(t *testing.T) {
 	if _, err := NewApp(AppConfig{SLA: -1}); err == nil {
 		t.Error("negative SLA accepted")
+	}
+	if _, err := NewApp(AppConfig{SLA: math.NaN()}); err == nil {
+		t.Error("NaN SLA accepted")
 	}
 }
 

@@ -129,7 +129,7 @@ func (c *controller[S]) LastRecalibration() (seq int64, act Action) {
 // ("loop", "func", "func2") prefixes rejection messages so each
 // controller keeps its established error text.
 func (c *controller[S]) init(kind string, o ctrlOptions) error {
-	if o.SLA <= 0 || o.SLA > 1 {
+	if !(0 < o.SLA && o.SLA <= 1) {
 		return fmt.Errorf("core: %s %q: SLA %v outside (0,1]", kind, o.Name, o.SLA)
 	}
 	if o.SampleInterval < 0 {

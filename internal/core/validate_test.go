@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -21,6 +22,7 @@ func TestNewLoopRejectsBadConfig(t *testing.T) {
 		{"zero SLA", LoopConfig{Model: m, SLA: 0}, "outside (0,1]"},
 		{"negative SLA", LoopConfig{Model: m, SLA: -0.1}, "outside (0,1]"},
 		{"SLA above one", LoopConfig{Model: m, SLA: 1.5}, "outside (0,1]"},
+		{"NaN SLA", LoopConfig{Model: m, SLA: math.NaN()}, "outside (0,1]"},
 		{"negative SampleInterval", LoopConfig{Model: m, SLA: 0.05, SampleInterval: -1}, "negative SampleInterval"},
 		// A closing window restores BaseInterval: a zero one left this loop
 		// monitoring every execution after the first window.

@@ -79,6 +79,7 @@ type selOutcome struct {
 	losses      []float64
 	over, under int
 	work        float64
+	monitored   int64 // executions the controller served monitored
 }
 
 // add records one served input: its loss against the SLA, and its work
@@ -129,12 +130,13 @@ func (s *selOutcome) addRow(t *Table, workload, controller string, cost *energy.
 
 // loopRows drives a workload's test inputs under the loop's reactive
 // controller alone and then with the calibration's per-input Selector
-// installed, adding one row for each.
-func loopRows(t *Table, workload string, cfg core.LoopConfig, cal *core.LoopCalibration,
+// installed, adding one row for each. newCfg is called once per loop,
+// so the two controllers share no policy state.
+func loopRows(t *Table, workload string, newCfg func() core.LoopConfig, cal *core.LoopCalibration,
 	cost *energy.CostModel, unit string, drive func(*core.Loop, *selOutcome) error) (reactive, proactive *selOutcome, err error) {
 	outs := [2]*selOutcome{{}, {}}
 	for k, controller := range []string{"reactive", "proactive"} {
-		loop, err := core.NewLoop(cfg)
+		loop, err := core.NewLoop(newCfg())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -148,6 +150,7 @@ func loopRows(t *Table, workload string, cfg core.LoopConfig, cal *core.LoopCali
 		if err := drive(loop, outs[k]); err != nil {
 			return nil, nil, err
 		}
+		_, outs[k].monitored, _ = loop.Stats()
 		outs[k].addRow(t, workload, controller, cost, unit)
 	}
 	return outs[0], outs[1], nil
@@ -201,9 +204,14 @@ func selectorSearchRows(o Options, t *Table) error {
 		return err
 	}
 
-	reactive, proactive, err := loopRows(t, "search", core.LoopConfig{
-		Name: "search.match", Model: m, SLA: selectorSearchSLA,
-		SampleInterval: 25, MinLevel: 1,
+	// Both loops run the law serve runs on the match loop: Fig 9's
+	// windowed recalibration.
+	reactive, proactive, err := loopRows(t, "search", func() core.LoopConfig {
+		return core.LoopConfig{
+			Name: "search.match", Model: m, SLA: selectorSearchSLA,
+			SampleInterval: 25, MinLevel: 1,
+			Policy: &core.WindowedPolicy{Window: 100, BaseInterval: 25},
+		}
 	}, cal, f.cost, "doc", func(loop *core.Loop, out *selOutcome) error {
 		for i, q := range f.tstQueries {
 			s, err := f.serve(loop, q)
@@ -222,8 +230,10 @@ func selectorSearchRows(o Options, t *Table) error {
 	if err != nil {
 		return err
 	}
-	t.AddNote("search: SLA = %s, feature = posting mass, %d test queries; loss variance reactive %.5f vs proactive %.5f",
-		pct(selectorSearchSLA), len(f.tstQueries), reactive.variance(), proactive.variance())
+	n := float64(len(f.tstQueries))
+	t.AddNote("search: SLA = %s, feature = posting mass, windowed policy (window 100, interval 25), %d test queries, served monitored %s reactive vs %s proactive; loss variance reactive %.5f vs proactive %.5f",
+		pct(selectorSearchSLA), len(f.tstQueries), pct(float64(reactive.monitored)/n), pct(float64(proactive.monitored)/n),
+		reactive.variance(), proactive.variance())
 	return nil
 }
 
@@ -273,9 +283,11 @@ func selectorEonRows(o Options, t *Table) error {
 		sla = 0.02
 	}
 
-	_, _, err = loopRows(t, "raytracer", core.LoopConfig{
-		Name: "eon.passes", Model: m, SLA: sla,
-		SampleInterval: 8, MinLevel: knots[0],
+	_, _, err = loopRows(t, "raytracer", func() core.LoopConfig {
+		return core.LoopConfig{
+			Name: "eon.passes", Model: m, SLA: sla,
+			SampleInterval: 8, MinLevel: knots[0],
+		}
 	}, cal, f.cost, "ray", func(loop *core.Loop, out *selOutcome) error {
 		for i := nTrain; i < len(f.cameras); i++ {
 			r, err := raytracer.NewRenderer(f.scene, f.cameras[i], f.w, f.h, f.seeds[i])

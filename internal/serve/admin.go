@@ -65,7 +65,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LastRecalSeq:      recalSeq,
 		LastRecalAction:   recalAct.String(),
 		ApproxEnabled:     s.loop.ApproxEnabled(),
-		Selector:          s.loop.SelectorStats(),
 		Degraded:          len(reasons) > 0,
 		DegradedReasons:   reasons,
 		BreakerState:      brk.State.String(),

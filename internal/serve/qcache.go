@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"green/internal/core"
 	"green/internal/search"
 )
 
@@ -32,19 +31,16 @@ type qcacheShard struct {
 }
 
 // cachedQuery is one parsed query: the unescaped echo string for the
-// JSON response plus the resolved vocabulary terms. feat is the query's
-// precomputed Select-stage feature (posting mass) so the warm path hands
-// the controller per-input features without touching the index or the
-// allocator. A monitored request leaves its query in Server.sampled,
-// for the /stats precise-work estimate: n memoises the query's match
-// count — 0 until it is first counted, 1 + the count after. final memoises its precise page, with scores: the engine never
-// changes after New, so the page is a function of the query. Its one
+// JSON response plus the resolved vocabulary terms. A monitored request
+// leaves its query in Server.sampled, for the /stats precise-work
+// estimate: n memoises the query's match count — 0 until it is first
+// counted, 1 + the count after. final memoises its precise page, with
+// scores: the engine never changes after New, so the page is a function of the query. Its one
 // writer is a monitored request whose scan ended final and undegraded,
 // its one reader a monitored request past its record point (serveQuery).
 type cachedQuery struct {
 	echo  string
 	terms []int
-	feat  core.Features
 	n     atomic.Int64
 	final atomic.Pointer[[]search.Result]
 }

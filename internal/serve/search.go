@@ -93,9 +93,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // parsedQuery resolves the raw q parameter value through the
-// preparsed-query cache; a miss unescapes, tokenizes, computes the
-// query's Select-stage features, and populates the cache. A nil return
-// means the query was empty or unparseable (the caller 400s).
+// preparsed-query cache; a miss unescapes, tokenizes and populates the
+// cache. A nil return means the query was empty or unparseable (the
+// caller 400s).
 func (s *Server) parsedQuery(rawQ string) *cachedQuery {
 	if cq := s.qcache.get(rawQ); cq != nil {
 		s.ops.QueryCacheHits.Add(1)
@@ -106,8 +106,7 @@ func (s *Server) parsedQuery(rawQ string) *cachedQuery {
 	if err != nil || strings.TrimSpace(qstr) == "" {
 		return nil
 	}
-	terms := s.termsOf(qstr)
-	cq := &cachedQuery{echo: qstr, terms: terms, feat: s.queryFeat(terms)}
+	cq := &cachedQuery{echo: qstr, terms: s.termsOf(qstr)}
 	s.qcache.put(rawQ, cq)
 	return cq
 }
@@ -193,7 +192,7 @@ func (s *Server) serveQuery(ctx context.Context, deadline time.Time, cq *cachedQ
 	qos.engine, qos.query, qos.topN = s.engine, q, wire.PageSize
 	qos.chaos = s.cfg.Chaos
 	qos.scan = scan
-	exec, err := s.loop.ExecFeat(qos, cq.feat)
+	exec, err := s.loop.Begin(qos)
 	if err != nil {
 		qos.release()
 		return err

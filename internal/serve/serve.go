@@ -25,7 +25,6 @@ package serve
 import (
 	"errors"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -71,14 +70,6 @@ type Config struct {
 	// loop controller is still installed, but QoS_Approx always answers
 	// "do not approximate".
 	Disabled bool
-	// Selector enables the proactive Select stage on the match loop:
-	// calibration additionally fits per-feature-bucket loss curves
-	// (bucketed on summed posting-list length) and installs the built
-	// selector, so each query's approximation level is chosen from its
-	// own bucket before the scan runs instead of the one fleet-wide
-	// reactive level. Off by default — the reactive law alone is the
-	// paper's configuration.
-	Selector bool
 	// ShardIndex/ShardCount make this server a shard worker: the engine
 	// keeps only its partition of the corpus (global doc ids and scoring
 	// preserved — see search.Config), so a coordinator can scatter a
@@ -181,7 +172,7 @@ type Server struct {
 // configured — restores the most recent valid controller snapshot.
 func New(cfg Config) (*Server, error) {
 	c := cfg.withDefaults()
-	if c.SLA < 0 || c.SLA >= 1 {
+	if !(0 <= c.SLA && c.SLA < 1) {
 		return nil, errors.New("serve: SLA must be in [0, 1)")
 	}
 	if c.SnapshotInterval < 0 {
@@ -208,11 +199,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	knots := []float64{100, 250, 500, 1000, 2500, 5000, 10000}
-	var feat func(search.Query) core.Features
-	if c.Selector {
-		feat = func(q search.Query) core.Features { return s.queryFeat(q.Terms) }
-	}
-	m, sel, err := s.calibrateLoop(knots, calQueries, feat, s.knotLosses(knots))
+	m, err := s.calibrateLoop(knots, calQueries, s.knotLosses(knots))
 	if err != nil {
 		return nil, err
 	}
@@ -228,11 +215,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if sel != nil {
-		// Install before any restore so a selector-bearing snapshot can
-		// rehydrate the bucket correction factors.
-		s.loop.InstallSelector(sel)
 	}
 	s.matchModel = m
 
@@ -297,113 +279,22 @@ func (s *Server) knotLosses(knots []float64) func(q search.Query, losses, work [
 
 // calibrateLoop runs the calibration phase of the match loop: measure
 // fills in, for each training query, the loss and work of capping the
-// scan at each candidate level against the uncapped (precise) result. A
-// non-nil feat function additionally tags every run with its query's
-// feature vector (bucket edges derived from the training distribution's
-// quartiles) and builds the per-input selector beside the reactive
-// model; a degenerate feature distribution silently yields no selector
-// (reactive-only).
-func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, feat func(search.Query) core.Features, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, *core.BucketSelector, error) {
+// scan at each candidate level against the uncapped (precise) result.
+func (s *Server) calibrateLoop(knots []float64, calQueries []search.Query, measure func(q search.Query, losses, work []float64)) (*model.LoopModel, error) {
 	baseLevel := float64(s.engine.Docs())
 	cal, err := core.NewLoopCalibration(matchName, knots, baseLevel, baseLevel)
 	if err != nil {
-		return nil, nil, err
-	}
-	if feat != nil {
-		keys := make([]float64, 0, len(calQueries))
-		for _, q := range calQueries {
-			if f := feat(q); f.Valid {
-				keys = append(keys, f.Key)
-			}
-		}
-		edges := featureEdges(keys, selectorBuckets)
-		if edges == nil {
-			feat = nil
-		} else if err := cal.FeatureBuckets(edges); err != nil {
-			return nil, nil, err
-		}
+		return nil, err
 	}
 	losses := make([]float64, len(knots))
 	work := make([]float64, len(knots))
 	for _, q := range calQueries {
 		measure(q, losses, work)
-		if feat != nil {
-			if err := cal.AddRunFeat(feat(q), losses, work); err != nil {
-				return nil, nil, err
-			}
-		} else if err := cal.AddRun(losses, work); err != nil {
-			return nil, nil, err
+		if err := cal.AddRun(losses, work); err != nil {
+			return nil, err
 		}
 	}
-	m, err := cal.Build()
-	if err != nil || feat == nil {
-		return m, nil, err
-	}
-	sel, err := cal.BuildSelector()
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, sel, nil
-}
-
-// Proactive per-input control on the serving path. With Config.Selector
-// set, calibration tags every training query with its feature — the
-// summed posting-list length of its terms — and fits per-feature-bucket
-// loss curves beside the global reactive model. The built
-// core.BucketSelector is installed on the match loop, so each served
-// query's approximation level is chosen from its own bucket's curve
-// (Select) before the scan runs, while the monitored sampling stream
-// repairs bucket-level drift (Correct). Queries outside the calibrated
-// feature domain fall back to the reactive level; the /stats selector
-// counters say how often.
-
-// selectorBuckets is the number of feature buckets the serving selector
-// partitions the posting-mass domain into. Quartiles are enough to
-// separate the short conjunctive-looking tail from the heavy Zipf head
-// without starving any bucket of calibration runs.
-const selectorBuckets = 4
-
-// queryFeat maps one parsed query onto the controller feature space:
-// Key is the summed document frequency of the query's terms (the upper
-// bound on its match count — the property that determines how many
-// scanned documents a given top-N page needs).
-func (s *Server) queryFeat(terms []int) core.Features {
-	if len(terms) == 0 {
-		return core.Features{}
-	}
-	mass := 0
-	for _, t := range terms {
-		mass += s.engine.DocFreq(t)
-	}
-	return core.Features{Key: float64(mass), Valid: true}
-}
-
-// featureEdges derives strictly-ascending bucket edges from the
-// calibration queries' feature keys: quantile cut points, deduplicated,
-// with the top edge padded to twice the observed maximum so serving
-// queries somewhat heavier than any calibration query still land in the
-// last bucket instead of falling back to the reactive law. Returns nil
-// when the key distribution is too degenerate to bucket (fewer than two
-// distinct edges) — the caller then serves reactive-only.
-func featureEdges(keys []float64, buckets int) []float64 {
-	if len(keys) == 0 || buckets < 1 {
-		return nil
-	}
-	sorted := append([]float64(nil), keys...)
-	sort.Float64s(sorted)
-	edges := make([]float64, 0, buckets+1)
-	edges = append(edges, sorted[0])
-	for b := 1; b < buckets; b++ {
-		q := sorted[b*len(sorted)/buckets]
-		if q > edges[len(edges)-1] {
-			edges = append(edges, q)
-		}
-	}
-	top := sorted[len(sorted)-1] * 2
-	if top <= edges[len(edges)-1] {
-		top = edges[len(edges)-1] + 1
-	}
-	return append(edges, top)
+	return cal.Build()
 }
 
 // Handler returns the HTTP handler.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -31,6 +32,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{SLA: 1.5}); err == nil {
 		t.Error("SLA >= 1 accepted")
+	}
+	if _, err := New(Config{SLA: math.NaN()}); err == nil {
+		t.Error("NaN SLA accepted")
 	}
 	// Refused up front: a negative period would panic the snapshot
 	// loop's ticker after boot, a negative count the calibration log.
@@ -172,6 +176,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.CurrentM <= 0 {
 		t.Errorf("current M = %v", st.CurrentM)
+	}
+	if st.SampleInterval == 0 {
+		t.Error("sample_interval = 0, want the live interval")
 	}
 	// The boot stages that ran report what they cost; no state directory,
 	// no restore stage.

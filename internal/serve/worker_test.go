@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"green/internal/search"
 	"green/internal/wire"
 )
 
@@ -179,6 +180,33 @@ func TestBudgetEndpoint(t *testing.T) {
 	if got := s.Loop().Level(); got != 1234 {
 		t.Fatalf("level moved by rejected pushes: %v", got)
 	}
+
+	// The pushed level binds the next request the controller does not
+	// monitor: its scan adds at most the level, rounded up to whole
+	// scanBlock grants, to docs_scored, though the query matches more
+	// (a corpus big enough for that).
+	s = resilientServer(t, func(c *Config) { c.CorpusDocs = 20 * scanBlock })
+	h = s.Handler()
+	const level = 1234
+	limit := int64((level + scanBlock - 1) / scanBlock * scanBlock)
+	terms := s.termsOf("ocean tree light river")
+	if _, matches := s.Engine().Search(search.Query{Terms: terms}, wire.PageSize, 0); int64(matches) <= limit {
+		t.Fatalf("query matches %d documents, not more than the bound %d: the check tells nothing", matches, limit)
+	}
+	for try := 0; try < 200; try++ {
+		if rec := post(t, h, "/budget", `{"level":1234}`); rec.Code != http.StatusOK {
+			t.Fatalf("push: status = %d: %s", rec.Code, rec.Body)
+		}
+		before := decodeStats(t, h).DocsScored
+		if searchReply(t, h, "ocean+tree+light+river").MonitoredScan {
+			continue
+		}
+		if added := decodeStats(t, h).DocsScored - before; added > limit {
+			t.Fatalf("an unmonitored request at level %d added %d to docs_scored, want at most %d", level, added, limit)
+		}
+		return
+	}
+	t.Fatal("no unmonitored request in 200")
 }
 
 // TestWorkerShardConfig: a shard worker's /config reflects the

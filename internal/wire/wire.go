@@ -5,8 +5,8 @@
 // response helpers. internal/serve fills these types and
 // internal/cluster decodes the same types, so a protocol change is one
 // edit here. The package imports nothing from the serving tier; the
-// only non-stdlib imports are internal/core and internal/metrics, for
-// the selector and ops counters /stats embeds as they are.
+// only non-stdlib import is internal/metrics, for the ops counters
+// /stats embeds as they are.
 //
 // DESIGN.md ("Wire protocol") has the endpoint table.
 package wire
@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"strings"
 
-	"green/internal/core"
 	"green/internal/metrics"
 )
 
@@ -134,7 +133,7 @@ func WriteReadyz(w http.ResponseWriter, reasons []string) {
 
 // Stats is the worker /stats JSON shape; every controller field
 // describes the worker's one match loop. The coordinator's control plane
-// reads MeanMonitoredLoss, Monitored, CurrentM and Selector out of it.
+// reads MeanMonitoredLoss, Monitored and CurrentM out of it.
 type Stats struct {
 	Queries           int64   `json:"queries"`
 	Monitored         int64   `json:"monitored"`
@@ -148,11 +147,10 @@ type Stats struct {
 	// monitoring is off); LastRecalSeq/LastRecalAction name the last
 	// monitored execution that ran the recalibration policy (zero/"none"
 	// before any).
-	SampleInterval  int64              `json:"sample_interval"`
-	LastRecalSeq    int64              `json:"last_recal_seq"`
-	LastRecalAction string             `json:"last_recal_action"`
-	ApproxEnabled   bool               `json:"approx_enabled"`
-	Selector        core.SelectorStats `json:"selector"`
+	SampleInterval  int64  `json:"sample_interval"`
+	LastRecalSeq    int64  `json:"last_recal_seq"`
+	LastRecalAction string `json:"last_recal_action"`
+	ApproxEnabled   bool   `json:"approx_enabled"`
 
 	// Resilience surface.
 	Degraded        bool                `json:"degraded"`
@@ -281,9 +279,6 @@ type ShardStats struct {
 	LastLevel     float64        `json:"last_level"`
 	LastBudget    float64        `json:"last_budget,omitempty"`
 	Replicas      []ReplicaStats `json:"replicas"`
-	// Selector federates the shard's Select-stage counters from the last
-	// control-plane poll (absent until the shard has been polled).
-	Selector *core.SelectorStats `json:"selector,omitempty"`
 }
 
 // ReplicaStats is one replica's routing and breaker counters.
