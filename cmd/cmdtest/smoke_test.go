@@ -3,6 +3,8 @@ package cmdtest
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -19,8 +21,8 @@ var (
 	buildErr  error
 )
 
-// binaries builds every cmd/... binary once per test run and returns the
-// output directory.
+// binaries builds every cmd/... binary, and the quickstart example, once
+// per test run and returns the output directory.
 func binaries(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -30,7 +32,7 @@ func binaries(t *testing.T) string {
 			return
 		}
 		buildDir = dir
-		pkgs := []string{"./cmd/greencal", "./cmd/greenbench", "./cmd/greenserve", "./cmd/greenlint"}
+		pkgs := []string{"./cmd/greencal", "./cmd/greenbench", "./cmd/greenserve", "./cmd/greenlint", "./examples/quickstart"}
 		cmd := exec.Command("go", append([]string{"build", "-o", dir + string(filepath.Separator)}, pkgs...)...)
 		cmd.Dir = repoRoot
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -274,4 +276,45 @@ func runSplit(t *testing.T, bin string, args ...string) (string, string, int) {
 		code = ee.ExitCode()
 	}
 	return stdout.String(), stderr.String(), code
+}
+
+// TestQuickstartVerdict runs README's first example and holds its last
+// line to the true loss and the SLA it printed: "verdict: met" when the
+// loss is within the SLA, else "verdict: missed ×k" with k their ratio.
+func TestQuickstartVerdict(t *testing.T) {
+	out, code := run(t, "quickstart")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if code != 0 || len(lines) < 2 {
+		t.Fatalf("quickstart: exit %d:\n%s", code, out)
+	}
+	var sla, loss float64
+	for _, line := range lines {
+		if _, err := fmt.Sscanf(line, "SLA %g", &sla); err == nil {
+			break
+		}
+	}
+	prev, last := lines[len(lines)-2], lines[len(lines)-1]
+	i := strings.LastIndex(prev, "true loss ")
+	if i < 0 || sla <= 0 {
+		t.Fatalf("quickstart printed no SLA or true loss:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(prev[i:], "true loss %g", &loss); err != nil {
+		t.Fatalf("%q: %v", prev, err)
+	}
+	// The printed loss has three significant digits: a ratio within
+	// their rounding of 1 may read either way.
+	ratio := loss / sla
+	var k float64
+	switch _, err := fmt.Sscanf(last, "verdict: missed ×%g", &k); {
+	case last == "verdict: met":
+		if ratio > 1.005 {
+			t.Errorf("%q with true loss %g against SLA %g", last, loss, sla)
+		}
+	case err == nil:
+		if ratio < 0.995 || math.Abs(k-ratio) > 0.01 {
+			t.Errorf("%q with true loss %g against SLA %g (×%.3f)", last, loss, sla, ratio)
+		}
+	default:
+		t.Errorf("last line %q is no verdict", last)
+	}
 }

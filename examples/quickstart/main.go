@@ -135,4 +135,14 @@ func main() {
 	trueLoss := math.Abs(series.estimate(finalM)-exact) / math.Abs(exact)
 	fmt.Printf("final M = %d (%.1f%% of the precise loop), true loss %.2e\n",
 		finalM, 100*float64(finalM)/baseIterations, trueLoss)
+	fmt.Println(verdict(trueLoss, qosSLA))
+}
+
+// verdict states whether the run ends inside its SLA: "verdict: met", or
+// "verdict: missed ×k", k the true loss over the SLA.
+func verdict(loss, sla float64) string {
+	if loss <= sla {
+		return "verdict: met"
+	}
+	return fmt.Sprintf("verdict: missed ×%.2f", loss/sla)
 }

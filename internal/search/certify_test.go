@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"slices"
@@ -15,40 +16,23 @@ import (
 // holds; TestCertifyTable regenerates it and fails if the two differ.
 const certifyTable = "../../results/certify.txt"
 
-// windowMaxima returns, per term, the largest impact of its postings at
-// or after each windowIDs-aligned block of ids: the per-(list, window)
-// refinement of maxImp that the table measures and the engine does not
-// build.
-func windowMaxima(e *Engine) [][]float64 {
-	out := make([][]float64, len(e.postings))
-	for t, ps := range e.postings {
-		m, imp := make([]float64, len(e.qmax)+1), e.table(t)
-		for _, p := range ps {
-			m[p.Doc/windowIDs] = max(m[p.Doc/windowIDs], imp[p.pair])
-		}
-		for b := len(e.qmax) - 1; b >= 0; b-- {
-			m[b] = max(m[b], m[b+1])
-		}
-		out[t] = m
+// windowQmax is the largest quality at or after each windowIDs-aligned
+// block of ids: the per-list certificate's quality term.
+func windowQmax(e *Engine) []float64 {
+	out := make([]float64, (len(e.quality)+windowIDs-1)/windowIDs)
+	for d, m := len(e.quality)-1, math.Inf(-1); d >= 0; d-- {
+		m = max(m, e.quality[d])
+		out[d/windowIDs] = m
 	}
 	return out
 }
 
-// refined is a Scan whose Final is refinedFinal, so that finality holds
-// the refinement's pages to the drained page as it does Final's.
-type refined struct {
-	*Scan
-	q    Query
-	wmax [][]float64
-}
-
-func (r refined) Final() bool { return refinedFinal(r.Scan, r.q, r.wmax) }
-
-// refinedFinal is Final with each live list bounded by its largest impact
-// at or after the window its own cursor is in. It is at least as strong:
-// every per-window maximum is at most the list's.
-func refinedFinal(s *Scan, q Query, wmax [][]float64) bool {
-	if s.Final() {
+// perListFinal is the certificate Final refines, kept as its reference:
+// a document no list has reached scores at most the largest quality at
+// or after next's window plus each live list's largest impact. Final
+// must hold wherever it does.
+func perListFinal(s *Scan, qmax []float64) bool {
+	if s.topNCap <= 0 || s.Exhausted() {
 		return true
 	}
 	w, floor := &s.win, s.heap.floor()
@@ -59,31 +43,42 @@ func refinedFinal(s *Scan, q Query, wmax [][]float64) bool {
 			}
 		}
 	}
-	next := s.cursors[0].ps[s.cursors[0].pos].Doc
+	if len(s.cursors) == 0 {
+		return true
+	}
+	next := uint32(math.MaxUint32)
 	for _, c := range s.cursors {
 		next = min(next, c.ps[c.pos].Doc)
 	}
-	bound := s.engine.qmax[next/windowIDs]
+	bound := qmax[next/windowIDs]
 	for _, c := range s.cursors {
-		for _, t := range q.Terms { // the cursor's term: the list it walks
-			if ps := s.engine.postings[t]; len(ps) > 0 && &ps[0] == &c.ps[0] {
-				bound += wmax[t][c.ps[c.pos].Doc/windowIDs]
-				break
-			}
-		}
+		bound += c.max
 	}
 	return !beats(bound, floor)
 }
 
+// perList is a Scan whose Final is perListFinal, so that finality holds
+// the reference's pages to the drained page as it does Final's.
+type perList struct {
+	*Scan
+	qmax []float64
+}
+
+func (p perList) Final() bool { return perListFinal(p.Scan, p.qmax) }
+
+// certifyGrant is how many documents a scan scores between certificate
+// checks: /search checks every blockIDs documents.
+const certifyGrant = blockIDs
+
 // certifyRow summarises one query set under one bound: for each query,
-// the documents a scan in serve's 2048-document grants had scored when
+// the documents a scan in certifyGrant-document grants had scored when
 // the certificate first held, against its match count.
-func certifyRow(name, bound string, at, matches []int) string {
+func certifyRow(name, bound string, at, matches []int) (row string, docsShare float64) {
 	var fracs []float64
 	var multi, sumAt, sumMatches int
 	for i := range at {
 		sumAt, sumMatches = sumAt+at[i], sumMatches+matches[i]
-		if matches[i] > windowIDs {
+		if matches[i] > certifyGrant {
 			multi++
 		}
 		if at[i] < matches[i] {
@@ -97,9 +92,9 @@ func certifyRow(name, bound string, at, matches []int) string {
 		}
 		return fmt.Sprintf("%.3f", fracs[(len(fracs)-1)*p/100])
 	}
-	n := float64(len(at))
+	n, share := float64(len(at)), float64(sumAt)/float64(sumMatches)
 	return fmt.Sprintf("%-9s  %-10s  %7d  %10.3f  %9.3f  %5s  %5s  %5s  %10.3f\n", name, bound, len(at),
-		float64(multi)/n, float64(len(fracs))/n, pct(10), pct(50), pct(90), float64(sumAt)/float64(sumMatches))
+		float64(multi)/n, float64(len(fracs))/n, pct(10), pct(50), pct(90), share), share
 }
 
 // TestCertifyTable regenerates results/certify.txt — how early the
@@ -130,14 +125,16 @@ func TestCertifyTable(t *testing.T) {
 			}
 		}
 	}
-	wmax := windowMaxima(e)
+	qmax := windowQmax(e)
 	var b strings.Builder
 	b.WriteString(`# Where a precise scan's page becomes provably final (Scan.Final).
 # 200k-document corpus, seed 7, top 10; the certificate is checked after
-# every 2048-document grant, as /search's monitored scans check it.
-# per-list: each live list bounded by its largest impact (what Scan.Final
-# uses); per-window: by its largest impact at or after its cursor's
-# 2048-id window (a refinement the engine does not build).
+# every 512-document grant, as /search checks it.
+# per-list: an unreached document bounded by the best quality at or after
+# its 2048-id window plus each live list's largest impact (the reference
+# Scan.Final never trails); per-block: by the largest, over the 512-id
+# blocks left, of the block's best quality plus each live list's largest
+# impact in it (what Scan.Final uses).
 # multi_block: share of queries matching more than one grant; certified:
 # share final before exhaustion; p10/p50/p90: documents scored at
 # certification over matches, among those; docs_share: documents scored
@@ -154,10 +151,10 @@ queries    bound       queries  multi_block  certified    p10    p50    p90  doc
 		matches := make([]int, len(set.qs))
 		for i, q := range set.qs {
 			s.Reset(e, q, 10)
-			scans := [2]blockScanner{s, refined{s, q, wmax}}
+			scans := [2]blockScanner{perList{s, qmax}, s}
 			var f [2]finality
-			for n := windowIDs; n == windowIDs; {
-				n = s.StepN(windowIDs)
+			for n := certifyGrant; n == certifyGrant; {
+				n = s.StepN(certifyGrant)
 				for j := range f {
 					if err := f[j].note(scans[j]); err != nil {
 						t.Fatalf("q=%v: %v", q.Terms, err)
@@ -172,8 +169,12 @@ queries    bound       queries  multi_block  certified    p10    p50    p90  doc
 			}
 			matches[i] = s.Processed()
 		}
-		b.WriteString(certifyRow(set.name, "per-list", at[0], matches))
-		b.WriteString(certifyRow(set.name, "per-window", at[1], matches))
+		old, oldShare := certifyRow(set.name, "per-list", at[0], matches)
+		now, share := certifyRow(set.name, "per-block", at[1], matches)
+		b.WriteString(old + now)
+		if share > oldShare || set.name == "band" && share > 0.62 {
+			t.Errorf("%s: per-block docs_share %.3f, per-list %.3f: want no more, and at most 0.62 on band", set.name, share, oldShare)
+		}
 	}
 	if out := os.Getenv("GREEN_CERTIFY_OUT"); out != "" {
 		if err := os.WriteFile(out, []byte(b.String()), 0o644); err != nil {

@@ -30,7 +30,7 @@ func refScore(e *Engine, q Query, doc uint32) float64 {
 }
 
 // blockScanner is the scan surface the checks below read: Scan, which
-// FuzzScanBlocks drives, and certify_test's refined wrapper of it.
+// FuzzScanBlocks drives, and certify_test's perList wrapper of it.
 type blockScanner interface {
 	Step() bool
 	StepN(int) int
@@ -117,7 +117,9 @@ func checkAgainstSearch(e *Engine, s blockScanner, q Query, topN int) error {
 // every candidate ties with the page's floor and only the doc-id rule
 // (the lower id wins) decides. The eight posting lists differ in length
 // by two orders of magnitude and in where they end, so merges run out of
-// lists mid-block, and term 7 matches nothing.
+// lists mid-block, and term 7 matches nothing. The impact, 1.1, is no
+// bfloat16: the per-block bound rounds it up past every tie, so what
+// certifies here certifies on Final's per-list bound alone.
 func tiedEngine() *Engine {
 	const docs = 320
 	e := &Engine{
@@ -142,7 +144,7 @@ func tiedEngine() *Engine {
 		func(d int) bool { return false },
 	}
 	for t, in := range holds {
-		e.idf[t] = 1
+		e.idf[t] = 1.1
 		for d := 0; d < docs; d++ {
 			if in(d) {
 				e.postings[t] = append(e.postings[t], Posting{Doc: uint32(d), TF: 1})
@@ -215,8 +217,8 @@ func windowEngine() *Engine {
 // page of one and a page wider than the match set. The same scans hold
 // Final to its claim: a page certified before exhaustion is the drained
 // page, bit for bit. On tiedEngine every document of query {0} scores
-// exactly the certificate's bound, so that query can only certify on a
-// tie with the floor — which the later id loses.
+// exactly the per-list bound, so that query can only certify on a tie
+// with the floor — which the later id loses — and only on that bound.
 func TestScanFloorInvariant(t *testing.T) {
 	generated, err := NewEngine(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5})
 	if err != nil {
@@ -297,7 +299,9 @@ var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 6
 // sequence of block sizes, after every block the scan's page must be the
 // page Search returns when capped at the same document count, with every
 // score bit-equal to refScore; whenever Final holds after a block, that
-// page must be the drained scan's, scores bit-equal.
+// page must be the drained scan's, scores bit-equal; and whenever the
+// per-list reference (perListFinal) holds, Final holds too: the per-block
+// certificate never fires later than the bound it refines.
 func FuzzScanBlocks(f *testing.F) {
 	var engines []*Engine
 	for _, shard := range [][2]int{{0, 0}, {0, 3}, {1, 3}, {2, 3}} {
@@ -338,6 +342,7 @@ func FuzzScanBlocks(f *testing.F) {
 			return int(b)
 		}
 		e := engines[next()%len(engines)]
+		qmax := windowQmax(e)
 		topN := []int{0, 1, 10, 64}[next()%4]
 		var q Query
 		for n := next() % 6; n > 0; n-- {
@@ -355,6 +360,9 @@ func FuzzScanBlocks(f *testing.F) {
 			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if perListFinal(s, qmax) && !s.Final() {
+				t.Fatalf("at %d documents the per-list bound certifies and Final does not", s.Processed())
 			}
 		}
 		check()

@@ -137,6 +137,7 @@ func (e *Engine) deriveImpacts() error {
 func checkServed(t *testing.T, name string, e *Engine) {
 	t.Helper()
 	checkImpacts(t, name, e)
+	checkBlockTable(t, e)
 	q := Query{Terms: []int{0}}
 	s := e.NewScan(q, 10)
 	for s.StepN(4096) == 4096 {
@@ -163,23 +164,27 @@ func TestImpactsLargeTF(t *testing.T) {
 
 // TestImpactsNegativeIDF: a negative idf makes every impact of its term
 // negative — outside the "impacts are ≥ 0" the certificate's bound
-// rests on. Such a term bounds at +Inf: a scan with its list live never
-// certifies before exhaustion, and beside a sound term every page that
-// does certify is the drained one. The sound term alone certifies
-// early, so the test is not vacuous.
+// rests on — and a NaN idf makes them NaN. Such a term bounds at +Inf,
+// globally and in every block it has a posting in (checkBlockTable): a
+// scan with its list live never certifies before exhaustion, and beside
+// a sound term every page that does certify is the drained one. The
+// sound term alone certifies early, so the test is not vacuous.
 func TestImpactsNegativeIDF(t *testing.T) {
-	const neg, sound = 3, 8
+	const neg, nan, sound = 3, 5, 8
 	e, err := NewEngine(Config{Docs: 3000, VocabSize: 20, AvgDocLen: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.idf[neg] = -2.5
+	e.idf[neg], e.idf[nan] = -2.5, math.NaN()
 	if err := e.deriveImpacts(); err != nil {
 		t.Fatalf("a negative idf refused: %v", err)
 	}
-	if !math.IsInf(e.maxImp[neg], 1) {
-		t.Fatalf("term %d with idf -2.5 bounds at %v, want +Inf", neg, e.maxImp[neg])
+	for _, term := range []int{neg, nan} {
+		if !math.IsInf(e.maxImp[term], 1) {
+			t.Fatalf("term %d with idf %v bounds at %v, want +Inf", term, e.idf[term], e.maxImp[term])
+		}
 	}
+	checkBlockTable(t, e)
 	for _, terms := range [][]int{{neg}, {sound, neg}, {neg, sound}, {sound}} {
 		for _, topN := range []int{1, 10} {
 			q := Query{Terms: terms}
@@ -201,6 +206,47 @@ func TestImpactsNegativeIDF(t *testing.T) {
 			if len(terms) == 1 && f.certified != (terms[0] == sound) {
 				t.Errorf("q=%v topN=%d: certified before exhaustion = %v", terms, topN, f.certified)
 			}
+		}
+	}
+}
+
+// checkBlockTable holds every term's row of per-block maxima to its
+// postings: each cell is the least bfloat16 at or above the largest
+// impact in the block, 0 where the term has no posting and +Inf where an
+// impact is negative or NaN; and the quality columns to the quality
+// column.
+func checkBlockTable(t *testing.T, e *Engine) {
+	t.Helper()
+	nblk := (len(e.quality) + blockIDs - 1) / blockIDs
+	if len(e.qblk) != nblk || len(e.qmax) != nblk || len(e.blkImp) != nblk*len(e.postings) {
+		t.Fatalf("%d blocks: qblk %d, qmax %d, table %d for %d terms", nblk, len(e.qblk), len(e.qmax), len(e.blkImp), len(e.postings))
+	}
+	for d, q := range e.quality {
+		if b := d / blockIDs; q > e.qblk[b] || e.qblk[b] > e.qmax[b] || b > 0 && e.qmax[b] > e.qmax[b-1] {
+			t.Fatalf("doc %d quality %v: block %d qblk %v, qmax %v", d, q, b, e.qblk[b], e.qmax[b])
+		}
+	}
+	for term, ps := range e.postings {
+		want := make([]float64, nblk)
+		for _, p := range ps {
+			v := e.table(term)[p.pair]
+			if !(v >= 0) {
+				v = math.Inf(1)
+			}
+			want[p.Doc/blockIDs] = max(want[p.Doc/blockIDs], v)
+		}
+		for b, got := range e.blocks(term) {
+			if bf16(got) < want[b] || got > 0 && bf16(got-1) >= want[b] {
+				t.Fatalf("term %d block %d: %v, not the least bfloat16 at or above %v", term, b, got, want[b])
+			}
+		}
+	}
+	for _, c := range []struct {
+		x    float64
+		want uint16
+	}{{0, 0}, {1, 0x3f80}, {1 - 0x1p-30, 0x3f80}, {1 + 0x1p-30, 0x3f81}, {1 + 0x1p-8, 0x3f81}, {math.MaxFloat32, 0x7f80}, {math.MaxFloat64, 0x7f80}, {math.Inf(1), 0x7f80}} {
+		if got := up16(c.x); got != c.want {
+			t.Errorf("up16(%v) = %#x, want %#x", c.x, got, c.want)
 		}
 	}
 }
@@ -229,11 +275,17 @@ func TestImpactsDistinctPairLimit(t *testing.T) {
 }
 
 // TestImpactsRefuseUnorderedPostings: a list out of ascending doc id is
-// refused, since the scans' merge and doc-id tie rule rest on the order.
+// refused, since the scans' merge and doc-id tie rule rest on the order,
+// and so is a posting past the corpus, which has no quality or block.
 func TestImpactsRefuseUnorderedPostings(t *testing.T) {
 	e := handEngine([]uint32{10, 12, 9}, []uint16{1, 2, 3})
 	e.postings[0][0].Doc, e.postings[0][1].Doc = 1, 0
 	if err := e.deriveImpacts(); err == nil {
 		t.Error("unordered postings accepted")
+	}
+	past := handEngine([]uint32{10, 10, 10}, []uint16{1, 2, 3})
+	past.postings[0][2].Doc = 3
+	if err := past.buildImpacts([]int{10}, 3, nil); err == nil {
+		t.Error("a posting past the corpus accepted")
 	}
 }

@@ -18,6 +18,9 @@ type Scan struct {
 	n       int
 	topNCap int
 	win     window
+	// blk is Final's block cursor: no block before it can hold a document
+	// that beats the floor, whatever is left to score.
+	blk int
 }
 
 type scanCursor struct {
@@ -25,6 +28,7 @@ type scanCursor struct {
 	pos int
 	imp []float64 // the term's impact table
 	max float64   // and its largest entry (Engine.maxImp)
+	bm  []uint16  // and its largest per block (Engine.blocks)
 }
 
 // window is the union of two or more posting lists over windowIDs
@@ -46,6 +50,8 @@ type window struct {
 const (
 	windowIDs   = 2048
 	windowWords = windowIDs / 64
+	// blockIDs is the span of ids Final bounds as one: a quarter window.
+	blockIDs = 512
 )
 
 // NewScan starts an incremental execution of q keeping the best topN
@@ -69,6 +75,7 @@ func (s *Scan) Reset(e *Engine, q Query, topN int) {
 	s.heap.reset(topN)
 	s.n = 0
 	s.topNCap = topN
+	s.blk = 0
 	if w := &s.win; w.pending > 0 {
 		clear(w.member[w.word:])
 		clear(w.cand[w.word:])
@@ -78,7 +85,7 @@ func (s *Scan) Reset(e *Engine, q Query, topN int) {
 		if t < 0 || t >= len(e.postings) || len(e.postings[t]) == 0 {
 			continue
 		}
-		s.cursors = append(s.cursors, scanCursor{ps: e.postings[t], imp: e.table(t), max: e.maxImp[t]})
+		s.cursors = append(s.cursors, scanCursor{ps: e.postings[t], imp: e.table(t), max: e.maxImp[t], bm: e.blocks(t)})
 	}
 }
 
@@ -266,9 +273,14 @@ func (s *Scan) Exhausted() bool { return len(s.cursors) == 0 && s.win.pending ==
 
 // Final reports whether the page is the exhausted scan's already: no
 // pending member beats the full page's floor, nor can a document no list
-// has reached — it scores at most qmax of its block plus each live list's
-// largest impact, summed in Search's order, and rounding is monotone
-// (MaxScore, Turtle & Flood 1995; DESIGN §12, "finality certificate").
+// has reached. Such a document in block b scores at most qblk[b] plus
+// each live list's largest impact in b, summed in Search's order, and
+// rounding is monotone (MaxScore, Turtle & Flood 1995, with per-block
+// maxima; DESIGN §12, "finality certificate"). The sum of the lists'
+// global maxima over the suffix's best quality bounds every block at
+// once and is tried first. A block whose bound fails to beat the floor
+// fails for good — the floor only rises, lists only drop out — so the
+// block cursor only moves forward: O(blocks × lists) per scan.
 func (s *Scan) Final() bool {
 	if s.topNCap <= 0 || s.Exhausted() {
 		return true
@@ -288,9 +300,27 @@ func (s *Scan) Final() bool {
 	for i := range s.cursors {
 		next = min(next, s.cursors[i].ps[s.cursors[i].pos].Doc)
 	}
-	bound := s.engine.qmax[next/windowIDs]
+	e := s.engine
+	b := max(s.blk, int(next/blockIDs))
+	if b == len(e.qblk) {
+		return true
+	}
+	bound := e.qmax[b]
 	for i := range s.cursors {
 		bound += s.cursors[i].max
 	}
-	return !beats(bound, floor)
+	if !beats(bound, floor) {
+		return true
+	}
+	for ; b < len(e.qblk); b++ {
+		bound := e.qblk[b]
+		for i := range s.cursors {
+			bound += bf16(s.cursors[i].bm[b])
+		}
+		if beats(bound, floor) {
+			break
+		}
+	}
+	s.blk = b
+	return b == len(e.qblk)
 }

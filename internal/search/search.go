@@ -100,9 +100,12 @@ type Engine struct {
 	// scores a posting of term t as quality[p.Doc] + table(t)[p.pair].
 	imp   []float64
 	impAt []int
-	// Scan.Final's bound: each term's largest impact (+Inf if one is < 0
-	// or NaN), and the largest quality at or after each windowIDs block.
-	maxImp, qmax []float64
+	// Scan.Final's bounds: each term's largest impact (+Inf if one is < 0
+	// or NaN); per blockIDs-id block, the largest quality in it (qblk) and
+	// at or after it (qmax); and each term's largest impact in each block
+	// (blocks), term t's row at blkImp[t*len(qblk):][:len(qblk)].
+	maxImp, qmax, qblk []float64
+	blkImp             []uint16
 }
 
 // NewEngine builds the corpus and inverted index.

@@ -122,7 +122,9 @@ func TestDegradedMonitoredPublishesNoMemo(t *testing.T) {
 	})
 	h := s.Handler()
 	s.Loop().SetLevel(scanBlock / 4)
-	const word = "w1+w5"
+	// Not final until 3 072 documents: the grant after the record point
+	// ends, and reads the clock, before the certificate holds.
+	const word = "w1+w5+w7"
 	degraded := 0
 	for i := 0; i < 4; i++ {
 		if searchReply(t, h, word).Degraded {
@@ -145,6 +147,9 @@ func TestDegradedMonitoredPublishesNoMemo(t *testing.T) {
 func TestMonitoredMemoConcurrent(t *testing.T) {
 	s := certifyServer(t, nil)
 	h := s.Handler()
+	// Under the query's certificate (2 560 documents), so a monitored
+	// request reaches its record point and can read or write the memo.
+	s.Loop().SetLevel(scanBlock / 4)
 	const word = "w2+w9"
 	precise, _ := s.engine.Search(search.Query{Terms: s.termsOf("w2 w9")}, wire.PageSize, 0)
 	var wg sync.WaitGroup

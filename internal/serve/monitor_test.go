@@ -192,14 +192,14 @@ func TestCertifiedMonitoredMatchesReruns(t *testing.T) {
 
 // TestCertifiedApproximatedMatchesCap is the differential test of the
 // approximated path's early stop: a Green-on request stops at M or, from
-// its second block on, where Scan.Final holds, whichever comes first, and
+// its second step on, where Scan.Final holds, whichever comes first, and
 // that must change nothing but the documents scored. Across levels on
 // both sides of scanBlock, every unmonitored request serves the page a
 // search capped at M gives, scores at most min(M, matches) documents,
 // and one that stopped short of both says it was not approximated, serves
 // the exhaustive page and is counted by ops.certified — the counter moves
-// for exactly those. A level within the first block never reaches a
-// check; at every deeper one some request must stop early. The same
+// for exactly those. A level within the first finalBlock step never
+// reaches a check; at every deeper one some request must stop early. The same
 // query monitored stops before its record point exactly then, serving
 // the exhaustive page and booking the loss recording at M gives. The
 // base version (Disabled) scans every match of the same queries.
@@ -257,7 +257,7 @@ func TestCertifiedApproximatedMatchesCap(t *testing.T) {
 					name, got.DocsScored, got.Docs, got.Approximated, precise)
 			}
 		}
-		if (early > 0) != (level > scanBlock) {
+		if (early > 0) != (level > finalBlock) {
 			t.Errorf("M=%d: %d requests stopped on their certificate before M", level, early)
 		}
 	}

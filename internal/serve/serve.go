@@ -268,7 +268,7 @@ func (s *Server) knotLosses(knots []float64) func(q search.Query, losses, work [
 			pages[i] = scan.TopNInto(pages[i])
 			work[i] = float64(scan.Processed())
 		}
-		for !scan.Final() && scan.StepN(scanBlock) == scanBlock {
+		for !scan.Final() && scan.StepN(finalBlock) == finalBlock {
 		}
 		precise = scan.TopNInto(precise)
 		for i := range knots {
