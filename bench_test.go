@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"green"
 	"green/internal/approxmath"
@@ -945,6 +946,51 @@ func BenchmarkServeMonitored(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEngine builds the synthetic corpus at the two sizes the
+// benchmark's search workloads boot on. NewEngine returns the live engine
+// of an equal Config, so each iteration collects the last one with the
+// timer stopped, and fails if it survived: the row would time a lookup.
+// It runs before BenchmarkServeBand, whose fixture holds the 200k corpus
+// for the rest of the binary. hit is the call that finds its engine live.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		docs int
+	}{{"20k", 20000}, {"200k", 200000}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var last weak.Pointer[search.Engine]
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				if last.Value() != nil {
+					b.Fatal("the last engine is still live: this iteration would not build")
+				}
+				b.StartTimer()
+				e, err := search.NewEngine(search.Config{Seed: 7, Docs: c.docs})
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = weak.Make(e)
+			}
+		})
+	}
+	b.Run("hit", func(b *testing.B) {
+		live, err := search.NewEngine(search.Config{Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if e, _ := search.NewEngine(search.Config{Seed: 7}); e != live {
+				b.Fatal("a live engine was built again")
+			}
+		}
+	})
+}
+
 var (
 	kernelOnce   sync.Once
 	kernelEngine *search.Engine
@@ -1309,24 +1355,6 @@ func BenchmarkNewZipf(b *testing.B) {
 		if _, err := workload.NewZipf(1, 1.01, 100000); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkNewEngine builds the synthetic corpus at the two sizes the
-// benchmark's search workloads boot on.
-func BenchmarkNewEngine(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		docs int
-	}{{"20k", 20000}, {"200k", 200000}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := search.NewEngine(search.Config{Seed: 7, Docs: c.docs}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

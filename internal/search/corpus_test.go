@@ -79,7 +79,8 @@ func TestIndexBytesPinned(t *testing.T) {
 // the commit before workload.Zipf stopped wrapping math/rand's sampler, so
 // a change to the sampler or to NewEngine's build loop that moves one
 // posting, length, prior or IDF bit fails here rather than in some
-// downstream digit of results/scale_0.05.txt.
+// downstream digit of results/scale_0.05.txt. Each row hashes a cold
+// build as well as NewEngine's engine, which another holder may share.
 func TestCorpusFingerprint(t *testing.T) {
 	cases := []struct {
 		name string
@@ -97,6 +98,9 @@ func TestCorpusFingerprint(t *testing.T) {
 		}
 		if got := corpusHash(e); got != c.want {
 			t.Errorf("%s: corpus hashes to %s, want %s", c.name, got, c.want)
+		}
+		if got := corpusHash(coldEngine(t, c.cfg)); got != c.want {
+			t.Errorf("%s: a cold build hashes to %s, want %s", c.name, got, c.want)
 		}
 	}
 }

@@ -48,7 +48,8 @@ func (e *Engine) buildImpacts(lens []int, maxTF int, buf []uint32) error {
 	keys := buf[:0] // class<<16 | tf of each list's pairs, list after list
 	at := make([]int, 1, len(e.postings)+1)
 	nblk := (len(e.quality) + blockIDs - 1) / blockIDs
-	e.qblk, e.qmax = make([]float64, nblk), make([]float64, nblk)
+	cols := make([]float64, 2*nblk) // one allocation for both columns
+	e.qblk, e.qmax = cols[:nblk:nblk], cols[nblk:]
 	for b, m := nblk-1, math.Inf(-1); b >= 0; b-- {
 		e.qblk[b] = slices.Max(e.quality[b*blockIDs : min((b+1)*blockIDs, len(e.quality))])
 		m = max(m, e.qblk[b]) // a NaN stays: no bound
@@ -88,7 +89,8 @@ func (e *Engine) buildImpacts(lens []int, maxTF int, buf []uint32) error {
 		}
 		at = append(at, len(keys))
 	}
-	e.imp, e.impAt, e.maxImp = make([]float64, len(keys)), at, make([]float64, len(e.postings))
+	vals := make([]float64, len(keys)+len(e.postings)) // the tables, then maxImp
+	e.imp, e.impAt, e.maxImp = vals[:len(keys):len(keys)], at, vals[len(keys):]
 	for t := range e.postings {
 		for i := at[t]; i < at[t+1]; i++ {
 			e.imp[i] = e.impact(t, keys[i], norm)

@@ -171,10 +171,7 @@ func TestImpactsLargeTF(t *testing.T) {
 // sound term alone certifies early, so the test is not vacuous.
 func TestImpactsNegativeIDF(t *testing.T) {
 	const neg, nan, sound = 3, 5, 8
-	e, err := NewEngine(Config{Docs: 3000, VocabSize: 20, AvgDocLen: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := coldEngine(t, Config{Docs: 3000, VocabSize: 20, AvgDocLen: 10, Seed: 1}) // written below
 	e.idf[neg], e.idf[nan] = -2.5, math.NaN()
 	if err := e.deriveImpacts(); err != nil {
 		t.Fatalf("a negative idf refused: %v", err)

@@ -17,8 +17,11 @@ package search
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
+	"sync"
+	"weak"
 
 	"green/internal/workload"
 )
@@ -108,11 +111,23 @@ type Engine struct {
 	blkImp             []uint16
 }
 
-// NewEngine builds the corpus and inverted index.
+// engines holds, weakly, the engine NewEngine last built for each
+// normalised Config: an entry never keeps its engine alive.
+var engines = struct {
+	sync.Mutex
+	m map[Config]weak.Pointer[Engine]
+}{m: map[Config]weak.Pointer[Engine]{}}
+
+// NewEngine returns the corpus and inverted index cfg describes. An
+// engine is immutable once built, so while one built for the same
+// normalised Config is live, NewEngine returns it instead of a copy.
 func NewEngine(cfg Config) (*Engine, error) {
 	c := cfg.withDefaults()
 	if c.Docs < 10 || c.VocabSize < 10 || c.AvgDocLen < 1 {
 		return nil, errors.New("search: corpus too small")
+	}
+	if math.IsNaN(c.QualityWeight) || math.IsInf(c.QualityWeight, 0) {
+		return nil, fmt.Errorf("search: quality weight %v not finite", c.QualityWeight)
 	}
 	// Lengths run over A = AvgDocLen values from A/2 and a tf from 1 to
 	// the length, so a list can hold A·(A/2) + A(A−1)/2 distinct (tf,
@@ -128,6 +143,28 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if c.ShardCount > 1 && (c.ShardIndex < 0 || c.ShardIndex >= c.ShardCount) {
 		return nil, fmt.Errorf("search: shard index %d out of range [0, %d)", c.ShardIndex, c.ShardCount)
 	}
+	engines.Lock()
+	e := engines.m[c].Value()
+	engines.Unlock()
+	if e != nil {
+		return e, nil
+	}
+	e, err := buildEngine(c) // outside the lock: no build waits on another
+	if err != nil {
+		return nil, err
+	}
+	engines.Lock()
+	defer engines.Unlock()
+	if live := engines.m[c].Value(); live != nil { // a racing build stored first
+		return live, nil
+	}
+	maps.DeleteFunc(engines.m, func(_ Config, w weak.Pointer[Engine]) bool { return w.Value() == nil })
+	engines.m[c] = weak.Make(e)
+	return e, nil
+}
+
+// buildEngine builds the engine of a Config NewEngine has validated.
+func buildEngine(c Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      c,
 		postings: make([][]Posting, c.VocabSize),
@@ -176,7 +213,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// 0.40 entries per draw. The slice is as live as the arena below
 	// while pass two runs, so it is kept to 32 bits an entry; spent, it
 	// holds buildImpacts' pairs, no more than the postings.
-	df, kept := make([]int, c.VocabSize), make([]int, c.VocabSize)
+	counts := make([]int, 2*c.VocabSize)
+	df, kept := counts[:c.VocabSize:c.VocabSize], counts[c.VocabSize:]
 	entries := make([]uint32, 0, draws/step/2)
 	tfs := make([]uint16, c.VocabSize)
 	touched := make([]uint32, c.AvgDocLen+lo) // the longest document

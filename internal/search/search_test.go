@@ -3,8 +3,11 @@ package search
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"weak"
 
 	"green/internal/metrics"
 )
@@ -23,16 +26,30 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{Docs: 5, VocabSize: 5, AvgDocLen: 0, Seed: 1}); err == nil {
 		t.Error("tiny corpus accepted")
 	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewEngine(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, QualityWeight: w}); err == nil {
+			t.Errorf("quality weight %v accepted", w)
+		}
+	}
 }
 
-func TestEngineDeterministic(t *testing.T) {
-	a, err := NewEngine(Config{Docs: 1000, VocabSize: 200, AvgDocLen: 30, Seed: 9})
+// coldEngine builds cfg's engine afresh, never sharing the live one
+// NewEngine would return: for a test that writes into its engine or
+// compares two builds.
+func coldEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	e, err := buildEngine(cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEngine(Config{Docs: 1000, VocabSize: 200, AvgDocLen: 30, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+	return e
+}
+
+func TestEngineDeterministic(t *testing.T) {
+	cfg := Config{Docs: 1000, VocabSize: 200, AvgDocLen: 30, Seed: 9}
+	a, b := coldEngine(t, cfg), coldEngine(t, cfg)
+	if a == b {
+		t.Fatal("two builds returned one engine")
 	}
 	q := Query{Terms: []int{0, 3}}
 	ra, _ := a.Search(q, 10, 0)
@@ -40,6 +57,93 @@ func TestEngineDeterministic(t *testing.T) {
 	if !metrics.TopNExactMatch(ra, rb) {
 		t.Error("same seed gave different results")
 	}
+	if ha, hb := corpusHash(a), corpusHash(b); ha != hb {
+		t.Errorf("same seed built corpora hashing to %s and %s", ha, hb)
+	}
+}
+
+// TestNewEngineInterned: NewEngine returns the live engine of an equal
+// normalised Config and builds another Config's; an engine no caller
+// holds is collected, and the next call builds it again, bit-equal; a
+// refused Config is never stored; racing callers get one engine.
+func TestNewEngineInterned(t *testing.T) {
+	get := func(cfg Config) *Engine {
+		t.Helper()
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	base := get(Config{Seed: 7})
+	spelled := Config{Docs: 20000, VocabSize: 2000, AvgDocLen: 60, QualityWeight: 16, StopTerms: 50, Seed: 7}
+	if get(spelled) != base {
+		t.Error("the defaults spelled out built a second engine")
+	}
+	small := Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5, ShardCount: 3}
+	held := get(small)
+	for _, other := range []Config{
+		{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 6, ShardCount: 3},
+		{Docs: 2001, VocabSize: 200, AvgDocLen: 20, Seed: 5, ShardCount: 3},
+		{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 5, ShardCount: 3, ShardIndex: 1},
+	} {
+		if get(other) == held {
+			t.Errorf("%+v returned the engine of %+v", other, small)
+		}
+	}
+
+	// Dropped and collected: the entry is dead, the next insert sweeps it,
+	// and the next call builds.
+	stored := func(cfg Config) bool {
+		engines.Lock()
+		defer engines.Unlock()
+		_, ok := engines.m[cfg.withDefaults()]
+		return ok
+	}
+	gone := Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 11}
+	first := get(gone)
+	hash, w := corpusHash(first), weak.Make(first)
+	first = nil
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("an engine no caller holds is still live after a collection")
+	}
+	get(Config{Docs: 2000, VocabSize: 200, AvgDocLen: 20, Seed: 12}) // an insert
+	if stored(gone) {
+		t.Error("an insert left a dead entry in the map")
+	}
+	if again := get(gone); corpusHash(again) != hash {
+		t.Errorf("rebuilt corpus hashes to %s, want %s", corpusHash(again), hash)
+	}
+
+	refused := Config{Docs: 5, VocabSize: 5, Seed: 1}
+	for i := 0; i < 2; i++ {
+		if _, err := NewEngine(refused); err == nil {
+			t.Fatalf("call %d: a refused config accepted", i+1)
+		}
+	}
+	if stored(refused) {
+		t.Error("a refused config was stored")
+	}
+
+	race := Config{Docs: 3000, VocabSize: 300, AvgDocLen: 20, Seed: 13}
+	got := make([]*Engine, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = NewEngine(race)
+		}()
+	}
+	wg.Wait()
+	for i, e := range got {
+		if e == nil || e != got[0] {
+			t.Fatalf("goroutine %d got engine %p, goroutine 0 %p", i, e, got[0])
+		}
+	}
+	runtime.KeepAlive(base)
+	runtime.KeepAlive(held)
 }
 
 func TestPostingListsSorted(t *testing.T) {

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -157,8 +162,105 @@ func TestSearchAndMode(t *testing.T) {
 	}
 }
 
+// TestEngineImmutable: New shares the live engine of its corpus with
+// every other holder (search.NewEngine returns one engine per Config),
+// so neither calibration nor serving may write into it. Its whole memory
+// hashes the same before New, after it, and after a few hundred /search
+// requests, monitored and not. New's engine stage, a lookup, reports a
+// small part of what the build cost.
+func TestEngineImmutable(t *testing.T) {
+	runtime.GC() // a corpus no other test boots: the call below builds
+	start := time.Now()
+	e, err := search.NewEngine(search.Config{Seed: 7, Docs: 4200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildMS := float64(time.Since(start).Microseconds()) / 1e3
+	before := engineHash(t, e)
+	s, err := New(Config{Seed: 7, CalibrationQueries: 100, CorpusDocs: 4200, SampleInterval: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Engine() != e {
+		t.Fatal("New built a second engine for a live corpus")
+	}
+	if ms := s.Boot().EngineMS; ms > buildMS/10 {
+		t.Errorf("engine_ms = %v sharing a live engine, building it took %v", ms, buildMS)
+	}
+	if got := engineHash(t, e); got != before {
+		t.Fatalf("calibration wrote into the engine: %s, was %s", got, before)
+	}
+	h := s.Handler()
+	for i := 0; i < 300; i++ {
+		q := fmt.Sprintf("/search?q=w%d+v%d", i, i%17)
+		switch i % 4 {
+		case 1:
+			q += "&mode=and"
+		case 2:
+			q += "&scores=1"
+		}
+		if rec := get(t, h, q); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", q, rec.Code)
+		}
+	}
+	var st wire.Stats
+	if err := json.Unmarshal(get(t, h, "/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Monitored == 0 || st.Monitored == st.Queries {
+		t.Fatalf("%d of %d queries monitored, want some and not all", st.Monitored, st.Queries)
+	}
+	if got := engineHash(t, e); got != before {
+		t.Errorf("serving wrote into the engine: %s, was %s", got, before)
+	}
+}
+
+// engineHash is the SHA-256 of everything an engine holds, read by
+// reflection through every field, pointer and slice, so that a field
+// the search package adds is hashed too.
+func engineHash(t *testing.T, e *search.Engine) string {
+	t.Helper()
+	h := sha256.New()
+	put := func(u uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, u)) }
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			put(uint64(v.Len()))
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Int, reflect.Int64:
+			put(uint64(v.Int()))
+		case reflect.Uint16, reflect.Uint32:
+			put(v.Uint())
+		case reflect.Float64:
+			put(math.Float64bits(v.Float()))
+		default:
+			t.Fatalf("engineHash: no rule for a %s field", v.Type())
+		}
+	}
+	walk(reflect.ValueOf(e))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func TestStatsEndpoint(t *testing.T) {
-	s := testServer(t)
+	// A corpus no other test boots, and nothing left live from an earlier
+	// run, so New builds its engine and the engine stage costs something.
+	runtime.GC()
+	s, err := New(Config{Seed: 7, CalibrationQueries: 100, CorpusDocs: 4100,
+		SampleInterval: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := s.Handler()
 	for i := 0; i < 5; i++ {
 		get(t, h, "/search?q=hello+world")

@@ -165,9 +165,10 @@ type Stats struct {
 }
 
 // Boot is what the worker's start-up cost, stage by stage, in
-// milliseconds: building the synthetic corpus and its index, the
-// calibration phase, and opening the state directory
-// and restoring the snapshot (zero without one).
+// milliseconds: its search.NewEngine call for the synthetic corpus and
+// index (~0 when it shared an engine another holder kept live), the
+// calibration phase, and opening the state directory and restoring the
+// snapshot (zero without one).
 type Boot struct {
 	EngineMS    float64 `json:"engine_ms"`
 	CalibrateMS float64 `json:"calibrate_ms"`

@@ -34,7 +34,7 @@ echo "== DESIGN.md does not grow =="
 # in bytes after the last change that shrank it: a change that adds to
 # it removes as much elsewhere, and one that shrinks it lowers the cap,
 # down to the 45 kB target.
-design_max=84105
+design_max=84055
 bytes=$(wc -c < DESIGN.md)
 if [ "$bytes" -gt "$design_max" ]; then
 	echo "FAIL: DESIGN.md is $bytes bytes (at most $design_max)" >&2
@@ -255,12 +255,16 @@ echo "== hot path stays allocation-free =="
 # same hop through http.Client reads 94). Building the 20k corpus is not
 # a steady path but rides along with a budget of 32: its posting lists
 # lie in one exactly sized arena, its scratch is sized up front and the
-# impact pairs reuse the spent entries (it reads 29; 53 when the pairs
-# grew by appends, 13 581 when every list did).
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct|NewEngine/20k' \
+# impact pairs reuse the spent entries (it reads 30, one of them the
+# weak pointer NewEngine keeps to share the engine; 53 when the pairs
+# grew by appends, 13 581 when every list did). Each iteration collects
+# the last engine first, or NewEngine would hand it back and the row
+# would time a lookup; that lookup is NewEngine/hit, the fourteenth row,
+# with a budget of zero: a set-up that finds its corpus live pays nothing.
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct|NewEngine/20k|NewEngine/hit' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
-		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : ($1 ~ /^BenchmarkNewEngine/) ? 32 : 0
+		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : ($1 ~ /^BenchmarkNewEngine\/20k/) ? 32 : 0
 		for (i = 2; i <= NF; i++) {
 			if ($i == "allocs/op" && $(i - 1) + 0 > budget) {
 				printf "FAIL: %s allocates %s allocs/op (budget %d)\n", $1, $(i - 1), budget
@@ -270,7 +274,7 @@ go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/stea
 		seen++
 	}
 	END {
-		if (seen < 13) { print "FAIL: expected 13 allocation-gate benchmarks, saw " seen; exit 1 }
+		if (seen < 14) { print "FAIL: expected 14 allocation-gate benchmarks, saw " seen; exit 1 }
 		exit bad
 	}'
 # And where the allocation would happen: a monitored observation whose
