@@ -30,7 +30,7 @@ func refScore(e *Engine, q Query, doc uint32) float64 {
 }
 
 // blockScanner is the scan surface the checks below read: Scan, which
-// FuzzScanBlocks drives, and certify_test's perList wrapper of it.
+// FuzzScanBlocks drives, and certify_test's reference wrappers of it.
 type blockScanner interface {
 	Step() bool
 	StepN(int) int
@@ -300,7 +300,7 @@ var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 6
 // page Search returns when capped at the same document count, with every
 // score bit-equal to refScore; whenever Final holds after a block, that
 // page must be the drained scan's, scores bit-equal; and whenever the
-// per-list reference (perListFinal) holds, Final holds too: the per-block
+// per-block reference (perBlockFinal) holds, Final holds too: the joint
 // certificate never fires later than the bound it refines.
 func FuzzScanBlocks(f *testing.F) {
 	var engines []*Engine
@@ -342,7 +342,6 @@ func FuzzScanBlocks(f *testing.F) {
 			return int(b)
 		}
 		e := engines[next()%len(engines)]
-		qmax := windowQmax(e)
 		topN := []int{0, 1, 10, 64}[next()%4]
 		var q Query
 		for n := next() % 6; n > 0; n-- {
@@ -361,8 +360,8 @@ func FuzzScanBlocks(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if perListFinal(s, qmax) && !s.Final() {
-				t.Fatalf("at %d documents the per-list bound certifies and Final does not", s.Processed())
+			if perBlockFinal(s) && !s.Final() {
+				t.Fatalf("at %d documents the per-block bound certifies and Final does not", s.Processed())
 			}
 		}
 		check()

@@ -7,7 +7,8 @@ import (
 )
 
 // maxGrid bounds buildImpacts' scratch grid, one cell per (tf, length
-// class): 512 KB. NewEngine's grid is at most 384 × 256 cells.
+// class) and 12 bytes a cell: 1.5 MB. NewEngine's grid is at most 384 ×
+// 256 cells.
 const maxGrid = 1 << 17
 
 // buildImpacts derives every term's impact table and points each
@@ -18,16 +19,16 @@ const maxGrid = 1 << 17
 // quality[p.Doc] + table(t)[p.pair] is Search's score bit for bit
 // without its division. The tables are one exactly sized array, end to
 // end, with Scan.Final's bounds beside them: each term's largest impact
-// (+Inf if one is < 0 or NaN); per blockIDs-id block the largest quality
-// in it (qblk) and at or after it (qmax, NaN if a quality is); and each
-// term's largest impact in each block (blocks), rounded up to a bfloat16,
-// 0 where the term has no posting and +Inf where an impact is < 0 or
-// NaN. The pairs are gathered in buf's backing array: a list has no
-// more distinct pairs than postings, so a buf of a capacity of at least
-// every list's length summed (NewEngine's spent entries) never grows.
-// Refused: a list out of ascending doc id or past the corpus, one with
-// more distinct pairs than a 16-bit index reaches, and a grid over
-// maxGrid cells.
+// (+Inf if one is < 0 or NaN); the largest |quality| (qabs); per
+// blockIDs-id block the largest quality in it (qblk) and at or after it
+// (qmax, NaN if a quality is), and per group of groupBlocks blocks the
+// largest in it (qgrp); and each term's cell in each block and group
+// (blocks, putCell). The pairs are gathered in buf's backing array: a
+// list has no more distinct pairs than postings, so a buf of a capacity
+// of at least every list's length summed (NewEngine's spent entries)
+// never grows. Refused: a list out of ascending doc id or past the
+// corpus, one with more distinct pairs than a 16-bit index reaches, and
+// a grid over maxGrid cells.
 func (e *Engine) buildImpacts(lens []int, maxTF int, buf []uint32) error {
 	classes := len(lens)
 	if (maxTF+1)*classes > maxGrid {
@@ -39,27 +40,36 @@ func (e *Engine) buildImpacts(lens []int, maxTF int, buf []uint32) error {
 	}
 	// A cell holds 1 + the index in keys of its pair; keys only grows, so
 	// a cell at or below the current list's first index is an earlier
-	// list's, and no cell is ever cleared. up holds the pair's impact in
-	// the current list rounded up to a bfloat16, +Inf if it is < 0 or NaN
-	// (never certify): a bfloat16 ≥ 0 orders as its bits, so a block's
-	// maximum is an integer max, and up16 is monotone, so it is the
-	// rounded maximum.
-	grid, up := make([]uint32, (maxTF+1)*classes), make([]uint16, (maxTF+1)*classes)
+	// list's, and no cell is ever cleared. val holds the pair's impact in
+	// the current list, +Inf if it is < 0 or NaN (never certify).
+	grid, val := make([]uint32, (maxTF+1)*classes), make([]float64, (maxTF+1)*classes)
 	keys := buf[:0] // class<<16 | tf of each list's pairs, list after list
 	at := make([]int, 1, len(e.postings)+1)
 	nblk := (len(e.quality) + blockIDs - 1) / blockIDs
-	cols := make([]float64, 2*nblk) // one allocation for both columns
-	e.qblk, e.qmax = cols[:nblk:nblk], cols[nblk:]
+	ngrp := (nblk + groupBlocks - 1) / groupBlocks
+	cols := make([]float64, 2*nblk+ngrp) // one allocation for the three columns
+	e.qblk, e.qmax, e.qgrp, e.qabs = cols[:nblk:nblk], cols[nblk:2*nblk:2*nblk], cols[2*nblk:], 0
 	for b, m := nblk-1, math.Inf(-1); b >= 0; b-- {
 		e.qblk[b] = slices.Max(e.quality[b*blockIDs : min((b+1)*blockIDs, len(e.quality))])
 		m = max(m, e.qblk[b]) // a NaN stays: no bound
 		e.qmax[b] = m
 	}
-	e.blkImp = make([]uint16, len(e.postings)*nblk)
+	for g := range e.qgrp {
+		e.qgrp[g] = slices.Max(e.qblk[g*groupBlocks : min((g+1)*groupBlocks, nblk)])
+	}
+	for _, q := range e.quality {
+		e.qabs = max(e.qabs, math.Abs(q)) // a NaN stays: no joint bound
+	}
+	e.blkImp = make([]uint32, len(e.postings)*(nblk+ngrp))
+	for i := range e.blkImp {
+		e.blkImp[i] = noPosting
+	}
 	docs := int64(len(e.quality))
 	for t, ps := range e.postings {
 		first, prev := len(keys), int64(-1)
-		bm, blk, m := e.blocks(t), uint32(0), uint16(0)
+		// The block's largest impact and quality + impact so far, rounded
+		// into the block's cell once, when the list leaves the block.
+		bm, blk, mi, mj := e.blocks(t), uint32(0), 0.0, math.Inf(-1)
 		for i := range ps {
 			p := &ps[i]
 			if d := int64(p.Doc); d <= prev || d >= docs {
@@ -77,15 +87,20 @@ func (e *Engine) buildImpacts(lens []int, maxTF int, buf []uint32) error {
 				if !(v >= 0) {
 					v = math.Inf(1)
 				}
-				up[cell] = up16(v)
+				val[cell] = v
 			}
 			p.pair = uint16(int(grid[cell]) - 1 - first)
-			b := p.Doc / blockIDs
-			if b != blk {
-				m = 0
+			if b := p.Doc / blockIDs; b != blk {
+				if i > 0 {
+					putCell(bm, nblk, int(blk), e.qblk[blk], mi, mj)
+				}
+				blk, mi, mj = b, 0, math.Inf(-1)
 			}
-			blk, m = b, max(m, up[cell])
-			bm[b] = m // the block's maximum so far: no branch on the block's end
+			v := val[cell]
+			mi, mj = max(mi, v), max(mj, e.quality[p.Doc]+v)
+		}
+		if len(ps) > 0 {
+			putCell(bm, nblk, int(blk), e.qblk[blk], mi, mj)
 		}
 		at = append(at, len(keys))
 	}
@@ -108,6 +123,32 @@ func (e *Engine) impact(t int, pair uint32, norm []float64) float64 {
 	return e.idf[t] * tf * (bm25K1 + 1) / (tf + norm[pair>>16])
 }
 
+// noPosting is the cell of a block a term has no posting in: largest
+// impact 0, gain +Inf.
+const noPosting = 0x7f80
+
+// putCell stores term row's cell for block b and folds it into its
+// group's cell, which keeps its blocks' largest hi and least gain (a
+// bfloat16 ≥ 0 orders as its bits). The cell is made from the largest
+// impact mi (+Inf for a negative or NaN one) and the largest quality +
+// impact mj over the term's postings in the block: its high half is mi
+// rounded up to a bfloat16 (hi), its low half the gain, a bfloat16 at or
+// below qblk + bf16(hi) − mj in exact arithmetic — how far the list's
+// best quality + impact in the block lies below the per-block bound's
+// pairing of the block's best quality with its best impact. The slack
+// covers the rounding of the two sums and of mj, each within half an ulp
+// of a magnitude the slack counts; a NaN or negative gain is 0 (none).
+func putCell(row []uint32, nblk, b int, qblk, mi, mj float64) {
+	hi := up16(mi)
+	h := bf16(hi)
+	gain := qblk + h - mj
+	gain -= 0x1p-51 * (math.Abs(qblk) + h + math.Abs(mj))
+	cell := uint32(hi)<<16 | uint32(down16(gain))
+	row[b] = cell
+	g := &row[nblk+b/groupBlocks]
+	*g = max(*g&^0xffff, cell&^0xffff) | min(*g&0xffff, cell&0xffff)
+}
+
 // up16 is the least bfloat16 (a float32's upper half) at or above x, for
 // x >= 0 or +Inf.
 func up16(x float64) uint16 {
@@ -121,12 +162,29 @@ func up16(x float64) uint16 {
 	return u
 }
 
+// down16 is the greatest bfloat16 at or below x, at most the largest
+// finite one, and 0 if x is not > 0.
+func down16(x float64) uint16 {
+	if !(x > 0) {
+		return 0
+	}
+	if x >= math.MaxFloat32 {
+		return 0x7f7f
+	}
+	u := uint16(math.Float32bits(float32(x)) >> 16)
+	if bf16(u) > x {
+		u--
+	}
+	return u
+}
+
 // bf16 is a bfloat16's value.
 func bf16(u uint16) float64 { return float64(math.Float32frombits(uint32(u) << 16)) }
 
-// blocks is term t's row of per-block impact maxima.
-func (e *Engine) blocks(t int) []uint16 {
-	n := len(e.qblk)
+// blocks is term t's row of cells (putCell): one per block, then one per
+// group of groupBlocks blocks.
+func (e *Engine) blocks(t int) []uint32 {
+	n := len(e.qblk) + len(e.qgrp)
 	return e.blkImp[t*n : (t+1)*n]
 }
 

@@ -3,6 +3,9 @@ package search
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -207,34 +210,76 @@ func TestImpactsNegativeIDF(t *testing.T) {
 	}
 }
 
-// checkBlockTable holds every term's row of per-block maxima to its
-// postings: each cell is the least bfloat16 at or above the largest
-// impact in the block, 0 where the term has no posting and +Inf where an
-// impact is negative or NaN; and the quality columns to the quality
-// column.
-func checkBlockTable(t *testing.T, e *Engine) {
+// checkBlockTable holds every term's row of per-block cells to its
+// postings, and each group's cell to its blocks': each cell's high half is the least bfloat16 at or above the
+// largest impact in the block, 0 where the term has no posting and +Inf
+// where an impact is negative or NaN; its low half, the gain, leaves
+// every posting's quality + impact at or below qblk + hi − gain in exact
+// arithmetic (so qblk − gain is the block's best quality + impact less
+// hi, rounded toward +∞), and is +Inf where the term has no posting; and
+// the quality columns to the quality column. It returns how many cells
+// hold a negative row, qblk − gain < 0.
+func checkBlockTable(t *testing.T, e *Engine) (negative int) {
 	t.Helper()
 	nblk := (len(e.quality) + blockIDs - 1) / blockIDs
-	if len(e.qblk) != nblk || len(e.qmax) != nblk || len(e.blkImp) != nblk*len(e.postings) {
-		t.Fatalf("%d blocks: qblk %d, qmax %d, table %d for %d terms", nblk, len(e.qblk), len(e.qmax), len(e.blkImp), len(e.postings))
+	ngrp := (nblk + groupBlocks - 1) / groupBlocks
+	if len(e.qblk) != nblk || len(e.qmax) != nblk || len(e.qgrp) != ngrp || len(e.blkImp) != (nblk+ngrp)*len(e.postings) {
+		t.Fatalf("%d blocks: qblk %d, qmax %d, qgrp %d, table %d for %d terms", nblk, len(e.qblk), len(e.qmax), len(e.qgrp), len(e.blkImp), len(e.postings))
+	}
+	for b, q := range e.qblk {
+		if g := b / groupBlocks; !(q <= e.qgrp[g]) || b%groupBlocks == 0 && e.qgrp[g] != slices.Max(e.qblk[b:min(b+groupBlocks, nblk)]) {
+			t.Fatalf("block %d qblk %v, its group's qgrp %v", b, q, e.qgrp[g])
+		}
 	}
 	for d, q := range e.quality {
-		if b := d / blockIDs; q > e.qblk[b] || e.qblk[b] > e.qmax[b] || b > 0 && e.qmax[b] > e.qmax[b-1] {
-			t.Fatalf("doc %d quality %v: block %d qblk %v, qmax %v", d, q, b, e.qblk[b], e.qmax[b])
+		if b := d / blockIDs; q > e.qblk[b] || e.qblk[b] > e.qmax[b] || b > 0 && e.qmax[b] > e.qmax[b-1] || math.Abs(q) > e.qabs {
+			t.Fatalf("doc %d quality %v: block %d qblk %v, qmax %v, qabs %v", d, q, b, e.qblk[b], e.qmax[b], e.qabs)
 		}
 	}
 	for term, ps := range e.postings {
-		want := make([]float64, nblk)
+		want, held := make([]float64, nblk), make([]bool, nblk)
 		for _, p := range ps {
 			v := e.table(term)[p.pair]
 			if !(v >= 0) {
 				v = math.Inf(1)
 			}
-			want[p.Doc/blockIDs] = max(want[p.Doc/blockIDs], v)
+			want[p.Doc/blockIDs], held[p.Doc/blockIDs] = max(want[p.Doc/blockIDs], v), true
 		}
-		for b, got := range e.blocks(term) {
-			if bf16(got) < want[b] || got > 0 && bf16(got-1) >= want[b] {
-				t.Fatalf("term %d block %d: %v, not the least bfloat16 at or above %v", term, b, got, want[b])
+		row := e.blocks(term)
+		for g, cell := range row[nblk:] {
+			hi, gain := uint32(0), uint32(noPosting)
+			for _, c := range row[g*groupBlocks : min((g+1)*groupBlocks, nblk)] {
+				hi, gain = max(hi, c>>16), min(gain, c&0xffff)
+			}
+			if cell != hi<<16|gain {
+				t.Fatalf("term %d group %d: cell %#x, its blocks' largest hi %#x and least gain %#x", term, g, cell, hi, gain)
+			}
+		}
+		for b, cell := range row[:nblk] {
+			hi, gain := uint16(cell>>16), uint16(cell)
+			if bf16(hi) < want[b] || hi > 0 && bf16(hi-1) >= want[b] {
+				t.Fatalf("term %d block %d: %#x, not the least bfloat16 at or above %v", term, b, hi, want[b])
+			}
+			if !held[b] && cell != noPosting {
+				t.Fatalf("term %d block %d: no posting, cell %#x", term, b, cell)
+			}
+			if held[b] && math.IsInf(bf16(gain), 1) {
+				t.Fatalf("term %d block %d: a posting and a gain of +Inf", term, b)
+			}
+			if held[b] && !math.IsInf(bf16(hi), 1) && e.qblk[b]-bf16(gain) < 0 {
+				negative++
+			}
+		}
+		for _, p := range ps {
+			b := p.Doc / blockIDs
+			hi, gain := bf16(uint16(row[b]>>16)), bf16(uint16(row[b]))
+			if math.IsInf(hi, 1) || math.IsNaN(e.qblk[b]) {
+				continue // no bound
+			}
+			got, bound := exactSum(e.quality[p.Doc], e.table(term)[p.pair]), exactSum(e.qblk[b], hi, -gain)
+			if got.Cmp(bound) > 0 {
+				t.Fatalf("term %d doc %d: quality %v + impact %v over the block's qblk %v + %v − gain %v",
+					term, p.Doc, e.quality[p.Doc], e.table(term)[p.pair], e.qblk[b], hi, gain)
 			}
 		}
 	}
@@ -245,6 +290,157 @@ func checkBlockTable(t *testing.T, e *Engine) {
 		if got := up16(c.x); got != c.want {
 			t.Errorf("up16(%v) = %#x, want %#x", c.x, got, c.want)
 		}
+	}
+	for _, c := range []struct {
+		x    float64
+		want uint16
+	}{{math.NaN(), 0}, {-1, 0}, {0, 0}, {1, 0x3f80}, {1 - 0x1p-30, 0x3f7f}, {1 + 0x1p-30, 0x3f80}, {1 + 0x1p-7 - 0x1p-40, 0x3f80}, {math.MaxFloat32, 0x7f7f}, {math.Inf(1), 0x7f7f}} {
+		if got := down16(c.x); got != c.want {
+			t.Errorf("down16(%v) = %#x, want %#x", c.x, got, c.want)
+		}
+	}
+	return negative
+}
+
+// exactSum is the sum of xs in exact arithmetic (2200 bits hold any sum
+// of a few float64s).
+func exactSum(xs ...float64) *big.Float {
+	sum := new(big.Float).SetPrec(2200)
+	for _, x := range xs {
+		sum.Add(sum, new(big.Float).SetPrec(2200).SetFloat64(x))
+	}
+	return sum
+}
+
+// TestCellRoundsTowardNoGain: a cell whose sums both round toward a
+// larger gain — quality 1.5 + impact 2^-53 − 2^-62 rounds down to 1.5,
+// qblk 2 − 2^-52 + hi 2^-53 rounds up to 2 — would store a gain of 0.5,
+// above the exact qblk + hi − (quality + impact), without putCell's
+// slack.
+func TestCellRoundsTowardNoGain(t *testing.T) {
+	q, v, qblk := 1.5, 0x1p-53-0x1p-62, 2-0x1p-52
+	row := make([]uint32, 2)
+	putCell(row, 1, 0, qblk, v, q+v)
+	hi, gain := bf16(uint16(row[0]>>16)), bf16(uint16(row[0]))
+	if exactSum(q, v).Cmp(exactSum(qblk, hi, -gain)) > 0 {
+		t.Fatalf("quality %v + impact %v over qblk %v + hi %v − gain %v", q, v, qblk, hi, gain)
+	}
+}
+
+// TestJointMarginCoversSummationOrder holds marginOf to its claim where
+// nothing else absorbs the rounding: a document of quality q holding
+// every one of n live terms, each impact a bfloat16 (so hi is exact) and
+// each its list's best quality + impact in the block, whose best quality
+// is q + 0.5 + 2^-47 — every gain is 0.5 and the exact bound exceeds the
+// exact score by 2^-47, less than the rounding of a long sum from a q
+// with a full mantissa. The score, summed as Search sums it, must not
+// beat the joint bound, summed as Final sums it, in another order.
+func TestJointMarginCoversSummationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200000; trial++ {
+		q := 1 + rng.Float64()/2
+		qblk := q + 0.5 + 0x1p-47
+		n := 2 + rng.Intn(60)
+		imp := make([]float64, n)
+		total := qblk
+		for i := range imp {
+			imp[i] = bf16(up16(4 * rng.Float64()))
+			total += imp[i]
+		}
+		row := make([]uint32, 2)
+		putCell(row, 1, 0, qblk, imp[0], q+imp[0])
+		gain := uint16(row[0])
+		if bf16(gain) != 0.5 {
+			t.Fatalf("gain %v, want 0.5", bf16(gain))
+		}
+		score := q
+		for _, v := range imp {
+			score += v
+		}
+		rng.Shuffle(n, func(i, j int) { imp[i], imp[j] = imp[j], imp[i] })
+		bound := qblk
+		for _, v := range imp {
+			bound += v
+		}
+		if j := joint(bound, gain, marginOf(n, total)); beats(score, j) {
+			t.Fatalf("%d terms: score %v beats the joint bound %v", n, score, j)
+		}
+	}
+}
+
+// jointBound is Final's bound on a document no list has reached in block
+// b, or in group b − len(qblk) when b is past the blocks, live the terms
+// whose lists are: Final's sum and least gain, read term by term.
+func jointBound(e *Engine, live []int, b int) float64 {
+	bound, gain, total := 0.0, uint16(noPosting), e.qabs
+	if b < len(e.qblk) {
+		bound = e.qblk[b]
+	} else {
+		bound = e.qgrp[b-len(e.qblk)]
+	}
+	for _, term := range live {
+		cell := e.blocks(term)[b]
+		bound += bf16(uint16(cell >> 16))
+		gain = min(gain, uint16(cell))
+		total += e.maxImp[term]
+	}
+	return joint(bound, gain, marginOf(len(live), total))
+}
+
+// TestJointBlockBound holds the block table and Final's joint bound to
+// their claim over random small engines: every posting's quality +
+// impact is within its block's cell (checkBlockTable, in exact
+// arithmetic), and every document scores, as Search scores it, at most
+// the joint bound of its block, and that at most its group's, for every
+// set of live terms that holds it — each nonempty subset of its terms in
+// a random order, alone and with a term it lacks. Half the engines carry
+// qualities shifted below zero, so negative rows (qblk − gain < 0) occur
+// and must round toward +∞.
+func TestJointBlockBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	negative := 0
+	for round := 0; round < 8; round++ {
+		e := coldEngine(t, Config{Docs: 1200 + rng.Intn(4000), VocabSize: 10, StopTerms: 1, AvgDocLen: 4 + rng.Intn(6), Seed: rng.Int63()})
+		if round%2 == 1 { // written below
+			for d := range e.quality {
+				e.quality[d] = e.quality[d]*rng.Float64() - 20*rng.Float64()
+			}
+			if err := e.deriveImpacts(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		negative += checkBlockTable(t, e)
+		holds := make([][]int, len(e.quality)) // doc -> its terms
+		for term, ps := range e.postings {
+			for _, p := range ps {
+				holds[p.Doc] = append(holds[p.Doc], term)
+			}
+		}
+		for d, terms := range holds {
+			for set := 1; set < 1<<len(terms); set++ {
+				var live []int
+				for i, term := range terms {
+					if set&(1<<i) != 0 {
+						live = append(live, term)
+					}
+				}
+				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+				for _, extra := range []int{-1, rng.Intn(len(e.postings))} {
+					q := live
+					if extra >= 0 && !slices.Contains(terms, extra) {
+						q = append(slices.Clip(live), extra)
+					}
+					b := d / blockIDs
+					score, bound := refScore(e, Query{Terms: q}, uint32(d)), jointBound(e, q, b)
+					if group := jointBound(e, q, len(e.qblk)+b/groupBlocks); beats(score, bound) || beats(bound, group) {
+						t.Fatalf("round %d doc %d live %v: scores %v, its block's joint bound %v, its group's %v", round, d, q, score, bound, group)
+					}
+				}
+			}
+		}
+	}
+	if negative == 0 {
+		t.Error("no negative row: their rounding is not exercised")
 	}
 }
 

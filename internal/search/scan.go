@@ -28,7 +28,7 @@ type scanCursor struct {
 	pos int
 	imp []float64 // the term's impact table
 	max float64   // and its largest entry (Engine.maxImp)
-	bm  []uint16  // and its largest per block (Engine.blocks)
+	bm  []uint32  // and its row of block and group cells (Engine.blocks)
 }
 
 // window is the union of two or more posting lists over windowIDs
@@ -273,14 +273,19 @@ func (s *Scan) Exhausted() bool { return len(s.cursors) == 0 && s.win.pending ==
 
 // Final reports whether the page is the exhausted scan's already: no
 // pending member beats the full page's floor, nor can a document no list
-// has reached. Such a document in block b scores at most qblk[b] plus
-// each live list's largest impact in b, summed in Search's order, and
-// rounding is monotone (MaxScore, Turtle & Flood 1995, with per-block
-// maxima; DESIGN §12, "finality certificate"). The sum of the lists'
-// global maxima over the suffix's best quality bounds every block at
-// once and is tried first. A block whose bound fails to beat the floor
-// fails for good — the floor only rises, lists only drop out — so the
-// block cursor only moves forward: O(blocks × lists) per scan.
+// has reached. The sum of the lists' largest impacts over the suffix's
+// best quality bounds every such document at once and is tried first
+// (MaxScore, Turtle & Flood 1995). Then block by block: a document in
+// block b scores at most qblk[b] plus each live list's largest impact in
+// b (hi), summed in Search's order, and — it holds some live term t1, so
+// its quality + impact of t1 is at most qblk[b] + hi(t1) − gain(t1) —
+// that bound less the least gain among the live lists, less a margin for
+// the summation order (joint). A block no live list reaches holds no
+// match. At a group's first block the group's cells are tried first: a
+// group whose bound fails is skipped whole. DESIGN §12, "finality
+// certificate". A block whose bound fails to beat the floor fails for
+// good — the floor only rises, lists only drop out — so the block cursor
+// only moves forward: O(blocks × lists) per scan.
 func (s *Scan) Final() bool {
 	if s.topNCap <= 0 || s.Exhausted() {
 		return true
@@ -305,22 +310,62 @@ func (s *Scan) Final() bool {
 	if b == len(e.qblk) {
 		return true
 	}
-	bound := e.qmax[b]
+	bound, total := e.qmax[b], e.qabs
 	for i := range s.cursors {
 		bound += s.cursors[i].max
+		total += s.cursors[i].max
 	}
 	if !beats(bound, floor) {
 		return true
 	}
-	for ; b < len(e.qblk); b++ {
-		bound := e.qblk[b]
-		for i := range s.cursors {
-			bound += bf16(s.cursors[i].bm[b])
+	margin, nblk := marginOf(len(s.cursors), total), len(e.qblk)
+	for b < nblk {
+		if g := b / groupBlocks; b%groupBlocks == 0 {
+			if bound, gain := s.sumAt(e.qgrp[g], nblk+g); !beats(joint(bound, gain, margin), floor) {
+				b += groupBlocks // no block of the group can beat the floor
+				continue
+			}
 		}
-		if beats(bound, floor) {
+		if bound, gain := s.sumAt(e.qblk[b], b); beats(joint(bound, gain, margin), floor) {
 			break
 		}
+		b++
 	}
-	s.blk = b
-	return b == len(e.qblk)
+	s.blk = min(b, nblk)
+	return s.blk == nblk
+}
+
+// groupBlocks is how many blocks Final skips at once on a group's cells,
+// which bound every block of the group: a certificate's walk to the last
+// block reads an eighth of the table.
+const groupBlocks = 8
+
+// sumAt is q plus each live list's hi in column col of its row of cells,
+// summed in Search's order, and the least of their gains.
+func (s *Scan) sumAt(q float64, col int) (float64, uint16) {
+	gain := uint16(noPosting)
+	for i := range s.cursors {
+		cell := s.cursors[i].bm[col]
+		q += bf16(uint16(cell >> 16))
+		gain = min(gain, uint16(cell))
+	}
+	return q, gain
+}
+
+// marginOf is the joint bound's allowance for summing a document's score
+// in an order other than the bound's: n live lists, total the largest
+// |quality| plus their largest impacts. Each sum is within n ulps of
+// total, so 8(n+2) of them (2^-50 = 8·2^-53) cover the score's, the
+// bound's and the gain's rounding with room to spare; NaN or +Inf when
+// total is, which turns the gain off.
+func marginOf(n int, total float64) float64 { return float64(n+2) * 0x1p-50 * total }
+
+// joint lowers a block's per-block bound by its least gain less the
+// margin, when that is positive; a gain of +Inf (no live list has a
+// posting in the block) takes the bound to −Inf.
+func joint(bound float64, gain uint16, margin float64) float64 {
+	if d := bf16(gain) - margin; d > 0 {
+		return bound - d
+	}
+	return bound
 }

@@ -104,11 +104,13 @@ type Engine struct {
 	imp   []float64
 	impAt []int
 	// Scan.Final's bounds: each term's largest impact (+Inf if one is < 0
-	// or NaN); per blockIDs-id block, the largest quality in it (qblk) and
-	// at or after it (qmax); and each term's largest impact in each block
-	// (blocks), term t's row at blkImp[t*len(qblk):][:len(qblk)].
-	maxImp, qmax, qblk []float64
-	blkImp             []uint16
+	// or NaN); the largest |quality|; per blockIDs-id block, the largest
+	// quality in it (qblk) and at or after it (qmax), and per group of
+	// groupBlocks blocks the largest in it (qgrp); and each term's cells
+	// (blocks), term t's row at blkImp[t*n:][:n], n = len(qblk)+len(qgrp).
+	maxImp, qmax, qblk, qgrp []float64
+	qabs                     float64
+	blkImp                   []uint32
 }
 
 // engines holds, weakly, the engine NewEngine last built for each
