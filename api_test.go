@@ -149,20 +149,18 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 }
 
-// TestFacadePolicies exercises the policy types through the facade.
+// TestFacadePolicies exercises the policy type through the facade: a
+// window of one is Figure 3, a longer one judges its mean loss.
 func TestFacadePolicies(t *testing.T) {
-	var p green.RecalibratePolicy = green.DefaultPolicy{}
-	if d := p.Observe(0.5, 0.02); d.Action != green.ActIncrease {
-		t.Errorf("default policy action = %v", d.Action)
+	var p green.RecalibratePolicy = &green.WindowedPolicy{Window: 1}
+	if d := p.Observe(0.5, 0.02); d != (green.Decision{Action: green.ActIncrease}) {
+		t.Errorf("window-of-one decision = %+v", d)
 	}
-	w := &green.WindowedPolicy{Window: 2, BaseInterval: 10}
-	p = w
-	d := p.Observe(1, 0.02)
-	if d.NewSampleInterval != 1 {
-		t.Errorf("window open interval = %d", d.NewSampleInterval)
+	p = &green.WindowedPolicy{Window: 2}
+	if d := p.Observe(1, 0.02); d != (green.Decision{Monitor: true}) {
+		t.Errorf("window open decision = %+v", d)
 	}
-	d = p.Observe(1, 0.02)
-	if d.Action != green.ActIncrease || d.NewSampleInterval != 10 {
+	if d := p.Observe(0, 0.02); d != (green.Decision{Action: green.ActIncrease}) {
 		t.Errorf("window close decision = %+v", d)
 	}
 	_ = green.ActNone

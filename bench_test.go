@@ -519,7 +519,7 @@ func (benchNoopQoS) Loss(int) float64 { return 0 }
 // model below terminates approximate executions at M=8.
 const hotLoopBound = 16
 
-// hotQoS is a no-op QoS whose loss sits in DefaultPolicy's no-change band
+// hotQoS is a no-op QoS whose loss sits in Figure 3's no-change band
 // for SLA 0.02, so recalibration never moves the level mid-benchmark.
 type hotQoS struct{}
 

@@ -91,7 +91,7 @@ func main() {
 	loop, err := green.NewLoop(green.LoopConfig{
 		Name: "search.match", Model: m, SLA: querySLA,
 		SampleInterval: 500,
-		Policy:         &green.WindowedPolicy{Window: 100, BaseInterval: 500},
+		Policy:         &green.WindowedPolicy{Window: 100},
 	})
 	if err != nil {
 		log.Fatal(err)

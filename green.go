@@ -31,8 +31,7 @@
 // Applications with several approximations choose their combination with
 // CombineSearch over the local models and pass the units to NewApp, which
 // coordinates global recalibration with sensitivity ranking and randomized
-// exponential backoff, judging the application's loss by DefaultPolicy's
-// Figure 3 band.
+// exponential backoff, judging the application's loss by Figure 3's band.
 //
 // The paper implements Green as a C/C++ language extension in the Phoenix
 // compiler; Go has no compiler extension point, so the identical generated
@@ -126,17 +125,16 @@ type (
 	Decision = core.Decision
 	// RecalibratePolicy is the QoS_ReCalibrate extension point.
 	RecalibratePolicy = core.RecalibratePolicy
-	// DefaultPolicy is the paper's default recalibration rule (Figure 3).
-	DefaultPolicy = core.DefaultPolicy
-	// WindowedPolicy is the Bing Search custom recalibration rule
-	// (Figure 9), aggregating a window of consecutive monitored queries.
-	// Its BaseInterval must equal the controller's SampleInterval.
+	// WindowedPolicy is the built-in recalibration rule: Figure 3's band
+	// judging the mean loss of each window of consecutive monitored
+	// executions. A window of one (what a nil Policy installs) is
+	// Figure 3; a window of 100 is the Bing Search rule of Figure 9.
 	WindowedPolicy = core.WindowedPolicy
 
 	// App coordinates multiple approximations (§3.4).
 	App = core.App
-	// AppConfig configures an App; its recalibration applies
-	// DefaultPolicy's band to the application-level loss.
+	// AppConfig configures an App; its recalibration applies Figure 3's
+	// band to the application-level loss.
 	AppConfig = core.AppConfig
 	// Unit is the coordinator's view of one approximation.
 	Unit = core.Unit

@@ -29,23 +29,8 @@ type Config struct {
 	MutationRate float64
 	// TournamentK is the tournament selection size.
 	TournamentK int
-	// TwoPointCrossover exchanges the segment between two random cut
-	// points instead of a single-point suffix swap. Two-point crossover
-	// disturbs fewer gene adjacencies, which preserves co-scheduled task
-	// clusters better on clustered task graphs.
-	TwoPointCrossover bool
 	// Elitism is the number of best chromosomes copied unchanged.
 	Elitism int
-	// SigFloor coarsens fitness evaluation under the graph's
-	// significance tags: tasks whose significance falls below the floor
-	// skip precise dependency timing during selection
-	// (taskgraph.MakespanApprox) — low-significance tasks take the
-	// deeper approximation — and only each generation's champion is
-	// re-timed exactly, so BestMakespan always reports a true makespan.
-	// Zero (the default) evaluates everything precisely. Requires a
-	// significance-tagged graph (Graph.TagSignificance); derive the
-	// floor from a work budget with Graph.SigFloorForBudget.
-	SigFloor float64
 	// Seed determinizes the run.
 	Seed int64
 }
@@ -84,9 +69,6 @@ type GA struct {
 	bestVal float64
 	gen     int
 	evals   int64
-	// sigSkipped counts predecessor scans elided by significance-
-	// budgeted evaluation (zero without SigFloor).
-	sigSkipped int64
 }
 
 // New seeds a GA over the graph.
@@ -100,12 +82,6 @@ func New(g *taskgraph.Graph, cfg Config) (*GA, error) {
 	}
 	if c.Elitism >= c.Pop {
 		return nil, errors.New("cga: elitism must be smaller than population")
-	}
-	if c.SigFloor < 0 || c.SigFloor > 1 {
-		return nil, errors.New("cga: SigFloor must be in [0, 1]")
-	}
-	if c.SigFloor > 0 && g.Significance == nil {
-		return nil, errors.New("cga: SigFloor requires a significance-tagged graph (Graph.TagSignificance)")
 	}
 	ga := &GA{
 		g:   g,
@@ -127,22 +103,10 @@ func New(g *taskgraph.Graph, cfg Config) (*GA, error) {
 	return ga, nil
 }
 
-// evaluate computes makespans and refreshes the best-so-far. With a
-// significance floor, selection fitness comes from the coarsened
-// evaluation and only the generation's champion is re-timed exactly
-// before it can become the best-so-far — the reported best makespan is
-// always a true schedule length.
+// evaluate computes makespans and refreshes the best-so-far.
 func (ga *GA) evaluate() error {
 	for i, chrom := range ga.pop {
-		var span float64
-		var err error
-		if ga.cfg.SigFloor > 0 {
-			var skipped int
-			span, skipped, err = ga.g.MakespanApprox(chrom, ga.cfg.Procs, ga.cfg.SigFloor)
-			ga.sigSkipped += int64(skipped)
-		} else {
-			span, err = ga.g.Makespan(chrom, ga.cfg.Procs)
-		}
+		span, err := ga.g.Makespan(chrom, ga.cfg.Procs)
 		if err != nil {
 			return err
 		}
@@ -155,15 +119,8 @@ func (ga *GA) evaluate() error {
 			champ = i
 		}
 	}
-	exact := ga.spans[champ]
-	if ga.cfg.SigFloor > 0 {
-		var err error
-		if exact, err = ga.g.Makespan(ga.pop[champ], ga.cfg.Procs); err != nil {
-			return err
-		}
-	}
-	if ga.best == nil || exact < ga.bestVal {
-		ga.bestVal = exact
+	if ga.best == nil || ga.spans[champ] < ga.bestVal {
+		ga.bestVal = ga.spans[champ]
 		ga.best = append(ga.best[:0], ga.pop[champ]...)
 	}
 	return nil
@@ -207,11 +164,6 @@ func (ga *GA) Step() (float64, error) {
 		switch {
 		case ga.rng.Float64() >= ga.cfg.CrossoverRate:
 			copy(child, a)
-		case ga.cfg.TwoPointCrossover && len(a) > 2:
-			lo := 1 + ga.rng.Intn(len(a)-2)
-			hi := lo + 1 + ga.rng.Intn(len(a)-lo-1)
-			copy(child, a)
-			copy(child[lo:hi], b[lo:hi])
 		default:
 			cut := 1 + ga.rng.Intn(len(a)-1)
 			copy(child, a[:cut])
@@ -248,11 +200,6 @@ func (ga *GA) BestAssignment() []int {
 // Evaluations returns the number of fitness (makespan) evaluations
 // performed: the work unit of the CGA experiments.
 func (ga *GA) Evaluations() int64 { return ga.evals }
-
-// SigSkipped returns the number of per-task predecessor scans elided by
-// significance-budgeted evaluation — the work the SigFloor saved (zero
-// when evaluating precisely).
-func (ga *GA) SigSkipped() int64 { return ga.sigSkipped }
 
 // Run executes generations until the cap and returns the best makespan.
 func (ga *GA) Run(generations int) (float64, error) {

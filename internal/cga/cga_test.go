@@ -155,42 +155,6 @@ func TestEvaluationsGrowLinearlyWithGenerations(t *testing.T) {
 	}
 }
 
-func TestTwoPointCrossoverVariant(t *testing.T) {
-	g := testGraph(t, 37)
-	ga, err := New(g, Config{Seed: 41, TwoPointCrossover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := ga.BestMakespan()
-	final, err := ga.Run(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final >= initial {
-		t.Errorf("two-point GA did not improve: %v -> %v", initial, final)
-	}
-	// Best never worsens under the variant either.
-	prev := final
-	for i := 0; i < 20; i++ {
-		cur, err := ga.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur > prev {
-			t.Fatalf("best worsened under two-point crossover")
-		}
-		prev = cur
-	}
-	// Both variants remain deterministic and distinct.
-	a, _ := New(g, Config{Seed: 43, TwoPointCrossover: true})
-	b, _ := New(g, Config{Seed: 43, TwoPointCrossover: true})
-	sa, _ := a.Run(30)
-	sb, _ := b.Run(30)
-	if sa != sb {
-		t.Error("two-point variant not deterministic")
-	}
-}
-
 func TestElitismPreservesBestChromosome(t *testing.T) {
 	g := testGraph(t, 29)
 	ga, _ := New(g, Config{Seed: 31, Elitism: 2, MutationRate: 0.5})

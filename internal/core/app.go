@@ -126,8 +126,7 @@ func (a *App) AllDisabled() bool {
 
 // ObserveAppQoS drives global recalibration with one measured
 // application-level QoS loss (aggregated however the application's
-// QoS_Compute defines). DefaultPolicy's band (Figure 3) decides the
-// direction:
+// QoS_Compute defines). Figure 3's band decides the direction:
 //
 //   - loss within [0.9*SLA, SLA]: nothing to do;
 //   - loss above SLA: increase accuracy, choosing the unit whose local
@@ -143,7 +142,7 @@ func (a *App) ObserveAppQoS(loss float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.observations++
-	switch (DefaultPolicy{}).Observe(loss, a.cfg.SLA).Action {
+	switch band(loss, a.cfg.SLA) {
 	case ActIncrease:
 		a.lowStreak++
 		a.highStreak = 0

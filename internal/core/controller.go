@@ -112,6 +112,11 @@ type controller[S any] struct {
 
 	mu     sync.Mutex // serializes snapshot rebuilds and the policy
 	policy RecalibratePolicy
+	// interval is the configured Sample_QoS, which the live rate returns
+	// to when the policy's window closes; windowOpen is whether the
+	// policy's last decision held one open (both under mu).
+	interval   int64
+	windowOpen bool
 }
 
 // SampleInterval returns the live Sample_QoS interval (zero when
@@ -139,15 +144,16 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 	c.sla = o.SLA
 	c.onEvent = o.OnEvent
 	c.policy = o.Policy
-	if c.policy == nil {
-		c.policy = DefaultPolicy{}
+	switch w := c.policy.(type) {
+	case nil:
+		c.policy = &WindowedPolicy{Window: 1}
+	case *WindowedPolicy:
+		// A private window: one shared with another controller would
+		// close on that controller's observations.
+		c.policy = &WindowedPolicy{Window: w.Window}
 	}
-	// A window restores BaseInterval when it closes; any other value
-	// would replace the configured Sample_QoS after the first window.
-	if w, ok := c.policy.(*WindowedPolicy); ok && w.BaseInterval != o.SampleInterval {
-		return fmt.Errorf("core: %s %q: WindowedPolicy BaseInterval %d differs from SampleInterval %d", kind, o.Name, w.BaseInterval, o.SampleInterval)
-	}
-	c.setInterval(int64(o.SampleInterval))
+	c.interval = int64(o.SampleInterval)
+	c.setInterval(c.interval)
 	c.brk = newBreaker(o.BreakerThreshold, o.BreakerCooldown, o.SampleInterval)
 	return nil
 }
@@ -299,9 +305,12 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 	c.mu.Lock()
 	c.lossTotal.Store(math.Float64bits(c.lossSum() + loss))
 	d := c.policy.Observe(loss, c.sla)
-	if d.NewSampleInterval > 0 {
-		c.setInterval(int64(d.NewSampleInterval))
+	if d.Monitor {
+		c.setInterval(1)
+	} else if c.windowOpen {
+		c.setInterval(c.interval)
 	}
+	c.windowOpen = d.Monitor
 	var level float64
 	if d.Action == ActNone {
 		level = apply(c.state.Load(), ActNone)
@@ -337,8 +346,8 @@ func (c *controller[S]) mutate(fn func(*S)) {
 }
 
 // setInterval publishes a sampling interval with its reciprocal. An
-// unchanged interval publishes nothing: a policy that restates the live
-// interval on every observation must not cost an allocation each.
+// unchanged interval publishes nothing: every observation inside a
+// window restates interval 1 and must not cost an allocation each.
 func (c *controller[S]) setInterval(n int64) {
 	if r := c.rate.Load(); r == nil || r.iv != n {
 		c.rate.Store(newSampleRate(n))

@@ -17,10 +17,11 @@
 //   - Func wraps an expensive function with programmer-supplied
 //     approximate versions; Call reproduces Figure 7's range-based version
 //     selection plus monitored sampling.
-//   - RecalibratePolicy is the QoS_ReCalibrate() hook. DefaultPolicy is
-//     the paper's default (Figure 3); WindowedPolicy is the Bing Search
-//     custom policy (Figure 9). Programs may supply their own, matching
-//     the paper's custom-policy support.
+//   - RecalibratePolicy is the QoS_ReCalibrate() hook. WindowedPolicy
+//     judges the mean loss of a window of monitored executions with the
+//     paper's default band: a window of one is Figure 3, a window of 100
+//     the Bing Search policy of Figure 9. Programs may supply their own,
+//     matching the paper's custom-policy support.
 //   - App coordinates several approximations: exhaustive combination
 //     search over local models (§3.4.1) and global recalibration with
 //     sensitivity ranking and randomized exponential backoff (§3.4.2).
@@ -82,10 +83,11 @@ type EventFunc func(Event)
 type Decision struct {
 	// Action adjusts the approximation level.
 	Action Action
-	// NewSampleInterval, when positive, replaces the monitoring interval
-	// (the paper's Sample_QoS). The windowed Bing policy uses this to
-	// switch to monitoring every query for one window and back.
-	NewSampleInterval int
+	// Monitor asks the controller to monitor every execution while the
+	// policy's window is open (the paper's Sample_QoS set to 1). The
+	// first decision without it closes the window: the controller
+	// returns to the SampleInterval it was built with.
+	Monitor bool
 }
 
 // RecalibratePolicy is the QoS_ReCalibrate() extension point. Observe is
@@ -98,69 +100,52 @@ type RecalibratePolicy interface {
 	Observe(loss, sla float64) Decision
 }
 
-// DefaultPolicy is the paper's default QoS_ReCalibrate (Figure 3):
+// band is the paper's default QoS_ReCalibrate rule (Figure 3):
 //
 //	if loss > SLA            -> increase accuracy
 //	else if loss < 0.9 * SLA -> decrease accuracy
 //	else                     -> no change
-type DefaultPolicy struct{}
-
-// Observe implements RecalibratePolicy.
-func (DefaultPolicy) Observe(loss, sla float64) Decision {
+func band(loss, sla float64) Action {
 	switch {
 	case loss > sla:
-		return Decision{Action: ActIncrease}
+		return ActIncrease
 	case loss < 0.9*sla:
-		return Decision{Action: ActDecrease}
+		return ActDecrease
 	default:
-		return Decision{}
+		return ActNone
 	}
 }
 
-// WindowedPolicy is the customized Bing Search QoS_ReCalibrate of
-// Figure 9. The search QoS metric is 0/1 per query (top-N identical or
-// not), so a single monitored query cannot be compared against an SLA of
-// the form "99% of queries identical". When a monitored query arrives and
-// no window is open, the policy opens a window: it switches the sampling
-// interval to 1 so the next Window consecutive queries are all monitored,
-// counts the low-QoS ones, and at the end of the window applies the
-// default rule to the aggregate loss n_l/n_m, restoring the original
-// sampling interval.
+// WindowedPolicy is the built-in QoS_ReCalibrate: Figure 3's band
+// applied to the mean loss of each window of Window consecutive
+// monitored executions. A window of 0 or 1 is Figure 3 itself, and is
+// what a nil Policy installs. A window of 100 is the customized Bing
+// Search rule of Figure 9: its QoS metric is 0/1 per query (top-N
+// identical or not), so a single monitored query cannot be compared
+// against an SLA of the form "99% of queries identical", and the mean of
+// 0/1 losses is the window's n_l/n_m. While a window is open every
+// execution is monitored; when it closes the controller returns to its
+// own SampleInterval.
+//
+// Each controller takes a private copy of the WindowedPolicy it is
+// given, so one value may configure several controllers.
 type WindowedPolicy struct {
-	// Window is the number of consecutive monitored queries to aggregate
-	// (100 in the paper).
+	// Window is the number of consecutive monitored executions whose mean
+	// loss one decision judges (100 in the paper's Figure 9).
 	Window int
-	// BaseInterval is the sampling interval to restore after a window
-	// (the saved Sample_QoS).
-	BaseInterval int
 
-	nm, nl int
-	open   bool
+	n   int
+	sum float64
 }
 
 // Observe implements RecalibratePolicy.
 func (p *WindowedPolicy) Observe(loss, sla float64) Decision {
-	if p.Window <= 0 {
-		p.Window = 100
+	p.n++
+	p.sum += loss
+	if p.n < p.Window {
+		return Decision{Monitor: true}
 	}
-	if !p.open {
-		p.open = true
-		p.nm, p.nl = 0, 0
-		// Trigger monitoring for the next Window consecutive queries.
-		// This query itself counts as the first monitored one.
-	}
-	p.nm++
-	if loss != 0 {
-		p.nl++
-	}
-	if p.nm < p.Window {
-		return Decision{NewSampleInterval: 1}
-	}
-	// Window complete: act on the aggregate loss.
-	p.open = false
-	agg := float64(p.nl) / float64(p.nm)
-	p.nm, p.nl = 0, 0
-	d := DefaultPolicy{}.Observe(agg, sla)
-	d.NewSampleInterval = p.BaseInterval
-	return d
+	mean := p.sum / float64(p.n)
+	p.n, p.sum = 0, 0
+	return Decision{Action: band(mean, sla)}
 }

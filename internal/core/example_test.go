@@ -85,17 +85,26 @@ func ExampleFunc() {
 	// outside domain: 20.0000
 }
 
-// ExampleDefaultPolicy demonstrates the paper's Figure 3 recalibration
-// rule.
-func ExampleDefaultPolicy() {
-	p := core.DefaultPolicy{}
+// ExampleWindowedPolicy demonstrates the recalibration rule: Figure 3's
+// band on each loss with a window of one, and on the mean of each window
+// otherwise.
+func ExampleWindowedPolicy() {
+	fig3 := &core.WindowedPolicy{Window: 1}
 	for _, loss := range []float64{0.05, 0.019, 0.001} {
-		fmt.Println(p.Observe(loss, 0.02).Action)
+		fmt.Println(fig3.Observe(loss, 0.02).Action)
+	}
+	fig9 := &core.WindowedPolicy{Window: 4}
+	for _, loss := range []float64{1, 0, 0, 0} {
+		fmt.Printf("%+v\n", fig9.Observe(loss, 0.02))
 	}
 	// Output:
 	// increase-accuracy
 	// none
 	// decrease-accuracy
+	// {Action:none Monitor:true}
+	// {Action:none Monitor:true}
+	// {Action:none Monitor:true}
+	// {Action:increase-accuracy Monitor:false}
 }
 
 // ExampleCombineSearch demonstrates the §3.4.1 exhaustive combination

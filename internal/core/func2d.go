@@ -27,7 +27,8 @@ type Func2Config struct {
 	// SampleInterval is Sample_QoS; zero disables recalibration and
 	// negative values are rejected.
 	SampleInterval int
-	// Policy is the recalibration policy; nil selects DefaultPolicy.
+	// Policy is the recalibration policy; nil selects Figure 3, a
+	// WindowedPolicy with a window of one.
 	Policy RecalibratePolicy
 	// QoS overrides the default return-value QoS computation.
 	QoS FuncQoS

@@ -43,7 +43,8 @@ type FuncConfig struct {
 	// SampleInterval is Sample_QoS; zero disables recalibration and
 	// negative values are rejected.
 	SampleInterval int
-	// Policy is the recalibration policy; nil selects DefaultPolicy.
+	// Policy is the recalibration policy; nil selects Figure 3, a
+	// WindowedPolicy with a window of one.
 	Policy RecalibratePolicy
 	// Key maps the call argument into the model's input domain; nil is
 	// the identity. The blackscholes exp model, for example, is built

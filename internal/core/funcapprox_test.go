@@ -330,7 +330,7 @@ func TestFuncWorkIsExact(t *testing.T) {
 	sq := func(x float64) float64 { return x * x }
 	mul := func(x, y float64) float64 { return x * y }
 	const interval = 4
-	pol := sameIntervalPolicy{} // holds level and interval
+	pol := holdPolicy{} // holds level and interval
 	f1, err := NewFunc(FuncConfig{Name: "sq", Model: fm, SLA: 0.2, SampleInterval: interval, Policy: pol}, sq, []Fn{sq, sq})
 	if err != nil {
 		t.Fatal(err)

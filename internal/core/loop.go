@@ -73,7 +73,8 @@ type LoopConfig struct {
 	// fed). Zero disables runtime recalibration; negative values are
 	// rejected.
 	SampleInterval int
-	// Policy is the recalibration policy; nil selects DefaultPolicy.
+	// Policy is the recalibration policy; nil selects Figure 3, a
+	// WindowedPolicy with a window of one.
 	Policy RecalibratePolicy
 	// Step is the accuracy-adjustment step for increase/decrease accuracy
 	// on the iteration threshold M. Zero derives it from the model's

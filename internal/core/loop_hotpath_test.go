@@ -308,19 +308,22 @@ func TestFinishedHandlePinsNothing(t *testing.T) {
 	}
 }
 
-// sameIntervalPolicy restates the live sampling interval on every
-// observation and never moves the level.
-type sameIntervalPolicy struct{ iv int }
+// holdPolicy never moves the level or the sampling interval.
+type holdPolicy struct{}
 
-func (p sameIntervalPolicy) Observe(float64, float64) Decision {
-	return Decision{NewSampleInterval: p.iv}
-}
+func (holdPolicy) Observe(float64, float64) Decision { return Decision{} }
+
+// openPolicy never moves the level and keeps a window open for good, so
+// the controller restates interval 1 on every observation.
+type openPolicy struct{}
+
+func (openPolicy) Observe(float64, float64) Decision { return Decision{Monitor: true} }
 
 // Allocation gates where the allocation would happen (check.sh counts
-// the rows). A monitored observation whose policy restates the live
-// Sample_QoS must publish nothing: the interval travels with its
-// reciprocal behind a pointer, and a store per observation would be a
-// heap object per observation. The single-call function tier has no
+// the rows). A monitored observation inside a window, which restates
+// the live Sample_QoS of 1, must publish nothing: the interval travels
+// with its reciprocal behind a pointer, and a store per observation
+// would be a heap object per observation. The single-call function tier has no
 // pooled handle and must not grow a per-call object either.
 func TestHotPathAllocationGates(t *testing.T) {
 	gate := func(name string, op func()) {
@@ -331,7 +334,7 @@ func TestHotPathAllocationGates(t *testing.T) {
 		})
 	}
 	l, err := NewLoop(LoopConfig{
-		Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1, Policy: sameIntervalPolicy{1},
+		Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1, Policy: openPolicy{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func TestLoopConcurrentStress(t *testing.T) {
 	if execs != goroutines*perG {
 		t.Errorf("executions = %d, want %d", execs, goroutines*perG)
 	}
-	// DefaultPolicy never changes the sample interval, so exactly every
+	// A window of one never changes the sample interval, so exactly every
 	// 7th Begin must have been monitored — regardless of interleaving.
 	if want := int64(goroutines * perG / interval); monitored != want {
 		t.Errorf("monitored = %d, want %d", monitored, want)

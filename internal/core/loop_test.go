@@ -214,7 +214,7 @@ func TestSampleIntervalSelectsEveryKth(t *testing.T) {
 	l, err := NewLoop(LoopConfig{
 		Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 3,
 		// Loss in the no-change band so levels stay put.
-		Policy: DefaultPolicy{}, Step: 100,
+		Step: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

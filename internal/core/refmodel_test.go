@@ -16,7 +16,7 @@ import (
 // mutex-guarded struct of plain fields — no pools, no atomics, no
 // blocks, the stop law asked once per iteration. It reads the calibrated
 // model and the configuration and reimplements everything else (the
-// sampling modulo, both policies, the breaker, the level and offset
+// sampling modulo, the windowed policy, the breaker, the level and offset
 // steps, the batch contract), so it never consults the code it checks.
 // refSchedule runs it and a live Loop, Func or Func2 through one
 // schedule and compares the two after every operation.
@@ -41,8 +41,8 @@ type refModel struct {
 	thr, cool          int64 // the breaker's threshold and current cool-down
 	openedAt, probeAt  int64
 	fm                 *model.FuncModel
-	open               bool // Fig 9's window
-	nm, nl, offset     int
+	nm, offset         int     // nm: observations in the open window
+	windowSum          float64 // their losses' sum
 	disabled, forceOff bool
 	lossSum            float64
 	refView
@@ -161,22 +161,21 @@ func (m *refModel) observe(seq int64, loss float64, panicked, probe bool, sd sel
 	return act
 }
 
-// recalibrate is QoS_ReCalibrate: Fig 3's rule, or Fig 9's window, which
-// monitors every execution until Window observations are in and then
-// applies the rule to the share of them that lost anything.
+// recalibrate is QoS_ReCalibrate: Fig 9's window, which monitors every
+// execution until Window observations are in and then applies Fig 3's
+// rule to their mean loss, back at the configured Sample_QoS. A window
+// of one is Fig 3 itself and leaves the interval alone.
 func (m *refModel) recalibrate(loss float64) Action {
-	if w := m.c.window; w > 0 {
-		if !m.open {
-			m.open, m.nm, m.nl = true, 0, 0
-		}
-		if m.nm++; loss != 0 {
-			m.nl++
-		}
-		if m.iv = 1; m.nm < w {
-			return ActNone
-		}
-		m.open, m.iv, loss = false, int64(m.c.iv), float64(m.nl)/float64(m.nm)
+	m.nm, m.windowSum = m.nm+1, m.windowSum+loss
+	if m.nm < m.c.window {
+		m.iv = 1
+		return ActNone
 	}
+	if m.nm > 1 {
+		m.iv = int64(m.c.iv)
+	}
+	loss = m.windowSum / float64(m.nm)
+	m.nm, m.windowSum = 0, 0
 	switch {
 	case loss > m.c.sla:
 		return ActIncrease
@@ -414,7 +413,7 @@ func (r *refRun) build() (live liveCtl) {
 	c, q, err := r.m.c, r.lq, error(nil)
 	var pol RecalibratePolicy
 	if c.window > 0 {
-		pol = &WindowedPolicy{Window: c.window, BaseInterval: c.iv}
+		pol = &WindowedPolicy{Window: c.window}
 	}
 	fn := func(v int) Fn { return func(x float64) float64 { return q.fn(v, x, x) } }
 	fn2 := func(v int) Fn2 { return func(x, y float64) float64 { return q.fn(v, x, y) } }
@@ -474,7 +473,7 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 				r.fatalf("snapshot→restore: %v", err)
 			}
 			m.set(func() {
-				m.open, m.lastSeq, m.lastAct, m.cool = false, 0, ActNone, int64(cfg.cool)
+				m.nm, m.windowSum, m.lastSeq, m.lastAct, m.cool = 0, 0, 0, ActNone, int64(cfg.cool)
 				m.sel, m.brk = SelectorStats{Installed: m.sel.Installed}, BreakerStats{}
 			})
 			restored = true
@@ -499,7 +498,7 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 	var seen map[string]bool
 	m.set(func() {
 		seen = map[string]bool{[]string{"loop", "func", "func2"}[cfg.kind]: true,
-			"adaptive": cfg.kind == kLoop && cfg.mode == Adaptive, "windowed": cfg.window > 0,
+			"adaptive": cfg.kind == kLoop && cfg.mode == Adaptive, "windowed": cfg.window > 1,
 			"trip": m.brk.Trips > 0, "probe": m.brk.Trips > 1, // only a probe lets an open breaker trip again
 			"panic": m.brk.ContainedPanics > 0, "hit": m.sel.Hits > 0, "correction": m.sel.Corrections > 0,
 			"restore": restored, "2^32": m.count > 1<<32}

@@ -24,9 +24,6 @@ func TestNewLoopRejectsBadConfig(t *testing.T) {
 		{"SLA above one", LoopConfig{Model: m, SLA: 1.5}, "outside (0,1]"},
 		{"NaN SLA", LoopConfig{Model: m, SLA: math.NaN()}, "outside (0,1]"},
 		{"negative SampleInterval", LoopConfig{Model: m, SLA: 0.05, SampleInterval: -1}, "negative SampleInterval"},
-		// A closing window restores BaseInterval: a zero one left this loop
-		// monitoring every execution after the first window.
-		{"window restores another interval", LoopConfig{Model: m, SLA: 0.05, SampleInterval: 50, Policy: &WindowedPolicy{Window: 10}}, "BaseInterval"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,8 +46,8 @@ func TestNewFuncRejectsBadConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := func(x float64) float64 { return x }
-	rejectsBadConfig(t, func(sla float64, interval, n int, p RecalibratePolicy) error {
-		_, err := NewFunc(FuncConfig{Model: fm, SLA: sla, SampleInterval: interval, Policy: p}, id, make([]Fn, n))
+	rejectsBadConfig(t, func(sla float64, interval, n int) error {
+		_, err := NewFunc(FuncConfig{Model: fm, SLA: sla, SampleInterval: interval}, id, make([]Fn, n))
 		return err
 	})
 }
@@ -58,36 +55,34 @@ func TestNewFuncRejectsBadConfig(t *testing.T) {
 func TestNewFunc2RejectsBadConfig(t *testing.T) {
 	gm := oneCellModel(t, 18, []float64{4}, []float64{0.01})
 	id := func(x, y float64) float64 { return x }
-	rejectsBadConfig(t, func(sla float64, interval, n int, p RecalibratePolicy) error {
-		_, err := NewFunc2(Func2Config{Model: gm, SLA: sla, SampleInterval: interval, Policy: p}, id, make([]Fn2, n))
+	rejectsBadConfig(t, func(sla float64, interval, n int) error {
+		_, err := NewFunc2(Func2Config{Model: gm, SLA: sla, SampleInterval: interval}, id, make([]Fn2, n))
 		return err
 	})
 }
 
 // rejectsBadConfig runs the construction cases on build, which makes a
 // one-version model's function controller with n approximate versions.
-func rejectsBadConfig(t *testing.T, build func(sla float64, interval, n int, p RecalibratePolicy) error) {
+func rejectsBadConfig(t *testing.T, build func(sla float64, interval, n int) error) {
 	for _, tc := range []struct {
 		name        string
 		sla         float64
 		interval, n int
-		policy      RecalibratePolicy
 		want        string
 	}{
-		{"zero SLA", 0, 0, 1, nil, "outside (0,1]"},
-		{"negative SLA", -0.2, 0, 1, nil, "outside (0,1]"},
-		{"SLA above one", 1.5, 0, 1, nil, "outside (0,1]"},
-		{"negative SampleInterval", 0.1, -1, 1, nil, "negative SampleInterval"},
-		{"version count mismatch", 0.1, 0, 2, nil, "but model has"},
-		{"window restores another interval", 0.1, 50, 1, &WindowedPolicy{Window: 10, BaseInterval: 10}, "BaseInterval"},
+		{"zero SLA", 0, 0, 1, "outside (0,1]"},
+		{"negative SLA", -0.2, 0, 1, "outside (0,1]"},
+		{"SLA above one", 1.5, 0, 1, "outside (0,1]"},
+		{"negative SampleInterval", 0.1, -1, 1, "negative SampleInterval"},
+		{"version count mismatch", 0.1, 0, 2, "but model has"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := build(tc.sla, tc.interval, tc.n, tc.policy); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err := build(tc.sla, tc.interval, tc.n); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("%+v: error = %v, want containing %q", tc, err, tc.want)
 			}
 		})
 	}
-	if err := build(1, 0, 1, nil); err != nil {
+	if err := build(1, 0, 1); err != nil {
 		t.Fatalf("SLA of exactly 1 must be accepted: %v", err)
 	}
 }

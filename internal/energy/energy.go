@@ -16,10 +16,6 @@
 // proportional to the work performed. Approximation reduces work units,
 // which shrinks both time and energy — with ratios that differ, as in the
 // paper, because the fixed per-operation overheads do not shrink.
-//
-// A Meter additionally emulates the 1-second sampling of the physical
-// instrument so tests can demonstrate the paper's claim that the sampling
-// period is acceptable for long runs.
 package energy
 
 import (
@@ -167,57 +163,4 @@ func (m *CostModel) Evaluate(a *Account) Report {
 		Joules:  m.IdleWatts*secs + dyn,
 		Ops:     a.ops,
 	}
-}
-
-// Meter emulates the physical instrumentation: it integrates a power trace
-// by sampling it at a fixed period, as the paper's device does at one
-// second.
-type Meter struct {
-	// PeriodSeconds is the sampling period (1.0 in the paper).
-	PeriodSeconds float64
-}
-
-// SampledJoules integrates the power trace watts(t) over [0, duration] by
-// left-endpoint sampling at the meter period, which is how a sampling
-// power meter accumulates energy. The final partial interval is included.
-func (mt Meter) SampledJoules(watts func(t float64) float64, duration float64) (float64, error) {
-	if mt.PeriodSeconds <= 0 {
-		return 0, errors.New("energy: meter period must be positive")
-	}
-	if duration < 0 {
-		return 0, errors.New("energy: negative duration")
-	}
-	total := 0.0
-	for t := 0.0; t < duration; t += mt.PeriodSeconds {
-		dt := mt.PeriodSeconds
-		if t+dt > duration {
-			dt = duration - t
-		}
-		total += watts(t) * dt
-	}
-	return total, nil
-}
-
-// RelativeSamplingError measures how far the sampled energy of a run with
-// the given power trace is from the exact integral computed with a much
-// finer step. It quantifies the paper's argument that 1-second sampling is
-// acceptable when runs are long.
-func (mt Meter) RelativeSamplingError(watts func(t float64) float64, duration float64) (float64, error) {
-	coarse, err := mt.SampledJoules(watts, duration)
-	if err != nil {
-		return 0, err
-	}
-	fine := Meter{PeriodSeconds: mt.PeriodSeconds / 1000}
-	exact, err := fine.SampledJoules(watts, duration)
-	if err != nil {
-		return 0, err
-	}
-	if exact == 0 {
-		return 0, nil
-	}
-	diff := coarse - exact
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff / exact, nil
 }

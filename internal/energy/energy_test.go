@@ -150,59 +150,6 @@ func TestApproximationReducesTimeAndEnergyUnequally(t *testing.T) {
 	}
 }
 
-func TestMeterConstantPower(t *testing.T) {
-	mt := Meter{PeriodSeconds: 1}
-	j, err := mt.SampledJoules(func(float64) float64 { return 200 }, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(j-20000) > 1e-9 {
-		t.Errorf("constant power energy = %v, want 20000", j)
-	}
-}
-
-func TestMeterPartialLastInterval(t *testing.T) {
-	mt := Meter{PeriodSeconds: 1}
-	j, err := mt.SampledJoules(func(float64) float64 { return 100 }, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(j-250) > 1e-9 {
-		t.Errorf("energy = %v, want 250", j)
-	}
-}
-
-func TestMeterErrors(t *testing.T) {
-	if _, err := (Meter{PeriodSeconds: 0}).SampledJoules(func(float64) float64 { return 1 }, 1); err == nil {
-		t.Error("zero period accepted")
-	}
-	if _, err := (Meter{PeriodSeconds: 1}).SampledJoules(func(float64) float64 { return 1 }, -1); err == nil {
-		t.Error("negative duration accepted")
-	}
-}
-
-// The paper's argument: 1-second sampling is fine because runs are long.
-// A varying power trace sampled at 1 s over a long run has a tiny relative
-// error, while the same trace over a very short run has a large one.
-func TestSamplingErrorShrinksWithRunLength(t *testing.T) {
-	mt := Meter{PeriodSeconds: 1}
-	watts := func(tm float64) float64 { return 150 + 50*math.Sin(tm/3) }
-	long, err := mt.RelativeSamplingError(watts, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, err := mt.RelativeSamplingError(watts, 1.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if long > 0.01 {
-		t.Errorf("long-run sampling error = %v, want < 1%%", long)
-	}
-	if short <= long {
-		t.Errorf("short-run error %v not larger than long-run %v", short, long)
-	}
-}
-
 // Property: evaluation is additive — evaluating a merged account equals
 // the sum of evaluating the parts.
 func TestEvaluateAdditiveProperty(t *testing.T) {

@@ -117,8 +117,8 @@ func runAblationPolicy(o Options) (*Table, error) {
 		policy core.RecalibratePolicy
 	}
 	variants := []variant{
-		{"default (per-query)", core.DefaultPolicy{}},
-		{"windowed (Figure 9)", &core.WindowedPolicy{Window: 100, BaseInterval: 50}},
+		{"default (per-query)", nil},
+		{"windowed (Figure 9)", &core.WindowedPolicy{Window: 100}},
 	}
 	t := &Table{Columns: []string{"policy", "level changes per 100 queries", "final M (xN)", "measured loss"}}
 	for _, v := range variants {

@@ -363,13 +363,9 @@ func runFig14(o Options) (*Table, error) {
 		return nil, err
 	}
 	const sla = 0.02
-	windowSize := 100
 	sampleInterval := o.scaled(1000, 200) // monitor a window every this many queries
 	step := 0.1 * float64(f.refN)
-	rec := &windowRecorder{
-		inner:  &core.WindowedPolicy{Window: windowSize, BaseInterval: sampleInterval},
-		window: windowSize,
-	}
+	rec := &windowRecorder{inner: &core.WindowedPolicy{Window: 100}}
 	loop, err := core.NewLoop(core.LoopConfig{
 		Name: "search.match", Model: m, SLA: sla,
 		SampleInterval: sampleInterval,
@@ -415,24 +411,21 @@ func runFig14(o Options) (*Table, error) {
 	return t, nil
 }
 
-// windowRecorder wraps the windowed Bing policy and records the aggregate
+// windowRecorder wraps the windowed Bing policy and records the mean
 // loss of every completed monitoring window, for the Figure 14 trace.
 type windowRecorder struct {
 	inner  *core.WindowedPolicy
-	window int
-	nm, nl int
+	n      int
+	sum    float64
 	closes []float64
 }
 
 func (w *windowRecorder) Observe(loss, sla float64) core.Decision {
-	w.nm++
-	if loss != 0 {
-		w.nl++
-	}
+	w.n, w.sum = w.n+1, w.sum+loss
 	d := w.inner.Observe(loss, sla)
-	if w.nm == w.window {
-		w.closes = append(w.closes, float64(w.nl)/float64(w.nm))
-		w.nm, w.nl = 0, 0
+	if !d.Monitor {
+		w.closes = append(w.closes, w.sum/float64(w.n))
+		w.n, w.sum = 0, 0
 	}
 	return d
 }

@@ -214,7 +214,7 @@ func selectorSearchRows(o Options, t *Table) error {
 		return core.LoopConfig{
 			Name: "search.match", Model: m, SLA: selectorSearchSLA,
 			SampleInterval: interval, MinLevel: 1,
-			Policy: &core.WindowedPolicy{Window: 100, BaseInterval: interval},
+			Policy: &core.WindowedPolicy{Window: 100},
 		}
 	}, cal, f.cost, "doc", func(loop *core.Loop, out *selOutcome) error {
 		for i, q := range f.tstQueries {

@@ -114,27 +114,6 @@ func TopNExactMatch(precise, approx []int) bool {
 	return true
 }
 
-// TopNSetMatch reports whether two ranked lists contain the same id set,
-// ignoring order. The paper mentions this relaxation (allowing reordering
-// within the top N) as possible but does not use it for the headline
-// numbers.
-func TopNSetMatch(precise, approx []int) bool {
-	if len(precise) != len(approx) {
-		return false
-	}
-	seen := make(map[int]int, len(precise))
-	for _, id := range precise {
-		seen[id]++
-	}
-	for _, id := range approx {
-		if seen[id] == 0 {
-			return false
-		}
-		seen[id]--
-	}
-	return true
-}
-
 // QueryLoss returns the per-query QoS loss for search: 1 if the top-N
 // results differ (set or order), else 0. Aggregating the mean of QueryLoss
 // over a query stream yields the paper's "% of queries that returned a

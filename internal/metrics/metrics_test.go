@@ -99,21 +99,6 @@ func TestTopNExactMatch(t *testing.T) {
 	}
 }
 
-func TestTopNSetMatch(t *testing.T) {
-	if !TopNSetMatch([]int{1, 2, 3}, []int{3, 1, 2}) {
-		t.Error("reordered lists should set-match")
-	}
-	if TopNSetMatch([]int{1, 2, 3}, []int{1, 2, 4}) {
-		t.Error("different sets must not match")
-	}
-	if TopNSetMatch([]int{1, 1, 2}, []int{1, 2, 2}) {
-		t.Error("multiset multiplicity must be respected")
-	}
-	if TopNSetMatch([]int{1}, []int{1, 1}) {
-		t.Error("different lengths must not match")
-	}
-}
-
 func TestQueryLoss(t *testing.T) {
 	if got := QueryLoss([]int{4, 5}, []int{4, 5}); got != 0 {
 		t.Errorf("identical top-N loss = %v, want 0", got)

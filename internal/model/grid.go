@@ -174,19 +174,3 @@ func (m *FuncModel2D) VersionName(idx int) string {
 	}
 	return m.Versions[idx].Name
 }
-
-// CoveredCells returns the number of grid cells in which at least one
-// version qualifies at the SLA (a coverage diagnostic for developers).
-func (m *FuncModel2D) CoveredCells(sla float64) int {
-	cells := m.Grid.NX * m.Grid.NY
-	covered := 0
-	for i := 0; i < cells; i++ {
-		for vi := range m.Versions {
-			if m.Versions[vi].Loss[i] <= sla {
-				covered++
-				break
-			}
-		}
-	}
-	return covered
-}

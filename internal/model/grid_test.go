@@ -145,19 +145,6 @@ func TestCalibration2DAddSampleValidation(t *testing.T) {
 	}
 }
 
-func TestFuncModel2DCoverage(t *testing.T) {
-	m := build2D(t)
-	// Every sampled cell has v1 loss 0.002 <= 0.01, so all 10 cells are
-	// covered at that SLA...
-	if got := m.CoveredCells(0.01); got != 10 {
-		t.Errorf("covered = %d, want 10", got)
-	}
-	// ...and none at an impossible SLA.
-	if got := m.CoveredCells(1e-9); got != 0 {
-		t.Errorf("covered = %d, want 0", got)
-	}
-}
-
 func TestFuncModel2DVersionName(t *testing.T) {
 	m := build2D(t)
 	if m.VersionName(PreciseVersion) != "precise" || m.VersionName(0) != "v0" {

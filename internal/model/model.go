@@ -10,9 +10,6 @@
 //     monotone envelope (QoS loss is physically non-increasing in the loop
 //     iteration budget, so noise is smoothed by enforcing monotonicity),
 //
-//   - least-squares polynomial fitting is available for smooth curves
-//     (used for reporting and for the adaptive-approximation derivative),
-//
 //   - model inversion implements the two paper interfaces:
 //
 //     M                        = QoSModelLoop(QoS_SLA, static)     (1)
@@ -433,94 +430,4 @@ func (m *FuncModel) VersionName(idx int) string {
 		return fmt.Sprintf("invalid(%d)", idx)
 	}
 	return m.Versions[idx].Name
-}
-
-// SpeedupOf returns PreciseWork/Work for a version index (1 for the
-// precise sentinel).
-func (m *FuncModel) SpeedupOf(idx int) float64 {
-	if idx == PreciseVersion || idx < 0 || idx >= len(m.Versions) {
-		return 1
-	}
-	return m.PreciseWork / m.Versions[idx].Work
-}
-
-// PolyFit fits a polynomial of the given degree to (xs, ys) by ordinary
-// least squares (normal equations solved by Gaussian elimination with
-// partial pivoting) and returns the coefficients c[0..degree], lowest
-// order first. It is the curve-fitting half of the paper's MATLAB step and
-// is used for smooth reporting curves and derivative estimates.
-func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, errors.New("model: mismatched fit inputs")
-	}
-	n := degree + 1
-	if len(xs) < n {
-		return nil, fmt.Errorf("model: need at least %d points for degree %d", n, degree)
-	}
-	// Normal equations: A^T A c = A^T y with A[i][j] = xs[i]^j.
-	ata := make([][]float64, n)
-	aty := make([]float64, n)
-	for i := range ata {
-		ata[i] = make([]float64, n)
-	}
-	for k := range xs {
-		pow := make([]float64, n)
-		pow[0] = 1
-		for j := 1; j < n; j++ {
-			pow[j] = pow[j-1] * xs[k]
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				ata[i][j] += pow[i] * pow[j]
-			}
-			aty[i] += pow[i] * ys[k]
-		}
-	}
-	return solveLinear(ata, aty)
-}
-
-// solveLinear solves ax = b by Gaussian elimination with partial pivoting.
-// a and b are modified.
-func solveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, errors.New("model: singular system in fit")
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		// Eliminate.
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * x[c]
-		}
-		x[r] = sum / a[r][r]
-	}
-	return x, nil
-}
-
-// EvalPoly evaluates coefficients (lowest order first) at x.
-func EvalPoly(cs []float64, x float64) float64 {
-	r := 0.0
-	for i := len(cs) - 1; i >= 0; i-- {
-		r = r*x + cs[i]
-	}
-	return r
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func loopPoints() []CalPoint {
@@ -331,44 +330,6 @@ func TestVersionNameAndSpeedup(t *testing.T) {
 	if m.VersionName(7) == "f(3)" {
 		t.Error("invalid index must not alias a real version")
 	}
-	if got := m.SpeedupOf(0); math.Abs(got-4.5) > 1e-12 {
-		t.Errorf("SpeedupOf(0) = %v, want 4.5", got)
-	}
-	if got := m.SpeedupOf(PreciseVersion); got != 1 {
-		t.Errorf("SpeedupOf(precise) = %v, want 1", got)
-	}
-}
-
-func TestPolyFitRecoversPolynomial(t *testing.T) {
-	// y = 2 - 3x + 0.5x^2
-	want := []float64{2, -3, 0.5}
-	xs := []float64{-2, -1, 0, 1, 2, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = EvalPoly(want, x)
-	}
-	got, err := PolyFit(xs, ys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-8 {
-			t.Errorf("coef %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestPolyFitErrors(t *testing.T) {
-	if _, err := PolyFit([]float64{1, 2}, []float64{1}, 1); err == nil {
-		t.Error("mismatched inputs accepted")
-	}
-	if _, err := PolyFit([]float64{1}, []float64{1}, 2); err == nil {
-		t.Error("underdetermined fit accepted")
-	}
-	// All x identical -> singular normal equations for degree >= 1.
-	if _, err := PolyFit([]float64{1, 1, 1}, []float64{1, 2, 3}, 1); err == nil {
-		t.Error("singular system accepted")
-	}
 }
 
 // Property: for random monotone-decreasing calibration data, StaticParams
@@ -439,26 +400,5 @@ func TestRangesTileProperty(t *testing.T) {
 				t.Fatalf("inverted range: %+v", r)
 			}
 		}
-	}
-}
-
-// Property: quick.Check that EvalPoly(PolyFit(points)) interpolates exact
-// polynomial data.
-func TestPolyFitInterpolationProperty(t *testing.T) {
-	f := func(c0, c1 int8) bool {
-		want := []float64{float64(c0), float64(c1)}
-		xs := []float64{0, 1, 2, 3}
-		ys := make([]float64, len(xs))
-		for i, x := range xs {
-			ys[i] = EvalPoly(want, x)
-		}
-		got, err := PolyFit(xs, ys, 1)
-		if err != nil {
-			return false
-		}
-		return math.Abs(got[0]-want[0]) < 1e-6 && math.Abs(got[1]-want[1]) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -205,10 +205,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.loop, err = core.NewLoop(core.LoopConfig{
 		Name: matchName, Model: m, SLA: c.SLA,
-		SampleInterval: c.SampleInterval,
-		Policy: &core.WindowedPolicy{
-			Window: 100, BaseInterval: c.SampleInterval,
-		},
+		SampleInterval:   c.SampleInterval,
+		Policy:           &core.WindowedPolicy{Window: 100},
 		Disabled:         c.Disabled,
 		BreakerThreshold: c.BreakerThreshold,
 		BreakerCooldown:  c.BreakerCooldown,

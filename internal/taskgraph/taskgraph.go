@@ -10,7 +10,6 @@ package taskgraph
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"green/internal/workload"
 )
@@ -31,13 +30,6 @@ type Graph struct {
 	Succs [][]Edge
 	// Preds[i] lists the incoming edges of task i.
 	Preds [][]Edge
-	// Significance optionally tags each task with how much schedule
-	// quality depends on timing it exactly, in (0, 1]. Nil means
-	// untagged (every task fully significant). TagSignificance derives
-	// the vector from the graph's structure; MakespanApprox uses it to
-	// let low-significance tasks take deeper approximation under a
-	// budget.
-	Significance []float64
 }
 
 // N returns the number of tasks.
@@ -96,76 +88,7 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if g.Significance != nil {
-		if len(g.Significance) != n {
-			return errors.New("taskgraph: significance vector size mismatch")
-		}
-		for i, s := range g.Significance {
-			if !(s > 0 && s <= 1) {
-				return fmt.Errorf("taskgraph: significance %v at %d outside (0, 1]", s, i)
-			}
-		}
-	}
 	return nil
-}
-
-// TagSignificance derives the per-task significance vector from the
-// graph's own structure: a task's downstream critical-path reach (its
-// weight plus the costliest dependency chain hanging off it), normalized
-// by the largest reach in the graph. Entry tasks on the critical path
-// tag at 1; light tasks near the exits tag low. Deterministic — a pure
-// function of the graph.
-func (g *Graph) TagSignificance() {
-	n := g.N()
-	reach := make([]float64, n)
-	maxReach := 0.0
-	for u := n - 1; u >= 0; u-- {
-		best := 0.0
-		for _, e := range g.Succs[u] {
-			if r := reach[e.To] + e.Cost; r > best {
-				best = r
-			}
-		}
-		reach[u] = g.Weights[u] + best
-		if reach[u] > maxReach {
-			maxReach = reach[u]
-		}
-	}
-	sig := make([]float64, n)
-	for i := range sig {
-		sig[i] = reach[i] / maxReach
-	}
-	g.Significance = sig
-}
-
-// SignificanceOf returns task i's significance tag, or 1 when the graph
-// is untagged.
-func (g *Graph) SignificanceOf(i int) float64 {
-	if g.Significance == nil {
-		return 1
-	}
-	return g.Significance[i]
-}
-
-// SigFloorForBudget converts an evaluation work budget — the fraction
-// of tasks that keep precise dependency timing — into the significance
-// floor MakespanApprox applies: the lowest-significance (1-keep)
-// fraction of tasks falls below the returned floor. A keep of 1 (or an
-// untagged graph) returns 0: nothing coarsens.
-func (g *Graph) SigFloorForBudget(keep float64) float64 {
-	if g.Significance == nil || keep >= 1 {
-		return 0
-	}
-	if keep < 0 {
-		keep = 0
-	}
-	sorted := append([]float64(nil), g.Significance...)
-	sort.Float64s(sorted)
-	idx := int(float64(len(sorted)) * (1 - keep))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Random generates a layered random DAG with n tasks and approximately
@@ -266,53 +189,4 @@ func (g *Graph) Makespan(assign []int, procs int) (float64, error) {
 		}
 	}
 	return max, nil
-}
-
-// MakespanApprox evaluates the same schedule with significance-budgeted
-// precision: tasks whose significance falls below floor skip the
-// data-ready scan over their predecessors and start as soon as their
-// processor frees — the deeper approximation low-significance tasks can
-// afford. The estimate is optimistic (never above the exact makespan)
-// but ranks candidate schedules well when the coarsened tasks sit off
-// the critical path, which is exactly what the significance tags
-// encode. skipped counts the tasks coarsened. An untagged graph (or a
-// floor of 0) evaluates exactly.
-func (g *Graph) MakespanApprox(assign []int, procs int, floor float64) (span float64, skipped int, err error) {
-	n := g.N()
-	if len(assign) != n {
-		return 0, 0, errors.New("taskgraph: assignment length mismatch")
-	}
-	if procs < 1 {
-		return 0, 0, errors.New("taskgraph: need at least one processor")
-	}
-	procFree := make([]float64, procs)
-	finish := make([]float64, n)
-	for t := 0; t < n; t++ {
-		p := assign[t]
-		if p < 0 || p >= procs {
-			return 0, 0, fmt.Errorf("taskgraph: task %d assigned to invalid processor %d", t, p)
-		}
-		start := procFree[p]
-		if g.SignificanceOf(t) >= floor {
-			for _, e := range g.Preds[t] {
-				r := finish[e.To]
-				if assign[e.To] != p {
-					r += e.Cost
-				}
-				if r > start {
-					start = r
-				}
-			}
-		} else {
-			skipped++
-		}
-		finish[t] = start + g.Weights[t]
-		procFree[p] = finish[t]
-	}
-	for _, f := range finish {
-		if f > span {
-			span = f
-		}
-	}
-	return span, skipped, nil
 }
