@@ -300,7 +300,7 @@ var edgeBlocks = [15]int{1, 63, 64, 65, 2047, 2048, 2049, 127, 1000, 5000, 62, 6
 // page Search returns when capped at the same document count, with every
 // score bit-equal to refScore; whenever Final holds after a block, that
 // page must be the drained scan's, scores bit-equal; and whenever the
-// per-block reference (perBlockFinal) holds, Final holds too: the joint
+// joint reference (jointFinal) holds, Final holds too: the subset
 // certificate never fires later than the bound it refines.
 func FuzzScanBlocks(f *testing.F) {
 	var engines []*Engine
@@ -360,8 +360,8 @@ func FuzzScanBlocks(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if perBlockFinal(s) && !s.Final() {
-				t.Fatalf("at %d documents the per-block bound certifies and Final does not", s.Processed())
+			if jointFinal(s) && !s.Final() {
+				t.Fatalf("at %d documents the joint bound certifies and Final does not", s.Processed())
 			}
 		}
 		check()

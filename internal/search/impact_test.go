@@ -328,13 +328,15 @@ func TestCellRoundsTowardNoGain(t *testing.T) {
 }
 
 // TestJointMarginCoversSummationOrder holds marginOf to its claim where
-// nothing else absorbs the rounding: a document of quality q holding
-// every one of n live terms, each impact a bfloat16 (so hi is exact) and
-// each its list's best quality + impact in the block, whose best quality
-// is q + 0.5 + 2^-47 — every gain is 0.5 and the exact bound exceeds the
-// exact score by 2^-47, less than the rounding of a long sum from a q
-// with a full mantissa. The score, summed as Search sums it, must not
-// beat the joint bound, summed as Final sums it, in another order.
+// nothing else absorbs the rounding: a document of quality q holding k
+// of n live terms, each impact a bfloat16 (so hi is exact) and each of
+// the k its list's best quality + impact in the block, whose best
+// quality is q + 0.5 + 2^-47 — every such gain is 0.5 and the exact
+// bound exceeds the exact score by 2^-47, less than the rounding of a
+// long sum from a q with a full mantissa. The score, summed as Search
+// sums it, must not beat the bound of the k lists, summed in another
+// order — the order of their gains, as a subset bound's prefix is, among
+// them — with the margin of all n.
 func TestJointMarginCoversSummationOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200000; trial++ {
@@ -353,31 +355,40 @@ func TestJointMarginCoversSummationOrder(t *testing.T) {
 		if bf16(gain) != 0.5 {
 			t.Fatalf("gain %v, want 0.5", bf16(gain))
 		}
+		k := n // every live list, then a random subset of them
+		if trial%2 == 1 {
+			k = 1 + rng.Intn(n)
+		}
+		held := imp[:k]
 		score := q
-		for _, v := range imp {
+		for _, v := range held {
 			score += v
 		}
-		rng.Shuffle(n, func(i, j int) { imp[i], imp[j] = imp[j], imp[i] })
+		rng.Shuffle(k, func(i, j int) { held[i], held[j] = held[j], held[i] })
 		bound := qblk
-		for _, v := range imp {
+		for _, v := range held {
 			bound += v
 		}
 		if j := joint(bound, gain, marginOf(n, total)); beats(score, j) {
-			t.Fatalf("%d terms: score %v beats the joint bound %v", n, score, j)
+			t.Fatalf("%d of %d terms: score %v beats the bound %v", k, n, score, j)
 		}
 	}
 }
 
-// jointBound is Final's bound on a document no list has reached in block
+// colQuality is the quality column of column col of the rows of cells:
+// qblk of a block, qgrp of a group past the blocks.
+func colQuality(e *Engine, col int) float64 {
+	if col < len(e.qblk) {
+		return e.qblk[col]
+	}
+	return e.qgrp[col-len(e.qblk)]
+}
+
+// jointBound is the joint bound on a document no list has reached in block
 // b, or in group b − len(qblk) when b is past the blocks, live the terms
 // whose lists are: Final's sum and least gain, read term by term.
 func jointBound(e *Engine, live []int, b int) float64 {
-	bound, gain, total := 0.0, uint16(noPosting), e.qabs
-	if b < len(e.qblk) {
-		bound = e.qblk[b]
-	} else {
-		bound = e.qgrp[b-len(e.qblk)]
-	}
+	bound, gain, total := colQuality(e, b), uint16(noPosting), e.qabs
 	for _, term := range live {
 		cell := e.blocks(term)[b]
 		bound += bf16(uint16(cell >> 16))
@@ -441,6 +452,125 @@ func TestJointBlockBound(t *testing.T) {
 	}
 	if negative == 0 {
 		t.Error("no negative row: their rounding is not exercised")
+	}
+}
+
+// subsetBound is the value whose beating the floor subsetBeats tests:
+// the largest, over the scan's live lists t with a posting in column col
+// of their rows of cells, of q plus the hi of every live list whose gain
+// there is at most t's, less t's gain (joint); −Inf where none has one.
+func subsetBound(s *Scan, q float64, col int, margin float64) float64 {
+	best := math.Inf(-1)
+	for _, c := range s.cursors {
+		if gain := uint16(c.bm[col]); gain != noPosting {
+			best = max(best, joint(s.sumTo(q, col, gain), gain, margin))
+		}
+	}
+	return best
+}
+
+// TestSubsetBlockBound holds Final's subset bound to its claim over
+// random small engines, as TestJointBlockBound holds the joint bound:
+// for every document and every set of live terms that holds it — each
+// nonempty subset of its terms in a random order, alone and with a term
+// it lacks — in its block's and its group's column, (1) in exact
+// arithmetic its quality + impacts are at most the column's quality plus
+// the hi of the terms it holds less the largest of their gains; (2) its
+// score, as Search scores it, does not beat the subset bound, which is at
+// least the bound of exactly its terms, summed in Search's order less
+// their largest gain; (3) the subset bound does not exceed the joint
+// bound; (4) subsetBeats holds against a floor just under the bound and
+// not against the bound. Half the engines carry qualities shifted below
+// zero, so negative rows (qblk − gain < 0) occur.
+func TestSubsetBlockBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	negative, tighter := 0, 0
+	s := new(Scan)
+	for round := 0; round < 8; round++ {
+		e := coldEngine(t, Config{Docs: 1200 + rng.Intn(4000), VocabSize: 10, StopTerms: 1, AvgDocLen: 4 + rng.Intn(6), Seed: rng.Int63()})
+		if round%2 == 1 { // written below
+			for d := range e.quality {
+				e.quality[d] = e.quality[d]*rng.Float64() - 20*rng.Float64()
+			}
+			if err := e.deriveImpacts(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		negative += checkBlockTable(t, e)
+		holds, imps := make([][]int, len(e.quality)), make([][]float64, len(e.quality)) // doc -> its terms, their impacts
+		for term, ps := range e.postings {
+			for _, p := range ps {
+				holds[p.Doc] = append(holds[p.Doc], term)
+				imps[p.Doc] = append(imps[p.Doc], e.table(term)[p.pair])
+			}
+		}
+		for d, terms := range holds {
+			b := d / blockIDs
+			for set := 1; set < 1<<len(terms); set++ {
+				var live []int
+				exact := []float64{e.quality[d]}
+				for i, term := range terms {
+					if set&(1<<i) != 0 {
+						live = append(live, term)
+						exact = append(exact, imps[d][i])
+					}
+				}
+				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+				cols := []int{b, len(e.qblk) + b/groupBlocks}
+				// The bound of exactly the live terms the document holds, in
+				// query order (live's), and their largest gain, per column.
+				var own [2]float64
+				var gain [2]uint16
+				for i, col := range cols {
+					own[i] = colQuality(e, col)
+					mine := exactSum(own[i])
+					for _, term := range live {
+						cell := e.blocks(term)[col]
+						own[i] += bf16(uint16(cell >> 16))
+						mine.Add(mine, exactSum(bf16(uint16(cell>>16))))
+						gain[i] = max(gain[i], uint16(cell))
+					}
+					mine.Sub(mine, exactSum(bf16(gain[i])))
+					if !math.IsInf(own[i], 1) && exactSum(exact...).Cmp(mine) > 0 {
+						t.Fatalf("round %d doc %d live %v column %d: quality + impacts %v over the column's %v + the terms' hi − their largest gain %v in exact arithmetic",
+							round, d, live, col, exact, colQuality(e, col), bf16(gain[i]))
+					}
+				}
+				for _, extra := range []int{-1, rng.Intn(len(e.postings))} {
+					q := live
+					if extra >= 0 && !slices.Contains(terms, extra) {
+						q = append(slices.Clip(live), extra)
+					}
+					s.Reset(e, Query{Terms: q}, 1)
+					total := e.qabs
+					for _, c := range s.cursors {
+						total += c.max
+					}
+					margin := marginOf(len(s.cursors), total)
+					score := refScore(e, Query{Terms: q}, uint32(d))
+					for i, col := range cols {
+						qcol := colQuality(e, col)
+						sum, least := s.sumAt(qcol, col)
+						bound, jb, mine := subsetBound(s, qcol, col, margin), joint(sum, least, margin), joint(own[i], gain[i], margin)
+						switch {
+						case beats(score, bound) || beats(mine, bound):
+							t.Fatalf("round %d doc %d live %v column %d: scores %v, the bound of its own terms is %v, the subset bound %v",
+								round, d, q, col, score, mine, bound)
+						case beats(bound, jb):
+							t.Fatalf("round %d doc %d live %v column %d: subset bound %v over the joint bound %v", round, d, q, col, bound, jb)
+						case s.subsetBeats(qcol, col, margin, bound) || !s.subsetBeats(qcol, col, margin, math.Nextafter(bound, math.Inf(-1))):
+							t.Fatalf("round %d doc %d live %v column %d: subsetBeats disagrees with its bound %v", round, d, q, col, bound)
+						}
+						if bound < jb {
+							tighter++
+						}
+					}
+				}
+			}
+		}
+	}
+	if negative == 0 || tighter == 0 {
+		t.Errorf("%d negative rows, %d subset bounds below the joint bound: a case is not exercised", negative, tighter)
 	}
 }
 

@@ -50,8 +50,9 @@ type window struct {
 const (
 	windowIDs   = 2048
 	windowWords = windowIDs / 64
-	// blockIDs is the span of ids Final bounds as one: a quarter window.
-	blockIDs = 512
+	// blockIDs is the span of ids Final bounds as one: an eighth of a
+	// window.
+	blockIDs = 256
 )
 
 // NewScan starts an incremental execution of q keeping the best topN
@@ -276,16 +277,19 @@ func (s *Scan) Exhausted() bool { return len(s.cursors) == 0 && s.win.pending ==
 // has reached. The sum of the lists' largest impacts over the suffix's
 // best quality bounds every such document at once and is tried first
 // (MaxScore, Turtle & Flood 1995). Then block by block: a document in
-// block b scores at most qblk[b] plus each live list's largest impact in
-// b (hi), summed in Search's order, and — it holds some live term t1, so
-// its quality + impact of t1 is at most qblk[b] + hi(t1) − gain(t1) —
-// that bound less the least gain among the live lists, less a margin for
-// the summation order (joint). A block no live list reaches holds no
-// match. At a group's first block the group's cells are tried first: a
-// group whose bound fails is skipped whole. DESIGN §12, "finality
-// certificate". A block whose bound fails to beat the floor fails for
-// good — the floor only rises, lists only drop out — so the block cursor
-// only moves forward: O(blocks × lists) per scan.
+// block b holds some set S of the live lists and scores at most qblk[b]
+// plus the largest impact in b (hi) of each list in S — and, since its
+// quality + impact of any one t in S is at most qblk[b] + hi(t) −
+// gain(t), that less the largest gain in S, less a margin for the
+// summation order. The best S for a given largest gain takes every list
+// whose gain is no larger, so the bound is the largest of as many sums
+// as live lists with a posting in b (the subset bound); a block no live
+// list reaches holds no match. At a group's first block
+// the group's cells are tried first: a group whose bound fails is
+// skipped whole. DESIGN §12, "finality certificate". A block whose bound
+// fails to beat the floor fails for good — the floor only rises, lists
+// only drop out — so the block cursor only moves forward: O(blocks ×
+// lists) per scan, and lists² at a block the joint bound lets through.
 func (s *Scan) Final() bool {
 	if s.topNCap <= 0 || s.Exhausted() {
 		return true
@@ -320,13 +324,15 @@ func (s *Scan) Final() bool {
 	}
 	margin, nblk := marginOf(len(s.cursors), total), len(e.qblk)
 	for b < nblk {
+		// The joint bound, no lower than the subset bound, is tried first
+		// and inline: most blocks of a walk fail it.
 		if g := b / groupBlocks; b%groupBlocks == 0 {
-			if bound, gain := s.sumAt(e.qgrp[g], nblk+g); !beats(joint(bound, gain, margin), floor) {
+			if bound, gain := s.sumAt(e.qgrp[g], nblk+g); !beats(joint(bound, gain, margin), floor) || !s.subsetBeats(e.qgrp[g], nblk+g, margin, floor) {
 				b += groupBlocks // no block of the group can beat the floor
 				continue
 			}
 		}
-		if bound, gain := s.sumAt(e.qblk[b], b); beats(joint(bound, gain, margin), floor) {
+		if bound, gain := s.sumAt(e.qblk[b], b); beats(joint(bound, gain, margin), floor) && s.subsetBeats(e.qblk[b], b, margin, floor) {
 			break
 		}
 		b++
@@ -337,8 +343,36 @@ func (s *Scan) Final() bool {
 
 // groupBlocks is how many blocks Final skips at once on a group's cells,
 // which bound every block of the group: a certificate's walk to the last
-// block reads an eighth of the table.
-const groupBlocks = 8
+// block reads a sixteenth of the table.
+const groupBlocks = 16
+
+// subsetBeats reports whether a document in column col of the live
+// lists' rows of cells (a block, or a group past the blocks), of quality
+// at most q, can beat floor by its subset bound: whether, for some live
+// list t with a posting there, q plus the hi of every live list whose
+// gain there is at most t's (sumTo), less t's gain (joint), does. Each
+// sum only leaves lists out of sumAt's, so it is no larger in floating
+// point either, and t's gain is at least the least one: the subset bound
+// never exceeds the joint bound.
+func (s *Scan) subsetBeats(q float64, col int, margin, floor float64) bool {
+	for j := range s.cursors {
+		if gain := uint16(s.cursors[j].bm[col]); gain != noPosting && beats(joint(s.sumTo(q, col, gain), gain, margin), floor) {
+			return true
+		}
+	}
+	return false
+}
+
+// sumTo is q plus the hi in column col of each live list whose gain
+// there is at most gain, summed in Search's order.
+func (s *Scan) sumTo(q float64, col int, gain uint16) float64 {
+	for i := range s.cursors {
+		if cell := s.cursors[i].bm[col]; uint16(cell) <= gain {
+			q += bf16(uint16(cell >> 16))
+		}
+	}
+	return q
+}
 
 // sumAt is q plus each live list's hi in column col of its row of cells,
 // summed in Search's order, and the least of their gains.
@@ -352,7 +386,7 @@ func (s *Scan) sumAt(q float64, col int) (float64, uint16) {
 	return q, gain
 }
 
-// marginOf is the joint bound's allowance for summing a document's score
+// marginOf is the block bounds' allowance for summing a document's score
 // in an order other than the bound's: n live lists, total the largest
 // |quality| plus their largest impacts. Each sum is within n ulps of
 // total, so 8(n+2) of them (2^-50 = 8·2^-53) cover the score's, the
@@ -360,9 +394,9 @@ func (s *Scan) sumAt(q float64, col int) (float64, uint16) {
 // total is, which turns the gain off.
 func marginOf(n int, total float64) float64 { return float64(n+2) * 0x1p-50 * total }
 
-// joint lowers a block's per-block bound by its least gain less the
-// margin, when that is positive; a gain of +Inf (no live list has a
-// posting in the block) takes the bound to −Inf.
+// joint lowers a block's per-block bound by a gain less the margin, when
+// that is positive; a gain of +Inf (no live list has a posting in the
+// block) takes the bound to −Inf.
 func joint(bound float64, gain uint16, margin float64) float64 {
 	if d := bf16(gain) - margin; d > 0 {
 		return bound - d

@@ -122,9 +122,10 @@ func TestDegradedMonitoredPublishesNoMemo(t *testing.T) {
 	})
 	h := s.Handler()
 	s.Loop().SetLevel(scanBlock / 4)
-	// Not final until 3 072 documents: the grant after the record point
-	// ends, and reads the clock, before the certificate holds.
-	const word = "w1+w5+w7"
+	// Not final until 3 584 documents: the grant after the record point
+	// (512 + 2 048) ends, and reads the clock, before the certificate
+	// holds.
+	const word = "w1+w5+w9"
 	degraded := 0
 	for i := 0; i < 4; i++ {
 		if searchReply(t, h, word).Degraded {
@@ -147,7 +148,7 @@ func TestDegradedMonitoredPublishesNoMemo(t *testing.T) {
 func TestMonitoredMemoConcurrent(t *testing.T) {
 	s := certifyServer(t, nil)
 	h := s.Handler()
-	// Under the query's certificate (2 560 documents), so a monitored
+	// Under the query's certificate (1 280 documents), so a monitored
 	// request reaches its record point and can read or write the memo.
 	s.Loop().SetLevel(scanBlock / 4)
 	const word = "w2+w9"

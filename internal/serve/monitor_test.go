@@ -209,7 +209,7 @@ func TestCertifiedApproximatedMatchesCap(t *testing.T) {
 	mon := certifyServer(t, nil)
 	base := certifyServer(t, func(c *Config) { c.SampleInterval = never; c.Disabled = true })
 	h, hm, hb := s.Handler(), mon.Handler(), base.Handler()
-	for _, level := range []int{scanBlock / 4, scanBlock, scanBlock + scanBlock/2, 5*scanBlock + 7} {
+	for _, level := range []int{finalBlock, scanBlock / 2, scanBlock, scanBlock + scanBlock/2, 5*scanBlock + 7} {
 		s.Loop().SetLevel(float64(level))
 		early := 0
 		for i := 0; i < 30; i++ {
