@@ -72,10 +72,10 @@ const (
 	ActDecrease = core.ActDecrease
 )
 
-// Panic circuit-breaker states (see LoopConfig.BreakerThreshold): a
-// QoS callback that panics during a monitored execution is contained
-// and counted; enough consecutive failures trip the controller to
-// forced-precise (open) until a half-open probe succeeds.
+// Panic circuit-breaker states: a QoS callback that panics during a
+// monitored execution is contained and counted; three consecutive
+// failures trip the controller to forced-precise (open) until a
+// half-open probe succeeds.
 const (
 	BreakerClosed   = core.BreakerClosed
 	BreakerOpen     = core.BreakerOpen

@@ -54,15 +54,13 @@ func newE2EFleet(t *testing.T) *e2eFleet {
 		shards = append(shards, spec)
 	}
 	co, err := New(Config{
-		Shards:           shards,
-		SLA:              0.02,
-		Quorum:           2,
-		Retries:          1,
-		RequestTimeout:   400 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  8,
-		Seed:             11,
-		Transport:        f.faults,
+		Shards:         shards,
+		SLA:            0.02,
+		Quorum:         2,
+		Retries:        1,
+		RequestTimeout: 400 * time.Millisecond,
+		Seed:           11,
+		Transport:      f.faults,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func newShardClient(spec ShardSpec, cfg *Config, rng *lockedRand) *shardClient {
 	for _, base := range spec.Replicas {
 		c.replicas = append(c.replicas, &replica{
 			base: base,
-			brk:  core.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			brk:  core.NewBreaker(),
 		})
 	}
 	return c

@@ -44,11 +44,6 @@ type Config struct {
 	// Retries is how many times a failed shard attempt is retried on a
 	// (preferably different) replica (default 1).
 	Retries int
-	// BreakerThreshold / BreakerCooldown tune the per-replica circuit
-	// breakers (zeros take the core defaults: trip after 3 consecutive
-	// failures, cool down over 16 consults).
-	BreakerThreshold int
-	BreakerCooldown  int
 	// AggregateInterval is the control-plane period: each tick pulls
 	// per-shard monitored loss, recomputes the SLA decomposition, and
 	// pushes budgets (default 5s; Start launches the loop).

@@ -149,7 +149,7 @@ func (panicRecordQoS) Loss(int) float64 { return 0 }
 func TestExecNBreakerForcesBatchPrecise(t *testing.T) {
 	l, err := NewLoop(LoopConfig{
 		Name: "l", Model: testLoopModel(t), SLA: 0.05,
-		SampleInterval: 1, BreakerThreshold: 3, BreakerCooldown: 1 << 20,
+		SampleInterval: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -67,13 +67,11 @@ var (
 // ctrlOptions are the configuration fields every controller kind shares;
 // each concrete config struct maps onto it in its constructor.
 type ctrlOptions struct {
-	Name             string
-	SLA              float64
-	SampleInterval   int
-	Policy           RecalibratePolicy
-	OnEvent          EventFunc
-	BreakerThreshold int
-	BreakerCooldown  int
+	Name           string
+	SLA            float64
+	SampleInterval int
+	Policy         RecalibratePolicy
+	OnEvent        EventFunc
 }
 
 // controller is the generic operational-phase runtime shared by Loop,
@@ -154,7 +152,7 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 	}
 	c.interval = int64(o.SampleInterval)
 	c.setInterval(c.interval)
-	c.brk = newBreaker(o.BreakerThreshold, o.BreakerCooldown, o.SampleInterval)
+	c.brk = newBreaker(max(breakerCooldown, 4*int64(o.SampleInterval)))
 	return nil
 }
 
@@ -356,13 +354,16 @@ func (c *controller[S]) setInterval(n int64) {
 
 // restoreCounters installs the shared counter fields of a validated
 // snapshot and publishes the edited approximation state, all under the
-// lock so restore is atomic with respect to recalibration.
+// lock so restore is atomic with respect to recalibration. The
+// snapshot's interval becomes the configured one, live at once: an open
+// window closes, and later windows return to it.
 func (c *controller[S]) restoreCounters(interval, count, monitored int64, lossSum float64, edit func(*S)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	next := *c.state.Load()
 	edit(&next)
 	c.state.Store(&next)
+	c.interval, c.windowOpen = interval, false
 	c.setInterval(interval)
 	c.count.Store(count)
 	c.monitored.Store(monitored)

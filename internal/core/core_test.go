@@ -237,8 +237,10 @@ func TestSharedWindowedPolicyIsPrivate(t *testing.T) {
 }
 
 // A window, once closed, hands the controller back the SampleInterval it
-// was built with, on every controller kind, and so does a window opened
-// after restoring a snapshot taken while another was open.
+// was built with, on every controller kind. A snapshot taken while a
+// window was open holds that interval, not the window's 1, and restoring
+// it onto a controller built with another makes it the interval windows
+// close back to.
 func TestClosedWindowRestoresSampleInterval(t *testing.T) {
 	const window = 3
 	lm, fm, gm := testLoopModel(t), funcFixture(t, 0.05, 0).cfg.Model, func2Fixture(t, 0.05, 0).cfg.Model
@@ -297,11 +299,11 @@ func TestClosedWindowRestoresSampleInterval(t *testing.T) {
 				}
 				runTo(t, c, window, iv, "after the window closed")
 
-				fresh := build(t, kind, int(iv))
+				fresh := build(t, kind, int(10*iv+3))
 				if err := fresh.RestoreStateJSON(data); err != nil {
 					t.Fatal(err)
 				}
-				runTo(t, fresh, 1, 1, "restored mid-window")
+				runTo(t, fresh, 1, iv, "restored mid-window")
 				runTo(t, fresh, 1+window-1, 1, "restored, its own window open")
 				runTo(t, fresh, 1+window, iv, "restored, after its own window closed")
 			}

@@ -38,15 +38,6 @@ type Func2Config struct {
 	// OnEvent, when non-nil, receives an Event after every monitored
 	// call.
 	OnEvent EventFunc
-	// BreakerThreshold is the number of consecutive contained panics (in
-	// the approximate version or the QoS comparator on monitored calls)
-	// that trip the circuit breaker to forced-precise operation. Zero
-	// means 3; negative disables tripping. See resilience.go.
-	BreakerThreshold int
-	// BreakerCooldown is the number of calls the breaker stays open
-	// before a half-open probe. Zero derives four sampling intervals
-	// (minimum 16).
-	BreakerCooldown int
 }
 
 // Func2 is the two-parameter function controller: Func over a grid
@@ -82,7 +73,6 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 	if err := f.init("func2", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
 		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
-		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
 	}, rungs, cfg.QoS, cfg.Disabled); err != nil {
 		return nil, err
 	}

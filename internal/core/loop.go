@@ -90,16 +90,6 @@ type LoopConfig struct {
 	// OnEvent, when non-nil, receives an Event after every monitored
 	// execution.
 	OnEvent EventFunc
-	// BreakerThreshold is the number of consecutive contained QoS-callback
-	// panics that trip the circuit breaker to forced-precise operation.
-	// Zero means 3; negative disables tripping (panics are still contained
-	// and counted). See resilience.go.
-	BreakerThreshold int
-	// BreakerCooldown is the number of executions the breaker stays open
-	// before a half-open probe re-tests the callbacks. Zero derives four
-	// sampling intervals (minimum 16). The cool-down doubles after each
-	// failed probe and resets on a successful one.
-	BreakerCooldown int
 }
 
 // loopState is the immutable snapshot of the loop's mutable approximation
@@ -178,7 +168,6 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 	if err := l.init("loop", ctrlOptions{
 		Name: cfg.Name, SLA: cfg.SLA, SampleInterval: cfg.SampleInterval,
 		Policy: cfg.Policy, OnEvent: cfg.OnEvent,
-		BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
 	}); err != nil {
 		return nil, err
 	}

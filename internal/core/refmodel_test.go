@@ -24,11 +24,12 @@ import (
 const kLoop, kFunc, kFunc2 = 0, 1, 2
 
 // refConfig is one controller's configuration; both sides build from it.
+// A calm schedule's callbacks never panic.
 type refConfig struct {
-	kind, iv, window, thr, cool int
-	sla, step, minLevel         float64
-	mode                        LoopMode
-	disabled                    bool
+	kind, iv, window    int
+	sla, step, minLevel float64
+	mode                LoopMode
+	disabled, calm      bool
 }
 
 // refModel is the law's state, all of it under mu.
@@ -38,7 +39,7 @@ type refModel struct {
 	lm                 *model.LoopModel
 	ranges             []model.Range // Func's range table (Fig 7)
 	grid               *model.FuncModel2D
-	thr, cool          int64 // the breaker's threshold and current cool-down
+	cool               int64 // the breaker's current cool-down
 	openedAt, probeAt  int64
 	fm                 *model.FuncModel
 	nm, offset         int     // nm: observations in the open window
@@ -70,10 +71,8 @@ func newRefModel(t *testing.T, c refConfig) *refModel {
 		t.Fatal(err)
 	}
 	m := &refModel{c: c, lm: lm, fm: funcFixture(t, 0.05, 0).cfg.Model, grid: func2Fixture(t, 0.05, 0).cfg.Model,
-		thr: int64(c.thr), cool: int64(c.cool), forceOff: c.disabled}
-	if m.iv = int64(c.iv); c.thr < 0 {
-		m.thr = math.MaxInt64
-	}
+		forceOff: c.disabled}
+	m.iv, m.cool = int64(c.iv), m.baseCool()
 	switch c.kind {
 	case kFunc:
 		m.ranges = m.fm.Ranges(c.sla)
@@ -89,6 +88,10 @@ func newRefModel(t *testing.T, c refConfig) *refModel {
 }
 
 func (m *refModel) set(fn func()) { m.mu.Lock(); defer m.mu.Unlock(); fn() }
+
+// baseCool is the breaker's cool-down: four sampling intervals, at least
+// 16 executions.
+func (m *refModel) baseCool() int64 { return max(16, 4*int64(m.c.iv)) }
 
 // begin is the Execute and Select stages of n executions claimed at once
 // (n = 1 for a single one): one breaker consult, at the last sequence
@@ -129,8 +132,8 @@ func (m *refModel) begin(n int, f *Features) (first int64, at int, forced, probe
 }
 
 // observe is the monitored tail of Figs 3 and 7. A contained panic is
-// discarded and charged to the breaker: it trips at the threshold, and a
-// failed probe re-opens it with the cool-down doubled, up to 32 times.
+// discarded and charged to the breaker: the third in a row trips it, and
+// a failed probe re-opens it with the cool-down doubled, up to 32 times.
 // A clean loss resets the failure run (a clean probe closes the breaker),
 // is counted, fed to QoS_ReCalibrate, applied, and routed back to the
 // Selector that chose the level.
@@ -139,16 +142,16 @@ func (m *refModel) observe(seq int64, loss float64, panicked, probe bool, sd sel
 		b.ContainedPanics++
 		b.ConsecutiveFailures++
 		reopen := probe || b.State == BreakerHalfOpen
-		if reopen && m.cool < 32*int64(m.c.cool) {
+		if reopen && m.cool < 32*m.baseCool() {
 			m.cool *= 2
 		}
-		if reopen || b.State == BreakerClosed && b.ConsecutiveFailures >= m.thr {
+		if reopen || b.State == BreakerClosed && b.ConsecutiveFailures >= 3 {
 			m.openedAt, b.State = seq, BreakerOpen
 			b.Trips++
 		}
 		return ActNone
 	} else if b.ConsecutiveFailures = 0; probe && b.State == BreakerHalfOpen {
-		m.cool, b.State = int64(m.c.cool), BreakerClosed
+		m.cool, b.State = m.baseCool(), BreakerClosed
 	}
 	m.monitored++
 	m.lossSum += loss
@@ -420,13 +423,13 @@ func (r *refRun) build() (live liveCtl) {
 	switch c.kind {
 	case kLoop:
 		live, err = NewLoop(LoopConfig{Name: "ref", Model: r.m.lm, SLA: c.sla, Mode: c.mode, SampleInterval: c.iv, Policy: pol,
-			Step: c.step, MinLevel: c.minLevel, Disabled: c.disabled, BreakerThreshold: c.thr, BreakerCooldown: c.cool})
+			Step: c.step, MinLevel: c.minLevel, Disabled: c.disabled})
 	case kFunc:
 		live, err = NewFunc(FuncConfig{Name: "ref", Model: r.m.fm, SLA: c.sla, SampleInterval: c.iv, Policy: pol, QoS: q.cmp,
-			Disabled: c.disabled, BreakerThreshold: c.thr, BreakerCooldown: c.cool}, fn(-1), []Fn{fn(0), fn(1)})
+			Disabled: c.disabled}, fn(-1), []Fn{fn(0), fn(1)})
 	default:
 		live, err = NewFunc2(Func2Config{Name: "ref", Model: r.m.grid, SLA: c.sla, SampleInterval: c.iv, Policy: pol, QoS: q.cmp,
-			Disabled: c.disabled, BreakerThreshold: c.thr, BreakerCooldown: c.cool}, fn2(-1), []Fn2{fn2(0), fn2(1)})
+			Disabled: c.disabled}, fn2(-1), []Fn2{fn2(0), fn2(1)})
 	}
 	if err != nil {
 		r.fatalf("build: %v", err)
@@ -442,8 +445,8 @@ func (r *refRun) build() (live liveCtl) {
 // returns the number of operations run and which parts of the law ran.
 func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string]bool) {
 	cfg := refConfig{kind: c.intn(3), mode: LoopMode(c.intn(2)), sla: pick(&c, 0.05, 0.02, 0.011, 0.005),
-		iv: pick(&c, 0, 1, 2, 3, 5, 8), thr: pick(&c, -1, 1, 2, 3), cool: 1 + c.intn(20), step: pick(&c, 3.0, 4, 10),
-		minLevel: pick(&c, 2.0, 4, 6), disabled: c.intn(8) == 0, window: max(0, c.intn(10)-4)}
+		iv: pick(&c, 0, 1, 2, 3, 5, 8), step: pick(&c, 3.0, 4, 10), minLevel: pick(&c, 2.0, 4, 6),
+		disabled: c.intn(8) == 0, window: max(0, c.intn(10)-4), calm: c.intn(4) == 0}
 	r := &refRun{t: t, name: name, c: &c, m: newRefModel(t, cfg), mq: &refLog{}, lq: &refLog{}}
 	m, restored := r.m, false
 	r.live = r.build()
@@ -473,7 +476,8 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 				r.fatalf("snapshot→restore: %v", err)
 			}
 			m.set(func() {
-				m.nm, m.windowSum, m.lastSeq, m.lastAct, m.cool = 0, 0, 0, ActNone, int64(cfg.cool)
+				m.nm, m.windowSum, m.lastSeq, m.lastAct, m.cool = 0, 0, 0, ActNone, m.baseCool()
+				m.iv = int64(cfg.iv) // a snapshot holds the configured interval
 				m.sel, m.brk = SelectorStats{Installed: m.sel.Installed}, BreakerStats{}
 			})
 			restored = true
@@ -526,7 +530,7 @@ func (r *refRun) exec() {
 	m.set(func() {
 		first, a, forced, probe, sd := m.begin(n, feat)
 		panicIn, kinds := byte(0), [...]string{"RDL", "FC", "FC"}[kind]
-		if at = a; at >= 0 && c.intn(3) == 0 {
+		if at = a; at >= 0 && !m.c.calm && c.intn(3) == 0 {
 			panicIn = kinds[c.intn(len(kinds))]
 		}
 		scale, loss := 0.1*float64(1+c.intn(8)), pick(c, 0, 0.5, 0.95, 1, 1.5, 2)*m.c.sla

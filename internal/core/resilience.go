@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -16,15 +15,15 @@ import (
 // normally, so a panic inside them must not take the process down: the
 // controller recovers, discards the observation (a contained panic is a
 // *failed* observation — its loss value would be garbage), and counts the
-// failure against a circuit breaker. After BreakerThreshold consecutive
-// failures the breaker trips: the controller is forced precise and
-// monitoring is suspended, so the faulty callback stops running entirely.
-// After a cool-down measured in executions the breaker goes half-open and
-// lets exactly one monitored probe re-test the callbacks; a clean probe
-// closes the breaker, a panicking probe re-opens it with the cool-down
-// doubled (the same escalate-on-repeated-failure spirit as App's
-// randomized exponential backoff), capped at maxCooldownFactor times the
-// base cool-down.
+// failure against a circuit breaker. After three consecutive failures
+// the breaker trips: the controller is forced precise and monitoring is
+// suspended, so the faulty callback stops running entirely. After a
+// cool-down of max(16, 4·SampleInterval) executions the breaker goes
+// half-open and lets exactly one monitored probe re-test the callbacks; a
+// clean probe closes the breaker, a panicking probe re-opens it with the
+// cool-down doubled (the same escalate-on-repeated-failure spirit as
+// App's randomized exponential backoff), capped at maxCooldownFactor
+// times the base cool-down.
 //
 // Panics in the program's own computation — the loop body, or the precise
 // function on any call — propagate exactly as they would without Green;
@@ -87,7 +86,6 @@ const maxCooldownFactor = 32
 // traffic keeps asking. The closed-state fast path is a single atomic
 // load; transitions take b.mu.
 type Breaker struct {
-	threshold    int64
 	baseCooldown int64
 
 	state     atomic.Int32
@@ -101,36 +99,23 @@ type Breaker struct {
 	probeAt  int64 // consult sequence of the in-flight probe
 }
 
-// NewBreaker builds a standalone breaker. threshold zero means 3,
-// negative means "never trip" (failures are still counted); cooldown
-// zero derives the default floor of 16 consults.
-func NewBreaker(threshold, cooldown int) *Breaker {
-	return newBreaker(threshold, cooldown, 1)
-}
+// breakerThreshold is the run of consecutive failures that trips a
+// breaker. breakerCooldown is a standalone breaker's base cool-down in
+// consults; a controller's is four sampling intervals, floored at it so
+// a breaker on an every-execution-monitored controller still backs off
+// meaningfully.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 16
+)
 
-// newBreaker builds a controller's breaker from its config knobs, as
-// NewBreaker, except that a zero cooldown derives four sampling
-// intervals, floored at 16 executions so a breaker on an
-// every-execution-monitored controller still backs off meaningfully.
-func newBreaker(threshold, cooldown, sampleInterval int) *Breaker {
-	b := &Breaker{}
-	switch {
-	case threshold < 0:
-		b.threshold = math.MaxInt64
-	case threshold == 0:
-		b.threshold = 3
-	default:
-		b.threshold = int64(threshold)
-	}
-	if cooldown <= 0 {
-		cooldown = 4 * sampleInterval
-		if cooldown < 16 {
-			cooldown = 16
-		}
-	}
-	b.baseCooldown = int64(cooldown)
-	b.cooldown = int64(cooldown)
-	return b
+// NewBreaker builds a standalone breaker: it trips after three
+// consecutive failures and cools down over 16 consults.
+func NewBreaker() *Breaker { return newBreaker(breakerCooldown) }
+
+// newBreaker builds a breaker with the given base cool-down.
+func newBreaker(cooldown int64) *Breaker {
+	return &Breaker{baseCooldown: cooldown, cooldown: cooldown}
 }
 
 // closed is the closed-state fast path, small enough to inline into the
@@ -191,7 +176,7 @@ func (b *Breaker) OnFailure(n int64, probe bool) (tripped bool) {
 		b.trips.Add(1)
 		return true
 	}
-	if st == BreakerClosed && f >= b.threshold {
+	if st == BreakerClosed && f >= breakerThreshold {
 		b.openedAt = n
 		b.state.Store(int32(BreakerOpen))
 		b.trips.Add(1)

@@ -209,27 +209,6 @@ func TestBreakerFailedProbeReopensWithEscalatedCooldown(t *testing.T) {
 	}
 }
 
-func TestBreakerNegativeThresholdNeverTrips(t *testing.T) {
-	l, err := NewLoop(LoopConfig{
-		Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1,
-		BreakerThreshold: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &panicQoS{panicRecord: true}
-	for i := 0; i < 10; i++ {
-		drive(t, l, bad)
-	}
-	b := l.Breaker()
-	if b.State != BreakerClosed || b.Trips != 0 {
-		t.Errorf("disabled breaker tripped: %+v", b)
-	}
-	if b.ContainedPanics != 10 {
-		t.Errorf("panics not contained/counted with breaker disabled: %+v", b)
-	}
-}
-
 func TestFuncVersionPanicContained(t *testing.T) { versionPanicContained(t, funcKinds[0]) }
 func TestFunc2ApproxPanicContained(t *testing.T) { versionPanicContained(t, funcKinds[1]) }
 

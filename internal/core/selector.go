@@ -291,9 +291,6 @@ func newBucketSelector(edges, levels []float64, fallback float64, loss [][]float
 // Buckets returns the number of feature buckets.
 func (s *BucketSelector) Buckets() int { return len(s.edges) - 1 }
 
-// Edges returns a copy of the bucket boundary vector.
-func (s *BucketSelector) Edges() []float64 { return append([]float64(nil), s.edges...) }
-
 // Factors returns a copy of the live per-bucket correction factors.
 func (s *BucketSelector) Factors() []float64 {
 	return append([]float64(nil), (*s.factors.Load())...)

@@ -108,9 +108,10 @@ type LoopState struct {
 	Selector *SelectorState `json:"selector,omitempty"`
 }
 
-// State snapshots the loop's runtime state. The lock only fences out
-// concurrent recalibration so the snapshot/counter pair is coherent; the
-// hot path itself never takes it.
+// State snapshots the loop's runtime state. Its interval is the
+// configured Sample_QoS, not the 1 an open recalibration window runs at.
+// The lock only fences out concurrent recalibration so the
+// snapshot/counter pair is coherent; the hot path itself never takes it.
 func (l *Loop) State() LoopState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -118,7 +119,7 @@ func (l *Loop) State() LoopState {
 	return LoopState{
 		Name:      l.cfg.Name,
 		Level:     st.level,
-		Interval:  int(l.SampleInterval()),
+		Interval:  int(l.interval),
 		Disabled:  st.disabled,
 		ForceOff:  st.forceOff,
 		Count:     l.count.Load(),
@@ -202,7 +203,7 @@ func (l *ladder[A]) State() FuncState {
 	defer l.mu.Unlock()
 	st := l.state.Load()
 	return FuncState{
-		Name: l.name, Offset: st.offset, Interval: l.SampleInterval(),
+		Name: l.name, Offset: st.offset, Interval: l.interval,
 		Disabled: st.disabled, ForceOff: st.forceOff,
 		Count: l.count.Load(), Monitored: l.monitored.Load(), LossSum: l.lossSum(),
 		WorkMilli: l.workMilli.Load(),

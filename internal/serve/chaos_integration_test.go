@@ -33,7 +33,7 @@ func TestChaosServiceSurvivesAndRecovers(t *testing.T) {
 	cfg := Config{
 		Seed: 7, CalibrationQueries: 60, CorpusDocs: 4000,
 		SampleInterval: 5, StateDir: dir,
-		MaxInFlight: 2, BreakerThreshold: 3, BreakerCooldown: 8,
+		MaxInFlight: 2,
 	}
 
 	// Phase 1: chaos load. Every 4th Record/Loss call panics, every 3rd

@@ -98,11 +98,6 @@ type Config struct {
 	// absorb nearly all traffic; a hit serves without parsing — or
 	// allocating — anything. Zero means 4096; negative disables caching.
 	QueryCacheSize int
-	// BreakerThreshold / BreakerCooldown tune the controller's panic
-	// circuit breaker (see core.LoopConfig); zeros take the core
-	// defaults.
-	BreakerThreshold int
-	BreakerCooldown  int
 	// Chaos, when non-nil, injects deterministic faults into the QoS
 	// callbacks (the fault-injection harness; tests and the chaos-smoke
 	// CI stage).
@@ -205,11 +200,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.loop, err = core.NewLoop(core.LoopConfig{
 		Name: matchName, Model: m, SLA: c.SLA,
-		SampleInterval:   c.SampleInterval,
-		Policy:           &core.WindowedPolicy{Window: 100},
-		Disabled:         c.Disabled,
-		BreakerThreshold: c.BreakerThreshold,
-		BreakerCooldown:  c.BreakerCooldown,
+		SampleInterval: c.SampleInterval,
+		Policy:         &core.WindowedPolicy{Window: 100},
+		Disabled:       c.Disabled,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,6 @@
 // Package workload provides the deterministic input generators shared by
 // the experiment substrates: a Zipf sampler for search corpora and query
-// logs, uniform/normal scalar streams for signals and option portfolios,
+// logs, uniform scalar streams for signals, an option portfolio,
 // and seed-splitting so every experiment is reproducible from a single
 // root seed.
 package workload
@@ -33,27 +33,6 @@ func UniformFloats(seed int64, n int, lo, hi float64) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = lo + (hi-lo)*rng.Float64()
-	}
-	return xs
-}
-
-// NormalFloats returns n values drawn from N(mean, stddev).
-func NormalFloats(seed int64, n int, mean, stddev float64) []float64 {
-	rng := NewRand(seed)
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = mean + stddev*rng.NormFloat64()
-	}
-	return xs
-}
-
-// LogNormalFloats returns n values whose logarithm is N(mu, sigma); used
-// for option spot/strike ratios, which cluster around 1.
-func LogNormalFloats(seed int64, n int, mu, sigma float64) []float64 {
-	rng := NewRand(seed)
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Exp(mu + sigma*rng.NormFloat64())
 	}
 	return xs
 }

@@ -81,26 +81,6 @@ func TestUniformFloats(t *testing.T) {
 	}
 }
 
-func TestNormalFloats(t *testing.T) {
-	xs := NormalFloats(5, 20000, 10, 2)
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if math.Abs(mean-10) > 0.1 {
-		t.Errorf("mean = %v, want ~10", mean)
-	}
-}
-
-func TestLogNormalFloatsPositive(t *testing.T) {
-	for _, x := range LogNormalFloats(9, 5000, 0, 0.3) {
-		if x <= 0 {
-			t.Fatalf("log-normal produced non-positive %v", x)
-		}
-	}
-}
-
 func TestPerm(t *testing.T) {
 	p := Perm(11, 50)
 	seen := make([]bool, 50)

@@ -5,7 +5,9 @@
 # alternating which tree goes first (this box's state drifts over
 # minutes, so only interleaved runs compare). Prints, per end-to-end
 # metric, both sides' median and quartiles, how many pairs the change
-# won, and the median of the per-pair ratios change/parent.
+# won, the median of the per-pair ratios change/parent, and the metric's
+# bound from BENCHMARK.json, marked OUT where the change's median is
+# worse than the parent's by more than bound × the parent's median.
 #
 # Usage:
 #
@@ -68,7 +70,8 @@ while [ "$pair" -le "$pairs" ]; do
 	pair=$((pair + 1))
 done
 
-# Which way each metric is better comes from BENCHMARK.json.
+# Which way each metric is better, and by how much it may worsen, come
+# from BENCHMARK.json.
 awk -v workload="$workload" -v ref="$ref" '
 function quantile(a, n, q,    pos, lo, frac) {
 	pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
@@ -85,6 +88,7 @@ function summary(a, n,    s) {
 FNR == NR {
 	if ($0 ~ /"name":/) { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name) }
 	if ($0 ~ /"better":/) { b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b); better[name] = b; order[++metrics] = name }
+	if ($0 ~ /"bound":/) { b = $0; sub(/.*"bound": */, "", b); bound[name] = b + 0 }
 	next
 }
 { val[$1, $2, $3] = $4; seeds[$2] = 1 }
@@ -92,7 +96,7 @@ $3 == "failed" { failed[$1] += $4 }
 END {
 	for (s in seeds) n++
 	printf "%s: change vs %s over %d pairs; failed operations: parent %d, change %d\n", workload, ref, n, failed["parent"], failed["change"]
-	printf "%-18s %-6s %-40s %-40s %-6s %s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "wins", "ratio"
+	printf "%-18s %-6s %-40s %-40s %-6s %-7s %s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "wins", "ratio", "bound"
 	for (m = 1; m <= metrics; m++) {
 		name = order[m]; k = 0; wins = 0
 		for (s in seeds) {
@@ -102,7 +106,11 @@ END {
 			if (better[name] == "higher" ? c[k] > p[k] : c[k] < p[k]) wins++
 		}
 		if (k == 0) continue
-		sorted(r, k, rs)
-		printf "%-18s %-6s %-40s %-40s %2d/%-3d x%.3f\n", name, better[name], summary(p, k), summary(c, k), wins, k, quantile(rs, k, 0.5)
+		sorted(r, k, rs); sorted(p, k, ps); sorted(c, k, cs)
+		pm = quantile(ps, k, 0.5); worse = quantile(cs, k, 0.5) - pm
+		if (better[name] == "higher") worse = -worse
+		verdict = ""
+		if (name in bound) verdict = sprintf("%g%s", bound[name], worse > bound[name] * (pm < 0 ? -pm : pm) ? " OUT" : "")
+		printf "%-18s %-6s %-40s %-40s %2d/%-3d x%-6.3f %s\n", name, better[name], summary(p, k), summary(c, k), wins, k, quantile(rs, k, 0.5), verdict
 	}
 }' BENCHMARK.json "$work/rows"
