@@ -116,10 +116,6 @@ func TestGreenserveSnapshotRestart(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		httpGet(t, fmt.Sprintf("%s/search?q=alpha+beta+q%d", base, i))
 	}
-	// Conjunctive queries are served precisely, outside the controller.
-	for i := 0; i < 7; i++ {
-		httpGet(t, fmt.Sprintf("%s/search?q=alpha+beta+q%d&mode=and", base, i))
-	}
 	st1 := getStats(t, base)
 	if st1.Queries != 12 {
 		t.Fatalf("/stats queries = %d, want 12", st1.Queries)

@@ -192,11 +192,6 @@ func (ga *GA) Generation() int { return ga.gen }
 // terminated) and base runs.
 func (ga *GA) BestMakespan() float64 { return ga.bestVal }
 
-// BestAssignment returns a copy of the best chromosome.
-func (ga *GA) BestAssignment() []int {
-	return append([]int(nil), ga.best...)
-}
-
 // Evaluations returns the number of fitness (makespan) evaluations
 // performed: the work unit of the CGA experiments.
 func (ga *GA) Evaluations() int64 { return ga.evals }

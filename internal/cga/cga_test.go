@@ -44,7 +44,7 @@ func TestInitialPopulationEvaluated(t *testing.T) {
 	if ga.Generation() != 0 {
 		t.Errorf("generation = %d before any step", ga.Generation())
 	}
-	if len(ga.BestAssignment()) != g.N() {
+	if len(ga.best) != g.N() {
 		t.Error("best assignment wrong length")
 	}
 }
@@ -96,7 +96,7 @@ func TestGAImprovesOverRandom(t *testing.T) {
 		t.Errorf("GA did not improve: %v -> %v", initial, final)
 	}
 	// The best assignment must reproduce the reported makespan.
-	span, err := g.Makespan(ga.BestAssignment(), 4)
+	span, err := g.Makespan(ga.best, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestChaosEndToEnd(t *testing.T) {
 			t.Fatalf("below-quorum 503 missing Retry-After")
 		}
 	}
-	if shed := f.co.Ops().Snapshot().Shed; shed < 3 {
+	if shed := f.co.ops.Snapshot().Shed; shed < 3 {
 		t.Errorf("ops.shed = %d, want >= 3", shed)
 	}
 	if rec := get(t, f.h, "/readyz"); rec.Code != http.StatusServiceUnavailable {

@@ -118,7 +118,7 @@ func TestAggregateOnceDecomposesSLA(t *testing.T) {
 			t.Errorf("shard %d received %g, want %g", i, got, wantLvl)
 		}
 	}
-	if got := co.Ops().Snapshot().BudgetPushes; got != 3 {
+	if got := co.ops.Snapshot().BudgetPushes; got != 3 {
 		t.Errorf("ops.budget_pushes = %d, want 3", got)
 	}
 

@@ -349,6 +349,3 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	wire.WriteReadyz(w, reasons)
 }
-
-// Ops exposes the coordinator's operational counters, for tests.
-func (co *Coordinator) Ops() *metrics.OpsCounters { return &co.ops }

@@ -47,7 +47,8 @@ func decodeCoord(t *testing.T, body []byte) wire.Page {
 
 // TestScatterMergeEqualsUnsharded is the core federation property: a
 // coordinator over three shard workers returns exactly the page an
-// unsharded worker returns, query for query.
+// unsharded worker returns, query for query. /search has one contract:
+// neither answers a mode parameter with another page.
 func TestScatterMergeEqualsUnsharded(t *testing.T) {
 	co := serveFleet(t)
 	single, err := serve.New(fleetWorker)
@@ -56,9 +57,12 @@ func TestScatterMergeEqualsUnsharded(t *testing.T) {
 	}
 	ch, sh := co.Handler(), single.Handler()
 
-	for _, q := range []string{"ocean tree", "river stone light", "amber sky", "deep harbor mist", "x"} {
+	for i, q := range []string{"ocean tree", "river stone light", "amber sky", "deep harbor mist", "x"} {
 		path := "/search?q=" + url.QueryEscape(q)
 		crec := get(t, ch, path)
+		if i%2 == 1 {
+			crec = get(t, ch, path+"&mode=and")
+		}
 		if crec.Code != http.StatusOK {
 			t.Fatalf("%q: coordinator status %d: %s", q, crec.Code, crec.Body)
 		}
@@ -67,6 +71,9 @@ func TestScatterMergeEqualsUnsharded(t *testing.T) {
 			t.Fatalf("%q: healthy fleet answered degraded: %+v", q, cresp)
 		}
 		srec := get(t, sh, path)
+		if i%2 == 0 {
+			srec = get(t, sh, path+"&mode=and")
+		}
 		var sresp struct {
 			Query      string `json:"query"`
 			Docs       []int  `json:"docs"`
@@ -128,7 +135,7 @@ func TestQuorumPolicy(t *testing.T) {
 			t.Fatalf("docs = %v, want %v", resp.Docs, want)
 		}
 	}
-	if got := co.Ops().Snapshot().Degraded; got != 1 {
+	if got := co.ops.Snapshot().Degraded; got != 1 {
 		t.Errorf("ops.degraded = %d, want 1", got)
 	}
 
@@ -145,7 +152,7 @@ func TestQuorumPolicy(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
-	if got := co2.Ops().Snapshot().Shed; got != 1 {
+	if got := co2.ops.Snapshot().Shed; got != 1 {
 		t.Errorf("ops.shed = %d, want 1", got)
 	}
 }
@@ -193,7 +200,7 @@ func TestRetryPrefersAlternateReplica(t *testing.T) {
 	if st := co.shards[0].replicas[1].brk.Stats(); st.State != core.BreakerClosed || st.ConsecutiveFailures != 0 {
 		t.Errorf("healthy replica's breaker: %+v", st)
 	}
-	if ops := co.Ops().Snapshot(); ops.Degraded != 0 || ops.Shed != 0 {
+	if ops := co.ops.Snapshot(); ops.Degraded != 0 || ops.Shed != 0 {
 		t.Errorf("retried successes moved degradation counters: %+v", ops)
 	}
 }

@@ -86,9 +86,6 @@ func (c *LoopCalibration) AddRun(losses, work []float64) error {
 	return nil
 }
 
-// Runs returns the number of training inputs recorded.
-func (c *LoopCalibration) Runs() int { return c.runs }
-
 // FeatureBuckets declares the feature-bucket boundaries (ascending;
 // bucket b spans [edges[b], edges[b+1]), the last bucket closed on the
 // right) for feature-tagged calibration. Must be called before

@@ -44,8 +44,8 @@ func TestLoopCalibrationBuildAveragesRuns(t *testing.T) {
 	if err := c.AddRun([]float64{0.06, 0.02}, []float64{100, 200}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Runs() != 2 {
-		t.Errorf("runs = %d", c.Runs())
+	if c.runs != 2 {
+		t.Errorf("runs = %d", c.runs)
 	}
 	m, err := c.Build()
 	if err != nil {

@@ -152,9 +152,14 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 	}
 	c.interval = int64(o.SampleInterval)
 	c.setInterval(c.interval)
-	c.brk = newBreaker(max(breakerCooldown, 4*int64(o.SampleInterval)))
+	c.brk = newBreaker(ctrlCooldown(c.interval))
 	return nil
 }
+
+// ctrlCooldown is a controller breaker's base cool-down: four sampling
+// intervals, floored at breakerCooldown so a breaker on an
+// every-execution-monitored controller still backs off meaningfully.
+func ctrlCooldown(interval int64) int64 { return max(breakerCooldown, 4*interval) }
 
 // obs is the per-execution decision the Execute stage makes: the
 // execution's sequence number, whether it is monitored, whether the
@@ -356,7 +361,11 @@ func (c *controller[S]) setInterval(n int64) {
 // snapshot and publishes the edited approximation state, all under the
 // lock so restore is atomic with respect to recalibration. The
 // snapshot's interval becomes the configured one, live at once: an open
-// window closes, and later windows return to it.
+// window closes, and later windows return to it. The controller then
+// starts over as a fresh one built with that interval would: its private
+// WindowedPolicy drops the partial window (a user's own policy is left
+// alone) and its breaker closes with that interval's cool-down, since the
+// losses and the open-at count they judged belong to the replaced run.
 func (c *controller[S]) restoreCounters(interval, count, monitored int64, lossSum float64, edit func(*S)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -365,6 +374,10 @@ func (c *controller[S]) restoreCounters(interval, count, monitored int64, lossSu
 	c.state.Store(&next)
 	c.interval, c.windowOpen = interval, false
 	c.setInterval(interval)
+	if w, ok := c.policy.(*WindowedPolicy); ok { // always init's private copy
+		w.n, w.sum = 0, 0
+	}
+	c.brk.reset(ctrlCooldown(interval))
 	c.count.Store(count)
 	c.monitored.Store(monitored)
 	c.lossTotal.Store(math.Float64bits(lossSum))

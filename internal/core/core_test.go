@@ -240,7 +240,9 @@ func TestSharedWindowedPolicyIsPrivate(t *testing.T) {
 // was built with, on every controller kind. A snapshot taken while a
 // window was open holds that interval, not the window's 1, and restoring
 // it onto a controller built with another makes it the interval windows
-// close back to.
+// close back to. Restored onto a live controller one observation into
+// its own window, that window starts over too: it judges no loss from
+// before the restore.
 func TestClosedWindowRestoresSampleInterval(t *testing.T) {
 	const window = 3
 	lm, fm, gm := testLoopModel(t), funcFixture(t, 0.05, 0).cfg.Model, func2Fixture(t, 0.05, 0).cfg.Model
@@ -306,6 +308,15 @@ func TestClosedWindowRestoresSampleInterval(t *testing.T) {
 				runTo(t, fresh, 1, iv, "restored mid-window")
 				runTo(t, fresh, 1+window-1, 1, "restored, its own window open")
 				runTo(t, fresh, 1+window, iv, "restored, after its own window closed")
+
+				live := build(t, kind, int(iv))
+				runTo(t, live, 1, 1, "with a window open")
+				if err := live.RestoreStateJSON(data); err != nil {
+					t.Fatal(err)
+				}
+				runTo(t, live, 1, iv, "restored live mid-window")
+				runTo(t, live, 1+window-1, 1, "restored live, its own window open")
+				runTo(t, live, 1+window, iv, "restored live, after its own window closed")
 			}
 		})
 	}

@@ -131,6 +131,7 @@ func TestFunc2OffsetShiftsSelection(t *testing.T) {
 
 func TestFunc2DisableEnable(t *testing.T) {
 	f := func2Fixture(t, 0.2, 0)
+	before := f.State()
 	f.DisableApprox()
 	if f.ApproxEnabled() {
 		t.Error("still enabled")
@@ -138,9 +139,8 @@ func TestFunc2DisableEnable(t *testing.T) {
 	if got := f.Call(2, 3); got != 6 {
 		t.Errorf("disabled Call = %v", got)
 	}
-	f.EnableApprox()
-	if !f.ApproxEnabled() {
-		t.Error("enable failed")
+	if err := f.Restore(before); err != nil || !f.ApproxEnabled() {
+		t.Errorf("restoring the state from before DisableApprox left it disabled (%v)", err)
 	}
 	if f.Name() != "mul" {
 		t.Error("name wrong")

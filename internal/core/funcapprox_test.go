@@ -39,8 +39,8 @@ func funcFixture(t *testing.T, sla float64, sampleInterval int) *Func {
 type funcCtl interface {
 	Controller
 	Unit
-	EnableApprox()
 	Offset() int
+	State() FuncState
 	Restore(FuncState) error
 	Work() float64
 	WorkReset()
@@ -227,6 +227,7 @@ func disables(t *testing.T, k funcKind) {
 	if !f.ApproxEnabled() || f.call() == f.precise {
 		t.Fatalf("%s: a fresh controller should approximate", k.name)
 	}
+	before := f.State()
 	f.DisableApprox()
 	if f.ApproxEnabled() {
 		t.Errorf("%s: still enabled after DisableApprox", k.name)
@@ -234,9 +235,8 @@ func disables(t *testing.T, k funcKind) {
 	if got := f.call(); got != f.precise {
 		t.Errorf("%s: disabled call = %v, want precise", k.name, got)
 	}
-	f.EnableApprox()
-	if !f.ApproxEnabled() || f.call() == f.precise {
-		t.Errorf("%s: EnableApprox not honored", k.name)
+	if err := f.Restore(before); err != nil || !f.ApproxEnabled() || f.call() == f.precise {
+		t.Errorf("%s: restoring the state from before DisableApprox did not re-enable (%v)", k.name, err)
 	}
 	if !f.IncreaseAccuracy() || f.Offset() != 1 || !f.DecreaseAccuracy() || f.Offset() != 0 {
 		t.Errorf("%s: accuracy steps did not move the offset 0 → 1 → 0 (at %d)", k.name, f.Offset())

@@ -34,8 +34,8 @@ type ladderState struct {
 	disabled bool
 
 	// forceOff is the sticky disable: set by the config's Disabled or
-	// DisableApprox, cleared only by EnableApprox. The disabled flag can
-	// instead be cleared by recalibration pressure.
+	// DisableApprox, cleared only by a Restore whose state has it off.
+	// The disabled flag can instead be cleared by recalibration pressure.
 	forceOff bool
 }
 
@@ -315,17 +315,9 @@ func (l *ladder[A]) IncreaseAccuracy() bool { return l.stepAccuracy(ActIncrease)
 func (l *ladder[A]) DecreaseAccuracy() bool { return l.stepAccuracy(ActDecrease) }
 
 // DisableApprox implements Unit. The disable is sticky — recalibration
-// pressure does not re-enable it; only EnableApprox does.
+// pressure does not re-enable it; only a Restore does.
 func (l *ladder[A]) DisableApprox() {
 	l.mutate(func(st *ladderState) { st.forceOff = true })
-}
-
-// EnableApprox re-enables approximation after DisableApprox.
-func (l *ladder[A]) EnableApprox() {
-	l.mutate(func(st *ladderState) {
-		st.forceOff = false
-		st.disabled = false
-	})
 }
 
 // ApproxEnabled implements Unit.

@@ -102,9 +102,9 @@ type loopState struct {
 	disabled bool
 
 	// forceOff is the sticky disable: set by cfg.Disabled or
-	// DisableApprox, cleared only by EnableApprox. The model-driven
-	// disabled flag (unsatisfiable SLA) can instead be cleared by
-	// recalibration pressure.
+	// DisableApprox, cleared only by a Restore whose state has it off.
+	// The model-driven disabled flag (unsatisfiable SLA) can instead be
+	// cleared by recalibration pressure.
 	forceOff bool
 }
 
@@ -696,18 +696,10 @@ func (l *Loop) Sensitivity() float64 {
 }
 
 // DisableApprox implements Unit: revert to the precise loop. The disable
-// is sticky — recalibration pressure does not re-enable it; only
-// EnableApprox does.
+// is sticky — recalibration pressure does not re-enable it; only a
+// Restore does.
 func (l *Loop) DisableApprox() {
 	l.mutate(func(st *loopState) { st.forceOff = true })
-}
-
-// EnableApprox re-enables approximation after DisableApprox.
-func (l *Loop) EnableApprox() {
-	l.mutate(func(st *loopState) {
-		st.forceOff = false
-		st.disabled = false
-	})
 }
 
 // ApproxEnabled implements Unit.

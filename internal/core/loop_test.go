@@ -349,13 +349,13 @@ func TestLoopUnitInterface(t *testing.T) {
 	if s := l.Sensitivity(); s <= 0 {
 		t.Errorf("Sensitivity = %v, want > 0 for decaying loss curve", s)
 	}
+	before := l.State()
 	l.DisableApprox()
 	if l.ApproxEnabled() {
 		t.Error("DisableApprox did not disable")
 	}
-	l.EnableApprox()
-	if !l.ApproxEnabled() {
-		t.Error("EnableApprox did not enable")
+	if err := l.Restore(before); err != nil || !l.ApproxEnabled() {
+		t.Errorf("restoring the state from before DisableApprox left it disabled (%v)", err)
 	}
 }
 

@@ -448,7 +448,7 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 		iv: pick(&c, 0, 1, 2, 3, 5, 8), step: pick(&c, 3.0, 4, 10), minLevel: pick(&c, 2.0, 4, 6),
 		disabled: c.intn(8) == 0, window: max(0, c.intn(10)-4), calm: c.intn(4) == 0}
 	r := &refRun{t: t, name: name, c: &c, m: newRefModel(t, cfg), mq: &refLog{}, lq: &refLog{}}
-	m, restored := r.m, false
+	m, restored, liveRestored := r.m, false, false
 	r.live = r.build()
 	// A quarter of the schedules start just under 2³² executions, where the
 	// sampling decision leaves the reciprocal for the plain remainder.
@@ -467,20 +467,28 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 		switch op := c.intn(22); {
 		case op < 19:
 			r.exec()
-		case op == 19: // a fresh controller's breaker, Select tally, record and window start over
+		case op == 19: // restored onto the live controller or a fresh one, the window and breaker start over
+			onLive := c.intn(2) == 0
 			data, err := r.live.MarshalState()
-			if fresh := r.build(); err == nil {
-				r.live, err = fresh, fresh.RestoreStateJSON(data)
+			if err == nil && !onLive {
+				r.live = r.build()
+			}
+			if err == nil {
+				err = r.live.RestoreStateJSON(data)
 			}
 			if err != nil {
 				r.fatalf("snapshot→restore: %v", err)
 			}
 			m.set(func() {
-				m.nm, m.windowSum, m.lastSeq, m.lastAct, m.cool = 0, 0, 0, ActNone, m.baseCool()
+				m.nm, m.windowSum, m.cool = 0, 0, m.baseCool()
 				m.iv = int64(cfg.iv) // a snapshot holds the configured interval
-				m.sel, m.brk = SelectorStats{Installed: m.sel.Installed}, BreakerStats{}
+				m.brk.State, m.brk.ConsecutiveFailures = BreakerClosed, 0
+				if !onLive { // and a fresh one's tallies and record too
+					m.lastSeq, m.lastAct = 0, ActNone
+					m.sel, m.brk = SelectorStats{Installed: m.sel.Installed}, BreakerStats{}
+				}
 			})
-			restored = true
+			restored, liveRestored = restored || !onLive, liveRestored || onLive
 		case cfg.kind != kLoop: // a function has no Select stage and no SetLevel
 		case op == 20:
 			var s Selector
@@ -505,7 +513,7 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 			"adaptive": cfg.kind == kLoop && cfg.mode == Adaptive, "windowed": cfg.window > 1,
 			"trip": m.brk.Trips > 0, "probe": m.brk.Trips > 1, // only a probe lets an open breaker trip again
 			"panic": m.brk.ContainedPanics > 0, "hit": m.sel.Hits > 0, "correction": m.sel.Corrections > 0,
-			"restore": restored, "2^32": m.count > 1<<32}
+			"restore": restored, "live-restore": liveRestored, "2^32": m.count > 1<<32}
 	})
 	return r.k, seen
 }
@@ -654,7 +662,7 @@ func TestReferenceModel(t *testing.T) {
 			seen[part] = seen[part] || ok
 		}
 	}
-	for _, part := range strings.Fields("loop func func2 adaptive windowed trip panic probe hit correction restore 2^32") {
+	for _, part := range strings.Fields("loop func func2 adaptive windowed trip panic probe hit correction restore live-restore 2^32") {
 		if !seen[part] {
 			t.Errorf("no schedule exercised %s", part)
 		}

@@ -86,24 +86,21 @@ const maxCooldownFactor = 32
 // traffic keeps asking. The closed-state fast path is a single atomic
 // load; transitions take b.mu.
 type Breaker struct {
-	baseCooldown int64
-
 	state     atomic.Int32
 	failures  atomic.Int64 // consecutive failures
 	contained atomic.Int64 // lifetime failures
 	trips     atomic.Int64
 
-	mu       sync.Mutex
-	cooldown int64 // current cool-down (escalates on failed probes)
-	openedAt int64 // consult sequence at the last open
-	probeAt  int64 // consult sequence of the in-flight probe
+	mu           sync.Mutex
+	baseCooldown int64 // what a closing probe resets cooldown to
+	cooldown     int64 // current cool-down (escalates on failed probes)
+	openedAt     int64 // consult sequence at the last open
+	probeAt      int64 // consult sequence of the in-flight probe
 }
 
 // breakerThreshold is the run of consecutive failures that trips a
 // breaker. breakerCooldown is a standalone breaker's base cool-down in
-// consults; a controller's is four sampling intervals, floored at it so
-// a breaker on an every-execution-monitored controller still backs off
-// meaningfully.
+// consults; a controller's is ctrlCooldown.
 const (
 	breakerThreshold = 3
 	breakerCooldown  = 16
@@ -199,6 +196,17 @@ func (b *Breaker) OnSuccess(probe bool) {
 		b.cooldown = b.baseCooldown
 		b.state.Store(int32(BreakerClosed))
 	}
+}
+
+// reset closes the breaker with a new base cool-down, as a fresh one
+// built with it would start; the lifetime tallies (ContainedPanics,
+// Trips) keep counting.
+func (b *Breaker) reset(cooldown int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.baseCooldown, b.cooldown = cooldown, cooldown
+	b.failures.Store(0)
+	b.state.Store(int32(BreakerClosed))
 }
 
 // Stats snapshots the breaker. ContainedPanics counts every recorded

@@ -209,6 +209,80 @@ func TestBreakerFailedProbeReopensWithEscalatedCooldown(t *testing.T) {
 	}
 }
 
+// TestRestoreResetsBreaker: restoring onto a live controller whose
+// breaker is open closes it with the restored interval's cool-down,
+// max(16, 4·interval), as a fresh controller built with that interval
+// starts; ContainedPanics and Trips keep counting. A count-0 snapshot
+// must not leave the breaker judging its cool-down from the old open-at
+// count, and interval 100 onto a controller built with 1 must back off
+// 400 executions, not 16.
+func TestRestoreResetsBreaker(t *testing.T) {
+	type row struct {
+		Controller
+		exec    func(panics bool)
+		restore func(count, interval int64) error
+	}
+	rows := map[string]func(t *testing.T) row{
+		"Loop": func(t *testing.T) row {
+			l := breakerLoop(t)
+			return row{l, func(panics bool) {
+				drive(t, l, &panicQoS{fakeQoS: fakeQoS{lossValue: 0.04}, panicRecord: panics})
+			}, func(count, interval int64) error {
+				s := l.State()
+				s.Count, s.Interval = count, int(interval)
+				return l.Restore(s)
+			}}
+		},
+	}
+	for _, k := range funcKinds {
+		rows[k.name] = func(t *testing.T) row {
+			f := k.build(t, 0.2, 1)
+			healthy := *f.qos
+			return row{f, func(panics bool) {
+				if *f.qos = healthy; panics {
+					*f.qos = func(p, a float64) float64 { panic("qos comparator exploded") }
+				}
+				f.call()
+			}, func(count, interval int64) error {
+				s := f.State()
+				s.Count, s.Interval = count, interval
+				return f.Restore(s)
+			}}
+		}
+	}
+	for name, build := range rows {
+		t.Run(name, func(t *testing.T) {
+			c := build(t)
+			for i := 0; i < 3; i++ {
+				c.exec(true)
+			}
+			if b := c.Breaker(); b.State != BreakerOpen {
+				t.Fatalf("breaker after 3 panics = %+v", b)
+			}
+			if err := c.restore(0, 100); err != nil {
+				t.Fatal(err)
+			}
+			if b := c.Breaker(); b != (BreakerStats{State: BreakerClosed, ContainedPanics: 3, Trips: 1}) {
+				t.Fatalf("breaker after restore = %+v, want closed with its tallies", b)
+			}
+			for i := 0; i < 300; i++ { // monitored at 100, 200 and 300: open at 300
+				c.exec(true)
+			}
+			if b := c.Breaker(); b.State != BreakerOpen || b.Trips != 2 {
+				t.Fatalf("breaker after 3 more panics = %+v", b)
+			}
+			for i := 1; i < 400; i++ {
+				if c.exec(false); c.Breaker().State != BreakerOpen {
+					t.Fatalf("probe %d executions after the trip, want 400 (4 × interval 100)", i)
+				}
+			}
+			if c.exec(false); c.Breaker().State != BreakerClosed {
+				t.Fatalf("no probe closed the breaker 400 executions after the trip: %+v", c.Breaker())
+			}
+		})
+	}
+}
+
 func TestFuncVersionPanicContained(t *testing.T) { versionPanicContained(t, funcKinds[0]) }
 func TestFunc2ApproxPanicContained(t *testing.T) { versionPanicContained(t, funcKinds[1]) }
 

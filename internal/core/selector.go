@@ -334,18 +334,6 @@ func (s *BucketSelector) Select(f Features, sla float64) (float64, bool) {
 	return s.fallback, true
 }
 
-// PredictLoss returns the corrected loss the input's bucket predicts at a
-// candidate level: 0 at any other level and outside the calibrated
-// domain. For experiments and tests.
-func (s *BucketSelector) PredictLoss(f Features, level float64) float64 {
-	b, fac, ok := s.bucket(f)
-	i, at := s.candidate(level)
-	if !ok || !at {
-		return 0
-	}
-	return fac * s.loss[b][i]
-}
-
 // Correct implements Selector: move the input bucket's correction factor
 // toward the clamped ratio of the observed loss to the bucket's
 // prediction at the chosen candidate. The fallback level carries no

@@ -285,8 +285,8 @@ func TestBuildSelectorErrors(t *testing.T) {
 	if err := cal.AddRunFeat(Features{}, []float64{0.1, 0.01}, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if cal.Runs() != 1 {
-		t.Errorf("global runs = %d, want 1", cal.Runs())
+	if cal.runs != 1 {
+		t.Errorf("global runs = %d, want 1", cal.runs)
 	}
 	if _, err := cal.BuildSelector(); err == nil {
 		t.Error("BuildSelector with no feature-tagged runs accepted")

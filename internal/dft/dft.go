@@ -61,46 +61,3 @@ func Transform(signal []float64, trig Trig) (re, im []float64, err error) {
 // performs for a signal of length n: the work-unit count of the DFT
 // experiments.
 func TrigCalls(n int) int64 { return 2 * int64(n) * int64(n) }
-
-// Magnitudes returns per-bin spectral magnitudes from Transform output.
-func Magnitudes(re, im []float64) ([]float64, error) {
-	if len(re) != len(im) {
-		return nil, errors.New("dft: mismatched spectrum halves")
-	}
-	out := make([]float64, len(re))
-	for i := range re {
-		out[i] = math.Hypot(re[i], im[i])
-	}
-	return out, nil
-}
-
-// InverseCheck reconstructs the signal from a spectrum with the precise
-// kernel and returns the maximum absolute reconstruction error against
-// the original — a correctness probe used by tests.
-func InverseCheck(signal, re, im []float64) (float64, error) {
-	n := len(signal)
-	if len(re) != n || len(im) != n {
-		return 0, errors.New("dft: spectrum length mismatch")
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	w := 2 * math.Pi / float64(n)
-	maxErr := 0.0
-	for t := 0; t < n; t++ {
-		var sum float64
-		j := 0 // k·t mod n, as in Transform
-		for k := 0; k < n; k++ {
-			angle := w * float64(j)
-			sum += re[k]*math.Cos(angle) - im[k]*math.Sin(angle)
-			if j += t; j >= n {
-				j -= n
-			}
-		}
-		sum /= float64(n)
-		if e := math.Abs(sum - signal[t]); e > maxErr {
-			maxErr = e
-		}
-	}
-	return maxErr, nil
-}

@@ -19,7 +19,6 @@
 package energy
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -50,12 +49,6 @@ func (a *Account) Add(class string, n float64) {
 // count.
 func (a *Account) AddOp() { a.ops++ }
 
-// Ops returns the number of completed top-level operations.
-func (a *Account) Ops() float64 { return a.ops }
-
-// Units returns the accumulated units for a class.
-func (a *Account) Units(class string) float64 { return a.units[class] }
-
 // Classes returns the work classes recorded, sorted for deterministic
 // iteration.
 func (a *Account) Classes() []string {
@@ -65,20 +58,6 @@ func (a *Account) Classes() []string {
 	}
 	sort.Strings(cs)
 	return cs
-}
-
-// Merge adds all of b's work into a.
-func (a *Account) Merge(b *Account) {
-	for c, n := range b.units {
-		a.units[c] += n
-	}
-	a.ops += b.ops
-}
-
-// Reset clears the account.
-func (a *Account) Reset() {
-	a.units = make(map[string]float64)
-	a.ops = 0
 }
 
 // String renders the account compactly for logs.
@@ -105,24 +84,6 @@ type CostModel struct {
 	// dynamic energy for each work class.
 	UnitSeconds map[string]float64
 	UnitJoules  map[string]float64
-}
-
-// Validate reports whether the model is usable.
-func (m *CostModel) Validate() error {
-	if m.IdleWatts < 0 || m.FixedSeconds < 0 || m.FixedJoules < 0 {
-		return errors.New("energy: negative cost-model constants")
-	}
-	for c, v := range m.UnitSeconds {
-		if v < 0 {
-			return fmt.Errorf("energy: negative UnitSeconds for %q", c)
-		}
-	}
-	for c, v := range m.UnitJoules {
-		if v < 0 {
-			return fmt.Errorf("energy: negative UnitJoules for %q", c)
-		}
-	}
-	return nil
 }
 
 // Report is the simulated measurement of one run.

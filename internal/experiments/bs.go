@@ -36,8 +36,6 @@ type bsFixture struct {
 // combined approximation lands near the paper's ~28% improvement.
 const (
 	bsBodyTerms   = 150.0
-	bsExpDegrees  = 4 // exp(3)..exp(6)
-	bsLogDegrees  = 3 // log(2)..log(4)
 	bsLocalSLA    = 0.01
 	bsAppSLA      = 0.01
 	bsExpBinWidth = 0.1

@@ -137,17 +137,6 @@ type Result struct {
 	Suppressed []Diagnostic
 }
 
-// Lint runs the named checks (all of them when names is empty)
-// over a loaded package and returns the active findings sorted by
-// position. Suppressed findings are dropped; use LintAll to see them.
-func Lint(pkg *Package, names []string) ([]Diagnostic, error) {
-	res, err := LintAll(pkg, names)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diags, nil
-}
-
 // LintAll runs the named checks over a loaded package, applies the
 // package's suppression directives, and returns both the active and the
 // suppressed findings. An empty names list selects every check; a name

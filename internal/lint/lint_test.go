@@ -105,7 +105,7 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			diags, err := Lint(pkg, tc.names)
+			res, err := LintAll(pkg, tc.names)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestFixtures(t *testing.T) {
 			if tc.names == nil && len(wants) != 1 {
 				t.Errorf("a mutant seeds one violation, %s declares %d", tc.dir, len(wants))
 			}
-			for _, d := range diags {
+			for _, d := range res.Diags {
 				if d.Check != tc.check {
 					t.Errorf("diagnostic from unexpected check: %s", d)
 					continue
@@ -151,11 +151,11 @@ func TestCleanPackages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("loading %s: %v", dir, err)
 		}
-		diags, err := Lint(pkg, nil)
+		res, err := LintAll(pkg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range diags {
+		for _, d := range res.Diags {
 			t.Errorf("%s: unexpected finding: %s", dir, d)
 		}
 	}
@@ -167,7 +167,7 @@ func TestUnknownCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lint(pkg, []string{"nosuchcheck"}); err == nil {
+	if _, err := LintAll(pkg, []string{"nosuchcheck"}); err == nil {
 		t.Fatal("unknown check accepted")
 	}
 }

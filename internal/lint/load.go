@@ -13,7 +13,7 @@ import (
 )
 
 // Package is one parsed and type-checked package directory, ready for
-// Lint.
+// LintAll.
 type Package struct {
 	// Dir is the package directory.
 	Dir string
@@ -51,21 +51,13 @@ func NewLoader() *Loader {
 // Load parses the non-test Go files of one directory and type-checks
 // them. The directory may be anywhere inside the module, including under
 // testdata trees the go tool itself refuses to build. Type errors are
-// fatal; use LoadLenient to lint packages that do not fully type-check.
+// fatal.
 func (l *Loader) Load(dir string) (*Package, error) {
 	pkg, err := l.load(dir, false)
 	if err != nil {
 		return nil, err
 	}
 	return pkg, nil
-}
-
-// LoadLenient is Load, except that type-checking errors do not abort the
-// load: the errors are collected in Package.TypeErrors and the analyzers
-// run over whatever partial type information survives. Parse errors are
-// still fatal — without syntax there is nothing to analyze.
-func (l *Loader) LoadLenient(dir string) (*Package, error) {
-	return l.load(dir, true)
 }
 
 func (l *Loader) load(dir string, lenient bool) (*Package, error) {
@@ -129,23 +121,6 @@ func (l *Loader) check(path string, files []*ast.File, lenient bool) (*types.Pac
 		pkg = types.NewPackage(path, "main")
 	}
 	return pkg, info, typeErrs, nil
-}
-
-// LoadSource parses and leniently type-checks a single in-memory file,
-// the entry point the fuzzer and the CFG tests use. Imports that cannot
-// be resolved become type errors, not failures, so analyzers always get
-// to run; only unparseable source returns an error.
-func (l *Loader) LoadSource(filename string, src []byte) (*Package, error) {
-	f, err := parser.ParseFile(l.fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	pkg := &Package{Dir: ".", Fset: l.fset, Files: []*ast.File{f}}
-	pkg.Types, pkg.Info, pkg.TypeErrors, err = l.check(filename, pkg.Files, true)
-	if err != nil {
-		return nil, err
-	}
-	return pkg, nil
 }
 
 // importPathFor derives a module-relative import path for dir by walking

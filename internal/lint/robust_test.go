@@ -1,10 +1,37 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// LoadLenient is Load, except that type-checking errors do not abort the
+// load: the errors are collected in Package.TypeErrors and the analyzers
+// run over whatever partial type information survives. Parse errors are
+// still fatal — without syntax there is nothing to analyze.
+func (l *Loader) LoadLenient(dir string) (*Package, error) {
+	return l.load(dir, true)
+}
+
+// LoadSource parses and leniently type-checks a single in-memory file,
+// the entry point the fuzzer and the CFG tests use. Imports that cannot
+// be resolved become type errors, not failures, so analyzers always get
+// to run; only unparseable source returns an error.
+func (l *Loader) LoadSource(filename string, src []byte) (*Package, error) {
+	f, err := parser.ParseFile(l.fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	pkg := &Package{Dir: ".", Fset: l.fset, Files: []*ast.File{f}}
+	pkg.Types, pkg.Info, pkg.TypeErrors, err = l.check(filename, pkg.Files, true)
+	if err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
 
 // TestMultiFilePackage runs the suite over a fixture whose handle
 // protocol spans two files; the analyzers see the whole package, so the
@@ -19,12 +46,12 @@ func TestMultiFilePackage(t *testing.T) {
 	if len(pkg.Files) != 2 {
 		t.Fatalf("fixture must span 2 files, got %d", len(pkg.Files))
 	}
-	diags, err := Lint(pkg, []string{"finishpath"})
+	res, err := LintAll(pkg, []string{"finishpath"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wants := parseWants(t, dir)
-	for _, d := range diags {
+	for _, d := range res.Diags {
 		matched := false
 		for _, w := range wants {
 			if !w.matched && w.line == d.Pos.Line && strings.Contains(d.Message, w.substr) {
@@ -97,14 +124,15 @@ func TestLenientMatchesStrictOnCleanPackage(t *testing.T) {
 	if len(lenient.TypeErrors) != 0 {
 		t.Fatalf("clean package produced type errors: %v", lenient.TypeErrors)
 	}
-	sd, err := Lint(strict, nil)
+	sr, err := LintAll(strict, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := Lint(lenient, nil)
+	lr, err := LintAll(lenient, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sd, ld := sr.Diags, lr.Diags
 	if len(sd) != len(ld) {
 		t.Fatalf("strict %d findings, lenient %d", len(sd), len(ld))
 	}

@@ -163,14 +163,3 @@ func (m *FuncModel2D) SelectVersion(x, y, sla float64) int {
 	}
 	return best
 }
-
-// VersionName returns a readable label for an index.
-func (m *FuncModel2D) VersionName(idx int) string {
-	if idx == PreciseVersion {
-		return "precise"
-	}
-	if idx < 0 || idx >= len(m.Versions) {
-		return fmt.Sprintf("invalid(%d)", idx)
-	}
-	return m.Versions[idx].Name
-}

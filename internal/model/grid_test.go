@@ -88,19 +88,19 @@ func TestFuncModel2DSelection(t *testing.T) {
 	m := build2D(t)
 	// Small x: cheap v0 qualifies.
 	if got := m.SelectVersion(1, 1, 0.01); got != 0 {
-		t.Errorf("small-x selection = %s, want v0", m.VersionName(got))
+		t.Errorf("small-x selection = %d, want v0", got)
 	}
 	// Large x: only v1 qualifies.
 	if got := m.SelectVersion(8, 1, 0.01); got != 1 {
-		t.Errorf("large-x selection = %s, want v1", m.VersionName(got))
+		t.Errorf("large-x selection = %d, want v1", got)
 	}
 	// Impossible SLA: precise.
 	if got := m.SelectVersion(1, 1, 1e-9); got != PreciseVersion {
-		t.Errorf("tight-SLA selection = %s, want precise", m.VersionName(got))
+		t.Errorf("tight-SLA selection = %d, want precise", got)
 	}
 	// Outside the grid: precise.
 	if got := m.SelectVersion(100, 1, 0.5); got != PreciseVersion {
-		t.Errorf("outside-grid selection = %s, want precise", m.VersionName(got))
+		t.Errorf("outside-grid selection = %d, want precise", got)
 	}
 }
 
@@ -118,10 +118,10 @@ func TestFuncModel2DEmptyCellsArePrecise(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := m.SelectVersion(1, 1, 0.01); got != 0 {
-		t.Errorf("sampled cell = %s, want v0", m.VersionName(got))
+		t.Errorf("sampled cell = %d, want v0", got)
 	}
 	if got := m.SelectVersion(9, 3, 0.01); got != PreciseVersion {
-		t.Errorf("unsampled cell = %s, want precise", m.VersionName(got))
+		t.Errorf("unsampled cell = %d, want precise", got)
 	}
 }
 
@@ -142,16 +142,6 @@ func TestCalibration2DAddSampleValidation(t *testing.T) {
 	}
 	if _, err := cal.Build(); err != ErrNoData {
 		t.Errorf("build with no in-grid samples err = %v, want ErrNoData", err)
-	}
-}
-
-func TestFuncModel2DVersionName(t *testing.T) {
-	m := build2D(t)
-	if m.VersionName(PreciseVersion) != "precise" || m.VersionName(0) != "v0" {
-		t.Error("names wrong")
-	}
-	if m.VersionName(99) == "v0" {
-		t.Error("invalid index aliased a version")
 	}
 }
 

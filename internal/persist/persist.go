@@ -83,9 +83,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the snapshot file path for name.
 func (s *Store) Path(name string) string {
 	return filepath.Join(s.dir, sanitize(name)+".snapshot.json")

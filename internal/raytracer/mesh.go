@@ -24,9 +24,6 @@ func NewTriangle(a, b, c Vec, mat Material) (Triangle, error) {
 	return Triangle{A: a, B: b, C: c, Mat: mat, normal: n.Norm()}, nil
 }
 
-// Normal returns the unit geometric normal.
-func (t *Triangle) Normal() Vec { return t.normal }
-
 // intersect implements the Möller–Trumbore ray/triangle test, returning
 // the ray parameter and whether a hit in front of the origin occurred.
 func (t *Triangle) intersect(r Ray) (float64, bool) {

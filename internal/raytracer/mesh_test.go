@@ -25,7 +25,7 @@ func TestNewTriangleRejectsDegenerate(t *testing.T) {
 
 func TestTriangleNormal(t *testing.T) {
 	tri := mustTriangle(t, Vec{0, 0, 0}, Vec{1, 0, 0}, Vec{0, 1, 0})
-	if n := tri.Normal(); math.Abs(n.Z-1) > 1e-12 {
+	if n := tri.normal; math.Abs(n.Z-1) > 1e-12 {
 		t.Errorf("normal = %v, want +Z", n)
 	}
 }

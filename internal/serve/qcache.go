@@ -106,15 +106,3 @@ func (c *queryCache) put(rawQ string, v *cachedQuery) {
 	}
 	sh.mu.Unlock()
 }
-
-// len reports the resident entry count (tests).
-func (c *queryCache) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}

@@ -10,6 +10,18 @@ import (
 	"green/internal/wire"
 )
 
+// len reports the resident entry count (tests).
+func (c *queryCache) len() int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 func TestQueryCachePutGet(t *testing.T) {
 	c := newQueryCache(64)
 	if got := c.get("q=alpha"); got != nil {

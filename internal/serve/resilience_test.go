@@ -209,7 +209,7 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 // TestCorruptedMultiControllerSnapshotBoot: a torn (truncated
 // mid-write) or bit-flipped snapshot file must be rejected whole at
 // boot — the match loop restores nothing from it — and the service
-// still comes up cold, serving both retrieval modes.
+// still comes up cold and serves.
 func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 	damage := map[string]func(path string) error{
 		"truncated": func(path string) error { return chaos.TruncateFile(path, 5) },
@@ -223,7 +223,6 @@ func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 			h1 := s1.Handler()
 			for i := 0; i < 20; i++ {
 				get(t, h1, "/search?q=alpha+beta")
-				get(t, h1, "/search?q=alpha+beta&mode=and")
 			}
 			if err := s1.SaveState(); err != nil {
 				t.Fatal(err)
@@ -249,13 +248,10 @@ func TestCorruptedMultiControllerSnapshotBoot(t *testing.T) {
 			if st := decodeStats(t, s2.Handler()); st.Queries != 0 || st.Monitored != 0 {
 				t.Errorf("restored %d queries, %d monitored from a damaged snapshot", st.Queries, st.Monitored)
 			}
-			// And both retrieval modes still serve.
+			// And it still serves.
 			h2 := s2.Handler()
 			if rec := get(t, h2, "/search?q=alpha+beta"); rec.Code != http.StatusOK {
-				t.Errorf("disjunctive search after %s restore = %d", name, rec.Code)
-			}
-			if rec := get(t, h2, "/search?q=alpha+beta&mode=and"); rec.Code != http.StatusOK {
-				t.Errorf("conjunctive search after %s restore = %d", name, rec.Code)
+				t.Errorf("search after %s restore = %d", name, rec.Code)
 			}
 			// The damaged bundle must not poison the next save: a fresh
 			// snapshot cycle restores cleanly again.

@@ -59,22 +59,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	mode, _ := wire.RawParam(r.URL.RawQuery, wire.ParamMode)
 	scores, _ := wire.RawParam(r.URL.RawQuery, wire.ParamScores)
-	switch mode {
-	case "", wire.ModeOr:
-	case wire.ModeAnd:
-		// Strict conjunctive queries bypass approximation: conjunctive
-		// match sets are short enough to serve precisely.
-		docs, n := s.engine.SearchAnd(search.Query{Terms: cq.terms}, wire.PageSize)
-		s.queries.Add(1)
-		s.docsScored.Add(int64(n))
-		wire.WriteJSON(w, &wire.SearchReply{Query: cq.echo, Docs: docs, DocsScored: n})
-		return
-	default:
-		http.Error(w, "mode must be 'or' or 'and'", http.StatusBadRequest)
-		return
-	}
 	sc := scratchPool.Get().(*serveScratch)
 	sc.wantScores = scores == "1"
 	var deadline time.Time // zero: no deadline

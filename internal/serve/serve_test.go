@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -108,60 +107,6 @@ func TestSearchRequiresQuery(t *testing.T) {
 	}
 }
 
-// TestSearchAndMode: a mode=and request is served precisely, outside
-// the match loop — its page is exactly Engine.SearchAnd's and no
-// statistic of the match loop moves — and a bad mode is a 400.
-func TestSearchAndMode(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-	type stats struct {
-		execs, monitored int64
-		loss             float64
-	}
-	snapshot := func() stats {
-		e, mon, l := s.Loop().Stats()
-		return stats{e, mon, l}
-	}
-	for i := 0; i < 60; i++ { // past SampleInterval, so a monitored request would show
-		get(t, h, "/search?q=alpha+beta")
-	}
-	before := snapshot()
-	var andResp wire.SearchReply
-	for i := 0; i < 60; i++ {
-		rec := get(t, h, "/search?q=alpha+beta&mode=and")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d: %s", rec.Code, rec.Body)
-		}
-		andResp = wire.SearchReply{}
-		if err := json.Unmarshal(rec.Body.Bytes(), &andResp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := snapshot(); !reflect.DeepEqual(after, before) {
-		t.Errorf("mode=and moved the controllers: %v, before %v", after, before)
-	}
-	want, n := s.Engine().SearchAnd(search.Query{Terms: s.termsOf("alpha beta")}, wire.PageSize)
-	if len(want) == 0 {
-		t.Fatal("alpha AND beta matches nothing: the page comparison tells nothing")
-	}
-	if !slices.Equal(andResp.Docs, want) || andResp.DocsScored != n {
-		t.Errorf("mode=and served %v (%d scored), SearchAnd gives %v (%d)", andResp.Docs, andResp.DocsScored, want, n)
-	}
-	if andResp.Approximated || andResp.MonitoredScan {
-		t.Errorf("mode=and approximated=%v monitored=%v, want neither", andResp.Approximated, andResp.MonitoredScan)
-	}
-	var orResp wire.SearchReply
-	if err := json.Unmarshal(get(t, h, "/search?q=alpha+beta&mode=or").Body.Bytes(), &orResp); err != nil {
-		t.Fatal(err)
-	}
-	if andResp.DocsScored > orResp.DocsScored {
-		t.Errorf("AND scored %d > OR %d", andResp.DocsScored, orResp.DocsScored)
-	}
-	if rec := get(t, h, "/search?q=x&mode=bogus"); rec.Code != http.StatusBadRequest {
-		t.Errorf("bogus mode status = %d", rec.Code)
-	}
-}
-
 // TestEngineImmutable: New shares the live engine of its corpus with
 // every other holder (search.NewEngine returns one engine per Config),
 // so neither calibration nor serving may write into it. Its whole memory
@@ -193,10 +138,7 @@ func TestEngineImmutable(t *testing.T) {
 	h := s.Handler()
 	for i := 0; i < 300; i++ {
 		q := fmt.Sprintf("/search?q=w%d+v%d", i, i%17)
-		switch i % 4 {
-		case 1:
-			q += "&mode=and"
-		case 2:
+		if i%4 == 2 {
 			q += "&scores=1"
 		}
 		if rec := get(t, h, q); rec.Code != http.StatusOK {

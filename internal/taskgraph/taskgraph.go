@@ -45,52 +45,6 @@ func (g *Graph) TotalWeight() float64 {
 	return sum
 }
 
-// CCR returns the graph's measured communication-to-computation ratio:
-// mean edge cost over mean node weight.
-func (g *Graph) CCR() float64 {
-	edges, commSum := 0, 0.0
-	for _, es := range g.Succs {
-		for _, e := range es {
-			commSum += e.Cost
-			edges++
-		}
-	}
-	if edges == 0 || len(g.Weights) == 0 {
-		return 0
-	}
-	meanComm := commSum / float64(edges)
-	meanComp := g.TotalWeight() / float64(len(g.Weights))
-	if meanComp == 0 {
-		return 0
-	}
-	return meanComm / meanComp
-}
-
-// Validate checks structural invariants: forward-only edges, in-range
-// indices, positive weights.
-func (g *Graph) Validate() error {
-	n := g.N()
-	if len(g.Succs) != n || len(g.Preds) != n {
-		return errors.New("taskgraph: adjacency size mismatch")
-	}
-	for i, w := range g.Weights {
-		if w <= 0 {
-			return fmt.Errorf("taskgraph: non-positive weight at %d", i)
-		}
-	}
-	for u, es := range g.Succs {
-		for _, e := range es {
-			if e.To <= u || e.To >= n {
-				return fmt.Errorf("taskgraph: edge %d->%d not forward", u, e.To)
-			}
-			if e.Cost < 0 {
-				return fmt.Errorf("taskgraph: negative edge cost %d->%d", u, e.To)
-			}
-		}
-	}
-	return nil
-}
-
 // Random generates a layered random DAG with n tasks and approximately
 // the requested CCR. Node weights are uniform in [1, 10); each node gets
 // edges to a few nodes in later layers with communication costs scaled so

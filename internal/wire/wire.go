@@ -47,11 +47,7 @@ const (
 // escapes, which is what lets RawParam match them literally.
 const (
 	ParamQuery  = "q"      // the query words, percent-escaped
-	ParamMode   = "mode"   // ModeOr (default) or ModeAnd
 	ParamScores = "scores" // "1": include exact scores (the coordinator's merge needs them)
-
-	ModeOr  = "or"
-	ModeAnd = "and"
 )
 
 // RawParam extracts the raw (still percent-escaped) value of key from an

@@ -216,7 +216,7 @@ func FuzzSearchReply(f *testing.F) {
 		// parameter at all to RawParam, by contract; compare only where
 		// every key is spelled literally.
 		literal := !strings.ContainsAny(keysOf(query), "%+")
-		for _, key := range []string{ParamQuery, ParamMode, ParamScores} {
+		for _, key := range []string{ParamQuery, "mode", ParamScores} {
 			raw, ok := RawParam(query, key)
 			if !literal {
 				continue

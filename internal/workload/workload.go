@@ -37,11 +37,6 @@ func UniformFloats(seed int64, n int, lo, hi float64) []float64 {
 	return xs
 }
 
-// Perm returns a deterministic random permutation of [0, n).
-func Perm(seed int64, n int) []int {
-	return NewRand(seed).Perm(n)
-}
-
 // Option is one European option for the blackscholes workload.
 type Option struct {
 	Spot     float64 // current underlying price

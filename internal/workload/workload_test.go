@@ -81,23 +81,6 @@ func TestUniformFloats(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	p := Perm(11, 50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-	q := Perm(11, 50)
-	for i := range p {
-		if p[i] != q[i] {
-			t.Fatal("Perm not deterministic")
-		}
-	}
-}
-
 func TestOptionsRealistic(t *testing.T) {
 	opts := Options(13, 5000)
 	if len(opts) != 5000 {

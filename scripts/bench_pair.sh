@@ -7,7 +7,10 @@
 # metric, both sides' median and quartiles, how many pairs the change
 # won, the median of the per-pair ratios change/parent, and the metric's
 # bound from BENCHMARK.json, marked OUT where the change's median is
-# worse than the parent's by more than bound × the parent's median.
+# worse than the parent's by more than bound × the parent's median, and
+# UNRESOLVED where the parent's own q1..q3 spread is wider than bound ×
+# its median (the runs cannot tell a change that size from noise),
+# unless every change run beats every parent run.
 #
 # Usage:
 #
@@ -109,8 +112,10 @@ END {
 		sorted(r, k, rs); sorted(p, k, ps); sorted(c, k, cs)
 		pm = quantile(ps, k, 0.5); worse = quantile(cs, k, 0.5) - pm
 		if (better[name] == "higher") worse = -worse
+		allBeat = better[name] == "higher" ? cs[1] > ps[k] : cs[k] < ps[1]
 		verdict = ""
-		if (name in bound) verdict = sprintf("%g%s", bound[name], worse > bound[name] * (pm < 0 ? -pm : pm) ? " OUT" : "")
+		if (name in bound) verdict = sprintf("%g%s%s", bound[name], worse > bound[name] * (pm < 0 ? -pm : pm) ? " OUT" : "",
+			quantile(ps, k, 0.75) - quantile(ps, k, 0.25) > bound[name] * (pm < 0 ? -pm : pm) && !allBeat ? " UNRESOLVED" : "")
 		printf "%-18s %-6s %-40s %-40s %2d/%-3d x%-6.3f %s\n", name, better[name], summary(p, k), summary(c, k), wins, k, quantile(rs, k, 0.5), verdict
 	}
 }' BENCHMARK.json "$work/rows"
