@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -278,9 +277,11 @@ func runSplit(t *testing.T, bin string, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestQuickstartVerdict runs README's first example and holds its last
-// line to the true loss and the SLA it printed: "verdict: met" when the
-// loss is within the SLA, else "verdict: missed ×k" with k their ratio.
+// TestQuickstartVerdict runs README's first example and requires its
+// last line to read "verdict: met", held to the true loss and the SLA it
+// printed: under the derived-step law M is lowered only where the
+// corrected model keeps the lower level inside the SLA, so the run ends
+// inside it.
 func TestQuickstartVerdict(t *testing.T) {
 	out, code := run(t, "quickstart")
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -302,19 +303,8 @@ func TestQuickstartVerdict(t *testing.T) {
 		t.Fatalf("%q: %v", prev, err)
 	}
 	// The printed loss has three significant digits: a ratio within
-	// their rounding of 1 may read either way.
-	ratio := loss / sla
-	var k float64
-	switch _, err := fmt.Sscanf(last, "verdict: missed ×%g", &k); {
-	case last == "verdict: met":
-		if ratio > 1.005 {
-			t.Errorf("%q with true loss %g against SLA %g", last, loss, sla)
-		}
-	case err == nil:
-		if ratio < 0.995 || math.Abs(k-ratio) > 0.01 {
-			t.Errorf("%q with true loss %g against SLA %g (×%.3f)", last, loss, sla, ratio)
-		}
-	default:
-		t.Errorf("last line %q is no verdict", last)
+	// their rounding of 1 still reads met.
+	if ratio := loss / sla; last != "verdict: met" || ratio > 1.005 {
+		t.Errorf("%q with true loss %g against SLA %g (×%.3f), want verdict: met", last, loss, sla, ratio)
 	}
 }

@@ -101,10 +101,10 @@ type controller[S any] struct {
 	lossTotal atomic.Uint64
 	brk       *Breaker
 
-	// lastRecalSeq/lastRecalAct record the most recent Correct-stage
-	// policy decision that moved the controller (sequence number of the
-	// monitored execution and the action taken), so operators can see
-	// when and how each controller last recalibrated.
+	// lastRecalSeq/lastRecalAct record the most recent Correct stage
+	// (sequence number of the monitored execution and the action
+	// applied), so operators can see when and how each controller last
+	// recalibrated.
 	lastRecalSeq atomic.Int64
 	lastRecalAct atomic.Int32
 
@@ -121,8 +121,8 @@ type controller[S any] struct {
 // monitoring is disabled).
 func (c *controller[S]) SampleInterval() int64 { return c.rate.Load().iv }
 
-// LastRecalibration reports the sequence number and action of the most
-// recent Correct-stage policy decision that moved the controller
+// LastRecalibration reports the sequence number of the most recent
+// monitored observation and the action the Correct stage applied for it
 // (ActNone and zero before any recalibration has acted).
 func (c *controller[S]) LastRecalibration() (seq int64, act Action) {
 	return c.lastRecalSeq.Load(), Action(c.lastRecalAct.Load())
@@ -287,16 +287,17 @@ func (c *controller[S]) reconcileBatch(n, ran int) {
 // the breaker.
 //
 // Observe: update the counters, accumulate the loss, and feed the
-// recalibration policy. Correct: apply the policy's decision
-// copy-on-write (apply translates the action into snapshot changes and
-// returns the post-action approximation level for the event; for
-// ActNone it must only read the level, so the common no-change
-// observation publishes — and allocates — nothing), record the
-// recalibration metadata, and hand the loss to correct (nil for none:
-// Loop's Select-stage repair, selector.go). The event fires outside the
-// lock, after both. Returns the action taken (ActNone for failed
-// observations).
-func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, apply func(*S, Action) float64, correct func(loss float64)) Action {
+// recalibration policy. Correct: hand the policy's decision to apply
+// with the live snapshot and the loss the policy judged (the window
+// mean of a WindowedPolicy, else the observation); apply returns the
+// snapshot after it, the action it applied (ActNone when the law
+// declines the decision) and the level for the event, and only an
+// applied action is published — so the common no-change observation
+// allocates nothing. Then record the recalibration metadata, and hand
+// the loss to correct (nil for none: Loop's Select-stage repair,
+// selector.go). The event fires outside the lock, after both. Returns
+// the action applied (ActNone for failed observations).
+func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, apply func(cur *S, a Action, judged float64) (S, Action, float64), correct func(loss float64)) Action {
 	if panicked {
 		c.brk.OnFailure(o.seq, o.probe)
 		return ActNone
@@ -314,16 +315,18 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 		c.setInterval(c.interval)
 	}
 	c.windowOpen = d.Monitor
-	var level float64
-	if d.Action == ActNone {
-		level = apply(c.state.Load(), ActNone)
-	} else {
-		next := *c.state.Load()
-		level = apply(&next, d.Action)
-		c.state.Store(&next)
+	judged := loss
+	if w, ok := c.policy.(*WindowedPolicy); ok {
+		judged = w.judged
+	}
+	next, act, level := apply(c.state.Load(), d.Action, judged)
+	if act != ActNone {
+		p := new(S)
+		*p = next
+		c.state.Store(p)
 	}
 	c.lastRecalSeq.Store(o.seq)
-	c.lastRecalAct.Store(int32(d.Action))
+	c.lastRecalAct.Store(int32(act))
 	c.mu.Unlock()
 
 	if correct != nil {
@@ -333,10 +336,10 @@ func (c *controller[S]) stageObserveCorrect(o obs, loss float64, panicked bool, 
 	if c.onEvent != nil {
 		c.onEvent(Event{
 			Unit: c.name, Loss: loss, SLA: c.sla,
-			Action: d.Action, Level: level,
+			Action: act, Level: level,
 		})
 	}
-	return d.Action
+	return act
 }
 
 // mutate rebuilds the published snapshot under the lock (copy-on-write).

@@ -66,7 +66,9 @@ type Event struct {
 	Loss float64
 	// SLA is the configured target.
 	SLA float64
-	// Action is the recalibration decision that was applied.
+	// Action is the recalibration action applied: ActNone when the
+	// policy asked for none or a loop's derived-step law declined its
+	// decrease.
 	Action Action
 	// Level is the approximation knob after the action: the loop
 	// threshold M, or the precision offset for functions.
@@ -134,8 +136,9 @@ type WindowedPolicy struct {
 	// loss one decision judges (100 in the paper's Figure 9).
 	Window int
 
-	n   int
-	sum float64
+	n      int
+	sum    float64
+	judged float64 // the mean the last closed window judged
 }
 
 // Observe implements RecalibratePolicy.
@@ -145,7 +148,7 @@ func (p *WindowedPolicy) Observe(loss, sla float64) Decision {
 	if p.n < p.Window {
 		return Decision{Monitor: true}
 	}
-	mean := p.sum / float64(p.n)
+	p.judged = p.sum / float64(p.n)
 	p.n, p.sum = 0, 0
-	return Decision{Action: band(mean, sla)}
+	return Decision{Action: band(p.judged, sla)}
 }

@@ -280,8 +280,10 @@ func (l *ladder[A]) WorkReset() { l.workMilli.Store(0) }
 // applyAction shifts the precision offset for a recalibration action,
 // clamped to ±n, clears the model-driven disable (recalibration pressure
 // can re-enable a site the model had given up on), and returns the
-// resulting level.
-func (l *ladder[A]) applyAction(st *ladderState, a Action) float64 {
+// resulting snapshot, the action and the level. The ladder applies every
+// action; the judged loss is Loop's.
+func (l *ladder[A]) applyAction(cur *ladderState, a Action, _ float64) (ladderState, Action, float64) {
+	st := *cur
 	switch a {
 	case ActIncrease:
 		if st.offset < l.n {
@@ -294,7 +296,7 @@ func (l *ladder[A]) applyAction(st *ladderState, a Action) float64 {
 		}
 		st.disabled = false
 	}
-	return float64(st.offset)
+	return st, a, float64(st.offset)
 }
 
 // stepAccuracy applies one accuracy action outside the monitored path
@@ -302,7 +304,7 @@ func (l *ladder[A]) applyAction(st *ladderState, a Action) float64 {
 func (l *ladder[A]) stepAccuracy(a Action) (changed bool) {
 	l.mutate(func(st *ladderState) {
 		before := st.offset
-		l.applyAction(st, a)
+		*st, _, _ = l.applyAction(st, a, 0)
 		changed = st.offset != before
 	})
 	return changed

@@ -76,9 +76,13 @@ type LoopConfig struct {
 	// Policy is the recalibration policy; nil selects Figure 3, a
 	// WindowedPolicy with a window of one.
 	Policy RecalibratePolicy
-	// Step is the accuracy-adjustment step for increase/decrease accuracy
-	// on the iteration threshold M. Zero derives it from the model's
-	// calibration knot spacing.
+	// Step is the accuracy-adjustment step on the iteration threshold M.
+	// An explicit Step is the paper's fixed, unguarded step in both
+	// directions (Figure 14's 0.1N). Zero derives it from the model's
+	// first knot gap and selects the drift law: an increase raises M by
+	// max(step, M/5), and a decrease lowers it by one step only where the
+	// model, corrected by the judged loss, keeps the lower level inside
+	// the SLA (Loop.applyAction).
 	Step float64
 	// MinLevel is the floor below which decrease_accuracy will not push
 	// M. Zero uses the model's smallest calibrated level.
@@ -636,37 +640,60 @@ func (e *LoopExec) Finish(finalIter int) Result {
 	return res
 }
 
-// applyAction adjusts the snapshot's approximation level for a
-// recalibration action and returns the resulting level. Static mode moves
-// the threshold M by one step (as in Figure 14, where M grows by 0.1N per
-// adjustment); adaptive mode halves or doubles TargetDelta (requiring
+// raiseShare is f of the derived-step law: an increase raises M by at
+// least this share of M, so a drift that needs M a fifth higher is met
+// in one decision instead of one knot gap per window.
+const raiseShare = 0.2
+
+// applyAction adjusts the approximation level for a recalibration
+// action and returns the resulting snapshot, the action applied and the
+// level. An explicit Step is the paper's law: M moves by one step either
+// way (Figure 14's 0.1N). A derived step raises M by max(step,
+// raiseShare·M) and lowers it by one step only where the model, scaled
+// by how far the judged loss sits from its prediction at M, keeps the
+// lower level inside the SLA; a declined decrease is ActNone and changes
+// nothing. Adaptive mode also halves or doubles TargetDelta (requiring
 // more or less improvement to continue).
-func (l *Loop) applyAction(st *loopState, a Action) float64 {
+func (l *Loop) applyAction(cur *loopState, a Action, judged float64) (loopState, Action, float64) {
+	st := *cur
 	switch a {
 	case ActIncrease:
 		if l.cfg.Mode == Adaptive && st.adaptive.Period > 0 {
 			st.adaptive.TargetDelta /= 2
 		}
-		st.level = math.Min(st.level+l.step, l.cfg.Model.BaseLevel)
+		raise := l.step
+		if l.cfg.Step == 0 {
+			raise = math.Max(l.step, raiseShare*st.level)
+		}
+		st.level = math.Min(st.level+raise, l.cfg.Model.BaseLevel)
 		st.disabled = false
 	case ActDecrease:
+		lower := math.Max(st.level-l.step, l.minLevel)
+		if l.cfg.Step == 0 {
+			ratio, _ := model.CorrectionRatio(judged, l.cfg.Model.PredictLoss(st.level))
+			if ratio*l.cfg.Model.PredictLoss(lower) > l.sla {
+				return st, ActNone, st.level
+			}
+		}
 		if l.cfg.Mode == Adaptive && st.adaptive.Period > 0 {
 			st.adaptive.TargetDelta *= 2
 		}
-		st.level = math.Max(st.level-l.step, l.minLevel)
+		st.level = lower
 		st.disabled = false
 	}
-	return st.level
+	return st, a, st.level
 }
 
 // The Unit interface (global coordination, app.go).
 
 // stepAccuracy applies one accuracy action outside the monitored path and
-// reports whether the level moved.
+// reports whether the level moved. With no observation of its own, the
+// derived law's decrease reads the model uncorrected.
 func (l *Loop) stepAccuracy(a Action) (changed bool) {
 	l.mutate(func(st *loopState) {
 		before := st.level
-		changed = l.applyAction(st, a) != before
+		*st, _, _ = l.applyAction(st, a, l.cfg.Model.PredictLoss(st.level))
+		changed = st.level != before
 	})
 	return changed
 }

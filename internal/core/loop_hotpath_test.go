@@ -313,6 +313,12 @@ type holdPolicy struct{}
 
 func (holdPolicy) Observe(float64, float64) Decision { return Decision{} }
 
+// fixedLoss is a LoopQoS whose every loss is its value.
+type fixedLoss float64
+
+func (fixedLoss) Record(int)         {}
+func (q fixedLoss) Loss(int) float64 { return float64(q) }
+
 // openPolicy never moves the level and keeps a window open for good, so
 // the controller restates interval 1 on every observation.
 type openPolicy struct{}
@@ -323,7 +329,9 @@ func (openPolicy) Observe(float64, float64) Decision { return Decision{Monitor: 
 // the rows). A monitored observation inside a window, which restates
 // the live Sample_QoS of 1, must publish nothing: the interval travels
 // with its reciprocal behind a pointer, and a store per observation
-// would be a heap object per observation. The single-call function tier has no
+// would be a heap object per observation. Nor may a decrease the
+// derived law declines: it changes nothing, so it publishes nothing.
+// The single-call function tier has no
 // pooled handle and must not grow a per-call object either.
 func TestHotPathAllocationGates(t *testing.T) {
 	gate := func(name string, op func()) {
@@ -349,6 +357,22 @@ func TestHotPathAllocationGates(t *testing.T) {
 		}
 		if res := e.Finish(i); !res.Monitored {
 			t.Fatalf("execution not monitored: %+v", res)
+		}
+	})
+	d, err := NewLoop(LoopConfig{Name: "d", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate("loop-monitored-decrease-declined", func() {
+		e, err := d.Begin(fixedLoss(0.04)) // 0.8 × 0.10 at M − step > SLA
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for ; i < 3200 && e.Continue(i); i++ {
+		}
+		if res := e.Finish(i); !res.Monitored || res.Recalibrated != ActNone {
+			t.Fatalf("want a monitored execution whose decrease is declined: %+v", res)
 		}
 	})
 	f := funcFixture(t, 0.2, 0)

@@ -127,44 +127,106 @@ func TestStaticLoopTerminatesAtM(t *testing.T) {
 	}
 }
 
+// TestMonitoredExecutionRunsFullAndMeasures runs one monitored execution
+// per case on a derived step (the first knot gap, 100) and checks the
+// measurement and the drift law's Correct stage: a decrease is taken only
+// where the model, scaled by observed/predicted at M, keeps the lower
+// level inside the SLA, and an increase moves by max(step, 0.2·M).
 func TestMonitoredExecutionRunsFullAndMeasures(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		sla, loss float64
+		from      float64 // the level the SLA selects
+		act       Action
+		to        float64
+	}{
+		// 0.04 < 0.9·0.05 asks for a decrease; the model reads 0.05 at
+		// 200, so the ratio is 0.8, and 0.8 × 0.10 at 100 exceeds 0.05.
+		{"decrease-declined", 0.05, 0.04, 200, ActNone, 200},
+		// 0.01/0.05 clamps to ¼, and ¼ × 0.10 at 100 is inside 0.05.
+		{"decrease-allowed", 0.05, 0.01, 200, ActDecrease, 100},
+		// 0.2 × 800 = 160 is wider than the knot gap.
+		{"increase-share", 0.01, 0.5, 800, ActIncrease, 960},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l, err := NewLoop(LoopConfig{
+				Name: "l", Model: testLoopModel(t), SLA: c.sla, SampleInterval: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Level(); math.Abs(got-c.from) > 1e-9 {
+				t.Fatalf("initial level = %v, want %v", got, c.from)
+			}
+			q := &fakeQoS{lossValue: c.loss}
+			e, err := l.Begin(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, iters := runLoop(t, e, 3200)
+			if iters != 3200 {
+				t.Fatalf("monitored run stopped at %d, want full 3200", iters)
+			}
+			if !res.Monitored {
+				t.Fatal("run not marked monitored")
+			}
+			if res.Approximated {
+				t.Error("monitored run must not be marked approximated")
+			}
+			if len(q.recordedAt) != 1 || float64(q.recordedAt[0]) != c.from {
+				t.Errorf("Record calls = %v, want [%v]", q.recordedAt, c.from)
+			}
+			if len(q.lossAt) != 1 || q.lossAt[0] != 3200 {
+				t.Errorf("Loss calls = %v, want [3200]", q.lossAt)
+			}
+			if res.Loss != c.loss {
+				t.Errorf("Loss = %v, want %v", res.Loss, c.loss)
+			}
+			if res.Recalibrated != c.act {
+				t.Errorf("action = %v, want %v", res.Recalibrated, c.act)
+			}
+			if got := l.Level(); math.Abs(got-c.to) > 1e-9 {
+				t.Errorf("level after the action = %v, want %v", got, c.to)
+			}
+		})
+	}
+}
+
+// TestDeclinedDecreaseReportsNone holds every report of the Correct
+// stage — Result.Recalibrated, Event.Action and LastRecalibration — to
+// the action applied: a decrease the derived law declines is none, and
+// leaves the published snapshot as it was. A window of 3 checks that
+// the law judges the window mean: the last loss, 0, would clamp the
+// ratio to ¼ and allow the decrease; the mean, 0.04, declines it.
+func TestDeclinedDecreaseReportsNone(t *testing.T) {
+	var events []Event
 	l, err := NewLoop(LoopConfig{
 		Name: "l", Model: testLoopModel(t), SLA: 0.05, SampleInterval: 1,
+		Policy: &WindowedPolicy{Window: 3}, OnEvent: func(e Event) { events = append(events, e) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := &fakeQoS{lossValue: 0.04}
-	e, err := l.Begin(q)
-	if err != nil {
-		t.Fatal(err)
+	before := l.state.Load()
+	var res Result
+	for _, loss := range []float64{0.12, 0, 0} { // mean 0.04 < 0.045: a decrease is asked
+		e, err := l.Begin(&fakeQoS{lossValue: loss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ = runLoop(t, e, 3200)
 	}
-	res, iters := runLoop(t, e, 3200)
-	if iters != 3200 {
-		t.Fatalf("monitored run stopped at %d, want full 3200", iters)
+	if res.Recalibrated != ActNone {
+		t.Errorf("Result.Recalibrated = %v, want none", res.Recalibrated)
 	}
-	if !res.Monitored {
-		t.Fatal("run not marked monitored")
+	if len(events) != 3 || events[2].Action != ActNone || events[2].Level != 200 {
+		t.Errorf("events = %+v, want the third at none, level 200", events)
 	}
-	if res.Approximated {
-		t.Error("monitored run must not be marked approximated")
+	if seq, act := l.LastRecalibration(); seq != 3 || act != ActNone {
+		t.Errorf("LastRecalibration = (%d, %v), want (3, none)", seq, act)
 	}
-	if len(q.recordedAt) != 1 || q.recordedAt[0] != 200 {
-		t.Errorf("Record calls = %v, want [200]", q.recordedAt)
-	}
-	if len(q.lossAt) != 1 || q.lossAt[0] != 3200 {
-		t.Errorf("Loss calls = %v, want [3200]", q.lossAt)
-	}
-	if res.Loss != 0.04 {
-		t.Errorf("Loss = %v, want 0.04", res.Loss)
-	}
-	// Loss 0.04 is within [0.045, 0.05)? No: 0.04 < 0.9*0.05=0.045 so
-	// decrease accuracy: level drops by one step (100).
-	if res.Recalibrated != ActDecrease {
-		t.Errorf("action = %v, want decrease", res.Recalibrated)
-	}
-	if got := l.Level(); math.Abs(got-100) > 1e-9 {
-		t.Errorf("level after decrease = %v, want 100", got)
+	if l.state.Load() != before {
+		t.Error("a declined decrease published a snapshot")
 	}
 }
 

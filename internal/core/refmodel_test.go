@@ -46,6 +46,7 @@ type refModel struct {
 	windowSum          float64 // their losses' sum
 	disabled, forceOff bool
 	lossSum            float64
+	raised, blocked    bool // a derived step raised M by M/5; it declined a decrease
 	refView
 }
 
@@ -155,8 +156,7 @@ func (m *refModel) observe(seq int64, loss float64, panicked, probe bool, sd sel
 	}
 	m.monitored++
 	m.lossSum += loss
-	act := m.recalibrate(loss)
-	m.apply(act)
+	act := m.apply(m.recalibrate(loss))
 	m.lastSeq, m.lastAct = seq, act
 	if sd.selected && m.sel.Installed && m.selector().Correct(sd.feat, sd.level, loss) {
 		m.sel.Corrections++
@@ -167,12 +167,13 @@ func (m *refModel) observe(seq int64, loss float64, panicked, probe bool, sd sel
 // recalibrate is QoS_ReCalibrate: Fig 9's window, which monitors every
 // execution until Window observations are in and then applies Fig 3's
 // rule to their mean loss, back at the configured Sample_QoS. A window
-// of one is Fig 3 itself and leaves the interval alone.
-func (m *refModel) recalibrate(loss float64) Action {
+// of one is Fig 3 itself and leaves the interval alone. It returns the
+// action and the loss it judged.
+func (m *refModel) recalibrate(loss float64) (Action, float64) {
 	m.nm, m.windowSum = m.nm+1, m.windowSum+loss
 	if m.nm < m.c.window {
 		m.iv = 1
-		return ActNone
+		return ActNone, loss
 	}
 	if m.nm > 1 {
 		m.iv = int64(m.c.iv)
@@ -181,32 +182,54 @@ func (m *refModel) recalibrate(loss float64) Action {
 	m.nm, m.windowSum = 0, 0
 	switch {
 	case loss > m.c.sla:
-		return ActIncrease
+		return ActIncrease, loss
 	case loss < 0.9*m.c.sla:
-		return ActDecrease
+		return ActDecrease, loss
 	}
-	return ActNone
+	return ActNone, loss
 }
 
-// apply moves the knob one step and re-enables a model-disabled
-// controller: M by Step within [MinLevel, BaseLevel] with the adaptive
-// TargetDelta halved or doubled (a static loop's is 0), or the ladder
-// offset within ±2 versions.
-func (m *refModel) apply(a Action) {
+// apply moves the knob and re-enables a model-disabled controller, and
+// returns the action it applied: the ladder offset one version within
+// ±2; M within [MinLevel, BaseLevel] with the adaptive TargetDelta
+// halved or doubled (a static loop's is 0). An explicit Step moves M by
+// Step either way. A zero Step is the first knot gap, raises M by
+// max(gap, M/5), and lowers it by the gap only if the model's loss
+// there, times the judged loss over the model's at M (clamped to
+// [1/4, 4]; 1 where the model's is at most 1e-9), is within the SLA —
+// else nothing moves and the action is none.
+func (m *refModel) apply(a Action, judged float64) Action {
 	if a == ActNone {
-		return
+		return a
 	}
-	up := a == ActIncrease
+	up, step, pts := a == ActIncrease, m.c.step, m.lm.Points
+	if step == 0 {
+		step = pts[1].Level - pts[0].Level
+	}
+	raise, lower := step, math.Max(m.level-step, m.c.minLevel)
+	if m.c.step == 0 && m.c.kind == kLoop {
+		ratio := 1.0
+		if p := m.lm.PredictLoss(m.level); p > 1e-9 {
+			ratio = min(max(judged/p, 0.25), 4)
+		}
+		if !up && ratio*m.lm.PredictLoss(lower) > m.c.sla {
+			m.blocked = true
+			return ActNone
+		}
+		raise = math.Max(step, 0.2*m.level)
+		m.raised = m.raised || up && raise > step
+	}
 	switch m.disabled = false; {
 	case m.c.kind != kLoop && up:
 		m.offset = min(2, m.offset+1)
 	case m.c.kind != kLoop:
 		m.offset = max(-2, m.offset-1)
 	case up:
-		m.level, m.ap.TargetDelta = math.Min(m.level+m.c.step, m.lm.BaseLevel), m.ap.TargetDelta/2
+		m.level, m.ap.TargetDelta = math.Min(m.level+raise, m.lm.BaseLevel), m.ap.TargetDelta/2
 	default:
-		m.level, m.ap.TargetDelta = math.Max(m.level-m.c.step, m.c.minLevel), m.ap.TargetDelta*2
+		m.level, m.ap.TargetDelta = lower, m.ap.TargetDelta*2
 	}
+	return a
 }
 
 // runLoop is one execution of the Fig 3 loop under QoS_Lp_Approx (Fig 5)
@@ -445,7 +468,7 @@ func (r *refRun) build() (live liveCtl) {
 // returns the number of operations run and which parts of the law ran.
 func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string]bool) {
 	cfg := refConfig{kind: c.intn(3), mode: LoopMode(c.intn(2)), sla: pick(&c, 0.05, 0.02, 0.011, 0.005),
-		iv: pick(&c, 0, 1, 2, 3, 5, 8), step: pick(&c, 3.0, 4, 10), minLevel: pick(&c, 2.0, 4, 6),
+		iv: pick(&c, 0, 1, 2, 3, 5, 8), step: pick(&c, 0.0, 3, 4, 10), minLevel: pick(&c, 2.0, 4, 6),
 		disabled: c.intn(8) == 0, window: max(0, c.intn(10)-4), calm: c.intn(4) == 0}
 	r := &refRun{t: t, name: name, c: &c, m: newRefModel(t, cfg), mq: &refLog{}, lq: &refLog{}}
 	m, restored, liveRestored := r.m, false, false
@@ -513,7 +536,8 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 			"adaptive": cfg.kind == kLoop && cfg.mode == Adaptive, "windowed": cfg.window > 1,
 			"trip": m.brk.Trips > 0, "probe": m.brk.Trips > 1, // only a probe lets an open breaker trip again
 			"panic": m.brk.ContainedPanics > 0, "hit": m.sel.Hits > 0, "correction": m.sel.Corrections > 0,
-			"restore": restored, "live-restore": liveRestored, "2^32": m.count > 1<<32}
+			"restore": restored, "live-restore": liveRestored, "2^32": m.count > 1<<32,
+			"raise-share": m.raised, "declined-decrease": m.blocked}
 	})
 	return r.k, seen
 }
@@ -662,7 +686,7 @@ func TestReferenceModel(t *testing.T) {
 			seen[part] = seen[part] || ok
 		}
 	}
-	for _, part := range strings.Fields("loop func func2 adaptive windowed trip panic probe hit correction restore live-restore 2^32") {
+	for _, part := range strings.Fields("loop func func2 adaptive windowed trip panic probe hit correction restore live-restore 2^32 raise-share declined-decrease") {
 		if !seen[part] {
 			t.Errorf("no schedule exercised %s", part)
 		}

@@ -8,7 +8,7 @@ import (
 // cfgFor builds the CFG of the named function in src (a complete file).
 func cfgFor(t *testing.T, src, fn string) *CFG {
 	t.Helper()
-	pkg, err := testLoader().LoadSource("cfg_"+fn+".go", []byte(src))
+	pkg, _, err := testLoader().LoadSource("cfg_"+fn+".go", []byte(src))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

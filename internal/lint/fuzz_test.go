@@ -236,7 +236,7 @@ func endorsed(f *core.Func, x float64) error {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A fresh loader per input keeps the shared importer cache out of
 		// the trust base; crash-freedom must not depend on warm state.
-		pkg, err := NewLoader().LoadSource("fuzz.go", data)
+		pkg, _, err := NewLoader().LoadSource("fuzz.go", data)
 		if err != nil {
 			return // unparseable input is fine; panics are not
 		}

@@ -25,10 +25,6 @@ type Package struct {
 	Types *types.Package
 	// Info holds the type-checker's fact tables.
 	Info *types.Info
-	// TypeErrors holds the type-checking errors of a lenient load. When
-	// non-empty, Info is partial: analyzers still run but see fewer
-	// facts, so they report less, never more.
-	TypeErrors []error
 }
 
 // Loader parses and type-checks package directories using only the
@@ -53,14 +49,20 @@ func NewLoader() *Loader {
 // testdata trees the go tool itself refuses to build. Type errors are
 // fatal.
 func (l *Loader) Load(dir string) (*Package, error) {
-	pkg, err := l.load(dir, false)
+	pkg, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
+	}
+	conf := types.Config{Importer: l.imp}
+	if pkg.Types, err = conf.Check(importPathFor(pkg.Dir), l.fset, pkg.Files, pkg.Info); err != nil {
+		return nil, fmt.Errorf("lint: %s: %w", dir, err)
 	}
 	return pkg, nil
 }
 
-func (l *Loader) load(dir string, lenient bool) (*Package, error) {
+// parseDir parses the non-test Go files of dir into a Package with empty
+// fact tables, ready for the type-checker.
+func (l *Loader) parseDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -69,7 +71,7 @@ func (l *Loader) load(dir string, lenient bool) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	pkg := &Package{Dir: abs, Fset: l.fset, Info: newInfo()}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
@@ -81,46 +83,22 @@ func (l *Loader) load(dir string, lenient bool) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		pkg.Files = append(pkg.Files, f)
 	}
-	if len(files) == 0 {
+	if len(pkg.Files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	pkg := &Package{Dir: abs, Fset: l.fset, Files: files}
-	pkg.Types, pkg.Info, pkg.TypeErrors, err = l.check(importPathFor(abs), files, lenient)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", dir, err)
 	}
 	return pkg, nil
 }
 
-// check type-checks files. In lenient mode every type error is collected
-// instead of aborting, and the (possibly partial) results are returned.
-func (l *Loader) check(path string, files []*ast.File, lenient bool) (*types.Package, *types.Info, []error, error) {
-	info := &types.Info{
+// newInfo returns the empty fact tables the analyzers read.
+func newInfo() *types.Info {
+	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	var typeErrs []error
-	conf := types.Config{Importer: l.imp}
-	if lenient {
-		conf.Error = func(err error) { typeErrs = append(typeErrs, err) }
-		// The source importer can fail hard on unresolvable imports even
-		// with an Error hook; FakeImportC plus the hook covers the rest.
-	}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil && !lenient {
-		return nil, nil, nil, err
-	}
-	if err != nil && len(typeErrs) == 0 {
-		typeErrs = append(typeErrs, err)
-	}
-	if pkg == nil {
-		pkg = types.NewPackage(path, "main")
-	}
-	return pkg, info, typeErrs, nil
 }
 
 // importPathFor derives a module-relative import path for dir by walking

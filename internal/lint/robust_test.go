@@ -3,34 +3,49 @@ package lint
 import (
 	"go/ast"
 	"go/parser"
+	"go/types"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // LoadLenient is Load, except that type-checking errors do not abort the
-// load: the errors are collected in Package.TypeErrors and the analyzers
-// run over whatever partial type information survives. Parse errors are
-// still fatal — without syntax there is nothing to analyze.
-func (l *Loader) LoadLenient(dir string) (*Package, error) {
-	return l.load(dir, true)
+// load: they are returned, and the analyzers run over whatever partial
+// type information survives. Parse errors are still fatal — without
+// syntax there is nothing to analyze.
+func (l *Loader) LoadLenient(dir string) (*Package, []error, error) {
+	pkg, err := l.parseDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkg, l.checkLenient(importPathFor(pkg.Dir), pkg), nil
 }
 
 // LoadSource parses and leniently type-checks a single in-memory file,
 // the entry point the fuzzer and the CFG tests use. Imports that cannot
 // be resolved become type errors, not failures, so analyzers always get
 // to run; only unparseable source returns an error.
-func (l *Loader) LoadSource(filename string, src []byte) (*Package, error) {
+func (l *Loader) LoadSource(filename string, src []byte) (*Package, []error, error) {
 	f, err := parser.ParseFile(l.fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pkg := &Package{Dir: ".", Fset: l.fset, Files: []*ast.File{f}}
-	pkg.Types, pkg.Info, pkg.TypeErrors, err = l.check(filename, pkg.Files, true)
-	if err != nil {
-		return nil, err
+	pkg := &Package{Dir: ".", Fset: l.fset, Files: []*ast.File{f}, Info: newInfo()}
+	return pkg, l.checkLenient(filename, pkg), nil
+}
+
+// checkLenient type-checks pkg's files, collecting every type error
+// instead of aborting; pkg.Info keeps the (possibly partial) facts.
+func (l *Loader) checkLenient(path string, pkg *Package) (typeErrs []error) {
+	conf := types.Config{Importer: l.imp, Error: func(err error) { typeErrs = append(typeErrs, err) }}
+	tp, err := conf.Check(path, l.fset, pkg.Files, pkg.Info)
+	if err != nil && len(typeErrs) == 0 {
+		typeErrs = append(typeErrs, err)
 	}
-	return pkg, nil
+	if pkg.Types = tp; pkg.Types == nil {
+		pkg.Types = types.NewPackage(path, "main")
+	}
+	return typeErrs
 }
 
 // TestMultiFilePackage runs the suite over a fixture whose handle
@@ -81,14 +96,14 @@ func TestBrokenPackageStrictFails(t *testing.T) {
 
 // TestBrokenPackageLenient runs every analyzer over a package that
 // does not type-check. The contract: no crash, type errors surfaced in
-// TypeErrors, and analyzers still allowed to report whatever the partial
+// the returned errors, and analyzers still allowed to report whatever the partial
 // information supports.
 func TestBrokenPackageLenient(t *testing.T) {
-	pkg, err := testLoader().LoadLenient(filepath.Join("testdata", "src", "broken"))
+	pkg, typeErrs, err := testLoader().LoadLenient(filepath.Join("testdata", "src", "broken"))
 	if err != nil {
 		t.Fatalf("lenient load failed: %v", err)
 	}
-	if len(pkg.TypeErrors) == 0 {
+	if len(typeErrs) == 0 {
 		t.Fatal("lenient load of a broken package reported no type errors")
 	}
 	res, err := LintAll(pkg, nil)
@@ -117,12 +132,12 @@ func TestLenientMatchesStrictOnCleanPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenient, err := testLoader().LoadLenient(dir)
+	lenient, typeErrs, err := testLoader().LoadLenient(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lenient.TypeErrors) != 0 {
-		t.Fatalf("clean package produced type errors: %v", lenient.TypeErrors)
+	if len(typeErrs) != 0 {
+		t.Fatalf("clean package produced type errors: %v", typeErrs)
 	}
 	sr, err := LintAll(strict, nil)
 	if err != nil {
@@ -165,11 +180,11 @@ func f(l *core.Loop, q core.LoopQoS) {
 	exec.Finish(i)
 }
 `
-	pkg, err := testLoader().LoadSource("partial.go", []byte(src))
+	pkg, typeErrs, err := testLoader().LoadSource("partial.go", []byte(src))
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
-	if len(pkg.TypeErrors) == 0 {
+	if len(typeErrs) == 0 {
 		t.Fatal("expected type errors from the unresolvable import")
 	}
 	if _, err := LintAll(pkg, nil); err != nil {

@@ -9,7 +9,7 @@ import (
 // given comment placed on the same line as the call.
 func lintSnippet(t *testing.T, src string) Result {
 	t.Helper()
-	pkg, err := testLoader().LoadSource("suppress_snippet.go", []byte(src))
+	pkg, _, err := testLoader().LoadSource("suppress_snippet.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ echo "== DESIGN.md does not grow =="
 # in bytes after the last change that shrank it: a change that adds to
 # it removes as much elsewhere, and one that shrinks it lowers the cap,
 # down to the 45 kB target.
-design_max=83874
+design_max=83865
 bytes=$(wc -c < DESIGN.md)
 if [ "$bytes" -gt "$design_max" ]; then
 	echo "FAIL: DESIGN.md is $bytes bytes (at most $design_max)" >&2
@@ -181,7 +181,10 @@ go test -run '^$' -fuzz FuzzPersistEnvelope -fuzztime 10s -fuzzminimizetime 1s .
 go test -run '^$' -fuzz FuzzZipfStream -fuzztime 10s ./internal/workload
 
 echo "== race (concurrency-sensitive packages) =="
-go test -race ./internal/core ./internal/serve ./internal/search \
+# The root package's reach gate is a static type-check that starts no
+# goroutine: ~8 s plain, ~31 s under the detector. It runs in the tests
+# stage above, so it is skipped here.
+go test -race -skip '^TestNoDeclarationOnlyTestsReach$' ./internal/core ./internal/serve ./internal/search \
 	./internal/metrics ./internal/taskgraph ./internal/chaos ./internal/persist \
 	./internal/cluster ./internal/wire .
 # The one goroutine fan-out of the offline phases is the evaluation's
@@ -280,12 +283,14 @@ go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/stea
 # And where the allocation would happen: a monitored observation whose
 # policy restates the live Sample_QoS (a publish per observation would
 # be an object per observation, and only serve's end-to-end test used
-# to notice) and the single-call function tier, as AllocsPerRun rows.
+# to notice), a monitored decrease the derived-step law declines (it
+# changes nothing, so it publishes nothing) and the single-call function
+# tier, as AllocsPerRun rows.
 go test -count 1 -v -run TestHotPathAllocationGates ./internal/core | awk '
 	/^    --- PASS/ { rows++ }
 	/^(--- )?FAIL/ { print; bad = 1 }
 	END {
-		if (rows < 3) { print "FAIL: expected 3 allocation-gate rows in internal/core, saw " rows + 0; exit 1 }
+		if (rows < 4) { print "FAIL: expected 4 allocation-gate rows in internal/core, saw " rows + 0; exit 1 }
 		exit bad
 	}'
 
