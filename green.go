@@ -127,8 +127,9 @@ type (
 	RecalibratePolicy = core.RecalibratePolicy
 	// WindowedPolicy is the built-in recalibration rule: Figure 3's band
 	// judging the mean loss of each window of consecutive monitored
-	// executions. A window of one (what a nil Policy installs) is
-	// Figure 3; a window of 100 is the Bing Search rule of Figure 9.
+	// executions. A window of one is Figure 3; a window of 100 is the
+	// Bing Search rule of Figure 9; a nil Policy installs one sized from
+	// the model.
 	WindowedPolicy = core.WindowedPolicy
 
 	// App coordinates multiple approximations (§3.4).

@@ -24,6 +24,7 @@ type LoopCalibration struct {
 	baseLevel float64
 	baseWork  float64
 	lossSums  []float64
+	lossSqs   []float64 // the second moment's sums, for each knot's spread
 	workSums  []float64
 	runs      int
 
@@ -57,6 +58,7 @@ func NewLoopCalibration(name string, knots []float64, baseLevel, baseWork float6
 		baseLevel: baseLevel,
 		baseWork:  baseWork,
 		lossSums:  make([]float64, len(ks)),
+		lossSqs:   make([]float64, len(ks)),
 		workSums:  make([]float64, len(ks)),
 	}, nil
 }
@@ -80,6 +82,7 @@ func (c *LoopCalibration) AddRun(losses, work []float64) error {
 			return fmt.Errorf("core: negative work at knot %d", i)
 		}
 		c.lossSums[i] += losses[i]
+		c.lossSqs[i] += losses[i] * losses[i]
 		c.workSums[i] += work[i]
 	}
 	c.runs++
@@ -157,17 +160,20 @@ func (c *LoopCalibration) BuildSelector() (*BucketSelector, error) {
 	return newBucketSelector(c.edges, c.Knots(), c.baseLevel, loss), nil
 }
 
-// Build averages the recorded runs into a LoopModel.
+// Build averages the recorded runs into a LoopModel, each knot with the
+// spread of its runs' losses (for 0/1 losses, √(p(1−p))).
 func (c *LoopCalibration) Build() (*model.LoopModel, error) {
 	if c.runs == 0 {
 		return nil, model.ErrNoData
 	}
 	pts := make([]model.CalPoint, len(c.knots))
 	for i := range c.knots {
+		mean := c.lossSums[i] / float64(c.runs)
 		pts[i] = model.CalPoint{
 			Level:   c.knots[i],
-			QoSLoss: c.lossSums[i] / float64(c.runs),
+			QoSLoss: mean,
 			Work:    c.workSums[i] / float64(c.runs),
+			Spread:  math.Sqrt(max(0, c.lossSqs[i]/float64(c.runs)-mean*mean)),
 		}
 	}
 	return model.BuildLoopModel(c.name, pts, c.baseWork, c.baseLevel)

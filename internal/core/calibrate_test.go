@@ -57,6 +57,31 @@ func TestLoopCalibrationBuildAveragesRuns(t *testing.T) {
 	if got := m.PredictLoss(200); math.Abs(got-0.03) > 1e-12 {
 		t.Errorf("avg loss at 200 = %v, want 0.03", got)
 	}
+	// The runs' spread about each mean: 0.02 at 100, 0.01 at 200.
+	if got := m.PredictSpread(150); math.Abs(got-0.015) > 1e-12 {
+		t.Errorf("spread at 150 = %v, want 0.015", got)
+	}
+}
+
+// TestLoopCalibrationSpreadOfZeroOneLosses: on 0/1 losses a knot's
+// spread is √(p(1−p)).
+func TestLoopCalibrationSpreadOfZeroOneLosses(t *testing.T) {
+	c, err := NewLoopCalibration("l", []float64{100}, 1000, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loss := range []float64{1, 0, 0, 0} {
+		if err := c.AddRun([]float64{loss}, []float64{100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Points[0].Spread, math.Sqrt(0.25*0.75); math.Abs(got-want) > 1e-12 {
+		t.Errorf("spread = %v, want %v", got, want)
+	}
 }
 
 func TestLoopCalibrationAddRunValidation(t *testing.T) {

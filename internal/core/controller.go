@@ -144,7 +144,8 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 	c.policy = o.Policy
 	switch w := c.policy.(type) {
 	case nil:
-		c.policy = &WindowedPolicy{Window: 1}
+		// Sized by the constructor once the model is read (sizeWindow).
+		c.policy = &WindowedPolicy{sampled: true}
 	case *WindowedPolicy:
 		// A private window: one shared with another controller would
 		// close on that controller's observations.
@@ -154,6 +155,14 @@ func (c *controller[S]) init(kind string, o ctrlOptions) error {
 	c.setInterval(c.interval)
 	c.brk = newBreaker(ctrlCooldown(c.interval))
 	return nil
+}
+
+// sizeWindow sets the window of the policy a nil Policy installed to
+// size(), which is called only then.
+func (c *controller[S]) sizeWindow(size func() int) {
+	if w, ok := c.policy.(*WindowedPolicy); ok && w.sampled {
+		w.Window = size()
+	}
 }
 
 // ctrlCooldown is a controller breaker's base cool-down: four sampling

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The default policy, what a nil Policy installs, is a window of one:
-// Figure 3's band on every observation.
+// A zero WindowedPolicy is a window of one: Figure 3's band on every
+// observation.
 func TestDefaultPolicy(t *testing.T) {
 	p := &WindowedPolicy{}
 	cases := []struct {
@@ -121,6 +121,38 @@ func TestWindowedPolicyDefaultWindow(t *testing.T) {
 	}
 	if p.Window != 0 {
 		t.Fatalf("Window = %d, want 0 as configured", p.Window)
+	}
+}
+
+// A nil Policy's window is sized from the model: one where the loss has
+// no spread, ⌈(z·σ/|μ − edge|)²⌉ for the larger of the two levels'
+// asks, the cap where a mean sits on its edge; and it collects its
+// observations without asking to monitor every execution.
+func TestSizedWindow(t *testing.T) {
+	const sla = 0.01
+	cases := []struct {
+		below, settled lossSpread
+		want           int
+	}{
+		{lossSpread{}, lossSpread{}, 1},
+		{lossSpread{0.02, 0}, lossSpread{0.005, 0}, 1},
+		{lossSpread{0.0177, 0.017}, lossSpread{0.003, 0.003}, 14}, // (1.645 · 0.017 / 0.0077)² = 13.2
+		{lossSpread{0.03, 0.001}, lossSpread{0.009, 0.001}, 100},  // the settled mean on 0.9·SLA
+		{lossSpread{0.5, 1e300}, lossSpread{}, 100},
+	}
+	for _, c := range cases {
+		if got := sizeWindow(sla, c.below, c.settled); got != c.want {
+			t.Errorf("sizeWindow(%v, %+v, %+v) = %d, want %d", sla, c.below, c.settled, got, c.want)
+		}
+	}
+	p := &WindowedPolicy{Window: 3, sampled: true}
+	for i := 0; i < 2; i++ {
+		if d := p.Observe(0.5, sla); d != (Decision{}) {
+			t.Fatalf("observation %d in a sized window: %+v, want no action and no Monitor", i, d)
+		}
+	}
+	if d := p.Observe(0.5, sla); d != (Decision{Action: ActIncrease}) {
+		t.Fatalf("closing observation: %+v, want an increase", d)
 	}
 }
 

@@ -27,8 +27,9 @@ type Func2Config struct {
 	// SampleInterval is Sample_QoS; zero disables recalibration and
 	// negative values are rejected.
 	SampleInterval int
-	// Policy is the recalibration policy; nil selects Figure 3, a
-	// WindowedPolicy with a window of one.
+	// Policy is the recalibration policy; nil selects a WindowedPolicy
+	// whose window is sized once from the model and the SLA, and which
+	// collects it at SampleInterval.
 	Policy RecalibratePolicy
 	// QoS overrides the default return-value QoS computation.
 	QoS FuncQoS
@@ -77,7 +78,41 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 		return nil, err
 	}
 	f.grid = cfg.Model
+	f.sizeWindow(f.window)
 	return f, nil
+}
+
+// cellVersion is the base version of grid cell idx: the cheapest meeting
+// the SLA there (SelectVersion's rule), or precise.
+func (f *Func2) cellVersion(idx int) int {
+	m := f.cfg.Model
+	base, bestWork := model.PreciseVersion, m.PreciseWork
+	for vi := range m.Versions {
+		v := &m.Versions[vi]
+		if v.Loss[idx] <= f.cfg.SLA && v.Work < bestWork {
+			base, bestWork = vi, v.Work
+		}
+	}
+	return base
+}
+
+// window sizes a nil Policy's window (sizeWindow) from the grid: a
+// level's losses are the calibrated cells' losses of the version the
+// offset (−1 below, 0 settled) shifts each cell's choice to; a cell
+// shifted to precise is not approximated.
+func (f *Func2) window() int {
+	m := f.cfg.Model
+	var at [2]lossMoments
+	for idx := 0; idx < m.Grid.NX*m.Grid.NY; idx++ {
+		base := f.cellVersion(idx)
+		for k := range at {
+			v := f.shift(&ladderState{offset: k - 1}, base)
+			if v != model.PreciseVersion && finite(m.Versions[v].Loss[idx]) {
+				at[k].add(m.Versions[v].Loss[idx])
+			}
+		}
+	}
+	return sizeWindow(f.sla, at[0].spread(), at[1].spread())
 }
 
 // Call evaluates the function at (x, y) under the approximation policy:
@@ -102,18 +137,9 @@ func (f *Func2) Sensitivity() float64 {
 	m := f.cfg.Model
 	var dLoss, dWork float64
 	for idx := 0; idx < m.Grid.NX*m.Grid.NY; idx++ {
-		// Cheapest version meeting the SLA in this cell (SelectVersion's
-		// rule), then the recalibration offset, as version applies it.
-		base := model.PreciseVersion
-		bestWork := m.PreciseWork
-		for vi := range m.Versions {
-			v := &m.Versions[vi]
-			if v.Loss[idx] <= f.cfg.SLA && v.Work < bestWork {
-				base = vi
-				bestWork = v.Work
-			}
-		}
-		cur := f.shift(st, base)
+		// The cell's base version, then the recalibration offset, as
+		// version applies it.
+		cur := f.shift(st, f.cellVersion(idx))
 		if cur == model.PreciseVersion {
 			continue // already precise here
 		}

@@ -43,8 +43,9 @@ type FuncConfig struct {
 	// SampleInterval is Sample_QoS; zero disables recalibration and
 	// negative values are rejected.
 	SampleInterval int
-	// Policy is the recalibration policy; nil selects Figure 3, a
-	// WindowedPolicy with a window of one.
+	// Policy is the recalibration policy; nil selects a WindowedPolicy
+	// whose window is sized once from the model and the SLA, and which
+	// collects it at SampleInterval.
 	Policy RecalibratePolicy
 	// Key maps the call argument into the model's input domain; nil is
 	// the identity. The blackscholes exp model, for example, is built
@@ -100,7 +101,31 @@ func NewFunc(cfg FuncConfig, precise Fn, approx []Fn) (*Func, error) {
 		return nil, err
 	}
 	f.ranges, f.key = cfg.Model.Ranges(cfg.SLA), cfg.Key
+	f.sizeWindow(f.window)
 	return f, nil
+}
+
+// window sizes a nil Policy's window (sizeWindow) from the version
+// curves: a level's losses are the calibration samples, inside each range
+// of the table, of the version the offset (−1 below, 0 settled) shifts
+// the range's choice to; a range shifted to precise is not approximated.
+func (f *Func) window() int {
+	var at [2]lossMoments
+	last := len(f.ranges) - 1
+	for i, r := range f.ranges {
+		for k := range at {
+			v := f.shift(&ladderState{offset: k - 1}, r.Version)
+			if v == model.PreciseVersion {
+				continue
+			}
+			for _, s := range f.cfg.Model.Versions[v].Samples {
+				if s.X >= r.Lo && (s.X < r.Hi || s.X == r.Hi && i == last) {
+					at[k].add(s.Loss)
+				}
+			}
+		}
+	}
+	return sizeWindow(f.sla, at[0].spread(), at[1].spread())
 }
 
 // Ranges returns the currently active selection ranges (before the

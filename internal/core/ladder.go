@@ -125,16 +125,22 @@ func (l *ladder[A]) shift(st *ladderState, base int) int {
 
 // version picks the ladder version for one call at a: precise while the
 // breaker forces it (monitoring is suspended then) or approximation is
-// off, otherwise the model's base version under the snapshot's offset —
-// the grid cell's for a pair, the range table's for one argument. It
-// asserts a's type rather than calling a method of A, because Go
-// reaches a type parameter's methods through an indirect call.
+// off, otherwise the model's base version under the snapshot's offset.
 func (l *ladder[A]) version(st *ladderState, forced bool, a A) int {
 	if forced || st.off() {
 		return model.PreciseVersion
 	}
+	return l.shift(st, l.base(a))
+}
+
+// base is the model's version for a before any offset: the grid cell's
+// for a pair, the range table's for one argument, precise outside the
+// calibrated domain. It asserts a's type rather than calling a method of
+// A, because Go reaches a type parameter's methods through an indirect
+// call.
+func (l *ladder[A]) base(a A) int {
 	if p, ok := any(a).(pair); ok {
-		return l.shift(st, l.grid.SelectVersion(p.x, p.y, l.sla))
+		return l.grid.SelectVersion(p.x, p.y, l.sla)
 	}
 	k := any(a).(float64)
 	if l.key != nil {
@@ -144,11 +150,26 @@ func (l *ladder[A]) version(st *ladderState, forced bool, a A) int {
 	for i := range l.ranges {
 		r := &l.ranges[i]
 		if k >= r.Lo && (k < r.Hi || (k == r.Hi && r.Hi == l.ranges[last].Hi)) {
-			return l.shift(st, r.Version)
+			return r.Version
 		}
 	}
 	// Outside the calibrated domain the model knows nothing: precise.
 	return model.PreciseVersion
+}
+
+// measured is the version a monitored call at a measures: the one an
+// unmonitored call would run, except where only the offset (past the
+// top) or the model-driven disable sends the call to precise. There the
+// most precise version the offset reaches, min(base+offset, n−1), is
+// measured, so an observation can still lower the offset or re-enable
+// the site. A base choice of precise, an input outside the domain and
+// the sticky disable measure nothing (precise).
+func (l *ladder[A]) measured(st *ladderState, a A) int {
+	base := l.base(a)
+	if st.forceOff || base == model.PreciseVersion {
+		return model.PreciseVersion
+	}
+	return min(max(base+st.offset, 0), l.n-1)
 }
 
 // at is batch member i's argument: xs[i], or the pair (xs[i], ys[i]).
@@ -173,15 +194,14 @@ func at[A arg](xs, ys []float64, i int) (a A) {
 func (l *ladder[A]) call(a A) float64 {
 	st := l.state.Load()
 	o := l.stageExecute()
-	v := l.version(st, o.forced, a)
 	if o.monitor {
 		// Precise and approximate work are summed before the conversion,
 		// as callN sums a batch: Work stays the integer it always was.
-		y, work := l.monitoredCall(o, v, a)
+		y, work := l.monitoredCall(o, l.measured(st, a), a)
 		l.addWork(work)
 		return y
 	}
-	r := &l.rungs[v+1]
+	r := &l.rungs[l.version(st, o.forced, a)+1]
 	y := r.fn(a)
 	l.workMilli.Add(r.milli)
 	return y
@@ -208,14 +228,13 @@ func (l *ladder[A]) callN(xs, ys, out []float64) error {
 	total := 0.0
 	for i := range xs {
 		a := at[A](xs, ys, i)
-		v := l.version(st, b.forced, a)
 		var work float64
 		if i != b.monitorAt {
-			r := &l.rungs[v+1]
+			r := &l.rungs[l.version(st, b.forced, a)+1]
 			out[i], work = r.fn(a), r.work
 		} else {
 			o := obs{seq: b.first + int64(i), monitor: true, probe: b.probe}
-			out[i], work = l.monitoredCall(o, v, a)
+			out[i], work = l.monitoredCall(o, l.measured(st, a), a)
 			// The observation may have moved the offset: later members
 			// read the fresh snapshot, exactly as unbatched calls would.
 			st = l.state.Load()
@@ -226,23 +245,24 @@ func (l *ladder[A]) callN(xs, ys, out []float64) error {
 	return nil
 }
 
-// monitoredCall completes one monitored member at a. The precise function
-// runs bare — a panic there is the program's own and propagates as it
-// would without Green — and its result is returned. If an approximate
-// version v was selected, it and the QoS comparator run under recover
-// (safeQoS): a panic is contained, the observation discarded, the
-// breaker charged. A member that selected precise is a clean zero-loss
-// observation. The loss feeds the Observe and Correct stages
-// immediately; work is what the member ran.
+// monitoredCall completes one monitored member at a, measuring version v
+// (measured). The precise function runs bare — a panic there is the
+// program's own and propagates as it would without Green — and its
+// result is returned. If v is approximate, it and the QoS comparator run
+// under recover (safeQoS): a panic is contained, the observation
+// discarded, the breaker charged; the loss feeds the Observe and Correct
+// stages immediately. A member that measures precise ran no approximate
+// version, so it says nothing about any: it used its sampling turn but
+// is not an observation — no policy vote, no Stats, no event, and no
+// answer to a half-open probe. work is what the member ran.
 func (l *ladder[A]) monitoredCall(o obs, v int, a A) (y, work float64) {
 	y, work = l.rungs[0].fn(a), l.rungs[0].work
-	loss, ok := 0.0, true
-	if v != model.PreciseVersion {
-		var ran bool
-		loss, ran, ok = l.safeQoS(y, &l.rungs[v+1], a)
-		if ran {
-			work += l.rungs[v+1].work
-		}
+	if v == model.PreciseVersion {
+		return y, work
+	}
+	loss, ran, ok := l.safeQoS(y, &l.rungs[v+1], a)
+	if ran {
+		work += l.rungs[v+1].work
 	}
 	l.stageObserveCorrect(o, loss, !ok, l.applyAction, nil)
 	return y, work

@@ -73,8 +73,10 @@ type LoopConfig struct {
 	// fed). Zero disables runtime recalibration; negative values are
 	// rejected.
 	SampleInterval int
-	// Policy is the recalibration policy; nil selects Figure 3, a
-	// WindowedPolicy with a window of one.
+	// Policy is the recalibration policy; nil selects a WindowedPolicy
+	// whose window is sized once from the model and the SLA, and which
+	// collects it at SampleInterval. In Adaptive mode, and where the
+	// model cannot meet the SLA, that window is one: Figure 3.
 	Policy RecalibratePolicy
 	// Step is the accuracy-adjustment step on the iteration threshold M.
 	// An explicit Step is the paper's fixed, unguarded step in both
@@ -211,7 +213,28 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 		}
 	}
 	l.state.Store(&st)
+	l.sizeWindow(l.window)
 	return l, nil
+}
+
+// window sizes a nil Policy's window (sizeWindow) from the model's
+// knots: the settled level is M and the one just cheaper M − step, no
+// lower than MinLevel. A loop the model cannot fit under the SLA has no
+// level to tell apart, and an adaptive loop's law moves TargetDelta and
+// Period rather than M, which the knots do not size: both judge each
+// observation (Figure 3).
+func (l *Loop) window() int {
+	st := l.state.Load()
+	if st.disabled || l.cfg.Mode == Adaptive {
+		return 1
+	}
+	m := l.cfg.Model
+	at := func(level float64) lossSpread { return lossSpread{m.PredictLoss(level), m.PredictSpread(level)} }
+	var below lossSpread
+	if lower := math.Max(st.level-l.step, l.minLevel); lower < st.level {
+		below = at(lower)
+	}
+	return sizeWindow(l.sla, below, at(st.level))
 }
 
 // SetLevel overrides the current static threshold M. Used by experiments

@@ -331,7 +331,8 @@ func (openPolicy) Observe(float64, float64) Decision { return Decision{Monitor: 
 // with its reciprocal behind a pointer, and a store per observation
 // would be a heap object per observation. Nor may a decrease the
 // derived law declines: it changes nothing, so it publishes nothing.
-// The single-call function tier has no
+// Nor may an observation inside the open window a nil Policy sizes,
+// which keeps the configured interval. The single-call function tier has no
 // pooled handle and must not grow a per-call object either.
 func TestHotPathAllocationGates(t *testing.T) {
 	gate := func(name string, op func()) {
@@ -373,6 +374,27 @@ func TestHotPathAllocationGates(t *testing.T) {
 		}
 		if res := e.Finish(i); !res.Monitored || res.Recalibrated != ActNone {
 			t.Fatalf("want a monitored execution whose decrease is declined: %+v", res)
+		}
+	})
+	m := testLoopModel(t)
+	m.Points[1].Spread = 0.01 // at M = 200: a window of ⌈(1.645 · 0.01 / 0.005)²⌉ = 11
+	w, err := NewLoop(LoopConfig{Name: "w", Model: m, SLA: 0.05, SampleInterval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := w.policy.(*WindowedPolicy).Window; n != 11 {
+		t.Fatalf("sized window %d, want 11", n)
+	}
+	gate("loop-monitored-sized-window-open", func() {
+		e, err := w.Begin(fixedLoss(0.047)) // inside the band: a closing window acts on nothing either
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for ; i < 3200 && e.Continue(i); i++ {
+		}
+		if res := e.Finish(i); !res.Monitored || res.Recalibrated != ActNone {
+			t.Fatalf("want a monitored execution that changes nothing: %+v", res)
 		}
 	})
 	f := funcFixture(t, 0.2, 0)

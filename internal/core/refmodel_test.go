@@ -24,7 +24,7 @@ import (
 const kLoop, kFunc, kFunc2 = 0, 1, 2
 
 // refConfig is one controller's configuration; both sides build from it.
-// A calm schedule's callbacks never panic.
+// A window of 0 is a nil Policy. A calm schedule's callbacks never panic.
 type refConfig struct {
 	kind, iv, window    int
 	sla, step, minLevel float64
@@ -43,10 +43,13 @@ type refModel struct {
 	openedAt, probeAt  int64
 	fm                 *model.FuncModel
 	nm, offset         int     // nm: observations in the open window
+	window             int     // observations a decision judges
 	windowSum          float64 // their losses' sum
 	disabled, forceOff bool
 	lossSum            float64
 	raised, blocked    bool // a derived step raised M by M/5; it declined a decrease
+	sized, skipped     bool // a sized window above one closed; a monitored call ran precise
+	reached            bool // a monitored call the offset or the disable sent to precise measured a version
 	refView
 }
 
@@ -66,8 +69,9 @@ type refView struct {
 // newRefModel builds the calibrated models both sides read and the
 // model's initial state from them.
 func newRefModel(t *testing.T, c refConfig) *refModel {
-	lm, err := model.BuildLoopModel("ref", []model.CalPoint{{Level: 4, QoSLoss: 0.10, Work: 4},
-		{Level: 8, QoSLoss: 0.05, Work: 8}, {Level: 16, QoSLoss: 0.02, Work: 16}, {Level: 32, QoSLoss: 0.01, Work: 32}}, 64, 64)
+	lm, err := model.BuildLoopModel("ref", []model.CalPoint{{Level: 4, QoSLoss: 0.10, Work: 4, Spread: 0.08},
+		{Level: 8, QoSLoss: 0.05, Work: 8, Spread: 0.006}, {Level: 16, QoSLoss: 0.02, Work: 16, Spread: 0.003},
+		{Level: 32, QoSLoss: 0.01, Work: 32, Spread: 0.001}}, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +89,85 @@ func newRefModel(t *testing.T, c refConfig) *refModel {
 			m.ap, m.ap.Period = ap, math.Max(1, math.Round(ap.Period)) // whole iterations
 		}
 	}
+	if m.window = c.window; c.window == 0 {
+		m.window = m.sizedWindow()
+	}
 	return m
+}
+
+// sizedWindow is the window a nil Policy judges: for the level one step
+// cheaper than the initial one against the SLA and for the initial level
+// against 0.9·SLA, n = ⌈(1.645·σ/|μ − edge|)²⌉ (one where σ is zero), the
+// larger, at most 100. A loop's μ and σ are the model's at M and at
+// M − step (no lower than MinLevel; none where that is M); a function's
+// are those of its calibrated losses — the samples inside each range
+// (Func), the cells (Func2) — at offset −1 and 0, precise left out. A
+// loop the model disabled, and an adaptive loop, judge each observation.
+func (m *refModel) sizedWindow() int {
+	var at [2][]float64
+	switch m.c.kind {
+	case kLoop:
+		step := m.c.step
+		if step == 0 {
+			step = m.lm.Points[1].Level - m.lm.Points[0].Level
+		}
+		if m.disabled || m.c.mode == Adaptive {
+			return 1
+		}
+		lower := math.Max(m.level-step, m.c.minLevel)
+		mu := func(l float64) float64 { return m.lm.PredictLoss(l) }
+		sd := func(l float64) float64 { return m.lm.PredictSpread(l) }
+		n := refWindow(mu(m.level), sd(m.level), 0.9*m.c.sla)
+		if lower < m.level {
+			n = max(n, refWindow(mu(lower), sd(lower), m.c.sla))
+		}
+		return n
+	case kFunc:
+		for i, r := range m.ranges {
+			for k := range at {
+				if v := m.shifted(r.Version, k-1); v >= 0 {
+					for _, s := range m.fm.Versions[v].Samples {
+						if s.X >= r.Lo && (s.X < r.Hi || s.X == r.Hi && i == len(m.ranges)-1) {
+							at[k] = append(at[k], s.Loss)
+						}
+					}
+				}
+			}
+		}
+	default:
+		g := m.grid.Grid
+		for cy := 0; cy < g.NY; cy++ {
+			for cx := 0; cx < g.NX; cx++ {
+				x := g.XLo + (float64(cx)+0.5)*(g.XHi-g.XLo)/float64(g.NX)
+				y := g.YLo + (float64(cy)+0.5)*(g.YHi-g.YLo)/float64(g.NY)
+				for k := range at {
+					if v := m.shifted(m.grid.SelectVersion(x, y, m.c.sla), k-1); v >= 0 && !math.IsInf(m.grid.Versions[v].Loss[cy*g.NX+cx], 1) {
+						at[k] = append(at[k], m.grid.Versions[v].Loss[cy*g.NX+cx])
+					}
+				}
+			}
+		}
+	}
+	n := 1
+	for k, edge := range []float64{m.c.sla, 0.9 * m.c.sla} {
+		mean, sq := 0.0, 0.0
+		for _, l := range at[k] {
+			mean, sq = mean+l/float64(len(at[k])), sq+l*l/float64(len(at[k]))
+		}
+		n = max(n, refWindow(mean, math.Sqrt(max(0, sq-mean*mean)), edge))
+	}
+	return n
+}
+
+// refWindow is one level's ⌈(1.645·σ/|μ − edge|)²⌉ in [1, 100].
+func refWindow(mu, sd, edge float64) int {
+	if sd == 0 {
+		return 1
+	}
+	if r := 1.645 * sd / math.Abs(mu-edge); r*r < 100 {
+		return max(1, int(math.Ceil(r*r)))
+	}
+	return 100
 }
 
 func (m *refModel) set(fn func()) { m.mu.Lock(); defer m.mu.Unlock(); fn() }
@@ -167,16 +249,20 @@ func (m *refModel) observe(seq int64, loss float64, panicked, probe bool, sd sel
 // recalibrate is QoS_ReCalibrate: Fig 9's window, which monitors every
 // execution until Window observations are in and then applies Fig 3's
 // rule to their mean loss, back at the configured Sample_QoS. A window
-// of one is Fig 3 itself and leaves the interval alone. It returns the
-// action and the loss it judged.
+// of one is Fig 3 itself and leaves the interval alone, and so does a
+// nil Policy's sized window throughout. It returns the action and the
+// loss it judged.
 func (m *refModel) recalibrate(loss float64) (Action, float64) {
 	m.nm, m.windowSum = m.nm+1, m.windowSum+loss
-	if m.nm < m.c.window {
-		m.iv = 1
+	if m.nm < m.window {
+		if m.c.window > 0 {
+			m.iv = 1
+		}
 		return ActNone, loss
 	}
 	if m.nm > 1 {
 		m.iv = int64(m.c.iv)
+		m.sized = m.sized || m.c.window == 0
 	}
 	loss = m.windowSum / float64(m.nm)
 	m.nm, m.windowSum = 0, 0
@@ -271,40 +357,63 @@ func (m *refModel) runLoop(q *refLog, bound int, seq int64, mon, forced, probe b
 }
 
 // runFunc is one call of Fig 7: the chosen version, or on a monitored
-// call the precise one returned and the chosen one measured against it.
+// call the precise one returned and a version measured against it — the
+// chosen one, or where the offset alone (past the top) or the model's
+// disable chose precise, the most precise one the offset reaches. A
+// monitored call whose base choice is precise, or that the sticky
+// disable keeps precise, measured nothing and observes nothing, a
+// half-open probe included.
 func (m *refModel) runFunc(q *refLog, x, y float64, seq int64, mon, forced, probe bool) (refMember, bool) {
 	v, off := m.version(x, y, forced)
 	if !mon {
 		return refMember{y: math.Float64bits(q.fn(v, x, y))}, off
 	}
 	yp, loss := q.fn(-1, x, y), 0.0
-	panicked := v >= 0 && contained(func() { loss = q.cmp(yp, q.fn(v, x, y)) })
+	if u := v; !forced && !m.forceOff && m.base(x, y) >= 0 {
+		v = min(max(m.base(x, y)+m.offset, 0), 1)
+		m.reached = m.reached || u < 0
+	} else {
+		v = -1
+	}
+	if v < 0 {
+		m.skipped = true
+		return refMember{y: math.Float64bits(yp)}, off
+	}
+	panicked := contained(func() { loss = q.cmp(yp, q.fn(v, x, y)) })
 	m.observe(seq, loss, panicked, probe, selDecision{})
 	return refMember{y: math.Float64bits(yp)}, off
 }
 
-// version is QoS_Fn_Approx: precise when forced or off, else the range
-// table's (grid cell's) base version shifted by the offset — precise
-// stays precise, past the top is precise, below the bottom is the
-// cheapest.
+// version is QoS_Fn_Approx: precise when forced or off, else the base
+// version shifted by the offset.
 func (m *refModel) version(x, y float64, forced bool) (int, bool) {
-	base := -1
-	switch {
-	case forced || m.disabled || m.forceOff:
+	if forced || m.disabled || m.forceOff {
 		return -1, true
-	case m.c.kind == kFunc2:
-		base = m.grid.SelectVersion(x, y, m.c.sla)
+	}
+	return m.shifted(m.base(x, y), m.offset), false
+}
+
+// base is the range table's (grid cell's) version at the input, precise
+// outside the domain.
+func (m *refModel) base(x, y float64) int {
+	if m.c.kind == kFunc2 {
+		return m.grid.SelectVersion(x, y, m.c.sla)
 	}
 	for _, r := range m.ranges {
 		if x >= r.Lo && (x < r.Hi || x == r.Hi && r.Hi == m.ranges[len(m.ranges)-1].Hi) {
-			base = r.Version
-			break
+			return r.Version
 		}
 	}
-	if v := base + m.offset; base >= 0 && v < 2 {
-		return max(v, 0), false
+	return -1
+}
+
+// shifted is a base version under an offset: precise stays precise, past
+// the top is precise, below the bottom is the cheapest.
+func (m *refModel) shifted(base, offset int) int {
+	if v := base + offset; base >= 0 && v < 2 {
+		return max(v, 0)
 	}
-	return -1, false
+	return -1
 }
 
 func (m *refModel) view() (v refView) {
@@ -361,7 +470,8 @@ func (m *refModel) selector() refSelector { return refSelector{m.c.sla} }
 
 // refLog is one side's callbacks, each call logged. A loop's Delta decays
 // with the iteration and Loss returns the op's loss; a function's
-// versions are x·y (precise), ×1.10 and ×1.01. The callback named
+// versions are x·y (precise), ×1.10 and ×(1 + the op's loss), so the
+// top version can push the offset up. The callback named
 // panicIn — Record, Delta, Loss, an approximate Fn or the comparator —
 // panics on the member whose argument (cur) is panicAt.
 type refLog struct {
@@ -392,7 +502,7 @@ func (q *refLog) cmp(p, a float64) float64 {
 func (q *refLog) fn(v int, x, y float64) float64 {
 	q.cur = x
 	q.hit("PFF"[v+1], v)
-	return x * y * [3]float64{1, 1.10, 1.01}[v+1]
+	return x * y * [3]float64{1, 1.10, 1 + q.loss}[v+1]
 }
 
 // refMember is one execution's outcome: a loop's Result and iterations,
@@ -537,7 +647,8 @@ func refSchedule(t *testing.T, name string, c choices, ops int) (int, map[string
 			"trip": m.brk.Trips > 0, "probe": m.brk.Trips > 1, // only a probe lets an open breaker trip again
 			"panic": m.brk.ContainedPanics > 0, "hit": m.sel.Hits > 0, "correction": m.sel.Corrections > 0,
 			"restore": restored, "live-restore": liveRestored, "2^32": m.count > 1<<32,
-			"raise-share": m.raised, "declined-decrease": m.blocked}
+			"raise-share": m.raised, "declined-decrease": m.blocked, "sized-window": m.sized, "precise-route": m.skipped,
+			"measured-past-top": m.reached}
 	})
 	return r.k, seen
 }
@@ -686,7 +797,7 @@ func TestReferenceModel(t *testing.T) {
 			seen[part] = seen[part] || ok
 		}
 	}
-	for _, part := range strings.Fields("loop func func2 adaptive windowed trip panic probe hit correction restore live-restore 2^32 raise-share declined-decrease") {
+	for _, part := range strings.Fields("loop func func2 adaptive windowed trip panic probe hit correction restore live-restore 2^32 raise-share declined-decrease sized-window precise-route measured-past-top") {
 		if !seen[part] {
 			t.Errorf("no schedule exercised %s", part)
 		}

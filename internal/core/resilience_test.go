@@ -378,3 +378,50 @@ func TestFuncBreakerTripsAndRecovers(t *testing.T) {
 		t.Errorf("post-recovery call = %v, want approximate %v", got, want)
 	}
 }
+
+// TestPreciseRoutedProbeLeavesBreakerHalfOpen: a half-open probe the
+// model sends to the precise version runs no approximate version, so it
+// cannot vouch for one. It leaves the breaker half-open, every call
+// stays forced precise, and the next probe comes one cool-down later.
+func TestPreciseRoutedProbeLeavesBreakerHalfOpen(t *testing.T) {
+	fm, err := model.BuildFuncModel("sq", 18, []model.VersionCurve{
+		{Name: "sq(0)", Work: 4, Samples: []model.FuncSample{{X: 0, Loss: 0.01}, {X: 10, Loss: 0.01}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, approx := false, 0
+	v0 := func(x float64) float64 {
+		if approx++; !healthy {
+			panic("approx version exploded")
+		}
+		return x * x * 1.01
+	}
+	f, err := NewFunc(FuncConfig{Name: "sq", Model: fm, SLA: 0.2, SampleInterval: 1},
+		func(x float64) float64 { return x * x }, []Fn{v0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f.Call(2)
+	}
+	if b := f.Breaker(); b.State != BreakerOpen {
+		t.Fatalf("breaker after 3 panics = %+v", b)
+	}
+	healthy, approx = true, 0
+	cool := ctrlCooldown(1)
+	for i := int64(0); i < cool; i++ { // the last call is the probe, at 20: outside the model's domain
+		f.Call(20)
+	}
+	if b := f.Breaker(); b.State != BreakerHalfOpen || approx != 0 {
+		t.Fatalf("after a precise-routed probe: breaker %+v, approximate version ran %d times; want half-open, 0", b, approx)
+	}
+	for i := int64(1); i < cool; i++ {
+		if f.Call(2); approx != 0 || f.Breaker().State != BreakerHalfOpen {
+			t.Fatalf("call %d of the next cool-down: breaker %+v, approximate version ran %d times", i, f.Breaker(), approx)
+		}
+	}
+	if f.Call(2); approx != 1 || f.Breaker().State != BreakerClosed {
+		t.Fatalf("the next probe: breaker %+v, approximate version ran %d times; want closed, 1", f.Breaker(), approx)
+	}
+}

@@ -86,13 +86,13 @@ func goldenSelectorLoop(t *testing.T, drive bool) *Loop {
 	return l
 }
 
-// goldenFuncCtl is funcFixture monitored every 2nd call; driven, its one
+// goldenFuncCtl is fig3Func monitored every 2nd call; driven, its one
 // monitored call gives accuracy back (negative offset) and the work
 // counter accumulates. A function has no Select stage, so its snapshot
 // has no selector section.
 func goldenFuncCtl(t *testing.T, drive bool) *Func {
 	t.Helper()
-	f := funcFixture(t, 0.05, 2)
+	f := fig3Func(t, 0.05, 2)
 	if _, ok := any(f).(interface{ InstallSelector(Selector) }); ok {
 		t.Fatal("Func accepts a Selector")
 	}

@@ -96,10 +96,11 @@ func runAblationEnvelope(o Options) (*Table, error) {
 	return t, nil
 }
 
-// runAblationPolicy: the Bing QoS metric is 0/1 per query, so the default
-// per-observation policy sees only extremes: it ratchets the level down on
-// every perfect query and up on every changed one, oscillating violently.
-// The windowed policy aggregates 100 queries before acting.
+// runAblationPolicy: the Bing QoS metric is 0/1 per query, so Figure 3's
+// per-observation policy (a window of one) sees only extremes: it
+// ratchets the level down on every perfect query and up on every changed
+// one, oscillating violently. The windowed policy aggregates 100 queries
+// before acting.
 func runAblationPolicy(o Options) (*Table, error) {
 	f, err := newSearchFixture(o)
 	if err != nil {
@@ -117,7 +118,7 @@ func runAblationPolicy(o Options) (*Table, error) {
 		policy core.RecalibratePolicy
 	}
 	variants := []variant{
-		{"default (per-query)", nil},
+		{"default (per-query)", &core.WindowedPolicy{Window: 1}},
 		{"windowed (Figure 9)", &core.WindowedPolicy{Window: 100}},
 	}
 	t := &Table{Columns: []string{"policy", "level changes per 100 queries", "final M (xN)", "measured loss"}}

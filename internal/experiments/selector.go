@@ -287,10 +287,13 @@ func selectorEonRows(o Options, t *Table) error {
 		sla = 0.02
 	}
 
+	// The reactive rows are Figure 3's per-observation law, a window of
+	// one, as the search rows are Figure 9's.
 	_, _, err = loopRows(t, "raytracer", func() core.LoopConfig {
 		return core.LoopConfig{
 			Name: "eon.passes", Model: m, SLA: sla,
 			SampleInterval: 8, MinLevel: knots[0],
+			Policy: &core.WindowedPolicy{Window: 1},
 		}
 	}, cal, f.cost, "ray", func(loop *core.Loop, out *selOutcome) error {
 		for i := nTrain; i < len(f.cameras); i++ {

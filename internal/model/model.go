@@ -36,11 +36,14 @@ var (
 
 // CalPoint is one calibration measurement for one approximation level of a
 // loop: terminating the loop early at Level iterations produced the given
-// fractional QoS loss and consumed Work work units.
+// fractional QoS loss and consumed Work work units. Spread is the standard
+// deviation of the per-input loss about QoSLoss (zero when unknown, as in
+// models stored without it).
 type CalPoint struct {
 	Level   float64 `json:"level"`
 	QoSLoss float64 `json:"qos_loss"`
 	Work    float64 `json:"work"`
+	Spread  float64 `json:"spread,omitempty"`
 }
 
 // LoopModel is the QoS model for one approximable loop.
@@ -77,6 +80,7 @@ func BuildLoopModel(name string, points []CalPoint, baseWork, baseLevel float64)
 		if n := len(merged); n > 0 && merged[n-1].Level == p.Level {
 			merged[n-1].QoSLoss = (merged[n-1].QoSLoss + p.QoSLoss) / 2
 			merged[n-1].Work = (merged[n-1].Work + p.Work) / 2
+			merged[n-1].Spread = (merged[n-1].Spread + p.Spread) / 2
 			continue
 		}
 		merged = append(merged, p)
@@ -112,6 +116,12 @@ func (m *LoopModel) PredictLoss(level float64) float64 {
 // the given level.
 func (m *LoopModel) PredictWork(level float64) float64 {
 	return interpolate(m.Points, level, func(p CalPoint) float64 { return p.Work })
+}
+
+// PredictSpread returns the calibrated standard deviation of the loss
+// at the given level, interpolated as PredictWork is.
+func (m *LoopModel) PredictSpread(level float64) float64 {
+	return interpolate(m.Points, level, func(p CalPoint) float64 { return p.Spread })
 }
 
 // Speedup returns BaseWork / PredictWork(level): how many times less work

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -207,6 +208,30 @@ func TestLoopModelJSONRoundTrip(t *testing.T) {
 	lvl, err := m2.StaticParams(0.05)
 	if err != nil || math.Abs(lvl-200) > 1e-9 {
 		t.Errorf("round-tripped StaticParams = (%v, %v)", lvl, err)
+	}
+}
+
+// TestCalPointSpreadIsOptional: a model stored before points carried a
+// spread loads with none, and a point without one stores without the key.
+func TestCalPointSpreadIsOptional(t *testing.T) {
+	var m LoopModel
+	if err := json.Unmarshal([]byte(`{"name":"x","base_work":8,"base_level":8,"points":[{"level":4,"qos_loss":0.1,"work":4}]}`), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.PredictSpread(4) != 0 {
+		t.Errorf("spread of a stored model without one = %v", m.PredictSpread(4))
+	}
+	data, err := json.Marshal(&m)
+	if err != nil || strings.Contains(string(data), "spread") {
+		t.Errorf("marshal = %s (%v), want no spread key", data, err)
+	}
+	m.Points[0].Spread = 0.02
+	var back LoopModel
+	if data, err = json.Marshal(&m); err == nil {
+		err = json.Unmarshal(data, &back)
+	}
+	if err != nil || back.PredictSpread(4) != 0.02 {
+		t.Errorf("round trip of spread 0.02: %v, %v", back.Points, err)
 	}
 }
 
