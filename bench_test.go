@@ -267,14 +267,17 @@ func BenchmarkFig15Fig16EonVersions(b *testing.B) {
 }
 
 // BenchmarkRenderPass measures one Renderer.Pass at app_kernels' 10x8
-// size: one sample per pixel, each from a sampler seeded by (seed, pass,
-// pixel).
+// size: one sample per pixel, each drawn from the Renderer's one source
+// reseeded by (seed, pass, pixel), so a warm pass allocates nothing
+// (check.sh holds it at 0 allocs/op). A Renderer is used by one
+// goroutine at a time.
 func BenchmarkRenderPass(b *testing.B) {
 	r, err := raytracer.NewRenderer(raytracer.NewScene(7), raytracer.RandomCamera(10), 10, 8, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Pass()
 	}
@@ -786,6 +789,62 @@ func BenchmarkFuncHotPath(b *testing.B) {
 	b.Run("steady/key", run(0, ident))
 	b.Run("monitored1k/nilkey", run(1000, nil))
 	b.Run("monitored1k/key", run(1000, ident))
+}
+
+// BenchmarkFuncHotPathParallel shares one steady hot Func among
+// GOMAXPROCS goroutines. RunParallel hands each goroutine its iterations
+// in batches, so no harness counter is shared per call: run at -cpu 1
+// and -cpu 2, the two rows show what the controller's own shared state
+// costs when two Ps call one Func.
+func BenchmarkFuncHotPathParallel(b *testing.B) {
+	var xs [batchSize]float64
+	for i := range xs {
+		xs[i] = -1.4 + 1.4*float64(i)/batchSize
+	}
+	f := hotFuncFixture(b, 0, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var sink float64
+		for i := 0; pb.Next(); i++ {
+			sink += f.Call(xs[i%batchSize])
+		}
+		_ = sink
+	})
+}
+
+// BenchmarkFuncOverhead is the §4.1 overhead claim for functions: bare
+// math.Exp against a Disabled Func around it, over the same inputs. The
+// ratio disabled/bare is what a call site pays for being approximable
+// while approximation is off.
+func BenchmarkFuncOverhead(b *testing.B) {
+	var xs [batchSize]float64
+	for i := range xs {
+		xs[i] = -1.4 + 1.4*float64(i)/batchSize
+	}
+	f, err := green.NewFunc(green.FuncConfig{
+		Name: "exp", Model: benchExpModel(b), SLA: 0.01, Disabled: true,
+	}, math.Exp, []core.Fn{approxmath.ExpTaylor(3), approxmath.ExpTaylor(4),
+		approxmath.ExpTaylor(5), approxmath.ExpTaylor(6)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("bare", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			sink += math.Exp(xs[i%batchSize])
+		}
+		_ = sink
+	})
+	b.Run("disabled", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			sink += f.Call(xs[i%batchSize])
+		}
+		_ = sink
+	})
 }
 
 // BenchmarkFuncCallN measures the batched function tier against the

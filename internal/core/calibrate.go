@@ -235,7 +235,7 @@ func (c *FuncCalibration) AddSample(version int, x, loss float64) error {
 	if loss < 0 || math.IsNaN(loss) {
 		return fmt.Errorf("core: invalid loss %v", loss)
 	}
-	bin := int(math.Floor(x / c.binWidth))
+	bin := c.bin(x)
 	b := c.versions[version].bins[bin]
 	if b == nil {
 		b = &calBin{}
@@ -249,7 +249,11 @@ func (c *FuncCalibration) AddSample(version int, x, loss float64) error {
 // Calibrate runs every version against the precise function over the
 // given inputs, using qos to compare results (nil = caller already added
 // samples manually). It is the convenience driver of the calibration
-// build for functions.
+// build for functions, and leaves the bins as AddSample per sample would
+// (the samples before an invalid loss included), in fewer map operations:
+// over a compact input range the samples accumulate into one dense row
+// of bins per version, seeded from the bins already present, and adding
+// them in input order keeps every sum bit-equal.
 func (c *FuncCalibration) Calibrate(precise Fn, versions []Fn, inputs []float64, qos FuncQoS) error {
 	if len(versions) != len(c.versions) {
 		return fmt.Errorf("core: got %d implementations, want %d", len(versions), len(c.versions))
@@ -257,15 +261,86 @@ func (c *FuncCalibration) Calibrate(precise Fn, versions []Fn, inputs []float64,
 	if qos == nil {
 		qos = defaultFuncQoS
 	}
-	for _, x := range inputs {
-		yp := precise(x)
-		for v := range versions {
-			if err := c.AddSample(v, x, qos(yp, versions[v](x))); err != nil {
-				return err
+	lo, span, ok := c.binSpan(inputs)
+	if !ok {
+		for _, x := range inputs {
+			yp := precise(x)
+			for v := range versions {
+				if err := c.AddSample(v, x, qos(yp, versions[v](x))); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	// dense[v*span+i] is version v's bin lo+i.
+	dense := make([]calBin, len(versions)*span)
+	for v := range c.versions {
+		for bin, b := range c.versions[v].bins {
+			if i := bin - lo; i >= 0 && i < span {
+				dense[v*span+i] = *b
 			}
 		}
 	}
+	err := c.addDense(dense, lo, span, precise, versions, inputs, qos)
+	for v := range c.versions {
+		bins := c.versions[v].bins
+		for i, b := range dense[v*span : (v+1)*span] {
+			if b.n == 0 {
+				continue
+			}
+			if p := bins[lo+i]; p != nil {
+				*p = b
+			} else {
+				bins[lo+i] = &b
+			}
+		}
+	}
+	return err
+}
+
+// addDense is Calibrate's sample loop over dense bins, stopping at the
+// first invalid loss with AddSample's error.
+func (c *FuncCalibration) addDense(dense []calBin, lo, span int, precise Fn, versions []Fn, inputs []float64, qos FuncQoS) error {
+	for _, x := range inputs {
+		i := c.bin(x) - lo
+		yp := precise(x)
+		for v := range versions {
+			loss := qos(yp, versions[v](x))
+			if loss < 0 || math.IsNaN(loss) {
+				return fmt.Errorf("core: invalid loss %v", loss)
+			}
+			b := &dense[v*span+i]
+			b.lossSum += loss
+			b.n++
+		}
+	}
 	return nil
+}
+
+// bin is the input-domain bin x falls in.
+func (c *FuncCalibration) bin(x float64) int { return int(math.Floor(x / c.binWidth)) }
+
+// binSpan is the bin range [lo, lo+span) the inputs fall in; ok is false
+// where dense bins do not pay: an input whose bin is not a finite,
+// exactly representable index, or a range much wider than the inputs.
+func (c *FuncCalibration) binSpan(inputs []float64) (lo, span int, ok bool) {
+	if len(inputs) == 0 {
+		return 0, 0, false
+	}
+	const limit = 1 << 52
+	fmin, fmax := math.Inf(1), math.Inf(-1)
+	for _, x := range inputs {
+		f := math.Floor(x / c.binWidth)
+		if !(f >= -limit && f <= limit) {
+			return 0, 0, false
+		}
+		fmin, fmax = min(fmin, f), max(fmax, f)
+	}
+	if fmax-fmin >= float64(2*len(inputs)+64) {
+		return 0, 0, false
+	}
+	return int(fmin), int(fmax-fmin) + 1, true
 }
 
 // Build averages the bins into a FuncModel.

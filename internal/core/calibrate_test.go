@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -226,6 +227,78 @@ func TestFuncCalibrateDriver(t *testing.T) {
 	// At x ~= 2: loss ~= 0.01/4 = 0.25%.
 	if got := m.Versions[0].LossAt(2.0); got <= 0 || got > 0.005 {
 		t.Errorf("loss at 2 = %v, want ~0.0025", got)
+	}
+}
+
+// TestFuncCalibrateMatchesAddSample holds Calibrate's dense bins to the
+// per-sample AddSample loop it replaced: the same bins with bit-equal
+// sums and counts, over pre-existing bins, inputs wider than the dense
+// range allows and non-finite ones, and up to an invalid loss, whose
+// error both return after keeping the samples before it.
+func TestFuncCalibrateMatchesAddSample(t *testing.T) {
+	precise := func(x float64) float64 { return math.Exp(x) }
+	versions := []Fn{
+		func(x float64) float64 { return 1 + x + x*x/2 },
+		func(x float64) float64 { return 1 + x + x*x/2 + x*x*x/6 },
+	}
+	uniform := make([]float64, 500)
+	for i := range uniform {
+		uniform[i] = -2.5 + 3*math.Mod(float64(i)*0.6180339887, 1)
+	}
+	cases := map[string]struct {
+		prior, inputs []float64
+		qos           FuncQoS
+	}{
+		"dense":        {inputs: uniform},
+		"prior bins":   {prior: []float64{-2.45, 0.33, 7}, inputs: uniform},
+		"wide":         {inputs: []float64{-1e6, 0.2, 1e6}},
+		"non-finite":   {inputs: []float64{0.1, math.Inf(1), 0.3}},
+		"nan":          {inputs: []float64{0.1, math.NaN(), 0.3}},
+		"empty":        {},
+		"invalid loss": {inputs: uniform, qos: func(yp, ya float64) float64 { return ya - yp }},
+	}
+	for name, tc := range cases {
+		got, _ := NewFuncCalibration("exp", 18, []string{"e2", "e3"}, []float64{3, 4}, 0.1)
+		want, _ := NewFuncCalibration("exp", 18, []string{"e2", "e3"}, []float64{3, 4}, 0.1)
+		for _, c := range []*FuncCalibration{got, want} {
+			for _, x := range tc.prior {
+				for v := range versions {
+					if err := c.AddSample(v, x, 0.5); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		qos := tc.qos
+		if qos == nil {
+			qos = defaultFuncQoS
+		}
+		gotErr := got.Calibrate(precise, versions, tc.inputs, tc.qos)
+		var wantErr error
+	loop:
+		for _, x := range tc.inputs {
+			yp := precise(x)
+			for v := range versions {
+				if wantErr = want.AddSample(v, x, qos(yp, versions[v](x))); wantErr != nil {
+					break loop
+				}
+			}
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, want %v", name, gotErr, wantErr)
+		}
+		for v := range versions {
+			g, w := got.versions[v].bins, want.versions[v].bins
+			if len(g) != len(w) {
+				t.Errorf("%s: version %d has %d bins, want %d", name, v, len(g), len(w))
+			}
+			for bin, wb := range w {
+				gb := g[bin]
+				if gb == nil || gb.n != wb.n || math.Float64bits(gb.lossSum) != math.Float64bits(wb.lossSum) {
+					t.Errorf("%s: version %d bin %d = %+v, want %+v", name, v, bin, gb, *wb)
+				}
+			}
+		}
 	}
 }
 

@@ -77,23 +77,27 @@ func NewFunc2(cfg Func2Config, precise Fn2, approx []Fn2) (*Func2, error) {
 	}, rungs, cfg.QoS, cfg.Disabled); err != nil {
 		return nil, err
 	}
-	f.grid = cfg.Model
+	f.grid, f.cells = cfg.Model.Grid, cellVersions(cfg.Model, cfg.SLA)
 	f.sizeWindow(f.window)
 	return f, nil
 }
 
-// cellVersion is the base version of grid cell idx: the cheapest meeting
-// the SLA there (SelectVersion's rule), or precise.
-func (f *Func2) cellVersion(idx int) int {
-	m := f.cfg.Model
-	base, bestWork := model.PreciseVersion, m.PreciseWork
-	for vi := range m.Versions {
-		v := &m.Versions[vi]
-		if v.Loss[idx] <= f.cfg.SLA && v.Work < bestWork {
-			base, bestWork = vi, v.Work
+// cellVersions is the base version of every grid cell, built once as
+// Func's range table is: the cheapest version meeting sla there
+// (SelectVersion's rule), or precise.
+func cellVersions(m *model.FuncModel2D, sla float64) []int {
+	cells := make([]int, m.Grid.NX*m.Grid.NY)
+	for idx := range cells {
+		base, bestWork := model.PreciseVersion, m.PreciseWork
+		for vi := range m.Versions {
+			v := &m.Versions[vi]
+			if v.Loss[idx] <= sla && v.Work < bestWork {
+				base, bestWork = vi, v.Work
+			}
 		}
+		cells[idx] = base
 	}
-	return base
+	return cells
 }
 
 // window sizes a nil Policy's window (sizeWindow) from the grid: a
@@ -103,8 +107,7 @@ func (f *Func2) cellVersion(idx int) int {
 func (f *Func2) window() int {
 	m := f.cfg.Model
 	var at [2]lossMoments
-	for idx := 0; idx < m.Grid.NX*m.Grid.NY; idx++ {
-		base := f.cellVersion(idx)
+	for idx, base := range f.cells {
 		for k := range at {
 			v := f.shift(&ladderState{offset: k - 1}, base)
 			if v != model.PreciseVersion && finite(m.Versions[v].Loss[idx]) {
@@ -136,10 +139,10 @@ func (f *Func2) Sensitivity() float64 {
 	st := f.state.Load()
 	m := f.cfg.Model
 	var dLoss, dWork float64
-	for idx := 0; idx < m.Grid.NX*m.Grid.NY; idx++ {
+	for idx, base := range f.cells {
 		// The cell's base version, then the recalibration offset, as
 		// version applies it.
-		cur := f.shift(st, f.cellVersion(idx))
+		cur := f.shift(st, base)
 		if cur == model.PreciseVersion {
 			continue // already precise here
 		}

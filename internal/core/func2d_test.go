@@ -97,6 +97,37 @@ func TestFunc2Selection(t *testing.T) {
 	}
 }
 
+// TestFunc2BaseMatchesSelectVersion holds the per-cell versions Func2
+// builds once to the model's own per-call rule, on a grid whose cells
+// disagree: every probe (edges and points outside included) gets
+// SelectVersion's version at every SLA.
+func TestFunc2BaseMatchesSelectVersion(t *testing.T) {
+	inf := math.Inf(1)
+	m := &model.FuncModel2D{
+		Name: "uneven", PreciseWork: 18,
+		Grid: model.Grid2D{XLo: -1, XHi: 2, YLo: 0, YHi: 4, NX: 3, NY: 2},
+		Versions: []model.VersionGrid{
+			{Work: 4, Loss: []float64{0.20, 0.01, inf, 0.05, 0.30, 0.02}},
+			{Work: 9, Loss: []float64{0.02, 0.01, 0.04, inf, 0.01, 0.50}},
+			{Work: 3, Loss: []float64{0.50, 0.04, 0.01, 0.04, inf, 0.01}},
+		},
+	}
+	id := func(x, y float64) float64 { return x + y }
+	for _, sla := range []float64{0.01, 0.02, 0.045, 0.25, 1} {
+		f, err := NewFunc2(Func2Config{Name: "uneven", Model: m, SLA: sla}, id, []Fn2{id, id, id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := -1.5; x <= 2.5; x += 0.25 {
+			for y := -0.5; y <= 4.5; y += 0.5 {
+				if got, want := f.base(pair{x, y}), m.SelectVersion(x, y, sla); got != want {
+					t.Errorf("SLA %v at (%v, %v): version %d, want %d", sla, x, y, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFunc2MonitoredRecalibrates(t *testing.T) {
 	f := func2Fixture(t, 0.2, 1) // m0 selected; its real loss is 10%
 	// Real loss 0.10 < 0.9*0.2: decrease pressure.

@@ -58,10 +58,11 @@ type ladder[A arg] struct {
 
 	// The base-version lookup, immutable after construction: Func's range
 	// table for its SLA, read through key (nil: the argument itself), or
-	// Func2's grid.
+	// Func2's grid with each cell's base version for its SLA.
 	ranges []model.Range
 	key    func(float64) float64
-	grid   *model.FuncModel2D
+	grid   model.Grid2D
+	cells  []int
 
 	// workMilli accumulates model work units in thousandths, so the hot
 	// path can use a single atomic add for fractional unit costs.
@@ -140,7 +141,10 @@ func (l *ladder[A]) version(st *ladderState, forced bool, a A) int {
 // call.
 func (l *ladder[A]) base(a A) int {
 	if p, ok := any(a).(pair); ok {
-		return l.grid.SelectVersion(p.x, p.y, l.sla)
+		if idx := l.grid.CellIndex(p.x, p.y); idx >= 0 {
+			return l.cells[idx]
+		}
+		return model.PreciseVersion
 	}
 	k := any(a).(float64)
 	if l.key != nil {

@@ -23,9 +23,9 @@ type Grid2D struct {
 	NY  int     `json:"ny"`
 }
 
-// cellIndex returns the flat cell index for (x, y), or -1 when outside
-// the grid.
-func (g *Grid2D) cellIndex(x, y float64) int {
+// CellIndex returns the flat cell index for (x, y), cy·NX + cx, or -1
+// when outside the grid.
+func (g *Grid2D) CellIndex(x, y float64) int {
 	if x < g.XLo || x >= g.XHi || y < g.YLo || y >= g.YHi {
 		return -1
 	}
@@ -114,7 +114,7 @@ func (c *Calibration2D) AddSample(version int, x, y, loss float64) error {
 	if loss < 0 || math.IsNaN(loss) {
 		return fmt.Errorf("model: invalid loss %v", loss)
 	}
-	idx := c.m.Grid.cellIndex(x, y)
+	idx := c.m.Grid.CellIndex(x, y)
 	if idx < 0 {
 		return nil // outside the calibrated domain: precise at runtime anyway
 	}
@@ -148,7 +148,7 @@ func (c *Calibration2D) Build() (*FuncModel2D, error) {
 // SelectVersion returns the cheapest version meeting the SLA at (x, y),
 // or PreciseVersion when none does or the point is outside the grid.
 func (m *FuncModel2D) SelectVersion(x, y, sla float64) int {
-	idx := m.Grid.cellIndex(x, y)
+	idx := m.Grid.CellIndex(x, y)
 	if idx < 0 {
 		return PreciseVersion
 	}

@@ -38,20 +38,20 @@ func TestNewCalibration2DValidation(t *testing.T) {
 func TestGrid2DCellIndex(t *testing.T) {
 	g := grid()
 	// Corner cells.
-	if got := g.cellIndex(0, 0); got != 0 {
+	if got := g.CellIndex(0, 0); got != 0 {
 		t.Errorf("cell(0,0) = %d", got)
 	}
-	if got := g.cellIndex(9.99, 3.99); got != 9 {
+	if got := g.CellIndex(9.99, 3.99); got != 9 {
 		t.Errorf("cell(max) = %d, want 9", got)
 	}
 	// Out of range.
 	for _, p := range [][2]float64{{-1, 0}, {10, 0}, {0, -1}, {0, 4}} {
-		if got := g.cellIndex(p[0], p[1]); got != -1 {
+		if got := g.CellIndex(p[0], p[1]); got != -1 {
 			t.Errorf("cell(%v) = %d, want -1", p, got)
 		}
 	}
 	// Mid cell: x in [2,4) is column 1; y in [2,4) is row 1 -> 1*5+1 = 6.
-	if got := g.cellIndex(3, 3); got != 6 {
+	if got := g.CellIndex(3, 3); got != 6 {
 		t.Errorf("cell(3,3) = %d, want 6", got)
 	}
 }

@@ -224,11 +224,16 @@ func (s *Scene) trace(r Ray, depth int, rng *rand.Rand, rays *int64) Vec {
 // the approximable main loop of the eon experiment: after m passes the
 // framebuffer holds the mean of the first m per-pixel samples, so a
 // prefix of passes is exactly what early termination would have produced.
+//
+// A Renderer owns one random source for its life and reseeds it per
+// pixel sample, so a pass allocates nothing; it is used by one goroutine
+// at a time.
 type Renderer struct {
 	scene  *Scene
 	cam    Camera
 	w, h   int
 	seed   int64
+	rng    *rand.Rand
 	accum  []float64
 	passes int
 	rays   int64
@@ -245,13 +250,15 @@ func NewRenderer(scene *Scene, cam Camera, w, h int, seed int64) (*Renderer, err
 	}
 	return &Renderer{
 		scene: scene, cam: cam, w: w, h: h, seed: seed,
+		rng:   workload.NewRand(seed),
 		accum: make([]float64, w*h*3),
 	}, nil
 }
 
 // Pass renders one more sample per pixel. Sampling for pass p is a pure
 // function of (seed, pass, pixel), so stopping after m passes yields a
-// prefix-stable result.
+// prefix-stable result: Seed resets the source and its read position, so
+// the reseeded source draws what a fresh one seeded alike would.
 func (r *Renderer) Pass() {
 	p := r.passes
 	// Camera basis.
@@ -261,10 +268,11 @@ func (r *Renderer) Pass() {
 	halfH := math.Tan(r.cam.FOV / 2)
 	halfW := halfH * float64(r.w) / float64(r.h)
 
+	rng := r.rng
 	for y := 0; y < r.h; y++ {
 		for x := 0; x < r.w; x++ {
 			pix := (y*r.w + x)
-			rng := workload.NewRand(workload.Split(r.seed, int64(p)<<32|int64(pix)))
+			rng.Seed(workload.Split(r.seed, int64(p)<<32|int64(pix)))
 			// Jittered position within the pixel.
 			jx := (float64(x) + rng.Float64()) / float64(r.w)
 			jy := (float64(y) + rng.Float64()) / float64(r.h)

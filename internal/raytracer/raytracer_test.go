@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"green/internal/metrics"
+	"green/internal/workload"
 )
 
 func TestVecOps(t *testing.T) {
@@ -232,6 +233,68 @@ func TestSnapshotBeforeAnyPassIsBlack(t *testing.T) {
 	for _, v := range r.Snapshot().Pix {
 		if v != 0 {
 			t.Fatal("pre-pass snapshot not black")
+		}
+	}
+}
+
+// freshSourcePass is Pass as it was written before the Renderer kept a
+// source: a new source per pixel sample, seeded by (seed, pass, pixel).
+func freshSourcePass(r *Renderer) {
+	p := r.passes
+	forward := r.cam.LookAt.Sub(r.cam.Pos).Norm()
+	right := forward.Cross(Vec{0, 1, 0}).Norm()
+	up := right.Cross(forward)
+	halfH := math.Tan(r.cam.FOV / 2)
+	halfW := halfH * float64(r.w) / float64(r.h)
+	for y := 0; y < r.h; y++ {
+		for x := 0; x < r.w; x++ {
+			pix := y*r.w + x
+			rng := workload.NewRand(workload.Split(r.seed, int64(p)<<32|int64(pix)))
+			jx := (float64(x) + rng.Float64()) / float64(r.w)
+			jy := (float64(y) + rng.Float64()) / float64(r.h)
+			dir := forward.
+				Add(right.Scale((2*jx - 1) * halfW)).
+				Add(up.Scale((1 - 2*jy) * halfH)).Norm()
+			c := r.scene.trace(Ray{Origin: r.cam.Pos, Dir: dir}, 0, rng, &r.rays)
+			r.accum[pix*3] += c.X
+			r.accum[pix*3+1] += c.Y
+			r.accum[pix*3+2] += c.Z
+		}
+	}
+	r.passes++
+}
+
+// TestPassMatchesFreshSource holds the reseeded source to the fresh
+// source per sample it replaced: the same accumulated samples, images
+// and ray counts, bit for bit, after every pass.
+func TestPassMatchesFreshSource(t *testing.T) {
+	scene := NewScene(7)
+	for _, size := range [][2]int{{10, 8}, {7, 5}} {
+		for _, seed := range []int64{1, 2, 58, -3} {
+			cam := RandomCamera(seed + 10)
+			got, err := NewRenderer(scene, cam, size[0], size[1], seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := NewRenderer(scene, cam, size[0], size[1], seed)
+			for p := 1; p <= 4; p++ {
+				got.Pass()
+				freshSourcePass(want)
+				if got.Rays() != want.Rays() {
+					t.Fatalf("%dx%d seed %d pass %d: %d rays, want %d", size[0], size[1], seed, p, got.Rays(), want.Rays())
+				}
+				for i := range want.accum {
+					if math.Float64bits(got.accum[i]) != math.Float64bits(want.accum[i]) {
+						t.Fatalf("%dx%d seed %d pass %d: accum[%d] = %v, want %v", size[0], size[1], seed, p, i, got.accum[i], want.accum[i])
+					}
+				}
+				g, w := got.Snapshot().Pix, want.Snapshot().Pix
+				for i := range w {
+					if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+						t.Fatalf("%dx%d seed %d pass %d: pixel %d = %v, want %v", size[0], size[1], seed, p, i, g[i], w[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Records the operational-hot-path perf trajectory: runs the
 # BenchmarkLoopHotPath* / BenchmarkLoopExecFeat* / BenchmarkLoopExecN /
-# BenchmarkFuncHotPath* / BenchmarkFuncCallN / BenchmarkFunc2CallN /
-# BenchmarkFunc2HotPath* / BenchmarkOverhead{Plain,Green}Loop /
+# BenchmarkFuncHotPath* (BenchmarkFuncHotPathParallel included) /
+# BenchmarkFuncCallN / BenchmarkFunc2CallN / BenchmarkFunc2HotPath* /
+# BenchmarkOverhead{Plain,Green}Loop / BenchmarkFuncOverhead /
 # BenchmarkServeQPS / BenchmarkServeMonitored / BenchmarkScanKernel /
 # BenchmarkServeBand (the 200k handler over band queries; with the kernel
 # rows, `-only scan`) / BenchmarkClusterScatter / BenchmarkShardHop /
@@ -49,8 +50,8 @@ benchtime="1s"
 best=1
 pair=""
 cpu=""
-pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|ServeQPS|ServeMonitored|ScanKernel|ServeBand|ClusterScatter|ShardHop|CombineSearchSpace|FuncCallDFT|RenderPass|ZipfNext|NewZipf|NewEngine'
-control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop'
+pattern='LoopHotPath|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|FuncOverhead|ServeQPS|ServeMonitored|ScanKernel|ServeBand|ClusterScatter|ShardHop|CombineSearchSpace|FuncCallDFT|RenderPass|ZipfNext|NewZipf|NewEngine'
+control_law='LoopHotPath/|LoopExecFeat|LoopExecN|FuncHotPath|FuncCallN|Func2CallN|Func2HotPath|Overhead(Plain|Green)Loop|FuncOverhead'
 corpus='ZipfNext|NewZipf|NewEngine'
 scan='ScanKernel|ServeBand'
 dft='FuncCallDFT|Fig21Fig22DFTVersions'

@@ -34,7 +34,7 @@ echo "== DESIGN.md does not grow =="
 # in bytes after the last change that shrank it: a change that adds to
 # it removes as much elsewhere, and one that shrinks it lowers the cap,
 # down to the 45 kB target.
-design_max=83740
+design_max=83737
 bytes=$(wc -c < DESIGN.md)
 if [ "$bytes" -gt "$design_max" ]; then
 	echo "FAIL: DESIGN.md is $bytes bytes (at most $design_max)" >&2
@@ -264,7 +264,10 @@ echo "== hot path stays allocation-free =="
 # the last engine first, or NewEngine would hand it back and the row
 # would time a lookup; that lookup is NewEngine/hit, the fourteenth row,
 # with a budget of zero: a set-up that finds its corpus live pays nothing.
-go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct|NewEngine/20k|NewEngine/hit' \
+# The fifteenth, RenderPass, is one warm ray-tracer pass with a budget of
+# zero: the Renderer reseeds its one random source per pixel sample (a
+# fresh source per sample was 160 allocs and 434 KB a pass).
+go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/steady|Func2HotPath/steady|LoopExecN/steady|FuncCallN/steady|Func2CallN/steady|ServeQPS|ServeMonitored/memo|ClusterScatter|ShardHop/direct|NewEngine/20k|NewEngine/hit|RenderPass' \
 	-benchmem -benchtime 100x -count 1 . | awk '
 	/^Benchmark/ {
 		budget = ($1 ~ /^BenchmarkClusterScatter/) ? 2 : ($1 ~ /^BenchmarkShardHop/) ? 40 : ($1 ~ /^BenchmarkNewEngine\/20k/) ? 32 : 0
@@ -277,7 +280,7 @@ go test -run xxx -bench 'LoopHotPath/steady|LoopExecFeat/steady|FuncHotPath/stea
 		seen++
 	}
 	END {
-		if (seen < 14) { print "FAIL: expected 14 allocation-gate benchmarks, saw " seen; exit 1 }
+		if (seen < 15) { print "FAIL: expected 15 allocation-gate benchmarks, saw " seen; exit 1 }
 		exit bad
 	}'
 # And where the allocation would happen: a monitored observation whose
